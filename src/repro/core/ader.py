@@ -14,16 +14,18 @@ expansion in time is the workhorse of the scheme: it supplies
 * point-in-time traces for the gravity free-surface ODE stages (Sec. 4.3),
 * point-in-time traces for the dynamic-rupture time quadrature, and
 * sub-interval integrals for local time-stepping (Sec. 4.4).
+
+The sweep itself is :func:`repro.kernels.fusion.fused_ck`; this module
+holds the star Jacobians it reads and the Taylor-series utilities.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .basis import ReferenceElement
 from .materials import jacobians
 
-__all__ = ["star_matrices", "ck_derivatives", "taylor_integrate", "taylor_evaluate"]
+__all__ = ["star_matrices", "taylor_integrate", "taylor_evaluate"]
 
 
 def star_matrices(mesh) -> np.ndarray:
@@ -36,28 +38,6 @@ def star_matrices(mesh) -> np.ndarray:
     ABC = np.stack([np.stack(j) for j in mats])  # (nmat, 3, 9, 9)
     per_elem = ABC[mesh.material_ids]  # (ne, 3, 9, 9)
     return np.einsum("ekd,edij->ekij", mesh.inv_jac, per_elem)
-
-
-def ck_derivatives(Q: np.ndarray, star: np.ndarray, ref: ReferenceElement) -> np.ndarray:
-    """All time derivatives of the modal solution: ``(ne, N+1, B, 9)``.
-
-    ``out[:, 0]`` is ``Q`` itself; ``out[:, k]`` holds ``d^k Q/dt^k``.
-    Each Cauchy-Kowalewski level loses one polynomial degree, so the modal
-    derivative operators could be truncated per level; we keep full size for
-    simplicity (the batched GEMM is bandwidth-bound anyway).
-    """
-    ne, nb, nq = Q.shape
-    order = ref.order
-    out = np.empty((ne, order + 1, nb, nq))
-    out[:, 0] = Q
-    starT = star.transpose(0, 1, 3, 2)  # (ne, 3, 9, 9) transposed blocks
-    for k in range(order):
-        acc = np.zeros((ne, nb, nq))
-        for d in range(3):
-            # (B,B) @ (ne,B,9) -> (ne,B,9), then contract quantity index
-            acc += np.matmul(ref.deriv[d] @ out[:, k], starT[:, d])
-        out[:, k + 1] = -acc
-    return out
 
 
 def taylor_integrate(derivs: np.ndarray, t0: float, t1: float) -> np.ndarray:

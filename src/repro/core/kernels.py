@@ -1,12 +1,14 @@
-"""Batched element and face kernels: the discrete spatial operator.
+"""The discrete spatial operator: plan build + the element and face kernels.
 
 This module is the Python analogue of SeisSol's generated kernels: all
 per-element and per-face operators are precomputed at setup (star Jacobians,
 per-face Godunov flux matrices F-/F+ of paper Eq. 20 for *both* sides of
-every interior face, boundary flux matrices per kind) and applied as batched
-GEMMs grouped by face orientation class, so the hot loop is a short sequence
-of ``einsum``/``matmul`` calls over contiguous arrays — the vectorization
-idiom the HPC-Python guides prescribe.
+every interior face, boundary flux matrices per kind), folded into the
+stacked-GEMM factors of :mod:`repro.kernels.fusion` and applied grouped by
+face orientation class, so the hot loop is a short sequence of ``matmul``
+calls over contiguous arrays — the vectorization idiom the HPC-Python
+guides prescribe.  The unfolded quadrature-form kernels the folding is
+derived from live in ``tests/reference_kernels.py`` as the test oracle.
 
 The corrector update implemented here is the time-integrated weak form:
 
@@ -20,13 +22,17 @@ which add their own flux contributions through :meth:`SpatialOperator.project_fa
 
 from __future__ import annotations
 
+import copy
+from collections import OrderedDict
+from types import SimpleNamespace
+
 import numpy as np
 
 from ..core.riemann import FaceKind
 from ..exec.plan_cache import OperatorPlan, get_plan_cache
-from ..kernels import plan_kind as _plan_kind
-from ..kernels import resolve_kernel_variant
 from ..kernels.fusion import (
+    FusedBoundaryGroup,
+    FusedInteriorGroup,
     attach_fused_groups,
     fused_boundary_residual,
     fused_ck,
@@ -34,7 +40,7 @@ from ..kernels.fusion import (
     fused_volume_residual,
 )
 from ..obs.telemetry import get_telemetry
-from .ader import ck_derivatives, star_matrices
+from .ader import star_matrices
 from .basis import get_reference_element
 from .materials import jacobians
 from .riemann import (
@@ -50,24 +56,6 @@ __all__ = ["SpatialOperator"]
 _TEL = get_telemetry()
 
 
-class _InteriorGroup:
-    """Faces sharing one (minus face, plus face, permutation) class.
-
-    Fused plans additionally carry the folded surface factors of
-    :func:`repro.kernels.fusion.attach_fused_groups`: the per-class
-    ``(B, B)`` basis projectors ``Amm``/``Amp``/``App``/``Apm`` and the
-    per-face scale-folded transposed flux matrices ``G1``-``G4``.
-    """
-
-    __slots__ = ("face_ids", "em", "ep", "minus_face", "plus_face", "perm",
-                 "scale_m", "scale_p", "Fmm", "Fpm", "Fmp", "Fpp",
-                 "Amm", "Amp", "App", "Apm", "G1", "G2", "G3", "G4")
-
-
-class _BoundaryGroup:
-    __slots__ = ("face_ids", "elem", "face", "scale", "F", "A", "G")
-
-
 class SpatialOperator:
     """Precomputed discrete operator for one mesh at one polynomial order.
 
@@ -78,55 +66,43 @@ class SpatialOperator:
     ablation benchmark; never use it for production.
     """
 
+    #: the kernel path this operator executes — what run manifests and
+    #: bench records report and which counting convention of
+    #: :func:`repro.hpc.perfmodel.kernel_counts` applies
+    kernel_variant = "fused"
+
     def __init__(self, mesh, order: int, gravity_g: float = 9.81,
-                 flux_variant: str = "exact", kernel_variant: str | None = None):
+                 flux_variant: str = "exact"):
         if flux_variant not in ("exact", "one_sided"):
             raise ValueError(f"unknown flux variant {flux_variant!r}")
         self.flux_variant = flux_variant
-        self.kernel_variant = resolve_kernel_variant(kernel_variant)
-        self.plan_kind = _plan_kind(self.kernel_variant)
         self.mesh = mesh
         self.order = order
         self.ref = get_reference_element(order)
         self.g = gravity_g
         self._n_elements = mesh.n_elements
         # the expensive setup (star Jacobians + per-face flux matrices) is
-        # memoized per problem fingerprint *and plan kind*; plans are
-        # immutable and shared
+        # memoized per problem fingerprint; plans are immutable and shared
         plan = get_plan_cache().get_or_build(
-            mesh, order, flux_variant, self._build_plan, kind=self.plan_kind)
-        self.star = plan.star
+            mesh, order, flux_variant, self._build_plan)
         self.starT = plan.starT
         self.interior_groups = plan.interior_groups
         self.boundary_groups = plan.boundary_groups
-        self._init_variant_state()
+        self._init_mask_caches()
 
-    def _init_variant_state(self) -> None:
-        """Per-instance dispatch state (never part of the shared plan)."""
-        fused = self.kernel_variant != "batched"
-        suffix = "_fused" if fused else ""
-        self._phase_volume = "kernels/volume" + suffix
-        self._phase_interior = "kernels/surface_interior" + suffix
-        self._phase_boundary = "kernels/surface_boundary" + suffix
-        # content-addressed masked sub-plan caches of the fused kernels
-        # (one mask per LTS cluster; see repro.kernels.fusion)
-        from collections import OrderedDict
-
+    def _init_mask_caches(self) -> None:
+        """Per-instance content-addressed masked sub-plan caches (one mask
+        per LTS cluster; see repro.kernels.fusion) — never part of the
+        shared plan."""
         self._mask_cache_volume = OrderedDict()
         self._mask_cache_interior = OrderedDict()
         self._mask_cache_boundary = OrderedDict()
 
     def _build_plan(self) -> OperatorPlan:
-        star = star_matrices(self.mesh)
         plan = OperatorPlan(
-            star=star,
-            starT=star.transpose(0, 1, 3, 2).copy(),
-            interior_groups=self._build_interior(),
-            boundary_groups=self._build_boundary(),
-            kind=self.plan_kind,
-        )
-        if self.plan_kind == "fused":
-            attach_fused_groups(plan, self.ref)
+            starT=star_matrices(self.mesh).transpose(0, 1, 3, 2).copy())
+        attach_fused_groups(plan, self._build_interior(),
+                            self._build_boundary(), self.ref)
         return plan
 
     # ------------------------------------------------------------------
@@ -179,7 +155,11 @@ class SpatialOperator:
             Fp[sel] = np.einsum("fij,jk,fkl->fil", T[sel], AGp, Tinv[sel], optimize=True)
         return Fm, Fp
 
-    def _build_interior(self) -> list[_InteriorGroup]:
+    def _build_interior(self) -> list[SimpleNamespace]:
+        """Quadrature-form groups of the regular interior faces, one per
+        (minus face, plus face, permutation) class: per-face Godunov flux
+        matrices and corrector scales.  Pure function of the mesh; the
+        plan keeps only their folded form, the test oracle reads them."""
         itf = self.mesh.interior
         regular = ~itf.is_fault
         ids = np.flatnonzero(regular)
@@ -195,10 +175,10 @@ class SpatialOperator:
         scale_p = -2.0 * itf.area[ids] / self.mesh.det_jac[itf.plus_elem[ids]]
 
         cls = (itf.minus_face[ids] * 4 + itf.plus_face[ids]) * 6 + itf.perm[ids]
-        groups: list[_InteriorGroup] = []
+        groups = []
         for c in np.unique(cls):
             sel = cls == c
-            grp = _InteriorGroup()
+            grp = SimpleNamespace()
             grp.face_ids = ids[sel]
             grp.em = itf.minus_elem[grp.face_ids]
             grp.ep = itf.plus_elem[grp.face_ids]
@@ -214,11 +194,13 @@ class SpatialOperator:
             groups.append(grp)
         return groups
 
-    def _build_boundary(self) -> list[_BoundaryGroup]:
+    def _build_boundary(self) -> list[SimpleNamespace]:
+        """Quadrature-form groups of the free-surface / absorbing / wall
+        faces, one per (kind, local face); see :meth:`_build_interior`."""
         bnd = self.mesh.boundary
         mats = self.mesh.materials
         mat_ids = self.mesh.material_ids
-        groups: list[_BoundaryGroup] = []
+        groups = []
         handled = (
             FaceKind.FREE_SURFACE.value,
             FaceKind.ABSORBING.value,
@@ -244,7 +226,7 @@ class SpatialOperator:
                     F[msel] = np.einsum(
                         "fij,jk,fkl->fil", T[msel], AG, Tinv[msel], optimize=True
                     )
-                grp = _BoundaryGroup()
+                grp = SimpleNamespace()
                 grp.face_ids = sel
                 grp.elem = bnd.elem[sel]
                 grp.face = np.full(len(sel), f)
@@ -267,19 +249,10 @@ class SpatialOperator:
         kernels and :meth:`predict` only, not face-flux projection.
         """
         cells = np.asarray(cells)
-        sub = object.__new__(SpatialOperator)
-        sub.flux_variant = self.flux_variant
-        sub.kernel_variant = self.kernel_variant
-        sub.plan_kind = self.plan_kind
-        sub.mesh = self.mesh
-        sub.order = self.order
-        sub.ref = self.ref
-        sub.g = self.g
+        sub = copy.copy(self)  # shares mesh/ref; per-cell state replaced below
         sub._n_elements = len(cells)
-        sub.star = self.star[cells]
         sub.starT = self.starT[cells]
-        sub._init_variant_state()
-        fused = self.plan_kind == "fused"
+        sub._init_mask_caches()
         g2l = np.full(self.n_elements, -1, dtype=np.int64)
         g2l[cells] = np.arange(len(cells))
         owned = np.zeros(self.n_elements, dtype=bool)
@@ -290,8 +263,7 @@ class SpatialOperator:
             sel = owned[grp.em] | owned[grp.ep]
             if not sel.any():
                 continue
-            g = _InteriorGroup()
-            g.face_ids = grp.face_ids[sel]
+            g = FusedInteriorGroup()
             g.em = g2l[grp.em[sel]]
             g.ep = g2l[grp.ep[sel]]
             if (g.em < 0).any() or (g.ep < 0).any():
@@ -299,20 +271,10 @@ class SpatialOperator:
                     "restricted(): an owned face's neighbor element is outside "
                     "`cells`; the halo layer does not cover all cut faces"
                 )
-            g.minus_face = grp.minus_face
-            g.plus_face = grp.plus_face
-            g.perm = grp.perm
-            g.scale_m = grp.scale_m[sel]
-            g.scale_p = grp.scale_p[sel]
-            g.Fmm = grp.Fmm[sel]
-            g.Fpm = grp.Fpm[sel]
-            g.Fmp = grp.Fmp[sel]
-            g.Fpp = grp.Fpp[sel]
-            if fused:
-                g.Amm, g.Amp = grp.Amm, grp.Amp
-                g.App, g.Apm = grp.App, grp.Apm
-                g.G1, g.G2 = grp.G1[sel], grp.G2[sel]
-                g.G3, g.G4 = grp.G3[sel], grp.G4[sel]
+            g.Amm, g.Amp = grp.Amm, grp.Amp
+            g.App, g.Apm = grp.App, grp.Apm
+            g.G1, g.G2 = grp.G1[sel], grp.G2[sel]
+            g.G3, g.G4 = grp.G3[sel], grp.G4[sel]
             sub.interior_groups.append(g)
 
         sub.boundary_groups = []
@@ -320,15 +282,10 @@ class SpatialOperator:
             sel = owned[grp.elem]
             if not sel.any():
                 continue
-            b = _BoundaryGroup()
-            b.face_ids = grp.face_ids[sel]
+            b = FusedBoundaryGroup()
             b.elem = g2l[grp.elem[sel]]
-            b.face = grp.face[sel]
-            b.scale = grp.scale[sel]
-            b.F = grp.F[sel]
-            if fused:
-                b.A = grp.A
-                b.G = grp.G[sel]
+            b.A = grp.A
+            b.G = grp.G[sel]
             sub.boundary_groups.append(b)
         return sub
 
@@ -336,48 +293,25 @@ class SpatialOperator:
     def predict(self, Q: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
         """Cauchy-Kowalewski derivatives ``(ne, N+1, B, 9)``."""
-        return self.predict_states(Q, self.star, self.starT, out=out)
+        return self.predict_states(Q, self.starT, out=out)
 
-    def predict_states(self, Q: np.ndarray, star: np.ndarray,
-                       starT: np.ndarray | None = None,
+    def predict_states(self, Q: np.ndarray, starT: np.ndarray,
                        out: np.ndarray | None = None) -> np.ndarray:
-        """Variant-dispatched Cauchy-Kowalewski sweep over arbitrary
-        state/Jacobian batches (element subsets of LTS cluster updates and
-        partitioned workers included).
+        """Cauchy-Kowalewski sweep over arbitrary state/Jacobian batches
+        (element subsets of LTS cluster updates and partitioned workers
+        included); ``starT`` are the matching rows of :attr:`starT`.
 
         ``out`` is a scratch-buffer *hint*: it must be an array this
-        method previously returned for the same variant and batch shape
-        (backends keep last step's derivatives around for this).  The
-        result is whatever array is returned — the batched variant
-        ignores the hint.
+        method previously returned for the same batch shape (backends
+        keep last step's derivatives around for this).  The result is
+        whatever array is returned.
         """
-        if self.kernel_variant == "batched":
-            return ck_derivatives(Q, star, self.ref)
-        if starT is None:
-            starT = np.ascontiguousarray(star.transpose(0, 1, 3, 2))
-        if self.kernel_variant == "jit":
-            from ..kernels.jit import jit_ck
-
-            return jit_ck(Q, starT, self.ref, out=out)
         return fused_ck(Q, starT, self.ref, out=out)
 
     def volume_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add the stiffness (volume) term of the corrector to ``out``."""
-        with _TEL.phase(self._phase_volume):
-            if self.kernel_variant == "batched":
-                self._volume_residual(I, out, active)
-            else:
-                fused_volume_residual(self, I, out, active)
-
-    def _volume_residual(self, I, out, active=None) -> None:
-        if active is None:
-            Ie, starT, tgt = I, self.starT, slice(None)
-        else:
-            Ie, starT, tgt = I[active], self.starT[active], active
-        acc = np.zeros_like(Ie)
-        for d in range(3):
-            acc += np.matmul(self.ref.deriv[d].T @ Ie, starT[:, d])
-        out[tgt] += acc
+        with _TEL.phase("kernels/volume"):
+            fused_volume_residual(self, I, out, active)
 
     def interior_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add interior-face flux terms to ``out``.
@@ -386,89 +320,13 @@ class SpatialOperator:
         face receive contributions — needed by local time-stepping, where a
         face between clusters is visited by each side at its own cadence.
         """
-        with _TEL.phase(self._phase_interior):
-            if self.kernel_variant == "batched":
-                self._interior_residual(I, out, active)
-            else:
-                fused_interior_residual(self, I, out, active)
-
-    def _interior_residual(self, I, out, active=None) -> None:
-        ref = self.ref
-        w = ref.face_weights
-        for grp in self.interior_groups:
-            Em = ref.E_minus[grp.minus_face]
-            Ep = ref.E_plus[grp.plus_face, grp.perm]
-            if active is None:
-                em, ep = grp.em, grp.ep
-                Fmm, Fpm, Fmp, Fpp = grp.Fmm, grp.Fpm, grp.Fmp, grp.Fpp
-                scale_m, scale_p = grp.scale_m, grp.scale_p
-                upd_m = upd_p = slice(None)
-                do_m = do_p = True
-            else:
-                # restrict to faces with at least one active side *before*
-                # any trace computation (critical for LTS cluster steps)
-                am = active[grp.em]
-                ap = active[grp.ep]
-                sel = am | ap
-                if not np.any(sel):
-                    continue
-                em, ep = grp.em[sel], grp.ep[sel]
-                Fmm, Fpm = grp.Fmm[sel], grp.Fpm[sel]
-                Fmp, Fpp = grp.Fmp[sel], grp.Fpp[sel]
-                scale_m, scale_p = grp.scale_m[sel], grp.scale_p[sel]
-                upd_m, upd_p = am[sel], ap[sel]
-                do_m = bool(np.any(upd_m))
-                do_p = bool(np.any(upd_p))
-            trace_m = Em @ I[em]  # (nf, nq, 9)
-            trace_p = Ep @ I[ep]
-            if do_m:
-                flux = np.einsum("fij,fqj->fqi", Fmm, trace_m, optimize=True)
-                flux += np.einsum("fij,fqj->fqi", Fpm, trace_p, optimize=True)
-                contrib = np.einsum("qb,q,fqi->fbi", Em, w, flux, optimize=True)
-                contrib *= scale_m[:, None, None]
-                # within one orientation class every element appears at most
-                # once on the minus side, so fancy += is exact (and much
-                # faster than np.add.at)
-                if active is None:
-                    out[em] += contrib
-                else:
-                    out[em[upd_m]] += contrib[upd_m]
-            if do_p:
-                flux = np.einsum("fij,fqj->fqi", Fmp, trace_p, optimize=True)
-                flux += np.einsum("fij,fqj->fqi", Fpp, trace_m, optimize=True)
-                contrib = np.einsum("qb,q,fqi->fbi", Ep, w, flux, optimize=True)
-                contrib *= scale_p[:, None, None]
-                if active is None:
-                    out[ep] += contrib
-                else:
-                    out[ep[upd_p]] += contrib[upd_p]
+        with _TEL.phase("kernels/surface_interior"):
+            fused_interior_residual(self, I, out, active)
 
     def boundary_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add free-surface / absorbing boundary fluxes to ``out``."""
-        with _TEL.phase(self._phase_boundary):
-            if self.kernel_variant == "batched":
-                self._boundary_residual(I, out, active)
-            else:
-                fused_boundary_residual(self, I, out, active)
-
-    def _boundary_residual(self, I, out, active=None) -> None:
-        ref = self.ref
-        w = ref.face_weights
-        for grp in self.boundary_groups:
-            if active is None:
-                elem, F, scale = grp.elem, grp.F, grp.scale
-            else:
-                sel = active[grp.elem]
-                if not np.any(sel):
-                    continue
-                elem, F, scale = grp.elem[sel], grp.F[sel], grp.scale[sel]
-            f = int(grp.face[0])
-            E = ref.E_minus[f]
-            trace = E @ I[elem]
-            flux = np.einsum("fij,fqj->fqi", F, trace, optimize=True)
-            contrib = np.einsum("qb,q,fqi->fbi", E, w, flux, optimize=True)
-            contrib *= scale[:, None, None]
-            out[elem] += contrib  # unique per (kind, local face) group
+        with _TEL.phase("kernels/surface_boundary"):
+            fused_boundary_residual(self, I, out, active)
 
     def project_face_flux(
         self,

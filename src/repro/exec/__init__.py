@@ -12,7 +12,6 @@ from __future__ import annotations
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "JitBackend",
     "PartitionedBackend",
     "make_backend",
     "available_backends",
@@ -24,7 +23,7 @@ __all__ = [
     "plan_key",
 ]
 
-_BACKEND_NAMES = {"ExecutionBackend", "SerialBackend", "JitBackend",
+_BACKEND_NAMES = {"ExecutionBackend", "SerialBackend",
                   "make_backend", "available_backends"}
 _CACHE_NAMES = {
     "OperatorPlan", "PlanCache", "get_plan_cache", "clear_plan_cache",

@@ -211,8 +211,7 @@ class PartitionedBackend(ExecutionBackend):
         def work(plan):
             t0 = _time.perf_counter() if tracing else 0.0
             plan.ck_scratch = op.predict_states(
-                Q[plan.owned], op.star[plan.owned], op.starT[plan.owned],
-                out=plan.ck_scratch)
+                Q[plan.owned], op.starT[plan.owned], out=plan.ck_scratch)
             derivs[plan.owned] = plan.ck_scratch
             if tracing:
                 _TEL.add_span("worker/predict", t0, _time.perf_counter(),
@@ -233,7 +232,7 @@ class PartitionedBackend(ExecutionBackend):
             if not ids.any():
                 return
             t0 = _time.perf_counter() if tracing else 0.0
-            new_derivs = op.predict_states(Q[ids], op.star[ids], op.starT[ids])
+            new_derivs = op.predict_states(Q[ids], op.starT[ids])
             derivs[ids] = new_derivs
             Iown[ids] = taylor_integrate(new_derivs, 0.0, dt)
             if tracing:

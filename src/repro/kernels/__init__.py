@@ -1,40 +1,8 @@
 """Fused modal-state kernels: compiled contraction chains for ADER-DG.
 
-This package closes the predictor/corrector roofline gap of the batched
-NumPy kernels in :mod:`repro.core.kernels` the way Krenz et al. (SC 2021)
-do with generated kernels: the per-element contraction chains are
-*compiled* at plan time into a short sequence of stacked GEMMs over
-contiguous modal-state arrays, with everything that does not depend on
-the state (degree-truncated derivative stacks, quadrature-folded surface
-projectors, scale-folded flux matrices) hoisted out of the step loop.
-
-Three kernel variants exist:
-
-``batched``
-    The original per-group einsum path of :mod:`repro.core.kernels`,
-    kept verbatim as the golden reference for the equivalence battery.
-``fused``
-    The compiled stacked-GEMM path of :mod:`repro.kernels.fusion`
-    (default).  Results differ from ``batched`` only by floating-point
-    reassociation (~1e-15 relative).
-``jit``
-    Numba-compiled element loops over the same fused plan
-    (:mod:`repro.kernels.jit`).  Falls back to ``fused`` with a warning
-    when numba is not installed.
+:mod:`repro.kernels.fusion` holds the one kernel path the spatial
+operator (:mod:`repro.core.kernels`) executes: contraction chains compiled
+at plan time into a short sequence of stacked GEMMs, the way Krenz et al.
+(SC 2021) get theirs from a code generator.  The quadrature-form kernels
+they were derived from are the test oracle (``tests/reference_kernels.py``).
 """
-
-from .registry import (
-    DEFAULT_VARIANT,
-    KERNEL_VARIANTS,
-    have_numba,
-    plan_kind,
-    resolve_kernel_variant,
-)
-
-__all__ = [
-    "KERNEL_VARIANTS",
-    "DEFAULT_VARIANT",
-    "resolve_kernel_variant",
-    "plan_kind",
-    "have_numba",
-]

@@ -32,9 +32,10 @@ per-cluster activity masks; the per-group masked selections are content-
 addressed (SHA-1 of the mask bytes) and cached on the operator, so the
 selection work happens once per cluster, not once per micro-step.
 
-All results match the batched reference kernels up to floating-point
-reassociation (the equivalence battery in ``tests/test_kernels.py`` pins
-this at ~1e-12 relative).
+All results match the quadrature-form reference kernels of
+``tests/reference_kernels.py`` up to floating-point reassociation (the
+equivalence battery in ``tests/test_kernels.py`` pins this at ~1e-12
+relative).
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ __all__ = [
     "ElementKernelPlan",
     "element_plan",
     "fused_ck",
+    "FusedInteriorGroup",
+    "FusedBoundaryGroup",
     "attach_fused_groups",
     "fused_volume_residual",
     "fused_interior_residual",
@@ -76,8 +79,6 @@ class ElementKernelPlan:
 
     Attributes
     ----------
-    order, nbasis:
-        Polynomial degree and modal basis size.
     perm:
         Degree-sorted mode permutation: ``perm[i]`` is the original index
         of the ``i``-th mode in non-decreasing-degree order.
@@ -87,20 +88,14 @@ class ElementKernelPlan:
     Dstacks:
         Per level, the ``(3 * sizes[k+1], sizes[k])`` stack of the three
         truncated directional derivative operators in permuted modes.
-    Dpad:
-        The same operators zero-padded to ``(order, 3, B, B)`` for the
-        numba element loop (:mod:`repro.kernels.jit`).
     DT:
         ``(B, 3B)`` stacked transposed stiffness operator of the volume
         kernel (original mode ordering).
     """
 
-    order: int
-    nbasis: int
     perm: np.ndarray
     sizes: tuple
     Dstacks: tuple
-    Dpad: np.ndarray
     DT: np.ndarray
 
 
@@ -108,28 +103,23 @@ class ElementKernelPlan:
 def element_plan(order: int) -> ElementKernelPlan:
     """Build (and cache) the fused element-kernel plan for one order."""
     ref = get_reference_element(order)
-    nb = ref.nbasis
     degs = np.array([i + j + k for i, j, k in _tet_mode_indices(order)])
     perm = np.argsort(degs, kind="stable").astype(np.int64)
     derivP = np.stack([ref.deriv[d][np.ix_(perm, perm)] for d in range(3)])
 
     sizes = tuple(basis_size(order - k) for k in range(order + 1))
     Dstacks = []
-    Dpad = np.zeros((max(order, 1), 3, nb, nb))
     for k in range(order):
         n_in, n_out = sizes[k], sizes[k + 1]
         Dstacks.append(np.ascontiguousarray(
             np.vstack([derivP[d, :n_out, :n_in] for d in range(3)])
         ))
-        Dpad[k, :, :n_out, :n_in] = derivP[:, :n_out, :n_in]
 
     DT = np.ascontiguousarray(np.hstack([ref.deriv[d].T for d in range(3)]))
-    for arr in (perm, Dpad, DT, *Dstacks):
+    for arr in (perm, DT, *Dstacks):
         arr.setflags(write=False)
-    return ElementKernelPlan(
-        order=order, nbasis=nb, perm=perm, sizes=sizes,
-        Dstacks=tuple(Dstacks), Dpad=Dpad, DT=DT,
-    )
+    return ElementKernelPlan(perm=perm, sizes=sizes,
+                             Dstacks=tuple(Dstacks), DT=DT)
 
 
 def fused_ck(Q: np.ndarray, starT: np.ndarray, ref,
@@ -139,14 +129,15 @@ def fused_ck(Q: np.ndarray, starT: np.ndarray, ref,
     ``starT`` holds the *transposed* star Jacobians ``(ne, 3, 9, 9)``
     (contiguous — the operator plan precomputes this copy).  Levels are
     computed in permuted mode order and scattered back, so the output
-    layout matches :func:`repro.core.ader.ck_derivatives` exactly; modes
-    beyond each level's degree cutoff are exact zeros (the batched path
-    carries ~1e-16 quadrature noise there instead).
+    layout is the untruncated one of the reference ``ck_derivatives``
+    (``tests/reference_kernels.py``) exactly; modes beyond each level's
+    degree cutoff are exact zeros (the reference carries ~1e-16
+    quadrature noise there instead).
 
     ``out`` is an optional scratch buffer: it MUST be an array previously
-    returned by this function (or :func:`repro.kernels.jit.jit_ck`) for
-    the same order — its truncated-mode rows are assumed to still be the
-    zeros this sweep leaves there, which is what makes reuse free.  A
+    returned by this function for the same order — its truncated-mode
+    rows are assumed to still be the zeros this sweep leaves there,
+    which is what makes reuse free.  A
     ``None`` or shape-mismatched ``out`` falls back to a fresh
     allocation.  The step loop reuses its predictor buffer through this:
     the ~O(10 MB) per-call allocation would otherwise cost more in page
@@ -173,9 +164,27 @@ def fused_ck(Q: np.ndarray, starT: np.ndarray, ref,
 # ----------------------------------------------------------------------
 # surface fusion: plan-time factor collapse
 # ----------------------------------------------------------------------
-def attach_fused_groups(plan, ref) -> None:
-    """Fold quadrature projection and scale into the face groups of a
-    freshly built :class:`~repro.exec.plan_cache.OperatorPlan`.
+class FusedInteriorGroup:
+    """Folded factors of one (minus face, plus face, permutation) class:
+    the ``(B, B)`` basis projectors ``Amm``/``Amp``/``App``/``Apm`` shared
+    by the class and the per-face scale-folded transposed flux matrices
+    ``G1``-``G4`` (see :func:`attach_fused_groups`)."""
+
+    __slots__ = ("em", "ep", "Amm", "Amp", "App", "Apm",
+                 "G1", "G2", "G3", "G4")
+
+
+class FusedBoundaryGroup:
+    """Folded factors of one (boundary kind, local face) class."""
+
+    __slots__ = ("elem", "A", "G")
+
+
+def attach_fused_groups(plan, interior, boundary, ref) -> None:
+    """Fold quadrature projection and scale out of the quadrature-form
+    face groups ``interior``/``boundary`` (the output of
+    ``SpatialOperator._build_interior``/``_build_boundary``) and attach
+    the result to a fresh :class:`~repro.exec.plan_cache.OperatorPlan`.
 
     For each interior orientation class with trace operators ``Em``/``Ep``
     and face weights ``w``, the minus-side contribution
@@ -186,41 +195,52 @@ def attach_fused_groups(plan, ref) -> None:
     ``(B, B)`` basis factors ``Amm = Em^T diag(w) Em`` / ``Amp = Em^T
     diag(w) Ep`` shared by the whole class and the per-face ``(9, 9)``
     matrices ``G1 = scale_m * Fmm^T`` / ``G2 = scale_m * Fpm^T`` (and
-    symmetrically ``App``/``Apm``/``G3``/``G4`` for the plus side).
-    Called only inside the plan builder: cached plans are immutable.
+    symmetrically ``App``/``Apm``/``G3``/``G4`` for the plus side).  The
+    plan keeps only these factors: the unfolded flux matrices and scales
+    are dropped with the input groups.  Called only inside the plan
+    builder: cached plans are immutable.
     """
     w = ref.face_weights
-    for grp in plan.interior_groups:
-        Em = ref.E_minus[grp.minus_face]
-        Ep = ref.E_plus[grp.plus_face, grp.perm]
+    for src in interior:
+        Em = ref.E_minus[src.minus_face]
+        Ep = ref.E_plus[src.plus_face, src.perm]
         EmW = Em.T * w
         EpW = Ep.T * w
+        grp = FusedInteriorGroup()
+        grp.em, grp.ep = src.em, src.ep
         grp.Amm = np.ascontiguousarray(EmW @ Em)
         grp.Amp = np.ascontiguousarray(EmW @ Ep)
         grp.App = np.ascontiguousarray(EpW @ Ep)
         grp.Apm = np.ascontiguousarray(grp.Amp.T)
-        sm = grp.scale_m[:, None, None]
-        sp = grp.scale_p[:, None, None]
-        grp.G1 = np.ascontiguousarray(grp.Fmm.transpose(0, 2, 1)) * sm
-        grp.G2 = np.ascontiguousarray(grp.Fpm.transpose(0, 2, 1)) * sm
-        grp.G3 = np.ascontiguousarray(grp.Fmp.transpose(0, 2, 1)) * sp
-        grp.G4 = np.ascontiguousarray(grp.Fpp.transpose(0, 2, 1)) * sp
-    for grp in plan.boundary_groups:
-        E = ref.E_minus[int(grp.face[0])]
+        sm = src.scale_m[:, None, None]
+        sp = src.scale_p[:, None, None]
+        grp.G1 = np.ascontiguousarray(src.Fmm.transpose(0, 2, 1)) * sm
+        grp.G2 = np.ascontiguousarray(src.Fpm.transpose(0, 2, 1)) * sm
+        grp.G3 = np.ascontiguousarray(src.Fmp.transpose(0, 2, 1)) * sp
+        grp.G4 = np.ascontiguousarray(src.Fpp.transpose(0, 2, 1)) * sp
+        plan.interior_groups.append(grp)
+    for src in boundary:
+        E = ref.E_minus[int(src.face[0])]
+        grp = FusedBoundaryGroup()
+        grp.elem = src.elem
         grp.A = np.ascontiguousarray((E.T * w) @ E)
-        grp.G = np.ascontiguousarray(grp.F.transpose(0, 2, 1)) * \
-            grp.scale[:, None, None]
+        grp.G = np.ascontiguousarray(src.F.transpose(0, 2, 1)) * \
+            src.scale[:, None, None]
+        plan.boundary_groups.append(grp)
 
 
-def _mask_digest(active: np.ndarray) -> bytes:
-    return hashlib.sha1(active.tobytes()).digest()
-
-
-def _cache_put(cache: OrderedDict, key, value) -> None:
-    cache[key] = value
-    cache.move_to_end(key)
-    while len(cache) > MASK_CACHE_MAX:
-        cache.popitem(last=False)
+def _masked(cache: OrderedDict, active: np.ndarray, select):
+    """``select()`` memoized in ``cache`` on the *content* of ``active``
+    (SHA-1 of the mask bytes), oldest entry evicted past MASK_CACHE_MAX."""
+    key = hashlib.sha1(active.tobytes()).digest()
+    hit = cache.get(key)
+    if _MET.enabled:
+        _MET.inc("cache/mask_hits" if hit is not None else "cache/mask_misses")
+    if hit is None:
+        hit = cache[key] = select()
+        while len(cache) > MASK_CACHE_MAX:
+            cache.popitem(last=False)
+    return hit
 
 
 # ----------------------------------------------------------------------
@@ -232,17 +252,11 @@ def fused_volume_residual(op, I, out, active=None) -> None:
     if active is None:
         Ie, starT, tgt = I, op.starT, slice(None)
     else:
-        key = _mask_digest(active)
-        cache = op._mask_cache_volume
-        hit = cache.get(key)
-        if _MET.enabled:
-            _MET.inc("cache/mask_hits" if hit is not None
-                     else "cache/mask_misses")
-        if hit is None:
+        def select():
             idx = np.flatnonzero(active)
-            hit = (idx, np.ascontiguousarray(op.starT[idx]))
-            _cache_put(cache, key, hit)
-        idx, starT = hit
+            return idx, np.ascontiguousarray(op.starT[idx])
+
+        idx, starT = _masked(op._mask_cache_volume, active, select)
         Ie, tgt = np.ascontiguousarray(I[idx]), idx
     n = len(Ie)
     W = np.matmul(Ie[:, None], starT)
@@ -250,15 +264,7 @@ def fused_volume_residual(op, I, out, active=None) -> None:
 
 
 def _interior_masked_entries(op, active):
-    """Per-group masked selections for one activity mask (cached)."""
-    key = _mask_digest(active)
-    cache = op._mask_cache_interior
-    entries = cache.get(key)
-    if _MET.enabled:
-        _MET.inc("cache/mask_hits" if entries is not None
-                 else "cache/mask_misses")
-    if entries is not None:
-        return entries
+    """Per-group masked selections for one activity mask."""
     entries = []
     for grp in op.interior_groups:
         am = active[grp.em]
@@ -274,7 +280,6 @@ def _interior_masked_entries(op, active):
             np.ascontiguousarray(grp.G3[sel]), np.ascontiguousarray(grp.G4[sel]),
             upd_m, upd_p, bool(np.any(upd_m)), bool(np.any(upd_p)),
         ))
-    _cache_put(cache, key, entries)
     return entries
 
 
@@ -285,7 +290,8 @@ def fused_interior_residual(op, I, out, active=None) -> None:
                    slice(None), slice(None), True, True)
                   for g in op.interior_groups)
     else:
-        entries = _interior_masked_entries(op, active)
+        entries = _masked(op._mask_cache_interior, active,
+                          lambda: _interior_masked_entries(op, active))
         groups = ((g, *e) for g, e in zip(op.interior_groups, entries)
                   if e is not None)
     for grp, em, ep, G1, G2, G3, G4, upd_m, upd_p, do_m, do_p in groups:
@@ -295,7 +301,8 @@ def fused_interior_residual(op, I, out, active=None) -> None:
             contrib = np.matmul(np.matmul(grp.Amm, Xm), G1)
             contrib += np.matmul(np.matmul(grp.Amp, Xp), G2)
             # within one orientation class every element appears at most
-            # once per side, so fancy += is exact (same as the batched path)
+            # once per side, so fancy += is exact (and much faster than
+            # np.add.at)
             if active is None:
                 out[em] += contrib
             else:
@@ -314,13 +321,7 @@ def fused_boundary_residual(op, I, out, active=None) -> None:
     if active is None:
         groups = ((g, g.elem, g.G) for g in op.boundary_groups)
     else:
-        key = _mask_digest(active)
-        cache = op._mask_cache_boundary
-        entries = cache.get(key)
-        if _MET.enabled:
-            _MET.inc("cache/mask_hits" if entries is not None
-                     else "cache/mask_misses")
-        if entries is None:
+        def select():
             entries = []
             for grp in op.boundary_groups:
                 sel = active[grp.elem]
@@ -328,7 +329,9 @@ def fused_boundary_residual(op, I, out, active=None) -> None:
                     (grp.elem[sel], np.ascontiguousarray(grp.G[sel]))
                     if np.any(sel) else None
                 )
-            _cache_put(cache, key, entries)
+            return entries
+
+        entries = _masked(op._mask_cache_boundary, active, select)
         groups = ((g, *e) for g, e in zip(op.boundary_groups, entries)
                   if e is not None)
     for grp, elem, G in groups:

@@ -3,7 +3,7 @@
 The continuous-regression half of the observability layer: a fixed
 battery of micro-benchmarks over the solver's hot kernels —
 
-* ``predictor`` — the Cauchy-Kowalewski sweep (``ck_derivatives``) over
+* ``predictor`` — the Cauchy-Kowalewski sweep (``fused_ck``) over
   every element;
 * ``corrector`` — the volume + interior-surface + boundary-surface
   residual kernels on a time-integrated predictor state;
@@ -95,8 +95,7 @@ def _fast() -> bool:
 
 
 # ----------------------------------------------------------------------
-def battery_problem(order: int = 3, fast: bool | None = None,
-                    kernel_variant: str | None = None):
+def battery_problem(order: int = 3, fast: bool | None = None):
     """Build the battery's coupled solver: a miniature of the benchmark
     suite's ``scaling_mesh`` (bathymetry trough + refinement window over a
     layered Earth, gravitational free surface tagged), sized so the full
@@ -126,7 +125,7 @@ def battery_problem(order: int = 3, fast: bool | None = None,
     ])
     mesh = bathymetry_mesh(xs, ys, bathy, 2, zs, earth, ocean)
     mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-    return CoupledSolver(mesh, order=order, kernel_variant=kernel_variant)
+    return CoupledSolver(mesh, order=order)
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -141,38 +140,35 @@ def _best_of(fn, repeats: int) -> float:
 # ----------------------------------------------------------------------
 def run_battery(out: str | None = None, node: str = "local", order: int = 3,
                 fast: bool | None = None, repeats: int = 3,
-                append: bool = True, kernel_variant: str | None = None):
+                append: bool = True):
     """Run the battery and (by default) append the record to the history.
 
     Returns ``(record, path)``; ``path`` is ``None`` when ``append`` is
     false.  ``node`` names the :data:`~repro.obs.report.KNOWN_NODES`
     roofline model used for the predicted bounds (default ``local``: a
     nominal model of the executing host, so "efficiency" is honest about
-    a pure-NumPy reproduction).  ``kernel_variant`` selects the kernel
-    execution path (default: the library default); the resolved variant
-    is stored in the record and keys comparability in
-    ``tools/bench_compare.py`` — FLOP counts and roofline bounds are
-    variant-aware, so rates across variants are never diffed.
+    a pure-NumPy reproduction).  The record stores the operator's
+    ``kernel_variant`` constant, which keys comparability in
+    ``tools/bench_compare.py``: records of a retired kernel path are
+    history, never a baseline.
     """
     from ..core.ader import taylor_integrate
     from ..core.lts import LocalTimeStepping
     from ..exec.partitioned import PartitionedBackend
-    from ..hpc.perfmodel import NodePerformanceModel, kernel_counts
+    from ..hpc.perfmodel import NodePerformanceModel
     from ..io.checkpoint import fingerprint
-    from ..kernels import resolve_kernel_variant
     from .report import node_spec
     from .runlog import _git_rev
 
     fast = _fast() if fast is None else fast
-    resolved = resolve_kernel_variant(kernel_variant)
-    solver = battery_problem(order=order, fast=fast, kernel_variant=resolved)
+    solver = battery_problem(order=order, fast=fast)
     op = solver.op
     ne = op.n_elements
     dt = solver.dt
 
     spec = node_spec(node)
-    model = NodePerformanceModel(spec, order=order, variant=resolved)
-    kc = kernel_counts(order, variant=resolved)
+    model = NodePerformanceModel(spec, order=order, variant=op.kernel_variant)
+    kc = model.counts
 
     benches: dict[str, dict] = {}
 
@@ -188,9 +184,8 @@ def run_battery(out: str | None = None, node: str = "local", order: int = 3,
             cell["efficiency"] = cell["gflops"] / model_gflops
         benches[name] = cell
 
-    # predictor: the CK sweep over every element (variant-dispatched).
-    # The derivative buffer is reused across calls exactly as the step
-    # loop reuses it (the batched variant ignores the hint).
+    # predictor: the CK sweep over every element.  The derivative buffer
+    # is reused across calls exactly as the step loop reuses it.
     derivs = op.predict(solver.Q)  # warm caches + output shape
     add("predictor",
         _best_of(lambda: op.predict(solver.Q, out=derivs), repeats),
@@ -354,7 +349,7 @@ def run_battery(out: str | None = None, node: str = "local", order: int = 3,
         "node": getattr(spec, "name", str(node)),
         "order": int(order),
         "fast": bool(fast),
-        "kernel_variant": resolved,
+        "kernel_variant": op.kernel_variant,
         "n_elements": int(ne),
         "benches": benches,
     }
@@ -371,7 +366,7 @@ def battery_lines(record: dict) -> list[str]:
     """Human-readable summary of one battery record."""
     lines = [
         f"bench battery: {record['n_elements']} elements, order "
-        f"{record['order']}, kernels={record.get('kernel_variant', 'batched')}, "
+        f"{record['order']}, kernels={record['kernel_variant']}, "
         f"fast={record['fast']}, git {record['git_rev'][:12]}",
         f"  {'kernel':14} {'seconds':>10} {'Melem-up/s':>11} "
         f"{'GFLOP/s':>9} {'model':>9} {'eff':>7}",

@@ -17,9 +17,10 @@ Accounting conventions:
   FLOP model does not count — under the partitioned backend this is
   summed across worker threads, so the reported rate is the aggregate
   compute rate;
-* FLOPs are ``kernel_counts(order)`` x the ``elem_updates/*`` counters
-  maintained by the execution backends, so LTS runs are credited for the
-  updates they actually performed, not for GTS-equivalent sweeps.
+* FLOPs are the *executed* ``kernel_counts(order, variant="fused")`` x the
+  ``elem_updates/*`` counters maintained by the execution backends, so
+  LTS runs are credited for the updates they actually performed, not
+  for GTS-equivalent sweeps.
 
 The modeled roofline needs a node: by default the paper's Sec. 5.1 AMD
 Rome test system (so "efficiency" reads as *fraction of what the paper's
@@ -45,9 +46,9 @@ __all__ = [
     "summarize_runlog",
 ]
 
-#: leaf phases whose sum is the corrector-kernel busy time (the fused
-#: kernel variants report under their own ``*_fused`` phase names so a
-#: profile always shows which execution path ran)
+#: leaf phases whose sum is the corrector-kernel busy time (run logs
+#: written while a second kernel path existed report the fused kernels
+#: under ``*_fused`` names; they stay summable)
 _CORRECTOR_PHASES = ("kernels/volume", "kernels/surface_interior",
                      "kernels/surface_boundary",
                      "kernels/volume_fused", "kernels/surface_interior_fused",
@@ -139,24 +140,24 @@ def lts_cluster_updates(counters: dict) -> dict:
 
 # ----------------------------------------------------------------------
 def roofline_rows(phases: dict, counters: dict, order: int,
-                  node: str | object = "rome",
-                  variant: str = "batched") -> list[dict]:
+                  node: str | object = "rome") -> list[dict]:
     """Measured-vs-modeled roofline rows for the predictor and corrector.
 
     ``node`` is a name from :data:`KNOWN_NODES` or a
-    :class:`~repro.hpc.machine.NodeSpec`; ``variant`` is the kernel
-    variant the run executed (its FLOP counts differ — crediting a fused
-    run with batched FLOPs would overstate measured GFLOP/s).  Rows
-    contain ``kernel``, ``seconds``, ``elem_updates``, ``gflop``,
-    ``measured_gflops``, ``model_gflops`` and ``efficiency``
-    (measured/model); kernels with no recorded time or updates are
-    omitted.
+    :class:`~repro.hpc.machine.NodeSpec`.  FLOPs are those of the kernel
+    path the operator executes (crediting it with the dense SeisSol-shaped
+    counts would overstate measured GFLOP/s).  Rows contain ``kernel``,
+    ``seconds``, ``elem_updates``, ``gflop``, ``measured_gflops``,
+    ``model_gflops`` and ``efficiency`` (measured/model); kernels with no
+    recorded time or updates are omitted.
     """
-    from ..hpc.perfmodel import NodePerformanceModel, kernel_counts
+    from ..core.kernels import SpatialOperator
+    from ..hpc.perfmodel import NodePerformanceModel
 
     spec = node_spec(node)
-    model = NodePerformanceModel(spec, order=order, variant=variant)
-    kc = kernel_counts(order, variant=variant)
+    model = NodePerformanceModel(spec, order=order,
+                                 variant=SpatialOperator.kernel_variant)
+    kc = model.counts
 
     rows = []
     for kernel, seconds, updates, flops_per_update, model_gflops in (
@@ -186,7 +187,7 @@ def roofline_rows(phases: dict, counters: dict, order: int,
 # ----------------------------------------------------------------------
 def profile_lines(snapshot: dict, order: int | None = None,
                   wall_s: float | None = None, node: str | object = "rome",
-                  top: int = 20, variant: str = "batched") -> list[str]:
+                  top: int = 20) -> list[str]:
     """Render a telemetry snapshot as the per-phase + roofline report."""
     phases = snapshot.get("phases", {})
     counters = snapshot.get("counters", {})
@@ -210,7 +211,7 @@ def profile_lines(snapshot: dict, order: int | None = None,
             lines.append(f"  ... {len(ranked) - top} more phases")
 
     if order is not None:
-        rows = roofline_rows(phases, counters, order, node, variant=variant)
+        rows = roofline_rows(phases, counters, order, node)
         if rows:
             spec = node_spec(node)
             lines.append("")
@@ -348,16 +349,20 @@ def summarize_runlog(path: str, node: str = "rome", check: bool = False) -> int:
                   f"{_num(rec.get('wall_s'), '.2f', '?')} s wall")
 
     if run_end is not None:
-        order = manifests[0].get("order") if manifests else None
-        variant = (manifests[0].get("kernel_variant", "batched")
-                   if manifests else "batched")
+        from ..core.kernels import SpatialOperator
+
+        # manifests written before the field existed ran the then-only
+        # batched kernels; the roofline counts the FLOPs of the path that
+        # executes today, so the log of a retired path gets none
+        ran = manifests[0].get("kernel_variant", "batched") if manifests else None
+        order = (manifests[0].get("order")
+                 if ran == SpatialOperator.kernel_variant else None)
         snapshot = {"phases": run_end.get("phases", {}),
                     "counters": run_end.get("counters", {})}
         print(f"run end: {run_end.get('steps')} steps in "
               f"{_num(run_end.get('wall_s'), '.2f', '?')} s wall")
         for line in profile_lines(snapshot, order=order,
-                                  wall_s=run_end.get("wall_s"), node=node,
-                                  variant=variant):
+                                  wall_s=run_end.get("wall_s"), node=node):
             print(line)
     else:
         print("no run_end record (run still in progress or killed)")

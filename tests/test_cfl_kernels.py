@@ -109,7 +109,7 @@ class TestSpatialOperator:
 
     def test_face_groups_partition_faces(self):
         op = self.make()
-        counted = sum(len(g.face_ids) for g in op.interior_groups)
+        counted = sum(len(g.em) for g in op.interior_groups)
         regular = int((~op.mesh.interior.is_fault).sum())
         assert counted == regular
 

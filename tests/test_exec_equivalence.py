@@ -220,7 +220,7 @@ class TestCheckpointRoundTrip:
 # ---------------------------------------------------------------------------
 class TestBackendSelection:
     def test_available(self):
-        assert available_backends() == ("serial", "partitioned", "jit")
+        assert available_backends() == ("serial", "partitioned")
 
     def test_make_backend_names(self):
         assert isinstance(make_backend("serial"), SerialBackend)
@@ -274,7 +274,7 @@ class TestPlanCache:
     def test_cached_plan_is_shared(self):
         clear_plan_cache()
         a, b = build_gts(), build_gts()
-        assert a.op.star is b.op.star
+        assert a.op.starT is b.op.starT
         assert a.op.interior_groups is b.op.interior_groups
 
     def test_order_change_invalidates(self):
@@ -307,7 +307,7 @@ class TestPlanCache:
         a, b = build_gts(), build_gts()
         st = get_plan_cache().stats()
         assert st == {"entries": 0, "hits": 0, "misses": 0}
-        assert a.op.star is not b.op.star
+        assert a.op.starT is not b.op.starT
 
     def test_disabled_cache_still_correct(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLAN_CACHE", "0")

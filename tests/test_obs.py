@@ -254,15 +254,14 @@ class TestInstrumentation:
         ne = solver.mesh.n_elements
         assert snap["counters"]["elem_updates/predictor"] == ne
         assert snap["counters"]["elem_updates/corrector"] == ne
-        # the operator's phase names are variant-dependent (the default
-        # fused kernels report under kernels/*_fused)
-        op = solver.op
-        for leaf in ("predict", "corrector", op._phase_volume,
-                     op._phase_interior, op._phase_boundary,
+        # one kernel path, un-suffixed phase names (DESIGN.md §5 maps
+        # them to the paper's Sec. 5 kernels)
+        for leaf in ("predict", "corrector", "kernels/volume",
+                     "kernels/surface_interior", "kernels/surface_boundary",
                      "gravity/ode"):
             assert phase_total(snap["phases"], leaf) > 0.0, leaf
         # kernels nest under the corrector under the step
-        assert f"step/corrector/{op._phase_volume}" in snap["phases"]
+        assert "step/corrector/kernels/volume" in snap["phases"]
 
     def test_partitioned_workers_report_halo_split(self):
         solver = build_coupled(order=2)
@@ -527,6 +526,31 @@ class TestReport:
                 r["gflop"] / r["seconds"])
             assert r["model_gflops"] > 0
             assert 0 < r["efficiency"] < 1  # NumPy won't beat the roofline
+
+    def test_roofline_credits_executed_flops(self, capsys):
+        """A profiled run's GFLOP per row are the *executed* (fused)
+        counts x the element-update counters — not the dense counts of
+        the retired kernel path, which overstated the predictor 3.94x at
+        order 2."""
+        from repro.hpc.perfmodel import kernel_counts
+
+        solver = build_coupled(order=2)
+        obs = ObsSession(profile=True)
+        obs.start(solver)
+        for _ in range(2):
+            solver.step()
+        counters = get_telemetry().snapshot()["counters"]
+        obs.finish(solver)
+        kc = kernel_counts(2, variant="fused")
+        want = {
+            "predictor": kc.flops_predictor * counters["elem_updates/predictor"] / 1e9,
+            "corrector": kc.flops_corrector * counters["elem_updates/corrector"] / 1e9,
+        }
+        table = capsys.readouterr().out.split("roofline (measured vs modeled")[1]
+        for kernel, gflop in want.items():
+            row = next(ln.split() for ln in table.splitlines()
+                       if ln.split()[:1] == [kernel])
+            assert float(row[2]) == pytest.approx(gflop, abs=5e-4)
 
     def test_profile_lines_render(self):
         from repro.obs.report import profile_lines

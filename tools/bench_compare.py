@@ -52,11 +52,12 @@ _METRICS_BUDGET = 0.02
 def comparable_key(record: dict) -> tuple:
     """Records compare only within identical problem + host shape.
 
-    The kernel variant is part of the key: fused/jit records time a
-    different contraction chain with different FLOP accounting, so a
-    variant switch starts a fresh trajectory instead of reading as a
-    speedup/regression against the other variant's history.  Records
-    written before the field existed ran the then-only batched path.
+    The kernel variant is part of the key: the committed trajectory
+    holds records of the retired batched kernels, which timed a different
+    contraction chain with different FLOP accounting — history, never a
+    baseline for the fused kernels that run today.  The ``"batched"``
+    default describes old records only: those written before the field
+    existed ran the then-only batched path.
     """
     host = record.get("host", {})
     return (host.get("context"), host.get("cpu_count"), record.get("order"),

@@ -33,6 +33,7 @@ from ..exec.plan_cache import OperatorPlan, get_plan_cache
 from ..kernels.fusion import (
     FusedBoundaryGroup,
     FusedInteriorGroup,
+    active_rows,
     attach_fused_groups,
     fused_boundary_residual,
     fused_ck,
@@ -93,7 +94,8 @@ class SpatialOperator:
     def _init_mask_caches(self) -> None:
         """Per-instance content-addressed masked sub-plan caches (one mask
         per LTS cluster; see repro.kernels.fusion) — never part of the
-        shared plan."""
+        shared plan.  The volume cache holds the selection that
+        :meth:`active_rows` hands to the masked predictor as well."""
         self._mask_cache_volume = OrderedDict()
         self._mask_cache_interior = OrderedDict()
         self._mask_cache_boundary = OrderedDict()
@@ -307,6 +309,11 @@ class SpatialOperator:
         whatever array is returned.
         """
         return fused_ck(Q, starT, self.ref, out=out)
+
+    def active_rows(self, active: np.ndarray):
+        """``(idx, starT)`` of an activity mask, cached: the selected
+        element ids and their contiguous :attr:`starT` rows."""
+        return active_rows(self, active)
 
     def volume_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add the stiffness (volume) term of the corrector to ``out``."""

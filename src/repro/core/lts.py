@@ -93,11 +93,45 @@ def lts_statistics(cluster: np.ndarray, rate: int = 2) -> dict:
     }
 
 
+def _halo_layout(mesh, cluster: np.ndarray, n_clusters: int):
+    """The spatial half of the compiled plan: who reads whose rows.
+
+    ``halo[c][cn]`` are the (sorted) elements of cluster ``cn`` sharing a
+    regular interior face with cluster ``c`` — the only rows of ``cn`` a
+    corrector of ``c`` reads; ``exposed[c] = halo[c + 1][c]`` are the only
+    rows of ``c`` a coarser neighbor ever reads from the accumulation
+    buffer.  One vectorized pass over the cross-cluster faces (fault
+    faces never are: normalization puts both sides in one cluster).
+    """
+    itf = mesh.interior
+    em, ep = itf.minus_elem, itf.plus_elem
+    cm, cp = cluster[em], cluster[ep]
+    cross = np.flatnonzero((cm != cp) & ~itf.is_fault)
+    reader = np.concatenate([cm[cross], cp[cross]])
+    source = np.concatenate([cp[cross], cm[cross]])
+    elem = np.concatenate([ep[cross], em[cross]])
+    ne = len(cluster)
+    # sorted unique (reader, source, element) triples, split per pair
+    pair, elem = np.divmod(
+        np.unique((reader * n_clusters + source) * ne + elem), ne)
+    pairs, starts = np.unique(pair, return_index=True)
+    halo = [{} for _ in range(n_clusters)]
+    for p, rows in zip(pairs.tolist(), np.split(elem, starts[1:])):
+        halo[p // n_clusters][p % n_clusters] = rows
+    none = np.empty(0, dtype=np.int64)
+    exposed = [halo[c + 1].get(c, none) if c + 1 < n_clusters else none
+               for c in range(n_clusters)]
+    return halo, exposed
+
+
 class LocalTimeStepping:
     """LTS driver wrapping a :class:`~repro.core.solver.CoupledSolver`.
 
     Reuses the solver's spatial operator, gravity boundary, fault solver and
-    sources; only the time-marching differs.
+    sources; only the time-marching differs.  Besides the clustering it
+    holds the per-cluster row sets the scheduler's micro-steps touch:
+    ``idx[c]`` (own), ``halo[c][cn]`` and ``exposed[c]``
+    (see :func:`_halo_layout`).
     """
 
     def __init__(self, solver, rate: int = 2, max_cluster: int | None = None):
@@ -118,13 +152,8 @@ class LocalTimeStepping:
         self.idx = [np.flatnonzero(m) for m in self.masks]
         self.elem_count = np.array([int(m.sum()) for m in self.masks])
 
-        em, ep = mesh.interior.minus_elem, mesh.interior.plus_elem
-        cm, cp = self.cluster[em], self.cluster[ep]
-        self.adjacent = [set() for _ in range(self.n_clusters)]
-        for a, b in zip(cm, cp):
-            if a != b:
-                self.adjacent[int(a)].add(int(b))
-                self.adjacent[int(b)].add(int(a))
+        self.halo, self.exposed = _halo_layout(mesh, self.cluster, self.n_clusters)
+        self.adjacent = [set(h) for h in self.halo]
 
         g = solver.gravity
         self.gravity_masks = [self.cluster[g.elem] == c for c in range(self.n_clusters)]

@@ -98,6 +98,9 @@ class SerialBackend(ExecutionBackend):
     #: as scratch — only ever an array `op.predict` itself
     #: returned, so its truncated-mode zeros are intact (see fused_ck)
     _ck_scratch = None
+    #: predictor scratch of the masked updates, grown to the largest
+    #: cluster seen and handed out by leading rows
+    _masked_scratch = None
 
     def predict(self, Q: np.ndarray) -> np.ndarray:
         with _TEL.phase("predict"):
@@ -112,9 +115,14 @@ class SerialBackend(ExecutionBackend):
         with _TEL.phase("predict"):
             if _TEL.enabled:
                 _TEL.count("elem_updates/predictor", int(mask.sum()))
-            new_derivs = op.predict_states(Q[mask], op.starT[mask])
-            derivs[mask] = new_derivs
-            Iown[mask] = taylor_integrate(new_derivs, 0.0, dt)
+            idx, starT = op.active_rows(mask)
+            buf = self._masked_scratch
+            if buf is None or len(buf) < len(idx):
+                buf = self._masked_scratch = np.zeros(
+                    (len(idx), op.order + 1, op.nbasis, 9))
+            new_derivs = op.predict_states(Q[idx], starT, out=buf[:len(idx)])
+            derivs[idx] = new_derivs
+            Iown[idx] = taylor_integrate(new_derivs, 0.0, dt)
 
     def corrector(self, I, derivs, dt, t0, active=None,
                   gravity_mask=None, motion_mask=None) -> np.ndarray:

@@ -17,10 +17,13 @@ A step then runs in two phases with a barrier between them:
 1. **predict** — every partition computes the Cauchy-Kowalewski predictor
    of its owned elements (disjoint writes into the global array);
 2. **correct** — every partition *gathers* the time-integrated predictor
-   of its owned + halo elements (this copy is the halo exchange: in a
-   distributed run it would be the MPI message), runs its restricted
-   volume/face kernels, scatters the owned residual rows back, and applies
-   the gravity / prescribed-motion / fault modules of its owned faces.
+   of its active elements and their face neighbors (this copy is the halo
+   exchange: in a distributed run it would be the MPI message) into a
+   persistent local buffer, runs its restricted volume/face kernels,
+   scatters the active residual rows back, and applies the gravity /
+   prescribed-motion / fault modules of its owned faces.  Which rows that
+   is depends only on the partition and the activity mask, so it is
+   compiled once per (partition, mask) — one mask per LTS cluster.
 
 All writes target disjoint global rows, so the result is independent of
 thread scheduling; the workers run concurrently because NumPy releases
@@ -34,13 +37,15 @@ friction laws may carry per-face parameter arrays.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.ader import taylor_integrate
 from ..core.lts import cluster_elements
 from ..hpc.partition import edge_cut, eq28_vertex_weights, imbalance, partition_mesh
+from ..kernels.fusion import memo_by_mask
 from ..obs.telemetry import get_telemetry
 from .backend import ExecutionBackend
 
@@ -72,6 +77,17 @@ def fault_atomic_partition(mesh, parts: np.ndarray) -> np.ndarray:
     return parts
 
 
+class _ActiveSet:
+    """What one activity mask selects in one partition (local = position
+    in ``plan.cells``): ``act`` the active owned cells (bool, local),
+    ``idx`` / ``ids`` their local / global ids, ``starT`` their
+    contiguous Jacobian rows (shared with the partition operator's volume
+    kernel), and ``read`` / ``read_ids`` the local / global rows the
+    residual kernels read — the active cells plus their face neighbors."""
+
+    __slots__ = ("act", "idx", "ids", "starT", "read", "read_ids")
+
+
 @dataclass
 class PartitionPlan:
     """Everything one worker needs to advance its partition."""
@@ -89,6 +105,34 @@ class PartitionPlan:
     #: per-partition predictor scratch (only ever a prior predict_states
     #: result for this partition — one worker task per plan, no sharing)
     ck_scratch: np.ndarray | None = None
+    #: persistent gather / residual buffers over ``cells`` (rows outside
+    #: an active set's ``read`` / ``idx`` are stale, never read)
+    Iloc: np.ndarray | None = None
+    outloc: np.ndarray | None = None
+    #: content-addressed :class:`_ActiveSet` per activity mask
+    active_sets: OrderedDict = field(default_factory=OrderedDict)
+
+    def active_set(self, active: np.ndarray | None) -> _ActiveSet:
+        """The (cached) :class:`_ActiveSet` of a global activity mask;
+        ``None`` selects every owned cell (GTS)."""
+        if active is None:
+            active = self.owned_mask
+        return memo_by_mask(self.active_sets, active, lambda: self._select(active))
+
+    def _select(self, active: np.ndarray) -> _ActiveSet:
+        lop = self.lop
+        s = _ActiveSet()
+        s.act = self.owned_local & active[self.cells]
+        s.idx, s.starT = lop.active_rows(s.act)
+        s.ids = self.cells[s.idx]
+        read = s.act.copy()
+        for grp in lop.interior_groups:
+            sel = s.act[grp.em] | s.act[grp.ep]
+            read[grp.em[sel]] = True
+            read[grp.ep[sel]] = True
+        s.read = np.flatnonzero(read)
+        s.read_ids = self.cells[s.read]
+        return s
 
     @property
     def n_owned(self) -> int:
@@ -176,6 +220,10 @@ class PartitionedBackend(ExecutionBackend):
                 owned_local=owned_local,
                 owned_mask=owned_mask,
                 lop=solver.op.restricted(cells, len(owned)),
+                # NaN, not zeros: a row read before it was gathered would
+                # poison the result instead of passing silently
+                Iloc=np.full((len(cells), solver.op.nbasis, 9), np.nan),
+                outloc=np.zeros((len(cells), solver.op.nbasis, 9)),
                 gravity_mask=owned_mask[g_elem],
                 motion_mask=None if m_elem is None else owned_mask[m_elem],
                 has_fault=bool(owned_mask[fault_em].any()),
@@ -228,16 +276,20 @@ class PartitionedBackend(ExecutionBackend):
         tracing = _TEL.enabled and _TEL.tracing
 
         def work(plan):
-            ids = plan.owned_mask & mask
-            if not ids.any():
+            sel = plan.active_set(mask)
+            ids = sel.ids
+            if not len(ids):
                 return
             t0 = _time.perf_counter() if tracing else 0.0
-            new_derivs = op.predict_states(Q[ids], op.starT[ids])
+            # leading rows of the full-sweep scratch: no second buffer
+            buf = plan.ck_scratch
+            new_derivs = op.predict_states(
+                Q[ids], sel.starT, out=None if buf is None else buf[:len(ids)])
             derivs[ids] = new_derivs
             Iown[ids] = taylor_integrate(new_derivs, 0.0, dt)
             if tracing:
                 _TEL.add_span("worker/predict", t0, _time.perf_counter(),
-                              part=plan.part_id, owned=int(ids.sum()))
+                              part=plan.part_id, owned=len(ids))
 
         with _TEL.phase("predict"):
             if _TEL.enabled:
@@ -253,15 +305,14 @@ class PartitionedBackend(ExecutionBackend):
 
         def work(plan):
             profiled = _TEL.enabled
-            if active is None:
-                act = plan.owned_local
-            else:
-                act = plan.owned_local & active[plan.cells]
-            if act.any():
+            sel = plan.active_set(active)
+            act, idx = sel.act, sel.idx
+            if len(idx):
                 # halo exchange: gather the time-integrated predictor of the
-                # owned elements plus the one-element halo layer
+                # active elements and their face neighbors (owned or halo)
                 t_gather = _time.perf_counter() if profiled else 0.0
-                Iloc = I[plan.cells]
+                Iloc, outloc = plan.Iloc, plan.outloc
+                Iloc[sel.read] = I[sel.read_ids]
                 if profiled:
                     t_compute = _time.perf_counter()
                     _TEL.add_time(f"worker/p{plan.part_id}/halo_gather",
@@ -269,11 +320,11 @@ class PartitionedBackend(ExecutionBackend):
                     if tracing:
                         _TEL.add_span("worker/halo_gather", t_gather, t_compute,
                                       part=plan.part_id, halo=plan.n_halo)
-                outloc = np.zeros_like(Iloc)
+                outloc[idx] = 0.0
                 plan.lop.volume_residual(Iloc, outloc, active=act)
                 plan.lop.interior_residual(Iloc, outloc, active=act)
                 plan.lop.boundary_residual(Iloc, outloc, active=act)
-                R[plan.cells[act]] = outloc[act]
+                R[sel.ids] = outloc[idx]
             elif profiled:
                 t_compute = _time.perf_counter()
             gm = plan.gravity_mask if gravity_mask is None \
@@ -295,8 +346,7 @@ class PartitionedBackend(ExecutionBackend):
                 if tracing:
                     _TEL.add_span("worker/compute", t_compute, t_end,
                                   part=plan.part_id,
-                                  owned=int(act.sum()) if active is not None
-                                  else plan.n_owned)
+                                  owned=len(idx))
 
         with _TEL.phase("corrector"):
             if _TEL.enabled:

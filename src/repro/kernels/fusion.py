@@ -27,10 +27,16 @@ Surface (:func:`fused_interior_residual` / :func:`fused_boundary_residual`)
     flux matrices (``G`` arrays).  The face-quadrature dimension
     (``nfq > B`` for our rules) disappears from the step loop entirely.
 
-Local time-stepping repeatedly calls the surface kernels with the same
-per-cluster activity masks; the per-group masked selections are content-
-addressed (SHA-1 of the mask bytes) and cached on the operator, so the
-selection work happens once per cluster, not once per micro-step.
+Local time-stepping repeatedly calls the kernels with the same
+per-cluster activity masks; the masked selections are content-addressed
+(SHA-1 of the mask bytes) and cached on the operator, so the selection
+work happens once per cluster, not once per micro-step.  The element
+selection (:func:`active_rows`: ids and contiguous ``starT`` rows) is
+shared by the volume kernel and the backends' masked predictor; the
+interior selection is made per *side* — the faces of a class are laid
+out minus-only / both / plus-only, so each side's faces are one
+contiguous slice and an interface face computes only the side that is
+updated.
 
 All results match the quadrature-form reference kernels of
 ``tests/reference_kernels.py`` up to floating-point reassociation (the
@@ -56,12 +62,14 @@ __all__ = [
     "ElementKernelPlan",
     "element_plan",
     "fused_ck",
+    "active_rows",
     "FusedInteriorGroup",
     "FusedBoundaryGroup",
     "attach_fused_groups",
     "fused_volume_residual",
     "fused_interior_residual",
     "fused_boundary_residual",
+    "memo_by_mask",
     "MASK_CACHE_MAX",
 ]
 
@@ -135,9 +143,10 @@ def fused_ck(Q: np.ndarray, starT: np.ndarray, ref,
     quadrature noise there instead).
 
     ``out`` is an optional scratch buffer: it MUST be an array previously
-    returned by this function for the same order — its truncated-mode
-    rows are assumed to still be the zeros this sweep leaves there,
-    which is what makes reuse free.  A
+    returned by this function for the same order, a fresh ``np.zeros``,
+    or leading rows of either — its truncated-mode rows are assumed to
+    still be the zeros this sweep leaves there, which is what makes
+    reuse free.  A
     ``None`` or shape-mismatched ``out`` falls back to a fresh
     allocation.  The step loop reuses its predictor buffer through this:
     the ~O(10 MB) per-call allocation would otherwise cost more in page
@@ -229,7 +238,7 @@ def attach_fused_groups(plan, interior, boundary, ref) -> None:
         plan.boundary_groups.append(grp)
 
 
-def _masked(cache: OrderedDict, active: np.ndarray, select):
+def memo_by_mask(cache: OrderedDict, active: np.ndarray, select):
     """``select()`` memoized in ``cache`` on the *content* of ``active``
     (SHA-1 of the mask bytes), oldest entry evicted past MASK_CACHE_MAX."""
     key = hashlib.sha1(active.tobytes()).digest()
@@ -243,6 +252,17 @@ def _masked(cache: OrderedDict, active: np.ndarray, select):
     return hit
 
 
+def active_rows(op, active: np.ndarray):
+    """``(idx, starT)`` of an activity mask, cached: the selected element
+    ids and their contiguous ``starT`` rows — the one masked copy the
+    volume kernel and the backends' masked predictor share."""
+    def select():
+        idx = np.flatnonzero(active)
+        return idx, np.ascontiguousarray(op.starT[idx])
+
+    return memo_by_mask(op._mask_cache_volume, active, select)
+
+
 # ----------------------------------------------------------------------
 # fused residual kernels
 # ----------------------------------------------------------------------
@@ -252,33 +272,38 @@ def fused_volume_residual(op, I, out, active=None) -> None:
     if active is None:
         Ie, starT, tgt = I, op.starT, slice(None)
     else:
-        def select():
-            idx = np.flatnonzero(active)
-            return idx, np.ascontiguousarray(op.starT[idx])
-
-        idx, starT = _masked(op._mask_cache_volume, active, select)
-        Ie, tgt = np.ascontiguousarray(I[idx]), idx
+        tgt, starT = active_rows(op, active)
+        Ie = np.ascontiguousarray(I[tgt])
     n = len(Ie)
     W = np.matmul(Ie[:, None], starT)
     out[tgt] += np.matmul(plan.DT, W.reshape(n, 3 * op.nbasis, 9))
 
 
 def _interior_masked_entries(op, active):
-    """Per-group masked selections for one activity mask."""
+    """Per-group, per-side selections for one activity mask.
+
+    The faces of a group with an active side are laid out minus-only,
+    both, plus-only: the minus side updates faces ``[:b]``, the plus side
+    faces ``[a:]`` — contiguous slices of one gathered trace pair, each
+    with its own ``G`` rows, so no face computes a side nobody updates.
+    """
     entries = []
     for grp in op.interior_groups:
         am = active[grp.em]
         ap = active[grp.ep]
-        sel = am | ap
-        if not np.any(sel):
+        only_m = np.flatnonzero(am & ~ap)
+        both = np.flatnonzero(am & ap)
+        only_p = np.flatnonzero(ap & ~am)
+        order = np.concatenate([only_m, both, only_p])
+        if not len(order):
             entries.append(None)
             continue
-        upd_m, upd_p = am[sel], ap[sel]
+        a, b = len(only_m), len(only_m) + len(both)
+        side_m, side_p = order[:b], order[a:]
         entries.append((
-            grp.em[sel], grp.ep[sel],
-            np.ascontiguousarray(grp.G1[sel]), np.ascontiguousarray(grp.G2[sel]),
-            np.ascontiguousarray(grp.G3[sel]), np.ascontiguousarray(grp.G4[sel]),
-            upd_m, upd_p, bool(np.any(upd_m)), bool(np.any(upd_p)),
+            grp.em[order], grp.ep[order], a, b,
+            np.ascontiguousarray(grp.G1[side_m]), np.ascontiguousarray(grp.G2[side_m]),
+            np.ascontiguousarray(grp.G3[side_p]), np.ascontiguousarray(grp.G4[side_p]),
         ))
     return entries
 
@@ -286,34 +311,27 @@ def _interior_masked_entries(op, active):
 def fused_interior_residual(op, I, out, active=None) -> None:
     """Modal-factorized interior-face kernel (see module docstring)."""
     if active is None:
-        groups = ((g, g.em, g.ep, g.G1, g.G2, g.G3, g.G4,
-                   slice(None), slice(None), True, True)
+        groups = ((g, g.em, g.ep, 0, len(g.em), g.G1, g.G2, g.G3, g.G4)
                   for g in op.interior_groups)
     else:
-        entries = _masked(op._mask_cache_interior, active,
-                          lambda: _interior_masked_entries(op, active))
+        entries = memo_by_mask(op._mask_cache_interior, active,
+                               lambda: _interior_masked_entries(op, active))
         groups = ((g, *e) for g, e in zip(op.interior_groups, entries)
                   if e is not None)
-    for grp, em, ep, G1, G2, G3, G4, upd_m, upd_p, do_m, do_p in groups:
+    for grp, em, ep, a, b, G1, G2, G3, G4 in groups:
         Xm = I[em]
         Xp = I[ep]
-        if do_m:
-            contrib = np.matmul(np.matmul(grp.Amm, Xm), G1)
-            contrib += np.matmul(np.matmul(grp.Amp, Xp), G2)
+        if b:
+            contrib = np.matmul(np.matmul(grp.Amm, Xm[:b]), G1)
+            contrib += np.matmul(np.matmul(grp.Amp, Xp[:b]), G2)
             # within one orientation class every element appears at most
             # once per side, so fancy += is exact (and much faster than
             # np.add.at)
-            if active is None:
-                out[em] += contrib
-            else:
-                out[em[upd_m]] += contrib[upd_m]
-        if do_p:
-            contrib = np.matmul(np.matmul(grp.App, Xp), G3)
-            contrib += np.matmul(np.matmul(grp.Apm, Xm), G4)
-            if active is None:
-                out[ep] += contrib
-            else:
-                out[ep[upd_p]] += contrib[upd_p]
+            out[em[:b]] += contrib
+        if a < len(em):
+            contrib = np.matmul(np.matmul(grp.App, Xp[a:]), G3)
+            contrib += np.matmul(np.matmul(grp.Apm, Xm[a:]), G4)
+            out[ep[a:]] += contrib
 
 
 def fused_boundary_residual(op, I, out, active=None) -> None:
@@ -331,7 +349,7 @@ def fused_boundary_residual(op, I, out, active=None) -> None:
                 )
             return entries
 
-        entries = _masked(op._mask_cache_boundary, active, select)
+        entries = memo_by_mask(op._mask_cache_boundary, active, select)
         groups = ((g, *e) for g, e in zip(op.boundary_groups, entries)
                   if e is not None)
     for grp, elem, G in groups:

@@ -192,10 +192,11 @@ class Scheduler:
 
         # the window-assembly buffer is allocated once for the whole run:
         # each micro-step overwrites exactly the rows its corrector reads
-        # (the active cluster plus every consumed neighbor — LTS adjacency
-        # guarantees the consume list covers all faces with an active side),
-        # so stale rows from earlier micro-steps are never observed
-        I = np.zeros((ne, nb, 9))
+        # (the active cluster plus its halo in every consumed neighbor —
+        # LTS adjacency guarantees the consume list covers all faces with
+        # an active side), so stale rows from earlier micro-steps are
+        # never observed
+        I = self._window_buffer((ne, nb, 9))
         state = (plan, dt_min, dts, derivs, Iown, Ibuf, I, t0)
         met_state = {"wall": time.perf_counter(), "steps": 0}
         for i in range(plan.n_micro):
@@ -231,20 +232,32 @@ class Scheduler:
                 hooks.sync(solver)
         solver.t = t_end
 
+    @staticmethod
+    def _window_buffer(shape) -> np.ndarray:
+        """Allocation seam of the run-lifetime window buffer (a test
+        poisons it to prove no micro-step reads a row it did not write)."""
+        return np.zeros(shape)
+
     def _exec_micro(self, i: int, c: int, state) -> None:
-        """One cluster micro-step: assemble windows, correct, publish."""
+        """One cluster micro-step: assemble windows, correct, publish.
+
+        Touches only the rows the compiled layout names: the cluster's
+        own rows, its halo in each consumed neighbor, and — to publish —
+        its rows exposed to the coarser neighbor.
+        """
         plan, dt_min, dts, derivs, Iown, Ibuf, I, t0 = state
         lts = self.lts
         solver = self.solver
         mask = lts.masks[c]
         idx = lts.idx[c]
+        halo = lts.halo[c]
         t_a = int(plan.t_int[i]) * dt_min
 
         # assemble per-element time-integrated data for this window (into
         # the run-lifetime buffer; see _run_lts for why reuse is exact)
         I[idx] = Iown[idx]
         for cn, mode, off_int in plan.consumes(i):
-            nidx = lts.idx[int(cn)]
+            nidx = halo[int(cn)]
             if mode == CONSUME_TAYLOR:
                 # a coarser neighbor predicted earlier with a longer
                 # window; integrate its Taylor expansion over ours
@@ -261,11 +274,13 @@ class Scheduler:
         )
         solver.Q[idx] += out[idx]
 
-        # the just-completed window becomes available to coarser neighbors
-        Ibuf[idx] += Iown[idx]
+        # the just-completed window becomes available to the coarser
+        # neighbor, which reads only the exposed rows
+        exposed = lts.exposed[c]
+        Ibuf[exposed] += Iown[exposed]
         # buffers of finer neighbors covering this window were consumed
         for cn in plan.clears(i):
-            Ibuf[lts.idx[int(cn)]] = 0.0
+            Ibuf[halo[int(cn)]] = 0.0
 
         # next predictor for this cluster (compiled flag: skipped when the
         # run is over for it)

@@ -129,6 +129,41 @@ class TestKernelUnits:
         _assert_close(out_ref, out_var,
                       f"{kernel} ({variant}, masked={masked})")
 
+    def test_masked_per_side_selection(self):
+        """A mask under which one orientation class holds minus-only,
+        plus-only and both-active faces (an LTS cluster interface): each
+        side is computed only where it is updated, matches the oracle,
+        and rows of inactive elements stay exactly zero."""
+        ref_op, var_op = _operator_pair()
+        grp = max(var_op.interior_groups, key=lambda g: len(g.em))
+        # three faces of the class on pairwise distinct elements
+        faces, used = [], set()
+        for f, (em, ep) in enumerate(zip(grp.em, grp.ep)):
+            if em not in used and ep not in used:
+                faces.append(f)
+                used.update((int(em), int(ep)))
+            if len(faces) == 3:
+                break
+        f_m, f_p, f_b = faces
+        active = np.zeros(var_op.n_elements, dtype=bool)
+        active[[grp.em[f_m], grp.ep[f_p], grp.em[f_b], grp.ep[f_b]]] = True
+        am, ap = active[grp.em], active[grp.ep]
+        assert (am & ~ap).any() and (ap & ~am).any() and (am & ap).any()
+
+        rng = np.random.default_rng(5)
+        I = rng.normal(size=(ref_op.n_elements, ref_op.nbasis, 9))
+        for kernel in ("volume_residual", "interior_residual",
+                       "boundary_residual"):
+            out_ref = np.zeros_like(I)
+            out_var = np.zeros_like(I)
+            getattr(ref_op, kernel)(I, out_ref, active=active)
+            getattr(var_op, kernel)(I, out_var, active=active)
+            _assert_close(out_ref, out_var, f"{kernel} (per-side mask)")
+            assert (out_var[~active] == 0.0).all(), kernel
+            if kernel == "interior_residual":
+                # every updated side received its face's contribution
+                assert (np.abs(out_var[active]).max(axis=(1, 2)) > 0).all()
+
     @pytest.mark.parametrize("variant", _RUNTIME)
     def test_predictor_out_buffer_reuse(self, variant):
         """The `out` scratch hint: reusing a prior result buffer returns

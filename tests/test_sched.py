@@ -34,6 +34,8 @@ from repro.sched import (
     step_plan_key,
 )
 
+from tests.test_exec_equivalence import T_LTS, build_lts_fault_gravity
+
 
 # ---------------------------------------------------------------------------
 # the reference semantics: the retired event-driven scheduler
@@ -359,6 +361,65 @@ class TestGoldenEquivalence:
         # cluster c must take rate**(cmax-c) times the coarsest's steps
         for c in range(lts.n_clusters):
             assert counts[c] == counts[-1] * lts.rate ** (lts.cmax - c)
+
+
+# ---------------------------------------------------------------------------
+# the spatial half of the plan: own / halo / exposed rows
+# ---------------------------------------------------------------------------
+class TestHaloLayout:
+    """Three clusters, a rupturing fault and a gravity ocean (the
+    exec-equivalence rig): the layout is exact, and a micro-step writes
+    every window row its corrector reads."""
+
+    def test_layout_structure(self):
+        solver, _, lts = build_lts_fault_gravity()
+        assert lts.n_clusters >= 3
+        itf = solver.mesh.interior
+        cl = lts.cluster
+        # both sides of a fault face share a cluster, so no fault face can
+        # put an element into a halo
+        fault = itf.is_fault
+        assert fault.any()
+        assert (cl[itf.minus_elem[fault]] == cl[itf.plus_elem[fault]]).all()
+        # brute force over the regular faces: each side of a cross-cluster
+        # face is in the other cluster's halo, and nothing else is
+        want = [{} for _ in range(lts.n_clusters)]
+        for em, ep in zip(itf.minus_elem[~fault], itf.plus_elem[~fault]):
+            a, b = int(cl[em]), int(cl[ep])
+            if a != b:
+                want[a].setdefault(b, set()).add(int(ep))
+                want[b].setdefault(a, set()).add(int(em))
+        assert any(want)
+        for c in range(lts.n_clusters):
+            assert set(lts.halo[c]) == set(want[c]) == lts.adjacent[c]
+            for cn, rows in lts.halo[c].items():
+                assert rows.tolist() == sorted(want[c][cn])
+                assert (cl[rows] == cn).all()
+        for c in range(lts.cmax):
+            assert np.array_equal(lts.exposed[c], lts.halo[c + 1][c])
+        assert len(lts.exposed[lts.cmax]) == 0
+
+    @pytest.mark.parametrize("backend,workers", [("serial", None),
+                                                 ("partitioned", 2)])
+    def test_poisoned_window_is_bitwise_clean(self, monkeypatch, backend,
+                                              workers):
+        """The run-lifetime window buffer starts as NaN instead of zeros:
+        an identical end state proves every row a corrector read had been
+        written in that same micro-step."""
+        ref, ref_fault, ref_lts = build_lts_fault_gravity(backend, workers)
+        ref_lts.run(T_LTS)
+        assert (ref_fault.slip > 0).any()
+
+        monkeypatch.setattr(Scheduler, "_window_buffer", staticmethod(
+            lambda shape: np.full(shape, np.nan)))
+        new, new_fault, new_lts = build_lts_fault_gravity(backend, workers)
+        new_lts.run(T_LTS)
+        assert_bitwise(ref, new)
+        for name in ref_fault.STATE_FIELDS:
+            assert np.array_equal(getattr(ref_fault, name),
+                                  getattr(new_fault, name), equal_nan=True)
+        ref.backend.close()
+        new.backend.close()
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,11 @@ def taylor_integrate(derivs: np.ndarray, t0: float, t1: float) -> np.ndarray:
     ``t0``/``t1`` are measured from the expansion point.  Returns modal
     coefficients of ``int_t0^t1 q(t) dt``, shape ``(ne, B, 9)``.
     """
-    nk = derivs.shape[1]
-    out = np.zeros_like(derivs[:, 0])
-    fact = 1.0
-    for k in range(nk):
-        fact *= k + 1  # (k+1)!
-        out += (t1 ** (k + 1) - t0 ** (k + 1)) / fact * derivs[:, k]
-    return out
+    k1 = np.arange(1, derivs.shape[1] + 1)
+    coef = (float(t1) ** k1 - float(t0) ** k1) / np.cumprod(k1)  # / (k+1)!
+    # one pass over the level axis; each row sums its levels in order, so
+    # the result of a row does not depend on which batch it is part of
+    return np.einsum("k,ek...->e...", coef, derivs)
 
 
 def taylor_evaluate(derivs: np.ndarray, tau) -> np.ndarray:
@@ -62,11 +60,7 @@ def taylor_evaluate(derivs: np.ndarray, tau) -> np.ndarray:
     returns ``(nt, ne, B, 9)``.
     """
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    nk = derivs.shape[1]
-    out = np.zeros((len(taus),) + derivs[:, 0].shape)
-    fact = 1.0
-    for k in range(nk):
-        if k > 0:
-            fact *= k
-        out += (taus ** k / fact)[:, None, None, None] * derivs[:, k]
+    k = np.arange(derivs.shape[1])
+    coef = taus[:, None] ** k / np.cumprod(np.maximum(k, 1))  # tau^k / k!
+    out = np.einsum("tk,ek...->te...", coef, derivs)
     return out if np.ndim(tau) else out[0]

@@ -20,6 +20,7 @@ all 4 local faces and all 24 neighbor orientation classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -71,14 +72,12 @@ def jacobi_p(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarray:
     Standard three-term recurrence (Hesthaven & Warburton, JacobiP).
     """
     x = np.asarray(x, dtype=float)
-    from scipy.special import gammaln
-
     apb = alpha + beta
-    gamma0 = np.exp(
-        (apb + 1) * np.log(2.0)
-        + gammaln(alpha + 1)
-        + gammaln(beta + 1)
-        - gammaln(apb + 2)
+    gamma0 = math.exp(
+        (apb + 1) * math.log(2.0)
+        + math.lgamma(alpha + 1)
+        + math.lgamma(beta + 1)
+        - math.lgamma(apb + 2)
     )
     p0 = np.full_like(x, 1.0 / np.sqrt(gamma0))
     if n == 0:

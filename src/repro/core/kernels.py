@@ -89,16 +89,19 @@ class SpatialOperator:
         self.starT = plan.starT
         self.interior_groups = plan.interior_groups
         self.boundary_groups = plan.boundary_groups
-        self._init_mask_caches()
+        self._init_scratch()
 
-    def _init_mask_caches(self) -> None:
-        """Per-instance content-addressed masked sub-plan caches (one mask
-        per LTS cluster; see repro.kernels.fusion) — never part of the
-        shared plan.  The volume cache holds the selection that
-        :meth:`active_rows` hands to the masked predictor as well."""
+    def _init_scratch(self) -> None:
+        """Per-instance kernel state, never part of the shared plan: the
+        content-addressed masked sub-plan caches (one mask per LTS
+        cluster; see repro.kernels.fusion) — the volume cache holds the
+        selection that :meth:`active_rows` hands to the masked predictor
+        as well — and the interior kernel's face buffer, allocated on
+        first use."""
         self._mask_cache_volume = OrderedDict()
         self._mask_cache_interior = OrderedDict()
         self._mask_cache_boundary = OrderedDict()
+        self._face_buf = None
 
     def _build_plan(self) -> OperatorPlan:
         plan = OperatorPlan(
@@ -247,14 +250,15 @@ class SpatialOperator:
         side — the halo layer must therefore contain the far side of every
         cut face (raises otherwise) — and every boundary face of an owned
         element.  Restricted operators share the parent's (cached,
-        immutable) flux matrices via slicing; they support the residual
-        kernels and :meth:`predict` only, not face-flux projection.
+        immutable) flux matrices via slicing and own their face buffer;
+        they support the residual kernels and :meth:`predict` only, not
+        face-flux projection.
         """
         cells = np.asarray(cells)
         sub = copy.copy(self)  # shares mesh/ref; per-cell state replaced below
         sub._n_elements = len(cells)
         sub.starT = self.starT[cells]
-        sub._init_mask_caches()
+        sub._init_scratch()
         g2l = np.full(self.n_elements, -1, dtype=np.int64)
         g2l[cells] = np.arange(len(cells))
         owned = np.zeros(self.n_elements, dtype=bool)
@@ -273,10 +277,9 @@ class SpatialOperator:
                     "restricted(): an owned face's neighbor element is outside "
                     "`cells`; the halo layer does not cover all cut faces"
                 )
-            g.Amm, g.Amp = grp.Amm, grp.Amp
-            g.App, g.Apm = grp.App, grp.Apm
-            g.G1, g.G2 = grp.G1[sel], grp.G2[sel]
-            g.G3, g.G4 = grp.G3[sel], grp.G4[sel]
+            g.fm, g.fp = grp.fm, grp.fp
+            g.Wm, g.Wp = grp.Wm, grp.Wp
+            g.Gm, g.Gp = grp.Gm[sel], grp.Gp[sel]
             sub.interior_groups.append(g)
 
         sub.boundary_groups = []
@@ -401,8 +404,14 @@ class SpatialOperator:
 
     def apply(self, I: np.ndarray, active=None) -> np.ndarray:
         """Full (gravity/fault-free) residual for time-integrated data ``I``."""
-        out = self.new_state()
-        self.volume_residual(I, out, active)
+        if active is None:
+            # every row gets a volume term: store it, no zero-fill + add
+            out = np.empty((self.n_elements, self.nbasis, 9))
+            with _TEL.phase("kernels/volume"):
+                fused_volume_residual(self, I, out, overwrite=True)
+        else:
+            out = self.new_state()
+            self.volume_residual(I, out, active)
         self.interior_residual(I, out, active)
         self.boundary_residual(I, out, active)
         return out

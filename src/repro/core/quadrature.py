@@ -17,7 +17,26 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
+
+
+def _gauss_jacobi(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule on [-1, 1] for the weight ``(1 - x)**alpha``.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix of the three-term recurrence, polished by
+    one Newton step on ``P_n``; the weights are the Christoffel numbers
+    ``1 / sum_{k<n} P_k(x_i)^2`` of the orthonormal polynomials.
+    """
+    from .basis import grad_jacobi_p, jacobi_p  # basis imports this module
+
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * np.arange(n) + alpha
+    # alpha = 0 makes the first entry 0/0 in the general formula; it is 0
+    diag = -alpha**2 / np.maximum(s * (s + 2.0), 1.0)
+    off = 2.0 / s[1:] * k * (k + alpha) / np.sqrt(s[1:] ** 2 - 1.0)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    x -= jacobi_p(x, alpha, 0, n) / grad_jacobi_p(x, alpha, 0, n)
+    return x, 1.0 / sum(jacobi_p(x, alpha, 0, j) ** 2 for j in range(n))
 
 
 def gauss_jacobi_01(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
@@ -29,8 +48,7 @@ def gauss_jacobi_01(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
-    # scipy uses the weight (1-x)^alpha (1+x)^beta on [-1, 1]
-    x, w = roots_jacobi(n, alpha, 0.0)
+    x, w = _gauss_jacobi(n, alpha)
     # x in [-1,1] -> q in [0,1]:  q = (x+1)/2,  (1-q)^alpha = ((1-x)/2)^alpha
     q = 0.5 * (x + 1.0)
     wq = w / 2.0 ** (alpha + 1)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = ["ExactPropagator", "RK4", "ButcherTableau", "rk_solve"]
 
@@ -47,6 +46,8 @@ class ExactPropagator:
     """
 
     def __init__(self, A: np.ndarray, n_forcing: int, dt: float):
+        from scipy.linalg import expm  # deferred: 0.04 s of `import repro`
+
         A = np.atleast_2d(np.asarray(A, dtype=float))
         m = A.shape[0]
         if A.shape != (m, m):

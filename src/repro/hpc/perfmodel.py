@@ -87,9 +87,10 @@ def kernel_counts(order: int, n_quantities: int = 9,
     ``variant="fused"`` counts what this repo executes, the compiled
     contraction chains of :mod:`repro.kernels.fusion`: degree-truncated
     Cauchy-Kowalewski levels (level ``k`` maps ``basis_size(N-k)`` modes
-    to ``basis_size(N-k-1)``) and the
-    quadrature-free surface form ``A @ I @ G`` (two ``(B, B) @ (B, Q)``
-    + two ``(B, Q) @ (Q, Q)`` GEMMs per face-side).  Memory traffic is
+    to ``basis_size(N-k-1)``) and the face-basis surface form on
+    ``F = (N+1)(N+2)/2`` rows (per face-side two ``(F, B) @ (B, Q)``
+    traces, one ``(F, 2Q) @ (2Q, Q)`` flux product and the side's
+    ``(B, F) @ (F, Q)`` share of the element's lift).  Memory traffic is
     unchanged — fusion removes work, not state.
     """
     N = order
@@ -109,8 +110,10 @@ def kernel_counts(order: int, n_quantities: int = 9,
             3 * (2.0 * sizes[k + 1] * sizes[k] * Q + 2.0 * sizes[k + 1] * Q * Q)
             for k in range(N)
         ) + (N + 1) * 2.0 * B * Q
-        # per face-side: A @ I (B x B x Q) twice + (.) @ G (B x Q x Q) twice
-        per_side = 2 * (2.0 * B * B * Q) + 2 * (2.0 * B * Q * Q)
+        # per face-side: two traces onto the F face modes, both flux terms
+        # as one K = 2Q product, and one face's share of the lift
+        F = basis_size(N, dim=2)
+        per_side = 2 * (2.0 * F * B * Q) + 2.0 * F * (2 * Q) * Q + 2.0 * B * F * Q
         fl_surf = 4 * per_side
     else:
         raise ValueError(f"unknown kernel variant {variant!r}")

@@ -2,41 +2,62 @@
 
 Everything here is *plan time vs step time* separation: whatever does not
 depend on the modal state is computed once and folded into flat arrays,
-so each step-loop call is a handful of large contiguous GEMMs.
+so an element update is a few fat per-element / per-face GEMMs (about 15
+at order 2) with no elementwise pass between them.
 
 Predictor (:func:`fused_ck`)
     The Dubiner basis is orthonormal, so the modal derivative operator
     ``deriv[d, l, m]`` vanishes whenever ``deg(l) >= deg(m)`` — each
     Cauchy-Kowalewski level loses one polynomial degree exactly.  A
     degree-sorted mode permutation turns that into a *prefix* structure:
-    level ``k`` lives in the first ``basis_size(N - k)`` permuted modes.
-    The three directional operators of each level are truncated to that
-    prefix and stacked into one ``(3*B_out, B_in)`` GEMM per level
-    (order 3: 20 -> 10 -> 4 -> 1 modes, a ~4.4x FLOP reduction).
+    level ``k`` lives in the first ``basis_size(N - k)`` permuted modes
+    (order 3: 20 -> 10 -> 4 -> 1 modes, a ~4.4x FLOP reduction).  The
+    three truncated directional operators of a level are stacked with
+    rows ordered ``(mode, direction)`` and negated at plan time, so
+    ``T = D'_k @ X`` is — by a free reshape — the ``(n_out, 27)`` matrix
+    ``[T_0 | T_1 | T_2]``, and the three star-Jacobian products, their
+    sum and the sign are one ``K = 27`` contraction with
+    ``starT.reshape(n, 27, 9)``: two GEMMs per element and level.
 
 Volume (:func:`fused_volume_residual`)
-    ``sum_d deriv[d]^T (I A*_d)`` evaluated as one batched state-Jacobian
-    product plus a single ``(B, 3B)`` stacked stiffness GEMM — same
-    FLOPs, three GEMM dispatches instead of nine.
+    ``sum_d deriv[d]^T (I A*_d)`` the same way: ``(KP @ I)`` with the
+    ``(mode, direction)``-ordered stiffness stack ``KP``, reshaped to
+    ``(B, 27)``, times ``starT27`` — two GEMMs per element.
 
 Surface (:func:`fused_interior_residual` / :func:`fused_boundary_residual`)
     The quadrature projection ``E^T diag(w) (E I F^T) * scale`` commutes
-    into ``(E^T diag(w) E) I (scale * F^T)``: the basis-side factor
-    collapses to a per-orientation-class ``(B, B)`` matrix computed at
-    plan time, and the per-face scale folds into the transposed Godunov
-    flux matrices (``G`` arrays).  The face-quadrature dimension
-    (``nfq > B`` for our rules) disappears from the step loop entirely.
+    into ``(E^T diag(w) E) I (scale * F^T)``, and every basis-side factor
+    ``E^T diag(w) E`` has the rank ``F = (N+1)(N+2)/2`` of the face
+    polynomials: it is ``R^T R`` with ``R`` the ``(F, B)`` trace onto an
+    orthonormal face basis (:func:`face_factors`).  Per interior face
+    the kernel takes the two elements' traces on ``F`` rows, contracts
+    both flux terms of a side in one ``K = 18`` product with the side's
+    stacked, scale-folded flux matrices, and *assigns* the ``(F, 9)``
+    result to that side's slot of a per-operator ``(ne, 4, F, 9)`` face
+    buffer.  An element-face has exactly one owner, so nothing is read,
+    modified and written back, and nothing is scatter-added: one
+    ``(B, 4F) @ (4F, 9)`` product per element lifts all four slots.  The
+    few boundary faces keep the ``(B, B)`` form ``A @ I @ G``.
+
+Batch independence
+    Every GEMM above is per element or per face, of a shape that does not
+    depend on the batch, so NumPy issues one identical BLAS call per
+    item and a row's bits never depend on which rows are computed with
+    it.  Serial == partitioned == any LTS clustering, bitwise, rests on
+    that.  It excludes the faster row-stacked form (one ``(ne * 9, K)``
+    GEMM): on OpenBLAS the rows of such a product change in the last bit
+    with the row subset.
 
 Local time-stepping repeatedly calls the kernels with the same
 per-cluster activity masks; the masked selections are content-addressed
 (SHA-1 of the mask bytes) and cached on the operator, so the selection
 work happens once per cluster, not once per micro-step.  The element
 selection (:func:`active_rows`: ids and contiguous ``starT`` rows) is
-shared by the volume kernel and the backends' masked predictor; the
-interior selection is made per *side* — the faces of a class are laid
-out minus-only / both / plus-only, so each side's faces are one
-contiguous slice and an interface face computes only the side that is
-updated.
+shared by the volume kernel, the lift and the backends' masked
+predictor; the interior selection is made per *side* — the faces of a
+class are laid out minus-only / both / plus-only, so each side's faces
+are one contiguous slice and an interface face computes only the flux
+of the side that is updated.
 
 All results match the quadrature-form reference kernels of
 ``tests/reference_kernels.py`` up to floating-point reassociation (the
@@ -62,6 +83,8 @@ __all__ = [
     "ElementKernelPlan",
     "element_plan",
     "fused_ck",
+    "FaceFactors",
+    "face_factors",
     "active_rows",
     "FusedInteriorGroup",
     "FusedBoundaryGroup",
@@ -79,7 +102,7 @@ MASK_CACHE_MAX = 64
 
 
 # ----------------------------------------------------------------------
-# element-local plan: degree truncation + stacked operators
+# element-local plan: degree truncation + (mode, direction) stacks
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ElementKernelPlan:
@@ -93,18 +116,28 @@ class ElementKernelPlan:
     sizes:
         ``basis_size(order - k)`` for ``k = 0..order`` — the permuted
         prefix length holding Cauchy-Kowalewski level ``k``.
-    Dstacks:
-        Per level, the ``(3 * sizes[k+1], sizes[k])`` stack of the three
-        truncated directional derivative operators in permuted modes.
-    DT:
-        ``(B, 3B)`` stacked transposed stiffness operator of the volume
-        kernel (original mode ordering).
+    Dneg:
+        Per level, the *negated* ``(3 * sizes[k+1], sizes[k])`` stack of
+        the three truncated directional derivative operators, rows ordered
+        ``(mode, direction)``.  Output modes are permuted; the columns of
+        level 0 are in original mode order (it reads ``Q`` as is), those
+        of later levels in permuted order.
+    KP:
+        ``(3B, B)`` stack of the transposed (stiffness) operators of the
+        volume kernel, rows ordered ``(mode, direction)``, original modes.
     """
 
     perm: np.ndarray
     sizes: tuple
-    Dstacks: tuple
-    DT: np.ndarray
+    Dneg: tuple
+    KP: np.ndarray
+
+
+def _mode_direction_stack(ops: np.ndarray) -> np.ndarray:
+    """``(3, n_out, n_in)`` operators stacked to ``(3 * n_out, n_in)`` with
+    row ``3 * mode + direction``: the product with an ``(n_in, 9)`` state
+    then *is* the ``(n_out, 27)`` left factor of the star contraction."""
+    return np.ascontiguousarray(ops.transpose(1, 0, 2)).reshape(-1, ops.shape[2])
 
 
 @lru_cache(maxsize=None)
@@ -113,21 +146,30 @@ def element_plan(order: int) -> ElementKernelPlan:
     ref = get_reference_element(order)
     degs = np.array([i + j + k for i, j, k in _tet_mode_indices(order)])
     perm = np.argsort(degs, kind="stable").astype(np.int64)
-    derivP = np.stack([ref.deriv[d][np.ix_(perm, perm)] for d in range(3)])
 
     sizes = tuple(basis_size(order - k) for k in range(order + 1))
-    Dstacks = []
+    Dneg = []
     for k in range(order):
-        n_in, n_out = sizes[k], sizes[k + 1]
-        Dstacks.append(np.ascontiguousarray(
-            np.vstack([derivP[d, :n_out, :n_in] for d in range(3)])
-        ))
+        rows = perm[:sizes[k + 1]]
+        cols = perm[:sizes[k]] if k else np.arange(sizes[0])
+        Dneg.append(_mode_direction_stack(-ref.deriv[:, rows][:, :, cols]))
 
-    DT = np.ascontiguousarray(np.hstack([ref.deriv[d].T for d in range(3)]))
-    for arr in (perm, DT, *Dstacks):
+    KP = _mode_direction_stack(ref.deriv.transpose(0, 2, 1))
+    for arr in (perm, KP, *Dneg):
         arr.setflags(write=False)
-    return ElementKernelPlan(perm=perm, sizes=sizes,
-                             Dstacks=tuple(Dstacks), DT=DT)
+    return ElementKernelPlan(perm=perm, sizes=sizes, Dneg=tuple(Dneg), KP=KP)
+
+
+def _star_contract(op27: np.ndarray, X: np.ndarray, starT: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """``sum_d (op_d @ X) @ starT[:, d]`` as two GEMMs per element: the
+    ``(mode, direction)`` row order of ``op27`` makes ``op27 @ X`` a free
+    ``(n, modes, 27)`` view, which one ``K = 27`` product contracts with
+    the three star Jacobians at once."""
+    n = len(X)
+    T = np.matmul(op27, X)
+    return np.matmul(T.reshape(n, len(op27) // 3, 27),
+                     starT.reshape(n, 27, 9), out=out)
 
 
 def fused_ck(Q: np.ndarray, starT: np.ndarray, ref,
@@ -158,35 +200,107 @@ def fused_ck(Q: np.ndarray, starT: np.ndarray, ref,
     if out is None or out.shape != shape or out.dtype != np.float64:
         out = np.zeros(shape)
     out[:, 0] = Q
-    if ref.order == 0:
-        return out
-    X = np.ascontiguousarray(Q[:, plan.perm, :])
+    # BLAS reads contiguous items; a strided Q would take NumPy's own
+    # loop, whose summation order differs
+    X = np.ascontiguousarray(Q)
     for k in range(ref.order):
-        n_out = plan.sizes[k + 1]
-        T = np.matmul(plan.Dstacks[k], X)
-        U = np.matmul(T.reshape(ne, 3, n_out, nq), starT)
-        X = -(U[:, 0] + U[:, 1] + U[:, 2])
-        out[:, k + 1, plan.perm[:n_out]] = X
+        X = _star_contract(plan.Dneg[k], X, starT)
+        out[:, k + 1, plan.perm[:plan.sizes[k + 1]]] = X
     return out
 
 
 # ----------------------------------------------------------------------
 # surface fusion: plan-time factor collapse
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class FaceFactors:
+    """Per-order face-basis factors of the surface kernels.
+
+    ``F = (N+1)(N+2)/2`` is the dimension of the face polynomials.
+
+    Attributes
+    ----------
+    R:
+        ``(4, F, B)``: trace of the element basis on local face ``f``,
+        expressed in the orthonormal basis of the face polynomials
+        (``R[f]^T R[f] = E_f^T diag(w) E_f``).
+    lift:
+        ``(B, 4F)``: ``[R[0]^T | R[1]^T | R[2]^T | R[3]^T]`` — one product
+        with an element's ``(4F, 9)`` face-buffer row applies all four
+        back-projections.
+    Wm, Wp:
+        ``(4, 4, 6, 2F, B)`` indexed ``[minus face, plus face, perm]``:
+        stacked trace operators of the minus / plus element of an interior
+        face.  Rows ``[:F]`` express the trace in the *minus* element's
+        face basis, rows ``[F:]`` in the *plus* element's own.
+    """
+
+    R: np.ndarray
+    lift: np.ndarray
+    Wm: np.ndarray
+    Wp: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def face_factors(order: int) -> FaceFactors:
+    """Build (and cache) the face-basis factors of one order.
+
+    With ``P = tri_V^T diag(w)`` the projection of face-point values onto
+    the orthonormal triangle basis, ``R[f] = P E_minus[f]`` and the plus
+    element's trace in the minus element's face parametrization is
+    ``Rp = P E_plus[fp, perm]``.  Both bases span the same face
+    polynomials, so ``Rp = C R[fp]`` with an orthogonal ``F x F`` change
+    of basis ``C`` (the face rule integrates degree ``2N`` exactly).  The
+    minus side of a face needs ``R[fm] I-`` and ``Rp I+``; the plus side,
+    in its own basis so that the lift depends on the local face alone,
+    ``C^T R[fm] I-`` and ``R[fp] I+``.
+    """
+    ref = get_reference_element(order)
+    P = ref.tri_V.T * ref.face_weights
+    R = np.matmul(P, ref.E_minus)
+    F, B = R.shape[1:]
+    Rpinv = np.linalg.pinv(R)
+    Wm = np.empty((4, 4, 6, 2 * F, B))
+    Wp = np.empty_like(Wm)
+    for fp in range(4):
+        for perm in range(6):
+            Rp = P @ ref.E_plus[fp, perm]
+            C = Rp @ Rpinv[fp]
+            Wp[:, fp, perm, :F] = Rp
+            Wp[:, fp, perm, F:] = R[fp]
+            Wm[:, fp, perm, :F] = R
+            Wm[:, fp, perm, F:] = np.matmul(C.T, R)
+    lift = np.ascontiguousarray(R.transpose(2, 0, 1)).reshape(B, 4 * F)
+    for arr in (R, lift, Wm, Wp):
+        arr.setflags(write=False)
+    return FaceFactors(R=R, lift=lift, Wm=Wm, Wp=Wp)
+
+
 class FusedInteriorGroup:
     """Folded factors of one (minus face, plus face, permutation) class:
-    the ``(B, B)`` basis projectors ``Amm``/``Amp``/``App``/``Apm`` shared
-    by the class and the per-face scale-folded transposed flux matrices
-    ``G1``-``G4`` (see :func:`attach_fused_groups`)."""
+    the local face ids ``fm``/``fp``, the class's stacked trace operators
+    ``Wm``/``Wp`` (views of :func:`face_factors`) and the per-face
+    scale-folded, stacked transposed flux matrices ``Gm``/``Gp``
+    (see :func:`attach_fused_groups`)."""
 
-    __slots__ = ("em", "ep", "Amm", "Amp", "App", "Apm",
-                 "G1", "G2", "G3", "G4")
+    __slots__ = ("em", "ep", "fm", "fp", "Wm", "Wp", "Gm", "Gp")
 
 
 class FusedBoundaryGroup:
     """Folded factors of one (boundary kind, local face) class."""
 
     __slots__ = ("elem", "A", "G")
+
+
+def _stacked_flux(F_minus, F_plus, scale) -> np.ndarray:
+    """``(nf, 18, 9)`` flux factor of one side of a face: the transposed
+    flux matrices that multiply the minus / plus element's trace, stacked
+    in that order, times the side's corrector scale."""
+    G = np.empty((len(scale), 18, 9))
+    G[:, :9] = F_minus.transpose(0, 2, 1)
+    G[:, 9:] = F_plus.transpose(0, 2, 1)
+    G *= scale[:, None, None]
+    return G
 
 
 def attach_fused_groups(plan, interior, boundary, ref) -> None:
@@ -200,33 +314,26 @@ def attach_fused_groups(plan, interior, boundary, ref) -> None:
 
         ``scale_m * Em^T diag(w) (Em I[em] Fmm^T + Ep I[ep] Fpm^T)``
 
-    factorizes into ``Amm @ I[em] @ G1 + Amp @ I[ep] @ G2`` with the
-    ``(B, B)`` basis factors ``Amm = Em^T diag(w) Em`` / ``Amp = Em^T
-    diag(w) Ep`` shared by the whole class and the per-face ``(9, 9)``
-    matrices ``G1 = scale_m * Fmm^T`` / ``G2 = scale_m * Fpm^T`` (and
-    symmetrically ``App``/``Apm``/``G3``/``G4`` for the plus side).  The
-    plan keeps only these factors: the unfolded flux matrices and scales
-    are dropped with the input groups.  Called only inside the plan
-    builder: cached plans are immutable.
+    factorizes through the face basis (:func:`face_factors`) into
+    ``R[fm]^T ([R[fm] I[em] | Rp I[ep]] @ Gm)`` with the per-face
+    ``(18, 9)`` stack ``Gm = scale_m * [Fmm^T; Fpm^T]``; symmetrically
+    the plus side is ``R[fp]^T ([C^T R[fm] I[em] | R[fp] I[ep]] @ Gp)``
+    with ``Gp = scale_p * [Fpp^T; Fmp^T]``.  The plan keeps only these
+    factors: the unfolded flux matrices and scales are dropped with the
+    input groups.  Boundary classes keep the ``(B, B)`` projector
+    ``A = E^T diag(w) E`` and ``G = scale * F^T``.  Called only inside
+    the plan builder: cached plans are immutable.
     """
+    fac = face_factors(ref.order)
     w = ref.face_weights
     for src in interior:
-        Em = ref.E_minus[src.minus_face]
-        Ep = ref.E_plus[src.plus_face, src.perm]
-        EmW = Em.T * w
-        EpW = Ep.T * w
         grp = FusedInteriorGroup()
         grp.em, grp.ep = src.em, src.ep
-        grp.Amm = np.ascontiguousarray(EmW @ Em)
-        grp.Amp = np.ascontiguousarray(EmW @ Ep)
-        grp.App = np.ascontiguousarray(EpW @ Ep)
-        grp.Apm = np.ascontiguousarray(grp.Amp.T)
-        sm = src.scale_m[:, None, None]
-        sp = src.scale_p[:, None, None]
-        grp.G1 = np.ascontiguousarray(src.Fmm.transpose(0, 2, 1)) * sm
-        grp.G2 = np.ascontiguousarray(src.Fpm.transpose(0, 2, 1)) * sm
-        grp.G3 = np.ascontiguousarray(src.Fmp.transpose(0, 2, 1)) * sp
-        grp.G4 = np.ascontiguousarray(src.Fpp.transpose(0, 2, 1)) * sp
+        grp.fm, grp.fp = src.minus_face, src.plus_face
+        grp.Wm = fac.Wm[src.minus_face, src.plus_face, src.perm]
+        grp.Wp = fac.Wp[src.minus_face, src.plus_face, src.perm]
+        grp.Gm = _stacked_flux(src.Fmm, src.Fpm, src.scale_m)
+        grp.Gp = _stacked_flux(src.Fpp, src.Fmp, src.scale_p)
         plan.interior_groups.append(grp)
     for src in boundary:
         E = ref.E_minus[int(src.face[0])]
@@ -266,17 +373,34 @@ def active_rows(op, active: np.ndarray):
 # ----------------------------------------------------------------------
 # fused residual kernels
 # ----------------------------------------------------------------------
-def fused_volume_residual(op, I, out, active=None) -> None:
-    """Stacked-stiffness volume kernel (see module docstring)."""
-    plan = element_plan(op.order)
+def fused_volume_residual(op, I, out, active=None, overwrite=False) -> None:
+    """Stacked-stiffness volume kernel (see module docstring).
+
+    ``overwrite`` (unmasked only) stores the term into ``out`` instead of
+    adding it: :meth:`SpatialOperator.apply` starts its fresh residual
+    with it, saving the zero-fill and one pass."""
+    KP = element_plan(op.order).KP
     if active is None:
-        Ie, starT, tgt = I, op.starT, slice(None)
+        Ie = np.ascontiguousarray(I)
+        if overwrite:
+            _star_contract(KP, Ie, op.starT, out=out)
+        else:
+            out += _star_contract(KP, Ie, op.starT)
     else:
-        tgt, starT = active_rows(op, active)
-        Ie = np.ascontiguousarray(I[tgt])
-    n = len(Ie)
-    W = np.matmul(Ie[:, None], starT)
-    out[tgt] += np.matmul(plan.DT, W.reshape(n, 3 * op.nbasis, 9))
+        idx, starT = active_rows(op, active)
+        out[idx] += _star_contract(KP, I[idx], starT)
+
+
+def _face_buffer(op) -> np.ndarray:
+    """The operator's ``(ne, 4, F, 9)`` face buffer, zero-filled on first
+    use.  Slot ``[e, f]`` belongs to local face ``f`` of element ``e``
+    and is only ever *assigned*, by the one regular interior face that
+    owns it; slots of boundary, gravity, fault and prescribed-motion
+    faces are never written and stay zero."""
+    if op._face_buf is None:
+        op._face_buf = np.zeros(
+            (op.n_elements, 4, basis_size(op.order, dim=2), 9))
+    return op._face_buf
 
 
 def _interior_masked_entries(op, active):
@@ -284,8 +408,8 @@ def _interior_masked_entries(op, active):
 
     The faces of a group with an active side are laid out minus-only,
     both, plus-only: the minus side updates faces ``[:b]``, the plus side
-    faces ``[a:]`` — contiguous slices of one gathered trace pair, each
-    with its own ``G`` rows, so no face computes a side nobody updates.
+    faces ``[a:]`` — contiguous slices of one trace pair, each with its
+    own ``G`` rows, so no face computes a flux nobody lifts.
     """
     entries = []
     for grp in op.interior_groups:
@@ -299,39 +423,47 @@ def _interior_masked_entries(op, active):
             entries.append(None)
             continue
         a, b = len(only_m), len(only_m) + len(both)
-        side_m, side_p = order[:b], order[a:]
         entries.append((
             grp.em[order], grp.ep[order], a, b,
-            np.ascontiguousarray(grp.G1[side_m]), np.ascontiguousarray(grp.G2[side_m]),
-            np.ascontiguousarray(grp.G3[side_p]), np.ascontiguousarray(grp.G4[side_p]),
+            np.ascontiguousarray(grp.Gm[order[:b]]),
+            np.ascontiguousarray(grp.Gp[order[a:]]),
         ))
     return entries
 
 
 def fused_interior_residual(op, I, out, active=None) -> None:
-    """Modal-factorized interior-face kernel (see module docstring)."""
+    """Face-basis interior kernel with a scatter-free lift (see module
+    docstring): fill the face-buffer slots of every updated side, then
+    one ``(B, 4F) @ (4F, 9)`` product per updated element."""
+    fb = _face_buffer(op)
+    nF = fb.shape[2]
     if active is None:
-        groups = ((g, g.em, g.ep, 0, len(g.em), g.G1, g.G2, g.G3, g.G4)
+        groups = ((g, g.em, g.ep, 0, len(g.em), g.Gm, g.Gp)
                   for g in op.interior_groups)
     else:
         entries = memo_by_mask(op._mask_cache_interior, active,
                                lambda: _interior_masked_entries(op, active))
         groups = ((g, *e) for g, e in zip(op.interior_groups, entries)
                   if e is not None)
-    for grp, em, ep, a, b, G1, G2, G3, G4 in groups:
-        Xm = I[em]
-        Xp = I[ep]
+    for grp, em, ep, a, b, Gm, Gp in groups:
+        n = len(em)
+        # X[:, 0] = [R I- | Rp I+] (minus basis), X[:, 1] = the same pair
+        # in the plus element's basis: each trace GEMM writes its 9
+        # columns of both (F, 18) left factors of the flux products
+        X = np.empty((n, 2, nF, 18))
+        cols = X.reshape(n, 2 * nF, 18)
+        np.matmul(grp.Wm, I[em], out=cols[:, :, :9])
+        np.matmul(grp.Wp, I[ep], out=cols[:, :, 9:])
         if b:
-            contrib = np.matmul(np.matmul(grp.Amm, Xm[:b]), G1)
-            contrib += np.matmul(np.matmul(grp.Amp, Xp[:b]), G2)
-            # within one orientation class every element appears at most
-            # once per side, so fancy += is exact (and much faster than
-            # np.add.at)
-            out[em[:b]] += contrib
-        if a < len(em):
-            contrib = np.matmul(np.matmul(grp.App, Xp[a:]), G3)
-            contrib += np.matmul(np.matmul(grp.Apm, Xm[a:]), G4)
-            out[ep[a:]] += contrib
+            fb[em[:b], grp.fm] = np.matmul(X[:b, 0], Gm)
+        if a < n:
+            fb[ep[a:], grp.fp] = np.matmul(X[a:, 1], Gp)
+    lift = face_factors(op.order).lift
+    if active is None:
+        out += np.matmul(lift, fb.reshape(len(fb), 4 * nF, 9))
+    else:
+        idx = active_rows(op, active)[0]
+        out[idx] += np.matmul(lift, fb[idx].reshape(len(idx), 4 * nF, 9))
 
 
 def fused_boundary_residual(op, I, out, active=None) -> None:

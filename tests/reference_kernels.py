@@ -150,6 +150,15 @@ class ReferenceOperator(SpatialOperator):
     interior_residual = _interior_residual
     boundary_residual = _boundary_residual
 
+    def apply(self, I, active=None):
+        """The seed's zero-fill + three adds (the runtime ``apply`` stores
+        its volume term through the fused kernel directly)."""
+        out = self.new_state()
+        self.volume_residual(I, out, active)
+        self.interior_residual(I, out, active)
+        self.boundary_residual(I, out, active)
+        return out
+
 
 def use_reference_kernels(solver):
     """Swap the reference kernels into a serial ``solver`` (in place).

@@ -14,6 +14,13 @@ kernels the solver executes — to them:
 * **property tests** (hypothesis): element-permutation invariance,
   stride/contiguity independence, dtype stability, and idempotence of
   the hoisted plan across replays;
+* **batch independence** — a row of a sub-batch predictor, a masked
+  ``apply`` and a ``restricted()`` operator's residuals equals the same
+  row of the full-mesh sweep bitwise (what serial == partitioned rests
+  on), on a mesh whose faces use several vertex permutations;
+* **face-basis factorization** — the trace factors reproduce the oracle's
+  ``E^T diag(w) E`` products, and the face buffer's slot ownership holds
+  (never-written slots stay zero, no stale slot is ever lifted);
 * **plan hygiene** — the shared plan holds only the folded factors, and
   an oracle operator on the same mesh never leaks its unfolded groups
   into it, including under ``REPRO_PLAN_CACHE=0``.
@@ -25,8 +32,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.kernels import SpatialOperator
+from repro.core.materials import acoustic, elastic
+from repro.core.riemann import FaceKind
+from repro.core.solver import ocean_surface_gravity_tagger
 from repro.exec import clear_plan_cache, get_plan_cache, plan_key
-from repro.kernels.fusion import MASK_CACHE_MAX, element_plan
+from repro.kernels.fusion import MASK_CACHE_MAX, element_plan, face_factors
+from repro.mesh.generators import layered_ocean_mesh
+from repro.mesh.tetmesh import TetMesh
 
 from tests.reference_kernels import ReferenceOperator, use_reference_kernels
 from tests.test_exec_equivalence import (
@@ -270,8 +282,8 @@ class TestProperties:
         op.boundary_residual(Q, out, active=active)
         assert out.dtype == np.float64
         plan = element_plan(op.order)
-        assert plan.DT.dtype == np.float64
-        assert all(D.dtype == np.float64 for D in plan.Dstacks)
+        assert plan.KP.dtype == np.float64
+        assert all(D.dtype == np.float64 for D in plan.Dneg)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -303,6 +315,184 @@ class TestProperties:
 
 
 # ----------------------------------------------------------------------
+# batch independence + face-basis factorization
+# ----------------------------------------------------------------------
+#: the 12 orientation-preserving re-labellings of a tet's vertices
+_EVEN_PERMS = np.array([
+    [0, 1, 2, 3], [1, 2, 0, 3], [2, 0, 1, 3], [0, 2, 3, 1],
+    [0, 3, 1, 2], [1, 0, 3, 2], [1, 3, 2, 0], [2, 1, 3, 0],
+    [2, 3, 0, 1], [3, 0, 2, 1], [3, 1, 0, 2], [3, 2, 1, 0],
+])
+
+
+@pytest.fixture(scope="module")
+def shuffled_mesh():
+    """Earth-ocean box with a gravity surface and fault faces whose tets
+    carry randomly re-labelled vertices: the structured generators only
+    ever produce one vertex permutation (and 7 orientation classes), this
+    mesh three (and ~50 classes)."""
+    base = layered_ocean_mesh(
+        np.linspace(-1500.0, 1500.0, 5), np.linspace(-1500.0, 1500.0, 5),
+        zs_earth=np.linspace(-3000.0, -1000.0, 3),
+        zs_ocean=np.linspace(-1000.0, 0.0, 2),
+        earth=elastic(2700.0, 6000.0, 3464.0), ocean=acoustic(1000.0, 1500.0),
+    )
+    rng = np.random.default_rng(2018)
+    relabel = _EVEN_PERMS[rng.integers(len(_EVEN_PERMS), size=base.n_elements)]
+    mesh = TetMesh(base.vertices, np.take_along_axis(base.tets, relabel, axis=1),
+                   base.materials, base.material_ids)
+    assert mesh.mark_fault(
+        lambda c, nrm: (np.abs(nrm[:, 0]) > 0.99) & (np.abs(c[:, 0]) < 1e-6)
+        & (c[:, 2] < -1000.0)) > 0
+    mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
+    assert len(np.unique(mesh.interior.perm)) > 1
+    return mesh
+
+
+def _random_state(op, seed):
+    rng = np.random.default_rng(seed)
+    return rng, rng.normal(size=(op.n_elements, op.nbasis, 9))
+
+
+class TestBatchIndependence:
+    """Every GEMM is per element or per face with a batch-independent
+    shape, so what a row holds never depends on which rows are computed
+    with it — asserted bitwise, not to a tolerance."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_predictor_subset(self, shuffled_mesh, seed):
+        op = SpatialOperator(shuffled_mesh, 2)
+        rng, Q = _random_state(op, seed)
+        idx = rng.permutation(op.n_elements)[:rng.integers(1, op.n_elements)]
+        full = op.predict(Q)
+        np.testing.assert_array_equal(
+            op.predict_states(Q[idx], op.starT[idx]), full[idx])
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_masked_apply(self, shuffled_mesh, seed):
+        op = SpatialOperator(shuffled_mesh, 2)
+        rng, I = _random_state(op, seed)
+        active = rng.random(op.n_elements) < rng.uniform(0.1, 0.9)
+        full = op.apply(I)
+        masked = op.apply(I, active)
+        np.testing.assert_array_equal(masked[active], full[active])
+        assert (masked[~active] == 0.0).all()
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_restricted_residuals(self, shuffled_mesh, seed):
+        op = SpatialOperator(shuffled_mesh, 2)
+        rng, I = _random_state(op, seed)
+        owned_mask = rng.random(op.n_elements) < 0.5
+        itf = shuffled_mesh.interior
+        halo_mask = np.zeros_like(owned_mask)
+        halo_mask[itf.plus_elem[owned_mask[itf.minus_elem]]] = True
+        halo_mask[itf.minus_elem[owned_mask[itf.plus_elem]]] = True
+        owned = np.flatnonzero(owned_mask)
+        cells = np.concatenate([owned, np.flatnonzero(halo_mask & ~owned_mask)])
+        lop = op.restricted(cells, len(owned))
+        act = np.arange(len(cells)) < len(owned)
+        for kernel in ("volume_residual", "interior_residual",
+                       "boundary_residual"):
+            full = np.zeros_like(I)
+            getattr(op, kernel)(I, full)
+            local = np.zeros((len(cells), op.nbasis, 9))
+            getattr(lop, kernel)(I[cells], local, active=act)
+            np.testing.assert_array_equal(local[:len(owned)], full[owned],
+                                          err_msg=kernel)
+
+
+def _slot_masks(mesh):
+    """``(ne, 4)`` masks of the face-buffer slots the interior kernel
+    owns (regular interior faces) and of those nobody may write (gravity
+    surface and fault faces; the other boundary kinds as well)."""
+    itf, bnd = mesh.interior, mesh.boundary
+    regular = ~itf.is_fault
+    owned = np.zeros((mesh.n_elements, 4), dtype=bool)
+    owned[itf.minus_elem[regular], itf.minus_face[regular]] = True
+    owned[itf.plus_elem[regular], itf.plus_face[regular]] = True
+    special = np.zeros_like(owned)
+    special[itf.minus_elem[~regular], itf.minus_face[~regular]] = True
+    special[itf.plus_elem[~regular], itf.plus_face[~regular]] = True
+    grav = bnd.kind == FaceKind.GRAVITY_FREE_SURFACE.value
+    special[bnd.elem[grav], bnd.face[grav]] = True
+    assert special.any() and grav.any() and (~regular).any()
+    return owned, special
+
+
+class TestFaceFactorization:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_factors_reproduce_quadrature_products(self, shuffled_mesh, order):
+        """``R_f^T R_f`` and ``Rm^T Rp`` are the oracle's ``E^T diag(w) E``
+        products, in the minus element's face basis and in the plus
+        element's own, for every orientation class of the mesh."""
+        op = SpatialOperator(shuffled_mesh, order)
+        ref, fac = op.ref, face_factors(order)
+        w = ref.face_weights
+        F = fac.R.shape[1]
+        assert F == (order + 1) * (order + 2) // 2
+        for f in range(4):
+            A = (ref.E_minus[f].T * w) @ ref.E_minus[f]
+            assert np.linalg.matrix_rank(A) == F
+            np.testing.assert_allclose(fac.R[f].T @ fac.R[f], A, atol=1e-13)
+            np.testing.assert_array_equal(
+                fac.lift[:, f * F:(f + 1) * F], fac.R[f].T)
+        itf = shuffled_mesh.interior
+        classes = {(int(a), int(b), int(c)) for a, b, c in
+                   zip(itf.minus_face, itf.plus_face, itf.perm)}
+        assert len({c[2] for c in classes}) > 1
+        for fm, fp, perm in classes:
+            Em, Ep = ref.E_minus[fm], ref.E_plus[fp, perm]
+            Amp = (Em.T * w) @ Ep
+            App = (Ep.T * w) @ Ep
+            Wm, Wp = fac.Wm[fm, fp, perm], fac.Wp[fm, fp, perm]
+            np.testing.assert_array_equal(Wm[:F], fac.R[fm])
+            np.testing.assert_array_equal(Wp[F:], fac.R[fp])
+            np.testing.assert_allclose(Wm[:F].T @ Wp[:F], Amp, atol=1e-13)
+            np.testing.assert_allclose(Wp[:F].T @ Wp[:F], App, atol=1e-13)
+            # plus side, lifted with the plus element's own R[fp]^T
+            np.testing.assert_allclose(Wp[F:].T @ Wm[F:], Amp.T, atol=1e-13)
+            np.testing.assert_allclose(Wp[F:].T @ Wp[F:], App, atol=1e-13)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_matches_oracle_on_shuffled_mesh(self, shuffled_mesh, order):
+        clear_plan_cache()
+        ref_op = ReferenceOperator(shuffled_mesh, order)
+        op = SpatialOperator(shuffled_mesh, order)
+        rng, I = _random_state(op, order)
+        active = rng.random(op.n_elements) < 0.4
+        for mask in (None, active):
+            _assert_close(ref_op.apply(I, mask), op.apply(I, mask),
+                          f"apply (order {order}, masked={mask is not None})")
+
+    def test_unowned_slots_stay_zero(self, shuffled_mesh):
+        op = SpatialOperator(shuffled_mesh, 2)
+        rng, I = _random_state(op, 3)
+        owned, special = _slot_masks(shuffled_mesh)
+        op.apply(I)
+        op.apply(I, rng.random(op.n_elements) < 0.5)
+        fb = op._face_buf
+        assert (fb[~owned] == 0.0).all()
+        assert (fb[special] == 0.0).all()
+        assert (np.abs(fb[owned]).max(axis=(1, 2)) > 0.0).all()
+
+    def test_no_stale_slot_is_lifted(self, shuffled_mesh):
+        """Between two masked applies every slot the kernel owns is
+        NaN-poisoned: the second apply rewrites all it lifts."""
+        op = SpatialOperator(shuffled_mesh, 2)
+        rng, I = _random_state(op, 4)
+        first = rng.random(op.n_elements) < 0.5
+        second = rng.random(op.n_elements) < 0.5
+        expected = op.apply(I, second)
+        op.apply(I, first)
+        owned, _ = _slot_masks(shuffled_mesh)
+        op._face_buf[owned] = np.nan
+        np.testing.assert_array_equal(op.apply(I, second), expected)
+
+
+# ----------------------------------------------------------------------
 # plan hygiene: only folded factors, never the oracle's groups
 # ----------------------------------------------------------------------
 #: what the quadrature-form kernels read and the runtime plan must not keep
@@ -316,7 +506,9 @@ def _assert_only_folded(op):
         for name in _UNFOLDED:
             assert not hasattr(grp, name), name
     for grp in op.interior_groups:
-        assert hasattr(grp, "Amm") and hasattr(grp, "G1")
+        assert set(grp.__slots__) == {"em", "ep", "fm", "fp",
+                                      "Wm", "Wp", "Gm", "Gp"}
+        assert grp.Gm.shape == grp.Gp.shape == (len(grp.em), 18, 9)
     for grp in op.boundary_groups:
         assert hasattr(grp, "A") and hasattr(grp, "G")
 
@@ -324,8 +516,9 @@ def _assert_only_folded(op):
 class TestPlanCacheInvalidation:
     def test_plan_holds_only_fused_factors(self):
         """The cached plan and every restricted() sub-operator carry
-        ``starT`` and the folded A/G factors — none of the arrays only the
-        quadrature-form kernels read."""
+        ``starT`` and the folded factors (interior: face ids, the class's
+        trace operators and the stacked ``Gm``/``Gp``; boundary: ``A``/``G``)
+        — none of the arrays only the quadrature-form kernels read."""
         clear_plan_cache()
         solver = build_gts(order=2, backend="partitioned", workers=2)
         plan = get_plan_cache().get(plan_key(solver.mesh, 2, "exact"))

@@ -1,5 +1,9 @@
 """Unit and property tests for the simplex quadrature rules."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +53,21 @@ class TestGaussJacobi:
 
             exact = beta(deg + 1, alpha + 1)
             assert np.isclose(np.sum(w * x**deg), exact, rtol=1e-12), deg
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_scipy_roots_jacobi(self, alpha, n):
+        """The in-repo Golub-Welsch rule against ``scipy.special``.  Nodes
+        to 1e-14; weights to 5e-14, because scipy's own weights are off by
+        up to 1e-14 (n = 6, alpha = 2) against a 40-digit reference the
+        in-repo rule meets to 1e-15."""
+        from scipy.special import roots_jacobi
+
+        xs, ws = roots_jacobi(n, alpha, 0.0)
+        x, w = gauss_jacobi_01(n, alpha)
+        np.testing.assert_allclose(x, 0.5 * (xs + 1.0), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w, ws / 2.0 ** (alpha + 1), rtol=0,
+                                   atol=5e-14)
 
     def test_rejects_zero_points(self):
         with pytest.raises(ValueError):
@@ -115,3 +134,17 @@ class TestGaussLegendre01:
         x, w = gauss_legendre_01(4)
         for deg in range(8):
             assert np.isclose(np.sum(w * x**deg), 1.0 / (deg + 1))
+
+
+def test_import_repro_does_not_import_scipy_special():
+    """Cold start: ``import repro`` must not pay for ``scipy.special``
+    (0.25 s — the rules above are computed in-repo for that reason)."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, repro; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "[]", proc.stdout

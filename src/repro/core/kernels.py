@@ -96,12 +96,13 @@ class SpatialOperator:
         content-addressed masked sub-plan caches (one mask per LTS
         cluster; see repro.kernels.fusion) — the volume cache holds the
         selection that :meth:`active_rows` hands to the masked predictor
-        as well — and the interior kernel's face buffer, allocated on
-        first use."""
+        as well — and the interior kernel's face buffer and the masked
+        residual, both allocated on first use."""
         self._mask_cache_volume = OrderedDict()
         self._mask_cache_interior = OrderedDict()
         self._mask_cache_boundary = OrderedDict()
         self._face_buf = None
+        self._masked_out = None
 
     def _build_plan(self) -> OperatorPlan:
         plan = OperatorPlan(
@@ -314,9 +315,23 @@ class SpatialOperator:
         return fused_ck(Q, starT, self.ref, out=out)
 
     def active_rows(self, active: np.ndarray):
-        """``(idx, starT)`` of an activity mask, cached: the selected
-        element ids and their contiguous :attr:`starT` rows."""
+        """``(idx, starT)`` of an activity mask, cached: the selected rows
+        (a ``slice`` when they are one run, else sorted ids) and their
+        :attr:`starT` rows."""
         return active_rows(self, active)
+
+    def masked_residual(self) -> np.ndarray:
+        """The persistent ``(ne, B, 9)`` residual of the masked sweeps.
+
+        A masked corrector writes the rows of its active elements and
+        nobody may read any other: the rest hold whatever earlier sweeps
+        left, NaN at first, so a row read before it was written poisons
+        the result instead of passing as a silent zero.  Valid until the
+        next masked sweep."""
+        if self._masked_out is None:
+            self._masked_out = np.full(
+                (self.n_elements, self.nbasis, 9), np.nan)
+        return self._masked_out
 
     def volume_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add the stiffness (volume) term of the corrector to ``out``."""
@@ -403,15 +418,15 @@ class SpatialOperator:
         return out
 
     def apply(self, I: np.ndarray, active=None) -> np.ndarray:
-        """Full (gravity/fault-free) residual for time-integrated data ``I``."""
-        if active is None:
-            # every row gets a volume term: store it, no zero-fill + add
-            out = np.empty((self.n_elements, self.nbasis, 9))
-            with _TEL.phase("kernels/volume"):
-                fused_volume_residual(self, I, out, overwrite=True)
-        else:
-            out = self.new_state()
-            self.volume_residual(I, out, active)
+        """Full (gravity/fault-free) residual for time-integrated data ``I``.
+
+        With ``active`` only the rows of the active elements are written,
+        into :meth:`masked_residual` — shared, not a fresh array."""
+        out = (np.empty((self.n_elements, self.nbasis, 9)) if active is None
+               else self.masked_residual())
+        # every updated row gets a volume term: store it, no zero-fill + add
+        with _TEL.phase("kernels/volume"):
+            fused_volume_residual(self, I, out, active, overwrite=True)
         self.interior_residual(I, out, active)
         self.boundary_residual(I, out, active)
         return out

@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels.fusion import row_set
 from ..sched import HookBus, Scheduler
 from .cfl import element_timesteps
 
-__all__ = ["cluster_elements", "lts_statistics", "LocalTimeStepping"]
+__all__ = ["cluster_elements", "cluster_major_order", "lts_statistics",
+           "LocalTimeStepping"]
 
 
 def cluster_elements(
@@ -71,6 +73,22 @@ def cluster_elements(
     else:
         raise RuntimeError("LTS cluster normalization failed to converge")
     return cluster, dt_min
+
+
+def cluster_major_order(mesh, order: int, safety: float = 0.35) -> np.ndarray:
+    """The element permutation that makes every rate-2 cluster a row range.
+
+    Stable argsort of the clustering, for
+    :meth:`~repro.mesh.tetmesh.TetMesh.renumber_elements`: elements keep
+    their relative order inside a cluster, so on an already sorted mesh
+    it is the identity.  Clamping with ``max_cluster`` merges the top
+    clusters and keeps the ranges contiguous.  The scenario builders
+    apply it once, after fault marking and boundary tagging and right
+    before the solver is built (the cluster-sorted element order of
+    Breuer & Heinecke, arXiv:2202.10313).
+    """
+    return np.argsort(cluster_elements(mesh, order, safety=safety)[0],
+                      kind="stable")
 
 
 def lts_statistics(cluster: np.ndarray, rate: int = 2) -> dict:
@@ -130,8 +148,9 @@ class LocalTimeStepping:
     Reuses the solver's spatial operator, gravity boundary, fault solver and
     sources; only the time-marching differs.  Besides the clustering it
     holds the per-cluster row sets the scheduler's micro-steps touch:
-    ``idx[c]`` (own), ``halo[c][cn]`` and ``exposed[c]``
-    (see :func:`_halo_layout`).
+    ``idx[c]`` (own; a ``slice`` on a cluster-major mesh, see
+    :func:`cluster_major_order`, sorted ids otherwise), and the small
+    id arrays ``halo[c][cn]`` and ``exposed[c]`` (see :func:`_halo_layout`).
     """
 
     def __init__(self, solver, rate: int = 2, max_cluster: int | None = None):
@@ -146,10 +165,10 @@ class LocalTimeStepping:
         self.cmax = int(self.cluster.max())
         self.n_clusters = self.cmax + 1
         self.masks = [self.cluster == c for c in range(self.n_clusters)]
-        # per-cluster element index arrays, hoisted once: the scheduler's
-        # micro-step loop gathers/scatters with these instead of re-running
-        # boolean-mask selection every step
-        self.idx = [np.flatnonzero(m) for m in self.masks]
+        # per-cluster row sets, hoisted once: the scheduler's micro-step
+        # loop indexes with these (views where a cluster is a row range)
+        # instead of re-running boolean-mask selection every step
+        self.idx = [row_set(np.flatnonzero(m)) for m in self.masks]
         self.elem_count = np.array([int(m.sum()) for m in self.masks])
 
         self.halo, self.exposed = _halo_layout(mesh, self.cluster, self.n_clusters)

@@ -60,6 +60,7 @@ def quickstart_builder(perturb: dict, seed: int, backend: str = "serial",
     (source frequency), ``moment``, ``source_depth``, ``amp_jitter``
     (relative moment jitter scale driven by the seed).
     """
+    from ..core.lts import cluster_major_order
     from ..core.materials import acoustic, elastic
     from ..core.solver import (
         CoupledSolver,
@@ -89,6 +90,7 @@ def quickstart_builder(perturb: dict, seed: int, backend: str = "serial",
         earth=crust, ocean=ocean,
     )
     mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
+    mesh.renumber_elements(cluster_major_order(mesh, int(p["order"])))
     solver = CoupledSolver(mesh, order=int(p["order"]), backend=backend,
                            workers=workers)
 

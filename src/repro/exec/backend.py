@@ -98,9 +98,6 @@ class SerialBackend(ExecutionBackend):
     #: as scratch — only ever an array `op.predict` itself
     #: returned, so its truncated-mode zeros are intact (see fused_ck)
     _ck_scratch = None
-    #: predictor scratch of the masked updates, grown to the largest
-    #: cluster seen and handed out by leading rows
-    _masked_scratch = None
 
     def predict(self, Q: np.ndarray) -> np.ndarray:
         with _TEL.phase("predict"):
@@ -116,11 +113,8 @@ class SerialBackend(ExecutionBackend):
             if _TEL.enabled:
                 _TEL.count("elem_updates/predictor", int(mask.sum()))
             idx, starT = op.active_rows(mask)
-            buf = self._masked_scratch
-            if buf is None or len(buf) < len(idx):
-                buf = self._masked_scratch = np.zeros(
-                    (len(idx), op.order + 1, op.nbasis, 9))
-            new_derivs = op.predict_states(Q[idx], starT, out=buf[:len(idx)])
+            # scratch: the refreshed rows themselves where they are a slice
+            new_derivs = op.predict_states(Q[idx], starT, out=derivs[idx])
             derivs[idx] = new_derivs
             Iown[idx] = taylor_integrate(new_derivs, 0.0, dt)
 

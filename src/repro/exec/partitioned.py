@@ -48,6 +48,7 @@ from ..hpc.partition import edge_cut, eq28_vertex_weights, imbalance, partition_
 from ..kernels.fusion import memo_by_mask
 from ..obs.telemetry import get_telemetry
 from .backend import ExecutionBackend
+from .plan_cache import get_plan_cache, mesh_fingerprint
 
 __all__ = ["PartitionPlan", "PartitionedBackend", "fault_atomic_partition"]
 
@@ -80,10 +81,12 @@ def fault_atomic_partition(mesh, parts: np.ndarray) -> np.ndarray:
 class _ActiveSet:
     """What one activity mask selects in one partition (local = position
     in ``plan.cells``): ``act`` the active owned cells (bool, local),
-    ``idx`` / ``ids`` their local / global ids, ``starT`` their
-    contiguous Jacobian rows (shared with the partition operator's volume
-    kernel), and ``read`` / ``read_ids`` the local / global rows the
-    residual kernels read — the active cells plus their face neighbors."""
+    ``idx`` their local rows (a ``slice`` on a cluster-major mesh, whose
+    sorted owned cells keep a cluster together), ``ids`` their global
+    ids, ``starT`` their contiguous Jacobian rows (shared with the
+    partition operator's volume kernel), and ``read`` / ``read_ids`` the
+    local / global rows the residual kernels read — the active cells plus
+    their face neighbors."""
 
     __slots__ = ("act", "idx", "ids", "starT", "read", "read_ids")
 
@@ -96,14 +99,13 @@ class PartitionPlan:
     owned: np.ndarray        # global element ids, owned by this partition
     halo: np.ndarray         # global element ids read but not updated
     cells: np.ndarray        # owned followed by halo (the local index space)
-    owned_local: np.ndarray  # bool over cells: True for the owned prefix
     owned_mask: np.ndarray   # bool over all mesh elements
     lop: object              # restricted SpatialOperator (local indices)
     gravity_mask: np.ndarray # bool over the solver's gravity faces
     motion_mask: np.ndarray | None
     has_fault: bool
-    #: per-partition predictor scratch (only ever a prior predict_states
-    #: result for this partition — one worker task per plan, no sharing)
+    #: predictor scratch over the owned cells, handed out by leading rows
+    #: (zeros, then predict_states results — one task per plan, no sharing)
     ck_scratch: np.ndarray | None = None
     #: persistent gather / residual buffers over ``cells`` (rows outside
     #: an active set's ``read`` / ``idx`` are stale, never read)
@@ -122,7 +124,8 @@ class PartitionPlan:
     def _select(self, active: np.ndarray) -> _ActiveSet:
         lop = self.lop
         s = _ActiveSet()
-        s.act = self.owned_local & active[self.cells]
+        s.act = np.zeros(len(self.cells), dtype=bool)
+        s.act[:self.n_owned] = active[self.owned]
         s.idx, s.starT = lop.active_rows(s.act)
         s.ids = self.cells[s.idx]
         read = s.act.copy()
@@ -169,7 +172,6 @@ class PartitionedBackend(ExecutionBackend):
             raise ValueError("n_parts must be >= 1")
         self.refine = refine
         self._pool = None
-        self._derivs_scratch = None
         self.plans: list[PartitionPlan] = []
         self.halo_exchanges = 0
 
@@ -178,14 +180,25 @@ class PartitionedBackend(ExecutionBackend):
         self.solver = solver
         mesh = solver.mesh
         n_parts = min(self.n_parts, mesh.n_elements)
-        cluster, _ = cluster_elements(mesh, solver.order, safety=solver.cfl_safety)
-        weights = eq28_vertex_weights(mesh, cluster)
-        parts = partition_mesh(mesh, n_parts, weights, refine=self.refine)
-        parts = fault_atomic_partition(mesh, parts)
-        self.parts = parts
-        self._imbalance = imbalance(parts, weights) if n_parts > 1 else 1.0
-        self._edge_cut = edge_cut(parts, mesh.dual_graph_edges())
-        self._build_plans(parts)
+
+        def partition():
+            cluster = cluster_elements(mesh, solver.order,
+                                       safety=solver.cfl_safety)[0]
+            weights = eq28_vertex_weights(mesh, cluster)
+            parts = fault_atomic_partition(mesh, partition_mesh(
+                mesh, n_parts, weights, refine=self.refine))
+            parts.setflags(write=False)  # shared by every backend that hits
+            return (parts, imbalance(parts, weights) if n_parts > 1 else 1.0,
+                    edge_cut(parts, mesh.dual_graph_edges()))
+
+        # a pure function of this key: a rebuilt or resumed problem skips
+        # the clustering, the Eq. 28 weights and the partitioner
+        key = (f"partition;{mesh_fingerprint(mesh)};order={solver.order};"
+               f"cfl={solver.cfl_safety!r};n_parts={n_parts};"
+               f"refine={bool(self.refine)}")
+        self.parts, self._imbalance, self._edge_cut = get_plan_cache() \
+            .get_or_build_key(key, partition, phase="setup/partition")
+        self._build_plans(self.parts)
 
     def _build_plans(self, parts: np.ndarray) -> None:
         solver = self.solver
@@ -196,6 +209,9 @@ class PartitionedBackend(ExecutionBackend):
         m_elem = solver.motion.elem if solver.motion is not None else None
         fault_em = mesh.interior.minus_elem[mesh.interior.is_fault]
 
+        # every row is owned by exactly one partition, so a full sweep
+        # overwrites the whole buffer and it is reused across steps
+        self._derivs = np.empty((ne, solver.order + 1, solver.op.nbasis, 9))
         self.plans = []
         for p in range(int(parts.max()) + 1):
             owned_mask = parts == p
@@ -210,14 +226,11 @@ class PartitionedBackend(ExecutionBackend):
             owned = np.flatnonzero(owned_mask)
             halo = np.flatnonzero(halo_mask)
             cells = np.concatenate([owned, halo])
-            owned_local = np.zeros(len(cells), dtype=bool)
-            owned_local[: len(owned)] = True
             self.plans.append(PartitionPlan(
                 part_id=p,
                 owned=owned,
                 halo=halo,
                 cells=cells,
-                owned_local=owned_local,
                 owned_mask=owned_mask,
                 lop=solver.op.restricted(cells, len(owned)),
                 # NaN, not zeros: a row read before it was gathered would
@@ -247,31 +260,15 @@ class PartitionedBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     def predict(self, Q: np.ndarray) -> np.ndarray:
-        op = self.solver.op
-        # every row is owned by exactly one partition, so the buffer is
-        # fully overwritten each call and can be reused across steps
-        derivs = self._derivs_scratch
-        shape = (len(Q), op.order + 1, op.nbasis, 9)
-        if derivs is None or derivs.shape != shape:
-            derivs = self._derivs_scratch = np.empty(shape)
-        tracing = _TEL.enabled and _TEL.tracing
-
-        def work(plan):
-            t0 = _time.perf_counter() if tracing else 0.0
-            plan.ck_scratch = op.predict_states(
-                Q[plan.owned], op.starT[plan.owned], out=plan.ck_scratch)
-            derivs[plan.owned] = plan.ck_scratch
-            if tracing:
-                _TEL.add_span("worker/predict", t0, _time.perf_counter(),
-                              part=plan.part_id, owned=plan.n_owned)
-
-        with _TEL.phase("predict"):
-            if _TEL.enabled:
-                _TEL.count("elem_updates/predictor", len(Q))
-            self._run(work)
-        return derivs
+        self._refresh(Q, None, self._derivs)
+        return self._derivs
 
     def update_predictor(self, Q, mask, dt, derivs, Iown) -> None:
+        self._refresh(Q, mask, derivs, Iown, dt)
+
+    def _refresh(self, Q, mask, derivs, Iown=None, dt=None) -> None:
+        """Predictor sweep over the owned cells ``mask`` selects (``None``:
+        all), plus their Taylor window integral when ``Iown`` is given."""
         op = self.solver.op
         tracing = _TEL.enabled and _TEL.tracing
 
@@ -281,33 +278,35 @@ class PartitionedBackend(ExecutionBackend):
             if not len(ids):
                 return
             t0 = _time.perf_counter() if tracing else 0.0
-            # leading rows of the full-sweep scratch: no second buffer
-            buf = plan.ck_scratch
+            if plan.ck_scratch is None:  # first touched in the warm-up
+                plan.ck_scratch = np.zeros((plan.n_owned, *derivs.shape[1:]))
             new_derivs = op.predict_states(
-                Q[ids], sel.starT, out=None if buf is None else buf[:len(ids)])
+                Q[ids], sel.starT, out=plan.ck_scratch[:len(ids)])
             derivs[ids] = new_derivs
-            Iown[ids] = taylor_integrate(new_derivs, 0.0, dt)
+            if Iown is not None:
+                Iown[ids] = taylor_integrate(new_derivs, 0.0, dt)
             if tracing:
                 _TEL.add_span("worker/predict", t0, _time.perf_counter(),
                               part=plan.part_id, owned=len(ids))
 
         with _TEL.phase("predict"):
             if _TEL.enabled:
-                _TEL.count("elem_updates/predictor", int(mask.sum()))
+                _TEL.count("elem_updates/predictor",
+                           len(Q) if mask is None else int(mask.sum()))
             self._run(work)
 
     def corrector(self, I, derivs, dt, t0, active=None,
                   gravity_mask=None, motion_mask=None) -> np.ndarray:
         solver = self.solver
-        R = solver.op.new_state()
-
-        tracing = _TEL.enabled and _TEL.tracing
+        # a masked sweep assigns every row it reads: each has one owner
+        R = solver.op.new_state() if active is None \
+            else solver.op.masked_residual()
 
         def work(plan):
             profiled = _TEL.enabled
             sel = plan.active_set(active)
             act, idx = sel.act, sel.idx
-            if len(idx):
+            if len(sel.ids):
                 # halo exchange: gather the time-integrated predictor of the
                 # active elements and their face neighbors (owned or halo)
                 t_gather = _time.perf_counter() if profiled else 0.0
@@ -317,9 +316,8 @@ class PartitionedBackend(ExecutionBackend):
                     t_compute = _time.perf_counter()
                     _TEL.add_time(f"worker/p{plan.part_id}/halo_gather",
                                   t_compute - t_gather)
-                    if tracing:
-                        _TEL.add_span("worker/halo_gather", t_gather, t_compute,
-                                      part=plan.part_id, halo=plan.n_halo)
+                    _TEL.add_span("worker/halo_gather", t_gather, t_compute,
+                                  part=plan.part_id, halo=plan.n_halo)
                 outloc[idx] = 0.0
                 plan.lop.volume_residual(Iloc, outloc, active=act)
                 plan.lop.interior_residual(Iloc, outloc, active=act)
@@ -343,10 +341,8 @@ class PartitionedBackend(ExecutionBackend):
                 t_end = _time.perf_counter()
                 _TEL.add_time(f"worker/p{plan.part_id}/compute",
                               t_end - t_compute)
-                if tracing:
-                    _TEL.add_span("worker/compute", t_compute, t_end,
-                                  part=plan.part_id,
-                                  owned=len(idx))
+                _TEL.add_span("worker/compute", t_compute, t_end,
+                              part=plan.part_id, owned=len(sel.ids))
 
         with _TEL.phase("corrector"):
             if _TEL.enabled:

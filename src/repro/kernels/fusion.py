@@ -52,12 +52,14 @@ Local time-stepping repeatedly calls the kernels with the same
 per-cluster activity masks; the masked selections are content-addressed
 (SHA-1 of the mask bytes) and cached on the operator, so the selection
 work happens once per cluster, not once per micro-step.  The element
-selection (:func:`active_rows`: ids and contiguous ``starT`` rows) is
-shared by the volume kernel, the lift and the backends' masked
-predictor; the interior selection is made per *side* — the faces of a
-class are laid out minus-only / both / plus-only, so each side's faces
-are one contiguous slice and an interface face computes only the flux
-of the side that is updated.
+selection (:func:`active_rows`) is shared by the volume kernel, the lift
+and the backends' masked predictor.  It is a :func:`row_set`: a ``slice``
+on a cluster-major mesh (:func:`repro.core.lts.cluster_major_order`), so
+``I[idx]``, ``fb[idx]`` and ``starT`` are views and ``out[idx] += ...``
+updates in place, else the sorted ids under the same expressions.  The
+interior selection is made per *side* — the faces of a class are laid
+out minus-only / both / plus-only, so each side's faces are one slice
+and an interface face computes only the flux of the side that is updated.
 
 All results match the quadrature-form reference kernels of
 ``tests/reference_kernels.py`` up to floating-point reassociation (the
@@ -85,6 +87,7 @@ __all__ = [
     "fused_ck",
     "FaceFactors",
     "face_factors",
+    "row_set",
     "active_rows",
     "FusedInteriorGroup",
     "FusedBoundaryGroup",
@@ -186,9 +189,9 @@ def fused_ck(Q: np.ndarray, starT: np.ndarray, ref,
 
     ``out`` is an optional scratch buffer: it MUST be an array previously
     returned by this function for the same order, a fresh ``np.zeros``,
-    or leading rows of either — its truncated-mode rows are assumed to
-    still be the zeros this sweep leaves there, which is what makes
-    reuse free.  A
+    or rows of either (a view or a gathered copy) — its truncated-mode
+    rows are assumed to still be the zeros this sweep leaves there, which
+    is what makes reuse free.  A
     ``None`` or shape-mismatched ``out`` falls back to a fresh
     allocation.  The step loop reuses its predictor buffer through this:
     the ~O(10 MB) per-call allocation would otherwise cost more in page
@@ -359,13 +362,28 @@ def memo_by_mask(cache: OrderedDict, active: np.ndarray, select):
     return hit
 
 
-def active_rows(op, active: np.ndarray):
-    """``(idx, starT)`` of an activity mask, cached: the selected element
-    ids and their contiguous ``starT`` rows — the one masked copy the
-    volume kernel and the backends' masked predictor share."""
+def row_set(ids: np.ndarray):
+    """Sorted unique row ids as a ``slice`` when they are one run (indexing
+    then yields views and in-place updates), else as they are.  The one
+    place that decides: every caller indexes with whatever it returns."""
+    n = len(ids)
+    if n and ids[-1] - ids[0] != n - 1:
+        return ids
+    start = int(ids[0]) if n else 0
+    return slice(start, start + n)
+
+
+def active_rows(op, active: np.ndarray | None):
+    """``(idx, starT)`` of an activity mask (``None``: every row), cached:
+    the selected rows as a :func:`row_set` and their contiguous ``starT``
+    rows (a view when the rows are a slice) — shared by the volume
+    kernel, the lift and the backends' masked predictor."""
+    if active is None:
+        return slice(None), op.starT
+
     def select():
-        idx = np.flatnonzero(active)
-        return idx, np.ascontiguousarray(op.starT[idx])
+        idx = row_set(np.flatnonzero(active))
+        return idx, op.starT[idx]
 
     return memo_by_mask(op._mask_cache_volume, active, select)
 
@@ -376,19 +394,19 @@ def active_rows(op, active: np.ndarray):
 def fused_volume_residual(op, I, out, active=None, overwrite=False) -> None:
     """Stacked-stiffness volume kernel (see module docstring).
 
-    ``overwrite`` (unmasked only) stores the term into ``out`` instead of
-    adding it: :meth:`SpatialOperator.apply` starts its fresh residual
-    with it, saving the zero-fill and one pass."""
+    ``overwrite`` stores the term into the updated rows of ``out``
+    instead of adding it: :meth:`SpatialOperator.apply` starts its
+    residual with it, saving the zero-fill and one pass."""
     KP = element_plan(op.order).KP
-    if active is None:
-        Ie = np.ascontiguousarray(I)
-        if overwrite:
-            _star_contract(KP, Ie, op.starT, out=out)
-        else:
-            out += _star_contract(KP, Ie, op.starT)
+    idx, starT = active_rows(op, active)
+    Ie = np.ascontiguousarray(I[idx])
+    if overwrite:
+        # a slice: the GEMM stores into the rows, the assignment is a no-op
+        rows = out[idx]
+        _star_contract(KP, Ie, starT, out=rows)
+        out[idx] = rows
     else:
-        idx, starT = active_rows(op, active)
-        out[idx] += _star_contract(KP, I[idx], starT)
+        out[idx] += _star_contract(KP, Ie, starT)
 
 
 def _face_buffer(op) -> np.ndarray:
@@ -459,11 +477,8 @@ def fused_interior_residual(op, I, out, active=None) -> None:
         if a < n:
             fb[ep[a:], grp.fp] = np.matmul(X[a:, 1], Gp)
     lift = face_factors(op.order).lift
-    if active is None:
-        out += np.matmul(lift, fb.reshape(len(fb), 4 * nF, 9))
-    else:
-        idx = active_rows(op, active)[0]
-        out[idx] += np.matmul(lift, fb[idx].reshape(len(idx), 4 * nF, 9))
+    idx = active_rows(op, active)[0]
+    out[idx] += np.matmul(lift, fb[idx].reshape(-1, 4 * nF, 9))
 
 
 def fused_boundary_residual(op, I, out, active=None) -> None:

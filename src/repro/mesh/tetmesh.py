@@ -277,6 +277,41 @@ class TetMesh:
         self.interior.is_fault = self.interior.is_fault | mask
         return int(mask.sum())
 
+    def renumber_elements(self, order: np.ndarray) -> None:
+        """Relabel the elements in place: new element ``i`` is old ``order[i]``.
+
+        Permutes the per-element arrays and rewrites the element ids of
+        the face tables; faces keep their order, sides, normals, tags and
+        fault marks, so every per-face and per-element value keeps its
+        bits and only the row an element lives in changes.  Call it after
+        fault marking and boundary tagging and before building a solver:
+        operators, plans and checkpoints key on the final numbering
+        (:func:`~repro.exec.plan_cache.mesh_fingerprint` hashes ``tets``).
+        """
+        order = np.asarray(order)
+        ne = self.n_elements
+        if order.shape != (ne,) or order.dtype.kind not in "iu":
+            raise ValueError(
+                f"order must have length {ne} (one integer id per element), "
+                f"got shape {order.shape}, dtype {order.dtype}")
+        if ne and (order.min() < 0 or order.max() >= ne):
+            raise ValueError(
+                f"order holds ids outside range(0, {ne}): "
+                f"min {order.min()}, max {order.max()}")
+        new_id = np.full(ne, -1, dtype=np.int64)
+        new_id[order] = np.arange(ne)
+        if (new_id < 0).any():
+            raise ValueError(
+                f"order is not a permutation: {int((new_id < 0).sum())} "
+                "element id(s) are duplicated, as many are missing")
+        for name in ("tets", "material_ids", "jac", "inv_jac", "det_jac",
+                     "volumes", "centroids", "insphere_diameter"):
+            setattr(self, name, getattr(self, name)[order])
+        itf, bnd = self.interior, self.boundary
+        itf.minus_elem = new_id[itf.minus_elem]
+        itf.plus_elem = new_id[itf.plus_elem]
+        bnd.elem = new_id[bnd.elem]
+
     # ------------------------------------------------------------------
     def glue_periodic(self, translation: np.ndarray, tol: float = 1e-8) -> int:
         """Glue boundary faces across a periodic translation vector.

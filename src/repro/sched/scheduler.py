@@ -181,13 +181,9 @@ class Scheduler:
         plan = get_step_plan(lts.n_clusters, rate, n_macro,
                              adjacency=lts.adjacent)
 
-        op = lts.op
-        ne, nb = op.n_elements, op.nbasis
         derivs = backend.predict(solver.Q)
-        Iown = np.zeros((ne, nb, 9))
-        Ibuf = np.zeros((ne, nb, 9))
-        for c in range(lts.n_clusters):
-            idx = lts.idx[c]
+        Iown, Ibuf = lts.op.new_state(), lts.op.new_state()
+        for c, idx in enumerate(lts.idx):
             Iown[idx] = taylor_integrate(derivs[idx], 0.0, dts[c])
 
         # the window-assembly buffer is allocated once for the whole run:
@@ -196,7 +192,7 @@ class Scheduler:
         # LTS adjacency guarantees the consume list covers all faces with
         # an active side), so stale rows from earlier micro-steps are
         # never observed
-        I = self._window_buffer((ne, nb, 9))
+        I = self._window_buffer(Iown.shape)
         state = (plan, dt_min, dts, derivs, Iown, Ibuf, I, t0)
         met_state = {"wall": time.perf_counter(), "steps": 0}
         for i in range(plan.n_micro):
@@ -204,13 +200,9 @@ class Scheduler:
             # single dispatch site: span emission guarded internally (the
             # Perfetto timeline colors these by cluster id, exposing the
             # clustered update cadence)
-            if _TEL.enabled and _TEL.tracing:
-                with _TEL.trace_span("lts/cluster", cluster=c,
-                                     elems=int(lts.elem_count[c]),
-                                     t_int=int(plan.t_int[i]),
-                                     dt=float(dts[c])):
-                    self._exec_micro(i, c, state)
-            else:
+            with _TEL.trace_span("lts/cluster", cluster=c,
+                                 elems=int(lts.elem_count[c]),
+                                 t_int=int(plan.t_int[i]), dt=float(dts[c])):
                 self._exec_micro(i, c, state)
             lts.updates[c] += 1
             if _TEL.enabled:

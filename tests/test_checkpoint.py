@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.lts import LocalTimeStepping
 from repro.core.materials import acoustic, elastic
 from repro.core.resilience import ResilientRunner
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
@@ -21,8 +20,9 @@ from repro.io.checkpoint import (
     fingerprint,
 )
 from repro.mesh.generators import layered_ocean_mesh
-from repro.rupture.fault import FaultSolver, Prestress
-from repro.rupture.friction import LinearSlipWeakening
+
+# the two-material faulted LTS rig (``sort=True``: renumbered cluster-major)
+from tests.test_exec_equivalence import build_lts_fault_gravity
 
 
 def build_gts(order=2):
@@ -47,31 +47,6 @@ def build_gts(order=2):
         PointSource([1000.0, 1000.0, -900.0], ricker, moment=[5e12] * 3 + [0, 0, 0])
     )
     return solver
-
-
-def build_lts_fault_gravity():
-    """LTS setup with a rupturing fault under a gravity-topped ocean."""
-    crust = elastic(2700.0, 6000.0, 3464.0)
-    ocean = acoustic(1000.0, 1500.0)
-    xs = np.linspace(-1500.0, 1500.0, 5)
-    mesh = layered_ocean_mesh(
-        xs, xs,
-        zs_earth=np.linspace(-3000.0, -1000.0, 3),
-        zs_ocean=np.linspace(-1000.0, 0.0, 2),
-        earth=crust, ocean=ocean,
-    )
-    n = mesh.mark_fault(
-        lambda c, nrm: (np.abs(nrm[:, 0]) > 0.99)
-        & (np.abs(c[:, 0]) < 1e-6)
-        & (c[:, 2] < -1000.0)
-    )
-    assert n > 0
-    mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-    fr = LinearSlipWeakening(mu_s=0.677, mu_d=0.525, d_c=0.05)
-    fault = FaultSolver(fr, Prestress(sigma_n=-120e6, tau_s=81.6e6))
-    solver = CoupledSolver(mesh, order=1, fault=fault)
-    lts = LocalTimeStepping(solver)
-    return solver, fault, lts
 
 
 class TestArchive:
@@ -197,6 +172,53 @@ class TestRoundTripLTS:
         assert np.array_equal(sA.gravity.eta, sC.gravity.eta)
         for name in fA.STATE_FIELDS:
             assert np.array_equal(getattr(fA, name), getattr(fC, name)), name
+
+
+class TestElementOrder:
+    """Checkpoints key on the final element numbering."""
+
+    @pytest.mark.parametrize("use_lts", [False, True], ids=["gts", "lts"])
+    def test_unsorted_checkpoint_refuses_sorted_mesh(self, tmp_path, use_lts):
+        """Same shapes, permuted rows: only the fingerprint can tell, and
+        it must — loading would silently scramble the wavefield."""
+        solver, _, lts = build_lts_fault_gravity()
+        (lts.run if use_lts else solver.run)(0.05)
+        path = save_checkpoint(str(tmp_path / "unsorted.npz"), solver,
+                               lts if use_lts else None)
+        other, _, other_lts = build_lts_fault_gravity(sort=True)
+        assert other.Q.shape == solver.Q.shape
+        assert all(isinstance(r, slice) for r in other_lts.idx)
+        assert fingerprint(other) != fingerprint(solver)
+        with pytest.raises(CheckpointError, match="different problem"):
+            restore_checkpoint(path, other, other_lts if use_lts else None)
+        assert other.t == 0.0 and not other.Q.any()  # nothing was loaded
+
+    def test_sorted_lts_resume_is_bitwise(self, tmp_path):
+        t_end = 0.3
+        sA, fA, ltsA = build_lts_fault_gravity(sort=True)
+        ResilientRunner(sA, lts=ltsA, checkpoint_every=0.1, verbose=False).run(t_end)
+        assert fA.slip.max() > 0
+
+        sB, _, ltsB = build_lts_fault_gravity(sort=True)
+        ResilientRunner(
+            sB, lts=ltsB, checkpoint_every=0.1, checkpoint_dir=str(tmp_path),
+            verbose=False,
+        ).run(0.2)
+
+        # the rebuilt mesh sorts to the same numbering: the fingerprint
+        # matches and the resumed run replays the same slices
+        sC, fC, ltsC = build_lts_fault_gravity(sort=True)
+        runner = ResilientRunner(
+            sC, lts=ltsC, checkpoint_every=0.1, checkpoint_dir=str(tmp_path),
+            verbose=False,
+        )
+        runner.resume()
+        runner.run(t_end)
+        assert np.array_equal(sA.Q, sC.Q)
+        assert np.array_equal(sA.gravity.eta, sC.gravity.eta)
+        for name in fA.STATE_FIELDS:
+            assert np.array_equal(getattr(fA, name), getattr(fC, name)), name
+        assert np.array_equal(ltsA.updates, ltsC.updates)
 
 
 class TestCaptureRestore:

@@ -12,7 +12,7 @@ problems, invalidation on any mesh/material/order change).
 import numpy as np
 import pytest
 
-from repro.core.lts import LocalTimeStepping
+from repro.core.lts import LocalTimeStepping, cluster_major_order
 from repro.core.materials import acoustic, elastic
 from repro.core.resilience import ResilientRunner
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
@@ -62,11 +62,17 @@ def build_gts(order=2, backend="serial", workers=None):
     return solver
 
 
-def build_lts_fault_gravity(backend="serial", workers=None):
-    """Rupturing fault under a gravity-topped ocean, clustered LTS."""
+def build_lts_fault_gravity(backend="serial", workers=None, sort=False,
+                            xs=(-1500.0, -750.0, 0.0, 750.0, 1500.0)):
+    """Rupturing fault under a gravity-topped ocean, clustered LTS.
+
+    As generated, the mesh interleaves its clusters (the id-array row
+    sets); ``sort`` renumbers it cluster-major the way the scenario
+    builders do (slice row sets).  ``xs`` are the horizontal grid lines
+    (the fault sits on ``x = 0``)."""
     crust = elastic(2700.0, 6000.0, 3464.0)
     ocean = acoustic(1000.0, 1500.0)
-    xs = np.linspace(-1500.0, 1500.0, 5)
+    xs = np.asarray(xs)
     mesh = layered_ocean_mesh(
         xs, xs,
         zs_earth=np.linspace(-3000.0, -1000.0, 3),
@@ -82,6 +88,8 @@ def build_lts_fault_gravity(backend="serial", workers=None):
     mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
     fr = LinearSlipWeakening(mu_s=0.677, mu_d=0.525, d_c=0.05)
     fault = FaultSolver(fr, Prestress(sigma_n=-120e6, tau_s=81.6e6))
+    if sort:
+        mesh.renumber_elements(cluster_major_order(mesh, 1))
     solver = CoupledSolver(mesh, order=1, fault=fault, backend=backend, workers=workers)
     lts = LocalTimeStepping(solver)
     return solver, fault, lts
@@ -159,6 +167,63 @@ class TestLTSEquivalence:
         lts.run(T_LTS)
         assert_states_match(ref, solver, f"(LTS, {workers} workers)")
         solver.backend.close()
+
+
+# ---------------------------------------------------------------------------
+# element order: a cluster-major mesh runs the permuted trajectory, bitwise
+# ---------------------------------------------------------------------------
+class TestElementOrderEquivalence:
+    """Unsorted (id-array row sets) vs cluster-major (slice row sets) on
+    the two-material faulted rig: the relabel moves rows and nothing
+    else.  Fails if ``renumber_elements`` forgets any array the solver
+    reads, or if the slice and id-array paths ever differ in a bit."""
+
+    #: graded grid lines: element sizes (``det_jac``, insphere diameters,
+    #: Jacobians) differ from row to row, so none can stay behind unnoticed
+    XS = (-1500.0, -1100.0, 0.0, 300.0, 1500.0)
+
+    @pytest.mark.parametrize("backend,workers", [("serial", None),
+                                                 ("partitioned", 2)])
+    @pytest.mark.parametrize("use_lts", [False, True], ids=["gts", "lts"])
+    def test_sorted_is_the_permuted_unsorted_run(self, backend, workers,
+                                                 use_lts):
+        ref, ref_fault, ref_lts = build_lts_fault_gravity(
+            backend, workers, xs=self.XS)
+        order = cluster_major_order(ref.mesh, ref.order)
+        assert (order != np.arange(len(order))).any()
+        assert ref_lts.n_clusters >= 3
+        assert not any(isinstance(r, slice) for r in ref_lts.idx)
+
+        new, new_fault, new_lts = build_lts_fault_gravity(
+            backend, workers, sort=True, xs=self.XS)
+        assert all(isinstance(r, slice) for r in new_lts.idx)
+        assert np.array_equal(new_lts.cluster, ref_lts.cluster[order])
+
+        # two macro steps: the fault slips at once, and a position-
+        # dependent initial state reads the vertices through tets and jac
+        def pulse(x):
+            q = np.zeros((len(x), 9))
+            q[:, 6] = 1e-3 * np.sin(x[:, 0] / 400.0) * np.cos(x[:, 2] / 700.0)
+            return q
+
+        t_end = 2 * ref_lts.dt_min * ref_lts.rate**ref_lts.cmax
+        for solver, lts in ((ref, ref_lts), (new, new_lts)):
+            solver.set_initial_condition(pulse)
+            if use_lts:
+                lts.run(t_end)
+            else:
+                solver.run(t_end)
+            solver.backend.close()
+        assert np.abs(ref.Q).max() > 0 and (ref_fault.slip_rate > 0).any()
+        assert np.array_equal(new.Q, ref.Q[order])
+        assert np.array_equal(new.gravity.eta, ref.gravity.eta)
+        for name in ref_fault.STATE_FIELDS:
+            assert np.array_equal(getattr(new_fault, name),
+                                  getattr(ref_fault, name), equal_nan=True), name
+        assert np.array_equal(new_lts.updates, ref_lts.updates)
+        assert new_lts.updates.sum() == (
+            sum(2 * 2**(ref_lts.cmax - c) for c in range(ref_lts.n_clusters))
+            if use_lts else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +365,37 @@ class TestPlanCache:
         c.tag_boundary(ocean_surface_gravity_tagger(c))
         assert mesh_fingerprint(c) != mesh_fingerprint(a)
         assert plan_key(c, 2, "godunov") != plan_key(a, 2, "godunov")
+
+    def test_partition_is_memoised(self, monkeypatch):
+        """A rebuilt problem reuses the partition (and its quality
+        numbers) instead of re-running clustering, Eq. 28 weights and
+        the partitioner; any key field changing builds a fresh one."""
+        clear_plan_cache()
+        a = build_gts(backend="partitioned", workers=2).backend
+        s0 = get_plan_cache().stats()
+        b = build_gts(backend="partitioned", workers=2).backend
+        s1 = get_plan_cache().stats()
+        assert s1["hits"] == s0["hits"] + 2  # operator plan + partition
+        assert s1["misses"] == s0["misses"]
+        assert b.parts is a.parts and not a.parts.flags.writeable
+        assert (b.stats()["imbalance"], b.stats()["edge_cut"]) == \
+            (a.stats()["imbalance"], a.stats()["edge_cut"])
+        for pa, pb in zip(a.plans, b.plans):
+            assert np.array_equal(pa.cells, pb.cells)
+
+        for kwargs in ({"workers": 3}, {"workers": 2, "order": 1}):
+            misses = get_plan_cache().stats()["misses"]
+            build_gts(backend="partitioned", **kwargs)
+            assert get_plan_cache().stats()["misses"] > misses
+        misses = get_plan_cache().stats()["misses"]
+        build_gts(backend=PartitionedBackend(workers=2, refine=False))
+        assert get_plan_cache().stats()["misses"] == misses + 1
+
+        # the memo returns what a cold build computes
+        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
+        cold = build_gts(backend="partitioned", workers=2).backend
+        assert cold.parts is not a.parts
+        assert np.array_equal(cold.parts, a.parts)
 
     def test_env_kill_switch(self, monkeypatch):
         clear_plan_cache()

@@ -1,11 +1,19 @@
 """Tests for clustered rate-2 local time-stepping (paper Sec. 4.4)."""
 
 import numpy as np
+import pytest
 
-from repro.core.lts import LocalTimeStepping, cluster_elements, lts_statistics
+from repro.core.lts import (
+    LocalTimeStepping,
+    cluster_elements,
+    cluster_major_order,
+    lts_statistics,
+)
 from repro.core.materials import acoustic, elastic
 from repro.core.riemann import FaceKind
 from repro.core.solver import CoupledSolver
+from repro.ensemble.spec import get_builder
+from repro.kernels.fusion import row_set
 from repro.mesh.generators import box_mesh, layered_ocean_mesh
 
 ROCK1 = elastic(1.0, 2.0, 1.0)
@@ -179,3 +187,76 @@ class TestLTSDriver:
         T = 3.7 * lts.dt_min
         lts.run(T)
         assert np.isclose(s.t, T)
+
+
+class TestClusterMajorLayout:
+    """The element-order contract: a mesh renumbered with
+    ``cluster_major_order`` hands out every cluster as a ``slice``."""
+
+    def test_row_set(self):
+        assert row_set(np.array([4, 5, 6])) == slice(4, 7)
+        assert row_set(np.array([9])) == slice(9, 10)
+        assert row_set(np.array([], dtype=np.int64)) == slice(0, 0)
+        gap = np.array([4, 6, 7])
+        assert row_set(gap) is gap
+        x = np.arange(40.0).reshape(10, 4)
+        assert np.shares_memory(x[row_set(np.array([2, 3, 4]))], x)
+
+    def test_order_is_a_stable_sort_and_idempotent(self):
+        m = graded_periodic_box()
+        cluster, _ = cluster_elements(m, 2)
+        order = cluster_major_order(m, 2)
+        assert (np.diff(cluster[order]) >= 0).all()
+        for c in range(cluster.max() + 1):  # stable inside a cluster
+            assert (np.diff(order[cluster[order] == c]) > 0).all()
+        m.renumber_elements(order)
+        assert np.array_equal(cluster_elements(m, 2)[0], cluster[order])
+        # sorting a sorted mesh is the identity: GTS and LTS solvers, or a
+        # resumed run, can share one mesh object
+        assert np.array_equal(cluster_major_order(m, 2), np.arange(m.n_elements))
+
+    def test_max_cluster_keeps_contiguity(self):
+        xs = np.linspace(0, 3000.0, 5)
+        m = layered_ocean_mesh(
+            xs, xs, np.linspace(-3000.0, -1000.0, 3),
+            np.linspace(-1000.0, 0.0, 2), elastic(2700.0, 6000.0, 3464.0),
+            acoustic(1000.0, 1500.0))
+        m.renumber_elements(cluster_major_order(m, 2))
+        full, _ = cluster_elements(m, 2)
+        assert full.max() >= 2
+        capped, _ = cluster_elements(m, 2, max_cluster=1)
+        assert np.array_equal(capped, np.minimum(full, 1))
+        assert (np.diff(capped) >= 0).all()
+
+    @pytest.mark.parametrize("name", ["quickstart", "scenario_a", "palu"])
+    def test_every_builder_yields_slices(self, name):
+        handle = get_builder(name)({}, 0, backend="partitioned", workers=2)
+        solver = handle.solver
+        lts = LocalTimeStepping(solver)
+        assert lts.n_clusters >= 2
+        assert all(isinstance(r, slice) for r in lts.idx)
+        assert [r.stop - r.start for r in lts.idx] == lts.elem_count.tolist()
+        for mask, rows in zip(lts.masks, lts.idx):
+            idx, starT = solver.op.active_rows(mask)
+            assert idx == rows
+            assert np.shares_memory(starT, solver.op.starT)
+            # a partition's owned cells are sorted, so its share of a
+            # cluster is a run of local rows as well
+            for plan in solver.backend.plans:
+                sel = plan.active_set(mask)
+                assert isinstance(sel.idx, slice)
+                assert np.array_equal(
+                    sel.ids, plan.owned[mask[plan.owned]])
+                assert np.shares_memory(sel.starT, plan.lop.starT)
+        solver.backend.close()
+
+    def test_unsorted_mesh_yields_id_arrays(self):
+        m = graded_periodic_box()
+        solver = CoupledSolver(m, 2)
+        lts = LocalTimeStepping(solver)
+        assert not any(isinstance(r, slice) for r in lts.idx)
+        for mask, rows in zip(lts.masks, lts.idx):
+            assert np.array_equal(rows, np.flatnonzero(mask))
+            idx, starT = solver.op.active_rows(mask)
+            assert np.array_equal(idx, rows)
+            assert np.array_equal(starT, solver.op.starT[rows])

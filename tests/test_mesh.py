@@ -9,6 +9,7 @@ from repro.core.basis import FACE_PERMUTATIONS, face_points_to_tet
 from repro.core.materials import acoustic, elastic
 from repro.core.quadrature import triangle_rule
 from repro.core.riemann import FaceKind
+from repro.exec.plan_cache import mesh_fingerprint
 from repro.mesh.generators import bathymetry_mesh, box_mesh, layered_ocean_mesh
 from repro.mesh.refine import geometric_spacing, refined_spacing, uniform_spacing
 from repro.mesh.tetmesh import TetMesh
@@ -192,6 +193,88 @@ class TestLayeredAndBathymetry:
         edges = m.dual_graph_edges()
         assert edges.shape == (len(m.interior), 2)
         assert (edges[:, 0] != edges[:, 1]).all()
+
+
+class TestRenumberElements:
+    @staticmethod
+    def tagged_faulted_mesh():
+        m = layered_ocean_mesh(
+            np.linspace(0, 4, 4), np.linspace(0, 4, 3),
+            np.linspace(-4, -1, 4), np.linspace(-1, 0, 2), ROCK, WATER)
+        assert m.mark_fault(lambda c, n: (np.abs(n[:, 2]) > 0.99)
+                            & (np.abs(c[:, 2] + 2.0) < 1e-9)) > 0
+        m.tag_boundary(lambda c, n: np.where(
+            n[:, 2] > 0.99, FaceKind.GRAVITY_FREE_SURFACE.value,
+            FaceKind.ABSORBING.value))
+        return m
+
+    @staticmethod
+    def face_set(m):
+        """Interior faces as unordered pairs of (element, local face) with
+        their fault mark, boundary faces as (element, local face, kind)."""
+        itf, bnd = m.interior, m.boundary
+        inner = {(frozenset([(int(a), int(b)), (int(c), int(d))]), bool(f))
+                 for a, b, c, d, f in zip(itf.minus_elem, itf.minus_face,
+                                          itf.plus_elem, itf.plus_face,
+                                          itf.is_fault)}
+        outer = {(int(e), int(f), int(k))
+                 for e, f, k in zip(bnd.elem, bnd.face, bnd.kind)}
+        return inner, outer
+
+    def test_equals_a_mesh_built_in_the_new_order(self):
+        """Every per-element array and both face tables are those of a
+        mesh constructed from scratch with the tets already permuted."""
+        m = self.tagged_faulted_mesh()
+        order = np.random.default_rng(3).permutation(m.n_elements)
+        inv = np.argsort(order)
+        fresh = TetMesh(m.vertices, m.tets[order], m.materials,
+                        m.material_ids[order])
+        before = {name: getattr(m.interior, name).copy() for name in
+                  ("minus_face", "plus_face", "perm", "normal", "area",
+                   "centroid", "is_fault")}
+        old_inner, old_outer = self.face_set(m)
+        m.renumber_elements(order)
+        for name in ("tets", "material_ids", "jac", "inv_jac", "det_jac",
+                     "volumes", "centroids", "insphere_diameter"):
+            assert np.array_equal(getattr(m, name), getattr(fresh, name)), name
+        # faces keep their order, sides, geometry and marks
+        for name, arr in before.items():
+            assert np.array_equal(getattr(m.interior, name), arr), name
+        inner, outer = self.face_set(m)
+        assert inner == {(frozenset((int(inv[e]), f) for e, f in pair), flt)
+                         for pair, flt in old_inner}
+        assert outer == {(int(inv[e]), f, k) for e, f, k in old_outer}
+        assert {pair for pair, _ in inner} == \
+            {pair for pair, _ in self.face_set(fresh)[0]}
+
+    def test_identity_and_round_trip(self):
+        m = self.tagged_faulted_mesh()
+        fp0 = mesh_fingerprint(m)
+        tets0 = m.tets.copy()
+        m.renumber_elements(np.arange(m.n_elements))
+        assert mesh_fingerprint(m) == fp0
+        order = np.random.default_rng(4).permutation(m.n_elements)
+        m.renumber_elements(order)
+        # plan cache and checkpoints key on the final numbering
+        assert mesh_fingerprint(m) != fp0
+        m.renumber_elements(np.argsort(order))
+        assert np.array_equal(m.tets, tets0)
+        assert mesh_fingerprint(m) == fp0
+
+    @pytest.mark.parametrize("bad,match", [
+        (lambda n: np.arange(n - 1), "length"),
+        (lambda n: np.arange(n + 1), "length"),
+        (lambda n: np.arange(n, dtype=float), "length"),
+        (lambda n: np.arange(n) + 1, "range"),
+        (lambda n: np.arange(n) - 1, "range"),
+        (lambda n: np.r_[0, np.arange(n - 1)], "duplicated"),
+    ])
+    def test_rejects_non_permutations(self, bad, match):
+        m = small_box(2)
+        tets = m.tets.copy()
+        with pytest.raises(ValueError, match=match):
+            m.renumber_elements(bad(m.n_elements))
+        assert np.array_equal(m.tets, tets)  # nothing was relabelled
 
 
 class TestSpacings:

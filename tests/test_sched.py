@@ -403,17 +403,49 @@ class TestHaloLayout:
                                                  ("partitioned", 2)])
     def test_poisoned_window_is_bitwise_clean(self, monkeypatch, backend,
                                               workers):
-        """The run-lifetime window buffer starts as NaN instead of zeros:
-        an identical end state proves every row a corrector read had been
-        written in that same micro-step."""
-        ref, ref_fault, ref_lts = build_lts_fault_gravity(backend, workers)
+        self.check_poisoned_run(monkeypatch, backend, workers, sort=False)
+
+    @pytest.mark.parametrize("backend,workers", [("serial", None),
+                                                 ("partitioned", 2)])
+    def test_poisoned_window_cluster_major(self, monkeypatch, backend,
+                                           workers):
+        self.check_poisoned_run(monkeypatch, backend, workers, sort=True)
+
+    @staticmethod
+    def check_poisoned_run(monkeypatch, backend, workers, sort):
+        """The run-lifetime window buffer starts as NaN instead of zeros,
+        and after every micro-step the persistent masked residual (with
+        the partitions' local gather / residual buffers) is NaN-filled
+        again: an identical end state proves every row a corrector or
+        the scheduler read had been written in that same micro-step — a
+        row outside the active cluster is never read."""
+        ref, ref_fault, ref_lts = build_lts_fault_gravity(backend, workers,
+                                                          sort=sort)
+        assert all(isinstance(r, slice) == sort for r in ref_lts.idx)
         ref_lts.run(T_LTS)
         assert (ref_fault.slip > 0).any()
 
         monkeypatch.setattr(Scheduler, "_window_buffer", staticmethod(
             lambda shape: np.full(shape, np.nan)))
-        new, new_fault, new_lts = build_lts_fault_gravity(backend, workers)
-        new_lts.run(T_LTS)
+        new, new_fault, new_lts = build_lts_fault_gravity(backend, workers,
+                                                          sort=sort)
+        poisoned = []
+
+        def poison(solver, event):
+            residual = solver.op.masked_residual()
+            # the step just taken left its own rows finite
+            assert np.isfinite(residual[new_lts.idx[event.cluster]]).all()
+            bufs = [residual]
+            for plan in getattr(solver.backend, "plans", ()):
+                bufs += [plan.outloc, plan.Iloc]
+            for buf in bufs:
+                buf.fill(np.nan)
+            poisoned.append(event.cluster)
+
+        bus = HookBus()
+        bus.on_micro_step(poison)
+        new_lts.run(T_LTS, hooks=bus)
+        assert set(poisoned) == set(range(new_lts.n_clusters))
         assert_bitwise(ref, new)
         for name in ref_fault.STATE_FIELDS:
             assert np.array_equal(getattr(ref_fault, name),

@@ -231,6 +231,8 @@ class Watchdog:
         self.growth_factor = growth_factor
         self.check_state = check_state
         self.check_cfl = check_cfl
+        #: the mesh's admissible CFL step (Eq. 27): static, so taken once
+        self._dt_admissible = float(solver.dt_elem.min())
         self._e_prev: float | None = None
         self._e_max = 0.0
 
@@ -294,11 +296,10 @@ class Watchdog:
     def _check_cfl(self, dt: float | None) -> str:
         if dt is None:
             return ""
-        admissible = float(self.solver.dt_elem.min())
-        if dt > admissible * (1.0 + 1e-9):
+        if dt > self._dt_admissible * (1.0 + 1e-9):
             return (
                 f"timestep {dt:.6e} exceeds the admissible CFL step "
-                f"{admissible:.6e} (Eq. 27); refusing to integrate"
+                f"{self._dt_admissible:.6e} (Eq. 27); refusing to integrate"
             )
         return ""
 
@@ -329,10 +330,8 @@ class Watchdog:
             if self._e_max > 0.0:
                 met.set_gauge("health/energy_drift_ratio",
                               float(self._e_prev / self._e_max) - 1.0)
-        if dt is not None and self.check_cfl:
-            admissible = float(self.solver.dt_elem.min())
-            if admissible > 0.0:
-                met.set_gauge("health/cfl_margin", 1.0 - dt / admissible)
+        if dt is not None and self.check_cfl and self._dt_admissible > 0.0:
+            met.set_gauge("health/cfl_margin", 1.0 - dt / self._dt_admissible)
         fault = self.solver.fault
         if fault is not None:
             rate = np.asarray(fault.slip_rate)

@@ -209,7 +209,9 @@ class ResilientRunner:
         if callback is not None:
             bus.on_sync(callback)
         bus.extend(hooks)
-        bus.on_segment_end(self._checkpoint_hook)
+        # the restart point on disk is the rollback point in memory: the
+        # hook serialises whichever snapshot ``snap`` names when it fires
+        bus.on_segment_end(lambda s: self._write_checkpoint(snap["state"]))
         eps = 1e-12 * max(abs(t_end), 1.0)
         snap = self._snapshot()
         while solver.t < t_end - eps:
@@ -340,9 +342,6 @@ class ResilientRunner:
             target, dt_scale=self.dt_scale, hooks=bus, dt_factor=dt_factor
         )
 
-    def _checkpoint_hook(self, solver) -> None:
-        self._write_checkpoint()
-
     # -- black-box forensics -------------------------------------------
     def _dump(self, *, kind: str, report=None, reports=None,
               attempts: int = 0, error: str | None = None,
@@ -435,7 +434,7 @@ class ResilientRunner:
         self.watchdog.restore(snap["watchdog"])
         self.step_count = snap["step"]
 
-    def _write_checkpoint(self) -> None:
+    def _write_checkpoint(self, state: dict) -> None:
         if self.manager is None:
             return
         try:
@@ -446,7 +445,7 @@ class ResilientRunner:
                 # informational only: states are backend-portable, a run may
                 # resume under a different backend / worker count
                 meta["backend"] = self.backend.describe()
-            path = self.manager.save(self.step_count, metadata=meta)
+            path = self.manager.save(self.step_count, metadata=meta, state=state)
         except OSError as exc:
             # a failed write must never kill a healthy run: the previous
             # checkpoint is still intact (atomic publish), so just warn

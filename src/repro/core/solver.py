@@ -157,6 +157,32 @@ def _validate_mesh_inputs(mesh) -> None:
         )
 
 
+def _energy_coefficients(mesh) -> np.ndarray:
+    """Per-element ``(ne, 10)`` weights of the energy quadratic form.
+
+    Columns 0-8 weigh the squares of the state quantities (layout of
+    :func:`repro.core.materials.jacobians`), column 9 the squared stress
+    trace, all scaled by ``detJ``.  Kinetic ``rho/2``; elastic
+    ``1/2 sigma:S:sigma`` with the isotropic compliance, whose cross terms
+    ``sxx syy + syy szz + sxx szz = (tr^2 - sum sii^2) / 2`` fold into
+    ``(1+nu)/2E`` on the normal, ``(1+nu)/E`` on the shear stresses and
+    ``-nu/2E`` on the trace; acoustic ``p^2/2K`` with ``p = -tr/3``.
+    """
+    table = np.zeros((len(mesh.materials), 10))
+    for row, mat in zip(table, mesh.materials):
+        lam, mu = mat.lam, mat.mu
+        row[6:9] = 0.5 * mat.rho
+        if mat.is_acoustic:
+            row[9] = 1.0 / (18.0 * lam)
+        else:
+            E_mod = mu * (3 * lam + 2 * mu) / (lam + mu)
+            nu = lam / (2 * (lam + mu))
+            row[0:3] = (1 + nu) / (2 * E_mod)
+            row[3:6] = (1 + nu) / E_mod
+            row[9] = -nu / (2 * E_mod)
+    return table[mesh.material_ids] * mesh.det_jac[:, None]
+
+
 class CoupledSolver:
     """Fully coupled elastic-acoustic ADER-DG solver with gravity.
 
@@ -213,6 +239,7 @@ class CoupledSolver:
                 "contains degenerate (sliver) elements — repair it before solving"
             )
         self.dt = float(self.dt_elem.min())
+        self._energy_coeff = _energy_coefficients(mesh)
         self.gravity = GravityBoundary(
             self.op, gravity_g, integrator=gravity_integrator, eta_velocity=gravity_eta_velocity
         )
@@ -306,37 +333,14 @@ class CoupledSolver:
         """Total (elastic + kinetic) discrete energy — a Godunov-flux
         Lyapunov function: non-increasing in time for closed domains.
 
-        The stress/velocity ordering matches the state layout of
-        :func:`repro.core.materials.jacobians`.
+        A quadratic form in ``Q``: per element, the modal sums of squares
+        of the nine quantities and of the stress trace (modal Parseval:
+        ``int_K f^2 dV = detJ * sum_l coeff_l^2``), contracted against
+        the cached coefficient table of :func:`_energy_coefficients`.
         """
-        mesh = self.mesh
-        e_tot = 0.0
-        for mid, mat in enumerate(mesh.materials):
-            sel = mesh.material_ids == mid
-            if not sel.any():
-                continue
-            Q = self.Q[sel]
-            detJ = mesh.det_jac[sel]
-            # modal Parseval: int_K f^2 dV = detJ * sum_l coeff_l^2
-            sq = np.einsum("ebn,ebn->en", Q, Q)
-            lam, mu, rho = mat.lam, mat.mu, mat.rho
-            kinetic = 0.5 * rho * sq[:, 6:9].sum(axis=1)
-            if mat.is_acoustic:
-                # p = -sigma_kk/3; acoustic energy p^2 / (2K): use mean stress
-                trace_sq = np.einsum("eb,eb->e", Q[:, :, :3].sum(axis=2), Q[:, :, :3].sum(axis=2))
-                elastic_e = trace_sq / (9.0 * 2.0 * lam)
-            else:
-                # isotropic compliance: eps = S sigma;  e = 1/2 sigma:S:sigma
-                E_mod = mu * (3 * lam + 2 * mu) / (lam + mu)
-                nu = lam / (2 * (lam + mu))
-                s = Q[:, :, :6]
-                sxx, syy, szz = s[:, :, 0], s[:, :, 1], s[:, :, 2]
-                sxy, syz, sxz = s[:, :, 3], s[:, :, 4], s[:, :, 5]
-                e_dens = (
-                    (sxx**2 + syy**2 + szz**2).sum(axis=1)
-                    - 2 * nu * (sxx * syy + syy * szz + sxx * szz).sum(axis=1)
-                    + 2 * (1 + nu) * (sxy**2 + syz**2 + sxz**2).sum(axis=1)
-                ) / (2 * E_mod)
-                elastic_e = e_dens
-            e_tot += float(np.sum(detJ * (kinetic + elastic_e)))
-        return e_tot
+        Q, coeff = self.Q, self._energy_coeff
+        trace = np.einsum("ebn->eb", Q[:, :, :3])
+        return float(
+            np.einsum("en,en->", np.einsum("ebn,ebn->en", Q, Q), coeff[:, :9])
+            + np.einsum("e,e->", np.einsum("eb,eb->e", trace, trace), coeff[:, 9])
+        )

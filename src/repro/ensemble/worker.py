@@ -147,14 +147,7 @@ def run_member(
 def _run_member_attempt(spec, member_dir, queue, attempt, resume, dt_scale,
                         in_process, met, tel) -> dict:
     os.makedirs(member_dir, exist_ok=True)
-    paths = {
-        "dir": member_dir,
-        "result": os.path.join(member_dir, RESULT_NAME),
-        "runlog": os.path.join(member_dir, RUNLOG_NAME),
-        "ckpt_dir": os.path.join(member_dir, CKPT_DIRNAME),
-        "trace": os.path.join(member_dir, TRACE_NAME),
-        "blackbox_dir": member_dir,
-    }
+    paths = member_paths(*os.path.split(member_dir))
     wall0 = time.perf_counter()
     pid = os.getpid()
 

@@ -179,29 +179,31 @@ def restore_state(solver, state: dict, lts=None) -> None:
 
 
 # ----------------------------------------------------------------------
-def save_checkpoint(path: str, solver, lts=None, metadata: dict | None = None) -> str:
+def save_checkpoint(path: str, solver, lts=None, metadata: dict | None = None,
+                    state: dict | None = None) -> str:
     """Atomically write a checkpoint of ``solver`` (and optional ``lts``).
 
-    The archive is first written to a temporary file in the destination
-    directory and then published with :func:`os.replace`, so readers only
-    ever see complete checkpoints.  Returns the final path.
+    The archive (stored members: DESIGN.md "Checkpoint format") is first
+    written to a temporary file in the destination directory and then
+    published with :func:`os.replace`, so readers only ever see complete
+    checkpoints.  ``state`` is a :func:`capture_state` dict to serialise
+    instead of capturing one: the supervised runner hands in its rollback
+    snapshot, so the restart point on disk *is* the one in memory.
+    Returns the final path.
     """
     if not path.endswith(".npz"):
         path = path + ".npz"
     with get_telemetry().phase("io/checkpoint_save"):
-        return _save_checkpoint(path, solver, lts, metadata)
+        return _save_checkpoint(path, solver, lts, metadata, state)
 
 
-def _save_checkpoint(path, solver, lts, metadata) -> str:
-    arrays = capture_state(solver, lts)
+def _save_checkpoint(path, solver, lts, metadata, state) -> str:
+    arrays = capture_state(solver, lts) if state is None else dict(state)
     arrays["version"] = np.int64(CHECKPOINT_VERSION)
     arrays["fingerprint"] = np.array(fingerprint(solver))
-    meta_keys, meta_vals = [], []
-    for k, v in (metadata or {}).items():
-        meta_keys.append(str(k))
-        meta_vals.append(str(v))
-    arrays["meta_keys"] = np.asarray(meta_keys)
-    arrays["meta_vals"] = np.asarray(meta_vals)
+    metadata = metadata or {}
+    arrays["meta_keys"] = np.asarray([str(k) for k in metadata])
+    arrays["meta_vals"] = np.asarray([str(v) for v in metadata.values()])
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
@@ -214,7 +216,7 @@ def _save_checkpoint(path, solver, lts, metadata) -> str:
     )
     try:
         with os.fdopen(fd, "wb") as f:
-            np.savez_compressed(f, **arrays)
+            np.savez(f, **arrays)
             f.flush()
             os.fsync(f.fileno())
             n_bytes = f.tell()
@@ -265,15 +267,8 @@ def load_checkpoint(path: str) -> dict:
     return {"version": version, "fingerprint": fp, "state": data, "metadata": meta}
 
 
-def restore_checkpoint(path: str, solver, lts=None, strict: bool = True) -> dict:
-    """Load ``path`` and apply it to ``solver`` after a fingerprint check.
-
-    With ``strict=True`` (default) a fingerprint mismatch — a checkpoint
-    saved from a different mesh, material table, order, or boundary tagging
-    — raises :class:`CheckpointError` instead of silently restoring a
-    stale state.  Returns the checkpoint's metadata dict.
-    """
-    data = load_checkpoint(path)
+def _restore_loaded(data: dict, path: str, solver, lts, strict: bool) -> dict:
+    """Apply an archive :func:`load_checkpoint` returned; its metadata."""
     if strict:
         want = fingerprint(solver)
         if data["fingerprint"] != want:
@@ -285,6 +280,17 @@ def restore_checkpoint(path: str, solver, lts=None, strict: bool = True) -> dict
             )
     restore_state(solver, data["state"], lts)
     return data["metadata"]
+
+
+def restore_checkpoint(path: str, solver, lts=None, strict: bool = True) -> dict:
+    """Load ``path`` and apply it to ``solver`` after a fingerprint check.
+
+    With ``strict=True`` (default) a fingerprint mismatch — a checkpoint
+    saved from a different mesh, material table, order, or boundary tagging
+    — raises :class:`CheckpointError` instead of silently restoring a
+    stale state.  Returns the checkpoint's metadata dict.
+    """
+    return _restore_loaded(load_checkpoint(path), path, solver, lts, strict)
 
 
 # ----------------------------------------------------------------------
@@ -308,30 +314,38 @@ def checkpoint_candidates(directory: str, prefix: str = "ckpt") -> list[str]:
             for _, name in sorted(found, reverse=True)]
 
 
-def latest_checkpoint(directory: str, prefix: str = "ckpt",
-                      validate: bool = False) -> str | None:
-    """Path of the highest-step ``<prefix>_<step>.npz`` in ``directory``.
+def _readable(candidates: list[str]):
+    """``(path, loaded archive)`` of every candidate that loads, in order.
 
-    With ``validate=True`` each candidate is opened (newest first) and the
-    first one that actually loads is returned — a worker killed mid-write
-    or a torn filesystem must never poison its own resume, so corrupt or
-    truncated archives are warned about and skipped in favor of the
-    next-newest rotation.
+    A worker killed mid-write or a torn filesystem must never poison its
+    own resume: corrupt or truncated archives are warned about and
+    skipped in favor of the next-newest rotation.
     """
-    candidates = checkpoint_candidates(directory, prefix)
-    if not validate:
-        return candidates[0] if candidates else None
     for path in candidates:
         try:
-            load_checkpoint(path)
+            data = load_checkpoint(path)
         except CheckpointError as exc:
             warnings.warn(
                 f"skipping unreadable checkpoint {path!r} ({exc}); "
                 "falling back to the next-newest rotation",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-            continue
+        else:
+            yield path, data
+
+
+def latest_checkpoint(directory: str, prefix: str = "ckpt",
+                      validate: bool = False) -> str | None:
+    """Path of the highest-step ``<prefix>_<step>.npz`` in ``directory``.
+
+    With ``validate=True`` each candidate is opened (newest first) and the
+    first one that actually loads is returned (see :func:`_readable`).
+    """
+    candidates = checkpoint_candidates(directory, prefix)
+    if not validate:
+        return candidates[0] if candidates else None
+    for path, _ in _readable(candidates):
         return path
     return None
 
@@ -357,10 +371,11 @@ class CheckpointManager:
     def path_for(self, step: int) -> str:
         return os.path.join(self.directory, f"{self.prefix}_{step:010d}.npz")
 
-    def save(self, step: int, metadata: dict | None = None) -> str:
-        meta = {"step": step, "t": self.solver.t}
-        meta.update(metadata or {})
-        path = save_checkpoint(self.path_for(step), self.solver, self.lts, meta)
+    def save(self, step: int, metadata: dict | None = None, state: dict | None = None) -> str:
+        """Write rotation ``step``; ``state`` as in :func:`save_checkpoint`."""
+        t = self.solver.t if state is None else float(state["t"])
+        meta = {"step": step, "t": t, **(metadata or {})}
+        path = save_checkpoint(self.path_for(step), self.solver, self.lts, meta, state)
         self._prune()
         return path
 
@@ -375,27 +390,9 @@ class CheckpointManager:
         next-newest archive; a fingerprint mismatch under ``strict`` still
         raises — that is a different problem, not a damaged file.
         """
-        for path in checkpoint_candidates(self.directory, self.prefix):
-            try:
-                data = load_checkpoint(path)
-            except CheckpointError as exc:
-                warnings.warn(
-                    f"skipping unreadable checkpoint {path!r} ({exc}); "
-                    "falling back to the next-newest rotation",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            if strict:
-                want = fingerprint(self.solver)
-                if data["fingerprint"] != want:
-                    raise CheckpointError(
-                        f"checkpoint {path!r} was saved from a different "
-                        f"problem (fingerprint {data['fingerprint'][:12]}… != "
-                        f"solver {want[:12]}…); refusing to restore"
-                    )
-            restore_state(self.solver, data["state"], self.lts)
-            return data["metadata"]
+        for path, data in _readable(
+                checkpoint_candidates(self.directory, self.prefix)):
+            return _restore_loaded(data, path, self.solver, self.lts, strict)
         return None
 
     def _prune(self) -> None:

@@ -11,6 +11,11 @@ behind the :class:`~repro.core.kernels.SpatialOperator` interface, and
 :func:`use_reference_kernels` swaps it into a serial solver, so
 ``tests/test_kernels.py`` can compare kernels and whole trajectories
 against it.  Not selectable at runtime.
+
+:func:`energy_oracle` is the same kind of oracle for
+:meth:`CoupledSolver.energy`: the per-material loop the runtime ran
+before the energy became one contraction against a cached coefficient
+table, moved here verbatim.
 """
 
 from __future__ import annotations
@@ -20,7 +25,12 @@ import numpy as np
 from repro.core.basis import ReferenceElement
 from repro.core.kernels import SpatialOperator
 
-__all__ = ["ck_derivatives", "ReferenceOperator", "use_reference_kernels"]
+__all__ = [
+    "ck_derivatives",
+    "ReferenceOperator",
+    "use_reference_kernels",
+    "energy_oracle",
+]
 
 
 def ck_derivatives(Q: np.ndarray, star: np.ndarray, ref: ReferenceElement) -> np.ndarray:
@@ -172,3 +182,42 @@ def use_reference_kernels(solver):
     solver.op = ReferenceOperator(solver.mesh, solver.order, solver.op.g,
                                   flux_variant=solver.op.flux_variant)
     return solver
+
+
+def energy_oracle(solver) -> float:
+    """Total (elastic + kinetic) discrete energy, one material at a time.
+
+    The stress/velocity ordering matches the state layout of
+    :func:`repro.core.materials.jacobians`.
+    """
+    mesh = solver.mesh
+    e_tot = 0.0
+    for mid, mat in enumerate(mesh.materials):
+        sel = mesh.material_ids == mid
+        if not sel.any():
+            continue
+        Q = solver.Q[sel]
+        detJ = mesh.det_jac[sel]
+        # modal Parseval: int_K f^2 dV = detJ * sum_l coeff_l^2
+        sq = np.einsum("ebn,ebn->en", Q, Q)
+        lam, mu, rho = mat.lam, mat.mu, mat.rho
+        kinetic = 0.5 * rho * sq[:, 6:9].sum(axis=1)
+        if mat.is_acoustic:
+            # p = -sigma_kk/3; acoustic energy p^2 / (2K): use mean stress
+            trace_sq = np.einsum("eb,eb->e", Q[:, :, :3].sum(axis=2), Q[:, :, :3].sum(axis=2))
+            elastic_e = trace_sq / (9.0 * 2.0 * lam)
+        else:
+            # isotropic compliance: eps = S sigma;  e = 1/2 sigma:S:sigma
+            E_mod = mu * (3 * lam + 2 * mu) / (lam + mu)
+            nu = lam / (2 * (lam + mu))
+            s = Q[:, :, :6]
+            sxx, syy, szz = s[:, :, 0], s[:, :, 1], s[:, :, 2]
+            sxy, syz, sxz = s[:, :, 3], s[:, :, 4], s[:, :, 5]
+            e_dens = (
+                (sxx**2 + syy**2 + szz**2).sum(axis=1)
+                - 2 * nu * (sxx * syy + syy * szz + sxx * szz).sum(axis=1)
+                + 2 * (1 + nu) * (sxy**2 + syz**2 + sxz**2).sum(axis=1)
+            ) / (2 * E_mod)
+            elastic_e = e_dens
+        e_tot += float(np.sum(detJ * (kinetic + elastic_e)))
+    return e_tot

@@ -127,6 +127,105 @@ class TestWatchdog:
         assert total_energy(solver) > solver.energy()
 
 
+class TestWatchdogSweepCost:
+    def test_one_sweep_reads_energy_once_and_never_rescans_dt_elem(self):
+        """Count-based budget of ``Watchdog.check``: one ``solver.energy``
+        evaluation per sweep, and the static admissible CFL step is taken
+        at construction, not re-reduced from ``dt_elem`` per sweep."""
+        from repro.obs.metrics import get_metrics
+
+        class CountingMin(np.ndarray):
+            calls = 0
+
+            def min(self, *args, **kwargs):
+                CountingMin.calls += 1
+                return super().min(*args, **kwargs)
+
+        solver = build_closed_passive()
+        solver.dt_elem = solver.dt_elem.view(CountingMin)
+        wd = Watchdog(solver)
+        assert CountingMin.calls == 1  # construction
+        energy_calls = []
+        real_energy = solver.energy
+        solver.energy = lambda: energy_calls.append(1) or real_energy()
+        met = get_metrics()
+        met.reset()
+        met.enable()  # the gauge path used to reduce dt_elem a second time
+        try:
+            for n in range(1, 4):
+                solver.step()
+                assert wd.check(dt=solver.dt, step=n).ok
+                assert len(energy_calls) == n
+            margin = met.compact()["gauges"]["health/cfl_margin"]["value"]
+            assert margin == pytest.approx(0.0)
+        finally:
+            met.disable()
+            met.reset()
+        assert CountingMin.calls == 1
+        assert not wd.check(dt=2.0 * solver.dt).ok  # the cached bound still bites
+
+
+class TestSingleCapture:
+    """A checkpointing segment captures the state once: the archive is
+    written from the rollback snapshot, not from a second capture."""
+
+    def _runner(self, tmp_path):
+        return ResilientRunner(
+            build_coupled(), checkpoint_every=0.05,
+            checkpoint_dir=str(tmp_path), verbose=False,
+        )
+
+    def test_one_capture_per_segment(self, tmp_path, monkeypatch):
+        import repro.core.resilience as resilience
+        import repro.io.checkpoint as checkpoint
+
+        calls = {"runner": 0, "io": 0}
+
+        def counting(where, real):
+            def capture(solver, lts=None):
+                calls[where] += 1
+                return real(solver, lts)
+            return capture
+
+        monkeypatch.setattr(resilience, "capture_state",
+                            counting("runner", resilience.capture_state))
+        monkeypatch.setattr(checkpoint, "capture_state",
+                            counting("io", checkpoint.capture_state))
+        runner = self._runner(tmp_path)
+        runner.run(0.15)
+        assert len(runner.checkpoints_written) == 3
+        # the snapshot run() enters with, then one per segment
+        assert calls == {"runner": 1 + 3, "io": 0}
+
+    def test_archive_equals_rollback_snapshot_not_live_state(self, tmp_path):
+        from repro.io.checkpoint import load_checkpoint
+        from repro.sched import HookBus
+
+        runner = self._runner(tmp_path)
+        snaps = []
+        real_snapshot = runner._snapshot
+        runner._snapshot = lambda: snaps.append(real_snapshot()) or snaps[-1]
+        # subscribers of the caller's bus fire before the checkpoint write:
+        # whatever they do to the solver must not reach the archive
+        hooks = HookBus()
+
+        @hooks.on_segment_end
+        def scribble(solver):
+            solver.Q += 1.0
+            solver.gravity.eta += 1.0
+
+        runner.run(0.05, hooks=hooks)
+        (path,) = runner.checkpoints_written
+        on_disk = load_checkpoint(path)["state"]
+        state = snaps[-1]["state"]
+        assert sorted(on_disk) == sorted(state)
+        for key, arr in state.items():
+            assert np.array_equal(on_disk[key], arr), key
+        assert not np.array_equal(on_disk["Q"], runner.solver.Q)
+        assert not np.array_equal(on_disk["gravity_eta"],
+                                  runner.solver.gravity.eta)
+
+
 class TestRecovery:
     def test_injected_nan_triggers_rollback_and_run_completes(self):
         solver = build_coupled()

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.health import total_energy
 from repro.core.materials import acoustic, elastic
 from repro.core.riemann import FaceKind
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
 from repro.mesh.generators import box_mesh, layered_ocean_mesh
 
-from .conftest import l2_error
+from .conftest import l2_error, random_material
+from .reference_kernels import energy_oracle
 
 ROCK1 = elastic(1.0, 2.0, 1.0)
 
@@ -151,6 +155,145 @@ class TestEnergy:
             energies[kind] = s.energy() / e0
         assert energies[FaceKind.WALL] > 3 * energies[FaceKind.ABSORBING]
         assert energies[FaceKind.WALL] > 0.5
+
+
+SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
+
+
+def three_material_mesh(mats):
+    """Graded box, two elastic layers under an acoustic one: unequal
+    ``detJ`` and every branch of the energy coefficient table."""
+    xs = np.array([0.0, 300.0, 700.0, 1000.0])
+    zs = np.array([-900.0, -600.0, -350.0, -150.0, 0.0])
+    return box_mesh(
+        xs, xs, zs, mats,
+        material_id=lambda c: np.digitize(c[:, 2], [-600.0, -150.0]),
+    )
+
+
+def random_state(rng, shape):
+    """Random modal state with stresses and velocities of comparable energy."""
+    Q = rng.normal(size=shape)
+    Q[..., :6] *= 1e6
+    return Q
+
+
+class TestEnergyQuadraticForm:
+    """``CoupledSolver.energy`` is one contraction of ``Q`` against a cached
+    per-element coefficient table; the per-material loop it replaced is
+    the oracle (``tests/reference_kernels.py``)."""
+
+    @staticmethod
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        mats = [random_material(rng, "elastic"), random_material(rng, "elastic"),
+                random_material(rng, "acoustic")]
+        return rng, mats
+
+    @given(SEEDS)
+    @settings(max_examples=10, deadline=None)
+    def test_matches_oracle_before_and_after_renumbering(self, seed):
+        rng, mats = self.draw(seed)
+        s = CoupledSolver(three_material_mesh(mats), order=2)
+        assert len(np.unique(s.mesh.material_ids)) == 3
+        s.Q = random_state(rng, s.Q.shape)
+        e = s.energy()
+        assert e == pytest.approx(energy_oracle(s), rel=1e-12)
+
+        # the table must follow the numbering the solver was built on
+        perm = rng.permutation(s.mesh.n_elements)
+        mesh = three_material_mesh(mats)
+        mesh.renumber_elements(perm)
+        r = CoupledSolver(mesh, order=2)
+        r.Q = s.Q[perm]
+        assert np.array_equal(r._energy_coeff, s._energy_coeff[perm])
+        assert r.energy() == pytest.approx(energy_oracle(r), rel=1e-12)
+        assert r.energy() == pytest.approx(e, rel=1e-12)
+
+    @given(SEEDS)
+    @settings(max_examples=10, deadline=None)
+    def test_nonnegative_homogeneous_and_additive(self, seed):
+        rng, mats = self.draw(seed)
+        s = CoupledSolver(three_material_mesh(mats), order=1)
+        Q = random_state(rng, s.Q.shape)
+
+        def energy_of(state):
+            s.Q = state
+            return s.energy()
+
+        e = energy_of(Q)
+        assert e > 0.0 and energy_of(np.zeros_like(Q)) == 0.0
+        a = float(rng.uniform(0.1, 10.0))
+        assert energy_of(a * Q) == pytest.approx(a * a * e, rel=1e-13)
+        # disjoint element supports: no cross terms between elements
+        part = (rng.random(len(Q)) < 0.5)[:, None, None]
+        e_in, e_out = energy_of(Q * part), energy_of(Q * ~part)
+        assert e_in >= 0.0 and e_out >= 0.0
+        assert e_in + e_out == pytest.approx(e, rel=1e-13)
+
+    @given(SEEDS)
+    @settings(max_examples=10, deadline=None)
+    def test_definite_on_elastic_elements(self, seed):
+        """``E(Q) = 0 <=> Q = 0`` wherever the compliance is positive
+        definite (``cp^2 > 4 cs^2 / 3``, i.e. a positive bulk modulus)."""
+        rng = np.random.default_rng(seed)
+        mat = random_material(rng, "elastic")
+        assert mat.cp**2 > 4.0 * mat.cs**2 / 3.0
+        xs = np.linspace(0.0, 1000.0, 3)
+        s = CoupledSolver(box_mesh(xs, xs, xs, [mat]), order=1)
+        # the per-element form, as a 9 x 9 matrix, has only positive
+        # eigenvalues on every element
+        for c in s._energy_coeff:
+            H = np.diag(c[:9])
+            H[:3, :3] += c[9]
+            assert np.linalg.eigvalsh(H).min() > 0.0
+        # its softest direction is the hydrostatic one: e = p^2 / 2K
+        p = float(rng.uniform(1e5, 1e7))
+        s.set_initial_condition(
+            lambda x: np.tile([p, p, p, 0, 0, 0, 0, 0, 0], (len(x), 1)))
+        K = mat.lam + 2.0 * mat.mu / 3.0
+        assert s.energy() == pytest.approx(
+            p * p * s.mesh.volumes.sum() / (2.0 * K), rel=1e-12)
+
+    def test_acoustic_form_is_only_semidefinite(self):
+        """An inviscid fluid stores energy in pressure and motion only: a
+        deviatoric stress state has none, so ``E = 0`` does not imply
+        ``Q = 0`` there."""
+        xs = np.linspace(0.0, 1000.0, 3)
+        s = CoupledSolver(box_mesh(xs, xs, xs, [acoustic(1000.0, 1500.0)]), order=1)
+        s.set_initial_condition(
+            lambda x: np.tile([1e6, -1e6, 0, 3e5, 2e5, 1e5, 0, 0, 0], (len(x), 1)))
+        assert s.Q.any() and s.energy() == pytest.approx(0.0, abs=1e-9)
+
+    @given(SEEDS)
+    @settings(max_examples=5, deadline=None)
+    def test_total_energy_non_increasing_under_gravity_surface(self, seed):
+        """Godunov fluxes dissipate (paper Sec. 4.2): on a closed passive
+        elastic-over-acoustic box the volume energy plus the sea-surface
+        potential never grows — while the volume energy alone does, fed
+        by the initial sea-surface hump."""
+        rng = np.random.default_rng(seed)
+        xs = np.linspace(0.0, 2000.0, 4)
+        mesh = layered_ocean_mesh(
+            xs, xs,
+            zs_earth=np.linspace(-1500.0, -500.0, 3),
+            zs_ocean=np.linspace(-500.0, 0.0, 2),
+            earth=random_material(rng, "elastic"),
+            ocean=random_material(rng, "acoustic"),
+        )
+        mesh.tag_boundary(ocean_surface_gravity_tagger(mesh, lateral=FaceKind.WALL))
+        s = CoupledSolver(mesh, order=2)
+        pts = s.gravity.points
+        r2 = (pts[..., 0] - 1000.0) ** 2 + (pts[..., 1] - 1000.0) ** 2
+        s.gravity.eta[...] = np.exp(-r2 / (2 * 400.0**2))
+        assert s.energy() == 0.0
+        total = [total_energy(s)]
+        for _ in range(10):
+            s.step()
+            total.append(total_energy(s))
+        total = np.array(total)
+        assert (np.diff(total) <= 1e-12 * total[0]).all()
+        assert s.energy() > 0.0 and total[-1] > 0.99 * total[0]
 
 
 class TestCoupledInterface:

@@ -19,9 +19,10 @@ into retry exhaustion (:class:`~repro.core.health.SimulationDiverged`).
 
 Process-level faults drive the *multi-process* supervision tree of
 :mod:`repro.ensemble` — these fire inside an ensemble worker process and
-are scoped to a specific *attempt* (process incarnation), because a
-respawned worker receives a fresh copy of the injector and per-process
-``fired`` counters cannot carry over:
+are scoped to a specific *attempt*, because every attempt is pickled to
+its worker on its own: it starts from a fresh copy of the injector, and
+``fired`` counters cannot carry over — not to a retry, and not to the
+next member a reused worker runs:
 
 * :meth:`kill_process` — ``SIGKILL`` the worker at step K (an OOM-killer /
   node-failure stand-in; no cleanup, no exit handler);

@@ -9,15 +9,17 @@ that driver:
   builder name + perturbation + seed) and the builder registry;
 * :mod:`repro.ensemble.builders` — built-in quickstart / Scenario-A /
   Palu member builders;
-* :mod:`repro.ensemble.worker` — the spawn entry point: one attempt per
-  process incarnation, heartbeats over a queue, durable per-member run
+* :mod:`repro.ensemble.worker` — the spawn entry point: a persistent
+  worker that runs the attempts sent down its pipe (imports once, plan
+  cache stays warm), heartbeats up the same pipe, durable per-member run
   logs, atomic digested result files;
 * :mod:`repro.ensemble.retry` — the escalation ladder (exponential
   backoff with deterministic jitter → checkpoint-resume → dt-scale
   reduction → quarantine);
 * :mod:`repro.ensemble.supervisor` — the parent-side supervision tree:
-  heartbeat-timeout hang detection, exit-code death detection, result
-  validation, graceful degradation to in-process execution;
+  a pool of persistent workers woken by events, heartbeat-timeout hang
+  detection, death detection, result validation, a retired worker per
+  strike, graceful degradation to in-process execution;
 * :mod:`repro.ensemble.result` — per-member status records and the
   always-complete :class:`EnsembleResult`.
 

@@ -4,16 +4,19 @@ A :class:`MemberSpec` is the *complete, picklable* description of one
 ensemble member: which registered scenario builder to instantiate, the
 perturbation applied to it (source location, slip, friction, bathymetry —
 the axes of the paper's Palu hazard ensembles), the member's seed, and the
-run/supervision knobs.  Specs cross the ``multiprocessing`` spawn boundary
-by value, so they reference builders *by name* through a module-level
-registry rather than carrying closures; a freshly spawned interpreter
-resolves the name again after importing :mod:`repro.ensemble`.
+run/supervision knobs.  Specs cross the process boundary by value — one
+pickle per attempt, down the worker's pipe — so they reference builders
+*by name* through a module-level registry rather than carrying closures;
+a worker resolves the name in the registry it populated when it imported
+:mod:`repro.ensemble`.
 
 Builders follow Devito's memoized build-once/replay-per-member operator
 idiom (SNIPPETS.md §1): the expensive, member-invariant machinery (basis
 tables, operator plan compilation) is shared through the existing
 fingerprint-keyed plan cache, so instantiating member ``k+1`` of the same
-mesh family is much cheaper than member ``0``.
+mesh family is much cheaper than member ``0``.  The cache is per process
+and ensemble workers are persistent, so that holds for the members a
+worker runs one after another as it does for ``workers=0``.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ class MemberSpec:
     """One ensemble member: scenario builder name + perturbation + seed.
 
     Everything a worker process needs to execute the member is in here
-    (the spec is pickled to the child on spawn); everything the
+    (the spec is pickled to the worker with every attempt, so a retry
+    starts from the spec — and the injector — as written); everything the
     *supervisor* needs to retry it deterministically is here too —
     re-running the same spec produces a bitwise-identical trajectory,
     which is what lets the chaos tests compare recovered members against
@@ -112,7 +116,7 @@ class MemberSpec:
     #: emit a heartbeat to the supervisor every N scheduler sync points
     heartbeat_every: int = 1
     #: enable the typed metric registry for this member: compact snapshots
-    #: piggyback on heartbeat queue messages and land as durable
+    #: piggyback on heartbeat messages and land as durable
     #: ``metrics`` run-log records (the fleet aggregator's feed)
     metrics: bool = True
     #: record a span timeline and export ``trace.json`` into the member

@@ -1,23 +1,38 @@
-"""The ensemble supervisor: spawn, watch, retry, quarantine — never crash.
+"""The ensemble supervisor: assign, watch, retry, quarantine — never crash.
 
 :class:`Supervisor` shards :class:`~repro.ensemble.spec.MemberSpec`\\ s
-across OS worker processes (``multiprocessing`` spawn) and keeps the
-fleet healthy under real failures:
+across persistent OS worker processes (``multiprocessing`` spawn; at most
+``workers`` of them, started inside :meth:`Supervisor.run` as members
+come due) and keeps the fleet healthy under real failures.  A worker
+pays the interpreter start and ``import repro`` once and keeps its plan
+cache warm from one member to the next; every attempt is sent down the
+worker's own pipe, pickled, so it starts from a fresh spec and injector:
 
-* **heartbeats** — every worker reports per-sync-point liveness over a
-  shared queue; a member that stops beating for ``member_timeout``
-  seconds is declared hung, SIGKILLed, and retried;
-* **deaths** — a nonzero or signal exit code (kill -9, OOM, segfault) is
-  a strike; the member retries under the
-  :class:`~repro.ensemble.retry.RetryPolicy` escalation ladder
-  (backoff-with-jitter → checkpoint-resume → dt-scale reduction);
-* **corrupt results** — a worker that exits 0 without publishing a valid
-  result file (torn write, stale attempt) is treated exactly like a
-  death;
+* **heartbeats** — a worker reports per-sync-point liveness up its pipe;
+  a member that stops beating for ``member_timeout`` seconds is declared
+  hung, its worker SIGKILLed, and the member retried;
+* **deaths** — a worker that dies while holding a member (kill -9, OOM,
+  segfault, an unhandled exception's exit status 3) is a strike; the
+  member retries under the :class:`~repro.ensemble.retry.RetryPolicy`
+  escalation ladder (backoff-with-jitter → checkpoint-resume → dt-scale
+  reduction).  A worker that dies idle costs nothing: the next member
+  gets a new one;
+* **corrupt results** — an attempt that reports ``done`` without a valid
+  result file of its own (torn write, stale attempt) is treated exactly
+  like a death;
+* **clean retries** — the worker of any struck attempt is retired, alive
+  or not, so a retry never runs in the interpreter that failed it; only
+  a worker whose every attempt succeeded is reused;
 * **quarantine** — a member that exhausts its strikes is retired with its
   full attempt history as a diagnosis; the rest of the fleet keeps
   running and the driver still terminates with a complete
   :class:`~repro.ensemble.result.EnsembleResult`.
+
+The supervisor sleeps in ``multiprocessing.connection.wait`` on the busy
+workers' pipes and every worker's sentinel, so a finished member or a
+dead worker wakes it at once; ``poll_interval`` is only how often it
+looks for heartbeat silence.  Every worker is joined before ``run()``
+returns.
 
 Graceful degradation goes one level further: when process spawning
 itself is unavailable (restricted containers, ``workers=0``), the
@@ -36,8 +51,9 @@ from __future__ import annotations
 import copy
 import multiprocessing
 import os
-import queue as queue_mod
 import time
+from functools import partial
+from types import SimpleNamespace
 
 from ..core.health.inject import InjectedHang, InjectedWorkerDeath
 from ..obs.blackbox import (
@@ -53,7 +69,7 @@ from ..obs.runlog import RunLog
 from .result import EnsembleResult, MemberResult
 from .retry import RetryPolicy
 from .spec import MemberSpec
-from .worker import child_main, load_result, member_paths, run_member
+from .worker import load_result, member_paths, run_member, worker_main
 
 __all__ = ["Supervisor"]
 
@@ -62,13 +78,15 @@ ENSEMBLE_RESULT = "ensemble.json"
 
 #: seconds between periodic fleet.prom/fleet.jsonl exports mid-run
 METRICS_EXPORT_EVERY = 2.0
+#: seconds a worker told to exit gets before it is killed
+REAP_GRACE_S = 5.0
 
 
 class _Member:
     """Supervision bookkeeping for one member (parent-side only)."""
 
     __slots__ = (
-        "spec", "paths", "proc", "attempts", "strikes", "history",
+        "spec", "paths", "attempts", "strikes", "history",
         "next_start", "resume", "dt_scale", "last_beat", "first_wall",
         "last_error", "result", "last_metrics",
     )
@@ -76,7 +94,6 @@ class _Member:
     def __init__(self, spec: MemberSpec, out_dir: str):
         self.spec = spec
         self.paths = member_paths(out_dir, spec.member_id)
-        self.proc = None
         self.attempts = 0
         self.strikes = 0
         self.history: list[dict] = []
@@ -94,6 +111,37 @@ class _Member:
         return self.result is not None
 
 
+class _Worker:
+    """One persistent worker process, seen from the parent: its pipe and
+    the member whose attempt it is running (``None``: idle)."""
+
+    __slots__ = ("proc", "conn", "member")
+
+    def __init__(self, proc, conn):
+        self.proc = proc
+        self.conn = conn
+        self.member: _Member | None = None
+
+
+def _reap(workers) -> None:
+    """Tell ``workers`` to exit (one already dead or killed cannot hear
+    it) and join them — killing any that outlives the grace period — so
+    their CPU time and peak memory are on the parent's books."""
+    for w in workers:
+        try:
+            w.conn.send(None)
+        except OSError:
+            pass
+    deadline = time.monotonic() + REAP_GRACE_S
+    for w in workers:
+        w.proc.join(max(0.0, deadline - time.monotonic()))
+        if w.proc.exitcode is None:
+            w.proc.kill()
+            w.proc.join()
+        w.proc.close()
+        w.conn.close()
+
+
 class Supervisor:
     """Fault-tolerant multi-process driver for an ensemble of members.
 
@@ -102,14 +150,14 @@ class Supervisor:
     specs:
         The ensemble members.  Member ids must be unique.
     workers:
-        Concurrent worker processes; ``0`` forces degraded in-process
-        execution (no spawn).
+        Most worker processes alive at once, each running one member at
+        a time; ``0`` forces degraded in-process execution (no spawn).
     retry:
         The process-level :class:`RetryPolicy` (strikes, backoff,
         escalation).
     member_timeout:
         Seconds without a heartbeat before a running member is declared
-        hung and killed.
+        hung and its worker killed.
     out_dir:
         Root for all artifacts: ``<out_dir>/<member_id>/`` per member,
         plus the ensemble run log and result JSON.
@@ -118,7 +166,10 @@ class Supervisor:
         ``<out_dir>/ensemble.jsonl`` itself.
     start_method:
         ``multiprocessing`` start method (default ``spawn``: a clean
-        interpreter per attempt, no inherited solver state).
+        interpreter per worker, no inherited solver state).
+    poll_interval:
+        Longest the supervisor sleeps before looking for heartbeat
+        silence; worker messages and deaths wake it at once.
     """
 
     def __init__(
@@ -173,9 +224,11 @@ class Supervisor:
             else:
                 self._run_multiprocess(members, log)
         finally:
+            # over the members that reached a terminal state — all of them,
+            # unless a driver-level error is on its way up
             wall_s = time.perf_counter() - wall0
             result = EnsembleResult(
-                members=[m.result for m in members],
+                members=[m.result for m in members if m.done],
                 wall_s=wall_s,
                 workers=max(self.workers, 1),
                 runlog_path=log.path,
@@ -195,124 +248,169 @@ class Supervisor:
 
     # -- multi-process mode --------------------------------------------
     def _run_multiprocess(self, members, log) -> None:
+        # sockets + selectors, 3 ms: paid here, not by `import repro`
+        from multiprocessing.connection import wait
+
         _ensure_child_import_path()
         ctx = multiprocessing.get_context(self.start_method)
-        beats = ctx.Queue()
-        active: list[_Member] = []
+        pool: list[_Worker] = []
         pending = list(members)
         try:
-            while pending or active:
+            while True:
                 now = time.monotonic()
-                # launch members whose backoff gate has passed
-                while pending and len(active) < self.workers:
-                    due = [m for m in pending if m.next_start <= now]
-                    if not due:
+                # hand each free worker the next member whose backoff gate
+                # has passed
+                while pending:
+                    m = next((m for m in pending if m.next_start <= now), None)
+                    if m is None:
                         break
-                    m = due[0]
-                    pending.remove(m)
-                    if self._launch(m, ctx, beats, log):
-                        active.append(m)
-                    elif not m.done:
-                        # spawn unavailable: degrade this member in-process
-                        self._attempt_in_process(m, log)
-                        if not m.done:
-                            pending.append(m)
-                self._drain(beats, members)
-                now = time.monotonic()
-                for m in list(active):
-                    if m.proc.exitcode is not None:
-                        active.remove(m)
-                        m.proc.join()
-                        self._classify_exit(m, log)
-                    elif now - m.last_beat > self.member_timeout:
-                        m.proc.kill()
-                        m.proc.join()
-                        active.remove(m)
+                    w = next((w for w in pool if w.member is None), None)
+                    if w is None and len(pool) >= self.workers:
+                        break
+                    if m.first_wall is None:
+                        # there is room for m: its clock starts here, so a
+                        # spawn made for it is on its bill
+                        m.first_wall = time.perf_counter()
+                    if w is None:
+                        w = self._spawn(ctx)
+                        if w is None:
+                            # spawn unavailable: degrade this member in-process
+                            pending.remove(m)
+                            self._attempt_in_process(m, log)
+                            if not m.done:
+                                pending.append(m)
+                            continue
+                        pool.append(w)
+                    if self._assign(m, w, log):
+                        pending.remove(m)
+                    else:  # it died idle and nobody had noticed
+                        pool.remove(w)
+                        _reap([w])
+                busy = [w for w in pool if w.member is not None]
+                if not busy and not pending:
+                    break
+                timeout = self.poll_interval if busy else 0.5
+                if pending and len(busy) < self.workers:
+                    # room, but everyone pending is backing off: sleep no
+                    # longer than until the next gate
+                    gate = min(m.next_start for m in pending)
+                    timeout = max(0.0, min(timeout, gate - time.monotonic()))
+                wait([w.conn for w in busy]
+                     + [w.proc.sentinel for w in pool], timeout)
+                for w in busy:
+                    m = w.member
+                    # read before draining: whatever a worker found dead
+                    # here had to say is in the pipe by now
+                    code = w.proc.exitcode
+                    # no retry runs where an attempt failed: only a worker
+                    # whose attempt succeeded stays in the pool
+                    keep = False
+                    if self._drain(w):
+                        # `done`: the attempt ran to its end, which is what
+                        # exit code 0 used to say
+                        w.member = None
+                        keep = self._classify_exit(m, log, 0)
+                    elif code is not None:
+                        self._classify_exit(m, log, code)
+                    elif time.monotonic() - m.last_beat > self.member_timeout:
+                        w.proc.kill()
+                        w.proc.join()
                         self._strike(
                             m, log,
                             f"heartbeat_timeout after {self.member_timeout:g}s",
                         )
                     else:
                         continue
+                    if not keep:
+                        pool.remove(w)
+                        _reap([w])
                     if not m.done:  # retry scheduled: back into the pool
                         pending.append(m)
+                # a worker that died idle cost nobody an attempt
+                for w in [w for w in pool if w.member is None
+                          and w.proc.exitcode is not None]:
+                    pool.remove(w)
+                    _reap([w])
                 self._export_metrics()
-                if pending and not active:
-                    # everyone is backing off; sleep until the next gate
-                    gate = min(m.next_start for m in pending)
-                    time.sleep(max(0.0, min(gate - time.monotonic(), 0.5)))
-                else:
-                    time.sleep(self.poll_interval)
         finally:
-            for m in members:
-                if m.proc is not None and m.proc.exitcode is None:
-                    m.proc.kill()
-                    m.proc.join()
-            beats.close()
-            beats.join_thread()
+            # every child is reaped before run() returns; one still holding
+            # a member (only when an error is on its way up) is killed
+            for w in pool:
+                if w.member is not None:
+                    w.proc.kill()
+            _reap(pool)
 
-    def _launch(self, m: _Member, ctx, beats, log) -> bool:
-        m.attempts += 1
-        if m.first_wall is None:
-            m.first_wall = time.perf_counter()
+    def _spawn(self, ctx) -> _Worker | None:
+        """Start one persistent worker; ``None`` when spawning fails."""
+        conn, child_conn = ctx.Pipe()
         try:
-            proc = ctx.Process(
-                target=child_main,
-                args=(m.spec, m.paths["dir"], beats, m.attempts, m.resume,
-                      m.dt_scale),
-                daemon=True,
-            )
+            proc = ctx.Process(target=worker_main, args=(child_conn,),
+                               daemon=True)
             proc.start()
         except (OSError, ValueError) as exc:
-            m.attempts -= 1
+            conn.close()
             if self.verbose:
-                print(f"[ensemble] spawn failed ({exc}); degrading "
-                      f"{m.spec.member_id} to in-process execution")
+                print(f"[ensemble] spawn failed ({exc}); degrading to "
+                      "in-process execution")
+            return None
+        finally:
+            child_conn.close()  # the child holds its own copy
+        return _Worker(proc, conn)
+
+    def _assign(self, m: _Member, w: _Worker, log) -> bool:
+        """Send ``m``'s next attempt to the idle worker ``w``; ``False``
+        when the worker turns out to be dead (nothing is charged to ``m``).
+        """
+        try:
+            w.conn.send((m.spec, m.paths["dir"], m.attempts + 1, m.resume,
+                         m.dt_scale))
+        except OSError:
             return False
-        m.proc = proc
+        w.member = m
+        m.attempts += 1
         m.last_beat = time.monotonic()
+        m.last_error = None
         self.aggregator.update(m.spec.member_id, None, state="running")
         log.emit("member_start", member=m.spec.member_id, attempt=m.attempts,
-                 scenario=m.spec.builder, pid=proc.pid,
+                 scenario=m.spec.builder, pid=w.proc.pid,
                  metrics=self._brief(m))
         if self.verbose:
             print(f"[ensemble] {m.spec.member_id}: attempt {m.attempts} "
-                  f"(pid {proc.pid}, resume={m.resume}, "
+                  f"(pid {w.proc.pid}, resume={m.resume}, "
                   f"dt_scale={m.dt_scale:g})")
         return True
 
-    def _drain(self, beats, members) -> None:
-        by_id = {m.spec.member_id: m for m in members}
+    def _drain(self, w: _Worker) -> bool:
+        """Take in what ``w`` has sent about the member it holds; ``True``
+        once its ``done`` message is in."""
+        m = w.member
         while True:
             try:
-                msg = beats.get_nowait()
-            except (queue_mod.Empty, OSError, EOFError):
-                return
-            m = by_id.get(msg.get("member"))
-            if m is None:
-                continue
+                if not w.conn.poll():
+                    return False
+                msg = w.conn.recv()
+            except (EOFError, OSError):
+                return False  # it died; its sentinel says how
             m.last_beat = time.monotonic()
-            snap = msg.get("metrics")
-            if isinstance(snap, dict):
-                m.last_metrics = snap
-            self.aggregator.update(m.spec.member_id, snap
-                                   if isinstance(snap, dict) else None,
-                                   wall=msg.get("wall"))
+            self._heard(m, msg)
             if msg.get("kind") == "error":
                 m.last_error = msg.get("error")
+            elif msg.get("kind") == "done":
+                return True
 
-    def _classify_exit(self, m: _Member, log) -> None:
-        code = m.proc.exitcode
+    def _classify_exit(self, m: _Member, log, code: int) -> bool:
+        """Book the end of ``m``'s attempt; ``True`` when it succeeded."""
         if code == 0:
             result = load_result(m.paths["result"])
             if result is None or result.get("attempt") != m.attempts:
-                # exit 0 but no usable result for THIS attempt: a torn or
-                # stale publish — strike it like a death
+                # ran to its end but no usable result for THIS attempt: a
+                # torn or stale publish — strike it like a death
                 self._strike(m, log, "corrupt_result")
             elif result.get("status") == "diverged":
                 self._strike(m, log, f"diverged: {result.get('diverged')}")
             else:
                 self._succeed(m, log, result)
+                return True
         elif code < 0:
             self._strike(m, log, f"killed by signal {-code}")
         else:
@@ -320,8 +418,19 @@ class Supervisor:
             if m.last_error:
                 reason += f" ({m.last_error})"
             self._strike(m, log, reason)
+        return False
 
     # -- fleet metrics -------------------------------------------------
+    def _heard(self, m: _Member, msg: dict) -> None:
+        """Book the metric snapshot of a worker message: supervisor events
+        carry metric briefs and ``fleet.prom`` stays live off these."""
+        snap = msg.get("metrics")
+        if isinstance(snap, dict):
+            m.last_metrics = snap
+        else:
+            snap = None
+        self.aggregator.update(m.spec.member_id, snap, wall=msg.get("wall"))
+
     def _brief(self, m: _Member) -> dict:
         """The member's last metrics digest (step/sim_t/energy drift) for
         embedding in supervisor run-log events — a quarantine record must
@@ -342,24 +451,6 @@ class Supervisor:
             pass  # an unwritable exporter must never take down the fleet
 
     # -- degraded in-process mode --------------------------------------
-    class _InProcessBeats:
-        """Queue shim for degraded mode: the worker's ``tell()`` messages
-        feed the aggregator directly, so supervisor events carry metric
-        briefs and ``fleet.prom`` stays live without a process boundary."""
-
-        def __init__(self, supervisor, member):
-            self._sup = supervisor
-            self._m = member
-
-        def put_nowait(self, msg: dict) -> None:
-            snap = msg.get("metrics")
-            if isinstance(snap, dict):
-                self._m.last_metrics = snap
-            self._sup.aggregator.update(
-                self._m.spec.member_id,
-                snap if isinstance(snap, dict) else None,
-                wall=msg.get("wall"))
-
     def _run_in_process(self, members, log) -> None:
         for m in members:
             while not m.done:
@@ -383,7 +474,10 @@ class Supervisor:
         spec = copy.deepcopy(m.spec)
         try:
             result = run_member(
-                spec, m.paths["dir"], queue=self._InProcessBeats(self, m),
+                spec, m.paths["dir"],
+                # no process boundary: the member's messages are booked as
+                # they are sent
+                channel=SimpleNamespace(send=partial(self._heard, m)),
                 attempt=m.attempts, resume=m.resume, dt_scale=m.dt_scale,
                 in_process=True,
             )

@@ -1,15 +1,20 @@
-"""Ensemble worker: execute one member attempt in a child process.
+"""Ensemble worker: a persistent child process that runs member attempts.
 
-The spawn target (:func:`child_main`) is a plain module-level function —
-``multiprocessing`` spawn pickles the :class:`MemberSpec` by value and
-resolves this function by qualified name in a fresh interpreter.  Inside
-the child, the member runs under the *in-process* supervision PR 1 built
-(:class:`~repro.core.resilience.ResilientRunner`: watchdog, rollback,
-dt backoff, rotating checkpoints), while the parent supervises the
-*process*: every scheduler sync point emits a heartbeat over the queue,
-and the terminal state is published as an atomic ``result.json`` whose
-SHA-256 state digest lets the chaos tests compare a recovered member
-bitwise against its uninterrupted twin.
+The spawn target (:func:`worker_main`) is a plain module-level function
+that ``multiprocessing`` spawn resolves by qualified name in a fresh
+interpreter.  It pays the interpreter start and ``import repro`` once and
+then loops over the attempts the supervisor sends down its pipe, so every
+member after the first finds the imports done and the process-global plan
+cache warm (the build-once / replay-per-member promise of
+:mod:`repro.ensemble.spec`).  Each attempt arrives pickled — spec and
+:class:`~repro.core.health.inject.FaultInjector` by value, so no injector
+counter outlives its attempt — and runs under the *in-process*
+supervision PR 1 built (:class:`~repro.core.resilience.ResilientRunner`:
+watchdog, rollback, dt backoff, rotating checkpoints), while the parent
+supervises the *process*: every scheduler sync point sends a heartbeat up
+the pipe, and the terminal state is published as an atomic
+``result.json`` whose SHA-256 state digest lets the chaos tests compare a
+recovered member bitwise against its uninterrupted twin.
 
 A worker can die at any instruction (that is the point), so everything it
 persists is crash-safe: the per-member run log is ``durable`` (fsync per
@@ -19,6 +24,7 @@ to a pid-keyed temp name and ``os.replace``'d into place.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -46,7 +52,7 @@ __all__ = [
     "state_digest",
     "run_member",
     "load_result",
-    "child_main",
+    "worker_main",
 ]
 
 RESULT_NAME = "result.json"
@@ -93,7 +99,7 @@ def state_digest(solver, lts=None) -> str:
 def run_member(
     spec: MemberSpec,
     member_dir: str,
-    queue=None,
+    channel=None,
     attempt: int = 1,
     resume: bool = False,
     dt_scale: float = 1.0,
@@ -101,8 +107,10 @@ def run_member(
 ) -> dict:
     """Execute one attempt of ``spec``; returns the result dict.
 
-    Runs in a spawned child (via :func:`child_main`) or directly in the
+    Runs in a worker process (via :func:`worker_main`) or directly in the
     parent when the supervisor operates in degraded in-process mode.
+    ``channel`` is where liveness goes: anything with ``send(dict)`` — the
+    worker's pipe to the supervisor, or the in-process shim.
     ``resume`` restores the newest *readable* checkpoint rotation;
     ``dt_scale`` applies the supervisor's escalated timestep scale.
     ``in_process`` makes injected kill/hang faults raise
@@ -112,14 +120,14 @@ def run_member(
 
     With ``spec.metrics`` (the default) the member enables the typed
     metric registry for the attempt: compact snapshots ride on every
-    heartbeat queue message, land as durable ``metrics`` run-log records,
+    heartbeat message, land as durable ``metrics`` run-log records,
     and the final snapshot is stored in the result file.  With
     ``spec.trace`` the member records a span timeline and exports
     ``trace.json`` (wall-clock anchored, so ``obs-trace --merge`` can
     align it with its siblings).  Both registries are process-global, so
-    they are reset per attempt and disabled on the way out — degraded
-    in-process mode runs members sequentially in one interpreter and must
-    not leak one member's metrics into the next.
+    they are reset per attempt and disabled on the way out — a worker (and
+    degraded in-process mode) runs members one after another in one
+    interpreter and must not leak one member's metrics into the next.
     """
     met = get_metrics()
     tel = None
@@ -134,7 +142,7 @@ def run_member(
         tel.enable(trace=True)
     try:
         return _run_member_attempt(
-            spec, member_dir, queue, attempt, resume, dt_scale, in_process,
+            spec, member_dir, channel, attempt, resume, dt_scale, in_process,
             met if spec.metrics else None, tel,
         )
     finally:
@@ -144,7 +152,7 @@ def run_member(
             tel.disable()
 
 
-def _run_member_attempt(spec, member_dir, queue, attempt, resume, dt_scale,
+def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
                         in_process, met, tel) -> dict:
     os.makedirs(member_dir, exist_ok=True)
     paths = member_paths(*os.path.split(member_dir))
@@ -152,13 +160,13 @@ def _run_member_attempt(spec, member_dir, queue, attempt, resume, dt_scale,
     pid = os.getpid()
 
     def tell(kind: str, **fields):
-        if queue is not None:
+        if channel is not None:
             fields.update(kind=kind, member=spec.member_id, attempt=attempt,
                           pid=pid, wall=time.time())
             try:
-                queue.put_nowait(fields)
+                channel.send(fields)
             except Exception:
-                pass  # a full/broken queue must not kill the member
+                pass  # a broken channel must not kill the member
 
     runlog = RunLog(paths["runlog"], durable=True)
     handle = spec.build()
@@ -360,17 +368,24 @@ def load_result(path: str) -> dict | None:
 
 
 # ----------------------------------------------------------------------
-def child_main(spec: MemberSpec, member_dir: str, queue, attempt: int,
-               resume: bool, dt_scale: float) -> None:
-    """Spawn entry point: run the attempt, exit 0 on success.
+def worker_main(conn) -> None:
+    """Spawn entry point: run the attempts the supervisor sends, one at a
+    time, until it sends ``None`` (or hangs up).
 
-    Any unhandled exception is reported over the queue (best effort) and
-    exits with status 3; a watchdog-diagnosed divergence still exits 0 —
-    it published a valid result file carrying ``status="diverged"`` and
-    the supervisor escalates from there.  ``faulthandler`` is armed so a
-    native crash (segfault, abort) still prints every thread's stack to
-    stderr — the last-resort complement to the diagnostic bundles the
-    Python-level paths dump.
+    ``conn`` is this worker's end of a duplex pipe.  Down it come
+    ``(spec, member_dir, attempt, resume, dt_scale)`` tasks, pickled per
+    attempt; up it go the attempt's ``started`` / ``heartbeat`` messages
+    and, last, ``done`` — the attempt ran to its end and published a
+    result file (a watchdog-diagnosed divergence too: its result carries
+    ``status="diverged"`` and the supervisor escalates from there), the
+    worker is free.  Between attempts the solver is dropped and
+    collected, so a worker holds one member's arrays at a time.
+
+    Any unhandled exception is reported up the pipe and ends the process
+    with status 3 — a failed attempt never leaves a worker behind to be
+    reused.  ``faulthandler`` is armed so a native crash (segfault, abort)
+    still prints every thread's stack to stderr — the last-resort
+    complement to the diagnostic bundles the Python-level paths dump.
     """
     try:
         import faulthandler
@@ -378,19 +393,28 @@ def child_main(spec: MemberSpec, member_dir: str, queue, attempt: int,
         faulthandler.enable()
     except Exception:
         pass
-    try:
-        run_member(spec, member_dir, queue=queue, attempt=attempt,
-                   resume=resume, dt_scale=dt_scale)
-    except BaseException as exc:  # noqa: B036 - report then re-raise/exit
+    while True:
         try:
-            if queue is not None:
-                queue.put_nowait({
+            task = conn.recv()
+        except (EOFError, OSError):
+            return  # the supervisor is gone
+        if task is None:
+            return
+        spec, member_dir, attempt, resume, dt_scale = task
+        try:
+            run_member(spec, member_dir, channel=conn, attempt=attempt,
+                       resume=resume, dt_scale=dt_scale)
+        except BaseException as exc:  # noqa: B036 - report then exit
+            try:
+                conn.send({
                     "kind": "error", "member": spec.member_id,
                     "attempt": attempt, "pid": os.getpid(),
                     "wall": time.time(),
                     "error": f"{type(exc).__name__}: {exc}",
                 })
-        except Exception:
-            pass
-        traceback.print_exc(file=sys.stderr)
-        os._exit(3)
+            except Exception:
+                pass
+            traceback.print_exc(file=sys.stderr)
+            os._exit(3)
+        del task, spec
+        gc.collect()

@@ -1,7 +1,7 @@
 """Fleet-level metric aggregation, exporters, and the live status view.
 
 The supervisor of :mod:`repro.ensemble` sees every member's compact
-metric snapshot ride in on the heartbeat queue; this module is where
+metric snapshot ride in on its heartbeats; this module is where
 those per-member views become *fleet* facts:
 
 * :class:`FleetAggregator` — folds member snapshots (associatively, via

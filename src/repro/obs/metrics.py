@@ -37,7 +37,7 @@ Metric *names* are free-form paths (``lts/updates/c0``); the exporter
 sanitizes them to the Prometheus grammar.  The wire snapshot is
 schema-versioned (:data:`METRICS_SCHEMA_VERSION`) because it crosses
 process boundaries: ensemble workers piggyback :meth:`compact` snapshots
-on heartbeat queue messages and append them to durable run logs as
+on heartbeat messages and append them to durable run logs as
 ``metrics`` records.
 """
 
@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 #: bumped whenever the snapshot layout changes (snapshots cross process
-#: boundaries: heartbeat queues, durable run logs, fleet aggregates)
+#: boundaries: heartbeat pipes, durable run logs, fleet aggregates)
 METRICS_SCHEMA_VERSION = 1
 
 #: ring-buffer samples kept per metric (the recent trend, not the history)

@@ -31,7 +31,7 @@ Events
 ``metrics``
     Periodic typed-metric snapshot (:meth:`repro.obs.metrics.
     MetricRegistry.compact`): the durable twin of the compact snapshot a
-    worker piggybacks on its heartbeat queue messages, so fleet totals
+    worker piggybacks on its heartbeat messages, so fleet totals
     can be audited against per-member logs after the fact.  Schema v2
     made ``step``/``sim_t``/``metrics`` required (v1 had no required
     fields; nothing emitted the event before v2).

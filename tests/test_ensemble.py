@@ -11,6 +11,7 @@ uninterrupted twin.
 """
 
 import json
+import multiprocessing
 import os
 import pickle
 
@@ -324,6 +325,41 @@ class TestSupervisorInProcess:
         assert loaded.counts["ok"] == 1
         assert loaded.member("m0").digest
 
+    def test_driver_error_propagates_past_summary(self, tmp_path,
+                                                  monkeypatch):
+        """A driver-level failure with members still unfinished reaches the
+        caller as itself (not as an AttributeError from summarising
+        ``None`` results), after a summary over the finished members."""
+        attempt = Supervisor._attempt_in_process
+
+        def fail_on_second(self, m, log):
+            if m.spec.member_id == "m1":
+                raise RuntimeError("driver misconfigured")
+            attempt(self, m, log)
+
+        monkeypatch.setattr(Supervisor, "_attempt_in_process", fail_on_second)
+        specs = [tiny_spec(f"m{k}", seed=k) for k in range(3)]
+        with pytest.raises(RuntimeError, match="driver misconfigured"):
+            self.run_ensemble(specs, tmp_path)
+        with open(tmp_path / "ensemble.jsonl", encoding="utf-8") as f:
+            summary = [json.loads(line) for line in f][-1]
+        assert summary["event"] == "ensemble_summary"
+        assert (summary["members"], summary["ok"]) == (3, 1)
+
+    def test_spawn_failure_degrades_to_in_process(self, tmp_path,
+                                                  monkeypatch):
+        def no_spawn(self):
+            raise OSError("process spawning unavailable")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            no_spawn)
+        specs = [tiny_spec(f"m{k}", seed=k) for k in range(2)]
+        result = Supervisor(specs, workers=2, out_dir=str(tmp_path)).run()
+        assert result.counts == {"ok": 2, "recovered": 0, "quarantined": 0}
+        for k, m in enumerate(result.members):
+            twin = run_member(specs[k], str(tmp_path / f"twin{k}"))
+            assert m.digest == twin["digest"], m.member_id
+
     def test_duplicate_member_ids_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unique"):
             Supervisor([tiny_spec("x"), tiny_spec("x")],
@@ -453,6 +489,87 @@ class TestSupervisorMultiprocess:
         report = validate_jsonl(result.runlog_path)
         assert not report["errors"], report["errors"]
         assert report["events"]["ensemble_summary"] == 1
+
+
+def _events(result, name):
+    with open(result.runlog_path, encoding="utf-8") as f:
+        records = [json.loads(line) for line in f]
+    return [r for r in records if r["event"] == name]
+
+
+def _assert_reaped(result):
+    """Every process a ``member_start`` named is gone *and* waited for."""
+    assert multiprocessing.active_children() == []
+    for pid in {e["pid"] for e in _events(result, "member_start")}:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.slow
+class TestPersistentWorkers:
+    """Worker reuse over real spawned processes: what is shared between a
+    worker's members (the interpreter, the plan cache), what is not
+    (metrics, injector state), and who pays for a strike."""
+
+    RETRY = TestSupervisorMultiprocess.RETRY
+    run_ensemble = TestSupervisorMultiprocess.run_ensemble
+
+    def test_one_worker_runs_every_member(self, tmp_path):
+        specs = [tiny_spec(f"m{k}", seed=k) for k in range(4)]
+        result = self.run_ensemble(specs, tmp_path / "ens", workers=1)
+        assert result.counts == {"ok": 4, "recovered": 0, "quarantined": 0}
+        starts = _events(result, "member_start")
+        assert len(starts) == 4 and len({e["pid"] for e in starts}) == 1
+        for k, m in enumerate(result.members):
+            twin = run_member(specs[k], str(tmp_path / f"twin{k}"))
+            assert m.digest == twin["digest"], m.member_id
+            # the registry is the worker's, the numbers are the member's
+            with open(m.paths["runlog"], encoding="utf-8") as f:
+                final = [json.loads(line) for line in f
+                         if '"event": "metrics"' in line][-1]
+            counters = final["metrics"]["counters"]
+            assert counters["sched/steps_total"] == twin["steps"]
+            # ... and the plan cache is the worker's too
+            assert ("cache/plan_misses" in counters) == (k == 0)
+        _assert_reaped(result)
+
+    def test_kill_costs_one_worker_not_the_pool(self, tmp_path):
+        specs = [tiny_spec("killed", seed=9, injector=FaultInjector()
+                           .kill_process(at_step=10, on_attempt=1))]
+        specs += [tiny_spec(f"s{k}", seed=k) for k in range(3)]
+        result = self.run_ensemble(specs, tmp_path / "ens", workers=2)
+        assert result.member("killed").status == "recovered"
+        assert result.counts["ok"] == 3
+        starts = _events(result, "member_start")
+        first, second = [e["pid"] for e in starts if e["member"] == "killed"]
+        assert first != second
+        # five attempts on the dead worker, its replacement and the
+        # sibling's worker, which went on taking members
+        assert len(starts) == 5 and len({e["pid"] for e in starts}) <= 3
+        _assert_reaped(result)
+
+    def test_strike_retires_a_live_worker(self, tmp_path):
+        spec = tiny_spec(injector=FaultInjector().corrupt_result(on_attempt=1))
+        result = self.run_ensemble([spec], tmp_path / "ens", workers=1)
+        twin = run_member(spec.without_injector(), str(tmp_path / "twin"))
+        m = result.members[0]
+        assert m.status == "recovered" and m.digest == twin["digest"]
+        first, second = [e["pid"] for e in _events(result, "member_start")]
+        assert first != second  # not in the interpreter that failed it
+        _assert_reaped(result)
+
+    def test_finished_member_wakes_supervisor(self, tmp_path):
+        result = self.run_ensemble([tiny_spec()], tmp_path / "ens",
+                                   workers=1, poll_interval=3.0)
+        assert result.counts["ok"] == 1
+        assert result.wall_s < 3.0  # not one sleep to notice, one to leave
+
+    def test_hung_worker_is_killed_and_reaped(self, tmp_path):
+        spec = tiny_spec(injector=FaultInjector().hang(at_step=8))
+        result = self.run_ensemble([spec], tmp_path / "ens", workers=1,
+                                   member_timeout=3.0)
+        assert result.members[0].status == "recovered"
+        _assert_reaped(result)
 
 
 @pytest.mark.slow

@@ -136,15 +136,26 @@ class TestGaussLegendre01:
             assert np.isclose(np.sum(w * x**deg), 1.0 / (deg + 1))
 
 
-def test_import_repro_does_not_import_scipy_special():
+def test_import_repro_does_not_import_scipy_special(tmp_path):
     """Cold start: ``import repro`` must not pay for ``scipy.special``
-    (0.25 s — the rules above are computed in-repo for that reason)."""
+    (0.25 s — the rules above are computed in-repo for that reason), and a
+    coupled member run to its end must not pay for any of SciPy (0.14 s of
+    ``scipy.linalg`` on the first gravity step, in every fleet worker —
+    the face-ODE propagator exponentiates in-repo for that reason)."""
     import repro
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, repro; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.stdout.strip() == "[]", proc.stdout
+    code = """
+import sys, repro
+print(sorted(m for m in sys.modules if m.startswith('scipy.special')))
+from repro.ensemble import MemberSpec, run_member
+spec = MemberSpec('m', builder='quickstart', perturb={'n_x': 4}, t_end=0.05)
+print(len(spec.build().solver.gravity) > 0, run_member(spec, sys.argv[1])['status'])
+print(sorted(m for m in sys.modules if m.startswith('scipy')))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, check=True, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout.split("\n")[:3] == ["[]", "True completed", "[]"], \
+        proc.stdout

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.rk import RK4, ButcherTableau, ExactPropagator, rk_solve
+from repro.core import rk
+from repro.core.rk import RK4, ButcherTableau, ExactPropagator, _expm, rk_solve
 
 
 class TestExactPropagator:
@@ -52,6 +53,44 @@ class TestExactPropagator:
             ExactPropagator(np.zeros((2, 3)), 1, 0.1)
         with pytest.raises(ValueError):
             ExactPropagator(np.zeros((2, 2)), 1, -0.1)
+
+
+def _gravity_blocks(a, K, dt, monkeypatch):
+    """Every matrix ``ExactPropagator`` exponentiates for the gravity face
+    ODE ``A = [[a, 0], [1, 0]]`` with ``K`` forcing slots over ``dt``."""
+    seen = []
+    monkeypatch.setattr(rk, "_expm", lambda M: seen.append(M) or _expm(M))
+    ExactPropagator(np.array([[a, 0.0], [1.0, 0.0]]), n_forcing=K, dt=dt)
+    monkeypatch.undo()
+    assert len(seen) == 1 + 2 * K
+    return seen
+
+
+class TestExpm:
+    """The in-module exponential against ``scipy.linalg.expm`` on what the
+    gravity ODE builds: water (``a = -rho g / Z``, the ``middle`` variant)
+    and the undamped ``interior`` variant (``a = 0``)."""
+
+    @pytest.mark.parametrize("a", [-1000.0 * 9.81 / 1.5e6, 0.0])
+    @pytest.mark.parametrize("dt", [1e-4, 1e-2, 0.5])
+    def test_matches_scipy_on_gravity_blocks(self, a, dt, monkeypatch):
+        from scipy.linalg import expm
+
+        for K in range(1, 6):
+            for M in _gravity_blocks(a, K, dt, monkeypatch):
+                ref = expm(M)
+                err = np.abs(_expm(M) - ref).max() / np.abs(ref).max()
+                assert err <= 1e-14, (K, err)
+
+    def test_zero_is_identity(self):
+        assert np.array_equal(_expm(np.zeros((5, 5))), np.eye(5))
+
+    @pytest.mark.parametrize("dt", [1e-2, 0.5, 4.0])
+    def test_semigroup(self, dt, monkeypatch):
+        for M in _gravity_blocks(-6.54e-3, 5, dt, monkeypatch):
+            E = _expm(M)
+            assert np.allclose(_expm(2.0 * M), E @ E, rtol=1e-13,
+                               atol=1e-13 * np.abs(E @ E).max())
 
 
 class TestRK:

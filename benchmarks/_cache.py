@@ -59,15 +59,9 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def report(name: str, lines: list[str], backend: str | None = None,
-           workers: int | None = None, metrics: dict | None = None) -> None:
+def report(name: str, lines: list[str], metrics: dict | None = None) -> None:
     """Print a paper-vs-measured comparison and persist it to
     ``benchmarks/out/<name>.txt`` (the EXPERIMENTS.md source data).
-
-    Timing benchmarks that depend on the execution backend must pass
-    ``backend`` (and ``workers`` for the partitioned backend) so the
-    result file becomes ``<name>__<backend>[_wN].txt`` — serial and
-    partitioned timings of the same benchmark never overwrite each other.
 
     ``metrics`` is the machine-readable side-channel: when given, the dict
     is written as ``<name>.json`` next to the text report, so benchmarks
@@ -77,10 +71,6 @@ def report(name: str, lines: list[str], backend: str | None = None,
     All files are written atomically (tmp file + ``os.replace``) so an
     interrupted benchmark never leaves a truncated results file behind.
     """
-    if backend is not None:
-        name = f"{name}__{backend}" if workers is None else f"{name}__{backend}_w{workers}"
-    elif workers is not None:
-        raise ValueError("workers= requires backend=")
     text = "\n".join(lines)
     print(f"\n===== {name} =====\n{text}\n", flush=True)
     out = _ensure_out_dir()

@@ -11,8 +11,6 @@ counts are scaled so that the *relative* node-increase factor matches the
 paper (the absolute element-per-node count is ~50x smaller, see DESIGN.md).
 """
 
-import numpy as np
-
 from _cache import report, scaling_mesh
 from repro.hpc.machine import MAHTI, SUPERMUC_NG
 from repro.hpc.perfmodel import NodePerformanceModel, kernel_counts
@@ -32,7 +30,7 @@ def run_machine(mesh, cluster, machine, nodes, rpns):
 def _kernel_metrics(machine, nodes, series, rpns):
     """Per-kernel metrics side-channel: roofline splits per placement.
 
-    Makes the BENCH_*.json trajectories per-kernel (predictor vs corrector
+    Makes the ``fig6*.json`` reports per-kernel (predictor vs corrector
     roofline rates at each ranks-per-node placement) instead of only
     end-to-end GFLOPS/node numbers.
     """

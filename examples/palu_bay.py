@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.analysis.fields import sea_surface_grid
 from repro.core.lts import LocalTimeStepping
-from repro.obs import ObsSession, add_obs_args
+from repro.obs import ObsSession, add_obs_args, obs_kwargs
 from repro.sched import HookBus
 from repro.scenarios.palu import PaluConfig, build_coupled
 
@@ -131,6 +131,4 @@ if __name__ == "__main__":
     add_obs_args(ap)
     args = ap.parse_args()
     main(args.t_end, args.checkpoint_every, args.checkpoint_dir, args.resume,
-         backend=args.backend, workers=args.workers, profile=args.profile,
-         trace=args.trace, log_json=args.log_json,
-         heartbeat_every=args.heartbeat_every)
+         backend=args.backend, workers=args.workers, **obs_kwargs(args))

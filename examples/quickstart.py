@@ -24,7 +24,7 @@ from repro.analysis.receivers import ReceiverArray
 from repro.core.materials import acoustic, elastic
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
 from repro.mesh.generators import layered_ocean_mesh
-from repro.obs import ObsSession, add_obs_args
+from repro.obs import ObsSession, add_obs_args, obs_kwargs
 from repro.sched import HookBus
 
 
@@ -131,6 +131,4 @@ if __name__ == "__main__":
     add_obs_args(ap)
     args = ap.parse_args()
     main(args.t_end, args.checkpoint_every, args.checkpoint_dir, args.resume,
-         backend=args.backend, workers=args.workers, profile=args.profile,
-         trace=args.trace, log_json=args.log_json,
-         heartbeat_every=args.heartbeat_every)
+         backend=args.backend, workers=args.workers, **obs_kwargs(args))

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.analysis.fields import surface_eta_transect
 from repro.core.lts import LocalTimeStepping
-from repro.obs import ObsSession, add_obs_args
+from repro.obs import ObsSession, add_obs_args, obs_kwargs
 from repro.sched import HookBus
 from repro.scenarios.scenario_a import (
     ScenarioAConfig,
@@ -126,6 +126,4 @@ if __name__ == "__main__":
     args = ap.parse_args()
     main(args.t_end, checkpoint_every=args.checkpoint_every,
          checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-         backend=args.backend, workers=args.workers, profile=args.profile,
-         trace=args.trace, log_json=args.log_json,
-         heartbeat_every=args.heartbeat_every)
+         backend=args.backend, workers=args.workers, **obs_kwargs(args))

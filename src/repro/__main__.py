@@ -58,10 +58,6 @@ JSON), ``--log-json PATH`` (structured JSONL run records) and
     ``energy_blowup`` | ``cfl_collapse`` | ``worker_death`` |
     ``unknown``) with its evidence lines.  ``--check`` exits non-zero on
     a schema-invalid bundle (see README "Postmortem debugging").
-``bench [--out PATH] [--node NAME]``
-    Run the standardized kernel benchmark battery and append a
-    schema-versioned record to ``BENCH_<host-context>.json`` (compare
-    records with ``tools/bench_compare.py``).
 ``sched-plan N [--rate R] [--n-macro M] [--full]``
     Compile the clustered step plan for ``N`` LTS clusters (chain
     adjacency) and print its cadence — micro-step counts per cluster,
@@ -165,11 +161,6 @@ def main(argv=None) -> int:
     p_d.add_argument("--check", action="store_true",
                      help="exit non-zero when the bundle fails schema or "
                      "fingerprint validation")
-    p_b = sub.add_parser("bench", help="run the kernel benchmark battery")
-    p_b.add_argument("--out", default=None, metavar="PATH",
-                     help="history file (default: BENCH_<host-context>.json at repo root)")
-    p_b.add_argument("--node", default="local",
-                     help="roofline node model for predicted bounds (default: local)")
     p_e = sub.add_parser("ensemble",
                          help="supervised multi-process scenario ensemble")
     p_e.add_argument("--members", type=int, default=4, metavar="N",
@@ -262,15 +253,6 @@ def main(argv=None) -> int:
         from repro.obs.blackbox import diagnose_bundle_file
 
         return diagnose_bundle_file(args.bundle, check=args.check)
-    if args.command == "bench":
-        from repro.obs.bench import battery_lines, run_battery
-
-        record, path = run_battery(out=args.out, node=args.node)
-        for line in battery_lines(record):
-            print(line)
-        print(f"bench: appended record to {path} "
-              "(compare with tools/bench_compare.py)")
-        return 0
     if args.command == "ensemble":
         from repro.ensemble import (
             MemberSpec,

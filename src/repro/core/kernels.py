@@ -67,8 +67,8 @@ class SpatialOperator:
     ablation benchmark; never use it for production.
     """
 
-    #: the kernel path this operator executes — what run manifests and
-    #: bench records report and which counting convention of
+    #: the kernel path this operator executes — what run manifests
+    #: report and which counting convention of
     #: :func:`repro.hpc.perfmodel.kernel_counts` applies
     kernel_variant = "fused"
 
@@ -131,10 +131,6 @@ class SpatialOperator:
         Returns ``(F_minus, F_plus)`` with shapes ``(nf, 9, 9)``:
         the flux seen by the element owning ``normals`` (its outward side)
         is ``F_minus @ q_own + F_plus @ q_neigh``.
-
-        Public (besides the internal plan build) because the benchmark
-        battery (:mod:`repro.obs.bench`) times the Riemann-flux setup path
-        in isolation.
         """
         with _TEL.phase("riemann_flux"):
             return self._face_flux_matrices_impl(mat_m_ids, mat_p_ids, normals)

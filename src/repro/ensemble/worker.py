@@ -227,7 +227,7 @@ def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
         rate = (runner.step_count - beat_state["step"]) / d_wall
         beat_state["wall"], beat_state["step"] = now, runner.step_count
         if met is not None:
-            snap = met.compact()
+            snap = met.snapshot()
             tell("heartbeat", step=runner.step_count, sim_t=s.t,
                  metrics=snap)
             runlog.emit("metrics", step=runner.step_count, sim_t=float(s.t),
@@ -275,7 +275,7 @@ def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
         # recovered-on-retry) attempt must not point at a stale dump
         "bundle": bundle,
         "summary": handle.summarize(solver) if handle.summarize else {},
-        "metrics": met.compact() if met is not None else None,
+        "metrics": met.snapshot() if met is not None else None,
         "paths": paths,
     }
     if tel is not None:

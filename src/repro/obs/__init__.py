@@ -13,14 +13,9 @@ The measurement layer behind the paper's Sec. 5-6 performance story:
   Chrome-trace/Perfetto JSON timelines (one lane per partitioned worker,
   LTS cluster slices colored by cluster id) plus the ``obs-trace``
   summarizer;
-* :mod:`repro.obs.bench` — standardized kernel benchmark battery writing
-  schema-versioned ``BENCH_<host-context>.json`` trajectory records
-  (compared against history and the roofline by
-  ``tools/bench_compare.py``);
 * :mod:`repro.obs.metrics` — default-off typed metric registry
-  (counters, gauges, log-bucketed histograms, ring-buffer series) with
-  associative snapshot merging and a Prometheus text exporter — the
-  fleet-observability substrate;
+  (counters, gauges) with associative snapshot merging and a
+  Prometheus text exporter — the fleet-observability substrate;
 * :mod:`repro.obs.fleet` — supervisor-side :class:`FleetAggregator`
   folding member snapshots into fleet series (``fleet.prom`` /
   ``fleet.jsonl`` exporters) plus the offline ``obs-status`` view;
@@ -59,7 +54,7 @@ from .metrics import (
 )
 from .runlog import EVENT_FIELDS, SCHEMA_VERSION, RunLog, run_manifest, validate_jsonl, validate_record
 from .session import ObsSession, add_obs_args, obs_kwargs
-from .telemetry import Telemetry, TraceBuffer, get_telemetry, timed
+from .telemetry import Telemetry, TraceBuffer, get_telemetry
 from .trace import (
     TRACE_SCHEMA_VERSION,
     chrome_trace,
@@ -74,7 +69,6 @@ __all__ = [
     "Telemetry",
     "TraceBuffer",
     "get_telemetry",
-    "timed",
     "TRACE_SCHEMA_VERSION",
     "chrome_trace",
     "export_chrome_trace",

@@ -11,7 +11,7 @@ alive.  This module is the *postmortem* half:
   per-step physics gauges, checkpoint/recovery events).  Recording is a
   tuple append into a ``deque`` — the same <2 %-of-a-step budget the
   disabled metric-registry guard sites live under (enforced by the
-  ``blackbox_overhead`` bench-battery entry and a dedicated test).
+  guard test ``tests/test_blackbox.py::TestOverheadBudget``).
 * :func:`build_bundle` / :func:`write_bundle` — on any terminal fault
   (watchdog trip, :class:`~repro.core.health.SimulationDiverged`,
   unhandled worker exception, process death seen by the supervisor) the

@@ -46,13 +46,9 @@ __all__ = [
     "summarize_runlog",
 ]
 
-#: leaf phases whose sum is the corrector-kernel busy time (run logs
-#: written while a second kernel path existed report the fused kernels
-#: under ``*_fused`` names; they stay summable)
+#: leaf phases whose sum is the corrector-kernel busy time
 _CORRECTOR_PHASES = ("kernels/volume", "kernels/surface_interior",
-                     "kernels/surface_boundary",
-                     "kernels/volume_fused", "kernels/surface_interior_fused",
-                     "kernels/surface_boundary_fused")
+                     "kernels/surface_boundary")
 
 _WORKER_RE = re.compile(r"(?:^|/)worker/p(\d+)/(halo_gather|compute)$")
 _LTS_RE = re.compile(r"^lts/(updates|elem_updates)/c(\d+)$")
@@ -85,8 +81,7 @@ KNOWN_NODES = ("rome", "mahti", "supermuc-ng", "shaheen2", "local")
 
 def node_spec(node):
     """Resolve a :data:`KNOWN_NODES` name to its
-    :class:`~repro.hpc.machine.NodeSpec` (instances pass through) — shared
-    by the roofline report and the benchmark battery."""
+    :class:`~repro.hpc.machine.NodeSpec` (instances pass through)."""
     return _node_specs()[node] if isinstance(node, str) else node
 
 
@@ -351,10 +346,9 @@ def summarize_runlog(path: str, node: str = "rome", check: bool = False) -> int:
     if run_end is not None:
         from ..core.kernels import SpatialOperator
 
-        # manifests written before the field existed ran the then-only
-        # batched kernels; the roofline counts the FLOPs of the path that
-        # executes today, so the log of a retired path gets none
-        ran = manifests[0].get("kernel_variant", "batched") if manifests else None
+        # the roofline counts the FLOPs of the path that executes today,
+        # so the log of a retired path (or one that names none) gets none
+        ran = manifests[0].get("kernel_variant") if manifests else None
         order = (manifests[0].get("order")
                  if ran == SpatialOperator.kernel_variant else None)
         snapshot = {"phases": run_end.get("phases", {}),

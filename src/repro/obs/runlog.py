@@ -30,7 +30,7 @@ Events
     snapshot (phases + counters) when profiling was enabled.
 ``metrics``
     Periodic typed-metric snapshot (:meth:`repro.obs.metrics.
-    MetricRegistry.compact`): the durable twin of the compact snapshot a
+    MetricRegistry.snapshot`): the durable twin of the snapshot a
     worker piggybacks on its heartbeat messages, so fleet totals
     can be audited against per-member logs after the fact.  Schema v2
     made ``step``/``sim_t``/``metrics`` required (v1 had no required

@@ -117,7 +117,7 @@ class ObsSession:
                 if self.metrics:
                     self.runlog.emit(
                         "metrics", step=self.steps, sim_t=float(solver.t),
-                        metrics=get_metrics().compact(),
+                        metrics=get_metrics().snapshot(),
                     )
                 self.runlog.emit(
                     "heartbeat",

@@ -7,8 +7,7 @@ hot paths visible.  One process-wide :class:`Telemetry` registry collects
 
 * **phase timers** — ``with tel.phase("kernels/volume"): ...`` accumulates
   wall time and call counts under a hierarchical path (nested phases
-  concatenate, ``step/predict``); also usable as a decorator via
-  :func:`timed`;
+  concatenate, ``step/predict``);
 * **monotonic counters** — ``tel.count("elem_updates/predictor", ne)``
   for element-update accounting (the roofline denominator) and event
   counts (plan-cache hits, LTS cluster updates);
@@ -43,11 +42,10 @@ to Chrome-trace/Perfetto JSON lives in :mod:`repro.obs.trace`.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 
-__all__ = ["Telemetry", "TraceBuffer", "get_telemetry", "timed"]
+__all__ = ["Telemetry", "TraceBuffer", "get_telemetry"]
 
 #: default span-buffer capacity: ~60 bytes/span -> tens of MB at worst
 DEFAULT_TRACE_CAPACITY = 1_000_000
@@ -289,16 +287,3 @@ def get_telemetry() -> Telemetry:
     """The process-wide telemetry registry."""
     return _TELEMETRY
 
-
-def timed(name: str):
-    """Decorator form of :meth:`Telemetry.phase` on the global registry."""
-
-    def deco(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            with _TELEMETRY.phase(name):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return deco

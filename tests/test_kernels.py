@@ -578,22 +578,11 @@ class TestPlanCacheInvalidation:
             assert plan.lop.kernel_variant == solver.op.kernel_variant
 
 
-# ----------------------------------------------------------------------
-# run logs written while a second kernel path existed stay readable
-# ----------------------------------------------------------------------
-class TestPhaseNames:
-    def test_report_sums_fused_phases(self):
-        from repro.obs.report import _CORRECTOR_PHASES
-
-        for name in ("kernels/volume_fused", "kernels/surface_interior_fused",
-                     "kernels/surface_boundary_fused"):
-            assert name in _CORRECTOR_PHASES
-
-
 def test_fused_flop_counts_stay_under_batched():
     """The executed (fused) counting convention must never credit more
-    FLOPs than the dense chain it replaces (the roofline gate in
-    bench_compare relies on honest accounting)."""
+    FLOPs than the dense chain it replaces (the roofline gate of
+    ``tests/test_obs.py::TestReport::test_roofline_rows_sane`` relies on
+    honest accounting)."""
     from repro.hpc.perfmodel import kernel_counts
 
     for order in (1, 2, 3, 4, 5):

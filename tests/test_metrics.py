@@ -28,11 +28,8 @@ from repro.obs.fleet import (
     watch_status,
 )
 from repro.obs.metrics import (
-    DEFAULT_SERIES_CAPACITY,
     METRICS_SCHEMA_VERSION,
     MetricRegistry,
-    TimeSeries,
-    default_log_buckets,
     get_metrics,
     merge_snapshots,
     prom_name,
@@ -52,22 +49,6 @@ def _clean_metrics():
 
 
 # ----------------------------------------------------------------------
-class TestTimeSeries:
-    def test_ring_overwrites_oldest_and_counts_drops(self):
-        s = TimeSeries(capacity=4)
-        for k in range(6):
-            s.append(float(k), float(10 * k))
-        assert len(s) == 4
-        assert s.dropped == 2
-        t, v = s.samples()
-        assert t == [2.0, 3.0, 4.0, 5.0]
-        assert v == [20.0, 30.0, 40.0, 50.0]
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            TimeSeries(capacity=0)
-
-
 class TestRegistry:
     def test_counter_accumulates_and_reads(self):
         reg = MetricRegistry()
@@ -88,41 +69,19 @@ class TestRegistry:
         assert snap["gauges"]["g"]["value"] == -2.0
         assert snap["gauges"]["g"]["t"] > 0
 
-    def test_histogram_buckets_and_overflow(self):
-        reg = MetricRegistry()
-        reg.enable()
-        for v in (0.5, 5.0, 5.0, 1e9):  # below, mid x2, overflow
-            reg.observe("h", v, bounds=(1.0, 10.0))
-        h = reg.snapshot()["histograms"]["h"]
-        assert h["bounds"] == [1.0, 10.0]
-        assert h["counts"] == [1, 2, 1]
-        assert h["count"] == 4
-        assert h["sum"] == pytest.approx(0.5 + 5.0 + 5.0 + 1e9)
-
-    def test_default_buckets_are_log_decades(self):
-        b = default_log_buckets()
-        assert b[0] == pytest.approx(1e-6)
-        assert b[-1] == pytest.approx(1e6)
-        ratios = [y / x for x, y in zip(b, b[1:])]
-        assert all(r == pytest.approx(10.0) for r in ratios)
-
     def test_name_pins_type(self):
         reg = MetricRegistry()
         reg.enable()
         reg.inc("x")
         with pytest.raises(ValueError, match="counter"):
             reg.set_gauge("x", 1.0)
-        with pytest.raises(ValueError, match="counter"):
-            reg.observe("x", 1.0)
 
     def test_disabled_is_a_noop(self):
         reg = MetricRegistry()
         reg.inc("c")
         reg.set_gauge("g", 1.0)
-        reg.observe("h", 1.0)
         snap = reg.snapshot()
         assert snap["counters"] == {} and snap["gauges"] == {}
-        assert snap["histograms"] == {}
         assert reg.value("c") is None
 
     def test_reset_keeps_enabled_flag(self):
@@ -133,18 +92,8 @@ class TestRegistry:
         assert reg.enabled
         assert reg.value("c") is None
 
-    def test_compact_omits_series(self):
-        reg = MetricRegistry()
-        reg.enable()
-        reg.inc("c")
-        full = reg.snapshot()
-        compact = reg.compact()
-        assert "series" in full and full["series"]["c"]["v"] == [1.0]
-        assert "series" not in compact
-        assert compact["schema"] == METRICS_SCHEMA_VERSION
-
     def test_concurrent_mixed_mutation_is_exact(self):
-        """N threads hammer one counter/histogram: no lost updates."""
+        """N threads hammer one counter: no lost updates."""
         reg = MetricRegistry()
         reg.enable()
         n_threads, n_iter = 8, 400
@@ -157,8 +106,6 @@ class TestRegistry:
                 for k in range(n_iter):
                     reg.inc("race/steps")
                     reg.set_gauge(f"race/g{tid}", float(k))
-                    reg.observe("race/h", float(k % 7) + 0.5,
-                                bounds=(1.0, 3.0, 10.0))
                     if k % 97 == 0:
                         reg.snapshot()  # concurrent readers must not tear
             except Exception as exc:  # pragma: no cover - failure path
@@ -173,13 +120,9 @@ class TestRegistry:
         assert not errors
         total = n_threads * n_iter
         assert reg.value("race/steps") == total
-        h = reg.snapshot()["histograms"]["race/h"]
-        assert h["count"] == total
-        assert sum(h["counts"]) == total
-        # ring buffers saturated without unbounded growth
-        series = reg.snapshot()["series"]["race/steps"]
-        assert len(series["v"]) == DEFAULT_SERIES_CAPACITY
-        assert series["dropped"] == total - DEFAULT_SERIES_CAPACITY
+        gauges = reg.snapshot()["gauges"]
+        assert [gauges[f"race/g{t}"]["value"] for t in range(n_threads)] \
+            == [float(n_iter - 1)] * n_threads
 
 
 # ----------------------------------------------------------------------
@@ -206,45 +149,11 @@ class TestMergeSnapshots:
         assert m["counters"] == {"c": 7, "d": 1}
         assert m["gauges"]["g"] == {"value": 1.0, "t": 10.0}  # newest t wins
 
-    def test_histograms_add_bucketwise_and_bounds_must_match(self):
-        h1 = {"bounds": [1.0, 10.0], "counts": [1, 2, 0], "sum": 6.0,
-              "count": 3}
-        h2 = {"bounds": [1.0, 10.0], "counts": [0, 1, 1], "sum": 105.0,
-              "count": 2}
-        a = {"schema": 1, "counters": {}, "gauges": {}, "histograms":
-             {"h": h1}}
-        b = {"schema": 1, "counters": {}, "gauges": {}, "histograms":
-             {"h": h2}}
-        m = merge_snapshots(a, b)
-        assert m["histograms"]["h"]["counts"] == [1, 3, 1]
-        assert m["histograms"]["h"]["count"] == 5
-        bad = {"schema": 1, "counters": {}, "gauges": {}, "histograms":
-               {"h": {"bounds": [2.0], "counts": [0, 0], "sum": 0.0,
-                      "count": 0}}}
-        with pytest.raises(ValueError, match="bounds"):
-            merge_snapshots(a, bad)
-
-    def test_series_union_trims_to_capacity_keeping_newest(self):
-        def series(ts):
-            return {"kind": "gauge", "t": [float(t) for t in ts],
-                    "v": [float(10 * t) for t in ts], "dropped": 0,
-                    "capacity": 3}
-
-        a = {"schema": 1, "counters": {}, "gauges": {}, "histograms": {},
-             "series": {"s": series([1, 2])}}
-        b = {"schema": 1, "counters": {}, "gauges": {}, "histograms": {},
-             "series": {"s": series([3, 4])}}
-        m = merge_snapshots(a, b)
-        assert m["series"]["s"]["t"] == [2.0, 3.0, 4.0]  # newest 3 kept
-
 
 def _hypothesis_snapshots():
     """Strategy for wire snapshots with exact-arithmetic values.
 
-    Values are integer-valued floats so counter/histogram addition is
-    exact, and every series shares one capacity — the fleet's registries
-    all use :data:`DEFAULT_SERIES_CAPACITY`, and trim-to-capacity is only
-    order-independent when the capacities agree.
+    Values are integer-valued floats so counter addition is exact.
     """
     from hypothesis import strategies as st
 
@@ -253,21 +162,10 @@ def _hypothesis_snapshots():
     nums = ints.map(float)
     ts = st.integers(min_value=0, max_value=50).map(float)
     gauge_cell = st.fixed_dictionaries({"value": nums, "t": ts})
-    hist_cell = st.fixed_dictionaries({
-        "bounds": st.just([1.0, 10.0]),
-        "counts": st.lists(ints, min_size=3, max_size=3),
-        "sum": nums,
-        "count": ints,
-    })
-    series_cell = st.lists(st.tuples(ts, nums), max_size=5).map(
-        lambda pts: {"kind": "gauge", "t": [p[0] for p in pts],
-                     "v": [p[1] for p in pts], "dropped": 0, "capacity": 4})
     snapshot = st.fixed_dictionaries({
         "schema": st.just(METRICS_SCHEMA_VERSION),
         "counters": st.dictionaries(names, ints, max_size=3),
         "gauges": st.dictionaries(names, gauge_cell, max_size=3),
-        "histograms": st.dictionaries(names, hist_cell, max_size=3),
-        "series": st.dictionaries(names, series_cell, max_size=2),
     })
     return st.one_of(st.none(), snapshot)
 
@@ -307,9 +205,7 @@ class TestPrometheusExport:
         reg.inc("cache/plan_hits", 3)
         reg.set_gauge("sched/sim_time", 1.25)
         reg.set_gauge("health/energy_drift_ratio", -1.5e-9)
-        reg.observe("io/checkpoint_seconds", 0.02, bounds=(0.01, 0.1, 1.0))
-        reg.observe("io/checkpoint_seconds", 0.5, bounds=(0.01, 0.1, 1.0))
-        return reg.compact()
+        return reg.snapshot()
 
     def test_export_passes_strict_validator(self):
         text = to_prometheus(self.registry_snapshot())
@@ -323,19 +219,6 @@ class TestPrometheusExport:
         # _total is appended exactly once, names sanitized / -> _
         assert "repro_cache_plan_hits_total 3" in text
         assert prom_name("a/b-c.d") == "repro_a_b_c_d"
-
-    def test_histogram_cumulative_with_inf_bucket(self):
-        text = to_prometheus(self.registry_snapshot())
-        lines = [ln for ln in text.splitlines()
-                 if ln.startswith("repro_io_checkpoint_seconds")]
-        buckets = [ln for ln in lines if "_bucket" in ln]
-        assert buckets[-1].startswith(
-            'repro_io_checkpoint_seconds_bucket{le="+Inf"}')
-        counts = [int(ln.rsplit(" ", 1)[1]) for ln in buckets]
-        assert counts == sorted(counts)  # cumulative
-        assert counts[-1] == 2
-        assert any(ln.startswith("repro_io_checkpoint_seconds_count")
-                   for ln in lines)
 
     def test_constant_labels_and_extra_families(self):
         text = to_prometheus(
@@ -379,7 +262,7 @@ class TestFleetAggregator:
         reg.inc("sched/steps_total", steps)
         reg.set_gauge("sched/sim_time", sim_t)
         reg.set_gauge("health/energy_drift_ratio", drift)
-        return reg.compact()
+        return reg.snapshot()
 
     def test_fleet_fold_sums_counters(self):
         agg = FleetAggregator()
@@ -557,8 +440,7 @@ class TestDisabledOverhead:
         for _ in range(n):
             met.inc("x")
             met.set_gauge("g", 1.0)
-            met.observe("h", 1.0)
-        per_call = (time.perf_counter() - t0) / (3 * n)
+        per_call = (time.perf_counter() - t0) / (2 * n)
 
         t0 = time.perf_counter()
         for _ in range(3):

@@ -16,7 +16,6 @@ from repro.obs import (
     RunLog,
     get_telemetry,
     run_manifest,
-    timed,
     validate_jsonl,
 )
 from repro.obs.report import (
@@ -108,17 +107,6 @@ class TestTelemetry:
         snap = tel.snapshot()
         assert snap["phases"]["worker/p0/compute"]["seconds"] == pytest.approx(1.0)
         assert snap["phases"]["worker/p0/compute"]["calls"] == 2
-
-    def test_timed_decorator(self):
-        tel = get_telemetry()
-        tel.enable()
-
-        @timed("decorated")
-        def f(x):
-            return x + 1
-
-        assert f(1) == 2
-        assert tel.snapshot()["phases"]["decorated"]["calls"] == 1
 
     def test_reset_keeps_enabled_flag(self):
         tel = get_telemetry()
@@ -502,6 +490,24 @@ class TestObsSession:
         obs.start()
         obs.finish()  # must not raise without a solver or log
 
+    def test_quickstart_example_cli_forwards_metrics(self, tmp_path,
+                                                     monkeypatch):
+        """``python examples/quickstart.py --metrics`` used to drop the
+        flag between argparse and ``main()``: 0 ``metrics`` records where
+        ``python -m repro quickstart --metrics`` wrote one."""
+        import runpy
+        import sys
+        from pathlib import Path
+
+        path = str(tmp_path / "q.jsonl")
+        script = str(Path(__file__).resolve().parent.parent
+                     / "examples" / "quickstart.py")
+        monkeypatch.setattr(sys, "argv", [script, "--t-end", "0.05",
+                                          "--metrics", "--log-json", path])
+        runpy.run_path(script, run_name="__main__")
+        events = [json.loads(line)["event"] for line in open(path)]
+        assert "metrics" in events
+
 
 # ----------------------------------------------------------------------
 class TestReport:
@@ -513,10 +519,17 @@ class TestReport:
             solver.step()
         return solver, tel.snapshot()
 
-    def test_roofline_rows_sane(self):
+    @pytest.mark.parametrize("node", ["rome", "local"])
+    def test_roofline_rows_sane(self, node):
+        """Measured <= 1.05 x the roofline model, on the paper's Rome node
+        and on ``local``, the nominal model of the executing host: a coarse
+        gate against a timer that measures nothing or a wildly wrong FLOP
+        count (the rows sit at 7-14 % of ``local``).  It cannot see a
+        small-factor miscount; exact accounting is pinned by
+        ``test_roofline_credits_executed_flops``."""
         solver, snap = self._fake_run()
         rows = roofline_rows(snap["phases"], snap["counters"],
-                             order=solver.order, node="rome")
+                             order=solver.order, node=node)
         kernels = {r["kernel"]: r for r in rows}
         assert set(kernels) == {"predictor", "corrector"}
         for r in rows:
@@ -525,6 +538,7 @@ class TestReport:
             assert r["measured_gflops"] == pytest.approx(
                 r["gflop"] / r["seconds"])
             assert r["model_gflops"] > 0
+            assert r["measured_gflops"] <= 1.05 * r["model_gflops"]
             assert 0 < r["efficiency"] < 1  # NumPy won't beat the roofline
 
     def test_roofline_credits_executed_flops(self, capsys):

@@ -156,7 +156,7 @@ class TestWatchdogSweepCost:
                 solver.step()
                 assert wd.check(dt=solver.dt, step=n).ok
                 assert len(energy_calls) == n
-            margin = met.compact()["gauges"]["health/cfl_margin"]["value"]
+            margin = met.snapshot()["gauges"]["health/cfl_margin"]["value"]
             assert margin == pytest.approx(0.0)
         finally:
             met.disable()

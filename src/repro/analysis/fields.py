@@ -45,13 +45,7 @@ def sea_surface_grid(solver, xs: np.ndarray, ys: np.ndarray):
 def sea_surface_velocity_grid(solver, xs: np.ndarray, ys: np.ndarray):
     """Gridded vertical sea-surface velocity (Fig. 1a quantity)."""
     g = solver.gravity
-    ref = solver.op.ref
-    vz = np.empty_like(g.eta)
-    for f in range(4):
-        sel = g.local_face == f
-        if np.any(sel):
-            tr = ref.E_minus[f] @ solver.Q[g.elem[sel]]
-            vz[sel] = tr[:, :, 8]
+    vz = g.plan.trace(solver.Q[:, :, 8:])[:, :, 0]
     xy = g.points[:, :, :2].reshape(-1, 2)
     return _grid_from_scatter(xy, vz.reshape(-1), xs, ys)
 

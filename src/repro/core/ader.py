@@ -25,7 +25,8 @@ import numpy as np
 
 from .materials import jacobians
 
-__all__ = ["star_matrices", "taylor_integrate", "taylor_evaluate"]
+__all__ = ["star_matrices", "taylor_integrate", "taylor_evaluate",
+           "taylor_weights", "taylor_window_weights"]
 
 
 def star_matrices(mesh) -> np.ndarray:
@@ -40,14 +41,27 @@ def star_matrices(mesh) -> np.ndarray:
     return np.einsum("ekd,edij->ekij", mesh.inv_jac, per_elem)
 
 
+def taylor_weights(tau, K: int) -> np.ndarray:
+    """``tau^k / k!`` for ``k < K``, shape ``tau.shape + (K,)``: the row
+    that evaluates ``K`` Taylor derivatives at relative time ``tau``."""
+    k = np.arange(K)
+    return np.asarray(tau, dtype=float)[..., None] ** k / np.cumprod(np.maximum(k, 1))
+
+
+def taylor_window_weights(t0: float, t1: float, K: int) -> np.ndarray:
+    """``(t1^(k+1) - t0^(k+1)) / (k+1)!`` for ``k < K``: the row that
+    integrates ``K`` Taylor derivatives over ``[t0, t1]``."""
+    k1 = np.arange(1, K + 1)
+    return (float(t1) ** k1 - float(t0) ** k1) / np.cumprod(k1)
+
+
 def taylor_integrate(derivs: np.ndarray, t0: float, t1: float) -> np.ndarray:
     """Integral of the Taylor expansion over ``[t0, t1]`` (relative times).
 
     ``t0``/``t1`` are measured from the expansion point.  Returns modal
     coefficients of ``int_t0^t1 q(t) dt``, shape ``(ne, B, 9)``.
     """
-    k1 = np.arange(1, derivs.shape[1] + 1)
-    coef = (float(t1) ** k1 - float(t0) ** k1) / np.cumprod(k1)  # / (k+1)!
+    coef = taylor_window_weights(t0, t1, derivs.shape[1])
     # one pass over the level axis; each row sums its levels in order, so
     # the result of a row does not depend on which batch it is part of
     return np.einsum("k,ek...->e...", coef, derivs)
@@ -59,8 +73,6 @@ def taylor_evaluate(derivs: np.ndarray, tau) -> np.ndarray:
     For scalar ``tau`` returns ``(ne, B, 9)``; for an array of ``nt`` times
     returns ``(nt, ne, B, 9)``.
     """
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    k = np.arange(derivs.shape[1])
-    coef = taus[:, None] ** k / np.cumprod(np.maximum(k, 1))  # tau^k / k!
+    coef = taylor_weights(np.atleast_1d(tau), derivs.shape[1])
     out = np.einsum("tk,ek...->te...", coef, derivs)
     return out if np.ndim(tau) else out[0]

@@ -24,9 +24,14 @@ cross-checking.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
 
+from ..kernels.faces import FacePlan, face_points, lift_scale
 from ..obs.telemetry import get_telemetry
+from .ader import taylor_weights
 from .materials import SXX, VX
 from .riemann import FaceKind
 from .rk import RK4, ExactPropagator, rk_solve
@@ -36,9 +41,20 @@ __all__ = ["GravityBoundary"]
 
 _TEL = get_telemetry()
 
+#: propagator tables kept per boundary: a run alternates between one
+#: ``dt`` per LTS cluster plus the odd shortened or backed-off step
+_PROPAGATOR_CACHE_MAX = 16
+
 
 class GravityBoundary:
-    """State and flux assembly for all gravitational free-surface faces."""
+    """State and flux assembly for all gravitational free-surface faces.
+
+    The face ODE is linear, so a step is a linear chain compiled at
+    construction into a :class:`~repro.kernels.faces.FacePlan`: trace the
+    one functional of the predictor the ODE is forced by, propagate, lift
+    ``[d_eta; H]`` through per-face flux rows with the corrector scale,
+    rotation and ``-rho g`` folded in.
+    """
 
     def __init__(
         self,
@@ -71,72 +87,81 @@ class GravityBoundary:
         self.normal = bnd.normal[self.face_ids]
         self.mat_id = mesh.material_ids[self.elem]
         mats = mesh.materials
-        for mid in np.unique(self.mat_id):
+        #: the (acoustic) materials under the surface; ``_propagator``
+        #: tabulates one face ODE per entry
+        self._mat_ids = np.unique(self.mat_id)
+        for mid in self._mat_ids:
             if not mats[int(mid)].is_acoustic:
                 raise ValueError(
                     "gravity free-surface faces must border acoustic (ocean) elements"
                 )
         self.rho = np.array([mats[m].rho for m in self.mat_id])
         self.Z = np.array([mats[m].Zp for m in self.mat_id])
+        nf = len(self.face_ids)
+        middle = eta_velocity == "middle"
 
-        # rotation to apply the local middle state as a global flux:
-        # flux = T @ A_loc @ w_hat; A_loc columns touched are SXX and VX only.
+        # the forcing of Eq. 24, f = v_n^- + p^-/Z, as one functional of
+        # the state per face; the (unstable) interior-velocity variant has
+        # neither the pressure feedback nor the damping -(rho g / Z) eta
+        forcing = np.zeros((nf, 9, 1))
+        forcing[:, 6:9, 0] = self.normal
+        if middle:
+            forcing[:, 0:3, 0] = (-1.0 / (3.0 * self.Z))[:, None]
+        damping = -self.rho * g / self.Z if middle else np.zeros(nf)
+
+        # time-integrated local middle state (Eq. 26): int v_n^b dt = d_eta,
+        # int sigma_nn^b dt = -rho g H.  As a global flux it is T A_loc w_hat,
+        # and A_loc reads w_hat's VX and SXX entries only: stress rows react
+        # to v_n, the v_n row to sigma_nn
         T, _ = batched_state_rotation(self.normal)
-        Aloc = np.zeros((len(self.face_ids), 9, 9))
+        Aloc = np.zeros((nf, 9, 9))
         lam = np.array([mats[m].lam for m in self.mat_id])
-        rho = self.rho
-        # acoustic local Jacobian: stress rows react to v_n, v_n row to s_nn
         for row in (0, 1, 2):
             Aloc[:, row, VX] = -lam
-        Aloc[:, VX, SXX] = -1.0 / rho
-        self.TA = np.einsum("fij,fjk->fik", T, Aloc)
+        Aloc[:, VX, SXX] = -1.0 / self.rho
+        TA = np.matmul(T, Aloc)
+        flux = np.stack([TA[:, :, VX], TA[:, :, SXX] * (-self.rho * g)[:, None]], axis=1)
+        flux *= lift_scale(mesh, self.elem, self.area)[:, None, None]
 
-        nq = op.ref.n_face_points
-        self.eta = np.zeros((len(self.face_ids), nq))
-        self._propagators: dict = {}
+        #: trace classes of the gravity faces (also serves the analysis layer)
+        self.plan = FacePlan.minus(
+            op.ref, self.elem, self.local_face, forcing=forcing, flux=flux,
+            damping=damping,
+            mat=np.searchsorted(self._mat_ids, self.mat_id))
+
+        self.eta = np.zeros((nf, op.ref.n_face_points))
+        self._propagators: OrderedDict = OrderedDict()
+        self._propagator_lock = threading.Lock()
         # physical positions of the quadrature points (for output/analysis)
-        self.points = np.empty((len(self.face_ids), nq, 3))
-        for f in range(4):
-            sel = self.local_face == f
-            if np.any(sel):
-                from .basis import face_points_to_tet
-
-                ref_pts = face_points_to_tet(f, op.ref.face_points)
-                self.points[sel] = mesh.map_points(self.elem[sel], ref_pts)
+        self.points = face_points(mesh, op.ref, self.elem, self.local_face)
 
     def __len__(self) -> int:
         return len(self.face_ids)
 
     # ------------------------------------------------------------------
-    def _trace_taylor(self, derivs: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        """Taylor coefficients of the boundary trace: ``(nf, K, nq, 9)``."""
-        ref = self.op.ref
-        nf = int(sel.sum()) if sel.dtype == bool else len(sel)
-        idx = np.flatnonzero(sel) if sel.dtype == bool else sel
-        K = derivs.shape[1]
-        out = np.empty((nf, K, ref.n_face_points, 9))
-        lf = self.local_face[idx]
-        el = self.elem[idx]
-        for f in range(4):
-            fsel = lf == f
-            if np.any(fsel):
-                E = ref.E_minus[f]
-                # (K*B basis contraction) for each derivative level
-                out[fsel] = np.einsum("qb,ekbn->ekqn", E, derivs[el[fsel]], optimize=True)
-        return out
-
-    def _propagator(self, mat_id: int, dt: float, K: int) -> ExactPropagator:
-        key = (int(mat_id), float(dt), K)
-        prop = self._propagators.get(key)
-        if prop is None:
-            mat = self.op.mesh.materials[int(mat_id)]
-            # with the (unstable) interior-velocity variant the damping term
-            # -(rho g / Z) eta of Eq. 23 is absent from d(eta)/dt
-            a = -mat.rho * self.g / mat.Zp if self.eta_velocity == "middle" else 0.0
-            A = np.array([[a, 0.0], [1.0, 0.0]])
-            prop = ExactPropagator(A, n_forcing=K, dt=dt)
-            self._propagators[key] = prop
-        return prop
+    def _propagator(self, dt: float, K: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(E0, C)`` of the exact step over ``dt``, one row per material
+        of ``_mat_ids``: ``[eta; H](dt) = E0 eta(0) + C @ f`` with ``f`` the
+        ``K`` Taylor derivatives of the forcing (the ``1/k!`` of the
+        monomial coefficients folded in).  LRU-cached on ``(dt, K)``."""
+        key = (float(dt), K)
+        with self._propagator_lock:
+            hit = self._propagators.get(key)
+            if hit is not None:
+                self._propagators.move_to_end(key)
+                return hit
+            E0, C = [], []
+            for mid in self._mat_ids:
+                mat = self.op.mesh.materials[int(mid)]
+                a = -mat.rho * self.g / mat.Zp if self.eta_velocity == "middle" else 0.0
+                prop = ExactPropagator(
+                    np.array([[a, 0.0], [1.0, 0.0]]), n_forcing=K, dt=dt)
+                E0.append(prop.E[:, 0])
+                C.append(prop.W[:, 0, :] * taylor_weights(1.0, K))
+            hit = self._propagators[key] = (np.array(E0), np.array(C))
+            while len(self._propagators) > _PROPAGATOR_CACHE_MAX:
+                self._propagators.popitem(last=False)
+            return hit
 
     def step(self, derivs: np.ndarray, dt: float, out: np.ndarray, face_mask=None) -> None:
         """Advance eta over ``dt`` and add the time-integrated flux to ``out``.
@@ -148,75 +173,34 @@ class GravityBoundary:
             self._step(derivs, dt, out, face_mask)
 
     def _step(self, derivs, dt, out, face_mask=None) -> None:
-        if len(self.face_ids) == 0:
-            return
-        if face_mask is None:
-            idx = np.arange(len(self.face_ids))
-        else:
-            idx = np.flatnonzero(face_mask)
-            if idx.size == 0:
-                return
         K = derivs.shape[1]
-        tr = self._trace_taylor(derivs, idx)  # (nf, K, nq, 9)
-        # forcing f(t) = v_n(t) + p(t)/Z at each quadrature point; monomial
-        # coefficients b_k = f^(k) / k!
-        n = self.normal[idx]  # (nf, 3)
-        v_n = np.einsum("fkqd,fd->fkq", tr[:, :, :, 6:9], n)
-        p = -(tr[:, :, :, 0] + tr[:, :, :, 1] + tr[:, :, :, 2]) / 3.0
-        if self.eta_velocity == "middle":
-            f_deriv = v_n + p / self.Z[idx][:, None, None]
-        else:
-            # d(eta)/dt = v_n^- only: no pressure feedback, no damping
-            f_deriv = v_n
-        fact = 1.0
-        b = np.empty_like(f_deriv)
-        for k in range(K):
-            if k > 0:
-                fact *= k
-            b[:, k] = f_deriv[:, k] / fact
+        for grp in self.plan.select(face_mask).groups:
+            # Taylor derivatives of the forcing at the quadrature points
+            f = grp.taylor_trace(derivs, grp.forcing)[:, :, 0]  # (n, K, nq)
+            eta0 = self.eta[grp.faces]
+            if self.integrator == "exact":
+                E0, C = self._propagator(dt, K)
+                y = np.matmul(C[grp.mat], f)  # (n, 2, nq): eta, H
+                y += E0[grp.mat][:, :, None] * eta0[:, None, :]
+            else:
+                y = self._rk4(grp, f, eta0, dt)
+            eta1 = y[:, 0].copy()
+            y[:, 0] -= eta0  # eta0 may be a view of self.eta: subtract first
+            self.eta[grp.faces] = eta1
+            grp.lift(y, grp.flux, out)
 
-        eta0 = self.eta[idx]
-        if self.integrator == "exact":
-            eta1 = np.empty_like(eta0)
-            H1 = np.empty_like(eta0)
-            for mid in np.unique(self.mat_id[idx]):
-                msel = self.mat_id[idx] == mid
-                prop = self._propagator(mid, dt, K)
-                y0 = np.stack([eta0[msel], np.zeros_like(eta0[msel])], axis=-1)
-                bb = np.zeros(y0.shape + (K,))
-                bb[..., 0, :] = np.moveaxis(b[msel], 1, -1)
-                y1 = prop.apply(y0, bb)
-                eta1[msel] = y1[..., 0]
-                H1[msel] = y1[..., 1]
-        else:
-            a = -(self.rho[idx] * self.g / self.Z[idx])[:, None]
-            powers = np.arange(K)
+    def _rk4(self, grp, f, eta0, dt) -> np.ndarray:
+        """``[eta; H](dt)`` by stepped RK4 on the forcing polynomial."""
+        a = grp.damping[:, None]
 
-            def rhs(t, y):
-                # y[..., 0] = eta, y[..., 1] = H
-                f_t = np.einsum("fkq,k->fq", b, t**powers)
-                d = np.empty_like(y)
-                d[..., 0] = a * y[..., 0] + f_t
-                d[..., 1] = y[..., 0]
-                return d
+        def rhs(t, y):
+            d = np.empty_like(y)
+            d[:, 0] = a * y[:, 0] + np.matmul(taylor_weights(t, f.shape[1]), f)
+            d[:, 1] = y[:, 0]
+            return d
 
-            y0 = np.stack([eta0, np.zeros_like(eta0)], axis=-1)
-            y1 = rk_solve(rhs, y0, dt, RK4, n_steps=self.rk_steps)
-            eta1, H1 = y1[..., 0], y1[..., 1]
-
-        d_eta = eta1 - eta0
-        self.eta[idx] = eta1
-
-        # time-integrated local middle state (Eq. 26):
-        #   int sigma_nn^b dt = -rho g H(t+dt),  int v_n^b dt = d_eta
-        nq = eta0.shape[1]
-        w_hat = np.zeros((len(idx), nq, 9))
-        w_hat[:, :, SXX] = -self.rho[idx][:, None] * self.g * H1
-        w_hat[:, :, VX] = d_eta
-        flux = np.einsum("fij,fqj->fqi", self.TA[idx], w_hat, optimize=True)
-        self.op.project_face_flux(
-            self.elem[idx], self.local_face[idx], self.area[idx], flux, out
-        )
+        y0 = np.stack([eta0, np.zeros_like(eta0)], axis=1)
+        return rk_solve(rhs, y0, dt, RK4, n_steps=self.rk_steps)
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:

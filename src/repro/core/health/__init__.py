@@ -233,20 +233,24 @@ class Watchdog:
         self.check_cfl = check_cfl
         #: the mesh's admissible CFL step (Eq. 27): static, so taken once
         self._dt_admissible = float(solver.dt_elem.min())
-        self._e_prev: float | None = None
+        #: :func:`total_energy` of the state the last passing energy check
+        #: swept — the current step's, for every hook that runs after the
+        #: watchdog's (heartbeats, the flight recorder); ``None`` before
+        #: the first sweep, after :meth:`reset` and with ``energy_mode="off"``
+        self.last_energy: float | None = None
         self._e_max = 0.0
 
     # -- rollback support ------------------------------------------------
     def snapshot(self) -> dict:
         """Energy-tracking state; pair with :meth:`restore` on rollback."""
-        return {"e_prev": self._e_prev, "e_max": self._e_max}
+        return {"last_energy": self.last_energy, "e_max": self._e_max}
 
     def restore(self, snap: dict) -> None:
-        self._e_prev = snap["e_prev"]
+        self.last_energy = snap["last_energy"]
         self._e_max = snap["e_max"]
 
     def reset(self) -> None:
-        self._e_prev = None
+        self.last_energy = None
         self._e_max = 0.0
 
     # -- checks ----------------------------------------------------------
@@ -275,11 +279,11 @@ class Watchdog:
             return f"total energy is non-finite ({e})"
         msg = ""
         if self.energy_mode == "strict":
-            if self._e_prev is not None:
-                allowed = self._e_prev * (1.0 + self.energy_rtol) + 1e-300
+            if self.last_energy is not None:
+                allowed = self.last_energy * (1.0 + self.energy_rtol) + 1e-300
                 if e > allowed:
                     msg = (
-                        f"energy grew {self._e_prev:.6e} -> {e:.6e} on a closed "
+                        f"energy grew {self.last_energy:.6e} -> {e:.6e} on a closed "
                         "domain (Lyapunov invariant violated, Sec. 4.2)"
                     )
         else:  # growth
@@ -289,7 +293,7 @@ class Watchdog:
                     f"historical max {self._e_max:.6e}"
                 )
         if not msg:
-            self._e_prev = e
+            self.last_energy = e
             self._e_max = max(self._e_max, e)
         return msg
 
@@ -325,11 +329,11 @@ class Watchdog:
         """Physics gauges of this sweep — the watchdog invariants as
         observable quantities (Lyapunov energy budget, CFL margin of
         Eq. 27, peak on-fault slip rate)."""
-        if self._e_prev is not None:
-            met.set_gauge("health/energy_total", float(self._e_prev))
+        if self.last_energy is not None:
+            met.set_gauge("health/energy_total", float(self.last_energy))
             if self._e_max > 0.0:
                 met.set_gauge("health/energy_drift_ratio",
-                              float(self._e_prev / self._e_max) - 1.0)
+                              float(self.last_energy / self._e_max) - 1.0)
         if dt is not None and self.check_cfl and self._dt_admissible > 0.0:
             met.set_gauge("health/cfl_margin", 1.0 - dt / self._dt_admissible)
         fault = self.solver.fault

@@ -16,8 +16,9 @@ The corrector update implemented here is the time-integrated weak form:
 
 with ``I`` the time-integrated predictor.  Gravity faces (Sec. 4.3) and
 dynamic-rupture fault faces are *excluded* from the generic surface kernel
-and handled by :mod:`repro.core.gravity` and :mod:`repro.rupture.fault`,
-which add their own flux contributions through :meth:`SpatialOperator.project_face_flux`.
+and handled by :mod:`repro.core.gravity`, :mod:`repro.core.motion` and
+:mod:`repro.rupture.fault`, which trace and lift through their own compiled
+:class:`~repro.kernels.faces.FacePlan`.
 """
 
 from __future__ import annotations
@@ -248,8 +249,8 @@ class SpatialOperator:
         cut face (raises otherwise) — and every boundary face of an owned
         element.  Restricted operators share the parent's (cached,
         immutable) flux matrices via slicing and own their face buffer;
-        they support the residual kernels and :meth:`predict` only, not
-        face-flux projection.
+        they support the residual kernels and :meth:`predict` only (the
+        gravity / motion / fault modules stay bound to the parent).
         """
         cells = np.asarray(cells)
         sub = copy.copy(self)  # shares mesh/ref; per-cell state replaced below
@@ -348,70 +349,6 @@ class SpatialOperator:
         """Add free-surface / absorbing boundary fluxes to ``out``."""
         with _TEL.phase("kernels/surface_boundary"):
             fused_boundary_residual(self, I, out, active)
-
-    def project_face_flux(
-        self,
-        elem: np.ndarray,
-        local_face: np.ndarray,
-        area: np.ndarray,
-        flux_at_points: np.ndarray,
-        out: np.ndarray,
-        plus_side: tuple[int, int] | None = None,
-    ) -> None:
-        """Project pointwise face fluxes back to modal residuals.
-
-        Used by the gravity boundary condition and the fault solver, which
-        compute time-integrated fluxes at face quadrature points themselves.
-
-        Parameters
-        ----------
-        elem, local_face, area:
-            Per-face target element, its local face id, face area.
-        flux_at_points:
-            ``(nf, nq, 9)`` time-integrated flux (in the element's outward
-            normal orientation).
-        plus_side:
-            If given ``(plus_face, perm)``, project with the neighbor trace
-            operator instead (all faces in the call share the class).
-        """
-        ref = self.ref
-        if plus_side is None:
-            # group by local face id
-            for f in range(4):
-                sel = local_face == f
-                if not np.any(sel):
-                    continue
-                E = ref.E_minus[f]
-                contrib = np.einsum(
-                    "qb,q,fqi->fbi", E, ref.face_weights, flux_at_points[sel], optimize=True
-                )
-                contrib *= (-2.0 * area[sel] / self.mesh.det_jac[elem[sel]])[:, None, None]
-                out[elem[sel]] += contrib  # unique per local-face group
-        else:
-            E = ref.E_plus[plus_side[0], plus_side[1]]
-            contrib = np.einsum(
-                "qb,q,fqi->fbi", E, ref.face_weights, flux_at_points, optimize=True
-            )
-            contrib *= (-2.0 * area / self.mesh.det_jac[elem])[:, None, None]
-            out[elem] += contrib  # unique per (plus face, perm) class
-
-    # ------------------------------------------------------------------
-    def trace_minus(self, face_ids: np.ndarray, X: np.ndarray, boundary: bool = True) -> np.ndarray:
-        """Trace of element data ``X`` (``(ne, B, 9)``) on given faces.
-
-        For ``boundary=True`` the faces index :attr:`mesh.boundary`,
-        otherwise the minus side of :attr:`mesh.interior`.
-        Returns ``(nfaces, nq, 9)``.
-        """
-        src = self.mesh.boundary if boundary else self.mesh.interior
-        elem = src.elem[face_ids] if boundary else src.minus_elem[face_ids]
-        face = src.face[face_ids] if boundary else src.minus_face[face_ids]
-        out = np.empty((len(face_ids), self.ref.n_face_points, 9))
-        for f in range(4):
-            sel = face == f
-            if np.any(sel):
-                out[sel] = self.ref.E_minus[f] @ X[elem[sel]]
-        return out
 
     def apply(self, I: np.ndarray, active=None) -> np.ndarray:
         """Full (gravity/fault-free) residual for time-integrated data ``I``.

@@ -25,7 +25,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .basis import face_points_to_tet
+from ..kernels.faces import FacePlan, face_points, lift_scale
+from .ader import taylor_window_weights
 from .materials import SXX, VX, jacobians
 from .quadrature import gauss_legendre_01
 from .riemann import FaceKind
@@ -62,78 +63,57 @@ class PrescribedMotionBoundary:
         mats = mesh.materials
         mid = mesh.material_ids[self.elem]
         self.Zp = np.array([mats[m].Zp for m in mid])
+        nf = len(self.face_ids)
 
+        # the middle state is sigma_nn^b = (sigma_nn^- - Zp v_n^-) + Zp v_pre,
+        # v_n^b = v_pre: the interior enters through one functional of the
+        # state per face (sigma_nn = n.sigma.n in Voigt order, v_n = n.v)
+        nx, ny, nz = self.normal.T
+        interior = np.empty((nf, 9, 1))
+        interior[:, :6, 0] = np.stack(
+            [nx * nx, ny * ny, nz * nz, 2 * nx * ny, 2 * ny * nz, 2 * nx * nz], axis=1)
+        interior[:, 6:, 0] = -self.Zp[:, None] * self.normal
+
+        # flux = T A_loc w_hat reads w_hat's SXX and VX entries only (shear
+        # is free-slip); per unit (sigma_nn^b, v_n^b), corrector scale in
         T, _ = batched_state_rotation(self.normal)
-        Aloc = np.stack([jacobians(mats[int(m)])[0] for m in mid])
-        # shear columns must not contribute: prescribed motion is free-slip
-        Aloc[:, :, 3] = 0.0
-        Aloc[:, :, 5] = 0.0
-        Aloc[:, :, 7] = 0.0
-        Aloc[:, :, 8] = 0.0
-        self.TA = np.einsum("fij,fjk->fik", T, Aloc)
+        TA = np.matmul(T, np.array([jacobians(mat)[0] for mat in mats])[mid])
+        flux = np.stack([TA[:, :, SXX], TA[:, :, VX]], axis=1)
+        flux *= lift_scale(mesh, self.elem, self.area)[:, None, None]
+        self.plan = FacePlan.minus(
+            op.ref, self.elem, self.local_face, interior=interior, flux=flux,
+            Zp=self.Zp)
 
-        nq = op.ref.n_face_points
-        self.points = np.empty((len(self.face_ids), nq, 3))
-        for f in range(4):
-            sel = self.local_face == f
-            if np.any(sel):
-                pts = face_points_to_tet(f, op.ref.face_points)
-                self.points[sel] = mesh.map_points(self.elem[sel], pts)
+        self.points = face_points(mesh, op.ref, self.elem, self.local_face)
         self.n_time_nodes = n_time_nodes or (op.order + 2)
         self._tq, self._wq = gauss_legendre_01(self.n_time_nodes)
-        self.uplift = np.zeros((len(self.face_ids), nq))  # integral of v_pre
+        self.uplift = np.zeros((nf, op.ref.n_face_points))  # integral of v_pre
 
     def __len__(self) -> int:
         return len(self.face_ids)
 
     def step(self, derivs, dt: float, out: np.ndarray, t0: float = 0.0, face_mask=None) -> None:
         """Add the time-integrated prescribed-motion flux over ``[t0, t0+dt]``."""
-        if len(self.face_ids) == 0:
+        sub = self.plan.select(face_mask)
+        if sub.n == 0:
             return
-        idx = np.arange(len(self.face_ids)) if face_mask is None else np.flatnonzero(face_mask)
-        if idx.size == 0:
-            return
-        ref = self.op.ref
-        nq = ref.n_face_points
-        nf = len(idx)
-
-        # interior traces, time-integrated via the Taylor predictor
-        el = self.elem[idx]
-        lf = self.local_face[idx]
-        # integrate traces of sigma_nn^- and v_n^- over the window
-        from .ader import taylor_integrate
-
-        I_elem = taylor_integrate(derivs[el], 0.0, dt)  # (nf, B, 9)
-        tr = np.empty((nf, nq, 9))
-        for f in range(4):
-            sel = lf == f
-            if np.any(sel):
-                tr[sel] = ref.E_minus[f] @ I_elem[sel]
-        n = self.normal[idx]
-        # rotate the needed components to the face frame: sigma_nn, v_n
-        # (sigma_nn = n.sigma.n; v_n = n.v)
-        sxx, syy, szz = tr[:, :, 0], tr[:, :, 1], tr[:, :, 2]
-        sxy, syz, sxz = tr[:, :, 3], tr[:, :, 4], tr[:, :, 5]
-        nx, ny, nz = n[:, 0:1], n[:, 1:2], n[:, 2:3]
-        int_snn = (
-            sxx * nx**2 + syy * ny**2 + szz * nz**2
-            + 2 * (sxy * nx * ny + syz * ny * nz + sxz * nx * nz)
-        )
-        int_vn = tr[:, :, 6] * nx + tr[:, :, 7] * ny + tr[:, :, 8] * nz
+        nq = self.op.ref.n_face_points
 
         # time-integrated prescribed velocity (Gauss quadrature); the user
         # convention is inward-positive, the Riemann frame outward-positive
-        pts = self.points[idx].reshape(-1, 3)
-        int_motion = np.zeros(nf * nq)
+        pts = self.points[sub.idx].reshape(-1, 3)
+        int_motion = np.zeros(sub.n * nq)
         for tau, w in zip(self._tq, self._wq):
             int_motion += dt * w * np.asarray(self.motion(pts, t0 + tau * dt))
-        int_motion = int_motion.reshape(nf, nq)
-        self.uplift[idx] += int_motion
-        int_vpre = -int_motion
+        int_motion = int_motion.reshape(sub.n, nq)
+        self.uplift[sub.idx] += int_motion
 
-        Zp = self.Zp[idx][:, None]
-        w_hat = np.zeros((nf, nq, 9))
-        w_hat[:, :, SXX] = int_snn + Zp * (int_vpre - int_vn)
-        w_hat[:, :, VX] = int_vpre
-        flux = np.einsum("fij,fqj->fqi", self.TA[idx], w_hat, optimize=True)
-        self.op.project_face_flux(self.elem[idx], self.local_face[idx], self.area[idx], flux, out)
+        window = taylor_window_weights(0.0, dt, derivs.shape[1])
+        for grp in sub.groups:
+            w_hat = np.empty((len(grp.elem), 2, nq))
+            w_hat[:, 1] = -int_motion[grp.rows]
+            # int (sigma_nn^- - Zp v_n^-) dt from the traced coefficients
+            np.matmul(window, grp.taylor_trace(derivs, grp.interior)[:, :, 0],
+                      out=w_hat[:, 0])
+            w_hat[:, 0] += grp.Zp[:, None] * w_hat[:, 1]
+            grp.lift(w_hat, grp.flux, out)

@@ -315,7 +315,7 @@ class ResilientRunner:
                 self.watchdog.ensure(dt=dt, step=self.step_count)
                 if rec is not None:
                     rec.record_step(self.step_count, s.t, dt,
-                                    energy=self.watchdog._e_prev,
+                                    energy=self.watchdog.last_energy,
                                     dt_scale=self.dt_scale)
 
             bus.on_sync(watch_sync)
@@ -326,7 +326,7 @@ class ResilientRunner:
                 self.watchdog.ensure(dt=event.dt_nominal, step=self.step_count)
                 if rec is not None:
                     rec.record_step(self.step_count, s.t, event.dt,
-                                    energy=self.watchdog._e_prev,
+                                    energy=self.watchdog.last_energy,
                                     dt_scale=self.dt_scale)
 
             bus.on_micro_step(watch_micro)

@@ -18,7 +18,7 @@ recovered member bitwise against its uninterrupted twin.
 
 A worker can die at any instruction (that is the point), so everything it
 persists is crash-safe: the per-member run log is ``durable`` (fsync per
-record), checkpoints publish atomically, and the result file is written
+write; a heartbeat and its metrics snapshot are one write), checkpoints publish atomically, and the result file is written
 to a pid-keyed temp name and ``os.replace``'d into place.
 """
 
@@ -35,7 +35,7 @@ import traceback
 
 import numpy as np
 
-from ..core.health import SimulationDiverged
+from ..core.health import SimulationDiverged, total_energy
 from ..core.resilience import ResilientRunner
 from ..io.checkpoint import capture_state
 from ..obs.metrics import get_metrics
@@ -226,17 +226,26 @@ def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
         d_wall = max(now - beat_state["wall"], 1e-9)
         rate = (runner.step_count - beat_state["step"]) / d_wall
         beat_state["wall"], beat_state["step"] = now, runner.step_count
+        records = []
         if met is not None:
             snap = met.snapshot()
             tell("heartbeat", step=runner.step_count, sim_t=s.t,
                  metrics=snap)
-            runlog.emit("metrics", step=runner.step_count, sim_t=float(s.t),
-                        metrics=snap)
+            records.append(("metrics", dict(
+                step=runner.step_count, sim_t=float(s.t), metrics=snap)))
         else:
             tell("heartbeat", step=runner.step_count, sim_t=s.t)
-        runlog.emit("heartbeat", step=runner.step_count, sim_t=s.t,
-                    dt=solver.dt * runner.dt_scale,
-                    energy=float(solver.energy()), wall_rate=rate)
+        # the watchdog swept this very state before any hook saw it: its
+        # energy is the heartbeat's (recomputed only when it keeps none)
+        energy = runner.watchdog.last_energy
+        if energy is None:
+            energy = total_energy(solver)
+        records.append(("heartbeat", dict(
+            step=runner.step_count, sim_t=s.t,
+            dt=solver.dt * runner.dt_scale, energy=float(energy),
+            wall_rate=rate)))
+        # both durable when the hook returns, under one fsync
+        runlog.emit_many(records)
 
     status = "completed"
     diverged = None

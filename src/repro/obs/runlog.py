@@ -17,6 +17,9 @@ Events
 ``heartbeat``
     Periodic liveness record: step, simulated time, nominal dt, discrete
     energy and the wall-clock step rate since the previous heartbeat.
+    A supervised ensemble member reports the energy its watchdog swept
+    for the step (:func:`repro.core.health.total_energy`: volume energy
+    plus sea-surface potential) instead of evaluating it a second time.
 ``checkpoint`` / ``resume``
     Emitted by :class:`~repro.core.resilience.ResilientRunner` around its
     atomic checkpoint writes and restarts.
@@ -121,10 +124,12 @@ class RunLog:
     The file is always opened in append mode so resumed runs continue the
     same log; every record is flushed on write so an abrupt kill loses at
     most the record being written (and never corrupts earlier lines).
-    With ``durable=True`` every record is additionally ``fsync``'d to
+    With ``durable=True`` every write is additionally ``fsync``'d to
     disk — the crash-safe mode ensemble workers use, where a ``SIGKILL``
     may arrive at any instruction and the supervisor reads the log of the
-    dead process to diagnose it.
+    dead process to diagnose it.  Records that belong together (a
+    heartbeat and its metrics snapshot) share one write through
+    :meth:`emit_many`.
     """
 
     def __init__(self, path: str, run_id: str | None = None,
@@ -140,22 +145,33 @@ class RunLog:
 
     def emit(self, event: str, **fields) -> None:
         """Append one record; unknown event types are a programming error."""
-        if event not in EVENT_FIELDS:
-            raise ValueError(
-                f"unknown run-log event {event!r} "
-                f"(known: {', '.join(sorted(EVENT_FIELDS))})"
-            )
+        self.emit_many([(event, fields)])
+
+    def emit_many(self, records) -> None:
+        """Append several ``(event, fields)`` records under one write, one
+        flush and (when durable) one ``fsync``: all of them are on disk
+        when the call returns, and an abrupt kill loses at most this
+        batch — a torn tail, as with a single record."""
+        for event, _ in records:
+            if event not in EVENT_FIELDS:
+                raise ValueError(
+                    f"unknown run-log event {event!r} "
+                    f"(known: {', '.join(sorted(EVENT_FIELDS))})"
+                )
         with self._lock:
             if self._fh.closed:
                 return
-            rec = {"event": event, "seq": self._seq, "wall": time.time(),
-                   "run_id": self.run_id}
-            rec.update(fields)
-            self._fh.write(json.dumps(_jsonable(rec)) + "\n")
+            lines = []
+            for seq, (event, fields) in enumerate(records, start=self._seq):
+                rec = {"event": event, "seq": seq, "wall": time.time(),
+                       "run_id": self.run_id}
+                rec.update(fields)
+                lines.append(json.dumps(_jsonable(rec)) + "\n")
+            self._fh.write("".join(lines))
+            self._seq += len(lines)
             self._fh.flush()
             if self.durable:
                 os.fsync(self._fh.fileno())
-            self._seq += 1
 
     @property
     def closed(self) -> bool:

@@ -26,16 +26,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.ader import taylor_evaluate
-from ..core.basis import face_points_to_tet
+from ..core.ader import taylor_weights
 from ..core.materials import jacobians
 from ..core.quadrature import gauss_legendre_01
-from ..core.rotation import batched_state_rotation
+from ..core.rotation import batched_normal_basis, batched_state_rotation
+from ..kernels.faces import FacePlan, face_points, lift_scale
 from ..obs.telemetry import get_telemetry
 
-__all__ = ["Prestress", "FaultSolver"]
+__all__ = ["Prestress", "FaultSolver", "NewtonLoad"]
 
 _TEL = get_telemetry()
+
+#: fault-frame components the Riemann problem reads and its middle state
+#: carries: normal / shear tractions (0, 3, 5) and the velocities
+_FRAME = [0, 3, 5, 6, 7, 8]
+
+
+@dataclass
+class NewtonLoad:
+    """Running summary of the friction solver's Newton iteration counts,
+    one sample per time node — the data-dependent load signal of paper
+    Sec. 5.3, in constant memory however long the run."""
+
+    count: int = 0
+    total: int = 0
+    max: int = 0
+    last: int = 0
+
+    def add(self, iterations: int) -> None:
+        self.count += 1
+        self.total += iterations
+        self.max = max(self.max, iterations)
+        self.last = iterations
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
 
 
 @dataclass
@@ -150,25 +176,58 @@ class FaultSolver:
         self.Zp_p = np.array([mats[m].Zp for m in mid_p])
         self.eta_s = self.Zs_m * self.Zs_p / (self.Zs_m + self.Zs_p)
 
-        # rotations: one shared (minus-normal) fault frame per face
-        self.T, self.Tinv = batched_state_rotation(self.normal)
-        # per-side flux prefactors: minus: +T A_loc^-, plus: -T A_loc^+
-        Am = np.stack([jacobians(mats[int(m)])[0] for m in mid_m])
-        Ap = np.stack([jacobians(mats[int(m)])[0] for m in mid_p])
-        self.TA_m = np.einsum("fij,fjk->fik", self.T, Am)
-        self.TA_p = -np.einsum("fij,fjk->fik", self.T, Ap)
+        # One shared (minus-normal) fault frame per face: w[c] below is
+        # fault-frame component c of a side's trace (0, 3, 5: normal and
+        # shear tractions; 6, 7, 8: velocities), i.e. row c of T^-1 times
+        # the state.  The welded ("stick") middle state is linear in the
+        # two traces,
+        #   s_n  = (w-[0] Zp+ + w+[0] Zp- + Zp- Zp+ (w+[6] - w-[6])) / (Zp- + Zp+)
+        #   v_n  = (Zp- w-[6] + Zp+ w+[6] + (w+[0] - w-[0])) / (Zp- + Zp+)
+        #   th_s = (w-[3] Zs+ + w+[3] Zs- + Zs- Zs+ (w+[7] - w-[7])) / (Zs- + Zs+)
+        #   th_t   likewise from components 5 and 8,
+        # so each side traces its *share* of it directly (impedance ratios
+        # folded into the rows), next to the two characteristic
+        # combinations c_s, c_t = w[7] -+ w[3] / Zs, w[8] -+ w[5] / Zs that
+        # only its own flux needs.  The time-integrated middle state of a
+        # side is then, in components (0, 3, 5, 6, 7, 8), (s_n, tp_s, tp_t,
+        # v_n, c_s +- tp_s / Zs, c_t +- tp_t / Zs) with tp the friction-
+        # limited perturbation traction, and its flux +-T A_loc times
+        # that: with +-1/Zs and the corrector scale folded into the
+        # columns, a side lifts (s_n, tp_s, tp_t, v_n, c_s, c_t).
+        T, Tinv = batched_state_rotation(self.normal)
+        r0, r3, r5, r6, r7, r8 = (Tinv[:, c] for c in _FRAME)
+        A_loc = np.array([jacobians(mat)[0] for mat in mats])
+
+        def side(sign, elem, mid, Zp, Zs, Zp_far, Zs_far):
+            """Right factors of the side whose outward normal is ``sign``
+            times the fault normal (``far``: the other side's impedances)."""
+            Zp, Zs, Zp_far, Zs_far = (z[:, None] for z in (Zp, Zs, Zp_far, Zs_far))
+            functionals = np.stack([
+                (Zp_far * r0 - sign * Zp * Zp_far * r6) / (Zp + Zp_far),
+                (Zp * r6 - sign * r0) / (Zp + Zp_far),
+                (Zs_far * r3 - sign * Zs * Zs_far * r7) / (Zs + Zs_far),
+                (Zs_far * r5 - sign * Zs * Zs_far * r8) / (Zs + Zs_far),
+                r7 - sign * r3 / Zs,
+                r8 - sign * r5 / Zs,
+            ], axis=2)
+            flux = sign * np.matmul(T, A_loc[mid])[:, :, _FRAME].transpose(0, 2, 1)
+            flux[:, 1] += sign * flux[:, 4] / Zs
+            flux[:, 2] += sign * flux[:, 5] / Zs
+            flux *= lift_scale(mesh, elem, self.area)[:, None, None]
+            return {"functionals": functionals, "flux": flux}
+
+        ref = op.ref
+        self._sides = (
+            FacePlan.minus(ref, self.em, self.minus_face, **side(
+                +1.0, self.em, mid_m, self.Zp_m, self.Zs_m, self.Zp_p, self.Zs_p)),
+            FacePlan.plus(ref, self.ep, self.plus_face, self.perm, **side(
+                -1.0, self.ep, mid_p, self.Zp_p, self.Zs_p, self.Zp_m, self.Zs_m)),
+        )
 
         # physical quadrature points (minus-side parametrization)
-        nq = op.ref.n_face_points
+        nq = ref.n_face_points
         nf = len(ids)
-        self.points = np.empty((nf, nq, 3))
-        for f in range(4):
-            sel = self.minus_face == f
-            if np.any(sel):
-                ref_pts = face_points_to_tet(f, op.ref.face_points)
-                self.points[sel] = mesh.map_points(self.em[sel], ref_pts)
-
-        from ..core.rotation import batched_normal_basis
+        self.points = face_points(mesh, ref, self.em, self.minus_face)
 
         self.frame = batched_normal_basis(self.normal)  # columns (n, s, t)
 
@@ -203,39 +262,13 @@ class FaultSolver:
         self.slip_rate = np.zeros((nf, nq))
         self.peak_slip_rate = np.zeros((nf, nq))
         self.rupture_time = np.full((nf, nq), np.inf)
-        self.newton_iterations: list[int] = []
+        self.newton = NewtonLoad()
         self._bound = True
 
     def __len__(self) -> int:
         return len(self.face_ids)
 
     # ------------------------------------------------------------------
-    def _traces(self, derivs, idx, tau):
-        """Fault-frame traces of both sides at relative time ``tau``.
-
-        Returns ``(w_minus, w_plus)`` with shape ``(len(idx), nq, 9)``.
-        """
-        ref = self.op.ref
-        em, ep = self.em[idx], self.ep[idx]
-        q_m = taylor_evaluate(derivs[em], tau)
-        q_p = taylor_evaluate(derivs[ep], tau)
-        nq = ref.n_face_points
-        tm = np.empty((len(em), nq, 9))
-        tp = np.empty((len(em), nq, 9))
-        mf, pf, pm = self.minus_face[idx], self.plus_face[idx], self.perm[idx]
-        for f in range(4):
-            fsel = mf == f
-            if np.any(fsel):
-                tm[fsel] = ref.E_minus[f] @ q_m[fsel]
-        cls = pf * 6 + pm
-        for c in np.unique(cls):
-            csel = cls == c
-            tp[csel] = ref.E_plus[c // 6, c % 6] @ q_p[csel]
-        Tinv = self.Tinv[idx]
-        wm = np.einsum("fij,fqj->fqi", Tinv, tm, optimize=True)
-        wp = np.einsum("fij,fqj->fqi", Tinv, tp, optimize=True)
-        return wm, wp
-
     def step(self, derivs, dt: float, out: np.ndarray, active=None, t0: float = 0.0) -> None:
         """Solve the fault over one ADER window; add time-integrated fluxes.
 
@@ -250,17 +283,30 @@ class FaultSolver:
             self._step(derivs, dt, out, active, t0)
 
     def _step(self, derivs, dt, out, active=None, t0: float = 0.0) -> None:
-        if active is None:
-            idx = np.arange(len(self.face_ids))
-        else:
-            idx = np.flatnonzero(active[self.em])
-            if idx.size == 0:
-                return
+        mask = None if active is None else active[self.em]
+        sides = [plan.select(mask) for plan in self._sides]
+        idx, nf = sides[0].idx, sides[0].n
+        if nf == 0:
+            return
 
-        Zs_m = self.Zs_m[idx][:, None]
-        Zs_p = self.Zs_p[idx][:, None]
-        Zp_m = self.Zp_m[idx][:, None]
-        Zp_p = self.Zp_p[idx][:, None]
+        # both sides' traced functionals (see bind) at every time node,
+        # and in the extra last row their Gauss integral over the window:
+        # one (nodes + 1, K) operator applied to the traced Taylor
+        # coefficients.  W[side, node, functional] is (nf, nq)
+        taus, weights = self.t_nodes * dt, self.t_weights * dt
+        K = derivs.shape[1]
+        node_op = taylor_weights(taus, K)
+        node_op = np.vstack([node_op, weights @ node_op])
+        nq = self.op.ref.n_face_points
+        W = np.empty((2, len(node_op), 6, nf, nq))
+        for side, Ws in zip(sides, W):
+            for grp in side.groups:
+                coef = grp.taylor_trace(derivs, grp.functionals)  # (n, K, 6, nq)
+                n = len(coef)
+                vals = np.matmul(node_op, coef.reshape(n, K, 6 * nq))
+                Ws[:, :, grp.rows] = vals.reshape(n, -1, 6, nq).transpose(1, 2, 0, 3)
+        stick = W[0, :, :4] + W[1, :, :4]  # s_n, v_n, th_s, th_t per node
+
         eta_s = self.eta_s[idx][:, None]
         s_n0 = self.sigma_n0[idx]
         t_s0 = self.tau_s0[idx]
@@ -273,33 +319,15 @@ class FaultSolver:
         peak = self.peak_slip_rate[idx]
         rupt = self.rupture_time[idx]
 
-        nf = len(idx)
-        nq = self.op.ref.n_face_points
-        Iwb_m = np.zeros((nf, nq, 9))
-        Iwb_p = np.zeros((nf, nq, 9))
-
+        # time-integrated perturbation tractions (the friction-limited,
+        # hence only non-linear, part of the middle state)
+        Itp_s = np.zeros((nf, nq))
+        Itp_t = np.zeros((nf, nq))
         t_prev = 0.0
         V_prev = None
-        for tau, w in zip(self.t_nodes * dt, self.t_weights * dt):
+        for (s_n, _, th_s, th_t), tau, w in zip(stick, taus, weights):
             if V_prev is not None:
                 psi = self.friction.evolve_state(psi, V_prev, tau - t_prev)
-            wm, wp = self._traces(derivs, idx, tau)
-
-            dZp = Zp_m + Zp_p
-            s_n = (
-                wm[:, :, 0] * Zp_p + wp[:, :, 0] * Zp_m
-                + Zp_m * Zp_p * (wp[:, :, 6] - wm[:, :, 6])
-            ) / dZp
-            v_n = (Zp_m * wm[:, :, 6] + Zp_p * wp[:, :, 6] + (wp[:, :, 0] - wm[:, :, 0])) / dZp
-            dZs = Zs_m + Zs_p
-            th_s = (
-                wm[:, :, 3] * Zs_p + wp[:, :, 3] * Zs_m
-                + Zs_m * Zs_p * (wp[:, :, 7] - wm[:, :, 7])
-            ) / dZs
-            th_t = (
-                wm[:, :, 5] * Zs_p + wp[:, :, 5] * Zs_m
-                + Zs_m * Zs_p * (wp[:, :, 8] - wm[:, :, 8])
-            ) / dZs
             stick_s = th_s + t_s0
             stick_t = th_t + t_t0
             stick_mag = np.sqrt(stick_s**2 + stick_t**2)
@@ -307,21 +335,13 @@ class FaultSolver:
 
             V, tau_mag = self.friction.solve(stick_mag, sigma_bar, psi, eta_s)
             if hasattr(self.friction, "last_iterations"):
-                self.newton_iterations.append(self.friction.last_iterations)
+                self.newton.add(self.friction.last_iterations)
 
             safe = np.maximum(stick_mag, 1e-300)
             dir_s = stick_s / safe
             dir_t = stick_t / safe
-            tp_s = tau_mag * dir_s - t_s0  # perturbation traction
-            tp_t = tau_mag * dir_t - t_t0
-
-            for arr, wside, Zs, sgn in ((Iwb_m, wm, Zs_m, +1.0), (Iwb_p, wp, Zs_p, -1.0)):
-                arr[:, :, 0] += w * s_n
-                arr[:, :, 3] += w * tp_s
-                arr[:, :, 5] += w * tp_t
-                arr[:, :, 6] += w * v_n
-                arr[:, :, 7] += w * (wside[:, :, 7] + sgn * (tp_s - wside[:, :, 3]) / Zs)
-                arr[:, :, 8] += w * (wside[:, :, 8] + sgn * (tp_t - wside[:, :, 5]) / Zs)
+            Itp_s += w * (tau_mag * dir_s - t_s0)
+            Itp_t += w * (tau_mag * dir_t - t_t0)
 
             slip = slip + w * V
             slip_s = slip_s + w * V * dir_s
@@ -342,21 +362,14 @@ class FaultSolver:
         self.rupture_time[idx] = rupt
         self.slip_rate[idx] = V_prev
 
-        flux_m = np.einsum("fij,fqj->fqi", self.TA_m[idx], Iwb_m, optimize=True)
-        flux_p = np.einsum("fij,fqj->fqi", self.TA_p[idx], Iwb_p, optimize=True)
-        self.op.project_face_flux(
-            self.em[idx], self.minus_face[idx], self.area[idx], flux_m, out
-        )
-        pf, pm = self.plus_face[idx], self.perm[idx]
-        cls = pf * 6 + pm
-        ep = self.ep[idx]
-        area = self.area[idx]
-        for c in np.unique(cls):
-            csel = cls == c
-            self.op.project_face_flux(
-                ep[csel], None, area[csel], flux_p[csel], out,
-                plus_side=(int(c) // 6, int(c) % 6),
-            )
+        # lift (s_n, tp_s, tp_t, v_n, c_s, c_t), time-integrated, per side
+        Y = np.empty((6, nf, nq))
+        Y[0], Y[3] = stick[-1, 0], stick[-1, 1]
+        Y[1], Y[2] = Itp_s, Itp_t
+        for side, Ws in zip(sides, W):
+            Y[4:] = Ws[-1, 4:]
+            for grp in side.groups:
+                grp.lift(Y[:, grp.rows].transpose(1, 0, 2), grp.flux, out)
 
     # ------------------------------------------------------------------
     #: the arrays that evolve during a run (everything else is set by bind)
@@ -391,7 +404,7 @@ class FaultSolver:
             staged[name] = arr.astype(cur.dtype, copy=True)
         for name, arr in staged.items():
             setattr(self, name, arr)
-        self.newton_iterations = []
+        self.newton = NewtonLoad()
 
     # ------------------------------------------------------------------
     def moment(self) -> float:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.basis import face_points_to_tet
 from ..core.riemann import FaceKind
+from ..kernels.faces import FacePlan, face_points
 
 __all__ = ["SurfaceDisplacementTracker", "BedMotionInterpolator", "link_static_uplift"]
 
@@ -52,14 +52,9 @@ class SurfaceDisplacementTracker:
         self.elem = bnd.elem[self.face_ids]
         self.local_face = bnd.face[self.face_ids]
         ref = solver.op.ref
-        nq = ref.n_face_points
-        self.points = np.empty((len(self.face_ids), nq, 3))
-        for f in range(4):
-            sel = self.local_face == f
-            if np.any(sel):
-                pts = face_points_to_tet(f, ref.face_points)
-                self.points[sel] = solver.mesh.map_points(self.elem[sel], pts)
-        self.uz = np.zeros((len(self.face_ids), nq))
+        self.plan = FacePlan.minus(ref, self.elem, self.local_face)
+        self.points = face_points(solver.mesh, ref, self.elem, self.local_face)
+        self.uz = np.zeros((len(self.face_ids), ref.n_face_points))
         self._t_last = solver.t
         self._vz_last = self._surface_vz()
         self.history: list[tuple[float, np.ndarray]] = []
@@ -75,14 +70,7 @@ class SurfaceDisplacementTracker:
         self._t_last = solver.t
 
     def _surface_vz(self) -> np.ndarray:
-        ref = self.solver.op.ref
-        out = np.empty_like(self.uz)
-        for f in range(4):
-            sel = self.local_face == f
-            if np.any(sel):
-                tr = ref.E_minus[f] @ self.solver.Q[self.elem[sel]]
-                out[sel] = tr[:, :, 8]
-        return out
+        return self.plan.trace(self.solver.Q[:, :, 8:])[:, :, 0]
 
     def record_snapshot(self) -> None:
         """Store (t, uz) for later time-dependent bed reconstruction."""

@@ -16,20 +16,40 @@ against it.  Not selectable at runtime.
 :meth:`CoupledSolver.energy`: the per-material loop the runtime ran
 before the energy became one contraction against a cached coefficient
 table, moved here verbatim.
+
+:func:`gravity_step_oracle`, :func:`fault_step_oracle` and
+:func:`motion_step_oracle` are the oracle of the compiled face modules
+(:mod:`repro.kernels.faces`): the per-step quadrature-form code
+``GravityBoundary`` / ``FaultSolver`` / ``PrescribedMotionBoundary`` ran
+before their steps were compiled into ``FacePlan`` chains — trace all
+nine quantities at the face points, rotate, solve, rotate back, project
+(:func:`project_face_flux`) — moved here with the per-face tables the
+modules no longer keep (``T A_loc``, ``T^-1``) rebuilt on every call.
+They advance the module's state exactly like its ``step``;
+:func:`use_reference_face_modules` swaps them into a solver.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.ader import taylor_evaluate, taylor_integrate
 from repro.core.basis import ReferenceElement
 from repro.core.kernels import SpatialOperator
+from repro.core.materials import SXX, VX, jacobians
+from repro.core.rk import RK4, ExactPropagator, rk_solve
+from repro.core.rotation import batched_state_rotation
 
 __all__ = [
     "ck_derivatives",
     "ReferenceOperator",
     "use_reference_kernels",
     "energy_oracle",
+    "project_face_flux",
+    "gravity_step_oracle",
+    "fault_step_oracle",
+    "motion_step_oracle",
+    "use_reference_face_modules",
 ]
 
 
@@ -174,8 +194,8 @@ def use_reference_kernels(solver):
     """Swap the reference kernels into a serial ``solver`` (in place).
 
     The gravity / fault / motion modules keep the operator they were
-    bound to; they only use its mesh, reference element and face-flux
-    projection, which the two operators share.
+    bound to; they only use its mesh and reference element, which the
+    two operators share.
     """
     if solver.backend.name != "serial":
         raise ValueError("the reference kernels run under the serial backend only")
@@ -221,3 +241,312 @@ def energy_oracle(solver) -> float:
             elastic_e = e_dens
         e_tot += float(np.sum(detJ * (kinetic + elastic_e)))
     return e_tot
+
+
+# ----------------------------------------------------------------------
+# the face modules' oracle
+# ----------------------------------------------------------------------
+def project_face_flux(op, elem, local_face, area, flux_at_points, out,
+                      plus_side=None) -> None:
+    """Project pointwise face fluxes (``(nf, nq, 9)``, in the element's
+    outward normal orientation) back to modal residuals; with
+    ``plus_side = (plus_face, perm)`` through the neighbor trace operator
+    (all faces of the call share the class)."""
+    ref = op.ref
+    if plus_side is None:
+        for f in range(4):
+            sel = local_face == f
+            if not np.any(sel):
+                continue
+            E = ref.E_minus[f]
+            contrib = np.einsum(
+                "qb,q,fqi->fbi", E, ref.face_weights, flux_at_points[sel], optimize=True
+            )
+            contrib *= (-2.0 * area[sel] / op.mesh.det_jac[elem[sel]])[:, None, None]
+            out[elem[sel]] += contrib  # unique per local-face group
+    else:
+        E = ref.E_plus[plus_side[0], plus_side[1]]
+        contrib = np.einsum(
+            "qb,q,fqi->fbi", E, ref.face_weights, flux_at_points, optimize=True
+        )
+        contrib *= (-2.0 * area / op.mesh.det_jac[elem])[:, None, None]
+        out[elem] += contrib  # unique per (plus face, perm) class
+
+
+def _trace_minus(ref, local_face, X):
+    """``E_minus[f] @ X`` per face; ``X`` is ``(nf, ..., B, 9)``."""
+    out = np.empty(X.shape[:-2] + (ref.n_face_points, 9))
+    for f in range(4):
+        sel = local_face == f
+        if np.any(sel):
+            out[sel] = ref.E_minus[f] @ X[sel]
+    return out
+
+
+def gravity_step_oracle(gb, derivs, dt, out, face_mask=None) -> None:
+    """``GravityBoundary.step`` in quadrature form (advances ``gb.eta``)."""
+    if len(gb.face_ids) == 0:
+        return
+    idx = np.arange(len(gb.face_ids)) if face_mask is None \
+        else np.flatnonzero(face_mask)
+    if idx.size == 0:
+        return
+    mats = gb.op.mesh.materials
+    K = derivs.shape[1]
+    tr = _trace_minus(gb.op.ref, gb.local_face[idx], derivs[gb.elem[idx]])
+    # forcing f(t) = v_n(t) + p(t)/Z at each quadrature point; monomial
+    # coefficients b_k = f^(k) / k!
+    n = gb.normal[idx]
+    v_n = np.einsum("fkqd,fd->fkq", tr[:, :, :, 6:9], n)
+    p = -(tr[:, :, :, 0] + tr[:, :, :, 1] + tr[:, :, :, 2]) / 3.0
+    middle = gb.eta_velocity == "middle"
+    f_deriv = v_n + p / gb.Z[idx][:, None, None] if middle else v_n
+    fact = 1.0
+    b = np.empty_like(f_deriv)
+    for k in range(K):
+        if k > 0:
+            fact *= k
+        b[:, k] = f_deriv[:, k] / fact
+
+    eta0 = gb.eta[idx]
+    if gb.integrator == "exact":
+        eta1 = np.empty_like(eta0)
+        H1 = np.empty_like(eta0)
+        for mid in np.unique(gb.mat_id[idx]):
+            msel = gb.mat_id[idx] == mid
+            mat = mats[int(mid)]
+            a = -mat.rho * gb.g / mat.Zp if middle else 0.0
+            prop = ExactPropagator(np.array([[a, 0.0], [1.0, 0.0]]),
+                                   n_forcing=K, dt=dt)
+            y0 = np.stack([eta0[msel], np.zeros_like(eta0[msel])], axis=-1)
+            bb = np.zeros(y0.shape + (K,))
+            bb[..., 0, :] = np.moveaxis(b[msel], 1, -1)
+            y1 = prop.apply(y0, bb)
+            eta1[msel] = y1[..., 0]
+            H1[msel] = y1[..., 1]
+    else:
+        # the seed applied the damping to the interior-velocity variant
+        # too, against its own "no pressure feedback, no damping"; both
+        # integrators now solve the same ODE
+        a = -(gb.rho[idx] * gb.g / gb.Z[idx])[:, None] if middle else 0.0
+        powers = np.arange(K)
+
+        def rhs(t, y):
+            f_t = np.einsum("fkq,k->fq", b, t**powers)
+            d = np.empty_like(y)
+            d[..., 0] = a * y[..., 0] + f_t
+            d[..., 1] = y[..., 0]
+            return d
+
+        y0 = np.stack([eta0, np.zeros_like(eta0)], axis=-1)
+        y1 = rk_solve(rhs, y0, dt, RK4, n_steps=gb.rk_steps)
+        eta1, H1 = y1[..., 0], y1[..., 1]
+
+    d_eta = eta1 - eta0
+    gb.eta[idx] = eta1
+
+    # flux = T @ A_loc @ w_hat; A_loc columns touched are SXX and VX only
+    # (acoustic local Jacobian: stress rows react to v_n, v_n row to s_nn)
+    T, _ = batched_state_rotation(n)
+    Aloc = np.zeros((len(idx), 9, 9))
+    lam = np.array([mats[m].lam for m in gb.mat_id[idx]])
+    for row in (0, 1, 2):
+        Aloc[:, row, VX] = -lam
+    Aloc[:, VX, SXX] = -1.0 / gb.rho[idx]
+    TA = np.einsum("fij,fjk->fik", T, Aloc)
+    # time-integrated local middle state (Eq. 26):
+    #   int sigma_nn^b dt = -rho g H(t+dt),  int v_n^b dt = d_eta
+    w_hat = np.zeros((len(idx), eta0.shape[1], 9))
+    w_hat[:, :, SXX] = -gb.rho[idx][:, None] * gb.g * H1
+    w_hat[:, :, VX] = d_eta
+    flux = np.einsum("fij,fqj->fqi", TA, w_hat, optimize=True)
+    project_face_flux(gb.op, gb.elem[idx], gb.local_face[idx], gb.area[idx],
+                      flux, out)
+
+
+def motion_step_oracle(mb, derivs, dt, out, t0=0.0, face_mask=None) -> None:
+    """``PrescribedMotionBoundary.step`` in quadrature form (advances
+    ``mb.uplift``)."""
+    if len(mb.face_ids) == 0:
+        return
+    idx = np.arange(len(mb.face_ids)) if face_mask is None \
+        else np.flatnonzero(face_mask)
+    if idx.size == 0:
+        return
+    nq = mb.op.ref.n_face_points
+    nf = len(idx)
+    mesh = mb.op.mesh
+
+    # interior traces, time-integrated via the Taylor predictor
+    I_elem = taylor_integrate(derivs[mb.elem[idx]], 0.0, dt)
+    tr = _trace_minus(mb.op.ref, mb.local_face[idx], I_elem)
+    n = mb.normal[idx]
+    sxx, syy, szz = tr[:, :, 0], tr[:, :, 1], tr[:, :, 2]
+    sxy, syz, sxz = tr[:, :, 3], tr[:, :, 4], tr[:, :, 5]
+    nx, ny, nz = n[:, 0:1], n[:, 1:2], n[:, 2:3]
+    int_snn = (
+        sxx * nx**2 + syy * ny**2 + szz * nz**2
+        + 2 * (sxy * nx * ny + syz * ny * nz + sxz * nx * nz)
+    )
+    int_vn = tr[:, :, 6] * nx + tr[:, :, 7] * ny + tr[:, :, 8] * nz
+
+    pts = mb.points[idx].reshape(-1, 3)
+    int_motion = np.zeros(nf * nq)
+    for tau, w in zip(mb._tq, mb._wq):
+        int_motion += dt * w * np.asarray(mb.motion(pts, t0 + tau * dt))
+    int_motion = int_motion.reshape(nf, nq)
+    mb.uplift[idx] += int_motion
+    int_vpre = -int_motion
+
+    T, _ = batched_state_rotation(n)
+    Aloc = np.stack([jacobians(mesh.materials[int(m)])[0]
+                     for m in mesh.material_ids[mb.elem[idx]]])
+    TA = np.einsum("fij,fjk->fik", T, Aloc)
+    Zp = mb.Zp[idx][:, None]
+    w_hat = np.zeros((nf, nq, 9))
+    w_hat[:, :, SXX] = int_snn + Zp * (int_vpre - int_vn)
+    w_hat[:, :, VX] = int_vpre
+    flux = np.einsum("fij,fqj->fqi", TA, w_hat, optimize=True)
+    project_face_flux(mb.op, mb.elem[idx], mb.local_face[idx], mb.area[idx],
+                      flux, out)
+
+
+def fault_step_oracle(fs, derivs, dt, out, active=None, t0=0.0) -> None:
+    """``FaultSolver.step`` in quadrature form (advances the fault state):
+    per time node, evaluate both predictors, trace and rotate all nine
+    quantities, solve the fault Riemann problem, accumulate both sides'
+    nine-component middle states; rotate back and project at the end."""
+    idx = np.arange(len(fs.face_ids)) if active is None \
+        else np.flatnonzero(active[fs.em])
+    if idx.size == 0:
+        return
+    op = fs.op
+    ref = op.ref
+    mesh = op.mesh
+    em, ep = fs.em[idx], fs.ep[idx]
+    mf, pf, pm = fs.minus_face[idx], fs.plus_face[idx], fs.perm[idx]
+    cls = pf * 6 + pm
+    T, Tinv = batched_state_rotation(fs.normal[idx])
+    # per-side flux prefactors: minus: +T A_loc^-, plus: -T A_loc^+
+    Am = np.stack([jacobians(mesh.materials[int(m)])[0]
+                   for m in mesh.material_ids[em]])
+    Ap = np.stack([jacobians(mesh.materials[int(m)])[0]
+                   for m in mesh.material_ids[ep]])
+    TA_m = np.einsum("fij,fjk->fik", T, Am)
+    TA_p = -np.einsum("fij,fjk->fik", T, Ap)
+
+    def traces(tau):
+        tm = _trace_minus(ref, mf, taylor_evaluate(derivs[em], tau))
+        q_p = taylor_evaluate(derivs[ep], tau)
+        tp = np.empty_like(tm)
+        for c in np.unique(cls):
+            csel = cls == c
+            tp[csel] = ref.E_plus[c // 6, c % 6] @ q_p[csel]
+        wm = np.einsum("fij,fqj->fqi", Tinv, tm, optimize=True)
+        wp = np.einsum("fij,fqj->fqi", Tinv, tp, optimize=True)
+        return wm, wp
+
+    Zs_m = fs.Zs_m[idx][:, None]
+    Zs_p = fs.Zs_p[idx][:, None]
+    Zp_m = fs.Zp_m[idx][:, None]
+    Zp_p = fs.Zp_p[idx][:, None]
+    eta_s = fs.eta_s[idx][:, None]
+    s_n0 = fs.sigma_n0[idx]
+    t_s0 = fs.tau_s0[idx]
+    t_t0 = fs.tau_t0[idx]
+
+    psi = fs.psi[idx]
+    slip = fs.slip[idx]
+    slip_s = fs.slip_s[idx]
+    slip_t = fs.slip_t[idx]
+    peak = fs.peak_slip_rate[idx]
+    rupt = fs.rupture_time[idx]
+
+    nf = len(idx)
+    nq = ref.n_face_points
+    Iwb_m = np.zeros((nf, nq, 9))
+    Iwb_p = np.zeros((nf, nq, 9))
+
+    t_prev = 0.0
+    V_prev = None
+    for tau, w in zip(fs.t_nodes * dt, fs.t_weights * dt):
+        if V_prev is not None:
+            psi = fs.friction.evolve_state(psi, V_prev, tau - t_prev)
+        wm, wp = traces(tau)
+
+        dZp = Zp_m + Zp_p
+        s_n = (
+            wm[:, :, 0] * Zp_p + wp[:, :, 0] * Zp_m
+            + Zp_m * Zp_p * (wp[:, :, 6] - wm[:, :, 6])
+        ) / dZp
+        v_n = (Zp_m * wm[:, :, 6] + Zp_p * wp[:, :, 6] + (wp[:, :, 0] - wm[:, :, 0])) / dZp
+        dZs = Zs_m + Zs_p
+        th_s = (
+            wm[:, :, 3] * Zs_p + wp[:, :, 3] * Zs_m
+            + Zs_m * Zs_p * (wp[:, :, 7] - wm[:, :, 7])
+        ) / dZs
+        th_t = (
+            wm[:, :, 5] * Zs_p + wp[:, :, 5] * Zs_m
+            + Zs_m * Zs_p * (wp[:, :, 8] - wm[:, :, 8])
+        ) / dZs
+        stick_s = th_s + t_s0
+        stick_t = th_t + t_t0
+        stick_mag = np.sqrt(stick_s**2 + stick_t**2)
+        sigma_bar = np.maximum(-(s_n + s_n0), 0.0)
+
+        V, tau_mag = fs.friction.solve(stick_mag, sigma_bar, psi, eta_s)
+
+        safe = np.maximum(stick_mag, 1e-300)
+        dir_s = stick_s / safe
+        dir_t = stick_t / safe
+        tp_s = tau_mag * dir_s - t_s0  # perturbation traction
+        tp_t = tau_mag * dir_t - t_t0
+
+        for arr, wside, Zs, sgn in ((Iwb_m, wm, Zs_m, +1.0), (Iwb_p, wp, Zs_p, -1.0)):
+            arr[:, :, 0] += w * s_n
+            arr[:, :, 3] += w * tp_s
+            arr[:, :, 5] += w * tp_t
+            arr[:, :, 6] += w * v_n
+            arr[:, :, 7] += w * (wside[:, :, 7] + sgn * (tp_s - wside[:, :, 3]) / Zs)
+            arr[:, :, 8] += w * (wside[:, :, 8] + sgn * (tp_t - wside[:, :, 5]) / Zs)
+
+        slip = slip + w * V
+        slip_s = slip_s + w * V * dir_s
+        slip_t = slip_t + w * V * dir_t
+        peak = np.maximum(peak, V)
+        newly = (V > fs.rupture_threshold) & ~np.isfinite(rupt)
+        rupt = np.where(newly, t0 + tau, rupt)
+        V_prev = V
+        t_prev = tau
+
+    psi = fs.friction.evolve_state(psi, V_prev, dt - t_prev)
+
+    fs.psi[idx] = psi
+    fs.slip[idx] = slip
+    fs.slip_s[idx] = slip_s
+    fs.slip_t[idx] = slip_t
+    fs.peak_slip_rate[idx] = peak
+    fs.rupture_time[idx] = rupt
+    fs.slip_rate[idx] = V_prev
+
+    flux_m = np.einsum("fij,fqj->fqi", TA_m, Iwb_m, optimize=True)
+    flux_p = np.einsum("fij,fqj->fqi", TA_p, Iwb_p, optimize=True)
+    area = fs.area[idx]
+    project_face_flux(op, em, mf, area, flux_m, out)
+    for c in np.unique(cls):
+        csel = cls == c
+        project_face_flux(op, ep[csel], None, area[csel], flux_p[csel], out,
+                          plus_side=(int(c) // 6, int(c) % 6))
+
+
+def use_reference_face_modules(solver):
+    """Route the ``step`` of the solver's gravity / motion / fault modules
+    through the quadrature-form oracle (in place; same signatures)."""
+    import functools
+
+    solver.gravity.step = functools.partial(gravity_step_oracle, solver.gravity)
+    if solver.motion is not None:
+        solver.motion.step = functools.partial(motion_step_oracle, solver.motion)
+    if solver.fault is not None:
+        solver.fault.step = functools.partial(fault_step_oracle, solver.fault)
+    return solver

@@ -9,6 +9,7 @@ from repro.core.ader import taylor_integrate
 from repro.core.cfl import cfl_factor, element_timesteps
 from repro.core.kernels import SpatialOperator
 from repro.core.materials import acoustic, elastic
+from repro.kernels.faces import FacePlan
 from repro.mesh.generators import box_mesh, layered_ocean_mesh
 
 ROCK = elastic(2700.0, 6000.0, 3464.0)
@@ -117,7 +118,8 @@ class TestSpatialOperator:
         op = self.make()
         Q = op.new_state()
         Q[:, 0, 8] = 2.0 / np.sqrt(6.0)  # vz = 2 (constant mode is sqrt(6))
-        ids = np.arange(min(5, len(op.mesh.boundary)))
-        tr = op.trace_minus(ids, Q, boundary=True)
+        bnd = op.mesh.boundary
+        tr = FacePlan.minus(op.ref, bnd.elem, bnd.face).trace(Q)
+        assert tr.shape == (len(bnd), op.ref.n_face_points, 9)
         assert np.allclose(tr[:, :, 8], 2.0)
         assert np.allclose(tr[:, :, :8], 0.0, atol=1e-14)

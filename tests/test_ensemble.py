@@ -154,6 +154,40 @@ class TestWorker:
         assert not report["errors"], report["errors"]
         assert report["events"].get("heartbeat", 0) >= 1
 
+    def test_heartbeat_is_one_fsync_and_the_watchdogs_energy(
+            self, tmp_path, monkeypatch):
+        """A beat's ``metrics`` + ``heartbeat`` records share one fsync, and
+        the heartbeat reports the energy the watchdog computed for the step
+        (volume + sea-surface potential) instead of a second evaluation."""
+        import json
+        import os
+
+        from repro.core.health import total_energy
+
+        syncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync",
+            lambda fd: syncs.append(os.fstat(fd).st_ino) or real_fsync(fd))
+        spec = tiny_spec(checkpoint_every=None)
+        result = run_member(spec, str(tmp_path / "m"))
+        recs = [json.loads(line) for line in open(result["paths"]["runlog"])]
+        events = [r["event"] for r in recs]
+        beats = [r for r in recs if r["event"] == "heartbeat"]
+        assert len(beats) == result["steps"]  # heartbeat_every = 1
+        assert events.count("metrics") == len(beats) + 1  # + the final one
+        # every beat is a (metrics, heartbeat) pair in one durable write
+        for i, rec in enumerate(recs):
+            if rec["event"] == "heartbeat":
+                assert recs[i - 1]["event"] == "metrics"
+                assert recs[i - 1]["step"] == rec["step"]
+        # one fsync per run-log write, not per record
+        log_inode = os.stat(result["paths"]["runlog"]).st_ino
+        assert syncs.count(log_inode) == len(recs) - len(beats)
+        handle = spec.build()
+        handle.solver.run(spec.t_end)
+        assert beats[-1]["energy"] == total_energy(handle.solver)
+
     def test_load_result_rejects_garbage(self, tmp_path):
         path = str(tmp_path / RESULT_NAME)
         assert load_result(path) is None  # missing

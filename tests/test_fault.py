@@ -143,7 +143,10 @@ class TestRateStateRupture:
             s.step()
         assert fault.peak_slip_rate.max() > 1.0
         assert fault.slip.max() > 0.1
-        assert len(fault.newton_iterations) > 0
+        # the Sec. 5.3 load signal: one sample per time node, O(1) memory
+        load = fault.newton
+        assert load.count == 100 * fault.n_time_nodes
+        assert 1 <= load.last <= load.max and load.total >= load.count
 
     def test_no_overstress_stays_creeping(self):
         fr = RateStateFastVelocityWeakening(a=0.01, b=0.014, L=0.2, Vw=0.1, fw=0.2, f0=0.6)

@@ -88,6 +88,38 @@ class TestGravityDispersion:
         # standing wave: amplitude preserved to a few percent
         assert abs(popt[0]) / abs(etas[0]) == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize(
+        "h, L, regime",
+        [(1.0, 20.0, "shallow"), (1.0, 4.0, "intermediate"), (3.0, 4.0, "deep")],
+    )
+    def test_dispersion_relation_across_depths(self, h, L, regime):
+        """``omega^2 = c^2 (k^2 - kappa^2) = g kappa tanh(kappa h)`` from
+        shallow to deep water on the 4 x 2 box: the frequency of the
+        ``cos(k x)`` component of eta over half a period, within 1 %."""
+        c = 15.0
+        s = gravity_box(h, L, c, nx=4, nz=2)
+        omega = seed_mode(s, h, L, c)
+        k, kap, _ = exact_gravity_mode(h, L, c)
+        lo, hi = {"shallow": (0.0, 0.5), "intermediate": (0.5, 3.0),
+                  "deep": (3.0, np.inf)}[regime]
+        assert lo < kap * h < hi
+        gb = s.gravity
+        mode = np.cos(k * gb.points[:, :, 0])
+        mode /= (mode**2).sum()
+        ts, amps = [], []
+        for _ in range(int(0.5 * (2 * np.pi / omega) / s.dt)):
+            s.step()
+            ts.append(s.t)
+            amps.append((gb.eta * mode).sum())
+        from scipy.optimize import curve_fit
+
+        popt, _ = curve_fit(
+            lambda t, Af, w, ph: Af * np.cos(w * t + ph), np.array(ts),
+            np.array(amps), p0=[amps[0], omega, 0.0]
+        )
+        assert abs(abs(popt[1]) - omega) / omega < 0.01
+        assert abs(popt[0]) / abs(amps[0]) == pytest.approx(1.0, abs=0.05)
+
     def test_rk4_matches_exact_integrator(self):
         """Both face-ODE integrators must give the same trajectory."""
         h, L, c = 1.0, 4.0, 15.0

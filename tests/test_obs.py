@@ -674,6 +674,67 @@ class TestRunLogDurability:
         assert any("invalid JSON" in m for _, m in result["errors"])
         assert result["truncated_tail"]
 
+    def test_emit_many_is_one_write_one_fsync(self, tmp_path, monkeypatch):
+        """A batch is durable when the call returns, under a single fsync,
+        with consecutive ``seq``; one record still costs one fsync."""
+        import os as _os
+
+        syncs = []
+        real_fsync = _os.fsync
+        monkeypatch.setattr(_os, "fsync", lambda fd: syncs.append(fd) or real_fsync(fd))
+        path = str(tmp_path / "run.jsonl")
+        log = RunLog(path, durable=True)
+        log.emit("heartbeat", step=1, sim_t=0.0, dt=0.1, energy=0.0,
+                 wall_rate=1.0)
+        assert len(syncs) == 1
+        log.emit_many([
+            ("metrics", dict(step=2, sim_t=0.1, metrics={})),
+            ("heartbeat", dict(step=2, sim_t=0.1, dt=0.1, energy=0.0,
+                               wall_rate=1.0)),
+        ])
+        assert len(syncs) == 2
+        with open(path) as fh:  # no close(): a kill -9 now loses nothing
+            recs = [json.loads(line) for line in fh]
+        assert [r["event"] for r in recs] == ["heartbeat", "metrics", "heartbeat"]
+        assert [r["seq"] for r in recs] == [0, 1, 2]
+        log.emit("run_end", steps=2, wall_s=0.1, phases={}, counters={})
+        log.close()
+        result = validate_jsonl(path)
+        assert result["errors"] == [] and result["records"] == 4
+        assert json.loads(open(path).readlines()[-1])["seq"] == 3
+
+    def test_emit_many_rejects_the_whole_batch(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        with RunLog(path) as log:
+            with pytest.raises(ValueError, match="unknown run-log event"):
+                log.emit_many([
+                    ("heartbeat", dict(step=1, sim_t=0.0, dt=0.1, energy=0.0,
+                                       wall_rate=1.0)),
+                    ("explosion", {}),
+                ])
+            log.emit("run_end", steps=0, wall_s=0.0, phases={}, counters={})
+        recs = [json.loads(line) for line in open(path)]
+        assert [(r["event"], r["seq"]) for r in recs] == [("run_end", 0)]
+
+    def test_torn_batch_is_a_torn_tail(self, tmp_path):
+        """A kill inside a batch write leaves whole records plus one
+        partial line: the torn-tail rule covers it."""
+        path = str(tmp_path / "run.jsonl")
+        with RunLog(path) as log:
+            log.emit_many([
+                ("metrics", dict(step=1, sim_t=0.0, metrics={})),
+                ("heartbeat", dict(step=1, sim_t=0.0, dt=0.1, energy=0.0,
+                                   wall_rate=1.0)),
+            ])
+        raw = open(path).read()
+        for cut in (len(raw) - 10, raw.index("\n") + 20, 15):
+            with open(path, "w") as fh:
+                fh.write(raw[:cut])
+            result = validate_jsonl(path)
+            assert result["errors"] == []
+            assert result["truncated_tail"]
+            assert result["records"] == raw[:cut].count("\n")
+
     def test_supervisor_events_schema(self, tmp_path):
         path = str(tmp_path / "ens.jsonl")
         with RunLog(path) as log:

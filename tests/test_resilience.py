@@ -127,6 +127,42 @@ class TestWatchdog:
         assert total_energy(solver) > solver.energy()
 
 
+class TestLastEnergy:
+    def test_last_energy_is_the_swept_states_total_energy(self):
+        solver = build_coupled()
+        solver.gravity.eta += 0.5
+        wd = Watchdog(solver)
+        assert wd.last_energy is None
+        wd.ensure(dt=solver.dt)
+        assert wd.last_energy == total_energy(solver)
+        snap = wd.snapshot()
+        solver.step()
+        wd.ensure(dt=solver.dt)
+        assert wd.last_energy == total_energy(solver) != snap["last_energy"]
+        wd.restore(snap)
+        assert wd.last_energy == snap["last_energy"]
+        wd.reset()
+        assert wd.last_energy is None
+        assert Watchdog(solver, energy_mode="off").check().ok
+        off = Watchdog(solver, energy_mode="off")
+        off.ensure(dt=solver.dt)
+        assert off.last_energy is None
+
+    @pytest.mark.parametrize("use_lts", [False, True])
+    def test_flight_recorder_steps_carry_it(self, tmp_path, use_lts):
+        solver = build_coupled()
+        lts = LocalTimeStepping(solver) if use_lts else None
+        runner = ResilientRunner(solver, lts=lts, verbose=False,
+                                 blackbox_dir=str(tmp_path))
+        seen = []
+        runner.run(solver.t + 3 * (lts.dt_min * 2**lts.cmax if lts else solver.dt),
+                   callback=lambda s: seen.append(runner.watchdog.last_energy))
+        steps = [e for e in runner.recorder.events() if e["kind"] == "step"]
+        assert len(steps) == len(seen) == runner.step_count > 0
+        assert [e["energy"] for e in steps] == seen
+        assert seen[-1] == total_energy(solver)
+
+
 class TestWatchdogSweepCost:
     def test_one_sweep_reads_energy_once_and_never_rescans_dt_elem(self):
         """Count-based budget of ``Watchdog.check``: one ``solver.energy``

@@ -25,20 +25,32 @@ import numpy as np
 
 from .materials import jacobians
 
-__all__ = ["star_matrices", "taylor_integrate", "taylor_evaluate",
+__all__ = ["transposed_star_matrices", "taylor_integrate", "taylor_evaluate",
            "taylor_weights", "taylor_window_weights"]
 
 
-def star_matrices(mesh) -> np.ndarray:
-    """Per-element reference-coordinate Jacobians, shape ``(ne, 3, 9, 9)``.
+#: elements per chunk of :func:`transposed_star_matrices` (the gathered
+#: per-element Jacobians of one chunk are the build's only scratch)
+_STAR_CHUNK = 2048
 
-    ``star[e, k] = sum_d inv_jac[e, k, d] * (A, B, C)[d]`` of the element's
-    material.
+
+def transposed_star_matrices(mesh) -> np.ndarray:
+    """Per-element reference-coordinate Jacobians, *transposed*, as the
+    C-contiguous ``(ne, 3, 9, 9)`` array the kernels reshape for free.
+
+    ``out[e, k] = star[e, k]^T`` with the "star" Jacobian ``star[e, k] =
+    sum_d inv_jac[e, k, d] * (A, B, C)[d]`` of the element's material
+    (``out.transpose(0, 1, 3, 2)`` views them), written chunk by chunk
+    straight into its final layout (``einsum`` without ``out=`` would
+    pick the memory order of its operands, not C order).
     """
-    mats = [jacobians(m) for m in mesh.materials]
-    ABC = np.stack([np.stack(j) for j in mats])  # (nmat, 3, 9, 9)
-    per_elem = ABC[mesh.material_ids]  # (ne, 3, 9, 9)
-    return np.einsum("ekd,edij->ekij", mesh.inv_jac, per_elem)
+    ABC = np.stack([np.stack(jacobians(m)) for m in mesh.materials])
+    out = np.empty((mesh.n_elements, 3, 9, 9))
+    for lo in range(0, mesh.n_elements, _STAR_CHUNK):
+        rows = slice(lo, lo + _STAR_CHUNK)
+        np.einsum("ekd,edij->ekji", mesh.inv_jac[rows],
+                  ABC[mesh.material_ids[rows]], out=out[rows])
+    return out
 
 
 def taylor_weights(tau, K: int) -> np.ndarray:

@@ -3,12 +3,17 @@
 This module is the Python analogue of SeisSol's generated kernels: all
 per-element and per-face operators are precomputed at setup (star Jacobians,
 per-face Godunov flux matrices F-/F+ of paper Eq. 20 for *both* sides of
-every interior face, boundary flux matrices per kind), folded into the
-stacked-GEMM factors of :mod:`repro.kernels.fusion` and applied grouped by
-face orientation class, so the hot loop is a short sequence of ``matmul``
+every interior face, boundary flux matrices per kind) as the stacked-GEMM
+factors of :mod:`repro.kernels.fusion` and applied grouped by face
+orientation class, so the hot loop is a short sequence of ``matmul``
 calls over contiguous arrays — the vectorization idiom the HPC-Python
-guides prescribe.  The unfolded quadrature-form kernels the folding is
-derived from live in ``tests/reference_kernels.py`` as the test oracle.
+guides prescribe.  The plan build is direct and streamed: one rotation per
+face serves both of its sides, the face-aligned constants of a material
+pair are stacked once, and the scale-folded transposed flux matrices are
+written chunk by chunk into the tables the kernels read — no unfolded
+``F`` is ever materialized.  The unfolded quadrature-form builders and
+kernels the folding is derived from live in ``tests/reference_kernels.py``
+as the test oracle the build is pinned to, bitwise.
 
 The corrector update implemented here is the time-integrated weak form:
 
@@ -25,7 +30,6 @@ from __future__ import annotations
 
 import copy
 from collections import OrderedDict
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,14 +39,17 @@ from ..kernels.fusion import (
     FusedBoundaryGroup,
     FusedInteriorGroup,
     active_rows,
-    attach_fused_groups,
+    attach_boundary_groups,
+    attach_interior_groups,
+    finish_plan,
+    fold_flux_tables,
     fused_boundary_residual,
     fused_ck,
     fused_interior_residual,
     fused_volume_residual,
 )
 from ..obs.telemetry import get_telemetry
-from .ader import star_matrices
+from .ader import transposed_star_matrices
 from .basis import get_reference_element
 from .materials import jacobians
 from .riemann import (
@@ -51,7 +58,7 @@ from .riemann import (
     middle_state_matrices,
     wall_matrix,
 )
-from .rotation import batched_state_rotation
+from .rotation import NORMAL_FLIP
 
 __all__ = ["SpatialOperator"]
 
@@ -84,7 +91,7 @@ class SpatialOperator:
         self.g = gravity_g
         self._n_elements = mesh.n_elements
         # the expensive setup (star Jacobians + per-face flux matrices) is
-        # memoized per problem fingerprint; plans are immutable and shared
+        # memoized per problem fingerprint; plans are read-only and shared
         plan = get_plan_cache().get_or_build(
             mesh, order, flux_variant, self._build_plan)
         self.starT = plan.starT
@@ -106,11 +113,89 @@ class SpatialOperator:
         self._masked_out = None
 
     def _build_plan(self) -> OperatorPlan:
-        plan = OperatorPlan(
-            starT=star_matrices(self.mesh).transpose(0, 1, 3, 2).copy())
-        attach_fused_groups(plan, self._build_interior(),
-                            self._build_boundary(), self.ref)
-        return plan
+        plan = OperatorPlan(starT=transposed_star_matrices(self.mesh))
+        with _TEL.phase("riemann_flux"):
+            self._fold_interior(plan)
+            self._fold_boundary(plan)
+        return finish_plan(plan)
+
+    def _pair_constants(self, mat_m, mat_p) -> np.ndarray:
+        """``(36, 9)`` stack of the four transposed face-aligned Godunov
+        matrices ``A_loc G`` (paper Eq. 20) of an interior face between
+        ``mat_m`` (minus side) and ``mat_p``, in the order the kernels'
+        ``K = 18`` products read them — the minus side's update (own
+        trace, far trace), then the plus side's (far trace, own trace):
+        each side lists the minus element's trace first.
+
+        All four are in the *minus* side's frame.  The plus side sees the
+        normal ``-n``, and ``T(-n) M T(-n)^{-1} = T(n) (D M D) T(n)^{-1}``
+        with the constant sign diagonal ``D`` (:data:`NORMAL_FLIP`),
+        exactly, so its matrices are stored as ``D M D``."""
+        one_sided = self.flux_variant == "one_sided"
+        flip = np.outer(NORMAL_FLIP, NORMAL_FLIP)
+        sides = []
+        for own, far, sign in ((mat_m, mat_p, 1.0), (mat_p, mat_m, flip)):
+            # "one_sided" ignores the far side's material
+            G_own, G_far = middle_state_matrices(own, own if one_sided else far)
+            Aloc = jacobians(own)[0]
+            sides.append((((Aloc @ G_own) * sign).T, ((Aloc @ G_far) * sign).T))
+        (mm, pm), (pp, mp) = sides
+        return np.concatenate([mm, pm, mp, pp])
+
+    def _fold_interior(self, plan: OperatorPlan) -> None:
+        """Folded groups of the regular interior faces, one per (minus
+        face, plus face, permutation) class; faces keep their id order
+        within a class."""
+        mesh, itf = self.mesh, self.mesh.interior
+        cls = (itf.minus_face * 4 + itf.plus_face) * 6 + itf.perm
+        ids = np.flatnonzero(~itf.is_fault)
+        ids = ids[np.argsort(cls[ids], kind="stable")]
+        if not ids.size:
+            return
+        em, ep = itf.minus_elem[ids], itf.plus_elem[ids]
+        mats, nmat = mesh.materials, len(mesh.materials)
+        pairs, which = np.unique(
+            mesh.material_ids[em] * nmat + mesh.material_ids[ep],
+            return_inverse=True)
+        consts = np.stack([self._pair_constants(mats[p // nmat], mats[p % nmat])
+                           for p in pairs.tolist()])
+        # per-face corrector scale: -(2 * area) / det_jac  (reference face
+        # weights sum to 1/2, mass matrix on the reference tet is |J| * I)
+        area = itf.area[ids]
+        Gm = np.empty((len(ids), 18, 9))
+        Gp = np.empty((len(ids), 18, 9))
+        fold_flux_tables(itf.normal[ids], which, consts,
+                         ((Gm, -2.0 * area / mesh.det_jac[em]),
+                          (Gp, -2.0 * area / mesh.det_jac[ep])))
+        attach_interior_groups(plan, self.order, em, ep, itf.minus_face[ids],
+                               itf.plus_face[ids], itf.perm[ids], Gm, Gp)
+
+    def _fold_boundary(self, plan: OperatorPlan) -> None:
+        """Folded groups of the free-surface / absorbing / wall faces, one
+        per (kind, local face)."""
+        mesh, bnd = self.mesh, self.mesh.boundary
+        # middle-state matrix per handled kind (absorbing: A^+_loc directly)
+        middle = {FaceKind.FREE_SURFACE.value: free_surface_matrix,
+                  FaceKind.ABSORBING.value: None,
+                  FaceKind.WALL.value: wall_matrix}
+        ids = np.flatnonzero(np.isin(bnd.kind, list(middle)))
+        ids = ids[np.argsort(bnd.kind[ids] * 4 + bnd.face[ids], kind="stable")]
+        if not ids.size:
+            return
+        elem, kind = bnd.elem[ids], bnd.kind[ids]
+        mats, nmat = mesh.materials, len(mesh.materials)
+        pairs, which = np.unique(kind * nmat + mesh.material_ids[elem],
+                                 return_inverse=True)
+        consts = []
+        for p in pairs.tolist():
+            state, mat = middle[p // nmat], mats[p % nmat]
+            AG = jacobian_positive_part(mat) if state is None \
+                else jacobians(mat)[0] @ state(mat)
+            consts.append(AG.T)
+        G = np.empty((len(ids), 9, 9))
+        fold_flux_tables(bnd.normal[ids], which, np.stack(consts),
+                         ((G, -2.0 * bnd.area[ids] / mesh.det_jac[elem]),))
+        attach_boundary_groups(plan, self.ref, elem, kind, bnd.face[ids], G)
 
     # ------------------------------------------------------------------
     @property
@@ -126,119 +211,6 @@ class SpatialOperator:
         return np.zeros((self.n_elements, self.nbasis, 9))
 
     # ------------------------------------------------------------------
-    def face_flux_matrices(self, mat_m_ids, mat_p_ids, normals):
-        """Vectorized Godunov flux matrices for a batch of faces.
-
-        Returns ``(F_minus, F_plus)`` with shapes ``(nf, 9, 9)``:
-        the flux seen by the element owning ``normals`` (its outward side)
-        is ``F_minus @ q_own + F_plus @ q_neigh``.
-        """
-        with _TEL.phase("riemann_flux"):
-            return self._face_flux_matrices_impl(mat_m_ids, mat_p_ids, normals)
-
-    def _face_flux_matrices_impl(self, mat_m_ids, mat_p_ids, normals):
-        nf = len(mat_m_ids)
-        T, Tinv = batched_state_rotation(normals)
-        Fm = np.empty((nf, 9, 9))
-        Fp = np.empty((nf, 9, 9))
-        mats = self.mesh.materials
-        pair_key = mat_m_ids * len(mats) + mat_p_ids
-        for key in np.unique(pair_key):
-            sel = pair_key == key
-            mm = mats[int(key) // len(mats)]
-            mp = mats[int(key) % len(mats)]
-            if self.flux_variant == "one_sided":
-                Gm, Gp = middle_state_matrices(mm, mm)  # ignores the + side
-            else:
-                Gm, Gp = middle_state_matrices(mm, mp)
-            Aloc = jacobians(mm)[0]
-            AGm = Aloc @ Gm
-            AGp = Aloc @ Gp
-            Fm[sel] = np.einsum("fij,jk,fkl->fil", T[sel], AGm, Tinv[sel], optimize=True)
-            Fp[sel] = np.einsum("fij,jk,fkl->fil", T[sel], AGp, Tinv[sel], optimize=True)
-        return Fm, Fp
-
-    def _build_interior(self) -> list[SimpleNamespace]:
-        """Quadrature-form groups of the regular interior faces, one per
-        (minus face, plus face, permutation) class: per-face Godunov flux
-        matrices and corrector scales.  Pure function of the mesh; the
-        plan keeps only their folded form, the test oracle reads them."""
-        itf = self.mesh.interior
-        regular = ~itf.is_fault
-        ids = np.flatnonzero(regular)
-        mat_ids = self.mesh.material_ids
-        em_mat = mat_ids[itf.minus_elem[ids]]
-        ep_mat = mat_ids[itf.plus_elem[ids]]
-        Fmm, Fpm = self.face_flux_matrices(em_mat, ep_mat, itf.normal[ids])
-        Fmp, Fpp = self.face_flux_matrices(ep_mat, em_mat, -itf.normal[ids])
-
-        # per-face corrector scale: -(2 * area) / det_jac  (reference face
-        # weights sum to 1/2, mass matrix on the reference tet is |J| * I)
-        scale_m = -2.0 * itf.area[ids] / self.mesh.det_jac[itf.minus_elem[ids]]
-        scale_p = -2.0 * itf.area[ids] / self.mesh.det_jac[itf.plus_elem[ids]]
-
-        cls = (itf.minus_face[ids] * 4 + itf.plus_face[ids]) * 6 + itf.perm[ids]
-        groups = []
-        for c in np.unique(cls):
-            sel = cls == c
-            grp = SimpleNamespace()
-            grp.face_ids = ids[sel]
-            grp.em = itf.minus_elem[grp.face_ids]
-            grp.ep = itf.plus_elem[grp.face_ids]
-            grp.minus_face = int(itf.minus_face[grp.face_ids[0]])
-            grp.plus_face = int(itf.plus_face[grp.face_ids[0]])
-            grp.perm = int(itf.perm[grp.face_ids[0]])
-            grp.scale_m = scale_m[sel]
-            grp.scale_p = scale_p[sel]
-            grp.Fmm = Fmm[sel]
-            grp.Fpm = Fpm[sel]
-            grp.Fmp = Fmp[sel]
-            grp.Fpp = Fpp[sel]
-            groups.append(grp)
-        return groups
-
-    def _build_boundary(self) -> list[SimpleNamespace]:
-        """Quadrature-form groups of the free-surface / absorbing / wall
-        faces, one per (kind, local face); see :meth:`_build_interior`."""
-        bnd = self.mesh.boundary
-        mats = self.mesh.materials
-        mat_ids = self.mesh.material_ids
-        groups = []
-        handled = (
-            FaceKind.FREE_SURFACE.value,
-            FaceKind.ABSORBING.value,
-            FaceKind.WALL.value,
-        )
-        for kind in handled:
-            for f in range(4):
-                sel = np.flatnonzero((bnd.kind == kind) & (bnd.face == f))
-                if not sel.size:
-                    continue
-                T, Tinv = batched_state_rotation(bnd.normal[sel])
-                F = np.empty((len(sel), 9, 9))
-                emat = mat_ids[bnd.elem[sel]]
-                for mid in np.unique(emat):
-                    msel = emat == mid
-                    mat = mats[int(mid)]
-                    if kind == FaceKind.FREE_SURFACE.value:
-                        AG = jacobians(mat)[0] @ free_surface_matrix(mat)
-                    elif kind == FaceKind.WALL.value:
-                        AG = jacobians(mat)[0] @ wall_matrix(mat)
-                    else:
-                        AG = jacobian_positive_part(mat)
-                    F[msel] = np.einsum(
-                        "fij,jk,fkl->fil", T[msel], AG, Tinv[msel], optimize=True
-                    )
-                grp = SimpleNamespace()
-                grp.face_ids = sel
-                grp.elem = bnd.elem[sel]
-                grp.face = np.full(len(sel), f)
-                grp.scale = -2.0 * bnd.area[sel] / self.mesh.det_jac[bnd.elem[sel]]
-                grp.F = F
-                groups.append(grp)
-        return groups
-
-    # ------------------------------------------------------------------
     def restricted(self, cells: np.ndarray, n_owned: int) -> "SpatialOperator":
         """Sub-operator over ``cells`` (owned elements first, then the halo).
 
@@ -248,9 +220,12 @@ class SpatialOperator:
         side — the halo layer must therefore contain the far side of every
         cut face (raises otherwise) — and every boundary face of an owned
         element.  Restricted operators share the parent's (cached,
-        immutable) flux matrices via slicing and own their face buffer;
-        they support the residual kernels and :meth:`predict` only (the
-        gravity / motion / fault modules stay bound to the parent).
+        read-only) per-class trace operators and boundary projectors;
+        the rows of ``starT`` / ``Gm`` / ``Gp`` / ``G`` they keep are
+        fancy-indexed *copies* (writable, owned — a partition's memory
+        is its own), as is their face buffer.  They support the residual
+        kernels and :meth:`predict` only (the gravity / motion / fault
+        modules stay bound to the parent).
         """
         cells = np.asarray(cells)
         sub = copy.copy(self)  # shares mesh/ref; per-cell state replaced below

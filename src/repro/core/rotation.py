@@ -19,10 +19,22 @@ __all__ = [
     "state_rotation_inverse",
     "batched_normal_basis",
     "batched_state_rotation",
+    "fill_state_rotation",
+    "NORMAL_FLIP",
 ]
 
 # Voigt ordering used throughout: (xx, yy, zz, xy, yz, xz)
 _VOIGT = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
+
+#: Diagonal of the constant ``D`` with ``T(-n) = T(n) D`` and
+#: ``T(-n)^{-1} = D T(n)^{-1}``, exactly: the triad of ``-n`` is that of
+#: ``n`` with its first two columns negated (``[-n | -s | t]``: ``argmin
+#: |n|`` picks the same helper axis, every cross product changes sign with
+#: one factor, rounding is symmetric), so each Voigt / velocity component
+#: changes sign with the number of normal and ``s`` indices it carries.
+#: One rotation therefore serves both sides of a face.
+NORMAL_FLIP = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0])
+NORMAL_FLIP.setflags(write=False)
 
 
 def normal_basis(n: np.ndarray) -> np.ndarray:
@@ -91,16 +103,34 @@ def batched_normal_basis(normals: np.ndarray) -> np.ndarray:
     return np.stack([n, s, t], axis=2)
 
 
-def _batched_bond(R: np.ndarray) -> np.ndarray:
-    """Vectorized Bond matrix: ``(nf, 3, 3) -> (nf, 6, 6)``."""
-    out = np.empty((R.shape[0], 6, 6))
+def _batched_bond(R: np.ndarray, out: np.ndarray) -> None:
+    """Vectorized Bond matrix of ``R`` ``(nf, 3, 3)``, written into ``out``
+    ``(nf, 6, 6)``: any strides, so a transposed view receives the
+    transpose and a block of a larger array is filled in place."""
     for row, (a, b) in enumerate(_VOIGT):
         for col, (i, j) in enumerate(_VOIGT):
-            if i == j:
-                out[:, row, col] = R[:, a, i] * R[:, b, i]
-            else:
-                out[:, row, col] = R[:, a, i] * R[:, b, j] + R[:, a, j] * R[:, b, i]
-    return out
+            dst = out[:, row, col]
+            np.multiply(R[:, a, i], R[:, b, j], out=dst)
+            if i != j:
+                dst += R[:, a, j] * R[:, b, i]
+
+
+def fill_state_rotation(normals: np.ndarray, T: np.ndarray,
+                        Tinv: np.ndarray) -> None:
+    """Write ``T(n)`` and ``T(n)^{-1}`` into two ``(nf, 9, 9)`` arrays.
+
+    Only the two diagonal blocks are written: the arrays must hold zeros
+    elsewhere (a zero-filled scratch stays valid from call to call).
+    Strides are free, so ``X.transpose(0, 2, 1)`` views receive the
+    transposes — how the plan build gets ``T^T`` and ``T^{-T}`` contiguous
+    without a copy.
+    """
+    R = batched_normal_basis(normals)
+    Rt = R.transpose(0, 2, 1)
+    _batched_bond(R, T[:, :6, :6])
+    T[:, 6:, 6:] = R
+    _batched_bond(Rt, Tinv[:, :6, :6])
+    Tinv[:, 6:, 6:] = Rt
 
 
 def batched_state_rotation(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,15 +138,10 @@ def batched_state_rotation(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Returns two ``(nf, 9, 9)`` arrays.
     """
-    R = batched_normal_basis(normals)
-    nf = R.shape[0]
+    nf = len(normals)
     T = np.zeros((nf, 9, 9))
     Tinv = np.zeros((nf, 9, 9))
-    T[:, :6, :6] = _batched_bond(R)
-    T[:, 6:, 6:] = R
-    Rt = R.transpose(0, 2, 1)
-    Tinv[:, :6, :6] = _batched_bond(Rt)
-    Tinv[:, 6:, 6:] = Rt
+    fill_state_rotation(normals, T, Tinv)
     return T, Tinv
 
 

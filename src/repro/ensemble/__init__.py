@@ -24,11 +24,15 @@ that driver:
   always-complete :class:`EnsembleResult`.
 
 See README "Ensemble runs" and ``python -m repro ensemble --help``.
+
+Only the builder registry loads with the package; the supervision tree
+(``multiprocessing``, the fleet aggregator, the flight recorder) and the
+worker resolve on first use (:mod:`repro._lazy`), so a run that only
+asks ``get_builder`` for a scenario does not pay for them.
 """
 
+from .._lazy import lazy_namespace
 from . import builders  # noqa: F401  (registers the built-in scenarios)
-from .result import STATUSES, EnsembleResult, MemberResult
-from .retry import RetryDecision, RetryPolicy
 from .spec import (
     MemberSpec,
     ScenarioHandle,
@@ -36,8 +40,13 @@ from .spec import (
     get_builder,
     register_builder,
 )
-from .supervisor import Supervisor
-from .worker import load_result, member_paths, run_member, state_digest
+
+_lazy_all, __getattr__ = lazy_namespace(__name__, {
+    "result": ("STATUSES", "EnsembleResult", "MemberResult"),
+    "retry": ("RetryDecision", "RetryPolicy"),
+    "supervisor": ("Supervisor",),
+    "worker": ("load_result", "member_paths", "run_member", "state_digest"),
+})
 
 __all__ = [
     "MemberSpec",
@@ -45,14 +54,5 @@ __all__ = [
     "register_builder",
     "get_builder",
     "available_builders",
-    "RetryPolicy",
-    "RetryDecision",
-    "Supervisor",
-    "MemberResult",
-    "EnsembleResult",
-    "STATUSES",
-    "run_member",
-    "member_paths",
-    "state_digest",
-    "load_result",
+    *_lazy_all,
 ]

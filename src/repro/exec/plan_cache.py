@@ -1,12 +1,15 @@
 """Operator-plan cache: skip flux-matrix setup for a problem seen before.
 
-Building a :class:`~repro.core.kernels.SpatialOperator` is dominated by the
-per-face Godunov flux matrices (Eq. 20 for both sides of every interior
-face, plus boundary kinds).  Benchmarks, convergence sweeps and
-checkpoint/resume workflows rebuild the operator for the *same* discrete
-problem over and over; this module memoizes the finished plan (transposed
-star Jacobians + folded interior/boundary face groups) keyed by a SHA-256
-fingerprint of everything the plan depends on:
+Building a :class:`~repro.core.kernels.SpatialOperator` means filling its
+tables — the transposed star Jacobians and the scale-folded Godunov flux
+matrices (Eq. 20) of both sides of every interior face, plus the boundary
+kinds: one rotation and five small GEMMs per face, streamed into the final
+layout, and dominated by the first touch of the 108 MB (Palu) it writes.
+Benchmarks, convergence sweeps and checkpoint/resume workflows rebuild the
+operator for the *same* discrete problem over and over; this module
+memoizes the finished plan (transposed star Jacobians + folded
+interior/boundary face groups) keyed by a SHA-256 fingerprint of
+everything the plan depends on:
 
 * mesh geometry and topology (vertices, tets),
 * the material table and per-element material assignment,
@@ -18,9 +21,10 @@ The same mesh-level digest feeds :func:`repro.io.checkpoint.fingerprint`,
 so "plan cache hit" and "checkpoint restorable" agree on what *identical
 problem* means.  Invalidation is automatic: any change to the mesh,
 materials or order changes the fingerprint and misses the cache (the stale
-entry ages out of the LRU).  Plans are treated as immutable — the kernels
-only ever read from them — so sharing one plan between many operators
-(serial + partitioned backends, resumed runs) is safe.
+entry ages out of the LRU).  Plans are immutable — the kernels only ever
+read from them, and :func:`repro.kernels.fusion.finish_plan` makes every
+array of a finished plan read-only — so sharing one plan between many
+operators (serial + partitioned backends, resumed runs) is safe.
 
 Set ``REPRO_PLAN_CACHE=0`` to disable caching entirely (every operator
 builds its own plan, the pre-cache behavior).
@@ -94,7 +98,8 @@ class OperatorPlan:
 
     #: (ne, 3, 9, 9) transposed reference-coordinate (star) Jacobians
     starT: np.ndarray
-    #: folded face groups (:func:`repro.kernels.fusion.attach_fused_groups`)
+    #: folded face groups (:func:`repro.kernels.fusion.attach_interior_groups`
+    #: / :func:`~repro.kernels.fusion.attach_boundary_groups`)
     interior_groups: list = field(default_factory=list)
     boundary_groups: list = field(default_factory=list)
 

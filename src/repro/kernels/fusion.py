@@ -39,6 +39,17 @@ Surface (:func:`fused_interior_residual` / :func:`fused_boundary_residual`)
     ``(B, 4F) @ (4F, 9)`` product per element lifts all four slots.  The
     few boundary faces keep the ``(B, B)`` form ``A @ I @ G``.
 
+Plan build (:func:`fold_flux_tables`)
+    The surface tables are built directly in their final layout.  A
+    face's transposed flux matrices ``(T M T^-1)^T`` are two batched
+    products of its rotation with the stacked face-aligned constants of
+    its material pair; faces are sorted by orientation class once and
+    walked in chunks of :data:`FOLD_CHUNK`, each chunk's scaled rows
+    written straight into the class-ordered ``Gm`` / ``Gp`` / ``G``, so
+    the build allocates the tables plus a chunk of scratch and nothing
+    else.  :func:`finish_plan` checks the C-contiguous ``float64`` layout
+    the free reshapes below rely on and makes the plan read-only.
+
 Batch independence
     Every GEMM above is per element or per face, of a shape that does not
     depend on the batch, so NumPy issues one identical BLAS call per
@@ -77,6 +88,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..core.basis import _tet_mode_indices, basis_size, get_reference_element
+from ..core.rotation import fill_state_rotation
 from ..obs.metrics import get_metrics
 
 _MET = get_metrics()
@@ -91,7 +103,11 @@ __all__ = [
     "active_rows",
     "FusedInteriorGroup",
     "FusedBoundaryGroup",
-    "attach_fused_groups",
+    "FOLD_CHUNK",
+    "fold_flux_tables",
+    "attach_interior_groups",
+    "attach_boundary_groups",
+    "finish_plan",
     "fused_volume_residual",
     "fused_interior_residual",
     "fused_boundary_residual",
@@ -284,7 +300,7 @@ class FusedInteriorGroup:
     the local face ids ``fm``/``fp``, the class's stacked trace operators
     ``Wm``/``Wp`` (views of :func:`face_factors`) and the per-face
     scale-folded, stacked transposed flux matrices ``Gm``/``Gp``
-    (see :func:`attach_fused_groups`)."""
+    (see :func:`attach_interior_groups`)."""
 
     __slots__ = ("em", "ep", "fm", "fp", "Wm", "Wp", "Gm", "Gp")
 
@@ -295,57 +311,132 @@ class FusedBoundaryGroup:
     __slots__ = ("elem", "A", "G")
 
 
-def _stacked_flux(F_minus, F_plus, scale) -> np.ndarray:
-    """``(nf, 18, 9)`` flux factor of one side of a face: the transposed
-    flux matrices that multiply the minus / plus element's trace, stacked
-    in that order, times the side's corrector scale."""
-    G = np.empty((len(scale), 18, 9))
-    G[:, :9] = F_minus.transpose(0, 2, 1)
-    G[:, 9:] = F_plus.transpose(0, 2, 1)
-    G *= scale[:, None, None]
-    return G
+#: faces per chunk of :func:`fold_flux_tables`; its scratch (rotations,
+#: gathered constants, the half product: ~6.5 kB a face at four matrices)
+#: is sized ``min(FOLD_CHUNK, n_faces)`` and reused by every chunk
+FOLD_CHUNK = 1024
 
 
-def attach_fused_groups(plan, interior, boundary, ref) -> None:
-    """Fold quadrature projection and scale out of the quadrature-form
-    face groups ``interior``/``boundary`` (the output of
-    ``SpatialOperator._build_interior``/``_build_boundary``) and attach
-    the result to a fresh :class:`~repro.exec.plan_cache.OperatorPlan`.
+def fold_flux_tables(normals, which, consts, outs) -> None:
+    """Build scale-folded transposed flux matrices in their final layout.
 
-    For each interior orientation class with trace operators ``Em``/``Ep``
-    and face weights ``w``, the minus-side contribution
+    For face ``f`` with rotation ``T = T(normals[f])`` and the stack
+    ``consts[which[f]] = [M_1^T; ...; M_k^T]`` (``(9k, 9)``: transposed
+    face-aligned matrices), the ``k`` blocks ``(T M_j T^{-1})^T`` are two
+    batched products, ``Y = consts[which[f]] @ T^T`` and ``T^{-T} @ Y``
+    viewed ``(k, 9, 9)`` — the ``(T M) T^{-1}`` association, a per-face
+    GEMM shape that does not depend on the batch.  ``outs`` is a sequence
+    of ``(table, scale)``: each C-contiguous ``(nf, 9 b, 9)`` table takes
+    the next ``b`` blocks of every face, times ``scale[f]``, written in
+    place chunk by chunk; nothing of size ``nf`` is allocated here.
+    The bits of a row do not depend on :data:`FOLD_CHUNK`.
+    """
+    nf = len(normals)
+    if not nf:
+        return
+    c = min(FOLD_CHUNK, nf)
+    k = consts.shape[1] // 9
+    Tt = np.zeros((c, 9, 9))
+    TinvT = np.zeros((c, 9, 9))
+    B = np.empty((c, 9 * k, 9))
+    Y = np.empty((c, k, 9, 9))
+    for lo in range(0, nf, c):
+        hi = min(lo + c, nf)
+        n = hi - lo
+        fill_state_rotation(normals[lo:hi], Tt[:n].transpose(0, 2, 1),
+                            TinvT[:n].transpose(0, 2, 1))
+        np.take(consts, which[lo:hi], axis=0, out=B[:n])
+        np.matmul(B[:n], Tt[:n], out=Y[:n].reshape(n, 9 * k, 9))
+        b0 = 0
+        for table, scale in outs:
+            rows = table[lo:hi]
+            b1 = b0 + rows.shape[1] // 9
+            np.matmul(TinvT[:n, None], Y[:n, b0:b1],
+                      out=rows.reshape(n, b1 - b0, 9, 9))
+            rows *= scale[lo:hi, None, None]
+            b0 = b1
+
+
+def _class_runs(cls: np.ndarray):
+    """``(lo, hi)`` of every run of equal values in the sorted ``cls``."""
+    cuts = np.flatnonzero(cls[1:] != cls[:-1]) + 1
+    return zip(np.r_[0, cuts], np.r_[cuts, len(cls)])
+
+
+def attach_interior_groups(plan, order: int, em, ep, minus_face, plus_face,
+                           perm, Gm, Gp) -> None:
+    """One :class:`FusedInteriorGroup` per run of equal (minus face, plus
+    face, permutation) in the class-sorted face arrays: every per-face
+    field is a slice of its argument, so ``Gm`` / ``Gp`` (the minus / plus
+    side's ``(nf, 18, 9)`` tables of :func:`fold_flux_tables`) stay the
+    one allocation each was built in.
+
+    With trace operators ``Em``/``Ep`` and face weights ``w``, the
+    minus-side contribution of a face
 
         ``scale_m * Em^T diag(w) (Em I[em] Fmm^T + Ep I[ep] Fpm^T)``
 
     factorizes through the face basis (:func:`face_factors`) into
-    ``R[fm]^T ([R[fm] I[em] | Rp I[ep]] @ Gm)`` with the per-face
-    ``(18, 9)`` stack ``Gm = scale_m * [Fmm^T; Fpm^T]``; symmetrically
-    the plus side is ``R[fp]^T ([C^T R[fm] I[em] | R[fp] I[ep]] @ Gp)``
-    with ``Gp = scale_p * [Fpp^T; Fmp^T]``.  The plan keeps only these
-    factors: the unfolded flux matrices and scales are dropped with the
-    input groups.  Boundary classes keep the ``(B, B)`` projector
-    ``A = E^T diag(w) E`` and ``G = scale * F^T``.  Called only inside
-    the plan builder: cached plans are immutable.
+    ``R[fm]^T ([R[fm] I[em] | Rp I[ep]] @ Gm)`` with the per-face stack
+    ``Gm = scale_m * [Fmm^T; Fpm^T]``; symmetrically the plus side is
+    ``R[fp]^T ([C^T R[fm] I[em] | R[fp] I[ep]] @ Gp)`` with
+    ``Gp = scale_p * [Fpp^T; Fmp^T]``.
     """
-    fac = face_factors(ref.order)
-    w = ref.face_weights
-    for src in interior:
+    fac = face_factors(order)
+    for lo, hi in _class_runs((minus_face * 4 + plus_face) * 6 + perm):
+        fm, fp, pm = int(minus_face[lo]), int(plus_face[lo]), int(perm[lo])
         grp = FusedInteriorGroup()
-        grp.em, grp.ep = src.em, src.ep
-        grp.fm, grp.fp = src.minus_face, src.plus_face
-        grp.Wm = fac.Wm[src.minus_face, src.plus_face, src.perm]
-        grp.Wp = fac.Wp[src.minus_face, src.plus_face, src.perm]
-        grp.Gm = _stacked_flux(src.Fmm, src.Fpm, src.scale_m)
-        grp.Gp = _stacked_flux(src.Fpp, src.Fmp, src.scale_p)
+        grp.em, grp.ep = em[lo:hi], ep[lo:hi]
+        grp.fm, grp.fp = fm, fp
+        grp.Wm = fac.Wm[fm, fp, pm]
+        grp.Wp = fac.Wp[fm, fp, pm]
+        grp.Gm, grp.Gp = Gm[lo:hi], Gp[lo:hi]
         plan.interior_groups.append(grp)
-    for src in boundary:
-        E = ref.E_minus[int(src.face[0])]
+
+
+def attach_boundary_groups(plan, ref, elem, kind, face, G) -> None:
+    """One :class:`FusedBoundaryGroup` per run of equal (kind, local face)
+    in the class-sorted boundary arrays: the ``(B, B)`` projector
+    ``A = E^T diag(w) E`` of the local face and the faces' slice of
+    ``G = scale * F^T`` (``(nf, 9, 9)``, from :func:`fold_flux_tables`)."""
+    w = ref.face_weights
+    for lo, hi in _class_runs(kind * 4 + face):
+        E = ref.E_minus[int(face[lo])]
         grp = FusedBoundaryGroup()
-        grp.elem = src.elem
+        grp.elem = elem[lo:hi]
         grp.A = np.ascontiguousarray((E.T * w) @ E)
-        grp.G = np.ascontiguousarray(src.F.transpose(0, 2, 1)) * \
-            src.scale[:, None, None]
+        grp.G = G[lo:hi]
         plan.boundary_groups.append(grp)
+
+
+def finish_plan(plan):
+    """Check and freeze a fully built plan; returns it.
+
+    The kernels reshape ``starT`` to ``(n, 27, 9)`` and hand ``Gm`` /
+    ``Gp`` / ``A`` / ``G`` to BLAS as they are: every table must be
+    C-contiguous ``float64`` (a K-ordered ``starT`` computes the same
+    bits at twice the predictor's price, so nothing else would notice).
+    Plans are shared between operators through the plan cache, so every
+    array is made read-only here.
+    """
+    tables = {"starT": plan.starT}
+    ids = []
+    for i, grp in enumerate(plan.interior_groups):
+        tables[f"interior_groups[{i}].Gm"] = grp.Gm
+        tables[f"interior_groups[{i}].Gp"] = grp.Gp
+        ids += [grp.em, grp.ep]
+    for i, grp in enumerate(plan.boundary_groups):
+        tables[f"boundary_groups[{i}].A"] = grp.A
+        tables[f"boundary_groups[{i}].G"] = grp.G
+        ids.append(grp.elem)
+    for name, arr in tables.items():
+        if arr.dtype != np.float64 or not arr.flags.c_contiguous:
+            raise ValueError(
+                f"operator plan: {name} must be C-contiguous float64, got "
+                f"{arr.dtype} with strides {arr.strides} for shape {arr.shape}")
+    for arr in (*tables.values(), *ids):
+        arr.setflags(write=False)
+    return plan
 
 
 def memo_by_mask(cache: OrderedDict, active: np.ndarray, select):

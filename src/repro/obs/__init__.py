@@ -28,82 +28,29 @@ The measurement layer behind the paper's Sec. 5-6 performance story:
 * :mod:`repro.obs.session` — :class:`ObsSession` wiring for the CLI's
   ``--profile`` / ``--trace`` / ``--log-json`` / ``--heartbeat-every`` /
   ``--metrics`` flags.
+
+The package namespace is lazy (:mod:`repro._lazy`): ``from repro.obs
+import ObsSession`` and ``import repro.obs.blackbox`` resolve on first
+use, so the solver core's ``from ..obs.metrics import get_metrics`` does
+not load the flight recorder, fleet aggregator, trace exporter and run
+log into every cold start and every fleet worker.
 """
 
-from .blackbox import (
-    BUNDLE_SCHEMA_VERSION,
-    FlightRecorder,
-    build_bundle,
-    classify_bundle,
-    diagnose_bundle_file,
-    dump_bundle,
-    find_bundles,
-    load_bundle,
-    newest_bundle,
-    validate_bundle,
-    write_bundle,
-)
-from .fleet import FleetAggregator, status_lines, status_rows, watch_status
-from .metrics import (
-    METRICS_SCHEMA_VERSION,
-    MetricRegistry,
-    get_metrics,
-    merge_snapshots,
-    to_prometheus,
-    validate_prometheus,
-)
-from .runlog import EVENT_FIELDS, SCHEMA_VERSION, RunLog, run_manifest, validate_jsonl, validate_record
-from .session import ObsSession, add_obs_args, obs_kwargs
-from .telemetry import Telemetry, TraceBuffer, get_telemetry
-from .trace import (
-    TRACE_SCHEMA_VERSION,
-    chrome_trace,
-    export_chrome_trace,
-    load_trace,
-    merge_chrome_traces,
-    summarize_trace,
-    validate_chrome_trace,
-)
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "Telemetry",
-    "TraceBuffer",
-    "get_telemetry",
-    "TRACE_SCHEMA_VERSION",
-    "chrome_trace",
-    "export_chrome_trace",
-    "load_trace",
-    "merge_chrome_traces",
-    "summarize_trace",
-    "validate_chrome_trace",
-    "RunLog",
-    "run_manifest",
-    "validate_record",
-    "validate_jsonl",
-    "EVENT_FIELDS",
-    "SCHEMA_VERSION",
-    "METRICS_SCHEMA_VERSION",
-    "MetricRegistry",
-    "get_metrics",
-    "merge_snapshots",
-    "to_prometheus",
-    "validate_prometheus",
-    "FleetAggregator",
-    "status_rows",
-    "status_lines",
-    "watch_status",
-    "BUNDLE_SCHEMA_VERSION",
-    "FlightRecorder",
-    "build_bundle",
-    "write_bundle",
-    "dump_bundle",
-    "load_bundle",
-    "validate_bundle",
-    "classify_bundle",
-    "find_bundles",
-    "newest_bundle",
-    "diagnose_bundle_file",
-    "ObsSession",
-    "add_obs_args",
-    "obs_kwargs",
-]
+__all__, __getattr__ = lazy_namespace(__name__, {
+    "telemetry": ("Telemetry", "TraceBuffer", "get_telemetry"),
+    "trace": ("TRACE_SCHEMA_VERSION", "chrome_trace", "export_chrome_trace",
+              "load_trace", "merge_chrome_traces", "summarize_trace",
+              "validate_chrome_trace"),
+    "runlog": ("RunLog", "run_manifest", "validate_record", "validate_jsonl",
+               "EVENT_FIELDS", "SCHEMA_VERSION"),
+    "metrics": ("METRICS_SCHEMA_VERSION", "MetricRegistry", "get_metrics",
+                "merge_snapshots", "to_prometheus", "validate_prometheus"),
+    "fleet": ("FleetAggregator", "status_rows", "status_lines", "watch_status"),
+    "blackbox": ("BUNDLE_SCHEMA_VERSION", "FlightRecorder", "build_bundle",
+                 "write_bundle", "dump_bundle", "load_bundle",
+                 "validate_bundle", "classify_bundle", "find_bundles",
+                 "newest_bundle", "diagnose_bundle_file"),
+    "session": ("ObsSession", "add_obs_args", "obs_kwargs"),
+})

@@ -12,6 +12,15 @@ behind the :class:`~repro.core.kernels.SpatialOperator` interface, and
 ``tests/test_kernels.py`` can compare kernels and whole trajectories
 against it.  Not selectable at runtime.
 
+The seed's *plan builders* are here too, verbatim, since the runtime
+builds its folded tables directly (one rotation per face, streamed in
+chunks into the final layout): :func:`star_matrices`,
+:func:`batched_state_rotation`, ``ReferenceOperator.face_flux_matrices``
+/ ``_build_interior`` / ``_build_boundary`` (every face rotated for both
+of its sides, unfolded ``F`` at full size) and
+:meth:`ReferenceOperator.folded_plan`, the fold of those groups the
+runtime plan is pinned to bitwise.
+
 :func:`energy_oracle` is the same kind of oracle for
 :meth:`CoupledSolver.energy`: the per-material loop the runtime ran
 before the energy became one contraction against a cached coefficient
@@ -31,6 +40,8 @@ They advance the module's state exactly like its ``step``;
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.core.ader import taylor_evaluate, taylor_integrate
@@ -38,9 +49,24 @@ from repro.core.basis import ReferenceElement
 from repro.core.kernels import SpatialOperator
 from repro.core.materials import SXX, VX, jacobians
 from repro.core.rk import RK4, ExactPropagator, rk_solve
-from repro.core.rotation import batched_state_rotation
+from repro.core.riemann import (
+    FaceKind,
+    free_surface_matrix,
+    jacobian_positive_part,
+    middle_state_matrices,
+    wall_matrix,
+)
+from repro.core.rotation import _VOIGT, batched_normal_basis
+from repro.exec.plan_cache import OperatorPlan
+from repro.kernels.fusion import (
+    FusedBoundaryGroup,
+    FusedInteriorGroup,
+    face_factors,
+)
 
 __all__ = [
+    "star_matrices",
+    "batched_state_rotation",
     "ck_derivatives",
     "ReferenceOperator",
     "use_reference_kernels",
@@ -51,6 +77,43 @@ __all__ = [
     "motion_step_oracle",
     "use_reference_face_modules",
 ]
+
+
+def star_matrices(mesh) -> np.ndarray:
+    """The seed's star Jacobians ``(ne, 3, 9, 9)``, untransposed, in one
+    ``einsum`` over a full-size gathered ``(A, B, C)`` table; the plan
+    kept ``.transpose(0, 1, 3, 2).copy()`` of it."""
+    mats = [jacobians(m) for m in mesh.materials]
+    ABC = np.stack([np.stack(j) for j in mats])  # (nmat, 3, 9, 9)
+    per_elem = ABC[mesh.material_ids]  # (ne, 3, 9, 9)
+    return np.einsum("ekd,edij->ekij", mesh.inv_jac, per_elem)
+
+
+def _batched_bond(R: np.ndarray) -> np.ndarray:
+    """Vectorized Bond matrix: ``(nf, 3, 3) -> (nf, 6, 6)``."""
+    out = np.empty((R.shape[0], 6, 6))
+    for row, (a, b) in enumerate(_VOIGT):
+        for col, (i, j) in enumerate(_VOIGT):
+            if i == j:
+                out[:, row, col] = R[:, a, i] * R[:, b, i]
+            else:
+                out[:, row, col] = R[:, a, i] * R[:, b, j] + R[:, a, j] * R[:, b, i]
+    return out
+
+
+def batched_state_rotation(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The seed's ``(T(n), T(n)^{-1})``: fresh ``(nf, 9, 9)`` arrays, the
+    Bond blocks built as temporaries and copied in."""
+    R = batched_normal_basis(normals)
+    nf = R.shape[0]
+    T = np.zeros((nf, 9, 9))
+    Tinv = np.zeros((nf, 9, 9))
+    T[:, :6, :6] = _batched_bond(R)
+    T[:, 6:, 6:] = R
+    Rt = R.transpose(0, 2, 1)
+    Tinv[:, :6, :6] = _batched_bond(Rt)
+    Tinv[:, 6:, 6:] = Rt
+    return T, Tinv
 
 
 def ck_derivatives(Q: np.ndarray, star: np.ndarray, ref: ReferenceElement) -> np.ndarray:
@@ -80,7 +143,7 @@ class ReferenceOperator(SpatialOperator):
 
     Holds what they read and the runtime plan does not keep: the
     unfolded face groups (``Fmm``/``Fpm``/``Fmp``/``Fpp``/``F`` and
-    ``scale*``) straight from the plan builders.
+    ``scale*``) straight from the seed's plan builders below.
     """
 
     #: FLOP-counting convention of ``hpc.perfmodel.kernel_counts``
@@ -94,6 +157,152 @@ class ReferenceOperator(SpatialOperator):
 
     def predict_states(self, Q, starT, out=None):
         return ck_derivatives(Q, starT.transpose(0, 1, 3, 2), self.ref)
+
+    # -- the seed plan builders, verbatim: every face rotated for both of
+    # its sides, full-size T / Tinv / F per batch, one copy per class
+    def face_flux_matrices(self, mat_m_ids, mat_p_ids, normals):
+        """Vectorized Godunov flux matrices for a batch of faces.
+
+        Returns ``(F_minus, F_plus)`` with shapes ``(nf, 9, 9)``:
+        the flux seen by the element owning ``normals`` (its outward side)
+        is ``F_minus @ q_own + F_plus @ q_neigh``.
+        """
+        nf = len(mat_m_ids)
+        T, Tinv = batched_state_rotation(normals)
+        Fm = np.empty((nf, 9, 9))
+        Fp = np.empty((nf, 9, 9))
+        mats = self.mesh.materials
+        pair_key = mat_m_ids * len(mats) + mat_p_ids
+        for key in np.unique(pair_key):
+            sel = pair_key == key
+            mm = mats[int(key) // len(mats)]
+            mp = mats[int(key) % len(mats)]
+            if self.flux_variant == "one_sided":
+                Gm, Gp = middle_state_matrices(mm, mm)  # ignores the + side
+            else:
+                Gm, Gp = middle_state_matrices(mm, mp)
+            Aloc = jacobians(mm)[0]
+            AGm = Aloc @ Gm
+            AGp = Aloc @ Gp
+            Fm[sel] = np.einsum("fij,jk,fkl->fil", T[sel], AGm, Tinv[sel], optimize=True)
+            Fp[sel] = np.einsum("fij,jk,fkl->fil", T[sel], AGp, Tinv[sel], optimize=True)
+        return Fm, Fp
+
+    def _build_interior(self) -> list[SimpleNamespace]:
+        """Quadrature-form groups of the regular interior faces, one per
+        (minus face, plus face, permutation) class: per-face Godunov flux
+        matrices and corrector scales.  Pure function of the mesh."""
+        itf = self.mesh.interior
+        regular = ~itf.is_fault
+        ids = np.flatnonzero(regular)
+        mat_ids = self.mesh.material_ids
+        em_mat = mat_ids[itf.minus_elem[ids]]
+        ep_mat = mat_ids[itf.plus_elem[ids]]
+        Fmm, Fpm = self.face_flux_matrices(em_mat, ep_mat, itf.normal[ids])
+        Fmp, Fpp = self.face_flux_matrices(ep_mat, em_mat, -itf.normal[ids])
+
+        # per-face corrector scale: -(2 * area) / det_jac  (reference face
+        # weights sum to 1/2, mass matrix on the reference tet is |J| * I)
+        scale_m = -2.0 * itf.area[ids] / self.mesh.det_jac[itf.minus_elem[ids]]
+        scale_p = -2.0 * itf.area[ids] / self.mesh.det_jac[itf.plus_elem[ids]]
+
+        cls = (itf.minus_face[ids] * 4 + itf.plus_face[ids]) * 6 + itf.perm[ids]
+        groups = []
+        for c in np.unique(cls):
+            sel = cls == c
+            grp = SimpleNamespace()
+            grp.face_ids = ids[sel]
+            grp.em = itf.minus_elem[grp.face_ids]
+            grp.ep = itf.plus_elem[grp.face_ids]
+            grp.minus_face = int(itf.minus_face[grp.face_ids[0]])
+            grp.plus_face = int(itf.plus_face[grp.face_ids[0]])
+            grp.perm = int(itf.perm[grp.face_ids[0]])
+            grp.scale_m = scale_m[sel]
+            grp.scale_p = scale_p[sel]
+            grp.Fmm = Fmm[sel]
+            grp.Fpm = Fpm[sel]
+            grp.Fmp = Fmp[sel]
+            grp.Fpp = Fpp[sel]
+            groups.append(grp)
+        return groups
+
+    def _build_boundary(self) -> list[SimpleNamespace]:
+        """Quadrature-form groups of the free-surface / absorbing / wall
+        faces, one per (kind, local face); see :meth:`_build_interior`."""
+        bnd = self.mesh.boundary
+        mats = self.mesh.materials
+        mat_ids = self.mesh.material_ids
+        groups = []
+        handled = (
+            FaceKind.FREE_SURFACE.value,
+            FaceKind.ABSORBING.value,
+            FaceKind.WALL.value,
+        )
+        for kind in handled:
+            for f in range(4):
+                sel = np.flatnonzero((bnd.kind == kind) & (bnd.face == f))
+                if not sel.size:
+                    continue
+                T, Tinv = batched_state_rotation(bnd.normal[sel])
+                F = np.empty((len(sel), 9, 9))
+                emat = mat_ids[bnd.elem[sel]]
+                for mid in np.unique(emat):
+                    msel = emat == mid
+                    mat = mats[int(mid)]
+                    if kind == FaceKind.FREE_SURFACE.value:
+                        AG = jacobians(mat)[0] @ free_surface_matrix(mat)
+                    elif kind == FaceKind.WALL.value:
+                        AG = jacobians(mat)[0] @ wall_matrix(mat)
+                    else:
+                        AG = jacobian_positive_part(mat)
+                    F[msel] = np.einsum(
+                        "fij,jk,fkl->fil", T[msel], AG, Tinv[msel], optimize=True
+                    )
+                grp = SimpleNamespace()
+                grp.face_ids = sel
+                grp.elem = bnd.elem[sel]
+                grp.face = np.full(len(sel), f)
+                grp.scale = -2.0 * bnd.area[sel] / self.mesh.det_jac[bnd.elem[sel]]
+                grp.F = F
+                groups.append(grp)
+        return groups
+
+    def folded_plan(self) -> OperatorPlan:
+        """The plan as it was built before the direct, streamed build:
+        the transposed copy of :func:`star_matrices` and the fold of the
+        unfolded groups above (``attach_fused_groups`` and
+        ``_stacked_flux``, verbatim) — what
+        ``SpatialOperator._build_plan`` is pinned to, bitwise."""
+        def stacked_flux(F_minus, F_plus, scale):
+            G = np.empty((len(scale), 18, 9))
+            G[:, :9] = F_minus.transpose(0, 2, 1)
+            G[:, 9:] = F_plus.transpose(0, 2, 1)
+            G *= scale[:, None, None]
+            return G
+
+        plan = OperatorPlan(
+            starT=star_matrices(self.mesh).transpose(0, 1, 3, 2).copy())
+        ref = self.ref
+        fac = face_factors(ref.order)
+        w = ref.face_weights
+        for src in self.interior_groups:
+            grp = FusedInteriorGroup()
+            grp.em, grp.ep = src.em, src.ep
+            grp.fm, grp.fp = src.minus_face, src.plus_face
+            grp.Wm = fac.Wm[src.minus_face, src.plus_face, src.perm]
+            grp.Wp = fac.Wp[src.minus_face, src.plus_face, src.perm]
+            grp.Gm = stacked_flux(src.Fmm, src.Fpm, src.scale_m)
+            grp.Gp = stacked_flux(src.Fpp, src.Fmp, src.scale_p)
+            plan.interior_groups.append(grp)
+        for src in self.boundary_groups:
+            E = ref.E_minus[int(src.face[0])]
+            grp = FusedBoundaryGroup()
+            grp.elem = src.elem
+            grp.A = np.ascontiguousarray((E.T * w) @ E)
+            grp.G = np.ascontiguousarray(src.F.transpose(0, 2, 1)) * \
+                src.scale[:, None, None]
+            plan.boundary_groups.append(grp)
+        return plan
 
     # -- the seed kernels, verbatim; the public names bind to them below
     def _volume_residual(self, I, out, active=None) -> None:

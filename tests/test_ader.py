@@ -2,7 +2,11 @@
 
 import numpy as np
 
-from repro.core.ader import star_matrices, taylor_evaluate, taylor_integrate
+from repro.core.ader import (
+    taylor_evaluate,
+    taylor_integrate,
+    transposed_star_matrices,
+)
 from repro.core.basis import get_reference_element
 from repro.core.kernels import SpatialOperator
 from repro.core.materials import elastic, jacobians
@@ -11,6 +15,11 @@ from repro.mesh.generators import box_mesh
 from tests.reference_kernels import ck_derivatives
 
 ROCK = elastic(1.0, 2.0, 1.0)
+
+
+def star_matrices(mesh):
+    """The untransposed star Jacobians: a view of what the plan holds."""
+    return transposed_star_matrices(mesh).transpose(0, 1, 3, 2)
 
 
 def make_setup(order=2, nc=2):

@@ -21,6 +21,10 @@ kernels the solver executes — to them:
 * **face-basis factorization** — the trace factors reproduce the oracle's
   ``E^T diag(w) E`` products, and the face buffer's slot ownership holds
   (never-written slots stay zero, no stale slot is ever lifted);
+* **direct plan build** — the streamed, one-rotation-per-face build of
+  the folded tables equals the seed's rotate-both-sides-then-fold
+  builders bitwise, for any chunk size, within 1.5 x the plan's memory,
+  and leaves a read-only, C-contiguous plan;
 * **plan hygiene** — the shared plan holds only the folded factors, and
   an oracle operator on the same mesh never leaks its unfolded groups
   into it, including under ``REPRO_PLAN_CACHE=0``.
@@ -31,11 +35,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ader
 from repro.core.kernels import SpatialOperator
 from repro.core.materials import acoustic, elastic
 from repro.core.riemann import FaceKind
 from repro.core.solver import ocean_surface_gravity_tagger
+from repro.ensemble.spec import get_builder
 from repro.exec import clear_plan_cache, get_plan_cache, plan_key
+from repro.kernels import fusion
 from repro.kernels.fusion import MASK_CACHE_MAX, element_plan, face_factors
 from repro.mesh.generators import layered_ocean_mesh
 from repro.mesh.tetmesh import TetMesh
@@ -494,6 +501,146 @@ class TestFaceFactorization:
         owned, _ = _slot_masks(shuffled_mesh)
         op._face_buf[owned] = np.nan
         np.testing.assert_array_equal(op.apply(I, second)[second], expected)
+
+
+# ----------------------------------------------------------------------
+# the direct plan build: pinned to the seed builders, bitwise
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def table_mesh():
+    """Everything the plan build branches on, on one small mesh: four
+    materials dealt at random (so every elastic / acoustic pairing occurs
+    with either side as the minus element), randomly re-labelled vertices
+    (several permutations), fault faces the generic kernels must skip and
+    all three boundary kinds they own next to one they do not."""
+    base = layered_ocean_mesh(
+        np.linspace(-1500.0, 1500.0, 5), np.linspace(-1500.0, 1500.0, 5),
+        zs_earth=np.linspace(-3000.0, -1000.0, 3),
+        zs_ocean=np.linspace(-1000.0, 0.0, 2),
+        earth=elastic(2700.0, 6000.0, 3464.0), ocean=acoustic(1000.0, 1500.0),
+    )
+    rng = np.random.default_rng(21)
+    relabel = _EVEN_PERMS[rng.integers(len(_EVEN_PERMS), size=base.n_elements)]
+    materials = [elastic(2700.0, 6000.0, 3464.0), acoustic(1000.0, 1500.0),
+                 elastic(2200.0, 3500.0, 1800.0), acoustic(1030.0, 1480.0)]
+    mesh = TetMesh(base.vertices, np.take_along_axis(base.tets, relabel, axis=1),
+                   materials, rng.integers(len(materials), size=base.n_elements))
+    assert mesh.mark_fault(
+        lambda c, nrm: (np.abs(nrm[:, 0]) > 0.99) & (np.abs(c[:, 0]) < 1e-6)) > 0
+    kinds = np.array([k.value for k in (
+        FaceKind.FREE_SURFACE, FaceKind.ABSORBING, FaceKind.WALL,
+        FaceKind.GRAVITY_FREE_SURFACE)])
+    mesh.tag_boundary(lambda c, nrm: kinds[rng.integers(len(kinds), size=len(c))])
+    itf = mesh.interior
+    ac = mesh.is_acoustic_elem
+    assert (ac[itf.minus_elem] & ~ac[itf.plus_elem]).any()
+    assert (~ac[itf.minus_elem] & ac[itf.plus_elem]).any()
+    assert len(np.unique(itf.perm)) > 1
+    return mesh
+
+
+def _plan_arrays(plan):
+    """``(name, array)`` of everything a plan holds, in a fixed order."""
+    yield "starT", plan.starT
+    for kind, groups in (("interior", plan.interior_groups),
+                         ("boundary", plan.boundary_groups)):
+        for i, grp in enumerate(groups):
+            for name in grp.__slots__:
+                yield f"{kind}[{i}].{name}", np.asarray(getattr(grp, name))
+
+
+def _assert_same_plan(a, b):
+    arrays_a, arrays_b = list(_plan_arrays(a)), list(_plan_arrays(b))
+    assert [n for n, _ in arrays_a] == [n for n, _ in arrays_b]
+    for (name, x), (_, y) in zip(arrays_a, arrays_b):
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+class TestDirectPlanBuild:
+    """``SpatialOperator._build_plan`` streams the folded tables into
+    their final layout from one rotation per face; the seed's builders
+    (both sides rotated, full-size unfolded matrices, fold, drop) are the
+    oracle in ``tests/reference_kernels.py``."""
+
+    @pytest.mark.parametrize("flux_variant", ["exact", "one_sided"])
+    def test_tables_match_seed_builders_bitwise(self, table_mesh, flux_variant):
+        plan = SpatialOperator(
+            table_mesh, 2, flux_variant=flux_variant)._build_plan()
+        oracle = ReferenceOperator(table_mesh, 2, flux_variant=flux_variant)
+        assert len(plan.interior_groups) > 7 and len(plan.boundary_groups) > 3
+        _assert_same_plan(plan, oracle.folded_plan())
+
+    def test_chunk_size_does_not_change_a_bit(self, table_mesh, monkeypatch):
+        """The builder's version of batch independence: chunks of 1, 7 and
+        everything at once give the default build's tables."""
+        op = SpatialOperator(table_mesh, 2)
+        expected = op._build_plan()
+        n_faces = len(table_mesh.interior)
+        for chunk in (1, 7, n_faces):
+            monkeypatch.setattr(fusion, "FOLD_CHUNK", chunk)
+            monkeypatch.setattr(ader, "_STAR_CHUNK", chunk)
+            _assert_same_plan(op._build_plan(), expected)
+
+    def test_build_peak_memory_is_the_plan_plus_a_chunk(self):
+        """Peak traced memory of a build on a Scenario-A-sized mesh stays
+        under 1.5 x the finished plan: 1.25 x measured — the tables, a
+        chunk of scratch, the sorted face ids.  The seed's builders
+        peaked at 1.92 x (both sides' T, Tinv and four F at full size,
+        copied per material pair and per class before the fold)."""
+        import tracemalloc
+
+        op = get_builder("scenario_a")({}, 0).solver.op
+        assert op.n_elements > 5000
+        tracemalloc.start()
+        try:
+            plan = op._build_plan()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for name, a in _plan_arrays(plan)
+                   if not name.endswith((".Wm", ".Wp")) and a.ndim)
+        assert held > 30e6
+        assert peak <= 1.5 * held, (peak, held)
+
+    def test_finished_plan_is_read_only_and_c_contiguous(self, table_mesh):
+        """Plans are shared through the cache: a write into any array of
+        one raises, and the float tables have the layout the kernels'
+        free reshapes need."""
+        clear_plan_cache()
+        op = SpatialOperator(table_mesh, 2)
+        assert SpatialOperator(table_mesh, 2).starT is op.starT
+        for name, arr in _plan_arrays(op):
+            if not arr.ndim:
+                continue
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+            if arr.dtype.kind == "f" and not name.endswith((".Wm", ".Wp")):
+                assert arr.dtype == np.float64 and arr.flags.c_contiguous, name
+
+    def test_finish_plan_rejects_a_k_ordered_table(self, table_mesh):
+        """A transposed-view ``starT`` computes the same bits at twice the
+        predictor's price; the build refuses it instead."""
+        plan = SpatialOperator(table_mesh, 2)._build_plan()
+        plan.starT = plan.starT.transpose(0, 1, 3, 2)
+        with pytest.raises(ValueError, match="starT must be C-contiguous"):
+            fusion.finish_plan(plan)
+        plan.starT = plan.starT.astype(np.float32)
+        with pytest.raises(ValueError, match="float64"):
+            fusion.finish_plan(plan)
+
+    def test_restricted_copies_stay_writable(self, table_mesh):
+        """``restricted()`` fancy-indexes its rows out of the read-only
+        plan: copies it owns."""
+        op = SpatialOperator(table_mesh, 2)
+        cells = np.arange(op.n_elements)
+        sub = op.restricted(cells, op.n_elements)
+        assert sub.starT.flags.writeable and sub.starT.base is None
+        for g in sub.interior_groups:
+            assert g.Gm.flags.writeable and g.Gp.flags.writeable
+        for b in sub.boundary_groups:
+            assert b.G.flags.writeable
 
 
 # ----------------------------------------------------------------------

@@ -138,8 +138,12 @@ class TestGaussLegendre01:
 
 def test_import_repro_does_not_import_scipy_special(tmp_path):
     """Cold start: ``import repro`` must not pay for ``scipy.special``
-    (0.25 s — the rules above are computed in-repo for that reason), and a
-    coupled member run to its end must not pay for any of SciPy (0.14 s of
+    (0.25 s — the rules above are computed in-repo for that reason) nor
+    for the observability stack the solver core does not use (the flight
+    recorder, fleet aggregator, trace exporter and report: ``repro.obs``
+    resolves its names lazily, and still resolves them), asking for a
+    scenario builder must not load the supervision tree, and a coupled
+    member run to its end must not pay for any of SciPy (0.14 s of
     ``scipy.linalg`` on the first gravity step, in every fleet worker —
     the face-ODE propagator exponentiates in-repo for that reason)."""
     import repro
@@ -149,6 +153,15 @@ def test_import_repro_does_not_import_scipy_special(tmp_path):
     code = """
 import sys, repro
 print(sorted(m for m in sys.modules if m.startswith('scipy.special')))
+from repro.ensemble.spec import get_builder
+print(sorted(m for m in sys.modules if m in (
+    'repro.obs.blackbox', 'repro.obs.fleet', 'repro.obs.trace',
+    'repro.obs.report', 'repro.ensemble.supervisor', 'repro.ensemble.worker',
+    'multiprocessing')))
+from repro.obs import ObsSession, RunLog, FlightRecorder
+import repro.obs.blackbox
+print(ObsSession.__module__, RunLog.__module__, FlightRecorder.__module__,
+      repro.obs.blackbox.FlightRecorder is FlightRecorder)
 from repro.ensemble import MemberSpec, run_member
 spec = MemberSpec('m', builder='quickstart', perturb={'n_x': 4}, t_end=0.05)
 print(len(spec.build().solver.gravity) > 0, run_member(spec, sys.argv[1])['status'])
@@ -157,5 +170,7 @@ print(sorted(m for m in sys.modules if m.startswith('scipy')))
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           env=env, check=True, capture_output=True, text=True,
                           timeout=120)
-    assert proc.stdout.split("\n")[:3] == ["[]", "True completed", "[]"], \
-        proc.stdout
+    assert proc.stdout.split("\n")[:5] == [
+        "[]", "[]",
+        "repro.obs.session repro.obs.runlog repro.obs.blackbox True",
+        "True completed", "[]"], proc.stdout

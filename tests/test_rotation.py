@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 from repro.core.materials import acoustic, elastic, jacobian_normal, jacobians
 from repro.core.rotation import (
+    NORMAL_FLIP,
     batched_normal_basis,
     batched_state_rotation,
     bond_matrix,
+    fill_state_rotation,
     normal_basis,
     state_rotation,
     state_rotation_inverse,
 )
 
-
+from . import reference_kernels
 from .conftest import random_material, random_unit_vector
 
 
@@ -141,3 +143,54 @@ class TestStateRotation:
         q = rng.normal(size=9)
         v_rot = (state_rotation(n) @ q)[6:]
         assert np.isclose(v_rot @ v_rot, q[6:] @ q[6:], rtol=1e-12)
+
+
+# components that make ``argmin |n|`` tie and normals axis-aligned, next
+# to generic ones
+_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, 3.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+_NORMALS = st.lists(
+    st.tuples(_COMPONENT, _COMPONENT, _COMPONENT)
+    .filter(lambda n: 1e-6 < max(map(abs, n))),
+    min_size=1, max_size=12).map(np.array)
+
+
+class TestNormalFlip:
+    """What lets the plan build rotate each face once: the far side's
+    rotation is the near side's times a constant sign diagonal — exactly,
+    so the equalities below are bitwise."""
+
+    @given(_NORMALS)
+    @settings(max_examples=200, deadline=None)
+    def test_flip_identity_is_exact(self, normals):
+        """``T(-n) == T(n) D`` and ``T(-n)^-1 == D T(n)^-1``, ties of
+        ``argmin |n|`` and axis-aligned normals included."""
+        T, Tinv = batched_state_rotation(normals)
+        Tf, Tinvf = batched_state_rotation(-normals)
+        np.testing.assert_array_equal(Tf, T * NORMAL_FLIP)
+        np.testing.assert_array_equal(Tinvf, NORMAL_FLIP[:, None] * Tinv)
+
+    def test_flip_diagonal_is_frozen_signs(self):
+        assert set(np.abs(NORMAL_FLIP)) == {1.0}
+        assert not NORMAL_FLIP.flags.writeable
+
+    @given(_NORMALS)
+    @settings(max_examples=50, deadline=None)
+    def test_in_place_fill_matches_seed_rotation(self, normals):
+        """The in-place builder — plain, and through the transposed views
+        of reused scratch the plan build hands it — has the bits of the
+        seed's temporaries-and-copies form."""
+        T0, Tinv0 = reference_kernels.batched_state_rotation(normals)
+        T, Tinv = batched_state_rotation(normals)
+        np.testing.assert_array_equal(T, T0)
+        np.testing.assert_array_equal(Tinv, Tinv0)
+        n = len(normals)
+        Tt = np.zeros((n + 3, 9, 9))
+        TinvT = np.zeros((n + 3, 9, 9))
+        for _ in range(2):  # the second fill overwrites the first
+            fill_state_rotation(normals, Tt[:n].transpose(0, 2, 1),
+                                TinvT[:n].transpose(0, 2, 1))
+        np.testing.assert_array_equal(Tt[:n], T0.transpose(0, 2, 1))
+        np.testing.assert_array_equal(TinvT[:n], Tinv0.transpose(0, 2, 1))
+        assert not Tt[n:].any() and not TinvT[n:].any()

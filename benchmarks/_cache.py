@@ -135,6 +135,7 @@ def palu_coupled_run():
     "recorded acoustic velocity time series").
     """
     from repro.analysis.receivers import ReceiverArray
+    from repro.sched import HookBus
 
     solver, fault, lts = palu_built()
     cfg = palu_config()
@@ -147,7 +148,9 @@ def palu_coupled_run():
     )
     receivers = ReceiverArray(solver, bay_pts)
     receivers.record()
-    lts.run(palu_t_end(), callback=lambda s: receivers.record())
+    hooks = HookBus()
+    receivers.subscribe(hooks)
+    lts.run(palu_t_end(), hooks=hooks)
     return solver, fault, lts, receivers
 
 
@@ -158,6 +161,7 @@ def palu_linked_run():
     Returns ``(eq_solver, fault, tracker, swe)``.
     """
     from repro.scenarios.palu import build_earthquake_only, run_linked_tsunami
+    from repro.sched import HookBus
 
     _print_header("palu linked")
     cfg = palu_config()
@@ -165,8 +169,10 @@ def palu_linked_run():
     t_end = palu_t_end()
     snapshots = [(0.0, tracker.uz.copy())]
     n_snap = 6 if FAST else 10
+    hooks = HookBus()
+    hooks.on_sync(tracker)
     for i in range(n_snap):
-        eq.run(t_end * (i + 1) / n_snap, callback=tracker)
+        eq.run(t_end * (i + 1) / n_snap, hooks=hooks)
         snapshots.append((eq.t, tracker.uz.copy()))
     swe = run_linked_tsunami(cfg, tracker, snapshots, t_end)
     return eq, fault, tracker, swe
@@ -208,6 +214,7 @@ def scenario_a_coupled_run():
 def scenario_a_linked_run():
     """Returns ``(eq_solver, fault, tracker, swe)``."""
     from repro.scenarios.scenario_a import build_earthquake_only, run_linked_tsunami
+    from repro.sched import HookBus
 
     _print_header("scenario A linked")
     cfg = scenario_a_config()
@@ -215,8 +222,10 @@ def scenario_a_linked_run():
     t_end = scenario_a_t_end()
     snapshots = [(0.0, tracker.uz.copy())]
     n_snap = 6 if FAST else 10
+    hooks = HookBus()
+    hooks.on_sync(tracker)
     for i in range(n_snap):
-        eq.run(t_end * (i + 1) / n_snap, callback=tracker)
+        eq.run(t_end * (i + 1) / n_snap, hooks=hooks)
         snapshots.append((eq.t, tracker.uz.copy()))
     swe = run_linked_tsunami(cfg, tracker, snapshots, t_end)
     return eq, fault, tracker, swe

@@ -26,7 +26,7 @@ silently corrupting the run.
 They also accept the execution-backend options ``--backend
 serial|partitioned`` and ``--workers N`` (thread-pool size for the
 partitioned backend; see README "Parallel execution"), and the
-observability options ``--profile`` (phase telemetry + roofline report at
+observability options ``--profile`` (phase timers + roofline report at
 exit), ``--trace PATH`` (span timeline exported as Chrome-trace/Perfetto
 JSON), ``--log-json PATH`` (structured JSONL run records) and
 ``--heartbeat-every N`` (heartbeat period in steps; see README

@@ -19,8 +19,8 @@ QUANTITY_NAMES = ("sxx", "syy", "szz", "sxy", "syz", "sxz", "vx", "vy", "vz")
 class ReceiverArray:
     """A set of receivers recording the full 9-variable state.
 
-    Use as a solver callback (records every ``every``-th call) or call
-    :meth:`record` manually.
+    Subscribe it to a run's hook bus (records every ``every``-th sync)
+    or call :meth:`record` manually.
     """
 
     def __init__(self, solver, positions: np.ndarray, every: int = 1):
@@ -59,8 +59,7 @@ class ReceiverArray:
     def subscribe(self, bus) -> "ReceiverArray":
         """Sample at every scheduler synchronization point.
 
-        Registers on a :class:`~repro.sched.HookBus`; equivalent to
-        passing the array as a run callback.
+        Registers on a :class:`~repro.sched.HookBus`.
         """
         bus.on_sync(self)
         return self

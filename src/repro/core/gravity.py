@@ -30,7 +30,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..kernels.faces import FacePlan, face_points, lift_scale
-from ..obs.telemetry import get_telemetry
+from ..obs.metrics import get_metrics
 from .ader import taylor_weights
 from .materials import SXX, VX
 from .riemann import FaceKind
@@ -39,7 +39,7 @@ from .rotation import batched_state_rotation
 
 __all__ = ["GravityBoundary"]
 
-_TEL = get_telemetry()
+_MET = get_metrics()
 
 #: propagator tables kept per boundary: a run alternates between one
 #: ``dt`` per LTS cluster plus the odd shortened or backed-off step
@@ -169,7 +169,7 @@ class GravityBoundary:
         ``derivs`` is the CK predictor of (at least) the adjacent elements,
         with expansion point at the beginning of the step.
         """
-        with _TEL.phase("gravity/ode"):
+        with _MET.phase("gravity/ode"):
             self._step(derivs, dt, out, face_mask)
 
     def _step(self, derivs, dt, out, face_mask=None) -> None:

@@ -48,7 +48,7 @@ from ..kernels.fusion import (
     fused_interior_residual,
     fused_volume_residual,
 )
-from ..obs.telemetry import get_telemetry
+from ..obs.metrics import get_metrics
 from .ader import transposed_star_matrices
 from .basis import get_reference_element
 from .materials import jacobians
@@ -62,7 +62,7 @@ from .rotation import NORMAL_FLIP
 
 __all__ = ["SpatialOperator"]
 
-_TEL = get_telemetry()
+_MET = get_metrics()
 
 
 class SpatialOperator:
@@ -114,7 +114,7 @@ class SpatialOperator:
 
     def _build_plan(self) -> OperatorPlan:
         plan = OperatorPlan(starT=transposed_star_matrices(self.mesh))
-        with _TEL.phase("riemann_flux"):
+        with _MET.phase("riemann_flux"):
             self._fold_interior(plan)
             self._fold_boundary(plan)
         return finish_plan(plan)
@@ -307,7 +307,7 @@ class SpatialOperator:
 
     def volume_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add the stiffness (volume) term of the corrector to ``out``."""
-        with _TEL.phase("kernels/volume"):
+        with _MET.phase("kernels/volume"):
             fused_volume_residual(self, I, out, active)
 
     def interior_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
@@ -317,12 +317,12 @@ class SpatialOperator:
         face receive contributions — needed by local time-stepping, where a
         face between clusters is visited by each side at its own cadence.
         """
-        with _TEL.phase("kernels/surface_interior"):
+        with _MET.phase("kernels/surface_interior"):
             fused_interior_residual(self, I, out, active)
 
     def boundary_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add free-surface / absorbing boundary fluxes to ``out``."""
-        with _TEL.phase("kernels/surface_boundary"):
+        with _MET.phase("kernels/surface_boundary"):
             fused_boundary_residual(self, I, out, active)
 
     def apply(self, I: np.ndarray, active=None) -> np.ndarray:
@@ -333,7 +333,7 @@ class SpatialOperator:
         out = (np.empty((self.n_elements, self.nbasis, 9)) if active is None
                else self.masked_residual())
         # every updated row gets a volume term: store it, no zero-fill + add
-        with _TEL.phase("kernels/volume"):
+        with _MET.phase("kernels/volume"):
             fused_volume_residual(self, I, out, active, overwrite=True)
         self.interior_residual(I, out, active)
         self.boundary_residual(I, out, active)

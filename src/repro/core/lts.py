@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels.fusion import row_set
-from ..sched import HookBus, Scheduler
+from ..sched import Scheduler
 from .cfl import element_timesteps
 
 __all__ = ["cluster_elements", "cluster_major_order", "lts_statistics",
@@ -190,7 +190,6 @@ class LocalTimeStepping:
     def run(
         self,
         t_end: float,
-        callback=None,
         dt_scale: float = 1.0,
         hooks=None,
     ) -> None:
@@ -202,16 +201,13 @@ class LocalTimeStepping:
         replayed — no per-micro-step eligibility scan.  ``dt_min`` is
         shrunk slightly so that the macro timestep divides the remaining
         time (keeps the rate synchronization invariants intact).
-        ``callback(solver)`` fires at every macro-step synchronization
-        point (all clusters aligned), with ``solver.t`` set to that time;
-        a :class:`~repro.sched.HookBus` passed as ``hooks`` subscribes to
-        the full event stream.  ``dt_scale`` (in (0, 1]) uniformly shrinks
+        Observers subscribe to a :class:`~repro.sched.HookBus` passed as
+        ``hooks``: ``on_sync(solver)`` fires at every macro-step
+        synchronization point (all clusters aligned), with ``solver.t``
+        set to that time.  ``dt_scale`` (in (0, 1]) uniformly shrinks
         every cluster timestep — the hook
         :class:`~repro.core.resilience.ResilientRunner` uses for
         dt-backoff recovery.
         """
-        bus = HookBus()
-        if callback is not None:
-            bus.on_sync(callback)
-        bus.extend(hooks)
-        Scheduler(self.solver, lts=self).run(t_end, dt_scale=dt_scale, hooks=bus)
+        Scheduler(self.solver, lts=self).run(t_end, dt_scale=dt_scale,
+                                             hooks=hooks)

@@ -40,6 +40,7 @@ from ..io.checkpoint import (
     restore_state,
 )
 from ..obs.blackbox import BUNDLE_SUFFIX, FlightRecorder, dump_bundle
+from ..obs.metrics import get_metrics
 from ..sched import HookBus, Scheduler
 from .health import HealthError, SimulationDiverged, Watchdog
 
@@ -180,12 +181,8 @@ class ResilientRunner:
         except (TypeError, ValueError):
             self.step_count = 0
         self.watchdog.reset()
-        if self.recorder is not None:
-            self.recorder.record("resume", path=path, step=self.step_count)
-        if self.runlog is not None:
-            self.runlog.emit(
-                "resume", path=path, step=self.step_count, sim_t=self.solver.t
-            )
+        self._event("resume", path=path, step=self.step_count,
+                    sim_t=self.solver.t)
         if self.verbose:
             print(
                 f"[resilience] resumed from {path} at t={self.solver.t:.6g} "
@@ -194,20 +191,17 @@ class ResilientRunner:
         return meta
 
     # ------------------------------------------------------------------
-    def run(self, t_end: float, callback=None, hooks=None) -> None:
+    def run(self, t_end: float, hooks=None) -> None:
         """Advance to ``t_end`` under supervision (see class docstring).
 
         The supervision itself rides the scheduler's
         :class:`~repro.sched.HookBus`: the watchdog subscribes to the step
-        stream, ``callback`` keeps the legacy per-sync convention, an
-        optional caller-provided ``hooks`` bus is merged in, and checkpoint
-        writes fire on the segment-end event.
+        stream first, an optional caller-provided ``hooks`` bus is merged
+        in after it, and checkpoint writes fire on the segment-end event.
         """
         solver = self.solver
         bus = HookBus()
         self._subscribe_supervision(bus)
-        if callback is not None:
-            bus.on_sync(callback)
         bus.extend(hooks)
         # the restart point on disk is the rollback point in memory: the
         # hook serialises whichever snapshot ``snap`` names when it fires
@@ -241,13 +235,12 @@ class ResilientRunner:
                             reports=reports, attempts=attempts,
                             excerpt=True,
                         )
-                        if self.runlog is not None:
-                            self.runlog.emit(
-                                "diverged", step=err.report.step,
-                                sim_t=err.report.t, attempts=attempts,
-                                dt_scale=self.dt_scale, wall_s=seg_wall,
-                                bundle=bundle,
-                            )
+                        self._event(
+                            "diverged", step=err.report.step,
+                            sim_t=err.report.t, attempts=attempts,
+                            dt_scale=self.dt_scale, wall_s=seg_wall,
+                            bundle=bundle,
+                        )
                         raise SimulationDiverged(
                             t=err.report.t,
                             step=err.report.step,
@@ -263,19 +256,12 @@ class ResilientRunner:
                     self.dt_scale = (
                         min(self.dt_scale, snap["dt_scale"]) * self.backoff
                     )
-                    if self.recorder is not None:
-                        self.recorder.record(
-                            "recovery", step=err.report.step,
-                            t=err.report.t, attempt=attempts,
-                            dt_scale=self.dt_scale,
-                        )
-                    if self.runlog is not None:
-                        self.runlog.emit(
-                            "recovery", step=err.report.step, sim_t=err.report.t,
-                            attempt=attempts, max_retries=self.max_retries,
-                            dt_scale=self.dt_scale, wall_s=seg_wall,
-                            reason=err.report.describe(), bundle=bundle,
-                        )
+                    self._event(
+                        "recovery", step=err.report.step, sim_t=err.report.t,
+                        attempt=attempts, max_retries=self.max_retries,
+                        dt_scale=self.dt_scale, wall_s=seg_wall,
+                        reason=err.report.describe(), bundle=bundle,
+                    )
                     if self.verbose:
                         print(
                             f"[resilience] {err.report.describe()} — rolled "
@@ -290,10 +276,18 @@ class ResilientRunner:
             bus.segment_end(solver)
 
     # ------------------------------------------------------------------
+    def _event(self, kind: str, **fields) -> None:
+        """One supervision event (resume, recovery, diverged, checkpoint):
+        the flight-recorder ring and the run log get the same fields."""
+        if self.recorder is not None:
+            self.recorder.record(kind, **fields)
+        if self.runlog is not None:
+            self.runlog.emit(kind, **fields)
+
     def _subscribe_supervision(self, bus: HookBus) -> None:
         """Attach step counting + watchdog sweeps to the scheduler's bus.
 
-        Registered first so health is checked before any user callback
+        Registered first so health is checked before any caller's hook
         sees the state.  Under GTS every micro-step is swept (the event
         carries the nominal dt the CFL monitor must see); under LTS the
         sweep runs at macro-step synchronization points.
@@ -401,14 +395,12 @@ class ResilientRunner:
 
     @staticmethod
     def _recent_spans(limit: int = 32) -> list:
-        """Tail of the telemetry span buffer (empty unless tracing)."""
-        from ..obs.telemetry import get_telemetry
-
-        tel = get_telemetry()
-        if not tel.enabled:
+        """Tail of the registry's span buffer (empty unless tracing)."""
+        met = get_metrics()
+        if not met.enabled:
             return []
         try:
-            spans = tel.trace_snapshot().get("spans", [])
+            spans = met.trace_snapshot().get("spans", [])
         except Exception:
             return []
         return [list(s[:4]) for s in spans[-limit:]]
@@ -457,11 +449,5 @@ class ResilientRunner:
             )
         else:
             self.checkpoints_written.append(path)
-            if self.recorder is not None:
-                self.recorder.record("checkpoint", step=self.step_count,
-                                     t=self.solver.t, path=path)
-            if self.runlog is not None:
-                self.runlog.emit(
-                    "checkpoint", path=path, step=self.step_count,
-                    sim_t=self.solver.t,
-                )
+            self._event("checkpoint", path=path, step=self.step_count,
+                        sim_t=self.solver.t)

@@ -12,17 +12,17 @@ Typical use::
     mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
     solver = CoupledSolver(mesh, order=3)
     solver.set_initial_condition(my_function)   # or add sources / faults
-    solver.run(t_end=10.0, callback=my_probe)
+    hooks = HookBus()                           # repro.sched
+    hooks.on_sync(my_probe)                     # my_probe(solver) per step
+    solver.run(t_end=10.0, hooks=hooks)
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from ..exec.backend import make_backend
-from ..obs.telemetry import get_telemetry
+from ..obs.metrics import get_metrics
 from .ader import taylor_integrate
 from .basis import tet_basis
 from .cfl import element_timesteps
@@ -32,7 +32,7 @@ from .riemann import FaceKind
 
 __all__ = ["CoupledSolver", "PointSource", "ocean_surface_gravity_tagger"]
 
-_TEL = get_telemetry()
+_MET = get_metrics()
 
 
 def ocean_surface_gravity_tagger(
@@ -297,7 +297,7 @@ class CoupledSolver:
     def step(self, dt: float | None = None) -> None:
         """One global ADER-DG timestep (predictor + corrector)."""
         dt = self.dt if dt is None else dt
-        with _TEL.phase("step"):
+        with _MET.phase("step"):
             derivs = self.backend.predict(self.Q)
             I = taylor_integrate(derivs, 0.0, dt)
             R = self.backend.corrector(I, derivs, dt, t0=self.t)
@@ -308,7 +308,6 @@ class CoupledSolver:
         self,
         t_end: float,
         dt: float | None = None,
-        callback: Callable[["CoupledSolver"], None] | None = None,
         hooks=None,
     ) -> None:
         """Advance to ``t_end`` with uniform steps (last step shortened).
@@ -316,17 +315,13 @@ class CoupledSolver:
         Thin adapter over the compiled step-plan scheduler
         (:mod:`repro.sched`): the step count is fixed up front by the
         integer clock, so a ``t_end`` that is a whole number of steps up
-        to float error never produces a sliver step.  ``callback(solver)``
-        fires after every step; a :class:`~repro.sched.HookBus` passed as
-        ``hooks`` subscribes to the full event stream.
+        to float error never produces a sliver step.  Observers subscribe
+        to a :class:`~repro.sched.HookBus` passed as ``hooks``
+        (``on_sync(solver)`` fires after every step).
         """
-        from ..sched import HookBus, Scheduler
+        from ..sched import Scheduler
 
-        bus = HookBus()
-        if callback is not None:
-            bus.on_sync(callback)
-        bus.extend(hooks)
-        Scheduler(self).run(t_end, dt=dt, hooks=bus)
+        Scheduler(self).run(t_end, dt=dt, hooks=hooks)
 
     # ------------------------------------------------------------------
     def energy(self) -> float:

@@ -118,42 +118,35 @@ def run_member(
     :class:`~repro.core.health.inject.InjectedHang`) instead of killing
     or stalling the driver itself.
 
-    With ``spec.metrics`` (the default) the member enables the typed
-    metric registry for the attempt: compact snapshots ride on every
-    heartbeat message, land as durable ``metrics`` run-log records,
-    and the final snapshot is stored in the result file.  With
-    ``spec.trace`` the member records a span timeline and exports
-    ``trace.json`` (wall-clock anchored, so ``obs-trace --merge`` can
-    align it with its siblings).  Both registries are process-global, so
-    they are reset per attempt and disabled on the way out — a worker (and
-    degraded in-process mode) runs members one after another in one
-    interpreter and must not leak one member's metrics into the next.
+    With ``spec.metrics`` (the default) or ``spec.trace`` the member
+    enables the instrument registry for the attempt, and its ``run_end``
+    record carries the attempt's phases and counters.  With
+    ``spec.metrics`` compact snapshots ride on every heartbeat message,
+    land as durable ``metrics`` run-log records, and the final snapshot
+    is stored in the result file.  With ``spec.trace`` the member records
+    a span timeline and exports ``trace.json`` (wall-clock anchored, so
+    ``obs-trace --merge`` can align it with its siblings).  The registry
+    is process-global, so it is reset per attempt and disabled on the way
+    out — a worker (and degraded in-process mode) runs members one after
+    another in one interpreter and must not leak one member's metrics
+    into the next.
     """
-    met = get_metrics()
-    tel = None
-    if spec.metrics:
+    met = get_metrics() if spec.metrics or spec.trace else None
+    if met is not None:
         met.reset()
-        met.enable()
-    if spec.trace:
-        from ..obs.telemetry import get_telemetry
-
-        tel = get_telemetry()
-        tel.reset()
-        tel.enable(trace=True)
+        met.enable(trace=spec.trace)
     try:
         return _run_member_attempt(
             spec, member_dir, channel, attempt, resume, dt_scale, in_process,
-            met if spec.metrics else None, tel,
+            met,
         )
     finally:
-        if spec.metrics:
+        if met is not None:
             met.disable()
-        if tel is not None:
-            tel.disable()
 
 
 def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
-                        in_process, met, tel) -> dict:
+                        in_process, met) -> dict:
     os.makedirs(member_dir, exist_ok=True)
     paths = member_paths(*os.path.split(member_dir))
     wall0 = time.perf_counter()
@@ -227,7 +220,7 @@ def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
         rate = (runner.step_count - beat_state["step"]) / d_wall
         beat_state["wall"], beat_state["step"] = now, runner.step_count
         records = []
-        if met is not None:
+        if spec.metrics:
             snap = met.snapshot()
             tell("heartbeat", step=runner.step_count, sim_t=s.t,
                  metrics=snap)
@@ -268,6 +261,8 @@ def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
             pass
         raise
     wall_s = time.perf_counter() - wall0
+    final = (met.snapshot() if met is not None
+             else {"phases": {}, "counters": {}})
     result = {
         "member_id": spec.member_id,
         "attempt": attempt,
@@ -284,29 +279,29 @@ def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
         # recovered-on-retry) attempt must not point at a stale dump
         "bundle": bundle,
         "summary": handle.summarize(solver) if handle.summarize else {},
-        "metrics": met.snapshot() if met is not None else None,
+        "metrics": final if spec.metrics else None,
         "paths": paths,
     }
-    if tel is not None:
+    if spec.trace:
         from ..obs.trace import export_chrome_trace
 
         try:
             export_chrome_trace(
-                paths["trace"], tel.trace_snapshot(),
+                paths["trace"], met.trace_snapshot(),
                 metadata={"member": spec.member_id, "attempt": attempt},
             )
         except OSError:
             pass  # a failed trace export must not fail the member
     _publish_result(paths["result"], result, spec, attempt)
-    if met is not None:
+    if spec.metrics:
         # final snapshot into the durable log: the last on-disk metrics
         # record agrees exactly with what the supervisor aggregates
         runlog.emit("metrics", step=runner.step_count, sim_t=float(solver.t),
                     metrics=result["metrics"])
     runlog.emit("run_end", steps=runner.step_count, wall_s=wall_s,
-                phases={}, counters={})
+                phases=final["phases"], counters=final["counters"])
     runlog.close()
-    if met is not None:
+    if spec.metrics:
         tell("done", status=status, sim_t=solver.t, metrics=result["metrics"])
     else:
         tell("done", status=status, sim_t=solver.t)

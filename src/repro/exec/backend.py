@@ -26,12 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.ader import taylor_integrate
-from ..obs.telemetry import get_telemetry
+from ..obs.metrics import get_metrics
 
 __all__ = ["ExecutionBackend", "SerialBackend", "make_backend",
            "available_backends"]
 
-_TEL = get_telemetry()
+_MET = get_metrics()
 
 
 class ExecutionBackend:
@@ -100,18 +100,18 @@ class SerialBackend(ExecutionBackend):
     _ck_scratch = None
 
     def predict(self, Q: np.ndarray) -> np.ndarray:
-        with _TEL.phase("predict"):
-            if _TEL.enabled:
-                _TEL.count("elem_updates/predictor", len(Q))
+        with _MET.phase("predict"):
+            if _MET.enabled:
+                _MET.inc("elem_updates/predictor", len(Q))
             self._ck_scratch = self.solver.op.predict(
                 Q, out=self._ck_scratch)
             return self._ck_scratch
 
     def update_predictor(self, Q, mask, dt, derivs, Iown) -> None:
         op = self.solver.op
-        with _TEL.phase("predict"):
-            if _TEL.enabled:
-                _TEL.count("elem_updates/predictor", int(mask.sum()))
+        with _MET.phase("predict"):
+            if _MET.enabled:
+                _MET.inc("elem_updates/predictor", int(mask.sum()))
             idx, starT = op.active_rows(mask)
             # scratch: the refreshed rows themselves where they are a slice
             new_derivs = op.predict_states(Q[idx], starT, out=derivs[idx])
@@ -120,10 +120,10 @@ class SerialBackend(ExecutionBackend):
 
     def corrector(self, I, derivs, dt, t0, active=None,
                   gravity_mask=None, motion_mask=None) -> np.ndarray:
-        if _TEL.enabled:
-            _TEL.count("elem_updates/corrector",
-                       len(I) if active is None else int(active.sum()))
-        with _TEL.phase("corrector"):
+        if _MET.enabled:
+            _MET.inc("elem_updates/corrector",
+                     len(I) if active is None else int(active.sum()))
+        with _MET.phase("corrector"):
             return self._corrector(I, derivs, dt, t0, active,
                                    gravity_mask, motion_mask)
 

@@ -46,13 +46,13 @@ from ..core.ader import taylor_integrate
 from ..core.lts import cluster_elements
 from ..hpc.partition import edge_cut, eq28_vertex_weights, imbalance, partition_mesh
 from ..kernels.fusion import memo_by_mask
-from ..obs.telemetry import get_telemetry
+from ..obs.metrics import get_metrics
 from .backend import ExecutionBackend
 from .plan_cache import get_plan_cache, mesh_fingerprint
 
 __all__ = ["PartitionPlan", "PartitionedBackend", "fault_atomic_partition"]
 
-_TEL = get_telemetry()
+_MET = get_metrics()
 
 
 def fault_atomic_partition(mesh, parts: np.ndarray) -> np.ndarray:
@@ -270,7 +270,7 @@ class PartitionedBackend(ExecutionBackend):
         """Predictor sweep over the owned cells ``mask`` selects (``None``:
         all), plus their Taylor window integral when ``Iown`` is given."""
         op = self.solver.op
-        tracing = _TEL.enabled and _TEL.tracing
+        tracing = _MET.enabled and _MET.tracing
 
         def work(plan):
             sel = plan.active_set(mask)
@@ -286,13 +286,13 @@ class PartitionedBackend(ExecutionBackend):
             if Iown is not None:
                 Iown[ids] = taylor_integrate(new_derivs, 0.0, dt)
             if tracing:
-                _TEL.add_span("worker/predict", t0, _time.perf_counter(),
+                _MET.add_span("worker/predict", t0, _time.perf_counter(),
                               part=plan.part_id, owned=len(ids))
 
-        with _TEL.phase("predict"):
-            if _TEL.enabled:
-                _TEL.count("elem_updates/predictor",
-                           len(Q) if mask is None else int(mask.sum()))
+        with _MET.phase("predict"):
+            if _MET.enabled:
+                _MET.inc("elem_updates/predictor",
+                         len(Q) if mask is None else int(mask.sum()))
             self._run(work)
 
     def corrector(self, I, derivs, dt, t0, active=None,
@@ -303,7 +303,7 @@ class PartitionedBackend(ExecutionBackend):
             else solver.op.masked_residual()
 
         def work(plan):
-            profiled = _TEL.enabled
+            profiled = _MET.enabled
             sel = plan.active_set(active)
             act, idx = sel.act, sel.idx
             if len(sel.ids):
@@ -314,9 +314,9 @@ class PartitionedBackend(ExecutionBackend):
                 Iloc[sel.read] = I[sel.read_ids]
                 if profiled:
                     t_compute = _time.perf_counter()
-                    _TEL.add_time(f"worker/p{plan.part_id}/halo_gather",
+                    _MET.add_time(f"worker/p{plan.part_id}/halo_gather",
                                   t_compute - t_gather)
-                    _TEL.add_span("worker/halo_gather", t_gather, t_compute,
+                    _MET.add_span("worker/halo_gather", t_gather, t_compute,
                                   part=plan.part_id, halo=plan.n_halo)
                 outloc[idx] = 0.0
                 plan.lop.volume_residual(Iloc, outloc, active=act)
@@ -339,15 +339,15 @@ class PartitionedBackend(ExecutionBackend):
                 solver.fault.step(derivs, dt, R, active=act_g, t0=t0)
             if profiled:
                 t_end = _time.perf_counter()
-                _TEL.add_time(f"worker/p{plan.part_id}/compute",
+                _MET.add_time(f"worker/p{plan.part_id}/compute",
                               t_end - t_compute)
-                _TEL.add_span("worker/compute", t_compute, t_end,
+                _MET.add_span("worker/compute", t_compute, t_end,
                               part=plan.part_id, owned=len(sel.ids))
 
-        with _TEL.phase("corrector"):
-            if _TEL.enabled:
-                _TEL.count("elem_updates/corrector",
-                           len(I) if active is None else int(active.sum()))
+        with _MET.phase("corrector"):
+            if _MET.enabled:
+                _MET.inc("elem_updates/corrector",
+                         len(I) if active is None else int(active.sum()))
             self._run(work)
         self.halo_exchanges += 1
         # point sources are few and cheap: applied once, after the barrier

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.metrics import get_metrics
-from ..obs.telemetry import get_telemetry
 
 __all__ = [
     "mesh_fingerprint",
@@ -146,23 +145,18 @@ class PlanCache:
         the ``REPRO_PLAN_CACHE=0`` kill switch behave identically for
         every kind of fingerprint-keyed plan.
         """
-        tel = get_telemetry()
-        if not self.enabled:
-            with tel.phase(phase):
-                return builder()
         met = get_metrics()
+        if not self.enabled:
+            with met.phase(phase):
+                return builder()
         plan = self.get(key)
         if plan is not None:
             self.hits += 1
-            tel.count("plan_cache/hits")
-            if met.enabled:
-                met.inc("cache/plan_hits")
+            met.inc("cache/plan_hits")
             return plan
         self.misses += 1
-        tel.count("plan_cache/misses")
-        if met.enabled:
-            met.inc("cache/plan_misses")
-        with tel.phase(phase):
+        met.inc("cache/plan_misses")
+        with met.phase(phase):
             plan = builder()
         self.put(key, plan)
         return plan

@@ -37,7 +37,6 @@ import zlib
 import numpy as np
 
 from ..obs.metrics import get_metrics
-from ..obs.telemetry import get_telemetry
 
 __all__ = [
     "CheckpointError",
@@ -193,7 +192,7 @@ def save_checkpoint(path: str, solver, lts=None, metadata: dict | None = None,
     """
     if not path.endswith(".npz"):
         path = path + ".npz"
-    with get_telemetry().phase("io/checkpoint_save"):
+    with get_metrics().phase("io/checkpoint_save"):
         return _save_checkpoint(path, solver, lts, metadata, state)
 
 
@@ -228,9 +227,8 @@ def _save_checkpoint(path, solver, lts, metadata, state) -> str:
             pass
         raise
     met = get_metrics()
-    if met.enabled:
-        met.inc("io/checkpoint_writes")
-        met.inc("io/checkpoint_bytes", int(n_bytes))
+    met.inc("io/checkpoint_writes")
+    met.inc("io/checkpoint_bytes", int(n_bytes))
     return path
 
 
@@ -241,7 +239,7 @@ def load_checkpoint(path: str) -> dict:
     ``state`` is the dict :func:`restore_state` accepts.
     """
     try:
-        with get_telemetry().phase("io/checkpoint_load"), \
+        with get_metrics().phase("io/checkpoint_load"), \
                 np.load(path, allow_pickle=False) as d:
             data = {k: d[k] for k in d.files}
     except (OSError, ValueError, KeyError, EOFError,
@@ -250,9 +248,7 @@ def load_checkpoint(path: str) -> dict:
         # zlib.error / EOFError: an archive truncated mid-write (kill -9
         # through a non-atomic path); KeyError: a member list torn apart
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
-    met = get_metrics()
-    if met.enabled:
-        met.inc("io/checkpoint_loads")
+    get_metrics().inc("io/checkpoint_loads")
     version = int(data.pop("version", -1))
     if version < 1 or version > CHECKPOINT_VERSION:
         raise CheckpointError(

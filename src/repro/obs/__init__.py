@@ -1,21 +1,20 @@
-"""Observability: phase telemetry, structured run logs, roofline reports.
+"""Observability: one instrument registry, run logs, reports, traces.
 
 The measurement layer behind the paper's Sec. 5-6 performance story:
 
-* :mod:`repro.obs.telemetry` — default-off hierarchical phase timers and
-  monotonic counters instrumenting the solver's hot paths;
+* :mod:`repro.obs.metrics` — the one default-off, process-global
+  instrument registry (counters, gauges, hierarchical phase timers and
+  an optional bounded span buffer) pulsed from the solver's hot paths,
+  with associative snapshot merging and a Prometheus text exporter;
 * :mod:`repro.obs.runlog` — JSONL event sink (manifest, heartbeats,
   resilience events) with an offline validator;
 * :mod:`repro.obs.report` — measured-vs-modeled GFLOP/s accounting
   against :mod:`repro.hpc.perfmodel` (imported lazily: it pulls in the
   HPC models);
-* :mod:`repro.obs.trace` — bounded span recording exported as
+* :mod:`repro.obs.trace` — the registry's span buffer exported as
   Chrome-trace/Perfetto JSON timelines (one lane per partitioned worker,
   LTS cluster slices colored by cluster id) plus the ``obs-trace``
   summarizer;
-* :mod:`repro.obs.metrics` — default-off typed metric registry
-  (counters, gauges) with associative snapshot merging and a
-  Prometheus text exporter — the fleet-observability substrate;
 * :mod:`repro.obs.fleet` — supervisor-side :class:`FleetAggregator`
   folding member snapshots into fleet series (``fleet.prom`` /
   ``fleet.jsonl`` exporters) plus the offline ``obs-status`` view;
@@ -39,14 +38,14 @@ log into every cold start and every fleet worker.
 from .._lazy import lazy_namespace
 
 __all__, __getattr__ = lazy_namespace(__name__, {
-    "telemetry": ("Telemetry", "TraceBuffer", "get_telemetry"),
     "trace": ("TRACE_SCHEMA_VERSION", "chrome_trace", "export_chrome_trace",
               "load_trace", "merge_chrome_traces", "summarize_trace",
               "validate_chrome_trace"),
     "runlog": ("RunLog", "run_manifest", "validate_record", "validate_jsonl",
                "EVENT_FIELDS", "SCHEMA_VERSION"),
-    "metrics": ("METRICS_SCHEMA_VERSION", "MetricRegistry", "get_metrics",
-                "merge_snapshots", "to_prometheus", "validate_prometheus"),
+    "metrics": ("METRICS_SCHEMA_VERSION", "MetricRegistry", "TraceBuffer",
+                "get_metrics", "merge_snapshots", "to_prometheus",
+                "validate_prometheus"),
     "fleet": ("FleetAggregator", "status_rows", "status_lines", "watch_status"),
     "blackbox": ("BUNDLE_SCHEMA_VERSION", "FlightRecorder", "build_bundle",
                  "write_bundle", "dump_bundle", "load_bundle",

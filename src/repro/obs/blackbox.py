@@ -3,7 +3,7 @@
 Long coupled runs die in stereotyped ways — a NaN born at the fault or
 the gravity boundary, an energy-drift blowup, a CFL collapse after dt
 backoff, a worker killed mid-write — and the live observability layers
-(telemetry, traces, fleet metrics) only help while the process is still
+(registry, traces, fleet metrics) only help while the process is still
 alive.  This module is the *postmortem* half:
 
 * :class:`FlightRecorder` — an always-on bounded ring buffer of the last

@@ -1,6 +1,6 @@
 """Measured-vs-modeled performance accounting and run-log summaries.
 
-Converts the telemetry collected during a profiled run (phase times +
+Converts the registry snapshot of a profiled run (phase times +
 element-update counters) into the paper's Sec. 5 currency — achieved
 GFLOP/s per kernel against the analytical roofline of
 :mod:`repro.hpc.perfmodel` — and renders human-readable summaries of
@@ -122,7 +122,7 @@ def worker_split(phases: dict) -> dict:
 
 
 def lts_cluster_updates(counters: dict) -> dict:
-    """``{cluster: {"updates", "elem_updates"}}`` from telemetry counters."""
+    """``{cluster: {"updates", "elem_updates"}}`` from registry counters."""
     out: dict[int, dict] = {}
     for name, value in counters.items():
         m = _LTS_RE.match(name)
@@ -183,7 +183,7 @@ def roofline_rows(phases: dict, counters: dict, order: int,
 def profile_lines(snapshot: dict, order: int | None = None,
                   wall_s: float | None = None, node: str | object = "rome",
                   top: int = 20) -> list[str]:
-    """Render a telemetry snapshot as the per-phase + roofline report."""
+    """Render a registry snapshot as the per-phase + roofline report."""
     phases = snapshot.get("phases", {})
     counters = snapshot.get("counters", {})
     lines: list[str] = []

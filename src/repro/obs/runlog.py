@@ -29,13 +29,16 @@ Events
     diagnostic-bundle path the black-box flight recorder dumped for the
     failure (``null`` when no bundle directory was configured).
 ``run_end``
-    Final record: step totals, wall time, and the full telemetry
-    snapshot (phases + counters) when profiling was enabled.
+    Final record: step totals, wall time, and the ``phases`` /
+    ``counters`` of the run's registry snapshot
+    (:meth:`repro.obs.metrics.MetricRegistry.snapshot`) — empty when the
+    registry was off (no ``--profile`` / ``--trace`` / ``--metrics``;
+    an ensemble member with neither ``metrics`` nor ``trace``).
 ``metrics``
-    Periodic typed-metric snapshot (:meth:`repro.obs.metrics.
-    MetricRegistry.snapshot`): the durable twin of the snapshot a
-    worker piggybacks on its heartbeat messages, so fleet totals
-    can be audited against per-member logs after the fact.  Schema v2
+    Periodic registry snapshot (counters, gauges, phases): the durable
+    twin of the snapshot a worker piggybacks on its heartbeat messages,
+    so fleet totals can be audited against per-member logs after the
+    fact.  Schema v2
     made ``step``/``sim_t``/``metrics`` required (v1 had no required
     fields; nothing emitted the event before v2).
 ``member_start`` / ``member_retry`` / ``member_quarantined`` /

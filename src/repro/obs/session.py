@@ -4,13 +4,13 @@
 ``--profile`` / ``--trace`` / ``--log-json`` / ``--heartbeat-every``
 flags:
 
-* ``profile=True`` enables the global :class:`~repro.obs.telemetry.Telemetry`
-  registry for the run and prints the per-phase + roofline report at the
-  end;
-* ``trace=PATH`` enables the registry in span-tracing mode and exports a
-  Chrome-trace / Perfetto JSON timeline to ``PATH`` at the end (open it
-  at https://ui.perfetto.dev, or summarize with ``python -m repro
-  obs-trace PATH``); composes freely with ``profile``;
+* ``profile=True`` prints the per-phase + roofline report at the end;
+* ``trace=PATH`` records spans and exports a Chrome-trace / Perfetto JSON
+  timeline to ``PATH`` at the end (open it at https://ui.perfetto.dev,
+  or summarize with ``python -m repro obs-trace PATH``); composes freely
+  with ``profile``;
+* ``metrics=True`` persists compact registry snapshots as ``metrics``
+  run-log records next to every heartbeat;
 * ``log_json=PATH`` opens a structured :class:`~repro.obs.runlog.RunLog`
   and writes the run manifest, periodic heartbeats and the final
   ``run_end`` record (resilience events are routed into the same log by
@@ -19,9 +19,11 @@ flags:
   10 when logging is on).  Without a run log, an explicit ``N`` prints
   one-line heartbeats to stdout instead of being silently ignored.
 
-``finish()`` is exception-safe: the run log is closed and the registry
-disabled even when the trace export, ``run_end`` emission or report
-rendering raises.
+Any of ``profile`` / ``trace`` / ``metrics`` resets and enables the one
+process-global registry (:func:`~repro.obs.metrics.get_metrics`) for the
+run; the flags choose sinks, not registries.  ``finish()`` is
+exception-safe: the run log is closed and the registry disabled even when
+the trace export, ``run_end`` emission or report rendering raises.
 
 Usage pattern (see ``examples/quickstart.py``)::
 
@@ -29,7 +31,7 @@ Usage pattern (see ``examples/quickstart.py``)::
                      heartbeat_every=args.heartbeat_every,
                      config={"command": "quickstart", "t_end": t_end})
     obs.start(solver, resumed=bool(resume))
-    solver.run(t_end, callback=obs.chain(my_callback))
+    solver.run(t_end, hooks=obs.subscribe(HookBus()))
     obs.finish(solver)
 """
 
@@ -39,20 +41,13 @@ import time
 
 from .metrics import get_metrics
 from .runlog import RunLog, run_manifest
-from .telemetry import get_telemetry
 
 __all__ = ["ObsSession", "add_obs_args", "obs_kwargs"]
 
 
 class ObsSession:
-    """Run-scoped bundle of telemetry, run log and heartbeat emission.
-
-    ``metrics=True`` additionally enables the typed fleet-metric registry
-    (:mod:`repro.obs.metrics`) for the run: the scheduler, watchdog and
-    caches populate it, heartbeats persist compact snapshots as
-    ``metrics`` run-log records when logging is on, and ``finish()``
-    disables the registry again.
-    """
+    """Run-scoped bundle of the instrument registry, run log and
+    heartbeat emission."""
 
     def __init__(self, profile: bool = False, log_json: str | None = None,
                  heartbeat_every: int | None = None,
@@ -71,15 +66,12 @@ class ObsSession:
         self._t0 = None
         self._hb_t = None
         self._hb_step = 0
-        self._owns_registry = self.profile or self.trace is not None
+        self._owns_registry = (self.profile or self.trace is not None
+                               or self.metrics)
         if self._owns_registry:
-            tel = get_telemetry()
-            tel.reset()
-            tel.enable(trace=self.trace is not None)
-        if self.metrics:
             met = get_metrics()
             met.reset()
-            met.enable()
+            met.enable(trace=self.trace is not None)
 
     @property
     def active(self) -> bool:
@@ -133,25 +125,12 @@ class ObsSession:
                       f" | {rate:.2f} steps/s", flush=True)
             self._hb_t, self._hb_step = now, self.steps
 
-    def chain(self, callback=None):
-        """Compose ``on_step`` with a caller's per-step callback."""
-        if not self.active:
-            return callback
-        if callback is None:
-            return self.on_step
-
-        def combined(solver):
-            callback(solver)
-            self.on_step(solver)
-
-        return combined
-
     def subscribe(self, bus):
         """Attach heartbeat/step accounting to a scheduler hook bus.
 
         Registers :meth:`on_step` on every synchronization point of a
-        :class:`~repro.sched.HookBus` (no-op while inactive, like
-        :meth:`chain`).  Returns ``bus`` for fluent wiring.
+        :class:`~repro.sched.HookBus` (no-op while inactive).  Returns
+        ``bus`` for fluent wiring.
         """
         if self.active:
             bus.on_sync(self.on_step)
@@ -165,18 +144,18 @@ class ObsSession:
         Wrapped in try/finally: whatever the export/emission/rendering
         steps raise, the run log is closed and a session-enabled registry
         is disabled — an exception mid-finish must not leak an open log
-        file or leave telemetry globally on for unrelated code.
+        file or leave the registry globally on for unrelated code.
         """
         wall = (time.perf_counter() - self._t0) if self._t0 is not None else 0.0
-        tel = get_telemetry()
+        met = get_metrics()
         try:
-            snap = (tel.snapshot() if self._owns_registry
+            snap = (met.snapshot() if self._owns_registry
                     else {"phases": {}, "counters": {}})
             if self.trace is not None:
                 from .trace import export_chrome_trace
 
                 doc = export_chrome_trace(
-                    self.trace, tel.trace_snapshot(),
+                    self.trace, met.trace_snapshot(),
                     metadata={"config": self.config, "steps": self.steps,
                               "wall_s": wall},
                 )
@@ -202,9 +181,7 @@ class ObsSession:
             if self.runlog is not None:
                 self.runlog.close()
             if self._owns_registry:
-                tel.disable()
-            if self.metrics:
-                get_metrics().disable()
+                met.disable()
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +189,7 @@ def add_obs_args(parser) -> None:
     """Attach the shared observability flags to an argparse parser."""
     parser.add_argument(
         "--profile", action="store_true",
-        help="enable phase telemetry and print a roofline report at exit",
+        help="time the run's phases and print a roofline report at exit",
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -228,9 +205,8 @@ def add_obs_args(parser) -> None:
     )
     parser.add_argument(
         "--metrics", action="store_true",
-        help="enable the typed fleet-metric registry (scheduler, watchdog "
-             "and cache gauges/counters; persisted as 'metrics' run-log "
-             "records when --log-json is on)",
+        help="record the run's counters, gauges and phases (persisted as "
+             "'metrics' run-log records when --log-json is on)",
     )
 
 

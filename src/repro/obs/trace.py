@@ -4,7 +4,7 @@ The paper's Sec. 5-6 claims are *timeline* claims — when each LTS cluster
 stepped, how much of every worker's wall clock was halo exchange, whether
 communication overlapped compute — and aggregate timers cannot answer
 them.  This module turns the bounded span buffer of
-:class:`repro.obs.telemetry.TraceBuffer` into the Chrome trace-event JSON
+:class:`repro.obs.metrics.TraceBuffer` into the Chrome trace-event JSON
 format (the ``traceEvents`` array of ``"ph": "X"`` complete events), which
 `Perfetto <https://ui.perfetto.dev>`_ and ``chrome://tracing`` load
 directly:
@@ -66,7 +66,7 @@ _PID = 0
 def chrome_trace(trace_snapshot: dict, metadata: dict | None = None) -> dict:
     """Build the Chrome-trace document for one span-buffer snapshot.
 
-    ``trace_snapshot`` is :meth:`Telemetry.trace_snapshot` output.  The
+    ``trace_snapshot`` is :meth:`MetricRegistry.trace_snapshot` output.  The
     earliest span start maps to ``ts = 0``; timestamps are microseconds
     (the unit the format prescribes).
     """
@@ -138,9 +138,9 @@ def export_chrome_trace(path: str, trace_snapshot: dict | None = None,
     """Write the Perfetto-loadable JSON for ``trace_snapshot`` (default:
     the global registry's buffer) to ``path``; returns the document."""
     if trace_snapshot is None:
-        from .telemetry import get_telemetry
+        from .metrics import get_metrics
 
-        trace_snapshot = get_telemetry().trace_snapshot()
+        trace_snapshot = get_metrics().trace_snapshot()
     doc = chrome_trace(trace_snapshot, metadata)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)

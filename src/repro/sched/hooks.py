@@ -14,9 +14,8 @@ time-marching driver fires the same events with the same semantics:
     shortening (the value CFL monitoring must check).
 ``on_sync(solver)``
     At every synchronization point — each macro-step boundary under LTS,
-    each step under GTS — with ``solver.t`` set to the sync time.  This
-    is exactly the legacy per-step callback convention, so existing
-    ``callback(solver)`` functions subscribe unchanged.
+    each step under GTS — with ``solver.t`` set to the sync time.  Any
+    ``fn(solver)`` per-step probe subscribes here.
 ``on_segment_end(solver)``
     At supervised-segment boundaries (emitted by
     :class:`~repro.core.resilience.ResilientRunner` after a segment

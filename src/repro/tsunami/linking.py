@@ -25,9 +25,10 @@ __all__ = ["SurfaceDisplacementTracker", "BedMotionInterpolator", "link_static_u
 class SurfaceDisplacementTracker:
     """Accumulates vertical displacement on selected boundary faces.
 
-    Attach to a :class:`~repro.core.solver.CoupledSolver` run via the
-    ``callback`` hook; after (or during) the run, :meth:`snapshot_grid`
-    interpolates the current displacement onto a Cartesian grid.
+    Attach to a :class:`~repro.core.solver.CoupledSolver` run as an
+    ``on_sync`` subscriber of its :class:`~repro.sched.HookBus`; after
+    (or during) the run, :meth:`snapshot_grid` interpolates the current
+    displacement onto a Cartesian grid.
 
     Parameters
     ----------

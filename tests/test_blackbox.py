@@ -401,6 +401,32 @@ class TestRunnerIntegration:
         kinds = [load_bundle(p)["kind"] for p in runner.bundles_written]
         assert kinds == ["recovery"]
 
+    def test_ring_events_carry_the_runlog_fields(self, tmp_path):
+        """Supervision events are emitted once: the ring's recovery and
+        checkpoint events carry exactly the fields of their run-log
+        records (not a ``t`` / ``sim_t`` dialect of them)."""
+        from repro.obs.runlog import RunLog
+
+        solver = build_coupled(order=1)
+        inj = FaultInjector().corrupt_state(at_step=2)  # one-shot
+        log_path = str(tmp_path / "run.jsonl")
+        with RunLog(log_path) as log:
+            runner = ResilientRunner(
+                solver, injector=inj, max_retries=3, verbose=False,
+                runlog=log, checkpoint_every=2 * solver.dt,
+                checkpoint_dir=str(tmp_path))
+            runner.run(6 * solver.dt)
+        envelope = ("event", "seq", "wall", "run_id")
+        logged = [{"kind": r["event"],
+                   **{k: v for k, v in r.items() if k not in envelope}}
+                  for r in map(json.loads, open(log_path))]
+        ring = json.loads(json.dumps(runner.recorder.events()))
+        sparse = [e for e in ring if e["kind"] in ("recovery", "checkpoint")]
+        assert [e["kind"] for e in sparse].count("recovery") == 1
+        assert [e["kind"] for e in sparse].count("checkpoint") >= 2
+        assert sparse == [r for r in logged
+                          if r["kind"] in ("recovery", "checkpoint")]
+
     def test_dump_exception_bundle(self, tmp_path):
         solver = build_coupled(order=1)
         runner = ResilientRunner(solver, verbose=False,

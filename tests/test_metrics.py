@@ -1,9 +1,10 @@
-"""Fleet metrics: typed registry, snapshot merging, exporters, status view.
+"""The instrument registry, snapshot merging, exporters, status view.
 
 Covers the four layers of the fleet-metrics stack: registry semantics
-under concurrent mutation, the associative snapshot merge the supervisor
-folds member views with (property-tested), the Prometheus text exporter
-against the strict validator CI runs on every ``.prom`` artifact, the
+under concurrent mutation and its all-entry-points disabled-path budget, the
+associative snapshot merge the supervisor folds member views with
+(property-tested), the Prometheus text exporter against the strict
+validator CI runs on every ``.prom`` artifact, the
 :class:`~repro.obs.fleet.FleetAggregator` + offline status view, and
 end-to-end ensembles (in-process fast tier, spawned in the ``slow``
 tier) whose on-disk fleet totals must agree with the member run logs.
@@ -13,8 +14,8 @@ import io
 import json
 import os
 import re
+import sys
 import threading
-import time
 
 import pytest
 
@@ -36,6 +37,8 @@ from repro.obs.metrics import (
     to_prometheus,
     validate_prometheus,
 )
+
+from tests.test_obs import build_coupled, disabled_step_overhead
 
 
 @pytest.fixture(autouse=True)
@@ -93,12 +96,15 @@ class TestRegistry:
         assert reg.value("c") is None
 
     def test_concurrent_mixed_mutation_is_exact(self):
-        """N threads hammer one counter: no lost updates."""
+        """N threads hammer one counter, their own gauges and one phase
+        while a reader polls the counter: no lost updates, and reads are
+        consistent (never torn, never running backwards)."""
         reg = MetricRegistry()
         reg.enable()
         n_threads, n_iter = 8, 400
-        barrier = threading.Barrier(n_threads)
+        barrier = threading.Barrier(n_threads + 1, timeout=30)
         errors = []
+        reads = []
 
         def work(tid):
             try:
@@ -106,23 +112,39 @@ class TestRegistry:
                 for k in range(n_iter):
                     reg.inc("race/steps")
                     reg.set_gauge(f"race/g{tid}", float(k))
+                    with reg.phase("race/phase"):
+                        pass
                     if k % 97 == 0:
                         reg.snapshot()  # concurrent readers must not tear
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
+        def read():
+            barrier.wait()
+            for _ in range(n_iter):
+                reads.append(reg.value("race/steps") or 0)
+
         threads = [threading.Thread(target=work, args=(t,))
                    for t in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        threads.append(threading.Thread(target=read))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleaving inside the locks
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         total = n_threads * n_iter
         assert reg.value("race/steps") == total
-        gauges = reg.snapshot()["gauges"]
-        assert [gauges[f"race/g{t}"]["value"] for t in range(n_threads)] \
-            == [float(n_iter - 1)] * n_threads
+        assert reads == sorted(reads) and reads[-1] <= total
+        snap = reg.snapshot()
+        assert snap["phases"]["race/phase"]["calls"] == total
+        assert [snap["gauges"][f"race/g{t}"]["value"]
+                for t in range(n_threads)] == [float(n_iter - 1)] * n_threads
 
 
 # ----------------------------------------------------------------------
@@ -406,52 +428,39 @@ class TestStatusView:
 # ----------------------------------------------------------------------
 class TestDisabledOverhead:
     def test_disabled_registry_within_step_budget(self):
-        """The guard-discipline bar: metrics off must not tax the solver.
+        """The whole guard's bar: the registry off must not tax the solver.
 
-        Mirrors the telemetry budget test: per-call cost of the disabled
-        mutation entry points times a conservative count of wired guard
-        sites must stay under 2% of a measured solver step.
+        Counts the sites one enabled step fires (phase calls plus counter
+        and gauge names), times the disabled ``phase`` / ``inc`` /
+        ``set_gauge`` / ``trace_span`` entry points, and charges every
+        site all four: the total must stay under 2% of a measured step.
         """
-        from repro.core.materials import acoustic, elastic
-        from repro.core.solver import (
-            CoupledSolver,
-            ocean_surface_gravity_tagger,
-        )
-        from repro.mesh.generators import layered_ocean_mesh
-
-        import numpy as np
-
-        crust = elastic(rho=2700.0, cp=4000.0, cs=2300.0)
-        ocean = acoustic(rho=1000.0, cp=1500.0)
-        xs = np.linspace(0.0, 2000.0, 4)
-        mesh = layered_ocean_mesh(
-            xs, xs,
-            zs_earth=np.linspace(-1500.0, -500.0, 3),
-            zs_ocean=np.linspace(-500.0, 0.0, 2),
-            earth=crust, ocean=ocean,
-        )
-        mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-        solver = CoupledSolver(mesh, order=2)
-
+        solver = build_coupled(order=2)
         met = get_metrics()
-        assert not met.enabled
-        n = 50_000
-        t0 = time.perf_counter()
-        for _ in range(n):
-            met.inc("x")
+        met.enable(trace=True)
+        solver.step()
+        snap = met.snapshot()
+        met.disable()
+        met.reset()
+        met.enable()  # drop the span buffer: measure the trace-off path
+        met.disable()
+        sites = sum(c["calls"] for c in snap["phases"].values())
+        sites += len(snap["counters"]) + len(snap["gauges"])
+        assert sites >= 5  # the step is actually instrumented
+
+        def one_site():
+            with met.phase("x"):
+                pass
+            met.inc("c", 3)
             met.set_gauge("g", 1.0)
-        per_call = (time.perf_counter() - t0) / (2 * n)
+            with met.trace_span("y", part=0):
+                pass
 
-        t0 = time.perf_counter()
-        for _ in range(3):
-            solver.step()
-        per_step = (time.perf_counter() - t0) / 3
-
-        sites = 40  # upper bound on guarded sites per step across layers
-        overhead = sites * per_call / per_step
+        overhead, per_site = disabled_step_overhead(solver, sites, one_site)
+        assert met.snapshot()["counters"] == {}
         assert overhead < 0.02, (
-            f"disabled metrics cost {overhead * 100:.3f}% of a step "
-            f"({sites} sites x {per_call * 1e9:.0f} ns)"
+            f"the disabled registry costs {overhead * 100:.3f}% of a step "
+            f"({sites} sites x {per_site * 1e9:.0f} ns)"
         )
 
 
@@ -541,6 +550,22 @@ class TestEnsembleFleetMetrics:
         assert retries[0]["metrics"].get("step", 0) > 0
         ends = [r for r in sup if r.get("event") == "member_end"]
         assert ends and all("metrics" in r for r in ends)
+
+    def test_member_run_end_carries_the_attempts_snapshot(self, tmp_path):
+        """A member's ``run_end`` carries what the attempt measured (it
+        used to log ``phases={}, counters={}`` whatever was recorded)."""
+        from repro.ensemble import load_result
+        from repro.obs.report import phase_total
+
+        self.run_ensemble(self.specs(n=1), tmp_path)
+        records = read_jsonl_tolerant(str(tmp_path / "m0" / "run.jsonl"))
+        run_end = [r for r in records if r.get("event") == "run_end"][-1]
+        result = load_result(str(tmp_path / "m0" / "result.json"))
+        n_elements = [r for r in records
+                      if r.get("event") == "manifest"][-1]["n_elements"]
+        assert run_end["counters"]["elem_updates/predictor"] == \
+            result["steps"] * n_elements
+        assert phase_total(run_end["phases"], "kernels/volume") > 0.0
 
     def test_metrics_registry_not_leaked_after_ensemble(self, tmp_path):
         self.run_ensemble(self.specs(n=1), tmp_path)

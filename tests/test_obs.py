@@ -1,4 +1,4 @@
-"""Observability layer: telemetry, structured run logs, roofline report."""
+"""Observability layer: the instrument registry, run logs, roofline report."""
 
 import json
 import threading
@@ -14,7 +14,7 @@ from repro.obs import (
     EVENT_FIELDS,
     ObsSession,
     RunLog,
-    get_telemetry,
+    get_metrics,
     run_manifest,
     validate_jsonl,
 )
@@ -32,6 +32,7 @@ from repro.core.solver import (
     ocean_surface_gravity_tagger,
 )
 from repro.mesh.generators import layered_ocean_mesh
+from repro.sched import HookBus
 
 
 def build_coupled(order=2):
@@ -59,36 +60,55 @@ def build_coupled(order=2):
     return solver
 
 
+def disabled_step_overhead(solver, sites, one_site, n=50_000):
+    """Fraction of a measured ``solver`` step that ``sites`` passes over
+    the disabled registry entry points in ``one_site`` would cost.
+
+    Returns ``(overhead, per_site_seconds)``; the caller asserts the
+    < 2 % bar on ``overhead``.
+    """
+    t0 = time.perf_counter()
+    for _ in range(n):
+        one_site()
+    per_site = (time.perf_counter() - t0) / n
+
+    t0 = time.perf_counter()
+    for _ in range(3):
+        solver.step()
+    per_step = (time.perf_counter() - t0) / 3
+    return sites * per_site / per_step, per_site
+
+
 @pytest.fixture(autouse=True)
-def _clean_telemetry():
-    tel = get_telemetry()
-    tel.disable()
-    tel.reset()
+def _clean_registry():
+    met = get_metrics()
+    met.disable()
+    met.reset()
     yield
-    tel.disable()
-    tel.reset()
+    met.disable()
+    met.reset()
 
 
 # ----------------------------------------------------------------------
 class TestTelemetry:
     def test_disabled_phase_is_shared_noop(self):
-        tel = get_telemetry()
-        assert tel.phase("a") is tel.phase("b")  # one shared null CM
-        with tel.phase("a"):
-            tel.count("c", 5)
-            tel.add_time("t", 1.0)
-        snap = tel.snapshot()
+        met = get_metrics()
+        assert met.phase("a") is met.phase("b")  # one shared null CM
+        with met.phase("a"):
+            met.inc("c", 5)
+            met.add_time("t", 1.0)
+        snap = met.snapshot()
         assert snap["phases"] == {} and snap["counters"] == {}
 
     def test_nested_phases_record_hierarchical_paths(self):
-        tel = get_telemetry()
-        tel.enable()
-        with tel.phase("step"):
-            with tel.phase("predict"):
+        met = get_metrics()
+        met.enable()
+        with met.phase("step"):
+            with met.phase("predict"):
                 pass
-            with tel.phase("predict"):
+            with met.phase("predict"):
                 pass
-        snap = tel.snapshot()["phases"]
+        snap = met.snapshot()["phases"]
         assert set(snap) == {"step", "step/predict"}
         assert snap["step/predict"]["calls"] == 2
         assert snap["step"]["calls"] == 1
@@ -97,34 +117,37 @@ class TestTelemetry:
         assert phase_total(snap, "predict") == snap["step/predict"]["seconds"]
 
     def test_counters_and_add_time(self):
-        tel = get_telemetry()
-        tel.enable()
-        tel.count("elem_updates/predictor", 10)
-        tel.count("elem_updates/predictor", 32)
-        tel.add_time("worker/p0/compute", 0.25)
-        tel.add_time("worker/p0/compute", 0.75)
-        assert tel.counter("elem_updates/predictor") == 42
-        snap = tel.snapshot()
+        met = get_metrics()
+        met.enable()
+        met.inc("elem_updates/predictor", 10)
+        met.inc("elem_updates/predictor", 32)
+        met.add_time("worker/p0/compute", 0.25)
+        met.add_time("worker/p0/compute", 0.75)
+        assert met.value("elem_updates/predictor") == 42
+        snap = met.snapshot()
         assert snap["phases"]["worker/p0/compute"]["seconds"] == pytest.approx(1.0)
         assert snap["phases"]["worker/p0/compute"]["calls"] == 2
 
     def test_reset_keeps_enabled_flag(self):
-        tel = get_telemetry()
-        tel.enable()
-        tel.count("x")
-        tel.reset()
-        assert tel.enabled
-        assert tel.snapshot()["counters"] == {}
+        met = get_metrics()
+        met.enable()
+        met.inc("x")
+        with met.phase("p"):
+            pass
+        met.reset()
+        assert met.enabled
+        snap = met.snapshot()
+        assert snap["counters"] == {} and snap["phases"] == {}
 
     def test_counter_read_takes_the_registry_lock(self):
-        """Regression: ``counter()`` used to read ``_counters`` without
-        ``_lock``, so a read racing the partitioned workers' ``count()``
-        calls could observe torn state relative to ``snapshot()``."""
-        tel = get_telemetry()
-        tel.enable()
+        """Regression: counter reads used to skip the lock, so a read
+        racing the partitioned workers' ``inc()`` calls could observe
+        torn state relative to ``snapshot()``."""
+        met = get_metrics()
+        met.enable()
 
         acquisitions = []
-        real_lock = tel._lock
+        real_lock = met._lock
 
         class RecordingLock:
             def __enter__(self):
@@ -134,49 +157,52 @@ class TestTelemetry:
             def __exit__(self, *exc):
                 return real_lock.__exit__(*exc)
 
-        tel._lock = RecordingLock()
+        met._lock = RecordingLock()
         try:
-            tel.count("c", 2)
+            met.inc("c", 2)
             acquisitions.clear()
-            assert tel.counter("c") == 2
-            assert acquisitions, "counter() must acquire the registry lock"
-            assert tel.counter("never-set") == 0
+            assert met.value("c") == 2
+            assert acquisitions, "value() must acquire the registry lock"
+            assert met.value("never-set") is None
         finally:
-            tel._lock = real_lock
+            met._lock = real_lock
 
     def test_counter_reads_race_concurrent_increments(self):
-        tel = get_telemetry()
-        tel.enable()
+        """Reads of the process-global registry racing two incrementing
+        threads never tear and never run backwards."""
+        met = get_metrics()
+        met.enable()
 
         def bump():
             for _ in range(2000):
-                tel.count("raced")
+                met.inc("raced")
 
         reads = []
 
         def read():
             for _ in range(2000):
-                reads.append(tel.counter("raced"))
+                reads.append(met.value("raced") or 0)
 
         threads = [threading.Thread(target=bump) for _ in range(2)]
         threads.append(threading.Thread(target=read))
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        assert tel.counter("raced") == 4000
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert met.value("raced") == 4000
         assert all(0 <= v <= 4000 for v in reads)
         assert reads == sorted(reads)  # monotonic counter, consistent reads
 
     def test_thread_safety(self):
-        tel = get_telemetry()
-        tel.enable()
+        met = get_metrics()
+        met.enable()
 
         def work(i):
             for _ in range(1000):
-                tel.count("shared")
-                tel.add_time(f"worker/p{i}/compute", 1e-6)
-                with tel.phase("kernels/volume"):
+                met.inc("shared")
+                met.add_time(f"worker/p{i}/compute", 1e-6)
+                with met.phase("kernels/volume"):
                     pass
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
@@ -184,50 +210,37 @@ class TestTelemetry:
             t.start()
         for t in threads:
             t.join()
-        snap = tel.snapshot()
-        assert tel.counter("shared") == 4000
+        snap = met.snapshot()
+        assert met.value("shared") == 4000
         assert snap["phases"]["kernels/volume"]["calls"] == 4000
         assert len(worker_split(snap["phases"])) == 4
 
     def test_disabled_overhead_below_two_percent_of_step(self):
-        """The acceptance bar: telemetry off must not tax the solver.
-
-        Estimates the per-step cost of every disabled instrumentation
-        site (one ``enabled`` check + null context manager each) and
-        compares it against the measured per-step wall time.
-        """
+        """The phase / counter sites of a step, registry off, cost < 2 %
+        of the step (one ``enabled`` check + null context manager each)."""
         solver = build_coupled(order=2)
-        tel = get_telemetry()
+        met = get_metrics()
 
-        # how many phase/count sites fire per step: measure one enabled step
-        tel.enable()
+        # how many phase/inc sites fire per step: measure one enabled step
+        met.enable()
         solver.step()
-        snap = tel.snapshot()
-        tel.disable()
-        tel.reset()
+        snap = met.snapshot()
+        met.disable()
+        met.reset()
         sites = sum(c["calls"] for c in snap["phases"].values())
-        sites += len(snap["counters"])  # upper bound on count() sites
+        sites += len(snap["counters"])  # upper bound on inc() sites
         assert sites >= 5  # the step is actually instrumented
 
-        # per-call cost of the disabled fast path
-        n = 50_000
-        t0 = time.perf_counter()
-        for _ in range(n):
-            with tel.phase("x"):
+        def one_site():
+            with met.phase("x"):
                 pass
-            tel.count("c", 3)
-        per_call = (time.perf_counter() - t0) / n
+            met.inc("c", 3)
 
-        # measured step time with telemetry off
-        t0 = time.perf_counter()
-        for _ in range(3):
-            solver.step()
-        per_step = (time.perf_counter() - t0) / 3
-
-        overhead = sites * per_call / per_step
+        overhead, per_site = disabled_step_overhead(solver, sites, one_site)
+        assert met.snapshot()["counters"] == {}
         assert overhead < 0.02, (
-            f"disabled telemetry costs {overhead * 100:.3f}% of a step "
-            f"({sites} sites x {per_call * 1e9:.0f} ns)"
+            f"the disabled registry costs {overhead * 100:.3f}% of a step "
+            f"({sites} sites x {per_site * 1e9:.0f} ns)"
         )
 
 
@@ -235,10 +248,10 @@ class TestTelemetry:
 class TestInstrumentation:
     def test_serial_step_phases_and_counters(self):
         solver = build_coupled(order=2)
-        tel = get_telemetry()
-        tel.enable()
+        met = get_metrics()
+        met.enable()
         solver.step()
-        snap = tel.snapshot()
+        snap = met.snapshot()
         ne = solver.mesh.n_elements
         assert snap["counters"]["elem_updates/predictor"] == ne
         assert snap["counters"]["elem_updates/corrector"] == ne
@@ -260,12 +273,12 @@ class TestInstrumentation:
         backend.bind(psolver)
         psolver.backend = backend
         try:
-            tel = get_telemetry()
-            tel.enable()
+            met = get_metrics()
+            met.enable()
             for _ in range(2):
                 psolver.step()
                 solver.step()
-            snap = tel.snapshot()
+            snap = met.snapshot()
         finally:
             backend.close()
         np.testing.assert_allclose(psolver.Q, solver.Q, rtol=1e-10,
@@ -283,14 +296,44 @@ class TestInstrumentation:
 
         solver = build_coupled(order=1)
         lts = LocalTimeStepping(solver)
-        tel = get_telemetry()
-        tel.enable()
+        met = get_metrics()
+        met.enable()
         lts.run(solver.dt * 4)
-        clusters = lts_cluster_updates(tel.snapshot()["counters"])
+        clusters = lts_cluster_updates(met.snapshot()["counters"])
         assert clusters
         total = sum(c["elem_updates"] for c in clusters.values())
         assert total == sum(int(u * n) for u, n in
                             zip(lts.updates, lts.elem_count))
+
+    def test_each_quantity_counted_once(self):
+        """One name per quantity: plan-cache lookups only as
+        ``cache/plan_hits|misses`` (agreeing with ``PlanCache.stats()``),
+        LTS cluster updates only as the ``lts/updates`` counters (no
+        twin counter, no per-sync gauge)."""
+        from repro.core.lts import LocalTimeStepping
+        from repro.exec.plan_cache import get_plan_cache
+        from repro.sched import get_step_plan_cache
+
+        solver = build_coupled(order=1)
+        lts = LocalTimeStepping(solver)
+        assert lts.n_clusters == 2
+        caches = (get_plan_cache(), get_step_plan_cache())
+        before = [c.stats() for c in caches]
+        met = get_metrics()
+        met.enable()
+        lts.run(solver.dt * 4)
+        snap = met.snapshot()
+        assert {n for n in snap["counters"] if "plan" in n} \
+            <= {"cache/plan_hits", "cache/plan_misses"}
+        assert not [n for n in snap["gauges"] if "updates" in n]
+        clusters = lts_cluster_updates(snap["counters"])
+        assert [clusters[c]["updates"] for c in range(lts.n_clusters)] \
+            == lts.updates.tolist()
+        lookups = sum(c.stats()[k] - b[k] for c, b in zip(caches, before)
+                      for k in ("hits", "misses"))
+        assert lookups > 0
+        assert snap["counters"].get("cache/plan_hits", 0) \
+            + snap["counters"].get("cache/plan_misses", 0) == lookups
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +399,7 @@ class TestObsSession:
                                  checkpoint_dir=ckpt, verbose=False,
                                  runlog=obs.runlog)
         obs.start(solver)
-        runner.run(0.1, callback=obs.chain(None))
+        runner.run(0.1, hooks=obs.subscribe(HookBus()))
         obs.runlog.close()  # abrupt end: no run_end record
 
         # second leg resumes from the checkpoint and appends
@@ -369,7 +412,7 @@ class TestObsSession:
         runner2.resume(ckpt)
         assert solver2.t == pytest.approx(solver.t)
         obs2.start(solver2, resumed=True)
-        runner2.run(0.2, callback=obs2.chain(None))
+        runner2.run(0.2, hooks=obs2.subscribe(HookBus()))
         obs2.finish(solver2)
 
         result = validate_jsonl(path)
@@ -393,7 +436,7 @@ class TestObsSession:
                                  verbose=False, runlog=obs.runlog)
         obs.start(solver)
         with pytest.raises(SimulationDiverged) as exc_info:
-            runner.run(0.3, callback=obs.chain(None))
+            runner.run(0.3, hooks=obs.subscribe(HookBus()))
         obs.runlog.close()
 
         # satellite: the exception reports the wall clock spent
@@ -418,10 +461,11 @@ class TestObsSession:
         seen = []
         obs = ObsSession(log_json=path, heartbeat_every=2)
         obs.start(solver)
-        cb = obs.chain(lambda s: seen.append(s.t))
+        bus = obs.subscribe(HookBus())
+        bus.on_sync(lambda s: seen.append(s.t))
         for _ in range(5):
             solver.step()
-            cb(solver)
+            bus.sync(solver)
         obs.finish(solver)
         assert len(seen) == 5
         recs = [json.loads(line) for line in open(path)]
@@ -437,11 +481,11 @@ class TestObsSession:
         obs = ObsSession(heartbeat_every=2)
         assert obs.active  # heartbeats alone make the session active
         obs.start(solver)
-        cb = obs.chain(None)
-        assert cb is not None
+        bus = obs.subscribe(HookBus())
+        assert len(bus) == 1
         for _ in range(4):
             solver.step()
-            cb(solver)
+            bus.sync(solver)
         obs.finish(solver)
         out = capsys.readouterr().out
         beats = [ln for ln in out.splitlines() if ln.startswith("[heartbeat]")]
@@ -454,10 +498,10 @@ class TestObsSession:
         solver = build_coupled(order=1)
         obs = ObsSession(log_json=path, heartbeat_every=1)
         obs.start(solver)
-        cb = obs.chain(None)
+        bus = obs.subscribe(HookBus())
         for _ in range(2):
             solver.step()
-            cb(solver)
+            bus.sync(solver)
         obs.finish(solver)
         assert "[heartbeat]" not in capsys.readouterr().out
         recs = [json.loads(line) for line in open(path)]
@@ -471,22 +515,21 @@ class TestObsSession:
         bad_trace = str(tmp_path / "no-such-dir" / "out.trace.json")
         solver = build_coupled(order=1)
         obs = ObsSession(profile=True, trace=bad_trace, log_json=log_path)
-        tel = get_telemetry()
-        assert tel.enabled
+        met = get_metrics()
+        assert met.enabled
         obs.start(solver)
         solver.step()
         with pytest.raises(OSError):
             obs.finish(solver)
-        assert not tel.enabled, "registry leaked enabled after finish() raised"
+        assert not met.enabled, "registry leaked enabled after finish() raised"
         assert obs.runlog.closed
         capsys.readouterr()  # swallow partial output
 
     def test_inactive_session_is_transparent(self):
         obs = ObsSession()
         assert not obs.active
-        cb = object()
-        assert obs.chain(cb) is cb
-        assert obs.chain(None) is None
+        bus = HookBus()
+        assert obs.subscribe(bus) is bus and len(bus) == 0
         obs.start()
         obs.finish()  # must not raise without a solver or log
 
@@ -513,11 +556,11 @@ class TestObsSession:
 class TestReport:
     def _fake_run(self, n_steps=3):
         solver = build_coupled(order=2)
-        tel = get_telemetry()
-        tel.enable()
+        met = get_metrics()
+        met.enable()
         for _ in range(n_steps):
             solver.step()
-        return solver, tel.snapshot()
+        return solver, met.snapshot()
 
     @pytest.mark.parametrize("node", ["rome", "local"])
     def test_roofline_rows_sane(self, node):
@@ -553,7 +596,7 @@ class TestReport:
         obs.start(solver)
         for _ in range(2):
             solver.step()
-        counters = get_telemetry().snapshot()["counters"]
+        counters = get_metrics().snapshot()["counters"]
         obs.finish(solver)
         kc = kernel_counts(2, variant="fused")
         want = {
@@ -584,10 +627,10 @@ class TestReport:
         obs = ObsSession(profile=True, log_json=path, heartbeat_every=2,
                          config={"command": "cli-test"})
         obs.start(solver)
-        cb = obs.chain(None)
+        bus = obs.subscribe(HookBus())
         for _ in range(4):
             solver.step()
-            cb(solver)
+            bus.sync(solver)
         obs.finish(solver)
         capsys.readouterr()
 
@@ -619,6 +662,7 @@ class TestReport:
         assert mod.main([path]) == 0
         assert mod.main([path, "--min-manifests", "2"]) == 1
         assert mod.main([path, "--require-heartbeat"]) == 1
+        assert mod.main([path, "--require-metrics"]) == 1
         with open(path, "a") as fh:
             fh.write("garbage\n")
         assert mod.main([path]) == 1

@@ -18,6 +18,7 @@ from repro.core.resilience import ResilientRunner
 from repro.core.riemann import FaceKind
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
 from repro.mesh.generators import box_mesh, layered_ocean_mesh
+from repro.sched import HookBus
 
 ROCK = elastic(2700.0, 6000.0, 3464.0)
 
@@ -155,8 +156,10 @@ class TestLastEnergy:
         runner = ResilientRunner(solver, lts=lts, verbose=False,
                                  blackbox_dir=str(tmp_path))
         seen = []
+        hooks = HookBus()
+        hooks.on_sync(lambda s: seen.append(runner.watchdog.last_energy))
         runner.run(solver.t + 3 * (lts.dt_min * 2**lts.cmax if lts else solver.dt),
-                   callback=lambda s: seen.append(runner.watchdog.last_energy))
+                   hooks=hooks)
         steps = [e for e in runner.recorder.events() if e["kind"] == "step"]
         assert len(steps) == len(seen) == runner.step_count > 0
         assert [e["energy"] for e in steps] == seen
@@ -235,7 +238,6 @@ class TestSingleCapture:
 
     def test_archive_equals_rollback_snapshot_not_live_state(self, tmp_path):
         from repro.io.checkpoint import load_checkpoint
-        from repro.sched import HookBus
 
         runner = self._runner(tmp_path)
         snaps = []

@@ -454,6 +454,13 @@ class TestHaloLayout:
         new.backend.close()
 
 
+def sync_times(out: list) -> HookBus:
+    """A hook bus appending ``solver.t`` at every sync point to ``out``."""
+    bus = HookBus()
+    bus.on_sync(lambda s: out.append(s.t))
+    return bus
+
+
 # ---------------------------------------------------------------------------
 # unified termination: the integer clock is the only authority
 # ---------------------------------------------------------------------------
@@ -474,7 +481,7 @@ class TestTermination:
         assert old_steps == 11
 
         steps = []
-        solver.run(t_end, callback=lambda s: steps.append(s.t))
+        solver.run(t_end, hooks=sync_times(steps))
         assert len(steps) == 10
         assert abs(solver.t - t_end) < 1e-8 * dt
 
@@ -482,7 +489,7 @@ class TestTermination:
         solver = build_coupled(order=1)
         dt = solver.dt
         steps = []
-        solver.run(10.5 * dt, callback=lambda s: steps.append(s.t))
+        solver.run(10.5 * dt, hooks=sync_times(steps))
         assert len(steps) == 11
         assert solver.t == pytest.approx(10.5 * dt, rel=1e-12)
 
@@ -500,7 +507,7 @@ class TestTermination:
         s, lts = build_coupled(lts=True)
         t_end = 16 * lts.dt_min * lts.rate**lts.cmax + 1e-10 * lts.dt_min
         syncs = []
-        lts.run(t_end, callback=lambda x: syncs.append(x.t))
+        lts.run(t_end, hooks=sync_times(syncs))
         assert len(syncs) == 16
         assert s.t == t_end
 
@@ -552,16 +559,6 @@ class TestHookBus:
         a.sync(None)
         assert log == ["a", "b"]
         assert len(a) == 2
-
-    def test_legacy_callback_equivalent_to_on_sync(self):
-        s1 = build_coupled(order=1)
-        s2 = build_coupled(order=1)
-        t1, t2 = [], []
-        s1.run(3 * s1.dt, callback=lambda s: t1.append(s.t))
-        bus = HookBus()
-        bus.on_sync(lambda s: t2.append(s.t))
-        s2.run(3 * s2.dt, hooks=bus)
-        assert t1 == t2
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,10 @@
 
 import json
 import threading
-import time
 
 import pytest
 
-from repro.obs import ObsSession, get_telemetry
-from repro.obs.telemetry import TraceBuffer
+from repro.obs import ObsSession, TraceBuffer, get_metrics
 from repro.obs.trace import (
     TRACE_SCHEMA_VERSION,
     chrome_trace,
@@ -17,18 +15,19 @@ from repro.obs.trace import (
     trace_summary_lines,
     validate_chrome_trace,
 )
+from repro.sched import HookBus
 
-from tests.test_obs import build_coupled  # shared solver factory
+from tests.test_obs import build_coupled, disabled_step_overhead
 
 
 @pytest.fixture(autouse=True)
-def _clean_telemetry():
-    tel = get_telemetry()
-    tel.disable()
-    tel.reset()
+def _clean_registry():
+    met = get_metrics()
+    met.disable()
+    met.reset()
     yield
-    tel.disable()
-    tel.reset()
+    met.disable()
+    met.reset()
 
 
 def _partitioned(order=2, workers=2):
@@ -69,13 +68,13 @@ class TestTraceBuffer:
 
 class TestTelemetryTracing:
     def test_phase_spans_recorded_when_tracing(self):
-        tel = get_telemetry()
-        tel.enable(trace=True)
-        assert tel.tracing
-        with tel.phase("step"):
-            with tel.phase("predict"):
+        met = get_metrics()
+        met.enable(trace=True)
+        assert met.tracing
+        with met.phase("step"):
+            with met.phase("predict"):
                 pass
-        spans = tel.trace_snapshot()["spans"]
+        spans = met.trace_snapshot()["spans"]
         names = [s[0] for s in spans]
         # sorted by begin time: the outer phase opened first
         assert names == ["step", "step/predict"]
@@ -84,78 +83,72 @@ class TestTelemetryTracing:
             assert tid == threading.get_ident()
 
     def test_trace_span_and_add_span_carry_args(self):
-        tel = get_telemetry()
-        tel.enable(trace=True)
-        with tel.trace_span("lts/cluster", cluster=2, elems=17):
+        met = get_metrics()
+        met.enable(trace=True)
+        with met.trace_span("lts/cluster", cluster=2, elems=17):
             pass
-        tel.add_span("worker/halo_gather", 1.0, 1.5, part=1, halo=4)
-        spans = {s[0]: s for s in tel.trace_snapshot()["spans"]}
+        met.add_span("worker/halo_gather", 1.0, 1.5, part=1, halo=4)
+        spans = {s[0]: s for s in met.trace_snapshot()["spans"]}
         assert spans["lts/cluster"][4] == {"cluster": 2, "elems": 17}
         assert spans["worker/halo_gather"][4] == {"part": 1, "halo": 4}
 
     def test_trace_off_modes_are_noops(self):
-        tel = get_telemetry()
+        met = get_metrics()
         # enabled without trace: trace entry points are shared no-ops
-        tel.enable()
-        assert not tel.tracing
-        assert tel.trace_span("a") is tel.trace_span("b")
-        tel.add_span("x", 0.0, 1.0)
-        assert tel.trace_snapshot()["spans"] == []
+        met.enable()
+        assert not met.tracing
+        assert met.trace_span("a") is met.trace_span("b")
+        met.add_span("x", 0.0, 1.0)
+        assert met.trace_snapshot()["spans"] == []
         # plain enable() after a traced session drops the old buffer
-        tel.enable(trace=True)
-        with tel.trace_span("s"):
+        met.enable(trace=True)
+        with met.trace_span("s"):
             pass
-        tel.enable()
-        assert not tel.tracing
-        assert tel.trace_snapshot()["spans"] == []
+        met.enable()
+        assert not met.tracing
+        assert met.trace_snapshot()["spans"] == []
 
     def test_reset_empties_buffer_but_keeps_trace_mode(self):
-        tel = get_telemetry()
-        tel.enable(trace=True, trace_capacity=7)
-        tel.add_span("x", 0.0, 1.0)
-        tel.reset()
-        assert tel.tracing
-        snap = tel.trace_snapshot()
+        met = get_metrics()
+        met.enable(trace=True, trace_capacity=7)
+        met.add_span("x", 0.0, 1.0)
+        met.reset()
+        assert met.tracing
+        snap = met.trace_snapshot()
         assert snap["spans"] == [] and snap["capacity"] == 7
 
     def test_disabled_overhead_with_trace_sites_below_two_percent(self):
         """The 2% guard extended to the trace entry points: a solver whose
         hot loops carry ``trace_span``/``add_span`` sites must stay free
-        when telemetry is fully off."""
+        when the registry is fully off."""
         solver = build_coupled(order=2)
-        tel = get_telemetry()
+        met = get_metrics()
 
-        tel.enable(trace=True)
+        met.enable(trace=True)
         solver.step()
-        snap = tel.snapshot()
-        n_spans = len(tel.trace_snapshot()["spans"])
-        tel.disable()
-        tel.reset()
-        tel.enable()  # drop the buffer: measure the trace-disabled path
-        tel.disable()
+        snap = met.snapshot()
+        n_spans = len(met.trace_snapshot()["spans"])
+        met.disable()
+        met.reset()
+        met.enable()  # drop the buffer: measure the trace-disabled path
+        met.disable()
         sites = sum(c["calls"] for c in snap["phases"].values())
         sites += len(snap["counters"])
         sites += n_spans  # every span site also guards on tracing
+        assert n_spans > 0  # the traced step actually recorded spans
 
-        n = 50_000
-        t0 = time.perf_counter()
-        for _ in range(n):
-            with tel.phase("x"):
+        def one_site():
+            with met.phase("x"):
                 pass
-            with tel.trace_span("y", part=0):
+            with met.trace_span("y", part=0):
                 pass
-            tel.add_span("z", 0.0, 1.0, part=0)
-        per_call = (time.perf_counter() - t0) / n
+            met.add_span("z", 0.0, 1.0, part=0)
 
-        t0 = time.perf_counter()
-        for _ in range(3):
-            solver.step()
-        per_step = (time.perf_counter() - t0) / 3
-
-        overhead = sites * per_call / per_step
+        overhead, per_site = disabled_step_overhead(solver, sites, one_site)
+        assert met.trace_snapshot()["spans"] == []
         assert overhead < 0.02, (
             f"disabled trace instrumentation costs {overhead * 100:.3f}% of "
-            f"a step ({sites} sites x {per_call * 1e9:.0f} ns)"
+            f"a step ({sites} sites x {per_site * 1e9:.0f} ns)"
         )
 
 
@@ -165,8 +158,8 @@ class TestChromeTraceExport:
         """The acceptance test: a traced 2-worker partitioned run exports
         valid Chrome-trace JSON with one lane per worker."""
         solver, backend = _partitioned(workers=2)
-        tel = get_telemetry()
-        tel.enable(trace=True)
+        met = get_metrics()
+        met.enable(trace=True)
         try:
             for _ in range(2):
                 solver.step()
@@ -212,11 +205,11 @@ class TestChromeTraceExport:
 
         solver = build_coupled(order=1)
         lts = LocalTimeStepping(solver)
-        tel = get_telemetry()
-        tel.enable(trace=True)
+        met = get_metrics()
+        met.enable(trace=True)
         lts.run(solver.dt * 2)
 
-        doc = chrome_trace(tel.trace_snapshot())
+        doc = chrome_trace(met.trace_snapshot())
         assert validate_chrome_trace(doc) == []
         clusters = [e for e in doc["traceEvents"]
                     if e.get("name") == "lts/cluster"]
@@ -228,11 +221,11 @@ class TestChromeTraceExport:
         assert len({e["args"]["cluster"] for e in clusters}) == lts.n_clusters
 
     def test_dropped_spans_surface_in_export(self):
-        tel = get_telemetry()
-        tel.enable(trace=True, trace_capacity=2)
+        met = get_metrics()
+        met.enable(trace=True, trace_capacity=2)
         for i in range(5):
-            tel.add_span(f"s{i}", float(i), float(i) + 0.1)
-        doc = chrome_trace(tel.trace_snapshot())
+            met.add_span(f"s{i}", float(i), float(i) + 0.1)
+        doc = chrome_trace(met.trace_snapshot())
         assert doc["otherData"]["spans"] == 2
         assert doc["otherData"]["dropped"] == 3
 
@@ -282,14 +275,14 @@ class TestValidator:
 class TestSummarizer:
     def _traced_partitioned_doc(self):
         solver, backend = _partitioned(workers=2)
-        tel = get_telemetry()
-        tel.enable(trace=True)
+        met = get_metrics()
+        met.enable(trace=True)
         try:
             for _ in range(2):
                 solver.step()
         finally:
             backend.close()
-        return chrome_trace(tel.trace_snapshot()), backend
+        return chrome_trace(met.trace_snapshot()), backend
 
     def test_summary_metrics(self):
         doc, backend = self._traced_partitioned_doc()
@@ -344,11 +337,11 @@ class TestSummarizer:
         # regression: a wrapped exporter ring used to vanish silently —
         # the summary must carry the drop count and warn the reader that
         # every number under-counts the run
-        tel = get_telemetry()
-        tel.enable(trace=True, trace_capacity=2)
+        met = get_metrics()
+        met.enable(trace=True, trace_capacity=2)
         for i in range(7):
-            tel.add_span(f"s{i}", float(i), float(i) + 0.1)
-        doc = chrome_trace(tel.trace_snapshot())
+            met.add_span(f"s{i}", float(i), float(i) + 0.1)
+        doc = chrome_trace(met.trace_snapshot())
         s = summarize_trace(doc)
         assert s["dropped"] == 5
         assert s["capacity"] == 2
@@ -371,15 +364,15 @@ class TestCliAndSession:
         from repro.__main__ import main
 
         solver, backend = _partitioned(workers=2)
-        tel = get_telemetry()
-        tel.enable(trace=True)
+        met = get_metrics()
+        met.enable(trace=True)
         try:
             solver.step()
         finally:
             backend.close()
         path = str(tmp_path / "run.trace.json")
         export_chrome_trace(path)
-        tel.disable()
+        met.disable()
 
         assert main(["obs-trace", path, "--check"]) == 0
         out = capsys.readouterr().out
@@ -399,14 +392,14 @@ class TestCliAndSession:
         obs = ObsSession(trace=path, config={"command": "trace-test"})
         assert obs.active
         obs.start(solver)
-        cb = obs.chain(None)
+        bus = obs.subscribe(HookBus())
         for _ in range(2):
             solver.step()
-            cb(solver)
+            bus.sync(solver)
         obs.finish(solver)
 
-        tel = get_telemetry()
-        assert not tel.enabled  # session-owned registry switched back off
+        met = get_metrics()
+        assert not met.enabled  # session-owned registry switched back off
         doc = load_trace(path)
         assert validate_chrome_trace(doc) == []
         assert doc["otherData"]["spans"] > 0

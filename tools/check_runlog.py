@@ -21,6 +21,7 @@ Exit status: 0 when the log is valid and all requirements hold,
 1 otherwise.
 
 Run:  python tools/check_runlog.py RUN.jsonl [--min-manifests 2] [--require-heartbeat]
+                                           [--require-metrics]
       python tools/check_runlog.py ENSEMBLE_DIR [--require-metrics]
 """
 
@@ -244,8 +245,8 @@ def main(argv=None) -> int:
     ap.add_argument("--require-heartbeat", action="store_true",
                     help="fail unless at least one heartbeat event is present")
     ap.add_argument("--require-metrics", action="store_true",
-                    help="directory mode: fail for members without any "
-                    "metrics records")
+                    help="fail for a log (directory mode: for each member) "
+                    "without any metrics records")
     args = ap.parse_args(argv)
 
     if os.path.isdir(args.runlog):
@@ -254,8 +255,12 @@ def main(argv=None) -> int:
     if not os.path.exists(args.runlog):
         print(f"check_runlog: {args.runlog}: no such file", file=sys.stderr)
         return 1
-    ok, _ = check_file(args.runlog, min_manifests=args.min_manifests,
-                       require_heartbeat=args.require_heartbeat)
+    ok, info = check_file(args.runlog, min_manifests=args.min_manifests,
+                          require_heartbeat=args.require_heartbeat)
+    if args.require_metrics and info["n_metrics"] == 0:
+        print(f"check_runlog: {args.runlog}: no metrics records",
+              file=sys.stderr)
+        ok = False
     return 0 if ok else 1
 
 

@@ -135,7 +135,7 @@ def palu_coupled_run():
     "recorded acoustic velocity time series").
     """
     from repro.analysis.receivers import ReceiverArray
-    from repro.sched import HookBus
+    from repro.sched import HookBus, Scheduler
 
     solver, fault, lts = palu_built()
     cfg = palu_config()
@@ -150,7 +150,7 @@ def palu_coupled_run():
     receivers.record()
     hooks = HookBus()
     receivers.subscribe(hooks)
-    lts.run(palu_t_end(), hooks=hooks)
+    Scheduler(solver, lts).run(palu_t_end(), hooks=hooks)
     return solver, fault, lts, receivers
 
 
@@ -161,7 +161,7 @@ def palu_linked_run():
     Returns ``(eq_solver, fault, tracker, swe)``.
     """
     from repro.scenarios.palu import build_earthquake_only, run_linked_tsunami
-    from repro.sched import HookBus
+    from repro.sched import HookBus, Scheduler
 
     _print_header("palu linked")
     cfg = palu_config()
@@ -172,7 +172,7 @@ def palu_linked_run():
     hooks = HookBus()
     hooks.on_sync(tracker)
     for i in range(n_snap):
-        eq.run(t_end * (i + 1) / n_snap, hooks=hooks)
+        Scheduler(eq).run(t_end * (i + 1) / n_snap, hooks=hooks)
         snapshots.append((eq.t, tracker.uz.copy()))
     swe = run_linked_tsunami(cfg, tracker, snapshots, t_end)
     return eq, fault, tracker, swe
@@ -202,11 +202,12 @@ def scenario_a_coupled_run():
     """Returns ``(solver, fault)`` advanced to ``scenario_a_t_end()``."""
     from repro.core.lts import LocalTimeStepping
     from repro.scenarios.scenario_a import build_coupled
+    from repro.sched import Scheduler
 
     _print_header("scenario A coupled")
     solver, fault = build_coupled(scenario_a_config())
     lts = LocalTimeStepping(solver)
-    lts.run(scenario_a_t_end())
+    Scheduler(solver, lts).run(scenario_a_t_end())
     return solver, fault
 
 
@@ -214,7 +215,7 @@ def scenario_a_coupled_run():
 def scenario_a_linked_run():
     """Returns ``(eq_solver, fault, tracker, swe)``."""
     from repro.scenarios.scenario_a import build_earthquake_only, run_linked_tsunami
-    from repro.sched import HookBus
+    from repro.sched import HookBus, Scheduler
 
     _print_header("scenario A linked")
     cfg = scenario_a_config()
@@ -225,7 +226,7 @@ def scenario_a_linked_run():
     hooks = HookBus()
     hooks.on_sync(tracker)
     for i in range(n_snap):
-        eq.run(t_end * (i + 1) / n_snap, hooks=hooks)
+        Scheduler(eq).run(t_end * (i + 1) / n_snap, hooks=hooks)
         snapshots.append((eq.t, tracker.uz.copy()))
     swe = run_linked_tsunami(cfg, tracker, snapshots, t_end)
     return eq, fault, tracker, swe

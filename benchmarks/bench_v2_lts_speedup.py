@@ -18,6 +18,7 @@ from repro.core.lts import LocalTimeStepping
 from repro.core.materials import acoustic, elastic
 from repro.core.riemann import FaceKind
 from repro.core.solver import CoupledSolver
+from repro.sched import Scheduler
 
 
 def build():
@@ -69,7 +70,7 @@ def test_v2_lts_speedup(benchmark):
     lts = LocalTimeStepping(s_lts)
 
     def run_lts():
-        lts.run(T)
+        Scheduler(s_lts, lts).run(T)
 
     benchmark.pedantic(run_lts, rounds=1, iterations=1)
     t_lts = benchmark.stats["mean"]

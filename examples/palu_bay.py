@@ -20,7 +20,7 @@ import numpy as np
 from repro.analysis.fields import sea_surface_grid
 from repro.core.lts import LocalTimeStepping
 from repro.obs import ObsSession, add_obs_args, obs_kwargs
-from repro.sched import HookBus
+from repro.sched import HookBus, Scheduler
 from repro.scenarios.palu import PaluConfig, build_coupled
 
 
@@ -88,7 +88,7 @@ def main(t_end: float = 4.0, checkpoint_every: float | None = None,
         if runner is not None:
             runner.run(tc, hooks=hooks)
         else:
-            lts.run(tc, hooks=hooks)
+            Scheduler(solver, lts).run(tc, hooks=hooks)
         vr = rupture_speed_along_strike(fault)
         print(f"t = {tc:4.1f} s | ruptured {fault.ruptured_fraction() * 100:5.1f}% | "
               f"peak V {fault.peak_slip_rate.max():6.2f} m/s | "

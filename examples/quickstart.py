@@ -25,7 +25,7 @@ from repro.core.materials import acoustic, elastic
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
 from repro.mesh.generators import layered_ocean_mesh
 from repro.obs import ObsSession, add_obs_args, obs_kwargs
-from repro.sched import HookBus
+from repro.sched import HookBus, Scheduler
 
 
 def main(t_end: float = 2.5, checkpoint_every: float | None = None,
@@ -100,7 +100,7 @@ def main(t_end: float = 2.5, checkpoint_every: float | None = None,
         runner.run(t_end, hooks=hooks)
     else:
         obs.start(solver)
-        solver.run(t_end, hooks=hooks)
+        Scheduler(solver).run(t_end, hooks=hooks)
 
     # --- report ----------------------------------------------------------
     p = receivers.pressure()

@@ -22,7 +22,7 @@ import numpy as np
 from repro.analysis.fields import surface_eta_transect
 from repro.core.lts import LocalTimeStepping
 from repro.obs import ObsSession, add_obs_args, obs_kwargs
-from repro.sched import HookBus
+from repro.sched import HookBus, Scheduler
 from repro.scenarios.scenario_a import (
     ScenarioAConfig,
     build_coupled,
@@ -69,7 +69,7 @@ def main(t_end: float = 6.0, n_transect: int = 41,
         runner.run(t_end, hooks=obs.subscribe(HookBus()))
     else:
         obs.start(solver)
-        lts.run(t_end, hooks=obs.subscribe(HookBus()))
+        Scheduler(solver, lts).run(t_end, hooks=obs.subscribe(HookBus()))
     obs.finish(solver)
     print(f"  rupture: Mw {fault.moment_magnitude():.2f}, "
           f"peak slip {fault.slip.max():.2f} m, "
@@ -89,7 +89,7 @@ def main(t_end: float = 6.0, n_transect: int = 41,
 
     n_snap = 12
     for i in range(n_snap):
-        eq.run(t_end * (i + 1) / n_snap, hooks=eq_hooks)
+        Scheduler(eq).run(t_end * (i + 1) / n_snap, hooks=eq_hooks)
         snapshots.append((eq.t, tracker.uz.copy()))
     print(f"  final seafloor uplift: max {tracker.uz.max():.2f} m, "
           f"min {tracker.uz.min():.2f} m")

@@ -30,14 +30,18 @@ The package implements, from scratch:
 
 Quick start::
 
-    from repro import CoupledSolver, elastic, acoustic
+    from repro import CoupledSolver, Scheduler, elastic, acoustic
     from repro.mesh.generators import layered_ocean_mesh
     from repro.core.solver import ocean_surface_gravity_tagger
 
     mesh = layered_ocean_mesh(...)
     mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
     solver = CoupledSolver(mesh, order=3)
-    solver.run(t_end=10.0)
+    Scheduler(solver).run(10.0)
+
+``Scheduler(solver, LocalTimeStepping(solver))`` runs the same solver with
+clustered local time-stepping; :class:`repro.core.resilience.ResilientRunner`
+supervises, checkpoints and resumes a run.
 """
 
 from .core.lts import LocalTimeStepping
@@ -47,6 +51,7 @@ from .core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagge
 from .mesh.tetmesh import TetMesh
 from .rupture.fault import FaultSolver, Prestress
 from .rupture.friction import LinearSlipWeakening, RateStateFastVelocityWeakening
+from .sched import Scheduler
 from .tsunami.okada import OkadaFault
 from .tsunami.swe import ShallowWaterSolver
 
@@ -55,6 +60,7 @@ __version__ = "1.0.0"
 __all__ = [
     "CoupledSolver",
     "LocalTimeStepping",
+    "Scheduler",
     "Material",
     "TetMesh",
     "FaceKind",

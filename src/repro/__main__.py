@@ -18,8 +18,8 @@ Commands
 The simulation commands (``quickstart``, ``scenario-a``, ``palu``) accept
 the resilience options ``--checkpoint-every S`` (simulated seconds between
 atomic on-disk checkpoints), ``--checkpoint-dir DIR``, and ``--resume
-[PATH]`` (restart from a checkpoint file, or the newest checkpoint in a
-directory).  Checkpointed runs are supervised: a NaN/energy/CFL watchdog
+[PATH]`` (restart from a checkpoint file, or the newest readable checkpoint
+in a directory).  Checkpointed runs are supervised: a NaN/energy/CFL watchdog
 triggers rollback to the last snapshot with timestep backoff instead of
 silently corrupting the run.
 
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
         )
         p.add_argument(
             "--resume", default=None, metavar="PATH",
-            help="resume from a checkpoint file or the newest one in a directory",
+            help="resume from a checkpoint file or the newest readable one in a directory",
         )
 
     def add_backend_args(p):

@@ -23,7 +23,8 @@ step window and (ii) every finer neighboring cluster has completed the
 window (buffer full).  Because that cadence is static, it is compiled
 once into a :class:`~repro.sched.StepPlan` and replayed by the shared
 :class:`~repro.sched.Scheduler`; this module only owns the *clustering*
-(assignment, normalization, statistics) and the driver facade.
+(assignment, normalization, statistics) and the per-cluster row layout
+the scheduler reads.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels.fusion import row_set
-from ..sched import Scheduler
 from .cfl import element_timesteps
 
 __all__ = ["cluster_elements", "cluster_major_order", "lts_statistics",
@@ -143,20 +143,18 @@ def _halo_layout(mesh, cluster: np.ndarray, n_clusters: int):
 
 
 class LocalTimeStepping:
-    """LTS driver wrapping a :class:`~repro.core.solver.CoupledSolver`.
+    """The LTS clustering of a :class:`~repro.core.solver.CoupledSolver`.
 
-    Reuses the solver's spatial operator, gravity boundary, fault solver and
-    sources; only the time-marching differs.  Besides the clustering it
-    holds the per-cluster row sets the scheduler's micro-steps touch:
-    ``idx[c]`` (own; a ``slice`` on a cluster-major mesh, see
-    :func:`cluster_major_order`, sorted ids otherwise), and the small
-    id arrays ``halo[c][cn]`` and ``exposed[c]`` (see :func:`_halo_layout`).
+    Holds the cluster assignment and the per-cluster row sets the
+    scheduler's micro-steps touch: ``idx[c]`` (own; a ``slice`` on a
+    cluster-major mesh, see :func:`cluster_major_order`, sorted ids
+    otherwise), and the small id arrays ``halo[c][cn]`` and ``exposed[c]``
+    (see :func:`_halo_layout`).  ``Scheduler(solver, lts).run(t_end)``
+    advances the solver along it.
     """
 
     def __init__(self, solver, rate: int = 2, max_cluster: int | None = None):
         self.solver = solver
-        self.op = solver.op
-        self.backend = solver.backend
         mesh = solver.mesh
         self.rate = rate
         self.cluster, self.dt_min = cluster_elements(
@@ -185,29 +183,3 @@ class LocalTimeStepping:
 
     def statistics(self) -> dict:
         return lts_statistics(self.cluster, self.rate)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        t_end: float,
-        dt_scale: float = 1.0,
-        hooks=None,
-    ) -> None:
-        """Advance all clusters to exactly ``t_end``.
-
-        Thin adapter over the compiled step-plan scheduler
-        (:mod:`repro.sched`): the full micro-step cadence is compiled once
-        from ``(n_clusters, rate, n_macro)`` (cached by fingerprint) and
-        replayed — no per-micro-step eligibility scan.  ``dt_min`` is
-        shrunk slightly so that the macro timestep divides the remaining
-        time (keeps the rate synchronization invariants intact).
-        Observers subscribe to a :class:`~repro.sched.HookBus` passed as
-        ``hooks``: ``on_sync(solver)`` fires at every macro-step
-        synchronization point (all clusters aligned), with ``solver.t``
-        set to that time.  ``dt_scale`` (in (0, 1]) uniformly shrinks
-        every cluster timestep — the hook
-        :class:`~repro.core.resilience.ResilientRunner` uses for
-        dt-backoff recovery.
-        """
-        Scheduler(self.solver, lts=self).run(t_end, dt_scale=dt_scale,
-                                             hooks=hooks)

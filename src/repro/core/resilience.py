@@ -1,9 +1,10 @@
 """Supervised time integration: rollback + dt-backoff + checkpointing.
 
-:class:`ResilientRunner` wraps :meth:`CoupledSolver.run` (global
-time-stepping) or :class:`~repro.core.lts.LocalTimeStepping` (clustered
-LTS) with the production-run survival loop the paper's SeisSol setups get
-from their HPC stack:
+:class:`ResilientRunner` drives :meth:`repro.sched.Scheduler.run` (global
+time-stepping, or clustered LTS with a
+:class:`~repro.core.lts.LocalTimeStepping`) one segment at a time, with
+the production-run survival loop the paper's SeisSol setups get from
+their HPC stack:
 
 1. the run is split into *segments* of ``checkpoint_every`` simulated
    seconds (or a single segment when not set);
@@ -20,8 +21,10 @@ from their HPC stack:
    failure history instead of silently writing NaNs to disk.
 
 With the default scale of 1 and no failures, the runner reproduces the
-plain ``run`` trajectories bit for bit — and a run resumed from a segment
-checkpoint matches the uninterrupted run exactly (asserted by the tests).
+plain ``Scheduler.run`` trajectories bit for bit — and a run resumed from
+a segment checkpoint matches the uninterrupted run exactly (asserted by
+the tests).  :meth:`ResilientRunner.resume` is the one way to restart a
+run: the CLI's ``--resume`` and the ensemble worker's retries both call it.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from ..io.checkpoint import (
     CheckpointError,
     CheckpointManager,
     capture_state,
-    latest_checkpoint,
     restore_checkpoint,
+    restore_newest,
     restore_state,
 )
 from ..obs.blackbox import BUNDLE_SUFFIX, FlightRecorder, dump_bundle
@@ -156,26 +159,23 @@ class ResilientRunner:
     def resume(self, path: str | None = None, strict: bool = True) -> dict:
         """Restore the solver from a checkpoint file or directory.
 
-        ``path`` may be a checkpoint file, a directory to scan for the
-        newest checkpoint, or ``None`` to use the configured checkpoint
-        directory.  Returns the checkpoint metadata.
+        ``path`` may be a checkpoint file, restored as given, or a
+        directory — ``None`` means the configured checkpoint directory —
+        whose newest *readable* rotation is restored (unreadable ones are
+        warned about and skipped; none readable raises
+        :class:`CheckpointError`).  Returns the checkpoint metadata plus
+        ``"path"``, the file actually restored, which the ``resume`` event
+        names too.
         """
-        if path is None:
-            if self.manager is None:
-                raise CheckpointError(
-                    "no checkpoint path given and no checkpoint_dir configured"
-                )
-            path = self.manager.latest()
-            if path is None:
-                raise CheckpointError(
-                    f"no checkpoints found in {self.manager.directory!r}"
-                )
-        elif os.path.isdir(path):
-            found = latest_checkpoint(path)
-            if found is None:
-                raise CheckpointError(f"no checkpoints found in {path!r}")
-            path = found
-        meta = restore_checkpoint(path, self.solver, self.lts, strict=strict)
+        if path is None and self.manager is None:
+            raise CheckpointError(
+                "no checkpoint path given and no checkpoint_dir configured"
+            )
+        if path is None or os.path.isdir(path):
+            path, meta = restore_newest(path or self.manager.directory,
+                                        self.solver, self.lts, strict)
+        else:
+            meta = restore_checkpoint(path, self.solver, self.lts, strict=strict)
         try:
             self.step_count = int(float(meta.get("step", 0)))
         except (TypeError, ValueError):
@@ -188,7 +188,7 @@ class ResilientRunner:
                 f"[resilience] resumed from {path} at t={self.solver.t:.6g} "
                 f"(step {self.step_count})"
             )
-        return meta
+        return {**meta, "path": path}
 
     # ------------------------------------------------------------------
     def run(self, t_end: float, hooks=None) -> None:

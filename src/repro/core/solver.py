@@ -2,9 +2,11 @@
 
 :class:`CoupledSolver` assembles the discrete operator for a mesh, owns the
 modal state, boundary-condition modules (gravitational free surface) and
-optional dynamic-rupture fault solver, and advances the solution with global
-time-stepping.  Local time-stepping (paper Sec. 4.4) is provided by
-:class:`repro.core.lts.LocalTimeStepping`, which drives the same kernels.
+optional dynamic-rupture fault solver, and takes one global ADER-DG step
+(:meth:`CoupledSolver.step`).  Runs go through the compiled step-plan
+:class:`repro.sched.Scheduler`, with global time-stepping or the
+clustered local time-stepping (paper Sec. 4.4) of
+:class:`repro.core.lts.LocalTimeStepping`.
 
 Typical use::
 
@@ -14,7 +16,7 @@ Typical use::
     solver.set_initial_condition(my_function)   # or add sources / faults
     hooks = HookBus()                           # repro.sched
     hooks.on_sync(my_probe)                     # my_probe(solver) per step
-    solver.run(t_end=10.0, hooks=hooks)
+    Scheduler(solver).run(10.0, hooks=hooks)
 """
 
 from __future__ import annotations
@@ -303,25 +305,6 @@ class CoupledSolver:
             R = self.backend.corrector(I, derivs, dt, t0=self.t)
             self.Q += R
             self.t += dt
-
-    def run(
-        self,
-        t_end: float,
-        dt: float | None = None,
-        hooks=None,
-    ) -> None:
-        """Advance to ``t_end`` with uniform steps (last step shortened).
-
-        Thin adapter over the compiled step-plan scheduler
-        (:mod:`repro.sched`): the step count is fixed up front by the
-        integer clock, so a ``t_end`` that is a whole number of steps up
-        to float error never produces a sliver step.  Observers subscribe
-        to a :class:`~repro.sched.HookBus` passed as ``hooks``
-        (``on_sync(solver)`` fires after every step).
-        """
-        from ..sched import Scheduler
-
-        Scheduler(self).run(t_end, dt=dt, hooks=hooks)
 
     # ------------------------------------------------------------------
     def energy(self) -> float:

@@ -12,8 +12,8 @@ the ISSUE specifies:
    restampede the machine;
 2. **checkpoint-resume** — from the first retry on, the member resumes
    from its newest *readable* checkpoint rotation instead of restarting
-   from t=0 (:meth:`CheckpointManager.restore_latest` skips corrupt
-   archives);
+   from t=0 (:meth:`ResilientRunner.resume` skips corrupt archives; a
+   member that has written none yet starts fresh);
 3. **dt_scale reduction** — from strike ``dt_scale_after`` on, the
    member's timestep is scaled down by ``dt_backoff`` per further strike,
    the same bounded backoff :class:`ResilientRunner` applies in-process;

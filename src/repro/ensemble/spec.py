@@ -34,16 +34,14 @@ __all__ = [
 
 @dataclass
 class ScenarioHandle:
-    """What a scenario builder returns: the solver plus optional extras.
-
-    ``lts`` is a :class:`~repro.core.lts.LocalTimeStepping` wrapping the
-    same solver (clustered marching) and ``summarize`` an optional
-    ``solver -> dict`` of scenario-level result metrics (peak sea-surface
-    height, receiver extrema, ...) stored in the member result file.
+    """What a scenario builder returns: the solver plus an optional
+    ``summarize``, a ``solver -> dict`` of scenario-level result metrics
+    (peak sea-surface height, receiver extrema, ...) stored in the member
+    result file.  Members march with global time-stepping under
+    :class:`~repro.core.resilience.ResilientRunner`.
     """
 
     solver: object
-    lts: object | None = None
     summarize: object | None = None
 
 

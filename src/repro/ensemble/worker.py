@@ -37,7 +37,7 @@ import numpy as np
 
 from ..core.health import SimulationDiverged, total_energy
 from ..core.resilience import ResilientRunner
-from ..io.checkpoint import capture_state
+from ..io.checkpoint import capture_state, checkpoint_candidates
 from ..obs.metrics import get_metrics
 from ..obs.runlog import RunLog
 from ..sched import HookBus
@@ -111,7 +111,9 @@ def run_member(
     parent when the supervisor operates in degraded in-process mode.
     ``channel`` is where liveness goes: anything with ``send(dict)`` — the
     worker's pipe to the supervisor, or the in-process shim.
-    ``resume`` restores the newest *readable* checkpoint rotation;
+    ``resume`` restores the newest *readable* checkpoint rotation through
+    :meth:`~repro.core.resilience.ResilientRunner.resume` (a member with
+    no rotation yet starts fresh);
     ``dt_scale`` applies the supervisor's escalated timestep scale.
     ``in_process`` makes injected kill/hang faults raise
     (:class:`~repro.core.health.inject.InjectedWorkerDeath` /
@@ -163,11 +165,10 @@ def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
 
     runlog = RunLog(paths["runlog"], durable=True)
     handle = spec.build()
-    solver, lts = handle.solver, handle.lts
+    solver = handle.solver
 
     runner = ResilientRunner(
         solver,
-        lts=lts,
         checkpoint_every=spec.checkpoint_every,
         checkpoint_dir=paths["ckpt_dir"],
         keep=spec.keep_checkpoints,
@@ -183,20 +184,10 @@ def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
     runner.bundle_context = {"member": spec.member_id, "attempt": attempt}
 
     resumed_from = None
-    if resume:
-        # fall back past corrupt rotations: a killed worker must never
-        # poison its own resume (CheckpointManager.restore_latest skips
-        # unreadable archives with a warning)
-        meta = runner.manager.restore_latest()
-        if meta is not None:
-            resumed_from = runner.manager.latest()
-            try:
-                runner.step_count = int(float(meta.get("step", 0)))
-            except (TypeError, ValueError):
-                runner.step_count = 0
-            runner.watchdog.reset()
-            runlog.emit("resume", path=resumed_from, step=runner.step_count,
-                        sim_t=solver.t)
+    if resume and checkpoint_candidates(paths["ckpt_dir"]):
+        # a retry before the first checkpoint starts fresh; otherwise the
+        # newest readable rotation (the runner skips unreadable ones)
+        resumed_from = runner.resume()["path"]
 
     runlog.emit("manifest", **_member_manifest(spec, solver, attempt,
                                                resumed_from))
@@ -267,7 +258,7 @@ def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
         "member_id": spec.member_id,
         "attempt": attempt,
         "status": status,
-        "digest": state_digest(solver, lts),
+        "digest": state_digest(solver),
         "sim_t": float(solver.t),
         "steps": int(runner.step_count),
         "wall_s": wall_s,

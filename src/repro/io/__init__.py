@@ -1,25 +1,17 @@
-"""Output and persistence: VTK files, receiver archives, solver checkpoints."""
+"""Persistence: versioned, atomic solver checkpoints."""
 
 from .checkpoint import (
     CheckpointError,
     CheckpointManager,
-    latest_checkpoint,
     load_checkpoint,
     restore_checkpoint,
     save_checkpoint,
 )
-from .receivers import load_receivers, save_receivers
-from .vtk import write_vtk_surface, write_vtk_unstructured
 
 __all__ = [
-    "write_vtk_unstructured",
-    "write_vtk_surface",
-    "save_receivers",
-    "load_receivers",
     "save_checkpoint",
     "load_checkpoint",
     "restore_checkpoint",
-    "latest_checkpoint",
     "CheckpointManager",
     "CheckpointError",
 ]

@@ -47,8 +47,8 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "restore_checkpoint",
+    "restore_newest",
     "checkpoint_candidates",
-    "latest_checkpoint",
     "CheckpointManager",
 ]
 
@@ -289,35 +289,18 @@ def restore_checkpoint(path: str, solver, lts=None, strict: bool = True) -> dict
     return _restore_loaded(load_checkpoint(path), path, solver, lts, strict)
 
 
-# ----------------------------------------------------------------------
-_CKPT_RE = re.compile(r"^(?P<prefix>.+)_(?P<step>\d+)\.npz$")
+def restore_newest(directory: str, solver, lts=None,
+                   strict: bool = True) -> tuple[str, dict]:
+    """Restore the newest *readable* rotation of ``directory``.
 
-
-def checkpoint_candidates(directory: str, prefix: str = "ckpt") -> list[str]:
-    """All ``<prefix>_<step>.npz`` paths in ``directory``, newest first."""
-    if not os.path.isdir(directory):
-        return []
-    found = []
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return []
-    for name in names:
-        m = _CKPT_RE.match(name)
-        if m and m.group("prefix") == prefix:
-            found.append((int(m.group("step")), name))
-    return [os.path.join(directory, name)
-            for _, name in sorted(found, reverse=True)]
-
-
-def _readable(candidates: list[str]):
-    """``(path, loaded archive)`` of every candidate that loads, in order.
-
-    A worker killed mid-write or a torn filesystem must never poison its
-    own resume: corrupt or truncated archives are warned about and
-    skipped in favor of the next-newest rotation.
+    Returns ``(path, metadata)`` of the archive actually restored.  A
+    worker killed mid-write or a torn disk must never poison a resume:
+    corrupt or truncated rotations are warned about and skipped in favor
+    of the next-newest one.  A fingerprint mismatch under ``strict`` still
+    raises — that is a different problem, not a damaged file — and so
+    does a directory with no readable rotation.
     """
-    for path in candidates:
+    for path in checkpoint_candidates(directory):
         try:
             data = load_checkpoint(path)
         except CheckpointError as exc:
@@ -325,47 +308,46 @@ def _readable(candidates: list[str]):
                 f"skipping unreadable checkpoint {path!r} ({exc}); "
                 "falling back to the next-newest rotation",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
-        else:
-            yield path, data
+            continue
+        return path, _restore_loaded(data, path, solver, lts, strict)
+    raise CheckpointError(f"no readable checkpoint in {directory!r}")
 
 
-def latest_checkpoint(directory: str, prefix: str = "ckpt",
-                      validate: bool = False) -> str | None:
-    """Path of the highest-step ``<prefix>_<step>.npz`` in ``directory``.
+# ----------------------------------------------------------------------
+_CKPT_RE = re.compile(r"^ckpt_(?P<step>\d+)\.npz$")
 
-    With ``validate=True`` each candidate is opened (newest first) and the
-    first one that actually loads is returned (see :func:`_readable`).
-    """
-    candidates = checkpoint_candidates(directory, prefix)
-    if not validate:
-        return candidates[0] if candidates else None
-    for path, _ in _readable(candidates):
-        return path
-    return None
+
+def checkpoint_candidates(directory: str) -> list[str]:
+    """All ``ckpt_<step>.npz`` paths in ``directory``, newest first."""
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    found = sorted(((int(m.group("step")), name) for name in names
+                    if (m := _CKPT_RE.match(name))), reverse=True)
+    return [os.path.join(directory, name) for _, name in found]
 
 
 class CheckpointManager:
-    """Rotating on-disk checkpoints: ``<dir>/<prefix>_<step>.npz``.
+    """Rotating on-disk checkpoints: ``<dir>/ckpt_<step>.npz``.
 
     Keeps the ``keep`` most recent archives; older ones are pruned after a
     successful write (never before, so an interrupted save cannot reduce
     the number of usable restart points).
     """
 
-    def __init__(self, directory: str, solver, lts=None, keep: int = 3,
-                 prefix: str = "ckpt"):
+    def __init__(self, directory: str, solver, lts=None, keep: int = 3):
         if keep < 1:
             raise ValueError("keep must be >= 1")
         self.directory = directory
         self.solver = solver
         self.lts = lts
         self.keep = keep
-        self.prefix = prefix
 
     def path_for(self, step: int) -> str:
-        return os.path.join(self.directory, f"{self.prefix}_{step:010d}.npz")
+        return os.path.join(self.directory, f"ckpt_{step:010d}.npz")
 
     def save(self, step: int, metadata: dict | None = None, state: dict | None = None) -> str:
         """Write rotation ``step``; ``state`` as in :func:`save_checkpoint`."""
@@ -375,26 +357,10 @@ class CheckpointManager:
         self._prune()
         return path
 
-    def latest(self) -> str | None:
-        return latest_checkpoint(self.directory, self.prefix)
-
-    def restore_latest(self, strict: bool = True) -> dict | None:
-        """Restore the newest *readable* checkpoint; metadata or ``None``.
-
-        Corrupt or truncated rotations (a killed worker's last write, a
-        torn disk) are warned about and skipped, falling back to the
-        next-newest archive; a fingerprint mismatch under ``strict`` still
-        raises — that is a different problem, not a damaged file.
-        """
-        for path, data in _readable(
-                checkpoint_candidates(self.directory, self.prefix)):
-            return _restore_loaded(data, path, self.solver, self.lts, strict)
-        return None
-
     def _prune(self) -> None:
         # tolerate concurrent writers/pruners in sibling processes: every
         # unlink (and the listing itself) may race with another worker
-        for path in checkpoint_candidates(self.directory, self.prefix)[self.keep:]:
+        for path in checkpoint_candidates(self.directory)[self.keep:]:
             try:
                 os.unlink(path)
             except OSError:

@@ -17,12 +17,14 @@ Events
 ``heartbeat``
     Periodic liveness record: step, simulated time, nominal dt, discrete
     energy and the wall-clock step rate since the previous heartbeat.
-    A supervised ensemble member reports the energy its watchdog swept
-    for the step (:func:`repro.core.health.total_energy`: volume energy
-    plus sea-surface potential) instead of evaluating it a second time.
+    ``energy`` is always :func:`repro.core.health.total_energy` (volume
+    energy plus sea-surface potential): :class:`~repro.obs.ObsSession`
+    evaluates it, and a supervised ensemble member reports the value its
+    watchdog swept for the step instead of evaluating it a second time.
 ``checkpoint`` / ``resume``
     Emitted by :class:`~repro.core.resilience.ResilientRunner` around its
-    atomic checkpoint writes and restarts.
+    atomic checkpoint writes and restarts; a ``resume`` names the file
+    actually restored.
 ``recovery`` / ``diverged``
     The watchdog-trip/rollback events of the resilience supervisor,
     including wall-clock timing, retry counts and — schema v3 — the

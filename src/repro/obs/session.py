@@ -31,14 +31,18 @@ Usage pattern (see ``examples/quickstart.py``)::
                      heartbeat_every=args.heartbeat_every,
                      config={"command": "quickstart", "t_end": t_end})
     obs.start(solver, resumed=bool(resume))
-    solver.run(t_end, hooks=obs.subscribe(HookBus()))
+    Scheduler(solver).run(t_end, hooks=obs.subscribe(HookBus()))
     obs.finish(solver)
+
+Heartbeats carry :func:`repro.core.health.total_energy` (volume energy
+plus sea-surface potential), the same quantity fleet members log.
 """
 
 from __future__ import annotations
 
 import time
 
+from ..core.health import total_energy
 from .metrics import get_metrics
 from .runlog import RunLog, run_manifest
 
@@ -104,7 +108,7 @@ class ObsSession:
             span = now - (self._hb_t if self._hb_t is not None else now)
             n = self.steps - self._hb_step
             rate = n / span if span > 0 else 0.0
-            energy = float(solver.energy())
+            energy = total_energy(solver)
             if self.runlog is not None:
                 if self.metrics:
                     self.runlog.emit(

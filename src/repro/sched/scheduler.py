@@ -1,25 +1,24 @@
 """The one time-integration engine: compiled plans in, hook events out.
 
-:class:`Scheduler` replaces the four independent time loops the repo grew
-(``CoupledSolver.run``, ``LocalTimeStepping.run``, ``ResilientRunner``'s
-per-mode advance methods, and the backend orchestration glue) with a
-single executor:
+:class:`Scheduler` is the only way to advance a solver: plain runs call
+``Scheduler(solver, lts).run(t_end, hooks=...)`` directly, and
+:class:`~repro.core.resilience.ResilientRunner` calls the same method once
+per supervised segment.
 
-* it owns **dt derivation** (``solver.dt`` / the LTS ``dt_min``) and the
-  uniform ``dt_scale`` backoff hook;
-* it owns **termination**: the number of steps is fixed up front by the
-  exact integer clock (:func:`plan_steps`), replacing the two subtly
-  different float-epsilon end-time criteria the GTS and LTS loops used;
-* it executes a compiled :class:`~repro.sched.plan.StepPlan` — under LTS
+* It owns **dt derivation** (``solver.dt`` / the LTS ``dt_min``) and the
+  uniform ``dt_scale`` backoff hook.
+* It owns **termination**: the number of steps is fixed up front by the
+  exact integer clock (:func:`plan_steps`), so a ``t_end`` that is a
+  whole number of steps up to float error never produces a sliver step.
+* It executes a compiled :class:`~repro.sched.plan.StepPlan` — under LTS
   the canonical clustered cadence is *replayed* from flat arrays with no
   per-micro-step eligibility scan; under GTS the plan is the trivial
-  single-cluster cadence;
-* it is the **single instrumentation dispatch site**: the per-cluster
+  single-cluster cadence.
+* It is the **single instrumentation dispatch site**: the per-cluster
   trace span and update counters are emitted in exactly one place, with
-  span recording guarded internally (the old driver duplicated its whole
-  step body into traced/untraced branches);
-* it fires the :class:`~repro.sched.hooks.HookBus` events every
-  subscriber — watchdogs, heartbeats, receivers, checkpoints — now share.
+  span recording guarded internally.
+* It fires the :class:`~repro.sched.hooks.HookBus` events every
+  subscriber — watchdogs, heartbeats, receivers, checkpoints — shares.
 
 Any :class:`~repro.exec.backend.ExecutionBackend` executes the kernels;
 the scheduler never touches elements directly, so serial and partitioned
@@ -102,41 +101,63 @@ class Scheduler:
     def run(
         self,
         t_end: float,
-        dt: float | None = None,
         dt_scale: float = 1.0,
         hooks: HookBus | None = None,
         dt_factor=None,
     ) -> None:
         """Advance the solver to ``t_end`` along the compiled plan.
 
-        ``dt`` overrides the nominal step (GTS only; LTS derives its
-        windows from the clustering).  ``dt_scale`` in (0, 1] uniformly
-        shrinks every step — the supervisor's dt-backoff hook.
-        ``dt_factor(solver) -> float`` is an optional per-step modulation
-        (GTS only; deterministic fault injection) — a non-unit factor
-        re-derives the remaining step count from the integer clock.
+        GTS steps by ``solver.dt``; LTS derives its windows from the
+        clustering, with ``dt_min`` shrunk slightly so the macro step
+        divides the remaining time (keeps the rate synchronization
+        invariants intact).  ``dt_scale`` in (0, 1] uniformly shrinks
+        every step — the supervisor's dt-backoff hook.  Observers
+        subscribe to ``hooks``: ``on_sync(solver)`` fires after every
+        GTS step and at every LTS macro-step synchronization point, with
+        ``solver.t`` set to that time.  ``dt_factor(solver) -> float`` is
+        an optional per-step modulation (GTS only; deterministic fault
+        injection) — a non-unit factor re-derives the remaining step
+        count from the integer clock.
         """
-        if not 0.0 < dt_scale <= 1.0:
-            raise ValueError("dt_scale must be in (0, 1]")
+        n, dt = self._steps(t_end, dt_scale)
         hooks = HookBus() if hooks is None else hooks
         if self.lts is not None:
-            if dt is not None:
-                raise ValueError("dt cannot override the LTS clustering windows")
             if dt_factor is not None:
                 raise ValueError("dt_factor applies to GTS runs only")
-            self._run_lts(t_end, dt_scale, hooks)
+            self._run_lts(t_end, n, hooks)
         else:
-            self._run_gts(t_end, dt, dt_scale, hooks, dt_factor)
+            self._run_gts(t_end, n, dt, hooks, dt_factor)
+
+    def _steps(self, t_end: float, dt_scale: float) -> tuple[int, float]:
+        """``(count, step)`` of a run to ``t_end``: fine steps of
+        ``solver.dt`` under GTS, macro steps of the top cluster under LTS
+        (at least one).  The one place :meth:`run` and
+        :meth:`compiled_plan` derive it."""
+        if not 0.0 < dt_scale <= 1.0:
+            raise ValueError("dt_scale must be in (0, 1]")
+        span = t_end - self.solver.t
+        lts = self.lts
+        if lts is None:
+            dt = self.solver.dt * dt_scale
+            return plan_steps(span, dt), dt
+        dt_macro = lts.dt_min * dt_scale * lts.rate**lts.cmax
+        return max(1, plan_steps(span, dt_macro)), dt_macro
+
+    def _plan(self, n: int) -> StepPlan:
+        """The cached plan of ``n`` steps (GTS) or macro steps (LTS)."""
+        lts = self.lts
+        if lts is None:
+            return get_step_plan(1, 2, max(n, 1))
+        return get_step_plan(lts.n_clusters, lts.rate, n,
+                             adjacency=lts.adjacent)
 
     # -- global time-stepping: the trivial single-cluster plan ----------
-    def _run_gts(self, t_end, dt, dt_scale, hooks, dt_factor) -> None:
+    def _run_gts(self, t_end, n_steps, dt_eff, hooks, dt_factor) -> None:
         solver = self.solver
-        dt_eff = (solver.dt if dt is None else dt) * dt_scale
-        n_steps = plan_steps(t_end - solver.t, dt_eff)
         if n_steps <= 0:
             return
         # the compiled cadence of GTS: one cluster, every step a sync
-        plan = get_step_plan(1, 2, n_steps)
+        plan = self._plan(n_steps)
         met_state = {"wall": time.perf_counter(), "steps": 0}
         k = 0
         while k < plan.n_micro:
@@ -161,26 +182,23 @@ class Scheduler:
                     plan = get_step_plan(1, 2, k + max(remaining, 0))
 
     # -- clustered LTS: replay the compiled cadence ---------------------
-    def _run_lts(self, t_end, dt_scale, hooks) -> None:
+    def _run_lts(self, t_end, n_macro, hooks) -> None:
         lts = self.lts
         solver = self.solver
         backend = self.backend
         rate, cmax = lts.rate, lts.cmax
-        dt_macro = lts.dt_min * dt_scale * rate**cmax
         span = t_end - solver.t
         if span <= 0:
             return
         # dt_min shrinks so the macro step divides the span exactly,
         # keeping the rate synchronization invariants intact
-        n_macro = max(1, plan_steps(span, dt_macro))
         dt_min = span / (n_macro * rate**cmax)
         dts = np.array([dt_min * rate**c for c in range(lts.n_clusters)])
         t0 = solver.t
-        plan = get_step_plan(lts.n_clusters, rate, n_macro,
-                             adjacency=lts.adjacent)
+        plan = self._plan(n_macro)
 
         derivs = backend.predict(solver.Q)
-        Iown, Ibuf = lts.op.new_state(), lts.op.new_state()
+        Iown, Ibuf = solver.op.new_state(), solver.op.new_state()
         for c, idx in enumerate(lts.idx):
             Iown[idx] = taylor_integrate(derivs[idx], 0.0, dts[c])
 
@@ -278,12 +296,4 @@ class Scheduler:
     def compiled_plan(self, t_end: float, dt_scale: float = 1.0) -> StepPlan:
         """The plan a ``run(t_end, dt_scale=...)`` call would replay
         (introspection; uses the same cache as :meth:`run`)."""
-        solver = self.solver
-        if self.lts is None:
-            n = max(plan_steps(t_end - solver.t, solver.dt * dt_scale), 0)
-            return get_step_plan(1, 2, max(n, 1))
-        lts = self.lts
-        dt_macro = lts.dt_min * dt_scale * lts.rate**lts.cmax
-        n_macro = max(1, plan_steps(t_end - solver.t, dt_macro))
-        return get_step_plan(lts.n_clusters, lts.rate, n_macro,
-                             adjacency=lts.adjacent)
+        return self._plan(self._steps(t_end, dt_scale)[0])

@@ -230,12 +230,10 @@ class ShallowWaterSolver:
         self.b = b_new
         self.t += dt
 
-    def run(self, t_end: float, cfl: float = 0.45, callback=None) -> None:
+    def run(self, t_end: float, cfl: float = 0.45) -> None:
         while self.t < t_end - 1e-12 * max(t_end, 1.0):
             dt = min(self.stable_dt(cfl), t_end - self.t)
             self.step(dt)
-            if callback is not None:
-                callback(self)
 
     # ------------------------------------------------------------------
     def volume(self) -> float:

@@ -14,14 +14,16 @@ from repro.io.checkpoint import (
     CheckpointError,
     CheckpointManager,
     capture_state,
-    latest_checkpoint,
+    checkpoint_candidates,
     load_checkpoint,
     restore_checkpoint,
+    restore_newest,
     restore_state,
     save_checkpoint,
     fingerprint,
 )
 from repro.mesh.generators import layered_ocean_mesh
+from repro.sched import Scheduler
 
 # the two-material faulted LTS rig (``sort=True``: renumbered cluster-major)
 from tests.test_exec_equivalence import build_lts_fault_gravity
@@ -54,7 +56,7 @@ def build_gts(order=2):
 class TestArchive:
     def test_save_is_atomic_and_leaves_no_temp_files(self, tmp_path):
         solver = build_gts()
-        solver.run(0.05)
+        Scheduler(solver).run(0.05)
         path = save_checkpoint(str(tmp_path / "state"), solver)
         assert path.endswith(".npz") and os.path.exists(path)
         leftovers = [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
@@ -62,7 +64,7 @@ class TestArchive:
 
     def test_roundtrip_restores_every_field(self, tmp_path):
         solver = build_gts()
-        solver.run(0.1)
+        Scheduler(solver).run(0.1)
         path = save_checkpoint(str(tmp_path / "s.npz"), solver,
                                metadata={"note": "mid-run"})
         fresh = build_gts()
@@ -119,7 +121,7 @@ class TestStoredFormat:
 
     def test_every_member_is_stored(self, tmp_path):
         solver, _, lts = build_lts_fault_gravity()
-        lts.run(0.05)
+        Scheduler(solver, lts).run(0.05)
         path = save_checkpoint(str(tmp_path / "s.npz"), solver, lts,
                                metadata={"note": "x"})
         kinds = member_compression(path)
@@ -139,7 +141,7 @@ class TestStoredFormat:
         runner = ResilientRunner(victim, checkpoint_every=0.2,
                                  checkpoint_dir=str(tmp_path), verbose=False)
         runner.run(0.2)
-        path = runner.manager.latest()
+        path = runner.checkpoints_written[-1]
         with np.load(path, allow_pickle=False) as d:
             members = {k: d[k] for k in d.files}
         np.savez_compressed(path, **members)
@@ -160,9 +162,9 @@ class TestStoredFormat:
 
     def test_handed_state_is_what_lands_on_disk(self, tmp_path):
         solver = build_gts()
-        solver.run(0.05)
+        Scheduler(solver).run(0.05)
         state = capture_state(solver)
-        solver.run(0.1)  # the live solver has moved on
+        Scheduler(solver).run(0.1)  # the live solver has moved on
         mgr = CheckpointManager(str(tmp_path), solver)
         data = load_checkpoint(mgr.save(7, state=state))
         assert sorted(data["state"]) == sorted(state)
@@ -207,11 +209,17 @@ class TestManager:
             mgr.save(step)
         names = sorted(os.listdir(tmp_path))
         assert names == ["ckpt_0000000020.npz", "ckpt_0000000030.npz"]
-        assert mgr.latest().endswith("ckpt_0000000030.npz")
+        assert checkpoint_candidates(str(tmp_path))[0] == mgr.path_for(30)
 
     def test_latest_checkpoint_empty_dir(self, tmp_path):
-        assert latest_checkpoint(str(tmp_path)) is None
-        assert latest_checkpoint(str(tmp_path / "missing")) is None
+        """Nothing to resume from: no candidates, and a resume raises."""
+        assert checkpoint_candidates(str(tmp_path)) == []
+        assert checkpoint_candidates(str(tmp_path / "missing")) == []
+        solver = build_gts()
+        for where in (tmp_path, tmp_path / "missing"):
+            with pytest.raises(CheckpointError, match="no readable checkpoint"):
+                restore_newest(str(where), solver)
+        assert solver.t == 0.0 and not solver.Q.any()
 
 
 class TestRoundTripGTS:
@@ -277,7 +285,7 @@ class TestElementOrder:
         """Same shapes, permuted rows: only the fingerprint can tell, and
         it must — loading would silently scramble the wavefield."""
         solver, _, lts = build_lts_fault_gravity()
-        (lts.run if use_lts else solver.run)(0.05)
+        Scheduler(solver, lts if use_lts else None).run(0.05)
         path = save_checkpoint(str(tmp_path / "unsorted.npz"), solver,
                                lts if use_lts else None)
         other, _, other_lts = build_lts_fault_gravity(sort=True)
@@ -319,10 +327,10 @@ class TestElementOrder:
 class TestCaptureRestore:
     def test_capture_is_a_deep_copy(self):
         solver = build_gts()
-        solver.run(0.05)
+        Scheduler(solver).run(0.05)
         snap = capture_state(solver)
         q_before = snap["Q"].copy()
-        solver.run(0.1)
+        Scheduler(solver).run(0.1)
         assert np.array_equal(snap["Q"], q_before)
         restore_state(solver, snap)
         assert np.array_equal(solver.Q, q_before)
@@ -336,10 +344,10 @@ class TestCorruptFallback:
     def _two_rotations(self, tmp_path):
         solver = build_gts()
         mgr = CheckpointManager(str(tmp_path), solver, keep=3)
-        solver.run(0.05)
+        Scheduler(solver).run(0.05)
         mgr.save(10)
         good_state = capture_state(solver)
-        solver.run(0.1)
+        Scheduler(solver).run(0.1)
         mgr.save(20)
         return solver, mgr, good_state
 
@@ -348,10 +356,10 @@ class TestCorruptFallback:
         # kill -9 mid-write through a non-atomic path: garbage newest file
         with open(mgr.path_for(20), "wb") as f:
             f.write(b"\x00" * 100)
-        solver.run(0.15)  # wander away from both rotations
+        Scheduler(solver).run(0.15)  # wander away from both rotations
         with pytest.warns(RuntimeWarning, match="skipping unreadable"):
-            meta = mgr.restore_latest()
-        assert meta is not None and int(float(meta["step"])) == 10
+            path, meta = restore_newest(str(tmp_path), solver)
+        assert path == mgr.path_for(10) and int(float(meta["step"])) == 10
         assert solver.t == float(good_state["t"])
         assert np.array_equal(solver.Q, good_state["Q"])
 
@@ -361,37 +369,41 @@ class TestCorruptFallback:
         with open(mgr.path_for(20), "wb") as f:
             f.write(raw[: len(raw) // 2])  # torn at half length
         with pytest.warns(RuntimeWarning, match="skipping unreadable"):
-            meta = mgr.restore_latest()
+            _, meta = restore_newest(str(tmp_path), solver)
         assert int(float(meta["step"])) == 10
         assert np.array_equal(solver.Q, good_state["Q"])
 
-    def test_restore_latest_all_corrupt_returns_none(self, tmp_path):
+    def test_restore_newest_all_corrupt_raises(self, tmp_path):
         solver, mgr, _ = self._two_rotations(tmp_path)
         for step in (10, 20):
             with open(mgr.path_for(step), "wb") as f:
                 f.write(b"junk")
-        with pytest.warns(RuntimeWarning):
-            assert mgr.restore_latest() is None
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(CheckpointError, match="no readable checkpoint"):
+            restore_newest(str(tmp_path), solver)
 
     def test_fingerprint_mismatch_still_raises_strict(self, tmp_path):
         solver = build_gts(order=2)
-        mgr = CheckpointManager(str(tmp_path), solver, keep=3)
-        mgr.save(10)
+        CheckpointManager(str(tmp_path), solver, keep=3).save(10)
         other = CoupledSolver(solver.mesh, order=1)
-        mgr2 = CheckpointManager(str(tmp_path), other, keep=3)
         # damaged files are a fallback case; a *foreign* checkpoint is not
         with pytest.raises(CheckpointError, match="different problem"):
-            mgr2.restore_latest()
+            restore_newest(str(tmp_path), other)
+        runner = ResilientRunner(other, checkpoint_dir=str(tmp_path),
+                                 verbose=False)
+        for where in (None, str(tmp_path)):
+            with pytest.raises(CheckpointError, match="different problem"):
+                runner.resume(where)
 
     def test_latest_checkpoint_validate_skips_corrupt(self, tmp_path):
+        """The newest rotation on disk is not the one restored when it is
+        damaged: what gets reported is the file that actually loaded."""
         solver, mgr, _ = self._two_rotations(tmp_path)
         with open(mgr.path_for(20), "wb") as f:
             f.write(b"\x00junk")
-        # without validation the damaged newest wins; with it, the
-        # next-newest readable rotation does
-        assert latest_checkpoint(str(tmp_path)) == mgr.path_for(20)
+        assert checkpoint_candidates(str(tmp_path))[0] == mgr.path_for(20)
         with pytest.warns(RuntimeWarning, match="skipping unreadable"):
-            best = latest_checkpoint(str(tmp_path), validate=True)
+            best, _ = restore_newest(str(tmp_path), build_gts())
         assert best == mgr.path_for(10)
 
     def test_candidates_sorted_newest_first(self, tmp_path):
@@ -399,8 +411,60 @@ class TestCorruptFallback:
         mgr = CheckpointManager(str(tmp_path), solver, keep=5)
         for step in (5, 30, 10):
             mgr.save(step)
-        from repro.io.checkpoint import checkpoint_candidates
-
         steps = [int(os.path.basename(p)[5:-4])
                  for p in checkpoint_candidates(str(tmp_path))]
         assert steps == [30, 10, 5]
+
+
+class TestOneResumePath:
+    """``ResilientRunner.resume`` is the one way to restart a run: a
+    directory (the configured one, or an explicit one) resumes from its
+    newest *readable* rotation, and the path it reports — in its return
+    value and its ``resume`` event — is the file actually restored."""
+
+    T_END = 0.4
+
+    def _rotations(self, tmp_path):
+        """Rotations at 0.1 / 0.2 / 0.3 s, the newest garbled."""
+        victim = build_gts()
+        runner = ResilientRunner(victim, checkpoint_every=0.1,
+                                 checkpoint_dir=str(tmp_path), verbose=False)
+        runner.run(0.3)
+        newest, previous, _ = runner.checkpoints_written[::-1]
+        with open(newest, "wb") as f:
+            f.write(b"\x00garbled")
+        return previous
+
+    def _resumed(self, where, checkpoint_dir=None):
+        solver = build_gts()
+        runner = ResilientRunner(solver, checkpoint_every=0.1,
+                                 checkpoint_dir=checkpoint_dir, verbose=False)
+        return solver, runner, runner.resume(where)
+
+    def test_garbled_newest_falls_back_and_reports_it(self, tmp_path):
+        previous = self._rotations(tmp_path)
+        by_name, runner, named = self._resumed(previous)
+        runner.run(self.T_END)
+
+        for where, ckpt_dir in ((str(tmp_path), None), (None, str(tmp_path))):
+            with pytest.warns(RuntimeWarning, match="skipping unreadable"):
+                solver, runner, meta = self._resumed(where, ckpt_dir)
+            assert meta["path"] == previous
+            assert solver.t == pytest.approx(0.2)
+            resumes = [e for e in runner.recorder.events()
+                       if e["kind"] == "resume"]
+            assert [e["path"] for e in resumes] == [previous]
+            runner.run(self.T_END)
+            assert solver.t == by_name.t
+            assert np.array_equal(solver.Q, by_name.Q)
+            assert np.array_equal(solver.gravity.eta, by_name.gravity.eta)
+        assert named["path"] == previous  # a file is restored as given
+
+    def test_empty_directory_raises(self, tmp_path):
+        solver = build_gts()
+        runner = ResilientRunner(solver, checkpoint_dir=str(tmp_path / "none"),
+                                 verbose=False)
+        for where in (None, str(tmp_path)):
+            with pytest.raises(CheckpointError, match="no readable checkpoint"):
+                runner.resume(where)
+        assert solver.t == 0.0 and runner.recorder.events() == []

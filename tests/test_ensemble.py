@@ -34,8 +34,10 @@ from repro.ensemble import (
     state_digest,
 )
 from repro.ensemble.worker import RESULT_NAME
+from repro.io.checkpoint import checkpoint_candidates
 from repro.obs.blackbox import BUNDLE_SUFFIX, classify_bundle, load_bundle
 from repro.obs.runlog import validate_jsonl
+from repro.sched import Scheduler
 
 #: smallest useful member: 27-element coupled mesh, ~25 steps
 TINY = dict(builder="quickstart", perturb={"n_x": 4}, t_end=0.12,
@@ -135,13 +137,13 @@ class TestWorker:
         assert r1["sim_t"] == pytest.approx(TINY["t_end"])
 
     def test_digest_matches_direct_solver_run(self, tmp_path):
-        # comparable to a bare solver.run only without mid-run checkpoint
+        # comparable to a bare scheduler run only without mid-run checkpoint
         # segments (segment boundaries clamp dt exactly like t_end does)
         spec = tiny_spec(checkpoint_every=None)
         result = run_member(spec, str(tmp_path / "m"))
         handle = spec.build()
-        handle.solver.run(spec.t_end)
-        assert result["digest"] == state_digest(handle.solver, handle.lts)
+        Scheduler(handle.solver).run(spec.t_end)
+        assert result["digest"] == state_digest(handle.solver)
 
     def test_result_file_published_and_valid(self, tmp_path):
         result = run_member(tiny_spec(), str(tmp_path / "m"))
@@ -185,7 +187,7 @@ class TestWorker:
         log_inode = os.stat(result["paths"]["runlog"]).st_ino
         assert syncs.count(log_inode) == len(recs) - len(beats)
         handle = spec.build()
-        handle.solver.run(spec.t_end)
+        Scheduler(handle.solver).run(spec.t_end)
         assert beats[-1]["energy"] == total_energy(handle.solver)
 
     def test_load_result_rejects_garbage(self, tmp_path):
@@ -249,6 +251,46 @@ class TestSupervisorInProcess:
         m = result.members[0]
         assert m.status == "ok"
         assert load_result(m.paths["result"]) is None  # file IS torn
+
+    def test_retry_skips_garbled_newest_rotation(self, tmp_path):
+        """The retry resumes from the rotation that loads, and the result
+        file and the ``resume`` record name that file, not the garbled
+        newest one; the digest still equals the uninterrupted twin's."""
+        ckpt_dir = os.path.join(str(tmp_path / "chaos"), "m0", "ckpt")
+        garbled = []
+
+        class GarbleNewest(RetryPolicy):
+            def decide(self, strikes, seed=0):
+                newest = checkpoint_candidates(ckpt_dir)[0]
+                with open(newest, "wb") as f:
+                    f.write(b"\x00garbled")
+                garbled.append(newest)
+                return super().decide(strikes, seed)
+
+        spec = tiny_spec(injector=FaultInjector().kill_process(at_step=20))
+        policy = GarbleNewest(max_retries=2, backoff_base=0.01,
+                              max_delay_s=0.02)
+        with pytest.warns(RuntimeWarning, match="skipping unreadable"):
+            result = self.run_ensemble([spec], tmp_path / "chaos", retry=policy)
+        twin = run_member(spec.without_injector(), str(tmp_path / "twin"))
+        m = result.members[0]
+        assert m.status == "recovered" and m.attempts == 2
+        assert m.digest == twin["digest"]
+        restored = load_result(m.paths["result"])["resumed_from"]
+        assert restored and restored != garbled[0]
+        assert os.path.dirname(restored) == ckpt_dir
+        with open(m.paths["runlog"], encoding="utf-8") as f:
+            resumes = [r for r in map(json.loads, f) if r["event"] == "resume"]
+        assert [r["path"] for r in resumes] == [restored]
+
+    def test_resume_without_checkpoint_starts_fresh(self, tmp_path):
+        fresh = run_member(tiny_spec(), str(tmp_path / "a"))
+        retried = run_member(tiny_spec(), str(tmp_path / "b"), attempt=2,
+                             resume=True)
+        assert retried["resumed_from"] is None
+        assert retried["digest"] == fresh["digest"]
+        report = validate_jsonl(retried["paths"]["runlog"])
+        assert "resume" not in report["events"]
 
     def test_persistent_kill_quarantines_with_diagnosis(self, tmp_path):
         spec = tiny_spec(injector=FaultInjector().kill_process(

@@ -29,6 +29,7 @@ from repro.exec import (
 from repro.mesh.generators import layered_ocean_mesh
 from repro.rupture.fault import FaultSolver, Prestress
 from repro.rupture.friction import LinearSlipWeakening
+from repro.sched import Scheduler
 
 WORKER_COUNTS = (1, 2, 4)
 T_GTS = 0.25
@@ -123,7 +124,7 @@ def assert_states_match(ref, other, label=""):
 @pytest.fixture(scope="module")
 def gts_serial_reference():
     solver = build_gts()
-    solver.run(T_GTS)
+    Scheduler(solver).run(T_GTS)
     return solver
 
 
@@ -132,7 +133,7 @@ class TestGTSEquivalence:
     def test_partitioned_matches_serial(self, gts_serial_reference, workers):
         solver = build_gts(backend="partitioned", workers=workers)
         assert isinstance(solver.backend, PartitionedBackend)
-        solver.run(T_GTS)
+        Scheduler(solver).run(T_GTS)
         assert_states_match(gts_serial_reference, solver, f"(GTS, {workers} workers)")
         assert solver.backend.stats()["halo_exchanges"] > 0
         solver.backend.close()
@@ -148,7 +149,7 @@ class TestGTSEquivalence:
 @pytest.fixture(scope="module")
 def lts_serial_reference():
     solver, fault, lts = build_lts_fault_gravity()
-    lts.run(T_LTS)
+    Scheduler(solver, lts).run(T_LTS)
     return solver, fault, lts
 
 
@@ -164,7 +165,7 @@ class TestLTSEquivalence:
         solver, fault, lts = build_lts_fault_gravity(
             backend="partitioned", workers=workers
         )
-        lts.run(T_LTS)
+        Scheduler(solver, lts).run(T_LTS)
         assert_states_match(ref, solver, f"(LTS, {workers} workers)")
         solver.backend.close()
 
@@ -209,10 +210,7 @@ class TestElementOrderEquivalence:
         t_end = 2 * ref_lts.dt_min * ref_lts.rate**ref_lts.cmax
         for solver, lts in ((ref, ref_lts), (new, new_lts)):
             solver.set_initial_condition(pulse)
-            if use_lts:
-                lts.run(t_end)
-            else:
-                solver.run(t_end)
+            Scheduler(solver, lts if use_lts else None).run(t_end)
             solver.backend.close()
         assert np.abs(ref.Q).max() > 0 and (ref_fault.slip_rate > 0).any()
         assert np.array_equal(new.Q, ref.Q[order])
@@ -408,5 +406,5 @@ class TestPlanCache:
     def test_disabled_cache_still_correct(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
         solver = build_gts()
-        solver.run(0.05)
+        Scheduler(solver).run(0.05)
         assert np.isfinite(solver.Q).all()

@@ -46,6 +46,7 @@ from repro.kernels import fusion
 from repro.kernels.fusion import MASK_CACHE_MAX, element_plan, face_factors
 from repro.mesh.generators import layered_ocean_mesh
 from repro.mesh.tetmesh import TetMesh
+from repro.sched import Scheduler
 
 from tests.reference_kernels import ReferenceOperator, use_reference_kernels
 from tests.test_exec_equivalence import (
@@ -66,7 +67,7 @@ _RUNTIME = (SpatialOperator.kernel_variant,)
 def golden_gts():
     """Oracle GTS trajectory (gravity surface + explosive source)."""
     solver = use_reference_kernels(build_gts(order=2))
-    solver.run(0.25)
+    Scheduler(solver).run(0.25)
     return solver
 
 
@@ -75,7 +76,7 @@ def golden_lts():
     """Oracle clustered-LTS trajectory with a rupturing fault."""
     solver, fault, lts = build_lts_fault_gravity()
     use_reference_kernels(solver)
-    lts.run(0.3)
+    Scheduler(solver, lts).run(0.3)
     assert (fault.slip > 0).any(), "golden fixture must actually rupture"
     return solver
 
@@ -88,7 +89,7 @@ class TestGoldenTrajectories:
     ])
     def test_gts(self, golden_gts, variant, backend, workers):
         solver = build_gts(order=2, backend=backend, workers=workers)
-        solver.run(0.25)
+        Scheduler(solver).run(0.25)
         assert_states_match(golden_gts, solver,
                             f"({variant}/{backend}/w={workers} vs oracle)")
 
@@ -99,7 +100,7 @@ class TestGoldenTrajectories:
     def test_lts_fault_gravity(self, golden_lts, variant, backend, workers):
         solver, fault, lts = build_lts_fault_gravity(backend=backend,
                                                      workers=workers)
-        lts.run(0.3)
+        Scheduler(solver, lts).run(0.3)
         assert_states_match(golden_lts, solver,
                             f"({variant}/{backend}/w={workers} vs oracle)")
 

@@ -15,6 +15,7 @@ from repro.core.solver import CoupledSolver
 from repro.ensemble.spec import get_builder
 from repro.kernels.fusion import row_set
 from repro.mesh.generators import box_mesh, layered_ocean_mesh
+from repro.sched import Scheduler
 
 ROCK1 = elastic(1.0, 2.0, 1.0)
 
@@ -110,7 +111,7 @@ class TestLTSDriver:
         s_lts.set_initial_condition(lambda x: exact(x, 0.0))
         lts = LocalTimeStepping(s_lts)
         assert lts.n_clusters >= 2
-        lts.run(T)
+        Scheduler(s_lts, lts).run(T)
 
         rel = np.abs(s_gts.Q - s_lts.Q).max() / np.abs(s_gts.Q).max()
         assert rel < 5e-3
@@ -120,7 +121,7 @@ class TestLTSDriver:
         s = CoupledSolver(graded_periodic_box(), order=1)
         s.set_initial_condition(lambda x: np.zeros((len(x), 9)))
         lts = LocalTimeStepping(s)
-        lts.run(8 * lts.dt_min * 2**lts.cmax / 8)  # one macro step
+        Scheduler(s, lts).run(8 * lts.dt_min * 2**lts.cmax / 8)  # one macro step
         for c in range(lts.n_clusters):
             assert lts.updates[c] == 2 ** (lts.cmax - c)
 
@@ -163,7 +164,7 @@ class TestLTSDriver:
         s_lts.set_initial_condition(ic)
         lts = LocalTimeStepping(s_lts)
         assert lts.n_clusters >= 2
-        lts.run(T)
+        Scheduler(s_lts, lts).run(T)
 
         # the cluster boundary coincides with the (marginally resolved)
         # material interface here, so the two discretizations differ at the
@@ -185,7 +186,7 @@ class TestLTSDriver:
         s.set_initial_condition(lambda x: np.zeros((len(x), 9)))
         lts = LocalTimeStepping(s)
         T = 3.7 * lts.dt_min
-        lts.run(T)
+        Scheduler(s, lts).run(T)
         assert np.isclose(s.t, T)
 
 

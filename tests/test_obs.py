@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.health import SimulationDiverged
+from repro.core.health import SimulationDiverged, total_energy
 from repro.core.health.inject import FaultInjector
 from repro.core.resilience import ResilientRunner
 from repro.obs import (
@@ -32,7 +32,7 @@ from repro.core.solver import (
     ocean_surface_gravity_tagger,
 )
 from repro.mesh.generators import layered_ocean_mesh
-from repro.sched import HookBus
+from repro.sched import HookBus, Scheduler
 
 
 def build_coupled(order=2):
@@ -298,7 +298,7 @@ class TestInstrumentation:
         lts = LocalTimeStepping(solver)
         met = get_metrics()
         met.enable()
-        lts.run(solver.dt * 4)
+        Scheduler(solver, lts).run(solver.dt * 4)
         clusters = lts_cluster_updates(met.snapshot()["counters"])
         assert clusters
         total = sum(c["elem_updates"] for c in clusters.values())
@@ -321,7 +321,7 @@ class TestInstrumentation:
         before = [c.stats() for c in caches]
         met = get_metrics()
         met.enable()
-        lts.run(solver.dt * 4)
+        Scheduler(solver, lts).run(solver.dt * 4)
         snap = met.snapshot()
         assert {n for n in snap["counters"] if "plan" in n} \
             <= {"cache/plan_hits", "cache/plan_misses"}
@@ -473,6 +473,28 @@ class TestObsSession:
         assert [b["step"] for b in beats] == [2, 4]
         assert all(b["wall_rate"] > 0 for b in beats)
         assert all(np.isfinite(b["energy"]) for b in beats)
+
+    def test_heartbeat_energy_is_total_energy(self, tmp_path):
+        """A session heartbeat's ``energy`` is the quantity fleet members
+        log: volume energy plus sea-surface potential."""
+        path = str(tmp_path / "run.jsonl")
+        solver = build_coupled(order=1)
+        solver.gravity.eta[:] = 0.05  # a raised sea surface
+        obs = ObsSession(log_json=path, heartbeat_every=2)
+        obs.start(solver)
+        bus = obs.subscribe(HookBus())
+        at_beat = {}
+        bus.on_sync(lambda s: at_beat.setdefault(
+            obs.steps, (total_energy(s), s.energy())))
+        Scheduler(solver).run(6 * solver.dt, hooks=bus)
+        obs.finish(solver)
+        beats = [r for r in map(json.loads, open(path))
+                 if r["event"] == "heartbeat"]
+        assert [b["step"] for b in beats] == [2, 4, 6]
+        for b in beats:
+            total, volume = at_beat[b["step"]]
+            assert total > volume  # the sea-surface potential is not zero
+            assert b["energy"] == total
 
     def test_heartbeat_without_runlog_prints_to_stdout(self, capsys):
         """Satellite regression: an explicit ``--heartbeat-every`` without

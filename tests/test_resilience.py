@@ -17,6 +17,7 @@ from repro.core.materials import Material, acoustic, elastic
 from repro.core.resilience import ResilientRunner
 from repro.core.riemann import FaceKind
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
+from repro.io.checkpoint import checkpoint_candidates
 from repro.mesh.generators import box_mesh, layered_ocean_mesh
 from repro.sched import HookBus
 
@@ -353,15 +354,14 @@ class TestRecovery:
             verbose=False,
         )
         runner.run(0.1)  # one segment -> one good checkpoint
-        first = runner.manager.latest()
-        assert first is not None
+        first = checkpoint_candidates(str(tmp_path))[0]
 
         injector = FaultInjector().fail_io(at_step=runner.step_count + 1)
         runner.injector = injector
         with pytest.warns(RuntimeWarning, match="checkpoint write failed"):
             runner.run(0.2)
         # the failed write left the earlier checkpoint untouched and no junk
-        assert runner.manager.latest() == first
+        assert checkpoint_candidates(str(tmp_path))[0] == first
         assert [n for n in os.listdir(tmp_path) if n.endswith(".tmp")] == []
         assert injector.log[-1][1] == "io"
 
@@ -369,7 +369,7 @@ class TestRecovery:
         assert baseline.t == pytest.approx(0.2)
         runner.injector = None
         runner.run(0.3)  # next segment checkpoints fine again
-        assert runner.manager.latest() != first
+        assert checkpoint_candidates(str(tmp_path))[0] != first
 
 
 class TestInjectorContract:

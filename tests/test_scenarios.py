@@ -135,9 +135,10 @@ class TestPaluGeometry:
         cfg = tiny_palu_config()
         solver, fault = build_palu(cfg)
         from repro.core.lts import LocalTimeStepping
+        from repro.sched import Scheduler
 
         lts = LocalTimeStepping(solver)
-        lts.run(0.35)
+        Scheduler(solver, lts).run(0.35)
         assert fault.peak_slip_rate.max() > 0.5
         assert np.abs(solver.gravity.eta).max() > 1e-4
 

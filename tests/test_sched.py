@@ -235,7 +235,7 @@ def old_gts_run(solver, t_end, dt=None):
 
 def old_lts_run(lts, t_end, dt_scale=1.0):
     """The retired event-driven LTS loop, verbatim (scan + float window
-    arithmetic exactly as ``LocalTimeStepping.run`` executed it)."""
+    arithmetic exactly as the pre-compilation LTS driver executed it)."""
     solver = lts.solver
     rate, cmax = lts.rate, lts.cmax
     dt_macro = lts.dt_min * dt_scale * rate**cmax
@@ -247,14 +247,14 @@ def old_lts_run(lts, t_end, dt_scale=1.0):
     dts = np.array([dt_min * rate**c for c in range(lts.n_clusters)])
     t0 = solver.t
 
-    op = lts.op
+    op = solver.op
     ne, nb = op.n_elements, op.nbasis
     steps_int = np.array([rate**c for c in range(lts.n_clusters)], dtype=np.int64)
     t_int = np.zeros(lts.n_clusters, dtype=np.int64)
     pred_int = np.zeros(lts.n_clusters, dtype=np.int64)
     end_int = n_macro * rate**cmax
 
-    derivs = lts.backend.predict(solver.Q)
+    derivs = solver.backend.predict(solver.Q)
     Iown = np.zeros((ne, nb, 9))
     Ibuf = np.zeros((ne, nb, 9))
     for c in range(lts.n_clusters):
@@ -293,7 +293,7 @@ def old_lts_run(lts, t_end, dt_scale=1.0):
                 I[mn] = taylor_integrate(derivs[mn], off, off + dts[c])
             else:
                 I[mn] = Ibuf[mn]
-        out = lts.backend.corrector(
+        out = solver.backend.corrector(
             I, derivs, dts[c], t0=t0 + t_a, active=mask,
             gravity_mask=lts.gravity_masks[c],
             motion_mask=None if lts.motion_masks is None else lts.motion_masks[c],
@@ -304,7 +304,7 @@ def old_lts_run(lts, t_end, dt_scale=1.0):
             if steps_int[cn] < steps_int[c]:
                 Ibuf[lts.masks[cn]] = 0.0
         if t_int[c] + steps_int[c] < end_int:
-            lts.backend.update_predictor(solver.Q, mask, dts[c], derivs, Iown)
+            solver.backend.update_predictor(solver.Q, mask, dts[c], derivs, Iown)
             pred_int[c] = t_int[c] + steps_int[c]
         t_int[c] += steps_int[c]
     solver.t = t_end
@@ -323,7 +323,7 @@ class TestGoldenEquivalence:
         ref = build_coupled()
         old_gts_run(ref, self.T)
         new = build_coupled()
-        new.run(self.T)
+        Scheduler(new).run(self.T)
         assert np.abs(ref.Q).max() > 0
         assert_bitwise(ref, new)
 
@@ -331,7 +331,7 @@ class TestGoldenEquivalence:
         s_ref, l_ref = build_coupled(lts=True)
         old_lts_run(l_ref, self.T)
         s_new, l_new = build_coupled(lts=True)
-        l_new.run(self.T)
+        Scheduler(s_new, l_new).run(self.T)
         assert np.abs(s_ref.Q).max() > 0
         assert_bitwise(s_ref, s_new)
 
@@ -339,7 +339,7 @@ class TestGoldenEquivalence:
         s_ref, l_ref = build_coupled(backend="partitioned", workers=2, lts=True)
         old_lts_run(l_ref, self.T)
         s_new, l_new = build_coupled(backend="partitioned", workers=2, lts=True)
-        l_new.run(self.T)
+        Scheduler(s_new, l_new).run(self.T)
         assert_bitwise(s_ref, s_new)
         s_ref.backend.close()
         s_new.backend.close()
@@ -348,14 +348,14 @@ class TestGoldenEquivalence:
         ref = build_coupled(backend="partitioned", workers=2)
         old_gts_run(ref, self.T)
         new = build_coupled(backend="partitioned", workers=2)
-        new.run(self.T)
+        Scheduler(new).run(self.T)
         assert_bitwise(ref, new)
         ref.backend.close()
         new.backend.close()
 
     def test_lts_update_counts_preserved(self):
         s, lts = build_coupled(lts=True)
-        lts.run(self.T)
+        Scheduler(s, lts).run(self.T)
         counts = lts.updates.copy()
         assert counts.sum() > 0
         # cluster c must take rate**(cmax-c) times the coarsest's steps
@@ -422,7 +422,7 @@ class TestHaloLayout:
         ref, ref_fault, ref_lts = build_lts_fault_gravity(backend, workers,
                                                           sort=sort)
         assert all(isinstance(r, slice) == sort for r in ref_lts.idx)
-        ref_lts.run(T_LTS)
+        Scheduler(ref, ref_lts).run(T_LTS)
         assert (ref_fault.slip > 0).any()
 
         monkeypatch.setattr(Scheduler, "_window_buffer", staticmethod(
@@ -444,7 +444,7 @@ class TestHaloLayout:
 
         bus = HookBus()
         bus.on_micro_step(poison)
-        new_lts.run(T_LTS, hooks=bus)
+        Scheduler(new, new_lts).run(T_LTS, hooks=bus)
         assert set(poisoned) == set(range(new_lts.n_clusters))
         assert_bitwise(ref, new)
         for name in ref_fault.STATE_FIELDS:
@@ -481,7 +481,7 @@ class TestTermination:
         assert old_steps == 11
 
         steps = []
-        solver.run(t_end, hooks=sync_times(steps))
+        Scheduler(solver).run(t_end, hooks=sync_times(steps))
         assert len(steps) == 10
         assert abs(solver.t - t_end) < 1e-8 * dt
 
@@ -489,7 +489,7 @@ class TestTermination:
         solver = build_coupled(order=1)
         dt = solver.dt
         steps = []
-        solver.run(10.5 * dt, hooks=sync_times(steps))
+        Scheduler(solver).run(10.5 * dt, hooks=sync_times(steps))
         assert len(steps) == 11
         assert solver.t == pytest.approx(10.5 * dt, rel=1e-12)
 
@@ -507,7 +507,7 @@ class TestTermination:
         s, lts = build_coupled(lts=True)
         t_end = 16 * lts.dt_min * lts.rate**lts.cmax + 1e-10 * lts.dt_min
         syncs = []
-        lts.run(t_end, hooks=sync_times(syncs))
+        Scheduler(s, lts).run(t_end, hooks=sync_times(syncs))
         assert len(syncs) == 16
         assert s.t == t_end
 
@@ -581,14 +581,14 @@ class TestResilientRunnerHooks:
 
     def test_supervised_matches_plain_bitwise(self):
         ref = build_coupled(order=1)
-        ref.run(0.2)
+        Scheduler(ref).run(0.2)
         sup = build_coupled(order=1)
         ResilientRunner(sup, verbose=False).run(0.2)
         assert_bitwise(ref, sup)
 
     def test_supervised_lts_matches_plain_bitwise(self):
         s_ref, l_ref = build_coupled(order=1, lts=True)
-        l_ref.run(0.2)
+        Scheduler(s_ref, l_ref).run(0.2)
         s_sup, l_sup = build_coupled(order=1, lts=True)
         ResilientRunner(s_sup, lts=l_sup, verbose=False).run(0.2)
         assert_bitwise(s_ref, s_sup)

@@ -10,7 +10,7 @@ from repro.core.materials import acoustic, elastic
 from repro.core.riemann import FaceKind
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
 from repro.mesh.generators import box_mesh, layered_ocean_mesh
-from repro.sched import HookBus
+from repro.sched import HookBus, Scheduler
 
 from .conftest import l2_error, random_material
 from .reference_kernels import energy_oracle
@@ -407,7 +407,7 @@ class TestSolverAPI:
         calls = []
         hooks = HookBus()
         hooks.on_sync(lambda sv: calls.append(sv.t))
-        s.run(10 * s.dt + 0.3 * s.dt, hooks=hooks)
+        Scheduler(s).run(10 * s.dt + 0.3 * s.dt, hooks=hooks)
         assert np.isclose(s.t, 10.3 * s.dt, rtol=1e-10)
         assert len(calls) == 11
 

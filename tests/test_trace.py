@@ -15,7 +15,7 @@ from repro.obs.trace import (
     trace_summary_lines,
     validate_chrome_trace,
 )
-from repro.sched import HookBus
+from repro.sched import HookBus, Scheduler
 
 from tests.test_obs import build_coupled, disabled_step_overhead
 
@@ -207,7 +207,7 @@ class TestChromeTraceExport:
         lts = LocalTimeStepping(solver)
         met = get_metrics()
         met.enable(trace=True)
-        lts.run(solver.dt * 2)
+        Scheduler(solver, lts).run(solver.dt * 2)
 
         doc = chrome_trace(met.trace_snapshot())
         assert validate_chrome_trace(doc) == []

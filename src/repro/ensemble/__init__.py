@@ -9,10 +9,11 @@ that driver:
   builder name + perturbation + seed) and the builder registry;
 * :mod:`repro.ensemble.builders` — built-in quickstart / Scenario-A /
   Palu member builders;
-* :mod:`repro.ensemble.worker` — the spawn entry point: a persistent
-  worker that runs the attempts sent down its pipe (imports once, plan
-  cache stays warm), heartbeats up the same pipe, durable per-member run
-  logs, atomic digested result files;
+* :mod:`repro.ensemble.worker` — the worker process body: a persistent
+  worker, forked from the supervisor (spawned where fork is unsafe), that
+  runs the attempts sent down its pipe with the plan cache warm,
+  heartbeats up the same pipe, durable per-member run logs, atomic
+  digested result files;
 * :mod:`repro.ensemble.retry` — the escalation ladder (exponential
   backoff with deterministic jitter → checkpoint-resume → dt-scale
   reduction → quarantine);

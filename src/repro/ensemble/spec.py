@@ -7,16 +7,19 @@ the axes of the paper's Palu hazard ensembles), the member's seed, and the
 run/supervision knobs.  Specs cross the process boundary by value — one
 pickle per attempt, down the worker's pipe — so they reference builders
 *by name* through a module-level registry rather than carrying closures;
-a worker resolves the name in the registry it populated when it imported
-:mod:`repro.ensemble`.
+a worker resolves the name in the registry it inherited from the
+supervisor (fork) or populated when it imported :mod:`repro.ensemble`
+(spawn).
 
 Builders follow Devito's memoized build-once/replay-per-member operator
 idiom (SNIPPETS.md §1): the expensive, member-invariant machinery (basis
 tables, operator plan compilation) is shared through the existing
 fingerprint-keyed plan cache, so instantiating member ``k+1`` of the same
-mesh family is much cheaper than member ``0``.  The cache is per process
-and ensemble workers are persistent, so that holds for the members a
-worker runs one after another as it does for ``workers=0``.
+mesh family is much cheaper than member ``0``.  The cache is per process,
+ensemble workers are persistent and a forked worker starts with its
+supervisor's cache, so that holds for the members a worker runs one
+after another — and for its first one when the supervisor already built
+the plan — as it does for ``workers=0``.
 """
 
 from __future__ import annotations
@@ -52,9 +55,11 @@ _BUILDERS: dict = {}
 def register_builder(name: str, fn=None):
     """Register ``fn`` as a scenario builder (also usable as a decorator).
 
-    Builders must be *importable* module-level callables: the registry is
-    re-populated inside spawned worker processes by importing this module,
-    not by pickling the callable itself.
+    A forked worker inherits the registry as it stands, so a builder
+    registered anywhere before :meth:`Supervisor.run` works.  Under the
+    spawn fallback the registry is re-populated by importing the modules
+    that register, not by pickling the callable: there a builder must be
+    registered at import time of an importable module.
     """
     if fn is None:
         def deco(f):

@@ -1,12 +1,16 @@
 """The ensemble supervisor: assign, watch, retry, quarantine — never crash.
 
 :class:`Supervisor` shards :class:`~repro.ensemble.spec.MemberSpec`\\ s
-across persistent OS worker processes (``multiprocessing`` spawn; at most
-``workers`` of them, started inside :meth:`Supervisor.run` as members
-come due) and keeps the fleet healthy under real failures.  A worker
-pays the interpreter start and ``import repro`` once and keeps its plan
-cache warm from one member to the next; every attempt is sent down the
-worker's own pipe, pickled, so it starts from a fresh spec and injector:
+across persistent OS worker processes (at most ``workers`` of them,
+started inside :meth:`Supervisor.run` as members come due) and keeps the
+fleet healthy under real failures.  On Linux a worker is a ``fork`` of
+the supervising process: it starts with ``repro`` imported and the
+parent's plan cache warm.  ``spawn`` — a fresh interpreter that pays the
+start and ``import repro`` once — is the fallback where ``fork`` is
+unsafe: another OS, or a parent running more than one thread, whose
+locks a child could inherit held.  A worker keeps its plan cache warm
+from one member to the next; every attempt is sent down the worker's own
+pipe, pickled, so it starts from a fresh spec and injector:
 
 * **heartbeats** — a worker reports per-sync-point liveness up its pipe;
   a member that stops beating for ``member_timeout`` seconds is declared
@@ -34,8 +38,8 @@ dead worker wakes it at once; ``poll_interval`` is only how often it
 looks for heartbeat silence.  Every worker is joined before ``run()``
 returns.
 
-Graceful degradation goes one level further: when process spawning
-itself is unavailable (restricted containers, ``workers=0``), the
+Graceful degradation goes one level further: when starting a process
+is itself unavailable (restricted containers, ``workers=0``), the
 supervisor falls back to in-process execution of every member — no
 parallelism and no true kill/hang isolation, but the same retry ladder
 and the same complete result contract.
@@ -51,6 +55,8 @@ from __future__ import annotations
 import copy
 import multiprocessing
 import os
+import sys
+import threading
 import time
 from functools import partial
 from types import SimpleNamespace
@@ -151,7 +157,7 @@ class Supervisor:
         The ensemble members.  Member ids must be unique.
     workers:
         Most worker processes alive at once, each running one member at
-        a time; ``0`` forces degraded in-process execution (no spawn).
+        a time; ``0`` forces degraded in-process execution (no process).
     retry:
         The process-level :class:`RetryPolicy` (strikes, backoff,
         escalation).
@@ -164,9 +170,6 @@ class Supervisor:
     runlog:
         Optional shared :class:`RunLog`; by default the supervisor opens
         ``<out_dir>/ensemble.jsonl`` itself.
-    start_method:
-        ``multiprocessing`` start method (default ``spawn``: a clean
-        interpreter per worker, no inherited solver state).
     poll_interval:
         Longest the supervisor sleeps before looking for heartbeat
         silence; worker messages and deaths wake it at once.
@@ -180,7 +183,6 @@ class Supervisor:
         member_timeout: float = 120.0,
         out_dir: str = "out/ensemble",
         runlog: RunLog | None = None,
-        start_method: str = "spawn",
         poll_interval: float = 0.05,
         verbose: bool = False,
     ):
@@ -197,7 +199,6 @@ class Supervisor:
         self.retry = retry if retry is not None else RetryPolicy()
         self.member_timeout = member_timeout
         self.out_dir = out_dir
-        self.start_method = start_method
         self.poll_interval = poll_interval
         self.verbose = verbose
         self._runlog = runlog
@@ -251,8 +252,6 @@ class Supervisor:
         # sockets + selectors, 3 ms: paid here, not by `import repro`
         from multiprocessing.connection import wait
 
-        _ensure_child_import_path()
-        ctx = multiprocessing.get_context(self.start_method)
         pool: list[_Worker] = []
         pending = list(members)
         try:
@@ -269,12 +268,12 @@ class Supervisor:
                         break
                     if m.first_wall is None:
                         # there is room for m: its clock starts here, so a
-                        # spawn made for it is on its bill
+                        # worker started for it is on its bill
                         m.first_wall = time.perf_counter()
                     if w is None:
-                        w = self._spawn(ctx)
+                        w = self._start_worker(pool)
                         if w is None:
-                            # spawn unavailable: degrade this member in-process
+                            # no process: degrade this member in-process
                             pending.remove(m)
                             self._attempt_in_process(m, log)
                             if not m.done:
@@ -340,17 +339,25 @@ class Supervisor:
                     w.proc.kill()
             _reap(pool)
 
-    def _spawn(self, ctx) -> _Worker | None:
-        """Start one persistent worker; ``None`` when spawning fails."""
+    def _start_worker(self, pool) -> _Worker | None:
+        """Start one persistent worker beside ``pool``; ``None`` when no
+        process can be started."""
+        method = "fork" if _can_fork() else "spawn"
+        ctx = multiprocessing.get_context(method)
         conn, child_conn = ctx.Pipe()
+        # a forked child holds a copy of every supervisor-side pipe end
+        # open now; it closes them, or a hung sibling would keep the
+        # others from reading EOF when the supervisor dies
+        inherited = ((conn, *(w.conn for w in pool)) if method == "fork"
+                     else ())
         try:
-            proc = ctx.Process(target=worker_main, args=(child_conn,),
-                               daemon=True)
+            proc = ctx.Process(target=worker_main,
+                               args=(child_conn, inherited), daemon=True)
             proc.start()
         except (OSError, ValueError) as exc:
             conn.close()
             if self.verbose:
-                print(f"[ensemble] spawn failed ({exc}); degrading to "
+                print(f"[ensemble] {method} failed ({exc}); degrading to "
                       "in-process execution")
             return None
         finally:
@@ -468,7 +475,7 @@ class Supervisor:
         log.emit("member_start", member=m.spec.member_id, attempt=m.attempts,
                  scenario=m.spec.builder, pid=os.getpid(),
                  metrics=self._brief(m))
-        # each attempt gets a fresh spec copy, exactly as a spawned child
+        # each attempt gets a fresh spec copy, exactly as a worker process
         # would: the injector's per-process `fired` counters must not leak
         # across incarnations (a persistent fault re-fires every attempt)
         spec = copy.deepcopy(m.spec)
@@ -620,12 +627,8 @@ class Supervisor:
                   f"{m.attempts} attempt(s) in {wall:.2f}s")
 
 
-def _ensure_child_import_path() -> None:
-    """Make ``repro`` importable in spawned children even when the parent
-    found it via ``sys.path`` manipulation rather than ``PYTHONPATH``."""
-    src_root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    existing = os.environ.get("PYTHONPATH", "")
-    parts = [p for p in existing.split(os.pathsep) if p]
-    if src_root not in parts:
-        os.environ["PYTHONPATH"] = os.pathsep.join([src_root] + parts)
+def _can_fork() -> bool:
+    """Whether a worker may be a ``fork`` of this process: on Linux, with
+    no thread but this one (another thread could hold a lock the child
+    inherits held).  Everywhere else a worker is spawned."""
+    return sys.platform == "linux" and threading.active_count() == 1

@@ -1,16 +1,21 @@
 """Ensemble worker: a persistent child process that runs member attempts.
 
-The spawn target (:func:`worker_main`) is a plain module-level function
-that ``multiprocessing`` spawn resolves by qualified name in a fresh
-interpreter.  It pays the interpreter start and ``import repro`` once and
-then loops over the attempts the supervisor sends down its pipe, so every
-member after the first finds the imports done and the process-global plan
-cache warm (the build-once / replay-per-member promise of
-:mod:`repro.ensemble.spec`).  Each attempt arrives pickled — spec and
+:func:`worker_main` is the body of every worker process.  On Linux the
+supervisor starts it by ``fork``: the child begins as a copy of the
+supervising interpreter — NumPy and ``repro`` imported, the builder
+registry and the process-global plan cache as the parent left them — so
+even its first member pays no interpreter start, no import and no
+unpickling, and it replays a plan the parent already built (the
+build-once / replay-per-member promise of :mod:`repro.ensemble.spec`).
+Where ``fork`` is unsafe (another OS, a parent with more than one
+thread) it is ``spawn``: a fresh interpreter that pays the start and the
+imports once.  Either way the worker then loops over the attempts the
+supervisor sends down its pipe, so every later member finds the plan
+cache warm.  Each attempt arrives pickled — spec and
 :class:`~repro.core.health.inject.FaultInjector` by value, so no injector
 counter outlives its attempt — and runs under the *in-process*
-supervision PR 1 built (:class:`~repro.core.resilience.ResilientRunner`:
-watchdog, rollback, dt backoff, rotating checkpoints), while the parent
+supervision of :class:`~repro.core.resilience.ResilientRunner`
+(watchdog, rollback, dt backoff, rotating checkpoints), while the parent
 supervises the *process*: every scheduler sync point sends a heartbeat up
 the pipe, and the terminal state is published as an atomic
 ``result.json`` whose SHA-256 state digest lets the chaos tests compare a
@@ -18,8 +23,9 @@ recovered member bitwise against its uninterrupted twin.
 
 A worker can die at any instruction (that is the point), so everything it
 persists is crash-safe: the per-member run log is ``durable`` (fsync per
-write; a heartbeat and its metrics snapshot are one write), checkpoints publish atomically, and the result file is written
-to a pid-keyed temp name and ``os.replace``'d into place.
+write; a heartbeat and its metrics snapshot are one write), checkpoints
+publish atomically, and the result file is written to a pid-keyed temp
+name and ``os.replace``'d into place.
 """
 
 from __future__ import annotations
@@ -123,11 +129,12 @@ def run_member(
     With ``spec.metrics`` (the default) or ``spec.trace`` the member
     enables the instrument registry for the attempt, and its ``run_end``
     record carries the attempt's phases and counters.  With
-    ``spec.metrics`` compact snapshots ride on every heartbeat message,
-    land as durable ``metrics`` run-log records, and the final snapshot
-    is stored in the result file.  With ``spec.trace`` the member records
-    a span timeline and exports ``trace.json`` (wall-clock anchored, so
-    ``obs-trace --merge`` can align it with its siblings).  The registry
+    ``spec.metrics`` counters and gauges ride on every heartbeat message
+    and land as durable ``metrics`` run-log records; the full final
+    snapshot, phases included, goes into the last ``metrics`` record, the
+    ``done`` message and the result file.  With ``spec.trace`` the member
+    records a span timeline and exports ``trace.json`` (wall-clock
+    anchored, so ``obs-trace --merge`` can align it with its siblings).  The registry
     is process-global, so it is reset per attempt and disabled on the way
     out — a worker (and degraded in-process mode) runs members one after
     another in one interpreter and must not leak one member's metrics
@@ -212,7 +219,10 @@ def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
         beat_state["wall"], beat_state["step"] = now, runner.step_count
         records = []
         if spec.metrics:
+            # counters and gauges only: nothing reads a beat's phases, and
+            # they would double its bytes; the final record carries them
             snap = met.snapshot()
+            del snap["phases"]
             tell("heartbeat", step=runner.step_count, sim_t=s.t,
                  metrics=snap)
             records.append(("metrics", dict(
@@ -363,9 +373,9 @@ def load_result(path: str) -> dict | None:
 
 
 # ----------------------------------------------------------------------
-def worker_main(conn) -> None:
-    """Spawn entry point: run the attempts the supervisor sends, one at a
-    time, until it sends ``None`` (or hangs up).
+def worker_main(conn, inherited=()) -> None:
+    """Worker process body: run the attempts the supervisor sends, one at
+    a time, until it sends ``None`` (or hangs up).
 
     ``conn`` is this worker's end of a duplex pipe.  Down it come
     ``(spec, member_dir, attempt, resume, dt_scale)`` tasks, pickled per
@@ -376,12 +386,21 @@ def worker_main(conn) -> None:
     worker is free.  Between attempts the solver is dropped and
     collected, so a worker holds one member's arrays at a time.
 
+    A forked worker first undoes what it inherited and a spawned one
+    never had: it closes ``inherited`` — the supervisor's ends of its own
+    and its siblings' pipes, so a dead supervisor is EOF to every worker
+    at once — and clears the metric registry, so no member reports its
+    parent's counts.  The plan cache it keeps.
+
     Any unhandled exception is reported up the pipe and ends the process
     with status 3 — a failed attempt never leaves a worker behind to be
     reused.  ``faulthandler`` is armed so a native crash (segfault, abort)
     still prints every thread's stack to stderr — the last-resort
     complement to the diagnostic bundles the Python-level paths dump.
     """
+    for end in inherited:
+        end.close()
+    get_metrics().clear()
     try:
         import faulthandler
 

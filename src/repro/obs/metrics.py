@@ -223,6 +223,16 @@ class MetricRegistry:
             if self._trace is not None:
                 self._trace = TraceBuffer(self._trace.capacity)
 
+    def clear(self) -> None:
+        """Back to a new registry's state: off, empty, no span buffer and
+        no open phases — what a forked child does first, so it never
+        reports the counts (or nests under the phases) of its parent."""
+        self.disable()
+        with self._lock:
+            self._trace = None
+            self._local = threading.local()
+        self.reset()
+
     @property
     def tracing(self) -> bool:
         return self._trace is not None

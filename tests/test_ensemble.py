@@ -4,16 +4,24 @@ The fast tier exercises the retry policy, the spec registry/pickling
 contract, the worker's result publishing, and the supervisor's degraded
 in-process mode (where injected kill/hang faults raise instead of
 killing the test runner).  The ``slow`` tier is the chaos matrix across
-real spawned processes: kill -9, hangs, corrupt result files, and
+real worker processes: kill -9, hangs, corrupt result files, and
 persistent failures driving quarantine — asserting the driver never
 crashes and every recovered member is *bitwise identical* to its
-uninterrupted twin.
+uninterrupted twin; and what a forked worker inherits from the process
+that supervises it.
 """
 
+import gc
 import json
 import multiprocessing
 import os
 import pickle
+import re
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -30,12 +38,16 @@ from repro.ensemble import (
     available_builders,
     get_builder,
     load_result,
+    register_builder,
     run_member,
     state_digest,
 )
+from repro.ensemble import spec as spec_module
 from repro.ensemble.worker import RESULT_NAME
+from repro.exec.plan_cache import clear_plan_cache
 from repro.io.checkpoint import checkpoint_candidates
 from repro.obs.blackbox import BUNDLE_SUFFIX, classify_bundle, load_bundle
+from repro.obs.metrics import get_metrics
 from repro.obs.runlog import validate_jsonl
 from repro.sched import Scheduler
 
@@ -47,6 +59,25 @@ TINY = dict(builder="quickstart", perturb={"n_x": 4}, t_end=0.12,
 def tiny_spec(member_id="m0", seed=7, **over):
     kw = {**TINY, **over}
     return MemberSpec(member_id=member_id, seed=seed, **kw)
+
+
+def _src_env() -> dict:
+    """The environment of a child interpreter that imports ``repro``."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _one_thread() -> None:
+    """Let the pool threads of earlier tests wind down: a worker is a fork
+    only of a process that runs one thread."""
+    gc.collect()
+    deadline = time.monotonic() + 5.0
+    while threading.active_count() > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == 1, threading.enumerate()
 
 
 # ----------------------------------------------------------------------
@@ -475,7 +506,7 @@ class TestSimulatedFaultPlumbing:
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestSupervisorMultiprocess:
-    """The chaos matrix over real spawned worker processes."""
+    """The chaos matrix over real worker processes."""
 
     RETRY = RetryPolicy(max_retries=2, backoff_base=0.05, max_delay_s=0.2)
 
@@ -583,15 +614,21 @@ def _assert_reaped(result):
 
 @pytest.mark.slow
 class TestPersistentWorkers:
-    """Worker reuse over real spawned processes: what is shared between a
+    """Worker reuse over real processes: what is shared between a
     worker's members (the interpreter, the plan cache), what is not
     (metrics, injector state), and who pays for a strike."""
 
     RETRY = TestSupervisorMultiprocess.RETRY
     run_ensemble = TestSupervisorMultiprocess.run_ensemble
 
-    def test_one_worker_runs_every_member(self, tmp_path):
+    @pytest.mark.parametrize("parent_built", [False, True],
+                             ids=["cold_parent", "warm_parent"])
+    def test_one_worker_runs_every_member(self, tmp_path, parent_built):
         specs = [tiny_spec(f"m{k}", seed=k) for k in range(4)]
+        clear_plan_cache()
+        if parent_built:  # operator and step plans, as a member builds them
+            run_member(tiny_spec("parent"), str(tmp_path / "parent"))
+        _one_thread()
         result = self.run_ensemble(specs, tmp_path / "ens", workers=1)
         assert result.counts == {"ok": 4, "recovered": 0, "quarantined": 0}
         starts = _events(result, "member_start")
@@ -605,8 +642,10 @@ class TestPersistentWorkers:
                          if '"event": "metrics"' in line][-1]
             counters = final["metrics"]["counters"]
             assert counters["sched/steps_total"] == twin["steps"]
-            # ... and the plan cache is the worker's too
-            assert ("cache/plan_misses" in counters) == (k == 0)
+            # ... and the plan cache is the worker's too, forked warm
+            # when the supervisor had built the plan
+            assert ("cache/plan_misses" in counters) == (
+                k == 0 and not parent_built)
         _assert_reaped(result)
 
     def test_kill_costs_one_worker_not_the_pool(self, tmp_path):
@@ -648,21 +687,188 @@ class TestPersistentWorkers:
         _assert_reaped(result)
 
 
+#: a two-member fleet as a script with no file behind it (``python -``)
+STDIN_FLEET = """
+import sys
+from repro.ensemble import MemberSpec, Supervisor
+specs = [MemberSpec(member_id=f"m{k}", builder="quickstart",
+                    perturb={"n_x": 4}, seed=k, t_end=0.12,
+                    checkpoint_every=0.03) for k in range(2)]
+print(Supervisor(specs, workers=2, out_dir=sys.argv[1]).run().counts)
+"""
+
+#: member ``a`` runs to its end, member ``h`` hangs for 3 s at step 2
+HUNG_FLEET = """
+import sys
+from repro.core.health.inject import FaultInjector
+from repro.ensemble import MemberSpec, Supervisor
+tiny = dict(builder="quickstart", perturb={"n_x": 4}, t_end=0.12,
+            checkpoint_every=0.03)
+specs = [MemberSpec(member_id="a", seed=1, **tiny),
+         MemberSpec(member_id="h", seed=2, **tiny,
+                    injector=FaultInjector().hang(at_step=2, seconds=3.0))]
+Supervisor(specs, workers=2, member_timeout=60.0, out_dir=sys.argv[1],
+           verbose=True).run()
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie nobody reaped is not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux")
+class TestForkedWorkers:
+    """A worker is a fork of the supervising process: what it inherits
+    (imports, builders, the plan cache), what it must not (metric counts,
+    open phases, the supervisor's pipe ends, the environment), and where
+    it is spawned instead."""
+
+    RETRY = TestSupervisorMultiprocess.RETRY
+    run_ensemble = TestSupervisorMultiprocess.run_ensemble
+
+    def test_fleet_runs_from_a_stdin_script(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-", str(tmp_path / "ens")], input=STDIN_FLEET,
+            capture_output=True, text=True, env=_src_env(), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "'ok': 2" in proc.stdout, proc.stdout + proc.stderr
+
+    def test_builder_registered_here_runs_on_a_worker(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(spec_module, "_BUILDERS",
+                            dict(spec_module._BUILDERS))
+        quickstart = get_builder("quickstart")
+        register_builder("local_quickstart",
+                         lambda perturb, seed, **kw: quickstart(perturb, seed,
+                                                                **kw))
+        _one_thread()
+        result = self.run_ensemble([tiny_spec(builder="local_quickstart")],
+                                   tmp_path / "ens", workers=1)
+        assert result.counts["ok"] == 1
+        twin = run_member(tiny_spec(), str(tmp_path / "twin"))
+        assert result.members[0].digest == twin["digest"]
+
+    def test_member_reports_only_its_own_metrics(self, tmp_path):
+        clear_plan_cache()
+        run_member(tiny_spec("parent"), str(tmp_path / "parent"))
+        met = get_metrics()
+        met.reset()
+        met.enable(trace=True)
+        try:
+            handle = get_builder("quickstart")(dict(TINY["perturb"]), 0)
+            Scheduler(handle.solver).run(3 * handle.solver.dt)
+            parent = met.snapshot()["counters"]
+            assert parent["sched/steps_total"] == 3
+            _one_thread()
+            with met.phase("driver"):  # open while the worker forks
+                result = self.run_ensemble([tiny_spec()], tmp_path / "ens",
+                                           workers=1)
+            assert met.snapshot()["counters"]["sched/steps_total"] == 3
+        finally:
+            met.disable()
+            met.reset()
+        m = result.members[0]
+        with open(m.paths["runlog"], encoding="utf-8") as f:
+            final = [json.loads(line) for line in f
+                     if '"event": "metrics"' in line][-1]["metrics"]
+        twin = run_member(tiny_spec(), str(tmp_path / "twin"))
+        assert final["counters"]["sched/steps_total"] == twin["steps"]
+        # the parent's plan, not a build of its own
+        assert "cache/plan_misses" not in final["counters"]
+        assert final["counters"]["cache/plan_hits"] >= 1
+        assert final["phases"]
+        assert not [p for p in final["phases"] if p.startswith("driver")]
+
+    def test_dead_supervisor_reaches_every_worker(self, tmp_path):
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-", str(tmp_path / "ens")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=_src_env(),
+        )
+        proc.stdin.write(HUNG_FLEET)
+        proc.stdin.close()
+        pids = {}
+        try:
+            while True:
+                line = proc.stdout.readline()
+                if not line or "] a: ok" in line:
+                    break
+                started = re.search(r"\] (\w+): attempt 1 \(pid (\d+)", line)
+                if started:
+                    pids[started[1]] = int(started[2])
+            assert line and set(pids) == {"a", "h"}, line
+            proc.kill()
+            proc.wait()
+            killed = time.monotonic()
+            # a's worker idles in recv: it reads EOF at once, while h's,
+            # the sibling forked after it, still sleeps in its hang
+            while _running(pids["a"]) and time.monotonic() - killed < 5.0:
+                time.sleep(0.01)
+            assert not _running(pids["a"])
+            assert _running(pids["h"])
+            while _running(pids["h"]) and time.monotonic() - killed < 5.0:
+                time.sleep(0.05)
+            assert not _running(pids["h"])
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            for pid in pids.values():
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_threaded_parent_spawns_an_equal_twin(self, tmp_path,
+                                                  monkeypatch):
+        # spawn ships the parent's sys.path itself: no PYTHONPATH needed
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        methods = []
+        get_context = multiprocessing.get_context
+
+        def recording(method=None):
+            methods.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", recording)
+        stop = threading.Event()
+        extra = threading.Thread(target=stop.wait)
+        extra.start()
+        try:
+            spawned = self.run_ensemble([tiny_spec()], tmp_path / "spawn",
+                                        workers=1)
+        finally:
+            stop.set()
+            extra.join()
+        _one_thread()
+        forked = self.run_ensemble([tiny_spec()], tmp_path / "fork",
+                                   workers=1)
+        assert methods == ["spawn", "fork"]
+        assert spawned.counts["ok"] == forked.counts["ok"] == 1
+        assert spawned.members[0].digest == forked.members[0].digest
+
+    def test_run_leaves_the_environment_alone(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        before = dict(os.environ)
+        result = self.run_ensemble([tiny_spec()], tmp_path / "ens",
+                                   workers=1)
+        assert result.counts["ok"] == 1
+        assert dict(os.environ) == before
+
+
 @pytest.mark.slow
 class TestEnsembleCLI:
     def test_cli_clean_run(self, tmp_path):
-        import subprocess
-        import sys
-
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "ensemble", "--members", "2",
              "--workers", "2", "--t-end", "0.12", "--checkpoint-every",
              "0.04", "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=300,
+            capture_output=True, text=True, env=_src_env(), timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         loaded = EnsembleResult.load(str(tmp_path / "out" / "ensemble.json"))

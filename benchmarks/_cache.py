@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from functools import lru_cache
 
 import numpy as np
+
+from repro.io.atomic import atomic_open
 
 FAST = os.environ.get("REPRO_FAST", "0") == "1"
 
@@ -40,25 +41,6 @@ def _ensure_out_dir() -> str:
     return out
 
 
-def _write_atomic(path: str, text: str) -> None:
-    # pid-keyed unique temp name: concurrent multi-process writers (the
-    # ensemble driver's workers all report here) must never share a tmp file
-    out = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=out, prefix=f".{os.path.basename(path)}.{os.getpid()}.",
-        suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def report(name: str, lines: list[str], metrics: dict | None = None) -> None:
     """Print a paper-vs-measured comparison and persist it to
     ``benchmarks/out/<name>.txt`` (the EXPERIMENTS.md source data).
@@ -68,18 +50,17 @@ def report(name: str, lines: list[str], metrics: dict | None = None) -> None:
     can persist per-phase/per-kernel breakdowns (telemetry snapshots,
     model numbers) without flattening them into the human-readable lines.
 
-    All files are written atomically (tmp file + ``os.replace``) so an
-    interrupted benchmark never leaves a truncated results file behind.
+    All files are written through :func:`repro.io.atomic.atomic_open`, so
+    an interrupted benchmark never leaves a truncated results file behind.
     """
     text = "\n".join(lines)
     print(f"\n===== {name} =====\n{text}\n", flush=True)
     out = _ensure_out_dir()
-    _write_atomic(os.path.join(out, f"{name}.txt"), text + "\n")
+    with atomic_open(os.path.join(out, f"{name}.txt")) as f:
+        f.write(text + "\n")
     if metrics is not None:
-        _write_atomic(
-            os.path.join(out, f"{name}.json"),
-            json.dumps(metrics, indent=2, default=_json_default) + "\n",
-        )
+        with atomic_open(os.path.join(out, f"{name}.json")) as f:
+            f.write(json.dumps(metrics, indent=2, default=_json_default) + "\n")
 
 
 def _json_default(obj):

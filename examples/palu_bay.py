@@ -78,8 +78,8 @@ def main(t_end: float = 4.0, checkpoint_every: float | None = None,
         )
         if resume:
             runner.resume(resume)
+    hooks = obs.subscribe(HookBus(), runner=runner)
     obs.start(solver, resumed=bool(resume))
-    hooks = obs.subscribe(HookBus())
 
     checkpoints = np.linspace(t_end / 4, t_end, 4)
     for tc in checkpoints:

@@ -85,8 +85,7 @@ def main(t_end: float = 2.5, checkpoint_every: float | None = None,
     def watch(s):
         eta_peak["max"] = max(eta_peak["max"], float(np.abs(s.gravity.eta).max()))
 
-    obs.subscribe(hooks)
-
+    runner = None
     if checkpoint_every or checkpoint_dir or resume:
         from repro.core.resilience import ResilientRunner
 
@@ -96,10 +95,11 @@ def main(t_end: float = 2.5, checkpoint_every: float | None = None,
         )
         if resume:
             runner.resume(resume)
-        obs.start(solver, resumed=bool(resume))
+    obs.subscribe(hooks, runner=runner)
+    obs.start(solver, resumed=bool(resume))
+    if runner is not None:
         runner.run(t_end, hooks=hooks)
     else:
-        obs.start(solver)
         Scheduler(solver).run(t_end, hooks=hooks)
 
     # --- report ----------------------------------------------------------

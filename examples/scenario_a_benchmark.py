@@ -55,6 +55,7 @@ def main(t_end: float = 6.0, n_transect: int = 41,
         heartbeat_every=heartbeat_every, metrics=metrics,
         config={"command": "scenario-a", "t_end": t_end, "backend": backend},
     )
+    runner = None
     if checkpoint_every or checkpoint_dir or resume:
         from repro.core.resilience import ResilientRunner
 
@@ -65,11 +66,12 @@ def main(t_end: float = 6.0, n_transect: int = 41,
         )
         if resume:
             runner.resume(resume)
-        obs.start(solver, resumed=bool(resume))
-        runner.run(t_end, hooks=obs.subscribe(HookBus()))
+    hooks = obs.subscribe(HookBus(), runner=runner)
+    obs.start(solver, resumed=bool(resume))
+    if runner is not None:
+        runner.run(t_end, hooks=hooks)
     else:
-        obs.start(solver)
-        Scheduler(solver, lts).run(t_end, hooks=obs.subscribe(HookBus()))
+        Scheduler(solver, lts).run(t_end, hooks=hooks)
     obs.finish(solver)
     print(f"  rupture: Mw {fault.moment_magnitude():.2f}, "
           f"peak slip {fault.slip.max():.2f} m, "

@@ -81,16 +81,14 @@ class ResilientRunner:
         Optional :class:`~repro.obs.runlog.RunLog`; checkpoint, resume,
         recovery and divergence events are appended to it as structured
         records alongside whatever the caller logs.
-    blackbox:
-        Keep the always-on flight recorder (default).  The ring records
-        every scheduler micro-step window plus the watchdog's per-step
-        gauges; on a watchdog trip or divergence a fingerprinted
-        diagnostic bundle (``*.blackbox.json``) is dumped into
-        ``blackbox_dir`` and its path attached to the matching
-        recovery/diverged run-log event (``None`` when no directory is
-        configured — the ring still records).
     blackbox_dir:
-        Where bundles land; defaults to ``checkpoint_dir``.
+        Where diagnostic bundles land; defaults to ``checkpoint_dir``.
+        The flight recorder is always on: its ring records every
+        scheduler micro-step window plus the watchdog's per-step gauges,
+        and on a watchdog trip or divergence a fingerprinted bundle
+        (``*.blackbox.json``) is dumped here and its path attached to the
+        matching recovery/diverged run-log event (``None`` when no
+        directory is configured — the ring still records).
     """
 
     def __init__(
@@ -106,9 +104,7 @@ class ResilientRunner:
         injector=None,
         verbose: bool = True,
         runlog=None,
-        blackbox: bool = True,
         blackbox_dir: str | None = None,
-        blackbox_capacity: int = 256,
     ):
         if lts is not None and lts.solver is not solver:
             raise ValueError("lts wraps a different solver instance")
@@ -138,10 +134,8 @@ class ResilientRunner:
         self.rollbacks = 0
         #: checkpoint paths written, in order
         self.checkpoints_written: list = []
-        #: the always-on flight recorder (``None`` only when opted out)
-        self.recorder = (
-            FlightRecorder(blackbox_capacity) if blackbox else None
-        )
+        #: the always-on flight recorder
+        self.recorder = FlightRecorder()
         self.blackbox_dir = blackbox_dir or checkpoint_dir
         #: diagnostic bundles dumped over the runner's lifetime, in order
         self.bundles_written: list = []
@@ -279,8 +273,7 @@ class ResilientRunner:
     def _event(self, kind: str, **fields) -> None:
         """One supervision event (resume, recovery, diverged, checkpoint):
         the flight-recorder ring and the run log get the same fields."""
-        if self.recorder is not None:
-            self.recorder.record(kind, **fields)
+        self.recorder.record(kind, **fields)
         if self.runlog is not None:
             self.runlog.emit(kind, **fields)
 
@@ -294,9 +287,8 @@ class ResilientRunner:
         """
         rec = self.recorder
         if self.lts is not None:
-            if rec is not None:
-                # cluster/window ids of every LTS micro-step window
-                rec.subscribe(bus)
+            # cluster/window ids of every LTS micro-step window
+            rec.subscribe(bus)
 
             def watch_sync(s):
                 factor = (
@@ -307,10 +299,9 @@ class ResilientRunner:
                 self.step_count += 1
                 dt = self.lts.dt_min * self.dt_scale * factor
                 self.watchdog.ensure(dt=dt, step=self.step_count)
-                if rec is not None:
-                    rec.record_step(self.step_count, s.t, dt,
-                                    energy=self.watchdog.last_energy,
-                                    dt_scale=self.dt_scale)
+                rec.record_step(self.step_count, s.t, dt,
+                                energy=self.watchdog.last_energy,
+                                dt_scale=self.dt_scale)
 
             bus.on_sync(watch_sync)
         else:
@@ -318,10 +309,9 @@ class ResilientRunner:
             def watch_micro(s, event):
                 self.step_count += 1
                 self.watchdog.ensure(dt=event.dt_nominal, step=self.step_count)
-                if rec is not None:
-                    rec.record_step(self.step_count, s.t, event.dt,
-                                    energy=self.watchdog.last_energy,
-                                    dt_scale=self.dt_scale)
+                rec.record_step(self.step_count, s.t, event.dt,
+                                energy=self.watchdog.last_energy,
+                                dt_scale=self.dt_scale)
 
             bus.on_micro_step(watch_micro)
 
@@ -342,11 +332,11 @@ class ResilientRunner:
               excerpt: bool = False) -> str | None:
         """Dump one diagnostic bundle from the live (still-corrupt) state.
 
-        Returns the bundle path, or ``None`` when the recorder is off, no
-        directory is configured, or the write itself fails — forensics
-        must never turn a diagnosable fault into a crash.
+        Returns the bundle path, or ``None`` when no directory is
+        configured or the write itself fails — forensics must never turn
+        a diagnosable fault into a crash.
         """
-        if self.recorder is None or self.blackbox_dir is None:
+        if self.blackbox_dir is None:
             return None
         from ..obs.runlog import run_manifest
 

@@ -11,9 +11,9 @@ that driver:
   Palu member builders;
 * :mod:`repro.ensemble.worker` — the worker process body: a persistent
   worker, forked from the supervisor (spawned where fork is unsafe), that
-  runs the attempts sent down its pipe with the plan cache warm,
-  heartbeats up the same pipe, durable per-member run logs, atomic
-  digested result files;
+  runs the attempts sent down its pipe with the plan cache warm, each
+  under an :class:`~repro.obs.session.ObsSession` (the member's run log),
+  heartbeats up the same pipe, atomic digested result files;
 * :mod:`repro.ensemble.retry` — the escalation ladder (exponential
   backoff with deterministic jitter → checkpoint-resume → dt-scale
   reduction → quarantine);

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field
+
+from ..io.atomic import atomic_open
 
 __all__ = ["MemberResult", "EnsembleResult", "STATUSES"]
 
@@ -105,24 +106,10 @@ class EnsembleResult:
 
     def save(self, path: str) -> str:
         """Atomically write the result as JSON; returns the path."""
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=directory,
-            prefix=f".{os.path.basename(path)}.{os.getpid()}.",
-            suffix=".tmp",
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-                f.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with atomic_open(path) as f:
+            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
+            f.write("\n")
         return path
 
     @classmethod

@@ -119,8 +119,8 @@ class MemberSpec:
     #: emit a heartbeat to the supervisor every N scheduler sync points
     heartbeat_every: int = 1
     #: enable the typed metric registry for this member: compact snapshots
-    #: piggyback on heartbeat messages and land as durable
-    #: ``metrics`` run-log records (the fleet aggregator's feed)
+    #: piggyback on heartbeat messages and land as ``metrics`` run-log
+    #: records (the fleet aggregator's feed)
     metrics: bool = True
     #: record a span timeline and export ``trace.json`` into the member
     #: dir — the per-member lane ``obs-trace --merge`` stitches together

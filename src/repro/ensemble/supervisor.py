@@ -46,8 +46,8 @@ and the same complete result contract.
 
 Supervisor-level events (``member_start`` / ``member_retry`` /
 ``member_quarantined`` / ``member_end`` / ``ensemble_summary``) stream
-through :class:`~repro.obs.runlog.RunLog` alongside each member's own
-durable per-member log.
+into ``<out_dir>/ensemble.jsonl`` (a :class:`~repro.obs.runlog.RunLog`)
+alongside each member's own run log.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ from ..obs.blackbox import (
     load_bundle,
     write_bundle,
 )
-from ..obs.fleet import FleetAggregator, read_jsonl_tolerant
-from ..obs.runlog import RunLog
+from ..obs.fleet import FleetAggregator
+from ..obs.runlog import RunLog, read_records
 from .result import EnsembleResult, MemberResult
 from .retry import RetryPolicy
 from .spec import MemberSpec
@@ -167,9 +167,6 @@ class Supervisor:
     out_dir:
         Root for all artifacts: ``<out_dir>/<member_id>/`` per member,
         plus the ensemble run log and result JSON.
-    runlog:
-        Optional shared :class:`RunLog`; by default the supervisor opens
-        ``<out_dir>/ensemble.jsonl`` itself.
     poll_interval:
         Longest the supervisor sleeps before looking for heartbeat
         silence; worker messages and deaths wake it at once.
@@ -182,7 +179,6 @@ class Supervisor:
         retry: RetryPolicy | None = None,
         member_timeout: float = 120.0,
         out_dir: str = "out/ensemble",
-        runlog: RunLog | None = None,
         poll_interval: float = 0.05,
         verbose: bool = False,
     ):
@@ -201,8 +197,6 @@ class Supervisor:
         self.out_dir = out_dir
         self.poll_interval = poll_interval
         self.verbose = verbose
-        self._runlog = runlog
-        self._owns_runlog = runlog is None
         #: fleet-level metric aggregation (fed by heartbeat snapshots and
         #: result files; exports fleet.prom + fleet.jsonl under out_dir)
         self.aggregator = FleetAggregator(out_dir=out_dir)
@@ -214,9 +208,7 @@ class Supervisor:
         """Run the whole ensemble to a terminal state; never raises for
         member failures (only for driver-level misconfiguration)."""
         os.makedirs(self.out_dir, exist_ok=True)
-        log = self._runlog
-        if log is None:
-            log = RunLog(os.path.join(self.out_dir, ENSEMBLE_LOG))
+        log = RunLog(os.path.join(self.out_dir, ENSEMBLE_LOG))
         wall0 = time.perf_counter()
         members = [_Member(s, self.out_dir) for s in self.specs]
         try:
@@ -239,8 +231,7 @@ class Supervisor:
                      recovered=c["recovered"], quarantined=c["quarantined"],
                      wall_s=wall_s)
             self._export_metrics(force=True)
-            if self._owns_runlog:
-                log.close()
+            log.close()
         result.save(os.path.join(self.out_dir, ENSEMBLE_RESULT))
         if self.verbose:
             for line in result.lines():
@@ -510,7 +501,7 @@ class Supervisor:
         (divergence / unhandled exception); a process-level death leaves
         none, so the supervisor synthesizes one from what it can still
         see: the strike reason, the last heartbeat metrics and the tail
-        of the member's durable run log as the ring.  Returns
+        of the member's run log as the ring.  Returns
         ``(path, doc)`` with ``path`` possibly ``None`` when even the
         synthesized dump cannot be written.
         """
@@ -524,7 +515,7 @@ class Supervisor:
                 return path, doc
         # no worker-side bundle for this attempt: synthesize one
         ring = [dict(rec, kind=rec.get("event", "record"))
-                for rec in read_jsonl_tolerant(m.paths["runlog"])[-40:]]
+                for rec in read_records(m.paths["runlog"])[0][-40:]]
         doc = build_bundle(
             kind="supervisor",
             reason=reason,

@@ -15,17 +15,19 @@ cache warm.  Each attempt arrives pickled — spec and
 :class:`~repro.core.health.inject.FaultInjector` by value, so no injector
 counter outlives its attempt — and runs under the *in-process*
 supervision of :class:`~repro.core.resilience.ResilientRunner`
-(watchdog, rollback, dt backoff, rotating checkpoints), while the parent
-supervises the *process*: every scheduler sync point sends a heartbeat up
-the pipe, and the terminal state is published as an atomic
-``result.json`` whose SHA-256 state digest lets the chaos tests compare a
-recovered member bitwise against its uninterrupted twin.
+(watchdog, rollback, dt backoff, rotating checkpoints) and records itself
+like any other run, under an :class:`~repro.obs.session.ObsSession` —
+the one writer of run logs.  The parent supervises the *process*: every
+scheduler sync point sends a heartbeat up the pipe, and the terminal
+state is published as an atomic ``result.json`` whose SHA-256 state
+digest lets the chaos tests compare a recovered member bitwise against
+its uninterrupted twin.
 
 A worker can die at any instruction (that is the point), so everything it
-persists is crash-safe: the per-member run log is ``durable`` (fsync per
-write; a heartbeat and its metrics snapshot are one write), checkpoints
-publish atomically, and the result file is written to a pid-keyed temp
-name and ``os.replace``'d into place.
+persists is crash-safe: every run-log write is ``fsync``'d (a heartbeat
+and its metrics snapshot are one write), and checkpoints, bundles, the
+trace and the result file publish through
+:func:`repro.io.atomic.atomic_open`.
 """
 
 from __future__ import annotations
@@ -35,17 +37,17 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 import traceback
 
 import numpy as np
 
-from ..core.health import SimulationDiverged, total_energy
+from ..core.health import SimulationDiverged
 from ..core.resilience import ResilientRunner
+from ..io.atomic import atomic_open
 from ..io.checkpoint import capture_state, checkpoint_candidates
 from ..obs.metrics import get_metrics
-from ..obs.runlog import RunLog
+from ..obs.session import ObsSession
 from ..sched import HookBus
 from .spec import MemberSpec
 
@@ -126,38 +128,46 @@ def run_member(
     :class:`~repro.core.health.inject.InjectedHang`) instead of killing
     or stalling the driver itself.
 
-    With ``spec.metrics`` (the default) or ``spec.trace`` the member
-    enables the instrument registry for the attempt, and its ``run_end``
-    record carries the attempt's phases and counters.  With
-    ``spec.metrics`` counters and gauges ride on every heartbeat message
-    and land as durable ``metrics`` run-log records; the full final
-    snapshot, phases included, goes into the last ``metrics`` record, the
-    ``done`` message and the result file.  With ``spec.trace`` the member
-    records a span timeline and exports ``trace.json`` (wall-clock
-    anchored, so ``obs-trace --merge`` can align it with its siblings).  The registry
-    is process-global, so it is reset per attempt and disabled on the way
-    out — a worker (and degraded in-process mode) runs members one after
-    another in one interpreter and must not leak one member's metrics
-    into the next.
+    The attempt is a run under an :class:`~repro.obs.session.ObsSession`:
+    the session writes the member's ``run.jsonl`` (manifest, a heartbeat
+    per ``spec.heartbeat_every`` steps, ``run_end``) and, with
+    ``spec.metrics`` (the default), the ``metrics`` records — counters
+    and gauges next to every heartbeat, the full final snapshot last;
+    with ``spec.trace`` it exports ``trace.json`` (wall-clock anchored,
+    so ``obs-trace --merge`` can align it with its siblings).  What the
+    worker adds is the pipe: the same per-beat counters and gauges ride
+    up on its ``heartbeat`` messages, and the final snapshot on ``done``
+    and in the result file.  The session is constructed before the
+    build, so the member's counters include its plan-cache hits, and it
+    is closed on every way out — a worker runs members one after another
+    in one interpreter and must not leak one member's registry into the
+    next.
     """
-    met = get_metrics() if spec.metrics or spec.trace else None
-    if met is not None:
-        met.reset()
-        met.enable(trace=spec.trace)
-    try:
-        return _run_member_attempt(
-            spec, member_dir, channel, attempt, resume, dt_scale, in_process,
-            met,
-        )
-    finally:
-        if met is not None:
-            met.disable()
-
-
-def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
-                        in_process, met) -> dict:
     os.makedirs(member_dir, exist_ok=True)
     paths = member_paths(*os.path.split(member_dir))
+    session = ObsSession(
+        log_json=paths["runlog"],
+        heartbeat_every=spec.heartbeat_every,
+        metrics=spec.metrics,
+        trace=paths["trace"] if spec.trace else None,
+        config={
+            "member_id": spec.member_id,
+            "builder": spec.builder,
+            "perturb": spec.perturb,
+            "seed": spec.seed,
+            "t_end": spec.t_end,
+            "attempt": attempt,
+        },
+    )
+    try:
+        return _run_member_attempt(spec, paths, channel, attempt, resume,
+                                   dt_scale, in_process, session)
+    finally:
+        session.close()
+
+
+def _run_member_attempt(spec, paths, channel, attempt, resume, dt_scale,
+                        in_process, session) -> dict:
     wall0 = time.perf_counter()
     pid = os.getpid()
 
@@ -170,7 +180,6 @@ def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
             except Exception:
                 pass  # a broken channel must not kill the member
 
-    runlog = RunLog(paths["runlog"], durable=True)
     handle = spec.build()
     solver = handle.solver
 
@@ -182,8 +191,8 @@ def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
         max_retries=spec.max_retries,
         injector=spec.injector,
         verbose=False,
-        runlog=runlog,
-        blackbox_dir=member_dir,
+        runlog=session.runlog,
+        blackbox_dir=paths["dir"],
     )
     runner.dt_scale = float(dt_scale)
     # every bundle this attempt dumps is attributable to it: the
@@ -196,50 +205,26 @@ def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
         # newest readable rotation (the runner skips unreadable ones)
         resumed_from = runner.resume()["path"]
 
-    runlog.emit("manifest", **_member_manifest(spec, solver, attempt,
-                                               resumed_from))
-    tell("started", sim_t=solver.t, resumed=resumed_from is not None)
-
     hooks = HookBus()
-    beat_state = {"n": 0, "wall": time.perf_counter(), "step": 0}
+    if spec.injector is not None:
+        # process-level faults fire before the heartbeat goes out: a hung
+        # worker must look hung, not healthy
+        hooks.on_sync(lambda s: spec.injector.process_gate(
+            runner.step_count, attempt, simulate=in_process))
+    session.subscribe(hooks, runner=runner)
+    syncs = 0
 
     @hooks.on_sync
     def heartbeat(s):
-        # process-level faults fire before the heartbeat goes out: a hung
-        # worker must look hung, not healthy
-        if spec.injector is not None:
-            spec.injector.process_gate(runner.step_count, attempt,
-                                       simulate=in_process)
-        beat_state["n"] += 1
-        if beat_state["n"] % spec.heartbeat_every:
-            return
-        now = time.perf_counter()
-        d_wall = max(now - beat_state["wall"], 1e-9)
-        rate = (runner.step_count - beat_state["step"]) / d_wall
-        beat_state["wall"], beat_state["step"] = now, runner.step_count
-        records = []
-        if spec.metrics:
-            # counters and gauges only: nothing reads a beat's phases, and
-            # they would double its bytes; the final record carries them
-            snap = met.snapshot()
-            del snap["phases"]
+        # liveness at every beat, replayed steps after a rollback too
+        nonlocal syncs
+        syncs += 1
+        if syncs % spec.heartbeat_every == 0:
             tell("heartbeat", step=runner.step_count, sim_t=s.t,
-                 metrics=snap)
-            records.append(("metrics", dict(
-                step=runner.step_count, sim_t=float(s.t), metrics=snap)))
-        else:
-            tell("heartbeat", step=runner.step_count, sim_t=s.t)
-        # the watchdog swept this very state before any hook saw it: its
-        # energy is the heartbeat's (recomputed only when it keeps none)
-        energy = runner.watchdog.last_energy
-        if energy is None:
-            energy = total_energy(solver)
-        records.append(("heartbeat", dict(
-            step=runner.step_count, sim_t=s.t,
-            dt=solver.dt * runner.dt_scale, energy=float(energy),
-            wall_rate=rate)))
-        # both durable when the hook returns, under one fsync
-        runlog.emit_many(records)
+                 metrics=session.beat_metrics)
+
+    session.start(solver, resumed=resumed_from is not None)
+    tell("started", sim_t=solver.t, resumed=resumed_from is not None)
 
     status = "completed"
     diverged = None
@@ -262,8 +247,8 @@ def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
             pass
         raise
     wall_s = time.perf_counter() - wall0
-    final = (met.snapshot() if met is not None
-             else {"phases": {}, "counters": {}})
+    final = session.finish(solver)
+    metrics = final if spec.metrics else None
     result = {
         "member_id": spec.member_id,
         "attempt": attempt,
@@ -280,50 +265,14 @@ def _run_member_attempt(spec, member_dir, channel, attempt, resume, dt_scale,
         # recovered-on-retry) attempt must not point at a stale dump
         "bundle": bundle,
         "summary": handle.summarize(solver) if handle.summarize else {},
-        "metrics": final if spec.metrics else None,
+        # equal to the log's final metrics record: what the supervisor
+        # aggregates is what the member logged
+        "metrics": metrics,
         "paths": paths,
     }
-    if spec.trace:
-        from ..obs.trace import export_chrome_trace
-
-        try:
-            export_chrome_trace(
-                paths["trace"], met.trace_snapshot(),
-                metadata={"member": spec.member_id, "attempt": attempt},
-            )
-        except OSError:
-            pass  # a failed trace export must not fail the member
     _publish_result(paths["result"], result, spec, attempt)
-    if spec.metrics:
-        # final snapshot into the durable log: the last on-disk metrics
-        # record agrees exactly with what the supervisor aggregates
-        runlog.emit("metrics", step=runner.step_count, sim_t=float(solver.t),
-                    metrics=result["metrics"])
-    runlog.emit("run_end", steps=runner.step_count, wall_s=wall_s,
-                phases=final["phases"], counters=final["counters"])
-    runlog.close()
-    if spec.metrics:
-        tell("done", status=status, sim_t=solver.t, metrics=result["metrics"])
-    else:
-        tell("done", status=status, sim_t=solver.t)
+    tell("done", status=status, sim_t=solver.t, metrics=metrics)
     return result
-
-
-def _member_manifest(spec, solver, attempt, resumed_from) -> dict:
-    from ..obs.runlog import run_manifest
-
-    return run_manifest(
-        solver,
-        config={
-            "member_id": spec.member_id,
-            "builder": spec.builder,
-            "perturb": spec.perturb,
-            "seed": spec.seed,
-            "t_end": spec.t_end,
-            "attempt": attempt,
-        },
-        resumed=resumed_from is not None,
-    )
 
 
 def _publish_result(path: str, result: dict, spec, attempt: int) -> None:
@@ -335,22 +284,8 @@ def _publish_result(path: str, result: dict, spec, attempt: int) -> None:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text[: max(8, len(text) // 3)].rstrip("}\n") + "\x00garbage")
         return
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path),
-        prefix=f".{RESULT_NAME}.{os.getpid()}.", suffix=".tmp",
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_open(path) as f:
+        f.write(text)
 
 
 def load_result(path: str) -> dict | None:

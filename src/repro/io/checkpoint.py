@@ -8,9 +8,9 @@ checkpoint captures the *complete* time-marching state of a
 simulation time, gravitational sea-surface state, dynamic-rupture fault
 state, LTS bookkeeping) as a single ``.npz`` archive:
 
-* **atomic** — written to a temporary file in the target directory and
-  published with :func:`os.replace`, so a crash mid-write never leaves a
-  truncated archive that a later resume would trip over;
+* **atomic** — published through :func:`repro.io.atomic.atomic_open`, so
+  a crash mid-write never leaves a truncated archive that a later resume
+  would trip over;
 * **versioned** — a format version is embedded and checked on load;
 * **fingerprinted** — a SHA-256 digest of everything that defines the
   discrete problem (mesh geometry and topology, material table, boundary
@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import tempfile
 import warnings
 import zipfile
 import zlib
@@ -37,6 +36,7 @@ import zlib
 import numpy as np
 
 from ..obs.metrics import get_metrics
+from .atomic import atomic_open
 
 __all__ = [
     "CheckpointError",
@@ -204,28 +204,10 @@ def _save_checkpoint(path, solver, lts, metadata, state) -> str:
     arrays["meta_keys"] = np.asarray([str(k) for k in metadata])
     arrays["meta_vals"] = np.asarray([str(v) for v in metadata.values()])
 
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    # pid-keyed unique temp name: concurrent ensemble workers checkpointing
-    # into sibling paths of one directory must never collide mid-publish
-    fd, tmp = tempfile.mkstemp(
-        dir=directory,
-        prefix=f".{os.path.basename(path)}.{os.getpid()}.",
-        suffix=".tmp",
-    )
-    try:
-        with os.fdopen(fd, "wb") as f:
-            np.savez(f, **arrays)
-            f.flush()
-            os.fsync(f.fileno())
-            n_bytes = f.tell()
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with atomic_open(path, "wb") as f:
+        np.savez(f, **arrays)
+        n_bytes = f.tell()
     met = get_metrics()
     met.inc("io/checkpoint_writes")
     met.inc("io/checkpoint_bytes", int(n_bytes))

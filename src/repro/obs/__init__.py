@@ -6,8 +6,12 @@ The measurement layer behind the paper's Sec. 5-6 performance story:
   instrument registry (counters, gauges, hierarchical phase timers and
   an optional bounded span buffer) pulsed from the solver's hot paths,
   with associative snapshot merging and a Prometheus text exporter;
-* :mod:`repro.obs.runlog` — JSONL event sink (manifest, heartbeats,
-  resilience events) with an offline validator;
+* :mod:`repro.obs.runlog` — the run record: JSONL event sink (manifest,
+  heartbeats, resilience events; every write ``fsync``'d), its one
+  tolerant reader (:func:`read_records`) and its one schema
+  (:func:`validate_record` / :func:`validate_jsonl`, behind
+  ``obs-report --check``, ``tools/check_runlog.py`` and the perf
+  ledger);
 * :mod:`repro.obs.report` — measured-vs-modeled GFLOP/s accounting
   against :mod:`repro.hpc.perfmodel` (imported lazily: it pulls in the
   HPC models);
@@ -24,9 +28,12 @@ The measurement layer behind the paper's Sec. 5-6 performance story:
   ``*.blackbox.json`` diagnostic bundle (NaN-origin localization,
   per-field statistics, thread stacks, run manifest) classified by the
   ``obs-diagnose`` CLI;
-* :mod:`repro.obs.session` — :class:`ObsSession` wiring for the CLI's
-  ``--profile`` / ``--trace`` / ``--log-json`` / ``--heartbeat-every`` /
-  ``--metrics`` flags.
+* :mod:`repro.obs.session` — :class:`ObsSession`, the one lifecycle of
+  a run record: registry reset / enable / disable, manifest, heartbeats
+  (counters + gauges per beat, phases on the final ``metrics`` record),
+  ``run_end`` and trace export, for the CLI's ``--profile`` /
+  ``--trace`` / ``--log-json`` / ``--heartbeat-every`` / ``--metrics``
+  flags and for every ensemble member alike.
 
 The package namespace is lazy (:mod:`repro._lazy`): ``from repro.obs
 import ObsSession`` and ``import repro.obs.blackbox`` resolve on first
@@ -41,8 +48,8 @@ __all__, __getattr__ = lazy_namespace(__name__, {
     "trace": ("TRACE_SCHEMA_VERSION", "chrome_trace", "export_chrome_trace",
               "load_trace", "merge_chrome_traces", "summarize_trace",
               "validate_chrome_trace"),
-    "runlog": ("RunLog", "run_manifest", "validate_record", "validate_jsonl",
-               "EVENT_FIELDS", "SCHEMA_VERSION"),
+    "runlog": ("RunLog", "run_manifest", "read_records", "validate_record",
+               "validate_jsonl", "EVENT_FIELDS", "SCHEMA_VERSION"),
     "metrics": ("METRICS_SCHEMA_VERSION", "MetricRegistry", "TraceBuffer",
                 "get_metrics", "merge_snapshots", "to_prometheus",
                 "validate_prometheus"),

@@ -42,12 +42,13 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 import traceback
 from collections import deque
 
 import numpy as np
+
+from ..io.atomic import atomic_open
 
 __all__ = [
     "BUNDLE_SCHEMA_VERSION",
@@ -346,45 +347,17 @@ def write_bundle(path: str, doc: dict, *, state: dict | None = None) -> str:
     """
     if not path.endswith(BUNDLE_SUFFIX):
         raise ValueError(f"bundle path must end with {BUNDLE_SUFFIX!r}")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     if state is not None:
         npz = path[: -len(".json")] + ".npz"
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp",
-                                   prefix=f".{os.path.basename(npz)}."
-                                          f"{os.getpid()}.")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez_compressed(
-                    fh, **{k: np.asarray(v) for k, v in state.items()})
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, npz)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_open(npz, "wb") as fh:
+            np.savez_compressed(
+                fh, **{k: np.asarray(v) for k, v in state.items()})
         doc["excerpt"] = os.path.basename(npz)
         doc["fingerprint"] = _fingerprint(doc)
-
     text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp",
-                               prefix=f".{os.path.basename(path)}."
-                                      f"{os.getpid()}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_open(path) as fh:
+        fh.write(text)
     return path
 
 

@@ -11,8 +11,9 @@ those per-member views become *fleet* facts:
   min/max/median/q90 statistics for every gauge (the fleet-spread view:
   is one member's energy drifting while the rest hold steady?).
 * **Exporters** — :meth:`FleetAggregator.export` writes two artifacts
-  next to the ensemble out-dir, both atomically (temp file +
-  ``os.replace``, so a scrape or a tail never sees a torn file):
+  into the ensemble out-dir, both through
+  :func:`repro.io.atomic.atomic_open` (a scrape or a tail never sees a
+  torn file):
   ``fleet.prom`` in the Prometheus textfile-collector format (validated
   by :func:`repro.obs.metrics.validate_prometheus` in CI) and
   ``fleet.jsonl`` with the full JSON aggregate history (bounded).
@@ -30,20 +31,20 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 
+from ..io.atomic import atomic_open
 from .metrics import (
     METRICS_SCHEMA_VERSION,
     merge_snapshots,
     to_prometheus,
 )
+from .runlog import read_records
 
 __all__ = [
     "FLEET_PROM",
     "FLEET_JSONL",
     "FleetAggregator",
-    "read_jsonl_tolerant",
     "status_rows",
     "status_lines",
     "watch_status",
@@ -69,27 +70,6 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
     return sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via temp-file + rename (scrape-safe)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=f".{os.path.basename(path)}.",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 class FleetAggregator:
     """Fold per-member metric snapshots into fleet-level series.
 
@@ -100,7 +80,7 @@ class FleetAggregator:
     message.
     """
 
-    def __init__(self, out_dir: str | None = None):
+    def __init__(self, out_dir: str):
         self.out_dir = out_dir
         #: member -> {"snapshot", "wall", "state"} (last view of each member)
         self.members: dict[str, dict] = {}
@@ -239,57 +219,27 @@ class FleetAggregator:
                 ({"state": st}, float(n)) for st, n in sorted(states.items())]
         return to_prometheus(self.fleet_snapshot(), extra=extra)
 
-    def export(self, out_dir: str | None = None,
-               now: float | None = None) -> dict:
+    def export(self, now: float | None = None) -> dict:
         """Write ``fleet.prom`` + ``fleet.jsonl`` atomically under
-        ``out_dir`` (default: the constructor's); returns the aggregate.
+        ``out_dir``; returns the aggregate.
 
         The JSONL file carries the full (bounded) aggregate history so a
         consumer can see trends; both files are replaced atomically so a
         concurrent scrape/tail never reads a torn document.
         """
-        out_dir = out_dir if out_dir is not None else self.out_dir
-        if out_dir is None:
-            raise ValueError("FleetAggregator.export needs an out_dir")
         agg = self.aggregate(now)
         self._history.append(agg)
         del self._history[:-_HISTORY_MAX]
-        _atomic_write(os.path.join(out_dir, FLEET_PROM),
-                      self.to_prometheus(now))
-        _atomic_write(
-            os.path.join(out_dir, FLEET_JSONL),
-            "".join(json.dumps(rec) + "\n" for rec in self._history),
-        )
+        os.makedirs(self.out_dir, exist_ok=True)
+        with atomic_open(os.path.join(self.out_dir, FLEET_PROM)) as fh:
+            fh.write(self.to_prometheus(now))
+        with atomic_open(os.path.join(self.out_dir, FLEET_JSONL)) as fh:
+            fh.write("".join(json.dumps(rec) + "\n" for rec in self._history))
         return agg
 
 
 # ----------------------------------------------------------------------
 # offline status view: everything below reads artifacts, not processes
-def read_jsonl_tolerant(path: str) -> list[dict]:
-    """Best-effort JSONL reader: skips torn/garbled lines, returns dicts.
-
-    The status view must render *while* workers are writing (or after
-    they were SIGKILLed mid-record), so unreadable lines are data loss we
-    tolerate, never an exception.
-    """
-    records: list[dict] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(rec, dict):
-                    records.append(rec)
-    except OSError:
-        pass
-    return records
-
-
 def _member_dirs(run_dir: str) -> list[str]:
     """Member ids under an ensemble out-dir (subdirs holding a run log)."""
     try:
@@ -316,7 +266,7 @@ def status_rows(run_dir: str, now: float | None = None) -> list[dict]:
     (terminal states).  Works mid-run and post-mortem alike.
     """
     now = time.time() if now is None else now
-    sup = read_jsonl_tolerant(os.path.join(run_dir, "ensemble.jsonl"))
+    sup, _ = read_records(os.path.join(run_dir, "ensemble.jsonl"))
     final: dict[str, str] = {}
     try:
         with open(os.path.join(run_dir, "ensemble.json"),
@@ -336,7 +286,7 @@ def status_rows(run_dir: str, now: float | None = None) -> list[dict]:
 
     rows = []
     for mid in member_ids:
-        records = read_jsonl_tolerant(os.path.join(run_dir, mid, "run.jsonl"))
+        records, _ = read_records(os.path.join(run_dir, mid, "run.jsonl"))
         beats = [r for r in records if r.get("event") == "heartbeat"]
         metrics = [r for r in records if r.get("event") == "metrics"]
         sup_mine = [r for r in sup if r.get("member") == mid]

@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 #: bumped whenever the snapshot layout changes (snapshots cross process
-#: boundaries: heartbeat pipes, durable run logs, fleet aggregates)
+#: boundaries: heartbeat pipes, run logs, fleet aggregates)
 METRICS_SCHEMA_VERSION = 1
 
 #: default span-buffer capacity: ~60 bytes/span -> tens of MB at worst
@@ -384,14 +384,10 @@ def merge_snapshots(a: dict | None, b: dict | None) -> dict:
 _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def prom_name(name: str, prefix: str = "repro") -> str:
-    """Sanitize a free-form metric path to the Prometheus name grammar."""
-    name = _NAME_SANITIZE.sub("_", name)
-    if prefix:
-        name = f"{prefix}_{name}"
-    if not re.match(r"[a-zA-Z_:]", name[0]):
-        name = "_" + name
-    return name
+def prom_name(name: str) -> str:
+    """Sanitize a free-form metric path to the Prometheus name grammar
+    (``repro_``-prefixed, so it always starts with a letter)."""
+    return "repro_" + _NAME_SANITIZE.sub("_", name)
 
 
 def _fmt(v: float) -> str:
@@ -415,36 +411,32 @@ def _labels(labels: dict | None) -> str:
     return "{" + inner + "}"
 
 
-def to_prometheus(snapshot: dict, prefix: str = "repro",
-                  labels: dict | None = None,
-                  extra: dict | None = None) -> str:
+def to_prometheus(snapshot: dict, extra: dict | None = None) -> str:
     """Render a snapshot in the Prometheus text exposition format.
 
-    ``labels`` are constant labels stamped on every sample (the fleet
-    exporter uses ``{member="..."}``); ``extra`` maps metric name ->
-    ``{labelset_tuple: value}`` gauge samples appended verbatim by the
-    aggregator (fleet min/max/quantile series).  Ends with a newline, as
-    the textfile collector requires.
+    Counters become ``counter`` families (``_total``-suffixed), gauges
+    ``gauge`` families; ``extra`` maps metric name -> ``[(labels,
+    value), ...]`` gauge samples appended by the fleet aggregator
+    (min/max/quantile series, per-member staleness).  Ends with a
+    newline, as the textfile collector requires.
     """
     lines: list[str] = []
 
-    def emit(name, kind, samples):
+    def family(name, kind, samples):
         lines.append(f"# TYPE {name} {kind}")
-        for suffix, lab, value in samples:
-            lines.append(f"{name}{suffix}{_labels(lab)} {_fmt(value)}")
+        for labels, value in samples:
+            lines.append(f"{name}{_labels(labels)} {_fmt(value)}")
 
     for name, value in snapshot.get("counters", {}).items():
-        pname = prom_name(name, prefix)
+        pname = prom_name(name)
         if not pname.endswith("_total"):
             pname += "_total"
-        emit(pname, "counter", [("", labels, value)])
+        family(pname, "counter", [(None, value)])
     for name, g in snapshot.get("gauges", {}).items():
-        emit(prom_name(name, prefix), "gauge", [("", labels, g["value"])])
+        family(prom_name(name), "gauge", [(None, g["value"])])
     for name, series in (extra or {}).items():
-        pname = prom_name(name, prefix)
-        lines.append(f"# TYPE {pname} gauge")
-        for lab, value in series:
-            lines.append(f"{pname}{_labels(lab)} {_fmt(float(value))}")
+        family(prom_name(name), "gauge",
+               [(labels, float(value)) for labels, value in series])
     return "\n".join(lines) + "\n"
 
 
@@ -457,38 +449,26 @@ _SAMPLE_RE = re.compile(
     r" (-?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?|[-+]?Inf|NaN)"
     r"( [0-9]+)?$"
 )
-_TYPE_RE = re.compile(
-    rf"^# TYPE ({_METRIC_NAME_RE}) (counter|gauge|histogram|summary|untyped)$"
-)
+_TYPE_RE = re.compile(rf"^# TYPE ({_METRIC_NAME_RE}) (\w+)$")
 _HELP_RE = re.compile(rf"^# HELP ({_METRIC_NAME_RE}) .*$")
 
-_HIST_SUFFIXES = ("_bucket", "_sum", "_count")
-
-
-def _family(name: str, types: dict) -> str:
-    """Strip histogram/summary suffixes down to the declared family name."""
-    for suffix in _HIST_SUFFIXES:
-        base = name[: -len(suffix)] if name.endswith(suffix) else None
-        if base and types.get(base) in ("histogram", "summary"):
-            return base
-    return name
+#: the metric types :func:`to_prometheus` emits, and all a document may hold
+_KINDS = ("counter", "gauge")
 
 
 def validate_prometheus(text: str) -> list[str]:
     """Schema errors of a Prometheus text-format document (empty = valid).
 
-    Strict about everything a textfile collector is strict about: line
+    Strict about everything a textfile collector is strict about — line
     grammar, label syntax, one ``# TYPE`` per family declared before its
-    samples, histogram families complete (``_bucket``/``_sum``/
-    ``_count``) with cumulative bucket counts ending in an ``le="+Inf"``
-    bucket equal to ``_count``, and a trailing newline.
+    samples, non-negative counters, a trailing newline — and about what
+    this exporter writes: ``counter`` and ``gauge`` families only.
     """
     errors: list[str] = []
     if text and not text.endswith("\n"):
         errors.append("document does not end with a newline")
     types: dict[str, str] = {}
     seen_samples: set[str] = set()
-    hist: dict[str, dict] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -496,6 +476,9 @@ def validate_prometheus(text: str) -> list[str]:
             m = _TYPE_RE.match(line)
             if m:
                 name, kind = m.groups()
+                if kind not in _KINDS:
+                    errors.append(f"line {lineno}: {name} has type {kind}; "
+                                  f"only {' / '.join(_KINDS)} are exported")
                 if name in types:
                     errors.append(f"line {lineno}: duplicate TYPE for {name}")
                 if name in seen_samples:
@@ -511,48 +494,12 @@ def validate_prometheus(text: str) -> list[str]:
         if not m:
             errors.append(f"line {lineno}: malformed sample line {line!r}")
             continue
-        name, labelstr, value_s, _ts = m.groups()
-        family = _family(name, types)
-        seen_samples.add(family)
-        if family not in types:
+        name, _labelstr, value_s, _ts = m.groups()
+        seen_samples.add(name)
+        if name not in types:
             errors.append(
                 f"line {lineno}: sample {name} has no preceding # TYPE")
-            continue
-        if types[family] == "histogram":
-            slot = hist.setdefault(family, {"buckets": [], "sum": None,
-                                            "count": None, "line": lineno})
-            labels = dict(
-                part.split("=", 1) for part in (labelstr or "").split(",")
-                if "=" in part
-            )
-            if name.endswith("_bucket"):
-                le = labels.get("le")
-                if le is None:
-                    errors.append(f"line {lineno}: _bucket sample without le=")
-                else:
-                    slot["buckets"].append((le.strip('"'), float(value_s)))
-            elif name.endswith("_sum"):
-                slot["sum"] = float(value_s)
-            elif name.endswith("_count"):
-                slot["count"] = float(value_s)
-            else:
-                errors.append(
-                    f"line {lineno}: histogram family {family} sample {name} "
-                    "is not _bucket/_sum/_count")
-        elif types[family] == "counter":
-            if float(value_s) < 0 and value_s not in ("-Inf",):
-                errors.append(f"line {lineno}: counter {name} is negative")
-    for family, slot in hist.items():
-        buckets = slot["buckets"]
-        if not buckets or buckets[-1][0] != "+Inf":
-            errors.append(f"histogram {family}: buckets must end with le=\"+Inf\"")
-        counts = [c for _, c in buckets]
-        if any(b < a for a, b in zip(counts, counts[1:])):
-            errors.append(f"histogram {family}: bucket counts not cumulative")
-        if slot["count"] is None or slot["sum"] is None:
-            errors.append(f"histogram {family}: missing _sum or _count")
-        elif buckets and buckets[-1][1] != slot["count"]:
-            errors.append(
-                f"histogram {family}: le=\"+Inf\" bucket ({buckets[-1][1]:g}) "
-                f"!= _count ({slot['count']:g})")
+        elif types[name] == "counter" and float(value_s) < 0 \
+                and value_s != "-Inf":
+            errors.append(f"line {lineno}: counter {name} is negative")
     return errors

@@ -31,7 +31,6 @@ host.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 
@@ -272,7 +271,7 @@ def summarize_runlog(path: str, node: str = "rome", check: bool = False) -> int:
     With ``check=True`` the log is validated against the schema first and
     a non-zero code is returned when any record is malformed.
     """
-    from .runlog import validate_jsonl
+    from .runlog import read_records, validate_jsonl
 
     result = validate_jsonl(path)
     if check:
@@ -284,26 +283,13 @@ def summarize_runlog(path: str, node: str = "rome", check: bool = False) -> int:
         if result["errors"]:
             return 1
 
-    manifests, heartbeats, recoveries = [], [], []
-    run_end = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            event = rec.get("event")
-            if event == "manifest":
-                manifests.append(rec)
-            elif event == "heartbeat":
-                heartbeats.append(rec)
-            elif event in ("recovery", "diverged"):
-                recoveries.append(rec)
-            elif event == "run_end":
-                run_end = rec
+    records, _ = read_records(path)
+    manifests = [r for r in records if r.get("event") == "manifest"]
+    heartbeats = [r for r in records if r.get("event") == "heartbeat"]
+    recoveries = [r for r in records
+                  if r.get("event") in ("recovery", "diverged")]
+    run_end = next((r for r in reversed(records)
+                    if r.get("event") == "run_end"), None)
 
     print(f"== run log {path} ==")
     if manifests:

@@ -1,11 +1,17 @@
 """Structured JSONL run logs: manifest, heartbeats, recovery events.
 
 A :class:`RunLog` appends one JSON object per line to a log file — the
-machine-readable counterpart of a production job's stdout.  Records share
-a tiny envelope (``event``, ``seq``, ``wall``, ``run_id``) and each event
-type carries a fixed set of required fields (:data:`EVENT_FIELDS`), so a
-log can be validated offline (:func:`validate_jsonl`, also exposed as
-``tools/check_runlog.py`` and ``python -m repro obs-report --check``).
+machine-readable counterpart of a production job's stdout.  Every run's
+log is written by one lifecycle, :class:`~repro.obs.session.ObsSession`
+(CLI, examples, perf runs and every ensemble member alike), plus the
+supervision events :class:`~repro.core.resilience.ResilientRunner` and
+the ensemble supervisor append; every write is ``fsync``'d.  Records
+share a tiny envelope (``event``, ``seq``, ``wall``, ``run_id``) and each
+event type carries a fixed set of required fields (:data:`EVENT_FIELDS`).
+One reader decodes a log (:func:`read_records`, tolerant of torn and
+garbled lines) and one schema judges it (:func:`validate_record`, applied
+line by line by :func:`validate_jsonl` — what ``tools/check_runlog.py``,
+``python -m repro obs-report --check`` and the perf ledger run).
 
 Events
 ------
@@ -15,12 +21,13 @@ Events
     log with multiple manifests): solver configuration, mesh/material
     fingerprint, execution backend, git revision and environment.
 ``heartbeat``
-    Periodic liveness record: step, simulated time, nominal dt, discrete
-    energy and the wall-clock step rate since the previous heartbeat.
-    ``energy`` is always :func:`repro.core.health.total_energy` (volume
-    energy plus sea-surface potential): :class:`~repro.obs.ObsSession`
-    evaluates it, and a supervised ensemble member reports the value its
-    watchdog swept for the step instead of evaluating it a second time.
+    Periodic liveness record: step, simulated time, dt, discrete energy
+    and the wall-clock step rate since the previous heartbeat.  ``energy``
+    is :func:`repro.core.health.total_energy` (volume energy plus
+    sea-surface potential).  Under a supervising runner the step is the
+    runner's (steps rolled back are not counted twice, and a replayed
+    step gets no second heartbeat), ``dt`` includes the runner's backoff
+    scale, and the energy is the one its watchdog swept for the step.
 ``checkpoint`` / ``resume``
     Emitted by :class:`~repro.core.resilience.ResilientRunner` around its
     atomic checkpoint writes and restarts; a ``resume`` names the file
@@ -30,19 +37,18 @@ Events
     including wall-clock timing, retry counts and — schema v3 — the
     diagnostic-bundle path the black-box flight recorder dumped for the
     failure (``null`` when no bundle directory was configured).
+``metrics``
+    Registry snapshot: one next to every heartbeat with counters and
+    gauges only (the twin of the snapshot an ensemble worker sends up its
+    pipe), and one final record carrying the phases as well, equal to
+    the snapshot ``ObsSession.finish`` returns.  Schema v2 made
+    ``step``/``sim_t``/``metrics`` required.
 ``run_end``
     Final record: step totals, wall time, and the ``phases`` /
     ``counters`` of the run's registry snapshot
     (:meth:`repro.obs.metrics.MetricRegistry.snapshot`) — empty when the
     registry was off (no ``--profile`` / ``--trace`` / ``--metrics``;
     an ensemble member with neither ``metrics`` nor ``trace``).
-``metrics``
-    Periodic registry snapshot (counters, gauges, phases): the durable
-    twin of the snapshot a worker piggybacks on its heartbeat messages,
-    so fleet totals can be audited against per-member logs after the
-    fact.  Schema v2
-    made ``step``/``sim_t``/``metrics`` required (v1 had no required
-    fields; nothing emitted the event before v2).
 ``member_start`` / ``member_retry`` / ``member_quarantined`` /
 ``member_end`` / ``ensemble_summary``
     Supervisor-level events of the multi-process ensemble driver
@@ -65,11 +71,15 @@ import uuid
 
 import numpy as np
 
+from .blackbox import VERDICTS
+from .metrics import METRICS_SCHEMA_VERSION
+
 __all__ = [
     "SCHEMA_VERSION",
     "EVENT_FIELDS",
     "RunLog",
     "run_manifest",
+    "read_records",
     "validate_record",
     "validate_jsonl",
 ]
@@ -124,59 +134,55 @@ def _jsonable(obj):
 
 
 class RunLog:
-    """Append-only, thread-safe JSONL event sink.
+    """Append-only, thread-safe, crash-safe JSONL event sink.
 
     The file is always opened in append mode so resumed runs continue the
-    same log; every record is flushed on write so an abrupt kill loses at
-    most the record being written (and never corrupts earlier lines).
-    With ``durable=True`` every write is additionally ``fsync``'d to
-    disk — the crash-safe mode ensemble workers use, where a ``SIGKILL``
-    may arrive at any instruction and the supervisor reads the log of the
-    dead process to diagnose it.  Records that belong together (a
-    heartbeat and its metrics snapshot) share one write through
-    :meth:`emit_many`.
+    same log.  Every write is flushed and ``fsync``'d before :meth:`emit`
+    returns (about 0.07 ms on a local disk, a few dozen writes per run):
+    a process may die at any instruction — ensemble workers are killed
+    on purpose — and the record just written must survive for whoever
+    diagnoses the death.  An abrupt kill loses at most the write in
+    flight, which :func:`read_records` reports as a torn tail; earlier
+    lines are never corrupted.
     """
 
-    def __init__(self, path: str, run_id: str | None = None,
-                 durable: bool = False):
+    def __init__(self, path: str, run_id: str | None = None):
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         self.path = path
         self.run_id = run_id if run_id is not None else uuid.uuid4().hex[:12]
-        self.durable = bool(durable)
         self._fh = open(path, "a", encoding="utf-8")
         self._lock = threading.Lock()
         self._seq = 0
 
-    def emit(self, event: str, **fields) -> None:
-        """Append one record; unknown event types are a programming error."""
-        self.emit_many([(event, fields)])
+    def emit(self, event, /, **fields) -> None:
+        """Append one record — or, given a list of ``(event, fields)``
+        pairs instead of an event name, all of them under one write, one
+        flush and one ``fsync`` (a heartbeat and its metrics snapshot).
 
-    def emit_many(self, records) -> None:
-        """Append several ``(event, fields)`` records under one write, one
-        flush and (when durable) one ``fsync``: all of them are on disk
-        when the call returns, and an abrupt kill loses at most this
-        batch — a torn tail, as with a single record."""
-        for event, _ in records:
-            if event not in EVENT_FIELDS:
+        Unknown event types are a programming error: the whole batch is
+        rejected before anything is written.
+        """
+        records = event if isinstance(event, list) else [(event, fields)]
+        for name, _ in records:
+            if name not in EVENT_FIELDS:
                 raise ValueError(
-                    f"unknown run-log event {event!r} "
+                    f"unknown run-log event {name!r} "
                     f"(known: {', '.join(sorted(EVENT_FIELDS))})"
                 )
         with self._lock:
             if self._fh.closed:
                 return
             lines = []
-            for seq, (event, fields) in enumerate(records, start=self._seq):
-                rec = {"event": event, "seq": seq, "wall": time.time(),
+            for seq, (name, payload) in enumerate(records, start=self._seq):
+                rec = {"event": name, "seq": seq, "wall": time.time(),
                        "run_id": self.run_id}
-                rec.update(fields)
+                rec.update(payload)
                 lines.append(json.dumps(_jsonable(rec)) + "\n")
             self._fh.write("".join(lines))
             self._seq += len(lines)
             self._fh.flush()
-            if self.durable:
-                os.fsync(self._fh.fileno())
+            os.fsync(self._fh.fileno())
 
     @property
     def closed(self) -> bool:
@@ -250,8 +256,87 @@ def run_manifest(solver=None, config: dict | None = None,
 
 
 # ----------------------------------------------------------------------
+def _decode(path: str) -> tuple[list, bool]:
+    """``([(lineno, value, error), ...], torn)`` for every non-blank line.
+
+    ``value`` is the decoded JSON (``None`` with an ``error`` message when
+    the line does not decode).  A final line that neither decodes nor
+    ends in a newline is the partial record an abrupt kill leaves: it is
+    dropped and reported as ``torn``.  Raises ``OSError`` when the file
+    cannot be read.
+    """
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        raw = fh.read()
+    lines = raw.splitlines()
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append((lineno, json.loads(line), None))
+        except json.JSONDecodeError as exc:
+            if lineno == len(lines) and not raw.endswith("\n"):
+                return out, True
+            out.append((lineno, None, f"invalid JSON: {exc}"))
+    return out, False
+
+
+def read_records(path: str) -> tuple[list[dict], bool]:
+    """The records of a JSONL file, in order, plus its torn-tail flag.
+
+    The one reader of run logs (and of ``fleet.jsonl``): status views
+    render while workers are still writing, or after they were killed
+    mid-record, so a garbled line is skipped, a torn tail is reported in
+    the flag, and a missing or unreadable file is empty — never an
+    exception.  :func:`validate_jsonl` is the strict view of the same
+    decoding.
+    """
+    try:
+        lines, torn = _decode(path)
+    except OSError:
+        return [], False
+    return [rec for _, rec, _ in lines if isinstance(rec, dict)], torn
+
+
+def _metrics_payload_errors(snap) -> list[str]:
+    """Structural errors of one compact registry snapshot (the payload of
+    a ``metrics`` record)."""
+    if not isinstance(snap, dict):
+        return [f"metrics payload is {type(snap).__name__}, expected object"]
+    errors = []
+    schema = snap.get("schema")
+    if not isinstance(schema, int):
+        errors.append("metrics payload missing integer 'schema'")
+    elif schema > METRICS_SCHEMA_VERSION:
+        errors.append(f"metrics schema {schema} is newer than this reader "
+                      f"({METRICS_SCHEMA_VERSION})")
+    counters = snap.get("counters", {})
+    if not isinstance(counters, dict) or not all(
+            _is_number(v) for v in counters.values()):
+        errors.append("metrics 'counters' must map names to numbers")
+    gauges = snap.get("gauges", {})
+    if not isinstance(gauges, dict):
+        errors.append("metrics 'gauges' must be an object")
+    else:
+        for name, cell in gauges.items():
+            if not isinstance(cell, dict) or not _is_number(cell.get("value")):
+                errors.append(f"gauge {name!r}: expected {{'value': number}}")
+    return errors
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_record(rec) -> list[str]:
-    """Schema errors of one decoded record (empty list = valid)."""
+    """Schema errors of one decoded record (empty list = valid).
+
+    The one run-log schema: the envelope, each event's required fields,
+    the snapshot payload of ``metrics`` records, and the diagnostic-bundle
+    fields (``bundle`` null or a path, ``verdict`` one of
+    :data:`~repro.obs.blackbox.VERDICTS`).
+    """
     if not isinstance(rec, dict):
         return ["record is not a JSON object"]
     errors = []
@@ -270,6 +355,13 @@ def validate_record(rec) -> list[str]:
         errors.append("seq is not an integer")
     if "wall" in rec and not isinstance(rec["wall"], (int, float)):
         errors.append("wall is not a number")
+    if event == "metrics" and "metrics" in rec:
+        errors.extend(_metrics_payload_errors(rec["metrics"]))
+    if rec.get("bundle") is not None and not isinstance(rec["bundle"], str):
+        errors.append(f"{event}: 'bundle' must be null or a path string")
+    if rec.get("verdict") is not None and rec["verdict"] not in VERDICTS:
+        errors.append(f"{event}: verdict {rec['verdict']!r} is not one of "
+                      f"{', '.join(VERDICTS)}")
     return errors
 
 
@@ -281,33 +373,16 @@ def validate_jsonl(path: str) -> dict:
     iff ``errors`` is empty.  A *torn final line* — the one partial record
     an abrupt kill can leave, recognizable because the file does not end
     in a newline — is an expected crash artifact, not corruption: it is
-    reported as ``truncated_tail`` instead of failing the whole file.
+    reported as ``truncated_tail`` instead of failing the whole file.  A
+    garbled line anywhere else is an error.
     """
+    lines, torn = _decode(path)
     events: dict[str, int] = {}
     errors: list[tuple[int, str]] = []
-    n = 0
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read()
-    torn = bool(raw) and not raw.endswith("\n")
-    truncated_tail = False
-    lines = raw.splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        n += 1
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if torn and lineno == len(lines):
-                truncated_tail = True
-                n -= 1
-                continue
-            errors.append((lineno, f"invalid JSON: {exc}"))
-            continue
-        for msg in validate_record(rec):
+    for lineno, rec, error in lines:
+        for msg in [error] if error else validate_record(rec):
             errors.append((lineno, msg))
         if isinstance(rec, dict) and isinstance(rec.get("event"), str):
             events[rec["event"]] = events.get(rec["event"], 0) + 1
-    return {"records": n, "events": events, "errors": errors,
-            "truncated_tail": truncated_tail}
+    return {"records": len(lines), "events": events, "errors": errors,
+            "truncated_tail": torn}

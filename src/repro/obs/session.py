@@ -1,41 +1,48 @@
-"""One-stop observability wiring for examples and the CLI.
+"""The one lifecycle of a run record.
 
-:class:`ObsSession` bundles the observability features behind the shared
-``--profile`` / ``--trace`` / ``--log-json`` / ``--heartbeat-every``
-flags:
+:class:`ObsSession` is how every run is observed — the CLI, the
+examples, the perf ledger and every ensemble member (the worker runs each
+attempt under one) — behind the shared ``--profile`` / ``--trace`` /
+``--log-json`` / ``--heartbeat-every`` / ``--metrics`` flags:
 
 * ``profile=True`` prints the per-phase + roofline report at the end;
 * ``trace=PATH`` records spans and exports a Chrome-trace / Perfetto JSON
   timeline to ``PATH`` at the end (open it at https://ui.perfetto.dev,
   or summarize with ``python -m repro obs-trace PATH``); composes freely
   with ``profile``;
-* ``metrics=True`` persists compact registry snapshots as ``metrics``
-  run-log records next to every heartbeat;
-* ``log_json=PATH`` opens a structured :class:`~repro.obs.runlog.RunLog`
-  and writes the run manifest, periodic heartbeats and the final
-  ``run_end`` record (resilience events are routed into the same log by
-  passing ``session.runlog`` to ``ResilientRunner``);
+* ``metrics=True`` writes a ``metrics`` record (counters and gauges)
+  next to every heartbeat, and one final ``metrics`` record with the
+  phases as well;
+* ``log_json=PATH`` opens a :class:`~repro.obs.runlog.RunLog` (every
+  write ``fsync``'d) and writes the run manifest, periodic heartbeats and
+  the final ``run_end`` record (resilience events are routed into the
+  same log by passing ``session.runlog`` to ``ResilientRunner``);
 * ``heartbeat_every=N`` controls the heartbeat period in steps (default
   10 when logging is on).  Without a run log, an explicit ``N`` prints
   one-line heartbeats to stdout instead of being silently ignored.
 
 Any of ``profile`` / ``trace`` / ``metrics`` resets and enables the one
-process-global registry (:func:`~repro.obs.metrics.get_metrics`) for the
-run; the flags choose sinks, not registries.  ``finish()`` is
-exception-safe: the run log is closed and the registry disabled even when
-the trace export, ``run_end`` emission or report rendering raises.
+process-global registry (:func:`~repro.obs.metrics.get_metrics`) when the
+session is constructed — before the solver is built, so the build's
+plan-cache hits are counted; the flags choose sinks, not registries.
+:meth:`ObsSession.finish` is exception-safe and :meth:`ObsSession.close`
+is the exit without a ``run_end``: either way the run log is closed and
+the registry disabled.
 
 Usage pattern (see ``examples/quickstart.py``)::
 
     obs = ObsSession(profile=args.profile, log_json=args.log_json,
                      heartbeat_every=args.heartbeat_every,
                      config={"command": "quickstart", "t_end": t_end})
+    runner = ResilientRunner(solver, ..., runlog=obs.runlog)   # optional
+    hooks = obs.subscribe(HookBus(), runner=runner)
     obs.start(solver, resumed=bool(resume))
-    Scheduler(solver).run(t_end, hooks=obs.subscribe(HookBus()))
+    runner.run(t_end, hooks=hooks)     # or Scheduler(solver).run(...)
     obs.finish(solver)
 
 Heartbeats carry :func:`repro.core.health.total_energy` (volume energy
-plus sea-surface potential), the same quantity fleet members log.
+plus sea-surface potential); see :meth:`ObsSession.subscribe` for what
+they report under a supervising runner.
 """
 
 from __future__ import annotations
@@ -55,20 +62,23 @@ class ObsSession:
 
     def __init__(self, profile: bool = False, log_json: str | None = None,
                  heartbeat_every: int | None = None,
-                 config: dict | None = None, node: str = "rome",
+                 config: dict | None = None,
                  trace: str | None = None, metrics: bool = False):
         self.profile = bool(profile)
         self.trace = trace
         self.metrics = bool(metrics)
         self.config = dict(config or {})
-        self.node = node
         self.runlog = RunLog(log_json) if log_json else None
         if heartbeat_every is None:
             heartbeat_every = 10 if self.runlog is not None else 0
         self.heartbeat_every = int(heartbeat_every)
-        self.steps = 0
-        self._t0 = None
-        self._hb_t = None
+        #: the supervising runner given to :meth:`subscribe` (or ``None``)
+        self.runner = None
+        #: counters + gauges of the newest logged heartbeat (``None`` until
+        #: one, or without ``metrics``)
+        self.beat_metrics: dict | None = None
+        self._syncs = 0
+        self._t0 = self._hb_t = time.perf_counter()
         self._hb_step = 0
         self._owns_registry = (self.profile or self.trace is not None
                                or self.metrics)
@@ -83,12 +93,35 @@ class ObsSession:
         return (self.profile or self.trace is not None or self.metrics
                 or self.runlog is not None or self.heartbeat_every > 0)
 
+    @property
+    def steps(self) -> int:
+        """Steps of the run: the supervising runner's count, or the sync
+        points this session has seen."""
+        return self.runner.step_count if self.runner is not None else self._syncs
+
     # ------------------------------------------------------------------
+    def subscribe(self, bus, runner=None):
+        """Attach heartbeat/step accounting to a scheduler hook bus.
+
+        Registers :meth:`on_step` on every synchronization point of a
+        :class:`~repro.sched.HookBus` (no-op while inactive).  ``runner``
+        is the :class:`~repro.core.resilience.ResilientRunner` that will
+        advance the run, if any; then a heartbeat reports the runner's
+        step count (steps a rollback discards are not counted again, and
+        a replayed step gets no second heartbeat), ``dt`` times the
+        runner's backoff scale, and the energy its watchdog swept for the
+        step instead of evaluating it again.  Subscribe before
+        :meth:`start`.  Returns ``bus`` for fluent wiring.
+        """
+        self.runner = runner
+        if self.active:
+            bus.on_sync(self.on_step)
+        return bus
+
     def start(self, solver=None, resumed: bool = False) -> None:
         """Mark run start; writes the manifest when logging is enabled."""
-        self._t0 = time.perf_counter()
-        self._hb_t = self._t0
-        self._hb_step = 0
+        self._t0 = self._hb_t = time.perf_counter()
+        self._hb_step = self.steps
         if self.runlog is not None:
             self.runlog.emit(
                 "manifest",
@@ -98,63 +131,76 @@ class ObsSession:
     def on_step(self, solver) -> None:
         """Per-step hook: counts steps, emits periodic heartbeats.
 
-        Heartbeats go to the structured run log when one is open, and to
-        stdout otherwise — an explicit ``--heartbeat-every`` without
-        ``--log-json`` must not be silently ignored.
+        Heartbeats go to the structured run log when one is open — with
+        ``metrics``, a counters-and-gauges ``metrics`` record first, both
+        under one write — and to stdout otherwise: an explicit
+        ``--heartbeat-every`` without ``--log-json`` must not be silently
+        ignored.
         """
-        self.steps += 1
-        if self.heartbeat_every > 0 and self.steps % self.heartbeat_every == 0:
-            now = time.perf_counter()
-            span = now - (self._hb_t if self._hb_t is not None else now)
-            n = self.steps - self._hb_step
-            rate = n / span if span > 0 else 0.0
-            energy = total_energy(solver)
-            if self.runlog is not None:
-                if self.metrics:
-                    self.runlog.emit(
-                        "metrics", step=self.steps, sim_t=float(solver.t),
-                        metrics=get_metrics().snapshot(),
-                    )
-                self.runlog.emit(
-                    "heartbeat",
-                    step=self.steps,
-                    sim_t=float(solver.t),
-                    dt=float(solver.dt),
-                    energy=energy,
-                    wall_rate=rate,
-                )
-            else:
-                print(f"[heartbeat] step {self.steps} | sim t {solver.t:.6g} s"
-                      f" | dt {solver.dt:.3g} s | energy {energy:.4g} J"
-                      f" | {rate:.2f} steps/s", flush=True)
-            self._hb_t, self._hb_step = now, self.steps
-
-    def subscribe(self, bus):
-        """Attach heartbeat/step accounting to a scheduler hook bus.
-
-        Registers :meth:`on_step` on every synchronization point of a
-        :class:`~repro.sched.HookBus` (no-op while inactive).  Returns
-        ``bus`` for fluent wiring.
-        """
-        if self.active:
-            bus.on_sync(self.on_step)
-        return bus
+        self._syncs += 1
+        step = self.steps
+        if (not self.heartbeat_every or step % self.heartbeat_every
+                or step <= self._hb_step):
+            return
+        now = time.perf_counter()
+        span = now - self._hb_t
+        rate = (step - self._hb_step) / span if span > 0 else 0.0
+        runner = self.runner
+        if runner is None:
+            dt, energy = solver.dt, total_energy(solver)
+        else:
+            dt, energy = solver.dt * runner.dt_scale, runner.watchdog.last_energy
+            if energy is None:  # the watchdog keeps none (energy checks off)
+                energy = total_energy(solver)
+        if self.runlog is not None:
+            records = []
+            if self.metrics:
+                # nothing reads a beat's phases, and they would double its
+                # bytes: the final record carries them
+                snap = get_metrics().snapshot()
+                del snap["phases"]
+                self.beat_metrics = snap
+                records.append(("metrics", {"step": step,
+                                            "sim_t": float(solver.t),
+                                            "metrics": snap}))
+            records.append(("heartbeat", {"step": step,
+                                          "sim_t": float(solver.t),
+                                          "dt": float(dt),
+                                          "energy": float(energy),
+                                          "wall_rate": rate}))
+            self.runlog.emit(records)
+        else:
+            print(f"[heartbeat] step {step} | sim t {solver.t:.6g} s"
+                  f" | dt {dt:.3g} s | energy {energy:.4g} J"
+                  f" | {rate:.2f} steps/s", flush=True)
+        self._hb_t, self._hb_step = now, step
 
     # ------------------------------------------------------------------
-    def finish(self, solver=None) -> None:
-        """Export the trace, emit ``run_end``, close the log, print the
-        profile report.
+    def finish(self, solver=None) -> dict:
+        """Write the final ``metrics`` and ``run_end`` records, export the
+        trace, print the profile report, close; returns the run's registry
+        snapshot (empty ``phases`` / ``counters`` when the session does
+        not own the registry).
 
-        Wrapped in try/finally: whatever the export/emission/rendering
-        steps raise, the run log is closed and a session-enabled registry
-        is disabled — an exception mid-finish must not leak an open log
-        file or leave the registry globally on for unrelated code.
+        Wrapped in try/finally: whatever the emission/export/rendering
+        steps raise, :meth:`close` runs — an exception mid-finish must not
+        leak an open log file or leave the registry globally on for
+        unrelated code.
         """
-        wall = (time.perf_counter() - self._t0) if self._t0 is not None else 0.0
+        wall = time.perf_counter() - self._t0
         met = get_metrics()
         try:
             snap = (met.snapshot() if self._owns_registry
                     else {"phases": {}, "counters": {}})
+            if self.runlog is not None:
+                if self.metrics:
+                    self.runlog.emit("metrics", step=self.steps,
+                                     sim_t=getattr(solver, "t", None),
+                                     metrics=snap)
+                self.runlog.emit(
+                    "run_end", steps=self.steps, wall_s=wall,
+                    phases=snap["phases"], counters=snap["counters"],
+                )
             if self.trace is not None:
                 from .trace import export_chrome_trace
 
@@ -167,25 +213,25 @@ class ObsSession:
                       f"({doc['otherData']['spans']} spans; open at "
                       f"https://ui.perfetto.dev or run "
                       f"`python -m repro obs-trace {self.trace}`)")
-            if self.runlog is not None:
-                self.runlog.emit(
-                    "run_end", steps=self.steps, wall_s=wall,
-                    phases=snap["phases"], counters=snap["counters"],
-                )
             if self.profile:
                 from .report import profile_lines
 
                 order = int(solver.order) if solver is not None else None
                 print()
                 print(f"== profile ({self.steps} steps, {wall:.2f} s wall) ==")
-                for line in profile_lines(snap, order=order, wall_s=wall,
-                                          node=self.node):
+                for line in profile_lines(snap, order=order, wall_s=wall):
                     print(line)
+            return snap
         finally:
-            if self.runlog is not None:
-                self.runlog.close()
-            if self._owns_registry:
-                met.disable()
+            self.close()
+
+    def close(self) -> None:
+        """End the session without a ``run_end``: close the run log and
+        disable a session-owned registry (idempotent)."""
+        if self.runlog is not None:
+            self.runlog.close()
+        if self._owns_registry:
+            get_metrics().disable()
 
 
 # ----------------------------------------------------------------------

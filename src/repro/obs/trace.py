@@ -31,6 +31,8 @@ import json
 import os
 import time
 
+from ..io.atomic import atomic_open
+
 __all__ = [
     "TRACE_SCHEMA_VERSION",
     "chrome_trace",
@@ -136,16 +138,24 @@ def chrome_trace(trace_snapshot: dict, metadata: dict | None = None) -> dict:
 def export_chrome_trace(path: str, trace_snapshot: dict | None = None,
                         metadata: dict | None = None) -> dict:
     """Write the Perfetto-loadable JSON for ``trace_snapshot`` (default:
-    the global registry's buffer) to ``path``; returns the document."""
+    the global registry's buffer) to ``path``; returns the document.
+
+    Published atomically: an export that dies half-way leaves the previous
+    file (or none), never a torn document ``obs-trace --merge`` would
+    choke on."""
     if trace_snapshot is None:
         from .metrics import get_metrics
 
         trace_snapshot = get_metrics().trace_snapshot()
     doc = chrome_trace(trace_snapshot, metadata)
-    with open(path, "w", encoding="utf-8") as fh:
+    _write_json(path, doc)
+    return doc
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with atomic_open(path) as fh:
         json.dump(doc, fh)
         fh.write("\n")
-    return doc
 
 
 def load_trace(path: str) -> dict:
@@ -226,9 +236,9 @@ def merge_chrome_traces(run_dir: str, out_path: str | None = None) -> dict:
     sup_log = os.path.join(run_dir, "ensemble.jsonl")
     sup_events = 0
     if os.path.isfile(sup_log):
-        from .fleet import read_jsonl_tolerant
+        from .runlog import read_records
 
-        for rec in read_jsonl_tolerant(sup_log):
+        for rec in read_records(sup_log)[0]:
             wall = rec.get("wall")
             if not isinstance(wall, (int, float)):
                 continue
@@ -260,9 +270,7 @@ def merge_chrome_traces(run_dir: str, out_path: str | None = None) -> dict:
         },
     }
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+        _write_json(out_path, doc)
     return doc
 
 

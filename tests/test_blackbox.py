@@ -370,17 +370,6 @@ class TestRunnerIntegration:
         assert exc_info.value.bundle is None
         assert runner.bundles_written == []
 
-    def test_opt_out_disables_recorder(self, tmp_path):
-        solver = build_coupled(order=1)
-        inj = FaultInjector().corrupt_state(at_step=2, persistent=True)
-        runner = ResilientRunner(solver, injector=inj, max_retries=1,
-                                 verbose=False, blackbox=False,
-                                 checkpoint_dir=str(tmp_path))
-        assert runner.recorder is None
-        with pytest.raises(SimulationDiverged) as exc_info:
-            runner.run(6 * solver.dt)
-        assert exc_info.value.bundle is None
-
     def test_clean_run_dumps_nothing(self, tmp_path):
         solver = build_coupled(order=1)
         runner = ResilientRunner(solver, verbose=False,

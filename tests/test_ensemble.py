@@ -48,7 +48,7 @@ from repro.exec.plan_cache import clear_plan_cache
 from repro.io.checkpoint import checkpoint_candidates
 from repro.obs.blackbox import BUNDLE_SUFFIX, classify_bundle, load_bundle
 from repro.obs.metrics import get_metrics
-from repro.obs.runlog import validate_jsonl
+from repro.obs.runlog import read_records, validate_jsonl
 from repro.sched import Scheduler
 
 #: smallest useful member: 27-element coupled mesh, ~25 steps
@@ -220,6 +220,21 @@ class TestWorker:
         handle = spec.build()
         Scheduler(handle.solver).run(spec.t_end)
         assert beats[-1]["energy"] == total_energy(handle.solver)
+
+    def test_member_beat_reuses_the_watchdogs_energy(self, tmp_path,
+                                                     monkeypatch):
+        """A member runs under an ``ObsSession`` subscribed with its
+        runner: no beat evaluates the energy the watchdog already swept."""
+        import repro.obs.session as session_module
+
+        calls = []
+        real = session_module.total_energy
+        monkeypatch.setattr(session_module, "total_energy",
+                            lambda s: calls.append(s) or real(s))
+        result = run_member(tiny_spec(), str(tmp_path / "m"))
+        records, _ = read_records(result["paths"]["runlog"])
+        beats = [r for r in records if r["event"] == "heartbeat"]
+        assert len(beats) == result["steps"] and calls == []
 
     def test_load_result_rejects_garbage(self, tmp_path):
         path = str(tmp_path / RESULT_NAME)

@@ -23,7 +23,6 @@ from repro.obs.fleet import (
     FLEET_JSONL,
     FLEET_PROM,
     FleetAggregator,
-    read_jsonl_tolerant,
     status_lines,
     status_rows,
     watch_status,
@@ -37,6 +36,7 @@ from repro.obs.metrics import (
     to_prometheus,
     validate_prometheus,
 )
+from repro.obs.runlog import read_records
 
 from tests.test_obs import build_coupled, disabled_step_overhead
 
@@ -49,6 +49,10 @@ def _clean_metrics():
     yield
     met.disable()
     met.reset()
+
+
+def _records(path):
+    return read_records(path)[0]
 
 
 # ----------------------------------------------------------------------
@@ -163,9 +167,9 @@ class TestMergeSnapshots:
             METRICS_SCHEMA_VERSION
 
     def test_counters_sum_gauges_newest_wins(self):
-        a = {"schema": 1, "counters": {"c": 3}, "histograms": {},
+        a = {"schema": 1, "counters": {"c": 3},
              "gauges": {"g": {"value": 1.0, "t": 10.0}}}
-        b = {"schema": 1, "counters": {"c": 4, "d": 1}, "histograms": {},
+        b = {"schema": 1, "counters": {"c": 4, "d": 1},
              "gauges": {"g": {"value": 9.0, "t": 5.0}}}
         m = merge_snapshots(a, b)
         assert m["counters"] == {"c": 7, "d": 1}
@@ -242,13 +246,13 @@ class TestPrometheusExport:
         assert "repro_cache_plan_hits_total 3" in text
         assert prom_name("a/b-c.d") == "repro_a_b_c_d"
 
-    def test_constant_labels_and_extra_families(self):
+    def test_extra_families(self):
         text = to_prometheus(
-            self.registry_snapshot(), labels={"member": "m0"},
+            self.registry_snapshot(),
             extra={"fleet/members": [({}, 2.0)],
                    "fleet/gauge_max": [({"metric": "x"}, 7.0)]})
         assert validate_prometheus(text) == [], validate_prometheus(text)
-        assert 'repro_sched_steps_total{member="m0"} 42' in text
+        assert "repro_sched_steps_total 42" in text
         assert "repro_fleet_members 2.0" in text
         assert 'repro_fleet_gauge_max{metric="x"} 7.0' in text
 
@@ -258,17 +262,30 @@ class TestPrometheusExport:
         assert validate_prometheus("# TYPE x counter\nx -3\n")  # negative
         assert validate_prometheus(
             "# TYPE x counter\n# TYPE x counter\nx 1\n")  # duplicate TYPE
-        assert validate_prometheus("# TYPE h histogram\n"
-                                   'h_bucket{le="1"} 2\n'
-                                   'h_bucket{le="+Inf"} 1\n'
-                                   "h_sum 1.0\nh_count 1\n")  # not cumulative
-        assert validate_prometheus("# TYPE h histogram\n"
-                                   'h_bucket{le="+Inf"} 2\n'
-                                   "h_sum 1.0\nh_count 3\n")  # Inf != count
         assert validate_prometheus("not a metric line at all\n")
 
+    def test_histogram_in_fleet_export_fails(self, tmp_path):
+        """Nothing emits histograms (or summaries): a ``fleet.prom`` that
+        holds one is not this exporter's, and fails validation whole —
+        even a well-formed, cumulative one."""
+        agg = FleetAggregator(str(tmp_path))
+        agg.update("m0", self.registry_snapshot(), wall=100.0)
+        agg.export(now=101.0)
+        prom = tmp_path / FLEET_PROM
+        assert validate_prometheus(prom.read_text()) == []
+        with open(prom, "a") as fh:
+            fh.write("# TYPE repro_step_seconds histogram\n"
+                     'repro_step_seconds_bucket{le="+Inf"} 2\n'
+                     "repro_step_seconds_sum 1.0\n"
+                     "repro_step_seconds_count 2\n")
+        errors = validate_prometheus(prom.read_text())
+        assert any("type histogram" in e for e in errors), errors
+        assert any("repro_step_seconds_bucket has no preceding" in e
+                   for e in errors), errors
+        assert validate_prometheus("# TYPE s summary\ns 1\n")
+
     def test_validator_accepts_own_fleet_export(self, tmp_path):
-        agg = FleetAggregator(out_dir=str(tmp_path))
+        agg = FleetAggregator(str(tmp_path))
         agg.update("m0", self.registry_snapshot(), wall=100.0,
                    state="running")
         agg.update("m1", self.registry_snapshot(), wall=101.0, state="ok")
@@ -286,8 +303,8 @@ class TestFleetAggregator:
         reg.set_gauge("health/energy_drift_ratio", drift)
         return reg.snapshot()
 
-    def test_fleet_fold_sums_counters(self):
-        agg = FleetAggregator()
+    def test_fleet_fold_sums_counters(self, tmp_path):
+        agg = FleetAggregator(str(tmp_path))
         agg.update("m0", self.member_snap(10, 1.0, 1e-9), wall=50.0)
         agg.update("m1", self.member_snap(32, 2.0, 3e-9), wall=51.0)
         fleet = agg.fleet_snapshot()
@@ -296,8 +313,8 @@ class TestFleetAggregator:
         assert stats["min"] == 1e-9 and stats["max"] == 3e-9
         assert stats["n"] == 2
 
-    def test_member_brief_and_staleness(self):
-        agg = FleetAggregator()
+    def test_member_brief_and_staleness(self, tmp_path):
+        agg = FleetAggregator(str(tmp_path))
         agg.update("m0", self.member_snap(10, 1.5, 0.0), wall=50.0,
                    state="running")
         brief = agg.member_brief("m0")
@@ -305,15 +322,15 @@ class TestFleetAggregator:
         assert agg.staleness(now=57.0) == {"m0": 7.0}
         assert agg.member_brief("nope") == {}
 
-    def test_future_schema_snapshot_ignored(self):
-        agg = FleetAggregator()
+    def test_future_schema_snapshot_ignored(self, tmp_path):
+        agg = FleetAggregator(str(tmp_path))
         agg.update("m0", {"schema": METRICS_SCHEMA_VERSION + 1,
                           "counters": {"c": 1}}, wall=1.0)
         assert agg.member_snapshot("m0") is None  # not misfolded
         assert "m0" in agg.members  # but liveness is still refreshed
 
     def test_export_atomic_artifacts(self, tmp_path):
-        agg = FleetAggregator(out_dir=str(tmp_path))
+        agg = FleetAggregator(str(tmp_path))
         agg.update("m0", self.member_snap(5, 0.5, 0.0), wall=10.0,
                    state="running")
         agg.export(now=11.0)
@@ -322,7 +339,7 @@ class TestFleetAggregator:
         agg.export(now=13.0)
         prom = (tmp_path / FLEET_PROM).read_text()
         assert validate_prometheus(prom) == [], validate_prometheus(prom)
-        history = read_jsonl_tolerant(str(tmp_path / FLEET_JSONL))
+        history = _records(str(tmp_path / FLEET_JSONL))
         assert len(history) == 2  # full bounded history, newest last
         assert history[-1]["members"]["m0"]["state"] == "ok"
         assert history[-1]["fleet"]["counters"]["sched/steps_total"] == 9
@@ -330,8 +347,9 @@ class TestFleetAggregator:
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
     def test_export_requires_out_dir(self):
-        with pytest.raises(ValueError, match="out_dir"):
-            FleetAggregator().export()
+        # where the exporters write is fixed at construction
+        with pytest.raises(TypeError, match="out_dir"):
+            FleetAggregator()
 
 
 # ----------------------------------------------------------------------
@@ -349,8 +367,7 @@ class TestStatusView:
                            "sched/sim_time": {"value": 0.8, "t": 104.0},
                            "sched/wall_rate": {"value": 25.0, "t": 104.0},
                            "health/energy_drift_ratio":
-                               {"value": 2e-9, "t": 104.0}},
-                "histograms": {}}
+                               {"value": 2e-9, "t": 104.0}}}
         self.write_jsonl(str(root / "m0" / "run.jsonl"), [
             {"event": "heartbeat", "seq": 1, "wall": 100.0, "run_id": "r",
              "step": 20, "sim_t": 0.4, "dt": 0.01, "energy": 1.0,
@@ -467,7 +484,7 @@ class TestDisabledOverhead:
 # ----------------------------------------------------------------------
 def _last_metrics_steps(runlog_path):
     """``sched/steps_total`` of the last metrics record in a run log."""
-    metrics = [r for r in read_jsonl_tolerant(runlog_path)
+    metrics = [r for r in _records(runlog_path)
                if r.get("event") == "metrics"]
     assert metrics, f"no metrics records in {runlog_path}"
     return metrics[-1]["metrics"]["counters"]["sched/steps_total"]
@@ -510,7 +527,7 @@ class TestEnsembleFleetMetrics:
         assert _prom_value(prom, "repro_sched_steps_total") == expected
         assert _prom_value(prom, "repro_fleet_members") == 2.0
 
-        history = read_jsonl_tolerant(str(tmp_path / FLEET_JSONL))
+        history = _records(str(tmp_path / FLEET_JSONL))
         assert history
         last = history[-1]
         assert last["fleet"]["counters"]["sched/steps_total"] == expected
@@ -543,7 +560,7 @@ class TestEnsembleFleetMetrics:
             specs[1], injector=FaultInjector().kill_process(at_step=10),
             checkpoint_every=0.03)
         self.run_ensemble(specs, tmp_path)
-        sup = read_jsonl_tolerant(str(tmp_path / "ensemble.jsonl"))
+        sup = _records(str(tmp_path / "ensemble.jsonl"))
         retries = [r for r in sup if r.get("event") == "member_retry"]
         assert retries
         # the retry event is self-contained: it embeds where the member was
@@ -558,7 +575,7 @@ class TestEnsembleFleetMetrics:
         from repro.obs.report import phase_total
 
         self.run_ensemble(self.specs(n=1), tmp_path)
-        records = read_jsonl_tolerant(str(tmp_path / "m0" / "run.jsonl"))
+        records = _records(str(tmp_path / "m0" / "run.jsonl"))
         run_end = [r for r in records if r.get("event") == "run_end"][-1]
         result = load_result(str(tmp_path / "m0" / "result.json"))
         n_elements = [r for r in records
@@ -575,7 +592,7 @@ class TestEnsembleFleetMetrics:
         result = self.run_ensemble(self.specs(metrics=False), tmp_path)
         assert result.counts["ok"] == 2
         for m in result.members:
-            records = read_jsonl_tolerant(
+            records = _records(
                 str(tmp_path / m.member_id / "run.jsonl"))
             assert not [r for r in records if r.get("event") == "metrics"]
 
@@ -631,7 +648,7 @@ class TestEnsembleFleetMetricsSpawned:
             for m in result.members)
         assert expected > 0
         assert _prom_value(prom, "repro_sched_steps_total") == expected
-        history = read_jsonl_tolerant(str(tmp_path / FLEET_JSONL))
+        history = _records(str(tmp_path / FLEET_JSONL))
         assert history[-1]["fleet"]["counters"]["sched/steps_total"] == \
             expected
 

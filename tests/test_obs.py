@@ -15,6 +15,7 @@ from repro.obs import (
     ObsSession,
     RunLog,
     get_metrics,
+    read_records,
     run_manifest,
     validate_jsonl,
 )
@@ -58,6 +59,21 @@ def build_coupled(order=2):
                     moment=[5e12] * 3 + [0, 0, 0])
     )
     return solver
+
+
+def check_runlog_tool():
+    """``tools/check_runlog.py`` loaded as a module."""
+    import importlib.util
+    import os
+
+    spec = importlib.util.spec_from_file_location(
+        "check_runlog",
+        os.path.join(os.path.dirname(__file__), "..", "tools",
+                     "check_runlog.py"),
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def disabled_step_overhead(solver, sites, one_site, n=50_000):
@@ -366,6 +382,31 @@ class TestRunLog:
         assert any("missing required field" in m for m in msgs)
         assert any("invalid JSON" in m for m in msgs)
 
+    def test_one_schema_for_payloads_and_bundle_fields(self, tmp_path,
+                                                       capsys):
+        """A ``metrics`` payload, a ``bundle`` path and a ``verdict`` are
+        part of the one schema: ``obs-report --check`` and
+        ``check_runlog.py`` reject the same log for the same reasons."""
+        from repro.__main__ import main
+
+        path = str(tmp_path / "run.jsonl")
+        with RunLog(path) as log:
+            log.emit("manifest", **run_manifest(config={}))
+            log.emit("metrics", step=1, sim_t=0.0, metrics={
+                "schema": 1, "counters": {"c": "many"},
+                "gauges": {"g": 1.0}})
+            log.emit("member_quarantined", member="m0", attempts=1,
+                     diagnosis="?", verdict="gremlins", bundle=7)
+        msgs = [m for _, m in validate_jsonl(path)["errors"]]
+        assert any("'counters' must map names to numbers" in m for m in msgs)
+        assert any("gauge 'g'" in m for m in msgs)
+        assert any("verdict 'gremlins'" in m for m in msgs)
+        assert any("'bundle' must be null" in m for m in msgs)
+        assert len(msgs) == 4
+        assert main(["obs-report", path, "--check"]) == 1
+        assert check_runlog_tool().main([path]) == 1
+        assert "4 schema error(s) -> INVALID" in capsys.readouterr().out
+
     def test_manifest_covers_solver_identity(self):
         solver = build_coupled(order=2)
         man = run_manifest(solver, config={"command": "t"}, resumed=False)
@@ -454,6 +495,39 @@ class TestObsSession:
         assert div["attempts"] == 3 and div["wall_s"] > 0.0
         rec = [r for r in recs if r["event"] == "recovery"][0]
         assert rec["attempt"] == 1 and "NaN" in rec["reason"]
+
+    def test_supervised_heartbeats_follow_the_runner(self, tmp_path):
+        """Under a ``ResilientRunner`` that rolls back once, the session
+        counts the runner's steps (not the discarded ones a second time),
+        never beats a replayed step again, and reports the backed-off
+        ``dt`` the step actually took."""
+        path = str(tmp_path / "run.jsonl")
+        solver = build_coupled(order=1)
+        obs = ObsSession(log_json=path, heartbeat_every=1, metrics=True)
+        runner = ResilientRunner(
+            solver, checkpoint_every=3 * solver.dt,
+            injector=FaultInjector().corrupt_state(at_step=5),  # one-shot
+            max_retries=2, verbose=False, runlog=obs.runlog)
+        hooks = obs.subscribe(HookBus(), runner=runner)
+        dt_at = {}  # step -> dt when the step first completed
+        hooks.on_sync(lambda s: dt_at.setdefault(
+            runner.step_count, s.dt * runner.dt_scale))
+        obs.start(solver)
+        runner.run(8 * solver.dt, hooks=hooks)
+        obs.finish(solver)
+
+        assert runner.rollbacks == 1
+        recs, _ = read_records(path)
+        run_end = [r for r in recs if r["event"] == "run_end"][-1]
+        assert run_end["steps"] == runner.step_count
+        beats = [r for r in recs if r["event"] == "heartbeat"]
+        steps = [b["step"] for b in beats]
+        assert steps == sorted(set(steps))  # strictly increasing
+        assert steps[-1] == runner.step_count
+        assert any(dt_at[s] != solver.dt for s in steps)  # a backed-off beat
+        for b in beats:
+            assert b["dt"] == dt_at[b["step"]]
+        assert validate_jsonl(path)["errors"] == []
 
     def test_heartbeat_rate_and_chain(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -667,17 +741,7 @@ class TestReport:
         assert main(["obs-report", path, "--node", "atari2600"]) == 2
 
     def test_check_runlog_tool(self, tmp_path):
-        import importlib.util
-        import os
-
-        spec = importlib.util.spec_from_file_location(
-            "check_runlog",
-            os.path.join(os.path.dirname(__file__), "..", "tools",
-                         "check_runlog.py"),
-        )
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-
+        mod = check_runlog_tool()
         path = str(tmp_path / "run.jsonl")
         with RunLog(path) as log:
             log.emit("manifest", **run_manifest(config={}))
@@ -692,11 +756,12 @@ class TestReport:
 
 # ----------------------------------------------------------------------
 class TestRunLogDurability:
-    """Crash-safe logging for ensemble workers (ISSUE 6 satellites)."""
+    """Crash-safe logging: every run log may belong to a process that is
+    killed at any instruction."""
 
     def test_durable_records_visible_before_close(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        log = RunLog(path, durable=True)
+        log = RunLog(path)
         log.emit("heartbeat", step=1, sim_t=0.0, dt=0.1, energy=0.0,
                  wall_rate=1.0)
         # no close(): a kill -9 right now must still leave the record
@@ -741,20 +806,21 @@ class TestRunLogDurability:
         assert result["truncated_tail"]
 
     def test_emit_many_is_one_write_one_fsync(self, tmp_path, monkeypatch):
-        """A batch is durable when the call returns, under a single fsync,
-        with consecutive ``seq``; one record still costs one fsync."""
+        """Many records handed to ``emit`` as one list are durable when the
+        call returns, under a single fsync, with consecutive ``seq``; one
+        record still costs one fsync."""
         import os as _os
 
         syncs = []
         real_fsync = _os.fsync
         monkeypatch.setattr(_os, "fsync", lambda fd: syncs.append(fd) or real_fsync(fd))
         path = str(tmp_path / "run.jsonl")
-        log = RunLog(path, durable=True)
+        log = RunLog(path)
         log.emit("heartbeat", step=1, sim_t=0.0, dt=0.1, energy=0.0,
                  wall_rate=1.0)
         assert len(syncs) == 1
-        log.emit_many([
-            ("metrics", dict(step=2, sim_t=0.1, metrics={})),
+        log.emit([
+            ("metrics", dict(step=2, sim_t=0.1, metrics={"schema": 1})),
             ("heartbeat", dict(step=2, sim_t=0.1, dt=0.1, energy=0.0,
                                wall_rate=1.0)),
         ])
@@ -769,11 +835,28 @@ class TestRunLogDurability:
         assert result["errors"] == [] and result["records"] == 4
         assert json.loads(open(path).readlines()[-1])["seq"] == 3
 
+    def test_read_records_tolerates_what_a_kill_leaves(self, tmp_path):
+        """The one reader skips garbled and non-object lines, reports a
+        torn tail in its flag, and reads a missing file as empty."""
+        path = str(tmp_path / "run.jsonl")
+        with RunLog(path) as log:
+            log.emit("heartbeat", step=1, sim_t=0.0, dt=0.1, energy=0.0,
+                     wall_rate=1.0)
+        with open(path, "a") as fh:
+            fh.write("not json\n[1, 2]\n\n")
+            fh.write('{"event": "metrics", "step": 2, "si')
+        records, torn = read_records(path)
+        assert [r["event"] for r in records] == ["heartbeat"] and torn
+        assert read_records(str(tmp_path / "missing.jsonl")) == ([], False)
+        result = validate_jsonl(path)  # the strict view of the same lines
+        assert [m for _, m in result["errors"]][0].startswith("invalid JSON")
+        assert result["records"] == 3 and result["truncated_tail"]
+
     def test_emit_many_rejects_the_whole_batch(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         with RunLog(path) as log:
             with pytest.raises(ValueError, match="unknown run-log event"):
-                log.emit_many([
+                log.emit([
                     ("heartbeat", dict(step=1, sim_t=0.0, dt=0.1, energy=0.0,
                                        wall_rate=1.0)),
                     ("explosion", {}),
@@ -787,8 +870,8 @@ class TestRunLogDurability:
         partial line: the torn-tail rule covers it."""
         path = str(tmp_path / "run.jsonl")
         with RunLog(path) as log:
-            log.emit_many([
-                ("metrics", dict(step=1, sim_t=0.0, metrics={})),
+            log.emit([
+                ("metrics", dict(step=1, sim_t=0.0, metrics={"schema": 1})),
                 ("heartbeat", dict(step=1, sim_t=0.0, dt=0.1, energy=0.0,
                                    wall_rate=1.0)),
             ])

@@ -1,6 +1,7 @@
 """Span tracing: bounded buffer, Chrome-trace export, summarizer, CLI."""
 
 import json
+import os
 import threading
 
 import pytest
@@ -234,6 +235,25 @@ class TestChromeTraceExport:
         doc = export_chrome_trace(path)  # registry never traced
         assert validate_chrome_trace(doc) == []
         assert doc["otherData"]["spans"] == 0
+
+    def test_interrupted_export_leaves_no_partial_file(self, tmp_path):
+        """An export that dies mid-write — here on a span argument JSON
+        cannot encode, after most of the document is out — leaves the
+        previous trace whole, or no file at all: never the torn document
+        ``obs-trace --merge`` would choke on."""
+        spans = [("step", 0.0, 1.0, 1, None)] * 2000
+        bad = {"spans": spans + [("x", 1.0, 2.0, 1, {"arg": object()})],
+               "threads": {}}
+        fresh = tmp_path / "fresh.json"
+        with pytest.raises(TypeError):
+            export_chrome_trace(str(fresh), bad)
+        assert not fresh.exists()
+        kept = tmp_path / "trace.json"
+        good = export_chrome_trace(str(kept), {"spans": spans, "threads": {}})
+        with pytest.raises(TypeError):
+            export_chrome_trace(str(kept), bad)
+        assert json.loads(kept.read_text()) == good
+        assert os.listdir(tmp_path) == ["trace.json"]  # no temp file left
 
 
 class TestValidator:

@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
 """Validate a structured run log (JSONL) produced with ``--log-json``.
 
-Checks every line against the repro.obs schema and optionally enforces
-minimum content requirements (used by CI to assert that a kill/resume
-pair actually produced two manifests and a stream of heartbeats).
-``metrics`` records additionally have their snapshot payload checked
-against the :mod:`repro.obs.metrics` compact-snapshot shape (schema
-version, counter/gauge/histogram structure), and ``recovery`` /
-``diverged`` / ``member_quarantined`` records have their schema-v3
-diagnostic-bundle fields type-checked (``bundle`` null-or-string,
-``verdict`` a known classifier verdict).
+Checks every line against the one repro.obs run-log schema
+(:func:`repro.obs.runlog.validate_record`: envelope, required fields,
+``metrics`` snapshot payloads, diagnostic-bundle ``bundle`` / ``verdict``
+fields — the same judgement ``python -m repro obs-report --check``
+passes) and optionally enforces minimum content requirements (used by CI
+to assert that a kill/resume pair actually produced two manifests and a
+stream of heartbeats).
 
 Pointing the tool at an **ensemble out-dir** instead of a file validates
 ``ensemble.jsonl`` plus every member's ``run.jsonl``, reports each
@@ -26,75 +24,12 @@ Run:  python tools/check_runlog.py RUN.jsonl [--min-manifests 2] [--require-hear
 """
 
 import argparse
-import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.obs import validate_jsonl  # noqa: E402
-from repro.obs.blackbox import VERDICTS  # noqa: E402
-from repro.obs.metrics import METRICS_SCHEMA_VERSION  # noqa: E402
-
-#: events whose schema-v3 payload carries a diagnostic-bundle path
-_BUNDLE_EVENTS = ("recovery", "diverged", "member_quarantined", "member_retry")
-
-
-def check_bundle_fields(rec) -> list[str]:
-    """Type errors in a record's bundle/verdict fields (empty = ok)."""
-    errors = []
-    event = rec.get("event")
-    if "bundle" in rec and rec["bundle"] is not None \
-            and not isinstance(rec["bundle"], str):
-        errors.append(f"{event}: 'bundle' must be null or a path string")
-    if "verdict" in rec and rec["verdict"] is not None:
-        if rec["verdict"] not in VERDICTS:
-            errors.append(f"{event}: verdict {rec['verdict']!r} is not one "
-                          f"of {', '.join(VERDICTS)}")
-    return errors
-
-
-def check_metrics_payload(snap) -> list[str]:
-    """Structural errors in one compact metrics snapshot (empty = ok)."""
-    errors = []
-    if not isinstance(snap, dict):
-        return [f"metrics payload is {type(snap).__name__}, expected object"]
-    schema = snap.get("schema")
-    if not isinstance(schema, int):
-        errors.append("metrics payload missing integer 'schema'")
-    elif schema > METRICS_SCHEMA_VERSION:
-        # future schema: tolerated (forward compatibility), worth a note
-        errors.append(f"metrics schema {schema} is newer than this tool "
-                      f"({METRICS_SCHEMA_VERSION})")
-    counters = snap.get("counters", {})
-    if not isinstance(counters, dict) or any(
-            not isinstance(v, (int, float)) or isinstance(v, bool)
-            for v in counters.values()):
-        errors.append("metrics 'counters' must map names to numbers")
-    gauges = snap.get("gauges", {})
-    if not isinstance(gauges, dict):
-        errors.append("metrics 'gauges' must be an object")
-    else:
-        for name, cell in gauges.items():
-            if (not isinstance(cell, dict)
-                    or not isinstance(cell.get("value"), (int, float))
-                    or isinstance(cell.get("value"), bool)):
-                errors.append(f"gauge {name!r}: expected {{'value': number}}")
-    hists = snap.get("histograms", {})
-    if not isinstance(hists, dict):
-        errors.append("metrics 'histograms' must be an object")
-    else:
-        for name, cell in hists.items():
-            if not isinstance(cell, dict):
-                errors.append(f"histogram {name!r}: expected object")
-                continue
-            bounds = cell.get("bounds")
-            counts = cell.get("counts")
-            if (not isinstance(bounds, list) or not isinstance(counts, list)
-                    or len(counts) != len(bounds) + 1):
-                errors.append(f"histogram {name!r}: need len(counts) == "
-                              "len(bounds) + 1")
-    return errors
+from repro.obs.runlog import read_records, validate_jsonl  # noqa: E402
 
 
 def check_file(path, min_manifests=0, require_heartbeat=False,
@@ -106,45 +41,14 @@ def check_file(path, min_manifests=0, require_heartbeat=False,
     """
     label = label or path
     result = validate_jsonl(path)
-    ok = True
+    ok = not result["errors"]
     for lineno, msg in result["errors"]:
         print(f"{label}:{lineno}: {msg}", file=sys.stderr)
-        ok = False
 
-    # second pass: metrics payload structure, bundle-field types, and
-    # wall stamps for staleness
-    last_wall = None
-    last_metrics_wall = None
-    n_metrics = 0
-    bundles = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # already reported by validate_jsonl
-            if not isinstance(rec, dict):
-                continue
-            wall = rec.get("wall")
-            if isinstance(wall, (int, float)) and not isinstance(wall, bool):
-                last_wall = max(last_wall or wall, wall)
-            if rec.get("event") == "metrics":
-                n_metrics += 1
-                if isinstance(wall, (int, float)):
-                    last_metrics_wall = wall
-                for msg in check_metrics_payload(rec.get("metrics")):
-                    print(f"{label}:{lineno}: {msg}", file=sys.stderr)
-                    ok = False
-            if rec.get("event") in _BUNDLE_EVENTS:
-                for msg in check_bundle_fields(rec):
-                    print(f"{label}:{lineno}: {msg}", file=sys.stderr)
-                    ok = False
-                if isinstance(rec.get("bundle"), str):
-                    bundles.append(rec["bundle"])
-
+    records, _ = read_records(path)
+    walls = [r["wall"] for r in records
+             if isinstance(r.get("wall"), (int, float))]
+    metrics = [r for r in records if r.get("event") == "metrics"]
     events = result["events"]
     n_manifests = events.get("manifest", 0)
     if n_manifests < min_manifests:
@@ -156,14 +60,16 @@ def check_file(path, min_manifests=0, require_heartbeat=False,
         ok = False
 
     summary = ", ".join(f"{k}={v}" for k, v in sorted(events.items()))
-    if result.get("truncated_tail"):
+    if result["truncated_tail"]:
         summary += ", truncated_tail"
     status = "OK" if ok else "FAIL"
     print(f"check_runlog: {label}: {result['records']} record(s) "
           f"[{summary}] -> {status}")
-    return ok, {"events": events, "last_wall": last_wall,
-                "last_metrics_wall": last_metrics_wall,
-                "n_metrics": n_metrics, "bundles": bundles}
+    return ok, {"events": events, "last_wall": max(walls, default=None),
+                "last_metrics_wall": metrics[-1].get("wall") if metrics else None,
+                "n_metrics": len(metrics),
+                "bundles": [r["bundle"] for r in records
+                            if isinstance(r.get("bundle"), str)]}
 
 
 def check_ensemble_dir(run_dir, require_metrics=False) -> bool:

@@ -23,8 +23,10 @@ step window and (ii) every finer neighboring cluster has completed the
 window (buffer full).  Because that cadence is static, it is compiled
 once into a :class:`~repro.sched.StepPlan` and replayed by the shared
 :class:`~repro.sched.Scheduler`; this module only owns the *clustering*
-(assignment, normalization, statistics) and the per-cluster row layout
-the scheduler reads.
+(assignment, normalization, statistics), the canonical mesh layout that
+makes every cluster contiguous (:func:`cluster_major`: elements by
+cluster, faces oriented fine-to-coarse and sorted by cluster pair) and
+the per-cluster row layout the scheduler reads.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from ..kernels.fusion import row_set
 from .cfl import element_timesteps
 
-__all__ = ["cluster_elements", "cluster_major_order", "lts_statistics",
+__all__ = ["cluster_elements", "cluster_major", "lts_statistics",
            "LocalTimeStepping"]
 
 
@@ -75,20 +77,40 @@ def cluster_elements(
     return cluster, dt_min
 
 
-def cluster_major_order(mesh, order: int, safety: float = 0.35) -> np.ndarray:
-    """The element permutation that makes every rate-2 cluster a row range.
+def cluster_major(mesh, order: int, safety: float = 0.35) -> None:
+    """Canonicalise a mesh for rate-2 clustered LTS, in place.
 
-    Stable argsort of the clustering, for
-    :meth:`~repro.mesh.tetmesh.TetMesh.renumber_elements`: elements keep
-    their relative order inside a cluster, so on an already sorted mesh
-    it is the identity.  Clamping with ``max_cluster`` merges the top
-    clusters and keeps the ranges contiguous.  The scenario builders
-    apply it once, after fault marking and boundary tagging and right
-    before the solver is built (the cluster-sorted element order of
-    Breuer & Heinecke, arXiv:2202.10313).
+    The cluster-sorted layout of Breuer & Heinecke (arXiv:2202.10313),
+    elements and faces alike:
+
+    * elements are renumbered by a stable argsort of the clustering, so
+      every cluster is a row range (clamping with ``max_cluster`` merges
+      the top clusters and keeps the ranges contiguous);
+    * every regular interior face is oriented with the *finer* cluster on
+      its minus side (:meth:`~repro.mesh.tetmesh.TetMesh.flip_faces`;
+      fault faces never straddle clusters and are never flipped);
+    * interior faces are stably sorted by (minus cluster, plus cluster),
+      boundary faces by element.
+
+    Normalization keeps neighbours within one level, so inside every
+    orientation class the faces cluster ``c`` updates are then one run —
+    ``(c-1, c)`` (plus side only) | ``(c, c)`` (both) | ``(c, c+1)``
+    (minus side only) — and a masked face selection is a view of the
+    operator plan (:mod:`repro.kernels.fusion`).  The result is a fixed
+    point: canonicalising a canonical mesh changes nothing, so GTS and
+    LTS solvers, or a resumed run, can share one mesh.  The scenario
+    builders call it once, after fault marking and boundary tagging and
+    right before the solver is built.
     """
-    return np.argsort(cluster_elements(mesh, order, safety=safety)[0],
-                      kind="stable")
+    cluster = cluster_elements(mesh, order, safety=safety)[0]
+    perm = np.argsort(cluster, kind="stable")
+    mesh.renumber_elements(perm)
+    cluster = cluster[perm]
+    itf = mesh.interior
+    mesh.flip_faces(cluster[itf.minus_elem] > cluster[itf.plus_elem])
+    mesh.reorder_faces(
+        np.lexsort((cluster[itf.plus_elem], cluster[itf.minus_elem])),
+        np.argsort(mesh.boundary.elem, kind="stable"))
 
 
 def lts_statistics(cluster: np.ndarray, rate: int = 2) -> dict:
@@ -147,8 +169,8 @@ class LocalTimeStepping:
 
     Holds the cluster assignment and the per-cluster row sets the
     scheduler's micro-steps touch: ``idx[c]`` (own; a ``slice`` on a
-    cluster-major mesh, see :func:`cluster_major_order`, sorted ids
-    otherwise), and the small id arrays ``halo[c][cn]`` and ``exposed[c]``
+    mesh canonicalised by :func:`cluster_major`, sorted ids otherwise),
+    and the small id arrays ``halo[c][cn]`` and ``exposed[c]``
     (see :func:`_halo_layout`).  ``Scheduler(solver, lts).run(t_end)``
     advances the solver along it.
     """

@@ -60,7 +60,7 @@ def quickstart_builder(perturb: dict, seed: int, backend: str = "serial",
     (source frequency), ``moment``, ``source_depth``, ``amp_jitter``
     (relative moment jitter scale driven by the seed).
     """
-    from ..core.lts import cluster_major_order
+    from ..core.lts import cluster_major
     from ..core.materials import acoustic, elastic
     from ..core.solver import (
         CoupledSolver,
@@ -90,7 +90,7 @@ def quickstart_builder(perturb: dict, seed: int, backend: str = "serial",
         earth=crust, ocean=ocean,
     )
     mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-    mesh.renumber_elements(cluster_major_order(mesh, int(p["order"])))
+    cluster_major(mesh, int(p["order"]))
     solver = CoupledSolver(mesh, order=int(p["order"]), backend=backend,
                            workers=workers)
 

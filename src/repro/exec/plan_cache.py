@@ -15,6 +15,8 @@ everything the plan depends on:
 * the material table and per-element material assignment,
 * boundary tags and fault-face marks (they decide which faces the generic
   kernels own),
+* the order and orientation of both face tables (the plan's face rows
+  follow them),
 * polynomial order and flux variant.
 
 The same mesh-level digest feeds :func:`repro.io.checkpoint.fingerprint`,
@@ -67,17 +69,25 @@ def mesh_fingerprint(mesh) -> str:
 
     Covers geometry, topology, the material table and assignment, boundary
     tags and fault marks — everything the spatial operator (and a saved
-    solver state) depends on.  Tagging or fault-marking a mesh changes the
-    digest, so fingerprints must be taken *after* mesh setup is complete.
+    solver state) depends on — and the face tables' order and orientation:
+    the plan's face rows, a partition's tie-breaks and the per-face state
+    of a checkpoint (fault slip, sea-surface height) follow them.  Tagging,
+    fault-marking or canonicalising a mesh (:func:`repro.core.lts.cluster_major`)
+    changes the digest, so fingerprints must be taken *after* mesh setup
+    is complete.
     """
+    itf, bnd = mesh.interior, mesh.boundary
     h = hashlib.sha256()
     _hash_arrays(h, [
         ("vertices", mesh.vertices),
         ("tets", mesh.tets),
         ("material_ids", mesh.material_ids),
         ("materials", np.array([[m.rho, m.lam, m.mu] for m in mesh.materials])),
-        ("boundary_kind", mesh.boundary.kind),
-        ("fault_faces", mesh.interior.is_fault),
+        ("boundary_kind", bnd.kind),
+        ("fault_faces", itf.is_fault),
+        ("interior_faces", np.stack([itf.minus_elem, itf.plus_elem,
+                                     itf.minus_face, itf.plus_face, itf.perm])),
+        ("boundary_faces", np.stack([bnd.elem, bnd.face])),
     ])
     return h.hexdigest()
 

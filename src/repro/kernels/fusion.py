@@ -62,15 +62,22 @@ Batch independence
 Local time-stepping repeatedly calls the kernels with the same
 per-cluster activity masks; the masked selections are content-addressed
 (SHA-1 of the mask bytes) and cached on the operator, so the selection
-work happens once per cluster, not once per micro-step.  The element
-selection (:func:`active_rows`) is shared by the volume kernel, the lift
-and the backends' masked predictor.  It is a :func:`row_set`: a ``slice``
-on a cluster-major mesh (:func:`repro.core.lts.cluster_major_order`), so
-``I[idx]``, ``fb[idx]`` and ``starT`` are views and ``out[idx] += ...``
-updates in place, else the sorted ids under the same expressions.  The
-interior selection is made per *side* — the faces of a class are laid
-out minus-only / both / plus-only, so each side's faces are one slice
-and an interface face computes only the flux of the side that is updated.
+work happens once per cluster, not once per micro-step.  Every selection
+is a :func:`row_set` of the plan's rows: a ``slice`` — so the selected
+rows are *views* of the plan — when they are one run, else the ids
+under the same expressions (fancy-indexed copies, same bits).  On a mesh
+canonicalised by :func:`repro.core.lts.cluster_major` every cluster's
+selection is one run.  The element selection (:func:`active_rows`) is
+shared by the volume kernel, the lift and the backends' masked
+predictor: ``I[idx]``, ``fb[idx]`` and ``starT`` are views and
+``out[idx] += ...`` updates in place.  The interior selection is made
+per *side*: the faces of a class with an active side are taken
+plus-only | both | minus-only, which on a canonical mesh is the plan's
+own order (``(c-1, c)`` | ``(c, c)`` | ``(c, c+1)`` cluster pairs), so
+``em`` / ``ep`` / ``Gm`` / ``Gp`` are views, each side's faces are one
+slice of one trace pair, and an interface face computes only the flux of
+the side that is updated.  Boundary faces sorted by element make the
+boundary selection (``elem`` / ``G``) views as well.
 
 All results match the quadrature-form reference kernels of
 ``tests/reference_kernels.py`` up to floating-point reassociation (the
@@ -454,11 +461,12 @@ def memo_by_mask(cache: OrderedDict, active: np.ndarray, select):
 
 
 def row_set(ids: np.ndarray):
-    """Sorted unique row ids as a ``slice`` when they are one run (indexing
-    then yields views and in-place updates), else as they are.  The one
-    place that decides: every caller indexes with whatever it returns."""
+    """Unique row ids as a ``slice`` when they are one increasing run
+    (indexing then yields views and in-place updates), else as they are.
+    The one place that decides: every caller indexes with whatever it
+    returns."""
     n = len(ids)
-    if n and ids[-1] - ids[0] != n - 1:
+    if (np.diff(ids) != 1).any():
         return ids
     start = int(ids[0]) if n else 0
     return slice(start, start + n)
@@ -515,28 +523,27 @@ def _face_buffer(op) -> np.ndarray:
 def _interior_masked_entries(op, active):
     """Per-group, per-side selections for one activity mask.
 
-    The faces of a group with an active side are laid out minus-only,
-    both, plus-only: the minus side updates faces ``[:b]``, the plus side
+    The faces of a group with an active side are taken plus-only, both,
+    minus-only: the plus side updates faces ``[:b]``, the minus side
     faces ``[a:]`` — contiguous slices of one trace pair, each with its
-    own ``G`` rows, so no face computes a flux nobody lifts.
+    own ``G`` rows, so no face computes a flux nobody lifts.  On a
+    canonical mesh (:func:`repro.core.lts.cluster_major`) that is the
+    plan's own face order, so every array is a view of the plan.
     """
     entries = []
     for grp in op.interior_groups:
         am = active[grp.em]
         ap = active[grp.ep]
-        only_m = np.flatnonzero(am & ~ap)
-        both = np.flatnonzero(am & ap)
         only_p = np.flatnonzero(ap & ~am)
-        order = np.concatenate([only_m, both, only_p])
-        if not len(order):
+        both = np.flatnonzero(am & ap)
+        sel = np.concatenate([only_p, both, np.flatnonzero(am & ~ap)])
+        if not len(sel):
             entries.append(None)
             continue
-        a, b = len(only_m), len(only_m) + len(both)
-        entries.append((
-            grp.em[order], grp.ep[order], a, b,
-            np.ascontiguousarray(grp.Gm[order[:b]]),
-            np.ascontiguousarray(grp.Gp[order[a:]]),
-        ))
+        a, b = len(only_p), len(only_p) + len(both)
+        rows = row_set(sel)
+        entries.append((grp.em[rows], grp.ep[rows], a, b,
+                        grp.Gm[row_set(sel[a:])], grp.Gp[row_set(sel[:b])]))
     return entries
 
 
@@ -563,13 +570,25 @@ def fused_interior_residual(op, I, out, active=None) -> None:
         cols = X.reshape(n, 2 * nF, 18)
         np.matmul(grp.Wm, I[em], out=cols[:, :, :9])
         np.matmul(grp.Wp, I[ep], out=cols[:, :, 9:])
-        if b:
-            fb[em[:b], grp.fm] = np.matmul(X[:b, 0], Gm)
         if a < n:
-            fb[ep[a:], grp.fp] = np.matmul(X[a:, 1], Gp)
+            fb[em[a:], grp.fm] = np.matmul(X[a:, 0], Gm)
+        if b:
+            fb[ep[:b], grp.fp] = np.matmul(X[:b, 1], Gp)
     lift = face_factors(op.order).lift
     idx = active_rows(op, active)[0]
     out[idx] += np.matmul(lift, fb[idx].reshape(-1, 4 * nF, 9))
+
+
+def _boundary_masked_entries(op, active):
+    """Per-group ``(elem, G)`` of the faces of active elements for one
+    activity mask; boundary faces sorted by element (a canonical mesh)
+    make them one run of the group, i.e. views of the plan."""
+    entries = []
+    for grp in op.boundary_groups:
+        sel = np.flatnonzero(active[grp.elem])
+        rows = row_set(sel)
+        entries.append((grp.elem[rows], grp.G[rows]) if len(sel) else None)
+    return entries
 
 
 def fused_boundary_residual(op, I, out, active=None) -> None:
@@ -577,17 +596,8 @@ def fused_boundary_residual(op, I, out, active=None) -> None:
     if active is None:
         groups = ((g, g.elem, g.G) for g in op.boundary_groups)
     else:
-        def select():
-            entries = []
-            for grp in op.boundary_groups:
-                sel = active[grp.elem]
-                entries.append(
-                    (grp.elem[sel], np.ascontiguousarray(grp.G[sel]))
-                    if np.any(sel) else None
-                )
-            return entries
-
-        entries = memo_by_mask(op._mask_cache_boundary, active, select)
+        entries = memo_by_mask(op._mask_cache_boundary, active,
+                               lambda: _boundary_masked_entries(op, active))
         groups = ((g, *e) for g, e in zip(op.boundary_groups, entries)
                   if e is not None)
     for grp, elem, G in groups:

@@ -16,7 +16,7 @@ The mesh owns everything geometric the ADER-DG solver needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +25,33 @@ from ..core.materials import Material
 from ..core.riemann import FaceKind
 
 __all__ = ["TetMesh", "InteriorFaces", "BoundaryFaces"]
+
+#: ``_INVERSE_PERM[p]`` indexes the inverse of ``FACE_PERMUTATIONS[p]``:
+#: the permutation of a face seen from its other side
+_INVERSE_PERM = np.array([
+    FACE_PERMUTATIONS.index(tuple(int(i) for i in np.argsort(pi)))
+    for pi in FACE_PERMUTATIONS])
+
+
+def _inverse_permutation(order, n: int, what: str) -> np.ndarray:
+    """``inv`` with ``inv[order[i]] == i``; raises unless ``order`` is a
+    permutation of ``range(n)`` (``what`` names the items)."""
+    order = np.asarray(order)
+    if order.shape != (n,) or order.dtype.kind not in "iu":
+        raise ValueError(
+            f"order must have length {n} (one integer id per {what}), "
+            f"got shape {order.shape}, dtype {order.dtype}")
+    if n and (order.min() < 0 or order.max() >= n):
+        raise ValueError(
+            f"order holds ids outside range(0, {n}): "
+            f"min {order.min()}, max {order.max()}")
+    inv = np.full(n, -1, dtype=np.int64)
+    inv[order] = np.arange(n)
+    if (inv < 0).any():
+        raise ValueError(
+            f"order is not a permutation: {int((inv < 0).sum())} "
+            f"{what} id(s) are duplicated, as many are missing")
+    return inv
 
 
 @dataclass
@@ -281,29 +308,17 @@ class TetMesh:
         """Relabel the elements in place: new element ``i`` is old ``order[i]``.
 
         Permutes the per-element arrays and rewrites the element ids of
-        the face tables; faces keep their order, sides, normals, tags and
-        fault marks, so every per-face and per-element value keeps its
-        bits and only the row an element lives in changes.  Call it after
-        fault marking and boundary tagging and before building a solver:
-        operators, plans and checkpoints key on the final numbering
-        (:func:`~repro.exec.plan_cache.mesh_fingerprint` hashes ``tets``).
+        the face tables; here faces keep their order, sides, normals, tags
+        and fault marks, so every per-face and per-element value keeps its
+        bits and only the row an element lives in changes.  The scenario
+        builders do not call it alone: :func:`~repro.core.lts.cluster_major`
+        renumbers, then re-orients and re-orders the faces
+        (:meth:`flip_faces`, :meth:`reorder_faces`).  Call any of them
+        after fault marking and boundary tagging and before building a
+        solver: operators, plans and checkpoints key on the final
+        numbering and face tables (:func:`~repro.exec.plan_cache.mesh_fingerprint`).
         """
-        order = np.asarray(order)
-        ne = self.n_elements
-        if order.shape != (ne,) or order.dtype.kind not in "iu":
-            raise ValueError(
-                f"order must have length {ne} (one integer id per element), "
-                f"got shape {order.shape}, dtype {order.dtype}")
-        if ne and (order.min() < 0 or order.max() >= ne):
-            raise ValueError(
-                f"order holds ids outside range(0, {ne}): "
-                f"min {order.min()}, max {order.max()}")
-        new_id = np.full(ne, -1, dtype=np.int64)
-        new_id[order] = np.arange(ne)
-        if (new_id < 0).any():
-            raise ValueError(
-                f"order is not a permutation: {int((new_id < 0).sum())} "
-                "element id(s) are duplicated, as many are missing")
+        new_id = _inverse_permutation(order, self.n_elements, "element")
         for name in ("tets", "material_ids", "jac", "inv_jac", "det_jac",
                      "volumes", "centroids", "insphere_diameter"):
             setattr(self, name, getattr(self, name)[order])
@@ -311,6 +326,44 @@ class TetMesh:
         itf.minus_elem = new_id[itf.minus_elem]
         itf.plus_elem = new_id[itf.plus_elem]
         bnd.elem = new_id[bnd.elem]
+
+    def flip_faces(self, flip: np.ndarray) -> None:
+        """Swap the minus and plus side of the interior faces ``flip``
+        (a bool mask over interior faces) in place.
+
+        Elements and local faces trade places, ``perm`` becomes its inverse
+        in ``FACE_PERMUTATIONS`` and the normal is negated exactly; area
+        and centroid are properties of the face and stay.  The discrete
+        problem is the same up to rounding (the two sides' flux matrices
+        are rebuilt from ``-n``).  A fault face's orientation defines the
+        sign of its slip, so flipping one raises."""
+        itf = self.interior
+        flip = np.asarray(flip)
+        if flip.shape != (len(itf),) or flip.dtype != bool:
+            raise ValueError(
+                f"flip must be a bool mask over the {len(itf)} interior "
+                f"faces, got shape {flip.shape}, dtype {flip.dtype}")
+        if (flip & itf.is_fault).any():
+            raise ValueError("fault faces cannot be flipped: their "
+                             "orientation defines the sign of the slip")
+        for a, b in (("minus_elem", "plus_elem"), ("minus_face", "plus_face")):
+            u, v = getattr(itf, a), getattr(itf, b)
+            setattr(itf, a, np.where(flip, v, u))
+            setattr(itf, b, np.where(flip, u, v))
+        itf.perm = np.where(flip, _INVERSE_PERM[itf.perm], itf.perm)
+        itf.normal = np.where(flip[:, None], -itf.normal, itf.normal)
+
+    def reorder_faces(self, interior: np.ndarray, boundary: np.ndarray) -> None:
+        """Permute both face tables in place: new interior face ``i`` is
+        old interior face ``interior[i]``, likewise for ``boundary``.
+        Every per-face array moves with its face (per-face solver state —
+        fault slip, sea-surface height — follows the new order)."""
+        tables = ((self.interior, interior), (self.boundary, boundary))
+        for (table, order), what in zip(tables, ("interior face", "boundary face")):
+            _inverse_permutation(order, len(table), what)
+        for table, order in tables:
+            for f in fields(table):
+                setattr(table, f.name, getattr(table, f.name)[order])
 
     # ------------------------------------------------------------------
     def glue_periodic(self, translation: np.ndarray, tol: float = 1e-8) -> int:

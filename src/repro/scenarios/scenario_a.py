@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.lts import cluster_major_order
+from ..core.lts import cluster_major
 from ..core.materials import acoustic, elastic
 from ..core.riemann import FaceKind
 from ..core.solver import CoupledSolver, ocean_surface_gravity_tagger
@@ -168,7 +168,7 @@ def build_coupled(cfg: ScenarioAConfig | None = None, backend="serial",
         raise RuntimeError("Scenario A fault marking failed (no faces on plane)")
     mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
     fault = FaultSolver(_friction(cfg), _prestress(cfg))
-    mesh.renumber_elements(cluster_major_order(mesh, cfg.order))
+    cluster_major(mesh, cfg.order)
     solver = CoupledSolver(mesh, order=cfg.order, fault=fault,
                            backend=backend, workers=workers)
     _strengthen_near_seafloor(cfg, fault)
@@ -201,7 +201,7 @@ def build_earthquake_only(cfg: ScenarioAConfig | None = None, backend="serial",
 
     mesh.tag_boundary(tagger)
     fault = FaultSolver(_friction(cfg), _prestress(cfg))
-    mesh.renumber_elements(cluster_major_order(mesh, cfg.order))
+    cluster_major(mesh, cfg.order)
     solver = CoupledSolver(mesh, order=cfg.order, fault=fault,
                            backend=backend, workers=workers)
     _strengthen_near_seafloor(cfg, fault)

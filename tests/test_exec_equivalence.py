@@ -12,7 +12,7 @@ problems, invalidation on any mesh/material/order change).
 import numpy as np
 import pytest
 
-from repro.core.lts import LocalTimeStepping, cluster_major_order
+from repro.core.lts import LocalTimeStepping, cluster_elements, cluster_major
 from repro.core.materials import acoustic, elastic
 from repro.core.resilience import ResilientRunner
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
@@ -26,6 +26,7 @@ from repro.exec import (
     mesh_fingerprint,
     plan_key,
 )
+from repro.io.checkpoint import CheckpointError, restore_checkpoint, save_checkpoint
 from repro.mesh.generators import layered_ocean_mesh
 from repro.rupture.fault import FaultSolver, Prestress
 from repro.rupture.friction import LinearSlipWeakening
@@ -39,8 +40,8 @@ T_LTS = 0.3
 # ---------------------------------------------------------------------------
 # rigs
 # ---------------------------------------------------------------------------
-def build_gts(order=2, backend="serial", workers=None):
-    """Coupled Earth-ocean solver: gravity surface + explosive source (GTS)."""
+def gts_mesh():
+    """The fault-free, gravity-topped Earth-ocean box of :func:`build_gts`."""
     crust = elastic(rho=2700.0, cp=4000.0, cs=2300.0)
     ocean = acoustic(rho=1000.0, cp=1500.0)
     xs = np.linspace(0.0, 2000.0, 4)
@@ -51,6 +52,13 @@ def build_gts(order=2, backend="serial", workers=None):
         earth=crust, ocean=ocean,
     )
     mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
+    return mesh
+
+
+def build_gts(order=2, backend="serial", workers=None, mesh=None):
+    """Coupled Earth-ocean solver: gravity surface + explosive source (GTS)
+    on ``mesh`` (default: :func:`gts_mesh`)."""
+    mesh = gts_mesh() if mesh is None else mesh
     solver = CoupledSolver(mesh, order=order, backend=backend, workers=workers)
 
     def ricker(t):
@@ -64,12 +72,15 @@ def build_gts(order=2, backend="serial", workers=None):
 
 
 def build_lts_fault_gravity(backend="serial", workers=None, sort=False,
-                            xs=(-1500.0, -750.0, 0.0, 750.0, 1500.0)):
+                            xs=(-1500.0, -750.0, 0.0, 750.0, 1500.0),
+                            prepare=None):
     """Rupturing fault under a gravity-topped ocean, clustered LTS.
 
     As generated, the mesh interleaves its clusters (the id-array row
-    sets); ``sort`` renumbers it cluster-major the way the scenario
-    builders do (slice row sets).  ``xs`` are the horizontal grid lines
+    sets); ``sort`` canonicalises it the way the scenario builders do
+    (:func:`cluster_major`: slice row sets, masked face selections are
+    views of the plan).  ``prepare(mesh)``, if given, runs instead, right
+    before the solver is built.  ``xs`` are the horizontal grid lines
     (the fault sits on ``x = 0``)."""
     crust = elastic(2700.0, 6000.0, 3464.0)
     ocean = acoustic(1000.0, 1500.0)
@@ -89,11 +100,19 @@ def build_lts_fault_gravity(backend="serial", workers=None, sort=False,
     mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
     fr = LinearSlipWeakening(mu_s=0.677, mu_d=0.525, d_c=0.05)
     fault = FaultSolver(fr, Prestress(sigma_n=-120e6, tau_s=81.6e6))
-    if sort:
-        mesh.renumber_elements(cluster_major_order(mesh, 1))
+    if prepare is not None:
+        prepare(mesh)
+    elif sort:
+        cluster_major(mesh, 1)
     solver = CoupledSolver(mesh, order=1, fault=fault, backend=backend, workers=workers)
     lts = LocalTimeStepping(solver)
     return solver, fault, lts
+
+
+def element_order(mesh, order=1):
+    """The element permutation of :func:`cluster_major`: a stable argsort
+    of the rate-2 clustering."""
+    return np.argsort(cluster_elements(mesh, order)[0], kind="stable")
 
 
 def assert_states_match(ref, other, label=""):
@@ -174,10 +193,13 @@ class TestLTSEquivalence:
 # element order: a cluster-major mesh runs the permuted trajectory, bitwise
 # ---------------------------------------------------------------------------
 class TestElementOrderEquivalence:
-    """Unsorted (id-array row sets) vs cluster-major (slice row sets) on
-    the two-material faulted rig: the relabel moves rows and nothing
-    else.  Fails if ``renumber_elements`` forgets any array the solver
-    reads, or if the slice and id-array paths ever differ in a bit."""
+    """Unsorted (id-array row sets) vs cluster-major elements (slice row
+    sets) on the two-material faulted rig: the relabel moves rows and
+    nothing else.  Fails if ``renumber_elements`` forgets any array the
+    solver reads, or if the slice and id-array paths ever differ in a
+    bit.  (Re-oriented faces change the last bits of their flux; that
+    half of ``cluster_major`` is pinned to 1e-12 by
+    ``tests/test_kernels.py::TestFaceOrientation``.)"""
 
     #: graded grid lines: element sizes (``det_jac``, insphere diameters,
     #: Jacobians) differ from row to row, so none can stay behind unnoticed
@@ -190,13 +212,14 @@ class TestElementOrderEquivalence:
                                                  use_lts):
         ref, ref_fault, ref_lts = build_lts_fault_gravity(
             backend, workers, xs=self.XS)
-        order = cluster_major_order(ref.mesh, ref.order)
+        order = element_order(ref.mesh, ref.order)
         assert (order != np.arange(len(order))).any()
         assert ref_lts.n_clusters >= 3
         assert not any(isinstance(r, slice) for r in ref_lts.idx)
 
         new, new_fault, new_lts = build_lts_fault_gravity(
-            backend, workers, sort=True, xs=self.XS)
+            backend, workers, xs=self.XS,
+            prepare=lambda m: m.renumber_elements(element_order(m)))
         assert all(isinstance(r, slice) for r in new_lts.idx)
         assert np.array_equal(new_lts.cluster, ref_lts.cluster[order])
 
@@ -363,6 +386,34 @@ class TestPlanCache:
         c.tag_boundary(ocean_surface_gravity_tagger(c))
         assert mesh_fingerprint(c) != mesh_fingerprint(a)
         assert plan_key(c, 2, "godunov") != plan_key(a, 2, "godunov")
+
+    @pytest.mark.parametrize("change", ["permuted", "flipped"])
+    def test_face_table_is_fingerprinted(self, tmp_path, change):
+        """On a fault-free mesh the fault marks are all False, so only the
+        interior face table itself tells a permuted or re-oriented mesh
+        apart: it must miss the cached plan (whose face rows follow the
+        old table) and refuse a checkpoint of the old one."""
+        clear_plan_cache()
+        old = build_gts()
+        Scheduler(old).run(0.05)
+        path = save_checkpoint(str(tmp_path / "old.npz"), old)
+
+        mesh = gts_mesh()
+        itf = mesh.interior
+        assert not itf.is_fault.any()
+        rng = np.random.default_rng(29)
+        if change == "permuted":
+            mesh.reorder_faces(rng.permutation(len(itf)),
+                               np.arange(len(mesh.boundary)))
+        else:
+            mesh.flip_faces(rng.random(len(itf)) < 0.5)
+        misses = get_plan_cache().stats()["misses"]
+        new = build_gts(mesh=mesh)
+        assert get_plan_cache().stats()["misses"] == misses + 1
+        assert mesh_fingerprint(new.mesh) != mesh_fingerprint(old.mesh)
+        with pytest.raises(CheckpointError, match="different problem"):
+            restore_checkpoint(path, new)
+        assert new.t == 0.0  # nothing was loaded
 
     def test_partition_is_memoised(self, monkeypatch):
         """A rebuilt problem reuses the partition (and its quality

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.gravity import _PROPAGATOR_CACHE_MAX
-from repro.core.lts import LocalTimeStepping, cluster_major_order
+from repro.core.lts import LocalTimeStepping, cluster_major
 from repro.core.materials import acoustic, elastic
 from repro.core.riemann import FaceKind
 from repro.core.solver import CoupledSolver, ocean_surface_gravity_tagger
@@ -83,7 +83,7 @@ def build_all_faces(order=2, friction="lsw", backend="serial", workers=None,
         law = RateStateFastVelocityWeakening(
             a=0.01, b=0.014, L=0.2, Vw=0.1, fw=0.2, f0=0.6)
         prestress = Prestress(sigma_n=-120e6, tau_s=45e6, nucleation_s=45e6)
-    mesh.renumber_elements(cluster_major_order(mesh, order))
+    cluster_major(mesh, order)
     return CoupledSolver(
         mesh, order=order, fault=FaultSolver(law, prestress),
         bottom_motion=bottom_motion, backend=backend, workers=workers,

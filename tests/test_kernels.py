@@ -37,11 +37,12 @@ from hypothesis import strategies as st
 
 from repro.core import ader
 from repro.core.kernels import SpatialOperator
+from repro.core.lts import cluster_major
 from repro.core.materials import acoustic, elastic
 from repro.core.riemann import FaceKind
 from repro.core.solver import ocean_surface_gravity_tagger
 from repro.ensemble.spec import get_builder
-from repro.exec import clear_plan_cache, get_plan_cache, plan_key
+from repro.exec import clear_plan_cache, get_plan_cache, mesh_fingerprint, plan_key
 from repro.kernels import fusion
 from repro.kernels.fusion import MASK_CACHE_MAX, element_plan, face_factors
 from repro.mesh.generators import layered_ocean_mesh
@@ -502,6 +503,117 @@ class TestFaceFactorization:
         owned, _ = _slot_masks(shuffled_mesh)
         op._face_buf[owned] = np.nan
         np.testing.assert_array_equal(op.apply(I, second)[second], expected)
+
+
+# ----------------------------------------------------------------------
+# face orientation: which side is "minus" is a convention, not physics
+# ----------------------------------------------------------------------
+def _rows_of(ref, new):
+    """``idx`` with ``new[idx] == ref`` row for row: where each row of
+    ``ref`` lives in ``new`` (rows are element or face centroids, which
+    relabels, flips and reorders carry bitwise)."""
+    pos = {row: i for i, row in enumerate(map(tuple, new.tolist()))}
+    return np.array([pos[row] for row in map(tuple, ref.tolist())],
+                    dtype=np.int64)
+
+
+def _assert_rel(ref, new, label, rtol=1e-12):
+    scale = max(float(np.nanmax(np.abs(ref), initial=0.0)), 1e-300)
+    np.testing.assert_allclose(new, ref, rtol=rtol, atol=rtol * scale,
+                               equal_nan=True, err_msg=label)
+
+
+def _flip_and_shuffle(mesh):
+    """Flip a random half of the regular interior faces, then shuffle
+    both face tables."""
+    rng = np.random.default_rng(2018)
+    itf = mesh.interior
+    flip = (rng.random(len(itf)) < 0.5) & ~itf.is_fault
+    assert flip.sum() > len(itf) // 4
+    mesh.flip_faces(flip)
+    mesh.reorder_faces(rng.permutation(len(itf)),
+                       rng.permutation(len(mesh.boundary)))
+
+
+class TestFaceOrientation:
+    """:func:`cluster_major` turns faces so that the finer cluster is on
+    the minus side.  On the 3-cluster fault + gravity rig the operator
+    and a short LTS run agree with the mesh as generated to 1e-12
+    relative once elements and faces are mapped back — a flipped face
+    rebuilds its two sides' flux matrices from ``-n``, so bits differ —
+    and the canonical layout is what the kernels' views rely on."""
+
+    LAYOUTS = {"flipped": _flip_and_shuffle,
+               "cluster_major": lambda m: cluster_major(m, 1)}
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_operator_and_lts_run_match(self, layout):
+        ref, ref_fault, ref_lts = build_lts_fault_gravity()
+        new, new_fault, new_lts = build_lts_fault_gravity(
+            prepare=self.LAYOUTS[layout])
+        assert ref_lts.n_clusters >= 3
+        e = _rows_of(ref.mesh.centroids, new.mesh.centroids)
+        assert np.array_equal(new_lts.cluster[e], ref_lts.cluster)
+
+        rng = np.random.default_rng(7)
+        I = rng.normal(size=ref.Q.shape)
+        I_new = np.empty_like(I)
+        I_new[e] = I
+        _assert_rel(ref.op.apply(I), new.op.apply(I_new)[e], "apply")
+        for c, mask in enumerate(ref_lts.masks):
+            _assert_rel(ref.op.apply(I, mask)[mask],
+                        new.op.apply(I_new, new_lts.masks[c])[e[mask]],
+                        f"masked apply, cluster {c}")
+
+        # two macro steps: the fault slips at once
+        def pulse(x):
+            q = np.zeros((len(x), 9))
+            q[:, 6] = 1e-3 * np.sin(x[:, 0] / 400.0) * np.cos(x[:, 2] / 700.0)
+            return q
+
+        t_end = 2 * ref_lts.dt_min * ref_lts.rate**ref_lts.cmax
+        for solver, lts in ((ref, ref_lts), (new, new_lts)):
+            solver.set_initial_condition(pulse)
+            Scheduler(solver, lts).run(t_end)
+        assert (ref_fault.slip_rate > 0).any()
+        assert np.array_equal(new_lts.updates, ref_lts.updates)
+        _assert_rel(ref.Q, new.Q[e], "Q")
+        bnd, new_bnd = ref.mesh.boundary, new.mesh.boundary
+        g = _rows_of(bnd.centroid[ref.gravity.face_ids],
+                     new_bnd.centroid[new.gravity.face_ids])
+        _assert_rel(ref.gravity.eta, new.gravity.eta[g], "eta")
+        f = _rows_of(ref.mesh.interior.centroid[ref_fault.face_ids],
+                     new.mesh.interior.centroid[new_fault.face_ids])
+        for name in ref_fault.STATE_FIELDS:
+            _assert_rel(getattr(ref_fault, name), getattr(new_fault, name)[f],
+                        name)
+
+    def test_canonical_layout(self):
+        ref, _, _ = build_lts_fault_gravity()
+        new, _, lts = build_lts_fault_gravity(sort=True)
+        itf, ref_itf = new.mesh.interior, ref.mesh.interior
+        cm, cp = lts.cluster[itf.minus_elem], lts.cluster[itf.plus_elem]
+        # every cross-cluster face has its finer cluster on the minus side
+        assert (cm < cp).any() and (cm <= cp).all()
+        # faces sorted by (minus cluster, plus cluster), boundary by element
+        key = cm * lts.n_clusters + cp
+        assert (np.diff(key) >= 0).all()
+        assert (np.diff(new.mesh.boundary.elem) >= 0).all()
+        # a flip swaps the sides and negates the normal exactly; regular
+        # cross-cluster faces were flipped, no fault face was
+        e = _rows_of(ref.mesh.centroids, new.mesh.centroids)
+        r = _rows_of(itf.centroid, ref_itf.centroid)  # old id of each face
+        assert np.array_equal(itf.is_fault, ref_itf.is_fault[r])
+        flipped = itf.minus_elem != e[ref_itf.minus_elem[r]]
+        assert np.array_equal(itf.plus_elem[flipped],
+                              e[ref_itf.minus_elem[r[flipped]]])
+        assert np.array_equal(
+            itf.normal, np.where(flipped[:, None], -1.0, 1.0) * ref_itf.normal[r])
+        assert flipped.any() and not (flipped & itf.is_fault).any()
+        # idempotent: a canonical mesh is its own canonical form
+        fingerprint = mesh_fingerprint(new.mesh)
+        cluster_major(new.mesh, 1)
+        assert mesh_fingerprint(new.mesh) == fingerprint
 
 
 # ----------------------------------------------------------------------

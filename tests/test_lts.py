@@ -1,21 +1,27 @@
 """Tests for clustered rate-2 local time-stepping (paper Sec. 4.4)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.core.lts import (
     LocalTimeStepping,
     cluster_elements,
-    cluster_major_order,
+    cluster_major,
     lts_statistics,
 )
 from repro.core.materials import acoustic, elastic
 from repro.core.riemann import FaceKind
 from repro.core.solver import CoupledSolver
 from repro.ensemble.spec import get_builder
+from repro.exec import mesh_fingerprint
+from repro.kernels import fusion
 from repro.kernels.fusion import row_set
 from repro.mesh.generators import box_mesh, layered_ocean_mesh
 from repro.sched import Scheduler
+
+from tests.test_sched import assert_face_selections_are_views
 
 ROCK1 = elastic(1.0, 2.0, 1.0)
 
@@ -191,8 +197,9 @@ class TestLTSDriver:
 
 
 class TestClusterMajorLayout:
-    """The element-order contract: a mesh renumbered with
-    ``cluster_major_order`` hands out every cluster as a ``slice``."""
+    """The element and face order contract: a mesh canonicalised with
+    ``cluster_major`` hands out every cluster as a ``slice``, and its
+    masked face selections as views of the operator plan."""
 
     def test_row_set(self):
         assert row_set(np.array([4, 5, 6])) == slice(4, 7)
@@ -200,21 +207,34 @@ class TestClusterMajorLayout:
         assert row_set(np.array([], dtype=np.int64)) == slice(0, 0)
         gap = np.array([4, 6, 7])
         assert row_set(gap) is gap
+        # a range out of order is not one run (per-side face selections
+        # concatenate three sorted runs)
+        shuffled = np.array([4, 6, 5, 7])
+        assert row_set(shuffled) is shuffled
         x = np.arange(40.0).reshape(10, 4)
         assert np.shares_memory(x[row_set(np.array([2, 3, 4]))], x)
 
     def test_order_is_a_stable_sort_and_idempotent(self):
         m = graded_periodic_box()
         cluster, _ = cluster_elements(m, 2)
-        order = cluster_major_order(m, 2)
-        assert (np.diff(cluster[order]) >= 0).all()
-        for c in range(cluster.max() + 1):  # stable inside a cluster
-            assert (np.diff(order[cluster[order] == c]) > 0).all()
-        m.renumber_elements(order)
+        tets = m.tets.copy()
+        cluster_major(m, 2)
+        # elements keep their relative order inside a cluster
+        order = np.argsort(cluster, kind="stable")
+        assert np.array_equal(m.tets, tets[order])
         assert np.array_equal(cluster_elements(m, 2)[0], cluster[order])
-        # sorting a sorted mesh is the identity: GTS and LTS solvers, or a
-        # resumed run, can share one mesh object
-        assert np.array_equal(cluster_major_order(m, 2), np.arange(m.n_elements))
+        assert (np.diff(cluster[order]) >= 0).all()
+        # canonicalising a canonical mesh is the identity: GTS and LTS
+        # solvers, or a resumed run, can share one mesh object
+        def face_tables():
+            return [np.copy(getattr(t, f.name))
+                    for t in (m.interior, m.boundary) for f in fields(t)]
+
+        before, fingerprint = face_tables(), mesh_fingerprint(m)
+        cluster_major(m, 2)
+        assert np.array_equal(m.tets, tets[order])
+        assert all(np.array_equal(a, b) for a, b in zip(before, face_tables()))
+        assert mesh_fingerprint(m) == fingerprint
 
     def test_max_cluster_keeps_contiguity(self):
         xs = np.linspace(0, 3000.0, 5)
@@ -222,7 +242,7 @@ class TestClusterMajorLayout:
             xs, xs, np.linspace(-3000.0, -1000.0, 3),
             np.linspace(-1000.0, 0.0, 2), elastic(2700.0, 6000.0, 3464.0),
             acoustic(1000.0, 1500.0))
-        m.renumber_elements(cluster_major_order(m, 2))
+        cluster_major(m, 2)
         full, _ = cluster_elements(m, 2)
         assert full.max() >= 2
         capped, _ = cluster_elements(m, 2, max_cluster=1)
@@ -249,6 +269,10 @@ class TestClusterMajorLayout:
                 assert np.array_equal(
                     sel.ids, plan.owned[mask[plan.owned]])
                 assert np.shares_memory(sel.starT, plan.lop.starT)
+        # and every cluster's masked face selections are views of the plan
+        assert_face_selections_are_views(solver.op, (
+            [fusion._interior_masked_entries(solver.op, m) for m in lts.masks],
+            [fusion._boundary_masked_entries(solver.op, m) for m in lts.masks]))
         solver.backend.close()
 
     def test_unsorted_mesh_yields_id_arrays(self):

@@ -1,5 +1,7 @@
 """Tests for the tetrahedral mesh substrate and generators."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +277,67 @@ class TestRenumberElements:
         with pytest.raises(ValueError, match=match):
             m.renumber_elements(bad(m.n_elements))
         assert np.array_equal(m.tets, tets)  # nothing was relabelled
+
+
+class TestFlipAndReorderFaces:
+    """The face half of ``core.lts.cluster_major``: a flipped face is the
+    same face seen from its other side, a reorder moves whole rows."""
+
+    def test_flipped_faces_match_pointwise(self):
+        m = TestRenumberElements.tagged_faulted_mesh()
+        itf = m.interior
+        before = {f.name: np.copy(getattr(itf, f.name)) for f in fields(itf)}
+        flip = ~itf.is_fault
+        m.flip_faces(flip)
+        assert np.array_equal(itf.minus_elem[flip], before["plus_elem"][flip])
+        assert np.array_equal(itf.normal, np.where(flip[:, None], -1.0, 1.0)
+                              * before["normal"])
+        # the inverse permutation keeps both sides' quadrature points on
+        # one another, and the normal still points from minus to plus
+        rs, _ = triangle_rule(3)
+        for f in range(len(itf)):
+            pm = face_points_to_tet(itf.minus_face[f], rs)
+            pp = face_points_to_tet(itf.plus_face[f], rs,
+                                    FACE_PERMUTATIONS[itf.perm[f]])
+            xm = m.map_points(np.array([itf.minus_elem[f]]), pm)[0]
+            xp = m.map_points(np.array([itf.plus_elem[f]]), pp)[0]
+            assert np.abs(xm - xp).max() < 1e-9
+        d = m.centroids[itf.plus_elem] - m.centroids[itf.minus_elem]
+        assert (np.einsum("ij,ij->i", d, itf.normal) > 0).all()
+        # flipping twice is the identity, bitwise
+        m.flip_faces(flip)
+        for name, arr in before.items():
+            assert np.array_equal(getattr(itf, name), arr), name
+
+    def test_fault_faces_are_never_flipped(self):
+        m = TestRenumberElements.tagged_faulted_mesh()
+        minus = m.interior.minus_elem.copy()
+        with pytest.raises(ValueError, match="fault"):
+            m.flip_faces(np.ones(len(m.interior), dtype=bool))
+        with pytest.raises(ValueError, match="bool mask"):
+            m.flip_faces(np.arange(len(m.interior)))
+        assert np.array_equal(m.interior.minus_elem, minus)
+
+    def test_reorder_moves_whole_rows(self):
+        m = TestRenumberElements.tagged_faulted_mesh()
+        inner, outer = TestRenumberElements.face_set(m)
+        rng = np.random.default_rng(5)
+        pi = rng.permutation(len(m.interior))
+        pb = rng.permutation(len(m.boundary))
+        centroid = m.interior.centroid.copy()
+        kind = m.boundary.kind.copy()
+        fp0 = mesh_fingerprint(m)
+        m.reorder_faces(pi, pb)
+        assert np.array_equal(m.interior.centroid, centroid[pi])
+        assert np.array_equal(m.boundary.kind, kind[pb])
+        assert TestRenumberElements.face_set(m) == (inner, outer)
+        assert mesh_fingerprint(m) != fp0
+        m.reorder_faces(np.argsort(pi), np.argsort(pb))
+        assert mesh_fingerprint(m) == fp0
+        with pytest.raises(ValueError, match="duplicated"):
+            m.reorder_faces(np.r_[0, np.arange(len(pi) - 1)], pb)
+        with pytest.raises(ValueError, match="length"):
+            m.reorder_faces(pi, pb[:-1])
 
 
 class TestSpacings:

@@ -411,6 +411,18 @@ class TestHaloLayout:
                                            workers):
         self.check_poisoned_run(monkeypatch, backend, workers, sort=True)
 
+    def test_masked_face_selections_are_plan_views(self):
+        """On the canonical mesh every cached per-cluster interior and
+        boundary selection is a view of the plan tables: it shares memory
+        with them and owns no byte (a second copy of ``Gm`` / ``Gp``
+        before)."""
+        solver, _, lts = build_lts_fault_gravity(sort=True)
+        Scheduler(solver, lts).run(T_LTS)
+        op = solver.op
+        caches = (op._mask_cache_interior, op._mask_cache_boundary)
+        assert [len(c) for c in caches] == [lts.n_clusters] * 2
+        assert_face_selections_are_views(op, [c.values() for c in caches])
+
     @staticmethod
     def check_poisoned_run(monkeypatch, backend, workers, sort):
         """The run-lifetime window buffer starts as NaN instead of zeros,
@@ -452,6 +464,27 @@ class TestHaloLayout:
                                   getattr(new_fault, name), equal_nan=True)
         ref.backend.close()
         new.backend.close()
+
+
+def assert_face_selections_are_views(op, caches):
+    """Every array of the masked interior / boundary selections in
+    ``caches`` (``(interior, boundary)``: iterables of per-mask entry
+    lists) is a view of its group's plan table, owning 0 bytes."""
+    interior, boundary = caches
+    pairs = []
+    for entries in interior:
+        for grp, e in zip(op.interior_groups, entries):
+            if e is not None:
+                em, ep, _, _, Gm, Gp = e
+                pairs += [(em, grp.em), (ep, grp.ep), (Gm, grp.Gm), (Gp, grp.Gp)]
+    for entries in boundary:
+        for grp, e in zip(op.boundary_groups, entries):
+            if e is not None:
+                pairs += [(e[0], grp.elem), (e[1], grp.G)]
+    assert pairs
+    for sel, table in pairs:
+        assert np.shares_memory(sel, table) or not sel.size
+    assert sum(sel.nbytes for sel, _ in pairs if sel.flags.owndata) == 0
 
 
 def sync_times(out: list) -> HookBus:

@@ -45,12 +45,15 @@ JSON), ``--log-json PATH`` (structured JSONL run records) and
     the per-member worker traces of an ensemble run are stitched into
     one wall-clock-aligned Perfetto timeline (one process lane per
     member, supervisor events as instant markers) written to ``--out``.
-``obs-status RUN_DIR [--watch N]``
+``obs-status RUN_DIR [--watch N] [--check]``
     Render the fleet status table of an ensemble run directory (member,
-    state, step, simulated time, wall rate, energy drift, retries,
+    state, runner step, simulated time, wall rate, energy drift, retries,
     heartbeat staleness, classifier verdict) from its on-disk artifacts;
     ``--watch N`` re-renders every N seconds until Ctrl-C (clean exit,
-    tolerant of the run dir disappearing mid-watch).
+    tolerant of the run dir disappearing mid-watch).  ``--check``
+    validates the whole directory — every run log, ``fleet.prom``, every
+    referenced bundle, each finished member's final metrics against its
+    ``result.json`` — and exits non-zero naming each broken file.
 ``obs-diagnose BUNDLE [--check]``
     Classify a ``*.blackbox.json`` diagnostic bundle dumped by the
     flight recorder on a terminal fault: validates the bundle schema and
@@ -154,6 +157,9 @@ def main(argv=None) -> int:
                       "(holds ensemble.jsonl and per-member dirs)")
     p_st.add_argument("--watch", type=float, default=None, metavar="N",
                       help="re-render every N seconds until interrupted")
+    p_st.add_argument("--check", action="store_true",
+                      help="validate every artifact of the run dir; exit "
+                      "non-zero on a problem")
     p_d = sub.add_parser("obs-diagnose",
                          help="classify a *.blackbox.json diagnostic bundle")
     p_d.add_argument("bundle", help="path to a diagnostic bundle, or a "
@@ -248,7 +254,8 @@ def main(argv=None) -> int:
     if args.command == "obs-status":
         from repro.obs.fleet import watch_status
 
-        return watch_status(args.run_dir, interval=args.watch)
+        return watch_status(args.run_dir, interval=args.watch,
+                            check=args.check)
     if args.command == "obs-diagnose":
         from repro.obs.blackbox import diagnose_bundle_file
 

@@ -1,7 +1,7 @@
 """Lazy package namespaces (PEP 562).
 
-``repro.obs`` and ``repro.ensemble`` re-export the public names of their
-submodules.  Imported eagerly, every ``from ..obs.metrics import
+``repro.obs``, ``repro.ensemble`` and ``repro.exec`` re-export the public
+names of their submodules.  Imported eagerly, every ``from ..obs.metrics import
 get_metrics`` in the solver core and every ``get_builder`` loaded the
 flight recorder, the fleet aggregator, the trace exporter, the supervisor
 and ``multiprocessing`` into each cold start and each fleet worker

@@ -48,6 +48,9 @@ __all__ = [
     "first_nonfinite_index",
 ]
 
+#: relative energy increase a strict-mode check tolerates (round-off)
+_ENERGY_RTOL = 1e-8
+
 
 def state_arrays(solver) -> list[tuple]:
     """The time-marching arrays a health sweep must scan, as
@@ -196,13 +199,11 @@ class Watchdog:
     solver:
         The solver to monitor.
     energy_mode:
-        ``"strict"`` (non-increasing up to ``energy_rtol``), ``"growth"``
-        (fail only on runaway beyond ``growth_factor`` times the historical
-        maximum), ``"off"``, or ``"auto"`` (default): strict when the
-        domain is passive (no sources, fault, or prescribed motion),
-        growth otherwise.
-    energy_rtol:
-        Allowed relative energy increase per check in strict mode.
+        ``"strict"`` (non-increasing up to a relative 1e-8 per check),
+        ``"growth"`` (fail only on runaway beyond ``growth_factor`` times
+        the historical maximum), ``"off"``, or ``"auto"`` (default):
+        strict when the domain is passive (no sources, fault, or
+        prescribed motion), growth otherwise.
     growth_factor:
         Runaway threshold in growth mode.
     """
@@ -211,10 +212,7 @@ class Watchdog:
         self,
         solver,
         energy_mode: str = "auto",
-        energy_rtol: float = 1e-8,
         growth_factor: float = 1e4,
-        check_state: bool = True,
-        check_cfl: bool = True,
     ):
         if energy_mode not in ("auto", "strict", "growth", "off"):
             raise ValueError(f"unknown energy_mode {energy_mode!r}")
@@ -227,10 +225,7 @@ class Watchdog:
             energy_mode = "strict" if passive else "growth"
         self.solver = solver
         self.energy_mode = energy_mode
-        self.energy_rtol = energy_rtol
         self.growth_factor = growth_factor
-        self.check_state = check_state
-        self.check_cfl = check_cfl
         #: the mesh's admissible CFL step (Eq. 27): static, so taken once
         self._dt_admissible = float(solver.dt_elem.min())
         #: :func:`total_energy` of the state the last passing energy check
@@ -280,7 +275,7 @@ class Watchdog:
         msg = ""
         if self.energy_mode == "strict":
             if self.last_energy is not None:
-                allowed = self.last_energy * (1.0 + self.energy_rtol) + 1e-300
+                allowed = self.last_energy * (1.0 + _ENERGY_RTOL) + 1e-300
                 if e > allowed:
                     msg = (
                         f"energy grew {self.last_energy:.6e} -> {e:.6e} on a closed "
@@ -308,12 +303,11 @@ class Watchdog:
         return ""
 
     def check(self, dt: float | None = None, step: int = 0) -> HealthReport:
-        """Run all enabled checks; returns a :class:`HealthReport`."""
+        """Run the state, CFL and (per ``energy_mode``) energy checks;
+        returns a :class:`HealthReport`."""
         report = HealthReport(t=self.solver.t, step=step)
-        if self.check_state:
-            report.checks["state"] = self._check_state()
-        if self.check_cfl:
-            report.checks["cfl"] = self._check_cfl(dt)
+        report.checks["state"] = self._check_state()
+        report.checks["cfl"] = self._check_cfl(dt)
         if self.energy_mode != "off":
             # skip the energy scan when the state is already known-bad:
             # its message would only duplicate the state failure
@@ -334,7 +328,7 @@ class Watchdog:
             if self._e_max > 0.0:
                 met.set_gauge("health/energy_drift_ratio",
                               float(self.last_energy / self._e_max) - 1.0)
-        if dt is not None and self.check_cfl and self._dt_admissible > 0.0:
+        if dt is not None and self._dt_admissible > 0.0:
             met.set_gauge("health/cfl_margin", 1.0 - dt / self._dt_admissible)
         fault = self.solver.fault
         if fault is not None:

@@ -61,9 +61,6 @@ class ResilientRunner:
         Optional :class:`~repro.core.lts.LocalTimeStepping` wrapping the
         same solver; when given, segments advance with LTS and health is
         checked at macro-step synchronization points.
-    watchdog:
-        A preconfigured :class:`Watchdog`; by default one is created with
-        ``energy_mode="auto"``.
     checkpoint_every:
         Segment length in *simulated* seconds.  ``None`` runs each
         ``run()`` call as a single segment (still with rollback).
@@ -95,7 +92,6 @@ class ResilientRunner:
         self,
         solver,
         lts=None,
-        watchdog: Watchdog | None = None,
         checkpoint_every: float | None = None,
         checkpoint_dir: str | None = None,
         keep: int = 3,
@@ -114,7 +110,7 @@ class ResilientRunner:
             raise ValueError("backoff must be in (0, 1)")
         self.solver = solver
         self.lts = lts
-        self.watchdog = watchdog if watchdog is not None else Watchdog(solver)
+        self.watchdog = Watchdog(solver)
         self.checkpoint_every = checkpoint_every
         self.max_retries = max_retries
         self.backoff = backoff
@@ -288,7 +284,7 @@ class ResilientRunner:
         rec = self.recorder
         if self.lts is not None:
             # cluster/window ids of every LTS micro-step window
-            rec.subscribe(bus)
+            bus.on_micro_step(rec.record_micro)
 
             def watch_sync(s):
                 factor = (

@@ -94,7 +94,7 @@ class _Member:
     __slots__ = (
         "spec", "paths", "attempts", "strikes", "history",
         "next_start", "resume", "dt_scale", "last_beat", "first_wall",
-        "last_error", "result", "last_metrics",
+        "last_error", "result",
     )
 
     def __init__(self, spec: MemberSpec, out_dir: str):
@@ -110,7 +110,6 @@ class _Member:
         self.first_wall = None
         self.last_error = None
         self.result: MemberResult | None = None
-        self.last_metrics: dict | None = None  # compact snapshot off the wire
 
     @property
     def done(self) -> bool:
@@ -368,7 +367,7 @@ class Supervisor:
         m.attempts += 1
         m.last_beat = time.monotonic()
         m.last_error = None
-        self.aggregator.update(m.spec.member_id, None, state="running")
+        self.aggregator.update(m.spec.member_id, state="running")
         log.emit("member_start", member=m.spec.member_id, attempt=m.attempts,
                  scenario=m.spec.builder, pid=w.proc.pid,
                  metrics=self._brief(m))
@@ -420,19 +419,17 @@ class Supervisor:
 
     # -- fleet metrics -------------------------------------------------
     def _heard(self, m: _Member, msg: dict) -> None:
-        """Book the metric snapshot of a worker message: supervisor events
-        carry metric briefs and ``fleet.prom`` stays live off these."""
-        snap = msg.get("metrics")
-        if isinstance(snap, dict):
-            m.last_metrics = snap
-        else:
-            snap = None
-        self.aggregator.update(m.spec.member_id, snap, wall=msg.get("wall"))
+        """Fold a worker message — runner step, simulated time, metric
+        snapshot — into the aggregator: supervisor events carry its briefs
+        and ``fleet.prom`` stays live off it."""
+        self.aggregator.update(m.spec.member_id, msg.get("metrics"),
+                               wall=msg.get("wall"), step=msg.get("step"),
+                               sim_t=msg.get("sim_t"))
 
     def _brief(self, m: _Member) -> dict:
-        """The member's last metrics digest (step/sim_t/energy drift) for
-        embedding in supervisor run-log events — a quarantine record must
-        be diagnosable from the JSONL log alone."""
+        """The member's digest (runner step, sim_t, rate, energy drift)
+        for embedding in supervisor run-log events — a quarantine record
+        must be diagnosable from the JSONL log alone."""
         return self.aggregator.member_brief(m.spec.member_id)
 
     def _export_metrics(self, force: bool = False) -> None:
@@ -462,7 +459,7 @@ class Supervisor:
         m.attempts += 1
         if m.first_wall is None:
             m.first_wall = time.perf_counter()
-        self.aggregator.update(m.spec.member_id, None, state="running")
+        self.aggregator.update(m.spec.member_id, state="running")
         log.emit("member_start", member=m.spec.member_id, attempt=m.attempts,
                  scenario=m.spec.builder, pid=os.getpid(),
                  metrics=self._brief(m))
@@ -521,7 +518,7 @@ class Supervisor:
             reason=reason,
             ring=ring,
             context={"member": m.spec.member_id, "attempt": m.attempts},
-            metrics=m.last_metrics,
+            metrics=self.aggregator.member_snapshot(m.spec.member_id),
             extra={"exit": reason, "last_error": m.last_error},
         )
         path = os.path.join(
@@ -553,7 +550,7 @@ class Supervisor:
             m.resume = decision.resume
             m.dt_scale = decision.dt_scale
             m.next_start = time.monotonic() + decision.delay_s
-            self.aggregator.update(m.spec.member_id, None, state="retrying")
+            self.aggregator.update(m.spec.member_id, state="retrying")
             log.emit("member_retry", member=m.spec.member_id,
                      attempt=m.attempts, reason=reason,
                      delay_s=decision.delay_s, resume=decision.resume,
@@ -579,8 +576,7 @@ class Supervisor:
                 history=m.history, diagnosis=diagnosis,
                 verdict=verdict["verdict"], bundle=bundle, paths=m.paths,
             )
-            self.aggregator.update(m.spec.member_id, None,
-                                   state="quarantined")
+            self.aggregator.update(m.spec.member_id, state="quarantined")
             log.emit("member_quarantined", member=m.spec.member_id,
                      attempts=m.attempts, diagnosis=diagnosis,
                      verdict=verdict["verdict"], bundle=bundle,
@@ -603,14 +599,11 @@ class Supervisor:
             digest=result.get("digest"), summary=result.get("summary", {}),
             history=m.history, verdict=None, bundle=None, paths=m.paths,
         )
-        # the result file carries the member's final compact snapshot —
-        # authoritative over whatever heartbeat arrived last
-        snap = result.get("metrics")
-        if isinstance(snap, dict):
-            m.last_metrics = snap
-        self.aggregator.update(m.spec.member_id,
-                               snap if isinstance(snap, dict) else None,
-                               state=status)
+        # the result file carries the member's final snapshot and runner
+        # step — authoritative over whatever heartbeat arrived last
+        self.aggregator.update(m.spec.member_id, result.get("metrics"),
+                               state=status, step=result.get("steps"),
+                               sim_t=result.get("sim_t"))
         log.emit("member_end", member=m.spec.member_id, status=status,
                  attempts=m.attempts, wall_s=wall, metrics=self._brief(m))
         if self.verbose:

@@ -224,7 +224,8 @@ def _run_member_attempt(spec, paths, channel, attempt, resume, dt_scale,
                  metrics=session.beat_metrics)
 
     session.start(solver, resumed=resumed_from is not None)
-    tell("started", sim_t=solver.t, resumed=resumed_from is not None)
+    tell("started", step=runner.step_count, sim_t=solver.t,
+         resumed=resumed_from is not None)
 
     status = "completed"
     diverged = None

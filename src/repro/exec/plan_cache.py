@@ -27,15 +27,13 @@ entry ages out of the LRU).  Plans are immutable — the kernels only ever
 read from them, and :func:`repro.kernels.fusion.finish_plan` makes every
 array of a finished plan read-only — so sharing one plan between many
 operators (serial + partitioned backends, resumed runs) is safe.
-
-Set ``REPRO_PLAN_CACHE=0`` to disable caching entirely (every operator
-builds its own plan, the pre-cache behavior).
+:func:`clear_plan_cache` drops every cached plan (the next operator builds
+its own).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -128,10 +126,6 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._plans)
 
-    @property
-    def enabled(self) -> bool:
-        return os.environ.get("REPRO_PLAN_CACHE", "1") != "0"
-
     def get(self, key: str) -> OperatorPlan | None:
         with self._lock:
             plan = self._plans.get(key)
@@ -150,15 +144,12 @@ class PlanCache:
         """Return the cached value under ``key`` or build (and cache) a
         fresh one with ``builder()``.
 
-        The generic entry point shared by the operator-plan cache and the
-        step-plan cache of :mod:`repro.sched.plan`: hit/miss counters and
-        the ``REPRO_PLAN_CACHE=0`` kill switch behave identically for
-        every kind of fingerprint-keyed plan.
+        The generic entry point shared by the operator-plan cache, the
+        partition memo of :mod:`repro.exec.partitioned` and the step-plan
+        cache of :mod:`repro.sched.plan`: hit/miss counters behave
+        identically for every kind of fingerprint-keyed plan.
         """
         met = get_metrics()
-        if not self.enabled:
-            with met.phase(phase):
-                return builder()
         plan = self.get(key)
         if plan is not None:
             self.hits += 1
@@ -175,8 +166,6 @@ class PlanCache:
                      builder) -> OperatorPlan:
         """Return the cached plan for ``(mesh, order, flux_variant)`` or
         build (and cache) a fresh one with ``builder()``."""
-        if not self.enabled:
-            return self.get_or_build_key("", builder)
         return self.get_or_build_key(
             plan_key(mesh, order, flux_variant), builder)
 

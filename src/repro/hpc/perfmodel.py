@@ -68,8 +68,7 @@ class KernelCounts:
         return self.flops_corrector / (self.bytes_volume + self.bytes_surface)
 
 
-def kernel_counts(order: int, n_quantities: int = 9,
-                  variant: str = "batched") -> KernelCounts:
+def kernel_counts(order: int, variant: str = "batched") -> KernelCounts:
     """Count FLOPs/bytes of one full element update at degree ``order``.
 
     ``variant`` names a *counting convention*, not a runtime switch.
@@ -95,7 +94,7 @@ def kernel_counts(order: int, n_quantities: int = 9,
     """
     N = order
     B = basis_size(order)
-    Q = n_quantities
+    Q = 9  # quantities: 6 stresses + 3 velocities
     nq = (order + 2) ** 2  # face quadrature points
 
     level = 3 * (2.0 * B * B * Q + 2.0 * B * Q * Q)

@@ -10,8 +10,7 @@ The measurement layer behind the paper's Sec. 5-6 performance story:
   heartbeats, resilience events; every write ``fsync``'d), its one
   tolerant reader (:func:`read_records`) and its one schema
   (:func:`validate_record` / :func:`validate_jsonl`, behind
-  ``obs-report --check``, ``tools/check_runlog.py`` and the perf
-  ledger);
+  ``obs-report --check``, ``obs-status --check`` and the perf ledger);
 * :mod:`repro.obs.report` — measured-vs-modeled GFLOP/s accounting
   against :mod:`repro.hpc.perfmodel` (imported lazily: it pulls in the
   HPC models);
@@ -19,9 +18,10 @@ The measurement layer behind the paper's Sec. 5-6 performance story:
   Chrome-trace/Perfetto JSON timelines (one lane per partitioned worker,
   LTS cluster slices colored by cluster id) plus the ``obs-trace``
   summarizer;
-* :mod:`repro.obs.fleet` — supervisor-side :class:`FleetAggregator`
-  folding member snapshots into fleet series (``fleet.prom`` /
-  ``fleet.jsonl`` exporters) plus the offline ``obs-status`` view;
+* :mod:`repro.obs.fleet` — :class:`FleetAggregator`, the supervisor's
+  one fold of member state and snapshots (``fleet.prom`` /
+  ``fleet.jsonl`` exporters), which ``obs-status`` rebuilds offline
+  from a run dir to render it and, with ``--check``, validate it;
 * :mod:`repro.obs.blackbox` — always-on bounded flight recorder
   (:class:`FlightRecorder`) whose ring of recent micro-step events is
   dumped, on any terminal fault, as an atomic fingerprinted
@@ -53,7 +53,8 @@ __all__, __getattr__ = lazy_namespace(__name__, {
     "metrics": ("METRICS_SCHEMA_VERSION", "MetricRegistry", "TraceBuffer",
                 "get_metrics", "merge_snapshots", "to_prometheus",
                 "validate_prometheus"),
-    "fleet": ("FleetAggregator", "status_rows", "status_lines", "watch_status"),
+    "fleet": ("FleetAggregator", "fold_run_dir", "status_rows",
+              "status_lines", "check_run_dir", "watch_status"),
     "blackbox": ("BUNDLE_SCHEMA_VERSION", "FlightRecorder", "build_bundle",
                  "write_bundle", "dump_bundle", "load_bundle",
                  "validate_bundle", "classify_bundle", "find_bundles",

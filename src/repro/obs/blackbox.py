@@ -108,9 +108,11 @@ class FlightRecorder:
         return len(self._ring)
 
     # -- hot paths -----------------------------------------------------
-    def record_micro(self, index, cluster, t_int, dt) -> None:
-        """One scheduler micro-step window (cluster id + window position)."""
-        self._ring.append(("micro", index, cluster, t_int, dt))
+    def record_micro(self, solver, event) -> None:
+        """One scheduler micro-step window (cluster id + window position):
+        a :meth:`~repro.sched.HookBus.on_micro_step` subscriber."""
+        self._ring.append(("micro", event.index, event.cluster, event.t_int,
+                           event.dt))
         self.recorded += 1
 
     def record_step(self, step, t, dt, energy=None, dt_scale=None) -> None:
@@ -123,17 +125,6 @@ class FlightRecorder:
         """A sparse named event (checkpoint, recovery, resume, ...)."""
         self._ring.append((kind, fields))
         self.recorded += 1
-
-    def subscribe(self, bus) -> None:
-        """Record every scheduler micro-step window off a
-        :class:`~repro.sched.HookBus` (cluster/window ids in the ring)."""
-        ring = self._ring
-
-        def _on_micro(s, ev):
-            ring.append(("micro", ev.index, ev.cluster, ev.t_int, ev.dt))
-            self.recorded += 1
-
-        bus.on_micro_step(_on_micro)
 
     # -- dump-side -----------------------------------------------------
     def events(self) -> list[dict]:

@@ -1,28 +1,30 @@
-"""Fleet-level metric aggregation, exporters, and the live status view.
+"""Fleet-level metric aggregation, exporters, and the status view.
 
 The supervisor of :mod:`repro.ensemble` sees every member's compact
 metric snapshot ride in on its heartbeats; this module is where
 those per-member views become *fleet* facts:
 
-* :class:`FleetAggregator` — folds member snapshots (associatively, via
-  :func:`repro.obs.metrics.merge_snapshots`) into one fleet snapshot,
-  keeps per-member last-seen wall times (staleness — the first thing an
-  operator checks when a lane goes quiet), and computes cross-member
-  min/max/median/q90 statistics for every gauge (the fleet-spread view:
-  is one member's energy drifting while the rest hold steady?).
+* :class:`FleetAggregator` — the one fold of member state: each
+  member's state, retries, runner step, simulated time and last-seen
+  wall time (staleness — the first thing an operator checks when a lane
+  goes quiet), and its snapshots folded (associatively, via
+  :func:`repro.obs.metrics.merge_snapshots`) into one fleet snapshot
+  with cross-member min/max/median/q90 statistics for every gauge (the
+  fleet-spread view: is one member's energy drifting while the rest
+  hold steady?).
 * **Exporters** — :meth:`FleetAggregator.export` writes two artifacts
   into the ensemble out-dir, both through
   :func:`repro.io.atomic.atomic_open` (a scrape or a tail never sees a
   torn file):
-  ``fleet.prom`` in the Prometheus textfile-collector format (validated
-  by :func:`repro.obs.metrics.validate_prometheus` in CI) and
+  ``fleet.prom`` in the Prometheus textfile-collector format and
   ``fleet.jsonl`` with the full JSON aggregate history (bounded).
-* **Status view** — :func:`status_rows` / :func:`status_lines` read an
-  ensemble run directory *from its artifacts alone* (supervisor log,
-  member run logs, result files — no live process required) and render
-  the table behind ``python -m repro obs-status RUN_DIR``: one row per
-  member with state, step, simulated time, wall rate, energy drift,
-  retries and heartbeat staleness.
+* **Status view** — :func:`fold_run_dir` rebuilds the supervisor's
+  aggregator from an ensemble run directory's artifacts alone
+  (supervisor log, member run logs, ``ensemble.json`` — no live process
+  required); :func:`status_rows` / :func:`status_lines` render it as the
+  table behind ``python -m repro obs-status RUN_DIR`` and
+  :func:`check_run_dir` is its ``--check``: one checker for everything
+  an ensemble run leaves on disk.
 """
 
 from __future__ import annotations
@@ -38,20 +40,28 @@ from .metrics import (
     METRICS_SCHEMA_VERSION,
     merge_snapshots,
     to_prometheus,
+    validate_prometheus,
 )
-from .runlog import read_records
+from .runlog import read_records, validate_jsonl
 
 __all__ = [
     "FLEET_PROM",
     "FLEET_JSONL",
     "FleetAggregator",
+    "fold_run_dir",
     "status_rows",
     "status_lines",
+    "check_run_dir",
     "watch_status",
 ]
 
 FLEET_PROM = "fleet.prom"
 FLEET_JSONL = "fleet.jsonl"
+
+#: the state the supervisor gives a member when it logs each event
+#: (``member_end`` carries the terminal status itself)
+_EVENT_STATES = {"member_start": "running", "member_retry": "retrying",
+                 "member_quarantined": "quarantined"}
 
 #: aggregate-history records kept in ``fleet.jsonl``
 _HISTORY_MAX = 512
@@ -82,54 +92,62 @@ class FleetAggregator:
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
-        #: member -> {"snapshot", "wall", "state"} (last view of each member)
+        #: member -> {"snapshot", "wall", "state", "retries", "step",
+        #: "sim_t"} (last view of each member)
         self.members: dict[str, dict] = {}
         self._history: list[dict] = []
 
     # -- folding -------------------------------------------------------
-    def update(self, member_id: str, snapshot: dict | None,
-               wall: float | None = None, state: str | None = None) -> None:
+    def update(self, member_id: str, snapshot: dict | None = None,
+               wall: float | None = None, state: str | None = None,
+               step: int | None = None, sim_t: float | None = None) -> None:
         """Record the latest view of ``member_id``.
 
         ``snapshot`` may be ``None`` (a heartbeat without a metrics
-        payload still refreshes last-seen); ``state`` tracks the
-        supervisor's view (``running``/``retrying``/``ok``/...).
+        payload still refreshes last-seen) and one of a newer wire format
+        is ignored rather than misfolded; ``wall`` (default: now) only
+        ever moves last-seen forward.  ``step`` / ``sim_t`` are the
+        runner's step and simulated time the message carries (the step a
+        heartbeat reports, which a rollback or a resume does not inflate);
+        ``state`` tracks the supervisor's view (``running`` /
+        ``retrying`` / ``ok`` / ...), and every move to ``retrying`` is
+        a retry.
         """
-        cell = self.members.setdefault(
-            member_id, {"snapshot": None, "wall": 0.0, "state": "unknown"})
-        if snapshot is not None:
-            if snapshot.get("schema", METRICS_SCHEMA_VERSION) \
-                    != METRICS_SCHEMA_VERSION:
-                return  # future wire format: ignore rather than misfold
+        cell = self.members.setdefault(member_id, {
+            "snapshot": None, "wall": 0.0, "state": "unknown", "retries": 0,
+            "step": None, "sim_t": None})
+        if isinstance(snapshot, dict) and snapshot.get(
+                "schema", METRICS_SCHEMA_VERSION) == METRICS_SCHEMA_VERSION:
             cell["snapshot"] = snapshot
-        cell["wall"] = float(wall) if wall is not None else time.time()
+        cell["wall"] = max(cell["wall"],
+                           time.time() if wall is None else float(wall))
         if state is not None:
+            cell["retries"] += state == "retrying"
             cell["state"] = state
+        if step is not None:
+            cell["step"] = step
+        if sim_t is not None:
+            cell["sim_t"] = sim_t
 
     def member_snapshot(self, member_id: str) -> dict | None:
         cell = self.members.get(member_id)
         return None if cell is None else cell["snapshot"]
 
     def member_brief(self, member_id: str) -> dict:
-        """Small ``{step, sim_t, energy_drift_ratio}`` digest of a member's
-        last snapshot — what supervisor run-log events embed so quarantine
-        diagnoses are self-contained."""
-        snap = self.member_snapshot(member_id)
-        if not snap:
+        """Small ``{step, sim_t, wall_rate, energy_drift}`` digest of a
+        member — the runner step and simulated time it last reported,
+        rate and drift from its last snapshot's gauges — what supervisor
+        run-log events embed so quarantine diagnoses are self-contained,
+        and what ``obs-status`` shows.  Unknown fields are left out."""
+        cell = self.members.get(member_id)
+        if cell is None:
             return {}
-        gauges = snap.get("gauges", {})
-        brief = {}
-        for name, key in (("sched/steps_total", "step"),
-                          ("sched/sim_time", "sim_t"),
+        gauges = (cell["snapshot"] or {}).get("gauges", {})
+        brief = {"step": cell["step"], "sim_t": cell["sim_t"]}
+        for name, key in (("sched/wall_rate", "wall_rate"),
                           ("health/energy_drift_ratio", "energy_drift")):
-            g = gauges.get(name)
-            if g is not None:
-                brief[key] = g.get("value")
-        if "step" not in brief:
-            steps = snap.get("counters", {}).get("sched/steps_total")
-            if steps is not None:
-                brief["step"] = steps
-        return brief
+            brief[key] = (gauges.get(name) or {}).get("value")
+        return {k: v for k, v in brief.items() if v is not None}
 
     def fleet_snapshot(self) -> dict:
         """The associative fold of every member's last snapshot."""
@@ -240,110 +258,79 @@ class FleetAggregator:
 
 # ----------------------------------------------------------------------
 # offline status view: everything below reads artifacts, not processes
-def _member_dirs(run_dir: str) -> list[str]:
-    """Member ids under an ensemble out-dir (subdirs holding a run log)."""
-    try:
-        entries = sorted(os.listdir(run_dir))
-    except OSError:
-        return []
-    return [e for e in entries
-            if os.path.isfile(os.path.join(run_dir, e, "run.jsonl"))]
+def _wall(rec: dict) -> float:
+    wall = rec.get("wall")
+    return float(wall) if isinstance(wall, (int, float)) else 0.0
 
 
-def _last(records: list[dict], event: str) -> dict | None:
-    for rec in reversed(records):
-        if rec.get("event") == event:
-            return rec
-    return None
+def fold_run_dir(run_dir: str) -> tuple[FleetAggregator, list, dict]:
+    """The supervisor's :class:`FleetAggregator`, rebuilt from an
+    ensemble run directory, plus the records it was folded from.
 
-
-def status_rows(run_dir: str, now: float | None = None) -> list[dict]:
-    """One status dict per member of the ensemble under ``run_dir``.
-
-    Sources, in increasing authority: the member's own ``run.jsonl``
-    (heartbeats + metrics records), the supervisor's ``ensemble.jsonl``
-    (starts/retries/quarantines), and the final ``ensemble.json`` result
-    (terminal states).  Works mid-run and post-mortem alike.
+    The supervisor log's member events set each member's state as they
+    did live (and so count its retries); each member's heartbeat and
+    ``metrics`` records feed its runner step, simulated time and
+    snapshot, as the worker's pipe messages did; ``ensemble.json`` has
+    the last word on terminal states.  Returns ``(aggregator,
+    supervisor_records, {member: run_log_records})``; works mid-run and
+    post-mortem alike.
     """
-    now = time.time() if now is None else now
+    agg = FleetAggregator(run_dir)
     sup, _ = read_records(os.path.join(run_dir, "ensemble.jsonl"))
-    final: dict[str, str] = {}
+    for rec in sup:
+        if isinstance(rec.get("member"), str):
+            state = (rec.get("status") if rec.get("event") == "member_end"
+                     else _EVENT_STATES.get(rec.get("event")))
+            agg.update(rec["member"], wall=_wall(rec), state=state)
+    logs = {}
+    for mid in sorted(os.listdir(run_dir)) if os.path.isdir(run_dir) else []:
+        path = os.path.join(run_dir, mid, "run.jsonl")
+        if not os.path.isfile(path):
+            continue
+        logs[mid], _ = read_records(path)
+        agg.update(mid, wall=0.0)  # listed even before its first beat
+        for rec in logs[mid]:
+            if rec.get("event") in ("heartbeat", "metrics"):
+                agg.update(mid, rec.get("metrics"), wall=_wall(rec),
+                           step=rec.get("step"), sim_t=rec.get("sim_t"))
     try:
         with open(os.path.join(run_dir, "ensemble.json"),
                   encoding="utf-8") as fh:
-            doc = json.load(fh)
-        for mem in doc.get("members", []):
-            if isinstance(mem, dict) and mem.get("member_id"):
-                final[mem["member_id"]] = mem.get("status", "unknown")
-    except (OSError, ValueError):
+            for mem in json.load(fh)["members"]:
+                agg.update(mem["member_id"], wall=0.0, state=mem["status"])
+    except (OSError, ValueError, KeyError, TypeError):
         pass
+    return agg, sup, logs
 
-    member_ids = _member_dirs(run_dir)
-    for rec in sup:  # members that never produced a run log still show up
-        mid = rec.get("member")
-        if isinstance(mid, str) and mid not in member_ids:
-            member_ids.append(mid)
 
+def status_rows(run_dir: str, now: float | None = None) -> list[dict]:
+    """One status dict per member of the ensemble under ``run_dir``: the
+    :func:`fold_run_dir` aggregator's view of it (state, retries,
+    :meth:`~FleetAggregator.member_brief`, staleness) plus its count of
+    ``metrics`` records and its black-box verdict."""
+    now = time.time() if now is None else now
+    agg, sup, logs = fold_run_dir(run_dir)
+    stale = agg.staleness(now)
     rows = []
-    for mid in member_ids:
-        records, _ = read_records(os.path.join(run_dir, mid, "run.jsonl"))
-        beats = [r for r in records if r.get("event") == "heartbeat"]
-        metrics = [r for r in records if r.get("event") == "metrics"]
-        sup_mine = [r for r in sup if r.get("member") == mid]
-        retries = sum(1 for r in sup_mine if r.get("event") == "member_retry")
-
-        state = final.get(mid)
-        if state is None:
-            ended = _last(sup_mine, "member_end")
-            if ended is not None:
-                state = ended.get("status", "unknown")
-            elif _last(sup_mine, "member_quarantined") is not None:
-                state = "quarantined"
-            elif _last(sup_mine, "member_start") is not None:
-                state = "retrying" if (sup_mine and sup_mine[-1].get("event")
-                                       == "member_retry") else "running"
-            else:
-                state = "running" if beats else "unknown"
-
-        last_beat = beats[-1] if beats else None
-        last_met = metrics[-1] if metrics else None
-        gauges = ((last_met or {}).get("metrics") or {}).get("gauges", {})
-
-        def gauge(name, default=None):
-            cell = gauges.get(name)
-            return cell.get("value") if isinstance(cell, dict) else default
-
-        step = gauge("sched/steps_total")
-        if step is None and last_beat is not None:
-            step = last_beat.get("step")
-        sim_t = gauge("sched/sim_time")
-        if sim_t is None and last_beat is not None:
-            sim_t = last_beat.get("sim_t")
-        rate = gauge("sched/wall_rate")
-        if rate is None and last_beat is not None:
-            rate = last_beat.get("wall_rate")
-        drift = gauge("health/energy_drift_ratio")
-
-        walls = [r.get("wall") for r in (records + sup_mine)
-                 if isinstance(r.get("wall"), (int, float))]
-        stale = (now - max(walls)) if walls else None
+    for mid, cell in sorted(agg.members.items()):
+        brief = agg.member_brief(mid)
         rows.append({
             "member": mid,
-            "state": state,
-            "step": step,
-            "sim_t": sim_t,
-            "wall_rate": rate,
-            "energy_drift": drift,
-            "retries": retries,
-            "stale_s": stale,
-            "heartbeats": len(beats),
-            "metrics_records": len(metrics),
-            "verdict": _member_verdict(run_dir, mid, sup_mine),
+            "state": cell["state"],
+            "step": brief.get("step"),
+            "sim_t": brief.get("sim_t"),
+            "wall_rate": brief.get("wall_rate"),
+            "energy_drift": brief.get("energy_drift"),
+            "retries": cell["retries"],
+            "stale_s": stale[mid] if cell["wall"] else None,
+            "metrics_records": sum(r.get("event") == "metrics"
+                                   for r in logs.get(mid, [])),
+            "verdict": _member_verdict(run_dir, mid, sup),
         })
     return rows
 
 
-def _member_verdict(run_dir: str, mid: str, sup_mine: list) -> str | None:
+def _member_verdict(run_dir: str, mid: str, sup: list) -> str | None:
     """Black-box classifier verdict of the member's newest bundle.
 
     The supervisor's quarantine event carries the authoritative verdict;
@@ -351,10 +338,11 @@ def _member_verdict(run_dir: str, mid: str, sup_mine: list) -> str | None:
     newest ``*.blackbox.json`` in the member dir is classified directly.
     ``None`` when the member never dumped a bundle.
     """
-    quarantined = _last(sup_mine, "member_quarantined")
-    if quarantined is not None and isinstance(quarantined.get("verdict"),
-                                              str):
-        return quarantined["verdict"]
+    for rec in reversed(sup):
+        if (rec.get("member") == mid
+                and rec.get("event") == "member_quarantined"
+                and isinstance(rec.get("verdict"), str)):
+            return rec["verdict"]
     from .blackbox import classify_bundle, load_bundle, newest_bundle
 
     path = newest_bundle(os.path.join(run_dir, mid))
@@ -364,6 +352,69 @@ def _member_verdict(run_dir: str, mid: str, sup_mine: list) -> str | None:
         return classify_bundle(load_bundle(path))["verdict"]
     except (OSError, ValueError, KeyError, TypeError):
         return None
+
+
+def check_run_dir(run_dir: str) -> list[str]:
+    """Every problem of an ensemble run directory, each naming its file.
+
+    ``ensemble.jsonl`` and every member ``run.jsonl`` must pass
+    :func:`~repro.obs.runlog.validate_jsonl`, ``fleet.prom`` (when
+    written) :func:`~repro.obs.metrics.validate_prometheus`, and every
+    bundle a log references must exist and pass
+    :func:`~repro.obs.blackbox.validate_bundle`.  Every finished member's
+    final ``metrics`` record must equal the ``metrics`` of its
+    ``result.json`` — and exist, when the fleet wrote ``fleet.prom``:
+    then it ran with metrics on.
+    """
+    from .blackbox import load_bundle, validate_bundle
+
+    agg, sup, logs = fold_run_dir(run_dir)
+    problems = [] if logs else [f"{run_dir}: no member run logs"]
+    logged = {os.path.join(run_dir, "ensemble.jsonl"): sup}
+    logged.update((os.path.join(run_dir, mid, "run.jsonl"), records)
+                  for mid, records in sorted(logs.items()))
+    for log, records in logged.items():
+        try:
+            problems += [f"{log}:{n}: {msg}"
+                         for n, msg in validate_jsonl(log)["errors"]]
+        except OSError as exc:
+            problems.append(f"{log}: {exc.strerror or exc}")
+        for bundle in [r["bundle"] for r in records
+                       if isinstance(r.get("bundle"), str)]:
+            # a fleet's bundles live in <run_dir>/<member>/, wherever the
+            # run dir was when the path was logged
+            member_dir, name = os.path.split(bundle)
+            path = os.path.join(run_dir, os.path.basename(member_dir), name)
+            try:
+                errors = validate_bundle(load_bundle(path))
+            except (OSError, ValueError) as exc:
+                errors = [str(exc)]
+            problems += [f"{log}: bundle {bundle}: {e}" for e in errors]
+    prom = os.path.join(run_dir, FLEET_PROM)
+    metrics_on = os.path.isfile(prom)
+    if metrics_on:
+        with open(prom, encoding="utf-8") as fh:
+            problems += [f"{prom}: {e}" for e in validate_prometheus(fh.read())]
+    for mid, cell in sorted(agg.members.items()):
+        if cell["state"] not in ("ok", "recovered"):
+            continue
+        log = os.path.join(run_dir, mid, "run.jsonl")
+        result = os.path.join(run_dir, mid, "result.json")
+        final = [r.get("metrics") for r in logs.get(mid, [])
+                 if r.get("event") == "metrics"]
+        try:
+            with open(result, encoding="utf-8") as fh:
+                published = json.load(fh)["metrics"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            problems.append(f"{result}: unreadable ({exc!r})")
+            continue
+        if (final[-1] if final else None) != published:
+            problems.append(f"{log}: final metrics record differs from "
+                            f"{result}")
+        elif metrics_on and not final:
+            problems.append(f"{log}: no metrics record, but {prom} says "
+                            "the fleet ran with metrics on")
+    return problems
 
 
 def _cell(value, fmt: str, missing: str = "-") -> str:
@@ -404,18 +455,15 @@ def status_lines(run_dir: str, now: float | None = None) -> list[str]:
     summary = ", ".join(f"{n} {st}" for st, n in sorted(states.items()))
     lines.append(f"  {len(rows)} member(s): {summary}")
     prom = os.path.join(run_dir, FLEET_PROM)
-    try:
-        has_prom = os.path.isfile(prom)
-    except OSError:
-        has_prom = False
-    if has_prom:
+    if os.path.isfile(prom):
         lines.append(f"  exporters: {prom} "
                      f"+ {os.path.join(run_dir, FLEET_JSONL)}")
     return lines
 
 
 def watch_status(run_dir: str, interval: float | None = None,
-                 iterations: int | None = None, stream=None) -> int:
+                 iterations: int | None = None, stream=None,
+                 check: bool = False) -> int:
     """``obs-status`` driver: render once, or every ``interval`` seconds.
 
     Watch mode must behave like ``tail -f`` on a live run: Ctrl-C at any
@@ -423,9 +471,17 @@ def watch_status(run_dir: str, interval: float | None = None,
     dir or exporter file disappearing between renders — members being
     cleaned up, an NFS blip — shows up as a placeholder row on the next
     render instead of a traceback.  ``iterations`` bounds the number of
-    renders (for tests).
+    renders (for tests).  ``check`` renders once, then lists every
+    :func:`check_run_dir` problem and exits 1 when there is one.
     """
     out = stream if stream is not None else sys.stdout
+    if check:
+        problems = check_run_dir(run_dir)
+        verdict = "INVALID" if problems else "OK"
+        for line in (status_lines(run_dir) + problems
+                     + [f"{run_dir}: {len(problems)} problem(s) -> {verdict}"]):
+            print(line, file=out)
+        return 1 if problems else 0
     n = 0
     try:
         while True:

@@ -10,8 +10,9 @@ share a tiny envelope (``event``, ``seq``, ``wall``, ``run_id``) and each
 event type carries a fixed set of required fields (:data:`EVENT_FIELDS`).
 One reader decodes a log (:func:`read_records`, tolerant of torn and
 garbled lines) and one schema judges it (:func:`validate_record`, applied
-line by line by :func:`validate_jsonl` — what ``tools/check_runlog.py``,
-``python -m repro obs-report --check`` and the perf ledger run).
+line by line by :func:`validate_jsonl` — what ``python -m repro
+obs-report --check`` runs on one log, ``obs-status --check`` on every log
+of an ensemble run and the perf ledger on its runs).
 
 Events
 ------
@@ -146,11 +147,11 @@ class RunLog:
     lines are never corrupted.
     """
 
-    def __init__(self, path: str, run_id: str | None = None):
+    def __init__(self, path: str):
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         self.path = path
-        self.run_id = run_id if run_id is not None else uuid.uuid4().hex[:12]
+        self.run_id = uuid.uuid4().hex[:12]
         self._fh = open(path, "a", encoding="utf-8")
         self._lock = threading.Lock()
         self._seq = 0
@@ -218,7 +219,7 @@ def _git_rev() -> str:
 
 
 def run_manifest(solver=None, config: dict | None = None,
-                 argv=None, resumed: bool = False) -> dict:
+                 resumed: bool = False) -> dict:
     """Manifest payload: everything needed to identify a run after the fact.
 
     Covers the caller's config dict, the discrete-problem fingerprint (the
@@ -228,7 +229,7 @@ def run_manifest(solver=None, config: dict | None = None,
     man = {
         "schema": SCHEMA_VERSION,
         "config": dict(config or {}),
-        "argv": list(sys.argv if argv is None else argv),
+        "argv": list(sys.argv),
         "git_rev": _git_rev(),
         "env": {
             "python": platform.python_version(),

@@ -303,7 +303,7 @@ def get_step_plan_cache() -> PlanCache:
 def get_step_plan(
     n_clusters: int, rate: int, n_macro: int, adjacency=None
 ) -> StepPlan:
-    """Cached :func:`compile_step_plan` (honors ``REPRO_PLAN_CACHE=0``)."""
+    """Cached :func:`compile_step_plan`."""
     return _STEP_PLANS.get_or_build_key(
         step_plan_key(n_clusters, rate, n_macro, adjacency),
         lambda: compile_step_plan(n_clusters, rate, n_macro, adjacency),

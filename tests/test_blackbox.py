@@ -41,6 +41,12 @@ from repro.obs.blackbox import (
 ROCK = elastic(2700.0, 6000.0, 3464.0)
 
 
+def micro_event(index, cluster, t_int, dt):
+    """A scheduler micro-step event, as ``HookBus.micro_step`` passes it."""
+    return types.SimpleNamespace(index=index, cluster=cluster, t_int=t_int,
+                                 dt=dt)
+
+
 def build_coupled(order=2):
     crust = elastic(rho=2700.0, cp=4000.0, cs=2300.0)
     ocean = acoustic(rho=1000.0, cp=1500.0)
@@ -75,7 +81,7 @@ class TestFlightRecorder:
     def test_ring_is_bounded(self):
         rec = FlightRecorder(capacity=8)
         for i in range(100):
-            rec.record_micro(i, i % 3, i, 1e-3)
+            rec.record_micro(None, micro_event(i, i % 3, i, 1e-3))
         assert len(rec) == 8
         assert rec.recorded == 100
         events = rec.events()
@@ -85,7 +91,7 @@ class TestFlightRecorder:
 
     def test_event_normalization(self):
         rec = FlightRecorder(capacity=16)
-        rec.record_micro(0, 2, 5, 1e-3)
+        rec.record_micro(None, micro_event(0, 2, 5, 1e-3))
         rec.record_step(1, 0.25, 1e-3, energy=3.5, dt_scale=0.5)
         rec.record("checkpoint", step=1, path="x.npz")
         micro, step, ckpt = rec.events()
@@ -102,9 +108,8 @@ class TestFlightRecorder:
 
         rec = FlightRecorder(capacity=4)
         bus = HookBus()
-        rec.subscribe(bus)
-        ev = types.SimpleNamespace(index=7, cluster=1, t_int=3, dt=2e-3)
-        bus.micro_step(None, ev)
+        bus.on_micro_step(rec.record_micro)
+        bus.micro_step(None, micro_event(7, 1, 3, 2e-3))
         events = rec.events()
         assert events == [{"kind": "micro", "index": 7, "cluster": 1,
                            "t_int": 3, "dt": 2e-3}]
@@ -381,6 +386,32 @@ class TestRunnerIntegration:
         # ...but the ring was recording the whole time
         assert runner.recorder.recorded >= 4
 
+    def test_lts_micro_steps_pass_through_record_micro(self):
+        """Under LTS supervision every micro-step window of the plan is
+        recorded by ``record_micro`` itself (the method the perf ledger's
+        ``obs.recorder`` seam times), once each."""
+        from repro.core.lts import LocalTimeStepping
+        from repro.sched import Scheduler
+
+        class Counting(FlightRecorder):
+            calls = 0
+
+            def record_micro(self, solver, event):
+                self.calls += 1
+                super().record_micro(solver, event)
+
+        solver = build_coupled(order=1)
+        lts = LocalTimeStepping(solver)
+        assert lts.n_clusters == 2
+        t_end = 4 * lts.dt_min * lts.rate
+        n_micro = Scheduler(solver, lts).compiled_plan(t_end).n_micro
+        runner = ResilientRunner(solver, lts=lts, verbose=False)
+        runner.recorder = Counting()
+        runner.run(t_end)
+        assert runner.recorder.calls == n_micro == sum(lts.updates)
+        kinds = [e["kind"] for e in runner.recorder.events()]
+        assert kinds.count("micro") == n_micro
+
     def test_recovered_run_keeps_recovery_bundle_only(self, tmp_path):
         solver = build_coupled(order=1)
         inj = FaultInjector().corrupt_state(at_step=2)  # one-shot
@@ -501,9 +532,10 @@ class TestOverheadBudget:
         solver = build_coupled(order=2)
         rec = FlightRecorder()
         n = 50_000
+        ev = micro_event(0, 0, 0, 1e-3)
         t0 = time.perf_counter()
         for i in range(n):
-            rec.record_micro(i, 0, i, 1e-3)
+            rec.record_micro(solver, ev)
             rec.record_step(i, 1e-3 * i, 1e-3, energy=1.0, dt_scale=1.0)
         per_call = (time.perf_counter() - t0) / (2 * n)
 

@@ -415,7 +415,7 @@ class TestPlanCache:
             restore_checkpoint(path, new)
         assert new.t == 0.0  # nothing was loaded
 
-    def test_partition_is_memoised(self, monkeypatch):
+    def test_partition_is_memoised(self):
         """A rebuilt problem reuses the partition (and its quality
         numbers) instead of re-running clustering, Eq. 28 weights and
         the partitioner; any key field changing builds a fresh one."""
@@ -441,21 +441,28 @@ class TestPlanCache:
         assert get_plan_cache().stats()["misses"] == misses + 1
 
         # the memo returns what a cold build computes
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
+        clear_plan_cache()
         cold = build_gts(backend="partitioned", workers=2).backend
         assert cold.parts is not a.parts
         assert np.array_equal(cold.parts, a.parts)
 
-    def test_env_kill_switch(self, monkeypatch):
+    def test_cleared_cache_builds_afresh(self):
         clear_plan_cache()
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
-        a, b = build_gts(), build_gts()
-        st = get_plan_cache().stats()
-        assert st == {"entries": 0, "hits": 0, "misses": 0}
+        a = build_gts()
+        clear_plan_cache()
+        b = build_gts()
+        assert get_plan_cache().stats() == \
+            {"entries": 1, "hits": 0, "misses": 1}
         assert a.op.starT is not b.op.starT
 
-    def test_disabled_cache_still_correct(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
-        solver = build_gts()
-        Scheduler(solver).run(0.05)
-        assert np.isfinite(solver.Q).all()
+    def test_disabled_cache_still_correct(self):
+        """A run whose every plan was built cold (nothing cached) is
+        bitwise the run on the shared, cached plan."""
+        clear_plan_cache()
+        cold = build_gts()
+        Scheduler(cold).run(0.05)
+        warm = build_gts()
+        assert warm.op.starT is cold.op.starT
+        Scheduler(warm).run(0.05)
+        assert np.isfinite(cold.Q).all()
+        assert np.array_equal(cold.Q, warm.Q)

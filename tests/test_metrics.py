@@ -14,6 +14,7 @@ import io
 import json
 import os
 import re
+import shutil
 import sys
 import threading
 
@@ -314,12 +315,17 @@ class TestFleetAggregator:
         assert stats["n"] == 2
 
     def test_member_brief_and_staleness(self, tmp_path):
+        """The brief's step is the runner step the message carried, not
+        the executed-steps counter (which a resumed attempt restarts and
+        a rollback inflates); last-seen only moves forward."""
         agg = FleetAggregator(str(tmp_path))
-        agg.update("m0", self.member_snap(10, 1.5, 0.0), wall=50.0,
-                   state="running")
-        brief = agg.member_brief("m0")
-        assert brief["step"] == 10 and brief["sim_t"] == 1.5
+        agg.update("m0", self.member_snap(57, 1.5, 2e-9), wall=50.0,
+                   state="running", step=40, sim_t=0.8)
+        assert agg.member_brief("m0") == {"step": 40, "sim_t": 0.8,
+                                          "energy_drift": 2e-9}
+        agg.update("m0", wall=49.0, state="retrying")
         assert agg.staleness(now=57.0) == {"m0": 7.0}
+        assert agg.members["m0"]["retries"] == 1
         assert agg.member_brief("nope") == {}
 
     def test_future_schema_snapshot_ignored(self, tmp_path):
@@ -362,19 +368,29 @@ class TestStatusView:
 
     def synthetic_run_dir(self, tmp_path):
         root = tmp_path / "ens"
-        snap = {"schema": METRICS_SCHEMA_VERSION, "counters": {},
-                "gauges": {"sched/steps_total": {"value": 40.0, "t": 104.0},
-                           "sched/sim_time": {"value": 0.8, "t": 104.0},
-                           "sched/wall_rate": {"value": 25.0, "t": 104.0},
-                           "health/energy_drift_ratio":
-                               {"value": 2e-9, "t": 104.0}}}
-        self.write_jsonl(str(root / "m0" / "run.jsonl"), [
-            {"event": "heartbeat", "seq": 1, "wall": 100.0, "run_id": "r",
-             "step": 20, "sim_t": 0.4, "dt": 0.01, "energy": 1.0,
-             "wall_rate": 20.0},
-            {"event": "metrics", "seq": 2, "wall": 104.0, "run_id": "r",
-             "step": 40, "sim_t": 0.8, "metrics": snap},
-        ])
+
+        def beat(seq, wall, step, sim_t, steps_total):
+            # what a session with metrics on writes per beat: a metrics
+            # record (counters + gauges; sched/steps_total is the counter
+            # of executed steps) and the heartbeat, one write
+            snap = {"schema": METRICS_SCHEMA_VERSION,
+                    "counters": {"sched/steps_total": steps_total},
+                    "gauges": {"sched/sim_time": {"value": sim_t, "t": wall},
+                               "sched/wall_rate": {"value": 25.0, "t": wall},
+                               "health/energy_drift_ratio":
+                                   {"value": 2e-9, "t": wall}}}
+            return [
+                {"event": "metrics", "seq": seq, "wall": wall, "run_id": "r",
+                 "step": step, "sim_t": sim_t, "metrics": snap},
+                {"event": "heartbeat", "seq": seq + 1, "wall": wall,
+                 "run_id": "r", "step": step, "sim_t": sim_t, "dt": 0.02,
+                 "energy": 1.0, "wall_rate": 20.0},
+            ]
+
+        # m0 rolled back once: 46 steps executed for runner step 40
+        self.write_jsonl(str(root / "m0" / "run.jsonl"),
+                         beat(1, 100.0, 20, 0.4, 20)
+                         + beat(3, 104.0, 40, 0.8, 46))
         # m1: heartbeats only (metrics off), plus a torn tail to tolerate
         self.write_jsonl(str(root / "m1" / "run.jsonl"), [
             {"event": "heartbeat", "seq": 1, "wall": 101.0, "run_id": "r",
@@ -398,8 +414,8 @@ class TestStatusView:
                 for r in status_rows(self.synthetic_run_dir(tmp_path),
                                      now=110.0)}
         m0, m1 = rows["m0"], rows["m1"]
-        assert m0["step"] == 40.0 and m0["sim_t"] == 0.8  # from gauges
-        assert m0["wall_rate"] == 25.0
+        assert m0["step"] == 40 and m0["sim_t"] == 0.8  # the runner's
+        assert m0["wall_rate"] == 25.0  # rate and drift from the gauges
         assert m0["energy_drift"] == 2e-9
         assert m0["state"] == "running"
         assert m0["stale_s"] == pytest.approx(6.0)
@@ -549,6 +565,8 @@ class TestEnsembleFleetMetrics:
         lines = status_lines(str(tmp_path))
         assert any("2 ok" in ln for ln in lines)
         assert any(FLEET_PROM in ln for ln in lines)
+        assert watch_status(str(tmp_path), stream=io.StringIO(),
+                            check=True) == 0
 
     def test_supervisor_events_carry_metric_briefs(self, tmp_path):
         import dataclasses
@@ -623,6 +641,114 @@ class TestEnsembleFleetMetrics:
         self.run_ensemble(self.specs(), tmp_path)  # metrics, no traces
         with pytest.raises(FileNotFoundError):
             merge_chrome_traces(str(tmp_path))
+
+
+class TestStatusCheck:
+    """``obs-status RUN_DIR --check`` and the one fold over a real fleet."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self, tmp_path_factory):
+        """Two in-process members with metrics on; ``m1`` is killed
+        (simulated) after its first checkpoint and resumes from it."""
+        import dataclasses
+
+        from repro.core.health.inject import FaultInjector
+        from repro.ensemble import MemberSpec, RetryPolicy, Supervisor
+
+        out = tmp_path_factory.mktemp("fleet")
+        specs = [MemberSpec(member_id=f"m{k}", builder="quickstart",
+                            perturb={"n_x": 4}, t_end=0.12, seed=k,
+                            checkpoint_every=0.03) for k in range(2)]
+        specs[1] = dataclasses.replace(
+            specs[1], injector=FaultInjector().kill_process(at_step=10))
+        Supervisor(specs, workers=0, out_dir=str(out),
+                   retry=RetryPolicy(max_retries=1, backoff_base=0.01,
+                                     max_delay_s=0.02)).run()
+        return out
+
+    def check(self, run_dir, capsys):
+        from repro.__main__ import main
+
+        code = main(["obs-status", str(run_dir), "--check"])
+        return code, capsys.readouterr().out
+
+    def broken_copy(self, fleet, tmp_path):
+        return shutil.copytree(fleet, tmp_path / "fleet")
+
+    def test_fleet_with_a_recovery_passes(self, fleet, capsys):
+        code, out = self.check(fleet, capsys)
+        assert code == 0, out
+        assert "1 ok, 1 recovered" in out
+        assert "0 problem(s) -> OK" in out
+
+    def test_brief_and_status_report_the_runner_step(self, fleet):
+        """The supervisor's brief and ``obs-status`` fold the same step —
+        the runner's — also after a resumed attempt (the executed-steps
+        counter restarts there)."""
+        sup = _records(str(fleet / "ensemble.jsonl"))
+        records = _records(str(fleet / "m1" / "run.jsonl"))
+        with open(fleet / "m1" / "result.json") as fh:
+            result = json.load(fh)
+        assert result["resumed_from"]
+        end = [r for r in sup
+               if r["event"] == "member_end" and r["member"] == "m1"][-1]
+        row = {r["member"]: r for r in status_rows(str(fleet))}["m1"]
+        assert end["metrics"]["step"] == row["step"] == result["steps"]
+        assert row["state"] == "recovered" and row["retries"] == 1
+        # before the retry: the step of the last beat of attempt 1
+        second = [i for i, r in enumerate(records)
+                  if r["event"] == "manifest"][1]
+        beats = [r["step"] for r in records[:second]
+                 if r["event"] == "heartbeat"]
+        retry = next(r for r in sup if r["event"] == "member_retry")
+        assert retry["metrics"]["step"] == beats[-1]
+
+    def test_garbled_member_log_line(self, fleet, tmp_path, capsys):
+        run_dir = self.broken_copy(fleet, tmp_path)
+        log = run_dir / "m0" / "run.jsonl"
+        with open(log, "a") as fh:
+            fh.write("not json\n")
+        code, out = self.check(run_dir, capsys)
+        assert code == 1
+        assert f"{log}:" in out and "invalid JSON" in out
+
+    def test_invalid_fleet_prom(self, fleet, tmp_path, capsys):
+        run_dir = self.broken_copy(fleet, tmp_path)
+        prom = run_dir / FLEET_PROM
+        with open(prom, "a") as fh:
+            fh.write("repro_orphan 1\n")
+        code, out = self.check(run_dir, capsys)
+        assert code == 1
+        assert f"{prom}: " in out and "no preceding # TYPE" in out
+
+    @pytest.mark.parametrize("damage", ["missing", "tampered"])
+    def test_broken_referenced_bundle(self, fleet, tmp_path, capsys, damage):
+        run_dir = self.broken_copy(fleet, tmp_path)
+        retry = next(r for r in _records(str(run_dir / "ensemble.jsonl"))
+                     if r["event"] == "member_retry")
+        bundle = run_dir / "m1" / os.path.basename(retry["bundle"])
+        if damage == "missing":
+            bundle.unlink()
+        else:
+            doc = json.loads(bundle.read_text())
+            doc["reason"] = "nothing to see"
+            bundle.write_text(json.dumps(doc))
+        code, out = self.check(run_dir, capsys)
+        assert code == 1
+        assert f"bundle {retry['bundle']}" in out
+        assert ("No such file" if damage == "missing"
+                else "fingerprint mismatch") in out
+
+    def test_final_metrics_differ_from_result(self, fleet, tmp_path, capsys):
+        run_dir = self.broken_copy(fleet, tmp_path)
+        result = run_dir / "m0" / "result.json"
+        doc = json.loads(result.read_text())
+        doc["metrics"]["counters"]["sched/steps_total"] += 1
+        result.write_text(json.dumps(doc))
+        code, out = self.check(run_dir, capsys)
+        assert code == 1
+        assert (f"{run_dir / 'm0' / 'run.jsonl'}: final metrics record "
+                f"differs from {result}") in out
 
 
 @pytest.mark.slow

@@ -61,21 +61,6 @@ def build_coupled(order=2):
     return solver
 
 
-def check_runlog_tool():
-    """``tools/check_runlog.py`` loaded as a module."""
-    import importlib.util
-    import os
-
-    spec = importlib.util.spec_from_file_location(
-        "check_runlog",
-        os.path.join(os.path.dirname(__file__), "..", "tools",
-                     "check_runlog.py"),
-    )
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def disabled_step_overhead(solver, sites, one_site, n=50_000):
     """Fraction of a measured ``solver`` step that ``sites`` passes over
     the disabled registry entry points in ``one_site`` would cost.
@@ -385,8 +370,7 @@ class TestRunLog:
     def test_one_schema_for_payloads_and_bundle_fields(self, tmp_path,
                                                        capsys):
         """A ``metrics`` payload, a ``bundle`` path and a ``verdict`` are
-        part of the one schema: ``obs-report --check`` and
-        ``check_runlog.py`` reject the same log for the same reasons."""
+        part of the one schema ``obs-report --check`` judges a log by."""
         from repro.__main__ import main
 
         path = str(tmp_path / "run.jsonl")
@@ -404,8 +388,45 @@ class TestRunLog:
         assert any("'bundle' must be null" in m for m in msgs)
         assert len(msgs) == 4
         assert main(["obs-report", path, "--check"]) == 1
-        assert check_runlog_tool().main([path]) == 1
         assert "4 schema error(s) -> INVALID" in capsys.readouterr().out
+
+    def test_forward_compatible_log(self, tmp_path, capsys):
+        """A log from a newer writer — a newer manifest schema, an event
+        this reader does not know, extra fields on known events — loads
+        through the reader, ``obs-report`` and ``obs-status`` without a
+        traceback, and ``--check`` reports exactly the unknown event."""
+        from repro.__main__ import main
+
+        run_dir = tmp_path / "ens"
+        path = str(run_dir / "m0" / "run.jsonl")
+        with RunLog(path) as log:
+            log.emit("manifest", **dict(run_manifest(config={}), schema=99,
+                                        accelerator={"kind": "gpu"}))
+            log.emit("heartbeat", step=1, sim_t=0.1, dt=0.1, energy=1.0,
+                     wall_rate=5.0, gpu_temp=61.5)
+            log.emit("run_end", steps=1, wall_s=0.2, phases={}, counters={},
+                     exit_reason="t_end")
+        with open(path, "a") as fh:
+            fh.write(json.dumps({"event": "carbon_budget", "seq": 3,
+                                 "wall": 1.0, "run_id": "r", "g": 2}) + "\n")
+        with RunLog(str(run_dir / "ensemble.jsonl")) as sup:
+            sup.emit("member_start", member="m0", attempt=1,
+                     scenario="quickstart", pid=1, queue="fast")
+        records, torn = read_records(path)
+        assert [r["event"] for r in records] == \
+            ["manifest", "heartbeat", "run_end", "carbon_budget"]
+        assert not torn
+        assert main(["obs-report", path]) == 0
+        assert main(["obs-status", str(run_dir)]) == 0
+        capsys.readouterr()
+        assert main(["obs-report", path, "--check"]) == 1
+        out = capsys.readouterr().out
+        assert f"{path}:4: unknown event type 'carbon_budget'" in out
+        assert "1 schema error(s)" in out
+        assert main(["obs-status", str(run_dir), "--check"]) == 1
+        out = capsys.readouterr().out
+        assert f"{path}:4: unknown event type 'carbon_budget'" in out
+        assert "1 problem(s) -> INVALID" in out
 
     def test_manifest_covers_solver_identity(self):
         solver = build_coupled(order=2)
@@ -740,18 +761,17 @@ class TestReport:
 
         assert main(["obs-report", path, "--node", "atari2600"]) == 2
 
-    def test_check_runlog_tool(self, tmp_path):
-        mod = check_runlog_tool()
+    def test_obs_report_check_rejects_garbage(self, tmp_path, capsys):
+        from repro.__main__ import main
+
         path = str(tmp_path / "run.jsonl")
         with RunLog(path) as log:
             log.emit("manifest", **run_manifest(config={}))
-        assert mod.main([path]) == 0
-        assert mod.main([path, "--min-manifests", "2"]) == 1
-        assert mod.main([path, "--require-heartbeat"]) == 1
-        assert mod.main([path, "--require-metrics"]) == 1
+        assert main(["obs-report", path, "--check"]) == 0
         with open(path, "a") as fh:
             fh.write("garbage\n")
-        assert mod.main([path]) == 1
+        assert main(["obs-report", path, "--check"]) == 1
+        assert f"{path}:2: invalid JSON" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

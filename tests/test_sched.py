@@ -186,13 +186,15 @@ class TestStepPlanCache:
         assert step_plan_key(3, 3, 2, [{1}, {0, 2}, {1}]) != k
         assert step_plan_key(3, 2, 2, [{1}, {0}, set()]) != k
 
-    def test_env_kill_switch(self, monkeypatch):
+    def test_cleared_cache_compiles_afresh(self):
         clear_plan_cache()
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
         p1 = get_step_plan(2, 2, 1, [{1}, {0}])
+        clear_plan_cache()
         p2 = get_step_plan(2, 2, 1, [{1}, {0}])
         assert p1 is not p2
-        assert len(get_step_plan_cache()) == 0
+        assert np.array_equal(p1.cluster, p2.cluster)
+        assert get_step_plan_cache().stats() == \
+            {"entries": 1, "hits": 0, "misses": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -32,19 +32,20 @@ JSON), ``--log-json PATH`` (structured JSONL run records) and
 ``--heartbeat-every N`` (heartbeat period in steps; see README
 "Observability").
 
-``obs-report RUN.jsonl [--node NAME] [--check]``
+``obs-report RUN.jsonl [--check]``
     Summarize a structured run log: manifest, heartbeats, resilience
     events, and — for profiled runs — the per-phase breakdown with
-    measured-vs-modeled GFLOP/s.  ``--check`` validates every record
-    against the schema first and exits non-zero on errors.
-``obs-trace RUN.trace.json [--check]``
-    Summarize a ``--trace`` export: wall span, per-lane busy/idle,
-    hottest span names, critical-path estimate and halo-gather vs
-    compute overlap.  ``--check`` validates the Chrome-trace schema
-    first and exits non-zero on errors.  With ``--merge ENSEMBLE_DIR``
-    the per-member worker traces of an ensemble run are stitched into
-    one wall-clock-aligned Perfetto timeline (one process lane per
-    member, supervisor events as instant markers) written to ``--out``.
+    measured-vs-modeled GFLOP/s on the paper's AMD Rome node.
+    ``--check`` validates every record against the schema first and
+    exits non-zero on errors.
+``obs-trace RUN.trace.json``
+    Check a ``--trace`` export (open it at https://ui.perfetto.dev):
+    validates the Chrome-trace schema, prints its event, span and
+    dropped counts, and exits non-zero on errors.  With ``--merge
+    ENSEMBLE_DIR`` the per-member worker traces of an ensemble run are
+    stitched into one wall-clock-aligned Perfetto timeline (one process
+    lane per member, supervisor events as instant markers), written to
+    ``--out`` and checked the same way.
 ``obs-status RUN_DIR [--watch N] [--check]``
     Render the fleet status table of an ensemble run directory (member,
     state, runner step, simulated time, wall rate, energy drift, retries,
@@ -136,15 +137,11 @@ def main(argv=None) -> int:
     sub.add_parser("acoustics", help="acoustic/gravity dispersion demo")
     p_r = sub.add_parser("obs-report", help="summarize a JSONL run log")
     p_r.add_argument("runlog", help="path to a --log-json run log")
-    p_r.add_argument("--node", default="rome",
-                     help="roofline node model (default: rome)")
     p_r.add_argument("--check", action="store_true",
                      help="validate every record against the schema first")
-    p_t = sub.add_parser("obs-trace", help="summarize a Chrome-trace/Perfetto export")
+    p_t = sub.add_parser("obs-trace", help="check a Chrome-trace/Perfetto export")
     p_t.add_argument("trace", help="path to a --trace JSON export, or an "
                      "ensemble run dir with --merge")
-    p_t.add_argument("--check", action="store_true",
-                     help="validate the Chrome-trace schema first")
     p_t.add_argument("--merge", action="store_true",
                      help="treat the positional as an ensemble run dir and "
                      "merge per-member traces into one timeline")
@@ -196,10 +193,6 @@ def main(argv=None) -> int:
     p_e.add_argument("--backend", default="serial",
                      help="execution backend inside each member "
                      "(default serial)")
-    p_e.add_argument("--no-metrics", action="store_true",
-                     help="disable the per-member metric registry (on by "
-                     "default: heartbeats carry snapshots, the supervisor "
-                     "exports fleet.prom/fleet.jsonl)")
     p_e.add_argument("--trace", action="store_true",
                      help="record a span timeline per member "
                      "(<member>/trace.json; merge with "
@@ -225,14 +218,11 @@ def main(argv=None) -> int:
         print(__doc__)
         return 0
     if args.command == "obs-report":
-        from repro.obs.report import KNOWN_NODES, summarize_runlog
+        from repro.obs.report import summarize_runlog
 
-        if args.node not in KNOWN_NODES:
-            print(f"unknown node {args.node!r} (known: {', '.join(KNOWN_NODES)})")
-            return 2
-        return summarize_runlog(args.runlog, node=args.node, check=args.check)
+        return summarize_runlog(args.runlog, check=args.check)
     if args.command == "obs-trace":
-        from repro.obs.trace import merge_chrome_traces, summarize_trace_file
+        from repro.obs.trace import check_trace_file, merge_chrome_traces
 
         path = args.trace
         if args.merge:
@@ -250,7 +240,7 @@ def main(argv=None) -> int:
                   f"{meta['supervisor_events']} supervisor event(s) "
                   f"-> {out}")
             path = out
-        return summarize_trace_file(path, check=args.check)
+        return check_trace_file(path)
     if args.command == "obs-status":
         from repro.obs.fleet import watch_status
 
@@ -283,7 +273,6 @@ def main(argv=None) -> int:
                 t_end=args.t_end,
                 checkpoint_every=args.checkpoint_every,
                 backend=args.backend,
-                metrics=not args.no_metrics,
                 trace=args.trace,
             )
             for k in range(args.members)
@@ -301,10 +290,8 @@ def main(argv=None) -> int:
             print(line)
         print(f"artifacts: {args.out}/ensemble.json, "
               f"{args.out}/ensemble.jsonl, per-member dirs")
-        if not args.no_metrics:
-            print(f"fleet metrics: {args.out}/fleet.prom, "
-                  f"{args.out}/fleet.jsonl "
-                  f"(live view: python -m repro obs-status {args.out})")
+        print(f"fleet metrics: {args.out}/fleet.prom "
+              f"(live view: python -m repro obs-status {args.out})")
         # graceful degradation is still a degraded run: signal it
         return 3 if result.degraded else 0
     if args.command == "sched-plan":

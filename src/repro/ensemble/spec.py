@@ -111,17 +111,9 @@ class MemberSpec:
     checkpoint_every: float | None = None
     backend: str = "serial"
     workers: int | None = None
-    #: rotating checkpoints kept per member
-    keep_checkpoints: int = 3
     #: in-process watchdog retries (rollback + dt backoff) per segment;
     #: distinct from the *supervisor's* process-level RetryPolicy
     max_retries: int = 2
-    #: emit a heartbeat to the supervisor every N scheduler sync points
-    heartbeat_every: int = 1
-    #: enable the typed metric registry for this member: compact snapshots
-    #: piggyback on heartbeat messages and land as ``metrics`` run-log
-    #: records (the fleet aggregator's feed)
-    metrics: bool = True
     #: record a span timeline and export ``trace.json`` into the member
     #: dir — the per-member lane ``obs-trace --merge`` stitches together
     trace: bool = False
@@ -135,8 +127,6 @@ class MemberSpec:
             raise ValueError("member_id must be a non-empty string")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        if self.heartbeat_every < 1:
-            raise ValueError("heartbeat_every must be >= 1")
 
     def build(self) -> ScenarioHandle:
         """Instantiate the member's scenario (resolves the builder name)."""

@@ -82,7 +82,7 @@ __all__ = ["Supervisor"]
 ENSEMBLE_LOG = "ensemble.jsonl"
 ENSEMBLE_RESULT = "ensemble.json"
 
-#: seconds between periodic fleet.prom/fleet.jsonl exports mid-run
+#: seconds between periodic fleet.prom exports mid-run
 METRICS_EXPORT_EVERY = 2.0
 #: seconds a worker told to exit gets before it is killed
 REAP_GRACE_S = 5.0
@@ -197,9 +197,8 @@ class Supervisor:
         self.poll_interval = poll_interval
         self.verbose = verbose
         #: fleet-level metric aggregation (fed by heartbeat snapshots and
-        #: result files; exports fleet.prom + fleet.jsonl under out_dir)
+        #: result files; exports fleet.prom under out_dir)
         self.aggregator = FleetAggregator(out_dir=out_dir)
-        self._metrics_on = any(getattr(s, "metrics", False) for s in specs)
         self._last_export = 0.0
 
     # ------------------------------------------------------------------
@@ -433,8 +432,8 @@ class Supervisor:
         return self.aggregator.member_brief(m.spec.member_id)
 
     def _export_metrics(self, force: bool = False) -> None:
-        """Write fleet.prom + fleet.jsonl (rate-limited unless forced)."""
-        if not self._metrics_on or not self.aggregator.members:
+        """Write fleet.prom (rate-limited unless forced)."""
+        if not self.aggregator.members:
             return
         now = time.monotonic()
         if not force and now - self._last_export < METRICS_EXPORT_EVERY:

@@ -130,10 +130,9 @@ def run_member(
 
     The attempt is a run under an :class:`~repro.obs.session.ObsSession`:
     the session writes the member's ``run.jsonl`` (manifest, a heartbeat
-    per ``spec.heartbeat_every`` steps, ``run_end``) and, with
-    ``spec.metrics`` (the default), the ``metrics`` records — counters
-    and gauges next to every heartbeat, the full final snapshot last;
-    with ``spec.trace`` it exports ``trace.json`` (wall-clock anchored,
+    per step, ``run_end``) and the ``metrics`` records — counters and
+    gauges next to every heartbeat, the full final snapshot last; with
+    ``spec.trace`` it exports ``trace.json`` (wall-clock anchored,
     so ``obs-trace --merge`` can align it with its siblings).  What the
     worker adds is the pipe: the same per-beat counters and gauges ride
     up on its ``heartbeat`` messages, and the final snapshot on ``done``
@@ -147,8 +146,8 @@ def run_member(
     paths = member_paths(*os.path.split(member_dir))
     session = ObsSession(
         log_json=paths["runlog"],
-        heartbeat_every=spec.heartbeat_every,
-        metrics=spec.metrics,
+        heartbeat_every=1,
+        metrics=True,
         trace=paths["trace"] if spec.trace else None,
         config={
             "member_id": spec.member_id,
@@ -187,7 +186,6 @@ def _run_member_attempt(spec, paths, channel, attempt, resume, dt_scale,
         solver,
         checkpoint_every=spec.checkpoint_every,
         checkpoint_dir=paths["ckpt_dir"],
-        keep=spec.keep_checkpoints,
         max_retries=spec.max_retries,
         injector=spec.injector,
         verbose=False,
@@ -212,16 +210,12 @@ def _run_member_attempt(spec, paths, channel, attempt, resume, dt_scale,
         hooks.on_sync(lambda s: spec.injector.process_gate(
             runner.step_count, attempt, simulate=in_process))
     session.subscribe(hooks, runner=runner)
-    syncs = 0
 
     @hooks.on_sync
     def heartbeat(s):
-        # liveness at every beat, replayed steps after a rollback too
-        nonlocal syncs
-        syncs += 1
-        if syncs % spec.heartbeat_every == 0:
-            tell("heartbeat", step=runner.step_count, sim_t=s.t,
-                 metrics=session.beat_metrics)
+        # liveness at every sync, replayed steps after a rollback too
+        tell("heartbeat", step=runner.step_count, sim_t=s.t,
+             metrics=session.beat_metrics)
 
     session.start(solver, resumed=resumed_from is not None)
     tell("started", step=runner.step_count, sim_t=solver.t,
@@ -248,8 +242,7 @@ def _run_member_attempt(spec, paths, channel, attempt, resume, dt_scale,
             pass
         raise
     wall_s = time.perf_counter() - wall0
-    final = session.finish(solver)
-    metrics = final if spec.metrics else None
+    metrics = session.finish(solver)
     result = {
         "member_id": spec.member_id,
         "attempt": attempt,

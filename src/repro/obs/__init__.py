@@ -11,17 +11,18 @@ The measurement layer behind the paper's Sec. 5-6 performance story:
   tolerant reader (:func:`read_records`) and its one schema
   (:func:`validate_record` / :func:`validate_jsonl`, behind
   ``obs-report --check``, ``obs-status --check`` and the perf ledger);
-* :mod:`repro.obs.report` — measured-vs-modeled GFLOP/s accounting
-  against :mod:`repro.hpc.perfmodel` (imported lazily: it pulls in the
-  HPC models);
+* :mod:`repro.obs.report` — the one answer to "where did the time go":
+  the phase breakdown and measured-vs-modeled GFLOP/s against
+  :mod:`repro.hpc.perfmodel`'s Rome node (imported lazily: it pulls in
+  the HPC models);
 * :mod:`repro.obs.trace` — the registry's span buffer exported as
   Chrome-trace/Perfetto JSON timelines (one lane per partitioned worker,
-  LTS cluster slices colored by cluster id) plus the ``obs-trace``
-  summarizer;
+  LTS cluster slices colored by cluster id), checked by ``obs-trace``;
 * :mod:`repro.obs.fleet` — :class:`FleetAggregator`, the supervisor's
-  one fold of member state and snapshots (``fleet.prom`` /
-  ``fleet.jsonl`` exporters), which ``obs-status`` rebuilds offline
-  from a run dir to render it and, with ``--check``, validate it;
+  one fold of member state and snapshots (progress is the heartbeat's
+  runner step, its rate derived from the steps folded; ``fleet.prom``
+  exporter), which ``obs-status`` rebuilds offline from a run dir to
+  render it and, with ``--check``, validate it;
 * :mod:`repro.obs.blackbox` — always-on bounded flight recorder
   (:class:`FlightRecorder`) whose ring of recent micro-step events is
   dumped, on any terminal fault, as an atomic fingerprinted
@@ -46,7 +47,7 @@ from .._lazy import lazy_namespace
 
 __all__, __getattr__ = lazy_namespace(__name__, {
     "trace": ("TRACE_SCHEMA_VERSION", "chrome_trace", "export_chrome_trace",
-              "load_trace", "merge_chrome_traces", "summarize_trace",
+              "load_trace", "merge_chrome_traces", "check_trace_file",
               "validate_chrome_trace"),
     "runlog": ("RunLog", "run_manifest", "read_records", "validate_record",
                "validate_jsonl", "EVENT_FIELDS", "SCHEMA_VERSION"),

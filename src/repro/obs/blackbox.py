@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 import traceback
@@ -403,6 +404,15 @@ def validate_bundle(doc) -> list[str]:
 # ----------------------------------------------------------------------
 # classification
 # ----------------------------------------------------------------------
+#: what names each physics symptom in a reason, most specific first:
+#: ``nan`` / ``cfl`` / ``energy`` as whole words only — a path through a
+#: ``maintenance/`` directory is no NaN
+_SYMPTOMS = (
+    ("nan_origin", re.compile(r"\bnan\b|non-?finite")),
+    ("cfl_collapse", re.compile(r"\bcfl\b|admissible")),
+    ("energy_blowup", re.compile(r"\benergy\b")),
+)
+
 #: substrings that mark a process-level death (supervisor-side strikes)
 _DEATH_MARKERS = (
     "killed", "signal", "heartbeat_timeout", "exited with status",
@@ -452,18 +462,10 @@ def classify_bundle(doc: dict) -> dict:
         return verdict("nan_origin")
 
     joined = " ".join(texts).lower()
-    if "nan" in joined or "non-finite" in joined.replace("nonfinite",
-                                                         "non-finite"):
-        evidence.extend(t for t in texts if "nan" in t.lower()
-                        or "finite" in t.lower())
-        return verdict("nan_origin")
-    if "cfl" in joined or "admissible" in joined:
-        evidence.extend(t for t in texts
-                        if "cfl" in t.lower() or "admissible" in t.lower())
-        return verdict("cfl_collapse")
-    if "energy" in joined:
-        evidence.extend(t for t in texts if "energy" in t.lower())
-        return verdict("energy_blowup")
+    for name, pattern in _SYMPTOMS:
+        if pattern.search(joined):
+            evidence.extend(t for t in texts if pattern.search(t.lower()))
+            return verdict(name)
     if doc.get("kind") == "supervisor" or any(
             marker in joined for marker in _DEATH_MARKERS):
         evidence.extend(texts[:3])

@@ -1,23 +1,22 @@
-"""Fleet-level metric aggregation, exporters, and the status view.
+"""Fleet-level metric aggregation, the exporter, and the status view.
 
 The supervisor of :mod:`repro.ensemble` sees every member's compact
 metric snapshot ride in on its heartbeats; this module is where
 those per-member views become *fleet* facts:
 
 * :class:`FleetAggregator` — the one fold of member state: each
-  member's state, retries, runner step, simulated time and last-seen
-  wall time (staleness — the first thing an operator checks when a lane
-  goes quiet), and its snapshots folded (associatively, via
+  member's state, retries, runner step, simulated time, step rate
+  (derived from the steps and wall times it folds) and last-seen wall
+  time (staleness — the first thing an operator checks when a lane goes
+  quiet), and its snapshots folded (associatively, via
   :func:`repro.obs.metrics.merge_snapshots`) into one fleet snapshot
   with cross-member min/max/median/q90 statistics for every gauge (the
   fleet-spread view: is one member's energy drifting while the rest
   hold steady?).
-* **Exporters** — :meth:`FleetAggregator.export` writes two artifacts
-  into the ensemble out-dir, both through
-  :func:`repro.io.atomic.atomic_open` (a scrape or a tail never sees a
-  torn file):
-  ``fleet.prom`` in the Prometheus textfile-collector format and
-  ``fleet.jsonl`` with the full JSON aggregate history (bounded).
+* **Exporter** — :meth:`FleetAggregator.export` writes ``fleet.prom``
+  (the Prometheus textfile-collector format) into the ensemble out-dir
+  through :func:`repro.io.atomic.atomic_open`, so a scrape never sees a
+  torn file.
 * **Status view** — :func:`fold_run_dir` rebuilds the supervisor's
   aggregator from an ensemble run directory's artifacts alone
   (supervisor log, member run logs, ``ensemble.json`` — no live process
@@ -46,7 +45,6 @@ from .runlog import read_records, validate_jsonl
 
 __all__ = [
     "FLEET_PROM",
-    "FLEET_JSONL",
     "FleetAggregator",
     "fold_run_dir",
     "status_rows",
@@ -56,15 +54,11 @@ __all__ = [
 ]
 
 FLEET_PROM = "fleet.prom"
-FLEET_JSONL = "fleet.jsonl"
 
 #: the state the supervisor gives a member when it logs each event
 #: (``member_end`` carries the terminal status itself)
 _EVENT_STATES = {"member_start": "running", "member_retry": "retrying",
                  "member_quarantined": "quarantined"}
-
-#: aggregate-history records kept in ``fleet.jsonl``
-_HISTORY_MAX = 512
 
 
 def _quantile(sorted_vals: list[float], q: float) -> float:
@@ -93,9 +87,8 @@ class FleetAggregator:
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         #: member -> {"snapshot", "wall", "state", "retries", "step",
-        #: "sim_t"} (last view of each member)
+        #: "sim_t", "step_wall", "wall_rate"} (last view of each member)
         self.members: dict[str, dict] = {}
-        self._history: list[dict] = []
 
     # -- folding -------------------------------------------------------
     def update(self, member_id: str, snapshot: dict | None = None,
@@ -109,22 +102,30 @@ class FleetAggregator:
         ever moves last-seen forward.  ``step`` / ``sim_t`` are the
         runner's step and simulated time the message carries (the step a
         heartbeat reports, which a rollback or a resume does not inflate);
-        ``state`` tracks the supervisor's view (``running`` /
-        ``retrying`` / ``ok`` / ...), and every move to ``retrying`` is
-        a retry.
+        the wall rate is the steps gained over the wall time between the
+        two latest steps seen (a step that does not advance keeps it; a
+        resume, which goes back, restarts it).  ``state`` tracks the
+        supervisor's view (``running`` / ``retrying`` / ``ok`` / ...),
+        and every move to ``retrying`` is a retry.
         """
         cell = self.members.setdefault(member_id, {
             "snapshot": None, "wall": 0.0, "state": "unknown", "retries": 0,
-            "step": None, "sim_t": None})
+            "step": None, "sim_t": None, "step_wall": None,
+            "wall_rate": None})
         if isinstance(snapshot, dict) and snapshot.get(
                 "schema", METRICS_SCHEMA_VERSION) == METRICS_SCHEMA_VERSION:
             cell["snapshot"] = snapshot
-        cell["wall"] = max(cell["wall"],
-                           time.time() if wall is None else float(wall))
+        wall = time.time() if wall is None else float(wall)
+        cell["wall"] = max(cell["wall"], wall)
         if state is not None:
             cell["retries"] += state == "retrying"
             cell["state"] = state
         if step is not None:
+            prev, prev_wall = cell["step"], cell["step_wall"]
+            if prev is not None and step > prev and wall > prev_wall:
+                cell["wall_rate"] = (step - prev) / (wall - prev_wall)
+            if step != prev:
+                cell["step_wall"] = wall
             cell["step"] = step
         if sim_t is not None:
             cell["sim_t"] = sim_t
@@ -135,18 +136,19 @@ class FleetAggregator:
 
     def member_brief(self, member_id: str) -> dict:
         """Small ``{step, sim_t, wall_rate, energy_drift}`` digest of a
-        member — the runner step and simulated time it last reported,
-        rate and drift from its last snapshot's gauges — what supervisor
-        run-log events embed so quarantine diagnoses are self-contained,
-        and what ``obs-status`` shows.  Unknown fields are left out."""
+        member — the runner step, simulated time and step rate it last
+        reported, the drift from its last snapshot's gauge — what
+        supervisor run-log events embed so quarantine diagnoses are
+        self-contained, and what ``obs-status`` shows.  Unknown fields
+        are left out."""
         cell = self.members.get(member_id)
         if cell is None:
             return {}
         gauges = (cell["snapshot"] or {}).get("gauges", {})
-        brief = {"step": cell["step"], "sim_t": cell["sim_t"]}
-        for name, key in (("sched/wall_rate", "wall_rate"),
-                          ("health/energy_drift_ratio", "energy_drift")):
-            brief[key] = (gauges.get(name) or {}).get("value")
+        brief = {"step": cell["step"], "sim_t": cell["sim_t"],
+                 "wall_rate": cell["wall_rate"],
+                 "energy_drift": (gauges.get("health/energy_drift_ratio")
+                                  or {}).get("value")}
         return {k: v for k, v in brief.items() if v is not None}
 
     def fleet_snapshot(self) -> dict:
@@ -185,26 +187,7 @@ class FleetAggregator:
             }
         return stats
 
-    def aggregate(self, now: float | None = None) -> dict:
-        """One JSON-able fleet aggregate record."""
-        now = time.time() if now is None else now
-        return {
-            "schema": METRICS_SCHEMA_VERSION,
-            "wall": now,
-            "members": {
-                mid: {
-                    "state": cell["state"],
-                    "last_seen_wall": cell["wall"],
-                    "staleness_s": max(0.0, now - cell["wall"]),
-                    "brief": self.member_brief(mid),
-                }
-                for mid, cell in sorted(self.members.items())
-            },
-            "fleet": self.fleet_snapshot(),
-            "gauge_stats": self.gauge_stats(),
-        }
-
-    # -- exporters -----------------------------------------------------
+    # -- exporter ------------------------------------------------------
     def to_prometheus(self, now: float | None = None) -> str:
         """The fleet snapshot in Prometheus text exposition format.
 
@@ -237,23 +220,12 @@ class FleetAggregator:
                 ({"state": st}, float(n)) for st, n in sorted(states.items())]
         return to_prometheus(self.fleet_snapshot(), extra=extra)
 
-    def export(self, now: float | None = None) -> dict:
-        """Write ``fleet.prom`` + ``fleet.jsonl`` atomically under
-        ``out_dir``; returns the aggregate.
-
-        The JSONL file carries the full (bounded) aggregate history so a
-        consumer can see trends; both files are replaced atomically so a
-        concurrent scrape/tail never reads a torn document.
-        """
-        agg = self.aggregate(now)
-        self._history.append(agg)
-        del self._history[:-_HISTORY_MAX]
+    def export(self, now: float | None = None) -> None:
+        """Replace ``fleet.prom`` under ``out_dir`` atomically, so a
+        concurrent scrape never reads a torn document."""
         os.makedirs(self.out_dir, exist_ok=True)
         with atomic_open(os.path.join(self.out_dir, FLEET_PROM)) as fh:
             fh.write(self.to_prometheus(now))
-        with atomic_open(os.path.join(self.out_dir, FLEET_JSONL)) as fh:
-            fh.write("".join(json.dumps(rec) + "\n" for rec in self._history))
-        return agg
 
 
 # ----------------------------------------------------------------------
@@ -269,9 +241,9 @@ def fold_run_dir(run_dir: str) -> tuple[FleetAggregator, list, dict]:
 
     The supervisor log's member events set each member's state as they
     did live (and so count its retries); each member's heartbeat and
-    ``metrics`` records feed its runner step, simulated time and
-    snapshot, as the worker's pipe messages did; ``ensemble.json`` has
-    the last word on terminal states.  Returns ``(aggregator,
+    ``metrics`` records feed its runner step (and so its rate),
+    simulated time and snapshot, as the worker's pipe messages did;
+    ``ensemble.json`` has the last word on terminal states.  Returns ``(aggregator,
     supervisor_records, {member: run_log_records})``; works mid-run and
     post-mortem alike.
     """
@@ -361,10 +333,9 @@ def check_run_dir(run_dir: str) -> list[str]:
     :func:`~repro.obs.runlog.validate_jsonl`, ``fleet.prom`` (when
     written) :func:`~repro.obs.metrics.validate_prometheus`, and every
     bundle a log references must exist and pass
-    :func:`~repro.obs.blackbox.validate_bundle`.  Every finished member's
-    final ``metrics`` record must equal the ``metrics`` of its
-    ``result.json`` — and exist, when the fleet wrote ``fleet.prom``:
-    then it ran with metrics on.
+    :func:`~repro.obs.blackbox.validate_bundle`.  Every finished member
+    must have a final ``metrics`` record, equal to the ``metrics`` of its
+    ``result.json``.
     """
     from .blackbox import load_bundle, validate_bundle
 
@@ -391,8 +362,7 @@ def check_run_dir(run_dir: str) -> list[str]:
                 errors = [str(exc)]
             problems += [f"{log}: bundle {bundle}: {e}" for e in errors]
     prom = os.path.join(run_dir, FLEET_PROM)
-    metrics_on = os.path.isfile(prom)
-    if metrics_on:
+    if os.path.isfile(prom):
         with open(prom, encoding="utf-8") as fh:
             problems += [f"{prom}: {e}" for e in validate_prometheus(fh.read())]
     for mid, cell in sorted(agg.members.items()):
@@ -408,12 +378,11 @@ def check_run_dir(run_dir: str) -> list[str]:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             problems.append(f"{result}: unreadable ({exc!r})")
             continue
-        if (final[-1] if final else None) != published:
+        if not final:
+            problems.append(f"{log}: no metrics record")
+        elif final[-1] != published:
             problems.append(f"{log}: final metrics record differs from "
                             f"{result}")
-        elif metrics_on and not final:
-            problems.append(f"{log}: no metrics record, but {prom} says "
-                            "the fleet ran with metrics on")
     return problems
 
 
@@ -454,10 +423,6 @@ def status_lines(run_dir: str, now: float | None = None) -> list[str]:
         states[row["state"]] = states.get(row["state"], 0) + 1
     summary = ", ".join(f"{n} {st}" for st, n in sorted(states.items()))
     lines.append(f"  {len(rows)} member(s): {summary}")
-    prom = os.path.join(run_dir, FLEET_PROM)
-    if os.path.isfile(prom):
-        lines.append(f"  exporters: {prom} "
-                     f"+ {os.path.join(run_dir, FLEET_JSONL)}")
     return lines
 
 

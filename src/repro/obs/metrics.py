@@ -11,10 +11,11 @@ and checkpoint I/O:
 
 * **counters** — ``inc(name, n)``: element-update accounting (the
   roofline denominator, ``elem_updates/predictor``), LTS cluster updates
-  (``lts/updates/c0``), plan-cache hits (``cache/plan_hits``), steps,
-  checkpoint bytes;
+  (``lts/updates/c0``), plan-cache hits (``cache/plan_hits``), sync
+  points (``sched/sync_total``), checkpoint bytes;
 * **gauges** — ``set_gauge(name, v)``: last-write-wins sample with its
-  wall timestamp (simulated time, step rate, energy drift, CFL margin);
+  wall timestamp (energy drift, CFL margin, slip rate — simulated time
+  and step rate are what heartbeats report);
 * **phase timers** — ``with met.phase("kernels/volume"): ...``
   accumulates wall time and call counts under a hierarchical path
   (nested phases concatenate, ``step/predict``); ``add_time(name, s)``

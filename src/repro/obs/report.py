@@ -1,8 +1,9 @@
 """Measured-vs-modeled performance accounting and run-log summaries.
 
-Converts the registry snapshot of a profiled run (phase times +
-element-update counters) into the paper's Sec. 5 currency — achieved
-GFLOP/s per kernel against the analytical roofline of
+The one answer to "where did the time go": converts the registry
+snapshot of a profiled run (phase times + element-update counters) into
+the phase breakdown and the paper's Sec. 5 currency — achieved GFLOP/s
+per kernel against the analytical roofline of
 :mod:`repro.hpc.perfmodel` — and renders human-readable summaries of
 structured run logs (``python -m repro obs-report RUN.jsonl``).
 
@@ -22,21 +23,17 @@ Accounting conventions:
   LTS runs are credited for the updates they actually performed, not
   for GTS-equivalent sweeps.
 
-The modeled roofline needs a node: by default the paper's Sec. 5.1 AMD
-Rome test system (so "efficiency" reads as *fraction of what the paper's
-calibrated machine model attains*, which for a NumPy reproduction is
-honestly tiny), or ``--node local`` for a nominal model of the executing
-host.
+The modeled roofline is the paper's Sec. 5.1 AMD Rome node
+(:data:`repro.hpc.machine.AMD_ROME_7H12`), so "efficiency" reads as
+*fraction of what the paper's calibrated machine model attains* — for a
+NumPy reproduction, honestly tiny.
 """
 
 from __future__ import annotations
 
-import os
 import re
 
 __all__ = [
-    "KNOWN_NODES",
-    "node_spec",
     "phase_total",
     "worker_split",
     "lts_cluster_updates",
@@ -51,37 +48,6 @@ _CORRECTOR_PHASES = ("kernels/volume", "kernels/surface_interior",
 
 _WORKER_RE = re.compile(r"(?:^|/)worker/p(\d+)/(halo_gather|compute)$")
 _LTS_RE = re.compile(r"^lts/(updates|elem_updates)/c(\d+)$")
-
-
-def _node_specs() -> dict:
-    from ..hpc.machine import AMD_ROME_7H12, MAHTI, SHAHEEN2, SUPERMUC_NG, NodeSpec
-
-    local = NodeSpec(
-        name="local (nominal)",
-        sockets=1,
-        numa_per_socket=1,
-        cores_per_numa=max(os.cpu_count() or 1, 1),
-        freq_ghz=2.5,
-        flops_per_cycle=16,
-        mem_bw_gbs=40.0,
-    )
-    return {
-        "rome": AMD_ROME_7H12,
-        "mahti": MAHTI.node,
-        "supermuc-ng": SUPERMUC_NG.node,
-        "shaheen2": SHAHEEN2.node,
-        "local": local,
-    }
-
-
-#: node names accepted by ``obs-report --node`` (resolved lazily)
-KNOWN_NODES = ("rome", "mahti", "supermuc-ng", "shaheen2", "local")
-
-
-def node_spec(node):
-    """Resolve a :data:`KNOWN_NODES` name to its
-    :class:`~repro.hpc.machine.NodeSpec` (instances pass through)."""
-    return _node_specs()[node] if isinstance(node, str) else node
 
 
 # ----------------------------------------------------------------------
@@ -133,23 +99,22 @@ def lts_cluster_updates(counters: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-def roofline_rows(phases: dict, counters: dict, order: int,
-                  node: str | object = "rome") -> list[dict]:
-    """Measured-vs-modeled roofline rows for the predictor and corrector.
+def roofline_rows(phases: dict, counters: dict, order: int) -> list[dict]:
+    """Measured-vs-modeled roofline rows for the predictor and corrector,
+    on the paper's AMD Rome node.
 
-    ``node`` is a name from :data:`KNOWN_NODES` or a
-    :class:`~repro.hpc.machine.NodeSpec`.  FLOPs are those of the kernel
-    path the operator executes (crediting it with the dense SeisSol-shaped
-    counts would overstate measured GFLOP/s).  Rows contain ``kernel``,
+    FLOPs are those of the kernel path the operator executes (crediting
+    it with the dense SeisSol-shaped counts would overstate measured
+    GFLOP/s).  Rows contain ``kernel``,
     ``seconds``, ``elem_updates``, ``gflop``, ``measured_gflops``,
     ``model_gflops`` and ``efficiency`` (measured/model); kernels with no
     recorded time or updates are omitted.
     """
     from ..core.kernels import SpatialOperator
+    from ..hpc.machine import AMD_ROME_7H12
     from ..hpc.perfmodel import NodePerformanceModel
 
-    spec = node_spec(node)
-    model = NodePerformanceModel(spec, order=order,
+    model = NodePerformanceModel(AMD_ROME_7H12, order=order,
                                  variant=SpatialOperator.kernel_variant)
     kc = model.counts
 
@@ -180,8 +145,7 @@ def roofline_rows(phases: dict, counters: dict, order: int,
 
 # ----------------------------------------------------------------------
 def profile_lines(snapshot: dict, order: int | None = None,
-                  wall_s: float | None = None, node: str | object = "rome",
-                  top: int = 20) -> list[str]:
+                  wall_s: float | None = None, top: int = 20) -> list[str]:
     """Render a registry snapshot as the per-phase + roofline report."""
     phases = snapshot.get("phases", {})
     counters = snapshot.get("counters", {})
@@ -205,11 +169,13 @@ def profile_lines(snapshot: dict, order: int | None = None,
             lines.append(f"  ... {len(ranked) - top} more phases")
 
     if order is not None:
-        rows = roofline_rows(phases, counters, order, node)
+        rows = roofline_rows(phases, counters, order)
         if rows:
-            spec = node_spec(node)
+            from ..hpc.machine import AMD_ROME_7H12
+
             lines.append("")
-            lines.append(f"roofline (measured vs modeled, node: {spec.name}):")
+            lines.append(f"roofline (measured vs modeled, node: "
+                         f"{AMD_ROME_7H12.name}):")
             lines.append(
                 f"  {'kernel':12} {'elem-updates':>12} {'GFLOP':>10} "
                 f"{'meas GFLOP/s':>13} {'model GFLOP/s':>14} {'efficiency':>11}"
@@ -265,7 +231,7 @@ def _num(value, spec: str, missing: str = "?") -> str:
         return missing
 
 
-def summarize_runlog(path: str, node: str = "rome", check: bool = False) -> int:
+def summarize_runlog(path: str, check: bool = False) -> int:
     """Print a summary of a JSONL run log; returns a process exit code.
 
     With ``check=True`` the log is validated against the schema first and
@@ -342,7 +308,7 @@ def summarize_runlog(path: str, node: str = "rome", check: bool = False) -> int:
         print(f"run end: {run_end.get('steps')} steps in "
               f"{_num(run_end.get('wall_s'), '.2f', '?')} s wall")
         for line in profile_lines(snapshot, order=order,
-                                  wall_s=run_end.get("wall_s"), node=node):
+                                  wall_s=run_end.get("wall_s")):
             print(line)
     else:
         print("no run_end record (run still in progress or killed)")

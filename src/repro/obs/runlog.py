@@ -286,7 +286,7 @@ def _decode(path: str) -> tuple[list, bool]:
 def read_records(path: str) -> tuple[list[dict], bool]:
     """The records of a JSONL file, in order, plus its torn-tail flag.
 
-    The one reader of run logs (and of ``fleet.jsonl``): status views
+    The one reader of run logs: status views
     render while workers are still writing, or after they were killed
     mid-record, so a garbled line is skipped, a torn tail is reported in
     the flag, and a missing or unreadable file is empty — never an

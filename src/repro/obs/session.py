@@ -8,8 +8,8 @@ attempt under one) — behind the shared ``--profile`` / ``--trace`` /
 * ``profile=True`` prints the per-phase + roofline report at the end;
 * ``trace=PATH`` records spans and exports a Chrome-trace / Perfetto JSON
   timeline to ``PATH`` at the end (open it at https://ui.perfetto.dev,
-  or summarize with ``python -m repro obs-trace PATH``); composes freely
-  with ``profile``;
+  check it with ``python -m repro obs-trace PATH``); composes freely
+  with ``profile``, whose phase table says where the time went;
 * ``metrics=True`` writes a ``metrics`` record (counters and gauges)
   next to every heartbeat, and one final ``metrics`` record with the
   phases as well;
@@ -18,8 +18,10 @@ attempt under one) — behind the shared ``--profile`` / ``--trace`` /
   the final ``run_end`` record (resilience events are routed into the
   same log by passing ``session.runlog`` to ``ResilientRunner``);
 * ``heartbeat_every=N`` controls the heartbeat period in steps (default
-  10 when logging is on).  Without a run log, an explicit ``N`` prints
-  one-line heartbeats to stdout instead of being silently ignored.
+  10 when logging is on).  Heartbeats are the one answer to "how far
+  along": step, simulated time and step rate.  Without a run log, an
+  explicit ``N`` prints one-line heartbeats to stdout instead of being
+  silently ignored.
 
 Any of ``profile`` / ``trace`` / ``metrics`` resets and enables the one
 process-global registry (:func:`~repro.obs.metrics.get_metrics`) when the
@@ -211,7 +213,7 @@ class ObsSession:
                 )
                 print(f"trace: {self.trace} "
                       f"({doc['otherData']['spans']} spans; open at "
-                      f"https://ui.perfetto.dev or run "
+                      f"https://ui.perfetto.dev, check with "
                       f"`python -m repro obs-trace {self.trace}`)")
             if self.profile:
                 from .report import profile_lines

@@ -1,4 +1,4 @@
-"""Chrome-trace / Perfetto export and analysis of recorded span timelines.
+"""Chrome-trace / Perfetto export of recorded span timelines.
 
 The paper's Sec. 5-6 claims are *timeline* claims — when each LTS cluster
 stepped, how much of every worker's wall clock was halo exchange, whether
@@ -17,12 +17,11 @@ directly:
   stepping twice per cluster-1 step — is visible at a glance;
 * all remaining spans land on one lane per recording thread.
 
-:func:`summarize_trace` answers the offline questions (``python -m repro
-obs-trace RUN.trace.json``): per-lane busy/idle fractions, a critical-path
-estimate (longest chain of non-overlapping top-level spans — a proxy, as
-the recorder does not capture inter-span dependencies), and the fraction
-of halo-gather time during which another worker was computing (the
-communication/compute-overlap currency of the paper's Fig. 6 discussion).
+The timeline is for looking at; the numbers of where the time went are
+the phase timers' (``--profile``, ``obs-report``).  ``python -m repro
+obs-trace RUN.trace.json`` is the checker of an export
+(:func:`check_trace_file`): the :func:`validate_chrome_trace` schema plus
+its event, span and dropped counts.
 """
 
 from __future__ import annotations
@@ -40,9 +39,7 @@ __all__ = [
     "load_trace",
     "validate_chrome_trace",
     "merge_chrome_traces",
-    "summarize_trace",
-    "trace_summary_lines",
-    "summarize_trace_file",
+    "check_trace_file",
 ]
 
 #: bumped when the exported document layout changes
@@ -338,220 +335,24 @@ def validate_chrome_trace(doc) -> list[str]:
     return errors
 
 
-# ----------------------------------------------------------------------
-def _merge_intervals(ivals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    if not ivals:
-        return []
-    ivals = sorted(ivals)
-    out = [list(ivals[0])]
-    for a, b in ivals[1:]:
-        if a <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], b)
-        else:
-            out.append([a, b])
-    return [(a, b) for a, b in out]
-
-
-def _covered(ivals: list[tuple[float, float]]) -> float:
-    return sum(b - a for a, b in _merge_intervals(ivals))
-
-
-def _top_level(spans: list[tuple[float, float, str]]) -> list[tuple[float, float, str]]:
-    """Spans of one lane not nested inside an earlier span of that lane."""
-    top, enclosing_end = [], float("-inf")
-    for t0, t1, name in sorted(spans):
-        if t1 <= enclosing_end:
-            continue  # fully nested (phase hierarchy)
-        top.append((t0, t1, name))
-        enclosing_end = max(enclosing_end, t1)
-    return top
-
-
-def _longest_chain(spans: list[tuple[float, float, str]]) -> float:
-    """Longest total duration of a chain of non-overlapping spans.
-
-    A dependency-free critical-path proxy: the recorder keeps no edges, so
-    any set of spans that could not have run concurrently (pairwise
-    disjoint in time) bounds the makespan from below.  O(n log n) sweep.
-    """
-    import bisect
-
-    by_end = sorted(spans, key=lambda s: s[1])
-    ends: list[float] = []       # chain end times, ascending
-    best_prefix: list[float] = []  # max chain duration ending at <= ends[i]
-    best = 0.0
-    for t0, t1, _ in by_end:
-        i = bisect.bisect_right(ends, t0)
-        prev = best_prefix[i - 1] if i else 0.0
-        total = prev + (t1 - t0)
-        ends.append(t1)
-        best = max(best, total)
-        best_prefix.append(max(total, best_prefix[-1] if best_prefix else 0.0))
-    return best
-
-
-def summarize_trace(doc: dict) -> dict:
-    """Timeline metrics of an exported trace document.
-
-    Returns a dict with ``wall_s``, per-lane ``lanes`` (busy/idle), phase
-    ``totals`` by span name, ``critical_path_s`` + ``parallelism``, the
-    exporter's ring-buffer ``dropped`` count with a ``truncated`` flag
-    (a truncated trace under-reports every lane's busy time) and — when
-    worker spans are present — the ``halo`` overlap block.
-    """
-    other = doc.get("otherData") or {}
+def check_trace_file(path: str) -> int:
+    """``python -m repro obs-trace PATH``: validate one export
+    and print its event, span and dropped counts; returns the exit code
+    (1 on an unreadable document or any schema error)."""
     try:
-        dropped = int(other.get("dropped") or 0)
-    except (TypeError, ValueError):
-        dropped = 0
-    capacity = other.get("capacity")
-    lane_names: dict[tuple, str] = {}
-    lane_spans: dict[tuple, list] = {}
-    for ev in doc.get("traceEvents", []):
-        lane = (ev.get("pid"), ev.get("tid"))
-        if ev.get("ph") == "M":
-            if ev.get("name") == "thread_name":
-                lane_names[lane] = ev["args"]["name"]
-            continue
-        if ev.get("ph") != "X":
-            continue
-        t0 = float(ev["ts"]) * 1e-6
-        t1 = t0 + float(ev["dur"]) * 1e-6
-        lane_spans.setdefault(lane, []).append((t0, t1, ev["name"]))
-
-    all_spans = [s for spans in lane_spans.values() for s in spans]
-    if not all_spans:
-        return {"wall_s": 0.0, "lanes": {}, "totals": {},
-                "critical_path_s": 0.0, "parallelism": 0.0, "halo": None,
-                "dropped": dropped, "capacity": capacity,
-                "truncated": dropped > 0}
-    t_min = min(s[0] for s in all_spans)
-    t_max = max(s[1] for s in all_spans)
-    wall = t_max - t_min
-
-    lanes = {}
-    top_by_lane = {}
-    for lane, spans in lane_spans.items():
-        top = _top_level(spans)
-        top_by_lane[lane] = top
-        busy = _covered([(a, b) for a, b, _ in top])
-        lanes[lane_names.get(lane, f"lane-{lane[1]}")] = {
-            "spans": len(spans),
-            "busy_s": busy,
-            "idle_fraction": 1.0 - busy / wall if wall > 0 else 0.0,
-        }
-
-    totals: dict[str, dict] = {}
-    for t0, t1, name in all_spans:
-        cell = totals.setdefault(name, {"seconds": 0.0, "calls": 0})
-        cell["seconds"] += t1 - t0
-        cell["calls"] += 1
-
-    all_top = [s for top in top_by_lane.values() for s in top]
-    critical = _longest_chain(all_top)
-    busy_total = sum(v["busy_s"] for v in lanes.values())
-    parallelism = busy_total / critical if critical > 0 else 0.0
-
-    # halo-gather vs compute overlap across worker lanes
-    halo_spans = [(t0, t1, name) for t0, t1, name in all_spans
-                  if name.endswith("halo_gather")]
-    compute = _merge_intervals(
-        [(t0, t1) for t0, t1, name in all_spans
-         if name.endswith("compute") or name.endswith("predict")]
-    )
-    halo = None
-    if halo_spans:
-        halo_total = sum(t1 - t0 for t0, t1, _ in halo_spans)
-        overlapped = 0.0
-        for t0, t1, _ in halo_spans:
-            overlapped += _covered(
-                [(max(t0, a), min(t1, b)) for a, b in compute
-                 if a < t1 and b > t0]
-            )
-        halo = {
-            "halo_s": halo_total,
-            "overlapped_s": overlapped,
-            "overlap_fraction": overlapped / halo_total if halo_total > 0 else 0.0,
-        }
-
-    return {
-        "wall_s": wall,
-        "lanes": lanes,
-        "totals": totals,
-        "critical_path_s": critical,
-        "parallelism": parallelism,
-        "halo": halo,
-        "dropped": dropped,
-        "capacity": capacity,
-        "truncated": dropped > 0,
-    }
-
-
-def trace_summary_lines(summary: dict, other: dict | None = None,
-                        top: int = 15) -> list[str]:
-    """Render :func:`summarize_trace` output as the CLI report."""
-    lines = [f"trace span timeline: {summary['wall_s']:.4f} s wall"]
-    if other:
-        dropped = other.get("dropped", 0)
-        lines.append(
-            f"  {other.get('spans', '?')} spans"
-            + (f" ({dropped} DROPPED past capacity "
-               f"{other.get('capacity')})" if dropped else "")
-        )
-    if summary.get("truncated"):
-        # the exporter's ring wrapped: every number below under-counts
-        lines.append(
-            f"  WARNING: trace truncated — {summary['dropped']} span(s) "
-            f"dropped past capacity {summary.get('capacity')}; durations "
-            f"and busy fractions under-count the run"
-        )
-    lines.append(
-        f"  critical path (chain proxy): {summary['critical_path_s']:.4f} s"
-        f" | achieved parallelism {summary['parallelism']:.2f}x"
-    )
-    if summary["lanes"]:
-        lines.append("")
-        lines.append("lanes (busy vs idle):")
-        lines.append(f"  {'lane':24} {'spans':>7} {'busy s':>10} {'idle':>7}")
-        for name in sorted(summary["lanes"]):
-            lane = summary["lanes"][name]
-            lines.append(
-                f"  {name:24} {lane['spans']:>7} {lane['busy_s']:>10.4f} "
-                f"{100.0 * lane['idle_fraction']:>6.1f}%"
-            )
-    if summary["halo"] is not None:
-        h = summary["halo"]
-        lines.append("")
-        lines.append(
-            f"halo gather: {h['halo_s']:.4f} s, of which "
-            f"{100.0 * h['overlap_fraction']:.1f}% overlapped with "
-            f"another worker's compute"
-        )
-    if summary["totals"]:
-        lines.append("")
-        lines.append(f"top spans (by total duration):")
-        lines.append(f"  {'span':40} {'calls':>8} {'seconds':>10}")
-        ranked = sorted(summary["totals"].items(),
-                        key=lambda kv: -kv[1]["seconds"])
-        for name, cell in ranked[:top]:
-            lines.append(f"  {name:40} {cell['calls']:>8} {cell['seconds']:>10.4f}")
-        if len(ranked) > top:
-            lines.append(f"  ... {len(ranked) - top} more span names")
-    return lines
-
-
-def summarize_trace_file(path: str, check: bool = False) -> int:
-    """CLI driver for ``python -m repro obs-trace``; returns an exit code."""
-    doc = load_trace(path)
-    errors = validate_chrome_trace(doc)
-    if errors:
-        for msg in errors:
-            print(f"{path}: {msg}")
-        print(f"{path}: INVALID ({len(errors)} schema error(s))")
+        doc = load_trace(path)
+    except (OSError, ValueError) as exc:
+        print(f"{path}: unreadable ({exc}) -> INVALID")
         return 1
-    if check:
-        print(f"{path}: {len(doc.get('traceEvents', []))} events -> OK")
-    print(f"== trace {path} ==")
-    for line in trace_summary_lines(summarize_trace(doc), doc.get("otherData")):
-        print(line)
+    errors = validate_chrome_trace(doc)
+    for msg in errors:
+        print(f"{path}: {msg}")
+    if errors:
+        print(f"{path}: {len(errors)} schema error(s) -> INVALID")
+        return 1
+    events = doc["traceEvents"]
+    spans = sum(isinstance(ev, dict) and ev.get("ph") == "X" for ev in events)
+    dropped = (doc.get("otherData") or {}).get("dropped", 0)
+    print(f"{path}: {len(events)} events, {spans} spans, {dropped} dropped "
+          f"-> OK")
     return 0

@@ -15,7 +15,9 @@ time-marching driver fires the same events with the same semantics:
 ``on_sync(solver)``
     At every synchronization point — each macro-step boundary under LTS,
     each step under GTS — with ``solver.t`` set to the sync time.  Any
-    ``fn(solver)`` per-step probe subscribes here.
+    ``fn(solver)`` per-step probe subscribes here.  Each one counts
+    once in ``sched/sync_total`` — the run's one step counter (executed
+    steps, replays after a rollback included).
 ``on_segment_end(solver)``
     At supervised-segment boundaries (emitted by
     :class:`~repro.core.resilience.ResilientRunner` after a segment

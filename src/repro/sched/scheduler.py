@@ -14,9 +14,11 @@ per supervised segment.
   the canonical clustered cadence is *replayed* from flat arrays with no
   per-micro-step eligibility scan; under GTS the plan is the trivial
   single-cluster cadence.
-* It is the **single instrumentation dispatch site**: the per-cluster
-  trace span and update counters are emitted in exactly one place, with
-  span recording guarded internally.
+* It emits the **per-cluster instruments** only — the ``lts/cluster``
+  trace span and the ``lts/updates|elem_updates`` counters.  Progress is
+  not its to count: the :class:`~repro.sched.hooks.HookBus` counts steps
+  (``sched/sync_total``), and a run's rate and simulated time are what
+  its heartbeats report.
 * It fires the :class:`~repro.sched.hooks.HookBus` events every
   subscriber — watchdogs, heartbeats, receivers, checkpoints — shares.
 
@@ -26,8 +28,6 @@ runs replay the identical plan.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -40,23 +40,6 @@ __all__ = ["Scheduler", "plan_steps", "TERMINATION_TOL"]
 
 _MET = get_metrics()
 
-
-def _pulse_metrics(solver, steps_done: int, state: dict) -> None:
-    """Fleet-metric emission at a synchronization point (guarded upstream).
-
-    ``state`` carries ``{"wall", "steps"}`` across calls within one run so
-    the wall-rate gauge reflects progress *since the previous sync*, not a
-    run-lifetime average.
-    """
-    now = time.perf_counter()
-    n = steps_done - state["steps"]
-    if n > 0:
-        _MET.inc("sched/steps_total", n)
-    _MET.set_gauge("sched/sim_time", float(solver.t))
-    d_wall = now - state["wall"]
-    if d_wall > 0 and n > 0:
-        _MET.set_gauge("sched/wall_rate", n / d_wall)
-    state["wall"], state["steps"] = now, steps_done
 
 #: the integer clock's quantization, in *step units*: spans within this
 #: fraction of a whole number of steps round to it, so a ``t_end`` that is
@@ -158,7 +141,6 @@ class Scheduler:
             return
         # the compiled cadence of GTS: one cluster, every step a sync
         plan = self._plan(n_steps)
-        met_state = {"wall": time.perf_counter(), "steps": 0}
         k = 0
         while k < plan.n_micro:
             factor = 1.0 if dt_factor is None else float(dt_factor(solver))
@@ -171,8 +153,6 @@ class Scheduler:
                     index=k - 1, cluster=0, t_int=k - 1,
                     dt=float(step_dt), dt_nominal=float(dt_nominal),
                 ))
-            if _MET.enabled:
-                _pulse_metrics(solver, k, met_state)
             hooks.sync(solver)
             if factor != 1.0 and k < plan.n_micro:
                 # the plan assumed uniform steps; a modulated step changes
@@ -210,12 +190,10 @@ class Scheduler:
         # never observed
         I = self._window_buffer(Iown.shape)
         state = (plan, dt_min, dts, derivs, Iown, Ibuf, I, t0)
-        met_state = {"wall": time.perf_counter(), "steps": 0}
         for i in range(plan.n_micro):
             c = int(plan.cluster[i])
-            # single dispatch site: span emission guarded internally (the
-            # Perfetto timeline colors these by cluster id, exposing the
-            # clustered update cadence)
+            # span emission guarded internally (the Perfetto timeline
+            # colors these by cluster id, exposing the clustered cadence)
             with _MET.trace_span("lts/cluster", cluster=c,
                                  elems=int(lts.elem_count[c]),
                                  t_int=int(plan.t_int[i]), dt=float(dts[c])):
@@ -232,8 +210,6 @@ class Scheduler:
             sync_at = int(plan.sync_after[i])
             if sync_at >= 0:
                 solver.t = t0 + sync_at * dt_min
-                if _MET.enabled:
-                    _pulse_metrics(solver, i + 1, met_state)
                 hooks.sync(solver)
         solver.t = t_end
 

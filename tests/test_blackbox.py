@@ -302,6 +302,18 @@ class TestClassifier:
             doc = build_bundle(kind="supervisor", reason=reason)
             assert classify_bundle(doc)["verdict"] == "worker_death", reason
 
+    @pytest.mark.parametrize("path", [
+        "/data/maintenance/m0/run.jsonl",  # holds "nan"
+        "/srv/cflow/m0/run.jsonl",  # holds "cfl"
+        "/home/bioenergy/m0/run.jsonl",  # holds "energy"
+    ])
+    def test_symptoms_are_words_not_substrings(self, path):
+        """A path in a strike reason names no physics symptom."""
+        doc = build_bundle(kind="supervisor", reason=(
+            "exited with status 3 (OSError: [Errno 28] No space left on "
+            f"device: '{path}')"))
+        assert classify_bundle(doc)["verdict"] == "worker_death"
+
     def test_exception_kind_is_worker_death(self):
         doc = build_bundle(kind="exception",
                            error="Traceback ...\nKeyError: 'x'\n")

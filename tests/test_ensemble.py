@@ -207,7 +207,7 @@ class TestWorker:
         recs = [json.loads(line) for line in open(result["paths"]["runlog"])]
         events = [r["event"] for r in recs]
         beats = [r for r in recs if r["event"] == "heartbeat"]
-        assert len(beats) == result["steps"]  # heartbeat_every = 1
+        assert len(beats) == result["steps"]  # a beat per step
         assert events.count("metrics") == len(beats) + 1  # + the final one
         # every beat is a (metrics, heartbeat) pair in one durable write
         for i, rec in enumerate(recs):
@@ -656,7 +656,7 @@ class TestPersistentWorkers:
                 final = [json.loads(line) for line in f
                          if '"event": "metrics"' in line][-1]
             counters = final["metrics"]["counters"]
-            assert counters["sched/steps_total"] == twin["steps"]
+            assert counters["sched/sync_total"] == twin["steps"]
             # ... and the plan cache is the worker's too, forked warm
             # when the supervisor had built the plan
             assert ("cache/plan_misses" in counters) == (
@@ -780,12 +780,12 @@ class TestForkedWorkers:
             handle = get_builder("quickstart")(dict(TINY["perturb"]), 0)
             Scheduler(handle.solver).run(3 * handle.solver.dt)
             parent = met.snapshot()["counters"]
-            assert parent["sched/steps_total"] == 3
+            assert parent["sched/sync_total"] == 3
             _one_thread()
             with met.phase("driver"):  # open while the worker forks
                 result = self.run_ensemble([tiny_spec()], tmp_path / "ens",
                                            workers=1)
-            assert met.snapshot()["counters"]["sched/steps_total"] == 3
+            assert met.snapshot()["counters"]["sched/sync_total"] == 3
         finally:
             met.disable()
             met.reset()
@@ -794,7 +794,7 @@ class TestForkedWorkers:
             final = [json.loads(line) for line in f
                      if '"event": "metrics"' in line][-1]["metrics"]
         twin = run_member(tiny_spec(), str(tmp_path / "twin"))
-        assert final["counters"]["sched/steps_total"] == twin["steps"]
+        assert final["counters"]["sched/sync_total"] == twin["steps"]
         # the parent's plan, not a build of its own
         assert "cache/plan_misses" not in final["counters"]
         assert final["counters"]["cache/plan_hits"] >= 1

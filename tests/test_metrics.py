@@ -21,7 +21,6 @@ import threading
 import pytest
 
 from repro.obs.fleet import (
-    FLEET_JSONL,
     FLEET_PROM,
     FleetAggregator,
     status_lines,
@@ -228,9 +227,9 @@ class TestPrometheusExport:
     def registry_snapshot(self):
         reg = MetricRegistry()
         reg.enable()
-        reg.inc("sched/steps_total", 42)
+        reg.inc("sched/sync_total", 42)
         reg.inc("cache/plan_hits", 3)
-        reg.set_gauge("sched/sim_time", 1.25)
+        reg.set_gauge("health/cfl_margin", 0.25)
         reg.set_gauge("health/energy_drift_ratio", -1.5e-9)
         return reg.snapshot()
 
@@ -241,8 +240,8 @@ class TestPrometheusExport:
 
     def test_counter_total_suffix_and_sanitized_names(self):
         text = to_prometheus(self.registry_snapshot())
-        assert "# TYPE repro_sched_steps_total counter" in text
-        assert "repro_sched_steps_total 42" in text
+        assert "# TYPE repro_sched_sync_total counter" in text
+        assert "repro_sched_sync_total 42" in text
         # _total is appended exactly once, names sanitized / -> _
         assert "repro_cache_plan_hits_total 3" in text
         assert prom_name("a/b-c.d") == "repro_a_b_c_d"
@@ -253,7 +252,7 @@ class TestPrometheusExport:
             extra={"fleet/members": [({}, 2.0)],
                    "fleet/gauge_max": [({"metric": "x"}, 7.0)]})
         assert validate_prometheus(text) == [], validate_prometheus(text)
-        assert "repro_sched_steps_total 42" in text
+        assert "repro_sched_sync_total 42" in text
         assert "repro_fleet_members 2.0" in text
         assert 'repro_fleet_gauge_max{metric="x"} 7.0' in text
 
@@ -296,20 +295,19 @@ class TestPrometheusExport:
 
 # ----------------------------------------------------------------------
 class TestFleetAggregator:
-    def member_snap(self, steps, sim_t, drift):
+    def member_snap(self, steps, drift):
         reg = MetricRegistry()
         reg.enable()
-        reg.inc("sched/steps_total", steps)
-        reg.set_gauge("sched/sim_time", sim_t)
+        reg.inc("sched/sync_total", steps)
         reg.set_gauge("health/energy_drift_ratio", drift)
         return reg.snapshot()
 
     def test_fleet_fold_sums_counters(self, tmp_path):
         agg = FleetAggregator(str(tmp_path))
-        agg.update("m0", self.member_snap(10, 1.0, 1e-9), wall=50.0)
-        agg.update("m1", self.member_snap(32, 2.0, 3e-9), wall=51.0)
+        agg.update("m0", self.member_snap(10, 1e-9), wall=50.0)
+        agg.update("m1", self.member_snap(32, 3e-9), wall=51.0)
         fleet = agg.fleet_snapshot()
-        assert fleet["counters"]["sched/steps_total"] == 42
+        assert fleet["counters"]["sched/sync_total"] == 42
         stats = agg.gauge_stats()["health/energy_drift_ratio"]
         assert stats["min"] == 1e-9 and stats["max"] == 3e-9
         assert stats["n"] == 2
@@ -319,7 +317,7 @@ class TestFleetAggregator:
         the executed-steps counter (which a resumed attempt restarts and
         a rollback inflates); last-seen only moves forward."""
         agg = FleetAggregator(str(tmp_path))
-        agg.update("m0", self.member_snap(57, 1.5, 2e-9), wall=50.0,
+        agg.update("m0", self.member_snap(57, 2e-9), wall=50.0,
                    state="running", step=40, sim_t=0.8)
         assert agg.member_brief("m0") == {"step": 40, "sim_t": 0.8,
                                           "energy_drift": 2e-9}
@@ -337,20 +335,33 @@ class TestFleetAggregator:
 
     def test_export_atomic_artifacts(self, tmp_path):
         agg = FleetAggregator(str(tmp_path))
-        agg.update("m0", self.member_snap(5, 0.5, 0.0), wall=10.0,
+        agg.update("m0", self.member_snap(5, 0.0), wall=10.0,
                    state="running")
         agg.export(now=11.0)
-        agg.update("m0", self.member_snap(9, 0.9, 0.0), wall=12.0,
+        agg.update("m0", self.member_snap(9, 0.0), wall=12.0,
                    state="ok")
         agg.export(now=13.0)
         prom = (tmp_path / FLEET_PROM).read_text()
         assert validate_prometheus(prom) == [], validate_prometheus(prom)
-        history = _records(str(tmp_path / FLEET_JSONL))
-        assert len(history) == 2  # full bounded history, newest last
-        assert history[-1]["members"]["m0"]["state"] == "ok"
-        assert history[-1]["fleet"]["counters"]["sched/steps_total"] == 9
-        # no leftover temp files from the atomic publish
-        assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+        # the newest view replaced the old one
+        assert "repro_sched_sync_total 9" in prom
+        assert 'repro_fleet_members_by_state{state="ok"} 1.0' in prom
+        # the one artifact, no leftover temp files from the atomic publish
+        assert os.listdir(tmp_path) == [FLEET_PROM]
+
+    def test_wall_rate_from_the_steps_folded(self, tmp_path):
+        """The brief's rate is steps over wall time between the two
+        latest steps seen: a repeated step keeps it, a resume (the step
+        goes back) restarts it."""
+        agg = FleetAggregator(str(tmp_path))
+        agg.update("m0", wall=100.0, step=20)
+        assert "wall_rate" not in agg.member_brief("m0")
+        agg.update("m0", wall=104.0, step=40)
+        agg.update("m0", wall=105.0, step=40)
+        assert agg.member_brief("m0")["wall_rate"] == 5.0
+        agg.update("m0", wall=106.0, step=30)
+        agg.update("m0", wall=108.0, step=31)
+        assert agg.member_brief("m0")["wall_rate"] == 0.5
 
     def test_export_requires_out_dir(self):
         # where the exporters write is fixed at construction
@@ -369,16 +380,14 @@ class TestStatusView:
     def synthetic_run_dir(self, tmp_path):
         root = tmp_path / "ens"
 
-        def beat(seq, wall, step, sim_t, steps_total):
+        def beat(seq, wall, step, sim_t, syncs):
             # what a session with metrics on writes per beat: a metrics
-            # record (counters + gauges; sched/steps_total is the counter
-            # of executed steps) and the heartbeat, one write
+            # record (counters + gauges; sched/sync_total counts executed
+            # steps) and the heartbeat, one write
             snap = {"schema": METRICS_SCHEMA_VERSION,
-                    "counters": {"sched/steps_total": steps_total},
-                    "gauges": {"sched/sim_time": {"value": sim_t, "t": wall},
-                               "sched/wall_rate": {"value": 25.0, "t": wall},
-                               "health/energy_drift_ratio":
-                                   {"value": 2e-9, "t": wall}}}
+                    "counters": {"sched/sync_total": syncs},
+                    "gauges": {"health/energy_drift_ratio":
+                               {"value": 2e-9, "t": wall}}}
             return [
                 {"event": "metrics", "seq": seq, "wall": wall, "run_id": "r",
                  "step": step, "sim_t": sim_t, "metrics": snap},
@@ -415,8 +424,9 @@ class TestStatusView:
                                      now=110.0)}
         m0, m1 = rows["m0"], rows["m1"]
         assert m0["step"] == 40 and m0["sim_t"] == 0.8  # the runner's
-        assert m0["wall_rate"] == 25.0  # rate and drift from the gauges
-        assert m0["energy_drift"] == 2e-9
+        # the rate derived from the runner steps: (40 - 20) / (104 - 100)
+        assert m0["wall_rate"] == 5.0
+        assert m0["energy_drift"] == 2e-9  # drift from the gauge
         assert m0["state"] == "running"
         assert m0["stale_s"] == pytest.approx(6.0)
         # m1 falls back to its heartbeat record; retry state from the
@@ -499,11 +509,11 @@ class TestDisabledOverhead:
 
 # ----------------------------------------------------------------------
 def _last_metrics_steps(runlog_path):
-    """``sched/steps_total`` of the last metrics record in a run log."""
+    """``sched/sync_total`` of the last metrics record in a run log."""
     metrics = [r for r in _records(runlog_path)
                if r.get("event") == "metrics"]
     assert metrics, f"no metrics records in {runlog_path}"
-    return metrics[-1]["metrics"]["counters"]["sched/steps_total"]
+    return metrics[-1]["metrics"]["counters"]["sched/sync_total"]
 
 
 def _prom_value(text, name):
@@ -540,18 +550,9 @@ class TestEnsembleFleetMetrics:
             _last_metrics_steps(str(tmp_path / m.member_id / "run.jsonl"))
             for m in result.members)
         assert expected > 0
-        assert _prom_value(prom, "repro_sched_steps_total") == expected
+        assert _prom_value(prom, "repro_sched_sync_total") == expected
         assert _prom_value(prom, "repro_fleet_members") == 2.0
-
-        history = _records(str(tmp_path / FLEET_JSONL))
-        assert history
-        last = history[-1]
-        assert last["fleet"]["counters"]["sched/steps_total"] == expected
-        assert set(last["members"]) == {"m0", "m1"}
-        assert all(cell["state"] in ("ok", "completed")
-                   for cell in last["members"].values())
-        # fleet spread stats cover the physics gauges
-        assert "sched/sim_time" in last["gauge_stats"]
+        assert 'repro_fleet_members_by_state{state="ok"} 2.0' in prom
 
     def test_status_view_renders_completed_fleet(self, tmp_path):
         self.run_ensemble(self.specs(), tmp_path)
@@ -562,9 +563,9 @@ class TestEnsembleFleetMetrics:
             assert row["step"] > 0
             assert row["sim_t"] == pytest.approx(0.12)
             assert row["metrics_records"] >= 1
+            assert row["wall_rate"] > 0  # derived from its beats
         lines = status_lines(str(tmp_path))
         assert any("2 ok" in ln for ln in lines)
-        assert any(FLEET_PROM in ln for ln in lines)
         assert watch_status(str(tmp_path), stream=io.StringIO(),
                             check=True) == 0
 
@@ -605,14 +606,6 @@ class TestEnsembleFleetMetrics:
     def test_metrics_registry_not_leaked_after_ensemble(self, tmp_path):
         self.run_ensemble(self.specs(n=1), tmp_path)
         assert not get_metrics().enabled
-
-    def test_no_metrics_opt_out(self, tmp_path):
-        result = self.run_ensemble(self.specs(metrics=False), tmp_path)
-        assert result.counts["ok"] == 2
-        for m in result.members:
-            records = _records(
-                str(tmp_path / m.member_id / "run.jsonl"))
-            assert not [r for r in records if r.get("event") == "metrics"]
 
     def test_merged_trace_one_lane_per_member(self, tmp_path):
         from repro.obs.trace import merge_chrome_traces, validate_chrome_trace
@@ -739,11 +732,23 @@ class TestStatusCheck:
         assert ("No such file" if damage == "missing"
                 else "fingerprint mismatch") in out
 
+    def test_missing_final_metrics_record(self, fleet, tmp_path, capsys):
+        """Every finished member ran with metrics on: a run log without
+        its ``metrics`` records fails the check."""
+        run_dir = self.broken_copy(fleet, tmp_path)
+        log = run_dir / "m0" / "run.jsonl"
+        lines = [ln for ln in log.read_text().splitlines(keepends=True)
+                 if '"event": "metrics"' not in ln]
+        log.write_text("".join(lines))
+        code, out = self.check(run_dir, capsys)
+        assert code == 1
+        assert f"{log}: no metrics record" in out
+
     def test_final_metrics_differ_from_result(self, fleet, tmp_path, capsys):
         run_dir = self.broken_copy(fleet, tmp_path)
         result = run_dir / "m0" / "result.json"
         doc = json.loads(result.read_text())
-        doc["metrics"]["counters"]["sched/steps_total"] += 1
+        doc["metrics"]["counters"]["sched/sync_total"] += 1
         result.write_text(json.dumps(doc))
         code, out = self.check(run_dir, capsys)
         assert code == 1
@@ -773,10 +778,7 @@ class TestEnsembleFleetMetricsSpawned:
             _last_metrics_steps(str(tmp_path / m.member_id / "run.jsonl"))
             for m in result.members)
         assert expected > 0
-        assert _prom_value(prom, "repro_sched_steps_total") == expected
-        history = _records(str(tmp_path / FLEET_JSONL))
-        assert history[-1]["fleet"]["counters"]["sched/steps_total"] == \
-            expected
+        assert _prom_value(prom, "repro_sched_sync_total") == expected
 
     def test_obs_status_cli_on_spawned_run(self, tmp_path):
         import subprocess

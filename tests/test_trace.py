@@ -1,4 +1,4 @@
-"""Span tracing: bounded buffer, Chrome-trace export, summarizer, CLI."""
+"""Span tracing: bounded buffer, Chrome-trace export, checker, CLI."""
 
 import json
 import os
@@ -12,8 +12,6 @@ from repro.obs.trace import (
     chrome_trace,
     export_chrome_trace,
     load_trace,
-    summarize_trace,
-    trace_summary_lines,
     validate_chrome_trace,
 )
 from repro.sched import HookBus, Scheduler
@@ -292,93 +290,6 @@ class TestValidator:
 
 
 # ----------------------------------------------------------------------
-class TestSummarizer:
-    def _traced_partitioned_doc(self):
-        solver, backend = _partitioned(workers=2)
-        met = get_metrics()
-        met.enable(trace=True)
-        try:
-            for _ in range(2):
-                solver.step()
-        finally:
-            backend.close()
-        return chrome_trace(met.trace_snapshot()), backend
-
-    def test_summary_metrics(self):
-        doc, backend = self._traced_partitioned_doc()
-        s = summarize_trace(doc)
-        assert s["wall_s"] > 0
-        assert 0 < s["critical_path_s"] <= s["wall_s"] * (1 + 1e-9)
-        assert s["parallelism"] >= 1.0
-        for p in backend.plans:
-            lane = s["lanes"][f"worker p{p.part_id}"]
-            assert lane["busy_s"] > 0
-            assert 0.0 <= lane["idle_fraction"] <= 1.0
-        assert s["totals"]["worker/compute"]["calls"] == \
-            2 * len(backend.plans)
-        # the halo-overlap block exists for worker traces
-        assert s["halo"] is not None
-        assert 0.0 <= s["halo"]["overlap_fraction"] <= 1.0
-        assert s["halo"]["overlapped_s"] <= s["halo"]["halo_s"] * (1 + 1e-9)
-
-    def test_critical_path_on_synthetic_timeline(self):
-        # two lanes: [0,1] & [2,3] chain on lane A (2 s), [0.5, 1.5] on B;
-        # the longest non-overlapping chain is A's 2 s
-        doc = {"traceEvents": [
-            {"ph": "X", "name": "a1", "ts": 0.0, "dur": 1e6, "pid": 0, "tid": 0},
-            {"ph": "X", "name": "a2", "ts": 2e6, "dur": 1e6, "pid": 0, "tid": 0},
-            {"ph": "X", "name": "b", "ts": 0.5e6, "dur": 1e6, "pid": 0, "tid": 1},
-        ]}
-        s = summarize_trace(doc)
-        assert s["wall_s"] == pytest.approx(3.0)
-        assert s["critical_path_s"] == pytest.approx(2.0)
-        # nested spans don't inflate lane busy time
-        doc["traceEvents"].append(
-            {"ph": "X", "name": "a1/inner", "ts": 0.2e6, "dur": 0.5e6,
-             "pid": 0, "tid": 0})
-        s2 = summarize_trace(doc)
-        assert s2["lanes"]["lane-0"]["busy_s"] == pytest.approx(2.0)
-
-    def test_summary_lines_render(self):
-        doc, _ = self._traced_partitioned_doc()
-        lines = trace_summary_lines(summarize_trace(doc), doc["otherData"])
-        text = "\n".join(lines)
-        assert "critical path" in text
-        assert "worker p" in text
-        assert "halo gather" in text
-        assert "top spans" in text
-
-    def test_empty_trace_summary(self):
-        s = summarize_trace({"traceEvents": []})
-        assert s["wall_s"] == 0.0 and s["halo"] is None
-        assert s["dropped"] == 0 and s["truncated"] is False
-
-    def test_truncated_trace_surfaces_drop_count(self):
-        # regression: a wrapped exporter ring used to vanish silently —
-        # the summary must carry the drop count and warn the reader that
-        # every number under-counts the run
-        met = get_metrics()
-        met.enable(trace=True, trace_capacity=2)
-        for i in range(7):
-            met.add_span(f"s{i}", float(i), float(i) + 0.1)
-        doc = chrome_trace(met.trace_snapshot())
-        s = summarize_trace(doc)
-        assert s["dropped"] == 5
-        assert s["capacity"] == 2
-        assert s["truncated"] is True
-        text = "\n".join(trace_summary_lines(s, doc["otherData"]))
-        assert "WARNING: trace truncated" in text
-        assert "5 span(s) dropped" in text
-
-    def test_untruncated_trace_has_no_warning(self):
-        doc, _ = self._traced_partitioned_doc()
-        s = summarize_trace(doc)
-        assert s["truncated"] is False
-        text = "\n".join(trace_summary_lines(s, doc["otherData"]))
-        assert "WARNING: trace truncated" not in text
-
-
-# ----------------------------------------------------------------------
 class TestCliAndSession:
     def test_obs_trace_cli(self, tmp_path, capsys):
         from repro.__main__ import main
@@ -394,17 +305,24 @@ class TestCliAndSession:
         export_chrome_trace(path)
         met.disable()
 
-        assert main(["obs-trace", path, "--check"]) == 0
-        out = capsys.readouterr().out
-        assert "-> OK" in out
-        assert "trace span timeline" in out
-        assert "worker p0" in out
+        doc = load_trace(path)
+        spans = sum(ev["ph"] == "X" for ev in doc["traceEvents"])
+        assert main(["obs-trace", path]) == 0
+        assert capsys.readouterr().out.strip() == (
+            f"{path}: {len(doc['traceEvents'])} events, {spans} spans, "
+            f"0 dropped -> OK")
 
+        # a schema error and a garbled document each exit 1
         bad = str(tmp_path / "bad.trace.json")
         with open(bad, "w") as fh:
             json.dump({"traceEvents": [{"ph": "X", "ts": -1.0}]}, fh)
         assert main(["obs-trace", bad]) == 1
-        assert "INVALID" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "negative ts" in out and "-> INVALID" in out
+        with open(path, "r+") as fh:
+            fh.truncate(len(fh.read()) // 2)
+        assert main(["obs-trace", path]) == 1
+        assert "-> INVALID" in capsys.readouterr().out
 
     def test_obs_session_trace_export(self, tmp_path, capsys):
         path = str(tmp_path / "session.trace.json")

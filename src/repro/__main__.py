@@ -70,9 +70,10 @@ JSON), ``--log-json PATH`` (structured JSONL run records) and
 ``ensemble --members N [--workers W] [--scenario S] ...``
     Run a supervised multi-process ensemble of perturbed scenario
     members (see README "Ensemble runs").  Worker processes heartbeat to
-    the supervisor; hangs (``--member-timeout``), deaths, and corrupt
-    results are retried with backoff, checkpoint-resume, and timestep
-    backoff (``--max-retries`` strikes) before a member is quarantined.
+    the supervisor; hangs (``--member-timeout``), deaths, workers that
+    cannot start and corrupt results are retried with backoff,
+    checkpoint-resume, and timestep backoff (``--max-retries`` strikes)
+    before a member is quarantined.
     The driver always terminates with a complete per-member summary and
     an ``ensemble.json``/``ensemble.jsonl`` artifact pair in ``--out``.
 """
@@ -169,8 +170,8 @@ def main(argv=None) -> int:
     p_e.add_argument("--members", type=int, default=4, metavar="N",
                      help="number of perturbed ensemble members (default 4)")
     p_e.add_argument("--workers", type=int, default=2, metavar="W",
-                     help="concurrent worker processes; 0 = degraded "
-                     "in-process mode (default 2)")
+                     help="worker processes alive at once, at least 1; a "
+                     "worker that cannot start is a strike (default 2)")
     p_e.add_argument("--scenario", default="quickstart",
                      help="registered scenario builder "
                      "(quickstart | scenario_a | palu; default quickstart)")
@@ -277,14 +278,18 @@ def main(argv=None) -> int:
             )
             for k in range(args.members)
         ]
-        supervisor = Supervisor(
-            specs,
-            workers=args.workers,
-            retry=RetryPolicy(max_retries=args.max_retries),
-            member_timeout=args.member_timeout,
-            out_dir=args.out,
-            verbose=True,
-        )
+        try:
+            supervisor = Supervisor(
+                specs,
+                workers=args.workers,
+                retry=RetryPolicy(max_retries=args.max_retries),
+                member_timeout=args.member_timeout,
+                out_dir=args.out,
+                verbose=True,
+            )
+        except ValueError as exc:
+            print(f"ensemble: {exc}")
+            return 2
         result = supervisor.run()
         for line in result.lines():
             print(line)

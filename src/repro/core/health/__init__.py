@@ -50,6 +50,9 @@ __all__ = [
 
 #: relative energy increase a strict-mode check tolerates (round-off)
 _ENERGY_RTOL = 1e-8
+#: growth mode's runaway threshold: energy beyond this many times the
+#: historical maximum fails
+_GROWTH_FACTOR = 1e4
 
 
 def state_arrays(solver) -> list[tuple]:
@@ -194,44 +197,24 @@ class SimulationDiverged(RuntimeError):
 class Watchdog:
     """Scans a :class:`~repro.core.solver.CoupledSolver` for divergence.
 
-    Parameters
-    ----------
-    solver:
-        The solver to monitor.
-    energy_mode:
-        ``"strict"`` (non-increasing up to a relative 1e-8 per check),
-        ``"growth"`` (fail only on runaway beyond ``growth_factor`` times
-        the historical maximum), ``"off"``, or ``"auto"`` (default):
-        strict when the domain is passive (no sources, fault, or
-        prescribed motion), growth otherwise.
-    growth_factor:
-        Runaway threshold in growth mode.
+    The energy check follows from the solver: ``energy_mode`` is
+    ``"strict"`` (non-increasing up to a relative :data:`_ENERGY_RTOL`
+    per check) when the domain is passive — no sources, fault, or
+    prescribed motion — and ``"growth"`` (fail only on a runaway beyond
+    :data:`_GROWTH_FACTOR` times the historical maximum) otherwise.
     """
 
-    def __init__(
-        self,
-        solver,
-        energy_mode: str = "auto",
-        growth_factor: float = 1e4,
-    ):
-        if energy_mode not in ("auto", "strict", "growth", "off"):
-            raise ValueError(f"unknown energy_mode {energy_mode!r}")
-        if energy_mode == "auto":
-            passive = (
-                not solver.sources
-                and solver.fault is None
-                and solver.motion is None
-            )
-            energy_mode = "strict" if passive else "growth"
+    def __init__(self, solver):
+        passive = (not solver.sources and solver.fault is None
+                   and solver.motion is None)
         self.solver = solver
-        self.energy_mode = energy_mode
-        self.growth_factor = growth_factor
+        self.energy_mode = "strict" if passive else "growth"
         #: the mesh's admissible CFL step (Eq. 27): static, so taken once
         self._dt_admissible = float(solver.dt_elem.min())
         #: :func:`total_energy` of the state the last passing energy check
         #: swept — the current step's, for every hook that runs after the
         #: watchdog's (heartbeats, the flight recorder); ``None`` before
-        #: the first sweep, after :meth:`reset` and with ``energy_mode="off"``
+        #: the first sweep and after :meth:`reset`
         self.last_energy: float | None = None
         self._e_max = 0.0
 
@@ -282,9 +265,9 @@ class Watchdog:
                         "domain (Lyapunov invariant violated, Sec. 4.2)"
                     )
         else:  # growth
-            if self._e_max > 0.0 and e > self.growth_factor * self._e_max:
+            if self._e_max > 0.0 and e > _GROWTH_FACTOR * self._e_max:
                 msg = (
-                    f"energy runaway: {e:.6e} exceeds {self.growth_factor:g} x "
+                    f"energy runaway: {e:.6e} exceeds {_GROWTH_FACTOR:g} x "
                     f"historical max {self._e_max:.6e}"
                 )
         if not msg:
@@ -308,11 +291,10 @@ class Watchdog:
         report = HealthReport(t=self.solver.t, step=step)
         report.checks["state"] = self._check_state()
         report.checks["cfl"] = self._check_cfl(dt)
-        if self.energy_mode != "off":
-            # skip the energy scan when the state is already known-bad:
-            # its message would only duplicate the state failure
-            if report.ok:
-                report.checks["energy"] = self._check_energy()
+        # skip the energy scan when the state is already known-bad: its
+        # message would only duplicate the state failure
+        if report.ok:
+            report.checks["energy"] = self._check_energy()
         met = get_metrics()
         if met.enabled:
             self._emit_metrics(met, dt, report)

@@ -17,12 +17,12 @@ numbers, a consumed action does not re-fire, so the run recovers.  Pass
 ``persistent=True`` to re-fire on every attempt and drive the supervisor
 into retry exhaustion (:class:`~repro.core.health.SimulationDiverged`).
 
-Process-level faults drive the *multi-process* supervision tree of
-:mod:`repro.ensemble` — these fire inside an ensemble worker process and
-are scoped to a specific *attempt*, because every attempt is pickled to
-its worker on its own: it starts from a fresh copy of the injector, and
-``fired`` counters cannot carry over — not to a retry, and not to the
-next member a reused worker runs:
+Process-level faults drive the supervision tree of :mod:`repro.ensemble`
+— these fire inside an ensemble worker process, for real, and are scoped
+to a specific *attempt*, because every attempt is pickled to its worker
+on its own: it starts from a fresh copy of the injector, and ``fired``
+counters cannot carry over — not to a retry, and not to the next member
+a reused worker runs:
 
 * :meth:`kill_process` — ``SIGKILL`` the worker at step K (an OOM-killer /
   node-failure stand-in; no cleanup, no exit handler);
@@ -37,23 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["FaultInjector", "InjectedIOError", "InjectedHang",
-           "InjectedWorkerDeath"]
+__all__ = ["FaultInjector", "InjectedIOError"]
 
 
 class InjectedIOError(OSError):
     """I/O failure raised by an armed :meth:`FaultInjector.fail_io` action."""
-
-
-class InjectedHang(RuntimeError):
-    """Raised by :meth:`FaultInjector.process_gate` in ``simulate`` mode
-    instead of actually sleeping (for in-process tests of hang handling)."""
-
-
-class InjectedWorkerDeath(RuntimeError):
-    """Raised by :meth:`FaultInjector.process_gate` in ``simulate`` mode
-    instead of an actual ``SIGKILL`` — the ensemble supervisor's degraded
-    in-process mode must not kill the driver it degraded into."""
 
 
 @dataclass
@@ -179,15 +167,13 @@ class FaultInjector:
     def _due_process(self, a: _Action, attempt: int) -> bool:
         return (a.persistent or attempt == a.on_attempt) and a.fired == 0
 
-    def process_gate(self, step: int, attempt: int = 1,
-                     simulate: bool = False) -> None:
+    def process_gate(self, step: int, attempt: int = 1) -> None:
         """Fire kill/hang faults due at ``step`` of worker ``attempt``.
 
         A kill is an abrupt ``SIGKILL`` of the calling process — the worker
         gets no chance to flush, publish a result, or report back; a hang
-        sleeps so the process stays alive but silent.  With ``simulate``
-        the hang raises :class:`InjectedHang` instead of sleeping (for
-        in-process tests of the supervision logic).
+        sleeps so the process stays alive but silent.  Only an ensemble
+        worker calls it: a due fault ends or stalls the process it runs in.
         """
         import os
         import signal
@@ -199,18 +185,10 @@ class FaultInjector:
             if a.kind == "kill":
                 a.fired += 1
                 self.log.append((step, "kill", f"attempt {attempt}"))
-                if simulate:
-                    raise InjectedWorkerDeath(
-                        f"injected kill at step {step} (attempt {attempt})"
-                    )
                 os.kill(os.getpid(), signal.SIGKILL)
             elif a.kind == "hang":
                 a.fired += 1
                 self.log.append((step, "hang", f"attempt {attempt}"))
-                if simulate:
-                    raise InjectedHang(
-                        f"injected hang at step {step} (attempt {attempt})"
-                    )
                 deadline = time.monotonic() + a.seconds
                 while time.monotonic() < deadline:
                     time.sleep(min(0.5, a.seconds))

@@ -84,8 +84,9 @@ def cluster_major(mesh, order: int, safety: float = 0.35) -> None:
     elements and faces alike:
 
     * elements are renumbered by a stable argsort of the clustering, so
-      every cluster is a row range (clamping with ``max_cluster`` merges
-      the top clusters and keeps the ranges contiguous);
+      every cluster is a row range (a clustering capped with
+      ``cluster_elements(max_cluster=)`` merges the top ranges and stays
+      contiguous);
     * every regular interior face is oriented with the *finer* cluster on
       its minus side (:meth:`~repro.mesh.tetmesh.TetMesh.flip_faces`;
       fault faces never straddle clusters and are never flipped);
@@ -175,12 +176,15 @@ class LocalTimeStepping:
     advances the solver along it.
     """
 
-    def __init__(self, solver, rate: int = 2, max_cluster: int | None = None):
+    #: timestep ratio between neighbouring clusters: uncapped rate 2 is
+    #: the clustering :func:`cluster_major` lays a mesh out for
+    rate = 2
+
+    def __init__(self, solver):
         self.solver = solver
         mesh = solver.mesh
-        self.rate = rate
         self.cluster, self.dt_min = cluster_elements(
-            mesh, solver.order, rate, solver.cfl_safety, max_cluster
+            mesh, solver.order, self.rate, solver.cfl_safety
         )
         self.cmax = int(self.cluster.max())
         self.n_clusters = self.cmax + 1

@@ -49,6 +49,10 @@ from .health import HealthError, SimulationDiverged, Watchdog
 
 __all__ = ["ResilientRunner"]
 
+#: timestep multiplier applied on each rollback (and undone, one factor
+#: per clean segment, on the way back to 1)
+_DT_BACKOFF = 0.5
+
 
 class ResilientRunner:
     """Supervisor for long :class:`CoupledSolver` / LTS runs.
@@ -65,12 +69,11 @@ class ResilientRunner:
         Segment length in *simulated* seconds.  ``None`` runs each
         ``run()`` call as a single segment (still with rollback).
     checkpoint_dir:
-        Directory for rotating on-disk checkpoints; ``None`` keeps
-        snapshots in memory only.
+        Directory for rotating on-disk checkpoints (the newest three are
+        kept); ``None`` keeps snapshots in memory only.
     max_retries:
-        Rollback attempts per segment before giving up.
-    backoff:
-        Timestep multiplier applied on each rollback (0 < backoff < 1).
+        Rollback attempts per segment before giving up; each rollback
+        halves the timestep (:data:`_DT_BACKOFF`).
     injector:
         Optional :class:`~repro.core.health.inject.FaultInjector` for
         deterministic failure testing.
@@ -94,9 +97,7 @@ class ResilientRunner:
         lts=None,
         checkpoint_every: float | None = None,
         checkpoint_dir: str | None = None,
-        keep: int = 3,
         max_retries: int = 4,
-        backoff: float = 0.5,
         injector=None,
         verbose: bool = True,
         runlog=None,
@@ -106,19 +107,16 @@ class ResilientRunner:
             raise ValueError("lts wraps a different solver instance")
         if checkpoint_every is not None and checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be positive (seconds)")
-        if not 0.0 < backoff < 1.0:
-            raise ValueError("backoff must be in (0, 1)")
         self.solver = solver
         self.lts = lts
         self.watchdog = Watchdog(solver)
         self.checkpoint_every = checkpoint_every
         self.max_retries = max_retries
-        self.backoff = backoff
         self.injector = injector
         self.verbose = verbose
         self.runlog = runlog
         self.manager = (
-            CheckpointManager(checkpoint_dir, solver, lts, keep=keep)
+            CheckpointManager(checkpoint_dir, solver, lts)
             if checkpoint_dir
             else None
         )
@@ -244,7 +242,7 @@ class ResilientRunner:
                                         reports=reports, attempts=attempts)
                     self._rollback(snap)
                     self.dt_scale = (
-                        min(self.dt_scale, snap["dt_scale"]) * self.backoff
+                        min(self.dt_scale, snap["dt_scale"]) * _DT_BACKOFF
                     )
                     self._event(
                         "recovery", step=err.report.step, sim_t=err.report.t,
@@ -261,7 +259,7 @@ class ResilientRunner:
                             f"({seg_wall:.2f} s wall on this segment)"
                         )
             # healthy segment: relax the backoff and persist
-            self.dt_scale = min(1.0, self.dt_scale / self.backoff)
+            self.dt_scale = min(1.0, self.dt_scale / _DT_BACKOFF)
             snap = self._snapshot()
             bus.segment_end(solver)
 

@@ -20,7 +20,7 @@ that driver:
 * :mod:`repro.ensemble.supervisor` — the parent-side supervision tree:
   a pool of persistent workers woken by events, heartbeat-timeout hang
   detection, death detection, result validation, a retired worker per
-  strike, graceful degradation to in-process execution;
+  strike — a worker that cannot be started is a strike too;
 * :mod:`repro.ensemble.result` — per-member status records and the
   always-complete :class:`EnsembleResult`.
 

@@ -19,7 +19,7 @@ mesh family is much cheaper than member ``0``.  The cache is per process,
 ensemble workers are persistent and a forked worker starts with its
 supervisor's cache, so that holds for the members a worker runs one
 after another — and for its first one when the supervisor already built
-the plan — as it does for ``workers=0``.
+the plan.
 """
 
 from __future__ import annotations
@@ -111,15 +111,15 @@ class MemberSpec:
     checkpoint_every: float | None = None
     backend: str = "serial"
     workers: int | None = None
-    #: in-process watchdog retries (rollback + dt backoff) per segment;
+    #: the worker's watchdog retries (rollback + dt backoff) per segment;
     #: distinct from the *supervisor's* process-level RetryPolicy
     max_retries: int = 2
     #: record a span timeline and export ``trace.json`` into the member
     #: dir — the per-member lane ``obs-trace --merge`` stitches together
     trace: bool = False
     #: optional FaultInjector (state/dt/io faults run through the
-    #: in-process ResilientRunner; kill/hang/corrupt-result faults are
-    #: process-level and handled by the worker/supervisor pair)
+    #: worker's ResilientRunner; kill/hang/corrupt-result faults act on
+    #: the worker process and are handled by the supervisor)
     injector: object | None = None
 
     def __post_init__(self):

@@ -24,6 +24,9 @@ pipe, pickled, so it starts from a fresh spec and injector:
 * **corrupt results** — an attempt that reports ``done`` without a valid
   result file of its own (torn write, stale attempt) is treated exactly
   like a death;
+* **start failures** — a worker that cannot be started (``fork`` or
+  ``spawn`` raising: no memory, a process limit) is a strike too, booked
+  as ``spawn failed: …`` against the member it was started for;
 * **clean retries** — the worker of any struck attempt is retired, alive
   or not, so a retry never runs in the interpreter that failed it; only
   a worker whose every attempt succeeded is reused;
@@ -34,15 +37,9 @@ pipe, pickled, so it starts from a fresh spec and injector:
 
 The supervisor sleeps in ``multiprocessing.connection.wait`` on the busy
 workers' pipes and every worker's sentinel, so a finished member or a
-dead worker wakes it at once; ``poll_interval`` is only how often it
-looks for heartbeat silence.  Every worker is joined before ``run()``
+dead worker wakes it at once; :data:`POLL_INTERVAL_S` is only how often
+it looks for heartbeat silence.  Every worker is joined before ``run()``
 returns.
-
-Graceful degradation goes one level further: when starting a process
-is itself unavailable (restricted containers, ``workers=0``), the
-supervisor falls back to in-process execution of every member — no
-parallelism and no true kill/hang isolation, but the same retry ladder
-and the same complete result contract.
 
 Supervisor-level events (``member_start`` / ``member_retry`` /
 ``member_quarantined`` / ``member_end`` / ``ensemble_summary``) stream
@@ -52,16 +49,12 @@ alongside each member's own run log.
 
 from __future__ import annotations
 
-import copy
 import multiprocessing
 import os
 import sys
 import threading
 import time
-from functools import partial
-from types import SimpleNamespace
 
-from ..core.health.inject import InjectedHang, InjectedWorkerDeath
 from ..obs.blackbox import (
     BUNDLE_SUFFIX,
     build_bundle,
@@ -75,7 +68,7 @@ from ..obs.runlog import RunLog, read_records
 from .result import EnsembleResult, MemberResult
 from .retry import RetryPolicy
 from .spec import MemberSpec
-from .worker import load_result, member_paths, run_member, worker_main
+from .worker import load_result, member_paths, worker_main
 
 __all__ = ["Supervisor"]
 
@@ -86,6 +79,9 @@ ENSEMBLE_RESULT = "ensemble.json"
 METRICS_EXPORT_EVERY = 2.0
 #: seconds a worker told to exit gets before it is killed
 REAP_GRACE_S = 5.0
+#: longest the supervisor sleeps before looking for heartbeat silence;
+#: worker messages and deaths wake it at once
+POLL_INTERVAL_S = 0.05
 
 
 class _Member:
@@ -155,8 +151,8 @@ class Supervisor:
     specs:
         The ensemble members.  Member ids must be unique.
     workers:
-        Most worker processes alive at once, each running one member at
-        a time; ``0`` forces degraded in-process execution (no process).
+        Most worker processes alive at once (at least 1), each running
+        one member at a time.
     retry:
         The process-level :class:`RetryPolicy` (strikes, backoff,
         escalation).
@@ -166,9 +162,6 @@ class Supervisor:
     out_dir:
         Root for all artifacts: ``<out_dir>/<member_id>/`` per member,
         plus the ensemble run log and result JSON.
-    poll_interval:
-        Longest the supervisor sleeps before looking for heartbeat
-        silence; worker messages and deaths wake it at once.
     """
 
     def __init__(
@@ -178,15 +171,16 @@ class Supervisor:
         retry: RetryPolicy | None = None,
         member_timeout: float = 120.0,
         out_dir: str = "out/ensemble",
-        poll_interval: float = 0.05,
         verbose: bool = False,
     ):
         specs = list(specs)
         ids = [s.member_id for s in specs]
         if len(set(ids)) != len(ids):
             raise ValueError("member ids must be unique")
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
+        if workers < 1:
+            raise ValueError(
+                f"workers must be >= 1, got {workers}: every member attempt "
+                "runs in a worker process")
         if member_timeout <= 0:
             raise ValueError("member_timeout must be positive (seconds)")
         self.specs = specs
@@ -194,7 +188,6 @@ class Supervisor:
         self.retry = retry if retry is not None else RetryPolicy()
         self.member_timeout = member_timeout
         self.out_dir = out_dir
-        self.poll_interval = poll_interval
         self.verbose = verbose
         #: fleet-level metric aggregation (fed by heartbeat snapshots and
         #: result files; exports fleet.prom under out_dir)
@@ -210,10 +203,7 @@ class Supervisor:
         wall0 = time.perf_counter()
         members = [_Member(s, self.out_dir) for s in self.specs]
         try:
-            if self.workers == 0:
-                self._run_in_process(members, log)
-            else:
-                self._run_multiprocess(members, log)
+            self._supervise(members, log)
         finally:
             # over the members that reached a terminal state — all of them,
             # unless a driver-level error is on its way up
@@ -221,7 +211,7 @@ class Supervisor:
             result = EnsembleResult(
                 members=[m.result for m in members if m.done],
                 wall_s=wall_s,
-                workers=max(self.workers, 1),
+                workers=self.workers,
                 runlog_path=log.path,
             )
             c = result.counts
@@ -236,8 +226,8 @@ class Supervisor:
                 print(f"[ensemble] {line}")
         return result
 
-    # -- multi-process mode --------------------------------------------
-    def _run_multiprocess(self, members, log) -> None:
+    # ------------------------------------------------------------------
+    def _supervise(self, members, log) -> None:
         # sockets + selectors, 3 ms: paid here, not by `import repro`
         from multiprocessing.connection import wait
 
@@ -260,13 +250,15 @@ class Supervisor:
                         # worker started for it is on its bill
                         m.first_wall = time.perf_counter()
                     if w is None:
-                        w = self._start_worker(pool)
-                        if w is None:
-                            # no process: degrade this member in-process
-                            pending.remove(m)
-                            self._attempt_in_process(m, log)
-                            if not m.done:
-                                pending.append(m)
+                        try:
+                            w = self._start_worker(pool)
+                        except (OSError, ValueError) as exc:
+                            # the attempt never ran: a strike like a death
+                            m.attempts += 1
+                            m.last_error = None
+                            self._strike(m, log, f"spawn failed: {exc}")
+                            if m.done:
+                                pending.remove(m)
                             continue
                         pool.append(w)
                     if self._assign(m, w, log):
@@ -277,7 +269,7 @@ class Supervisor:
                 busy = [w for w in pool if w.member is not None]
                 if not busy and not pending:
                     break
-                timeout = self.poll_interval if busy else 0.5
+                timeout = POLL_INTERVAL_S if busy else 0.5
                 if pending and len(busy) < self.workers:
                     # room, but everyone pending is backing off: sleep no
                     # longer than until the next gate
@@ -328,9 +320,9 @@ class Supervisor:
                     w.proc.kill()
             _reap(pool)
 
-    def _start_worker(self, pool) -> _Worker | None:
-        """Start one persistent worker beside ``pool``; ``None`` when no
-        process can be started."""
+    def _start_worker(self, pool) -> _Worker:
+        """Start one persistent worker beside ``pool``; raises what the
+        start raised when no process can be started."""
         method = "fork" if _can_fork() else "spawn"
         ctx = multiprocessing.get_context(method)
         conn, child_conn = ctx.Pipe()
@@ -343,12 +335,9 @@ class Supervisor:
             proc = ctx.Process(target=worker_main,
                                args=(child_conn, inherited), daemon=True)
             proc.start()
-        except (OSError, ValueError) as exc:
+        except BaseException:
             conn.close()
-            if self.verbose:
-                print(f"[ensemble] {method} failed ({exc}); degrading to "
-                      "in-process execution")
-            return None
+            raise
         finally:
             child_conn.close()  # the child holds its own copy
         return _Worker(proc, conn)
@@ -443,51 +432,6 @@ class Supervisor:
             self.aggregator.export()
         except OSError:
             pass  # an unwritable exporter must never take down the fleet
-
-    # -- degraded in-process mode --------------------------------------
-    def _run_in_process(self, members, log) -> None:
-        for m in members:
-            while not m.done:
-                gate = m.next_start - time.monotonic()
-                if gate > 0:
-                    time.sleep(gate)
-                self._attempt_in_process(m, log)
-                self._export_metrics()
-
-    def _attempt_in_process(self, m: _Member, log) -> None:
-        m.attempts += 1
-        if m.first_wall is None:
-            m.first_wall = time.perf_counter()
-        self.aggregator.update(m.spec.member_id, state="running")
-        log.emit("member_start", member=m.spec.member_id, attempt=m.attempts,
-                 scenario=m.spec.builder, pid=os.getpid(),
-                 metrics=self._brief(m))
-        # each attempt gets a fresh spec copy, exactly as a worker process
-        # would: the injector's per-process `fired` counters must not leak
-        # across incarnations (a persistent fault re-fires every attempt)
-        spec = copy.deepcopy(m.spec)
-        try:
-            result = run_member(
-                spec, m.paths["dir"],
-                # no process boundary: the member's messages are booked as
-                # they are sent
-                channel=SimpleNamespace(send=partial(self._heard, m)),
-                attempt=m.attempts, resume=m.resume, dt_scale=m.dt_scale,
-                in_process=True,
-            )
-        except InjectedWorkerDeath as exc:
-            self._strike(m, log, f"killed (simulated): {exc}")
-            return
-        except InjectedHang as exc:
-            self._strike(m, log, f"heartbeat_timeout (simulated): {exc}")
-            return
-        except Exception as exc:  # graceful degradation: never crash
-            self._strike(m, log, f"{type(exc).__name__}: {exc}")
-            return
-        if result.get("status") == "diverged":
-            self._strike(m, log, f"diverged: {result.get('diverged')}")
-        else:
-            self._succeed(m, log, result)
 
     # -- black-box forensics -------------------------------------------
     def _collect_bundle(self, m: _Member, reason: str):

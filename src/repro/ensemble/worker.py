@@ -13,7 +13,7 @@ imports once.  Either way the worker then loops over the attempts the
 supervisor sends down its pipe, so every later member finds the plan
 cache warm.  Each attempt arrives pickled — spec and
 :class:`~repro.core.health.inject.FaultInjector` by value, so no injector
-counter outlives its attempt — and runs under the *in-process*
+counter outlives its attempt — and runs under the step-level
 supervision of :class:`~repro.core.resilience.ResilientRunner`
 (watchdog, rollback, dt backoff, rotating checkpoints) and records itself
 like any other run, under an :class:`~repro.obs.session.ObsSession` —
@@ -111,22 +111,18 @@ def run_member(
     attempt: int = 1,
     resume: bool = False,
     dt_scale: float = 1.0,
-    in_process: bool = False,
 ) -> dict:
     """Execute one attempt of ``spec``; returns the result dict.
 
-    Runs in a worker process (via :func:`worker_main`) or directly in the
-    parent when the supervisor operates in degraded in-process mode.
-    ``channel`` is where liveness goes: anything with ``send(dict)`` — the
-    worker's pipe to the supervisor, or the in-process shim.
+    A supervised attempt runs in a worker process (via
+    :func:`worker_main`), which passes its pipe to the supervisor as
+    ``channel`` — where liveness goes; without one (``None``) the member
+    runs inline, the uninterrupted reference a fleet member is compared
+    against.  Injected kill/hang faults act on the calling process.
     ``resume`` restores the newest *readable* checkpoint rotation through
     :meth:`~repro.core.resilience.ResilientRunner.resume` (a member with
     no rotation yet starts fresh);
     ``dt_scale`` applies the supervisor's escalated timestep scale.
-    ``in_process`` makes injected kill/hang faults raise
-    (:class:`~repro.core.health.inject.InjectedWorkerDeath` /
-    :class:`~repro.core.health.inject.InjectedHang`) instead of killing
-    or stalling the driver itself.
 
     The attempt is a run under an :class:`~repro.obs.session.ObsSession`:
     the session writes the member's ``run.jsonl`` (manifest, a heartbeat
@@ -160,13 +156,13 @@ def run_member(
     )
     try:
         return _run_member_attempt(spec, paths, channel, attempt, resume,
-                                   dt_scale, in_process, session)
+                                   dt_scale, session)
     finally:
         session.close()
 
 
 def _run_member_attempt(spec, paths, channel, attempt, resume, dt_scale,
-                        in_process, session) -> dict:
+                        session) -> dict:
     wall0 = time.perf_counter()
     pid = os.getpid()
 
@@ -208,7 +204,7 @@ def _run_member_attempt(spec, paths, channel, attempt, resume, dt_scale,
         # process-level faults fire before the heartbeat goes out: a hung
         # worker must look hung, not healthy
         hooks.on_sync(lambda s: spec.injector.process_gate(
-            runner.step_count, attempt, simulate=in_process))
+            runner.step_count, attempt))
     session.subscribe(hooks, runner=runner)
 
     @hooks.on_sync
@@ -227,7 +223,7 @@ def _run_member_attempt(spec, paths, channel, attempt, resume, dt_scale,
     try:
         runner.run(spec.t_end, hooks=hooks)
     except SimulationDiverged as exc:
-        # in-process retries exhausted: report, don't crash — the
+        # the runner's rollbacks are exhausted: report, don't crash — the
         # supervisor decides whether to escalate or quarantine
         status = "diverged"
         diverged = str(exc)
@@ -235,7 +231,7 @@ def _run_member_attempt(spec, paths, channel, attempt, resume, dt_scale,
     except BaseException as exc:
         # anything else kills the attempt: dump a crash bundle best
         # effort (the supervisor collects it from the member dir), then
-        # let the failure propagate — exit code 3 / simulated-fault path
+        # let the failure propagate — the worker exits with status 3
         try:
             runner.dump_exception(exc)
         except Exception:

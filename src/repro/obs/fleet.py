@@ -340,7 +340,8 @@ def check_run_dir(run_dir: str) -> list[str]:
     from .blackbox import load_bundle, validate_bundle
 
     agg, sup, logs = fold_run_dir(run_dir)
-    problems = [] if logs else [f"{run_dir}: no member run logs"]
+    # a member whose worker never started has no run log of its own
+    problems = [] if agg.members else [f"{run_dir}: no ensemble members"]
     logged = {os.path.join(run_dir, "ensemble.jsonl"): sup}
     logged.update((os.path.join(run_dir, mid, "run.jsonl"), records)
                   for mid, records in sorted(logs.items()))

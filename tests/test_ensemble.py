@@ -1,14 +1,14 @@
 """Fault-tolerant ensemble driver: supervision, retry ladder, chaos.
 
-The fast tier exercises the retry policy, the spec registry/pickling
-contract, the worker's result publishing, and the supervisor's degraded
-in-process mode (where injected kill/hang faults raise instead of
-killing the test runner).  The ``slow`` tier is the chaos matrix across
-real worker processes: kill -9, hangs, corrupt result files, and
-persistent failures driving quarantine — asserting the driver never
-crashes and every recovered member is *bitwise identical* to its
-uninterrupted twin; and what a forked worker inherits from the process
-that supervises it.
+Every supervised attempt runs in a real worker process, so the chaos
+matrix is the production path: kill -9, corrupt result files, workers
+that cannot start and persistent failures driving quarantine —
+asserting the driver never crashes and every recovered member is
+*bitwise identical* to its uninterrupted twin — beside the retry policy,
+the spec registry/pickling contract and the worker's result publishing.
+The ``slow`` tier holds what waits for a timeout of several seconds
+(hangs, a dead supervisor), runs a script in a child interpreter, or
+forks from a threaded parent, and the larger worker-reuse fleets.
 """
 
 import gc
@@ -25,11 +25,7 @@ import time
 
 import pytest
 
-from repro.core.health.inject import (
-    FaultInjector,
-    InjectedHang,
-    InjectedWorkerDeath,
-)
+from repro.core.health.inject import FaultInjector
 from repro.ensemble import (
     EnsembleResult,
     MemberSpec,
@@ -43,6 +39,7 @@ from repro.ensemble import (
     state_digest,
 )
 from repro.ensemble import spec as spec_module
+from repro.ensemble import supervisor as supervisor_module
 from repro.ensemble.worker import RESULT_NAME
 from repro.exec.plan_cache import clear_plan_cache
 from repro.io.checkpoint import checkpoint_candidates
@@ -254,49 +251,16 @@ class TestWorker:
 
 # ----------------------------------------------------------------------
 class TestSupervisorInProcess:
-    """Degraded (workers=0) mode: same ladder, simulated process faults."""
+    """The supervisor in the test process driving forked ``workers=1``
+    fleets: the retry ladder, quarantine and forensics on real worker
+    deaths and diverged attempts."""
 
     def run_ensemble(self, specs, tmp_path, **kw):
         kw.setdefault("retry", RetryPolicy(max_retries=2, backoff_base=0.01,
                                            max_delay_s=0.02))
-        sup = Supervisor(specs, workers=0, out_dir=str(tmp_path), **kw)
+        kw.setdefault("member_timeout", 60.0)
+        sup = Supervisor(specs, workers=1, out_dir=str(tmp_path), **kw)
         return sup.run()
-
-    def test_clean_ensemble_all_ok(self, tmp_path):
-        specs = [tiny_spec(f"m{k}", seed=k) for k in range(2)]
-        result = self.run_ensemble(specs, tmp_path)
-        assert result.counts == {"ok": 2, "recovered": 0, "quarantined": 0}
-        assert not result.degraded
-        for m in result.members:
-            assert m.attempts == 1 and m.digest
-
-    def test_simulated_kill_recovers_bitwise(self, tmp_path):
-        spec = tiny_spec(injector=FaultInjector().kill_process(at_step=10))
-        result = self.run_ensemble([spec], tmp_path / "chaos")
-        twin = run_member(spec.without_injector(), str(tmp_path / "twin"))
-        m = result.members[0]
-        assert m.status == "recovered"
-        assert m.attempts == 2
-        assert m.dt_scale == 1.0  # first retry must not perturb physics
-        assert m.digest == twin["digest"]
-        assert "killed (simulated)" in m.history[0]["reason"]
-
-    def test_simulated_hang_recovers(self, tmp_path):
-        spec = tiny_spec(injector=FaultInjector().hang(at_step=8))
-        result = self.run_ensemble([spec], tmp_path)
-        m = result.members[0]
-        assert m.status == "recovered"
-        assert "heartbeat_timeout (simulated)" in m.history[0]["reason"]
-
-    def test_corrupt_result_harmless_in_process(self, tmp_path):
-        # without a process boundary the supervisor consumes the in-memory
-        # result, so a torn result *file* cannot fail the attempt — that
-        # failure mode only exists (and is chaos-tested) across spawn
-        spec = tiny_spec(injector=FaultInjector().corrupt_result(on_attempt=1))
-        result = self.run_ensemble([spec], tmp_path / "chaos")
-        m = result.members[0]
-        assert m.status == "ok"
-        assert load_result(m.paths["result"]) is None  # file IS torn
 
     def test_retry_skips_garbled_newest_rotation(self, tmp_path):
         """The retry resumes from the rotation that loads, and the result
@@ -316,8 +280,7 @@ class TestSupervisorInProcess:
         spec = tiny_spec(injector=FaultInjector().kill_process(at_step=20))
         policy = GarbleNewest(max_retries=2, backoff_base=0.01,
                               max_delay_s=0.02)
-        with pytest.warns(RuntimeWarning, match="skipping unreadable"):
-            result = self.run_ensemble([spec], tmp_path / "chaos", retry=policy)
+        result = self.run_ensemble([spec], tmp_path / "chaos", retry=policy)
         twin = run_member(spec.without_injector(), str(tmp_path / "twin"))
         m = result.members[0]
         assert m.status == "recovered" and m.attempts == 2
@@ -325,31 +288,26 @@ class TestSupervisorInProcess:
         restored = load_result(m.paths["result"])["resumed_from"]
         assert restored and restored != garbled[0]
         assert os.path.dirname(restored) == ckpt_dir
-        with open(m.paths["runlog"], encoding="utf-8") as f:
-            resumes = [r for r in map(json.loads, f) if r["event"] == "resume"]
+        # the worker skipped the garbled rotation: its run log names the
+        # rotation it restored instead
+        resumes = [r for r in read_records(m.paths["runlog"])[0]
+                   if r["event"] == "resume"]
         assert [r["path"] for r in resumes] == [restored]
 
     def test_resume_without_checkpoint_starts_fresh(self, tmp_path):
-        fresh = run_member(tiny_spec(), str(tmp_path / "a"))
-        retried = run_member(tiny_spec(), str(tmp_path / "b"), attempt=2,
-                             resume=True)
-        assert retried["resumed_from"] is None
-        assert retried["digest"] == fresh["digest"]
-        report = validate_jsonl(retried["paths"]["runlog"])
-        assert "resume" not in report["events"]
-
-    def test_persistent_kill_quarantines_with_diagnosis(self, tmp_path):
-        spec = tiny_spec(injector=FaultInjector().kill_process(
-            at_step=10, persistent=True))
-        result = self.run_ensemble([spec], tmp_path)
+        """A worker killed before its first checkpoint is retried with
+        ``resume`` and, finding no rotation, starts from the beginning."""
+        spec = tiny_spec(injector=FaultInjector().kill_process(at_step=2))
+        result = self.run_ensemble([spec], tmp_path / "chaos")
+        twin = run_member(spec.without_injector(), str(tmp_path / "twin"))
         m = result.members[0]
-        assert m.status == "quarantined"
-        assert m.attempts == 3  # initial + max_retries=2
-        assert len(m.history) == 3
-        # the diagnosis leads with the classifier verdict, not free text
-        assert "worker_death after 3 attempt(s)" in m.diagnosis
-        assert m.verdict == "worker_death"
-        assert result.degraded
+        assert m.status == "recovered" and m.history[0]["resume"]
+        retried = load_result(m.paths["result"])
+        assert retried["attempt"] == 2 and retried["resumed_from"] is None
+        assert m.digest == twin["digest"]
+        report = validate_jsonl(m.paths["runlog"])
+        assert not report["errors"], report["errors"]
+        assert "resume" not in report["events"]
 
     def test_recovered_member_drops_stale_bundle(self, tmp_path):
         # a member that recovers on retry must NOT carry the failed
@@ -407,17 +365,6 @@ class TestSupervisorInProcess:
             assert r["verdict"] == "nan_origin"
             assert r["bundle"] and r["bundle"].endswith(BUNDLE_SUFFIX)
 
-    def test_persistent_hang_quarantines_as_worker_death(self, tmp_path):
-        spec = tiny_spec(injector=FaultInjector().hang(at_step=8,
-                                                       persistent=True))
-        result = self.run_ensemble([spec], tmp_path)
-        m = result.members[0]
-        assert m.status == "quarantined"
-        assert m.verdict == "worker_death"
-        assert m.bundle and os.path.isfile(m.bundle)
-        assert classify_bundle(load_bundle(m.bundle))["verdict"] == \
-            "worker_death"
-
     def test_fleet_survives_one_bad_member(self, tmp_path):
         specs = [
             tiny_spec("good", seed=1),
@@ -451,15 +398,16 @@ class TestSupervisorInProcess:
                                                   monkeypatch):
         """A driver-level failure with members still unfinished reaches the
         caller as itself (not as an AttributeError from summarising
-        ``None`` results), after a summary over the finished members."""
-        attempt = Supervisor._attempt_in_process
+        ``None`` results), after a summary over the finished members, and
+        with every worker reaped."""
+        assign = Supervisor._assign
 
-        def fail_on_second(self, m, log):
+        def fail_on_second(self, m, w, log):
             if m.spec.member_id == "m1":
                 raise RuntimeError("driver misconfigured")
-            attempt(self, m, log)
+            return assign(self, m, w, log)
 
-        monkeypatch.setattr(Supervisor, "_attempt_in_process", fail_on_second)
+        monkeypatch.setattr(Supervisor, "_assign", fail_on_second)
         specs = [tiny_spec(f"m{k}", seed=k) for k in range(3)]
         with pytest.raises(RuntimeError, match="driver misconfigured"):
             self.run_ensemble(specs, tmp_path)
@@ -467,20 +415,7 @@ class TestSupervisorInProcess:
             summary = [json.loads(line) for line in f][-1]
         assert summary["event"] == "ensemble_summary"
         assert (summary["members"], summary["ok"]) == (3, 1)
-
-    def test_spawn_failure_degrades_to_in_process(self, tmp_path,
-                                                  monkeypatch):
-        def no_spawn(self):
-            raise OSError("process spawning unavailable")
-
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                            no_spawn)
-        specs = [tiny_spec(f"m{k}", seed=k) for k in range(2)]
-        result = Supervisor(specs, workers=2, out_dir=str(tmp_path)).run()
-        assert result.counts == {"ok": 2, "recovered": 0, "quarantined": 0}
-        for k, m in enumerate(result.members):
-            twin = run_member(specs[k], str(tmp_path / f"twin{k}"))
-            assert m.digest == twin["digest"], m.member_id
+        assert multiprocessing.active_children() == []
 
     def test_duplicate_member_ids_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unique"):
@@ -488,28 +423,62 @@ class TestSupervisorInProcess:
                        out_dir=str(tmp_path))
 
 
-class TestSimulatedFaultPlumbing:
-    def test_kill_raises_only_in_simulate_mode(self):
-        inj = FaultInjector().kill_process(at_step=3)
-        inj.process_gate(2, attempt=1, simulate=True)  # not due yet
-        with pytest.raises(InjectedWorkerDeath):
-            inj.process_gate(3, attempt=1, simulate=True)
-        inj2 = FaultInjector().hang(at_step=3)
-        with pytest.raises(InjectedHang):
-            inj2.process_gate(3, attempt=1, simulate=True)
+class TestStartFailure:
+    """No worker, no attempt: a worker that cannot be started is a strike
+    on the retry ladder, and a fleet needs at least one worker."""
 
+    def test_start_failure_is_a_strike(self, tmp_path, monkeypatch, capsys):
+        from repro.__main__ import main
+
+        def no_start(self):
+            raise OSError("process start unavailable")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            no_start)
+        specs = [tiny_spec(f"m{k}", seed=k) for k in range(2)]
+        result = Supervisor(specs, workers=2, out_dir=str(tmp_path),
+                            retry=RetryPolicy(max_retries=2, backoff_base=0.01,
+                                              max_delay_s=0.02)).run()
+        assert result.counts == {"ok": 0, "recovered": 0, "quarantined": 2}
+        for m in result.members:
+            assert m.attempts == 3 and len(m.history) == 3  # 1 + max_retries
+            for h in m.history:
+                assert h["reason"] == "spawn failed: process start unavailable"
+                assert h["verdict"] == "worker_death"
+            assert m.verdict == "worker_death"
+            assert m.diagnosis.startswith("worker_death after 3 attempt(s)")
+        loaded = EnsembleResult.load(str(tmp_path / "ensemble.json"))
+        assert [m.member_id for m in loaded.members] == ["m0", "m1"]
+        capsys.readouterr()
+        code = main(["obs-status", str(tmp_path), "--check"])
+        assert code == 0, capsys.readouterr().out
+
+    def test_zero_workers_rejected(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            Supervisor([tiny_spec()], workers=0, out_dir=str(tmp_path))
+        assert main(["ensemble", "--workers", "0",
+                     "--out", str(tmp_path / "ens")]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().out
+        assert not os.path.exists(tmp_path / "ens")
+
+
+class TestSimulatedFaultPlumbing:
     def test_attempt_scoping(self):
         # one-shot faults are scoped to a process incarnation: a respawned
         # attempt gets a freshly unpickled injector, so `fired` cannot
         # carry over — on_attempt is what prevents an infinite kill loop
         inj = pickle.loads(pickle.dumps(
             FaultInjector().kill_process(at_step=3, on_attempt=1)))
-        inj.process_gate(3, attempt=2, simulate=True)  # wrong attempt: quiet
+        (kill,) = inj._actions
+        assert inj._due_process(kill, attempt=1)
+        assert not inj._due_process(kill, attempt=2)  # wrong attempt
+        inj.process_gate(3, attempt=2)  # quiet: this process lives on
         inj_p = FaultInjector().kill_process(at_step=3, persistent=True)
         for attempt in (1, 2, 3):
             fresh = pickle.loads(pickle.dumps(inj_p))
-            with pytest.raises(InjectedWorkerDeath):
-                fresh.process_gate(3, attempt=attempt, simulate=True)
+            assert fresh._due_process(fresh._actions[0], attempt)
 
     def test_result_gate_consumes_action(self):
         inj = FaultInjector().corrupt_result(on_attempt=2)
@@ -519,7 +488,6 @@ class TestSimulatedFaultPlumbing:
 
 
 # ----------------------------------------------------------------------
-@pytest.mark.slow
 class TestSupervisorMultiprocess:
     """The chaos matrix over real worker processes."""
 
@@ -536,7 +504,9 @@ class TestSupervisorMultiprocess:
         specs = [tiny_spec(f"m{k}", seed=k) for k in range(2)]
         result = self.run_ensemble(specs, tmp_path / "ens")
         assert result.counts == {"ok": 2, "recovered": 0, "quarantined": 0}
+        assert not result.degraded
         for k, m in enumerate(result.members):
+            assert m.attempts == 1
             twin = run_member(specs[k], str(tmp_path / f"twin{k}"))
             assert m.digest == twin["digest"], m.member_id
 
@@ -548,9 +518,11 @@ class TestSupervisorMultiprocess:
         m = result.members[0]
         assert m.status == "recovered"
         assert m.attempts == 2
+        assert m.dt_scale == 1.0  # first retry must not perturb physics
         assert m.digest == twin["digest"]
         assert "signal 9" in m.history[0]["reason"]
 
+    @pytest.mark.slow
     def test_hang_detected_by_heartbeat_timeout(self, tmp_path):
         spec = tiny_spec(injector=FaultInjector().hang(at_step=8))
         result = self.run_ensemble([spec], tmp_path / "ens",
@@ -560,6 +532,20 @@ class TestSupervisorMultiprocess:
         assert m.status == "recovered"
         assert m.digest == twin["digest"]
         assert "heartbeat_timeout" in m.history[0]["reason"]
+
+    @pytest.mark.slow
+    def test_persistent_hang_quarantines_as_worker_death(self, tmp_path):
+        spec = tiny_spec(injector=FaultInjector().hang(at_step=8,
+                                                       persistent=True))
+        result = self.run_ensemble([spec], tmp_path, workers=1,
+                                   member_timeout=2.0)
+        m = result.members[0]
+        assert m.status == "quarantined" and m.attempts == 3
+        assert all("heartbeat_timeout" in h["reason"] for h in m.history)
+        assert m.verdict == "worker_death"
+        assert m.bundle and os.path.isfile(m.bundle)
+        assert classify_bundle(load_bundle(m.bundle))["verdict"] == \
+            "worker_death"
 
     def test_corrupt_result_file_retries(self, tmp_path):
         spec = tiny_spec(injector=FaultInjector().corrupt_result(on_attempt=1))
@@ -584,6 +570,7 @@ class TestSupervisorMultiprocess:
         assert "worker_death after 3 attempt(s)" in m.diagnosis
         assert m.verdict == "worker_death"
         assert m.bundle and os.path.isfile(m.bundle)
+        assert result.degraded
         # escalation recorded: the second strike already reduced dt
         # (the final entry is the quarantine decision itself, no retry)
         assert m.history[1]["dt_scale"] < 1.0
@@ -627,7 +614,6 @@ def _assert_reaped(result):
             os.waitpid(pid, os.WNOHANG)
 
 
-@pytest.mark.slow
 class TestPersistentWorkers:
     """Worker reuse over real processes: what is shared between a
     worker's members (the interpreter, the plan cache), what is not
@@ -663,6 +649,7 @@ class TestPersistentWorkers:
                 k == 0 and not parent_built)
         _assert_reaped(result)
 
+    @pytest.mark.slow
     def test_kill_costs_one_worker_not_the_pool(self, tmp_path):
         specs = [tiny_spec("killed", seed=9, injector=FaultInjector()
                            .kill_process(at_step=10, on_attempt=1))]
@@ -688,12 +675,15 @@ class TestPersistentWorkers:
         assert first != second  # not in the interpreter that failed it
         _assert_reaped(result)
 
-    def test_finished_member_wakes_supervisor(self, tmp_path):
+    @pytest.mark.slow
+    def test_finished_member_wakes_supervisor(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "POLL_INTERVAL_S", 3.0)
         result = self.run_ensemble([tiny_spec()], tmp_path / "ens",
-                                   workers=1, poll_interval=3.0)
+                                   workers=1)
         assert result.counts["ok"] == 1
         assert result.wall_s < 3.0  # not one sleep to notice, one to leave
 
+    @pytest.mark.slow
     def test_hung_worker_is_killed_and_reaped(self, tmp_path):
         spec = tiny_spec(injector=FaultInjector().hang(at_step=8))
         result = self.run_ensemble([spec], tmp_path / "ens", workers=1,
@@ -736,7 +726,6 @@ def _running(pid: int) -> bool:
         return False
 
 
-@pytest.mark.slow
 @pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux")
 class TestForkedWorkers:
     """A worker is a fork of the supervising process: what it inherits
@@ -747,6 +736,7 @@ class TestForkedWorkers:
     RETRY = TestSupervisorMultiprocess.RETRY
     run_ensemble = TestSupervisorMultiprocess.run_ensemble
 
+    @pytest.mark.slow
     def test_fleet_runs_from_a_stdin_script(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-", str(tmp_path / "ens")], input=STDIN_FLEET,
@@ -755,6 +745,7 @@ class TestForkedWorkers:
         assert proc.returncode == 0, proc.stderr
         assert "'ok': 2" in proc.stdout, proc.stdout + proc.stderr
 
+    @pytest.mark.slow
     def test_builder_registered_here_runs_on_a_worker(self, tmp_path,
                                                       monkeypatch):
         monkeypatch.setattr(spec_module, "_BUILDERS",
@@ -801,6 +792,7 @@ class TestForkedWorkers:
         assert final["phases"]
         assert not [p for p in final["phases"] if p.startswith("driver")]
 
+    @pytest.mark.slow
     def test_dead_supervisor_reaches_every_worker(self, tmp_path):
         proc = subprocess.Popen(
             [sys.executable, "-u", "-", str(tmp_path / "ens")],
@@ -839,6 +831,7 @@ class TestForkedWorkers:
                 if _running(pid):
                     os.kill(pid, signal.SIGKILL)
 
+    @pytest.mark.slow
     def test_threaded_parent_spawns_an_equal_twin(self, tmp_path,
                                                   monkeypatch):
         # spawn ships the parent's sys.path itself: no PYTHONPATH needed
@@ -867,6 +860,7 @@ class TestForkedWorkers:
         assert spawned.counts["ok"] == forked.counts["ok"] == 1
         assert spawned.members[0].digest == forked.members[0].digest
 
+    @pytest.mark.slow
     def test_run_leaves_the_environment_alone(self, tmp_path, monkeypatch):
         monkeypatch.delenv("PYTHONPATH", raising=False)
         before = dict(os.environ)

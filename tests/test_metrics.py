@@ -523,7 +523,7 @@ def _prom_value(text, name):
 
 
 class TestEnsembleFleetMetrics:
-    """In-process (workers=0) two-member ensembles with metrics on."""
+    """Two-member ensembles on forked workers, metrics on."""
 
     def specs(self, n=2, **over):
         from repro.ensemble import MemberSpec
@@ -535,9 +535,10 @@ class TestEnsembleFleetMetrics:
     def run_ensemble(self, specs, out_dir):
         from repro.ensemble import RetryPolicy, Supervisor
 
-        sup = Supervisor(specs, workers=0, out_dir=str(out_dir),
+        sup = Supervisor(specs, workers=2, out_dir=str(out_dir),
                          retry=RetryPolicy(max_retries=1, backoff_base=0.01,
-                                           max_delay_s=0.02))
+                                           max_delay_s=0.02),
+                         member_timeout=60.0)
         return sup.run()
 
     def test_fleet_totals_agree_with_member_runlogs(self, tmp_path):
@@ -604,8 +605,21 @@ class TestEnsembleFleetMetrics:
         assert phase_total(run_end["phases"], "kernels/volume") > 0.0
 
     def test_metrics_registry_not_leaked_after_ensemble(self, tmp_path):
-        self.run_ensemble(self.specs(n=1), tmp_path)
-        assert not get_metrics().enabled
+        """The supervisor's registry is untouched by a fleet: members count
+        in their workers' registries, never in the driver's."""
+        met = get_metrics()
+        met.reset()
+        met.enable()
+        try:
+            met.inc("driver/marker")
+            before = met.snapshot()
+            result = self.run_ensemble(self.specs(n=1), tmp_path)
+            assert result.counts["ok"] == 1
+            assert met.enabled
+            assert met.snapshot() == before
+        finally:
+            met.disable()
+            met.reset()
 
     def test_merged_trace_one_lane_per_member(self, tmp_path):
         from repro.obs.trace import merge_chrome_traces, validate_chrome_trace
@@ -641,8 +655,8 @@ class TestStatusCheck:
 
     @pytest.fixture(scope="class")
     def fleet(self, tmp_path_factory):
-        """Two in-process members with metrics on; ``m1`` is killed
-        (simulated) after its first checkpoint and resumes from it."""
+        """Two members on forked workers, metrics on; ``m1``'s worker is
+        killed after its first checkpoint and the retry resumes from it."""
         import dataclasses
 
         from repro.core.health.inject import FaultInjector
@@ -654,9 +668,10 @@ class TestStatusCheck:
                             checkpoint_every=0.03) for k in range(2)]
         specs[1] = dataclasses.replace(
             specs[1], injector=FaultInjector().kill_process(at_step=10))
-        Supervisor(specs, workers=0, out_dir=str(out),
+        Supervisor(specs, workers=2, out_dir=str(out),
                    retry=RetryPolicy(max_retries=1, backoff_base=0.01,
-                                     max_delay_s=0.02)).run()
+                                     max_delay_s=0.02),
+                   member_timeout=60.0).run()
         return out
 
     def check(self, run_dir, capsys):

@@ -36,11 +36,10 @@ import numpy as np
 from ..core.riemann import FaceKind
 from ..exec.plan_cache import OperatorPlan, get_plan_cache
 from ..kernels.fusion import (
-    FusedBoundaryGroup,
-    FusedInteriorGroup,
     active_rows,
     attach_boundary_groups,
     attach_interior_groups,
+    face_buffer,
     finish_plan,
     fold_flux_tables,
     fused_boundary_residual,
@@ -81,7 +80,7 @@ class SpatialOperator:
     kernel_variant = "fused"
 
     def __init__(self, mesh, order: int, gravity_g: float = 9.81,
-                 flux_variant: str = "exact"):
+                 flux_variant: str = "exact", blocks: np.ndarray | None = None):
         if flux_variant not in ("exact", "one_sided"):
             raise ValueError(f"unknown flux variant {flux_variant!r}")
         self.flux_variant = flux_variant
@@ -90,27 +89,29 @@ class SpatialOperator:
         self.ref = get_reference_element(order)
         self.g = gravity_g
         self._n_elements = mesh.n_elements
+        self._blocks = blocks
         # the expensive setup (star Jacobians + per-face flux matrices) is
         # memoized per problem fingerprint; plans are read-only and shared
         plan = get_plan_cache().get_or_build(
-            mesh, order, flux_variant, self._build_plan)
+            mesh, order, flux_variant, self._build_plan, blocks)
         self.starT = plan.starT
         self.interior_groups = plan.interior_groups
         self.boundary_groups = plan.boundary_groups
-        self._init_scratch()
+        # per-instance kernel state, never part of the shared plan: the
+        # interior kernel's face buffer and the masked residual, both
+        # allocated on first use, and the selection caches
+        self._face_buf = None
+        self._masked_out = None
+        self._init_caches()
 
-    def _init_scratch(self) -> None:
-        """Per-instance kernel state, never part of the shared plan: the
-        content-addressed masked sub-plan caches (one mask per LTS
-        cluster; see repro.kernels.fusion) — the volume cache holds the
-        selection that :meth:`active_rows` hands to the masked predictor
-        as well — and the interior kernel's face buffer and the masked
-        residual, both allocated on first use."""
+    def _init_caches(self) -> None:
+        """The content-addressed masked sub-plan caches (one mask per LTS
+        cluster or partition block; see repro.kernels.fusion) — the volume
+        cache holds the selection that :meth:`active_rows` hands to the
+        masked predictor as well."""
         self._mask_cache_volume = OrderedDict()
         self._mask_cache_interior = OrderedDict()
         self._mask_cache_boundary = OrderedDict()
-        self._face_buf = None
-        self._masked_out = None
 
     def _build_plan(self) -> OperatorPlan:
         plan = OperatorPlan(starT=transposed_star_matrices(self.mesh))
@@ -144,12 +145,20 @@ class SpatialOperator:
 
     def _fold_interior(self, plan: OperatorPlan) -> None:
         """Folded groups of the regular interior faces, one per (minus
-        face, plus face, permutation) class; faces keep their id order
-        within a class."""
+        face, plus face, permutation) class.  Within a class faces keep
+        their id order, or, given element ``blocks``, are stably sorted by
+        (minus block, plus block != minus block, plus block): every
+        block's minus-side faces are then one run of the class, the ones
+        shared with its own block first."""
         mesh, itf = self.mesh, self.mesh.interior
         cls = (itf.minus_face * 4 + itf.plus_face) * 6 + itf.perm
         ids = np.flatnonzero(~itf.is_fault)
-        ids = ids[np.argsort(cls[ids], kind="stable")]
+        if self._blocks is None:
+            ids = ids[np.argsort(cls[ids], kind="stable")]
+        else:
+            bm = self._blocks[itf.minus_elem[ids]]
+            bp = self._blocks[itf.plus_elem[ids]]
+            ids = ids[np.lexsort((bp, bp != bm, bm, cls[ids]))]
         if not ids.size:
             return
         em, ep = itf.minus_elem[ids], itf.plus_elem[ids]
@@ -211,61 +220,16 @@ class SpatialOperator:
         return np.zeros((self.n_elements, self.nbasis, 9))
 
     # ------------------------------------------------------------------
-    def restricted(self, cells: np.ndarray, n_owned: int) -> "SpatialOperator":
-        """Sub-operator over ``cells`` (owned elements first, then the halo).
-
-        Element indices in the returned operator are *local* (positions in
-        ``cells``), so its residual kernels act on gathered arrays
-        ``X[cells]``.  It keeps every interior face with at least one owned
-        side — the halo layer must therefore contain the far side of every
-        cut face (raises otherwise) — and every boundary face of an owned
-        element.  Restricted operators share the parent's (cached,
-        read-only) per-class trace operators and boundary projectors;
-        the rows of ``starT`` / ``Gm`` / ``Gp`` / ``G`` they keep are
-        fancy-indexed *copies* (writable, owned — a partition's memory
-        is its own), as is their face buffer.  They support the residual
-        kernels and :meth:`predict` only (the gravity / motion / fault
-        modules stay bound to the parent).
-        """
-        cells = np.asarray(cells)
-        sub = copy.copy(self)  # shares mesh/ref; per-cell state replaced below
-        sub._n_elements = len(cells)
-        sub.starT = self.starT[cells]
-        sub._init_scratch()
-        g2l = np.full(self.n_elements, -1, dtype=np.int64)
-        g2l[cells] = np.arange(len(cells))
-        owned = np.zeros(self.n_elements, dtype=bool)
-        owned[cells[:n_owned]] = True
-
-        sub.interior_groups = []
-        for grp in self.interior_groups:
-            sel = owned[grp.em] | owned[grp.ep]
-            if not sel.any():
-                continue
-            g = FusedInteriorGroup()
-            g.em = g2l[grp.em[sel]]
-            g.ep = g2l[grp.ep[sel]]
-            if (g.em < 0).any() or (g.ep < 0).any():
-                raise ValueError(
-                    "restricted(): an owned face's neighbor element is outside "
-                    "`cells`; the halo layer does not cover all cut faces"
-                )
-            g.fm, g.fp = grp.fm, grp.fp
-            g.Wm, g.Wp = grp.Wm, grp.Wp
-            g.Gm, g.Gp = grp.Gm[sel], grp.Gp[sel]
-            sub.interior_groups.append(g)
-
-        sub.boundary_groups = []
-        for grp in self.boundary_groups:
-            sel = owned[grp.elem]
-            if not sel.any():
-                continue
-            b = FusedBoundaryGroup()
-            b.elem = g2l[grp.elem[sel]]
-            b.A = grp.A
-            b.G = grp.G[sel]
-            sub.boundary_groups.append(b)
-        return sub
+    def handle(self) -> "SpatialOperator":
+        """Another operator on the same plan tables and face buffer, with
+        its own masked-selection caches: what a partition worker calls
+        the kernels through (:mod:`repro.exec.partitioned`), so no two
+        threads share a cache.  The face buffer is allocated here, before
+        any worker runs."""
+        face_buffer(self)
+        h = copy.copy(self)
+        h._init_caches()
+        return h
 
     # ------------------------------------------------------------------
     def predict(self, Q: np.ndarray,

@@ -36,8 +36,8 @@ import numpy as np
 from ..kernels.fusion import row_set
 from .cfl import element_timesteps
 
-__all__ = ["cluster_elements", "cluster_major", "lts_statistics",
-           "LocalTimeStepping"]
+__all__ = ["cluster_elements", "cluster_major", "fault_adjacent",
+           "hilbert_key", "lts_statistics", "LocalTimeStepping"]
 
 
 def cluster_elements(
@@ -77,40 +77,100 @@ def cluster_elements(
     return cluster, dt_min
 
 
+def fault_adjacent(mesh) -> np.ndarray:
+    """Bool mask of the elements touching a dynamic-rupture fault face."""
+    itf = mesh.interior
+    mask = np.zeros(mesh.n_elements, dtype=bool)
+    mask[itf.minus_elem[itf.is_fault]] = True
+    mask[itf.plus_elem[itf.is_fault]] = True
+    return mask
+
+
+def hilbert_key(points: np.ndarray, bits: int = 10) -> np.ndarray:
+    """Position of every point along a 3D Hilbert curve over their
+    bounding box.
+
+    Each axis is quantized to ``2**bits`` cells over its own extent (the
+    default 10 bits: a 2^30-cell curve, keys fit int64) and
+    the cells are mapped with Skilling's transpose algorithm ("Programming
+    the Hilbert curve", AIP Conf. Proc. 707, 2004), vectorized:
+    consecutive keys are face-adjacent cells, so any run of keys is a
+    compact piece of space."""
+    points = np.asarray(points, dtype=float)
+    lo = points.min(axis=0)
+    extent = np.maximum(points.max(axis=0) - lo, 1e-300)
+    top = (1 << bits) - 1
+    X = np.minimum((points - lo) / extent * (top + 1), top).astype(np.int64).T.copy()
+    # inverse undo of the excess work, from the top bit down
+    q = 1 << (bits - 1)
+    while q > 1:
+        p = q - 1
+        for i in range(3):
+            hi = (X[i] & q) != 0
+            X[0] = np.where(hi, X[0] ^ p, X[0])
+            t = np.where(hi, 0, (X[0] ^ X[i]) & p)
+            X[0] ^= t
+            X[i] ^= t
+        q >>= 1
+    # Gray encode
+    X[1] ^= X[0]
+    X[2] ^= X[1]
+    t = np.zeros_like(X[0])
+    q = 1 << (bits - 1)
+    while q > 1:
+        t = np.where((X[2] & q) != 0, t ^ (q - 1), t)
+        q >>= 1
+    X ^= t
+    # interleave the transposed bits, most significant first
+    key = np.zeros_like(X[0])
+    for b in range(bits - 1, -1, -1):
+        for i in range(3):
+            key = (key << 1) | ((X[i] >> b) & 1)
+    return key
+
+
 def cluster_major(mesh, order: int, safety: float = 0.35) -> None:
     """Canonicalise a mesh for rate-2 clustered LTS, in place.
 
     The cluster-sorted layout of Breuer & Heinecke (arXiv:2202.10313),
     elements and faces alike:
 
-    * elements are renumbered by a stable argsort of the clustering, so
-      every cluster is a row range (a clustering capped with
-      ``cluster_elements(max_cluster=)`` merges the top ranges and stays
-      contiguous);
+    * elements are renumbered cluster-major, so every cluster is a row
+      range (a clustering capped with ``cluster_elements(max_cluster=)``
+      merges the top ranges and stays contiguous); inside a cluster the
+      elements touching a dynamic-rupture fault come first, the rest
+      follow the :func:`hilbert_key` of their centroid, so any piece of a
+      cluster's run is compact in space (what
+      :class:`~repro.exec.partitioned.PartitionedBackend` cuts);
     * every regular interior face is oriented with the *finer* cluster on
       its minus side (:meth:`~repro.mesh.tetmesh.TetMesh.flip_faces`;
       fault faces never straddle clusters and are never flipped);
-    * interior faces are stably sorted by (minus cluster, plus cluster),
-      boundary faces by element.
+    * interior faces are stably sorted by (minus cluster, plus cluster,
+      minus element), so the face sweep walks the elements in curve order,
+      and boundary faces by element.
 
     Normalization keeps neighbours within one level, so inside every
     orientation class the faces cluster ``c`` updates are then one run —
     ``(c-1, c)`` (plus side only) | ``(c, c)`` (both) | ``(c, c+1)``
     (minus side only) — and a masked face selection is a view of the
-    operator plan (:mod:`repro.kernels.fusion`).  The result is a fixed
-    point: canonicalising a canonical mesh changes nothing, so GTS and
-    LTS solvers, or a resumed run, can share one mesh.  The scenario
-    builders call it once, after fault marking and boundary tagging and
-    right before the solver is built.
+    operator plan (:mod:`repro.kernels.fusion`).  Every key is a property
+    of the element or face, not of its number, and every sort is stable,
+    so the result is a fixed point: canonicalising a canonical mesh
+    changes nothing, and GTS and LTS, serial and partitioned solvers, or a
+    resumed run, share one mesh.  The scenario builders call it once,
+    after fault marking and boundary tagging and right before the solver
+    is built.
     """
     cluster = cluster_elements(mesh, order, safety=safety)[0]
-    perm = np.argsort(cluster, kind="stable")
+    perm = np.lexsort((hilbert_key(mesh.centroids), ~fault_adjacent(mesh),
+                       cluster))
     mesh.renumber_elements(perm)
     cluster = cluster[perm]
     itf = mesh.interior
     mesh.flip_faces(cluster[itf.minus_elem] > cluster[itf.plus_elem])
     mesh.reorder_faces(
-        np.lexsort((cluster[itf.plus_elem], cluster[itf.minus_elem])),
+        np.lexsort((itf.minus_elem, cluster[itf.plus_elem],
+                    cluster[itf.minus_elem])),
         np.argsort(mesh.boundary.elem, kind="stable"))
 
 

@@ -227,10 +227,12 @@ class CoupledSolver:
         # resolved first so a bad backend spec fails before the expensive
         # operator build; it still *binds* last, see below
         self.backend = make_backend(backend, workers=workers)
-        self.op = SpatialOperator(mesh, order, gravity_g, flux_variant=flux_variant)
+        self.cfl_safety = cfl_safety
+        self.op = SpatialOperator(
+            mesh, order, gravity_g, flux_variant=flux_variant,
+            blocks=self.backend.blocks(mesh, order, cfl_safety))
         self.Q = self.op.new_state()
         self.t = 0.0
-        self.cfl_safety = cfl_safety
         self.dt_elem = element_timesteps(mesh, order, cfl_safety)
         if not np.isfinite(self.dt_elem).all() or self.dt_elem.min() <= 0:
             worst = int(np.argmin(np.where(np.isfinite(self.dt_elem), self.dt_elem, -np.inf)))

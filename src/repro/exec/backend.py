@@ -11,14 +11,14 @@ window.  A backend executes the three phases of one window:
 2. ``corrector`` — volume + face kernels plus the gravity / prescribed-
    motion / fault / source modules, for the elements selected by the
    scheduler's ``active`` mask;
-3. the halo exchange between the two (a no-op in shared memory for the
-   serial backend; an explicit owned+halo gather for the partitioned one).
+3. the barrier between the two (in shared memory no halo is moved: a
+   face across a partition cut reads its neighbour's row where it lies).
 
 :class:`SerialBackend` reproduces the original single-sweep execution
 path call for call — bit for bit — and is the default.
-:class:`~repro.exec.partitioned.PartitionedBackend` splits the mesh with
-the Eq. 28-weighted graph partitioner and runs the same phases
-concurrently over the partitions.
+:class:`~repro.exec.partitioned.PartitionedBackend` cuts every LTS
+cluster into Eq. 28-balanced row ranges and runs the same phases
+concurrently over the partitions, on the same arrays and plan.
 """
 
 from __future__ import annotations
@@ -43,6 +43,13 @@ class ExecutionBackend:
     """
 
     name = "abstract"
+
+    def blocks(self, mesh, order: int, cfl_safety: float):
+        """Per-element block ids the operator plan orders its interior
+        faces by (:class:`~repro.core.kernels.SpatialOperator`
+        ``blocks=``), or ``None`` for the mesh's own order.  Called once,
+        before the operator is built and the backend bound."""
+        return None
 
     def bind(self, solver) -> None:
         self.solver = solver

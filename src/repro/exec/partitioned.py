@@ -1,37 +1,40 @@
 """Partition-parallel execution of the ADER-DG kernels (paper Sec. 5).
 
-The mesh is split with the existing graph partitioner
-(:mod:`repro.hpc.partition`) under the LTS/rupture/gravity vertex weights
-of paper Eq. 28, exactly the pipeline SeisSol feeds to ParMETIS.  Each
-partition gets
+Every partition is a set of row ranges of the one operator plan.  On a
+canonical mesh (:func:`repro.core.lts.cluster_major`) each LTS cluster is
+one run of elements — the ones touching the fault first, the rest along
+a Hilbert curve — and :func:`cluster_cuts` cuts every cluster's run into
+``n_parts`` contiguous pieces of equal paper Eq. 28 weight, with the
+whole fault in part 0.  Piece ``p`` of cluster ``c`` is *block*
+``c * n_parts + p``.  The operator plan orders the interior faces of
+every orientation class by (minus block, plus block != minus block, plus
+block) (:meth:`PartitionedBackend.blocks`), so for every block the
+element rows (``Q``, ``I``, ``R``, the predictor, ``starT``), the
+boundary faces and the faces whose minus side it is are slices: views
+of the global arrays and of the plan.  Only the plus-side flux rows of
+the faces whose minus side is another block are gathered copies (a few
+per cent of the faces; :func:`repro.kernels.fusion._interior_masked_entries`).
 
-* the **owned** elements it updates,
-* a one-element **halo** layer (the neighbors across cut faces whose
-  time-integrated predictor its face kernels read), and
-* a per-partition :class:`~repro.core.kernels.SpatialOperator` restricted
-  to its owned faces, with element indices remapped to the local
-  owned-first layout (:meth:`SpatialOperator.restricted`).
+A step runs in two phases with a barrier between them:
 
-A step then runs in two phases with a barrier between them:
+1. **predict** — every worker writes the Cauchy-Kowalewski derivatives
+   (and, under LTS, the window integral) of its blocks' rows in place;
+2. **correct** — every worker runs the volume / face kernels of its
+   blocks on the global time-integrated predictor, through ``plan.lop``,
+   a handle on the shared plan and face buffer with its own selection
+   caches, writes its rows of the global residual and applies the
+   gravity / prescribed-motion / fault modules of its faces.
 
-1. **predict** — every partition computes the Cauchy-Kowalewski predictor
-   of its owned elements (disjoint writes into the global array);
-2. **correct** — every partition *gathers* the time-integrated predictor
-   of its active elements and their face neighbors (this copy is the halo
-   exchange: in a distributed run it would be the MPI message) into a
-   persistent local buffer, runs its restricted volume/face kernels,
-   scatters the active residual rows back, and applies the gravity /
-   prescribed-motion / fault modules of its owned faces.  Which rows that
-   is depends only on the partition and the activity mask, so it is
-   compiled once per (partition, mask) — one mask per LTS cluster.
-
-All writes target disjoint global rows, so the result is independent of
-thread scheduling; the workers run concurrently because NumPy releases
-the GIL inside the batched GEMMs.  The dynamic-rupture fault is kept
-whole-fault atomic (every fault-adjacent element in one partition, a
-stronger form of the LTS cluster-equalization constraint) because the
-fault solver writes flux into both sides of each face at once and its
-friction laws may carry per-face parameter arrays.
+There is no gather and no local index space: a face across a cut reads
+the neighbour's row of the shared ``I`` where it lies (in a distributed
+run that read would be the ghost-layer message).  Every write targets
+the worker's own rows and face-buffer slots, and every per-face and
+per-element GEMM is batch independent, so the result does not depend on
+thread scheduling and equals the serial backend's bit for bit; the
+workers run concurrently because NumPy releases the GIL inside the
+batched GEMMs.  The fault stays whole in part 0 because the fault solver
+writes flux into both sides of each face at once and its friction laws
+may carry per-face parameter arrays.
 """
 
 from __future__ import annotations
@@ -43,111 +46,76 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.ader import taylor_integrate
-from ..core.lts import cluster_elements
-from ..hpc.partition import edge_cut, eq28_vertex_weights, imbalance, partition_mesh
+from ..core.lts import cluster_elements, fault_adjacent
+from ..hpc.partition import edge_cut, eq28_vertex_weights, imbalance
 from ..kernels.fusion import memo_by_mask
 from ..obs.metrics import get_metrics
 from .backend import ExecutionBackend
-from .plan_cache import get_plan_cache, mesh_fingerprint
 
-__all__ = ["PartitionPlan", "PartitionedBackend", "fault_atomic_partition"]
+__all__ = ["PartitionPlan", "PartitionedBackend", "cluster_cuts"]
 
 _MET = get_metrics()
 
 
-def fault_atomic_partition(mesh, parts: np.ndarray) -> np.ndarray:
-    """Move every fault-adjacent element into one common partition.
+def _nearest_prefix(csum: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Lengths of the prefixes whose weight (``csum``: cumulative) is
+    nearest to each target."""
+    k = np.minimum(np.searchsorted(csum, targets), len(csum) - 1)
+    below = np.where(k > 0, csum[k - 1], 0)
+    return np.where(csum[k] - targets < targets - below, k + 1, k)
 
-    The fault solver writes flux into *both* sides of every fault face in
-    one call, and friction laws may carry per-face parameter arrays (e.g.
-    the Scenario-A near-seafloor strengthening) that are only consistent
-    when the whole fault steps together.  So the entire fault — not just
-    each face pair — is pulled into the smallest touching partition id:
-    exactly one worker then calls ``fault.step``, with the same full-fault
-    view the serial backend has.  The cost is some load imbalance around
-    the rupture, which the Eq. 28 weights already bias against.
-    """
-    fault = mesh.interior.is_fault
-    if not fault.any():
-        return parts
-    parts = parts.copy()
-    ids = np.unique(np.concatenate([
-        mesh.interior.minus_elem[fault], mesh.interior.plus_elem[fault]
-    ]))
-    parts[ids] = parts[ids].min()
+
+def cluster_cuts(cluster: np.ndarray, weights: np.ndarray,
+                 first: np.ndarray, n_parts: int) -> np.ndarray:
+    """Part of every element: each cluster's elements, in id order with
+    the ``first`` ones leading, cut into ``n_parts`` contiguous pieces of
+    (nearly) equal ``weights``; part 0 takes every ``first`` element.
+
+    On a :func:`~repro.core.lts.cluster_major` mesh (``first`` = the
+    fault-adjacent elements) every piece is a row range, compact in space
+    because the run follows a Hilbert curve.  The cut depends on nothing
+    but the clustering, so serial and partitioned runs share one mesh."""
+    parts = np.empty(len(cluster), dtype=np.int64)
+    order = np.lexsort((~first, cluster))
+    for run in np.split(order, np.flatnonzero(np.diff(cluster[order])) + 1):
+        csum = np.cumsum(weights[run])
+        total = float(csum[-1])
+        head = max(int(_nearest_prefix(csum, np.array([total / n_parts]))[0]),
+                   int(first[run].sum()))
+        base = float(csum[head - 1]) if head else 0.0
+        rest = base + (total - base) * np.arange(1, n_parts - 1) / max(n_parts - 1, 1)
+        cuts = np.maximum(np.r_[head, _nearest_prefix(csum, rest)], head)
+        parts[run] = np.searchsorted(cuts, np.arange(len(run)), side="right")
     return parts
-
-
-class _ActiveSet:
-    """What one activity mask selects in one partition (local = position
-    in ``plan.cells``): ``act`` the active owned cells (bool, local),
-    ``idx`` their local rows (a ``slice`` on a cluster-major mesh, whose
-    sorted owned cells keep a cluster together), ``ids`` their global
-    ids, ``starT`` their contiguous Jacobian rows (shared with the
-    partition operator's volume kernel), and ``read`` / ``read_ids`` the
-    local / global rows the residual kernels read — the active cells plus
-    their face neighbors."""
-
-    __slots__ = ("act", "idx", "ids", "starT", "read", "read_ids")
 
 
 @dataclass
 class PartitionPlan:
-    """Everything one worker needs to advance its partition."""
+    """One worker's partition: its blocks, as bool masks over all
+    elements, and its handle on the shared operator plan."""
 
     part_id: int
-    owned: np.ndarray        # global element ids, owned by this partition
-    halo: np.ndarray         # global element ids read but not updated
-    cells: np.ndarray        # owned followed by halo (the local index space)
     owned_mask: np.ndarray   # bool over all mesh elements
-    lop: object              # restricted SpatialOperator (local indices)
+    blocks: list             # per cluster: this part's piece (non-empty)
+    lop: object              # SpatialOperator.handle() of the solver's op
+    halo: int                # foreign elements its cut faces read
     gravity_mask: np.ndarray # bool over the solver's gravity faces
     motion_mask: np.ndarray | None
     has_fault: bool
-    #: predictor scratch over the owned cells, handed out by leading rows
-    #: (zeros, then predict_states results — one task per plan, no sharing)
-    ck_scratch: np.ndarray | None = None
-    #: persistent gather / residual buffers over ``cells`` (rows outside
-    #: an active set's ``read`` / ``idx`` are stale, never read)
-    Iloc: np.ndarray | None = None
-    outloc: np.ndarray | None = None
-    #: content-addressed :class:`_ActiveSet` per activity mask
-    active_sets: OrderedDict = field(default_factory=OrderedDict)
+    #: content-addressed block masks per activity mask
+    selections: OrderedDict = field(default_factory=OrderedDict)
 
-    def active_set(self, active: np.ndarray | None) -> _ActiveSet:
-        """The (cached) :class:`_ActiveSet` of a global activity mask;
-        ``None`` selects every owned cell (GTS)."""
+    def active_blocks(self, active: np.ndarray | None) -> list:
+        """The (cached) pieces of this part's blocks an activity mask
+        selects; ``None`` selects every block (GTS)."""
         if active is None:
-            active = self.owned_mask
-        return memo_by_mask(self.active_sets, active, lambda: self._select(active))
-
-    def _select(self, active: np.ndarray) -> _ActiveSet:
-        lop = self.lop
-        s = _ActiveSet()
-        s.act = np.zeros(len(self.cells), dtype=bool)
-        s.act[:self.n_owned] = active[self.owned]
-        s.idx, s.starT = lop.active_rows(s.act)
-        s.ids = self.cells[s.idx]
-        read = s.act.copy()
-        for grp in lop.interior_groups:
-            sel = s.act[grp.em] | s.act[grp.ep]
-            read[grp.em[sel]] = True
-            read[grp.ep[sel]] = True
-        s.read = np.flatnonzero(read)
-        s.read_ids = self.cells[s.read]
-        return s
-
-    @property
-    def n_owned(self) -> int:
-        return len(self.owned)
-
-    @property
-    def n_halo(self) -> int:
-        return len(self.halo)
+            return self.blocks
+        return memo_by_mask(self.selections, active, lambda: [
+            m for m in (b & active for b in self.blocks) if m.any()])
 
 
 class PartitionedBackend(ExecutionBackend):
-    """Thread-pool execution over Eq. 28-weighted mesh partitions.
+    """Thread-pool execution over Eq. 28-weighted contiguous partitions.
 
     Parameters
     ----------
@@ -156,87 +124,71 @@ class PartitionedBackend(ExecutionBackend):
     n_parts:
         Number of partitions (defaults to ``workers``).  More partitions
         than workers is legal (they are processed in turn).
-    refine:
-        Run the boundary refinement pass of the partitioner (smaller edge
-        cut, slightly slower setup).
     """
 
     name = "partitioned"
 
-    def __init__(self, workers: int = 2, n_parts: int | None = None, refine: bool = True):
+    def __init__(self, workers: int = 2, n_parts: int | None = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = int(workers)
         self.n_parts = self.workers if n_parts is None else int(n_parts)
         if self.n_parts < 1:
             raise ValueError("n_parts must be >= 1")
-        self.refine = refine
         self._pool = None
+        self.parts = None
         self.plans: list[PartitionPlan] = []
         self.halo_exchanges = 0
 
     # ------------------------------------------------------------------
+    def blocks(self, mesh, order: int, cfl_safety: float) -> np.ndarray:
+        """Cut the mesh (:func:`cluster_cuts` under Eq. 28 weights) and
+        return every element's block, ``cluster * n_parts + part``."""
+        n_parts = min(self.n_parts, mesh.n_elements)
+        cluster = cluster_elements(mesh, order, safety=cfl_safety)[0]
+        weights = eq28_vertex_weights(mesh, cluster)
+        self.parts = cluster_cuts(cluster, weights, fault_adjacent(mesh),
+                                  n_parts)
+        self._cluster = cluster
+        # the global Eq. 28 balance, and the one every LTS cluster step
+        # waits on: the worst cluster's heaviest part over its mean
+        self._imbalance = imbalance(self.parts, weights)
+        load = np.zeros((int(cluster.max()) + 1, n_parts))
+        np.add.at(load, (cluster, self.parts), weights)
+        self._cluster_imbalance = float(
+            (load.max(axis=1) / load.mean(axis=1)).max())
+        self._edge_cut = edge_cut(self.parts, mesh.dual_graph_edges())
+        return cluster * n_parts + self.parts
+
     def bind(self, solver) -> None:
         self.solver = solver
+        if self.parts is None:  # bound to a solver built for another backend
+            self.blocks(solver.mesh, solver.order, solver.cfl_safety)
         mesh = solver.mesh
-        n_parts = min(self.n_parts, mesh.n_elements)
-
-        def partition():
-            cluster = cluster_elements(mesh, solver.order,
-                                       safety=solver.cfl_safety)[0]
-            weights = eq28_vertex_weights(mesh, cluster)
-            parts = fault_atomic_partition(mesh, partition_mesh(
-                mesh, n_parts, weights, refine=self.refine))
-            parts.setflags(write=False)  # shared by every backend that hits
-            return (parts, imbalance(parts, weights) if n_parts > 1 else 1.0,
-                    edge_cut(parts, mesh.dual_graph_edges()))
-
-        # a pure function of this key: a rebuilt or resumed problem skips
-        # the clustering, the Eq. 28 weights and the partitioner
-        key = (f"partition;{mesh_fingerprint(mesh)};order={solver.order};"
-               f"cfl={solver.cfl_safety!r};n_parts={n_parts};"
-               f"refine={bool(self.refine)}")
-        self.parts, self._imbalance, self._edge_cut = get_plan_cache() \
-            .get_or_build_key(key, partition, phase="setup/partition")
-        self._build_plans(self.parts)
-
-    def _build_plans(self, parts: np.ndarray) -> None:
-        solver = self.solver
-        mesh = solver.mesh
-        ne = mesh.n_elements
-        em, ep = mesh.interior.minus_elem, mesh.interior.plus_elem
+        itf = mesh.interior
+        em, ep = itf.minus_elem, itf.plus_elem
         g_elem = solver.gravity.elem
         m_elem = solver.motion.elem if solver.motion is not None else None
-        fault_em = mesh.interior.minus_elem[mesh.interior.is_fault]
-
-        # every row is owned by exactly one partition, so a full sweep
-        # overwrites the whole buffer and it is reused across steps
-        self._derivs = np.empty((ne, solver.order + 1, solver.op.nbasis, 9))
+        fault_em = em[itf.is_fault]
+        # every worker writes its blocks' rows in place; the truncated
+        # modes stay the zeros the predictor relies on (see fused_ck)
+        self._derivs = np.zeros((mesh.n_elements, solver.order + 1,
+                                 solver.op.nbasis, 9))
+        clusters = [self._cluster == c for c in range(int(self._cluster.max()) + 1)]
         self.plans = []
-        for p in range(int(parts.max()) + 1):
-            owned_mask = parts == p
+        for p in range(int(self.parts.max()) + 1):
+            owned_mask = self.parts == p
             if not owned_mask.any():
                 continue
-            # halo = the far side of every cut face touching this partition
-            halo_mask = np.zeros(ne, dtype=bool)
-            out_m = owned_mask[em] & ~owned_mask[ep]
-            out_p = owned_mask[ep] & ~owned_mask[em]
-            halo_mask[ep[out_m]] = True
-            halo_mask[em[out_p]] = True
-            owned = np.flatnonzero(owned_mask)
-            halo = np.flatnonzero(halo_mask)
-            cells = np.concatenate([owned, halo])
+            read = np.zeros(mesh.n_elements, dtype=bool)
+            read[ep[owned_mask[em]]] = True
+            read[em[owned_mask[ep]]] = True
             self.plans.append(PartitionPlan(
                 part_id=p,
-                owned=owned,
-                halo=halo,
-                cells=cells,
                 owned_mask=owned_mask,
-                lop=solver.op.restricted(cells, len(owned)),
-                # NaN, not zeros: a row read before it was gathered would
-                # poison the result instead of passing silently
-                Iloc=np.full((len(cells), solver.op.nbasis, 9), np.nan),
-                outloc=np.zeros((len(cells), solver.op.nbasis, 9)),
+                blocks=[m for m in (owned_mask & c for c in clusters) if m.any()],
+                lop=solver.op.handle(),
+                halo=int((read & ~owned_mask).sum()),
                 gravity_mask=owned_mask[g_elem],
                 motion_mask=None if m_elem is None else owned_mask[m_elem],
                 has_fault=bool(owned_mask[fault_em].any()),
@@ -267,27 +219,26 @@ class PartitionedBackend(ExecutionBackend):
         self._refresh(Q, mask, derivs, Iown, dt)
 
     def _refresh(self, Q, mask, derivs, Iown=None, dt=None) -> None:
-        """Predictor sweep over the owned cells ``mask`` selects (``None``:
-        all), plus their Taylor window integral when ``Iown`` is given."""
+        """Predictor sweep over the rows ``mask`` selects (``None``: all),
+        plus their Taylor window integral when ``Iown`` is given: each
+        block the way :meth:`SerialBackend.update_predictor` sweeps a
+        cluster, its rows of ``derivs`` as the scratch."""
         op = self.solver.op
         tracing = _MET.enabled and _MET.tracing
 
         def work(plan):
-            sel = plan.active_set(mask)
-            ids = sel.ids
-            if not len(ids):
-                return
             t0 = _time.perf_counter() if tracing else 0.0
-            if plan.ck_scratch is None:  # first touched in the warm-up
-                plan.ck_scratch = np.zeros((plan.n_owned, *derivs.shape[1:]))
-            new_derivs = op.predict_states(
-                Q[ids], sel.starT, out=plan.ck_scratch[:len(ids)])
-            derivs[ids] = new_derivs
-            if Iown is not None:
-                Iown[ids] = taylor_integrate(new_derivs, 0.0, dt)
-            if tracing:
+            n = 0
+            for blk in plan.active_blocks(mask):
+                idx, starT = plan.lop.active_rows(blk)
+                new_derivs = op.predict_states(Q[idx], starT, out=derivs[idx])
+                derivs[idx] = new_derivs
+                if Iown is not None:
+                    Iown[idx] = taylor_integrate(new_derivs, 0.0, dt)
+                n += len(new_derivs)
+            if tracing and n:
                 _MET.add_span("worker/predict", t0, _time.perf_counter(),
-                              part=plan.part_id, owned=len(ids))
+                              part=plan.part_id, owned=n)
 
         with _MET.phase("predict"):
             if _MET.enabled:
@@ -304,27 +255,15 @@ class PartitionedBackend(ExecutionBackend):
 
         def work(plan):
             profiled = _MET.enabled
-            sel = plan.active_set(active)
-            act, idx = sel.act, sel.idx
-            if len(sel.ids):
-                # halo exchange: gather the time-integrated predictor of the
-                # active elements and their face neighbors (owned or halo)
-                t_gather = _time.perf_counter() if profiled else 0.0
-                Iloc, outloc = plan.Iloc, plan.outloc
-                Iloc[sel.read] = I[sel.read_ids]
-                if profiled:
-                    t_compute = _time.perf_counter()
-                    _MET.add_time(f"worker/p{plan.part_id}/halo_gather",
-                                  t_compute - t_gather)
-                    _MET.add_span("worker/halo_gather", t_gather, t_compute,
-                                  part=plan.part_id, halo=plan.n_halo)
-                outloc[idx] = 0.0
-                plan.lop.volume_residual(Iloc, outloc, active=act)
-                plan.lop.interior_residual(Iloc, outloc, active=act)
-                plan.lop.boundary_residual(Iloc, outloc, active=act)
-                R[sel.ids] = outloc[idx]
-            elif profiled:
-                t_compute = _time.perf_counter()
+            t_start = _time.perf_counter() if profiled else 0.0
+            n = 0
+            for blk in plan.active_blocks(active):
+                if active is not None:
+                    R[plan.lop.active_rows(blk)[0]] = 0.0
+                plan.lop.volume_residual(I, R, active=blk)
+                plan.lop.interior_residual(I, R, active=blk)
+                plan.lop.boundary_residual(I, R, active=blk)
+                n += 1
             gm = plan.gravity_mask if gravity_mask is None \
                 else plan.gravity_mask & gravity_mask
             if gm.any():
@@ -335,14 +274,14 @@ class PartitionedBackend(ExecutionBackend):
                 if mm.any():
                     solver.motion.step(derivs, dt, R, t0=t0, face_mask=mm)
             if solver.fault is not None and plan.has_fault:
-                act_g = plan.owned_mask if active is None else plan.owned_mask & active
-                solver.fault.step(derivs, dt, R, active=act_g, t0=t0)
+                # the whole fault is this part's: the serial call
+                solver.fault.step(derivs, dt, R, active=active, t0=t0)
             if profiled:
                 t_end = _time.perf_counter()
                 _MET.add_time(f"worker/p{plan.part_id}/compute",
-                              t_end - t_compute)
-                _MET.add_span("worker/compute", t_compute, t_end,
-                              part=plan.part_id, owned=len(sel.ids))
+                              t_end - t_start)
+                _MET.add_span("worker/compute", t_start, t_end,
+                              part=plan.part_id, blocks=n)
 
         with _MET.phase("corrector"):
             if _MET.enabled:
@@ -373,9 +312,10 @@ class PartitionedBackend(ExecutionBackend):
             "backend": self.name,
             "workers": self.workers,
             "n_parts": len(self.plans),
-            "owned": [p.n_owned for p in self.plans],
-            "halo": [p.n_halo for p in self.plans],
+            "owned": [int(p.owned_mask.sum()) for p in self.plans],
+            "halo": [p.halo for p in self.plans],
             "imbalance": self._imbalance,
+            "cluster_imbalance": self._cluster_imbalance,
             "edge_cut": self._edge_cut,
             "halo_exchanges": self.halo_exchanges,
         }

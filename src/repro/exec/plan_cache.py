@@ -17,7 +17,8 @@ everything the plan depends on:
   kernels own),
 * the order and orientation of both face tables (the plan's face rows
   follow them),
-* polynomial order and flux variant.
+* polynomial order and flux variant,
+* the element blocks a partitioned run orders the interior faces by.
 
 The same mesh-level digest feeds :func:`repro.io.checkpoint.fingerprint`,
 so "plan cache hit" and "checkpoint restorable" agree on what *identical
@@ -26,7 +27,7 @@ materials or order changes the fingerprint and misses the cache (the stale
 entry ages out of the LRU).  Plans are immutable — the kernels only ever
 read from them, and :func:`repro.kernels.fusion.finish_plan` makes every
 array of a finished plan read-only — so sharing one plan between many
-operators (serial + partitioned backends, resumed runs) is safe.
+operators (a partitioned run's workers, rebuilt and resumed runs) is safe.
 :func:`clear_plan_cache` drops every cached plan (the next operator builds
 its own).
 """
@@ -90,11 +91,16 @@ def mesh_fingerprint(mesh) -> str:
     return h.hexdigest()
 
 
-def plan_key(mesh, order: int, flux_variant: str) -> str:
-    """Cache key of an operator plan: mesh digest + order + flux variant."""
+def plan_key(mesh, order: int, flux_variant: str,
+             blocks: np.ndarray | None = None) -> str:
+    """Cache key of an operator plan: mesh digest + order + flux variant,
+    plus the element blocks its interior faces are ordered by, if any
+    (:meth:`repro.exec.backend.ExecutionBackend.blocks`)."""
     h = hashlib.sha256()
     h.update(mesh_fingerprint(mesh).encode())
     h.update(f"order={int(order)};flux={flux_variant}".encode())
+    if blocks is not None:
+        _hash_arrays(h, [("blocks", blocks)])
     return h.hexdigest()
 
 
@@ -163,11 +169,11 @@ class PlanCache:
         return plan
 
     def get_or_build(self, mesh, order: int, flux_variant: str,
-                     builder) -> OperatorPlan:
-        """Return the cached plan for ``(mesh, order, flux_variant)`` or
-        build (and cache) a fresh one with ``builder()``."""
+                     builder, blocks: np.ndarray | None = None) -> OperatorPlan:
+        """Return the cached plan for ``(mesh, order, flux_variant,
+        blocks)`` or build (and cache) a fresh one with ``builder()``."""
         return self.get_or_build_key(
-            plan_key(mesh, order, flux_variant), builder)
+            plan_key(mesh, order, flux_variant, blocks), builder)
 
     def clear(self) -> None:
         with self._lock:

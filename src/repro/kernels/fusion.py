@@ -67,17 +67,21 @@ is a :func:`row_set` of the plan's rows: a ``slice`` — so the selected
 rows are *views* of the plan — when they are one run, else the ids
 under the same expressions (fancy-indexed copies, same bits).  On a mesh
 canonicalised by :func:`repro.core.lts.cluster_major` every cluster's
-selection is one run.  The element selection (:func:`active_rows`) is
-shared by the volume kernel, the lift and the backends' masked
-predictor: ``I[idx]``, ``fb[idx]`` and ``starT`` are views and
-``out[idx] += ...`` updates in place.  The interior selection is made
-per *side*: the faces of a class with an active side are taken
+selection is one run, and so is every partition block's
+(:mod:`repro.exec.partitioned`).  The element selection
+(:func:`active_rows`) is shared by the volume kernel, the lift and the
+backends' masked predictor: ``I[idx]``, ``fb[idx]`` and ``starT`` are
+views and ``out[idx] += ...`` updates in place.  The interior selection
+is made per *side*: the faces of a class with an active side are taken
 plus-only | both | minus-only, which on a canonical mesh is the plan's
 own order (``(c-1, c)`` | ``(c, c)`` | ``(c, c+1)`` cluster pairs), so
 ``em`` / ``ep`` / ``Gm`` / ``Gp`` are views, each side's faces are one
 slice of one trace pair, and an interface face computes only the flux of
-the side that is updated.  Boundary faces sorted by element make the
-boundary selection (``elem`` / ``G``) views as well.
+the side that is updated.  In a plan ordered by partition blocks the
+both | minus-only faces of a block are one run and its plus-only faces
+a gathered batch of their own (:func:`_interior_masked_entries`).
+Boundary faces sorted by element make the boundary selection (``elem``
+/ ``G``) views as well.
 
 All results match the quadrature-form reference kernels of
 ``tests/reference_kernels.py`` up to floating-point reassociation (the
@@ -110,6 +114,7 @@ __all__ = [
     "active_rows",
     "FusedInteriorGroup",
     "FusedBoundaryGroup",
+    "face_buffer",
     "FOLD_CHUNK",
     "fold_flux_tables",
     "attach_interior_groups",
@@ -508,7 +513,7 @@ def fused_volume_residual(op, I, out, active=None, overwrite=False) -> None:
         out[idx] += _star_contract(KP, Ie, starT)
 
 
-def _face_buffer(op) -> np.ndarray:
+def face_buffer(op) -> np.ndarray:
     """The operator's ``(ne, 4, F, 9)`` face buffer, zero-filled on first
     use.  Slot ``[e, f]`` belongs to local face ``f`` of element ``e``
     and is only ever *assigned*, by the one regular interior face that
@@ -521,14 +526,21 @@ def _face_buffer(op) -> np.ndarray:
 
 
 def _interior_masked_entries(op, active):
-    """Per-group, per-side selections for one activity mask.
+    """Per-group face batches for one activity mask.
 
-    The faces of a group with an active side are taken plus-only, both,
-    minus-only: the plus side updates faces ``[:b]``, the minus side
-    faces ``[a:]`` — contiguous slices of one trace pair, each with its
-    own ``G`` rows, so no face computes a flux nobody lifts.  On a
-    canonical mesh (:func:`repro.core.lts.cluster_major`) that is the
-    plan's own face order, so every array is a view of the plan.
+    A batch is ``(em, ep, a, b, Gm, Gp)``: the minus side updates faces
+    ``[a:]`` with ``Gm``, the plus side faces ``[:b]`` with ``Gp`` —
+    contiguous slices of one trace pair, so no face computes a flux
+    nobody lifts.  The faces of a group with an active side are taken
+    plus-only, both, minus-only.  When that is one run of the group —
+    the plan's own order on a canonical mesh
+    (:func:`repro.core.lts.cluster_major`): ``(c-1, c)`` | ``(c, c)`` |
+    ``(c, c+1)`` cluster pairs — it is one batch of views.  Otherwise
+    the plus-only faces are a batch of their own (``Gm`` unused) before
+    the both | minus-only batch: in a block-ordered plan
+    (:class:`~repro.core.kernels.SpatialOperator` ``blocks=``) the latter
+    is one run of views and only the plus-only faces, whose minus side
+    is another block, are gathered.
     """
     entries = []
     for grp in op.interior_groups:
@@ -536,14 +548,22 @@ def _interior_masked_entries(op, active):
         ap = active[grp.ep]
         only_p = np.flatnonzero(ap & ~am)
         both = np.flatnonzero(am & ap)
-        sel = np.concatenate([only_p, both, np.flatnonzero(am & ~ap)])
-        if not len(sel):
-            entries.append(None)
-            continue
-        a, b = len(only_p), len(only_p) + len(both)
-        rows = row_set(sel)
-        entries.append((grp.em[rows], grp.ep[rows], a, b,
-                        grp.Gm[row_set(sel[a:])], grp.Gp[row_set(sel[:b])]))
+        run = np.concatenate([both, np.flatnonzero(am & ~ap)])
+        sel = np.concatenate([only_p, run])
+        if isinstance(row_set(sel), slice):
+            pieces = ((sel, len(only_p), len(only_p) + len(both)),)
+        else:
+            pieces = ((only_p, len(only_p), len(only_p)), (run, 0, len(both)))
+        batches = []
+        for faces, a, b in pieces:
+            if not len(faces):
+                continue
+            rows = row_set(faces)
+            batches.append((
+                grp.em[rows], grp.ep[rows], a, b,
+                grp.Gm[row_set(faces[a:])] if a < len(faces) else None,
+                grp.Gp[row_set(faces[:b])]))
+        entries.append(batches)
     return entries
 
 
@@ -551,17 +571,17 @@ def fused_interior_residual(op, I, out, active=None) -> None:
     """Face-basis interior kernel with a scatter-free lift (see module
     docstring): fill the face-buffer slots of every updated side, then
     one ``(B, 4F) @ (4F, 9)`` product per updated element."""
-    fb = _face_buffer(op)
+    fb = face_buffer(op)
     nF = fb.shape[2]
     if active is None:
-        groups = ((g, g.em, g.ep, 0, len(g.em), g.Gm, g.Gp)
-                  for g in op.interior_groups)
+        batches = ((g, (g.em, g.ep, 0, len(g.em), g.Gm, g.Gp))
+                   for g in op.interior_groups)
     else:
         entries = memo_by_mask(op._mask_cache_interior, active,
                                lambda: _interior_masked_entries(op, active))
-        groups = ((g, *e) for g, e in zip(op.interior_groups, entries)
-                  if e is not None)
-    for grp, em, ep, a, b, Gm, Gp in groups:
+        batches = ((g, e) for g, es in zip(op.interior_groups, entries)
+                   for e in es)
+    for grp, (em, ep, a, b, Gm, Gp) in batches:
         n = len(em)
         # X[:, 0] = [R I- | Rp I+] (minus basis), X[:, 1] = the same pair
         # in the plus element's basis: each trace GEMM writes its 9

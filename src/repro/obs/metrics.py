@@ -1,7 +1,7 @@
 """The one instrument registry: counters, gauges, phase timers, spans.
 
 The paper's performance story (Sec. 5-6) is told in per-kernel achieved
-GFLOP/s, per-LTS-cluster update counts and compute/halo splits; the
+GFLOP/s, per-LTS-cluster update counts and per-worker busy time; the
 ensemble driver of :mod:`repro.ensemble` adds the operator questions —
 how far along is every member, how fast is the fleet advancing, is any
 run drifting toward divergence.  Both are answered from one process-wide
@@ -20,7 +20,7 @@ and checkpoint I/O:
   accumulates wall time and call counts under a hierarchical path
   (nested phases concatenate, ``step/predict``); ``add_time(name, s)``
   accumulates a span measured by hand (the partitioned backend's
-  per-worker compute-vs-halo split);
+  per-worker compute time);
 * **spans** (``enable(trace=True)``) — every completed phase, plus the
   trace-only :meth:`~MetricRegistry.trace_span` /
   :meth:`~MetricRegistry.add_span` slices carrying structured args (LTS

@@ -46,7 +46,7 @@ __all__ = [
 _CORRECTOR_PHASES = ("kernels/volume", "kernels/surface_interior",
                      "kernels/surface_boundary")
 
-_WORKER_RE = re.compile(r"(?:^|/)worker/p(\d+)/(halo_gather|compute)$")
+_WORKER_RE = re.compile(r"(?:^|/)worker/p(\d+)/compute$")
 _LTS_RE = re.compile(r"^lts/(updates|elem_updates)/c(\d+)$")
 
 
@@ -67,22 +67,16 @@ def phase_total(phases: dict, key: str) -> float:
 
 
 def worker_split(phases: dict) -> dict:
-    """Per-worker compute vs halo-gather split of a partitioned run.
-
-    Returns ``{part_id: {"halo_s", "compute_s", "halo_fraction"}}``.
-    """
+    """Per-worker busy time of a partitioned run:
+    ``{part_id: {"compute_s"}}``."""
     out: dict[int, dict] = {}
     for path, cell in phases.items():
         m = _WORKER_RE.search(path)
         if not m:
             continue
-        part = int(m.group(1))
         seconds = cell["seconds"] if isinstance(cell, dict) else cell[0]
-        slot = out.setdefault(part, {"halo_s": 0.0, "compute_s": 0.0})
-        slot["halo_s" if m.group(2) == "halo_gather" else "compute_s"] += seconds
-    for slot in out.values():
-        busy = slot["halo_s"] + slot["compute_s"]
-        slot["halo_fraction"] = slot["halo_s"] / busy if busy > 0 else 0.0
+        slot = out.setdefault(int(m.group(1)), {"compute_s": 0.0})
+        slot["compute_s"] += seconds
     return out
 
 
@@ -190,14 +184,10 @@ def profile_lines(snapshot: dict, order: int | None = None,
     split = worker_split(phases)
     if split:
         lines.append("")
-        lines.append("partitioned workers (compute vs halo-gather):")
-        lines.append(f"  {'worker':>8} {'compute s':>11} {'halo s':>9} {'halo wait':>10}")
+        lines.append("partitioned workers (corrector busy time):")
+        lines.append(f"  {'worker':>8} {'compute s':>11}")
         for part in sorted(split):
-            s = split[part]
-            lines.append(
-                f"  {f'p{part}':>8} {s['compute_s']:>11.4f} "
-                f"{s['halo_s']:>9.4f} {100.0 * s['halo_fraction']:>9.2f}%"
-            )
+            lines.append(f"  {f'p{part}':>8} {split[part]['compute_s']:>11.4f}")
 
     clusters = lts_cluster_updates(counters)
     if clusters:

@@ -1,17 +1,16 @@
 """Chrome-trace / Perfetto export of recorded span timelines.
 
 The paper's Sec. 5-6 claims are *timeline* claims — when each LTS cluster
-stepped, how much of every worker's wall clock was halo exchange, whether
-communication overlapped compute — and aggregate timers cannot answer
-them.  This module turns the bounded span buffer of
+stepped, how long every worker was busy and how long it waited at the
+barrier — and aggregate timers cannot answer them.  This module turns the bounded span buffer of
 :class:`repro.obs.metrics.TraceBuffer` into the Chrome trace-event JSON
 format (the ``traceEvents`` array of ``"ph": "X"`` complete events), which
 `Perfetto <https://ui.perfetto.dev>`_ and ``chrome://tracing`` load
 directly:
 
 * spans tagged with a ``part`` arg (the partitioned backend's per-worker
-  halo-gather / compute / predict slices) are laid out **one lane per
-  partition**, labelled ``worker p<N>``;
+  compute / predict slices) are laid out **one lane per partition**,
+  labelled ``worker p<N>``;
 * LTS cluster slices (``lts/cluster`` spans) are colored by cluster id via
   the trace-event ``cname`` palette, so the rate-2 cadence — cluster 0
   stepping twice per cluster-1 step — is visible at a glance;

@@ -16,6 +16,7 @@ from repro.core.lts import LocalTimeStepping, cluster_elements, cluster_major
 from repro.core.materials import acoustic, elastic
 from repro.core.resilience import ResilientRunner
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
+from repro.ensemble.worker import state_digest
 from repro.exec import (
     PartitionedBackend,
     SerialBackend,
@@ -31,6 +32,8 @@ from repro.mesh.generators import layered_ocean_mesh
 from repro.rupture.fault import FaultSolver, Prestress
 from repro.rupture.friction import LinearSlipWeakening
 from repro.sched import Scheduler
+
+from tests.test_faces import build_all_faces
 
 WORKER_COUNTS = (1, 2, 4)
 T_GTS = 0.25
@@ -110,8 +113,9 @@ def build_lts_fault_gravity(backend="serial", workers=None, sort=False,
 
 
 def element_order(mesh, order=1):
-    """The element permutation of :func:`cluster_major`: a stable argsort
-    of the rate-2 clustering."""
+    """A cluster-major element permutation: the stable argsort of the
+    rate-2 clustering (:func:`cluster_major` also orders each cluster
+    along a curve; any cluster-major order makes the row sets slices)."""
     return np.argsort(cluster_elements(mesh, order)[0], kind="stable")
 
 
@@ -187,6 +191,87 @@ class TestLTSEquivalence:
         Scheduler(solver, lts).run(T_LTS)
         assert_states_match(ref, solver, f"(LTS, {workers} workers)")
         solver.backend.close()
+
+
+# ---------------------------------------------------------------------------
+# partition blocks: serial == partitioned, bitwise, at every cut
+# ---------------------------------------------------------------------------
+T_BLOCKS = 0.12
+
+
+def block_graph(solver):
+    """Neighbour blocks of every (cluster, part) block of a partitioned
+    solver, across regular interior faces."""
+    backend = solver.backend
+    cluster = LocalTimeStepping(solver).cluster
+    block = cluster * backend.n_parts + backend.parts
+    itf = solver.mesh.interior
+    bm, bp = block[itf.minus_elem], block[itf.plus_elem]
+    cut = bm != bp
+    graph = {}
+    for u, v in zip(bm[cut].tolist(), bp[cut].tolist()):
+        graph.setdefault(u, set()).add(v)
+        graph.setdefault(v, set()).add(u)
+    return graph
+
+
+def run_digest(solver, mode):
+    lts = LocalTimeStepping(solver) if mode == "lts" else None
+    Scheduler(solver, lts).run(T_BLOCKS)
+    solver.backend.close()
+    assert solver.fault.slip.max() > 0.0
+    assert np.abs(solver.gravity.eta).max() > 0.0
+    assert np.abs(solver.motion.uplift).max() > 0.0
+    return state_digest(solver, lts)
+
+
+@pytest.fixture(scope="module")
+def serial_digests():
+    """Serial digests of the all-faces rig (fault, gravity, prescribed
+    motion), canonical and as generated, under GTS and LTS."""
+    return {(sort, mode): run_digest(build_all_faces(1, sort=sort), mode)
+            for sort in (True, False) for mode in ("gts", "lts")}
+
+
+class TestBlockEquivalence:
+    """Every partition is row ranges of the one plan, and every per-face
+    and per-element GEMM is batch independent: any cut, any worker count,
+    GTS or LTS, runs the serial trajectory bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["gts", "lts"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_parts", [2, 3, 4])
+    def test_matches_serial(self, serial_digests, n_parts, workers, mode):
+        solver = build_all_faces(
+            1, backend=PartitionedBackend(workers=workers, n_parts=n_parts))
+        assert len(solver.backend.plans) == n_parts
+        if n_parts > 2:
+            # some block borders three others: the blocks are no chain
+            assert max(map(len, block_graph(solver).values())) >= 3
+        assert run_digest(solver, mode) == serial_digests[True, mode]
+
+    @pytest.mark.parametrize("mode", ["gts", "lts"])
+    def test_unsorted_mesh_takes_the_id_fallback(self, serial_digests, mode):
+        """On a mesh no builder canonicalised, clusters interleave: block
+        rows are id arrays (gathered rows, same GEMMs, same bits)."""
+        solver = build_all_faces(
+            1, sort=False, backend=PartitionedBackend(workers=2, n_parts=3))
+        rows = [plan.lop.active_rows(blk)[0]
+                for plan in solver.backend.plans for blk in plan.blocks]
+        assert not all(isinstance(r, slice) for r in rows)
+        assert run_digest(solver, mode) == serial_digests[False, mode]
+
+    def test_one_part_plan_is_the_serial_plan(self):
+        """With one part a block is a cluster, and on a canonical mesh the
+        block face order is the mesh's own: the plan's tables are the
+        serial plan's, bit for bit."""
+        serial = build_all_faces(1)
+        part = build_all_faces(1, backend=PartitionedBackend(workers=1))
+        assert part.op.interior_groups is not serial.op.interior_groups
+        for a, b in zip(serial.op.interior_groups, part.op.interior_groups):
+            for name in ("em", "ep", "Gm", "Gp"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        part.backend.close()
 
 
 # ---------------------------------------------------------------------------
@@ -415,36 +500,30 @@ class TestPlanCache:
             restore_checkpoint(path, new)
         assert new.t == 0.0  # nothing was loaded
 
-    def test_partition_is_memoised(self):
-        """A rebuilt problem reuses the partition (and its quality
-        numbers) instead of re-running clustering, Eq. 28 weights and
-        the partitioner; any key field changing builds a fresh one."""
+    def test_partition_is_rebuilt_identically(self):
+        """A rebuilt problem cuts the same partition — cold: the cuts
+        cost a few milliseconds, so nothing memoises them — and hits the
+        block-ordered operator plan; another width or order misses it,
+        and the serial plan (mesh face order) is an entry of its own."""
         clear_plan_cache()
-        a = build_gts(backend="partitioned", workers=2).backend
+        a = build_gts(backend="partitioned", workers=2)
         s0 = get_plan_cache().stats()
-        b = build_gts(backend="partitioned", workers=2).backend
+        b = build_gts(backend="partitioned", workers=2)
         s1 = get_plan_cache().stats()
-        assert s1["hits"] == s0["hits"] + 2  # operator plan + partition
+        assert s1["hits"] == s0["hits"] + 1
         assert s1["misses"] == s0["misses"]
-        assert b.parts is a.parts and not a.parts.flags.writeable
-        assert (b.stats()["imbalance"], b.stats()["edge_cut"]) == \
-            (a.stats()["imbalance"], a.stats()["edge_cut"])
-        for pa, pb in zip(a.plans, b.plans):
-            assert np.array_equal(pa.cells, pb.cells)
+        assert b.op.interior_groups is a.op.interior_groups
+        assert np.array_equal(b.backend.parts, a.backend.parts)
+        keys = ("owned", "halo", "imbalance", "cluster_imbalance", "edge_cut")
+        assert [b.backend.stats()[k] for k in keys] == \
+            [a.backend.stats()[k] for k in keys]
 
-        for kwargs in ({"workers": 3}, {"workers": 2, "order": 1}):
+        for kwargs in ({"backend": "partitioned", "workers": 3},
+                       {"backend": "partitioned", "workers": 2, "order": 1},
+                       {}):
             misses = get_plan_cache().stats()["misses"]
-            build_gts(backend="partitioned", **kwargs)
-            assert get_plan_cache().stats()["misses"] > misses
-        misses = get_plan_cache().stats()["misses"]
-        build_gts(backend=PartitionedBackend(workers=2, refine=False))
-        assert get_plan_cache().stats()["misses"] == misses + 1
-
-        # the memo returns what a cold build computes
-        clear_plan_cache()
-        cold = build_gts(backend="partitioned", workers=2).backend
-        assert cold.parts is not a.parts
-        assert np.array_equal(cold.parts, a.parts)
+            build_gts(**kwargs)
+            assert get_plan_cache().stats()["misses"] == misses + 1
 
     def test_cleared_cache_builds_afresh(self):
         clear_plan_cache()

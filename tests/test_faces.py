@@ -51,9 +51,10 @@ def bottom_motion(pts, t):
 
 
 def build_all_faces(order=2, friction="lsw", backend="serial", workers=None,
-                    **solver_kwargs):
+                    sort=True, **solver_kwargs):
     """Rupturing fault under a gravity-topped ocean over a moving bottom:
-    gravity, fault and prescribed-motion faces on one cluster-major mesh."""
+    gravity, fault and prescribed-motion faces on one cluster-major mesh
+    (``sort=False``: the mesh as generated, clusters interleaved)."""
     crust = elastic(2700.0, 6000.0, 3464.0)
     ocean = acoustic(1000.0, 1500.0)
     xs = np.array([-1500.0, -750.0, 0.0, 750.0, 1500.0])
@@ -83,7 +84,8 @@ def build_all_faces(order=2, friction="lsw", backend="serial", workers=None,
         law = RateStateFastVelocityWeakening(
             a=0.01, b=0.014, L=0.2, Vw=0.1, fw=0.2, f0=0.6)
         prestress = Prestress(sigma_n=-120e6, tau_s=45e6, nucleation_s=45e6)
-    cluster_major(mesh, order)
+    if sort:
+        cluster_major(mesh, order)
     return CoupledSolver(
         mesh, order=order, fault=FaultSolver(law, prestress),
         bottom_motion=bottom_motion, backend=backend, workers=workers,

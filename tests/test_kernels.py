@@ -14,10 +14,10 @@ kernels the solver executes — to them:
 * **property tests** (hypothesis): element-permutation invariance,
   stride/contiguity independence, dtype stability, and idempotence of
   the hoisted plan across replays;
-* **batch independence** — a row of a sub-batch predictor, a masked
-  ``apply`` and a ``restricted()`` operator's residuals equals the same
-  row of the full-mesh sweep bitwise (what serial == partitioned rests
-  on), on a mesh whose faces use several vertex permutations;
+* **batch independence** — a row of a sub-batch predictor and of a
+  masked ``apply`` equals the same row of the full-mesh sweep bitwise
+  (what serial == partitioned rests on), on a mesh whose faces use
+  several vertex permutations;
 * **face-basis factorization** — the trace factors reproduce the oracle's
   ``E^T diag(w) E`` products, and the face buffer's slot ownership holds
   (never-written slots stay zero, no stale slot is ever lifted);
@@ -392,29 +392,6 @@ class TestBatchIndependence:
         assert masked is op.masked_residual()
         assert np.isnan(masked[~active]).all()
 
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_restricted_residuals(self, shuffled_mesh, seed):
-        op = SpatialOperator(shuffled_mesh, 2)
-        rng, I = _random_state(op, seed)
-        owned_mask = rng.random(op.n_elements) < 0.5
-        itf = shuffled_mesh.interior
-        halo_mask = np.zeros_like(owned_mask)
-        halo_mask[itf.plus_elem[owned_mask[itf.minus_elem]]] = True
-        halo_mask[itf.minus_elem[owned_mask[itf.plus_elem]]] = True
-        owned = np.flatnonzero(owned_mask)
-        cells = np.concatenate([owned, np.flatnonzero(halo_mask & ~owned_mask)])
-        lop = op.restricted(cells, len(owned))
-        act = np.arange(len(cells)) < len(owned)
-        for kernel in ("volume_residual", "interior_residual",
-                       "boundary_residual"):
-            full = np.zeros_like(I)
-            getattr(op, kernel)(I, full)
-            local = np.zeros((len(cells), op.nbasis, 9))
-            getattr(lop, kernel)(I[cells], local, active=act)
-            np.testing.assert_array_equal(local[:len(owned)], full[owned],
-                                          err_msg=kernel)
-
 
 def _slot_masks(mesh):
     """``(ne, 4)`` masks of the face-buffer slots the interior kernel
@@ -743,18 +720,6 @@ class TestDirectPlanBuild:
         with pytest.raises(ValueError, match="float64"):
             fusion.finish_plan(plan)
 
-    def test_restricted_copies_stay_writable(self, table_mesh):
-        """``restricted()`` fancy-indexes its rows out of the read-only
-        plan: copies it owns."""
-        op = SpatialOperator(table_mesh, 2)
-        cells = np.arange(op.n_elements)
-        sub = op.restricted(cells, op.n_elements)
-        assert sub.starT.flags.writeable and sub.starT.base is None
-        for g in sub.interior_groups:
-            assert g.Gm.flags.writeable and g.Gp.flags.writeable
-        for b in sub.boundary_groups:
-            assert b.G.flags.writeable
-
 
 # ----------------------------------------------------------------------
 # plan hygiene: only folded factors, never the oracle's groups
@@ -779,13 +744,14 @@ def _assert_only_folded(op):
 
 class TestPlanCacheInvalidation:
     def test_plan_holds_only_fused_factors(self):
-        """The cached plan and every restricted() sub-operator carry
+        """The cached plan and every partition worker's handle on it carry
         ``starT`` and the folded factors (interior: face ids, the class's
         trace operators and the stacked ``Gm``/``Gp``; boundary: ``A``/``G``)
         — none of the arrays only the quadrature-form kernels read."""
         clear_plan_cache()
         solver = build_gts(order=2, backend="partitioned", workers=2)
-        plan = get_plan_cache().get(plan_key(solver.mesh, 2, "exact"))
+        blocks = solver.backend.blocks(solver.mesh, 2, solver.cfl_safety)
+        plan = get_plan_cache().get(plan_key(solver.mesh, 2, "exact", blocks))
         assert not hasattr(plan, "star")
         assert solver.op.interior_groups is plan.interior_groups
         _assert_only_folded(solver.op)
@@ -825,14 +791,6 @@ class TestPlanCacheInvalidation:
         op_f1.interior_residual(I, o1)
         op_f2.interior_residual(I, o2)
         np.testing.assert_array_equal(o1, o2)
-
-    def test_restricted_operators_inherit_variant(self):
-        """A partition's manifest/FLOP accounting names the same kernel
-        path as the parent operator's."""
-        clear_plan_cache()
-        solver = build_gts(order=2, backend="partitioned", workers=2)
-        for plan in solver.backend.plans:
-            assert plan.lop.kernel_variant == solver.op.kernel_variant
 
 
 def test_fused_flop_counts_stay_under_batched():

@@ -5,17 +5,19 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from repro.core.kernels import SpatialOperator
 from repro.core.lts import (
     LocalTimeStepping,
     cluster_elements,
     cluster_major,
+    hilbert_key,
     lts_statistics,
 )
 from repro.core.materials import acoustic, elastic
 from repro.core.riemann import FaceKind
 from repro.core.solver import CoupledSolver
 from repro.ensemble.spec import get_builder
-from repro.exec import mesh_fingerprint
+from repro.exec import PartitionedBackend, mesh_fingerprint
 from repro.kernels import fusion
 from repro.kernels.fusion import row_set
 from repro.mesh.generators import box_mesh, layered_ocean_mesh
@@ -218,12 +220,21 @@ class TestClusterMajorLayout:
         m = graded_periodic_box()
         cluster, _ = cluster_elements(m, 2)
         tets = m.tets.copy()
+        key = hilbert_key(m.centroids)
         cluster_major(m, 2)
-        # elements keep their relative order inside a cluster
-        order = np.argsort(cluster, kind="stable")
+        # cluster-major, then along the curve (no fault on this mesh);
+        # ties keep their relative order
+        order = np.lexsort((key, cluster))
         assert np.array_equal(m.tets, tets[order])
         assert np.array_equal(cluster_elements(m, 2)[0], cluster[order])
         assert (np.diff(cluster[order]) >= 0).all()
+        # faces of one cluster pair follow their minus element
+        itf, cl = m.interior, cluster[order]
+        face_key = np.stack([cl[itf.minus_elem], cl[itf.plus_elem],
+                             itf.minus_elem])
+        assert (np.diff(face_key[0]) >= 0).all()
+        same = (np.diff(face_key[0]) == 0) & (np.diff(face_key[1]) == 0)
+        assert (np.diff(face_key[2])[same] >= 0).all()
         # canonicalising a canonical mesh is the identity: GTS and LTS
         # solvers, or a resumed run, can share one mesh object
         def face_tables():
@@ -235,6 +246,49 @@ class TestClusterMajorLayout:
         assert np.array_equal(m.tets, tets[order])
         assert all(np.array_equal(a, b) for a, b in zip(before, face_tables()))
         assert mesh_fingerprint(m) == fingerprint
+
+    def test_fault_adjacent_elements_lead_their_cluster(self):
+        crust = elastic(2700.0, 6000.0, 3464.0)
+        xs = np.linspace(-1500.0, 1500.0, 5)
+        m = layered_ocean_mesh(
+            xs, xs, np.linspace(-3000.0, -1000.0, 3),
+            np.linspace(-1000.0, 0.0, 2), crust, acoustic(1000.0, 1500.0))
+        m.mark_fault(lambda c, n: (np.abs(n[:, 0]) > 0.99)
+                     & (np.abs(c[:, 0]) < 1e-6) & (c[:, 2] < -1000.0))
+        cluster_major(m, 1)
+        itf = m.interior
+        on_fault = np.zeros(m.n_elements, dtype=bool)
+        on_fault[itf.minus_elem[itf.is_fault]] = True
+        on_fault[itf.plus_elem[itf.is_fault]] = True
+        cluster = cluster_elements(m, 1)[0]
+        for c in np.unique(cluster[on_fault]):
+            run = on_fault[cluster == c]
+            n = int(run.sum())
+            assert run[:n].all() and not run[n:].any()
+
+    def test_hilbert_key_pinned(self):
+        """Skilling's curve on the 2 x 2 x 2 grid, and on 4^3 / 8^3 every
+        step of the key order moves to a face neighbour."""
+        def grid(n):
+            ax = np.arange(n, dtype=float)
+            return np.stack(np.meshgrid(ax, ax, ax, indexing="ij"),
+                            axis=-1).reshape(-1, 3)
+
+        g = grid(2)
+        assert g[np.argsort(hilbert_key(g, bits=1))].astype(int).tolist() == [
+            [0, 0, 0], [0, 0, 1], [0, 1, 1], [0, 1, 0],
+            [1, 1, 0], [1, 1, 1], [1, 0, 1], [1, 0, 0]]
+        for n, bits in ((4, 2), (8, 3)):
+            g = grid(n)
+            key = hilbert_key(g, bits=bits)
+            assert np.array_equal(np.sort(key), np.arange(n**3))
+            steps = np.abs(np.diff(g[np.argsort(key)], axis=0)).sum(axis=1)
+            assert (steps == 1).all()
+        # each axis spans its own extent: a stretched grid keeps the order
+        g = grid(4)
+        stretched = g * [1.0, 5.0, 0.1] + [3.0, -2.0, 7.0]
+        assert np.array_equal(hilbert_key(stretched, bits=2),
+                              hilbert_key(g, bits=2))
 
     def test_max_cluster_keeps_contiguity(self):
         xs = np.linspace(0, 3000.0, 5)
@@ -261,19 +315,89 @@ class TestClusterMajorLayout:
             idx, starT = solver.op.active_rows(mask)
             assert idx == rows
             assert np.shares_memory(starT, solver.op.starT)
-            # a partition's owned cells are sorted, so its share of a
-            # cluster is a run of local rows as well
+            # every partition's share of a cluster is a row range of it,
+            # and the shares tile the cluster
+            pieces = []
             for plan in solver.backend.plans:
-                sel = plan.active_set(mask)
-                assert isinstance(sel.idx, slice)
-                assert np.array_equal(
-                    sel.ids, plan.owned[mask[plan.owned]])
-                assert np.shares_memory(sel.starT, plan.lop.starT)
-        # and every cluster's masked face selections are views of the plan
-        assert_face_selections_are_views(solver.op, (
-            [fusion._interior_masked_entries(solver.op, m) for m in lts.masks],
-            [fusion._boundary_masked_entries(solver.op, m) for m in lts.masks]))
+                for blk in plan.active_blocks(mask):
+                    idx, starT = plan.lop.active_rows(blk)
+                    assert isinstance(idx, slice)
+                    assert np.shares_memory(starT, solver.op.starT)
+                    pieces.append((idx.start, idx.stop))
+            pieces.sort()
+            assert pieces[0][0] == rows.start and pieces[-1][1] == rows.stop
+            assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
         solver.backend.close()
+        # and in the serial plan every cluster's masked face selections
+        # are views of the plan
+        op = SpatialOperator(solver.mesh, solver.order)
+        assert_face_selections_are_views(op, (
+            [fusion._interior_masked_entries(op, m) for m in lts.masks],
+            [fusion._boundary_masked_entries(op, m) for m in lts.masks]))
+
+    @pytest.mark.parametrize("name", ["quickstart", "scenario_a", "palu"])
+    def test_serial_and_partitioned_builds_share_one_mesh(self, name):
+        """The canonical order does not depend on the partition count, so
+        a serial checkpoint resumes under any partitioned width."""
+        prints = set()
+        for backend in ("serial", PartitionedBackend(workers=2),
+                        PartitionedBackend(workers=2, n_parts=3)):
+            solver = get_builder(name)({}, 0, backend=backend).solver
+            prints.add(mesh_fingerprint(solver.mesh))
+            solver.backend.close()
+        assert len(prints) == 1
+
+    @pytest.mark.parametrize("n_parts", [2, 3])
+    @pytest.mark.parametrize("name", ["quickstart", "scenario_a", "palu"])
+    def test_partition_blocks_are_plan_views(self, monkeypatch, name,
+                                             n_parts):
+        """After an LTS run every (cluster, part) block selection of every
+        partition worker is a view of the one operator plan: the window
+        buffer starts as NaN, so a row no block wrote would poison the
+        state.  The only owned bytes are the plus-side ``Gp`` rows of the
+        faces whose minus side is another block (and those faces'
+        element ids), gathered once per block."""
+        monkeypatch.setattr(Scheduler, "_window_buffer", staticmethod(
+            lambda shape: np.full(shape, np.nan)))
+        backend = PartitionedBackend(workers=2, n_parts=n_parts)
+        solver = get_builder(name)({}, 0, backend=backend).solver
+        lts = LocalTimeStepping(solver)
+        Scheduler(solver, lts).run(lts.dt_min * lts.rate**lts.cmax)
+        backend.close()
+        assert np.isfinite(solver.Q).all()
+        op, itf = solver.op, solver.mesh.interior
+        block = lts.cluster * n_parts + backend.parts
+        cross = int(((block[itf.minus_elem] != block[itf.plus_elem])
+                     & ~itf.is_fault).sum())
+        gathered = owned = 0
+        assert len(backend.plans) == n_parts
+        for plan in backend.plans:
+            lop = plan.lop
+            assert len(lop._mask_cache_volume) == len(plan.blocks)
+            for idx, starT in lop._mask_cache_volume.values():
+                assert isinstance(idx, slice)
+                assert np.shares_memory(starT, op.starT)
+            for entries in lop._mask_cache_interior.values():
+                for grp, batches in zip(op.interior_groups, entries):
+                    for em, ep, a, b, Gm, Gp in batches:
+                        if Gp.flags.owndata:
+                            # plus-only faces across a block cut
+                            assert a == b == len(em) and Gm is None
+                            assert (block[em] != block[ep]).all()
+                            gathered += len(em)
+                            owned += em.nbytes + ep.nbytes + Gp.nbytes
+                            continue
+                        for sel, table in ((em, grp.em), (ep, grp.ep),
+                                           (Gm, grp.Gm), (Gp, grp.Gp)):
+                            assert sel is None or not sel.size \
+                                or np.shares_memory(sel, table)
+            for entries in lop._mask_cache_boundary.values():
+                for grp, e in zip(op.boundary_groups, entries):
+                    if e is not None:
+                        assert np.shares_memory(e[0], grp.elem)
+                        assert np.shares_memory(e[1], grp.G)
+        assert 0 < gathered <= cross
+        assert owned == gathered * (18 * 9 * 8 + 2 * 8)
 
     def test_unsorted_mesh_yields_id_arrays(self):
         m = graded_periodic_box()

@@ -429,10 +429,10 @@ class TestHaloLayout:
     def check_poisoned_run(monkeypatch, backend, workers, sort):
         """The run-lifetime window buffer starts as NaN instead of zeros,
         and after every micro-step the persistent masked residual (with
-        the partitions' local gather / residual buffers) is NaN-filled
         again: an identical end state proves every row a corrector or
         the scheduler read had been written in that same micro-step — a
-        row outside the active cluster is never read."""
+        row outside the active cluster is never read.  Partition workers
+        write their rows of that same residual: there is no other."""
         ref, ref_fault, ref_lts = build_lts_fault_gravity(backend, workers,
                                                           sort=sort)
         assert all(isinstance(r, slice) == sort for r in ref_lts.idx)
@@ -449,11 +449,7 @@ class TestHaloLayout:
             residual = solver.op.masked_residual()
             # the step just taken left its own rows finite
             assert np.isfinite(residual[new_lts.idx[event.cluster]]).all()
-            bufs = [residual]
-            for plan in getattr(solver.backend, "plans", ()):
-                bufs += [plan.outloc, plan.Iloc]
-            for buf in bufs:
-                buf.fill(np.nan)
+            residual.fill(np.nan)
             poisoned.append(event.cluster)
 
         bus = HookBus()
@@ -475,15 +471,15 @@ def assert_face_selections_are_views(op, caches):
     interior, boundary = caches
     pairs = []
     for entries in interior:
-        for grp, e in zip(op.interior_groups, entries):
-            if e is not None:
-                em, ep, _, _, Gm, Gp = e
+        for grp, batches in zip(op.interior_groups, entries):
+            for em, ep, _, _, Gm, Gp in batches:
                 pairs += [(em, grp.em), (ep, grp.ep), (Gm, grp.Gm), (Gp, grp.Gp)]
     for entries in boundary:
         for grp, e in zip(op.boundary_groups, entries):
             if e is not None:
                 pairs += [(e[0], grp.elem), (e[1], grp.G)]
     assert pairs
+    pairs = [(sel, table) for sel, table in pairs if sel is not None]
     for sel, table in pairs:
         assert np.shares_memory(sel, table) or not sel.size
     assert sum(sel.nbytes for sel, _ in pairs if sel.flags.owndata) == 0

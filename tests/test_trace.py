@@ -86,10 +86,10 @@ class TestTelemetryTracing:
         met.enable(trace=True)
         with met.trace_span("lts/cluster", cluster=2, elems=17):
             pass
-        met.add_span("worker/halo_gather", 1.0, 1.5, part=1, halo=4)
+        met.add_span("worker/compute", 1.0, 1.5, part=1, blocks=4)
         spans = {s[0]: s for s in met.trace_snapshot()["spans"]}
         assert spans["lts/cluster"][4] == {"cluster": 2, "elems": 17}
-        assert spans["worker/halo_gather"][4] == {"part": 1, "halo": 4}
+        assert spans["worker/compute"][4] == {"part": 1, "blocks": 4}
 
     def test_trace_off_modes_are_noops(self):
         met = get_metrics()
@@ -196,8 +196,8 @@ class TestChromeTraceExport:
 
         # the worker slices carry the structured args the summarizer needs
         span_names = {e["name"] for e in xs}
-        assert {"worker/predict", "worker/halo_gather",
-                "worker/compute"} <= span_names
+        assert {"worker/predict", "worker/compute"} <= span_names
+        assert not any("halo" in name for name in span_names)
 
     def test_lts_cluster_slices_colored_by_cluster(self, tmp_path):
         from repro.core.lts import LocalTimeStepping

@@ -228,11 +228,8 @@ class CoupledSolver:
         # operator build; it still *binds* last, see below
         self.backend = make_backend(backend, workers=workers)
         self.cfl_safety = cfl_safety
-        self.op = SpatialOperator(
-            mesh, order, gravity_g, flux_variant=flux_variant,
-            blocks=self.backend.blocks(mesh, order, cfl_safety))
-        self.Q = self.op.new_state()
-        self.t = 0.0
+        # checked before the backend clusters the mesh and the operator
+        # is built: a sliver element fails here, with its name
         self.dt_elem = element_timesteps(mesh, order, cfl_safety)
         if not np.isfinite(self.dt_elem).all() or self.dt_elem.min() <= 0:
             worst = int(np.argmin(np.where(np.isfinite(self.dt_elem), self.dt_elem, -np.inf)))
@@ -243,6 +240,11 @@ class CoupledSolver:
                 "contains degenerate (sliver) elements — repair it before solving"
             )
         self.dt = float(self.dt_elem.min())
+        self.op = SpatialOperator(
+            mesh, order, gravity_g, flux_variant=flux_variant,
+            blocks=self.backend.blocks(mesh, order, cfl_safety))
+        self.Q = self.op.new_state()
+        self.t = 0.0
         self._energy_coeff = _energy_coefficients(mesh)
         self.gravity = GravityBoundary(
             self.op, gravity_g, integrator=gravity_integrator, eta_velocity=gravity_eta_velocity

@@ -89,7 +89,9 @@ class SpatialOperator:
         self.ref = get_reference_element(order)
         self.g = gravity_g
         self._n_elements = mesh.n_elements
-        self._blocks = blocks
+        #: per-element block ids the interior faces are ordered by
+        #: (``None``: the mesh's own order; see :meth:`_fold_interior`)
+        self.blocks = blocks
         # the expensive setup (star Jacobians + per-face flux matrices) is
         # memoized per problem fingerprint; plans are read-only and shared
         plan = get_plan_cache().get_or_build(
@@ -153,11 +155,11 @@ class SpatialOperator:
         mesh, itf = self.mesh, self.mesh.interior
         cls = (itf.minus_face * 4 + itf.plus_face) * 6 + itf.perm
         ids = np.flatnonzero(~itf.is_fault)
-        if self._blocks is None:
+        if self.blocks is None:
             ids = ids[np.argsort(cls[ids], kind="stable")]
         else:
-            bm = self._blocks[itf.minus_elem[ids]]
-            bp = self._blocks[itf.plus_elem[ids]]
+            bm = self.blocks[itf.minus_elem[ids]]
+            bp = self.blocks[itf.plus_elem[ids]]
             ids = ids[np.lexsort((bp, bp != bm, bm, cls[ids]))]
         if not ids.size:
             return

@@ -86,16 +86,20 @@ def fault_adjacent(mesh) -> np.ndarray:
     return mask
 
 
-def hilbert_key(points: np.ndarray, bits: int = 10) -> np.ndarray:
+#: bits per axis of :func:`hilbert_key`: a 2^30-cell curve, keys fit int64
+_HILBERT_BITS = 10
+
+
+def hilbert_key(points: np.ndarray) -> np.ndarray:
     """Position of every point along a 3D Hilbert curve over their
     bounding box.
 
-    Each axis is quantized to ``2**bits`` cells over its own extent (the
-    default 10 bits: a 2^30-cell curve, keys fit int64) and
-    the cells are mapped with Skilling's transpose algorithm ("Programming
-    the Hilbert curve", AIP Conf. Proc. 707, 2004), vectorized:
+    Each axis is quantized to ``2**_HILBERT_BITS`` cells over its own
+    extent and the cells are mapped with Skilling's transpose algorithm
+    ("Programming the Hilbert curve", AIP Conf. Proc. 707, 2004), vectorized:
     consecutive keys are face-adjacent cells, so any run of keys is a
     compact piece of space."""
+    bits = _HILBERT_BITS
     points = np.asarray(points, dtype=float)
     lo = points.min(axis=0)
     extent = np.maximum(points.max(axis=0) - lo, 1e-300)

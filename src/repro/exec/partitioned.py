@@ -146,25 +146,29 @@ class PartitionedBackend(ExecutionBackend):
         return every element's block, ``cluster * n_parts + part``."""
         n_parts = min(self.n_parts, mesh.n_elements)
         cluster = cluster_elements(mesh, order, safety=cfl_safety)[0]
-        weights = eq28_vertex_weights(mesh, cluster)
-        self.parts = cluster_cuts(cluster, weights, fault_adjacent(mesh),
-                                  n_parts)
-        self._cluster = cluster
+        parts = cluster_cuts(cluster, eq28_vertex_weights(mesh, cluster),
+                             fault_adjacent(mesh), n_parts)
+        return cluster * n_parts + parts
+
+    def bind(self, solver) -> None:
+        """Bind to the solver built with this backend; the cut is the one
+        its operator plan is ordered by (:meth:`blocks`)."""
+        if solver.backend is not self:
+            raise ValueError("a PartitionedBackend binds only to the solver "
+                             "built with it (CoupledSolver(backend=...))")
+        self.solver = solver
+        mesh = solver.mesh
+        n_parts = min(self.n_parts, mesh.n_elements)
+        self._cluster, self.parts = np.divmod(solver.op.blocks, n_parts)
         # the global Eq. 28 balance, and the one every LTS cluster step
         # waits on: the worst cluster's heaviest part over its mean
+        weights = eq28_vertex_weights(mesh, self._cluster)
         self._imbalance = imbalance(self.parts, weights)
-        load = np.zeros((int(cluster.max()) + 1, n_parts))
-        np.add.at(load, (cluster, self.parts), weights)
+        load = np.zeros((int(self._cluster.max()) + 1, n_parts))
+        np.add.at(load, (self._cluster, self.parts), weights)
         self._cluster_imbalance = float(
             (load.max(axis=1) / load.mean(axis=1)).max())
         self._edge_cut = edge_cut(self.parts, mesh.dual_graph_edges())
-        return cluster * n_parts + self.parts
-
-    def bind(self, solver) -> None:
-        self.solver = solver
-        if self.parts is None:  # bound to a solver built for another backend
-            self.blocks(solver.mesh, solver.order, solver.cfl_safety)
-        mesh = solver.mesh
         itf = mesh.interior
         em, ep = itf.minus_elem, itf.plus_elem
         g_elem = solver.gravity.elem

@@ -531,16 +531,14 @@ def _interior_masked_entries(op, active):
     A batch is ``(em, ep, a, b, Gm, Gp)``: the minus side updates faces
     ``[a:]`` with ``Gm``, the plus side faces ``[:b]`` with ``Gp`` —
     contiguous slices of one trace pair, so no face computes a flux
-    nobody lifts.  The faces of a group with an active side are taken
-    plus-only, both, minus-only.  When that is one run of the group —
-    the plan's own order on a canonical mesh
-    (:func:`repro.core.lts.cluster_major`): ``(c-1, c)`` | ``(c, c)`` |
-    ``(c, c+1)`` cluster pairs — it is one batch of views.  Otherwise
-    the plus-only faces are a batch of their own (``Gm`` unused) before
-    the both | minus-only batch: in a block-ordered plan
-    (:class:`~repro.core.kernels.SpatialOperator` ``blocks=``) the latter
-    is one run of views and only the plus-only faces, whose minus side
-    is another block, are gathered.
+    nobody lifts.  The faces of a group with an active side make two
+    batches: the plus-only faces (``Gm`` unused), then both | minus-only.
+    On a canonical mesh (:func:`repro.core.lts.cluster_major`) cluster
+    ``c``'s faces of a group are the cluster pairs ``(c-1, c)`` |
+    ``(c, c)`` | ``(c, c+1)``, two runs of views; in a block-ordered plan
+    (:class:`~repro.core.kernels.SpatialOperator` ``blocks=``) the second
+    batch is one run of views and only the plus-only faces, whose minus
+    side is another block, are gathered.
     """
     entries = []
     for grp in op.interior_groups:
@@ -549,11 +547,7 @@ def _interior_masked_entries(op, active):
         only_p = np.flatnonzero(ap & ~am)
         both = np.flatnonzero(am & ap)
         run = np.concatenate([both, np.flatnonzero(am & ~ap)])
-        sel = np.concatenate([only_p, run])
-        if isinstance(row_set(sel), slice):
-            pieces = ((sel, len(only_p), len(only_p) + len(both)),)
-        else:
-            pieces = ((only_p, len(only_p), len(only_p)), (run, 0, len(both)))
+        pieces = ((only_p, len(only_p), len(only_p)), (run, 0, len(both)))
         batches = []
         for faces, a, b in pieces:
             if not len(faces):

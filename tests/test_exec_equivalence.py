@@ -273,6 +273,17 @@ class TestBlockEquivalence:
                 assert np.array_equal(getattr(a, name), getattr(b, name))
         part.backend.close()
 
+    def test_binds_only_to_the_solver_built_with_it(self):
+        """The cut is the one the solver's plan is ordered by, so neither
+        a fresh backend nor one bound elsewhere can take a solver over."""
+        serial = build_all_faces(1)
+        part = build_all_faces(1, backend=PartitionedBackend(workers=1))
+        for backend, solver in ((PartitionedBackend(workers=1), part),
+                                (part.backend, serial)):
+            with pytest.raises(ValueError, match="built with it"):
+                backend.bind(solver)
+        part.backend.close()
+
 
 # ---------------------------------------------------------------------------
 # element order: a cluster-major mesh runs the permuted trajectory, bitwise

@@ -36,7 +36,7 @@ from repro.mesh.generators import layered_ocean_mesh
 from repro.sched import HookBus, Scheduler
 
 
-def build_coupled(order=2):
+def build_coupled(order=2, backend="serial"):
     """Small coupled Earth-ocean solver (same setup as test_resilience)."""
     crust = elastic(rho=2700.0, cp=4000.0, cs=2300.0)
     ocean = acoustic(rho=1000.0, cp=1500.0)
@@ -48,7 +48,7 @@ def build_coupled(order=2):
         earth=crust, ocean=ocean,
     )
     mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-    solver = CoupledSolver(mesh, order=order)
+    solver = CoupledSolver(mesh, order=order, backend=backend)
 
     def ricker(t):
         a = (np.pi * 2.0 * (t - 0.3)) ** 2
@@ -266,13 +266,11 @@ class TestInstrumentation:
         assert "step/corrector/kernels/volume" in snap["phases"]
 
     def test_partitioned_workers_report_compute(self):
-        solver = build_coupled(order=2)
-        psolver = build_coupled(order=2)
         from repro.exec.partitioned import PartitionedBackend
 
+        solver = build_coupled(order=2)
         backend = PartitionedBackend(workers=4)
-        backend.bind(psolver)
-        psolver.backend = backend
+        psolver = build_coupled(order=2, backend=backend)
         try:
             met = get_metrics()
             met.enable()

@@ -32,11 +32,8 @@ def _clean_registry():
 def _partitioned(order=2, workers=2):
     from repro.exec.partitioned import PartitionedBackend
 
-    solver = build_coupled(order=order)
     backend = PartitionedBackend(workers=workers)
-    backend.bind(solver)
-    solver.backend = backend
-    return solver, backend
+    return build_coupled(order=order, backend=backend), backend
 
 
 # ----------------------------------------------------------------------

@@ -67,16 +67,19 @@ def taylor_window_weights(t0: float, t1: float, K: int) -> np.ndarray:
     return (float(t1) ** k1 - float(t0) ** k1) / np.cumprod(k1)
 
 
-def taylor_integrate(derivs: np.ndarray, t0: float, t1: float) -> np.ndarray:
+def taylor_integrate(derivs: np.ndarray, t0: float, t1: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Integral of the Taylor expansion over ``[t0, t1]`` (relative times).
 
     ``t0``/``t1`` are measured from the expansion point.  Returns modal
-    coefficients of ``int_t0^t1 q(t) dt``, shape ``(ne, B, 9)``.
+    coefficients of ``int_t0^t1 q(t) dt``, shape ``(ne, B, 9)``, written
+    into ``out`` when given (e.g. a row slice of the window buffer, so
+    the integral needs no temporary; the bits are the same).
     """
     coef = taylor_window_weights(t0, t1, derivs.shape[1])
     # one pass over the level axis; each row sums its levels in order, so
     # the result of a row does not depend on which batch it is part of
-    return np.einsum("k,ek...->e...", coef, derivs)
+    return np.einsum("k,ek...->e...", coef, derivs, out=out)
 
 
 def taylor_evaluate(derivs: np.ndarray, tau) -> np.ndarray:

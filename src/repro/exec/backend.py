@@ -123,7 +123,8 @@ class SerialBackend(ExecutionBackend):
             # scratch: the refreshed rows themselves where they are a slice
             new_derivs = op.predict_states(Q[idx], starT, out=derivs[idx])
             derivs[idx] = new_derivs
-            Iown[idx] = taylor_integrate(new_derivs, 0.0, dt)
+            # likewise the window integral, straight into its rows
+            Iown[idx] = taylor_integrate(new_derivs, 0.0, dt, out=Iown[idx])
 
     def corrector(self, I, derivs, dt, t0, active=None,
                   gravity_mask=None, motion_mask=None) -> np.ndarray:

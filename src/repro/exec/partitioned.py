@@ -238,7 +238,8 @@ class PartitionedBackend(ExecutionBackend):
                 new_derivs = op.predict_states(Q[idx], starT, out=derivs[idx])
                 derivs[idx] = new_derivs
                 if Iown is not None:
-                    Iown[idx] = taylor_integrate(new_derivs, 0.0, dt)
+                    Iown[idx] = taylor_integrate(new_derivs, 0.0, dt,
+                                                 out=Iown[idx])
                 n += len(new_derivs)
             if tracing and n:
                 _MET.add_span("worker/predict", t0, _time.perf_counter(),

@@ -57,7 +57,11 @@ Batch independence
     it.  Serial == partitioned == any LTS clustering, bitwise, rests on
     that.  It excludes the faster row-stacked form (one ``(ne * 9, K)``
     GEMM): on OpenBLAS the rows of such a product change in the last bit
-    with the row subset.
+    with the row subset.  Cache reuse comes from chunking instead: every
+    kernel walks its rows in chunks of :data:`CHUNK` through per-call
+    scratch of a chunk's size, which stays in L2 where a whole
+    orientation class does not; a chunk is one more batch, so no bit
+    depends on :data:`CHUNK`.
 
 Local time-stepping repeatedly calls the kernels with the same
 per-cluster activity masks; the masked selections are content-addressed
@@ -115,6 +119,7 @@ __all__ = [
     "FusedInteriorGroup",
     "FusedBoundaryGroup",
     "face_buffer",
+    "CHUNK",
     "FOLD_CHUNK",
     "fold_flux_tables",
     "attach_interior_groups",
@@ -130,6 +135,26 @@ __all__ = [
 #: masked sub-plan cache entries kept per operator and residual kind
 #: (LTS produces one mask per cluster; 64 covers deep hierarchies)
 MASK_CACHE_MAX = 64
+
+#: rows (elements or faces) per chunk of the residual and predictor
+#: sweeps: a chunk's operands and scratch stay in L2 where a whole
+#: orientation class (~17 MB on Palu) does not
+CHUNK = 256
+
+
+def _chunks(idx, n: int):
+    """``(pos, rows)`` per run of at most :data:`CHUNK` rows of the
+    :func:`row_set` ``idx`` over ``n`` rows: the run's positions within
+    the selection (a slice) and its rows (a slice, or ids)."""
+    if isinstance(idx, slice):
+        start, stop, _ = idx.indices(n)
+        for lo in range(start, stop, CHUNK):
+            hi = min(lo + CHUNK, stop)
+            yield slice(lo - start, hi - start), slice(lo, hi)
+    else:
+        for lo in range(0, len(idx), CHUNK):
+            pos = slice(lo, lo + CHUNK)
+            yield pos, idx[pos]
 
 
 # ----------------------------------------------------------------------
@@ -230,13 +255,15 @@ def fused_ck(Q: np.ndarray, starT: np.ndarray, ref,
     shape = (ne, ref.order + 1, nb, nq)
     if out is None or out.shape != shape or out.dtype != np.float64:
         out = np.zeros(shape)
-    out[:, 0] = Q
-    # BLAS reads contiguous items; a strided Q would take NumPy's own
-    # loop, whose summation order differs
-    X = np.ascontiguousarray(Q)
-    for k in range(ref.order):
-        X = _star_contract(plan.Dneg[k], X, starT)
-        out[:, k + 1, plan.perm[:plan.sizes[k + 1]]] = X
+    for lo in range(0, ne, CHUNK):
+        rows = slice(lo, lo + CHUNK)
+        out[rows, 0] = Q[rows]
+        # BLAS reads contiguous items; a strided Q would take NumPy's own
+        # loop, whose summation order differs
+        X = np.ascontiguousarray(Q[rows])
+        for k in range(ref.order):
+            X = _star_contract(plan.Dneg[k], X, starT[rows])
+            out[rows, k + 1, plan.perm[:plan.sizes[k + 1]]] = X
     return out
 
 
@@ -503,14 +530,15 @@ def fused_volume_residual(op, I, out, active=None, overwrite=False) -> None:
     residual with it, saving the zero-fill and one pass."""
     KP = element_plan(op.order).KP
     idx, starT = active_rows(op, active)
-    Ie = np.ascontiguousarray(I[idx])
-    if overwrite:
-        # a slice: the GEMM stores into the rows, the assignment is a no-op
-        rows = out[idx]
-        _star_contract(KP, Ie, starT, out=rows)
-        out[idx] = rows
-    else:
-        out[idx] += _star_contract(KP, Ie, starT)
+    for pos, rows in _chunks(idx, len(out)):
+        Ie = np.ascontiguousarray(I[rows])
+        if overwrite:
+            # a slice: the GEMM stores in place, the assignment is a no-op
+            res = out[rows]
+            _star_contract(KP, Ie, starT[pos], out=res)
+            out[rows] = res
+        else:
+            out[rows] += _star_contract(KP, Ie, starT[pos])
 
 
 def face_buffer(op) -> np.ndarray:
@@ -575,22 +603,30 @@ def fused_interior_residual(op, I, out, active=None) -> None:
                                lambda: _interior_masked_entries(op, active))
         batches = ((g, e) for g, es in zip(op.interior_groups, entries)
                    for e in es)
+    scratch = np.empty((CHUNK, 2, nF, 18))
     for grp, (em, ep, a, b, Gm, Gp) in batches:
-        n = len(em)
-        # X[:, 0] = [R I- | Rp I+] (minus basis), X[:, 1] = the same pair
-        # in the plus element's basis: each trace GEMM writes its 9
-        # columns of both (F, 18) left factors of the flux products
-        X = np.empty((n, 2, nF, 18))
-        cols = X.reshape(n, 2 * nF, 18)
-        np.matmul(grp.Wm, I[em], out=cols[:, :, :9])
-        np.matmul(grp.Wp, I[ep], out=cols[:, :, 9:])
-        if a < n:
-            fb[em[a:], grp.fm] = np.matmul(X[a:, 0], Gm)
-        if b:
-            fb[ep[:b], grp.fp] = np.matmul(X[:b, 1], Gp)
+        for lo in range(0, len(em), CHUNK):
+            hi = min(lo + CHUNK, len(em))
+            n = hi - lo
+            # X[:, 0] = [R I- | Rp I+] (minus basis), X[:, 1] = the same
+            # pair in the plus element's basis: each trace GEMM writes its
+            # 9 columns of both (F, 18) left factors of the flux products
+            X = scratch[:n]
+            cols = X.reshape(n, 2 * nF, 18)
+            np.matmul(grp.Wm, I[em[lo:hi]], out=cols[:, :, :9])
+            np.matmul(grp.Wp, I[ep[lo:hi]], out=cols[:, :, 9:])
+            # this chunk's faces of the minus side's [a:] and the plus
+            # side's [:b]
+            am, bp = max(a, lo), min(b, hi)
+            if am < hi:
+                fb[em[am:hi], grp.fm] = np.matmul(X[am - lo:, 0],
+                                                  Gm[am - a:hi - a])
+            if bp > lo:
+                fb[ep[lo:bp], grp.fp] = np.matmul(X[:bp - lo, 1], Gp[lo:bp])
     lift = face_factors(op.order).lift
     idx = active_rows(op, active)[0]
-    out[idx] += np.matmul(lift, fb[idx].reshape(-1, 4 * nF, 9))
+    for _, rows in _chunks(idx, len(out)):
+        out[rows] += np.matmul(lift, fb[rows].reshape(-1, 4 * nF, 9))
 
 
 def _boundary_masked_entries(op, active):
@@ -615,5 +651,6 @@ def fused_boundary_residual(op, I, out, active=None) -> None:
         groups = ((g, *e) for g, e in zip(op.boundary_groups, entries)
                   if e is not None)
     for grp, elem, G in groups:
-        contrib = np.matmul(np.matmul(grp.A, I[elem]), G)
-        out[elem] += contrib  # unique per (kind, local face) group
+        for lo in range(0, len(elem), CHUNK):
+            s = slice(lo, lo + CHUNK)  # elem is unique per (kind, face) group
+            out[elem[s]] += np.matmul(np.matmul(grp.A, I[elem[s]]), G[s])

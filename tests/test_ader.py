@@ -121,6 +121,17 @@ class TestTaylor:
         )
         assert np.allclose(taylor_integrate(derivs, a, b), exact)
 
+    def test_integrate_into_rows(self):
+        """``out=`` rows of a window buffer get the bits of the returned
+        array, and nothing else of the buffer is written."""
+        rng = np.random.default_rng(6)
+        derivs = rng.normal(size=(40, 3, 10, 9))
+        window = np.full((100, 10, 9), np.nan)
+        rows = window[30:70]
+        assert taylor_integrate(derivs, 0.0, 0.013, out=rows) is rows
+        np.testing.assert_array_equal(rows, taylor_integrate(derivs, 0.0, 0.013))
+        assert np.isnan(window[:30]).all() and np.isnan(window[70:]).all()
+
     def test_evaluate_matches_series(self):
         rng = np.random.default_rng(3)
         derivs = rng.normal(size=(2, 3, 4, 9))

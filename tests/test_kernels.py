@@ -17,7 +17,10 @@ kernels the solver executes — to them:
 * **batch independence** — a row of a sub-batch predictor and of a
   masked ``apply`` equals the same row of the full-mesh sweep bitwise
   (what serial == partitioned rests on), on a mesh whose faces use
-  several vertex permutations;
+  several vertex permutations, and no bit depends on the kernels' row
+  chunk (``fusion.CHUNK``);
+* **transient memory** — above its result a sweep allocates a few
+  chunks of scratch, whatever the mesh size;
 * **face-basis factorization** — the trace factors reproduce the oracle's
   ``E^T diag(w) E`` products, and the face buffer's slot ownership holds
   (never-written slots stay zero, no stale slot is ever lifted);
@@ -42,7 +45,14 @@ from repro.core.materials import acoustic, elastic
 from repro.core.riemann import FaceKind
 from repro.core.solver import ocean_surface_gravity_tagger
 from repro.ensemble.spec import get_builder
-from repro.exec import clear_plan_cache, get_plan_cache, mesh_fingerprint, plan_key
+from repro.ensemble.worker import state_digest
+from repro.exec import (
+    PartitionedBackend,
+    clear_plan_cache,
+    get_plan_cache,
+    mesh_fingerprint,
+    plan_key,
+)
 from repro.kernels import fusion
 from repro.kernels.fusion import MASK_CACHE_MAX, element_plan, face_factors
 from repro.mesh.generators import layered_ocean_mesh
@@ -51,6 +61,7 @@ from repro.sched import Scheduler
 
 from tests.reference_kernels import ReferenceOperator, use_reference_kernels
 from tests.test_exec_equivalence import (
+    T_LTS,
     assert_states_match,
     build_gts,
     build_lts_fault_gravity,
@@ -391,6 +402,95 @@ class TestBatchIndependence:
         # operator's sweep leaves every inactive row untouched
         assert masked is op.masked_residual()
         assert np.isnan(masked[~active]).all()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 8, 1 << 20])
+    def test_chunk_size(self, chunk_rig, monkeypatch, chunk):
+        """The kernels walk their rows in chunks of ``fusion.CHUNK``; a
+        chunk is one more batch.  Chunks of 1, of 7 (the rig's plus-only |
+        both | minus-only splits fall inside a chunk), of 8 (on a chunk's
+        edge) and one chunk per batch give the default's bits: the full
+        and every cluster's masked apply, predictor row subsets and a
+        3-part partitioned LTS run against the serial one."""
+        op, lts, I, subsets, expected, serial = chunk_rig
+        monkeypatch.setattr(fusion, "CHUNK", chunk)
+        for got, want in zip(_chunk_sweeps(op, lts, I, subsets), expected,
+                             strict=True):
+            np.testing.assert_array_equal(got, want)
+        backend = PartitionedBackend(workers=2, n_parts=3)
+        assert _lts_digest(backend) == serial
+
+
+def _chunk_sweeps(op, lts, I, subsets):
+    """What a chunk size could change: the full apply, every cluster's
+    masked apply and the predictor on row subsets."""
+    return ([op.apply(I)] + [op.apply(I, m)[m] for m in lts.masks]
+            + [op.predict_states(I[r], op.starT[r]) for r in subsets])
+
+
+def _lts_digest(backend):
+    """Digest of a clustered-LTS run of the canonical fault + gravity rig."""
+    solver, _, lts = build_lts_fault_gravity(backend=backend, sort=True)
+    Scheduler(solver, lts).run(T_LTS)
+    solver.backend.close()
+    return state_digest(solver, lts)
+
+
+@pytest.fixture(scope="module")
+def chunk_rig():
+    """The canonical 3-cluster fault + gravity rig, its sweeps at the
+    default ``CHUNK`` and its serial LTS digest."""
+    solver, _, lts = build_lts_fault_gravity(sort=True)
+    op = solver.op
+    assert lts.n_clusters == 3 and op.n_elements > 256
+    rng, I = _random_state(op, 5)
+    splits = {b for m in lts.masks
+              for batches in fusion._interior_masked_entries(op, m)
+              for em, _, _, b, _, _ in batches if 0 < b < len(em)}
+    assert any(b % 7 for b in splits) and any(b % 8 == 0 for b in splits)
+    subsets = (rng.permutation(op.n_elements)[:100], slice(37, 250))
+    return (op, lts, I, subsets, _chunk_sweeps(op, lts, I, subsets),
+            _lts_digest("serial"))
+
+
+class TestTransientMemory:
+    """The sweeps hold one chunk of scratch at a time: above its result,
+    an ``apply`` or a predictor sweep into a reused buffer allocates a
+    bound set by ``CHUNK``, whatever the mesh size (whole-batch
+    temporaries peaked at 3 x the residual and more)."""
+
+    #: ~44 kB measured at ``CHUNK`` 16, order 2, on both meshes
+    BOUND = 128 * 1024
+
+    @pytest.mark.parametrize("n", [5, 13])
+    def test_peak_does_not_grow_with_the_mesh(self, monkeypatch, n):
+        import tracemalloc
+
+        monkeypatch.setattr(fusion, "CHUNK", 16)
+        mesh = layered_ocean_mesh(
+            np.linspace(-1500.0, 1500.0, n), np.linspace(-1500.0, 1500.0, n),
+            zs_earth=np.linspace(-3000.0, -1000.0, 3),
+            zs_ocean=np.linspace(-1000.0, 0.0, 2),
+            earth=elastic(2700.0, 6000.0, 3464.0),
+            ocean=acoustic(1000.0, 1500.0))
+        op = SpatialOperator(mesh, 2)
+        assert op.n_elements >= 18 * fusion.CHUNK
+        _, I = _random_state(op, 0)
+        buf = op.predict(I)
+        op.apply(I)  # the plan and the face buffer exist from here on
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            R = op.apply(I)
+            apply_excess = tracemalloc.get_traced_memory()[1] - base - R.nbytes
+            del R
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert op.predict(I, out=buf) is buf
+            predict_excess = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert apply_excess <= self.BOUND, apply_excess
+        assert predict_excess <= self.BOUND, predict_excess
 
 
 def _slot_masks(mesh):

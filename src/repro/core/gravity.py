@@ -163,18 +163,20 @@ class GravityBoundary:
                 self._propagators.popitem(last=False)
             return hit
 
-    def step(self, derivs: np.ndarray, dt: float, out: np.ndarray, face_mask=None) -> None:
+    def step(self, derivs: np.ndarray, dt: float, out: np.ndarray, plan=None) -> None:
         """Advance eta over ``dt`` and add the time-integrated flux to ``out``.
 
         ``derivs`` is the CK predictor of (at least) the adjacent elements,
-        with expansion point at the beginning of the step.
+        with expansion point at the beginning of the step.  ``plan`` is a
+        sub-plan of :attr:`plan` (:meth:`FacePlan.select`): only its faces
+        step (``None``: every face).
         """
         with _MET.phase("gravity/ode"):
-            self._step(derivs, dt, out, face_mask)
+            self._step(derivs, dt, out, self.plan if plan is None else plan)
 
-    def _step(self, derivs, dt, out, face_mask=None) -> None:
+    def _step(self, derivs, dt, out, plan) -> None:
         K = derivs.shape[1]
-        for grp in self.plan.select(face_mask).groups:
+        for grp in plan.groups:
             # Taylor derivatives of the forcing at the quadrature points
             f = grp.taylor_trace(derivs, grp.forcing)[:, :, 0]  # (n, K, nq)
             eta0 = self.eta[grp.faces]

@@ -36,7 +36,6 @@ import numpy as np
 from ..core.riemann import FaceKind
 from ..exec.plan_cache import OperatorPlan, get_plan_cache
 from ..kernels.fusion import (
-    active_rows,
     attach_boundary_groups,
     attach_interior_groups,
     face_buffer,
@@ -46,6 +45,7 @@ from ..kernels.fusion import (
     fused_ck,
     fused_interior_residual,
     fused_volume_residual,
+    selection,
 )
 from ..obs.metrics import get_metrics
 from .ader import transposed_star_matrices
@@ -101,19 +101,11 @@ class SpatialOperator:
         self.boundary_groups = plan.boundary_groups
         # per-instance kernel state, never part of the shared plan: the
         # interior kernel's face buffer and the masked residual, both
-        # allocated on first use, and the selection caches
+        # allocated on first use, and the mask selections of
+        # repro.kernels.fusion.selection
         self._face_buf = None
         self._masked_out = None
-        self._init_caches()
-
-    def _init_caches(self) -> None:
-        """The content-addressed masked sub-plan caches (one mask per LTS
-        cluster or partition block; see repro.kernels.fusion) — the volume
-        cache holds the selection that :meth:`active_rows` hands to the
-        masked predictor as well."""
-        self._mask_cache_volume = OrderedDict()
-        self._mask_cache_interior = OrderedDict()
-        self._mask_cache_boundary = OrderedDict()
+        self._selections = OrderedDict()
 
     def _build_plan(self) -> OperatorPlan:
         plan = OperatorPlan(starT=transposed_star_matrices(self.mesh))
@@ -224,13 +216,13 @@ class SpatialOperator:
     # ------------------------------------------------------------------
     def handle(self) -> "SpatialOperator":
         """Another operator on the same plan tables and face buffer, with
-        its own masked-selection caches: what a partition worker calls
-        the kernels through (:mod:`repro.exec.partitioned`), so no two
-        threads share a cache.  The face buffer is allocated here, before
-        any worker runs."""
+        its own mask selections: what a partition worker calls the
+        kernels through (:mod:`repro.exec.partitioned`), so no two threads
+        share a cache.  The face buffer is allocated here, before any
+        worker runs."""
         face_buffer(self)
         h = copy.copy(self)
-        h._init_caches()
+        h._selections = OrderedDict()
         return h
 
     # ------------------------------------------------------------------
@@ -252,12 +244,6 @@ class SpatialOperator:
         """
         return fused_ck(Q, starT, self.ref, out=out)
 
-    def active_rows(self, active: np.ndarray):
-        """``(idx, starT)`` of an activity mask, cached: the selected rows
-        (a ``slice`` when they are one run, else sorted ids) and their
-        :attr:`starT` rows."""
-        return active_rows(self, active)
-
     def masked_residual(self) -> np.ndarray:
         """The persistent ``(ne, B, 9)`` residual of the masked sweeps.
 
@@ -274,7 +260,7 @@ class SpatialOperator:
     def volume_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add the stiffness (volume) term of the corrector to ``out``."""
         with _MET.phase("kernels/volume"):
-            fused_volume_residual(self, I, out, active)
+            fused_volume_residual(self, I, out, selection(self, active))
 
     def interior_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add interior-face flux terms to ``out``.
@@ -284,12 +270,12 @@ class SpatialOperator:
         face between clusters is visited by each side at its own cadence.
         """
         with _MET.phase("kernels/surface_interior"):
-            fused_interior_residual(self, I, out, active)
+            fused_interior_residual(self, I, out, selection(self, active))
 
     def boundary_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add free-surface / absorbing boundary fluxes to ``out``."""
         with _MET.phase("kernels/surface_boundary"):
-            fused_boundary_residual(self, I, out, active)
+            fused_boundary_residual(self, I, out, selection(self, active))
 
     def apply(self, I: np.ndarray, active=None) -> np.ndarray:
         """Full (gravity/fault-free) residual for time-integrated data ``I``.
@@ -298,9 +284,12 @@ class SpatialOperator:
         into :meth:`masked_residual` — shared, not a fresh array."""
         out = (np.empty((self.n_elements, self.nbasis, 9)) if active is None
                else self.masked_residual())
+        sel = selection(self, active)
         # every updated row gets a volume term: store it, no zero-fill + add
         with _MET.phase("kernels/volume"):
-            fused_volume_residual(self, I, out, active, overwrite=True)
-        self.interior_residual(I, out, active)
-        self.boundary_residual(I, out, active)
+            fused_volume_residual(self, I, out, sel, overwrite=True)
+        with _MET.phase("kernels/surface_interior"):
+            fused_interior_residual(self, I, out, sel)
+        with _MET.phase("kernels/surface_boundary"):
+            fused_boundary_residual(self, I, out, sel)
         return out

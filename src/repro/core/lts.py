@@ -26,10 +26,13 @@ once into a :class:`~repro.sched.StepPlan` and replayed by the shared
 (assignment, normalization, statistics), the canonical mesh layout that
 makes every cluster contiguous (:func:`cluster_major`: elements by
 cluster, faces oriented fine-to-coarse and sorted by cluster pair) and
-the per-cluster row layout the scheduler reads.
+the per-cluster row layout the scheduler reads: one :class:`Rows` record
+per cluster, compiled once, that every layer above the kernels takes.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +40,8 @@ from ..kernels.fusion import row_set
 from .cfl import element_timesteps
 
 __all__ = ["cluster_elements", "cluster_major", "fault_adjacent",
-           "hilbert_key", "lts_statistics", "LocalTimeStepping"]
+           "hilbert_key", "lts_statistics", "LocalTimeStepping", "Rows",
+           "rows_of"]
 
 
 def cluster_elements(
@@ -229,14 +233,49 @@ def _halo_layout(mesh, cluster: np.ndarray, n_clusters: int):
     return halo, exposed
 
 
+class Rows(NamedTuple):
+    """The compiled selection of one LTS cluster, or of one partition
+    block (:mod:`repro.exec.partitioned`), built once by :func:`rows_of`
+    and taken in place of activity masks by every layer above the
+    kernels: the ``elems`` as a :func:`~repro.kernels.fusion.row_set` (a
+    ``slice`` on a :func:`cluster_major` mesh, sorted ids otherwise), the
+    same elements as a bool ``mask`` for the operator's kernel calls and
+    the point-source test, the ``gravity`` and ``motion`` sub-plans of
+    their faces (:meth:`~repro.kernels.faces.FacePlan.select`) and both
+    ``fault`` sides' (:meth:`~repro.rupture.fault.FaultSolver.select`);
+    ``motion`` and ``fault`` are ``None`` where the solver has no such
+    faces."""
+
+    cluster: int
+    elems: slice | np.ndarray
+    mask: np.ndarray
+    gravity: object
+    motion: object
+    fault: tuple | None
+
+    @property
+    def size(self) -> int:
+        """Number of elements."""
+        e = self.elems
+        return e.stop - e.start if isinstance(e, slice) else len(e)
+
+
+def rows_of(solver, mask: np.ndarray, cluster: int) -> Rows:
+    """The :class:`Rows` of the elements ``mask`` selects, in ``cluster``."""
+    motion, fault = solver.motion, solver.fault
+    return Rows(cluster, row_set(np.flatnonzero(mask)), mask,
+                solver.gravity.plan.select(mask[solver.gravity.elem]),
+                None if motion is None else motion.plan.select(mask[motion.elem]),
+                None if fault is None else fault.select(mask))
+
+
 class LocalTimeStepping:
     """The LTS clustering of a :class:`~repro.core.solver.CoupledSolver`.
 
-    Holds the cluster assignment and the per-cluster row sets the
-    scheduler's micro-steps touch: ``idx[c]`` (own; a ``slice`` on a
-    mesh canonicalised by :func:`cluster_major`, sorted ids otherwise),
-    and the small id arrays ``halo[c][cn]`` and ``exposed[c]``
-    (see :func:`_halo_layout`).  ``Scheduler(solver, lts).run(t_end)``
+    Holds the cluster assignment and what the scheduler's micro-steps
+    touch: ``rows[c]``, the :class:`Rows` of cluster ``c``, and the small
+    id arrays ``halo[c][cn]`` and ``exposed[c]`` (see
+    :func:`_halo_layout`).  ``Scheduler(solver, lts).run(t_end)``
     advances the solver along it.
     """
 
@@ -252,23 +291,14 @@ class LocalTimeStepping:
         )
         self.cmax = int(self.cluster.max())
         self.n_clusters = self.cmax + 1
-        self.masks = [self.cluster == c for c in range(self.n_clusters)]
-        # per-cluster row sets, hoisted once: the scheduler's micro-step
-        # loop indexes with these (views where a cluster is a row range)
-        # instead of re-running boolean-mask selection every step
-        self.idx = [row_set(np.flatnonzero(m)) for m in self.masks]
-        self.elem_count = np.array([int(m.sum()) for m in self.masks])
+        # compiled once: the micro-step loop indexes with these (views
+        # where a cluster is a row range) and selects nothing at run time
+        self.rows = [rows_of(solver, self.cluster == c, c)
+                     for c in range(self.n_clusters)]
+        self.elem_count = np.array([r.size for r in self.rows])
 
         self.halo, self.exposed = _halo_layout(mesh, self.cluster, self.n_clusters)
         self.adjacent = [set(h) for h in self.halo]
-
-        g = solver.gravity
-        self.gravity_masks = [self.cluster[g.elem] == c for c in range(self.n_clusters)]
-        if solver.motion is not None:
-            me = solver.motion.elem
-            self.motion_masks = [self.cluster[me] == c for c in range(self.n_clusters)]
-        else:
-            self.motion_masks = None
         self.updates = np.zeros(self.n_clusters, dtype=np.int64)
 
     def statistics(self) -> dict:

@@ -92,9 +92,11 @@ class PrescribedMotionBoundary:
     def __len__(self) -> int:
         return len(self.face_ids)
 
-    def step(self, derivs, dt: float, out: np.ndarray, t0: float = 0.0, face_mask=None) -> None:
-        """Add the time-integrated prescribed-motion flux over ``[t0, t0+dt]``."""
-        sub = self.plan.select(face_mask)
+    def step(self, derivs, dt: float, out: np.ndarray, t0: float = 0.0, plan=None) -> None:
+        """Add the time-integrated prescribed-motion flux over ``[t0, t0+dt]``
+        on the faces of ``plan``, a sub-plan of :attr:`plan`
+        (:meth:`~repro.kernels.faces.FacePlan.select`; ``None``: every face)."""
+        sub = self.plan if plan is None else plan
         if sub.n == 0:
             return
         nq = self.op.ref.n_face_points

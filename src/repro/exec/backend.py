@@ -9,8 +9,8 @@ window.  A backend executes the three phases of one window:
 1. ``predict``/``update_predictor`` — the element-local Cauchy-Kowalewski
    predictor (embarrassingly parallel over elements);
 2. ``corrector`` — volume + face kernels plus the gravity / prescribed-
-   motion / fault / source modules, for the elements selected by the
-   scheduler's ``active`` mask;
+   motion / fault / source modules, for the elements of the LTS cluster
+   the scheduler steps (its compiled :class:`~repro.core.lts.Rows`);
 3. the barrier between the two (in shared memory no halo is moved: a
    face across a partition cut reads its neighbour's row where it lies).
 
@@ -60,28 +60,27 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def update_predictor(
-        self, Q: np.ndarray, mask: np.ndarray, dt: float,
+        self, Q: np.ndarray, rows, dt: float,
         derivs: np.ndarray, Iown: np.ndarray,
     ) -> None:
-        """Refresh ``derivs[mask]`` from ``Q[mask]`` and store the Taylor
-        window integral over ``[0, dt]`` into ``Iown[mask]`` (LTS)."""
+        """Refresh the predictor ``derivs`` of the cluster ``rows`` (a
+        :class:`~repro.core.lts.Rows`) from ``Q`` and store its Taylor
+        window integral over ``[0, dt]`` into ``Iown`` (LTS)."""
         raise NotImplementedError
 
     # -- corrector ------------------------------------------------------
     def corrector(
         self, I: np.ndarray, derivs: np.ndarray, dt: float, t0: float,
-        active: np.ndarray | None = None,
-        gravity_mask: np.ndarray | None = None,
-        motion_mask: np.ndarray | None = None,
+        rows=None,
     ) -> np.ndarray:
         """Full residual of one window: kernels + boundary modules + sources.
 
         ``I`` is the time-integrated predictor of every element whose trace
-        the active elements read (for LTS the scheduler assembles the
-        neighbor windows); ``active`` restricts updates to the stepping
-        elements (``None`` = all), ``gravity_mask``/``motion_mask``
-        restrict the face modules the same way.  Returns the residual ``R``
-        to be accumulated into ``Q`` by the scheduler.
+        the stepping elements read (for LTS the scheduler assembles the
+        neighbor windows); ``rows``, a cluster's
+        :class:`~repro.core.lts.Rows`, restricts the kernels and the face
+        modules to the cluster (``None`` = all).  Returns the residual
+        ``R`` to be accumulated into ``Q`` by the scheduler.
         """
         raise NotImplementedError
 
@@ -114,38 +113,38 @@ class SerialBackend(ExecutionBackend):
                 Q, out=self._ck_scratch)
             return self._ck_scratch
 
-    def update_predictor(self, Q, mask, dt, derivs, Iown) -> None:
+    def update_predictor(self, Q, rows, dt, derivs, Iown) -> None:
         op = self.solver.op
+        idx = rows.elems
         with _MET.phase("predict"):
             if _MET.enabled:
-                _MET.inc("elem_updates/predictor", int(mask.sum()))
-            idx, starT = op.active_rows(mask)
+                _MET.inc("elem_updates/predictor", rows.size)
+            starT = op.starT[idx]
             # scratch: the refreshed rows themselves where they are a slice
             new_derivs = op.predict_states(Q[idx], starT, out=derivs[idx])
             derivs[idx] = new_derivs
             # likewise the window integral, straight into its rows
             Iown[idx] = taylor_integrate(new_derivs, 0.0, dt, out=Iown[idx])
 
-    def corrector(self, I, derivs, dt, t0, active=None,
-                  gravity_mask=None, motion_mask=None) -> np.ndarray:
+    def corrector(self, I, derivs, dt, t0, rows=None) -> np.ndarray:
         if _MET.enabled:
             _MET.inc("elem_updates/corrector",
-                     len(I) if active is None else int(active.sum()))
+                     len(I) if rows is None else rows.size)
         with _MET.phase("corrector"):
-            return self._corrector(I, derivs, dt, t0, active,
-                                   gravity_mask, motion_mask)
+            return self._corrector(I, derivs, dt, t0, rows)
 
-    def _corrector(self, I, derivs, dt, t0, active,
-                   gravity_mask, motion_mask) -> np.ndarray:
+    def _corrector(self, I, derivs, dt, t0, rows) -> np.ndarray:
         solver = self.solver
-        out = solver.op.apply(I, active)
-        solver.gravity.step(derivs, dt, out, face_mask=gravity_mask)
-        if solver.motion is not None and (motion_mask is None or motion_mask.any()):
-            solver.motion.step(derivs, dt, out, t0=t0, face_mask=motion_mask)
+        mask, gravity, motion, fault = (None,) * 4 if rows is None else (
+            rows.mask, rows.gravity, rows.motion, rows.fault)
+        out = solver.op.apply(I, mask)
+        solver.gravity.step(derivs, dt, out, plan=gravity)
+        if solver.motion is not None:
+            solver.motion.step(derivs, dt, out, t0=t0, plan=motion)
         if solver.fault is not None:
-            solver.fault.step(derivs, dt, out, active=active, t0=t0)
+            solver.fault.step(derivs, dt, out, sides=fault, t0=t0)
         for s in solver.sources:
-            if active is None or active[s._elem]:
+            if mask is None or mask[s._elem]:
                 s.add(out, t0, dt)
         return out
 

@@ -21,9 +21,13 @@ A step runs in two phases with a barrier between them:
    (and, under LTS, the window integral) of its blocks' rows in place;
 2. **correct** — every worker runs the volume / face kernels of its
    blocks on the global time-integrated predictor, through ``plan.lop``,
-   a handle on the shared plan and face buffer with its own selection
-   caches, writes its rows of the global residual and applies the
-   gravity / prescribed-motion / fault modules of its faces.
+   a handle on the shared plan and face buffer with its own mask
+   selections, writes its rows of the global residual and applies the
+   gravity / prescribed-motion modules of its blocks' faces.
+
+Every block is a :class:`~repro.core.lts.Rows` record, compiled once at
+:meth:`PartitionedBackend.bind`; a corrector or predictor sweep over an
+LTS cluster steps each part's block of that cluster.
 
 There is no gather and no local index space: a face across a cut reads
 the neighbour's row of the shared ``I`` where it lies (in a distributed
@@ -32,23 +36,23 @@ the worker's own rows and face-buffer slots, and every per-face and
 per-element GEMM is batch independent, so the result does not depend on
 thread scheduling and equals the serial backend's bit for bit; the
 workers run concurrently because NumPy releases the GIL inside the
-batched GEMMs.  The fault stays whole in part 0 because the fault solver
-writes flux into both sides of each face at once and its friction laws
-may carry per-face parameter arrays.
+batched GEMMs.  The fault stays whole in part 0, one call over the
+stepping cluster's faces: the fault solver writes flux into both sides
+of each face at once, its friction laws may carry per-face parameter
+arrays, and a rate-and-state solve stops its Newton iteration on the
+batch's largest update, so another batch would change bits.
 """
 
 from __future__ import annotations
 
 import time as _time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.ader import taylor_integrate
-from ..core.lts import cluster_elements, fault_adjacent
+from ..core.lts import cluster_elements, fault_adjacent, rows_of
 from ..hpc.partition import edge_cut, eq28_vertex_weights, imbalance
-from ..kernels.fusion import memo_by_mask
 from ..obs.metrics import get_metrics
 from .backend import ExecutionBackend
 
@@ -91,27 +95,26 @@ def cluster_cuts(cluster: np.ndarray, weights: np.ndarray,
 
 @dataclass
 class PartitionPlan:
-    """One worker's partition: its blocks, as bool masks over all
-    elements, and its handle on the shared operator plan."""
+    """One worker's partition: its blocks and its handle on the shared
+    operator plan."""
 
     part_id: int
-    owned_mask: np.ndarray   # bool over all mesh elements
-    blocks: list             # per cluster: this part's piece (non-empty)
+    blocks: dict             # {cluster: Rows} of this part's (non-empty) pieces
     lop: object              # SpatialOperator.handle() of the solver's op
     halo: int                # foreign elements its cut faces read
-    gravity_mask: np.ndarray # bool over the solver's gravity faces
-    motion_mask: np.ndarray | None
     has_fault: bool
-    #: content-addressed block masks per activity mask
-    selections: OrderedDict = field(default_factory=OrderedDict)
 
-    def active_blocks(self, active: np.ndarray | None) -> list:
-        """The (cached) pieces of this part's blocks an activity mask
-        selects; ``None`` selects every block (GTS)."""
-        if active is None:
-            return self.blocks
-        return memo_by_mask(self.selections, active, lambda: [
-            m for m in (b & active for b in self.blocks) if m.any()])
+    def active(self, rows) -> tuple:
+        """The blocks a sweep over the cluster ``rows`` (a
+        :class:`~repro.core.lts.Rows`) steps; ``None`` steps every block
+        (GTS).  The blocks are cut from the clustering
+        :class:`~repro.core.lts.LocalTimeStepping` uses (both call
+        :func:`cluster_elements` at the solver's order and CFL safety), so
+        a cluster id names the same elements in both."""
+        if rows is None:
+            return tuple(self.blocks.values())
+        blk = self.blocks.get(rows.cluster)
+        return () if blk is None else (blk,)
 
 
 class PartitionedBackend(ExecutionBackend):
@@ -171,31 +174,28 @@ class PartitionedBackend(ExecutionBackend):
         self._edge_cut = edge_cut(self.parts, mesh.dual_graph_edges())
         itf = mesh.interior
         em, ep = itf.minus_elem, itf.plus_elem
-        g_elem = solver.gravity.elem
-        m_elem = solver.motion.elem if solver.motion is not None else None
         fault_em = em[itf.is_fault]
         # every worker writes its blocks' rows in place; the truncated
         # modes stay the zeros the predictor relies on (see fused_ck)
         self._derivs = np.zeros((mesh.n_elements, solver.order + 1,
                                  solver.op.nbasis, 9))
-        clusters = [self._cluster == c for c in range(int(self._cluster.max()) + 1)]
         self.plans = []
         for p in range(int(self.parts.max()) + 1):
-            owned_mask = self.parts == p
-            if not owned_mask.any():
+            owned = self.parts == p
+            if not owned.any():
                 continue
             read = np.zeros(mesh.n_elements, dtype=bool)
-            read[ep[owned_mask[em]]] = True
-            read[em[owned_mask[ep]]] = True
+            read[ep[owned[em]]] = True
+            read[em[owned[ep]]] = True
+            blocks = {c: owned & (self._cluster == c)
+                      for c in range(int(self._cluster.max()) + 1)}
             self.plans.append(PartitionPlan(
                 part_id=p,
-                owned_mask=owned_mask,
-                blocks=[m for m in (owned_mask & c for c in clusters) if m.any()],
+                blocks={c: rows_of(solver, m, c)
+                        for c, m in blocks.items() if m.any()},
                 lop=solver.op.handle(),
-                halo=int((read & ~owned_mask).sum()),
-                gravity_mask=owned_mask[g_elem],
-                motion_mask=None if m_elem is None else owned_mask[m_elem],
-                has_fault=bool(owned_mask[fault_em].any()),
+                halo=int((read & ~owned).sum()),
+                has_fault=bool(owned[fault_em].any()),
             ))
 
     # ------------------------------------------------------------------
@@ -219,12 +219,12 @@ class PartitionedBackend(ExecutionBackend):
         self._refresh(Q, None, self._derivs)
         return self._derivs
 
-    def update_predictor(self, Q, mask, dt, derivs, Iown) -> None:
-        self._refresh(Q, mask, derivs, Iown, dt)
+    def update_predictor(self, Q, rows, dt, derivs, Iown) -> None:
+        self._refresh(Q, rows, derivs, Iown, dt)
 
-    def _refresh(self, Q, mask, derivs, Iown=None, dt=None) -> None:
-        """Predictor sweep over the rows ``mask`` selects (``None``: all),
-        plus their Taylor window integral when ``Iown`` is given: each
+    def _refresh(self, Q, rows, derivs, Iown=None, dt=None) -> None:
+        """Predictor sweep over the cluster ``rows`` (``None``: all),
+        plus its Taylor window integral when ``Iown`` is given: each
         block the way :meth:`SerialBackend.update_predictor` sweeps a
         cluster, its rows of ``derivs`` as the scratch."""
         op = self.solver.op
@@ -233,9 +233,10 @@ class PartitionedBackend(ExecutionBackend):
         def work(plan):
             t0 = _time.perf_counter() if tracing else 0.0
             n = 0
-            for blk in plan.active_blocks(mask):
-                idx, starT = plan.lop.active_rows(blk)
-                new_derivs = op.predict_states(Q[idx], starT, out=derivs[idx])
+            for blk in plan.active(rows):
+                idx = blk.elems
+                new_derivs = op.predict_states(Q[idx], op.starT[idx],
+                                               out=derivs[idx])
                 derivs[idx] = new_derivs
                 if Iown is not None:
                     Iown[idx] = taylor_integrate(new_derivs, 0.0, dt,
@@ -248,39 +249,35 @@ class PartitionedBackend(ExecutionBackend):
         with _MET.phase("predict"):
             if _MET.enabled:
                 _MET.inc("elem_updates/predictor",
-                         len(Q) if mask is None else int(mask.sum()))
+                         len(Q) if rows is None else rows.size)
             self._run(work)
 
-    def corrector(self, I, derivs, dt, t0, active=None,
-                  gravity_mask=None, motion_mask=None) -> np.ndarray:
+    def corrector(self, I, derivs, dt, t0, rows=None) -> np.ndarray:
         solver = self.solver
         # a masked sweep assigns every row it reads: each has one owner
-        R = solver.op.new_state() if active is None \
+        R = solver.op.new_state() if rows is None \
             else solver.op.masked_residual()
 
         def work(plan):
             profiled = _MET.enabled
             t_start = _time.perf_counter() if profiled else 0.0
             n = 0
-            for blk in plan.active_blocks(active):
-                if active is not None:
-                    R[plan.lop.active_rows(blk)[0]] = 0.0
-                plan.lop.volume_residual(I, R, active=blk)
-                plan.lop.interior_residual(I, R, active=blk)
-                plan.lop.boundary_residual(I, R, active=blk)
+            for blk in plan.active(rows):
+                if rows is not None:
+                    R[blk.elems] = 0.0
+                plan.lop.volume_residual(I, R, active=blk.mask)
+                plan.lop.interior_residual(I, R, active=blk.mask)
+                plan.lop.boundary_residual(I, R, active=blk.mask)
+                if blk.gravity.n:
+                    solver.gravity.step(derivs, dt, R, plan=blk.gravity)
+                if solver.motion is not None:
+                    solver.motion.step(derivs, dt, R, t0=t0, plan=blk.motion)
                 n += 1
-            gm = plan.gravity_mask if gravity_mask is None \
-                else plan.gravity_mask & gravity_mask
-            if gm.any():
-                solver.gravity.step(derivs, dt, R, face_mask=gm)
-            if solver.motion is not None:
-                mm = plan.motion_mask if motion_mask is None \
-                    else plan.motion_mask & motion_mask
-                if mm.any():
-                    solver.motion.step(derivs, dt, R, t0=t0, face_mask=mm)
             if solver.fault is not None and plan.has_fault:
                 # the whole fault is this part's: the serial call
-                solver.fault.step(derivs, dt, R, active=active, t0=t0)
+                solver.fault.step(derivs, dt, R,
+                                  sides=None if rows is None else rows.fault,
+                                  t0=t0)
             if profiled:
                 t_end = _time.perf_counter()
                 _MET.add_time(f"worker/p{plan.part_id}/compute",
@@ -291,12 +288,12 @@ class PartitionedBackend(ExecutionBackend):
         with _MET.phase("corrector"):
             if _MET.enabled:
                 _MET.inc("elem_updates/corrector",
-                         len(I) if active is None else int(active.sum()))
+                         len(I) if rows is None else rows.size)
             self._run(work)
         self.halo_exchanges += 1
         # point sources are few and cheap: applied once, after the barrier
         for s in solver.sources:
-            if active is None or active[s._elem]:
+            if rows is None or rows.mask[s._elem]:
                 s.add(R, t0, dt)
         return R
 
@@ -317,7 +314,8 @@ class PartitionedBackend(ExecutionBackend):
             "backend": self.name,
             "workers": self.workers,
             "n_parts": len(self.plans),
-            "owned": [int(p.owned_mask.sum()) for p in self.plans],
+            "owned": [sum(b.size for b in p.blocks.values())
+                      for p in self.plans],
             "halo": [p.halo for p in self.plans],
             "imbalance": self._imbalance,
             "cluster_imbalance": self._cluster_imbalance,

@@ -8,5 +8,5 @@ they were derived from are the test oracle (``tests/reference_kernels.py``).
 :mod:`repro.kernels.faces` applies the same plan-time / step-time split to
 the face modules the generic surface kernel leaves out (gravity, dynamic
 rupture, prescribed motion): a ``FacePlan`` of trace classes, folded
-per-face right factors and memoised masked sub-plans.
+per-face right factors and sub-plans of face subsets.
 """

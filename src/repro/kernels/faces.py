@@ -18,8 +18,9 @@ holds everything about that which does not depend on the state:
   (rotation rows, normal projection, impedance, flux columns with the
   corrector scale ``-2 area / detJ`` folded in — whatever the module
   passes as keyword arrays);
-* masked sub-plans, content-addressed per activity mask: one per LTS
-  cluster and per (partition, cluster), built on first use.
+* sub-plans of face subsets (:meth:`FacePlan.select`), built once per
+  LTS cluster and per (partition, cluster) block by
+  :func:`repro.core.lts.rows_of` and handed to the module's step.
 
 A step is then a handful of batched ``matmul`` calls per class
 (:meth:`FaceGroup.taylor_trace`, :meth:`FaceGroup.lift`).  Every product
@@ -31,13 +32,10 @@ rule serial == partitioned == any LTS clustering rests on (see the
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 import numpy as np
 
 from ..core.basis import face_points_to_tet
-from .fusion import memo_by_mask, row_set
+from .fusion import row_set
 
 __all__ = ["FaceGroup", "FacePlan", "face_points", "lift_scale"]
 
@@ -109,7 +107,7 @@ class FaceGroup:
 
 
 class FacePlan:
-    """Element-faces grouped by trace class, with memoised masked sub-plans.
+    """Element-faces grouped by trace class, and sub-plans of them.
 
     Build with :meth:`minus` (faces traced through the element that owns
     the face parametrization: every boundary face, the minus side of an
@@ -123,9 +121,6 @@ class FacePlan:
         if clash:
             raise ValueError(f"right factor name(s) {clash} shadow FaceGroup attributes")
         self._args = (ops, cls, weights, elem, factors)
-        self._subplans: OrderedDict = OrderedDict()
-        # gravity / motion steps of different partitions run concurrently
-        self._lock = threading.Lock()
         #: positions of the selected faces in the full plan (``select``)
         self.idx = slice(None) if faces is None else row_set(faces)
         if faces is not None:
@@ -155,15 +150,11 @@ class FacePlan:
         ops = ref.E_plus.reshape(24, *ref.E_plus.shape[2:])
         return cls(ops, plus_face * 6 + perm, ref.face_weights, elem, factors)
 
-    def select(self, mask: np.ndarray | None) -> "FacePlan":
+    def select(self, mask: np.ndarray) -> "FacePlan":
         """The sub-plan of the faces ``mask`` (bool, per face) selects,
-        memoised on the mask's content; ``None`` selects every face."""
-        if mask is None:
-            return self
-        with self._lock:
-            return memo_by_mask(
-                self._subplans, mask,
-                lambda: FacePlan(*self._args, faces=np.flatnonzero(mask)))
+        built anew on every call: whoever steps a subset builds its
+        sub-plan once and keeps it."""
+        return FacePlan(*self._args, faces=np.flatnonzero(mask))
 
     def trace(self, X: np.ndarray) -> np.ndarray:
         """Face-point values ``(n, nq, ncol)`` of per-element modal data

@@ -63,25 +63,27 @@ Batch independence
     orientation class does not; a chunk is one more batch, so no bit
     depends on :data:`CHUNK`.
 
-Local time-stepping repeatedly calls the kernels with the same
-per-cluster activity masks; the masked selections are content-addressed
-(SHA-1 of the mask bytes) and cached on the operator, so the selection
-work happens once per cluster, not once per micro-step.  Every selection
-is a :func:`row_set` of the plan's rows: a ``slice`` — so the selected
-rows are *views* of the plan — when they are one run, else the ids
-under the same expressions (fancy-indexed copies, same bits).  On a mesh
-canonicalised by :func:`repro.core.lts.cluster_major` every cluster's
-selection is one run, and so is every partition block's
-(:mod:`repro.exec.partitioned`).  The element selection
-(:func:`active_rows`) is shared by the volume kernel, the lift and the
-backends' masked predictor: ``I[idx]``, ``fb[idx]`` and ``starT`` are
-views and ``out[idx] += ...`` updates in place.  The interior selection
-is made per *side*: the faces of a class with an active side are taken
-plus-only | both | minus-only, which on a canonical mesh is the plan's
-own order (``(c-1, c)`` | ``(c, c)`` | ``(c, c+1)`` cluster pairs), so
-``em`` / ``ep`` / ``Gm`` / ``Gp`` are views, each side's faces are one
-slice of one trace pair, and an interface face computes only the flux of
-the side that is updated.  In a plan ordered by partition blocks the
+Every kernel sweeps a :func:`selection`: the element rows, the interior
+face batches and the boundary entries of one activity mask (``None``:
+all of them).  Local time-stepping calls the kernels with one mask per
+LTS cluster or partition block; a mask's selection is built once and
+kept in the operator's one cache, ``op._selections``, on the SHA-1 of
+the mask bytes, and :meth:`SpatialOperator.apply` looks it up once per
+call.  Every selection is a :func:`row_set` of the plan's rows: a
+``slice`` — so the selected rows are *views* of the plan — when they
+are one run, else the ids under the same expressions (fancy-indexed
+copies, same bits).  On a mesh canonicalised by
+:func:`repro.core.lts.cluster_major` every cluster's selection is one
+run, and so is every partition block's (:mod:`repro.exec.partitioned`).
+The element rows are shared by the volume kernel and the lift:
+``I[idx]``, ``fb[idx]`` and ``starT`` are views and ``out[idx] += ...``
+updates in place.  The interior selection is made per *side*: the
+faces of a class with an active side are taken plus-only | both |
+minus-only, which on a canonical mesh is the plan's own order
+(``(c-1, c)`` | ``(c, c)`` | ``(c, c+1)`` cluster pairs), so ``em`` /
+``ep`` / ``Gm`` / ``Gp`` are views, each side's faces are one slice of
+one trace pair, and an interface face computes only the flux of the
+side that is updated.  In a plan ordered by partition blocks the
 both | minus-only faces of a block are one run and its plus-only faces
 a gathered batch of their own (:func:`_interior_masked_entries`).
 Boundary faces sorted by element make the boundary selection (``elem``
@@ -96,7 +98,6 @@ relative).
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -115,7 +116,7 @@ __all__ = [
     "FaceFactors",
     "face_factors",
     "row_set",
-    "active_rows",
+    "selection",
     "FusedInteriorGroup",
     "FusedBoundaryGroup",
     "face_buffer",
@@ -128,12 +129,11 @@ __all__ = [
     "fused_volume_residual",
     "fused_interior_residual",
     "fused_boundary_residual",
-    "memo_by_mask",
     "MASK_CACHE_MAX",
 ]
 
-#: masked sub-plan cache entries kept per operator and residual kind
-#: (LTS produces one mask per cluster; 64 covers deep hierarchies)
+#: mask selections kept per operator (LTS produces one mask per cluster,
+#: a partition worker one per block; 64 covers deep hierarchies)
 MASK_CACHE_MAX = 64
 
 #: rows (elements or faces) per chunk of the residual and predictor
@@ -478,20 +478,6 @@ def finish_plan(plan):
     return plan
 
 
-def memo_by_mask(cache: OrderedDict, active: np.ndarray, select):
-    """``select()`` memoized in ``cache`` on the *content* of ``active``
-    (SHA-1 of the mask bytes), oldest entry evicted past MASK_CACHE_MAX."""
-    key = hashlib.sha1(active.tobytes()).digest()
-    hit = cache.get(key)
-    if _MET.enabled:
-        _MET.inc("cache/mask_hits" if hit is not None else "cache/mask_misses")
-    if hit is None:
-        hit = cache[key] = select()
-        while len(cache) > MASK_CACHE_MAX:
-            cache.popitem(last=False)
-    return hit
-
-
 def row_set(ids: np.ndarray):
     """Unique row ids as a ``slice`` when they are one increasing run
     (indexing then yields views and in-place updates), else as they are.
@@ -504,32 +490,46 @@ def row_set(ids: np.ndarray):
     return slice(start, start + n)
 
 
-def active_rows(op, active: np.ndarray | None):
-    """``(idx, starT)`` of an activity mask (``None``: every row), cached:
-    the selected rows as a :func:`row_set` and their contiguous ``starT``
-    rows (a view when the rows are a slice) — shared by the volume
-    kernel, the lift and the backends' masked predictor."""
+def selection(op, active: np.ndarray | None):
+    """``(idx, starT, interior, boundary)``: what the residual kernels of
+    ``op`` sweep for an activity mask — the rows as a :func:`row_set` and
+    their ``starT`` rows, the per-group interior face batches
+    (:func:`_interior_masked_entries`) and boundary entries
+    (:func:`_boundary_masked_entries`).  ``None`` is the full sweep.  A
+    mask's selection is built once and kept in ``op._selections`` on the
+    SHA-1 of the mask bytes, the oldest entry evicted past
+    :data:`MASK_CACHE_MAX`."""
     if active is None:
-        return slice(None), op.starT
-
-    def select():
+        return (slice(None), op.starT,
+                [[(g.em, g.ep, 0, len(g.em), g.Gm, g.Gp)]
+                 for g in op.interior_groups],
+                [(g.elem, g.G) for g in op.boundary_groups])
+    key = hashlib.sha1(active.tobytes()).digest()
+    hit = op._selections.get(key)
+    if _MET.enabled:
+        _MET.inc("cache/mask_hits" if hit is not None else "cache/mask_misses")
+    if hit is None:
         idx = row_set(np.flatnonzero(active))
-        return idx, op.starT[idx]
-
-    return memo_by_mask(op._mask_cache_volume, active, select)
+        hit = op._selections[key] = (
+            idx, op.starT[idx], _interior_masked_entries(op, active),
+            _boundary_masked_entries(op, active))
+        while len(op._selections) > MASK_CACHE_MAX:
+            op._selections.popitem(last=False)
+    return hit
 
 
 # ----------------------------------------------------------------------
 # fused residual kernels
 # ----------------------------------------------------------------------
-def fused_volume_residual(op, I, out, active=None, overwrite=False) -> None:
-    """Stacked-stiffness volume kernel (see module docstring).
+def fused_volume_residual(op, I, out, sel, overwrite=False) -> None:
+    """Stacked-stiffness volume kernel (see module docstring) over the
+    rows of the :func:`selection` ``sel``.
 
     ``overwrite`` stores the term into the updated rows of ``out``
     instead of adding it: :meth:`SpatialOperator.apply` starts its
     residual with it, saving the zero-fill and one pass."""
     KP = element_plan(op.order).KP
-    idx, starT = active_rows(op, active)
+    idx, starT = sel[:2]
     for pos, rows in _chunks(idx, len(out)):
         Ie = np.ascontiguousarray(I[rows])
         if overwrite:
@@ -589,20 +589,16 @@ def _interior_masked_entries(op, active):
     return entries
 
 
-def fused_interior_residual(op, I, out, active=None) -> None:
+def fused_interior_residual(op, I, out, sel) -> None:
     """Face-basis interior kernel with a scatter-free lift (see module
-    docstring): fill the face-buffer slots of every updated side, then
-    one ``(B, 4F) @ (4F, 9)`` product per updated element."""
+    docstring): fill the face-buffer slots of every updated side of the
+    :func:`selection` ``sel``, then one ``(B, 4F) @ (4F, 9)`` product per
+    updated element."""
     fb = face_buffer(op)
     nF = fb.shape[2]
-    if active is None:
-        batches = ((g, (g.em, g.ep, 0, len(g.em), g.Gm, g.Gp))
-                   for g in op.interior_groups)
-    else:
-        entries = memo_by_mask(op._mask_cache_interior, active,
-                               lambda: _interior_masked_entries(op, active))
-        batches = ((g, e) for g, es in zip(op.interior_groups, entries)
-                   for e in es)
+    idx, _, entries, _ = sel
+    batches = ((g, e) for g, es in zip(op.interior_groups, entries)
+               for e in es)
     scratch = np.empty((CHUNK, 2, nF, 18))
     for grp, (em, ep, a, b, Gm, Gp) in batches:
         for lo in range(0, len(em), CHUNK):
@@ -624,7 +620,6 @@ def fused_interior_residual(op, I, out, active=None) -> None:
             if bp > lo:
                 fb[ep[lo:bp], grp.fp] = np.matmul(X[:bp - lo, 1], Gp[lo:bp])
     lift = face_factors(op.order).lift
-    idx = active_rows(op, active)[0]
     for _, rows in _chunks(idx, len(out)):
         out[rows] += np.matmul(lift, fb[rows].reshape(-1, 4 * nF, 9))
 
@@ -641,15 +636,11 @@ def _boundary_masked_entries(op, active):
     return entries
 
 
-def fused_boundary_residual(op, I, out, active=None) -> None:
-    """Modal-factorized boundary-face kernel (see module docstring)."""
-    if active is None:
-        groups = ((g, g.elem, g.G) for g in op.boundary_groups)
-    else:
-        entries = memo_by_mask(op._mask_cache_boundary, active,
-                               lambda: _boundary_masked_entries(op, active))
-        groups = ((g, *e) for g, e in zip(op.boundary_groups, entries)
-                  if e is not None)
+def fused_boundary_residual(op, I, out, sel) -> None:
+    """Modal-factorized boundary-face kernel (see module docstring) over
+    the boundary entries of the :func:`selection` ``sel``."""
+    groups = ((g, *e) for g, e in zip(op.boundary_groups, sel[3])
+              if e is not None)
     for grp, elem, G in groups:
         for lo in range(0, len(elem), CHUNK):
             s = slice(lo, lo + CHUNK)  # elem is unique per (kind, face) group

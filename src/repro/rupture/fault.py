@@ -269,22 +269,28 @@ class FaultSolver:
         return len(self.face_ids)
 
     # ------------------------------------------------------------------
-    def step(self, derivs, dt: float, out: np.ndarray, active=None, t0: float = 0.0) -> None:
+    def select(self, mask: np.ndarray) -> tuple:
+        """Both sides' sub-plans of the faces of the elements ``mask``
+        (bool, per element) selects: the ``sides`` of :meth:`step`.  Fault
+        faces never straddle LTS clusters, so the minus side decides."""
+        return tuple(plan.select(mask[self.em]) for plan in self._sides)
+
+    def step(self, derivs, dt: float, out: np.ndarray, sides=None, t0: float = 0.0) -> None:
         """Solve the fault over one ADER window; add time-integrated fluxes.
 
         ``t0`` is the absolute start time of the window (for rupture-front
-        arrival bookkeeping); ``active`` restricts to elements of the
-        stepping LTS cluster (fault faces always have both sides in one
-        cluster).
+        arrival bookkeeping); ``sides`` (:meth:`select`) restricts to the
+        faces of the stepping LTS cluster (``None``: every face).  A
+        rate-and-state solve stops its Newton iteration on the batch's
+        largest update, so a face's bits depend on the faces stepped with
+        it: a cluster's faces always step in one call.
         """
         if not self._bound:
             raise RuntimeError("FaultSolver.step called before bind()")
         with _MET.phase("fault/friction"):
-            self._step(derivs, dt, out, active, t0)
+            self._step(derivs, dt, out, self._sides if sides is None else sides, t0)
 
-    def _step(self, derivs, dt, out, active=None, t0: float = 0.0) -> None:
-        mask = None if active is None else active[self.em]
-        sides = [plan.select(mask) for plan in self._sides]
+    def _step(self, derivs, dt, out, sides, t0: float = 0.0) -> None:
         idx, nf = sides[0].idx, sides[0].n
         if nf == 0:
             return

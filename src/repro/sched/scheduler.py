@@ -179,8 +179,8 @@ class Scheduler:
 
         derivs = backend.predict(solver.Q)
         Iown, Ibuf = solver.op.new_state(), solver.op.new_state()
-        for c, idx in enumerate(lts.idx):
-            Iown[idx] = taylor_integrate(derivs[idx], 0.0, dts[c])
+        for c, rows in enumerate(lts.rows):
+            Iown[rows.elems] = taylor_integrate(derivs[rows.elems], 0.0, dts[c])
 
         # the window-assembly buffer is allocated once for the whole run:
         # each micro-step overwrites exactly the rows its corrector reads
@@ -229,8 +229,8 @@ class Scheduler:
         plan, dt_min, dts, derivs, Iown, Ibuf, I, t0 = state
         lts = self.lts
         solver = self.solver
-        mask = lts.masks[c]
-        idx = lts.idx[c]
+        rows = lts.rows[c]
+        idx = rows.elems
         halo = lts.halo[c]
         t_a = int(plan.t_int[i]) * dt_min
 
@@ -248,11 +248,7 @@ class Scheduler:
                 # a finer neighbor accumulated its completed windows
                 I[nidx] = Ibuf[nidx]
 
-        out = self.backend.corrector(
-            I, derivs, dts[c], t0=t0 + t_a, active=mask,
-            gravity_mask=lts.gravity_masks[c],
-            motion_mask=None if lts.motion_masks is None else lts.motion_masks[c],
-        )
+        out = self.backend.corrector(I, derivs, dts[c], t0=t0 + t_a, rows=rows)
         solver.Q[idx] += out[idx]
 
         # the just-completed window becomes available to the coarser
@@ -266,7 +262,7 @@ class Scheduler:
         # next predictor for this cluster (compiled flag: skipped when the
         # run is over for it)
         if plan.update_pred[i]:
-            self.backend.update_predictor(solver.Q, mask, dts[c], derivs, Iown)
+            self.backend.update_predictor(solver.Q, rows, dts[c], derivs, Iown)
 
     # ------------------------------------------------------------------
     def compiled_plan(self, t_end: float, dt_scale: float = 1.0) -> StepPlan:

@@ -155,6 +155,29 @@ class TestLocalization:
         assert loc["n_nan"] == 1 and loc["n_inf"] == 0
         assert loc["value"] == "nan"
 
+    def test_locate_names_partition_and_cluster(self):
+        """A NaN planted in a part-1 element of a 2-part LTS solver is
+        traced to that part (the backend's cut) and its LTS cluster."""
+        from repro.exec import PartitionedBackend
+
+        from tests.test_exec_equivalence import build_lts_fault_gravity
+
+        solver, _, lts = build_lts_fault_gravity(
+            PartitionedBackend(workers=1, n_parts=2), sort=True)
+        parts = solver.backend.parts
+        assert set(parts.tolist()) == {0, 1} and lts.n_clusters >= 2
+        part1 = np.flatnonzero(parts == 1)
+        elem = int(part1[np.argmax(lts.cluster[part1])])
+        assert lts.cluster[elem] > 0
+        solver.Q[elem, 2, 4] = np.nan
+        loc = locate_nonfinite(solver, lts)
+        assert loc["element"] == elem
+        assert loc["partition"] == 1
+        assert loc["lts_cluster"] == int(lts.cluster[elem])
+        solver.Q[elem, 2, 4] = 0.0
+        assert locate_nonfinite(solver, lts) is None
+        solver.backend.close()
+
     def test_watchdog_report_names_element_and_field(self):
         """Satellite: the non-finite report localizes the first offender
         even without the full bundle path."""

@@ -290,7 +290,7 @@ class TestElementOrder:
                                lts if use_lts else None)
         other, _, other_lts = build_lts_fault_gravity(sort=True)
         assert other.Q.shape == solver.Q.shape
-        assert all(isinstance(r, slice) for r in other_lts.idx)
+        assert all(isinstance(r.elems, slice) for r in other_lts.rows)
         assert fingerprint(other) != fingerprint(solver)
         with pytest.raises(CheckpointError, match="different problem"):
             restore_checkpoint(path, other, other_lts if use_lts else None)

@@ -256,8 +256,8 @@ class TestBlockEquivalence:
         rows are id arrays (gathered rows, same GEMMs, same bits)."""
         solver = build_all_faces(
             1, sort=False, backend=PartitionedBackend(workers=2, n_parts=3))
-        rows = [plan.lop.active_rows(blk)[0]
-                for plan in solver.backend.plans for blk in plan.blocks]
+        rows = [blk.elems for plan in solver.backend.plans
+                for blk in plan.blocks.values()]
         assert not all(isinstance(r, slice) for r in rows)
         assert run_digest(solver, mode) == serial_digests[False, mode]
 
@@ -311,12 +311,12 @@ class TestElementOrderEquivalence:
         order = element_order(ref.mesh, ref.order)
         assert (order != np.arange(len(order))).any()
         assert ref_lts.n_clusters >= 3
-        assert not any(isinstance(r, slice) for r in ref_lts.idx)
+        assert not any(isinstance(r.elems, slice) for r in ref_lts.rows)
 
         new, new_fault, new_lts = build_lts_fault_gravity(
             backend, workers, xs=self.XS,
             prepare=lambda m: m.renumber_elements(element_order(m)))
-        assert all(isinstance(r, slice) for r in new_lts.idx)
+        assert all(isinstance(r.elems, slice) for r in new_lts.rows)
         assert np.array_equal(new_lts.cluster, ref_lts.cluster[order])
 
         # two macro steps: the fault slips at once, and a position-

@@ -213,7 +213,7 @@ class TestMaskedSubsets:
         gb.step(derivs, s.dt, full)
         eta_full = gb.eta.copy()
         gb.eta[:] = eta0
-        gb.step(derivs, s.dt, part, face_mask=mask)
+        gb.step(derivs, s.dt, part, plan=gb.plan.select(mask))
         eta_part = gb.eta.copy()
         gb.eta[:] = eta0
         np.testing.assert_array_equal(part[gb.elem[mask]], full[gb.elem[mask]])
@@ -234,7 +234,7 @@ class TestMaskedSubsets:
         mb.step(derivs, s.dt, full, t0=0.05)
         uplift_full = mb.uplift.copy()
         mb.uplift[:] = 0.0
-        mb.step(derivs, s.dt, part, t0=0.05, face_mask=mask)
+        mb.step(derivs, s.dt, part, t0=0.05, plan=mb.plan.select(mask))
         np.testing.assert_array_equal(part[mb.elem[mask]], full[mb.elem[mask]])
         np.testing.assert_array_equal(mb.uplift[mask], uplift_full[mask])
         assert not mb.uplift[~mask].any()
@@ -247,13 +247,13 @@ class TestMaskedSubsets:
         picked = random_mask(np.random.default_rng(seed), len(fault))
         active = np.zeros(s.mesh.n_elements, dtype=bool)
         active[fault.em[picked]] = True
-        mask = active[fault.em]  # the faces the step derives from `active`
+        mask = active[fault.em]  # the faces `select` derives from `active`
         start = fault.state_dict()
         full, part = s.op.new_state(), s.op.new_state()
         fault.step(derivs, s.dt, full, t0=0.3)
         state_full = fault_state(fault)
         fault.load_state(start)
-        fault.step(derivs, s.dt, part, active=active, t0=0.3)
+        fault.step(derivs, s.dt, part, sides=fault.select(active), t0=0.3)
         state_part = fault_state(fault)
         fault.load_state(start)
         rows = np.concatenate([fault.em[mask], fault.ep[mask]])
@@ -281,8 +281,9 @@ class TestMaskedSubsets:
 
     def test_concurrent_masked_steps(self, rig):
         """Partition workers step disjoint face sets of one boundary at the
-        same time (shared sub-plan and propagator caches): more threads
-        than cores, a shortened switch interval, same bits as one sweep."""
+        same time (sub-plans built once and shared by every repetition,
+        one propagator cache, no lock on the plan): more threads than
+        cores, a shortened switch interval, same bits as one sweep."""
         import sys
 
         s, derivs = rig
@@ -293,18 +294,18 @@ class TestMaskedSubsets:
         eta_want = gb.eta.copy()
         n_threads = 8
         owner = np.arange(len(gb)) % n_threads
+        subs = [gb.plan.select(owner == k) for k in range(n_threads)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
                 gb.eta[:] = eta0
-                gb.plan._subplans.clear()
                 gb._propagators.clear()
                 got = s.op.new_state()
                 threads = [
                     threading.Thread(
                         target=gb.step, args=(derivs, s.dt, got),
-                        kwargs={"face_mask": owner == k})
+                        kwargs={"plan": subs[k]})
                     for k in range(n_threads)
                 ]
                 for t in threads:
@@ -332,12 +333,10 @@ class TestFacePlan:
             for g in plan.groups:
                 assert len(np.unique(g.elem)) == len(g.elem)
 
-    def test_select_is_memoised_and_none_is_self(self, rig):
+    def test_select_picks_the_masked_faces(self, rig):
         s, _ = rig
         plan = s.gravity.plan
         mask = np.arange(plan.n) % 3 == 0
-        assert plan.select(None) is plan
-        assert plan.select(mask) is plan.select(mask.copy())
         sub = plan.select(mask)
         assert sub.n == mask.sum()
         np.testing.assert_array_equal(np.arange(plan.n)[sub.idx],

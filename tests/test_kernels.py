@@ -331,7 +331,7 @@ class TestProperties:
         for _ in range(MASK_CACHE_MAX + 10):
             active = rng.random(op.n_elements) < 0.3
             op.volume_residual(I, out, active=active)
-        assert len(op._mask_cache_volume) <= MASK_CACHE_MAX
+        assert len(op._selections) <= MASK_CACHE_MAX
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +423,7 @@ class TestBatchIndependence:
 def _chunk_sweeps(op, lts, I, subsets):
     """What a chunk size could change: the full apply, every cluster's
     masked apply and the predictor on row subsets."""
-    return ([op.apply(I)] + [op.apply(I, m)[m] for m in lts.masks]
+    return ([op.apply(I)] + [op.apply(I, r.mask)[r.mask] for r in lts.rows]
             + [op.predict_states(I[r], op.starT[r]) for r in subsets])
 
 
@@ -443,8 +443,8 @@ def chunk_rig():
     op = solver.op
     assert lts.n_clusters == 3 and op.n_elements > 256
     rng, I = _random_state(op, 5)
-    splits = {b for m in lts.masks
-              for batches in fusion._interior_masked_entries(op, m)
+    splits = {b for r in lts.rows
+              for batches in fusion._interior_masked_entries(op, r.mask)
               for em, _, _, b, _, _ in batches if 0 < b < len(em)}
     assert any(b % 7 for b in splits) and any(b % 8 == 0 for b in splits)
     subsets = (rng.permutation(op.n_elements)[:100], slice(37, 250))
@@ -637,9 +637,10 @@ class TestFaceOrientation:
         I_new = np.empty_like(I)
         I_new[e] = I
         _assert_rel(ref.op.apply(I), new.op.apply(I_new)[e], "apply")
-        for c, mask in enumerate(ref_lts.masks):
+        for rows, new_rows in zip(ref_lts.rows, new_lts.rows):
+            c, mask = rows.cluster, rows.mask
             _assert_rel(ref.op.apply(I, mask)[mask],
-                        new.op.apply(I_new, new_lts.masks[c])[e[mask]],
+                        new.op.apply(I_new, new_rows.mask)[e[mask]],
                         f"masked apply, cluster {c}")
 
         # two macro steps: the fault slips at once

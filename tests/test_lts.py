@@ -309,31 +309,33 @@ class TestClusterMajorLayout:
         solver = handle.solver
         lts = LocalTimeStepping(solver)
         assert lts.n_clusters >= 2
-        assert all(isinstance(r, slice) for r in lts.idx)
-        assert [r.stop - r.start for r in lts.idx] == lts.elem_count.tolist()
-        for mask, rows in zip(lts.masks, lts.idx):
-            idx, starT = solver.op.active_rows(mask)
-            assert idx == rows
+        assert all(isinstance(r.elems, slice) for r in lts.rows)
+        assert [r.elems.stop - r.elems.start for r in lts.rows] \
+            == lts.elem_count.tolist()
+        for rows in lts.rows:
+            idx, starT = fusion.selection(solver.op, rows.mask)[:2]
+            assert idx == rows.elems
             assert np.shares_memory(starT, solver.op.starT)
             # every partition's share of a cluster is a row range of it,
             # and the shares tile the cluster
             pieces = []
             for plan in solver.backend.plans:
-                for blk in plan.active_blocks(mask):
-                    idx, starT = plan.lop.active_rows(blk)
-                    assert isinstance(idx, slice)
+                for blk in plan.active(rows):
+                    idx, starT = fusion.selection(plan.lop, blk.mask)[:2]
+                    assert isinstance(idx, slice) and idx == blk.elems
                     assert np.shares_memory(starT, solver.op.starT)
                     pieces.append((idx.start, idx.stop))
             pieces.sort()
-            assert pieces[0][0] == rows.start and pieces[-1][1] == rows.stop
+            assert pieces[0][0] == rows.elems.start
+            assert pieces[-1][1] == rows.elems.stop
             assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
         solver.backend.close()
         # and in the serial plan every cluster's masked face selections
         # are views of the plan
         op = SpatialOperator(solver.mesh, solver.order)
         assert_face_selections_are_views(op, (
-            [fusion._interior_masked_entries(op, m) for m in lts.masks],
-            [fusion._boundary_masked_entries(op, m) for m in lts.masks]))
+            [fusion._interior_masked_entries(op, r.mask) for r in lts.rows],
+            [fusion._boundary_masked_entries(op, r.mask) for r in lts.rows]))
 
     @pytest.mark.parametrize("name", ["quickstart", "scenario_a", "palu"])
     def test_serial_and_partitioned_builds_share_one_mesh(self, name):
@@ -373,12 +375,11 @@ class TestClusterMajorLayout:
         assert len(backend.plans) == n_parts
         for plan in backend.plans:
             lop = plan.lop
-            assert len(lop._mask_cache_volume) == len(plan.blocks)
-            for idx, starT in lop._mask_cache_volume.values():
+            assert len(lop._selections) == len(plan.blocks)
+            for idx, starT, interior, boundary in lop._selections.values():
                 assert isinstance(idx, slice)
                 assert np.shares_memory(starT, op.starT)
-            for entries in lop._mask_cache_interior.values():
-                for grp, batches in zip(op.interior_groups, entries):
+                for grp, batches in zip(op.interior_groups, interior):
                     for em, ep, a, b, Gm, Gp in batches:
                         if Gp.flags.owndata:
                             # plus-only faces across a block cut
@@ -391,8 +392,7 @@ class TestClusterMajorLayout:
                                            (Gm, grp.Gm), (Gp, grp.Gp)):
                             assert sel is None or not sel.size \
                                 or np.shares_memory(sel, table)
-            for entries in lop._mask_cache_boundary.values():
-                for grp, e in zip(op.boundary_groups, entries):
+                for grp, e in zip(op.boundary_groups, boundary):
                     if e is not None:
                         assert np.shares_memory(e[0], grp.elem)
                         assert np.shares_memory(e[1], grp.G)
@@ -403,9 +403,9 @@ class TestClusterMajorLayout:
         m = graded_periodic_box()
         solver = CoupledSolver(m, 2)
         lts = LocalTimeStepping(solver)
-        assert not any(isinstance(r, slice) for r in lts.idx)
-        for mask, rows in zip(lts.masks, lts.idx):
-            assert np.array_equal(rows, np.flatnonzero(mask))
-            idx, starT = solver.op.active_rows(mask)
-            assert np.array_equal(idx, rows)
-            assert np.array_equal(starT, solver.op.starT[rows])
+        assert not any(isinstance(r.elems, slice) for r in lts.rows)
+        for rows in lts.rows:
+            assert np.array_equal(rows.elems, np.flatnonzero(rows.mask))
+            idx, starT = fusion.selection(solver.op, rows.mask)[:2]
+            assert np.array_equal(idx, rows.elems)
+            assert np.array_equal(starT, solver.op.starT[rows.elems])

@@ -20,7 +20,9 @@ from repro.core.materials import acoustic, elastic
 from repro.core.resilience import ResilientRunner
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
 from repro.exec import clear_plan_cache
+from repro.kernels.faces import FacePlan
 from repro.mesh.generators import layered_ocean_mesh
+from repro.obs.metrics import get_metrics
 from repro.sched import (
     CONSUME_BUFFER,
     CONSUME_TAYLOR,
@@ -259,8 +261,9 @@ def old_lts_run(lts, t_end, dt_scale=1.0):
     derivs = solver.backend.predict(solver.Q)
     Iown = np.zeros((ne, nb, 9))
     Ibuf = np.zeros((ne, nb, 9))
+    masks = [rows.mask for rows in lts.rows]
     for c in range(lts.n_clusters):
-        mask = lts.masks[c]
+        mask = masks[c]
         Iown[mask] = taylor_integrate(derivs[mask], 0.0, dts[c])
 
     def eligible(c):
@@ -284,29 +287,27 @@ def old_lts_run(lts, t_end, dt_scale=1.0):
         ]
         assert cands, "reference loop deadlocked"
         _, _, c = min(cands)
-        mask = lts.masks[c]
+        mask = masks[c]
         t_a = t_int[c] * dt_min
         I = np.zeros((ne, nb, 9))
         I[mask] = Iown[mask]
         for cn in lts.adjacent[c]:
-            mn = lts.masks[cn]
+            mn = masks[cn]
             if steps_int[cn] > steps_int[c]:
                 off = (t_int[c] - pred_int[cn]) * dt_min
                 I[mn] = taylor_integrate(derivs[mn], off, off + dts[c])
             else:
                 I[mn] = Ibuf[mn]
-        out = solver.backend.corrector(
-            I, derivs, dts[c], t0=t0 + t_a, active=mask,
-            gravity_mask=lts.gravity_masks[c],
-            motion_mask=None if lts.motion_masks is None else lts.motion_masks[c],
-        )
+        out = solver.backend.corrector(I, derivs, dts[c], t0=t0 + t_a,
+                                       rows=lts.rows[c])
         solver.Q[mask] += out[mask]
         Ibuf[mask] += Iown[mask]
         for cn in lts.adjacent[c]:
             if steps_int[cn] < steps_int[c]:
-                Ibuf[lts.masks[cn]] = 0.0
+                Ibuf[masks[cn]] = 0.0
         if t_int[c] + steps_int[c] < end_int:
-            solver.backend.update_predictor(solver.Q, mask, dts[c], derivs, Iown)
+            solver.backend.update_predictor(solver.Q, lts.rows[c], dts[c],
+                                            derivs, Iown)
             pred_int[c] = t_int[c] + steps_int[c]
         t_int[c] += steps_int[c]
     solver.t = t_end
@@ -421,9 +422,51 @@ class TestHaloLayout:
         solver, _, lts = build_lts_fault_gravity(sort=True)
         Scheduler(solver, lts).run(T_LTS)
         op = solver.op
-        caches = (op._mask_cache_interior, op._mask_cache_boundary)
-        assert [len(c) for c in caches] == [lts.n_clusters] * 2
-        assert_face_selections_are_views(op, [c.values() for c in caches])
+        assert len(op._selections) == lts.n_clusters
+        sels = list(op._selections.values())
+        assert_face_selections_are_views(op, ([s[2] for s in sels],
+                                              [s[3] for s in sels]))
+
+    @pytest.mark.parametrize("backend,workers", [("serial", None),
+                                                 ("partitioned", 2)])
+    def test_no_selection_work_in_the_step_loop(self, monkeypatch, backend,
+                                                workers):
+        """Every selection is compiled before the run (``lts.rows``, the
+        partition blocks): during ``Scheduler.run`` no face sub-plan is
+        built, and the operator looks up one mask selection per serial
+        micro-step (``op.apply``) or three per stepped partition block
+        (the residual kernels), missing once per cluster or block."""
+        solver, _, lts = build_lts_fault_gravity(backend, workers, sort=True)
+        built = []
+        init = FacePlan.__init__
+
+        def counting_init(plan, *args, **kwargs):
+            built.append(kwargs.get("faces"))
+            init(plan, *args, **kwargs)
+
+        monkeypatch.setattr(FacePlan, "__init__", counting_init)
+        met = get_metrics()
+        met.enable()
+        met.reset()
+        try:
+            Scheduler(solver, lts).run(T_LTS)
+            hits, misses = (met.value(f"cache/mask_{k}") or 0
+                            for k in ("hits", "misses"))
+        finally:
+            met.disable()
+            met.reset()
+            solver.backend.close()
+        assert built == []
+        assert lts.n_clusters == 3 and (lts.updates > 0).all()
+        if backend == "serial":
+            assert hits + misses == lts.updates.sum()
+            assert misses == lts.n_clusters
+        else:
+            plans = solver.backend.plans
+            assert len(plans) == 2
+            assert hits + misses == 3 * sum(
+                lts.updates[c] for plan in plans for c in plan.blocks)
+            assert misses == sum(len(plan.blocks) for plan in plans)
 
     @staticmethod
     def check_poisoned_run(monkeypatch, backend, workers, sort):
@@ -435,7 +478,7 @@ class TestHaloLayout:
         write their rows of that same residual: there is no other."""
         ref, ref_fault, ref_lts = build_lts_fault_gravity(backend, workers,
                                                           sort=sort)
-        assert all(isinstance(r, slice) == sort for r in ref_lts.idx)
+        assert all(isinstance(r.elems, slice) == sort for r in ref_lts.rows)
         Scheduler(ref, ref_lts).run(T_LTS)
         assert (ref_fault.slip > 0).any()
 
@@ -448,7 +491,7 @@ class TestHaloLayout:
         def poison(solver, event):
             residual = solver.op.masked_residual()
             # the step just taken left its own rows finite
-            assert np.isfinite(residual[new_lts.idx[event.cluster]]).all()
+            assert np.isfinite(residual[new_lts.rows[event.cluster].elems]).all()
             residual.fill(np.nan)
             poisoned.append(event.cluster)
 

@@ -25,31 +25,41 @@ import numpy as np
 
 from .materials import jacobians
 
-__all__ = ["transposed_star_matrices", "taylor_integrate", "taylor_evaluate",
+__all__ = ["stacked_star_matrices", "taylor_integrate", "taylor_evaluate",
            "taylor_weights", "taylor_window_weights"]
 
 
-#: elements per chunk of :func:`transposed_star_matrices` (the gathered
-#: per-element Jacobians of one chunk are the build's only scratch)
+#: elements per chunk of :func:`stacked_star_matrices` (the gathered
+#: per-element Jacobians and one chunk of its blocks are the
+#: build's only scratch)
 _STAR_CHUNK = 2048
 
 
-def transposed_star_matrices(mesh) -> np.ndarray:
-    """Per-element reference-coordinate Jacobians, *transposed*, as the
-    C-contiguous ``(ne, 3, 9, 9)`` array the kernels reshape for free.
+def stacked_star_matrices(mesh) -> np.ndarray:
+    """Per-element reference-coordinate Jacobians as the C-contiguous
+    ``(ne, 9, 27)`` left factors of the quantity-major kernels.
 
-    ``out[e, k] = star[e, k]^T`` with the "star" Jacobian ``star[e, k] =
-    sum_d inv_jac[e, k, d] * (A, B, C)[d]`` of the element's material
-    (``out.transpose(0, 1, 3, 2)`` views them), written chunk by chunk
-    straight into its final layout (``einsum`` without ``out=`` would
-    pick the memory order of its operands, not C order).
+    ``out[e, p, 3 q + k] = star[e, k][p, q]`` with the "star" Jacobian
+    ``star[e, k] = sum_d inv_jac[e, k, d] * (A, B, C)[d]`` of the
+    element's material: one ``(9, 27) @ (27, n)`` product applies all
+    three to an element's ``(27, n)`` directional derivatives (rows
+    ``3 q + k``).  Each chunk is computed as ``(n, 3, 9, 9)`` blocks in
+    contiguous scratch (``einsum`` without ``out=`` would pick the memory
+    order of its operands, not C order) and assigned re-laid-out, so no
+    second table exists.
     """
     ABC = np.stack([np.stack(jacobians(m)) for m in mesh.materials])
-    out = np.empty((mesh.n_elements, 3, 9, 9))
-    for lo in range(0, mesh.n_elements, _STAR_CHUNK):
+    ne = mesh.n_elements
+    out = np.empty((ne, 9, 27))
+    scratch = np.empty((min(_STAR_CHUNK, ne), 3, 9, 9))
+    for lo in range(0, ne, _STAR_CHUNK):
         rows = slice(lo, lo + _STAR_CHUNK)
-        np.einsum("ekd,edij->ekji", mesh.inv_jac[rows],
-                  ABC[mesh.material_ids[rows]], out=out[rows])
+        blocks = scratch[:len(out[rows])]
+        np.einsum("ekd,edij->ekij", mesh.inv_jac[rows],
+                  ABC[mesh.material_ids[rows]], out=blocks)
+        stacked = out[rows].reshape(-1, 9, 9, 3)
+        for k in range(3):
+            stacked[..., k] = blocks[:, k]
     return out
 
 
@@ -72,7 +82,8 @@ def taylor_integrate(derivs: np.ndarray, t0: float, t1: float,
     """Integral of the Taylor expansion over ``[t0, t1]`` (relative times).
 
     ``t0``/``t1`` are measured from the expansion point.  Returns modal
-    coefficients of ``int_t0^t1 q(t) dt``, shape ``(ne, B, 9)``, written
+    coefficients of ``int_t0^t1 q(t) dt``, ``derivs`` without its level
+    axis (``(ne, 9, B)`` for the kernels' derivatives), written
     into ``out`` when given (e.g. a row slice of the window buffer, so
     the integral needs no temporary; the bits are the same).
     """
@@ -85,8 +96,8 @@ def taylor_integrate(derivs: np.ndarray, t0: float, t1: float,
 def taylor_evaluate(derivs: np.ndarray, tau) -> np.ndarray:
     """Evaluate the Taylor expansion at relative time(s) ``tau``.
 
-    For scalar ``tau`` returns ``(ne, B, 9)``; for an array of ``nt`` times
-    returns ``(nt, ne, B, 9)``.
+    ``derivs`` is ``(ne, K, ...)``; for scalar ``tau`` returns ``(ne,
+    ...)``, for an array of ``nt`` times ``(nt, ne, ...)``.
     """
     coef = taylor_weights(np.atleast_1d(tau), derivs.shape[1])
     out = np.einsum("tk,ek...->te...", coef, derivs)

@@ -68,7 +68,10 @@ class GravityBoundary:
         ``v_n^-`` instead of the Riemann middle state ``v_n^b`` — the
         unstable variant the paper warns about below Eq. 23 ("It is critical
         to use the velocity v_n^b here ... as only then we have a stable
-        scheme").  Exposed for the ablation benchmark only."""
+        scheme").  It is reachable through ``CoupledSolver(
+        gravity_eta_velocity=)`` so that the instability can be reproduced
+        (``tests/test_faces.py`` checks both variants against their
+        oracle); no scenario or benchmark selects it."""
         self.op = op
         self.g = g
         if integrator not in ("exact", "rk4"):

@@ -46,9 +46,10 @@ from ..kernels.fusion import (
     fused_interior_residual,
     fused_volume_residual,
     selection,
+    stack_width,
 )
 from ..obs.metrics import get_metrics
-from .ader import transposed_star_matrices
+from .ader import stacked_star_matrices
 from .basis import get_reference_element
 from .materials import jacobians
 from .riemann import (
@@ -79,15 +80,14 @@ class SpatialOperator:
     #: :func:`repro.hpc.perfmodel.kernel_counts` applies
     kernel_variant = "fused"
 
-    def __init__(self, mesh, order: int, gravity_g: float = 9.81,
-                 flux_variant: str = "exact", blocks: np.ndarray | None = None):
+    def __init__(self, mesh, order: int, flux_variant: str = "exact",
+                 blocks: np.ndarray | None = None):
         if flux_variant not in ("exact", "one_sided"):
             raise ValueError(f"unknown flux variant {flux_variant!r}")
         self.flux_variant = flux_variant
         self.mesh = mesh
         self.order = order
         self.ref = get_reference_element(order)
-        self.g = gravity_g
         self._n_elements = mesh.n_elements
         #: per-element block ids the interior faces are ordered by
         #: (``None``: the mesh's own order; see :meth:`_fold_interior`)
@@ -96,7 +96,7 @@ class SpatialOperator:
         # memoized per problem fingerprint; plans are read-only and shared
         plan = get_plan_cache().get_or_build(
             mesh, order, flux_variant, self._build_plan, blocks)
-        self.starT = plan.starT
+        self.starQ = plan.starQ
         self.interior_groups = plan.interior_groups
         self.boundary_groups = plan.boundary_groups
         # per-instance kernel state, never part of the shared plan: the
@@ -108,19 +108,20 @@ class SpatialOperator:
         self._selections = OrderedDict()
 
     def _build_plan(self) -> OperatorPlan:
-        plan = OperatorPlan(starT=transposed_star_matrices(self.mesh))
+        plan = OperatorPlan(starQ=stacked_star_matrices(self.mesh))
         with _MET.phase("riemann_flux"):
             self._fold_interior(plan)
             self._fold_boundary(plan)
         return finish_plan(plan)
 
     def _pair_constants(self, mat_m, mat_p) -> np.ndarray:
-        """``(36, 9)`` stack of the four transposed face-aligned Godunov
+        """``(9, 36)`` side-by-side stack of the four face-aligned Godunov
         matrices ``A_loc G`` (paper Eq. 20) of an interior face between
-        ``mat_m`` (minus side) and ``mat_p``, in the order the kernels'
-        ``K = 18`` products read them — the minus side's update (own
-        trace, far trace), then the plus side's (far trace, own trace):
-        each side lists the minus element's trace first.
+        ``mat_m`` (minus side) and ``mat_p``, in the order of the flux
+        table's blocks (:func:`~repro.kernels.fusion.attach_interior_groups`)
+        — the minus side's update (own trace, far trace), then the plus
+        side's (far trace, own trace): each side lists the minus element's
+        trace first.
 
         All four are in the *minus* side's frame.  The plus side sees the
         normal ``-n``, and ``T(-n) M T(-n)^{-1} = T(n) (D M D) T(n)^{-1}``
@@ -133,9 +134,9 @@ class SpatialOperator:
             # "one_sided" ignores the far side's material
             G_own, G_far = middle_state_matrices(own, own if one_sided else far)
             Aloc = jacobians(own)[0]
-            sides.append((((Aloc @ G_own) * sign).T, ((Aloc @ G_far) * sign).T))
+            sides.append(((Aloc @ G_own) * sign, (Aloc @ G_far) * sign))
         (mm, pm), (pp, mp) = sides
-        return np.concatenate([mm, pm, mp, pp])
+        return np.concatenate([mm, pm, mp, pp], axis=1)
 
     def _fold_interior(self, plan: OperatorPlan) -> None:
         """Folded groups of the regular interior faces, one per (minus
@@ -165,13 +166,19 @@ class SpatialOperator:
         # per-face corrector scale: -(2 * area) / det_jac  (reference face
         # weights sum to 1/2, mass matrix on the reference tet is |J| * I)
         area = itf.area[ids]
-        Gm = np.empty((len(ids), 18, 9))
-        Gp = np.empty((len(ids), 18, 9))
-        fold_flux_tables(itf.normal[ids], which, consts,
-                         ((Gm, -2.0 * area / mesh.det_jac[em]),
-                          (Gp, -2.0 * area / mesh.det_jac[ep])))
+        scale = (-2.0 * area / mesh.det_jac[em], -2.0 * area / mesh.det_jac[ep])
+        # block j = (side t, trace side s) of [mm, pm, mp, pp], entry
+        # [q, p], lands scaled at G[f, 9 t + q, 2 p + s]
+        # (fusion.attach_interior_groups)
+        G = np.empty((len(ids), 18, 18))
+        for rows, blk in fold_flux_tables(itf.normal[ids], which, consts):
+            Gq = G[rows].reshape(-1, 2, 9, 9, 2)
+            for j in range(4):
+                t, s = divmod(j, 2)
+                np.multiply(blk[:, j], scale[t][rows, None, None],
+                            out=Gq[:, t, :, :, s])
         attach_interior_groups(plan, self.order, em, ep, itf.minus_face[ids],
-                               itf.plus_face[ids], itf.perm[ids], Gm, Gp)
+                               itf.plus_face[ids], itf.perm[ids], G)
 
     def _fold_boundary(self, plan: OperatorPlan) -> None:
         """Folded groups of the free-surface / absorbing / wall faces, one
@@ -194,11 +201,13 @@ class SpatialOperator:
             state, mat = middle[p // nmat], mats[p % nmat]
             AG = jacobian_positive_part(mat) if state is None \
                 else jacobians(mat)[0] @ state(mat)
-            consts.append(AG.T)
-        G = np.empty((len(ids), 9, 9))
-        fold_flux_tables(bnd.normal[ids], which, np.stack(consts),
-                         ((G, -2.0 * bnd.area[ids] / mesh.det_jac[elem]),))
-        attach_boundary_groups(plan, self.ref, elem, kind, bnd.face[ids], G)
+            consts.append(AG)
+        GT = np.empty((len(ids), 9, 9))
+        scale = -2.0 * bnd.area[ids] / mesh.det_jac[elem]
+        for rows, blk in fold_flux_tables(bnd.normal[ids], which,
+                                          np.stack(consts)):
+            np.multiply(blk[:, 0], scale[rows, None, None], out=GT[rows])
+        attach_boundary_groups(plan, self.ref, elem, kind, bnd.face[ids], GT)
 
     # ------------------------------------------------------------------
     @property
@@ -210,8 +219,9 @@ class SpatialOperator:
         return self.ref.nbasis
 
     def new_state(self) -> np.ndarray:
-        """Zero-initialized modal state array ``(ne, B, 9)``."""
-        return np.zeros((self.n_elements, self.nbasis, 9))
+        """Zero-initialized quantity-major modal state ``(ne, 9, B)``,
+        the layout every kernel reads and writes."""
+        return np.zeros((self.n_elements, 9, self.nbasis))
 
     # ------------------------------------------------------------------
     def handle(self) -> "SpatialOperator":
@@ -228,24 +238,25 @@ class SpatialOperator:
     # ------------------------------------------------------------------
     def predict(self, Q: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
-        """Cauchy-Kowalewski derivatives ``(ne, N+1, B, 9)``."""
-        return self.predict_states(Q, self.starT, out=out)
+        """Cauchy-Kowalewski derivatives ``(ne, N+1, 9, B)`` of the
+        state ``(ne, 9, B)``."""
+        return self.predict_states(Q, self.starQ, out=out)
 
-    def predict_states(self, Q: np.ndarray, starT: np.ndarray,
+    def predict_states(self, Q: np.ndarray, starQ: np.ndarray,
                        out: np.ndarray | None = None) -> np.ndarray:
         """Cauchy-Kowalewski sweep over arbitrary state/Jacobian batches
         (element subsets of LTS cluster updates and partitioned workers
-        included); ``starT`` are the matching rows of :attr:`starT`.
+        included); ``starQ`` are the matching rows of :attr:`starQ`.
 
         ``out`` is a scratch-buffer *hint*: it must be an array this
         method previously returned for the same batch shape (backends
         keep last step's derivatives around for this).  The result is
         whatever array is returned.
         """
-        return fused_ck(Q, starT, self.ref, out=out)
+        return fused_ck(Q, starQ, self.ref, stack_width(self.n_elements), out=out)
 
     def masked_residual(self) -> np.ndarray:
-        """The persistent ``(ne, B, 9)`` residual of the masked sweeps.
+        """The persistent ``(ne, 9, B)`` residual of the masked sweeps.
 
         A masked corrector writes the rows of its active elements and
         nobody may read any other: the rest hold whatever earlier sweeps
@@ -254,7 +265,7 @@ class SpatialOperator:
         next masked sweep."""
         if self._masked_out is None:
             self._masked_out = np.full(
-                (self.n_elements, self.nbasis, 9), np.nan)
+                (self.n_elements, 9, self.nbasis), np.nan)
         return self._masked_out
 
     def volume_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
@@ -282,7 +293,7 @@ class SpatialOperator:
 
         With ``active`` only the rows of the active elements are written,
         into :meth:`masked_residual` — shared, not a fresh array."""
-        out = (np.empty((self.n_elements, self.nbasis, 9)) if active is None
+        out = (np.empty((self.n_elements, 9, self.nbasis)) if active is None
                else self.masked_residual())
         sel = selection(self, active)
         # every updated row gets a volume term: store it, no zero-fill + add

@@ -241,9 +241,11 @@ class CoupledSolver:
             )
         self.dt = float(self.dt_elem.min())
         self.op = SpatialOperator(
-            mesh, order, gravity_g, flux_variant=flux_variant,
+            mesh, order, flux_variant=flux_variant,
             blocks=self.backend.blocks(mesh, order, cfl_safety))
-        self.Q = self.op.new_state()
+        #: the modal state in the kernels' quantity-major layout
+        #: ``(ne, 9, B)``: what the backends and the scheduler step
+        self.dofs = self.op.new_state()
         self.t = 0.0
         self._energy_coeff = _energy_coefficients(mesh)
         self.gravity = GravityBoundary(
@@ -270,8 +272,23 @@ class CoupledSolver:
 
     # ------------------------------------------------------------------
     @property
+    def Q(self) -> np.ndarray:
+        """The modal state as ``(ne, B, 9)``: a transposed view of
+        :attr:`dofs`, so a write through it lands in the state.  What
+        checkpoints, digests, diagnostics and receivers read."""
+        return self.dofs.transpose(0, 2, 1)
+
+    @Q.setter
+    def Q(self, value) -> None:
+        value = np.asarray(value)
+        if value.shape != self.Q.shape:
+            raise ValueError(
+                f"state has shape {value.shape}, expected {self.Q.shape}")
+        self.dofs[...] = value.transpose(0, 2, 1)
+
+    @property
     def n_dof(self) -> int:
-        return self.Q.size
+        return self.dofs.size
 
     def add_source(self, source: PointSource) -> None:
         source.bind(self)
@@ -304,10 +321,10 @@ class CoupledSolver:
         """One global ADER-DG timestep (predictor + corrector)."""
         dt = self.dt if dt is None else dt
         with _MET.phase("step"):
-            derivs = self.backend.predict(self.Q)
+            derivs = self.backend.predict(self.dofs)
             I = taylor_integrate(derivs, 0.0, dt)
             R = self.backend.corrector(I, derivs, dt, t0=self.t)
-            self.Q += R
+            self.dofs += R
             self.t += dt
 
     # ------------------------------------------------------------------
@@ -320,9 +337,9 @@ class CoupledSolver:
         ``int_K f^2 dV = detJ * sum_l coeff_l^2``), contracted against
         the cached coefficient table of :func:`_energy_coefficients`.
         """
-        Q, coeff = self.Q, self._energy_coeff
-        trace = np.einsum("ebn->eb", Q[:, :, :3])
+        D, coeff = self.dofs, self._energy_coeff
+        trace = np.einsum("enb->eb", D[:, :3])
         return float(
-            np.einsum("en,en->", np.einsum("ebn,ebn->en", Q, Q), coeff[:, :9])
+            np.einsum("en,en->", np.einsum("enb,enb->en", D, D), coeff[:, :9])
             + np.einsum("e,e->", np.einsum("eb,eb->e", trace, trace), coeff[:, 9])
         )

@@ -29,9 +29,17 @@ from ..core.ader import taylor_integrate
 from ..obs.metrics import get_metrics
 
 __all__ = ["ExecutionBackend", "SerialBackend", "make_backend",
-           "available_backends"]
+           "available_backends", "module_views"]
 
 _MET = get_metrics()
+
+
+def module_views(derivs: np.ndarray, out: np.ndarray) -> tuple:
+    """The predictor ``(ne, K, 9, B)`` and a residual ``(ne, 9, B)`` as
+    the ``(ne, K, B, 9)`` / ``(ne, B, 9)`` views the gravity, prescribed-
+    motion and fault modules and the point sources read and write: their
+    gathers copy, their lifts write through."""
+    return derivs.transpose(0, 1, 3, 2), out.transpose(0, 2, 1)
 
 
 class ExecutionBackend:
@@ -56,7 +64,8 @@ class ExecutionBackend:
 
     # -- predictor ------------------------------------------------------
     def predict(self, Q: np.ndarray) -> np.ndarray:
-        """Cauchy-Kowalewski derivatives of all elements, ``(ne, N+1, B, 9)``."""
+        """Cauchy-Kowalewski derivatives ``(ne, N+1, 9, B)`` of the
+        quantity-major state ``Q`` (``solver.dofs``)."""
         raise NotImplementedError
 
     def update_predictor(
@@ -80,7 +89,8 @@ class ExecutionBackend:
         neighbor windows); ``rows``, a cluster's
         :class:`~repro.core.lts.Rows`, restricts the kernels and the face
         modules to the cluster (``None`` = all).  Returns the residual
-        ``R`` to be accumulated into ``Q`` by the scheduler.
+        ``R`` (``(ne, 9, B)``, like ``I``) to be accumulated into
+        ``solver.dofs`` by the scheduler.
         """
         raise NotImplementedError
 
@@ -119,9 +129,9 @@ class SerialBackend(ExecutionBackend):
         with _MET.phase("predict"):
             if _MET.enabled:
                 _MET.inc("elem_updates/predictor", rows.size)
-            starT = op.starT[idx]
             # scratch: the refreshed rows themselves where they are a slice
-            new_derivs = op.predict_states(Q[idx], starT, out=derivs[idx])
+            new_derivs = op.predict_states(Q[idx], op.starQ[idx],
+                                           out=derivs[idx])
             derivs[idx] = new_derivs
             # likewise the window integral, straight into its rows
             Iown[idx] = taylor_integrate(new_derivs, 0.0, dt, out=Iown[idx])
@@ -138,14 +148,15 @@ class SerialBackend(ExecutionBackend):
         mask, gravity, motion, fault = (None,) * 4 if rows is None else (
             rows.mask, rows.gravity, rows.motion, rows.fault)
         out = solver.op.apply(I, mask)
-        solver.gravity.step(derivs, dt, out, plan=gravity)
+        dv, ov = module_views(derivs, out)
+        solver.gravity.step(dv, dt, ov, plan=gravity)
         if solver.motion is not None:
-            solver.motion.step(derivs, dt, out, t0=t0, plan=motion)
+            solver.motion.step(dv, dt, ov, t0=t0, plan=motion)
         if solver.fault is not None:
-            solver.fault.step(derivs, dt, out, sides=fault, t0=t0)
+            solver.fault.step(dv, dt, ov, sides=fault, t0=t0)
         for s in solver.sources:
             if mask is None or mask[s._elem]:
-                s.add(out, t0, dt)
+                s.add(ov, t0, dt)
         return out
 
 

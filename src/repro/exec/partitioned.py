@@ -9,9 +9,9 @@ whole fault in part 0.  Piece ``p`` of cluster ``c`` is *block*
 ``c * n_parts + p``.  The operator plan orders the interior faces of
 every orientation class by (minus block, plus block != minus block, plus
 block) (:meth:`PartitionedBackend.blocks`), so for every block the
-element rows (``Q``, ``I``, ``R``, the predictor, ``starT``), the
+element rows (``Q``, ``I``, ``R``, the predictor, ``starQ``), the
 boundary faces and the faces whose minus side it is are slices: views
-of the global arrays and of the plan.  Only the plus-side flux rows of
+of the global arrays and of the plan.  Only the flux-table rows of
 the faces whose minus side is another block are gathered copies (a few
 per cent of the faces; :func:`repro.kernels.fusion._interior_masked_entries`).
 
@@ -32,8 +32,9 @@ LTS cluster steps each part's block of that cluster.
 There is no gather and no local index space: a face across a cut reads
 the neighbour's row of the shared ``I`` where it lies (in a distributed
 run that read would be the ghost-layer message).  Every write targets
-the worker's own rows and face-buffer slots, and every per-face and
-per-element GEMM is batch independent, so the result does not depend on
+the worker's own rows and face-buffer slots, and every GEMM is batch
+independent (per-item products, and row-stacked ones of one fixed
+shape), so the result does not depend on
 thread scheduling and equals the serial backend's bit for bit; the
 workers run concurrently because NumPy releases the GIL inside the
 batched GEMMs.  The fault stays whole in part 0, one call over the
@@ -54,7 +55,7 @@ from ..core.ader import taylor_integrate
 from ..core.lts import cluster_elements, fault_adjacent, rows_of
 from ..hpc.partition import edge_cut, eq28_vertex_weights, imbalance
 from ..obs.metrics import get_metrics
-from .backend import ExecutionBackend
+from .backend import ExecutionBackend, module_views
 
 __all__ = ["PartitionPlan", "PartitionedBackend", "cluster_cuts"]
 
@@ -178,7 +179,7 @@ class PartitionedBackend(ExecutionBackend):
         # every worker writes its blocks' rows in place; the truncated
         # modes stay the zeros the predictor relies on (see fused_ck)
         self._derivs = np.zeros((mesh.n_elements, solver.order + 1,
-                                 solver.op.nbasis, 9))
+                                 9, solver.op.nbasis))
         self.plans = []
         for p in range(int(self.parts.max()) + 1):
             owned = self.parts == p
@@ -235,7 +236,7 @@ class PartitionedBackend(ExecutionBackend):
             n = 0
             for blk in plan.active(rows):
                 idx = blk.elems
-                new_derivs = op.predict_states(Q[idx], op.starT[idx],
+                new_derivs = op.predict_states(Q[idx], op.starQ[idx],
                                                out=derivs[idx])
                 derivs[idx] = new_derivs
                 if Iown is not None:
@@ -257,6 +258,7 @@ class PartitionedBackend(ExecutionBackend):
         # a masked sweep assigns every row it reads: each has one owner
         R = solver.op.new_state() if rows is None \
             else solver.op.masked_residual()
+        dv, Rv = module_views(derivs, R)
 
         def work(plan):
             profiled = _MET.enabled
@@ -269,13 +271,13 @@ class PartitionedBackend(ExecutionBackend):
                 plan.lop.interior_residual(I, R, active=blk.mask)
                 plan.lop.boundary_residual(I, R, active=blk.mask)
                 if blk.gravity.n:
-                    solver.gravity.step(derivs, dt, R, plan=blk.gravity)
+                    solver.gravity.step(dv, dt, Rv, plan=blk.gravity)
                 if solver.motion is not None:
-                    solver.motion.step(derivs, dt, R, t0=t0, plan=blk.motion)
+                    solver.motion.step(dv, dt, Rv, t0=t0, plan=blk.motion)
                 n += 1
             if solver.fault is not None and plan.has_fault:
                 # the whole fault is this part's: the serial call
-                solver.fault.step(derivs, dt, R,
+                solver.fault.step(dv, dt, Rv,
                                   sides=None if rows is None else rows.fault,
                                   t0=t0)
             if profiled:
@@ -294,7 +296,7 @@ class PartitionedBackend(ExecutionBackend):
         # point sources are few and cheap: applied once, after the barrier
         for s in solver.sources:
             if rows is None or rows.mask[s._elem]:
-                s.add(R, t0, dt)
+                s.add(Rv, t0, dt)
         return R
 
     # ------------------------------------------------------------------

@@ -109,8 +109,9 @@ class OperatorPlan:
     """The precomputed, immutable part of a :class:`SpatialOperator`:
     exactly what the kernels of :mod:`repro.kernels.fusion` read."""
 
-    #: (ne, 3, 9, 9) transposed reference-coordinate (star) Jacobians
-    starT: np.ndarray
+    #: (ne, 9, 27) reference-coordinate (star) Jacobians, stacked as the
+    #: left factors of the quantity-major kernels
+    starQ: np.ndarray
     #: folded face groups (:func:`repro.kernels.fusion.attach_interior_groups`
     #: / :func:`~repro.kernels.fusion.attach_boundary_groups`)
     interior_groups: list = field(default_factory=list)

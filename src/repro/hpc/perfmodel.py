@@ -87,10 +87,13 @@ def kernel_counts(order: int, variant: str = "batched") -> KernelCounts:
     contraction chains of :mod:`repro.kernels.fusion`: degree-truncated
     Cauchy-Kowalewski levels (level ``k`` maps ``basis_size(N-k)`` modes
     to ``basis_size(N-k-1)``) and the face-basis surface form on
-    ``F = (N+1)(N+2)/2`` rows (per face-side two ``(F, B) @ (B, Q)``
-    traces, one ``(F, 2Q) @ (2Q, Q)`` flux product and the side's
-    ``(B, F) @ (F, Q)`` share of the element's lift).  Memory traffic is
-    unchanged — fusion removes work, not state.
+    ``F = (N+1)(N+2)/2`` rows in the quantity-major layout: per interior
+    face the two elements' ``(Q, B) @ (B, F)`` traces, one ``(2Q, 2Q) @
+    (2Q, F)`` product for both sides' fluxes and the plus side's ``(Q, F)
+    @ (F, F)`` change of face basis, and per face-side one ``(Q, F) @
+    (F, B)`` lift; an element update owns four face-sides, i.e. two
+    faces' worth.  Memory traffic is unchanged — fusion removes work, not
+    state.
     """
     N = order
     B = basis_size(order)
@@ -109,11 +112,13 @@ def kernel_counts(order: int, variant: str = "batched") -> KernelCounts:
             3 * (2.0 * sizes[k + 1] * sizes[k] * Q + 2.0 * sizes[k + 1] * Q * Q)
             for k in range(N)
         ) + (N + 1) * 2.0 * B * Q
-        # per face-side: two traces onto the F face modes, both flux terms
-        # as one K = 2Q product, and one face's share of the lift
+        # per face: both traces onto the F face modes, both sides' fluxes
+        # as one (2Q, 2Q) product and the plus side's change of basis;
+        # per face-side: its slot's lift
         F = basis_size(N, dim=2)
-        per_side = 2 * (2.0 * F * B * Q) + 2.0 * F * (2 * Q) * Q + 2.0 * B * F * Q
-        fl_surf = 4 * per_side
+        per_face = (2 * (2.0 * Q * B * F) + 2.0 * (2 * Q) * (2 * Q) * F
+                    + 2.0 * Q * F * F)
+        fl_surf = 2 * per_face + 4 * (2.0 * Q * F * B)
     else:
         raise ValueError(f"unknown kernel variant {variant!r}")
     fl_vol = level

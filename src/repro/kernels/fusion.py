@@ -2,8 +2,18 @@
 
 Everything here is *plan time vs step time* separation: whatever does not
 depend on the modal state is computed once and folded into flat arrays,
-so an element update is a few fat per-element / per-face GEMMs (about 15
-at order 2) with no elementwise pass between them.
+so an element update is a short chain of GEMMs with no elementwise pass
+between them.
+
+Layout
+    The kernels read and write the modal state *quantity-major*,
+    ``(ne, 9, B)`` (the time derivatives ``(ne, N+1, 9, B)``).  Every
+    operator the elements share — the Cauchy-Kowalewski derivative, the
+    stiffness, the face traces, the change of face basis and the lift —
+    then multiplies from the right, so it is one row-stacked GEMM over a
+    chunk of elements or faces, ``(rows * 9, K) @ (K, n)``; only the
+    per-element star matrices and the per-face flux matrices stay
+    per-item products.
 
 Predictor (:func:`fused_ck`)
     The Dubiner basis is orthonormal, so the modal derivative operator
@@ -12,56 +22,64 @@ Predictor (:func:`fused_ck`)
     degree-sorted mode permutation turns that into a *prefix* structure:
     level ``k`` lives in the first ``basis_size(N - k)`` permuted modes
     (order 3: 20 -> 10 -> 4 -> 1 modes, a ~4.4x FLOP reduction).  The
-    three truncated directional operators of a level are stacked with
-    rows ordered ``(mode, direction)`` and negated at plan time, so
-    ``T = D'_k @ X`` is — by a free reshape — the ``(n_out, 27)`` matrix
-    ``[T_0 | T_1 | T_2]``, and the three star-Jacobian products, their
-    sum and the sign are one ``K = 27`` contraction with
-    ``starT.reshape(n, 27, 9)``: two GEMMs per element and level.
+    three truncated directional operators of a level are stacked side by
+    side and negated at plan time (``D[k]``, columns ordered (direction,
+    mode)), so the stacked product ``X @ D[k]`` is — by a free reshape —
+    each element's ``(27, s)`` right factor with rows ``3 q + d``, and
+    the three star-Jacobian products, their sum and the sign are one
+    ``(9, 27) @ (27, s)`` product with the element's ``starQ``.
 
 Volume (:func:`fused_volume_residual`)
-    ``sum_d deriv[d]^T (I A*_d)`` the same way: ``(KP @ I)`` with the
-    ``(mode, direction)``-ordered stiffness stack ``KP``, reshaped to
-    ``(B, 27)``, times ``starT27`` — two GEMMs per element.
+    ``sum_d star_d (I^T deriv_d)`` the same way: one stacked product with
+    the stiffness stack ``KS``, then one ``starQ`` product per element.
 
 Surface (:func:`fused_interior_residual` / :func:`fused_boundary_residual`)
     The quadrature projection ``E^T diag(w) (E I F^T) * scale`` commutes
     into ``(E^T diag(w) E) I (scale * F^T)``, and every basis-side factor
     ``E^T diag(w) E`` has the rank ``F = (N+1)(N+2)/2`` of the face
     polynomials: it is ``R^T R`` with ``R`` the ``(F, B)`` trace onto an
-    orthonormal face basis (:func:`face_factors`).  Per interior face
-    the kernel takes the two elements' traces on ``F`` rows, contracts
-    both flux terms of a side in one ``K = 18`` product with the side's
-    stacked, scale-folded flux matrices, and *assigns* the ``(F, 9)``
-    result to that side's slot of a per-operator ``(ne, 4, F, 9)`` face
-    buffer.  An element-face has exactly one owner, so nothing is read,
-    modified and written back, and nothing is scatter-added: one
-    ``(B, 4F) @ (4F, 9)`` product per element lifts all four slots.  The
-    few boundary faces keep the ``(B, B)`` form ``A @ I @ G``.
+    orthonormal face basis (:func:`face_factors`).  Per chunk of an
+    interior face class two stacked products take the minus element's
+    trace ``R[fm]`` and the plus element's ``Rp = C R[fp]``, both in the
+    minus element's face basis, into the faces' ``(18, F)`` right factors
+    (rows ``2 q + side``); one ``(18, 18) @ (18, F)`` product per face
+    with the face's flux table ``G`` gives both sides' fluxes (rows
+    ``9 side + q``); a stacked product with the ``F x F`` change of basis
+    ``C`` moves the plus side's into the plus element's own face basis.  Each result is *assigned* to
+    its side's slot of a per-operator ``(4, ne, 9, F)`` face buffer: an
+    element-face has exactly one owner, so nothing is read, modified and
+    written back, and nothing is scatter-added.  Four stacked
+    ``(rows * 9, F) @ (F, B)`` products per element chunk lift the four
+    slots.  The few boundary faces take a stacked ``A^T`` product and one
+    ``G^T`` product per face.
 
 Plan build (:func:`fold_flux_tables`)
     The surface tables are built directly in their final layout.  A
-    face's transposed flux matrices ``(T M T^-1)^T`` are two batched
-    products of its rotation with the stacked face-aligned constants of
-    its material pair; faces are sorted by orientation class once and
-    walked in chunks of :data:`FOLD_CHUNK`, each chunk's scaled rows
-    written straight into the class-ordered ``Gm`` / ``Gp`` / ``G``, so
-    the build allocates the tables plus a chunk of scratch and nothing
-    else.  :func:`finish_plan` checks the C-contiguous ``float64`` layout
-    the free reshapes below rely on and makes the plan read-only.
+    face's flux matrices ``T M T^-1`` are two batched products of its
+    rotation with the stacked face-aligned constants of its material
+    pair; faces are sorted by orientation class once and
+    walked in chunks of :data:`FOLD_CHUNK`: each chunk is computed in
+    contiguous scratch and scaled into the class-ordered ``G`` / ``GT``,
+    re-laid-out, so the build allocates the tables plus a chunk of
+    scratch and nothing else.  :func:`finish_plan` checks the
+    C-contiguous ``float64`` layout the free reshapes below rely on and
+    makes the plan read-only.
 
-Batch independence
-    Every GEMM above is per element or per face, of a shape that does not
-    depend on the batch, so NumPy issues one identical BLAS call per
-    item and a row's bits never depend on which rows are computed with
-    it.  Serial == partitioned == any LTS clustering, bitwise, rests on
-    that.  It excludes the faster row-stacked form (one ``(ne * 9, K)``
-    GEMM): on OpenBLAS the rows of such a product change in the last bit
-    with the row subset.  Cache reuse comes from chunking instead: every
-    kernel walks its rows in chunks of :data:`CHUNK` through per-call
-    scratch of a chunk's size, which stays in L2 where a whole
-    orientation class does not; a chunk is one more batch, so no bit
-    depends on :data:`CHUNK`.
+Fixed shapes (batch independence)
+    A row's bits must not depend on which rows are computed with it:
+    serial == partitioned == any LTS clustering, bitwise, rests on that.
+    The per-item products have a shape that does not depend on the batch.
+    A row-stacked GEMM changes the last bits of its rows with the row
+    count (OpenBLAS picks its kernel by size), so every stacked product
+    runs on exactly ``9 * width`` rows, ``width`` (:func:`stack_width`) a
+    constant of the set its rows belong to — the operator's elements, an
+    interior face class, a boundary group: a shorter chunk is zero-padded
+    in scratch, and a full chunk of contiguous rows is read in place.  Gathers are
+    ``np.take(..., out=, mode="clip")`` with ids from the plan.  From
+    order 3 the stacked right factors are Fortran-ordered: in C order
+    OpenBLAS's small-matrix path rounds some of those shapes differently
+    from its blocked path, so the bits would depend on the chunk width
+    too (:data:`CHUNK` stays a pure tuning constant).
 
 Every kernel sweeps a :func:`selection`: the element rows, the interior
 face batches and the boundary entries of one activity mask (``None``:
@@ -76,18 +94,17 @@ copies, same bits).  On a mesh canonicalised by
 :func:`repro.core.lts.cluster_major` every cluster's selection is one
 run, and so is every partition block's (:mod:`repro.exec.partitioned`).
 The element rows are shared by the volume kernel and the lift:
-``I[idx]``, ``fb[idx]`` and ``starT`` are views and ``out[idx] += ...``
-updates in place.  The interior selection is made per *side*: the
+``I[idx]``, ``fb[:, idx]`` and ``starQ`` are views and ``out[idx] +=
+...`` updates in place.  The interior selection is made per *side*: the
 faces of a class with an active side are taken plus-only | both |
 minus-only, which on a canonical mesh is the plan's own order
 (``(c-1, c)`` | ``(c, c)`` | ``(c, c+1)`` cluster pairs), so ``em`` /
-``ep`` / ``Gm`` / ``Gp`` are views, each side's faces are one slice of
-one trace pair, and an interface face computes only the flux of the
-side that is updated.  In a plan ordered by partition blocks the
-both | minus-only faces of a block are one run and its plus-only faces
-a gathered batch of their own (:func:`_interior_masked_entries`).
-Boundary faces sorted by element make the boundary selection (``elem``
-/ ``G``) views as well.
+``ep`` / ``G`` are views, each side's faces are one slice of one batch,
+and a face writes only the slots of the sides that are updated.  In a
+plan ordered by partition blocks the both | minus-only faces of a block
+are one run and its plus-only faces a gathered batch of their own
+(:func:`_interior_masked_entries`).  Boundary faces sorted by element
+make the boundary selection (``elem`` / ``GT``) views as well.
 
 All results match the quadrature-form reference kernels of
 ``tests/reference_kernels.py`` up to floating-point reassociation (the
@@ -121,6 +138,7 @@ __all__ = [
     "FusedBoundaryGroup",
     "face_buffer",
     "CHUNK",
+    "stack_width",
     "FOLD_CHUNK",
     "fold_flux_tables",
     "attach_interior_groups",
@@ -142,23 +160,56 @@ MASK_CACHE_MAX = 64
 CHUNK = 256
 
 
-def _chunks(idx, n: int):
-    """``(pos, rows)`` per run of at most :data:`CHUNK` rows of the
+def stack_width(n: int) -> int:
+    """Items per stacked GEMM over a set of ``n`` items — an operator's
+    elements, an interior face class, a boundary group: ``n`` cut into
+    the fewest chunks of at most :data:`CHUNK`, evened out.  Every chunk
+    of the set, in any sweep, is padded to it (see "Fixed shapes")."""
+    n = max(n, 1)
+    return -(-n // -(-n // CHUNK))
+
+
+def _chunks(idx, n: int, width: int):
+    """``(pos, rows, m)`` per run of at most ``width`` rows of the
     :func:`row_set` ``idx`` over ``n`` rows: the run's positions within
-    the selection (a slice) and its rows (a slice, or ids)."""
+    the selection (a slice), its rows (a slice, or ids) and their count."""
     if isinstance(idx, slice):
         start, stop, _ = idx.indices(n)
-        for lo in range(start, stop, CHUNK):
-            hi = min(lo + CHUNK, stop)
-            yield slice(lo - start, hi - start), slice(lo, hi)
+        for lo in range(start, stop, width):
+            hi = min(lo + width, stop)
+            yield slice(lo - start, hi - start), slice(lo, hi), hi - lo
     else:
-        for lo in range(0, len(idx), CHUNK):
-            pos = slice(lo, lo + CHUNK)
-            yield pos, idx[pos]
+        for lo in range(0, len(idx), width):
+            pos = slice(lo, lo + width)
+            rows = idx[pos]
+            yield pos, rows, len(rows)
+
+
+def _stack(src: np.ndarray, rows, m: int, buf: np.ndarray) -> np.ndarray:
+    """The ``m`` rows ``rows`` of ``src`` as a full chunk of ``len(buf)``
+    rows: ``src``'s own rows where they are one contiguous full chunk,
+    else gathered into ``buf`` with the tail zeroed."""
+    if isinstance(rows, slice):
+        if m == len(buf) and src.flags.c_contiguous:
+            return src[rows]
+        buf[:m] = src[rows]
+    else:
+        np.take(src, rows, axis=0, out=buf[:m], mode="clip")
+    if m < len(buf):
+        buf[m:] = 0.0
+    return buf
+
+
+def _right_factor(arr: np.ndarray, order: int) -> np.ndarray:
+    """A shared operator as the right factor of the stacked GEMMs:
+    Fortran-ordered from order 3 (see "Fixed shapes"), read-only."""
+    arr = np.asfortranarray(arr) if order >= 3 else np.ascontiguousarray(arr)
+    arr.setflags(write=False)
+    return arr
 
 
 # ----------------------------------------------------------------------
-# element-local plan: degree truncation + (mode, direction) stacks
+# element-local plan: degree truncation + direction stacks
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ElementKernelPlan:
@@ -172,28 +223,29 @@ class ElementKernelPlan:
     sizes:
         ``basis_size(order - k)`` for ``k = 0..order`` — the permuted
         prefix length holding Cauchy-Kowalewski level ``k``.
-    Dneg:
-        Per level, the *negated* ``(3 * sizes[k+1], sizes[k])`` stack of
-        the three truncated directional derivative operators, rows ordered
-        ``(mode, direction)``.  Output modes are permuted; the columns of
-        level 0 are in original mode order (it reads ``Q`` as is), those
-        of later levels in permuted order.
-    KP:
-        ``(3B, B)`` stack of the transposed (stiffness) operators of the
-        volume kernel, rows ordered ``(mode, direction)``, original modes.
+    D:
+        Per level, the *negated* ``(sizes[k], 3 * sizes[k+1])`` stack of
+        the three truncated, transposed directional derivative operators,
+        columns ordered (direction, mode).  Output modes are permuted; the
+        rows of level 0 are in original mode order (it reads ``Q`` as
+        is), those of later levels in permuted order.
+    KS:
+        ``(B, 3B)`` stack of the stiffness operators of the volume
+        kernel, ``KS[l, d * B + m] = deriv[d, l, m]``, original modes.
     """
 
     perm: np.ndarray
     sizes: tuple
-    Dneg: tuple
-    KP: np.ndarray
+    D: tuple
+    KS: np.ndarray
 
 
-def _mode_direction_stack(ops: np.ndarray) -> np.ndarray:
-    """``(3, n_out, n_in)`` operators stacked to ``(3 * n_out, n_in)`` with
-    row ``3 * mode + direction``: the product with an ``(n_in, 9)`` state
-    then *is* the ``(n_out, 27)`` left factor of the star contraction."""
-    return np.ascontiguousarray(ops.transpose(1, 0, 2)).reshape(-1, ops.shape[2])
+def _direction_stack(ops: np.ndarray, order: int) -> np.ndarray:
+    """``(3, n_out, n_in)`` operators as the ``(n_in, 3 * n_out)`` right
+    factor with column ``d * n_out + m``: the stacked product with a
+    state's ``(rows * 9, n_in)`` rows is then, reshaped, every row's
+    ``(27, n_out)`` factor of the star contraction (row ``3 q + d``)."""
+    return _right_factor(ops.transpose(2, 0, 1).reshape(ops.shape[2], -1), order)
 
 
 @lru_cache(maxsize=None)
@@ -204,66 +256,59 @@ def element_plan(order: int) -> ElementKernelPlan:
     perm = np.argsort(degs, kind="stable").astype(np.int64)
 
     sizes = tuple(basis_size(order - k) for k in range(order + 1))
-    Dneg = []
+    D = []
     for k in range(order):
         rows = perm[:sizes[k + 1]]
         cols = perm[:sizes[k]] if k else np.arange(sizes[0])
-        Dneg.append(_mode_direction_stack(-ref.deriv[:, rows][:, :, cols]))
+        D.append(_direction_stack(-ref.deriv[:, rows][:, :, cols], order))
 
-    KP = _mode_direction_stack(ref.deriv.transpose(0, 2, 1))
-    for arr in (perm, KP, *Dneg):
-        arr.setflags(write=False)
-    return ElementKernelPlan(perm=perm, sizes=sizes, Dneg=tuple(Dneg), KP=KP)
-
-
-def _star_contract(op27: np.ndarray, X: np.ndarray, starT: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """``sum_d (op_d @ X) @ starT[:, d]`` as two GEMMs per element: the
-    ``(mode, direction)`` row order of ``op27`` makes ``op27 @ X`` a free
-    ``(n, modes, 27)`` view, which one ``K = 27`` product contracts with
-    the three star Jacobians at once."""
-    n = len(X)
-    T = np.matmul(op27, X)
-    return np.matmul(T.reshape(n, len(op27) // 3, 27),
-                     starT.reshape(n, 27, 9), out=out)
+    KS = _direction_stack(ref.deriv.transpose(0, 2, 1), order)
+    perm.setflags(write=False)
+    return ElementKernelPlan(perm=perm, sizes=sizes, D=tuple(D), KS=KS)
 
 
-def fused_ck(Q: np.ndarray, starT: np.ndarray, ref,
+def fused_ck(Q: np.ndarray, starQ: np.ndarray, ref, width: int,
              out: np.ndarray | None = None) -> np.ndarray:
-    """Degree-truncated Cauchy-Kowalewski sweep, ``(ne, N+1, B, 9)``.
+    """Degree-truncated Cauchy-Kowalewski sweep, ``(ne, N+1, 9, B)``.
 
-    ``starT`` holds the *transposed* star Jacobians ``(ne, 3, 9, 9)``
-    (contiguous — the operator plan precomputes this copy).  Levels are
-    computed in permuted mode order and scattered back, so the output
-    layout is the untruncated one of the reference ``ck_derivatives``
-    (``tests/reference_kernels.py``) exactly; modes beyond each level's
-    degree cutoff are exact zeros (the reference carries ~1e-16
-    quadrature noise there instead).
+    ``Q`` is ``(ne, 9, B)`` and ``starQ`` the matching ``(ne, 9, 27)``
+    star rows of the operator plan; ``width`` is the operator's stacked
+    GEMM width (:func:`stack_width`).  Levels are computed in permuted
+    mode order and scattered back, so the output carries every mode in
+    its original place; modes beyond each level's degree cutoff are
+    exact zeros (the reference ``ck_derivatives`` of
+    ``tests/reference_kernels.py`` carries ~1e-16 quadrature noise there
+    instead).
 
     ``out`` is an optional scratch buffer: it MUST be an array previously
     returned by this function for the same order, a fresh ``np.zeros``,
     or rows of either (a view or a gathered copy) — its truncated-mode
-    rows are assumed to still be the zeros this sweep leaves there, which
-    is what makes reuse free.  A
-    ``None`` or shape-mismatched ``out`` falls back to a fresh
-    allocation.  The step loop reuses its predictor buffer through this:
-    the ~O(10 MB) per-call allocation would otherwise cost more in page
-    faults than the truncated GEMMs themselves.
+    entries are assumed to still be the zeros this sweep leaves there,
+    which is what makes reuse free.  A ``None`` or shape-mismatched
+    ``out`` falls back to a fresh allocation.  The step loop reuses its
+    predictor buffer through this: the ~O(10 MB) per-call allocation
+    would otherwise cost more in page faults than the truncated GEMMs
+    themselves.
     """
     plan = element_plan(ref.order)
-    ne, nb, nq = Q.shape
-    shape = (ne, ref.order + 1, nb, nq)
+    ne, nq, nb = Q.shape
+    shape = (ne, ref.order + 1, nq, nb)
     if out is None or out.shape != shape or out.dtype != np.float64:
         out = np.zeros(shape)
-    for lo in range(0, ne, CHUNK):
-        rows = slice(lo, lo + CHUNK)
+    # per level: the chunk's input (zero tail) and its stacked product
+    X = [np.empty((width, nq, s)) for s in plan.sizes]
+    Z = [np.empty((width * nq, D.shape[1])) for D in plan.D]
+    for _, rows, m in _chunks(slice(None), ne, width):
         out[rows, 0] = Q[rows]
-        # BLAS reads contiguous items; a strided Q would take NumPy's own
-        # loop, whose summation order differs
-        X = np.ascontiguousarray(Q[rows])
+        x = _stack(Q, rows, m, X[0])
         for k in range(ref.order):
-            X = _star_contract(plan.Dneg[k], X, starT[rows])
-            out[rows, k + 1, plan.perm[:plan.sizes[k + 1]]] = X
+            s = plan.sizes[k + 1]
+            np.matmul(x.reshape(width * nq, -1), plan.D[k], out=Z[k])
+            x = X[k + 1]
+            np.matmul(starQ[rows], Z[k][:m * nq].reshape(m, 27, s), out=x[:m])
+            if m < width:
+                x[m:] = 0.0
+            out[rows, k + 1][..., plan.perm[:s]] = x[:m]
     return out
 
 
@@ -274,29 +319,31 @@ def fused_ck(Q: np.ndarray, starT: np.ndarray, ref,
 class FaceFactors:
     """Per-order face-basis factors of the surface kernels.
 
-    ``F = (N+1)(N+2)/2`` is the dimension of the face polynomials.
+    ``F = (N+1)(N+2)/2`` is the dimension of the face polynomials; the
+    trace and change-of-basis factors are the right factors of stacked
+    GEMMs (:func:`_right_factor`).
 
     Attributes
     ----------
     R:
-        ``(4, F, B)``: trace of the element basis on local face ``f``,
+        Four ``(F, B)``: trace of the element basis on local face ``f``,
         expressed in the orthonormal basis of the face polynomials
-        (``R[f]^T R[f] = E_f^T diag(w) E_f``).
-    lift:
-        ``(B, 4F)``: ``[R[0]^T | R[1]^T | R[2]^T | R[3]^T]`` — one product
-        with an element's ``(4F, 9)`` face-buffer row applies all four
-        back-projections.
-    Wm, Wp:
-        ``(4, 4, 6, 2F, B)`` indexed ``[minus face, plus face, perm]``:
-        stacked trace operators of the minus / plus element of an interior
-        face.  Rows ``[:F]`` express the trace in the *minus* element's
-        face basis, rows ``[F:]`` in the *plus* element's own.
+        (``R[f]^T R[f] = E_f^T diag(w) E_f``); ``R[f]`` lifts slot ``f``
+        of the face buffer.
+    RT:
+        ``R[f]^T``, ``(B, F)`` each: the minus element's trace.
+    RpT:
+        ``(4, 6)`` of ``(B, F)``, indexed ``[plus face, perm]``: the plus
+        element's trace in the minus element's face basis, transposed.
+    C:
+        ``(4, 6)`` of ``(F, F)``: the orthogonal change from the minus
+        element's face basis to the plus element's (``Rp = C R[fp]``).
     """
 
-    R: np.ndarray
-    lift: np.ndarray
-    Wm: np.ndarray
-    Wp: np.ndarray
+    R: tuple
+    RT: tuple
+    RpT: tuple
+    C: tuple
 
 
 @lru_cache(maxsize=None)
@@ -308,92 +355,85 @@ def face_factors(order: int) -> FaceFactors:
     element's trace in the minus element's face parametrization is
     ``Rp = P E_plus[fp, perm]``.  Both bases span the same face
     polynomials, so ``Rp = C R[fp]`` with an orthogonal ``F x F`` change
-    of basis ``C`` (the face rule integrates degree ``2N`` exactly).  The
-    minus side of a face needs ``R[fm] I-`` and ``Rp I+``; the plus side,
-    in its own basis so that the lift depends on the local face alone,
-    ``C^T R[fm] I-`` and ``R[fp] I+``.
+    of basis ``C`` (the face rule integrates degree ``2N`` exactly).  A
+    face's flux is computed in the minus element's face basis from
+    ``R[fm] I-`` and ``Rp I+``; the plus side's is moved into the plus
+    element's own basis by ``C^T`` (``C`` from the right in the
+    quantity-major layout), so that the lift depends on the local face
+    alone.
     """
     ref = get_reference_element(order)
     P = ref.tri_V.T * ref.face_weights
     R = np.matmul(P, ref.E_minus)
-    F, B = R.shape[1:]
-    Rpinv = np.linalg.pinv(R)
-    Wm = np.empty((4, 4, 6, 2 * F, B))
-    Wp = np.empty_like(Wm)
-    for fp in range(4):
-        for perm in range(6):
-            Rp = P @ ref.E_plus[fp, perm]
-            C = Rp @ Rpinv[fp]
-            Wp[:, fp, perm, :F] = Rp
-            Wp[:, fp, perm, F:] = R[fp]
-            Wm[:, fp, perm, :F] = R
-            Wm[:, fp, perm, F:] = np.matmul(C.T, R)
-    lift = np.ascontiguousarray(R.transpose(2, 0, 1)).reshape(B, 4 * F)
-    for arr in (R, lift, Wm, Wp):
-        arr.setflags(write=False)
-    return FaceFactors(R=R, lift=lift, Wm=Wm, Wp=Wp)
+    Rp = np.matmul(P, ref.E_plus)
+    C = np.matmul(Rp, np.linalg.pinv(R)[:, None])
+
+    def factors(arrs, transpose=False):
+        return tuple(_right_factor(a.T if transpose else a, order)
+                     for a in arrs)
+
+    return FaceFactors(
+        R=factors(R), RT=factors(R, transpose=True),
+        RpT=tuple(factors(row, transpose=True) for row in Rp),
+        C=tuple(factors(row) for row in C))
 
 
 class FusedInteriorGroup:
     """Folded factors of one (minus face, plus face, permutation) class:
-    the local face ids ``fm``/``fp``, the class's stacked trace operators
-    ``Wm``/``Wp`` (views of :func:`face_factors`) and the per-face
-    scale-folded, stacked transposed flux matrices ``Gm``/``Gp``
+    the local face ids ``fm``/``fp``, the class's trace factors
+    ``RmT``/``RpT`` and change of basis ``C`` (views of
+    :func:`face_factors`) and the per-face flux tables ``G``
     (see :func:`attach_interior_groups`)."""
 
-    __slots__ = ("em", "ep", "fm", "fp", "Wm", "Wp", "Gm", "Gp")
+    __slots__ = ("em", "ep", "fm", "fp", "RmT", "RpT", "C", "G")
 
 
 class FusedBoundaryGroup:
     """Folded factors of one (boundary kind, local face) class."""
 
-    __slots__ = ("elem", "A", "G")
+    __slots__ = ("elem", "AT", "GT")
 
 
 #: faces per chunk of :func:`fold_flux_tables`; its scratch (rotations,
-#: gathered constants, the half product: ~6.5 kB a face at four matrices)
-#: is sized ``min(FOLD_CHUNK, n_faces)`` and reused by every chunk
+#: gathered constants, the half product, the folded blocks: ~9 kB a face
+#: at four matrices) is sized ``min(FOLD_CHUNK, n_faces)`` and reused by
+#: every chunk
 FOLD_CHUNK = 1024
 
 
-def fold_flux_tables(normals, which, consts, outs) -> None:
-    """Build scale-folded transposed flux matrices in their final layout.
+def fold_flux_tables(normals, which, consts):
+    """Rotated flux matrices, chunk by chunk.
 
-    For face ``f`` with rotation ``T = T(normals[f])`` and the stack
-    ``consts[which[f]] = [M_1^T; ...; M_k^T]`` (``(9k, 9)``: transposed
-    face-aligned matrices), the ``k`` blocks ``(T M_j T^{-1})^T`` are two
-    batched products, ``Y = consts[which[f]] @ T^T`` and ``T^{-T} @ Y``
-    viewed ``(k, 9, 9)`` — the ``(T M) T^{-1}`` association, a per-face
-    GEMM shape that does not depend on the batch.  ``outs`` is a sequence
-    of ``(table, scale)``: each C-contiguous ``(nf, 9 b, 9)`` table takes
-    the next ``b`` blocks of every face, times ``scale[f]``, written in
-    place chunk by chunk; nothing of size ``nf`` is allocated here.
-    The bits of a row do not depend on :data:`FOLD_CHUNK`.
+    For face ``f`` with rotation ``T = T(normals[f])`` and the
+    side-by-side stack ``consts[which[f]] = [M_1 | ... | M_k]``
+    (``(9, 9k)``: face-aligned matrices), the ``k`` blocks
+    ``T M_j T^{-1}`` are two batched products, ``Y = T @ consts[which[f]]``
+    and ``Y_j @ T^{-1}`` — the ``(T M) T^{-1}`` association, a per-face
+    GEMM shape that does not depend on the batch.  Yields ``(rows,
+    blocks)`` per chunk of at most :data:`FOLD_CHUNK` faces: the chunk's
+    ``slice`` and its ``(n, k, 9, 9)`` blocks, in scratch reused by the
+    next chunk — the caller scales them into its tables, in whatever
+    layout.  The bits of a block do not depend on :data:`FOLD_CHUNK`.
     """
     nf = len(normals)
     if not nf:
         return
     c = min(FOLD_CHUNK, nf)
-    k = consts.shape[1] // 9
-    Tt = np.zeros((c, 9, 9))
-    TinvT = np.zeros((c, 9, 9))
-    B = np.empty((c, 9 * k, 9))
-    Y = np.empty((c, k, 9, 9))
+    k = consts.shape[2] // 9
+    T = np.zeros((c, 9, 9))
+    Tinv = np.zeros((c, 9, 9))
+    B = np.empty((c, 9, 9 * k))
+    Y = np.empty((c, 9, 9 * k))
+    out = np.empty((c, k, 9, 9))
     for lo in range(0, nf, c):
         hi = min(lo + c, nf)
         n = hi - lo
-        fill_state_rotation(normals[lo:hi], Tt[:n].transpose(0, 2, 1),
-                            TinvT[:n].transpose(0, 2, 1))
+        fill_state_rotation(normals[lo:hi], T[:n], Tinv[:n])
         np.take(consts, which[lo:hi], axis=0, out=B[:n])
-        np.matmul(B[:n], Tt[:n], out=Y[:n].reshape(n, 9 * k, 9))
-        b0 = 0
-        for table, scale in outs:
-            rows = table[lo:hi]
-            b1 = b0 + rows.shape[1] // 9
-            np.matmul(TinvT[:n, None], Y[:n, b0:b1],
-                      out=rows.reshape(n, b1 - b0, 9, 9))
-            rows *= scale[lo:hi, None, None]
-            b0 = b1
+        np.matmul(T[:n], B[:n], out=Y[:n])
+        np.matmul(Y[:n].reshape(n, 9, k, 9).transpose(0, 2, 1, 3),
+                  Tinv[:n, None], out=out[:n])
+        yield slice(lo, hi), out[:n]
 
 
 def _class_runs(cls: np.ndarray):
@@ -403,12 +443,11 @@ def _class_runs(cls: np.ndarray):
 
 
 def attach_interior_groups(plan, order: int, em, ep, minus_face, plus_face,
-                           perm, Gm, Gp) -> None:
+                           perm, G) -> None:
     """One :class:`FusedInteriorGroup` per run of equal (minus face, plus
     face, permutation) in the class-sorted face arrays: every per-face
-    field is a slice of its argument, so ``Gm`` / ``Gp`` (the minus / plus
-    side's ``(nf, 18, 9)`` tables of :func:`fold_flux_tables`) stay the
-    one allocation each was built in.
+    field is a slice of its argument, so ``G`` stays the one allocation
+    it was built in.
 
     With trace operators ``Em``/``Ep`` and face weights ``w``, the
     minus-side contribution of a face
@@ -418,8 +457,11 @@ def attach_interior_groups(plan, order: int, em, ep, minus_face, plus_face,
     factorizes through the face basis (:func:`face_factors`) into
     ``R[fm]^T ([R[fm] I[em] | Rp I[ep]] @ Gm)`` with the per-face stack
     ``Gm = scale_m * [Fmm^T; Fpm^T]``; symmetrically the plus side is
-    ``R[fp]^T ([C^T R[fm] I[em] | R[fp] I[ep]] @ Gp)`` with
-    ``Gp = scale_p * [Fpp^T; Fmp^T]``.
+    ``R[fp]^T C^T ([R[fm] I[em] | Rp I[ep]] @ Gp)`` with
+    ``Gp = scale_p * [Fpp^T; Fmp^T]``.  ``G[f]`` is ``[Gm | Gp]^T`` with
+    its columns (the ``K`` index) in (quantity, side) order, the row
+    order of the quantity-major traces: ``G[f, 9 t + q, 2 p + s]`` is
+    row ``9 s + p``, column ``q`` of side ``t``'s stack.
     """
     fac = face_factors(order)
     for lo, hi in _class_runs((minus_face * 4 + plus_face) * 6 + perm):
@@ -427,46 +469,45 @@ def attach_interior_groups(plan, order: int, em, ep, minus_face, plus_face,
         grp = FusedInteriorGroup()
         grp.em, grp.ep = em[lo:hi], ep[lo:hi]
         grp.fm, grp.fp = fm, fp
-        grp.Wm = fac.Wm[fm, fp, pm]
-        grp.Wp = fac.Wp[fm, fp, pm]
-        grp.Gm, grp.Gp = Gm[lo:hi], Gp[lo:hi]
+        grp.RmT = fac.RT[fm]
+        grp.RpT = fac.RpT[fp][pm]
+        grp.C = fac.C[fp][pm]
+        grp.G = G[lo:hi]
         plan.interior_groups.append(grp)
 
 
-def attach_boundary_groups(plan, ref, elem, kind, face, G) -> None:
+def attach_boundary_groups(plan, ref, elem, kind, face, GT) -> None:
     """One :class:`FusedBoundaryGroup` per run of equal (kind, local face)
-    in the class-sorted boundary arrays: the ``(B, B)`` projector
-    ``A = E^T diag(w) E`` of the local face and the faces' slice of
-    ``G = scale * F^T`` (``(nf, 9, 9)``, from :func:`fold_flux_tables`)."""
+    in the class-sorted boundary arrays: the transposed ``(B, B)``
+    projector ``A = E^T diag(w) E`` of the local face and the faces'
+    slice of ``GT = scale * F`` (``(nf, 9, 9)``)."""
     w = ref.face_weights
     for lo, hi in _class_runs(kind * 4 + face):
         E = ref.E_minus[int(face[lo])]
         grp = FusedBoundaryGroup()
         grp.elem = elem[lo:hi]
-        grp.A = np.ascontiguousarray((E.T * w) @ E)
-        grp.G = G[lo:hi]
+        grp.AT = _right_factor(np.ascontiguousarray((E.T * w) @ E).T,
+                               ref.order)
+        grp.GT = GT[lo:hi]
         plan.boundary_groups.append(grp)
 
 
 def finish_plan(plan):
     """Check and freeze a fully built plan; returns it.
 
-    The kernels reshape ``starT`` to ``(n, 27, 9)`` and hand ``Gm`` /
-    ``Gp`` / ``A`` / ``G`` to BLAS as they are: every table must be
-    C-contiguous ``float64`` (a K-ordered ``starT`` computes the same
-    bits at twice the predictor's price, so nothing else would notice).
-    Plans are shared between operators through the plan cache, so every
-    array is made read-only here.
+    The kernels reshape ``starQ`` rows and hand ``G`` / ``GT`` to BLAS as
+    they are: every per-item table must be C-contiguous ``float64`` (a
+    K-ordered ``starQ`` computes the same bits at a higher price, so
+    nothing else would notice).  Plans are shared between operators
+    through the plan cache, so every array is made read-only here.
     """
-    tables = {"starT": plan.starT}
+    tables = {"starQ": plan.starQ}
     ids = []
     for i, grp in enumerate(plan.interior_groups):
-        tables[f"interior_groups[{i}].Gm"] = grp.Gm
-        tables[f"interior_groups[{i}].Gp"] = grp.Gp
+        tables[f"interior_groups[{i}].G"] = grp.G
         ids += [grp.em, grp.ep]
     for i, grp in enumerate(plan.boundary_groups):
-        tables[f"boundary_groups[{i}].A"] = grp.A
-        tables[f"boundary_groups[{i}].G"] = grp.G
+        tables[f"boundary_groups[{i}].GT"] = grp.GT
         ids.append(grp.elem)
     for name, arr in tables.items():
         if arr.dtype != np.float64 or not arr.flags.c_contiguous:
@@ -491,19 +532,18 @@ def row_set(ids: np.ndarray):
 
 
 def selection(op, active: np.ndarray | None):
-    """``(idx, starT, interior, boundary)``: what the residual kernels of
+    """``(idx, starQ, interior, boundary)``: what the residual kernels of
     ``op`` sweep for an activity mask — the rows as a :func:`row_set` and
-    their ``starT`` rows, the per-group interior face batches
+    their ``starQ`` rows, the per-group interior face batches
     (:func:`_interior_masked_entries`) and boundary entries
     (:func:`_boundary_masked_entries`).  ``None`` is the full sweep.  A
     mask's selection is built once and kept in ``op._selections`` on the
     SHA-1 of the mask bytes, the oldest entry evicted past
     :data:`MASK_CACHE_MAX`."""
     if active is None:
-        return (slice(None), op.starT,
-                [[(g.em, g.ep, 0, len(g.em), g.Gm, g.Gp)]
-                 for g in op.interior_groups],
-                [(g.elem, g.G) for g in op.boundary_groups])
+        return (slice(None), op.starQ,
+                [[(g.em, g.ep, 0, len(g.em), g.G)] for g in op.interior_groups],
+                [(g.elem, g.GT) for g in op.boundary_groups])
     key = hashlib.sha1(active.tobytes()).digest()
     hit = op._selections.get(key)
     if _MET.enabled:
@@ -511,7 +551,7 @@ def selection(op, active: np.ndarray | None):
     if hit is None:
         idx = row_set(np.flatnonzero(active))
         hit = op._selections[key] = (
-            idx, op.starT[idx], _interior_masked_entries(op, active),
+            idx, op.starQ[idx], _interior_masked_entries(op, active),
             _boundary_masked_entries(op, active))
         while len(op._selections) > MASK_CACHE_MAX:
             op._selections.popitem(last=False)
@@ -528,42 +568,47 @@ def fused_volume_residual(op, I, out, sel, overwrite=False) -> None:
     ``overwrite`` stores the term into the updated rows of ``out``
     instead of adding it: :meth:`SpatialOperator.apply` starts its
     residual with it, saving the zero-fill and one pass."""
-    KP = element_plan(op.order).KP
-    idx, starT = sel[:2]
-    for pos, rows in _chunks(idx, len(out)):
-        Ie = np.ascontiguousarray(I[rows])
-        if overwrite:
-            # a slice: the GEMM stores in place, the assignment is a no-op
-            res = out[rows]
-            _star_contract(KP, Ie, starT[pos], out=res)
-            out[rows] = res
+    KS = element_plan(op.order).KS
+    idx, starQ = sel[:2]
+    ne, nq, nb = I.shape
+    width = stack_width(op.n_elements)
+    X = np.empty((width, nq, nb))
+    Z = np.empty((width * nq, 3 * nb))
+    for pos, rows, m in _chunks(idx, ne, width):
+        x = _stack(I, rows, m, X)
+        np.matmul(x.reshape(width * nq, nb), KS, out=Z)
+        Zm = Z[:m * nq].reshape(m, 27, nb)
+        if overwrite and isinstance(rows, slice):
+            np.matmul(starQ[pos], Zm, out=out[rows])
+        elif overwrite:
+            out[rows] = np.matmul(starQ[pos], Zm)
         else:
-            out[rows] += _star_contract(KP, Ie, starT[pos])
+            out[rows] += np.matmul(starQ[pos], Zm)
 
 
 def face_buffer(op) -> np.ndarray:
-    """The operator's ``(ne, 4, F, 9)`` face buffer, zero-filled on first
-    use.  Slot ``[e, f]`` belongs to local face ``f`` of element ``e``
+    """The operator's ``(4, ne, 9, F)`` face buffer, zero-filled on first
+    use.  Slot ``[f, e]`` belongs to local face ``f`` of element ``e``
     and is only ever *assigned*, by the one regular interior face that
     owns it; slots of boundary, gravity, fault and prescribed-motion
     faces are never written and stay zero."""
     if op._face_buf is None:
         op._face_buf = np.zeros(
-            (op.n_elements, 4, basis_size(op.order, dim=2), 9))
+            (4, op.n_elements, 9, basis_size(op.order, dim=2)))
     return op._face_buf
 
 
 def _interior_masked_entries(op, active):
     """Per-group face batches for one activity mask.
 
-    A batch is ``(em, ep, a, b, Gm, Gp)``: the minus side updates faces
-    ``[a:]`` with ``Gm``, the plus side faces ``[:b]`` with ``Gp`` —
-    contiguous slices of one trace pair, so no face computes a flux
-    nobody lifts.  The faces of a group with an active side make two
-    batches: the plus-only faces (``Gm`` unused), then both | minus-only.
-    On a canonical mesh (:func:`repro.core.lts.cluster_major`) cluster
-    ``c``'s faces of a group are the cluster pairs ``(c-1, c)`` |
-    ``(c, c)`` | ``(c, c+1)``, two runs of views; in a block-ordered plan
+    A batch is ``(em, ep, a, b, G)``: its faces' rows of the group's flux
+    table ``G``; the minus side updates faces ``[a:]``, the plus side
+    faces ``[:b]`` — contiguous slices of one batch, so no face writes a
+    slot nobody lifts.  The faces of a group with an active side make two
+    batches: the plus-only faces, then both | minus-only.  On a canonical
+    mesh (:func:`repro.core.lts.cluster_major`) cluster ``c``'s faces of a
+    group are the cluster pairs ``(c-1, c)`` | ``(c, c)`` | ``(c, c+1)``,
+    two runs of views; in a block-ordered plan
     (:class:`~repro.core.kernels.SpatialOperator` ``blocks=``) the second
     batch is one run of views and only the plus-only faces, whose minus
     side is another block, are gathered.
@@ -581,10 +626,7 @@ def _interior_masked_entries(op, active):
             if not len(faces):
                 continue
             rows = row_set(faces)
-            batches.append((
-                grp.em[rows], grp.ep[rows], a, b,
-                grp.Gm[row_set(faces[a:])] if a < len(faces) else None,
-                grp.Gp[row_set(faces[:b])]))
+            batches.append((grp.em[rows], grp.ep[rows], a, b, grp.G[rows]))
         entries.append(batches)
     return entries
 
@@ -592,56 +634,91 @@ def _interior_masked_entries(op, active):
 def fused_interior_residual(op, I, out, sel) -> None:
     """Face-basis interior kernel with a scatter-free lift (see module
     docstring): fill the face-buffer slots of every updated side of the
-    :func:`selection` ``sel``, then one ``(B, 4F) @ (4F, 9)`` product per
-    updated element."""
+    :func:`selection` ``sel``, then four stacked lift products per chunk
+    of updated elements."""
     fb = face_buffer(op)
-    nF = fb.shape[2]
+    nF = fb.shape[3]
+    ne, nq, nb = I.shape
     idx, _, entries, _ = sel
+    # per class, the leading rows of: both elements' gathered rows; the
+    # faces' right factors [R I- | Rp I+]^T, rows (quantity, side) — as a
+    # (rows * 9, 2F) matrix the two traces are its column blocks [:, :F]
+    # and [:, F:]; both sides' fluxes, rows (side, quantity); the plus
+    # side's in the minus and in its own face basis
+    W = max((stack_width(len(g.em)) for g in op.interior_groups), default=1)
+    scratch = [np.empty((W, nq, nb)), np.empty((W, nq, nb)),
+               np.empty((W, nq, 2, nF)), np.empty((W, 2, nq, nF)),
+               np.empty((W, nq, nF)), np.empty((W, nq, nF))]
     batches = ((g, e) for g, es in zip(op.interior_groups, entries)
                for e in es)
-    scratch = np.empty((CHUNK, 2, nF, 18))
-    for grp, (em, ep, a, b, Gm, Gp) in batches:
-        for lo in range(0, len(em), CHUNK):
-            hi = min(lo + CHUNK, len(em))
-            n = hi - lo
-            # X[:, 0] = [R I- | Rp I+] (minus basis), X[:, 1] = the same
-            # pair in the plus element's basis: each trace GEMM writes its
-            # 9 columns of both (F, 18) left factors of the flux products
-            X = scratch[:n]
-            cols = X.reshape(n, 2 * nF, 18)
-            np.matmul(grp.Wm, I[em[lo:hi]], out=cols[:, :, :9])
-            np.matmul(grp.Wp, I[ep[lo:hi]], out=cols[:, :, 9:])
+    for grp, (em, ep, a, b, G) in batches:
+        width = stack_width(len(grp.em))
+        Xm, Xp, Xt, Y, Yc, Yp = (x[:width] for x in scratch)
+        Xm2, Xp2 = Xm.reshape(width * nq, nb), Xp.reshape(width * nq, nb)
+        Xt2 = Xt.reshape(width * nq, 2 * nF)
+        Tm, Tp = Xt2[:, :nF], Xt2[:, nF:]
+        Xt3, Y3 = Xt.reshape(width, 2 * nq, nF), Y.reshape(width, 2 * nq, nF)
+        Yc2, Yp2 = Yc.reshape(width * nq, nF), Yp.reshape(width * nq, nF)
+        slot_m, slot_p = fb[grp.fm], fb[grp.fp]
+        for lo in range(0, len(em), width):
+            hi = min(lo + width, len(em))
+            m = hi - lo
+            _stack(I, em[lo:hi], m, Xm)
+            _stack(I, ep[lo:hi], m, Xp)
+            np.matmul(Xm2, grp.RmT, out=Tm)
+            np.matmul(Xp2, grp.RpT, out=Tp)
+            np.matmul(G[lo:hi], Xt3[:m], out=Y3[:m])
             # this chunk's faces of the minus side's [a:] and the plus
             # side's [:b]
             am, bp = max(a, lo), min(b, hi)
             if am < hi:
-                fb[em[am:hi], grp.fm] = np.matmul(X[am - lo:, 0],
-                                                  Gm[am - a:hi - a])
+                slot_m[em[am:hi]] = Y[am - lo:m, 0]
             if bp > lo:
-                fb[ep[lo:bp], grp.fp] = np.matmul(X[:bp - lo, 1], Gp[lo:bp])
-    lift = face_factors(op.order).lift
-    for _, rows in _chunks(idx, len(out)):
-        out[rows] += np.matmul(lift, fb[rows].reshape(-1, 4 * nF, 9))
+                Yc[:m] = Y[:m, 1]
+                if m < width:
+                    Yc[m:] = 0.0
+                np.matmul(Yc2, grp.C, out=Yp2)
+                slot_p[ep[lo:bp]] = Yp[:bp - lo]
+    R = face_factors(op.order).R
+    width = stack_width(op.n_elements)
+    L = np.empty((width, nq, nF))
+    acc = np.empty((width * nq, nb))
+    part = np.empty((width * nq, nb))
+    for _, rows, m in _chunks(idx, ne, width):
+        for f, (slots, Rf) in enumerate(zip(fb, R)):
+            slot = _stack(slots, rows, m, L).reshape(width * nq, nF)
+            np.matmul(slot, Rf, out=part if f else acc)
+            if f:
+                acc += part
+        out[rows] += acc[:m * nq].reshape(m, nq, nb)
 
 
 def _boundary_masked_entries(op, active):
-    """Per-group ``(elem, G)`` of the faces of active elements for one
+    """Per-group ``(elem, GT)`` of the faces of active elements for one
     activity mask; boundary faces sorted by element (a canonical mesh)
     make them one run of the group, i.e. views of the plan."""
     entries = []
     for grp in op.boundary_groups:
         sel = np.flatnonzero(active[grp.elem])
         rows = row_set(sel)
-        entries.append((grp.elem[rows], grp.G[rows]) if len(sel) else None)
+        entries.append((grp.elem[rows], grp.GT[rows]) if len(sel) else None)
     return entries
 
 
 def fused_boundary_residual(op, I, out, sel) -> None:
     """Modal-factorized boundary-face kernel (see module docstring) over
     the boundary entries of the :func:`selection` ``sel``."""
+    ne, nq, nb = I.shape
+    W = max((stack_width(len(g.elem)) for g in op.boundary_groups), default=1)
+    scratch = np.empty((W, nq, nb)), np.empty((W * nq, nb))
     groups = ((g, *e) for g, e in zip(op.boundary_groups, sel[3])
               if e is not None)
-    for grp, elem, G in groups:
-        for lo in range(0, len(elem), CHUNK):
-            s = slice(lo, lo + CHUNK)  # elem is unique per (kind, face) group
-            out[elem[s]] += np.matmul(np.matmul(grp.A, I[elem[s]]), G[s])
+    for grp, elem, GT in groups:
+        width = stack_width(len(grp.elem))
+        X, Z = scratch[0][:width], scratch[1][:width * nq]
+        for lo in range(0, len(elem), width):
+            e = elem[lo:lo + width]  # unique per (kind, face) group
+            m = len(e)
+            x = _stack(I, e, m, X)
+            np.matmul(x.reshape(width * nq, nb), grp.AT, out=Z)
+            out[e] += np.matmul(GT[lo:lo + m], Z[:m * nq].reshape(m, nq, nb))

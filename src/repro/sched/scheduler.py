@@ -177,7 +177,7 @@ class Scheduler:
         t0 = solver.t
         plan = self._plan(n_macro)
 
-        derivs = backend.predict(solver.Q)
+        derivs = backend.predict(solver.dofs)
         Iown, Ibuf = solver.op.new_state(), solver.op.new_state()
         for c, rows in enumerate(lts.rows):
             Iown[rows.elems] = taylor_integrate(derivs[rows.elems], 0.0, dts[c])
@@ -249,7 +249,7 @@ class Scheduler:
                 I[nidx] = Ibuf[nidx]
 
         out = self.backend.corrector(I, derivs, dts[c], t0=t0 + t_a, rows=rows)
-        solver.Q[idx] += out[idx]
+        solver.dofs[idx] += out[idx]
 
         # the just-completed window becomes available to the coarser
         # neighbor, which reads only the exposed rows
@@ -262,7 +262,8 @@ class Scheduler:
         # next predictor for this cluster (compiled flag: skipped when the
         # run is over for it)
         if plan.update_pred[i]:
-            self.backend.update_predictor(solver.Q, rows, dts[c], derivs, Iown)
+            self.backend.update_predictor(solver.dofs, rows, dts[c], derivs,
+                                          Iown)
 
     # ------------------------------------------------------------------
     def compiled_plan(self, t_end: float, dt_scale: float = 1.0) -> StepPlan:

@@ -7,10 +7,12 @@ Kowalewski sweep with untruncated derivative operators, and residual
 kernels that evaluate every face flux at the face quadrature points
 (trace -> Godunov flux -> weighted back-projection -> scale) from the
 unfolded per-face flux matrices.  :class:`ReferenceOperator` runs them
-behind the :class:`~repro.core.kernels.SpatialOperator` interface, and
-:func:`use_reference_kernels` swaps it into a serial solver, so
-``tests/test_kernels.py`` can compare kernels and whole trajectories
-against it.  Not selectable at runtime.
+behind the :class:`~repro.core.kernels.SpatialOperator` interface — its
+public methods take and return the quantity-major ``(ne, 9, B)`` layout
+of the runtime kernels and transpose it for the seed kernels, which run
+on ``(ne, B, 9)`` — and :func:`use_reference_kernels` swaps it into a
+serial solver, so ``tests/test_kernels.py`` can compare kernels and
+whole trajectories against it.  Not selectable at runtime.
 
 The seed's *plan builders* are here too, verbatim, since the runtime
 builds its folded tables directly (one rotation per face, streamed in
@@ -18,8 +20,9 @@ chunks into the final layout): :func:`star_matrices`,
 :func:`batched_state_rotation`, ``ReferenceOperator.face_flux_matrices``
 / ``_build_interior`` / ``_build_boundary`` (every face rotated for both
 of its sides, unfolded ``F`` at full size) and
-:meth:`ReferenceOperator.folded_plan`, the fold of those groups the
-runtime plan is pinned to bitwise.
+:meth:`ReferenceOperator.folded_plan`, the fold of those groups, laid
+out the way the runtime plan holds them, which the runtime plan is
+pinned to bitwise.
 
 :func:`energy_oracle` is the same kind of oracle for
 :meth:`CoupledSolver.energy`: the per-material loop the runtime ran
@@ -142,21 +145,27 @@ class ReferenceOperator(SpatialOperator):
     """A :class:`SpatialOperator` that executes the quadrature-form kernels.
 
     Holds what they read and the runtime plan does not keep: the
-    unfolded face groups (``Fmm``/``Fpm``/``Fmp``/``Fpp``/``F`` and
-    ``scale*``) straight from the seed's plan builders below.
+    transposed star Jacobians ``starT`` and the unfolded face groups
+    (``Fmm``/``Fpm``/``Fmp``/``Fpp``/``F`` and ``scale*``) straight from
+    the seed's plan builders below.  The public kernels take the
+    runtime's quantity-major layout and hand the seed kernels transposed
+    views (their ``out[...] +=`` writes through).
     """
 
     #: FLOP-counting convention of ``hpc.perfmodel.kernel_counts``
     kernel_variant = "batched"
 
-    def __init__(self, mesh, order: int, gravity_g: float = 9.81,
-                 flux_variant: str = "exact"):
-        super().__init__(mesh, order, gravity_g, flux_variant=flux_variant)
+    def __init__(self, mesh, order: int, flux_variant: str = "exact"):
+        super().__init__(mesh, order, flux_variant=flux_variant)
+        self.starT = star_matrices(mesh).transpose(0, 1, 3, 2).copy()
         self.interior_groups = self._build_interior()
         self.boundary_groups = self._build_boundary()
 
-    def predict_states(self, Q, starT, out=None):
-        return ck_derivatives(Q, starT.transpose(0, 1, 3, 2), self.ref)
+    def predict_states(self, Q, starQ, out=None):
+        # starQ[e, p, 3 q + k] = star[e, k][p, q]
+        star = starQ.reshape(len(starQ), 9, 9, 3).transpose(0, 3, 1, 2)
+        derivs = ck_derivatives(Q.transpose(0, 2, 1), star, self.ref)
+        return np.ascontiguousarray(derivs.transpose(0, 1, 3, 2))
 
     # -- the seed plan builders, verbatim: every face rotated for both of
     # its sides, full-size T / Tinv / F per batch, one copy per class
@@ -280,8 +289,15 @@ class ReferenceOperator(SpatialOperator):
             G *= scale[:, None, None]
             return G
 
-        plan = OperatorPlan(
-            starT=star_matrices(self.mesh).transpose(0, 1, 3, 2).copy())
+        def quantity_major(Gm, Gp):
+            # G[f, 9 t + q, 2 p + s] = (Gm, Gp)[t][f, 9 s + p, q]
+            H = np.stack([Gm, Gp], axis=1).reshape(-1, 2, 2, 9, 9)
+            return np.ascontiguousarray(
+                H.transpose(0, 1, 4, 3, 2)).reshape(-1, 18, 18)
+
+        star = star_matrices(self.mesh)
+        plan = OperatorPlan(starQ=np.ascontiguousarray(
+            star.transpose(0, 2, 3, 1)).reshape(-1, 9, 27))
         ref = self.ref
         fac = face_factors(ref.order)
         w = ref.face_weights
@@ -289,22 +305,25 @@ class ReferenceOperator(SpatialOperator):
             grp = FusedInteriorGroup()
             grp.em, grp.ep = src.em, src.ep
             grp.fm, grp.fp = src.minus_face, src.plus_face
-            grp.Wm = fac.Wm[src.minus_face, src.plus_face, src.perm]
-            grp.Wp = fac.Wp[src.minus_face, src.plus_face, src.perm]
-            grp.Gm = stacked_flux(src.Fmm, src.Fpm, src.scale_m)
-            grp.Gp = stacked_flux(src.Fpp, src.Fmp, src.scale_p)
+            grp.RmT = fac.RT[src.minus_face]
+            grp.RpT = fac.RpT[src.plus_face][src.perm]
+            grp.C = fac.C[src.plus_face][src.perm]
+            grp.G = quantity_major(stacked_flux(src.Fmm, src.Fpm, src.scale_m),
+                                   stacked_flux(src.Fpp, src.Fmp, src.scale_p))
             plan.interior_groups.append(grp)
         for src in self.boundary_groups:
             E = ref.E_minus[int(src.face[0])]
             grp = FusedBoundaryGroup()
             grp.elem = src.elem
-            grp.A = np.ascontiguousarray((E.T * w) @ E)
-            grp.G = np.ascontiguousarray(src.F.transpose(0, 2, 1)) * \
+            grp.AT = np.ascontiguousarray((E.T * w) @ E).T
+            G = np.ascontiguousarray(src.F.transpose(0, 2, 1)) * \
                 src.scale[:, None, None]
+            grp.GT = np.ascontiguousarray(G.transpose(0, 2, 1))
             plan.boundary_groups.append(grp)
         return plan
 
-    # -- the seed kernels, verbatim; the public names bind to them below
+    # -- the seed kernels, verbatim, on (ne, B, 9) arrays; the public names
+    # below hand them transposed views
     def _volume_residual(self, I, out, active=None) -> None:
         if active is None:
             Ie, starT, tgt = I, self.starT, slice(None)
@@ -385,9 +404,17 @@ class ReferenceOperator(SpatialOperator):
             contrib *= scale[:, None, None]
             out[elem] += contrib  # unique per (kind, local face) group
 
-    volume_residual = _volume_residual
-    interior_residual = _interior_residual
-    boundary_residual = _boundary_residual
+    def volume_residual(self, I, out, active=None) -> None:
+        self._volume_residual(I.transpose(0, 2, 1), out.transpose(0, 2, 1),
+                              active)
+
+    def interior_residual(self, I, out, active=None) -> None:
+        self._interior_residual(I.transpose(0, 2, 1), out.transpose(0, 2, 1),
+                                active)
+
+    def boundary_residual(self, I, out, active=None) -> None:
+        self._boundary_residual(I.transpose(0, 2, 1), out.transpose(0, 2, 1),
+                                active)
 
     def apply(self, I, active=None):
         """The seed's zero-fill + three adds (the runtime ``apply`` stores
@@ -408,7 +435,7 @@ def use_reference_kernels(solver):
     """
     if solver.backend.name != "serial":
         raise ValueError("the reference kernels run under the serial backend only")
-    solver.op = ReferenceOperator(solver.mesh, solver.order, solver.op.g,
+    solver.op = ReferenceOperator(solver.mesh, solver.order,
                                   flux_variant=solver.op.flux_variant)
     return solver
 

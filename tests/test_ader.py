@@ -4,8 +4,8 @@ import numpy as np
 
 from repro.core.ader import (
     taylor_evaluate,
+    stacked_star_matrices,
     taylor_integrate,
-    transposed_star_matrices,
 )
 from repro.core.basis import get_reference_element
 from repro.core.kernels import SpatialOperator
@@ -18,8 +18,10 @@ ROCK = elastic(1.0, 2.0, 1.0)
 
 
 def star_matrices(mesh):
-    """The untransposed star Jacobians: a view of what the plan holds."""
-    return transposed_star_matrices(mesh).transpose(0, 1, 3, 2)
+    """The star Jacobians ``(ne, 3, 9, 9)``: a view of what the plan holds
+    (``starQ[e, p, 3 q + k] = star[e, k][p, q]``)."""
+    starQ = stacked_star_matrices(mesh)
+    return starQ.reshape(len(starQ), 9, 9, 3).transpose(0, 3, 1, 2)
 
 
 def make_setup(order=2, nc=2):
@@ -54,7 +56,11 @@ class TestCKDerivatives:
 
     @staticmethod
     def predict(mesh, ref, star, Q):
-        return SpatialOperator(mesh, ref.order).predict(Q)
+        """``(ne, N+1, B, 9)`` derivatives of ``Q`` (``(ne, B, 9)``),
+        through the kernel's quantity-major layout and back."""
+        op = SpatialOperator(mesh, ref.order)
+        derivs = op.predict(np.ascontiguousarray(Q.transpose(0, 2, 1)))
+        return derivs.transpose(0, 1, 3, 2)
 
     def test_constant_state_is_steady(self):
         mesh, ref, star = make_setup(order=3)

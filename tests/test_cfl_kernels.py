@@ -68,7 +68,7 @@ class TestSpatialOperator:
         coupled elastic-acoustic faces and the free-surface closure)."""
         op = self.make()
         Q = op.new_state()
-        Q[:, 0, 7] = 1.0  # constant vy everywhere
+        Q[:, 7, 0] = 1.0  # constant vy everywhere
         derivs = op.predict(Q)
         I = taylor_integrate(derivs, 0.0, 1e-3)
         out = op.apply(I)
@@ -80,7 +80,7 @@ class TestSpatialOperator:
         the selected elements (the LTS contract)."""
         op = self.make()
         rng = np.random.default_rng(0)
-        Q = rng.normal(size=(op.n_elements, op.nbasis, 9))
+        Q = rng.normal(size=(op.n_elements, 9, op.nbasis))
         derivs = op.predict(Q)
         I = taylor_integrate(derivs, 0.0, 1e-4)
         full = op.new_state()
@@ -99,7 +99,7 @@ class TestSpatialOperator:
     def test_apply_is_sum_of_parts(self):
         op = self.make()
         rng = np.random.default_rng(1)
-        Q = rng.normal(size=(op.n_elements, op.nbasis, 9))
+        Q = rng.normal(size=(op.n_elements, 9, op.nbasis))
         I = taylor_integrate(op.predict(Q), 0.0, 1e-4)
         total = op.apply(I)
         parts = op.new_state()
@@ -116,7 +116,7 @@ class TestSpatialOperator:
 
     def test_trace_minus_constant_field(self):
         op = self.make()
-        Q = op.new_state()
+        Q = np.zeros((op.n_elements, op.nbasis, 9))  # the face modules' layout
         Q[:, 0, 8] = 2.0 / np.sqrt(6.0)  # vz = 2 (constant mode is sqrt(6))
         bnd = op.mesh.boundary
         tr = FacePlan.minus(op.ref, bnd.elem, bnd.face).trace(Q)

@@ -76,7 +76,7 @@ def build_gts(order=2, backend="serial", workers=None, mesh=None):
 
 def build_lts_fault_gravity(backend="serial", workers=None, sort=False,
                             xs=(-1500.0, -750.0, 0.0, 750.0, 1500.0),
-                            prepare=None):
+                            prepare=None, order=1):
     """Rupturing fault under a gravity-topped ocean, clustered LTS.
 
     As generated, the mesh interleaves its clusters (the id-array row
@@ -84,7 +84,7 @@ def build_lts_fault_gravity(backend="serial", workers=None, sort=False,
     (:func:`cluster_major`: slice row sets, masked face selections are
     views of the plan).  ``prepare(mesh)``, if given, runs instead, right
     before the solver is built.  ``xs`` are the horizontal grid lines
-    (the fault sits on ``x = 0``)."""
+    (the fault sits on ``x = 0``); ``order`` the polynomial degree."""
     crust = elastic(2700.0, 6000.0, 3464.0)
     ocean = acoustic(1000.0, 1500.0)
     xs = np.asarray(xs)
@@ -106,8 +106,9 @@ def build_lts_fault_gravity(backend="serial", workers=None, sort=False,
     if prepare is not None:
         prepare(mesh)
     elif sort:
-        cluster_major(mesh, 1)
-    solver = CoupledSolver(mesh, order=1, fault=fault, backend=backend, workers=workers)
+        cluster_major(mesh, order)
+    solver = CoupledSolver(mesh, order=order, fault=fault, backend=backend,
+                           workers=workers)
     lts = LocalTimeStepping(solver)
     return solver, fault, lts
 
@@ -269,7 +270,7 @@ class TestBlockEquivalence:
         part = build_all_faces(1, backend=PartitionedBackend(workers=1))
         assert part.op.interior_groups is not serial.op.interior_groups
         for a, b in zip(serial.op.interior_groups, part.op.interior_groups):
-            for name in ("em", "ep", "Gm", "Gp"):
+            for name in ("em", "ep", "G"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
         part.backend.close()
 
@@ -456,7 +457,7 @@ class TestPlanCache:
     def test_cached_plan_is_shared(self):
         clear_plan_cache()
         a, b = build_gts(), build_gts()
-        assert a.op.starT is b.op.starT
+        assert a.op.starQ is b.op.starQ
         assert a.op.interior_groups is b.op.interior_groups
 
     def test_order_change_invalidates(self):
@@ -543,7 +544,7 @@ class TestPlanCache:
         b = build_gts()
         assert get_plan_cache().stats() == \
             {"entries": 1, "hits": 0, "misses": 1}
-        assert a.op.starT is not b.op.starT
+        assert a.op.starQ is not b.op.starQ
 
     def test_disabled_cache_still_correct(self):
         """A run whose every plan was built cold (nothing cached) is
@@ -552,7 +553,7 @@ class TestPlanCache:
         cold = build_gts()
         Scheduler(cold).run(0.05)
         warm = build_gts()
-        assert warm.op.starT is cold.op.starT
+        assert warm.op.starQ is cold.op.starQ
         Scheduler(warm).run(0.05)
         assert np.isfinite(cold.Q).all()
         assert np.array_equal(cold.Q, warm.Q)

@@ -18,11 +18,12 @@ kernels the solver executes — to them:
   masked ``apply`` equals the same row of the full-mesh sweep bitwise
   (what serial == partitioned rests on), on a mesh whose faces use
   several vertex permutations, and no bit depends on the kernels' row
-  chunk (``fusion.CHUNK``);
+  chunk (``fusion.CHUNK``), at orders 2 and 3;
 * **transient memory** — above its result a sweep allocates a few
   chunks of scratch, whatever the mesh size;
-* **face-basis factorization** — the trace factors reproduce the oracle's
-  ``E^T diag(w) E`` products, and the face buffer's slot ownership holds
+* **face-basis factorization** — the trace factors and the change of
+  face basis reproduce the oracle's ``E^T diag(w) E`` products, and the
+  face buffer's slot ownership holds
   (never-written slots stay zero, no stale slot is ever lifted);
 * **direct plan build** — the streamed, one-rotation-per-face build of
   the folded tables equals the seed's rotate-both-sides-then-fold
@@ -140,7 +141,7 @@ class TestKernelUnits:
     def test_predictor(self, variant, order):
         ref_op, var_op = _operator_pair(order=order)
         rng = np.random.default_rng(order)
-        Q = rng.normal(size=(ref_op.n_elements, ref_op.nbasis, 9))
+        Q = rng.normal(size=(ref_op.n_elements, 9, ref_op.nbasis))
         _assert_close(ref_op.predict(Q), var_op.predict(Q),
                       f"predictor ({variant}, order {order})")
 
@@ -152,7 +153,7 @@ class TestKernelUnits:
     def test_residuals(self, variant, kernel, masked):
         ref_op, var_op = _operator_pair()
         rng = np.random.default_rng(42)
-        I = rng.normal(size=(ref_op.n_elements, ref_op.nbasis, 9))
+        I = rng.normal(size=(ref_op.n_elements, 9, ref_op.nbasis))
         active = (rng.random(ref_op.n_elements) < 0.4) if masked else None
         out_ref = np.zeros_like(I)
         out_var = np.zeros_like(I)
@@ -183,7 +184,7 @@ class TestKernelUnits:
         assert (am & ~ap).any() and (ap & ~am).any() and (am & ap).any()
 
         rng = np.random.default_rng(5)
-        I = rng.normal(size=(ref_op.n_elements, ref_op.nbasis, 9))
+        I = rng.normal(size=(ref_op.n_elements, 9, ref_op.nbasis))
         for kernel in ("volume_residual", "interior_residual",
                        "boundary_residual"):
             out_ref = np.zeros_like(I)
@@ -203,7 +204,7 @@ class TestKernelUnits:
         a shape-mismatched hint is ignored."""
         _, var_op = _operator_pair()
         rng = np.random.default_rng(11)
-        shape = (var_op.n_elements, var_op.nbasis, 9)
+        shape = (var_op.n_elements, 9, var_op.nbasis)
         Q1 = rng.normal(size=shape)
         Q2 = rng.normal(size=shape)
         buf = var_op.predict(Q1)
@@ -213,7 +214,7 @@ class TestKernelUnits:
         np.testing.assert_array_equal(reused, fresh)
         # mismatched hint: fall back to a fresh, correct allocation
         n = 5
-        small = var_op.predict_states(Q2[:n], var_op.starT[:n], out=buf)
+        small = var_op.predict_states(Q2[:n], var_op.starQ[:n], out=buf)
         assert small is not buf
         np.testing.assert_array_equal(small, fresh[:n])
 
@@ -222,8 +223,8 @@ class TestKernelUnits:
         buffer back as scratch (page-fault churn was the dominant
         predictor cost before this)."""
         solver = build_gts(order=2)
-        d1 = solver.backend.predict(solver.Q)
-        d2 = solver.backend.predict(solver.Q)
+        d1 = solver.backend.predict(solver.dofs)
+        d2 = solver.backend.predict(solver.dofs)
         assert d2 is d1
 
     @pytest.mark.parametrize("variant", _RUNTIME)
@@ -232,12 +233,12 @@ class TestKernelUnits:
         oracle accumulates ~1e-16 quadrature noise."""
         _, var_op = _operator_pair(order=2)
         rng = np.random.default_rng(7)
-        Q = rng.normal(size=(var_op.n_elements, var_op.nbasis, 9))
+        Q = rng.normal(size=(var_op.n_elements, 9, var_op.nbasis))
         derivs = var_op.predict(Q)
         plan = element_plan(var_op.order)
         for k in range(1, var_op.order + 1):
             dead = plan.perm[plan.sizes[k]:]
-            assert (derivs[:, k, dead, :] == 0.0).all()
+            assert (derivs[:, k, :, dead] == 0.0).all()
 
 
 # ----------------------------------------------------------------------
@@ -259,10 +260,10 @@ class TestProperties:
         hidden cross-element coupling in the stacked GEMMs."""
         op = prop_op
         rng = np.random.default_rng(seed)
-        Q = rng.normal(size=(op.n_elements, op.nbasis, 9))
+        Q = rng.normal(size=(op.n_elements, 9, op.nbasis))
         perm = rng.permutation(op.n_elements)
-        base = op.predict_states(Q, op.starT)
-        permuted = op.predict_states(Q[perm], op.starT[perm])
+        base = op.predict_states(Q, op.starQ)
+        permuted = op.predict_states(Q[perm], op.starQ[perm])
         np.testing.assert_array_equal(permuted, base[perm])
 
     @settings(max_examples=15, deadline=None)
@@ -272,7 +273,7 @@ class TestProperties:
         bitwise-identical results to contiguous inputs."""
         op = prop_op
         rng = np.random.default_rng(seed)
-        Q = rng.normal(size=(op.n_elements, op.nbasis, 9))
+        Q = rng.normal(size=(op.n_elements, 9, op.nbasis))
         contiguous = op.predict(Q)
 
         # a transposed-then-transposed view: same values, exotic strides
@@ -292,7 +293,7 @@ class TestProperties:
         downcast anywhere in the fused chains."""
         op = prop_op
         rng = np.random.default_rng(seed)
-        Q = rng.normal(size=(op.n_elements, op.nbasis, 9))
+        Q = rng.normal(size=(op.n_elements, 9, op.nbasis))
         derivs = op.predict(Q)
         assert derivs.dtype == np.float64
         out = np.zeros_like(Q)
@@ -302,8 +303,8 @@ class TestProperties:
         op.boundary_residual(Q, out, active=active)
         assert out.dtype == np.float64
         plan = element_plan(op.order)
-        assert plan.KP.dtype == np.float64
-        assert all(D.dtype == np.float64 for D in plan.Dneg)
+        assert plan.KS.dtype == np.float64
+        assert all(D.dtype == np.float64 for D in plan.D)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -312,7 +313,7 @@ class TestProperties:
         cached masked sub-plans is bitwise-stable across repetitions."""
         op = prop_op
         rng = np.random.default_rng(seed)
-        I = rng.normal(size=(op.n_elements, op.nbasis, 9))
+        I = rng.normal(size=(op.n_elements, 9, op.nbasis))
         active = rng.random(op.n_elements) < 0.3
         first = np.zeros_like(I)
         op.interior_residual(I, first, active=active)
@@ -326,7 +327,7 @@ class TestProperties:
         growing without bound."""
         op = prop_op
         rng = np.random.default_rng(0)
-        I = rng.normal(size=(op.n_elements, op.nbasis, 9))
+        I = rng.normal(size=(op.n_elements, 9, op.nbasis))
         out = np.zeros_like(I)
         for _ in range(MASK_CACHE_MAX + 10):
             active = rng.random(op.n_elements) < 0.3
@@ -371,85 +372,113 @@ def shuffled_mesh():
 
 def _random_state(op, seed):
     rng = np.random.default_rng(seed)
-    return rng, rng.normal(size=(op.n_elements, op.nbasis, 9))
+    return rng, rng.normal(size=(op.n_elements, 9, op.nbasis))
 
 
-class TestBatchIndependence:
-    """Every GEMM is per element or per face with a batch-independent
-    shape, so what a row holds never depends on which rows are computed
-    with it — asserted bitwise, not to a tolerance."""
+def _batch_independence(order: int):
+    """The battery at one order, as a base class: every order gets its own
+    test functions (hypothesis ties a test function to one class)."""
 
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_predictor_subset(self, shuffled_mesh, seed):
-        op = SpatialOperator(shuffled_mesh, 2)
-        rng, Q = _random_state(op, seed)
-        idx = rng.permutation(op.n_elements)[:rng.integers(1, op.n_elements)]
-        full = op.predict(Q)
-        np.testing.assert_array_equal(
-            op.predict_states(Q[idx], op.starT[idx]), full[idx])
+    class BatchIndependence:
+        ORDER = order
 
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_masked_apply(self, shuffled_mesh, seed):
-        op = SpatialOperator(shuffled_mesh, 2)
-        rng, I = _random_state(op, seed)
-        active = rng.random(op.n_elements) < rng.uniform(0.1, 0.9)
-        full = op.apply(I)
-        masked = op.apply(I, active)
-        np.testing.assert_array_equal(masked[active], full[active])
-        # the masked residual is persistent and NaN-poisoned: a fresh
-        # operator's sweep leaves every inactive row untouched
-        assert masked is op.masked_residual()
-        assert np.isnan(masked[~active]).all()
+        @settings(max_examples=10, deadline=None)
+        @given(seed=st.integers(0, 2**31 - 1))
+        def test_predictor_subset(self, shuffled_mesh, seed):
+            op = SpatialOperator(shuffled_mesh, self.ORDER)
+            rng, Q = _random_state(op, seed)
+            n = op.n_elements
+            idx = rng.permutation(n)[:rng.integers(1, n)]
+            full = op.predict(Q)
+            np.testing.assert_array_equal(
+                op.predict_states(Q[idx], op.starQ[idx]), full[idx])
 
-    @pytest.mark.parametrize("chunk", [1, 7, 8, 1 << 20])
-    def test_chunk_size(self, chunk_rig, monkeypatch, chunk):
-        """The kernels walk their rows in chunks of ``fusion.CHUNK``; a
-        chunk is one more batch.  Chunks of 1, of 7 (the rig's plus-only |
-        both | minus-only splits fall inside a chunk), of 8 (on a chunk's
-        edge) and one chunk per batch give the default's bits: the full
-        and every cluster's masked apply, predictor row subsets and a
-        3-part partitioned LTS run against the serial one."""
-        op, lts, I, subsets, expected, serial = chunk_rig
-        monkeypatch.setattr(fusion, "CHUNK", chunk)
-        for got, want in zip(_chunk_sweeps(op, lts, I, subsets), expected,
-                             strict=True):
-            np.testing.assert_array_equal(got, want)
-        backend = PartitionedBackend(workers=2, n_parts=3)
-        assert _lts_digest(backend) == serial
+        @settings(max_examples=10, deadline=None)
+        @given(seed=st.integers(0, 2**31 - 1))
+        def test_masked_apply(self, shuffled_mesh, seed):
+            op = SpatialOperator(shuffled_mesh, self.ORDER)
+            rng, I = _random_state(op, seed)
+            active = rng.random(op.n_elements) < rng.uniform(0.1, 0.9)
+            full = op.apply(I)
+            masked = op.apply(I, active)
+            np.testing.assert_array_equal(masked[active], full[active])
+            # the masked residual is persistent and NaN-poisoned: a fresh
+            # operator's sweep leaves every inactive row untouched
+            assert masked is op.masked_residual()
+            assert np.isnan(masked[~active]).all()
+
+        @pytest.mark.parametrize("chunk", [1, 7, 8, 1 << 20])
+        def test_chunk_size(self, chunk_rigs, monkeypatch, chunk):
+            """The kernels walk their rows in chunks of ``fusion.CHUNK``,
+            and the stacked GEMMs run on chunks of that fixed width.
+            Chunks of 1, of 7 (the rig's plus-only | both | minus-only
+            splits fall inside a chunk), of 8 (on a chunk's edge) and one
+            chunk per batch give the default's bits: the full and every
+            cluster's masked apply, predictor row subsets and a 3-part
+            partitioned LTS run against the serial one."""
+            op, lts, I, subsets, expected, serial = chunk_rigs(self.ORDER)
+            monkeypatch.setattr(fusion, "CHUNK", chunk)
+            for got, want in zip(_chunk_sweeps(op, lts, I, subsets), expected,
+                                 strict=True):
+                np.testing.assert_array_equal(got, want)
+            backend = PartitionedBackend(workers=2, n_parts=3)
+            assert _lts_digest(backend, self.ORDER) == serial
+
+    return BatchIndependence
+
+
+class TestBatchIndependence(_batch_independence(2)):
+    """Every per-item GEMM has a batch-independent shape and every
+    row-stacked GEMM one fixed shape, so what a row holds never depends
+    on which rows are computed with it — asserted bitwise, not to a
+    tolerance."""
+
+
+class TestBatchIndependenceOrder3(_batch_independence(3)):
+    """The same at order 3, where stacked GEMMs of free shape change the
+    last bits of random row subsets (32 of 40 for the face-trace
+    product, 13 of 40 for the stiffness product)."""
 
 
 def _chunk_sweeps(op, lts, I, subsets):
     """What a chunk size could change: the full apply, every cluster's
     masked apply and the predictor on row subsets."""
     return ([op.apply(I)] + [op.apply(I, r.mask)[r.mask] for r in lts.rows]
-            + [op.predict_states(I[r], op.starT[r]) for r in subsets])
+            + [op.predict_states(I[r], op.starQ[r]) for r in subsets])
 
 
-def _lts_digest(backend):
+def _lts_digest(backend, order):
     """Digest of a clustered-LTS run of the canonical fault + gravity rig."""
-    solver, _, lts = build_lts_fault_gravity(backend=backend, sort=True)
+    solver, _, lts = build_lts_fault_gravity(backend=backend, sort=True,
+                                             order=order)
     Scheduler(solver, lts).run(T_LTS)
     solver.backend.close()
     return state_digest(solver, lts)
 
 
 @pytest.fixture(scope="module")
-def chunk_rig():
-    """The canonical 3-cluster fault + gravity rig, its sweeps at the
-    default ``CHUNK`` and its serial LTS digest."""
-    solver, _, lts = build_lts_fault_gravity(sort=True)
-    op = solver.op
-    assert lts.n_clusters == 3 and op.n_elements > 256
-    rng, I = _random_state(op, 5)
-    splits = {b for r in lts.rows
-              for batches in fusion._interior_masked_entries(op, r.mask)
-              for em, _, _, b, _, _ in batches if 0 < b < len(em)}
-    assert any(b % 7 for b in splits) and any(b % 8 == 0 for b in splits)
-    subsets = (rng.permutation(op.n_elements)[:100], slice(37, 250))
-    return (op, lts, I, subsets, _chunk_sweeps(op, lts, I, subsets),
-            _lts_digest("serial"))
+def chunk_rigs():
+    """Per order, built on first use: the canonical 3-cluster fault +
+    gravity rig, its sweeps at the default ``CHUNK`` and its serial LTS
+    digest."""
+    rigs = {}
+
+    def rig(order):
+        if order not in rigs:
+            solver, _, lts = build_lts_fault_gravity(sort=True, order=order)
+            op = solver.op
+            assert lts.n_clusters == 3 and op.n_elements > 256
+            rng, I = _random_state(op, 5)
+            splits = {b for r in lts.rows
+                      for batches in fusion._interior_masked_entries(op, r.mask)
+                      for em, _, _, b, _ in batches if 0 < b < len(em)}
+            assert any(b % 7 for b in splits) and any(b % 8 == 0 for b in splits)
+            subsets = (rng.permutation(op.n_elements)[:100], slice(37, 250))
+            rigs[order] = (op, lts, I, subsets,
+                           _chunk_sweeps(op, lts, I, subsets),
+                           _lts_digest("serial", order))
+        return rigs[order]
+    return rig
 
 
 class TestTransientMemory:
@@ -520,14 +549,13 @@ class TestFaceFactorization:
         op = SpatialOperator(shuffled_mesh, order)
         ref, fac = op.ref, face_factors(order)
         w = ref.face_weights
-        F = fac.R.shape[1]
+        F = fac.R[0].shape[0]
         assert F == (order + 1) * (order + 2) // 2
         for f in range(4):
             A = (ref.E_minus[f].T * w) @ ref.E_minus[f]
             assert np.linalg.matrix_rank(A) == F
             np.testing.assert_allclose(fac.R[f].T @ fac.R[f], A, atol=1e-13)
-            np.testing.assert_array_equal(
-                fac.lift[:, f * F:(f + 1) * F], fac.R[f].T)
+            np.testing.assert_array_equal(fac.RT[f], fac.R[f].T)
         itf = shuffled_mesh.interior
         classes = {(int(a), int(b), int(c)) for a, b, c in
                    zip(itf.minus_face, itf.plus_face, itf.perm)}
@@ -536,14 +564,17 @@ class TestFaceFactorization:
             Em, Ep = ref.E_minus[fm], ref.E_plus[fp, perm]
             Amp = (Em.T * w) @ Ep
             App = (Ep.T * w) @ Ep
-            Wm, Wp = fac.Wm[fm, fp, perm], fac.Wp[fm, fp, perm]
-            np.testing.assert_array_equal(Wm[:F], fac.R[fm])
-            np.testing.assert_array_equal(Wp[F:], fac.R[fp])
-            np.testing.assert_allclose(Wm[:F].T @ Wp[:F], Amp, atol=1e-13)
-            np.testing.assert_allclose(Wp[:F].T @ Wp[:F], App, atol=1e-13)
-            # plus side, lifted with the plus element's own R[fp]^T
-            np.testing.assert_allclose(Wp[F:].T @ Wm[F:], Amp.T, atol=1e-13)
-            np.testing.assert_allclose(Wp[F:].T @ Wp[F:], App, atol=1e-13)
+            Rm, Rp, C = fac.R[fm], fac.RpT[fp][perm].T, fac.C[fp][perm]
+            # both traces in the minus element's face basis
+            np.testing.assert_allclose(Rm.T @ Rp, Amp, atol=1e-13)
+            np.testing.assert_allclose(Rp.T @ Rp, App, atol=1e-13)
+            # C is the orthogonal change into the plus element's own basis
+            np.testing.assert_allclose(C @ C.T, np.eye(F), atol=1e-13)
+            np.testing.assert_allclose(C @ fac.R[fp], Rp, atol=1e-13)
+            # plus side, moved by C^T and lifted with its own R[fp]^T
+            Rfp = fac.R[fp]
+            np.testing.assert_allclose(Rfp.T @ C.T @ Rm, Amp.T, atol=1e-13)
+            np.testing.assert_allclose(Rfp.T @ C.T @ Rp, App, atol=1e-13)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_matches_oracle_on_shuffled_mesh(self, shuffled_mesh, order):
@@ -563,7 +594,7 @@ class TestFaceFactorization:
         owned, special = _slot_masks(shuffled_mesh)
         op.apply(I)
         op.apply(I, rng.random(op.n_elements) < 0.5)
-        fb = op._face_buf
+        fb = op._face_buf.transpose(1, 0, 2, 3)  # slots [e, f]
         assert (fb[~owned] == 0.0).all()
         assert (fb[special] == 0.0).all()
         assert (np.abs(fb[owned]).max(axis=(1, 2)) > 0.0).all()
@@ -578,7 +609,7 @@ class TestFaceFactorization:
         expected = op.apply(I, second)[second].copy()
         op.apply(I, first)
         owned, _ = _slot_masks(shuffled_mesh)
-        op._face_buf[owned] = np.nan
+        op._face_buf.transpose(1, 0, 2, 3)[owned] = np.nan
         np.testing.assert_array_equal(op.apply(I, second)[second], expected)
 
 
@@ -633,7 +664,7 @@ class TestFaceOrientation:
         assert np.array_equal(new_lts.cluster[e], ref_lts.cluster)
 
         rng = np.random.default_rng(7)
-        I = rng.normal(size=ref.Q.shape)
+        I = rng.normal(size=ref.dofs.shape)
         I_new = np.empty_like(I)
         I_new[e] = I
         _assert_rel(ref.op.apply(I), new.op.apply(I_new)[e], "apply")
@@ -730,9 +761,14 @@ def table_mesh():
     return mesh
 
 
+#: the shared right factors of the stacked GEMMs: one per orientation
+#: class or boundary group, not per face
+_SHARED = (".RmT", ".RpT", ".C", ".AT")
+
+
 def _plan_arrays(plan):
     """``(name, array)`` of everything a plan holds, in a fixed order."""
-    yield "starT", plan.starT
+    yield "starQ", plan.starQ
     for kind, groups in (("interior", plan.interior_groups),
                          ("boundary", plan.boundary_groups)):
         for i, grp in enumerate(groups):
@@ -790,7 +826,7 @@ class TestDirectPlanBuild:
         finally:
             tracemalloc.stop()
         held = sum(a.nbytes for name, a in _plan_arrays(plan)
-                   if not name.endswith((".Wm", ".Wp")) and a.ndim)
+                   if not name.endswith(_SHARED) and a.ndim)
         assert held > 30e6
         assert peak <= 1.5 * held, (peak, held)
 
@@ -800,24 +836,24 @@ class TestDirectPlanBuild:
         free reshapes need."""
         clear_plan_cache()
         op = SpatialOperator(table_mesh, 2)
-        assert SpatialOperator(table_mesh, 2).starT is op.starT
+        assert SpatialOperator(table_mesh, 2).starQ is op.starQ
         for name, arr in _plan_arrays(op):
             if not arr.ndim:
                 continue
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
-            if arr.dtype.kind == "f" and not name.endswith((".Wm", ".Wp")):
+            if arr.dtype.kind == "f" and not name.endswith(_SHARED):
                 assert arr.dtype == np.float64 and arr.flags.c_contiguous, name
 
     def test_finish_plan_rejects_a_k_ordered_table(self, table_mesh):
-        """A transposed-view ``starT`` computes the same bits at twice the
-        predictor's price; the build refuses it instead."""
+        """A Fortran-ordered ``starQ`` computes the same bits at a higher
+        price; the build refuses it instead."""
         plan = SpatialOperator(table_mesh, 2)._build_plan()
-        plan.starT = plan.starT.transpose(0, 1, 3, 2)
-        with pytest.raises(ValueError, match="starT must be C-contiguous"):
+        plan.starQ = np.asfortranarray(plan.starQ)
+        with pytest.raises(ValueError, match="starQ must be C-contiguous"):
             fusion.finish_plan(plan)
-        plan.starT = plan.starT.astype(np.float32)
+        plan.starQ = plan.starQ.astype(np.float32)
         with pytest.raises(ValueError, match="float64"):
             fusion.finish_plan(plan)
 
@@ -837,18 +873,19 @@ def _assert_only_folded(op):
             assert not hasattr(grp, name), name
     for grp in op.interior_groups:
         assert set(grp.__slots__) == {"em", "ep", "fm", "fp",
-                                      "Wm", "Wp", "Gm", "Gp"}
-        assert grp.Gm.shape == grp.Gp.shape == (len(grp.em), 18, 9)
+                                      "RmT", "RpT", "C", "G"}
+        assert grp.G.shape == (len(grp.em), 18, 18)
     for grp in op.boundary_groups:
-        assert hasattr(grp, "A") and hasattr(grp, "G")
+        assert hasattr(grp, "AT") and hasattr(grp, "GT")
 
 
 class TestPlanCacheInvalidation:
     def test_plan_holds_only_fused_factors(self):
         """The cached plan and every partition worker's handle on it carry
-        ``starT`` and the folded factors (interior: face ids, the class's
-        trace operators and the stacked ``Gm``/``Gp``; boundary: ``A``/``G``)
-        — none of the arrays only the quadrature-form kernels read."""
+        ``starQ`` and the folded factors (interior: face ids, the class's
+        trace factors and change of basis and the per-face flux tables
+        ``G``; boundary: ``AT``/``GT``) — none of the arrays only the
+        quadrature-form kernels read."""
         clear_plan_cache()
         solver = build_gts(order=2, backend="partitioned", workers=2)
         blocks = solver.backend.blocks(solver.mesh, 2, solver.cfl_safety)
@@ -886,7 +923,7 @@ class TestPlanCacheInvalidation:
         assert op_f1.interior_groups is not op_f2.interior_groups
         assert get_plan_cache().stats()["misses"] == 1
         rng = np.random.default_rng(3)
-        I = rng.normal(size=(op_f1.n_elements, op_f1.nbasis, 9))
+        I = rng.normal(size=(op_f1.n_elements, 9, op_f1.nbasis))
         o1 = np.zeros_like(I)
         o2 = np.zeros_like(I)
         op_f1.interior_residual(I, o1)
@@ -899,6 +936,7 @@ def test_fused_flop_counts_stay_under_batched():
     FLOPs than the dense chain it replaces (the roofline gate of
     ``tests/test_obs.py::TestReport::test_roofline_rows_sane`` relies on
     honest accounting)."""
+    from repro.core.basis import basis_size
     from repro.hpc.perfmodel import kernel_counts
 
     for order in (1, 2, 3, 4, 5):
@@ -906,6 +944,13 @@ def test_fused_flop_counts_stay_under_batched():
         kf = kernel_counts(order, variant="fused")
         assert kf.flops_predictor < kb.flops_predictor
         assert kf.flops_surface <= kb.flops_surface
+        # what the interior kernel executes: per face the two stacked
+        # (9, B) @ (B, F) traces, one (18, 18) @ (18, F) flux product for
+        # both sides and the plus side's (9, F) @ (F, F) change of basis;
+        # per face-side one (9, F) @ (F, B) lift; an update is two faces
+        B, F = basis_size(order), basis_size(order, dim=2)
+        per_face = 2 * (2 * 9 * B * F) + 2 * 18 * 18 * F + 2 * 9 * F * F
+        assert kf.flops_surface == 2 * per_face + 4 * (2 * 9 * F * B)
         assert kf.flops_volume == kb.flops_volume
         # traffic is unchanged: fusion removes work, not state
         assert kf.bytes_predictor == kb.bytes_predictor

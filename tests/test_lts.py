@@ -313,17 +313,17 @@ class TestClusterMajorLayout:
         assert [r.elems.stop - r.elems.start for r in lts.rows] \
             == lts.elem_count.tolist()
         for rows in lts.rows:
-            idx, starT = fusion.selection(solver.op, rows.mask)[:2]
+            idx, starQ = fusion.selection(solver.op, rows.mask)[:2]
             assert idx == rows.elems
-            assert np.shares_memory(starT, solver.op.starT)
+            assert np.shares_memory(starQ, solver.op.starQ)
             # every partition's share of a cluster is a row range of it,
             # and the shares tile the cluster
             pieces = []
             for plan in solver.backend.plans:
                 for blk in plan.active(rows):
-                    idx, starT = fusion.selection(plan.lop, blk.mask)[:2]
+                    idx, starQ = fusion.selection(plan.lop, blk.mask)[:2]
                     assert isinstance(idx, slice) and idx == blk.elems
-                    assert np.shares_memory(starT, solver.op.starT)
+                    assert np.shares_memory(starQ, solver.op.starQ)
                     pieces.append((idx.start, idx.stop))
             pieces.sort()
             assert pieces[0][0] == rows.elems.start
@@ -356,7 +356,7 @@ class TestClusterMajorLayout:
         """After an LTS run every (cluster, part) block selection of every
         partition worker is a view of the one operator plan: the window
         buffer starts as NaN, so a row no block wrote would poison the
-        state.  The only owned bytes are the plus-side ``Gp`` rows of the
+        state.  The only owned bytes are the flux-table ``G`` rows of the
         faces whose minus side is another block (and those faces'
         element ids), gathered once per block."""
         monkeypatch.setattr(Scheduler, "_window_buffer", staticmethod(
@@ -376,28 +376,27 @@ class TestClusterMajorLayout:
         for plan in backend.plans:
             lop = plan.lop
             assert len(lop._selections) == len(plan.blocks)
-            for idx, starT, interior, boundary in lop._selections.values():
+            for idx, starQ, interior, boundary in lop._selections.values():
                 assert isinstance(idx, slice)
-                assert np.shares_memory(starT, op.starT)
+                assert np.shares_memory(starQ, op.starQ)
                 for grp, batches in zip(op.interior_groups, interior):
-                    for em, ep, a, b, Gm, Gp in batches:
-                        if Gp.flags.owndata:
+                    for em, ep, a, b, G in batches:
+                        if G.flags.owndata:
                             # plus-only faces across a block cut
-                            assert a == b == len(em) and Gm is None
+                            assert a == b == len(em)
                             assert (block[em] != block[ep]).all()
                             gathered += len(em)
-                            owned += em.nbytes + ep.nbytes + Gp.nbytes
+                            owned += em.nbytes + ep.nbytes + G.nbytes
                             continue
                         for sel, table in ((em, grp.em), (ep, grp.ep),
-                                           (Gm, grp.Gm), (Gp, grp.Gp)):
-                            assert sel is None or not sel.size \
-                                or np.shares_memory(sel, table)
+                                           (G, grp.G)):
+                            assert not sel.size or np.shares_memory(sel, table)
                 for grp, e in zip(op.boundary_groups, boundary):
                     if e is not None:
                         assert np.shares_memory(e[0], grp.elem)
-                        assert np.shares_memory(e[1], grp.G)
+                        assert np.shares_memory(e[1], grp.GT)
         assert 0 < gathered <= cross
-        assert owned == gathered * (18 * 9 * 8 + 2 * 8)
+        assert owned == gathered * (18 * 18 * 8 + 2 * 8)
 
     def test_unsorted_mesh_yields_id_arrays(self):
         m = graded_periodic_box()
@@ -406,6 +405,6 @@ class TestClusterMajorLayout:
         assert not any(isinstance(r.elems, slice) for r in lts.rows)
         for rows in lts.rows:
             assert np.array_equal(rows.elems, np.flatnonzero(rows.mask))
-            idx, starT = fusion.selection(solver.op, rows.mask)[:2]
+            idx, starQ = fusion.selection(solver.op, rows.mask)[:2]
             assert np.array_equal(idx, rows.elems)
-            assert np.array_equal(starT, solver.op.starT[rows.elems])
+            assert np.array_equal(starQ, solver.op.starQ[rows.elems])

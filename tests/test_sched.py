@@ -258,9 +258,9 @@ def old_lts_run(lts, t_end, dt_scale=1.0):
     pred_int = np.zeros(lts.n_clusters, dtype=np.int64)
     end_int = n_macro * rate**cmax
 
-    derivs = solver.backend.predict(solver.Q)
-    Iown = np.zeros((ne, nb, 9))
-    Ibuf = np.zeros((ne, nb, 9))
+    derivs = solver.backend.predict(solver.dofs)
+    Iown = np.zeros((ne, 9, nb))
+    Ibuf = np.zeros((ne, 9, nb))
     masks = [rows.mask for rows in lts.rows]
     for c in range(lts.n_clusters):
         mask = masks[c]
@@ -289,7 +289,7 @@ def old_lts_run(lts, t_end, dt_scale=1.0):
         _, _, c = min(cands)
         mask = masks[c]
         t_a = t_int[c] * dt_min
-        I = np.zeros((ne, nb, 9))
+        I = np.zeros((ne, 9, nb))
         I[mask] = Iown[mask]
         for cn in lts.adjacent[c]:
             mn = masks[cn]
@@ -300,13 +300,13 @@ def old_lts_run(lts, t_end, dt_scale=1.0):
                 I[mn] = Ibuf[mn]
         out = solver.backend.corrector(I, derivs, dts[c], t0=t0 + t_a,
                                        rows=lts.rows[c])
-        solver.Q[mask] += out[mask]
+        solver.dofs[mask] += out[mask]
         Ibuf[mask] += Iown[mask]
         for cn in lts.adjacent[c]:
             if steps_int[cn] < steps_int[c]:
                 Ibuf[masks[cn]] = 0.0
         if t_int[c] + steps_int[c] < end_int:
-            solver.backend.update_predictor(solver.Q, lts.rows[c], dts[c],
+            solver.backend.update_predictor(solver.dofs, lts.rows[c], dts[c],
                                             derivs, Iown)
             pred_int[c] = t_int[c] + steps_int[c]
         t_int[c] += steps_int[c]
@@ -515,12 +515,12 @@ def assert_face_selections_are_views(op, caches):
     pairs = []
     for entries in interior:
         for grp, batches in zip(op.interior_groups, entries):
-            for em, ep, _, _, Gm, Gp in batches:
-                pairs += [(em, grp.em), (ep, grp.ep), (Gm, grp.Gm), (Gp, grp.Gp)]
+            for em, ep, _, _, G in batches:
+                pairs += [(em, grp.em), (ep, grp.ep), (G, grp.G)]
     for entries in boundary:
         for grp, e in zip(op.boundary_groups, entries):
             if e is not None:
-                pairs += [(e[0], grp.elem), (e[1], grp.G)]
+                pairs += [(e[0], grp.elem), (e[1], grp.GT)]
     assert pairs
     pairs = [(sel, table) for sel, table in pairs if sel is not None]
     for sel, table in pairs:

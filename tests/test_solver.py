@@ -438,3 +438,70 @@ class TestSolverAPI:
         vals = s.evaluate(pts)
         assert np.allclose(vals[:, 7], pts @ g, atol=1e-10)
         assert np.allclose(vals[:, [0, 1, 2, 3, 4, 5, 6, 8]], 0.0, atol=1e-10)
+
+
+class TestStateView:
+    """The kernels step ``solver.dofs``, the quantity-major ``(ne, 9, B)``
+    state; ``solver.Q`` is its ``(ne, B, 9)`` transposed view, what
+    checkpoints, digests, diagnostics and fault injection read and write."""
+
+    @staticmethod
+    def solver(seed=0):
+        s = CoupledSolver(periodic_box(2), order=2)
+        s.Q = random_state(np.random.default_rng(seed), s.Q.shape)
+        return s
+
+    def test_q_is_a_view_of_dofs(self):
+        s = self.solver()
+        ne, nb = s.mesh.n_elements, s.op.nbasis
+        assert s.dofs.shape == (ne, 9, nb) and s.dofs.flags.c_contiguous
+        assert s.Q.shape == (ne, nb, 9)
+        assert np.shares_memory(s.Q, s.dofs)
+        np.testing.assert_array_equal(s.Q, s.dofs.transpose(0, 2, 1))
+
+    def test_injected_nan_through_q_is_caught(self):
+        """A ``FaultInjector`` writes through ``solver.Q.flat``: the NaN
+        lands in ``solver.dofs`` and the watchdog's state check fails."""
+        from repro.core.health import Watchdog
+        from repro.core.health.inject import FaultInjector
+
+        s = self.solver()
+        watchdog = Watchdog(s)
+        assert watchdog.check().ok
+        index = 2 * s.Q[0].size + 13
+        FaultInjector().corrupt_state(0, index=index).on_step(s, 0)
+        e, b, n = np.unravel_index(index, s.Q.shape)
+        assert np.isnan(s.dofs[e, n, b]) and np.isnan(s.dofs).sum() == 1
+        report = watchdog.check()
+        assert not report.ok and report.checks["state"]
+
+    def test_assignment_copies(self):
+        s = self.solver()
+        dofs = s.dofs
+        X = random_state(np.random.default_rng(1), s.Q.shape)
+        s.Q = X
+        assert s.dofs is dofs
+        np.testing.assert_array_equal(s.Q, X)
+        X[:] = 0.0
+        assert np.abs(s.dofs).max() > 0.0
+        with pytest.raises(ValueError, match="shape"):
+            s.Q = X[:, :, :8]
+
+    def test_checkpoint_keeps_its_shapes_and_round_trips(self, tmp_path):
+        from repro.ensemble.worker import state_digest
+        from repro.io.checkpoint import (
+            capture_state,
+            restore_checkpoint,
+            save_checkpoint,
+        )
+
+        s = self.solver()
+        Scheduler(s).run(3 * s.dt)
+        state = capture_state(s)
+        assert state["Q"].shape == (s.mesh.n_elements, s.op.nbasis, 9)
+        assert state["Q"].flags.c_contiguous
+        path = save_checkpoint(str(tmp_path / "ckpt.npz"), s)
+        r = self.solver(seed=7)
+        restore_checkpoint(path, r)
+        assert np.array_equal(r.dofs, s.dofs) and r.t == s.t
+        assert state_digest(r) == state_digest(s)

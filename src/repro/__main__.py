@@ -53,11 +53,11 @@ JSON), ``--log-json PATH`` (structured JSONL run records) and
     ``--watch N`` re-renders every N seconds until Ctrl-C (clean exit,
     tolerant of the run dir disappearing mid-watch).  ``--check``
     validates the whole directory — every run log, ``fleet.prom``, every
-    referenced bundle, each finished member's final metrics against its
-    ``result.json`` — and exits non-zero naming each broken file.
+    referenced bundle, each finished member's ``run_end`` metrics against
+    its ``result.json`` — and exits non-zero naming each broken file.
 ``obs-diagnose BUNDLE [--check]``
-    Classify a ``*.blackbox.json`` diagnostic bundle dumped by the
-    flight recorder on a terminal fault: validates the bundle schema and
+    Classify a ``*.blackbox.json`` diagnostic bundle dumped from the
+    run log's ring on a terminal fault: validates the bundle schema and
     fingerprint, then prints a structured verdict (``nan_origin`` |
     ``energy_blowup`` | ``cfl_collapse`` | ``worker_death`` |
     ``unknown``) with its evidence lines.  ``--check`` exits non-zero on

@@ -3,7 +3,7 @@
 ``repro.obs``, ``repro.ensemble`` and ``repro.exec`` re-export the public
 names of their submodules.  Imported eagerly, every ``from ..obs.metrics import
 get_metrics`` in the solver core and every ``get_builder`` loaded the
-flight recorder, the fleet aggregator, the trace exporter, the supervisor
+run log, the fleet aggregator, the trace exporter, the supervisor
 and ``multiprocessing`` into each cold start and each fleet worker
 (EXPERIMENTS.md C1).  A package built with
 :func:`lazy_namespace` imports a submodule when one of its names is first

@@ -42,8 +42,9 @@ from ..io.checkpoint import (
     restore_newest,
     restore_state,
 )
-from ..obs.blackbox import BUNDLE_SUFFIX, FlightRecorder, dump_bundle
+from ..obs.blackbox import BUNDLE_SUFFIX, dump_bundle
 from ..obs.metrics import get_metrics
+from ..obs.runlog import RunLog, run_manifest
 from ..sched import HookBus, Scheduler
 from .health import HealthError, SimulationDiverged, Watchdog
 
@@ -78,17 +79,18 @@ class ResilientRunner:
         Optional :class:`~repro.core.health.inject.FaultInjector` for
         deterministic failure testing.
     runlog:
-        Optional :class:`~repro.obs.runlog.RunLog`; checkpoint, resume,
-        recovery and divergence events are appended to it as structured
-        records alongside whatever the caller logs.
+        Optional :class:`~repro.obs.runlog.RunLog` — the run's one event
+        stream, kept as :attr:`recorder` (a pathless one when not given):
+        checkpoint, resume, recovery and divergence events are emitted
+        into it once each, alongside whatever the caller logs.
     blackbox_dir:
         Where diagnostic bundles land; defaults to ``checkpoint_dir``.
-        The flight recorder is always on: its ring records every
-        scheduler micro-step window plus the watchdog's per-step gauges,
-        and on a watchdog trip or divergence a fingerprinted bundle
-        (``*.blackbox.json``) is dumped here and its path attached to the
-        matching recovery/diverged run-log event (``None`` when no
-        directory is configured — the ring still records).
+        The recorder's ring is always on: it records every scheduler
+        micro-step window plus the watchdog's per-step gauges, and on a
+        watchdog trip or divergence a fingerprinted bundle
+        (``*.blackbox.json``) of its tail is dumped here and its path
+        attached to the matching recovery/diverged event (``None`` when
+        no directory is configured — the ring still records).
     """
 
     def __init__(
@@ -114,7 +116,6 @@ class ResilientRunner:
         self.max_retries = max_retries
         self.injector = injector
         self.verbose = verbose
-        self.runlog = runlog
         self.manager = (
             CheckpointManager(checkpoint_dir, solver, lts)
             if checkpoint_dir
@@ -128,8 +129,8 @@ class ResilientRunner:
         self.rollbacks = 0
         #: checkpoint paths written, in order
         self.checkpoints_written: list = []
-        #: the always-on flight recorder
-        self.recorder = FlightRecorder()
+        #: the run's event stream and always-on flight recorder
+        self.recorder = runlog if runlog is not None else RunLog()
         self.blackbox_dir = blackbox_dir or checkpoint_dir
         #: diagnostic bundles dumped over the runner's lifetime, in order
         self.bundles_written: list = []
@@ -169,8 +170,8 @@ class ResilientRunner:
         except (TypeError, ValueError):
             self.step_count = 0
         self.watchdog.reset()
-        self._event("resume", path=path, step=self.step_count,
-                    sim_t=self.solver.t)
+        self.recorder.emit("resume", path=path, step=self.step_count,
+                           sim_t=self.solver.t)
         if self.verbose:
             print(
                 f"[resilience] resumed from {path} at t={self.solver.t:.6g} "
@@ -223,7 +224,7 @@ class ResilientRunner:
                             reports=reports, attempts=attempts,
                             excerpt=True,
                         )
-                        self._event(
+                        self.recorder.emit(
                             "diverged", step=err.report.step,
                             sim_t=err.report.t, attempts=attempts,
                             dt_scale=self.dt_scale, wall_s=seg_wall,
@@ -244,7 +245,7 @@ class ResilientRunner:
                     self.dt_scale = (
                         min(self.dt_scale, snap["dt_scale"]) * _DT_BACKOFF
                     )
-                    self._event(
+                    self.recorder.emit(
                         "recovery", step=err.report.step, sim_t=err.report.t,
                         attempt=attempts, max_retries=self.max_retries,
                         dt_scale=self.dt_scale, wall_s=seg_wall,
@@ -264,13 +265,6 @@ class ResilientRunner:
             bus.segment_end(solver)
 
     # ------------------------------------------------------------------
-    def _event(self, kind: str, **fields) -> None:
-        """One supervision event (resume, recovery, diverged, checkpoint):
-        the flight-recorder ring and the run log get the same fields."""
-        self.recorder.record(kind, **fields)
-        if self.runlog is not None:
-            self.runlog.emit(kind, **fields)
-
     def _subscribe_supervision(self, bus: HookBus) -> None:
         """Attach step counting + watchdog sweeps to the scheduler's bus.
 
@@ -332,8 +326,6 @@ class ResilientRunner:
         """
         if self.blackbox_dir is None:
             return None
-        from ..obs.runlog import run_manifest
-
         name = (f"step{self.step_count:08d}-"
                 f"{len(self.bundles_written):02d}-{kind}{BUNDLE_SUFFIX}")
         path = os.path.join(self.blackbox_dir, name)
@@ -349,7 +341,7 @@ class ResilientRunner:
                 path,
                 kind=kind,
                 reason=report.describe() if report is not None else None,
-                ring=self.recorder,
+                ring=self.recorder.tail(),
                 solver=self.solver,
                 lts=self.lts,
                 error=error,
@@ -433,5 +425,5 @@ class ResilientRunner:
             )
         else:
             self.checkpoints_written.append(path)
-            self._event("checkpoint", path=path, step=self.step_count,
-                        sim_t=self.solver.t)
+            self.recorder.emit("checkpoint", path=path, step=self.step_count,
+                               sim_t=self.solver.t)

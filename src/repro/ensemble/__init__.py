@@ -27,7 +27,7 @@ that driver:
 See README "Ensemble runs" and ``python -m repro ensemble --help``.
 
 Only the builder registry loads with the package; the supervision tree
-(``multiprocessing``, the fleet aggregator, the flight recorder) and the
+(``multiprocessing``, the fleet aggregator, the run log) and the
 worker resolve on first use (:mod:`repro._lazy`), so a run that only
 asks ``get_builder`` for a scenario does not pay for them.
 """

@@ -441,9 +441,9 @@ class Supervisor:
         (divergence / unhandled exception); a process-level death leaves
         none, so the supervisor synthesizes one from what it can still
         see: the strike reason, the last heartbeat metrics and the tail
-        of the member's run log as the ring.  Returns
-        ``(path, doc)`` with ``path`` possibly ``None`` when even the
-        synthesized dump cannot be written.
+        of the member's fsync'd run log as the ring (records of its
+        shape).  Returns ``(path, doc)`` with ``path`` possibly ``None``
+        when even the synthesized dump cannot be written.
         """
         mdir = m.paths["dir"]
         for path in reversed(find_bundles(mdir)):
@@ -454,12 +454,10 @@ class Supervisor:
             if (doc.get("context") or {}).get("attempt") == m.attempts:
                 return path, doc
         # no worker-side bundle for this attempt: synthesize one
-        ring = [dict(rec, kind=rec.get("event", "record"))
-                for rec in read_records(m.paths["runlog"])[0][-40:]]
         doc = build_bundle(
             kind="supervisor",
             reason=reason,
-            ring=ring,
+            ring=read_records(m.paths["runlog"])[0][-40:],
             context={"member": m.spec.member_id, "attempt": m.attempts},
             metrics=self.aggregator.member_snapshot(m.spec.member_id),
             extra={"exit": reason, "last_error": m.last_error},

@@ -25,8 +25,8 @@ its uninterrupted twin.
 
 A worker can die at any instruction (that is the point), so everything it
 persists is crash-safe: every run-log write is ``fsync``'d (a heartbeat
-and its metrics snapshot are one write), and checkpoints, bundles, the
-trace and the result file publish through
+carries its own metrics snapshot: one record, one write), and
+checkpoints, bundles, the trace and the result file publish through
 :func:`repro.io.atomic.atomic_open`.
 """
 
@@ -125,18 +125,18 @@ def run_member(
     ``dt_scale`` applies the supervisor's escalated timestep scale.
 
     The attempt is a run under an :class:`~repro.obs.session.ObsSession`:
-    the session writes the member's ``run.jsonl`` (manifest, a heartbeat
-    per step, ``run_end``) and the ``metrics`` records — counters and
-    gauges next to every heartbeat, the full final snapshot last; with
-    ``spec.trace`` it exports ``trace.json`` (wall-clock anchored,
-    so ``obs-trace --merge`` can align it with its siblings).  What the
-    worker adds is the pipe: the same per-beat counters and gauges ride
-    up on its ``heartbeat`` messages, and the final snapshot on ``done``
-    and in the result file.  The session is constructed before the
-    build, so the member's counters include its plan-cache hits, and it
-    is closed on every way out — a worker runs members one after another
-    in one interpreter and must not leak one member's registry into the
-    next.
+    the session writes the member's ``run.jsonl`` — manifest, a heartbeat
+    per step carrying the counters and gauges, and ``run_end`` carrying
+    the full final snapshot — and the runner emits its supervision events
+    into the same stream; with ``spec.trace`` it exports ``trace.json``
+    (wall-clock anchored, so ``obs-trace --merge`` can align it with its
+    siblings).  What the worker adds is the pipe: the same per-beat
+    counters and gauges ride up on its ``heartbeat`` messages, and the
+    final snapshot on ``done`` and in the result file.  The session is
+    constructed before the build, so the member's counters include its
+    plan-cache hits, and it is closed on every way out — a worker runs
+    members one after another in one interpreter and must not leak one
+    member's registry into the next.
     """
     os.makedirs(member_dir, exist_ok=True)
     paths = member_paths(*os.path.split(member_dir))
@@ -255,7 +255,7 @@ def _run_member_attempt(spec, paths, channel, attempt, resume, dt_scale,
         # recovered-on-retry) attempt must not point at a stale dump
         "bundle": bundle,
         "summary": handle.summarize(solver) if handle.summarize else {},
-        # equal to the log's final metrics record: what the supervisor
+        # equal to the log's run_end metrics: what the supervisor
         # aggregates is what the member logged
         "metrics": metrics,
         "paths": paths,

@@ -1,22 +1,23 @@
-"""Black-box flight recorder and automated crash forensics.
+"""Black-box crash forensics: diagnostic bundles and their classifier.
 
 Long coupled runs die in stereotyped ways — a NaN born at the fault or
 the gravity boundary, an energy-drift blowup, a CFL collapse after dt
 backoff, a worker killed mid-write — and the live observability layers
 (registry, traces, fleet metrics) only help while the process is still
-alive.  This module is the *postmortem* half:
+alive.  This module is the *postmortem* half.  Its flight recorder is the
+run's own :class:`~repro.obs.runlog.RunLog`: an always-on ring of the
+newest 256 records (scheduler micro-step windows and the watchdog's
+per-step gauges as tuple appends — under the same <2 %-of-a-step budget
+as the disabled registry's guard sites, enforced by
+``tests/test_blackbox.py::TestOverheadBudget`` — next to every emitted
+heartbeat, checkpoint and recovery record).
 
-* :class:`FlightRecorder` — an always-on bounded ring buffer of the last
-  K micro-step events (scheduler cluster/window ids, the watchdog's
-  per-step physics gauges, checkpoint/recovery events).  Recording is a
-  tuple append into a ``deque`` — the same <2 %-of-a-step budget the
-  disabled metric-registry guard sites live under (enforced by the
-  guard test ``tests/test_blackbox.py::TestOverheadBudget``).
 * :func:`build_bundle` / :func:`write_bundle` — on any terminal fault
   (watchdog trip, :class:`~repro.core.health.SimulationDiverged`,
   unhandled worker exception, process death seen by the supervisor) the
-  ring is dumped as an atomic, fingerprinted ``*.blackbox.json``
-  diagnostic bundle: ring contents, a NaN-origin localization
+  ring's :meth:`~repro.obs.runlog.RunLog.tail` is dumped as an atomic,
+  fingerprinted ``*.blackbox.json`` diagnostic bundle: the ring, a
+  NaN-origin localization
   (:func:`locate_nonfinite` — first non-finite field, element id,
   partition, LTS cluster and sim time, found by bisecting the state
   arrays the watchdog already scans), per-field state statistics,
@@ -45,7 +46,6 @@ import re
 import sys
 import time
 import traceback
-from collections import deque
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "BUNDLE_SCHEMA_VERSION",
     "BUNDLE_SUFFIX",
     "VERDICTS",
-    "FlightRecorder",
     "locate_nonfinite",
     "field_statistics",
     "thread_stacks",
@@ -70,8 +69,9 @@ __all__ = [
     "diagnose_bundle_file",
 ]
 
-#: bumped whenever the bundle document layout changes
-BUNDLE_SCHEMA_VERSION = 1
+#: bumped whenever the bundle document layout changes (v2: ``ring`` holds
+#: run-log-shaped records, :meth:`~repro.obs.runlog.RunLog.tail`)
+BUNDLE_SCHEMA_VERSION = 2
 
 #: every diagnostic bundle ends with this suffix
 BUNDLE_SUFFIX = ".blackbox.json"
@@ -79,85 +79,6 @@ BUNDLE_SUFFIX = ".blackbox.json"
 #: the closed verdict vocabulary of :func:`classify_bundle`
 VERDICTS = ("nan_origin", "energy_blowup", "cfl_collapse", "worker_death",
             "unknown")
-
-#: default ring capacity (events, not steps: micro + sync + sparse events)
-DEFAULT_CAPACITY = 256
-
-
-class FlightRecorder:
-    """Bounded ring buffer of recent step events (always-on, cheap).
-
-    The hot-path entry points (:meth:`record_micro`, :meth:`record_step`)
-    append a plain tuple to a ``deque(maxlen=capacity)`` — no dict
-    construction, no formatting, no clock reads beyond what the caller
-    already holds.  Sparse events (checkpoints, recoveries) go through
-    :meth:`record`, which may build a dict: they fire per segment, not
-    per step.
-    """
-
-    __slots__ = ("capacity", "_ring", "recorded")
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
-        self._ring: deque = deque(maxlen=self.capacity)
-        #: total events ever recorded (ring length caps at ``capacity``)
-        self.recorded = 0
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    # -- hot paths -----------------------------------------------------
-    def record_micro(self, solver, event) -> None:
-        """One scheduler micro-step window (cluster id + window position):
-        a :meth:`~repro.sched.HookBus.on_micro_step` subscriber."""
-        self._ring.append(("micro", event.index, event.cluster, event.t_int,
-                           event.dt))
-        self.recorded += 1
-
-    def record_step(self, step, t, dt, energy=None, dt_scale=None) -> None:
-        """One supervised step/sync sweep with its physics gauges."""
-        self._ring.append(("step", step, t, dt, energy, dt_scale))
-        self.recorded += 1
-
-    # -- sparse events -------------------------------------------------
-    def record(self, kind: str, **fields) -> None:
-        """A sparse named event (checkpoint, recovery, resume, ...)."""
-        self._ring.append((kind, fields))
-        self.recorded += 1
-
-    # -- dump-side -----------------------------------------------------
-    def events(self) -> list[dict]:
-        """Ring contents normalized to JSON-ready dicts (oldest first)."""
-        out = []
-        for item in self._ring:
-            kind = item[0]
-            if kind == "micro":
-                _, index, cluster, t_int, dt = item
-                out.append({"kind": "micro", "index": int(index),
-                            "cluster": int(cluster), "t_int": int(t_int),
-                            "dt": float(dt)})
-            elif kind == "step":
-                _, step, t, dt, energy, dt_scale = item
-                rec = {"kind": "step", "step": int(step), "t": float(t),
-                       "dt": None if dt is None else float(dt)}
-                if energy is not None:
-                    rec["energy"] = float(energy)
-                if dt_scale is not None:
-                    rec["dt_scale"] = float(dt_scale)
-                out.append(rec)
-            else:
-                fields = item[1] if len(item) > 1 else {}
-                rec = {"kind": kind}
-                rec.update(fields)
-                out.append(rec)
-        return out
-
-    def snapshot(self) -> dict:
-        return {"capacity": self.capacity, "recorded": self.recorded,
-                "events": self.events()}
-
 
 # ----------------------------------------------------------------------
 # NaN-origin localization over the state arrays the watchdog scans
@@ -271,7 +192,7 @@ def build_bundle(
     *,
     kind: str,
     reason: str | None = None,
-    ring: list | FlightRecorder | None = None,
+    ring: list | None = None,
     solver=None,
     lts=None,
     error: str | None = None,
@@ -286,15 +207,12 @@ def build_bundle(
 
     ``kind`` names the terminal fault path that triggered the dump
     (``recovery`` | ``diverged`` | ``exception`` | ``supervisor``).
-    When ``solver`` is given the NaN-origin localization and per-field
-    statistics are computed from its live state — call *before* rolling
-    the state back.
+    ``ring`` is the run's recent records, oldest first, in run-log shape
+    (:meth:`~repro.obs.runlog.RunLog.tail`, or the tail of a dead
+    worker's log).  When ``solver`` is given the NaN-origin localization
+    and per-field statistics are computed from its live state — call
+    *before* rolling the state back.
     """
-    if isinstance(ring, FlightRecorder):
-        ring_snap = ring.snapshot()
-    else:
-        ring_snap = {"capacity": None, "recorded": len(ring or []),
-                     "events": list(ring or [])}
     doc = {
         "schema": BUNDLE_SCHEMA_VERSION,
         "kind": str(kind),
@@ -303,7 +221,7 @@ def build_bundle(
         "error": error,
         "failures": list(failures or []),
         "context": dict(context or {}),
-        "ring": ring_snap,
+        "ring": {"events": list(ring or [])},
         "nan_origin": None,
         "field_stats": {},
         "stacks": thread_stacks(),

@@ -14,9 +14,12 @@ those per-member views become *fleet* facts:
   fleet-spread view: is one member's energy drifting while the rest
   hold steady?).
 * **Exporter** — :meth:`FleetAggregator.export` writes ``fleet.prom``
-  (the Prometheus textfile-collector format) into the ensemble out-dir
+  (the Prometheus textfile-collector format, rendered by
+  :meth:`FleetAggregator.to_prometheus`) into the ensemble out-dir
   through :func:`repro.io.atomic.atomic_open`, so a scrape never sees a
-  torn file.
+  torn file; :func:`validate_prometheus` is the strict line-format
+  checker run against it (metric names are free-form paths, sanitized to
+  the Prometheus grammar by :func:`prom_name`).
 * **Status view** — :func:`fold_run_dir` rebuilds the supervisor's
   aggregator from an ensemble run directory's artifacts alone
   (supervisor log, member run logs, ``ensemble.json`` — no live process
@@ -31,16 +34,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import sys
 import time
+from collections import Counter
 
 from ..io.atomic import atomic_open
-from .metrics import (
-    METRICS_SCHEMA_VERSION,
-    merge_snapshots,
-    to_prometheus,
-    validate_prometheus,
-)
+from .metrics import METRICS_SCHEMA_VERSION, merge_snapshots
 from .runlog import read_records, validate_jsonl
 
 __all__ = [
@@ -51,6 +51,8 @@ __all__ = [
     "status_lines",
     "check_run_dir",
     "watch_status",
+    "prom_name",
+    "validate_prometheus",
 ]
 
 FLEET_PROM = "fleet.prom"
@@ -191,34 +193,47 @@ class FleetAggregator:
     def to_prometheus(self, now: float | None = None) -> str:
         """The fleet snapshot in Prometheus text exposition format.
 
-        The fold of member snapshots is rendered unlabelled (counters
-        summed across the fleet, gauges last-write-wins); fleet spread
-        and per-member liveness ride along as extra gauge families:
-        ``repro_fleet_gauge_{min,max,q50,q90}`` labelled by metric name
-        and ``repro_fleet_member_staleness_seconds`` labelled by member.
+        The fold of member snapshots is rendered unlabelled: counters as
+        ``counter`` families (``_total``-suffixed, summed across the
+        fleet), gauges as ``gauge`` families (last-write-wins).  Fleet
+        spread and per-member liveness ride along as labelled gauge
+        families: ``repro_fleet_gauge_{min,max,q50,q90}`` by metric name,
+        ``repro_fleet_member_staleness_seconds`` by member and
+        ``repro_fleet_members_by_state`` by state.  Ends with a newline,
+        as the textfile collector requires.
         """
         now = time.time() if now is None else now
-        extra = {
-            "fleet/members": [({}, float(len(self.members)))],
-        }
+        lines: list[str] = []
+
+        def family(name, kind, samples):
+            lines.append(f"# TYPE {prom_name(name)} {kind}")
+            lines.extend(f"{prom_name(name)}{_labels(labels)} {_fmt(value)}"
+                         for labels, value in samples)
+
+        snap = self.fleet_snapshot()
+        for name, value in snap["counters"].items():
+            if not prom_name(name).endswith("_total"):
+                name += "_total"
+            family(name, "counter", [(None, value)])
+        for name, g in snap["gauges"].items():
+            family(name, "gauge", [(None, g["value"])])
+        family("fleet/members", "gauge", [(None, float(len(self.members)))])
         stats = self.gauge_stats()
         for stat in ("min", "max", "q50", "q90"):
             samples = [({"metric": name}, cells[stat])
                        for name, cells in sorted(stats.items())
                        if not math.isnan(cells[stat])]
             if samples:
-                extra[f"fleet/gauge_{stat}"] = samples
-        stale = self.staleness(now)
-        if stale:
-            extra["fleet/member_staleness_seconds"] = [
-                ({"member": mid}, s) for mid, s in sorted(stale.items())]
-        states = {}
-        for cell in self.members.values():
-            states[cell["state"]] = states.get(cell["state"], 0) + 1
-        if states:
-            extra["fleet/members_by_state"] = [
-                ({"state": st}, float(n)) for st, n in sorted(states.items())]
-        return to_prometheus(self.fleet_snapshot(), extra=extra)
+                family(f"fleet/gauge_{stat}", "gauge", samples)
+        if self.members:
+            stale = self.staleness(now)
+            states = Counter(cell["state"] for cell in self.members.values())
+            family("fleet/member_staleness_seconds", "gauge",
+                   [({"member": mid}, s) for mid, s in sorted(stale.items())])
+            family("fleet/members_by_state", "gauge",
+                   [({"state": st}, float(n))
+                    for st, n in sorted(states.items())])
+        return "\n".join(lines) + "\n"
 
     def export(self, now: float | None = None) -> None:
         """Replace ``fleet.prom`` under ``out_dir`` atomically, so a
@@ -226,6 +241,103 @@ class FleetAggregator:
         os.makedirs(self.out_dir, exist_ok=True)
         with atomic_open(os.path.join(self.out_dir, FLEET_PROM)) as fh:
             fh.write(self.to_prometheus(now))
+
+
+# ----------------------------------------------------------------------
+_NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def prom_name(name: str) -> str:
+    """Sanitize a free-form metric path to the Prometheus name grammar
+    (``repro_``-prefixed, so it always starts with a letter)."""
+    return "repro_" + _NAME_SANITIZE.sub("_", name)
+
+
+def _fmt(v: float) -> str:
+    if isinstance(v, float) and math.isnan(v):
+        return "NaN"
+    if v == math.inf:
+        return "+Inf"
+    if v == -math.inf:
+        return "-Inf"
+    return repr(float(v)) if isinstance(v, float) else str(int(v))
+
+
+def _labels(labels: dict | None) -> str:
+    if not labels:
+        return ""
+    inner = ",".join(
+        f'{k}="' + str(v).replace("\\", r"\\").replace('"', r"\"")
+        .replace("\n", r"\n") + '"'
+        for k, v in sorted(labels.items())
+    )
+    return "{" + inner + "}"
+
+
+# -- strict text-format checker ----------------------------------------
+_METRIC_NAME_RE = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
+_LABEL_RE = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\["\\n])*"'
+_SAMPLE_RE = re.compile(
+    rf"^({_METRIC_NAME_RE})"
+    rf"(?:\{{({_LABEL_RE}(?:,{_LABEL_RE})*)?,?\}})?"
+    r" (-?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?|[-+]?Inf|NaN)"
+    r"( [0-9]+)?$"
+)
+_TYPE_RE = re.compile(rf"^# TYPE ({_METRIC_NAME_RE}) (\w+)$")
+_HELP_RE = re.compile(rf"^# HELP ({_METRIC_NAME_RE}) .*$")
+
+#: the metric types :meth:`FleetAggregator.to_prometheus` emits, and all a
+#: document may hold
+_KINDS = ("counter", "gauge")
+
+
+def validate_prometheus(text: str) -> list[str]:
+    """Schema errors of a Prometheus text-format document (empty = valid).
+
+    Strict about everything a textfile collector is strict about — line
+    grammar, label syntax, one ``# TYPE`` per family declared before its
+    samples, non-negative counters, a trailing newline — and about what
+    this exporter writes: ``counter`` and ``gauge`` families only.
+    """
+    errors: list[str] = []
+    if text and not text.endswith("\n"):
+        errors.append("document does not end with a newline")
+    types: dict[str, str] = {}
+    seen_samples: set[str] = set()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            m = _TYPE_RE.match(line)
+            if m:
+                name, kind = m.groups()
+                if kind not in _KINDS:
+                    errors.append(f"line {lineno}: {name} has type {kind}; "
+                                  f"only {' / '.join(_KINDS)} are exported")
+                if name in types:
+                    errors.append(f"line {lineno}: duplicate TYPE for {name}")
+                if name in seen_samples:
+                    errors.append(
+                        f"line {lineno}: TYPE for {name} after its samples")
+                types[name] = kind
+                continue
+            if _HELP_RE.match(line) or line.startswith("# "):
+                continue
+            errors.append(f"line {lineno}: malformed comment {line!r}")
+            continue
+        m = _SAMPLE_RE.match(line)
+        if not m:
+            errors.append(f"line {lineno}: malformed sample line {line!r}")
+            continue
+        name, _labelstr, value_s, _ts = m.groups()
+        seen_samples.add(name)
+        if name not in types:
+            errors.append(
+                f"line {lineno}: sample {name} has no preceding # TYPE")
+        elif types[name] == "counter" and float(value_s) < 0 \
+                and value_s != "-Inf":
+            errors.append(f"line {lineno}: counter {name} is negative")
+    return errors
 
 
 # ----------------------------------------------------------------------
@@ -240,10 +352,11 @@ def fold_run_dir(run_dir: str) -> tuple[FleetAggregator, list, dict]:
     ensemble run directory, plus the records it was folded from.
 
     The supervisor log's member events set each member's state as they
-    did live (and so count its retries); each member's heartbeat and
-    ``metrics`` records feed its runner step (and so its rate),
-    simulated time and snapshot, as the worker's pipe messages did;
-    ``ensemble.json`` has the last word on terminal states.  Returns ``(aggregator,
+    did live (and so count its retries); each member's heartbeats feed
+    its runner step (and so its rate), simulated time and snapshot, as
+    the worker's pipe messages did, and its ``run_end`` the final step
+    and snapshot, as its result file did; ``ensemble.json`` has the last
+    word on terminal states.  Returns ``(aggregator,
     supervisor_records, {member: run_log_records})``; works mid-run and
     post-mortem alike.
     """
@@ -262,9 +375,11 @@ def fold_run_dir(run_dir: str) -> tuple[FleetAggregator, list, dict]:
         logs[mid], _ = read_records(path)
         agg.update(mid, wall=0.0)  # listed even before its first beat
         for rec in logs[mid]:
-            if rec.get("event") in ("heartbeat", "metrics"):
+            if rec.get("event") in ("heartbeat", "run_end"):
+                # a beat's runner step is ``step``, the final one ``steps``
                 agg.update(mid, rec.get("metrics"), wall=_wall(rec),
-                           step=rec.get("step"), sim_t=rec.get("sim_t"))
+                           step=rec.get("step", rec.get("steps")),
+                           sim_t=rec.get("sim_t"))
     try:
         with open(os.path.join(run_dir, "ensemble.json"),
                   encoding="utf-8") as fh:
@@ -278,8 +393,8 @@ def fold_run_dir(run_dir: str) -> tuple[FleetAggregator, list, dict]:
 def status_rows(run_dir: str, now: float | None = None) -> list[dict]:
     """One status dict per member of the ensemble under ``run_dir``: the
     :func:`fold_run_dir` aggregator's view of it (state, retries,
-    :meth:`~FleetAggregator.member_brief`, staleness) plus its count of
-    ``metrics`` records and its black-box verdict."""
+    :meth:`~FleetAggregator.member_brief`, staleness) plus its black-box
+    verdict."""
     now = time.time() if now is None else now
     agg, sup, logs = fold_run_dir(run_dir)
     stale = agg.staleness(now)
@@ -295,26 +410,29 @@ def status_rows(run_dir: str, now: float | None = None) -> list[dict]:
             "energy_drift": brief.get("energy_drift"),
             "retries": cell["retries"],
             "stale_s": stale[mid] if cell["wall"] else None,
-            "metrics_records": sum(r.get("event") == "metrics"
-                                   for r in logs.get(mid, [])),
-            "verdict": _member_verdict(run_dir, mid, sup),
+            "verdict": _member_verdict(run_dir, mid, cell["state"], sup),
         })
     return rows
 
 
-def _member_verdict(run_dir: str, mid: str, sup: list) -> str | None:
-    """Black-box classifier verdict of the member's newest bundle.
+def _member_verdict(run_dir: str, mid: str, state: str,
+                    sup: list) -> str | None:
+    """Black-box verdict of a member in ``state``.
 
-    The supervisor's quarantine event carries the authoritative verdict;
-    otherwise (mid-run, or a supervisor log that predates schema v3) the
-    newest ``*.blackbox.json`` in the member dir is classified directly.
-    ``None`` when the member never dumped a bundle.
+    A finished ``ok`` or ``recovered`` member has none: the bundles of
+    its failed attempts are stale, and stale diagnostics on a healthy
+    member are worse than none.  A quarantined member takes its
+    quarantine event's verdict.  Only a member still ``running`` or
+    ``retrying`` falls back to classifying the newest
+    ``*.blackbox.json`` in its dir (``None`` when it dumped none).
     """
-    for rec in reversed(sup):
-        if (rec.get("member") == mid
-                and rec.get("event") == "member_quarantined"
-                and isinstance(rec.get("verdict"), str)):
-            return rec["verdict"]
+    if state == "quarantined":
+        return next((rec["verdict"] for rec in reversed(sup)
+                     if rec.get("member") == mid
+                     and rec.get("event") == "member_quarantined"
+                     and isinstance(rec.get("verdict"), str)), None)
+    if state not in ("running", "retrying"):
+        return None
     from .blackbox import classify_bundle, load_bundle, newest_bundle
 
     path = newest_bundle(os.path.join(run_dir, mid))
@@ -331,10 +449,10 @@ def check_run_dir(run_dir: str) -> list[str]:
 
     ``ensemble.jsonl`` and every member ``run.jsonl`` must pass
     :func:`~repro.obs.runlog.validate_jsonl`, ``fleet.prom`` (when
-    written) :func:`~repro.obs.metrics.validate_prometheus`, and every
+    written) :func:`validate_prometheus`, and every
     bundle a log references must exist and pass
     :func:`~repro.obs.blackbox.validate_bundle`.  Every finished member
-    must have a final ``metrics`` record, equal to the ``metrics`` of its
+    must have a ``run_end`` whose ``metrics`` equal those of its
     ``result.json``.
     """
     from .blackbox import load_bundle, validate_bundle
@@ -372,7 +490,7 @@ def check_run_dir(run_dir: str) -> list[str]:
         log = os.path.join(run_dir, mid, "run.jsonl")
         result = os.path.join(run_dir, mid, "result.json")
         final = [r.get("metrics") for r in logs.get(mid, [])
-                 if r.get("event") == "metrics"]
+                 if r.get("event") == "run_end"]
         try:
             with open(result, encoding="utf-8") as fh:
                 published = json.load(fh)["metrics"]
@@ -380,10 +498,9 @@ def check_run_dir(run_dir: str) -> list[str]:
             problems.append(f"{result}: unreadable ({exc!r})")
             continue
         if not final:
-            problems.append(f"{log}: no metrics record")
+            problems.append(f"{log}: no run_end record")
         elif final[-1] != published:
-            problems.append(f"{log}: final metrics record differs from "
-                            f"{result}")
+            problems.append(f"{log}: run_end metrics differ from {result}")
     return problems
 
 

@@ -41,20 +41,16 @@ exceed elapsed wall time).  A metric name pins its type on first use.
 Each quantity has one name.  :meth:`MetricRegistry.snapshot` is
 schema-versioned (:data:`METRICS_SCHEMA_VERSION`) because it crosses
 process boundaries: ensemble workers piggyback it on heartbeat messages,
-run logs persist it as ``metrics`` records and ``run_end`` carries its
-``phases`` / ``counters``.  :func:`merge_snapshots` folds snapshots
-associatively (counters sum, gauges keep the newest sample) for the
-supervisor's :class:`~repro.obs.fleet.FleetAggregator`;
-:func:`to_prometheus` renders one in the textfile-collector format and
-:func:`validate_prometheus` is the strict line-format checker CI runs
-against every exported ``.prom`` file (metric names are free-form paths,
-sanitized to the Prometheus grammar on export).
+and run logs persist it as the ``metrics`` of each heartbeat (counters
+and gauges) and of ``run_end`` (the final snapshot, phases included).
+:func:`merge_snapshots` folds snapshots associatively (counters sum,
+gauges keep the newest sample) for the supervisor's
+:class:`~repro.obs.fleet.FleetAggregator`, which renders the fold as
+Prometheus text.
 """
 
 from __future__ import annotations
 
-import math
-import re
 import threading
 import time
 
@@ -64,8 +60,6 @@ __all__ = [
     "TraceBuffer",
     "get_metrics",
     "merge_snapshots",
-    "to_prometheus",
-    "validate_prometheus",
 ]
 
 #: bumped whenever the snapshot layout changes (snapshots cross process
@@ -379,128 +373,3 @@ def merge_snapshots(a: dict | None, b: dict | None) -> dict:
                 cur.get("t", 0.0), cur.get("value", 0.0)):
             out["gauges"][name] = dict(g)
     return out
-
-
-# ----------------------------------------------------------------------
-_NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def prom_name(name: str) -> str:
-    """Sanitize a free-form metric path to the Prometheus name grammar
-    (``repro_``-prefixed, so it always starts with a letter)."""
-    return "repro_" + _NAME_SANITIZE.sub("_", name)
-
-
-def _fmt(v: float) -> str:
-    if isinstance(v, float) and math.isnan(v):
-        return "NaN"
-    if v == math.inf:
-        return "+Inf"
-    if v == -math.inf:
-        return "-Inf"
-    return repr(float(v)) if isinstance(v, float) else str(int(v))
-
-
-def _labels(labels: dict | None) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{k}="' + str(v).replace("\\", r"\\").replace('"', r"\"")
-        .replace("\n", r"\n") + '"'
-        for k, v in sorted(labels.items())
-    )
-    return "{" + inner + "}"
-
-
-def to_prometheus(snapshot: dict, extra: dict | None = None) -> str:
-    """Render a snapshot in the Prometheus text exposition format.
-
-    Counters become ``counter`` families (``_total``-suffixed), gauges
-    ``gauge`` families; ``extra`` maps metric name -> ``[(labels,
-    value), ...]`` gauge samples appended by the fleet aggregator
-    (min/max/quantile series, per-member staleness).  Ends with a
-    newline, as the textfile collector requires.
-    """
-    lines: list[str] = []
-
-    def family(name, kind, samples):
-        lines.append(f"# TYPE {name} {kind}")
-        for labels, value in samples:
-            lines.append(f"{name}{_labels(labels)} {_fmt(value)}")
-
-    for name, value in snapshot.get("counters", {}).items():
-        pname = prom_name(name)
-        if not pname.endswith("_total"):
-            pname += "_total"
-        family(pname, "counter", [(None, value)])
-    for name, g in snapshot.get("gauges", {}).items():
-        family(prom_name(name), "gauge", [(None, g["value"])])
-    for name, series in (extra or {}).items():
-        family(prom_name(name), "gauge",
-               [(labels, float(value)) for labels, value in series])
-    return "\n".join(lines) + "\n"
-
-
-# -- strict text-format checker ----------------------------------------
-_METRIC_NAME_RE = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
-_LABEL_RE = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\["\\n])*"'
-_SAMPLE_RE = re.compile(
-    rf"^({_METRIC_NAME_RE})"
-    rf"(?:\{{({_LABEL_RE}(?:,{_LABEL_RE})*)?,?\}})?"
-    r" (-?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?|[-+]?Inf|NaN)"
-    r"( [0-9]+)?$"
-)
-_TYPE_RE = re.compile(rf"^# TYPE ({_METRIC_NAME_RE}) (\w+)$")
-_HELP_RE = re.compile(rf"^# HELP ({_METRIC_NAME_RE}) .*$")
-
-#: the metric types :func:`to_prometheus` emits, and all a document may hold
-_KINDS = ("counter", "gauge")
-
-
-def validate_prometheus(text: str) -> list[str]:
-    """Schema errors of a Prometheus text-format document (empty = valid).
-
-    Strict about everything a textfile collector is strict about — line
-    grammar, label syntax, one ``# TYPE`` per family declared before its
-    samples, non-negative counters, a trailing newline — and about what
-    this exporter writes: ``counter`` and ``gauge`` families only.
-    """
-    errors: list[str] = []
-    if text and not text.endswith("\n"):
-        errors.append("document does not end with a newline")
-    types: dict[str, str] = {}
-    seen_samples: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            m = _TYPE_RE.match(line)
-            if m:
-                name, kind = m.groups()
-                if kind not in _KINDS:
-                    errors.append(f"line {lineno}: {name} has type {kind}; "
-                                  f"only {' / '.join(_KINDS)} are exported")
-                if name in types:
-                    errors.append(f"line {lineno}: duplicate TYPE for {name}")
-                if name in seen_samples:
-                    errors.append(
-                        f"line {lineno}: TYPE for {name} after its samples")
-                types[name] = kind
-                continue
-            if _HELP_RE.match(line) or line.startswith("# "):
-                continue
-            errors.append(f"line {lineno}: malformed comment {line!r}")
-            continue
-        m = _SAMPLE_RE.match(line)
-        if not m:
-            errors.append(f"line {lineno}: malformed sample line {line!r}")
-            continue
-        name, _labelstr, value_s, _ts = m.groups()
-        seen_samples.add(name)
-        if name not in types:
-            errors.append(
-                f"line {lineno}: sample {name} has no preceding # TYPE")
-        elif types[name] == "counter" and float(value_s) < 0 \
-                and value_s != "-Inf":
-            errors.append(f"line {lineno}: counter {name} is negative")
-    return errors

@@ -293,11 +293,11 @@ def summarize_runlog(path: str, check: bool = False) -> int:
         ran = manifests[0].get("kernel_variant") if manifests else None
         order = (manifests[0].get("order")
                  if ran == SpatialOperator.kernel_variant else None)
-        snapshot = {"phases": run_end.get("phases", {}),
-                    "counters": run_end.get("counters", {})}
+        snapshot = run_end.get("metrics")
         print(f"run end: {run_end.get('steps')} steps in "
               f"{_num(run_end.get('wall_s'), '.2f', '?')} s wall")
-        for line in profile_lines(snapshot, order=order,
+        for line in profile_lines(snapshot if isinstance(snapshot, dict)
+                                  else {}, order=order,
                                   wall_s=run_end.get("wall_s")):
             print(line)
     else:

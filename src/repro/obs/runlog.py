@@ -1,18 +1,24 @@
-"""Structured JSONL run logs: manifest, heartbeats, recovery events.
+"""The run record: one event stream, in memory and in a JSONL log.
 
-A :class:`RunLog` appends one JSON object per line to a log file — the
-machine-readable counterpart of a production job's stdout.  Every run's
-log is written by one lifecycle, :class:`~repro.obs.session.ObsSession`
-(CLI, examples, perf runs and every ensemble member alike), plus the
-supervision events :class:`~repro.core.resilience.ResilientRunner` and
-the ensemble supervisor append; every write is ``fsync``'d.  Records
-share a tiny envelope (``event``, ``seq``, ``wall``, ``run_id``) and each
-event type carries a fixed set of required fields (:data:`EVENT_FIELDS`).
-One reader decodes a log (:func:`read_records`, tolerant of torn and
-garbled lines) and one schema judges it (:func:`validate_record`, applied
-line by line by :func:`validate_jsonl` — what ``python -m repro
-obs-report --check`` runs on one log, ``obs-status --check`` on every log
-of an ensemble run and the perf ledger on its runs).
+A :class:`RunLog` is the one event stream of a run.  It always keeps its
+newest :data:`RING_CAPACITY` records — emitted ones, plus one plain tuple
+per scheduler micro-step window and per supervised step — in a bounded
+in-memory ring, the tail a diagnostic bundle is dumped from
+(:mod:`repro.obs.blackbox`); given a path, it also appends each emitted
+record as one JSON line to a log file, every write ``fsync``'d.  Every
+run's log is written by one lifecycle,
+:class:`~repro.obs.session.ObsSession` (CLI, examples, perf runs and
+every ensemble member alike), plus the supervision events
+:class:`~repro.core.resilience.ResilientRunner` (whose flight recorder
+it is) and the ensemble supervisor emit.  Records
+share a tiny envelope (``event``, ``seq``, ``wall``, ``run_id``) and
+each event type carries a fixed set of required fields
+(:data:`EVENT_FIELDS`).  One reader decodes a log (:func:`read_records`,
+tolerant of torn and garbled lines) and one schema judges it
+(:func:`validate_record`, applied line by line by :func:`validate_jsonl`
+— what ``python -m repro obs-report --check`` runs on one log,
+``obs-status --check`` on every log of an ensemble run and the perf
+ledger on its runs).
 
 Events
 ------
@@ -29,27 +35,24 @@ Events
     runner's (steps rolled back are not counted twice, and a replayed
     step gets no second heartbeat), ``dt`` includes the runner's backoff
     scale, and the energy is the one its watchdog swept for the step.
+    While the run's registry is on, a heartbeat also carries its own
+    ``metrics``: the registry's counters and gauges (the twin of the
+    snapshot an ensemble worker sends up its pipe).
 ``checkpoint`` / ``resume``
     Emitted by :class:`~repro.core.resilience.ResilientRunner` around its
     atomic checkpoint writes and restarts; a ``resume`` names the file
     actually restored.
 ``recovery`` / ``diverged``
     The watchdog-trip/rollback events of the resilience supervisor,
-    including wall-clock timing, retry counts and — schema v3 — the
-    diagnostic-bundle path the black-box flight recorder dumped for the
-    failure (``null`` when no bundle directory was configured).
-``metrics``
-    Registry snapshot: one next to every heartbeat with counters and
-    gauges only (the twin of the snapshot an ensemble worker sends up its
-    pipe), and one final record carrying the phases as well, equal to
-    the snapshot ``ObsSession.finish`` returns.  Schema v2 made
-    ``step``/``sim_t``/``metrics`` required.
+    including wall-clock timing, retry counts and the diagnostic-bundle
+    path dumped for the failure (``null`` when no bundle directory was
+    configured).
 ``run_end``
-    Final record: step totals, wall time, and the ``phases`` /
-    ``counters`` of the run's registry snapshot
-    (:meth:`repro.obs.metrics.MetricRegistry.snapshot`) — empty when the
-    registry was off (no ``--profile`` / ``--trace`` / ``--metrics``;
-    an ensemble member with neither ``metrics`` nor ``trace``).
+    Final record: step totals, wall time, and the run's final registry
+    snapshot as ``metrics``
+    (:meth:`repro.obs.metrics.MetricRegistry.snapshot`, phases included)
+    — empty when the registry was off (no ``--profile`` / ``--trace`` /
+    ``--metrics``).
 ``member_start`` / ``member_retry`` / ``member_quarantined`` /
 ``member_end`` / ``ensemble_summary``
     Supervisor-level events of the multi-process ensemble driver
@@ -69,6 +72,7 @@ import sys
 import threading
 import time
 import uuid
+from collections import deque
 
 import numpy as np
 
@@ -88,10 +92,20 @@ __all__ = [
 #: Bumped whenever the record envelope or required fields change.
 #: v2: the ``metrics`` event gained required fields (step, sim_t, metrics).
 #: v3: ``recovery``/``diverged`` gained a required ``bundle`` field (the
-#: diagnostic-bundle path the flight recorder dumped, or null) and
-#: ``member_quarantined`` gained required ``bundle`` + ``verdict`` (the
-#: black-box classifier's structured verdict replacing free text).
-SCHEMA_VERSION = 3
+#: diagnostic-bundle path, or null) and ``member_quarantined`` gained
+#: required ``bundle`` + ``verdict`` (the black-box classifier's verdict).
+#: v4: the ``metrics`` event is gone: a heartbeat carries its own
+#: ``metrics`` and ``run_end`` the final snapshot as ``metrics`` (in place
+#: of ``phases`` / ``counters``).
+SCHEMA_VERSION = 4
+
+#: records the in-memory ring keeps (micro-steps, steps and emitted
+#: records alike, oldest dropped first)
+RING_CAPACITY = 256
+
+#: the fields of the ring's hot-path tuples, by event
+_TUPLE_FIELDS = {"micro": ("index", "cluster", "t_int", "dt"),
+                 "step": ("step", "sim_t", "dt", "energy", "dt_scale")}
 
 #: Required payload fields per event type (beyond the envelope fields
 #: ``event``/``seq``/``wall``/``run_id``, required on every record).
@@ -104,8 +118,7 @@ EVENT_FIELDS: dict[str, tuple] = {
                  "wall_s", "reason", "bundle"),
     "diverged": ("step", "sim_t", "attempts", "dt_scale", "wall_s",
                  "bundle"),
-    "run_end": ("steps", "wall_s", "phases", "counters"),
-    "metrics": ("step", "sim_t", "metrics"),
+    "run_end": ("steps", "wall_s", "metrics"),
     "member_start": ("member", "attempt", "scenario", "pid"),
     "member_retry": ("member", "attempt", "reason", "delay_s", "resume",
                      "dt_scale"),
@@ -135,7 +148,8 @@ def _jsonable(obj):
 
 
 class RunLog:
-    """Append-only, thread-safe, crash-safe JSONL event sink.
+    """The run's one event stream: a bounded in-memory ring, plus an
+    append-only, thread-safe, crash-safe JSONL file when given a path.
 
     The file is always opened in append mode so resumed runs continue the
     same log.  Every write is flushed and ``fsync``'d before :meth:`emit`
@@ -145,53 +159,74 @@ class RunLog:
     diagnoses the death.  An abrupt kill loses at most the write in
     flight, which :func:`read_records` reports as a torn tail; earlier
     lines are never corrupted.
+
+    The ring is always on.  The hot-path entry points (:meth:`record_micro`,
+    :meth:`record_step`) append a plain tuple to a ``deque`` — no dict, no
+    formatting, no clock read beyond what the caller already holds — and
+    never touch the file.
     """
 
-    def __init__(self, path: str):
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
+    def __init__(self, path: str | None = None):
         self.path = path
         self.run_id = uuid.uuid4().hex[:12]
-        self._fh = open(path, "a", encoding="utf-8")
+        self._ring: deque = deque(maxlen=RING_CAPACITY)
+        self._fh = None
+        if path is not None:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            self._fh = open(path, "a", encoding="utf-8")
         self._lock = threading.Lock()
         self._seq = 0
 
-    def emit(self, event, /, **fields) -> None:
-        """Append one record — or, given a list of ``(event, fields)``
-        pairs instead of an event name, all of them under one write, one
-        flush and one ``fsync`` (a heartbeat and its metrics snapshot).
+    # -- hot paths -----------------------------------------------------
+    def record_micro(self, solver, event) -> None:
+        """One scheduler micro-step window (cluster id + window position):
+        a :meth:`~repro.sched.HookBus.on_micro_step` subscriber."""
+        self._ring.append(("micro", event.index, event.cluster, event.t_int,
+                           event.dt))
 
-        Unknown event types are a programming error: the whole batch is
-        rejected before anything is written.
-        """
-        records = event if isinstance(event, list) else [(event, fields)]
-        for name, _ in records:
-            if name not in EVENT_FIELDS:
-                raise ValueError(
-                    f"unknown run-log event {name!r} "
-                    f"(known: {', '.join(sorted(EVENT_FIELDS))})"
-                )
+    def record_step(self, step, t, dt, energy=None, dt_scale=None) -> None:
+        """One supervised step/sync sweep with its physics gauges."""
+        self._ring.append(("step", step, t, dt, energy, dt_scale))
+
+    # -- records -------------------------------------------------------
+    def emit(self, event: str, /, **fields) -> None:
+        """Append one record to the ring and, when the log has an open
+        file, to the file.  Unknown event types are a programming error."""
+        if event not in EVENT_FIELDS:
+            raise ValueError(
+                f"unknown run-log event {event!r} "
+                f"(known: {', '.join(sorted(EVENT_FIELDS))})"
+            )
         with self._lock:
-            if self._fh.closed:
-                return
-            lines = []
-            for seq, (name, payload) in enumerate(records, start=self._seq):
-                rec = {"event": name, "seq": seq, "wall": time.time(),
-                       "run_id": self.run_id}
-                rec.update(payload)
-                lines.append(json.dumps(_jsonable(rec)) + "\n")
-            self._fh.write("".join(lines))
-            self._seq += len(lines)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+            rec = {"event": event, "seq": self._seq, "wall": time.time(),
+                   "run_id": self.run_id}
+            rec.update(fields)
+            rec = _jsonable(rec)
+            self._seq += 1
+            self._ring.append(rec)
+            if self._fh is not None and not self._fh.closed:
+                self._fh.write(json.dumps(rec) + "\n")
+                self._fh.flush()
+                os.fsync(self._fh.fileno())
+
+    def tail(self) -> list[dict]:
+        """The ring as run-log-shaped dicts, oldest first: emitted records
+        as written, micro-steps and steps as ``{"event": "micro" | "step",
+        ...}`` (unknown gauges left out)."""
+        return [item if isinstance(item, dict) else _jsonable(
+                    {"event": item[0], **{k: v for k, v in zip(
+                        _TUPLE_FIELDS[item[0]], item[1:]) if v is not None}})
+                for item in list(self._ring)]
 
     @property
     def closed(self) -> bool:
-        return self._fh.closed
+        """Whether the log file is closed (a pathless log has none)."""
+        return self._fh is not None and self._fh.closed
 
     def close(self) -> None:
+        """Close the file; the ring keeps recording."""
         with self._lock:
-            if not self._fh.closed:
+            if self._fh is not None:
                 self._fh.close()
 
     def __enter__(self):
@@ -301,8 +336,8 @@ def read_records(path: str) -> tuple[list[dict], bool]:
 
 
 def _metrics_payload_errors(snap) -> list[str]:
-    """Structural errors of one compact registry snapshot (the payload of
-    a ``metrics`` record)."""
+    """Structural errors of one registry snapshot (the ``metrics`` of a
+    heartbeat or of ``run_end``)."""
     if not isinstance(snap, dict):
         return [f"metrics payload is {type(snap).__name__}, expected object"]
     errors = []
@@ -334,7 +369,7 @@ def validate_record(rec) -> list[str]:
     """Schema errors of one decoded record (empty list = valid).
 
     The one run-log schema: the envelope, each event's required fields,
-    the snapshot payload of ``metrics`` records, and the diagnostic-bundle
+    the snapshot a heartbeat or ``run_end`` carries, and the diagnostic-bundle
     fields (``bundle`` null or a path, ``verdict`` one of
     :data:`~repro.obs.blackbox.VERDICTS`).
     """
@@ -356,7 +391,7 @@ def validate_record(rec) -> list[str]:
         errors.append("seq is not an integer")
     if "wall" in rec and not isinstance(rec["wall"], (int, float)):
         errors.append("wall is not a number")
-    if event == "metrics" and "metrics" in rec:
+    if event in ("heartbeat", "run_end") and "metrics" in rec:
         errors.extend(_metrics_payload_errors(rec["metrics"]))
     if rec.get("bundle") is not None and not isinstance(rec["bundle"], str):
         errors.append(f"{event}: 'bundle' must be null or a path string")

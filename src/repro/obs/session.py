@@ -10,13 +10,14 @@ attempt under one) — behind the shared ``--profile`` / ``--trace`` /
   timeline to ``PATH`` at the end (open it at https://ui.perfetto.dev,
   check it with ``python -m repro obs-trace PATH``); composes freely
   with ``profile``, whose phase table says where the time went;
-* ``metrics=True`` writes a ``metrics`` record (counters and gauges)
-  next to every heartbeat, and one final ``metrics`` record with the
-  phases as well;
+* ``metrics=True`` switches the registry on without a report: every
+  logged heartbeat then carries the counters and gauges, and ``run_end``
+  the final snapshot with the phases as well;
 * ``log_json=PATH`` opens a :class:`~repro.obs.runlog.RunLog` (every
   write ``fsync``'d) and writes the run manifest, periodic heartbeats and
-  the final ``run_end`` record (resilience events are routed into the
-  same log by passing ``session.runlog`` to ``ResilientRunner``);
+  the final ``run_end`` record (resilience events go into the same
+  stream by passing ``session.runlog`` to ``ResilientRunner``, whose
+  flight-recorder ring it then is);
 * ``heartbeat_every=N`` controls the heartbeat period in steps (default
   10 when logging is on).  Heartbeats are the one answer to "how far
   along": step, simulated time and step rate.  Without a run log, an
@@ -52,7 +53,7 @@ from __future__ import annotations
 import time
 
 from ..core.health import total_energy
-from .metrics import get_metrics
+from .metrics import MetricRegistry, get_metrics
 from .runlog import RunLog, run_manifest
 
 __all__ = ["ObsSession", "add_obs_args", "obs_kwargs"]
@@ -77,7 +78,7 @@ class ObsSession:
         #: the supervising runner given to :meth:`subscribe` (or ``None``)
         self.runner = None
         #: counters + gauges of the newest logged heartbeat (``None`` until
-        #: one, or without ``metrics``)
+        #: one, or with the registry off)
         self.beat_metrics: dict | None = None
         self._syncs = 0
         self._t0 = self._hb_t = time.perf_counter()
@@ -133,9 +134,9 @@ class ObsSession:
     def on_step(self, solver) -> None:
         """Per-step hook: counts steps, emits periodic heartbeats.
 
-        Heartbeats go to the structured run log when one is open — with
-        ``metrics``, a counters-and-gauges ``metrics`` record first, both
-        under one write — and to stdout otherwise: an explicit
+        Heartbeats go to the structured run log when one is open — while
+        the session's registry is on, each carrying its counters and
+        gauges as ``metrics`` — and to stdout otherwise: an explicit
         ``--heartbeat-every`` without ``--log-json`` must not be silently
         ignored.
         """
@@ -155,22 +156,16 @@ class ObsSession:
             if energy is None:  # the watchdog keeps none (energy checks off)
                 energy = total_energy(solver)
         if self.runlog is not None:
-            records = []
-            if self.metrics:
+            beat = {}
+            if self._owns_registry:
                 # nothing reads a beat's phases, and they would double its
-                # bytes: the final record carries them
+                # bytes: run_end carries them
                 snap = get_metrics().snapshot()
                 del snap["phases"]
-                self.beat_metrics = snap
-                records.append(("metrics", {"step": step,
-                                            "sim_t": float(solver.t),
-                                            "metrics": snap}))
-            records.append(("heartbeat", {"step": step,
-                                          "sim_t": float(solver.t),
-                                          "dt": float(dt),
-                                          "energy": float(energy),
-                                          "wall_rate": rate}))
-            self.runlog.emit(records)
+                self.beat_metrics = beat["metrics"] = snap
+            self.runlog.emit("heartbeat", step=step, sim_t=float(solver.t),
+                             dt=float(dt), energy=float(energy),
+                             wall_rate=rate, **beat)
         else:
             print(f"[heartbeat] step {step} | sim t {solver.t:.6g} s"
                   f" | dt {dt:.3g} s | energy {energy:.4g} J"
@@ -179,10 +174,10 @@ class ObsSession:
 
     # ------------------------------------------------------------------
     def finish(self, solver=None) -> dict:
-        """Write the final ``metrics`` and ``run_end`` records, export the
-        trace, print the profile report, close; returns the run's registry
-        snapshot (empty ``phases`` / ``counters`` when the session does
-        not own the registry).
+        """Write the ``run_end`` record, export the trace, print the
+        profile report, close; returns the run's registry snapshot — the
+        ``metrics`` of ``run_end`` (empty when the session does not own
+        the registry).
 
         Wrapped in try/finally: whatever the emission/export/rendering
         steps raise, :meth:`close` runs — an exception mid-finish must not
@@ -192,17 +187,10 @@ class ObsSession:
         wall = time.perf_counter() - self._t0
         met = get_metrics()
         try:
-            snap = (met.snapshot() if self._owns_registry
-                    else {"phases": {}, "counters": {}})
+            snap = (met if self._owns_registry else MetricRegistry()).snapshot()
             if self.runlog is not None:
-                if self.metrics:
-                    self.runlog.emit("metrics", step=self.steps,
-                                     sim_t=getattr(solver, "t", None),
-                                     metrics=snap)
-                self.runlog.emit(
-                    "run_end", steps=self.steps, wall_s=wall,
-                    phases=snap["phases"], counters=snap["counters"],
-                )
+                self.runlog.emit("run_end", steps=self.steps, wall_s=wall,
+                                 metrics=snap)
             if self.trace is not None:
                 from .trace import export_chrome_trace
 
@@ -257,8 +245,8 @@ def add_obs_args(parser) -> None:
     )
     parser.add_argument(
         "--metrics", action="store_true",
-        help="record the run's counters, gauges and phases (persisted as "
-             "'metrics' run-log records when --log-json is on)",
+        help="record the run's counters, gauges and phases (carried by the "
+             "run log's heartbeats and run_end when --log-json is on)",
     )
 
 

@@ -1,4 +1,5 @@
-"""Flight recorder, diagnostic bundles, NaN localization and classifier."""
+"""The run log's flight-recorder ring, diagnostic bundles, NaN
+localization and classifier."""
 
 import json
 import os
@@ -19,11 +20,11 @@ from repro.core.materials import acoustic, elastic
 from repro.core.resilience import ResilientRunner
 from repro.core.solver import CoupledSolver, ocean_surface_gravity_tagger
 from repro.mesh.generators import box_mesh, layered_ocean_mesh
+import repro.obs.runlog as runlog_module
 from repro.obs.blackbox import (
     BUNDLE_SCHEMA_VERSION,
     BUNDLE_SUFFIX,
     VERDICTS,
-    FlightRecorder,
     build_bundle,
     classify_bundle,
     diagnose_bundle_file,
@@ -37,6 +38,7 @@ from repro.obs.blackbox import (
     validate_bundle,
     write_bundle,
 )
+from repro.obs.runlog import RunLog, validate_record
 
 ROCK = elastic(2700.0, 6000.0, 3464.0)
 
@@ -78,45 +80,44 @@ def build_closed_passive():
 
 # ----------------------------------------------------------------------
 class TestFlightRecorder:
-    def test_ring_is_bounded(self):
-        rec = FlightRecorder(capacity=8)
+    """The flight recorder is the run log's in-memory ring."""
+
+    def test_ring_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(runlog_module, "RING_CAPACITY", 8)
+        rec = RunLog()
         for i in range(100):
             rec.record_micro(None, micro_event(i, i % 3, i, 1e-3))
-        assert len(rec) == 8
-        assert rec.recorded == 100
-        events = rec.events()
+        events = rec.tail()
         assert len(events) == 8
         # oldest events fell off the ring; the tail is intact, in order
         assert [e["index"] for e in events] == list(range(92, 100))
 
-    def test_event_normalization(self):
-        rec = FlightRecorder(capacity=16)
-        rec.record_micro(None, micro_event(0, 2, 5, 1e-3))
-        rec.record_step(1, 0.25, 1e-3, energy=3.5, dt_scale=0.5)
-        rec.record("checkpoint", step=1, path="x.npz")
-        micro, step, ckpt = rec.events()
-        assert micro == {"kind": "micro", "index": 0, "cluster": 2,
-                        "t_int": 5, "dt": 1e-3}
-        assert step["kind"] == "step" and step["energy"] == 3.5
-        assert step["dt_scale"] == 0.5
-        assert ckpt == {"kind": "checkpoint", "step": 1, "path": "x.npz"}
-        snap = rec.snapshot()
-        assert snap["capacity"] == 16 and snap["recorded"] == 3
+    def test_event_normalization(self, tmp_path):
+        """Micro-steps and steps come back run-log shaped; an emitted
+        record comes back exactly as it was written to the file."""
+        path = str(tmp_path / "run.jsonl")
+        with RunLog(path) as rec:
+            rec.record_micro(None, micro_event(0, 2, 5, 1e-3))
+            rec.record_step(1, 0.25, 1e-3, energy=3.5, dt_scale=0.5)
+            rec.emit("checkpoint", step=1, sim_t=0.25, path="x.npz")
+            micro, step, ckpt = rec.tail()
+        assert micro == {"event": "micro", "index": 0, "cluster": 2,
+                         "t_int": 5, "dt": 1e-3}
+        assert step == {"event": "step", "step": 1, "sim_t": 0.25,
+                        "dt": 1e-3, "energy": 3.5, "dt_scale": 0.5}
+        assert [ckpt] == [json.loads(line) for line in open(path)]
+        assert ckpt["path"] == "x.npz" and validate_record(ckpt) == []
 
-    def test_subscribe_records_scheduler_windows(self):
+    def test_subscribe_records_scheduler_windows(self, monkeypatch):
         from repro.sched import HookBus
 
-        rec = FlightRecorder(capacity=4)
+        monkeypatch.setattr(runlog_module, "RING_CAPACITY", 4)
+        rec = RunLog()
         bus = HookBus()
         bus.on_micro_step(rec.record_micro)
         bus.micro_step(None, micro_event(7, 1, 3, 2e-3))
-        events = rec.events()
-        assert events == [{"kind": "micro", "index": 7, "cluster": 1,
-                           "t_int": 3, "dt": 2e-3}]
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
+        assert rec.tail() == [{"event": "micro", "index": 7, "cluster": 1,
+                               "t_int": 3, "dt": 2e-3}]
 
 
 # ----------------------------------------------------------------------
@@ -214,14 +215,15 @@ class TestBundleIO:
 
     def test_round_trip_and_validation(self, tmp_path):
         path = str(tmp_path / ("a" + BUNDLE_SUFFIX))
-        rec = FlightRecorder(capacity=4)
+        rec = RunLog()
         rec.record_step(1, 0.1, 1e-3)
-        doc = self._doc(ring=rec, context={"member": "m0", "attempt": 2})
+        doc = self._doc(ring=rec.tail(), context={"member": "m0",
+                                                  "attempt": 2})
         write_bundle(path, doc)
         loaded = load_bundle(path)
         assert loaded["schema"] == BUNDLE_SCHEMA_VERSION
         assert loaded["context"] == {"member": "m0", "attempt": 2}
-        assert loaded["ring"]["events"][0]["kind"] == "step"
+        assert loaded["ring"]["events"][0]["event"] == "step"
         assert validate_bundle(loaded) == []
         # no temp files left behind by the atomic publish
         assert [n for n in os.listdir(tmp_path) if n.endswith(".tmp")] == []
@@ -376,7 +378,7 @@ class TestRunnerIntegration:
         # the terminal bundle ships a state excerpt next to the JSON
         assert os.path.isfile(os.path.join(str(tmp_path), doc["excerpt"]))
         # ring recorded the supervised steps leading up to the fault
-        kinds = {e["kind"] for e in doc["ring"]["events"]}
+        kinds = {e["event"] for e in doc["ring"]["events"]}
         assert "step" in kinds
         # the retry before exhaustion dumped its own recovery bundle
         kinds_written = [load_bundle(p)["kind"]
@@ -419,7 +421,8 @@ class TestRunnerIntegration:
         assert runner.last_bundle is None
         assert find_bundles(str(tmp_path)) == []
         # ...but the ring was recording the whole time
-        assert runner.recorder.recorded >= 4
+        steps = [e for e in runner.recorder.tail() if e["event"] == "step"]
+        assert len(steps) >= 4
 
     def test_lts_micro_steps_pass_through_record_micro(self):
         """Under LTS supervision every micro-step window of the plan is
@@ -428,7 +431,7 @@ class TestRunnerIntegration:
         from repro.core.lts import LocalTimeStepping
         from repro.sched import Scheduler
 
-        class Counting(FlightRecorder):
+        class Counting(RunLog):
             calls = 0
 
             def record_micro(self, solver, event):
@@ -444,7 +447,7 @@ class TestRunnerIntegration:
         runner.recorder = Counting()
         runner.run(t_end)
         assert runner.recorder.calls == n_micro == sum(lts.updates)
-        kinds = [e["kind"] for e in runner.recorder.events()]
+        kinds = [e["event"] for e in runner.recorder.tail()]
         assert kinds.count("micro") == n_micro
 
     def test_recovered_run_keeps_recovery_bundle_only(self, tmp_path):
@@ -457,11 +460,9 @@ class TestRunnerIntegration:
         assert kinds == ["recovery"]
 
     def test_ring_events_carry_the_runlog_fields(self, tmp_path):
-        """Supervision events are emitted once: the ring's recovery and
-        checkpoint events carry exactly the fields of their run-log
-        records (not a ``t`` / ``sim_t`` dialect of them)."""
-        from repro.obs.runlog import RunLog
-
+        """Supervision events are emitted once, into the one stream: the
+        runner's recorder is the run log it was given, and the ring's
+        recovery and checkpoint events are its written records."""
         solver = build_coupled(order=1)
         inj = FaultInjector().corrupt_state(at_step=2)  # one-shot
         log_path = str(tmp_path / "run.jsonl")
@@ -471,16 +472,14 @@ class TestRunnerIntegration:
                 runlog=log, checkpoint_every=2 * solver.dt,
                 checkpoint_dir=str(tmp_path))
             runner.run(6 * solver.dt)
-        envelope = ("event", "seq", "wall", "run_id")
-        logged = [{"kind": r["event"],
-                   **{k: v for k, v in r.items() if k not in envelope}}
-                  for r in map(json.loads, open(log_path))]
-        ring = json.loads(json.dumps(runner.recorder.events()))
-        sparse = [e for e in ring if e["kind"] in ("recovery", "checkpoint")]
-        assert [e["kind"] for e in sparse].count("recovery") == 1
-        assert [e["kind"] for e in sparse].count("checkpoint") >= 2
-        assert sparse == [r for r in logged
-                          if r["kind"] in ("recovery", "checkpoint")]
+        assert runner.recorder is log
+        logged = [json.loads(line) for line in open(log_path)]
+        ring = [e for e in runner.recorder.tail()
+                if e["event"] not in ("micro", "step")]
+        kinds = [e["event"] for e in ring]
+        assert kinds.count("recovery") == 1
+        assert kinds.count("checkpoint") >= 2
+        assert ring == logged
 
     def test_dump_exception_bundle(self, tmp_path):
         solver = build_coupled(order=1)
@@ -565,7 +564,7 @@ class TestOverheadBudget:
         """The always-on ring must cost < 2% of a step at ~2 record sites
         per supervised step (micro window + post-watchdog gauge)."""
         solver = build_coupled(order=2)
-        rec = FlightRecorder()
+        rec = RunLog()
         n = 50_000
         ev = micro_event(0, 0, 0, 1e-3)
         t0 = time.perf_counter()
@@ -582,6 +581,6 @@ class TestOverheadBudget:
         sites = 2  # recorder appends per supervised step
         overhead = sites * per_call / per_step
         assert overhead < 0.02, (
-            f"flight recorder costs {overhead * 100:.3f}% of a step "
+            f"the ring costs {overhead * 100:.3f}% of a step "
             f"({per_call * 1e9:.0f} ns per append)"
         )

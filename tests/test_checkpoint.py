@@ -451,8 +451,8 @@ class TestOneResumePath:
                 solver, runner, meta = self._resumed(where, ckpt_dir)
             assert meta["path"] == previous
             assert solver.t == pytest.approx(0.2)
-            resumes = [e for e in runner.recorder.events()
-                       if e["kind"] == "resume"]
+            resumes = [e for e in runner.recorder.tail()
+                       if e["event"] == "resume"]
             assert [e["path"] for e in resumes] == [previous]
             runner.run(self.T_END)
             assert solver.t == by_name.t
@@ -467,4 +467,4 @@ class TestOneResumePath:
         for where in (None, str(tmp_path)):
             with pytest.raises(CheckpointError, match="no readable checkpoint"):
                 runner.resume(where)
-        assert solver.t == 0.0 and runner.recorder.events() == []
+        assert solver.t == 0.0 and runner.recorder.tail() == []

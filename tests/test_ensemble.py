@@ -44,8 +44,14 @@ from repro.ensemble.worker import RESULT_NAME
 from repro.exec.plan_cache import clear_plan_cache
 from repro.io.checkpoint import checkpoint_candidates
 from repro.obs.blackbox import BUNDLE_SUFFIX, classify_bundle, load_bundle
+from repro.obs.fleet import status_rows
 from repro.obs.metrics import get_metrics
-from repro.obs.runlog import read_records, validate_jsonl
+from repro.obs.runlog import (
+    EVENT_FIELDS,
+    read_records,
+    validate_jsonl,
+    validate_record,
+)
 from repro.sched import Scheduler
 
 #: smallest useful member: 27-element coupled mesh, ~25 steps
@@ -186,9 +192,10 @@ class TestWorker:
 
     def test_heartbeat_is_one_fsync_and_the_watchdogs_energy(
             self, tmp_path, monkeypatch):
-        """A beat's ``metrics`` + ``heartbeat`` records share one fsync, and
-        the heartbeat reports the energy the watchdog computed for the step
-        (volume + sea-surface potential) instead of a second evaluation."""
+        """A beat is one record carrying its own counters and gauges, under
+        one fsync, and reports the energy the watchdog computed for the
+        step (volume + sea-surface potential) instead of a second
+        evaluation."""
         import json
         import os
 
@@ -205,15 +212,14 @@ class TestWorker:
         events = [r["event"] for r in recs]
         beats = [r for r in recs if r["event"] == "heartbeat"]
         assert len(beats) == result["steps"]  # a beat per step
-        assert events.count("metrics") == len(beats) + 1  # + the final one
-        # every beat is a (metrics, heartbeat) pair in one durable write
-        for i, rec in enumerate(recs):
-            if rec["event"] == "heartbeat":
-                assert recs[i - 1]["event"] == "metrics"
-                assert recs[i - 1]["step"] == rec["step"]
-        # one fsync per run-log write, not per record
+        # every beat carries its snapshot; the final one rides on run_end
+        assert sum("metrics" in b for b in beats) == len(beats)
+        assert "metrics" not in events
+        assert events[-1] == "run_end" and recs[-1]["metrics"] == \
+            result["metrics"]
+        # one fsync per record
         log_inode = os.stat(result["paths"]["runlog"]).st_ino
-        assert syncs.count(log_inode) == len(recs) - len(beats)
+        assert syncs.count(log_inode) == len(recs)
         handle = spec.build()
         Scheduler(handle.solver).run(spec.t_end)
         assert beats[-1]["energy"] == total_energy(handle.solver)
@@ -328,6 +334,11 @@ class TestSupervisorInProcess:
         lm = loaded.member("m0")
         assert lm.verdict is None and lm.bundle is None
         assert lm.history[0]["verdict"] == "worker_death"
+        # ... and so does the status view rebuilt from the run dir, though
+        # the failed attempt's bundle is still the newest in the member dir
+        assert [(r["member"], r["state"], r["verdict"])
+                for r in status_rows(str(tmp_path))] == \
+            [("m0", "recovered", None)]
 
     def test_persistent_nan_quarantines_as_nan_origin(self, tmp_path):
         # a diverging member's quarantine record carries the flight
@@ -348,6 +359,31 @@ class TestSupervisorInProcess:
         assert (doc.get("context") or {}).get("attempt") == m.attempts
         assert all(h["verdict"] == "nan_origin" for h in m.history)
         assert all(h["bundle"] for h in m.history)
+
+    def test_every_bundle_ring_has_one_record_shape(self, tmp_path):
+        """The ring of a bundle a worker dumps itself (a persistent NaN)
+        and of one the supervisor synthesizes for a killed worker hold the
+        same records: run-log shaped, each naming its ``event``, each
+        run-log event valid against the one schema."""
+        specs = [
+            tiny_spec("nan", max_retries=0, injector=FaultInjector()
+                      .corrupt_state(3, persistent=True)),
+            tiny_spec("kill", injector=FaultInjector().kill_process(
+                at_step=10)),
+        ]
+        result = self.run_ensemble(specs, tmp_path)
+        kinds = {}
+        for m in result.members:
+            for entry in m.history:
+                doc = load_bundle(entry["bundle"])
+                events = doc["ring"]["events"]
+                assert events and all("event" in e for e in events)
+                for e in events:
+                    if e["event"] in EVENT_FIELDS:
+                        assert validate_record(e) == [], e
+                kinds.setdefault(m.member_id, set()).add(doc["kind"])
+                assert "heartbeat" in {e["event"] for e in events}
+        assert kinds == {"nan": {"diverged"}, "kill": {"supervisor"}}
 
     def test_quarantine_events_carry_verdict_and_bundle(self, tmp_path):
         spec = tiny_spec(max_retries=0, injector=FaultInjector()
@@ -638,9 +674,8 @@ class TestPersistentWorkers:
             twin = run_member(specs[k], str(tmp_path / f"twin{k}"))
             assert m.digest == twin["digest"], m.member_id
             # the registry is the worker's, the numbers are the member's
-            with open(m.paths["runlog"], encoding="utf-8") as f:
-                final = [json.loads(line) for line in f
-                         if '"event": "metrics"' in line][-1]
+            final = [r for r in read_records(m.paths["runlog"])[0]
+                     if r["event"] == "run_end"][-1]
             counters = final["metrics"]["counters"]
             assert counters["sched/sync_total"] == twin["steps"]
             # ... and the plan cache is the worker's too, forked warm
@@ -781,9 +816,8 @@ class TestForkedWorkers:
             met.disable()
             met.reset()
         m = result.members[0]
-        with open(m.paths["runlog"], encoding="utf-8") as f:
-            final = [json.loads(line) for line in f
-                     if '"event": "metrics"' in line][-1]["metrics"]
+        final = [r for r in read_records(m.paths["runlog"])[0]
+                 if r["event"] == "run_end"][-1]["metrics"]
         twin = run_member(tiny_spec(), str(tmp_path / "twin"))
         assert final["counters"]["sched/sync_total"] == twin["steps"]
         # the parent's plan, not a build of its own

@@ -23,8 +23,10 @@ import pytest
 from repro.obs.fleet import (
     FLEET_PROM,
     FleetAggregator,
+    prom_name,
     status_lines,
     status_rows,
+    validate_prometheus,
     watch_status,
 )
 from repro.obs.metrics import (
@@ -32,9 +34,6 @@ from repro.obs.metrics import (
     MetricRegistry,
     get_metrics,
     merge_snapshots,
-    prom_name,
-    to_prometheus,
-    validate_prometheus,
 )
 from repro.obs.runlog import read_records
 
@@ -233,13 +232,19 @@ class TestPrometheusExport:
         reg.set_gauge("health/energy_drift_ratio", -1.5e-9)
         return reg.snapshot()
 
+    def render(self, snapshot):
+        """What one running member with ``snapshot`` exports as."""
+        agg = FleetAggregator("unused")
+        agg.update("m0", snapshot, wall=100.0, state="running")
+        return agg.to_prometheus(now=101.5)
+
     def test_export_passes_strict_validator(self):
-        text = to_prometheus(self.registry_snapshot())
+        text = self.render(self.registry_snapshot())
         assert validate_prometheus(text) == [], validate_prometheus(text)
         assert text.endswith("\n")
 
     def test_counter_total_suffix_and_sanitized_names(self):
-        text = to_prometheus(self.registry_snapshot())
+        text = self.render(self.registry_snapshot())
         assert "# TYPE repro_sched_sync_total counter" in text
         assert "repro_sched_sync_total 42" in text
         # _total is appended exactly once, names sanitized / -> _
@@ -247,14 +252,17 @@ class TestPrometheusExport:
         assert prom_name("a/b-c.d") == "repro_a_b_c_d"
 
     def test_extra_families(self):
-        text = to_prometheus(
-            self.registry_snapshot(),
-            extra={"fleet/members": [({}, 2.0)],
-                   "fleet/gauge_max": [({"metric": "x"}, 7.0)]})
+        """Fleet spread and liveness ride along as labelled gauges."""
+        text = self.render(self.registry_snapshot())
         assert validate_prometheus(text) == [], validate_prometheus(text)
         assert "repro_sched_sync_total 42" in text
-        assert "repro_fleet_members 2.0" in text
-        assert 'repro_fleet_gauge_max{metric="x"} 7.0' in text
+        assert "repro_health_cfl_margin 0.25" in text
+        assert "repro_fleet_members 1.0" in text
+        assert 'repro_fleet_gauge_max{metric="health/cfl_margin"} 0.25' \
+            in text
+        assert 'repro_fleet_member_staleness_seconds{member="m0"} 1.5' \
+            in text
+        assert 'repro_fleet_members_by_state{state="running"} 1.0' in text
 
     def test_validator_rejects_bad_documents(self):
         assert validate_prometheus("x_total 1\n")  # sample without TYPE
@@ -381,19 +389,17 @@ class TestStatusView:
         root = tmp_path / "ens"
 
         def beat(seq, wall, step, sim_t, syncs):
-            # what a session with metrics on writes per beat: a metrics
-            # record (counters + gauges; sched/sync_total counts executed
-            # steps) and the heartbeat, one write
+            # what a session with metrics on writes per beat: a heartbeat
+            # carrying counters + gauges (sched/sync_total counts executed
+            # steps)
             snap = {"schema": METRICS_SCHEMA_VERSION,
                     "counters": {"sched/sync_total": syncs},
                     "gauges": {"health/energy_drift_ratio":
                                {"value": 2e-9, "t": wall}}}
             return [
-                {"event": "metrics", "seq": seq, "wall": wall, "run_id": "r",
-                 "step": step, "sim_t": sim_t, "metrics": snap},
-                {"event": "heartbeat", "seq": seq + 1, "wall": wall,
+                {"event": "heartbeat", "seq": seq, "wall": wall,
                  "run_id": "r", "step": step, "sim_t": sim_t, "dt": 0.02,
-                 "energy": 1.0, "wall_rate": 20.0},
+                 "energy": 1.0, "wall_rate": 20.0, "metrics": snap},
             ]
 
         # m0 rolled back once: 46 steps executed for runner step 40
@@ -509,11 +515,10 @@ class TestDisabledOverhead:
 
 # ----------------------------------------------------------------------
 def _last_metrics_steps(runlog_path):
-    """``sched/sync_total`` of the last metrics record in a run log."""
-    metrics = [r for r in _records(runlog_path)
-               if r.get("event") == "metrics"]
-    assert metrics, f"no metrics records in {runlog_path}"
-    return metrics[-1]["metrics"]["counters"]["sched/sync_total"]
+    """``sched/sync_total`` of the final snapshot in a run log."""
+    ends = [r for r in _records(runlog_path) if r.get("event") == "run_end"]
+    assert ends, f"no run_end record in {runlog_path}"
+    return ends[-1]["metrics"]["counters"]["sched/sync_total"]
 
 
 def _prom_value(text, name):
@@ -563,7 +568,7 @@ class TestEnsembleFleetMetrics:
             assert row["state"] == "ok"
             assert row["step"] > 0
             assert row["sim_t"] == pytest.approx(0.12)
-            assert row["metrics_records"] >= 1
+            assert row["energy_drift"] is not None  # from its snapshots
             assert row["wall_rate"] > 0  # derived from its beats
         lines = status_lines(str(tmp_path))
         assert any("2 ok" in ln for ln in lines)
@@ -600,9 +605,11 @@ class TestEnsembleFleetMetrics:
         result = load_result(str(tmp_path / "m0" / "result.json"))
         n_elements = [r for r in records
                       if r.get("event") == "manifest"][-1]["n_elements"]
-        assert run_end["counters"]["elem_updates/predictor"] == \
+        assert run_end["metrics"] == result["metrics"]
+        assert run_end["metrics"]["counters"]["elem_updates/predictor"] == \
             result["steps"] * n_elements
-        assert phase_total(run_end["phases"], "kernels/volume") > 0.0
+        assert phase_total(run_end["metrics"]["phases"],
+                           "kernels/volume") > 0.0
 
     def test_metrics_registry_not_leaked_after_ensemble(self, tmp_path):
         """The supervisor's registry is untouched by a fleet: members count
@@ -748,16 +755,16 @@ class TestStatusCheck:
                 else "fingerprint mismatch") in out
 
     def test_missing_final_metrics_record(self, fleet, tmp_path, capsys):
-        """Every finished member ran with metrics on: a run log without
-        its ``metrics`` records fails the check."""
+        """Every finished member's final snapshot rides on its
+        ``run_end``: a run log without one fails the check."""
         run_dir = self.broken_copy(fleet, tmp_path)
         log = run_dir / "m0" / "run.jsonl"
         lines = [ln for ln in log.read_text().splitlines(keepends=True)
-                 if '"event": "metrics"' not in ln]
+                 if '"event": "run_end"' not in ln]
         log.write_text("".join(lines))
         code, out = self.check(run_dir, capsys)
         assert code == 1
-        assert f"{log}: no metrics record" in out
+        assert f"{log}: no run_end record" in out
 
     def test_final_metrics_differ_from_result(self, fleet, tmp_path, capsys):
         run_dir = self.broken_copy(fleet, tmp_path)
@@ -767,8 +774,8 @@ class TestStatusCheck:
         result.write_text(json.dumps(doc))
         code, out = self.check(run_dir, capsys)
         assert code == 1
-        assert (f"{run_dir / 'm0' / 'run.jsonl'}: final metrics record "
-                f"differs from {result}") in out
+        assert (f"{run_dir / 'm0' / 'run.jsonl'}: run_end metrics "
+                f"differ from {result}") in out
 
 
 @pytest.mark.slow

@@ -12,6 +12,7 @@ from repro.core.health.inject import FaultInjector
 from repro.core.resilience import ResilientRunner
 from repro.obs import (
     EVENT_FIELDS,
+    MetricRegistry,
     ObsSession,
     RunLog,
     get_metrics,
@@ -351,7 +352,8 @@ class TestRunLog:
             log.emit("manifest", **run_manifest(config={"command": "test"}))
             log.emit("heartbeat", step=2, sim_t=0.1, dt=0.05, energy=1.0,
                      wall_rate=20.0)
-            log.emit("run_end", steps=2, wall_s=0.1, phases={}, counters={})
+            log.emit("run_end", steps=2, wall_s=0.1,
+                     metrics=MetricRegistry().snapshot())
         result = validate_jsonl(path)
         assert result["errors"] == []
         assert result["events"] == {"manifest": 1, "heartbeat": 1, "run_end": 1}
@@ -375,26 +377,37 @@ class TestRunLog:
 
     def test_one_schema_for_payloads_and_bundle_fields(self, tmp_path,
                                                        capsys):
-        """A ``metrics`` payload, a ``bundle`` path and a ``verdict`` are
-        part of the one schema ``obs-report --check`` judges a log by."""
+        """The snapshot a heartbeat or ``run_end`` carries, a ``bundle``
+        path and a ``verdict`` are part of the one schema ``obs-report
+        --check`` judges a log by; a schema-3 ``metrics`` record is an
+        unknown event."""
         from repro.__main__ import main
 
         path = str(tmp_path / "run.jsonl")
         with RunLog(path) as log:
             log.emit("manifest", **run_manifest(config={}))
-            log.emit("metrics", step=1, sim_t=0.0, metrics={
-                "schema": 1, "counters": {"c": "many"},
-                "gauges": {"g": 1.0}})
+            log.emit("heartbeat", step=1, sim_t=0.0, dt=0.1, energy=1.0,
+                     wall_rate=1.0, metrics={
+                         "schema": 1, "counters": {"c": "many"},
+                         "gauges": {}})
             log.emit("member_quarantined", member="m0", attempts=1,
                      diagnosis="?", verdict="gremlins", bundle=7)
+            log.emit("run_end", steps=1, wall_s=0.1, metrics={
+                "counters": {}, "gauges": {"g": 1.0}})
+        with open(path, "a") as fh:
+            fh.write(json.dumps({"event": "metrics", "seq": 4, "wall": 1.0,
+                                 "run_id": "r", "step": 1, "sim_t": 0.0,
+                                 "metrics": {"schema": 1}}) + "\n")
         msgs = [m for _, m in validate_jsonl(path)["errors"]]
         assert any("'counters' must map names to numbers" in m for m in msgs)
-        assert any("gauge 'g'" in m for m in msgs)
         assert any("verdict 'gremlins'" in m for m in msgs)
         assert any("'bundle' must be null" in m for m in msgs)
-        assert len(msgs) == 4
+        assert any("missing integer 'schema'" in m for m in msgs)
+        assert any("gauge 'g'" in m for m in msgs)
+        assert any("unknown event type 'metrics'" in m for m in msgs)
+        assert len(msgs) == 6
         assert main(["obs-report", path, "--check"]) == 1
-        assert "4 schema error(s) -> INVALID" in capsys.readouterr().out
+        assert "6 schema error(s) -> INVALID" in capsys.readouterr().out
 
     def test_forward_compatible_log(self, tmp_path, capsys):
         """A log from a newer writer — a newer manifest schema, an event
@@ -410,8 +423,8 @@ class TestRunLog:
                                         accelerator={"kind": "gpu"}))
             log.emit("heartbeat", step=1, sim_t=0.1, dt=0.1, energy=1.0,
                      wall_rate=5.0, gpu_temp=61.5)
-            log.emit("run_end", steps=1, wall_s=0.2, phases={}, counters={},
-                     exit_reason="t_end")
+            log.emit("run_end", steps=1, wall_s=0.2,
+                     metrics=MetricRegistry().snapshot(), exit_reason="t_end")
         with open(path, "a") as fh:
             fh.write(json.dumps({"event": "carbon_budget", "seq": 3,
                                  "wall": 1.0, "run_id": "r", "g": 2}) + "\n")
@@ -659,8 +672,8 @@ class TestObsSession:
     def test_quickstart_example_cli_forwards_metrics(self, tmp_path,
                                                      monkeypatch):
         """``python examples/quickstart.py --metrics`` used to drop the
-        flag between argparse and ``main()``: 0 ``metrics`` records where
-        ``python -m repro quickstart --metrics`` wrote one."""
+        flag between argparse and ``main()``: an empty snapshot where
+        ``python -m repro quickstart --metrics`` logged the run's."""
         import runpy
         import sys
         from pathlib import Path
@@ -671,8 +684,9 @@ class TestObsSession:
         monkeypatch.setattr(sys, "argv", [script, "--t-end", "0.05",
                                           "--metrics", "--log-json", path])
         runpy.run_path(script, run_name="__main__")
-        events = [json.loads(line)["event"] for line in open(path)]
-        assert "metrics" in events
+        run_end = [r for r in map(json.loads, open(path))
+                   if r["event"] == "run_end"][-1]
+        assert run_end["metrics"]["counters"]["sched/sync_total"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -832,10 +846,12 @@ class TestRunLogDurability:
         assert any("invalid JSON" in m for _, m in result["errors"])
         assert result["truncated_tail"]
 
-    def test_emit_many_is_one_write_one_fsync(self, tmp_path, monkeypatch):
-        """Many records handed to ``emit`` as one list are durable when the
-        call returns, under a single fsync, with consecutive ``seq``; one
-        record still costs one fsync."""
+    def test_heartbeat_with_metrics_is_one_write_one_fsync(self, tmp_path,
+                                                          monkeypatch):
+        """A heartbeat carrying its snapshot is one record, durable when
+        ``emit`` returns, under one fsync; a kill inside that write leaves
+        whole records plus one partial line, which the torn-tail rule
+        covers."""
         import os as _os
 
         syncs = []
@@ -843,24 +859,26 @@ class TestRunLogDurability:
         monkeypatch.setattr(_os, "fsync", lambda fd: syncs.append(fd) or real_fsync(fd))
         path = str(tmp_path / "run.jsonl")
         log = RunLog(path)
-        log.emit("heartbeat", step=1, sim_t=0.0, dt=0.1, energy=0.0,
-                 wall_rate=1.0)
-        assert len(syncs) == 1
-        log.emit([
-            ("metrics", dict(step=2, sim_t=0.1, metrics={"schema": 1})),
-            ("heartbeat", dict(step=2, sim_t=0.1, dt=0.1, energy=0.0,
-                               wall_rate=1.0)),
-        ])
+        for step in (1, 2):
+            log.emit("heartbeat", step=step, sim_t=0.1 * step, dt=0.1,
+                     energy=0.0, wall_rate=1.0,
+                     metrics={"schema": 1, "counters": {"c": step},
+                              "gauges": {}})
         assert len(syncs) == 2
         with open(path) as fh:  # no close(): a kill -9 now loses nothing
             recs = [json.loads(line) for line in fh]
-        assert [r["event"] for r in recs] == ["heartbeat", "metrics", "heartbeat"]
-        assert [r["seq"] for r in recs] == [0, 1, 2]
-        log.emit("run_end", steps=2, wall_s=0.1, phases={}, counters={})
+        assert [(r["event"], r["seq"]) for r in recs] == \
+            [("heartbeat", 0), ("heartbeat", 1)]
+        assert recs[1]["metrics"]["counters"] == {"c": 2}
         log.close()
-        result = validate_jsonl(path)
-        assert result["errors"] == [] and result["records"] == 4
-        assert json.loads(open(path).readlines()[-1])["seq"] == 3
+        raw = open(path).read()
+        for cut in (len(raw) - 10, raw.index("\n") + 20, 15):
+            with open(path, "w") as fh:
+                fh.write(raw[:cut])
+            result = validate_jsonl(path)
+            assert result["errors"] == []
+            assert result["truncated_tail"]
+            assert result["records"] == raw[:cut].count("\n")
 
     def test_read_records_tolerates_what_a_kill_leaves(self, tmp_path):
         """The one reader skips garbled and non-object lines, reports a
@@ -871,45 +889,13 @@ class TestRunLogDurability:
                      wall_rate=1.0)
         with open(path, "a") as fh:
             fh.write("not json\n[1, 2]\n\n")
-            fh.write('{"event": "metrics", "step": 2, "si')
+            fh.write('{"event": "heartbeat", "step": 2, "si')
         records, torn = read_records(path)
         assert [r["event"] for r in records] == ["heartbeat"] and torn
         assert read_records(str(tmp_path / "missing.jsonl")) == ([], False)
         result = validate_jsonl(path)  # the strict view of the same lines
         assert [m for _, m in result["errors"]][0].startswith("invalid JSON")
         assert result["records"] == 3 and result["truncated_tail"]
-
-    def test_emit_many_rejects_the_whole_batch(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        with RunLog(path) as log:
-            with pytest.raises(ValueError, match="unknown run-log event"):
-                log.emit([
-                    ("heartbeat", dict(step=1, sim_t=0.0, dt=0.1, energy=0.0,
-                                       wall_rate=1.0)),
-                    ("explosion", {}),
-                ])
-            log.emit("run_end", steps=0, wall_s=0.0, phases={}, counters={})
-        recs = [json.loads(line) for line in open(path)]
-        assert [(r["event"], r["seq"]) for r in recs] == [("run_end", 0)]
-
-    def test_torn_batch_is_a_torn_tail(self, tmp_path):
-        """A kill inside a batch write leaves whole records plus one
-        partial line: the torn-tail rule covers it."""
-        path = str(tmp_path / "run.jsonl")
-        with RunLog(path) as log:
-            log.emit([
-                ("metrics", dict(step=1, sim_t=0.0, metrics={"schema": 1})),
-                ("heartbeat", dict(step=1, sim_t=0.0, dt=0.1, energy=0.0,
-                                   wall_rate=1.0)),
-            ])
-        raw = open(path).read()
-        for cut in (len(raw) - 10, raw.index("\n") + 20, 15):
-            with open(path, "w") as fh:
-                fh.write(raw[:cut])
-            result = validate_jsonl(path)
-            assert result["errors"] == []
-            assert result["truncated_tail"]
-            assert result["records"] == raw[:cut].count("\n")
 
     def test_supervisor_events_schema(self, tmp_path):
         path = str(tmp_path / "ens.jsonl")

@@ -159,7 +159,7 @@ class TestLastEnergy:
         hooks.on_sync(lambda s: seen.append(runner.watchdog.last_energy))
         runner.run(solver.t + 3 * (lts.dt_min * 2**lts.cmax if lts else solver.dt),
                    hooks=hooks)
-        steps = [e for e in runner.recorder.events() if e["kind"] == "step"]
+        steps = [e for e in runner.recorder.tail() if e["event"] == "step"]
         assert len(steps) == len(seen) == runner.step_count > 0
         assert [e["energy"] for e in steps] == seen
         assert seen[-1] == total_energy(solver)

@@ -849,9 +849,7 @@ class TestRunLogDurability:
     def test_heartbeat_with_metrics_is_one_write_one_fsync(self, tmp_path,
                                                           monkeypatch):
         """A heartbeat carrying its snapshot is one record, durable when
-        ``emit`` returns, under one fsync; a kill inside that write leaves
-        whole records plus one partial line, which the torn-tail rule
-        covers."""
+        ``emit`` returns, under one fsync, with consecutive ``seq``."""
         import os as _os
 
         syncs = []
@@ -871,6 +869,18 @@ class TestRunLogDurability:
             [("heartbeat", 0), ("heartbeat", 1)]
         assert recs[1]["metrics"]["counters"] == {"c": 2}
         log.close()
+
+    def test_torn_heartbeat_with_metrics_is_a_torn_tail(self, tmp_path):
+        """A kill inside the write of a heartbeat carrying its snapshot
+        leaves whole records plus one partial line: the torn-tail rule
+        covers it."""
+        path = str(tmp_path / "run.jsonl")
+        with RunLog(path) as log:
+            for step in (1, 2):
+                log.emit("heartbeat", step=step, sim_t=0.1 * step, dt=0.1,
+                         energy=0.0, wall_rate=1.0,
+                         metrics={"schema": 1, "counters": {"c": step},
+                                  "gauges": {}})
         raw = open(path).read()
         for cut in (len(raw) - 10, raw.index("\n") + 20, 15):
             with open(path, "w") as fh:

@@ -308,7 +308,11 @@ def main(argv=None) -> int:
         adjacency = [
             [n for n in (c - 1, c + 1) if 0 <= n < nc] for c in range(nc)
         ]
-        plan = compile_step_plan(nc, args.rate, args.n_macro, adjacency)
+        try:
+            plan = compile_step_plan(nc, args.rate, args.n_macro, adjacency)
+        except ValueError as exc:
+            print(f"sched-plan: {exc}")
+            return 2
         key = step_plan_key(nc, args.rate, args.n_macro, adjacency)
         print(f"step plan: {nc} cluster(s), rate {plan.rate}, "
               f"{plan.n_macro} macro step(s)  [key {key[:12]}]")

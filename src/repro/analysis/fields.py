@@ -14,7 +14,6 @@ __all__ = [
     "sea_surface_velocity_grid",
     "cross_section",
     "surface_eta_transect",
-    "seafloor_vertical_velocity_grid",
 ]
 
 
@@ -72,10 +71,3 @@ def surface_eta_transect(solver, start_xy, end_xy, n: int):
     vals = g.sample(pts)
     s = np.linspace(0, np.linalg.norm(end - start), n)
     return s, vals
-
-
-def seafloor_vertical_velocity_grid(tracker, xs: np.ndarray, ys: np.ndarray):
-    """Gridded current vertical surface displacement of a tracker."""
-    xy = tracker.points[:, :, :2].reshape(-1, 2)
-    vals = tracker.uz.reshape(-1)
-    return _grid_from_scatter(xy, vals, xs, ys)

@@ -2,12 +2,16 @@
 
 A :class:`FaultInjector` is handed to
 :class:`~repro.core.resilience.ResilientRunner` and fires scripted faults
-at exact step numbers of the supervised run:
+at exact step numbers of the supervised run.  A state or dt fault with
+``at_step=k`` fires in the runner's sync hook that closes step ``k + 1``,
+just before that step's watchdog sweep — the same point under global
+time-stepping and clustered LTS, so the sweep sees exactly the planted
+fault:
 
 * :meth:`corrupt_state` — poison a chosen entry of the modal state ``Q``,
   the sea-surface ``eta``, or the fault state ``psi`` (NaN by default);
-* :meth:`inflate_dt` — multiply the timestep about to be taken, driving it
-  past the CFL bound;
+* :meth:`inflate_dt` — multiply the dt the watchdog's CFL check sees,
+  driving it past the CFL bound (no step is taken with it);
 * :meth:`fail_io` — make the next ``count`` checkpoint writes raise
   :class:`InjectedIOError`, exercising the atomic-write / keep-previous
   guarantees.
@@ -75,7 +79,7 @@ class FaultInjector:
                       value: float = math.nan, index: int = 0,
                       persistent: bool = False) -> "FaultInjector":
         """Overwrite one entry of ``target`` (``"Q"``/``"eta"``/``"psi"``)
-        just before step ``at_step`` executes."""
+        once step ``at_step + 1`` has run, before its watchdog sweep."""
         if target not in ("Q", "eta", "psi"):
             raise ValueError(f"unknown corruption target {target!r}")
         self._actions.append(_Action(at_step, "state", target=target,
@@ -85,7 +89,9 @@ class FaultInjector:
 
     def inflate_dt(self, at_step: int, factor: float = 64.0,
                    persistent: bool = False) -> "FaultInjector":
-        """Multiply the timestep of step ``at_step`` by ``factor``."""
+        """Multiply by ``factor`` the dt that the watchdog's CFL check
+        sees at the sweep closing step ``at_step + 1``; no step is taken
+        with it."""
         self._actions.append(_Action(at_step, "dt", factor=factor,
                                      persistent=persistent))
         return self
@@ -131,7 +137,8 @@ class FaultInjector:
         return step == a.at_step and (a.persistent or a.fired == 0)
 
     def on_step(self, solver, step: int) -> float:
-        """Apply state corruptions due at ``step``; return the dt factor."""
+        """Apply state corruptions due at ``step``; return the factor the
+        checked dt is multiplied by."""
         dt_factor = 1.0
         for a in self._actions:
             if a.kind == "state" and self._due(a, step):

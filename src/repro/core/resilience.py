@@ -11,8 +11,10 @@ their HPC stack:
 2. an in-memory snapshot is taken at every segment boundary, and — when a
    checkpoint directory is configured — an atomic on-disk checkpoint is
    written (:mod:`repro.io.checkpoint`);
-3. a :class:`~repro.core.health.Watchdog` scans the state after every step
-   (GTS) or LTS macro-step synchronization point;
+3. at every synchronization point — after each GTS step, after each LTS
+   macro step — one hook applies the scripted faults due, sweeps the
+   state with a :class:`~repro.core.health.Watchdog` and records the
+   step, the same way in both modes;
 4. on a watchdog trip the segment is rolled back to its snapshot and
    retried with the timestep halved (bounded backoff); once a segment
    completes cleanly the scale relaxes back toward 1;
@@ -64,8 +66,8 @@ class ResilientRunner:
         The coupled solver to supervise.
     lts:
         Optional :class:`~repro.core.lts.LocalTimeStepping` wrapping the
-        same solver; when given, segments advance with LTS and health is
-        checked at macro-step synchronization points.
+        same solver; when given, segments advance with LTS.  Either way
+        health is checked at the synchronization points.
     checkpoint_every:
         Segment length in *simulated* seconds.  ``None`` runs each
         ``run()`` call as a single segment (still with rollback).
@@ -77,7 +79,9 @@ class ResilientRunner:
         halves the timestep (:data:`_DT_BACKOFF`).
     injector:
         Optional :class:`~repro.core.health.inject.FaultInjector` for
-        deterministic failure testing.
+        deterministic failure testing.  Its state and dt faults fire in
+        the sync hook, just before the watchdog sweep; nothing changes a
+        step the scheduler takes.
     runlog:
         Optional :class:`~repro.obs.runlog.RunLog` — the run's one event
         stream, kept as :attr:`recorder` (a pathless one when not given):
@@ -85,8 +89,8 @@ class ResilientRunner:
         into it once each, alongside whatever the caller logs.
     blackbox_dir:
         Where diagnostic bundles land; defaults to ``checkpoint_dir``.
-        The recorder's ring is always on: it records every scheduler
-        micro-step window plus the watchdog's per-step gauges, and on a
+        The recorder's ring is always on: it records the watchdog's
+        per-step gauges (plus every micro-step window under LTS), and on a
         watchdog trip or divergence a fingerprinted bundle
         (``*.blackbox.json``) of its tail is dumped here and its path
         attached to the matching recovery/diverged event (``None`` when
@@ -184,9 +188,10 @@ class ResilientRunner:
         """Advance to ``t_end`` under supervision (see class docstring).
 
         The supervision itself rides the scheduler's
-        :class:`~repro.sched.HookBus`: the watchdog subscribes to the step
-        stream first, an optional caller-provided ``hooks`` bus is merged
-        in after it, and checkpoint writes fire on the segment-end event.
+        :class:`~repro.sched.HookBus`: its sync hook (fault injection,
+        watchdog, step record) subscribes first, an optional
+        caller-provided ``hooks`` bus is merged in after it, and checkpoint
+        writes fire on the segment-end event.
         """
         solver = self.solver
         bus = HookBus()
@@ -195,6 +200,7 @@ class ResilientRunner:
         # the restart point on disk is the rollback point in memory: the
         # hook serialises whichever snapshot ``snap`` names when it fires
         bus.on_segment_end(lambda s: self._write_checkpoint(snap["state"]))
+        scheduler = Scheduler(solver, lts=self.lts)
         eps = 1e-12 * max(abs(t_end), 1.0)
         snap = self._snapshot()
         while solver.t < t_end - eps:
@@ -209,7 +215,7 @@ class ResilientRunner:
             seg_wall0 = time.perf_counter()
             while True:
                 try:
-                    self._advance(target, bus)
+                    scheduler.run(target, dt_scale=self.dt_scale, hooks=bus)
                     break
                 except HealthError as err:
                     attempts += 1
@@ -266,53 +272,34 @@ class ResilientRunner:
 
     # ------------------------------------------------------------------
     def _subscribe_supervision(self, bus: HookBus) -> None:
-        """Attach step counting + watchdog sweeps to the scheduler's bus.
+        """Attach the supervision of one step to the scheduler's bus.
 
-        Registered first so health is checked before any caller's hook
-        sees the state.  Under GTS every micro-step is swept (the event
-        carries the nominal dt the CFL monitor must see); under LTS the
-        sweep runs at macro-step synchronization points.
+        One ``on_sync`` hook serves both modes, at the sync point that
+        closes every GTS step and every LTS macro step: it applies the
+        faults due at this step, counts it, sweeps the watchdog and records
+        the step.  Its nominal dt is ``solver.dt``, which is the LTS
+        ``dt_min`` (both are the smallest element timestep).  Registered
+        first so health is checked before any caller's hook sees the
+        state.  Under LTS the recorder also takes every micro-step window.
         """
         rec = self.recorder
         if self.lts is not None:
-            # cluster/window ids of every LTS micro-step window
             bus.on_micro_step(rec.record_micro)
 
-            def watch_sync(s):
-                factor = (
-                    self.injector.on_step(s, self.step_count)
-                    if self.injector is not None
-                    else 1.0
-                )
-                self.step_count += 1
-                dt = self.lts.dt_min * self.dt_scale * factor
-                self.watchdog.ensure(dt=dt, step=self.step_count)
-                rec.record_step(self.step_count, s.t, dt,
-                                energy=self.watchdog.last_energy,
-                                dt_scale=self.dt_scale)
+        def watch_sync(s):
+            factor = (
+                self.injector.on_step(s, self.step_count)
+                if self.injector is not None
+                else 1.0
+            )
+            self.step_count += 1
+            dt = s.dt * self.dt_scale * factor
+            self.watchdog.ensure(dt=dt, step=self.step_count)
+            rec.record_step(self.step_count, s.t, dt,
+                            energy=self.watchdog.last_energy,
+                            dt_scale=self.dt_scale)
 
-            bus.on_sync(watch_sync)
-        else:
-
-            def watch_micro(s, event):
-                self.step_count += 1
-                self.watchdog.ensure(dt=event.dt_nominal, step=self.step_count)
-                rec.record_step(self.step_count, s.t, event.dt,
-                                energy=self.watchdog.last_energy,
-                                dt_scale=self.dt_scale)
-
-            bus.on_micro_step(watch_micro)
-
-    def _advance(self, target: float, bus: HookBus) -> None:
-        dt_factor = None
-        if self.lts is None and self.injector is not None:
-
-            def dt_factor(s):
-                return self.injector.on_step(s, self.step_count)
-
-        Scheduler(self.solver, lts=self.lts).run(
-            target, dt_scale=self.dt_scale, hooks=bus, dt_factor=dt_factor
-        )
+        bus.on_sync(watch_sync)
 
     # -- black-box forensics -------------------------------------------
     def _dump(self, *, kind: str, report=None, reports=None,

@@ -8,9 +8,8 @@ weights (``tpwgts``, from measured node speeds) to ParMETIS.
 
 This module reproduces the same pipeline: Eq. 28 vertex weights, a
 geometric recursive-bisection partitioner with weighted splits honoring
-``tpwgts`` (the role ParMETIS plays), a boundary Kernighan-Lin-style
-refinement pass to reduce the edge cut, and the quality metrics (imbalance,
-edge cut, communication volume) the scaling model consumes.
+``tpwgts`` (the role ParMETIS plays), and the quality metrics (imbalance,
+edge cut) the scaling model and the partitioned backend consume.
 """
 
 from __future__ import annotations
@@ -20,11 +19,8 @@ import numpy as np
 __all__ = [
     "eq28_vertex_weights",
     "partition_geometric",
-    "refine_partition",
-    "partition_mesh",
     "imbalance",
     "edge_cut",
-    "comm_volume",
 ]
 
 
@@ -109,77 +105,6 @@ def partition_geometric(
     return parts
 
 
-def refine_partition(
-    parts: np.ndarray,
-    edges: np.ndarray,
-    weights: np.ndarray,
-    tpwgts: np.ndarray,
-    n_sweeps: int = 3,
-    tol: float = 0.02,
-) -> np.ndarray:
-    """Boundary refinement: greedily move boundary elements to the neighbor
-    partition when it reduces the edge cut without hurting balance.
-
-    A light-weight stand-in for ParMETIS's KL/FM refinement.
-    """
-    parts = parts.copy()
-    n_parts = len(tpwgts)
-    total_w = weights.sum()
-    target = tpwgts * total_w
-    part_w = np.bincount(parts, weights=weights, minlength=n_parts)
-
-    # adjacency lists built once
-    adj: dict[int, list[int]] = {}
-    for e0, e1 in edges:
-        adj.setdefault(int(e0), []).append(int(e1))
-        adj.setdefault(int(e1), []).append(int(e0))
-
-    for _ in range(n_sweeps):
-        moved = 0
-        for e0, e1 in _boundary_edges(parts, edges):
-            for v, other in ((int(e0), int(parts[e1])), (int(e1), int(parts[e0]))):
-                p = int(parts[v])
-                if p == other:
-                    continue
-                nb = np.asarray(adj[v])
-                gain = int(np.sum(parts[nb] == other)) - int(np.sum(parts[nb] == p))
-                if gain <= 0:
-                    continue
-                w = weights[v]
-                if part_w[other] + w > target[other] * (1 + tol) or part_w[p] - w < 0:
-                    continue
-                parts[v] = other
-                part_w[p] -= w
-                part_w[other] += w
-                moved += 1
-        if moved == 0:
-            break
-    return parts
-
-
-def _boundary_edges(parts, edges):
-    cut = parts[edges[:, 0]] != parts[edges[:, 1]]
-    return edges[cut]
-
-
-def partition_mesh(
-    mesh,
-    n_parts: int,
-    weights: np.ndarray | None = None,
-    tpwgts: np.ndarray | None = None,
-    refine: bool = False,
-) -> np.ndarray:
-    """End-to-end partition of a mesh (the ParMETIS call site equivalent)."""
-    if weights is None:
-        weights = np.ones(mesh.n_elements)
-    if tpwgts is None:
-        tpwgts = np.full(n_parts, 1.0 / n_parts)
-    parts = partition_geometric(mesh.centroids, weights, n_parts, tpwgts)
-    if refine and n_parts > 1:
-        parts = refine_partition(parts, mesh.dual_graph_edges(), weights, np.asarray(tpwgts))
-    return parts
-
-
 # ----------------------------------------------------------------------
 def imbalance(parts: np.ndarray, weights: np.ndarray, tpwgts: np.ndarray | None = None) -> float:
     """Max over partitions of (actual load / target load); 1.0 is perfect."""
@@ -197,13 +122,3 @@ def edge_cut(parts: np.ndarray, edges: np.ndarray, edge_weights: np.ndarray | No
     if edge_weights is None:
         return float(cut.sum())
     return float(edge_weights[cut].sum())
-
-
-def comm_volume(parts: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Per-partition number of cut faces (proxy for halo exchange volume)."""
-    n_parts = int(parts.max()) + 1
-    out = np.zeros(n_parts)
-    cut = parts[edges[:, 0]] != parts[edges[:, 1]]
-    np.add.at(out, parts[edges[cut, 0]], 1)
-    np.add.at(out, parts[edges[cut, 1]], 1)
-    return out

@@ -6,7 +6,7 @@ backoff, a worker killed mid-write — and the live observability layers
 (registry, traces, fleet metrics) only help while the process is still
 alive.  This module is the *postmortem* half.  Its flight recorder is the
 run's own :class:`~repro.obs.runlog.RunLog`: an always-on ring of the
-newest 256 records (scheduler micro-step windows and the watchdog's
+newest 256 records (LTS micro-step windows and the watchdog's
 per-step gauges as tuple appends — under the same <2 %-of-a-step budget
 as the disabled registry's guard sites, enforced by
 ``tests/test_blackbox.py::TestOverheadBudget`` — next to every emitted

@@ -32,6 +32,7 @@ NumPy reproduction, honestly tiny.
 from __future__ import annotations
 
 import re
+import sys
 
 __all__ = [
     "phase_total",
@@ -225,11 +226,17 @@ def summarize_runlog(path: str, check: bool = False) -> int:
     """Print a summary of a JSONL run log; returns a process exit code.
 
     With ``check=True`` the log is validated against the schema first and
-    a non-zero code is returned when any record is malformed.
+    a non-zero code is returned when any record is malformed.  A path that
+    cannot be read (missing, a directory) prints one line to stderr and
+    returns 2.
     """
     from .runlog import read_records, validate_jsonl
 
-    result = validate_jsonl(path)
+    try:
+        result = validate_jsonl(path)
+    except OSError as exc:
+        print(f"obs-report: {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     if check:
         for lineno, msg in result["errors"]:
             print(f"{path}:{lineno}: {msg}")

@@ -9,15 +9,15 @@ time-marching driver fires the same events with the same semantics:
 ``on_micro_step(solver, event)``
     After every executed micro-step (one cluster window under LTS, one
     full step under GTS).  ``event`` is a :class:`MicroStepEvent` with
-    the cluster id, exact integer window start, the physical ``dt``
-    actually integrated and the nominal ``dt`` before end-of-run
-    shortening (the value CFL monitoring must check).
+    the cluster id, exact integer window start and the physical ``dt``
+    actually integrated.
 ``on_sync(solver)``
     At every synchronization point — each macro-step boundary under LTS,
     each step under GTS — with ``solver.t`` set to the sync time.  Any
-    ``fn(solver)`` per-step probe subscribes here.  Each one counts
-    once in ``sched/sync_total`` — the run's one step counter (executed
-    steps, replays after a rollback included).
+    ``fn(solver)`` per-step probe subscribes here, and so does the
+    supervisor's watchdog, fault injector and step recorder in both
+    modes.  Each one counts once in ``sched/sync_total`` — the run's one
+    step counter (executed steps, replays after a rollback included).
 ``on_segment_end(solver)``
     At supervised-segment boundaries (emitted by
     :class:`~repro.core.resilience.ResilientRunner` after a segment
@@ -50,8 +50,6 @@ class MicroStepEvent:
     t_int: int
     #: physical window actually integrated (end-of-run steps may shorten)
     dt: float
-    #: nominal window before shortening (what CFL checks must see)
-    dt_nominal: float
 
 
 class HookBus:

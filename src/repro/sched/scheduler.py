@@ -86,30 +86,26 @@ class Scheduler:
         t_end: float,
         dt_scale: float = 1.0,
         hooks: HookBus | None = None,
-        dt_factor=None,
     ) -> None:
         """Advance the solver to ``t_end`` along the compiled plan.
 
-        GTS steps by ``solver.dt``; LTS derives its windows from the
-        clustering, with ``dt_min`` shrunk slightly so the macro step
-        divides the remaining time (keeps the rate synchronization
-        invariants intact).  ``dt_scale`` in (0, 1] uniformly shrinks
-        every step — the supervisor's dt-backoff hook.  Observers
-        subscribe to ``hooks``: ``on_sync(solver)`` fires after every
-        GTS step and at every LTS macro-step synchronization point, with
-        ``solver.t`` set to that time.  ``dt_factor(solver) -> float`` is
-        an optional per-step modulation (GTS only; deterministic fault
-        injection) — a non-unit factor re-derives the remaining step
-        count from the integer clock.
+        GTS steps by ``solver.dt`` (the last step shortened to land on
+        ``t_end``); LTS derives its windows from the clustering, with
+        ``dt_min`` shrunk slightly so the macro step divides the remaining
+        time (keeps the rate synchronization invariants intact).
+        ``dt_scale`` in (0, 1] uniformly shrinks every step — the
+        supervisor's dt-backoff hook.  Observers subscribe to ``hooks``:
+        ``on_sync(solver)`` fires after every GTS step and at every LTS
+        macro-step synchronization point, with ``solver.t`` set to that
+        time; it is where a supervisor watches the state, injects faults
+        and records the step, in both modes.
         """
         n, dt = self._steps(t_end, dt_scale)
         hooks = HookBus() if hooks is None else hooks
         if self.lts is not None:
-            if dt_factor is not None:
-                raise ValueError("dt_factor applies to GTS runs only")
             self._run_lts(t_end, n, hooks)
         else:
-            self._run_gts(t_end, n, dt, hooks, dt_factor)
+            self._run_gts(t_end, n, dt, hooks)
 
     def _steps(self, t_end: float, dt_scale: float) -> tuple[int, float]:
         """``(count, step)`` of a run to ``t_end``: fine steps of
@@ -135,31 +131,17 @@ class Scheduler:
                              adjacency=lts.adjacent)
 
     # -- global time-stepping: the trivial single-cluster plan ----------
-    def _run_gts(self, t_end, n_steps, dt_eff, hooks, dt_factor) -> None:
+    def _run_gts(self, t_end, n_steps, dt, hooks) -> None:
+        # the compiled cadence of GTS is one cluster, every step a sync:
+        # counting the steps replays it
         solver = self.solver
-        if n_steps <= 0:
-            return
-        # the compiled cadence of GTS: one cluster, every step a sync
-        plan = self._plan(n_steps)
-        k = 0
-        while k < plan.n_micro:
-            factor = 1.0 if dt_factor is None else float(dt_factor(solver))
-            dt_nominal = dt_eff * factor
-            step_dt = min(dt_nominal, t_end - solver.t)
+        for k in range(n_steps):
+            step_dt = min(dt, t_end - solver.t)
             solver.step(step_dt)
-            k += 1
             if hooks.wants_micro:
                 hooks.micro_step(solver, MicroStepEvent(
-                    index=k - 1, cluster=0, t_int=k - 1,
-                    dt=float(step_dt), dt_nominal=float(dt_nominal),
-                ))
+                    index=k, cluster=0, t_int=k, dt=float(step_dt)))
             hooks.sync(solver)
-            if factor != 1.0 and k < plan.n_micro:
-                # the plan assumed uniform steps; a modulated step changes
-                # the remaining span, so re-derive the count once
-                remaining = plan_steps(t_end - solver.t, dt_eff)
-                if remaining != plan.n_micro - k:
-                    plan = get_step_plan(1, 2, k + max(remaining, 0))
 
     # -- clustered LTS: replay the compiled cadence ---------------------
     def _run_lts(self, t_end, n_macro, hooks) -> None:
@@ -205,8 +187,7 @@ class Scheduler:
             if hooks.wants_micro:
                 hooks.micro_step(solver, MicroStepEvent(
                     index=i, cluster=c, t_int=int(plan.t_int[i]),
-                    dt=float(dts[c]), dt_nominal=float(dts[c]),
-                ))
+                    dt=float(dts[c])))
             sync_at = int(plan.sync_after[i])
             if sync_at >= 0:
                 solver.t = t0 + sync_at * dt_min

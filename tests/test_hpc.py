@@ -11,13 +11,10 @@ from repro.core.materials import acoustic, elastic
 from repro.core.riemann import FaceKind
 from repro.hpc.machine import AMD_ROME_7H12, MAHTI, SHAHEEN2, SUPERMUC_NG
 from repro.hpc.partition import (
-    comm_volume,
     edge_cut,
     eq28_vertex_weights,
     imbalance,
     partition_geometric,
-    partition_mesh,
-    refine_partition,
 )
 from repro.hpc.perfmodel import NodePerformanceModel, dof_count, kernel_counts
 from repro.hpc.pinning import NodeTopology, pin_node
@@ -106,27 +103,11 @@ class TestPartitioner:
         """Geometric partitions of a mesh must cut far fewer faces than a
         random assignment."""
         m = box_mesh(*(np.linspace(0, 1, 9),) * 3, [ROCK])
-        parts = partition_mesh(m, 8)
+        parts = partition_geometric(m.centroids, np.ones(m.n_elements), 8)
         edges = m.dual_graph_edges()
         rng = np.random.default_rng(3)
         random_parts = rng.integers(0, 8, m.n_elements)
         assert edge_cut(parts, edges) < 0.4 * edge_cut(random_parts, edges)
-
-    def test_refinement_does_not_worsen(self):
-        m = box_mesh(*(np.linspace(0, 1, 7),) * 3, [ROCK])
-        w = np.ones(m.n_elements)
-        edges = m.dual_graph_edges()
-        parts = partition_geometric(m.centroids, w, 4)
-        cut0 = edge_cut(parts, edges)
-        refined = refine_partition(parts, edges, w, np.full(4, 0.25))
-        assert edge_cut(refined, edges) <= cut0
-        assert imbalance(refined, w) < 1.1
-
-    def test_comm_volume_symmetry(self):
-        m = box_mesh(*(np.linspace(0, 1, 5),) * 3, [ROCK])
-        parts = partition_mesh(m, 2)
-        vol = comm_volume(parts, m.dual_graph_edges())
-        assert vol[0] == vol[1] > 0
 
     def test_validation(self):
         pts = np.zeros((10, 3))

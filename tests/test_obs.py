@@ -447,6 +447,18 @@ class TestRunLog:
         assert f"{path}:4: unknown event type 'carbon_budget'" in out
         assert "1 problem(s) -> INVALID" in out
 
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_unreadable_log_is_one_line(self, tmp_path, capsys, missing):
+        """A missing file or a directory is a usage error (exit 2 and one
+        line on stderr), not a traceback."""
+        from repro.__main__ import main
+
+        path = str(tmp_path / "nope.jsonl") if missing else str(tmp_path)
+        for argv in (["obs-report", path], ["obs-report", path, "--check"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"obs-report: {path}: ")
+
     def test_manifest_covers_solver_identity(self):
         solver = build_coupled(order=2)
         man = run_manifest(solver, config={"command": "t"}, resumed=False)

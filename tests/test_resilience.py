@@ -18,8 +18,10 @@ from repro.core.materials import Material, acoustic, elastic
 from repro.core.resilience import ResilientRunner
 from repro.core.riemann import FaceKind
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
+from repro.ensemble import get_builder
 from repro.io.checkpoint import checkpoint_candidates
 from repro.mesh.generators import box_mesh, layered_ocean_mesh
+from repro.obs.blackbox import load_bundle
 from repro.sched import HookBus
 
 ROCK = elastic(2700.0, 6000.0, 3464.0)
@@ -368,6 +370,29 @@ class TestRecovery:
         runner.injector = None
         runner.run(0.3)  # next segment checkpoints fine again
         assert checkpoint_candidates(str(tmp_path))[0] != first
+
+
+class TestNanOrigin:
+    @pytest.mark.parametrize("mode", ["gts", "lts"])
+    def test_black_box_names_the_planted_element(self, mode, tmp_path):
+        # the fault fires at the sync point, before the sweep, in both
+        # modes: no step spreads the NaN to its neighbours first
+        solver = get_builder("quickstart")({}, 0).solver
+        lts = LocalTimeStepping(solver) if mode == "lts" else None
+        interior = solver.mesh.interior
+        e = int(max(interior.minus_elem.max(), interior.plus_elem.max()))
+        B = solver.Q.shape[1]
+        injector = FaultInjector().corrupt_state(
+            at_step=2, index=e * B * 9, persistent=True)
+        runner = ResilientRunner(solver, lts=lts, injector=injector,
+                                 max_retries=1, verbose=False,
+                                 blackbox_dir=str(tmp_path))
+        unit = solver.dt if lts is None else lts.dt_min * lts.rate**lts.cmax
+        with pytest.raises(SimulationDiverged) as exc_info:
+            runner.run(solver.t + 6 * unit)
+        origin = load_bundle(exc_info.value.bundle)["nan_origin"]
+        assert origin["element"] == e
+        assert origin["n_nan"] == 1
 
 
 class TestInjectorContract:

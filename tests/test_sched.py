@@ -164,6 +164,15 @@ class TestStepPlan:
         with pytest.raises(ValueError):  # self-adjacency
             compile_step_plan(2, 2, 1, [{0}, set()])
 
+    @pytest.mark.parametrize("argv", [["0"], ["2", "--rate", "1"],
+                                      ["2", "--n-macro", "0"]])
+    def test_cli_rejects_bad_arguments(self, argv, capsys):
+        from repro.__main__ import main
+
+        assert main(["sched-plan", *argv]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("sched-plan: "), out
+
 
 class TestStepPlanCache:
     def test_cached_and_fingerprinted(self):
@@ -604,9 +613,8 @@ class TestHookBus:
         events = [e for k, e in log if k == "micro"]
         assert [e.index for e in events] == list(range(5))
         assert all(isinstance(e, MicroStepEvent) and e.cluster == 0 for e in events)
-        # the final step is shortened; its nominal dt is not
-        assert events[-1].dt < events[-1].dt_nominal
-        assert events[0].dt == events[0].dt_nominal
+        # the final step is shortened to land on t_end
+        assert events[-1].dt < events[0].dt == solver.dt
 
     def test_lts_micro_events_follow_plan(self):
         s, lts = build_coupled(order=1, lts=True)
@@ -652,6 +660,17 @@ class TestResilientRunnerHooks:
         assert len(ends) == 2
         assert len(runner.checkpoints_written) == 2
         assert runner.step_count == 10
+
+    @pytest.mark.parametrize("lts", [False, True])
+    def test_one_sync_hook_supervises_both_modes(self, lts):
+        built = build_coupled(order=1, lts=lts)
+        solver, l = built if lts else (built, None)
+        runner = ResilientRunner(solver, lts=l, verbose=False)
+        bus = HookBus()
+        runner._subscribe_supervision(bus)
+        assert len(bus._sync) == 1
+        # the ring takes micro-step windows under LTS only
+        assert bus._micro == ([runner.recorder.record_micro] if lts else [])
 
     def test_supervised_matches_plain_bitwise(self):
         ref = build_coupled(order=1)

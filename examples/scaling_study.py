@@ -14,7 +14,6 @@ import numpy as np
 from repro.core.lts import cluster_elements
 from repro.core.materials import acoustic, elastic
 from repro.hpc.machine import MAHTI, SUPERMUC_NG
-from repro.hpc.pinning import NodeTopology, pin_node
 from repro.hpc.scaling import StrongScalingModel
 from repro.mesh.generators import bathymetry_mesh
 from repro.mesh.refine import refined_spacing
@@ -42,14 +41,6 @@ def main():
     mesh = build_mesh()
     cluster, dt_min = cluster_elements(mesh, 5)
     print(f"  {mesh.n_elements} elements, LTS clusters {np.bincount(cluster)}")
-
-    # pinning plans (Sec. 5.2) for the Rome node
-    topo = NodeTopology(sockets=2, numa_per_socket=4, cores_per_numa=16)
-    for rpn in (1, 2, 8):
-        plan = pin_node(topo, rpn)
-        print(f"  pinning {rpn} rank(s)/node: "
-              f"{len(plan.worker_cpus[0])} worker CPUs/rank, "
-              f"comm threads on CPUs {plan.comm_cpu}")
 
     nodes = [2, 4, 8, 16, 28]
     for machine, rpns in ((MAHTI, (1, 2, 8)), (SUPERMUC_NG, (1, 2))):

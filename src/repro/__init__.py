@@ -21,9 +21,8 @@ The package implements, from scratch:
   solver, Okada half-space dislocations, and the 3D-to-2D linking pipeline
   (:mod:`repro.tsunami`);
 * the HPC layer: Eq. 28 graph partitioning, machine models of Shaheen-II /
-  SuperMUC-NG / Mahti, a calibrated roofline+NUMA node performance model,
-  the Sec. 5.2 thread-pinning algorithm, and a strong-scaling simulator
-  (:mod:`repro.hpc`);
+  SuperMUC-NG / Mahti, a calibrated roofline+NUMA node performance model
+  and a strong-scaling simulator (:mod:`repro.hpc`);
 * analysis tooling: receivers, spectra, field sampling
   (:mod:`repro.analysis`) and ready-made scenario builders for the paper's
   experiments (:mod:`repro.scenarios`).

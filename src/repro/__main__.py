@@ -55,6 +55,8 @@ JSON), ``--log-json PATH`` (structured JSONL run records) and
     validates the whole directory — every run log, ``fleet.prom``, every
     referenced bundle, each finished member's ``run_end`` metrics against
     its ``result.json`` — and exits non-zero naming each broken file.
+    Without ``--watch``, a path that is not a directory prints one line
+    to stderr and exits 2.
 ``obs-diagnose BUNDLE [--check]``
     Classify a ``*.blackbox.json`` diagnostic bundle dumped from the
     run log's ring on a terminal fault: validates the bundle schema and
@@ -62,10 +64,10 @@ JSON), ``--log-json PATH`` (structured JSONL run records) and
     ``energy_blowup`` | ``cfl_collapse`` | ``worker_death`` |
     ``unknown``) with its evidence lines.  ``--check`` exits non-zero on
     a schema-invalid bundle (see README "Postmortem debugging").
-``sched-plan N [--rate R] [--n-macro M] [--full]``
-    Compile the clustered step plan for ``N`` LTS clusters (chain
-    adjacency) and print its cadence — micro-step counts per cluster,
-    sync points and, with ``--full``, every window with its
+``sched-plan N [--rate R] [--full]``
+    Compile the clustered step plan of one macro step for ``N`` LTS
+    clusters (chain adjacency) and print its cadence — micro-step counts
+    per cluster and, with ``--full``, every window with its
     consume/publish actions (see README "Scheduler").
 ``ensemble --members N [--workers W] [--scenario S] ...``
     Run a supervised multi-process ensemble of perturbed scenario
@@ -203,8 +205,6 @@ def main(argv=None) -> int:
     p_s.add_argument("n_clusters", type=int, help="number of LTS clusters")
     p_s.add_argument("--rate", type=int, default=2,
                      help="timestep ratio between clusters (default: 2)")
-    p_s.add_argument("--n-macro", type=int, default=1,
-                     help="macro steps to compile (default: 1)")
     p_s.add_argument("--full", action="store_true",
                      help="print every micro-step with its actions")
     args = ap.parse_args(argv)
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
         # graceful degradation is still a degraded run: signal it
         return 3 if result.degraded else 0
     if args.command == "sched-plan":
-        from repro.sched import CONSUME_TAYLOR, compile_step_plan, step_plan_key
+        from repro.sched import CONSUME_TAYLOR, compile_step_plan
 
         nc = args.n_clusters
         # the normalized clustering guarantees neighbor levels differ by at
@@ -309,15 +309,13 @@ def main(argv=None) -> int:
             [n for n in (c - 1, c + 1) if 0 <= n < nc] for c in range(nc)
         ]
         try:
-            plan = compile_step_plan(nc, args.rate, args.n_macro, adjacency)
+            plan = compile_step_plan(nc, args.rate, adjacency)
         except ValueError as exc:
             print(f"sched-plan: {exc}")
             return 2
-        key = step_plan_key(nc, args.rate, args.n_macro, adjacency)
-        print(f"step plan: {nc} cluster(s), rate {plan.rate}, "
-              f"{plan.n_macro} macro step(s)  [key {key[:12]}]")
-        print(f"  micro-steps: {plan.n_micro}  syncs: {plan.n_sync}  "
-              f"span: {plan.end_int} x dt_min")
+        print(f"step plan: {nc} cluster(s), rate {plan.rate}, one macro step")
+        print(f"  micro-steps: {plan.n_micro}  "
+              f"span: {plan.macro} x dt_min, then sync")
         counts = [int((plan.cluster == c).sum()) for c in range(nc)]
         for c in range(nc):
             print(f"  cluster {c}: window {int(plan.steps[c])} x dt_min, "
@@ -329,12 +327,10 @@ def main(argv=None) -> int:
                     + (f"@+{int(off)}" if m == CONSUME_TAYLOR else "") + ")"
                     for cn, m, off in plan.consumes(i)
                 )
-                sync = int(plan.sync_after[i])
                 print(f"  [{i:3d}] c{int(plan.cluster[i])} "
                       f"t=[{int(plan.t_int[i])},"
                       f"{int(plan.t_int[i] + plan.steps[plan.cluster[i]])})"
-                      + (f"  consume: {acts}" if acts else "")
-                      + (f"  sync@{sync}" if sync >= 0 else ""))
+                      + (f"  consume: {acts}" if acts else ""))
         return 0
 
     # the runnable demos live in <repo>/examples (editable install layout)

@@ -16,10 +16,10 @@ state needed by the ADER corrector without nested quadrature (Eq. 26):
 
     ``int v_n^b dt = eta(t+dt) - eta(t)``, ``int p^b dt = rho g H(t+dt)``.
 
-The ODE is linear with polynomial forcing, so the default integrator is the
-exact exponential propagator of :mod:`repro.core.rk` (substituting the
-paper's Verner RK7 — see DESIGN.md); a stepped RK4 driver is available for
-cross-checking.
+The ODE is linear with polynomial forcing, so it is integrated by the exact
+exponential propagator of :mod:`repro.core.rk` (substituting the paper's
+Verner RK7 — see DESIGN.md); the tests cross-check it against a stepped RK4
+integration of the same ODE (``tests/reference_kernels.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from ..obs.metrics import get_metrics
 from .ader import taylor_weights
 from .materials import SXX, VX
 from .riemann import FaceKind
-from .rk import RK4, ExactPropagator, rk_solve
+from .rk import ExactPropagator
 from .rotation import batched_state_rotation
 
 __all__ = ["GravityBoundary"]
@@ -60,8 +60,6 @@ class GravityBoundary:
         self,
         op,
         g: float = 9.81,
-        integrator: str = "exact",
-        rk_steps: int = 4,
         eta_velocity: str = "middle",
     ):
         """``eta_velocity="interior"`` evolves eta with the one-sided trace
@@ -74,13 +72,9 @@ class GravityBoundary:
         oracle); no scenario or benchmark selects it."""
         self.op = op
         self.g = g
-        if integrator not in ("exact", "rk4"):
-            raise ValueError(f"unknown integrator {integrator!r}")
         if eta_velocity not in ("middle", "interior"):
             raise ValueError(f"unknown eta_velocity {eta_velocity!r}")
         self.eta_velocity = eta_velocity
-        self.integrator = integrator
-        self.rk_steps = rk_steps
         mesh = op.mesh
         bnd = mesh.boundary
         self.face_ids = np.flatnonzero(bnd.kind == FaceKind.GRAVITY_FREE_SURFACE.value)
@@ -110,7 +104,6 @@ class GravityBoundary:
         forcing[:, 6:9, 0] = self.normal
         if middle:
             forcing[:, 0:3, 0] = (-1.0 / (3.0 * self.Z))[:, None]
-        damping = -self.rho * g / self.Z if middle else np.zeros(nf)
 
         # time-integrated local middle state (Eq. 26): int v_n^b dt = d_eta,
         # int sigma_nn^b dt = -rho g H.  As a global flux it is T A_loc w_hat,
@@ -129,7 +122,6 @@ class GravityBoundary:
         #: trace classes of the gravity faces (also serves the analysis layer)
         self.plan = FacePlan.minus(
             op.ref, self.elem, self.local_face, forcing=forcing, flux=flux,
-            damping=damping,
             mat=np.searchsorted(self._mat_ids, self.mat_id))
 
         self.eta = np.zeros((nf, op.ref.n_face_points))
@@ -183,29 +175,13 @@ class GravityBoundary:
             # Taylor derivatives of the forcing at the quadrature points
             f = grp.taylor_trace(derivs, grp.forcing)[:, :, 0]  # (n, K, nq)
             eta0 = self.eta[grp.faces]
-            if self.integrator == "exact":
-                E0, C = self._propagator(dt, K)
-                y = np.matmul(C[grp.mat], f)  # (n, 2, nq): eta, H
-                y += E0[grp.mat][:, :, None] * eta0[:, None, :]
-            else:
-                y = self._rk4(grp, f, eta0, dt)
+            E0, C = self._propagator(dt, K)
+            y = np.matmul(C[grp.mat], f)  # (n, 2, nq): eta, H
+            y += E0[grp.mat][:, :, None] * eta0[:, None, :]
             eta1 = y[:, 0].copy()
             y[:, 0] -= eta0  # eta0 may be a view of self.eta: subtract first
             self.eta[grp.faces] = eta1
             grp.lift(y, grp.flux, out)
-
-    def _rk4(self, grp, f, eta0, dt) -> np.ndarray:
-        """``[eta; H](dt)`` by stepped RK4 on the forcing polynomial."""
-        a = grp.damping[:, None]
-
-        def rhs(t, y):
-            d = np.empty_like(y)
-            d[:, 0] = a * y[:, 0] + np.matmul(taylor_weights(t, f.shape[1]), f)
-            d[:, 1] = y[:, 0]
-            return d
-
-        y0 = np.stack([eta0, np.zeros_like(eta0)], axis=1)
-        return rk_solve(rhs, y0, dt, RK4, n_steps=self.rk_steps)
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:

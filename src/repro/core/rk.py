@@ -1,4 +1,4 @@
-"""ODE integrators for the gravitational free-surface face ODE (Eq. 24).
+"""The exact integrator of the gravitational free-surface face ODE (Eq. 24).
 
 The face ODE system is linear with polynomial forcing:
 
@@ -7,27 +7,24 @@ The face ODE system is linear with polynomial forcing:
 where ``f(t) = v_n^-(t) + p^-(t)/Z`` comes from the element's space-time
 Taylor predictor and is therefore a polynomial of degree <= N.
 
-Two integrators are provided:
-
-* :class:`ExactPropagator` — the exact exponential (phi-function)
-  propagator for linear systems with monomial forcing, built once per
-  ``(a, dt)`` via Van Loan block matrix exponentials and applied as a dense
-  linear combination of the forcing coefficients.  Exact to round-off; this
-  substitutes the paper's Verner RK7 (whose role is "integrate the face ODE
-  much more accurately than the surrounding scheme"), see DESIGN.md.
-* :func:`rk_solve` — a generic explicit Runge-Kutta driver (classical RK4
-  tableau supplied) matching the paper's approach of evaluating the
-  predictor polynomial at the RK stage times.
+:class:`ExactPropagator` is the exact exponential (phi-function)
+propagator for linear systems with monomial forcing, built once per
+``(a, dt)`` via Van Loan block matrix exponentials and applied as a dense
+linear combination of the forcing coefficients.  Exact to round-off; this
+substitutes the paper's Verner RK7 (whose role is "integrate the face ODE
+much more accurately than the surrounding scheme"), see DESIGN.md.  The
+tests check it against a stepped RK4 integration that evaluates the
+predictor polynomial at the stage times, the paper's approach
+(``tests/reference_kernels.py``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ExactPropagator", "RK4", "ButcherTableau", "rk_solve"]
+__all__ = ["ExactPropagator"]
 
 #: Taylor degree of :func:`_expm`: on a matrix of 1-norm <= 1/2 the first
 #: dropped term is below 0.5**19 / 19! = 1.6e-23
@@ -121,60 +118,3 @@ class ExactPropagator:
         if b.shape[-1]:
             out = out + np.einsum("ijk,...jk->...i", self.W, b)
         return out
-
-
-@dataclass(frozen=True)
-class ButcherTableau:
-    """Coefficients of an explicit Runge-Kutta method."""
-
-    a: np.ndarray  # (s, s) strictly lower triangular
-    b: np.ndarray  # (s,)
-    c: np.ndarray  # (s,)
-    order: int
-
-    def __post_init__(self):
-        s = len(self.b)
-        if self.a.shape != (s, s) or self.c.shape != (s,):
-            raise ValueError("inconsistent tableau shapes")
-        if np.any(np.triu(self.a) != 0):
-            raise ValueError("tableau must be explicit (strictly lower triangular a)")
-        if not np.isclose(self.b.sum(), 1.0):
-            raise ValueError("weights must sum to 1")
-
-
-RK4 = ButcherTableau(
-    a=np.array(
-        [
-            [0.0, 0.0, 0.0, 0.0],
-            [0.5, 0.0, 0.0, 0.0],
-            [0.0, 0.5, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]
-    ),
-    b=np.array([1.0 / 6, 1.0 / 3, 1.0 / 3, 1.0 / 6]),
-    c=np.array([0.0, 0.5, 0.5, 1.0]),
-    order=4,
-)
-
-
-def rk_solve(f, y0: np.ndarray, dt: float, tableau: ButcherTableau = RK4, n_steps: int = 1):
-    """Integrate ``y' = f(t, y)`` from 0 to ``dt`` with ``n_steps`` RK steps.
-
-    ``y0`` may have any shape; ``f`` must be vectorized over it.
-    """
-    y = np.array(y0, dtype=float, copy=True)
-    h = dt / n_steps
-    s = len(tableau.b)
-    t = 0.0
-    for _ in range(n_steps):
-        ks = []
-        for i in range(s):
-            yi = y
-            for j in range(i):
-                if tableau.a[i, j] != 0.0:
-                    yi = yi + h * tableau.a[i, j] * ks[j]
-            ks.append(f(t + tableau.c[i] * h, yi))
-        for i in range(s):
-            y = y + h * tableau.b[i] * ks[i]
-        t += h
-    return y

@@ -198,8 +198,6 @@ class CoupledSolver:
         Gravitational acceleration for the free-surface condition.
     cfl_safety:
         Safety factor in Eq. 27; the paper uses 0.35.
-    gravity_integrator:
-        ``"exact"`` (default) or ``"rk4"`` for the face ODE.
     backend:
         Execution backend: ``"serial"`` (default), ``"partitioned"``, or
         a pre-built :class:`~repro.exec.backend.ExecutionBackend` instance.
@@ -214,7 +212,6 @@ class CoupledSolver:
         gravity_g: float = 9.81,
         cfl_safety: float = 0.35,
         fault=None,
-        gravity_integrator: str = "exact",
         bottom_motion=None,
         flux_variant: str = "exact",
         gravity_eta_velocity: str = "middle",
@@ -249,7 +246,7 @@ class CoupledSolver:
         self.t = 0.0
         self._energy_coeff = _energy_coefficients(mesh)
         self.gravity = GravityBoundary(
-            self.op, gravity_g, integrator=gravity_integrator, eta_velocity=gravity_eta_velocity
+            self.op, gravity_g, eta_velocity=gravity_eta_velocity
         )
         self.fault = fault
         if fault is not None:

@@ -50,7 +50,6 @@ __all__ = [
     "PlanCache",
     "get_plan_cache",
     "clear_plan_cache",
-    "register_cache",
 ]
 
 
@@ -147,15 +146,11 @@ class PlanCache:
             while len(self._plans) > self.max_entries:
                 self._plans.popitem(last=False)
 
-    def get_or_build_key(self, key: str, builder, phase: str = "setup/plan_build"):
-        """Return the cached value under ``key`` or build (and cache) a
-        fresh one with ``builder()``.
-
-        The generic entry point shared by the operator-plan cache, the
-        partition memo of :mod:`repro.exec.partitioned` and the step-plan
-        cache of :mod:`repro.sched.plan`: hit/miss counters behave
-        identically for every kind of fingerprint-keyed plan.
-        """
+    def get_or_build(self, mesh, order: int, flux_variant: str,
+                     builder, blocks: np.ndarray | None = None) -> OperatorPlan:
+        """Return the cached plan for ``(mesh, order, flux_variant,
+        blocks)`` or build (and cache) a fresh one with ``builder()``."""
+        key = plan_key(mesh, order, flux_variant, blocks)
         met = get_metrics()
         plan = self.get(key)
         if plan is not None:
@@ -164,17 +159,10 @@ class PlanCache:
             return plan
         self.misses += 1
         met.inc("cache/plan_misses")
-        with met.phase(phase):
+        with met.phase("setup/plan_build"):
             plan = builder()
         self.put(key, plan)
         return plan
-
-    def get_or_build(self, mesh, order: int, flux_variant: str,
-                     builder, blocks: np.ndarray | None = None) -> OperatorPlan:
-        """Return the cached plan for ``(mesh, order, flux_variant,
-        blocks)`` or build (and cache) a fresh one with ``builder()``."""
-        return self.get_or_build_key(
-            plan_key(mesh, order, flux_variant, blocks), builder)
 
     def clear(self) -> None:
         with self._lock:
@@ -188,16 +176,6 @@ class PlanCache:
 
 _GLOBAL_CACHE = PlanCache()
 
-#: every PlanCache instance that :func:`clear_plan_cache` must also clear
-#: (e.g. the step-plan cache of :mod:`repro.sched.plan`)
-_REGISTERED_CACHES: list[PlanCache] = []
-
-
-def register_cache(cache: PlanCache) -> PlanCache:
-    """Register an auxiliary cache to be cleared by :func:`clear_plan_cache`."""
-    _REGISTERED_CACHES.append(cache)
-    return cache
-
 
 def get_plan_cache() -> PlanCache:
     """The process-wide operator-plan cache."""
@@ -205,8 +183,5 @@ def get_plan_cache() -> PlanCache:
 
 
 def clear_plan_cache() -> None:
-    """Drop all cached plans (operator + registered auxiliary caches) and
-    reset hit/miss counters."""
+    """Drop all cached operator plans and reset hit/miss counters."""
     _GLOBAL_CACHE.clear()
-    for cache in _REGISTERED_CACHES:
-        cache.clear()

@@ -59,14 +59,6 @@ class KernelCounts:
     def flops_total(self) -> float:
         return self.flops_predictor + self.flops_corrector
 
-    @property
-    def ai_predictor(self) -> float:
-        return self.flops_predictor / self.bytes_predictor
-
-    @property
-    def ai_corrector(self) -> float:
-        return self.flops_corrector / (self.bytes_volume + self.bytes_surface)
-
 
 def kernel_counts(order: int, variant: str = "batched") -> KernelCounts:
     """Count FLOPs/bytes of one full element update at degree ``order``.

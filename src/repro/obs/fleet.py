@@ -555,9 +555,14 @@ def watch_status(run_dir: str, interval: float | None = None,
     cleaned up, an NFS blip — shows up as a placeholder row on the next
     render instead of a traceback.  ``iterations`` bounds the number of
     renders (for tests).  ``check`` renders once, then lists every
-    :func:`check_run_dir` problem and exits 1 when there is one.
+    :func:`check_run_dir` problem and exits 1 when there is one.  A single
+    render or check of a path that is not a directory prints one line to
+    stderr and returns 2.
     """
     out = stream if stream is not None else sys.stdout
+    if (check or interval is None) and not os.path.isdir(run_dir):
+        print(f"obs-status: {run_dir}: not a directory", file=sys.stderr)
+        return 2
     if check:
         problems = check_run_dir(run_dir)
         verdict = "INVALID" if problems else "OK"

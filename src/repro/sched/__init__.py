@@ -1,14 +1,14 @@
 """Compiled step-plan scheduling (paper Sec. 4.4).
 
 The clustered local-time-stepping cadence is *static*: given the number
-of clusters, the rate and the macro-step count, the full sequence of
-cluster micro-steps — including every neighbor-window consume and buffer
-publish — is known before the run starts.  This package compiles that
-sequence once into a flat :class:`StepPlan` (cached by fingerprint, like
-operator plans), and a single :class:`Scheduler` replays it through any
-execution backend, firing :class:`HookBus` events that observability,
-resilience and analysis subscribe to.  Global time stepping is simply the
-one-cluster plan.
+of clusters, the rate and the cluster adjacency, the sequence of cluster
+micro-steps of a macro step — including every neighbor-window consume
+and buffer publish — is known before the run starts, and every macro
+step repeats it.  This package compiles that sequence into a flat
+:class:`StepPlan`, once per :class:`Scheduler`, which replays it through
+any execution backend once per macro step, firing :class:`HookBus`
+events that observability, resilience and analysis subscribe to.  Global
+time stepping is the one-cluster plan, one step per macro step.
 """
 
 from .hooks import HookBus, MicroStepEvent
@@ -17,9 +17,6 @@ from .plan import (
     CONSUME_TAYLOR,
     StepPlan,
     compile_step_plan,
-    get_step_plan,
-    get_step_plan_cache,
-    step_plan_key,
 )
 from .scheduler import TERMINATION_TOL, Scheduler, plan_steps
 
@@ -28,9 +25,6 @@ __all__ = [
     "CONSUME_TAYLOR",
     "StepPlan",
     "compile_step_plan",
-    "get_step_plan",
-    "get_step_plan_cache",
-    "step_plan_key",
     "HookBus",
     "MicroStepEvent",
     "Scheduler",

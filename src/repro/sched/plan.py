@@ -2,14 +2,15 @@
 
 The paper's rate-2 clustered LTS (Sec. 4.4) turns the ocean/solid timestep
 contrast into a *predictable* update cadence: cluster ``c`` advances with
-``rate**c * dt_min`` and the synchronization pattern repeats every macro
-step.  Breuer & Heinecke's next-generation LTS work (PAPERS.md) makes the
-observation this module is built on: because the cadence is static, it can
-be **compiled once** into a schedule and replayed, instead of being
-re-derived at runtime by scanning cluster clocks before every micro-step.
+``rate**c * dt_min`` and every cluster synchronizes at the end of each
+macro step, so the cadence of one macro step repeats exactly.  Breuer &
+Heinecke's next-generation LTS work (PAPERS.md) makes the observation this
+module is built on: because the cadence is static, it can be **compiled
+once** into a schedule and replayed, instead of being re-derived at
+runtime by scanning cluster clocks before every micro-step.
 
 :func:`compile_step_plan` produces a :class:`StepPlan` — flat arrays with
-one entry per cluster micro-step:
+one entry per cluster micro-step of one macro step:
 
 * which cluster steps and over which exact integer time window (in units
   of ``dt_min``, so termination is an integer comparison, immune to the
@@ -18,42 +19,32 @@ one entry per cluster micro-step:
   reads a coarser neighbor's longer predictor over a sub-window at a
   precompiled integer offset, a *buffer* consume reads the accumulated
   window integrals a finer neighbor published (SeisSol's buffer
-  mechanism) — and which finer buffers to clear after publishing;
-* whether the cluster needs a fresh predictor afterwards, and whether a
-  macro-step synchronization point completes.
+  mechanism) — and which finer buffers to clear after publishing.
 
 The micro-step *order* is canonical: repeatedly advancing the eligible
 cluster with the smallest ``(window end, window length, cluster id)``
 reproduces the event-driven scheduler's order exactly (the eligibility
 constraints never block the lexicographic minimum; the compiler asserts
-this while simulating the plan, and a hypothesis test checks it against
-an independent implementation of the dynamic ``eligible()`` scan).
+this while simulating the plan, and a hypothesis test checks the plan,
+replayed ``n_macro`` times, against an independent implementation of the
+dynamic ``eligible()`` scan).
 
-Global time-stepping falls out as the trivial single-cluster plan: one
-cluster, every micro-step a synchronization point, no consume actions.
-
-Plans depend only on ``(n_clusters, rate, n_macro, adjacency)`` — not on
-the mesh — and are memoized in a dedicated
-:class:`~repro.exec.plan_cache.PlanCache` keyed by a fingerprint of those
-four inputs, so segmented runs (checkpointing supervisors re-enter the
-scheduler once per segment) compile each cadence once.
+A plan depends only on ``(n_clusters, rate, adjacency)``, not on the mesh
+or the run's length: the :class:`~repro.sched.Scheduler` compiles it once
+at construction and replays it once per macro step.  Global
+time-stepping is the trivial single-cluster plan: one micro-step, no
+consume actions.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..exec.plan_cache import PlanCache, register_cache
-
 __all__ = [
     "StepPlan",
     "compile_step_plan",
-    "step_plan_key",
-    "get_step_plan",
-    "get_step_plan_cache",
     "CONSUME_TAYLOR",
     "CONSUME_BUFFER",
 ]
@@ -65,31 +56,26 @@ CONSUME_BUFFER = 1  # read the window integrals a finer neighbor accumulated
 
 @dataclass(frozen=True)
 class StepPlan:
-    """A compiled macro-step sequence of cluster micro-steps.
+    """The compiled micro-step sequence of one macro step.
 
     All time quantities are exact integers in units of ``dt_min`` (the
-    finest cluster step); the executing scheduler multiplies by the
-    run's ``dt_min`` to recover physical windows.  Arrays with one entry
-    per micro-step are indexed ``0 .. n_micro-1`` in execution order;
-    the ragged consume/clear action lists use CSR-style ``*_ptr`` index
-    arrays.
+    finest cluster step), counted from the start of the macro step; the
+    executing scheduler adds ``k * macro`` for the ``k``-th macro step and
+    multiplies by the run's ``dt_min`` to recover physical windows.
+    Arrays with one entry per micro-step are indexed ``0 .. n_micro-1`` in
+    execution order; the ragged consume/clear action lists use CSR-style
+    ``*_ptr`` index arrays.  Every cluster ends its last window at
+    ``macro``, after the last micro-step.
     """
 
     n_clusters: int
     rate: int
-    n_macro: int
     #: (n_clusters,) window length of each cluster, ``rate**c``
     steps: np.ndarray
-    #: run length in integer time, ``n_macro * rate**cmax``
-    end_int: int
     #: (n_micro,) cluster id of each micro-step
     cluster: np.ndarray
     #: (n_micro,) integer window start of each micro-step
     t_int: np.ndarray
-    #: (n_micro,) True when the cluster needs a fresh predictor afterwards
-    update_pred: np.ndarray
-    #: (n_micro,) integer sync time completed by this micro-step, or -1
-    sync_after: np.ndarray
     #: (n_micro+1,) CSR pointer into the consume action arrays
     consume_ptr: np.ndarray
     #: neighbor cluster id of each consume action
@@ -105,12 +91,13 @@ class StepPlan:
     clear_cluster: np.ndarray
 
     @property
-    def n_micro(self) -> int:
-        return len(self.cluster)
+    def macro(self) -> int:
+        """Length of the macro step, ``rate**cmax``."""
+        return int(self.steps[-1])
 
     @property
-    def n_sync(self) -> int:
-        return int((self.sync_after >= 0).sum())
+    def n_micro(self) -> int:
+        return len(self.cluster)
 
     def consumes(self, i: int):
         """The consume actions of micro-step ``i`` as ``(cluster, mode, off)``."""
@@ -124,7 +111,7 @@ class StepPlan:
 
 
 def _canonical_adjacency(n_clusters: int, adjacency) -> tuple:
-    """Normalize adjacency to a hashable tuple of sorted neighbor tuples."""
+    """Validate adjacency; return one sorted neighbor tuple per cluster."""
     if adjacency is None:
         return tuple(() for _ in range(n_clusters))
     if len(adjacency) != n_clusters:
@@ -148,10 +135,8 @@ def _canonical_adjacency(n_clusters: int, adjacency) -> tuple:
     return tuple(out)
 
 
-def compile_step_plan(
-    n_clusters: int, rate: int, n_macro: int, adjacency=None
-) -> StepPlan:
-    """Compile the full micro-step sequence of ``n_macro`` macro steps.
+def compile_step_plan(n_clusters: int, rate: int, adjacency=None) -> StepPlan:
+    """Compile the micro-step sequence of one macro step.
 
     Parameters
     ----------
@@ -159,9 +144,6 @@ def compile_step_plan(
         Number of LTS clusters (1 = global time-stepping).
     rate:
         Timestep ratio between consecutive clusters (paper: 2).
-    n_macro:
-        Number of macro steps (one macro step = ``rate**cmax`` units of
-        ``dt_min``); every cluster synchronizes at each macro boundary.
     adjacency:
         Optional per-cluster neighbor sets (``adjacency[c]`` iterates the
         cluster ids that share a face with cluster ``c``); determines the
@@ -172,19 +154,15 @@ def compile_step_plan(
         raise ValueError("n_clusters must be >= 1")
     if rate < 2 and n_clusters > 1:
         raise ValueError("rate must be >= 2 for a multi-cluster plan")
-    if n_macro < 1:
-        raise ValueError("n_macro must be >= 1")
     adjacency = _canonical_adjacency(n_clusters, adjacency)
 
-    cmax = n_clusters - 1
     rate = int(rate)
     steps = np.array([rate**c for c in range(n_clusters)], dtype=np.int64)
-    macro = int(steps[cmax])
-    end_int = n_macro * macro
+    macro = int(steps[-1])
 
     # every micro-step of every cluster, sorted by the canonical key
     # (window end, window length, cluster id) — the event-driven order
-    counts = np.array([end_int // int(s) for s in steps], dtype=np.int64)
+    counts = macro // steps
     clus = np.repeat(np.arange(n_clusters, dtype=np.int64), counts)
     t_end = np.concatenate(
         [np.arange(1, counts[c] + 1, dtype=np.int64) * steps[c]
@@ -196,19 +174,16 @@ def compile_step_plan(
     n_micro = len(cluster)
 
     # simulate the integer clocks over the compiled order: derive the
-    # consume offsets, predictor-refresh flags and sync points, and assert
-    # the event-driven eligibility invariants hold at every micro-step
+    # consume offsets and assert the event-driven eligibility invariants
+    # hold at every micro-step
     t_cur = np.zeros(n_clusters, dtype=np.int64)
     pred = np.zeros(n_clusters, dtype=np.int64)
-    update_pred = np.zeros(n_micro, dtype=bool)
-    sync_after = np.full(n_micro, -1, dtype=np.int64)
     consume_ptr = np.zeros(n_micro + 1, dtype=np.int64)
     clear_ptr = np.zeros(n_micro + 1, dtype=np.int64)
     c_clusters: list[int] = []
     c_modes: list[int] = []
     c_offs: list[int] = []
     x_clusters: list[int] = []
-    next_sync = macro
 
     for i in range(n_micro):
         c = int(cluster[i])
@@ -246,66 +221,18 @@ def compile_step_plan(
                 x_clusters.append(int(cn))
         consume_ptr[i + 1] = len(c_clusters)
         clear_ptr[i + 1] = len(x_clusters)
-        t_cur[c] = t_b
-        if t_b < end_int:
-            update_pred[i] = True
-            pred[c] = t_b
-        if int(t_cur.min()) >= next_sync:
-            sync_after[i] = next_sync
-            next_sync += macro
-
-    if next_sync != end_int + macro:  # pragma: no cover - invariant
-        raise AssertionError("plan compilation missed a sync point")
+        t_cur[c] = pred[c] = t_b
 
     return StepPlan(
         n_clusters=n_clusters,
         rate=rate,
-        n_macro=int(n_macro),
         steps=steps,
-        end_int=int(end_int),
         cluster=cluster,
         t_int=t_int,
-        update_pred=update_pred,
-        sync_after=sync_after,
         consume_ptr=consume_ptr,
         consume_cluster=np.array(c_clusters, dtype=np.int64),
         consume_mode=np.array(c_modes, dtype=np.int64),
         consume_off=np.array(c_offs, dtype=np.int64),
         clear_ptr=clear_ptr,
         clear_cluster=np.array(x_clusters, dtype=np.int64),
-    )
-
-
-# ----------------------------------------------------------------------
-def step_plan_key(n_clusters: int, rate: int, n_macro: int, adjacency=None) -> str:
-    """SHA-256 fingerprint of everything a step plan depends on."""
-    adjacency = _canonical_adjacency(n_clusters, adjacency)
-    h = hashlib.sha256()
-    h.update(
-        f"sched-plan:v1;nc={int(n_clusters)};rate={int(rate)};"
-        f"nmacro={int(n_macro)};adj={adjacency!r}".encode()
-    )
-    return h.hexdigest()
-
-
-#: step plans get their own cache instance so a flood of distinct
-#: ``n_macro`` values can never evict the (much more expensive) operator
-#: plans from the shared LRU
-_STEP_PLANS = PlanCache(max_entries=32)
-register_cache(_STEP_PLANS)
-
-
-def get_step_plan_cache() -> PlanCache:
-    """The process-wide step-plan cache (cleared by ``clear_plan_cache``)."""
-    return _STEP_PLANS
-
-
-def get_step_plan(
-    n_clusters: int, rate: int, n_macro: int, adjacency=None
-) -> StepPlan:
-    """Cached :func:`compile_step_plan`."""
-    return _STEP_PLANS.get_or_build_key(
-        step_plan_key(n_clusters, rate, n_macro, adjacency),
-        lambda: compile_step_plan(n_clusters, rate, n_macro, adjacency),
-        phase="setup/step_plan",
     )

@@ -10,10 +10,10 @@ per supervised segment.
 * It owns **termination**: the number of steps is fixed up front by the
   exact integer clock (:func:`plan_steps`), so a ``t_end`` that is a
   whole number of steps up to float error never produces a sliver step.
-* It executes a compiled :class:`~repro.sched.plan.StepPlan` — under LTS
-  the canonical clustered cadence is *replayed* from flat arrays with no
-  per-micro-step eligibility scan; under GTS the plan is the trivial
-  single-cluster cadence.
+* It compiles the :class:`~repro.sched.plan.StepPlan` of one macro step
+  once, at construction, and *replays* it once per macro step from flat
+  arrays with no per-micro-step eligibility scan; under GTS the plan is
+  the trivial single-cluster cadence, one step per macro step.
 * It emits the **per-cluster instruments** only — the ``lts/cluster``
   trace span and the ``lts/updates|elem_updates`` counters.  Progress is
   not its to count: the :class:`~repro.sched.hooks.HookBus` counts steps
@@ -29,14 +29,16 @@ runs replay the identical plan.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..core.ader import taylor_integrate
 from ..obs.metrics import get_metrics
 from .hooks import HookBus, MicroStepEvent
-from .plan import CONSUME_TAYLOR, StepPlan, get_step_plan
+from .plan import CONSUME_TAYLOR, StepPlan, compile_step_plan
 
-__all__ = ["Scheduler", "plan_steps", "TERMINATION_TOL"]
+__all__ = ["Scheduler", "Replay", "plan_steps", "TERMINATION_TOL"]
 
 _MET = get_metrics()
 
@@ -60,6 +62,23 @@ def plan_steps(span: float, unit: float) -> int:
     return int(np.ceil(span / unit - TERMINATION_TOL))
 
 
+@dataclass(frozen=True)
+class Replay:
+    """What one :meth:`Scheduler.run` call executes: the scheduler's
+    one-macro-step ``plan``, ``n_macro`` times, one sync after each."""
+
+    plan: StepPlan
+    n_macro: int
+
+    @property
+    def n_micro(self) -> int:
+        return self.plan.n_micro * self.n_macro
+
+    @property
+    def n_sync(self) -> int:
+        return self.n_macro
+
+
 class Scheduler:
     """Executes compiled step plans for one solver (GTS or clustered LTS).
 
@@ -79,6 +98,9 @@ class Scheduler:
         self.solver = solver
         self.lts = lts
         self.backend = solver.backend
+        #: the compiled cadence of one macro step, replayed by every run
+        self.plan = (compile_step_plan(1, 2) if lts is None else
+                     compile_step_plan(lts.n_clusters, lts.rate, lts.adjacent))
 
     # ------------------------------------------------------------------
     def run(
@@ -122,14 +144,6 @@ class Scheduler:
         dt_macro = lts.dt_min * dt_scale * lts.rate**lts.cmax
         return max(1, plan_steps(span, dt_macro)), dt_macro
 
-    def _plan(self, n: int) -> StepPlan:
-        """The cached plan of ``n`` steps (GTS) or macro steps (LTS)."""
-        lts = self.lts
-        if lts is None:
-            return get_step_plan(1, 2, max(n, 1))
-        return get_step_plan(lts.n_clusters, lts.rate, n,
-                             adjacency=lts.adjacent)
-
     # -- global time-stepping: the trivial single-cluster plan ----------
     def _run_gts(self, t_end, n_steps, dt, hooks) -> None:
         # the compiled cadence of GTS is one cluster, every step a sync:
@@ -148,16 +162,19 @@ class Scheduler:
         lts = self.lts
         solver = self.solver
         backend = self.backend
-        rate, cmax = lts.rate, lts.cmax
+        plan = self.plan
+        macro = plan.macro
         span = t_end - solver.t
         if span <= 0:
             return
         # dt_min shrinks so the macro step divides the span exactly,
         # keeping the rate synchronization invariants intact
-        dt_min = span / (n_macro * rate**cmax)
-        dts = np.array([dt_min * rate**c for c in range(lts.n_clusters)])
+        dt_min = span / (n_macro * macro)
+        dts = np.array([dt_min * int(s) for s in plan.steps])
         t0 = solver.t
-        plan = self._plan(n_macro)
+        # the windows that end the macro step: in the last macro step they
+        # end the run, and their cluster needs no fresh predictor
+        ends_macro = plan.t_int + plan.steps[plan.cluster] == macro
 
         derivs = backend.predict(solver.dofs)
         Iown, Ibuf = solver.op.new_state(), solver.op.new_state()
@@ -171,27 +188,30 @@ class Scheduler:
         # an active side), so stale rows from earlier micro-steps are
         # never observed
         I = self._window_buffer(Iown.shape)
-        state = (plan, dt_min, dts, derivs, Iown, Ibuf, I, t0)
-        for i in range(plan.n_micro):
-            c = int(plan.cluster[i])
-            # span emission guarded internally (the Perfetto timeline
-            # colors these by cluster id, exposing the clustered cadence)
-            with _MET.trace_span("lts/cluster", cluster=c,
-                                 elems=int(lts.elem_count[c]),
-                                 t_int=int(plan.t_int[i]), dt=float(dts[c])):
-                self._exec_micro(i, c, state)
-            lts.updates[c] += 1
-            if _MET.enabled:
-                _MET.inc(f"lts/updates/c{c}")
-                _MET.inc(f"lts/elem_updates/c{c}", int(lts.elem_count[c]))
-            if hooks.wants_micro:
-                hooks.micro_step(solver, MicroStepEvent(
-                    index=i, cluster=c, t_int=int(plan.t_int[i]),
-                    dt=float(dts[c])))
-            sync_at = int(plan.sync_after[i])
-            if sync_at >= 0:
-                solver.t = t0 + sync_at * dt_min
-                hooks.sync(solver)
+        state = (dt_min, dts, derivs, Iown, Ibuf, I, t0)
+        for k in range(n_macro):
+            base = k * macro
+            last = k == n_macro - 1
+            for i in range(plan.n_micro):
+                c = int(plan.cluster[i])
+                t_int = base + int(plan.t_int[i])
+                # span emission guarded internally (the Perfetto timeline
+                # colors these by cluster id, exposing the clustered cadence)
+                with _MET.trace_span("lts/cluster", cluster=c,
+                                     elems=int(lts.elem_count[c]),
+                                     t_int=t_int, dt=float(dts[c])):
+                    self._exec_micro(i, c, t_int,
+                                     not (last and ends_macro[i]), state)
+                lts.updates[c] += 1
+                if _MET.enabled:
+                    _MET.inc(f"lts/updates/c{c}")
+                    _MET.inc(f"lts/elem_updates/c{c}", int(lts.elem_count[c]))
+                if hooks.wants_micro:
+                    hooks.micro_step(solver, MicroStepEvent(
+                        index=k * plan.n_micro + i, cluster=c, t_int=t_int,
+                        dt=float(dts[c])))
+            solver.t = t0 + (base + macro) * dt_min
+            hooks.sync(solver)
         solver.t = t_end
 
     @staticmethod
@@ -200,20 +220,24 @@ class Scheduler:
         poisons it to prove no micro-step reads a row it did not write)."""
         return np.zeros(shape)
 
-    def _exec_micro(self, i: int, c: int, state) -> None:
-        """One cluster micro-step: assemble windows, correct, publish.
+    def _exec_micro(self, i: int, c: int, t_int: int, refresh: bool,
+                    state) -> None:
+        """Micro-step ``i`` of the plan, cluster ``c``, over the window
+        starting at integer time ``t_int``: assemble windows, correct,
+        publish, and predict the next window when ``refresh``.
 
         Touches only the rows the compiled layout names: the cluster's
         own rows, its halo in each consumed neighbor, and — to publish —
         its rows exposed to the coarser neighbor.
         """
-        plan, dt_min, dts, derivs, Iown, Ibuf, I, t0 = state
+        dt_min, dts, derivs, Iown, Ibuf, I, t0 = state
+        plan = self.plan
         lts = self.lts
         solver = self.solver
         rows = lts.rows[c]
         idx = rows.elems
         halo = lts.halo[c]
-        t_a = int(plan.t_int[i]) * dt_min
+        t_a = t_int * dt_min
 
         # assemble per-element time-integrated data for this window (into
         # the run-lifetime buffer; see _run_lts for why reuse is exact)
@@ -240,14 +264,14 @@ class Scheduler:
         for cn in plan.clears(i):
             Ibuf[halo[int(cn)]] = 0.0
 
-        # next predictor for this cluster (compiled flag: skipped when the
-        # run is over for it)
-        if plan.update_pred[i]:
+        # next predictor for this cluster (skipped when the run is over
+        # for it)
+        if refresh:
             self.backend.update_predictor(solver.dofs, rows, dts[c], derivs,
                                           Iown)
 
     # ------------------------------------------------------------------
-    def compiled_plan(self, t_end: float, dt_scale: float = 1.0) -> StepPlan:
-        """The plan a ``run(t_end, dt_scale=...)`` call would replay
-        (introspection; uses the same cache as :meth:`run`)."""
-        return self._plan(self._steps(t_end, dt_scale)[0])
+    def compiled_plan(self, t_end: float, dt_scale: float = 1.0) -> Replay:
+        """What a ``run(t_end, dt_scale=...)`` call would replay: this
+        scheduler's :attr:`plan`, once per step (GTS) or macro step (LTS)."""
+        return Replay(self.plan, self._steps(t_end, dt_scale)[0])

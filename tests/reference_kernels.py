@@ -39,10 +39,15 @@ nine quantities at the face points, rotate, solve, rotate back, project
 modules no longer keep (``T A_loc``, ``T^-1``) rebuilt on every call.
 They advance the module's state exactly like its ``step``;
 :func:`use_reference_face_modules` swaps them into a solver.
+``gravity_step_oracle(integrator="rk4")`` integrates the face ODE with
+the stepped classical RK4 of :func:`rk_solve` instead of the exact
+propagator — an independent check of the runtime's only integrator,
+evaluating the predictor polynomial at the stage times as the paper does.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,7 +56,7 @@ from repro.core.ader import taylor_evaluate, taylor_integrate
 from repro.core.basis import ReferenceElement
 from repro.core.kernels import SpatialOperator
 from repro.core.materials import SXX, VX, jacobians
-from repro.core.rk import RK4, ExactPropagator, rk_solve
+from repro.core.rk import ExactPropagator
 from repro.core.riemann import (
     FaceKind,
     free_surface_matrix,
@@ -75,6 +80,9 @@ __all__ = [
     "use_reference_kernels",
     "energy_oracle",
     "project_face_flux",
+    "ButcherTableau",
+    "RK4",
+    "rk_solve",
     "gravity_step_oracle",
     "fault_step_oracle",
     "motion_step_oracle",
@@ -519,8 +527,68 @@ def _trace_minus(ref, local_face, X):
     return out
 
 
-def gravity_step_oracle(gb, derivs, dt, out, face_mask=None) -> None:
-    """``GravityBoundary.step`` in quadrature form (advances ``gb.eta``)."""
+@dataclass(frozen=True)
+class ButcherTableau:
+    """Coefficients of an explicit Runge-Kutta method."""
+
+    a: np.ndarray  # (s, s) strictly lower triangular
+    b: np.ndarray  # (s,)
+    c: np.ndarray  # (s,)
+    order: int
+
+    def __post_init__(self):
+        s = len(self.b)
+        if self.a.shape != (s, s) or self.c.shape != (s,):
+            raise ValueError("inconsistent tableau shapes")
+        if np.any(np.triu(self.a) != 0):
+            raise ValueError("tableau must be explicit (strictly lower triangular a)")
+        if not np.isclose(self.b.sum(), 1.0):
+            raise ValueError("weights must sum to 1")
+
+
+RK4 = ButcherTableau(
+    a=np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0],
+            [0.5, 0.0, 0.0, 0.0],
+            [0.0, 0.5, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]
+    ),
+    b=np.array([1.0 / 6, 1.0 / 3, 1.0 / 3, 1.0 / 6]),
+    c=np.array([0.0, 0.5, 0.5, 1.0]),
+    order=4,
+)
+
+
+def rk_solve(f, y0: np.ndarray, dt: float, tableau: ButcherTableau = RK4, n_steps: int = 1):
+    """Integrate ``y' = f(t, y)`` from 0 to ``dt`` with ``n_steps`` RK steps.
+
+    ``y0`` may have any shape; ``f`` must be vectorized over it.
+    """
+    y = np.array(y0, dtype=float, copy=True)
+    h = dt / n_steps
+    s = len(tableau.b)
+    t = 0.0
+    for _ in range(n_steps):
+        ks = []
+        for i in range(s):
+            yi = y
+            for j in range(i):
+                if tableau.a[i, j] != 0.0:
+                    yi = yi + h * tableau.a[i, j] * ks[j]
+            ks.append(f(t + tableau.c[i] * h, yi))
+        for i in range(s):
+            y = y + h * tableau.b[i] * ks[i]
+        t += h
+    return y
+
+
+def gravity_step_oracle(gb, derivs, dt, out, face_mask=None,
+                        integrator="exact", rk_steps=4) -> None:
+    """``GravityBoundary.step`` in quadrature form (advances ``gb.eta``);
+    ``integrator="rk4"`` steps the face ODE ``rk_steps`` times with
+    classical RK4 instead of propagating it exactly."""
     if len(gb.face_ids) == 0:
         return
     idx = np.arange(len(gb.face_ids)) if face_mask is None \
@@ -545,7 +613,7 @@ def gravity_step_oracle(gb, derivs, dt, out, face_mask=None) -> None:
         b[:, k] = f_deriv[:, k] / fact
 
     eta0 = gb.eta[idx]
-    if gb.integrator == "exact":
+    if integrator == "exact":
         eta1 = np.empty_like(eta0)
         H1 = np.empty_like(eta0)
         for mid in np.unique(gb.mat_id[idx]):
@@ -562,8 +630,7 @@ def gravity_step_oracle(gb, derivs, dt, out, face_mask=None) -> None:
             H1[msel] = y1[..., 1]
     else:
         # the seed applied the damping to the interior-velocity variant
-        # too, against its own "no pressure feedback, no damping"; both
-        # integrators now solve the same ODE
+        # too, against its own "no pressure feedback, no damping"
         a = -(gb.rho[idx] * gb.g / gb.Z[idx])[:, None] if middle else 0.0
         powers = np.arange(K)
 
@@ -575,7 +642,7 @@ def gravity_step_oracle(gb, derivs, dt, out, face_mask=None) -> None:
             return d
 
         y0 = np.stack([eta0, np.zeros_like(eta0)], axis=-1)
-        y1 = rk_solve(rhs, y0, dt, RK4, n_steps=gb.rk_steps)
+        y1 = rk_solve(rhs, y0, dt, RK4, n_steps=rk_steps)
         eta1, H1 = y1[..., 0], y1[..., 1]
 
     d_eta = eta1 - eta0

@@ -5,8 +5,8 @@ chains of batched GEMMs.  Two kinds of truth pin them:
 
 * **oracle** — the per-step quadrature-form code they replaced
   (``tests/reference_kernels.py``), to floating-point reassociation
-  (<= 1e-12 relative) at orders 1-3, both face-ODE integrators and both
-  ``eta_velocity`` variants;
+  (<= 1e-12 relative) at orders 1-3, both ``eta_velocity`` variants and
+  the oracle integrating the face ODE exactly or with stepped RK4;
 * **subset independence** — a masked step writes, bitwise, the residual
   rows and the state the full step writes for the same faces (a
   Hypothesis property over random masks), which is what serial ==
@@ -133,13 +133,15 @@ class TestOracle:
     @pytest.mark.parametrize("integrator", ["exact", "rk4"])
     @pytest.mark.parametrize("eta_velocity", ["middle", "interior"])
     def test_gravity(self, order, integrator, eta_velocity):
-        s = build_all_faces(order, gravity_integrator=integrator,
-                            gravity_eta_velocity=eta_velocity)
+        """The compiled exact step against the oracle integrating the same
+        face ODE exactly or with four RK4 steps (whose truncation error on
+        one CFL step is below RTOL too)."""
+        s = build_all_faces(order, gravity_eta_velocity=eta_velocity)
         derivs = excite(s)
         gb = s.gravity
         eta0 = gb.eta.copy()
         want, got = residual(s), residual(s)
-        gravity_step_oracle(gb, derivs, s.dt, want)
+        gravity_step_oracle(gb, derivs, s.dt, want, integrator=integrator)
         eta_want = gb.eta.copy()
         gb.eta[:] = eta0
         gb.step(derivs, s.dt, got)
@@ -180,17 +182,18 @@ class TestOracle:
         assert_close(mb.uplift, uplift_want, "uplift")
 
     def test_rk4_interior_is_undamped(self):
-        """Both integrators solve the same face ODE in the interior-velocity
-        variant too (the seed's RK4 branch kept the -(rho g / Z) eta
-        damping the variant is defined not to have)."""
-        etas = {}
-        for integrator in ("exact", "rk4"):
-            s = build_all_faces(2, gravity_integrator=integrator,
-                                gravity_eta_velocity="interior")
-            derivs = excite(s)
-            s.gravity.step(derivs, s.dt, residual(s))
-            etas[integrator] = s.gravity.eta
-        np.testing.assert_allclose(etas["rk4"], etas["exact"], rtol=1e-9)
+        """The exact step and the oracle's RK4 solve the same face ODE in
+        the interior-velocity variant too (the seed's RK4 branch kept the
+        -(rho g / Z) eta damping the variant is defined not to have)."""
+        s = build_all_faces(2, gravity_eta_velocity="interior")
+        derivs = excite(s)
+        gb = s.gravity
+        eta0 = gb.eta.copy()
+        gravity_step_oracle(gb, derivs, s.dt, residual(s), integrator="rk4")
+        eta_rk4 = gb.eta.copy()
+        gb.eta[:] = eta0
+        gb.step(derivs, s.dt, residual(s))
+        np.testing.assert_allclose(eta_rk4, gb.eta, rtol=1e-9)
 
 
 # ----------------------------------------------------------------------

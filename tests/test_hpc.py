@@ -1,5 +1,5 @@
-"""Tests for the HPC substrate: partitioning, machines, perf model,
-pinning, and the strong-scaling simulator."""
+"""Tests for the HPC substrate: partitioning, machines, perf model and
+the strong-scaling simulator."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from repro.hpc.partition import (
     partition_geometric,
 )
 from repro.hpc.perfmodel import NodePerformanceModel, dof_count, kernel_counts
-from repro.hpc.pinning import NodeTopology, pin_node
 from repro.hpc.scaling import StrongScalingModel
 from repro.mesh.generators import box_mesh, layered_ocean_mesh
 
@@ -198,54 +197,6 @@ class TestPerfModel:
         assert m.numa_extrapolated_limit(full=False) == pytest.approx(
             m.predictor_gflops(), rel=0.02
         )
-
-
-class TestPinning:
-    def rome(self):
-        return NodeTopology(sockets=2, numa_per_socket=4, cores_per_numa=16, smt=2)
-
-    @pytest.mark.parametrize("rpn", [1, 2, 8])
-    def test_disjoint_and_numa_local(self, rpn):
-        plan = pin_node(self.rome(), rpn)
-        topo = plan.topology
-        workers = plan.all_worker_cpus()
-        assert len(np.unique(workers)) == len(workers)
-        for r in range(rpn):
-            assert plan.comm_cpu[r] not in workers
-            dom = {topo.numa_of_cpu(c) for c in plan.worker_cpus[r]}
-            assert topo.numa_of_cpu(plan.comm_cpu[r]) in dom
-        assert len(set(plan.comm_cpu)) == rpn
-
-    def test_one_free_core_per_rank(self):
-        topo = self.rome()
-        for rpn in (1, 2, 4, 8):
-            plan = pin_node(topo, rpn)
-            used_phys = {c % topo.n_cores for c in plan.all_worker_cpus()}
-            assert len(used_phys) == topo.n_cores - rpn
-
-    def test_smt_workers(self):
-        topo = self.rome()
-        plan = pin_node(topo, 2)
-        # both hyperthreads of each worker core are used
-        workers = set(plan.all_worker_cpus().tolist())
-        for c in list(workers):
-            phys = c % topo.n_cores
-            assert phys in {w % topo.n_cores for w in workers}
-            assert (phys in workers) == (phys + topo.n_cores in workers)
-
-    def test_io_thread(self):
-        plan = pin_node(self.rome(), 2, pin_io=True)
-        assert len(plan.io_cpu) == 2
-        assert set(plan.io_cpu).isdisjoint(set(plan.comm_cpu))
-        assert set(plan.io_cpu).isdisjoint(set(plan.all_worker_cpus().tolist()))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            pin_node(self.rome(), 0)
-        with pytest.raises(ValueError):
-            pin_node(self.rome(), 7)  # does not divide 128
-        with pytest.raises(ValueError):
-            pin_node(NodeTopology(1, 1, 1), 1)  # no room for free core
 
 
 class TestScalingModel:

@@ -464,6 +464,21 @@ class TestStatusView:
                             iterations=2, stream=buf) == 0
         assert buf.getvalue().count("fleet status") == 2
 
+    @pytest.mark.parametrize("check", [False, True])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_not_a_directory_is_an_error(self, tmp_path, capsys, kind,
+                                         check):
+        from repro.__main__ import main
+
+        path = tmp_path / "no-such-dir"
+        if kind == "file":
+            path.write_text("")
+        argv = ["obs-status", str(path)] + (["--check"] if check else [])
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"obs-status: {path}: not a directory\n"
+
     def test_watch_ctrl_c_exits_clean(self, tmp_path, monkeypatch):
         def boom(_seconds):
             raise KeyboardInterrupt

@@ -1,10 +1,13 @@
-"""Tests for the face-ODE integrators."""
+"""Tests for the face-ODE integrators: the runtime's exact propagator and
+the reference RK4 the tests check it against."""
 
 import numpy as np
 import pytest
 
 from repro.core import rk
-from repro.core.rk import RK4, ButcherTableau, ExactPropagator, _expm, rk_solve
+from repro.core.rk import ExactPropagator, _expm
+
+from .reference_kernels import RK4, ButcherTableau, rk_solve
 
 
 class TestExactPropagator:

@@ -19,7 +19,6 @@ from repro.core.lts import LocalTimeStepping
 from repro.core.materials import acoustic, elastic
 from repro.core.resilience import ResilientRunner
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
-from repro.exec import clear_plan_cache
 from repro.kernels.faces import FacePlan
 from repro.mesh.generators import layered_ocean_mesh
 from repro.obs.metrics import get_metrics
@@ -30,10 +29,7 @@ from repro.sched import (
     MicroStepEvent,
     Scheduler,
     compile_step_plan,
-    get_step_plan,
-    get_step_plan_cache,
     plan_steps,
-    step_plan_key,
 )
 
 from tests.test_exec_equivalence import T_LTS, build_lts_fault_gravity
@@ -107,65 +103,90 @@ def plan_cases(draw):
     return n_clusters, rate, n_macro, adjacency
 
 
+def replay(plan, n_macro):
+    """The one-macro-step plan tiled ``n_macro`` times the way
+    ``Scheduler._run_lts`` replays it, as ``dynamic_reference`` tuples:
+    windows shift by ``k * macro``, and only a window that ends the run
+    skips the predictor refresh."""
+    out = []
+    for k in range(n_macro):
+        for i in range(plan.n_micro):
+            c, t = int(plan.cluster[i]), int(plan.t_int[i])
+            ends_run = k == n_macro - 1 and t + int(plan.steps[c]) == plan.macro
+            out.append((c, k * plan.macro + t,
+                        tuple((int(a), int(m), int(o))
+                              for a, m, o in plan.consumes(i)),
+                        not ends_run))
+    return out
+
+
+def reference_syncs(ref, n_clusters, rate):
+    """Indices of the reference micro-steps after which every cluster
+    has reached the next macro-step boundary."""
+    steps = [rate**c for c in range(n_clusters)]
+    clock, syncs, boundary = [0] * n_clusters, [], steps[-1]
+    for j, (c, t, _, _) in enumerate(ref):
+        clock[c] = t + steps[c]
+        if min(clock) >= boundary:
+            syncs.append(j)
+            boundary += steps[-1]
+    return syncs
+
+
 class TestStepPlan:
     @settings(max_examples=200)
     @given(plan_cases())
     def test_plan_matches_dynamic_scheduler(self, case):
-        """The compiled order + actions reproduce the event-driven loop."""
+        """The one-macro-step plan, replayed ``n_macro`` times, reproduces
+        the event-driven loop: order, windows, consumes, predictor
+        refreshes, and one sync after the last micro-step of each macro
+        step."""
         n_clusters, rate, n_macro, adjacency = case
         ref = dynamic_reference(n_clusters, rate, n_macro, adjacency)
         assert ref is not None, "dynamic reference deadlocked"
-        plan = compile_step_plan(n_clusters, rate, n_macro, adjacency)
-        got = [
-            (
-                int(plan.cluster[i]),
-                int(plan.t_int[i]),
-                tuple((int(a), int(m), int(o)) for a, m, o in plan.consumes(i)),
-                bool(plan.update_pred[i]),
-            )
-            for i in range(plan.n_micro)
-        ]
-        assert got == ref
+        plan = compile_step_plan(n_clusters, rate, adjacency)
+        assert replay(plan, n_macro) == ref
+        assert reference_syncs(ref, n_clusters, rate) == [
+            (k + 1) * plan.n_micro - 1 for k in range(n_macro)]
 
     @settings(max_examples=50)
     @given(plan_cases())
     def test_plan_invariants(self, case):
-        n_clusters, rate, n_macro, adjacency = case
-        plan = compile_step_plan(n_clusters, rate, n_macro, adjacency)
-        # every cluster takes exactly end_int / rate**c micro-steps
+        n_clusters, rate, _, adjacency = case
+        plan = compile_step_plan(n_clusters, rate, adjacency)
+        # every cluster covers exactly one macro step
+        assert plan.macro == rate ** (n_clusters - 1)
         for c in range(n_clusters):
-            assert int((plan.cluster == c).sum()) * int(plan.steps[c]) == plan.end_int
-        # one sync per macro step, the last at end_int, in increasing order
-        syncs = plan.sync_after[plan.sync_after >= 0]
-        assert list(syncs) == [
-            (k + 1) * plan.end_int // n_macro for k in range(n_macro)
-        ]
-        assert plan.n_sync == n_macro
+            assert int((plan.cluster == c).sum()) * int(plan.steps[c]) == plan.macro
+        # the last micro-step is the coarsest cluster's only window
+        assert int(plan.cluster[-1]) == n_clusters - 1
+        assert int(plan.t_int[-1]) == 0
         # buffer consumes and clears pair up
         n_buf = int((plan.consume_mode == CONSUME_BUFFER).sum())
         assert len(plan.clear_cluster) == n_buf
 
     def test_gts_plan_is_trivial(self):
-        plan = compile_step_plan(1, 2, 5)
-        assert plan.n_micro == 5
-        assert plan.n_sync == 5
+        plan = compile_step_plan(1, 2)
+        assert plan.n_micro == 1
+        assert plan.macro == 1
         assert (plan.cluster == 0).all()
         assert len(plan.consume_cluster) == 0
+        run = Scheduler(build_coupled(order=1)).compiled_plan(4.5 * 0.1)
+        assert run.plan.n_micro == 1
+        assert run.n_micro == run.n_sync == run.n_macro
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            compile_step_plan(0, 2, 1)
+            compile_step_plan(0, 2)
         with pytest.raises(ValueError):
-            compile_step_plan(2, 2, 0)
-        with pytest.raises(ValueError):
-            compile_step_plan(2, 1, 1)
+            compile_step_plan(2, 1)
         with pytest.raises(ValueError):  # asymmetric adjacency
-            compile_step_plan(2, 2, 1, [{1}, set()])
+            compile_step_plan(2, 2, [{1}, set()])
         with pytest.raises(ValueError):  # self-adjacency
-            compile_step_plan(2, 2, 1, [{0}, set()])
+            compile_step_plan(2, 2, [{0}, set()])
 
     @pytest.mark.parametrize("argv", [["0"], ["2", "--rate", "1"],
-                                      ["2", "--n-macro", "0"]])
+                                      ["2", "--rate", "0"]])
     def test_cli_rejects_bad_arguments(self, argv, capsys):
         from repro.__main__ import main
 
@@ -173,39 +194,19 @@ class TestStepPlan:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 1 and out[0].startswith("sched-plan: "), out
 
-
-class TestStepPlanCache:
-    def test_cached_and_fingerprinted(self):
-        clear_plan_cache()
-        cache = get_step_plan_cache()
-        p1 = get_step_plan(3, 2, 2, [{1}, {0, 2}, {1}])
-        p2 = get_step_plan(3, 2, 2, [{1}, {0, 2}, {1}])
-        assert p1 is p2
-        assert cache.stats()["misses"] == 1
-        assert cache.stats()["hits"] == 1
-        # different n_macro -> different fingerprint -> fresh compile
-        p3 = get_step_plan(3, 2, 3, [{1}, {0, 2}, {1}])
-        assert p3 is not p1
-        assert cache.stats()["misses"] == 2
-        clear_plan_cache()
-        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 0}
-
-    def test_key_depends_on_all_inputs(self):
-        k = step_plan_key(3, 2, 2, [{1}, {0, 2}, {1}])
-        assert step_plan_key(3, 2, 2, [{1}, {0, 2}, {1}]) == k
-        assert step_plan_key(3, 2, 3, [{1}, {0, 2}, {1}]) != k
-        assert step_plan_key(3, 3, 2, [{1}, {0, 2}, {1}]) != k
-        assert step_plan_key(3, 2, 2, [{1}, {0}, set()]) != k
-
-    def test_cleared_cache_compiles_afresh(self):
-        clear_plan_cache()
-        p1 = get_step_plan(2, 2, 1, [{1}, {0}])
-        clear_plan_cache()
-        p2 = get_step_plan(2, 2, 1, [{1}, {0}])
-        assert p1 is not p2
-        assert np.array_equal(p1.cluster, p2.cluster)
-        assert get_step_plan_cache().stats() == \
-            {"entries": 1, "hits": 0, "misses": 1}
+    def test_compiled_plan_replays_one_cadence(self):
+        """Runs of any length replay the cadence the scheduler compiled
+        at construction; only the macro count grows."""
+        s, lts = build_coupled(order=1, lts=True)
+        sched = Scheduler(s, lts=lts)
+        dt_macro = lts.dt_min * lts.rate**lts.cmax
+        short = sched.compiled_plan(s.t + 2 * dt_macro)
+        long = sched.compiled_plan(s.t + 6 * dt_macro)
+        assert short.plan is long.plan is sched.plan
+        assert (short.n_macro, long.n_macro) == (2, 6)
+        assert short.n_micro == 2 * sched.plan.n_micro
+        assert long.n_micro == 6 * sched.plan.n_micro
+        assert (short.n_sync, long.n_sync) == (2, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +625,12 @@ class TestHookBus:
         syncs = []
         bus.on_sync(lambda x: syncs.append(x.t))
         t_end = 2 * lts.dt_min * lts.rate**lts.cmax
-        Scheduler(s, lts=lts).run(t_end, hooks=bus)
-        plan = get_step_plan(lts.n_clusters, lts.rate, 2, lts.adjacent)
-        assert [e.cluster for e in events] == [int(c) for c in plan.cluster]
-        assert [e.t_int for e in events] == [int(t) for t in plan.t_int]
+        sched = Scheduler(s, lts=lts)
+        sched.run(t_end, hooks=bus)
+        windows = replay(sched.plan, 2)
+        assert [e.cluster for e in events] == [w[0] for w in windows]
+        assert [e.t_int for e in events] == [w[1] for w in windows]
+        assert [e.index for e in events] == list(range(len(windows)))
         assert len(syncs) == 2
 
     def test_extend_merges_in_order(self):

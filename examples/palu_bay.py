@@ -19,9 +19,8 @@ import numpy as np
 
 from repro.analysis.fields import sea_surface_grid
 from repro.core.lts import LocalTimeStepping
-from repro.obs import ObsSession, add_obs_args, obs_kwargs
-from repro.sched import HookBus, Scheduler
-from repro.scenarios.palu import PaluConfig, build_coupled
+from repro.sched import HookBus
+from repro.scenarios import add_run_args, build, run, run_options
 
 
 def rupture_speed_along_strike(fault, y_min=-3000.0, y_max=3000.0):
@@ -45,15 +44,11 @@ def rupture_speed_along_strike(fault, y_min=-3000.0, y_max=3000.0):
     return float(abs(slope))
 
 
-def main(t_end: float = 4.0, checkpoint_every: float | None = None,
-         checkpoint_dir: str | None = None, resume: str | None = None,
-         backend: str = "serial", workers: int | None = None,
-         profile: bool = False, trace: str | None = None,
-         log_json: str | None = None,
-         heartbeat_every: int | None = None,
-         metrics: bool = False):
-    cfg = PaluConfig()
-    solver, fault = build_coupled(cfg, backend=backend, workers=workers)
+def main(t_end: float = 4.0, backend: str = "serial", workers: int | None = None,
+         checkpoint_every=None, checkpoint_dir=None, resume=None, profile=False,
+         trace=None, log_json=None, heartbeat_every=None, metrics=False):
+    handle = build("palu", backend=backend, workers=workers)
+    solver, cfg, fault = handle.solver, handle.config, handle.solver.fault
     print(f"mesh: {solver.mesh.n_elements} elements "
           f"({int(solver.mesh.is_acoustic_elem.sum())} ocean), "
           f"{len(fault)} fault faces, {len(solver.gravity)} gravity faces")
@@ -62,38 +57,24 @@ def main(t_end: float = 4.0, checkpoint_every: float | None = None,
     st = lts.statistics()
     print(f"LTS clusters {[int(c) for c in st['counts']]}, update reduction {st['speedup']:.2f}x")
 
-    obs = ObsSession(
-        profile=profile, trace=trace, log_json=log_json,
-        heartbeat_every=heartbeat_every, metrics=metrics,
-        config={"command": "palu", "t_end": t_end, "backend": backend},
-    )
-    runner = None
-    if checkpoint_every or checkpoint_dir or resume:
-        from repro.core.resilience import ResilientRunner
+    hooks = HookBus()
+    quarters = list(np.linspace(t_end / 4, t_end, 4))
 
-        runner = ResilientRunner(
-            solver, lts=lts,
-            checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
-            runlog=obs.runlog,
-        )
-        if resume:
-            runner.resume(resume)
-    hooks = obs.subscribe(HookBus(), runner=runner)
-    obs.start(solver, resumed=bool(resume))
-
-    checkpoints = np.linspace(t_end / 4, t_end, 4)
-    for tc in checkpoints:
-        if tc <= solver.t:
-            continue  # already covered by the restored checkpoint
-        if runner is not None:
-            runner.run(tc, hooks=hooks)
-        else:
-            Scheduler(solver, lts).run(tc, hooks=hooks)
+    @hooks.on_sync
+    def progress(s):
+        # one line per quarter of the run, at the first sync point past it
+        if not quarters or s.t < quarters[0] * (1 - 1e-9):
+            return
+        quarters[:] = [q for q in quarters if q * (1 - 1e-9) > s.t]
         vr = rupture_speed_along_strike(fault)
-        print(f"t = {tc:4.1f} s | ruptured {fault.ruptured_fraction() * 100:5.1f}% | "
+        print(f"t = {s.t:4.2f} s | ruptured {fault.ruptured_fraction() * 100:5.1f}% | "
               f"peak V {fault.peak_slip_rate.max():6.2f} m/s | "
-              f"eta [{solver.gravity.eta.min():+7.3f}, {solver.gravity.eta.max():+7.3f}] m | "
+              f"eta [{s.gravity.eta.min():+7.3f}, {s.gravity.eta.max():+7.3f}] m | "
               f"front speed {vr if np.isnan(vr) else round(vr):>5} m/s")
+
+    run(solver, t_end, lts=lts, hooks=hooks, command="palu", checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir, resume=resume, profile=profile, trace=trace,
+        log_json=log_json, heartbeat_every=heartbeat_every, metrics=metrics)
 
     cs = cfg.earth_material.cs
     vr = rupture_speed_along_strike(fault)
@@ -113,22 +94,11 @@ def main(t_end: float = 4.0, checkpoint_every: float | None = None,
         ("SE", (X > cfg.fault_x) & (Y < 0)),
     ]:
         print(f"  mean eta {name}: {eta[mask].mean() * 100:+.2f} cm")
-    obs.finish(solver)
     return solver, fault
 
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
-    ap.add_argument("--t-end", type=float, default=4.0)
-    ap.add_argument("--checkpoint-every", type=float, default=None,
-                    help="simulated seconds between checkpoints")
-    ap.add_argument("--checkpoint-dir", default=None)
-    ap.add_argument("--resume", default=None,
-                    help="checkpoint file or directory to resume from")
-    ap.add_argument("--backend", default="serial", choices=["serial", "partitioned"])
-    ap.add_argument("--workers", type=int, default=None,
-                    help="thread-pool size for the partitioned backend")
-    add_obs_args(ap)
+    add_run_args(ap, t_end=4.0)
     args = ap.parse_args()
-    main(args.t_end, args.checkpoint_every, args.checkpoint_dir, args.resume,
-         backend=args.backend, workers=args.workers, **obs_kwargs(args))
+    main(args.t_end, args.backend, args.workers, **run_options(args))

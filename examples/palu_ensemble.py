@@ -30,7 +30,8 @@ import numpy as np
 from repro.ensemble import MemberSpec, RetryPolicy, Supervisor
 
 #: perturbation axes of the paper's hazard sweep, cycled over members;
-#: the member seed adds hypocenter jitter on top (see palu_builder)
+#: the member seed adds hypocenter jitter on top (see
+#: repro.scenarios.palu.build_scenario)
 AXES = [
     ("nucleation_y", [2000.0, 2400.0, 2800.0]),     # hypocenter along strike
     ("tau_strike", [13e6, 14e6, 15e6]),             # loading level

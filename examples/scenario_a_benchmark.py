@@ -21,58 +21,28 @@ import numpy as np
 
 from repro.analysis.fields import surface_eta_transect
 from repro.core.lts import LocalTimeStepping
-from repro.obs import ObsSession, add_obs_args, obs_kwargs
 from repro.sched import HookBus, Scheduler
-from repro.scenarios.scenario_a import (
-    ScenarioAConfig,
-    build_coupled,
-    build_earthquake_only,
-    run_linked_tsunami,
-)
+from repro.scenarios import add_run_args, build, run, run_options
+from repro.scenarios.scenario_a import build_earthquake_only, run_linked_tsunami
 
 
-def main(t_end: float = 6.0, n_transect: int = 41,
-         checkpoint_every: float | None = None,
-         checkpoint_dir: str | None = None, resume: str | None = None,
-         backend: str = "serial", workers: int | None = None,
-         profile: bool = False, trace: str | None = None,
-         log_json: str | None = None,
-         heartbeat_every: int | None = None,
-         metrics: bool = False):
-    cfg = ScenarioAConfig()
-
+def main(t_end: float = 6.0, backend: str = "serial", workers: int | None = None,
+         checkpoint_every=None, checkpoint_dir=None, resume=None, profile=False,
+         trace=None, log_json=None, heartbeat_every=None, metrics=False):
+    n_transect = 41
     # --- fully coupled run ----------------------------------------------
     print("== fully coupled model ==")
-    solver, fault = build_coupled(cfg, backend=backend, workers=workers)
+    handle = build("scenario_a", backend=backend, workers=workers)
+    solver, cfg, fault = handle.solver, handle.config, handle.solver.fault
     print(f"  {solver.mesh.n_elements} elements, {len(fault)} fault faces, "
           f"{len(solver.gravity)} gravity faces")
     print(f"  execution backend: {solver.backend.describe()}")
     lts = LocalTimeStepping(solver)
     print(f"  LTS clusters: {np.bincount(lts.cluster)} "
           f"(update reduction {lts.statistics()['speedup']:.2f}x)")
-    obs = ObsSession(
-        profile=profile, trace=trace, log_json=log_json,
-        heartbeat_every=heartbeat_every, metrics=metrics,
-        config={"command": "scenario-a", "t_end": t_end, "backend": backend},
-    )
-    runner = None
-    if checkpoint_every or checkpoint_dir or resume:
-        from repro.core.resilience import ResilientRunner
-
-        runner = ResilientRunner(
-            solver, lts=lts,
-            checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
-            runlog=obs.runlog,
-        )
-        if resume:
-            runner.resume(resume)
-    hooks = obs.subscribe(HookBus(), runner=runner)
-    obs.start(solver, resumed=bool(resume))
-    if runner is not None:
-        runner.run(t_end, hooks=hooks)
-    else:
-        Scheduler(solver, lts).run(t_end, hooks=hooks)
-    obs.finish(solver)
+    run(solver, t_end, lts=lts, command="scenario-a", checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir, resume=resume, profile=profile, trace=trace,
+        log_json=log_json, heartbeat_every=heartbeat_every, metrics=metrics)
     print(f"  rupture: Mw {fault.moment_magnitude():.2f}, "
           f"peak slip {fault.slip.max():.2f} m, "
           f"peak slip rate {fault.peak_slip_rate.max():.1f} m/s")
@@ -81,7 +51,7 @@ def main(t_end: float = 6.0, n_transect: int = 41,
         solver, [x_line[0], 0.0], [x_line[-1], 0.0], n_transect
     )
 
-    # --- one-way linked run ----------------------------------------------
+    # --- one-way linked run: the same config, jitter included ------------
     print("== one-way linked model ==")
     eq, fault2, tracker = build_earthquake_only(cfg)
     print(f"  earthquake-only mesh: {eq.mesh.n_elements} elements")
@@ -115,17 +85,6 @@ def main(t_end: float = 6.0, n_transect: int = 41,
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
-    ap.add_argument("--t-end", type=float, default=6.0)
-    ap.add_argument("--checkpoint-every", type=float, default=None,
-                    help="simulated seconds between checkpoints")
-    ap.add_argument("--checkpoint-dir", default=None)
-    ap.add_argument("--resume", default=None,
-                    help="checkpoint file or directory to resume from")
-    ap.add_argument("--backend", default="serial", choices=["serial", "partitioned"])
-    ap.add_argument("--workers", type=int, default=None,
-                    help="thread-pool size for the partitioned backend")
-    add_obs_args(ap)
+    add_run_args(ap, t_end=6.0)
     args = ap.parse_args()
-    main(args.t_end, checkpoint_every=args.checkpoint_every,
-         checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-         backend=args.backend, workers=args.workers, **obs_kwargs(args))
+    main(args.t_end, args.backend, args.workers, **run_options(args))

@@ -24,8 +24,8 @@ The package implements, from scratch:
   SuperMUC-NG / Mahti, a calibrated roofline+NUMA node performance model
   and a strong-scaling simulator (:mod:`repro.hpc`);
 * analysis tooling: receivers, spectra, field sampling
-  (:mod:`repro.analysis`) and ready-made scenario builders for the paper's
-  experiments (:mod:`repro.scenarios`).
+  (:mod:`repro.analysis`) and the registry of the paper's scenarios,
+  built and run by one call each (:mod:`repro.scenarios`).
 
 Quick start::
 

@@ -4,33 +4,21 @@ Commands
 --------
 ``info``
     Print version and a summary of the available subsystems.
-``quickstart``
-    Run the coupled Earth-ocean quickstart simulation.
-``scenario-a [--t-end T]``
-    Scaled Scenario-A benchmark: fully coupled vs one-way linked (Fig. 3).
-``palu [--t-end T]``
-    Scaled Palu supershear earthquake-tsunami scenario (Fig. 1).
-``scaling``
-    Strong-scaling study on the simulated machines (Fig. 6).
-``acoustics``
-    Acoustic + gravity wave dispersion demonstration.
+``quickstart`` / ``scenario-a`` / ``palu [--t-end T]``
+    Build the registered scenario (:func:`repro.scenarios.build`, seed
+    0), run it with :func:`repro.scenarios.run` (clustered LTS for
+    Scenario A, Fig. 3, and Palu, Fig. 1) and print its summary.  The
+    figure narratives are the scripts in ``examples/``.
 
-The simulation commands (``quickstart``, ``scenario-a``, ``palu``) accept
-the resilience options ``--checkpoint-every S`` (simulated seconds between
-atomic on-disk checkpoints), ``--checkpoint-dir DIR``, and ``--resume
-[PATH]`` (restart from a checkpoint file, or the newest readable checkpoint
-in a directory).  Checkpointed runs are supervised: a NaN/energy/CFL watchdog
-triggers rollback to the last snapshot with timestep backoff instead of
-silently corrupting the run.
-
-They also accept the execution-backend options ``--backend
-serial|partitioned`` and ``--workers N`` (thread-pool size for the
-partitioned backend; see README "Parallel execution"), and the
-observability options ``--profile`` (phase timers + roofline report at
-exit), ``--trace PATH`` (span timeline exported as Chrome-trace/Perfetto
-JSON), ``--log-json PATH`` (structured JSONL run records) and
-``--heartbeat-every N`` (heartbeat period in steps; see README
-"Observability").
+The simulation commands accept the resilience options
+``--checkpoint-every S``, ``--checkpoint-dir DIR`` and ``--resume
+[PATH]`` (a checkpoint file, or the newest readable one in a directory);
+checkpointed runs are supervised: a NaN/energy/CFL watchdog triggers
+rollback to the last snapshot with timestep backoff.  They also accept
+``--backend serial|partitioned`` and ``--workers N`` (see README
+"Parallel execution") and the observability options ``--profile``,
+``--trace PATH``, ``--log-json PATH``, ``--heartbeat-every N`` and
+``--metrics`` (see README "Observability").
 
 ``obs-report RUN.jsonl [--check]``
     Summarize a structured run log: manifest, heartbeats, resilience
@@ -83,7 +71,6 @@ JSON), ``--log-json PATH`` (structured JSONL run records) and
 from __future__ import annotations
 
 import argparse
-import sys
 
 
 def main(argv=None) -> int:
@@ -92,52 +79,15 @@ def main(argv=None) -> int:
     )
     sub = ap.add_subparsers(dest="command")
 
-    def add_resilience_args(p):
-        p.add_argument(
-            "--checkpoint-every", type=float, default=None, metavar="S",
-            help="write an atomic checkpoint every S simulated seconds",
-        )
-        p.add_argument(
-            "--checkpoint-dir", default=None, metavar="DIR",
-            help="directory for rotating checkpoints (enables the watchdog)",
-        )
-        p.add_argument(
-            "--resume", default=None, metavar="PATH",
-            help="resume from a checkpoint file or the newest readable one in a directory",
-        )
-
-    def add_backend_args(p):
-        from repro.exec import available_backends
-
-        p.add_argument(
-            "--backend", default="serial", choices=available_backends(),
-            help="execution backend (default: serial)",
-        )
-        p.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="thread-pool size for the partitioned backend",
-        )
-
-    from repro.obs import add_obs_args
+    from repro.scenarios import add_run_args
 
     sub.add_parser("info", help="version and subsystem summary")
-    p_q = sub.add_parser("quickstart", help="coupled Earth-ocean quickstart")
-    p_q.add_argument("--t-end", type=float, default=2.5)
-    add_resilience_args(p_q)
-    add_backend_args(p_q)
-    add_obs_args(p_q)
-    p_a = sub.add_parser("scenario-a", help="Scenario-A coupled vs linked (Fig. 3)")
-    p_a.add_argument("--t-end", type=float, default=6.0)
-    add_resilience_args(p_a)
-    add_backend_args(p_a)
-    add_obs_args(p_a)
-    p_p = sub.add_parser("palu", help="Palu supershear scenario (Fig. 1)")
-    p_p.add_argument("--t-end", type=float, default=4.0)
-    add_resilience_args(p_p)
-    add_backend_args(p_p)
-    add_obs_args(p_p)
-    sub.add_parser("scaling", help="strong scaling on simulated machines (Fig. 6)")
-    sub.add_parser("acoustics", help="acoustic/gravity dispersion demo")
+    for verb, t_end, text in (
+        ("quickstart", 2.5, "coupled Earth-ocean quickstart"),
+        ("scenario-a", 6.0, "Scenario-A megathrust rupture (Fig. 3)"),
+        ("palu", 4.0, "Palu supershear scenario (Fig. 1)"),
+    ):
+        add_run_args(sub.add_parser(verb, help=text), t_end)
     p_r = sub.add_parser("obs-report", help="summarize a JSONL run log")
     p_r.add_argument("runlog", help="path to a --log-json run log")
     p_r.add_argument("--check", action="store_true",
@@ -175,7 +125,7 @@ def main(argv=None) -> int:
                      help="worker processes alive at once, at least 1; a "
                      "worker that cannot start is a strike (default 2)")
     p_e.add_argument("--scenario", default="quickstart",
-                     help="registered scenario builder "
+                     help="registered scenario "
                      "(quickstart | scenario_a | palu; default quickstart)")
     p_e.add_argument("--t-end", type=float, default=0.5,
                      help="simulated seconds per member (default 0.5)")
@@ -252,16 +202,13 @@ def main(argv=None) -> int:
 
         return diagnose_bundle_file(args.bundle, check=args.check)
     if args.command == "ensemble":
-        from repro.ensemble import (
-            MemberSpec,
-            RetryPolicy,
-            Supervisor,
-            available_builders,
-        )
+        from repro.ensemble import MemberSpec, RetryPolicy, Supervisor
+        from repro.scenarios import SCENARIOS
 
-        if args.scenario not in available_builders():
-            print(f"unknown scenario {args.scenario!r} "
-                  f"(registered: {', '.join(available_builders())})")
+        try:
+            SCENARIOS[args.scenario]  # noqa: B018
+        except KeyError as exc:
+            print(exc.args[0])
             return 2
         if args.members < 1:
             print("--members must be >= 1")
@@ -333,42 +280,20 @@ def main(argv=None) -> int:
                       + (f"  consume: {acts}" if acts else ""))
         return 0
 
-    # the runnable demos live in <repo>/examples (editable install layout)
-    import os
+    from repro.core.lts import LocalTimeStepping
+    from repro.scenarios import SCENARIOS, build, run, run_options
 
-    repo_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    examples_dir = os.path.join(repo_root, "examples")
-    if not os.path.isdir(examples_dir):
-        print("examples/ directory not found (CLI demos need the source checkout)")
-        return 2
-    sys.path.insert(0, examples_dir)
-
-    from repro.obs import obs_kwargs
-
-    if args.command == "quickstart":
-        from quickstart import main as run
-
-        run(args.t_end, args.checkpoint_every, args.checkpoint_dir, args.resume,
-            backend=args.backend, workers=args.workers, **obs_kwargs(args))
-    elif args.command == "scenario-a":
-        from scenario_a_benchmark import main as run
-
-        run(args.t_end, checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-            backend=args.backend, workers=args.workers, **obs_kwargs(args))
-    elif args.command == "palu":
-        from palu_bay import main as run
-
-        run(args.t_end, args.checkpoint_every, args.checkpoint_dir, args.resume,
-            backend=args.backend, workers=args.workers, **obs_kwargs(args))
-    elif args.command == "scaling":
-        from scaling_study import main as run
-
-        run()
-    elif args.command == "acoustics":
-        from ocean_acoustics import main as run
-
-        run()
+    name = args.command.replace("-", "_")
+    handle = build(name, backend=args.backend, workers=args.workers)
+    solver = handle.solver
+    lts = LocalTimeStepping(solver) if SCENARIOS[name].lts else None
+    print(f"{args.command}: {solver.mesh.n_elements} elements, "
+          f"{solver.n_dof} DOF, backend {solver.backend.describe()}"
+          + (f", {lts.n_clusters} LTS clusters" if lts is not None else ""))
+    run(solver, args.t_end, lts=lts, command=args.command, **run_options(args))
+    print(f"t = {solver.t:.4g} s, energy {solver.energy():.4e} J")
+    for key, value in handle.summarize(solver).items():
+        print(f"{key}: {value:.6g}")
     return 0
 
 

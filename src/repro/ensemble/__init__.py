@@ -5,10 +5,9 @@ thousands of perturbed scenarios (source location, slip, friction,
 bathymetry) run unattended and survive worker failures.  This package is
 that driver:
 
-* :mod:`repro.ensemble.spec` — picklable :class:`MemberSpec` (scenario
-  builder name + perturbation + seed) and the builder registry;
-* :mod:`repro.ensemble.builders` — built-in quickstart / Scenario-A /
-  Palu member builders;
+* :mod:`repro.ensemble.spec` — picklable :class:`MemberSpec` (the name
+  of a scenario in the :mod:`repro.scenarios` registry + config
+  overrides + seed);
 * :mod:`repro.ensemble.worker` — the worker process body: a persistent
   worker, forked from the supervisor (spawned where fork is unsafe), that
   runs the attempts sent down its pipe with the plan cache warm, each
@@ -26,21 +25,14 @@ that driver:
 
 See README "Ensemble runs" and ``python -m repro ensemble --help``.
 
-Only the builder registry loads with the package; the supervision tree
+Only the member spec loads with the package; the supervision tree
 (``multiprocessing``, the fleet aggregator, the run log) and the
 worker resolve on first use (:mod:`repro._lazy`), so a run that only
-asks ``get_builder`` for a scenario does not pay for them.
+builds a member's scenario does not pay for them.
 """
 
 from .._lazy import lazy_namespace
-from . import builders  # noqa: F401  (registers the built-in scenarios)
-from .spec import (
-    MemberSpec,
-    ScenarioHandle,
-    available_builders,
-    get_builder,
-    register_builder,
-)
+from .spec import MemberSpec, get_builder
 
 _lazy_all, __getattr__ = lazy_namespace(__name__, {
     "result": ("STATUSES", "EnsembleResult", "MemberResult"),
@@ -51,9 +43,6 @@ _lazy_all, __getattr__ = lazy_namespace(__name__, {
 
 __all__ = [
     "MemberSpec",
-    "ScenarioHandle",
-    "register_builder",
     "get_builder",
-    "available_builders",
     *_lazy_all,
 ]

@@ -2,8 +2,8 @@
 
 :func:`worker_main` is the body of every worker process.  On Linux the
 supervisor starts it by ``fork``: the child begins as a copy of the
-supervising interpreter — NumPy and ``repro`` imported, the builder
-registry and the process-global plan cache as the parent left them — so
+supervising interpreter — NumPy and ``repro`` imported, the
+process-global plan cache as the parent left it — so
 even its first member pays no interpreter start, no import and no
 unpickling, and it replays a plan the parent already built (the
 build-once / replay-per-member promise of :mod:`repro.ensemble.spec`).
@@ -254,7 +254,7 @@ def _run_member_attempt(spec, paths, channel, attempt, resume, dt_scale,
         # only a diverged attempt carries its bundle: a clean (or
         # recovered-on-retry) attempt must not point at a stale dump
         "bundle": bundle,
-        "summary": handle.summarize(solver) if handle.summarize else {},
+        "summary": handle.summarize(solver),
         # equal to the log's run_end metrics: what the supervisor
         # aggregates is what the member logged
         "metrics": metrics,

@@ -61,5 +61,5 @@ __all__, __getattr__ = lazy_namespace(__name__, {
                  "write_bundle", "dump_bundle", "load_bundle",
                  "validate_bundle", "classify_bundle", "find_bundles",
                  "newest_bundle", "diagnose_bundle_file"),
-    "session": ("ObsSession", "add_obs_args", "obs_kwargs"),
+    "session": ("ObsSession",),
 })

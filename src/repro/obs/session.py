@@ -32,7 +32,8 @@ plan-cache hits are counted; the flags choose sinks, not registries.
 is the exit without a ``run_end``: either way the run log is closed and
 the registry disabled.
 
-Usage pattern (see ``examples/quickstart.py``)::
+Usage pattern (:func:`repro.scenarios.run` is this, for every scenario
+run of the CLI and the examples)::
 
     obs = ObsSession(profile=args.profile, log_json=args.log_json,
                      heartbeat_every=args.heartbeat_every,
@@ -56,7 +57,7 @@ from ..core.health import total_energy
 from .metrics import MetricRegistry, get_metrics
 from .runlog import RunLog, run_manifest
 
-__all__ = ["ObsSession", "add_obs_args", "obs_kwargs"]
+__all__ = ["ObsSession"]
 
 
 class ObsSession:
@@ -223,39 +224,3 @@ class ObsSession:
         if self._owns_registry:
             get_metrics().disable()
 
-
-# ----------------------------------------------------------------------
-def add_obs_args(parser) -> None:
-    """Attach the shared observability flags to an argparse parser."""
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="time the run's phases and print a roofline report at exit",
-    )
-    parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a span timeline and export Chrome-trace/Perfetto JSON to PATH",
-    )
-    parser.add_argument(
-        "--log-json", default=None, metavar="PATH",
-        help="append structured JSONL run records (manifest/heartbeat/...) to PATH",
-    )
-    parser.add_argument(
-        "--heartbeat-every", type=int, default=None, metavar="N",
-        help="heartbeat record period in steps (default 10 when logging)",
-    )
-    parser.add_argument(
-        "--metrics", action="store_true",
-        help="record the run's counters, gauges and phases (carried by the "
-             "run log's heartbeats and run_end when --log-json is on)",
-    )
-
-
-def obs_kwargs(args) -> dict:
-    """Extract the observability kwargs from parsed CLI args."""
-    return {
-        "profile": getattr(args, "profile", False),
-        "trace": getattr(args, "trace", None),
-        "log_json": getattr(args, "log_json", None),
-        "heartbeat_every": getattr(args, "heartbeat_every", None),
-        "metrics": getattr(args, "metrics", False),
-    }

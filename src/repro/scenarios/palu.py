@@ -21,22 +21,22 @@ O(10^4) elements.  Every mechanism of the paper's run is retained:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..core.lts import cluster_major
 from ..core.materials import acoustic, elastic
 from ..core.riemann import FaceKind
-from ..core.solver import CoupledSolver, ocean_surface_gravity_tagger
+from ..core.solver import ocean_surface_gravity_tagger
 from ..mesh.generators import bathymetry_mesh, box_mesh
 from ..mesh.refine import refined_spacing
-from ..rupture.fault import FaultSolver, Prestress
+from ..rupture.fault import Prestress
 from ..rupture.friction import RateStateFastVelocityWeakening
-from ..tsunami.linking import BedMotionInterpolator, SurfaceDisplacementTracker
-from ..tsunami.swe import ShallowWaterSolver
+from ..tsunami.linking import SurfaceDisplacementTracker, run_linked
+from . import ScenarioHandle, eta_summary, fault_solver
 
-__all__ = ["PaluConfig", "palu_bathymetry", "build_coupled", "build_earthquake_only", "run_linked_tsunami"]
+__all__ = ["PaluConfig", "palu_bathymetry", "build_coupled", "build_earthquake_only",
+           "build_scenario", "run_linked_tsunami"]
 
 
 @dataclass
@@ -162,10 +162,13 @@ def _prestress(cfg: PaluConfig) -> Prestress:
     return Prestress(sigma_n=cfg.sigma_n0, shear_vector=shear, nucleation_vector=nucleation)
 
 
-def _friction(cfg: PaluConfig):
-    return RateStateFastVelocityWeakening(
+def _fault_solver(cfg: PaluConfig, mesh, bathy, tagger, backend, workers):
+    friction = RateStateFastVelocityWeakening(
         a=cfg.rs_a, b=cfg.rs_b, L=cfg.rs_L, Vw=cfg.rs_Vw, fw=cfg.rs_fw
     )
+    return fault_solver(mesh, _fault_marker(cfg, bathy), tagger, friction,
+                        _prestress(cfg), cfg.order, backend=backend,
+                        workers=workers)
 
 
 def build_coupled(cfg: PaluConfig | None = None, backend="serial",
@@ -188,15 +191,9 @@ def build_coupled(cfg: PaluConfig | None = None, backend="serial",
         cfg.ocean_material,
         min_depth=0.5 * cfg.shelf_depth,
     )
-    n = mesh.mark_fault(_fault_marker(cfg, bathy))
-    if n == 0:
-        raise RuntimeError("Palu fault marking failed")
-    mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-    fault = FaultSolver(_friction(cfg), _prestress(cfg))
-    cluster_major(mesh, cfg.order)
-    solver = CoupledSolver(mesh, order=cfg.order, fault=fault,
-                           backend=backend, workers=workers)
-    return solver, fault
+    solver = _fault_solver(cfg, mesh, bathy, ocean_surface_gravity_tagger(mesh),
+                           backend, workers)
+    return solver, solver.fault
 
 
 def build_earthquake_only(cfg: PaluConfig | None = None, backend="serial",
@@ -219,39 +216,35 @@ def build_earthquake_only(cfg: PaluConfig | None = None, backend="serial",
         return v
 
     mesh = box_mesh(xs, ys, zs_earth, [cfg.earth_material], warp=warp)
-    n = mesh.mark_fault(_fault_marker(cfg, bathy))
-    if n == 0:
-        raise RuntimeError("Palu fault marking failed")
 
     def tagger(cent, nrm):
         tags = np.full(len(cent), FaceKind.ABSORBING.value)
         tags[nrm[:, 2] > 0.3] = FaceKind.FREE_SURFACE.value
         return tags
 
-    mesh.tag_boundary(tagger)
-    fault = FaultSolver(_friction(cfg), _prestress(cfg))
-    cluster_major(mesh, cfg.order)
-    solver = CoupledSolver(mesh, order=cfg.order, fault=fault,
-                           backend=backend, workers=workers)
-    tracker = SurfaceDisplacementTracker(solver, upward_only=True)
-    return solver, fault, tracker
+    solver = _fault_solver(cfg, mesh, bathy, tagger, backend, workers)
+    return solver, solver.fault, SurfaceDisplacementTracker(solver, upward_only=True)
 
 
-def run_linked_tsunami(
-    cfg: PaluConfig,
-    tracker: SurfaceDisplacementTracker,
-    snapshots,
-    t_end: float,
-    grid_dx: float = 150.0,
-):
+def build_scenario(cfg: PaluConfig, rng, *, backend="serial",
+                   workers: int | None = None) -> ScenarioHandle:
+    """The registered Palu member: ``rng`` (``None`` when pinned) moves
+    the hypocentre along strike by up to ±200 m."""
+    if rng is not None:
+        cfg = replace(cfg, nucleation_y=cfg.nucleation_y
+                      + 200.0 * (2 * rng.random() - 1))
+    solver, _ = build_coupled(cfg, backend=backend, workers=workers)
+    return ScenarioHandle(solver, summarize, cfg)
+
+
+def summarize(solver) -> dict:
+    """Sea-surface extrema and the peak slip rate on the fault."""
+    return {**eta_summary(solver),
+            "peak_slip_rate": float(np.max(np.abs(solver.fault.slip_rate)))}
+
+
+def run_linked_tsunami(cfg: PaluConfig, tracker: SurfaceDisplacementTracker,
+                       snapshots, t_end: float, grid_dx: float = 150.0):
     """One-way-linked SWE run over the bay bathymetry (Fig. 5 lower row)."""
-    bathy = palu_bathymetry(cfg)
-    xs = np.arange(cfg.x_extent[0], cfg.x_extent[1] + grid_dx / 2, grid_dx)
-    ys = np.arange(cfg.y_extent[0], cfg.y_extent[1] + grid_dx / 2, grid_dx)
-    swe = ShallowWaterSolver(xs, ys, lambda X, Y: bathy(X, Y), boundary="outflow")
-    times = np.array([t for t, _ in snapshots])
-    grids = np.stack([tracker.snapshot_grid(xs, ys, uz) for _, uz in snapshots])
-    b0 = bathy(*np.meshgrid(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]), indexing="ij"))
-    swe.set_bed_motion(BedMotionInterpolator(b0, times, grids))
-    swe.run(t_end)
-    return swe
+    return run_linked(palu_bathymetry(cfg), cfg.x_extent, cfg.y_extent, tracker,
+                      snapshots, t_end, grid_dx)

@@ -18,21 +18,21 @@ and the hydrostatic/incompressible approximations of the linked baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..core.lts import cluster_major
 from ..core.materials import acoustic, elastic
 from ..core.riemann import FaceKind
-from ..core.solver import CoupledSolver, ocean_surface_gravity_tagger
+from ..core.solver import ocean_surface_gravity_tagger
 from ..mesh.generators import box_mesh, layered_ocean_mesh
-from ..rupture.fault import FaultSolver, Prestress
+from ..rupture.fault import Prestress
 from ..rupture.friction import LinearSlipWeakening
-from ..tsunami.linking import BedMotionInterpolator, SurfaceDisplacementTracker
-from ..tsunami.swe import ShallowWaterSolver
+from ..tsunami.linking import SurfaceDisplacementTracker, run_linked
+from . import ScenarioHandle, eta_summary, fault_solver
 
-__all__ = ["ScenarioAConfig", "build_coupled", "build_earthquake_only", "run_linked_tsunami"]
+__all__ = ["ScenarioAConfig", "build_coupled", "build_earthquake_only",
+           "build_scenario", "run_linked_tsunami"]
 
 
 @dataclass
@@ -146,9 +146,20 @@ def _prestress(cfg: ScenarioAConfig) -> Prestress:
     )
 
 
-def _friction(cfg: ScenarioAConfig, fault_points: np.ndarray | None = None):
-    """LSW with strengthening towards the seafloor (stops the rupture)."""
-    return LinearSlipWeakening(mu_s=cfg.mu_s, mu_d=cfg.mu_d, d_c=cfg.d_c)
+def _fault_solver(cfg: ScenarioAConfig, mesh, tagger, backend, workers):
+    """The rupture model on ``mesh``, with linear slip weakening whose
+    static friction rises towards the seafloor so the rupture stops
+    smoothly (the paper: 'higher fault strength near the seafloor
+    smoothly stops the rupture')."""
+    friction = LinearSlipWeakening(mu_s=cfg.mu_s, mu_d=cfg.mu_d, d_c=cfg.d_c)
+    solver = fault_solver(mesh, _fault_plane_marker(cfg), tagger, friction,
+                          _prestress(cfg), cfg.order, backend=backend,
+                          workers=workers)
+    fault = solver.fault
+    z = fault.points[:, :, 2]
+    ramp = np.clip((z - (cfg.seafloor_z - 2.5 * cfg.dz)) / (2.5 * cfg.dz), 0.0, 1.0)
+    fault.friction.mu_s = cfg.mu_s + (1.5 - cfg.mu_s) * ramp
+    return solver
 
 
 def build_coupled(cfg: ScenarioAConfig | None = None, backend="serial",
@@ -163,16 +174,9 @@ def build_coupled(cfg: ScenarioAConfig | None = None, backend="serial",
     earth = elastic(cfg.rho_earth, cfg.cp_earth, cfg.cs_earth)
     ocean = acoustic(cfg.rho_ocean, cfg.c_ocean)
     mesh = layered_ocean_mesh(xs, ys, zs_earth, zs_ocean, earth, ocean)
-    n = mesh.mark_fault(_fault_plane_marker(cfg))
-    if n == 0:
-        raise RuntimeError("Scenario A fault marking failed (no faces on plane)")
-    mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-    fault = FaultSolver(_friction(cfg), _prestress(cfg))
-    cluster_major(mesh, cfg.order)
-    solver = CoupledSolver(mesh, order=cfg.order, fault=fault,
-                           backend=backend, workers=workers)
-    _strengthen_near_seafloor(cfg, fault)
-    return solver, fault
+    solver = _fault_solver(cfg, mesh, ocean_surface_gravity_tagger(mesh),
+                           backend, workers)
+    return solver, solver.fault
 
 
 def build_earthquake_only(cfg: ScenarioAConfig | None = None, backend="serial",
@@ -187,10 +191,6 @@ def build_earthquake_only(cfg: ScenarioAConfig | None = None, backend="serial",
     xs, ys, zs_earth, _ = _grids(cfg)
     earth = elastic(cfg.rho_earth, cfg.cp_earth, cfg.cs_earth)
     mesh = box_mesh(xs, ys, zs_earth, [earth])
-    n = mesh.mark_fault(_fault_plane_marker(cfg))
-    if n == 0:
-        raise RuntimeError("fault marking failed")
-
     seafloor = cfg.seafloor_z
 
     def tagger(cent, nrm):
@@ -199,47 +199,29 @@ def build_earthquake_only(cfg: ScenarioAConfig | None = None, backend="serial",
         tags[top] = FaceKind.FREE_SURFACE.value
         return tags
 
-    mesh.tag_boundary(tagger)
-    fault = FaultSolver(_friction(cfg), _prestress(cfg))
-    cluster_major(mesh, cfg.order)
-    solver = CoupledSolver(mesh, order=cfg.order, fault=fault,
-                           backend=backend, workers=workers)
-    _strengthen_near_seafloor(cfg, fault)
-    tracker = SurfaceDisplacementTracker(solver)
-    return solver, fault, tracker
+    solver = _fault_solver(cfg, mesh, tagger, backend, workers)
+    return solver, solver.fault, SurfaceDisplacementTracker(solver)
 
 
-def _strengthen_near_seafloor(cfg: ScenarioAConfig, fault: FaultSolver) -> None:
-    """Raise mu_s towards the seafloor so the rupture stops smoothly (the
-    paper: 'higher fault strength near the seafloor smoothly stops the
-    rupture')."""
-    z = fault.points[:, :, 2]
-    top = cfg.seafloor_z
-    ramp = np.clip((z - (top - 2.5 * cfg.dz)) / (2.5 * cfg.dz), 0.0, 1.0)
-    mu_s = cfg.mu_s + (1.5 - cfg.mu_s) * ramp
-    fault.friction.mu_s = mu_s
+def build_scenario(cfg: ScenarioAConfig, rng, *, backend="serial",
+                   workers: int | None = None) -> ScenarioHandle:
+    """The registered Scenario-A member: ``rng`` (``None`` when pinned)
+    scales the nucleation overstress by up to ±5 %."""
+    if rng is not None:
+        cfg = replace(cfg, nucleation_tau=cfg.nucleation_tau
+                      * (1 + 0.05 * (2 * rng.random() - 1)))
+    solver, _ = build_coupled(cfg, backend=backend, workers=workers)
+    return ScenarioHandle(solver, eta_summary, cfg)
 
 
-def run_linked_tsunami(
-    cfg: ScenarioAConfig,
-    tracker: SurfaceDisplacementTracker,
-    snapshots: list[tuple[float, np.ndarray]],
-    t_end: float,
-    grid_dx: float = 250.0,
-):
-    """One-way linking step: gridded time-dependent uplift -> SWE run.
+def run_linked_tsunami(cfg: ScenarioAConfig, tracker: SurfaceDisplacementTracker,
+                       snapshots: list[tuple[float, np.ndarray]], t_end: float,
+                       grid_dx: float = 250.0):
+    """One-way linking step: gridded time-dependent uplift -> SWE run over
+    the flat seafloor.
 
     ``snapshots`` are (t, uz) pairs recorded from the earthquake-only run.
     Returns the shallow-water solver at ``t_end``.
     """
-    xs = np.arange(cfg.x_extent[0], cfg.x_extent[1] + grid_dx / 2, grid_dx)
-    ys = np.arange(cfg.y_extent[0], cfg.y_extent[1] + grid_dx / 2, grid_dx)
-    swe = ShallowWaterSolver(
-        xs, ys, lambda X, Y: np.full_like(X, cfg.seafloor_z), boundary="outflow"
-    )
-    times = np.array([t for t, _ in snapshots])
-    grids = np.stack([tracker.snapshot_grid(xs, ys, uz) for _, uz in snapshots])
-    b0 = np.full((len(xs) - 1, len(ys) - 1), cfg.seafloor_z)
-    swe.set_bed_motion(BedMotionInterpolator(b0, times, grids))
-    swe.run(t_end)
-    return swe
+    return run_linked(lambda X, Y: np.full_like(X, cfg.seafloor_z), cfg.x_extent,
+                      cfg.y_extent, tracker, snapshots, t_end, grid_dx)

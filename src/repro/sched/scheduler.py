@@ -132,17 +132,20 @@ class Scheduler:
     def _steps(self, t_end: float, dt_scale: float) -> tuple[int, float]:
         """``(count, step)`` of a run to ``t_end``: fine steps of
         ``solver.dt`` under GTS, macro steps of the top cluster under LTS
-        (at least one).  The one place :meth:`run` and
-        :meth:`compiled_plan` derive it."""
+        (at least one for a positive span); 0 when ``t_end`` is not past
+        ``solver.t``, where a run takes no step.  The one place
+        :meth:`run` and :meth:`compiled_plan` derive it."""
         if not 0.0 < dt_scale <= 1.0:
             raise ValueError("dt_scale must be in (0, 1]")
         span = t_end - self.solver.t
         lts = self.lts
         if lts is None:
             dt = self.solver.dt * dt_scale
-            return plan_steps(span, dt), dt
-        dt_macro = lts.dt_min * dt_scale * lts.rate**lts.cmax
-        return max(1, plan_steps(span, dt_macro)), dt_macro
+            n = plan_steps(span, dt)
+        else:
+            dt = lts.dt_min * dt_scale * lts.rate**lts.cmax
+            n = max(1, plan_steps(span, dt))
+        return (n if span > 0 else 0), dt
 
     # -- global time-stepping: the trivial single-cluster plan ----------
     def _run_gts(self, t_end, n_steps, dt, hooks) -> None:

@@ -19,7 +19,8 @@ import numpy as np
 from ..core.riemann import FaceKind
 from ..kernels.faces import FacePlan, face_points
 
-__all__ = ["SurfaceDisplacementTracker", "BedMotionInterpolator", "link_static_uplift"]
+__all__ = ["SurfaceDisplacementTracker", "BedMotionInterpolator", "link_static_uplift",
+           "run_linked"]
 
 
 class SurfaceDisplacementTracker:
@@ -132,3 +133,21 @@ def link_static_uplift(swe, uplift: np.ndarray) -> None:
     the water column (paper Sec. 2).
     """
     swe.set_surface(swe.eta + uplift)
+
+
+def run_linked(bed, x_extent, y_extent, tracker: SurfaceDisplacementTracker,
+               snapshots, t_end: float, grid_dx: float):
+    """Steps 2-3 end to end: grid the recorded ``(t, uz)`` ``snapshots``
+    of ``tracker`` at spacing ``grid_dx`` over the extents, run the
+    shallow-water solver over ``bed(x, y)`` with them as bed motion, and
+    return it at ``t_end``."""
+    from .swe import ShallowWaterSolver
+
+    xs = np.arange(x_extent[0], x_extent[1] + grid_dx / 2, grid_dx)
+    ys = np.arange(y_extent[0], y_extent[1] + grid_dx / 2, grid_dx)
+    swe = ShallowWaterSolver(xs, ys, bed, boundary="outflow")
+    times = np.array([t for t, _ in snapshots])
+    grids = np.stack([tracker.snapshot_grid(xs, ys, uz) for _, uz in snapshots])
+    swe.set_bed_motion(BedMotionInterpolator(bed(swe.X, swe.Y), times, grids))
+    swe.run(t_end)
+    return swe

@@ -37,8 +37,7 @@ before their steps were compiled into ``FacePlan`` chains — trace all
 nine quantities at the face points, rotate, solve, rotate back, project
 (:func:`project_face_flux`) — moved here with the per-face tables the
 modules no longer keep (``T A_loc``, ``T^-1``) rebuilt on every call.
-They advance the module's state exactly like its ``step``;
-:func:`use_reference_face_modules` swaps them into a solver.
+They advance the module's state exactly like its ``step``.
 ``gravity_step_oracle(integrator="rk4")`` integrates the face ODE with
 the stepped classical RK4 of :func:`rk_solve` instead of the exact
 propagator — an independent check of the runtime's only integrator,
@@ -86,7 +85,6 @@ __all__ = [
     "gravity_step_oracle",
     "fault_step_oracle",
     "motion_step_oracle",
-    "use_reference_face_modules",
 ]
 
 
@@ -841,15 +839,3 @@ def fault_step_oracle(fs, derivs, dt, out, active=None, t0=0.0) -> None:
         project_face_flux(op, ep[csel], None, area[csel], flux_p[csel], out,
                           plus_side=(int(c) // 6, int(c) % 6))
 
-
-def use_reference_face_modules(solver):
-    """Route the ``step`` of the solver's gravity / motion / fault modules
-    through the quadrature-form oracle (in place; same signatures)."""
-    import functools
-
-    solver.gravity.step = functools.partial(gravity_step_oracle, solver.gravity)
-    if solver.motion is not None:
-        solver.motion.step = functools.partial(motion_step_oracle, solver.motion)
-    if solver.fault is not None:
-        solver.fault.step = functools.partial(fault_step_oracle, solver.fault)
-    return solver

@@ -11,7 +11,9 @@ The ``slow`` tier holds what waits for a timeout of several seconds
 forks from a threaded parent, and the larger worker-reuse fleets.
 """
 
+import dataclasses
 import gc
+import importlib
 import json
 import multiprocessing
 import os
@@ -31,14 +33,11 @@ from repro.ensemble import (
     MemberSpec,
     RetryPolicy,
     Supervisor,
-    available_builders,
     get_builder,
     load_result,
-    register_builder,
     run_member,
     state_digest,
 )
-from repro.ensemble import spec as spec_module
 from repro.ensemble import supervisor as supervisor_module
 from repro.ensemble.worker import RESULT_NAME
 from repro.exec.plan_cache import clear_plan_cache
@@ -53,6 +52,7 @@ from repro.obs.runlog import (
     validate_record,
 )
 from repro.sched import Scheduler
+from repro.scenarios import SCENARIOS, build
 
 #: smallest useful member: 27-element coupled mesh, ~25 steps
 TINY = dict(builder="quickstart", perturb={"n_x": 4}, t_end=0.12,
@@ -126,15 +126,38 @@ class TestRetryPolicy:
 
 class TestSpecRegistry:
     def test_builtin_builders_registered(self):
-        names = available_builders()
-        for expected in ("quickstart", "scenario_a", "palu"):
-            assert expected in names
+        assert sorted(SCENARIOS) == ["palu", "quickstart", "scenario_a"]
+        # get_builder is the registry's build, bound to the name
+        a = get_builder("quickstart")({"n_x": 4}, 3).solver
+        b = build("quickstart", {"n_x": 4}, 3).solver
+        for s in (a, b):
+            Scheduler(s).run(2 * s.dt)
+        assert state_digest(a) == state_digest(b)
 
-    def test_unknown_builder_rejected(self):
-        with pytest.raises(KeyError, match="unknown scenario builder"):
-            get_builder("no_such_scenario")
-        with pytest.raises(KeyError):
-            tiny_spec(builder="no_such_scenario").build()
+    def test_unknown_builder_rejected(self, capsys):
+        from repro.__main__ import main
+
+        listing = (r"unknown scenario 'no_such_scenario' "
+                   r"\(scenarios: palu, quickstart, scenario_a\)")
+        for call in (lambda: build("no_such_scenario"),
+                     lambda: get_builder("no_such_scenario"),
+                     lambda: tiny_spec(builder="no_such_scenario").build()):
+            with pytest.raises(KeyError, match=listing):
+                call()
+        assert main(["ensemble", "--scenario", "no_such_scenario"]) == 2
+        assert re.fullmatch(listing + "\n", capsys.readouterr().out)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_unknown_override_rejected(self, name):
+        """A typo'd config field fails before anything is built, naming
+        every valid field."""
+        module = importlib.import_module(f"repro.scenarios.{name}")
+        config = getattr(module, SCENARIOS[name].config)
+        valid = ", ".join(sorted(f.name for f in dataclasses.fields(config)))
+        with pytest.raises(ValueError) as exc:
+            build(name, {"order": 1, "n_xx": 8})
+        assert str(exc.value) == (f"unknown {name} override key(s) ['n_xx']; "
+                                  f"valid fields: {valid}")
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="member_id"):
@@ -779,22 +802,6 @@ class TestForkedWorkers:
         )
         assert proc.returncode == 0, proc.stderr
         assert "'ok': 2" in proc.stdout, proc.stdout + proc.stderr
-
-    @pytest.mark.slow
-    def test_builder_registered_here_runs_on_a_worker(self, tmp_path,
-                                                      monkeypatch):
-        monkeypatch.setattr(spec_module, "_BUILDERS",
-                            dict(spec_module._BUILDERS))
-        quickstart = get_builder("quickstart")
-        register_builder("local_quickstart",
-                         lambda perturb, seed, **kw: quickstart(perturb, seed,
-                                                                **kw))
-        _one_thread()
-        result = self.run_ensemble([tiny_spec(builder="local_quickstart")],
-                                   tmp_path / "ens", workers=1)
-        assert result.counts["ok"] == 1
-        twin = run_member(tiny_spec(), str(tmp_path / "twin"))
-        assert result.members[0].digest == twin["digest"]
 
     def test_member_reports_only_its_own_metrics(self, tmp_path):
         clear_plan_cache()

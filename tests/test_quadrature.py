@@ -142,7 +142,8 @@ def test_import_repro_does_not_import_scipy_special(tmp_path):
     for the observability stack the solver core does not use (everything
     in ``repro.obs`` but the metric registry: the package resolves its
     names lazily, and still resolves them), asking for a
-    scenario builder must not load the supervision tree, and a coupled
+    scenario builder must not load the supervision tree, building the
+    quickstart must not load another scenario's module, and a coupled
     member run to its end must not pay for any of SciPy (0.14 s of
     ``scipy.linalg`` on the first gravity step, in every fleet worker —
     the face-ODE propagator exponentiates in-repo for that reason)."""
@@ -154,6 +155,7 @@ def test_import_repro_does_not_import_scipy_special(tmp_path):
 import sys, repro
 print(sorted(m for m in sys.modules if m.startswith('scipy.special')))
 from repro.ensemble.spec import get_builder
+build = get_builder('quickstart')
 print(sorted(m for m in sys.modules if m in (
     'repro.ensemble.supervisor', 'repro.ensemble.worker', 'multiprocessing')
     or m.startswith('repro.obs.') and m != 'repro.obs.metrics'))
@@ -165,11 +167,12 @@ from repro.ensemble import MemberSpec, run_member
 spec = MemberSpec('m', builder='quickstart', perturb={'n_x': 4}, t_end=0.05)
 print(len(spec.build().solver.gravity) > 0, run_member(spec, sys.argv[1])['status'])
 print(sorted(m for m in sys.modules if m.startswith('scipy')))
+print(sorted(m for m in sys.modules if m.startswith('repro.scenarios.')))
 """
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           env=env, check=True, capture_output=True, text=True,
                           timeout=120)
-    assert proc.stdout.split("\n")[:5] == [
+    assert proc.stdout.split("\n")[:6] == [
         "[]", "[]",
         "repro.obs.session repro.obs.runlog repro.obs.blackbox True",
-        "True completed", "[]"], proc.stdout
+        "True completed", "[]", "['repro.scenarios.quickstart']"], proc.stdout

@@ -1,9 +1,15 @@
-"""Tests for the scenario builders (Scenario A and Palu).
+"""Tests for the scenario builders (Scenario A and Palu) and the CLI
+that runs the registered scenarios.
 
 These verify geometry, fault placement, boundary tagging and short-run
 behaviour on miniature configurations; the full scaled scenarios run in
 ``benchmarks/``.
 """
+
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 
@@ -157,3 +163,20 @@ class TestPaluGeometry:
         solver, fault = build_palu(cfg)
         assert solver.mesh.is_acoustic_elem.sum() > 0
         assert len(solver.gravity) > 0
+
+
+def test_cli_runs_outside_a_source_checkout(tmp_path):
+    """The simulation verbs build from the scenario registry, so the
+    package alone, with no ``examples/`` beside it, runs them."""
+    import repro
+
+    shutil.copytree(os.path.dirname(os.path.abspath(repro.__file__)),
+                    tmp_path / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "quickstart", "--t-end", "0.05"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "eta_abs_max: " in proc.stdout

@@ -208,6 +208,26 @@ class TestStepPlan:
         assert long.n_micro == 6 * sched.plan.n_micro
         assert (short.n_sync, long.n_sync) == (2, 6)
 
+    @pytest.mark.parametrize("mode", ["gts", "lts"])
+    @pytest.mark.parametrize("back", [0.0, 0.05], ids=["now", "past"])
+    def test_compiled_plan_of_no_span_is_empty(self, mode, back):
+        """A ``t_end`` not past ``solver.t`` compiles to no step, as the
+        run takes none (LTS used to report one macro step, GTS a
+        negative count)."""
+        s, lts = (build_coupled(order=1, lts=True) if mode == "lts"
+                  else (build_coupled(order=1), None))
+        sched = Scheduler(s, lts)
+        t_end = s.t - back
+        plan = sched.compiled_plan(t_end)
+        assert (plan.n_macro, plan.n_micro, plan.n_sync) == (0, 0, 0)
+        before = s.dofs.copy()
+        hooks = HookBus()
+        syncs = []
+        hooks.on_sync(lambda solver: syncs.append(solver.t))
+        sched.run(t_end, hooks=hooks)
+        assert syncs == [] and s.t == 0.0
+        np.testing.assert_array_equal(s.dofs, before)
+
 
 # ---------------------------------------------------------------------------
 # golden bitwise equivalence against the retired drivers

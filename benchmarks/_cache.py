@@ -141,22 +141,10 @@ def palu_linked_run():
 
     Returns ``(eq_solver, fault, tracker, swe)``.
     """
-    from repro.scenarios.palu import build_earthquake_only, run_linked_tsunami
-    from repro.sched import HookBus, Scheduler
+    from repro.tsunami.linking import run_linked_twin
 
     _print_header("palu linked")
-    cfg = palu_config()
-    eq, fault, tracker = build_earthquake_only(cfg)
-    t_end = palu_t_end()
-    snapshots = [(0.0, tracker.uz.copy())]
-    n_snap = 6 if FAST else 10
-    hooks = HookBus()
-    hooks.on_sync(tracker)
-    for i in range(n_snap):
-        Scheduler(eq).run(t_end * (i + 1) / n_snap, hooks=hooks)
-        snapshots.append((eq.t, tracker.uz.copy()))
-    swe = run_linked_tsunami(cfg, tracker, snapshots, t_end)
-    return eq, fault, tracker, swe
+    return run_linked_twin("palu", palu_config(), palu_t_end(), 6 if FAST else 10)
 
 
 # ----------------------------------------------------------------------
@@ -195,22 +183,11 @@ def scenario_a_coupled_run():
 @lru_cache(maxsize=1)
 def scenario_a_linked_run():
     """Returns ``(eq_solver, fault, tracker, swe)``."""
-    from repro.scenarios.scenario_a import build_earthquake_only, run_linked_tsunami
-    from repro.sched import HookBus, Scheduler
+    from repro.tsunami.linking import run_linked_twin
 
     _print_header("scenario A linked")
-    cfg = scenario_a_config()
-    eq, fault, tracker = build_earthquake_only(cfg)
-    t_end = scenario_a_t_end()
-    snapshots = [(0.0, tracker.uz.copy())]
-    n_snap = 6 if FAST else 10
-    hooks = HookBus()
-    hooks.on_sync(tracker)
-    for i in range(n_snap):
-        Scheduler(eq).run(t_end * (i + 1) / n_snap, hooks=hooks)
-        snapshots.append((eq.t, tracker.uz.copy()))
-    swe = run_linked_tsunami(cfg, tracker, snapshots, t_end)
-    return eq, fault, tracker, swe
+    return run_linked_twin("scenario_a", scenario_a_config(), scenario_a_t_end(),
+                           6 if FAST else 10)
 
 
 # ----------------------------------------------------------------------

@@ -18,9 +18,8 @@ import argparse
 import numpy as np
 
 from repro.analysis.fields import sea_surface_grid
-from repro.core.lts import LocalTimeStepping
 from repro.sched import HookBus
-from repro.scenarios import add_run_args, build, run, run_options
+from repro.scenarios import add_run_args, run, run_options
 
 
 def rupture_speed_along_strike(fault, y_min=-3000.0, y_max=3000.0):
@@ -47,34 +46,38 @@ def rupture_speed_along_strike(fault, y_min=-3000.0, y_max=3000.0):
 def main(t_end: float = 4.0, backend: str = "serial", workers: int | None = None,
          checkpoint_every=None, checkpoint_dir=None, resume=None, profile=False,
          trace=None, log_json=None, heartbeat_every=None, metrics=False):
-    handle = build("palu", backend=backend, workers=workers)
+    def prepare(handle, lts):
+        solver, fault = handle.solver, handle.solver.fault
+        print(f"mesh: {solver.mesh.n_elements} elements "
+              f"({int(solver.mesh.is_acoustic_elem.sum())} ocean), "
+              f"{len(fault)} fault faces, {len(solver.gravity)} gravity faces")
+        print(f"execution backend: {solver.backend.describe()}")
+        st = lts.statistics()
+        print(f"LTS clusters {[int(c) for c in st['counts']]}, "
+              f"update reduction {st['speedup']:.2f}x")
+
+        hooks = HookBus()
+        quarters = list(np.linspace(t_end / 4, t_end, 4))
+
+        @hooks.on_sync
+        def progress(s):
+            # one line per quarter of the run, at the first sync point past it
+            if not quarters or s.t < quarters[0] * (1 - 1e-9):
+                return
+            quarters[:] = [q for q in quarters if q * (1 - 1e-9) > s.t]
+            vr = rupture_speed_along_strike(fault)
+            print(f"t = {s.t:4.2f} s | ruptured {fault.ruptured_fraction() * 100:5.1f}% | "
+                  f"peak V {fault.peak_slip_rate.max():6.2f} m/s | "
+                  f"eta [{s.gravity.eta.min():+7.3f}, {s.gravity.eta.max():+7.3f}] m | "
+                  f"front speed {vr if np.isnan(vr) else round(vr):>5} m/s")
+
+        return hooks
+
+    handle = run("palu", t_end, backend=backend, workers=workers, prepare=prepare,
+                 checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
+                 resume=resume, profile=profile, trace=trace, log_json=log_json,
+                 heartbeat_every=heartbeat_every, metrics=metrics)
     solver, cfg, fault = handle.solver, handle.config, handle.solver.fault
-    print(f"mesh: {solver.mesh.n_elements} elements "
-          f"({int(solver.mesh.is_acoustic_elem.sum())} ocean), "
-          f"{len(fault)} fault faces, {len(solver.gravity)} gravity faces")
-    print(f"execution backend: {solver.backend.describe()}")
-    lts = LocalTimeStepping(solver)
-    st = lts.statistics()
-    print(f"LTS clusters {[int(c) for c in st['counts']]}, update reduction {st['speedup']:.2f}x")
-
-    hooks = HookBus()
-    quarters = list(np.linspace(t_end / 4, t_end, 4))
-
-    @hooks.on_sync
-    def progress(s):
-        # one line per quarter of the run, at the first sync point past it
-        if not quarters or s.t < quarters[0] * (1 - 1e-9):
-            return
-        quarters[:] = [q for q in quarters if q * (1 - 1e-9) > s.t]
-        vr = rupture_speed_along_strike(fault)
-        print(f"t = {s.t:4.2f} s | ruptured {fault.ruptured_fraction() * 100:5.1f}% | "
-              f"peak V {fault.peak_slip_rate.max():6.2f} m/s | "
-              f"eta [{s.gravity.eta.min():+7.3f}, {s.gravity.eta.max():+7.3f}] m | "
-              f"front speed {vr if np.isnan(vr) else round(vr):>5} m/s")
-
-    run(solver, t_end, lts=lts, hooks=hooks, command="palu", checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir, resume=resume, profile=profile, trace=trace,
-        log_json=log_json, heartbeat_every=heartbeat_every, metrics=metrics)
 
     cs = cfg.earth_material.cs
     vr = rupture_speed_along_strike(fault)

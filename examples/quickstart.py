@@ -23,36 +23,42 @@ import numpy as np
 
 from repro.analysis.receivers import ReceiverArray
 from repro.sched import HookBus
-from repro.scenarios import add_run_args, build, run, run_options
+from repro.scenarios import add_run_args, run, run_options
 
 
 def main(t_end: float = 2.5, backend: str = "serial", workers: int | None = None,
          checkpoint_every=None, checkpoint_dir=None, resume=None, profile=False,
          trace=None, log_json=None, heartbeat_every=None, metrics=False):
-    handle = build("quickstart", backend=backend, workers=workers)
-    solver, mid = handle.solver, 0.5 * handle.config.extent
-    print(f"mesh: {solver.mesh.n_elements} elements, {solver.n_dof} DOF, "
-          f"dt = {solver.dt * 1e3:.2f} ms")
-    print(f"execution backend: {solver.backend.describe()}")
-    print(f"gravity free-surface faces: {len(solver.gravity)}")
-
-    # everything that observes the run subscribes to one hook bus:
-    # receivers on the seafloor and mid-ocean, and the peak sea surface
-    hooks = HookBus()
-    receivers = ReceiverArray(
-        solver, np.array([[mid, mid, -490.0], [mid, mid, -250.0]]), every=2
-    )
-    receivers.subscribe(hooks)
     eta_peak = {"max": 0.0}
+    receivers = None
 
-    @hooks.on_sync
-    def watch(s):
-        eta_peak["max"] = max(eta_peak["max"], float(np.abs(s.gravity.eta).max()))
+    def prepare(handle, lts):
+        nonlocal receivers
+        solver, mid = handle.solver, 0.5 * handle.config.extent
+        print(f"mesh: {solver.mesh.n_elements} elements, {solver.n_dof} DOF, "
+              f"dt = {solver.dt * 1e3:.2f} ms")
+        print(f"execution backend: {solver.backend.describe()}")
+        print(f"gravity free-surface faces: {len(solver.gravity)}")
 
-    print(f"running to t = {t_end} s ...")
-    run(solver, t_end, hooks=hooks, command="quickstart", checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir, resume=resume, profile=profile, trace=trace,
-        log_json=log_json, heartbeat_every=heartbeat_every, metrics=metrics)
+        # everything that observes the run subscribes to one hook bus:
+        # receivers on the seafloor and mid-ocean, and the peak sea surface
+        hooks = HookBus()
+        receivers = ReceiverArray(
+            solver, np.array([[mid, mid, -490.0], [mid, mid, -250.0]]), every=2
+        )
+        receivers.subscribe(hooks)
+
+        @hooks.on_sync
+        def watch(s):
+            eta_peak["max"] = max(eta_peak["max"], float(np.abs(s.gravity.eta).max()))
+
+        print(f"running to t = {t_end} s ...")
+        return hooks
+
+    solver = run("quickstart", t_end, backend=backend, workers=workers, prepare=prepare,
+                 checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
+                 resume=resume, profile=profile, trace=trace, log_json=log_json,
+                 heartbeat_every=heartbeat_every, metrics=metrics).solver
 
     p = receivers.pressure()
     i_max = int(np.argmax(np.abs(p[:, 1])))

@@ -20,10 +20,8 @@ import argparse
 import numpy as np
 
 from repro.analysis.fields import surface_eta_transect
-from repro.core.lts import LocalTimeStepping
-from repro.sched import HookBus, Scheduler
-from repro.scenarios import add_run_args, build, run, run_options
-from repro.scenarios.scenario_a import build_earthquake_only, run_linked_tsunami
+from repro.scenarios import add_run_args, run, run_options
+from repro.tsunami.linking import run_linked_twin
 
 
 def main(t_end: float = 6.0, backend: str = "serial", workers: int | None = None,
@@ -32,17 +30,20 @@ def main(t_end: float = 6.0, backend: str = "serial", workers: int | None = None
     n_transect = 41
     # --- fully coupled run ----------------------------------------------
     print("== fully coupled model ==")
-    handle = build("scenario_a", backend=backend, workers=workers)
+
+    def prepare(handle, lts):
+        solver, fault = handle.solver, handle.solver.fault
+        print(f"  {solver.mesh.n_elements} elements, {len(fault)} fault faces, "
+              f"{len(solver.gravity)} gravity faces")
+        print(f"  execution backend: {solver.backend.describe()}")
+        print(f"  LTS clusters: {np.bincount(lts.cluster)} "
+              f"(update reduction {lts.statistics()['speedup']:.2f}x)")
+
+    handle = run("scenario_a", t_end, backend=backend, workers=workers, prepare=prepare,
+                 checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
+                 resume=resume, profile=profile, trace=trace, log_json=log_json,
+                 heartbeat_every=heartbeat_every, metrics=metrics)
     solver, cfg, fault = handle.solver, handle.config, handle.solver.fault
-    print(f"  {solver.mesh.n_elements} elements, {len(fault)} fault faces, "
-          f"{len(solver.gravity)} gravity faces")
-    print(f"  execution backend: {solver.backend.describe()}")
-    lts = LocalTimeStepping(solver)
-    print(f"  LTS clusters: {np.bincount(lts.cluster)} "
-          f"(update reduction {lts.statistics()['speedup']:.2f}x)")
-    run(solver, t_end, lts=lts, command="scenario-a", checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir, resume=resume, profile=profile, trace=trace,
-        log_json=log_json, heartbeat_every=heartbeat_every, metrics=metrics)
     print(f"  rupture: Mw {fault.moment_magnitude():.2f}, "
           f"peak slip {fault.slip.max():.2f} m, "
           f"peak slip rate {fault.peak_slip_rate.max():.1f} m/s")
@@ -53,19 +54,10 @@ def main(t_end: float = 6.0, backend: str = "serial", workers: int | None = None
 
     # --- one-way linked run: the same config, jitter included ------------
     print("== one-way linked model ==")
-    eq, fault2, tracker = build_earthquake_only(cfg)
+    eq, _, tracker, swe = run_linked_twin("scenario_a", cfg, t_end, n_snap=12)
     print(f"  earthquake-only mesh: {eq.mesh.n_elements} elements")
-    snapshots = [(0.0, tracker.uz.copy())]
-    eq_hooks = HookBus()
-    eq_hooks.on_sync(tracker)
-
-    n_snap = 12
-    for i in range(n_snap):
-        Scheduler(eq).run(t_end * (i + 1) / n_snap, hooks=eq_hooks)
-        snapshots.append((eq.t, tracker.uz.copy()))
     print(f"  final seafloor uplift: max {tracker.uz.max():.2f} m, "
           f"min {tracker.uz.min():.2f} m")
-    swe = run_linked_tsunami(cfg, tracker, snapshots, t_end)
     eta_linked = swe.sample_eta(np.column_stack([x_line, np.zeros_like(x_line)]))
 
     # --- comparison (the Fig. 3b rows) ------------------------------------

@@ -5,10 +5,10 @@ Commands
 ``info``
     Print version and a summary of the available subsystems.
 ``quickstart`` / ``scenario-a`` / ``palu [--t-end T]``
-    Build the registered scenario (:func:`repro.scenarios.build`, seed
-    0), run it with :func:`repro.scenarios.run` (clustered LTS for
-    Scenario A, Fig. 3, and Palu, Fig. 1) and print its summary.  The
-    figure narratives are the scripts in ``examples/``.
+    Build the registered scenario (seed 0) and run it with
+    :func:`repro.scenarios.run` (clustered LTS for Scenario A, Fig. 3,
+    and Palu, Fig. 1; the run record counts the build), then print its
+    summary.  The figure narratives are the scripts in ``examples/``.
 
 The simulation commands accept the resilience options
 ``--checkpoint-every S``, ``--checkpoint-dir DIR`` and ``--resume
@@ -37,12 +37,14 @@ rollback to the last snapshot with timestep backoff.  They also accept
 ``obs-status RUN_DIR [--watch N] [--check]``
     Render the fleet status table of an ensemble run directory (member,
     state, runner step, simulated time, wall rate, energy drift, retries,
-    heartbeat staleness, classifier verdict) from its on-disk artifacts;
+    heartbeat staleness, classifier verdict), folded from its logs alone
+    — the supervisor log's member states, each member's heartbeats and
+    ``run_end`` — the same fold the supervisor writes as ``fleet.prom``;
     ``--watch N`` re-renders every N seconds until Ctrl-C (clean exit,
     tolerant of the run dir disappearing mid-watch).  ``--check``
     validates the whole directory — every run log, ``fleet.prom``, every
-    referenced bundle, each finished member's ``run_end`` metrics against
-    its ``result.json`` — and exits non-zero naming each broken file.
+    referenced bundle, a ``run_end`` in each finished member's log — and
+    exits non-zero naming each broken file.
     Without ``--watch``, a path that is not a directory prints one line
     to stderr and exits 2.
 ``obs-diagnose BUNDLE [--check]``
@@ -102,7 +104,7 @@ def main(argv=None) -> int:
                      help="merged trace output path "
                      "(default: <dir>/ensemble.trace.json)")
     p_st = sub.add_parser("obs-status",
-                          help="fleet status table of an ensemble run dir")
+                          help="fleet status table folded from an ensemble run dir's logs")
     p_st.add_argument("run_dir", help="ensemble out-dir "
                       "(holds ensemble.jsonl and per-member dirs)")
     p_st.add_argument("--watch", type=float, default=None, metavar="N",
@@ -280,17 +282,17 @@ def main(argv=None) -> int:
                       + (f"  consume: {acts}" if acts else ""))
         return 0
 
-    from repro.core.lts import LocalTimeStepping
-    from repro.scenarios import SCENARIOS, build, run, run_options
+    from repro.scenarios import run, run_options
 
-    name = args.command.replace("-", "_")
-    handle = build(name, backend=args.backend, workers=args.workers)
+    def header(handle, lts):
+        solver = handle.solver
+        print(f"{args.command}: {solver.mesh.n_elements} elements, "
+              f"{solver.n_dof} DOF, backend {solver.backend.describe()}"
+              + (f", {lts.n_clusters} LTS clusters" if lts is not None else ""))
+
+    handle = run(args.command.replace("-", "_"), args.t_end, backend=args.backend,
+                 workers=args.workers, prepare=header, **run_options(args))
     solver = handle.solver
-    lts = LocalTimeStepping(solver) if SCENARIOS[name].lts else None
-    print(f"{args.command}: {solver.mesh.n_elements} elements, "
-          f"{solver.n_dof} DOF, backend {solver.backend.describe()}"
-          + (f", {lts.n_clusters} LTS clusters" if lts is not None else ""))
-    run(solver, args.t_end, lts=lts, command=args.command, **run_options(args))
     print(f"t = {solver.t:.4g} s, energy {solver.energy():.4e} J")
     for key, value in handle.summarize(solver).items():
         print(f"{key}: {value:.6g}")

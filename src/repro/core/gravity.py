@@ -56,25 +56,13 @@ class GravityBoundary:
     rotation and ``-rho g`` folded in.
     """
 
-    def __init__(
-        self,
-        op,
-        g: float = 9.81,
-        eta_velocity: str = "middle",
-    ):
-        """``eta_velocity="interior"`` evolves eta with the one-sided trace
-        ``v_n^-`` instead of the Riemann middle state ``v_n^b`` — the
-        unstable variant the paper warns about below Eq. 23 ("It is critical
-        to use the velocity v_n^b here ... as only then we have a stable
-        scheme").  It is reachable through ``CoupledSolver(
-        gravity_eta_velocity=)`` so that the instability can be reproduced
-        (``tests/test_faces.py`` checks both variants against their
-        oracle); no scenario or benchmark selects it."""
+    def __init__(self, op, g: float = 9.81):
+        """Eta evolves with the Riemann middle state ``v_n^b``, not the
+        one-sided trace ``v_n^-``: the paper, below Eq. 23, "It is
+        critical to use the velocity v_n^b here ... as only then we have
+        a stable scheme"."""
         self.op = op
         self.g = g
-        if eta_velocity not in ("middle", "interior"):
-            raise ValueError(f"unknown eta_velocity {eta_velocity!r}")
-        self.eta_velocity = eta_velocity
         mesh = op.mesh
         bnd = mesh.boundary
         self.face_ids = np.flatnonzero(bnd.kind == FaceKind.GRAVITY_FREE_SURFACE.value)
@@ -95,15 +83,12 @@ class GravityBoundary:
         self.rho = np.array([mats[m].rho for m in self.mat_id])
         self.Z = np.array([mats[m].Zp for m in self.mat_id])
         nf = len(self.face_ids)
-        middle = eta_velocity == "middle"
 
         # the forcing of Eq. 24, f = v_n^- + p^-/Z, as one functional of
-        # the state per face; the (unstable) interior-velocity variant has
-        # neither the pressure feedback nor the damping -(rho g / Z) eta
+        # the state per face
         forcing = np.zeros((nf, 9, 1))
         forcing[:, 6:9, 0] = self.normal
-        if middle:
-            forcing[:, 0:3, 0] = (-1.0 / (3.0 * self.Z))[:, None]
+        forcing[:, 0:3, 0] = (-1.0 / (3.0 * self.Z))[:, None]
 
         # time-integrated local middle state (Eq. 26): int v_n^b dt = d_eta,
         # int sigma_nn^b dt = -rho g H.  As a global flux it is T A_loc w_hat,
@@ -148,7 +133,7 @@ class GravityBoundary:
             E0, C = [], []
             for mid in self._mat_ids:
                 mat = self.op.mesh.materials[int(mid)]
-                a = -mat.rho * self.g / mat.Zp if self.eta_velocity == "middle" else 0.0
+                a = -mat.rho * self.g / mat.Zp
                 prop = ExactPropagator(
                     np.array([[a, 0.0], [1.0, 0.0]]), n_forcing=K, dt=dt)
                 E0.append(prop.E[:, 0])

@@ -45,7 +45,6 @@ from ..io.checkpoint import (
     restore_state,
 )
 from ..obs.blackbox import BUNDLE_SUFFIX, dump_bundle
-from ..obs.metrics import get_metrics
 from ..obs.runlog import RunLog, run_manifest
 from ..sched import HookBus, Scheduler
 from .health import HealthError, SimulationDiverged, Watchdog
@@ -320,7 +319,6 @@ class ResilientRunner:
             r.describe() if hasattr(r, "describe") else str(r)
             for r in (reports or ([report] if report is not None else []))
         ]
-        spans = self._recent_spans()
         try:
             state = (capture_state(self.solver, self.lts)
                      if excerpt else None)
@@ -339,7 +337,6 @@ class ResilientRunner:
                     "checkpoint_every": self.checkpoint_every,
                 }),
                 context=dict(self.bundle_context),
-                spans=spans,
                 extra={"attempts": attempts, "dt_scale": self.dt_scale,
                        "step": self.step_count},
                 state=state,
@@ -355,18 +352,6 @@ class ResilientRunner:
         self.bundles_written.append(path)
         self.last_bundle = path
         return path
-
-    @staticmethod
-    def _recent_spans(limit: int = 32) -> list:
-        """Tail of the registry's span buffer (empty unless tracing)."""
-        met = get_metrics()
-        if not met.enabled:
-            return []
-        try:
-            spans = met.trace_snapshot().get("spans", [])
-        except Exception:
-            return []
-        return [list(s[:4]) for s in spans[-limit:]]
 
     def dump_exception(self, exc: BaseException) -> str | None:
         """Dump a bundle for an unhandled exception (worker crash path)."""

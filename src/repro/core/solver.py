@@ -214,7 +214,6 @@ class CoupledSolver:
         fault=None,
         bottom_motion=None,
         flux_variant: str = "exact",
-        gravity_eta_velocity: str = "middle",
         backend="serial",
         workers: int | None = None,
     ):
@@ -245,9 +244,7 @@ class CoupledSolver:
         self.dofs = self.op.new_state()
         self.t = 0.0
         self._energy_coeff = _energy_coefficients(mesh)
-        self.gravity = GravityBoundary(
-            self.op, gravity_g, eta_velocity=gravity_eta_velocity
-        )
+        self.gravity = GravityBoundary(self.op, gravity_g)
         self.fault = fault
         if fault is not None:
             fault.bind(self.op)

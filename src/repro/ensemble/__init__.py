@@ -11,8 +11,9 @@ that driver:
 * :mod:`repro.ensemble.worker` — the worker process body: a persistent
   worker, forked from the supervisor (spawned where fork is unsafe), that
   runs the attempts sent down its pipe with the plan cache warm, each
-  under an :class:`~repro.obs.session.ObsSession` (the member's run log),
-  heartbeats up the same pipe, atomic digested result files;
+  under an :class:`~repro.obs.session.ObsSession` (the member's run log,
+  the one record of what it measured), liveness up the same pipe,
+  atomic digested result files;
 * :mod:`repro.ensemble.retry` — the escalation ladder (exponential
   backoff with deterministic jitter → checkpoint-resume → dt-scale
   reduction → quarantine);
@@ -26,7 +27,7 @@ that driver:
 See README "Ensemble runs" and ``python -m repro ensemble --help``.
 
 Only the member spec loads with the package; the supervision tree
-(``multiprocessing``, the fleet aggregator, the run log) and the
+(``multiprocessing``, the fleet fold, the run log) and the
 worker resolve on first use (:mod:`repro._lazy`), so a run that only
 builds a member's scenario does not pay for them.
 """

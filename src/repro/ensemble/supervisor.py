@@ -12,9 +12,9 @@ locks a child could inherit held.  A worker keeps its plan cache warm
 from one member to the next; every attempt is sent down the worker's own
 pipe, pickled, so it starts from a fresh spec and injector:
 
-* **heartbeats** — a worker reports per-sync-point liveness up its pipe;
-  a member that stops beating for ``member_timeout`` seconds is declared
-  hung, its worker SIGKILLed, and the member retried;
+* **heartbeats** — a worker reports per-sync-point liveness, and only
+  that, up its pipe; a member that stops beating for ``member_timeout``
+  seconds is declared hung, its worker SIGKILLed, and the member retried;
 * **deaths** — a worker that dies while holding a member (kill -9, OOM,
   segfault, an unhandled exception's exit status 3) is a strike; the
   member retries under the :class:`~repro.ensemble.retry.RetryPolicy`
@@ -44,7 +44,9 @@ returns.
 Supervisor-level events (``member_start`` / ``member_retry`` /
 ``member_quarantined`` / ``member_end`` / ``ensemble_summary``) stream
 into ``<out_dir>/ensemble.jsonl`` (a :class:`~repro.obs.runlog.RunLog`)
-alongside each member's own run log.
+alongside each member's own run log.  The supervisor keeps no metrics:
+the briefs in its events and ``fleet.prom`` are folds of the member logs
+(:mod:`repro.obs.fleet`), the fold ``obs-status`` renders.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from ..obs.blackbox import (
     load_bundle,
     write_bundle,
 )
-from ..obs.fleet import FleetAggregator
+from ..obs.fleet import FleetAggregator, fold_member_log, fold_run_dir
 from ..obs.runlog import RunLog, read_records
 from .result import EnsembleResult, MemberResult
 from .retry import RetryPolicy
@@ -189,9 +191,6 @@ class Supervisor:
         self.member_timeout = member_timeout
         self.out_dir = out_dir
         self.verbose = verbose
-        #: fleet-level metric aggregation (fed by heartbeat snapshots and
-        #: result files; exports fleet.prom under out_dir)
-        self.aggregator = FleetAggregator(out_dir=out_dir)
         self._last_export = 0.0
 
     # ------------------------------------------------------------------
@@ -355,10 +354,8 @@ class Supervisor:
         m.attempts += 1
         m.last_beat = time.monotonic()
         m.last_error = None
-        self.aggregator.update(m.spec.member_id, state="running")
         log.emit("member_start", member=m.spec.member_id, attempt=m.attempts,
-                 scenario=m.spec.builder, pid=w.proc.pid,
-                 metrics=self._brief(m))
+                 scenario=m.spec.builder, pid=w.proc.pid)
         if self.verbose:
             print(f"[ensemble] {m.spec.member_id}: attempt {m.attempts} "
                   f"(pid {w.proc.pid}, resume={m.resume}, "
@@ -377,7 +374,6 @@ class Supervisor:
             except (EOFError, OSError):
                 return False  # it died; its sentinel says how
             m.last_beat = time.monotonic()
-            self._heard(m, msg)
             if msg.get("kind") == "error":
                 m.last_error = msg.get("error")
             elif msg.get("kind") == "done":
@@ -406,30 +402,25 @@ class Supervisor:
         return False
 
     # -- fleet metrics -------------------------------------------------
-    def _heard(self, m: _Member, msg: dict) -> None:
-        """Fold a worker message — runner step, simulated time, metric
-        snapshot — into the aggregator: supervisor events carry its briefs
-        and ``fleet.prom`` stays live off it."""
-        self.aggregator.update(m.spec.member_id, msg.get("metrics"),
-                               wall=msg.get("wall"), step=msg.get("step"),
-                               sim_t=msg.get("sim_t"))
-
     def _brief(self, m: _Member) -> dict:
         """The member's digest (runner step, sim_t, rate, energy drift)
-        for embedding in supervisor run-log events — a quarantine record
-        must be diagnosable from the JSONL log alone."""
-        return self.aggregator.member_brief(m.spec.member_id)
+        folded from its run log, for embedding in supervisor run-log
+        events — a quarantine record must be diagnosable from the JSONL
+        log alone — and equal to its ``obs-status`` row."""
+        agg = FleetAggregator(self.out_dir)
+        fold_member_log(agg, m.spec.member_id, m.paths["runlog"])
+        return agg.member_brief(m.spec.member_id)
 
     def _export_metrics(self, force: bool = False) -> None:
-        """Write fleet.prom (rate-limited unless forced)."""
-        if not self.aggregator.members:
-            return
+        """Write fleet.prom, the run dir's fold (rate-limited unless forced)."""
         now = time.monotonic()
         if not force and now - self._last_export < METRICS_EXPORT_EVERY:
             return
         self._last_export = now
         try:
-            self.aggregator.export()
+            agg, _, _ = fold_run_dir(self.out_dir)
+            if agg.members:
+                agg.export()
         except OSError:
             pass  # an unwritable exporter must never take down the fleet
 
@@ -440,9 +431,9 @@ class Supervisor:
         Prefers a bundle the worker itself dumped *for this attempt*
         (divergence / unhandled exception); a process-level death leaves
         none, so the supervisor synthesizes one from what it can still
-        see: the strike reason, the last heartbeat metrics and the tail
-        of the member's fsync'd run log as the ring (records of its
-        shape).  Returns ``(path, doc)`` with ``path`` possibly ``None``
+        see: the strike reason and the tail of the member's fsync'd run
+        log as the ring (records of its shape, heartbeat snapshots
+        included).  Returns ``(path, doc)`` with ``path`` possibly ``None``
         when even the synthesized dump cannot be written.
         """
         mdir = m.paths["dir"]
@@ -459,7 +450,6 @@ class Supervisor:
             reason=reason,
             ring=read_records(m.paths["runlog"])[0][-40:],
             context={"member": m.spec.member_id, "attempt": m.attempts},
-            metrics=self.aggregator.member_snapshot(m.spec.member_id),
             extra={"exit": reason, "last_error": m.last_error},
         )
         path = os.path.join(
@@ -491,7 +481,6 @@ class Supervisor:
             m.resume = decision.resume
             m.dt_scale = decision.dt_scale
             m.next_start = time.monotonic() + decision.delay_s
-            self.aggregator.update(m.spec.member_id, state="retrying")
             log.emit("member_retry", member=m.spec.member_id,
                      attempt=m.attempts, reason=reason,
                      delay_s=decision.delay_s, resume=decision.resume,
@@ -517,14 +506,14 @@ class Supervisor:
                 history=m.history, diagnosis=diagnosis,
                 verdict=verdict["verdict"], bundle=bundle, paths=m.paths,
             )
-            self.aggregator.update(m.spec.member_id, state="quarantined")
+            brief = self._brief(m)
             log.emit("member_quarantined", member=m.spec.member_id,
                      attempts=m.attempts, diagnosis=diagnosis,
                      verdict=verdict["verdict"], bundle=bundle,
-                     history=m.history, metrics=self._brief(m))
+                     history=m.history, metrics=brief)
             log.emit("member_end", member=m.spec.member_id,
                      status="quarantined", attempts=m.attempts, wall_s=wall,
-                     metrics=self._brief(m))
+                     metrics=brief)
             if self.verbose:
                 print(f"[ensemble] {m.spec.member_id}: {diagnosis}")
 
@@ -540,11 +529,6 @@ class Supervisor:
             digest=result.get("digest"), summary=result.get("summary", {}),
             history=m.history, verdict=None, bundle=None, paths=m.paths,
         )
-        # the result file carries the member's final snapshot and runner
-        # step — authoritative over whatever heartbeat arrived last
-        self.aggregator.update(m.spec.member_id, result.get("metrics"),
-                               state=status, step=result.get("steps"),
-                               sim_t=result.get("sim_t"))
         log.emit("member_end", member=m.spec.member_id, status=status,
                  attempts=m.attempts, wall_s=wall, metrics=self._brief(m))
         if self.verbose:

@@ -17,11 +17,11 @@ counter outlives its attempt — and runs under the step-level
 supervision of :class:`~repro.core.resilience.ResilientRunner`
 (watchdog, rollback, dt backoff, rotating checkpoints) and records itself
 like any other run, under an :class:`~repro.obs.session.ObsSession` —
-the one writer of run logs.  The parent supervises the *process*: every
-scheduler sync point sends a heartbeat up the pipe, and the terminal
-state is published as an atomic ``result.json`` whose SHA-256 state
-digest lets the chaos tests compare a recovered member bitwise against
-its uninterrupted twin.
+the one writer of run logs, the one record of what a member measured.
+The parent supervises the *process*: the pipe carries liveness and
+control only, and the terminal state is published as an atomic
+``result.json`` whose SHA-256 state digest lets the chaos tests compare
+a recovered member bitwise against its uninterrupted twin.
 
 A worker can die at any instruction (that is the point), so everything it
 persists is crash-safe: every run-log write is ``fsync``'d (a heartbeat
@@ -67,7 +67,6 @@ RESULT_NAME = "result.json"
 RUNLOG_NAME = "run.jsonl"
 CKPT_DIRNAME = "ckpt"
 TRACE_NAME = "trace.json"
-#: diagnostic bundles (``*.blackbox.json``) land in the member dir root
 
 #: keys a result file must carry to count as a valid attempt outcome
 REQUIRED_RESULT_KEYS = (
@@ -76,7 +75,8 @@ REQUIRED_RESULT_KEYS = (
 
 
 def member_paths(out_dir: str, member_id: str) -> dict:
-    """Canonical artifact layout of one member under ``out_dir``."""
+    """Canonical artifact layout of one member under ``out_dir``
+    (diagnostic bundles land in its ``dir``)."""
     mdir = os.path.join(out_dir, member_id)
     return {
         "dir": mdir,
@@ -84,7 +84,6 @@ def member_paths(out_dir: str, member_id: str) -> dict:
         "runlog": os.path.join(mdir, RUNLOG_NAME),
         "ckpt_dir": os.path.join(mdir, CKPT_DIRNAME),
         "trace": os.path.join(mdir, TRACE_NAME),
-        "blackbox_dir": mdir,
     }
 
 
@@ -130,9 +129,9 @@ def run_member(
     the full final snapshot — and the runner emits its supervision events
     into the same stream; with ``spec.trace`` it exports ``trace.json``
     (wall-clock anchored, so ``obs-trace --merge`` can align it with its
-    siblings).  What the worker adds is the pipe: the same per-beat
-    counters and gauges ride up on its ``heartbeat`` messages, and the
-    final snapshot on ``done`` and in the result file.  The session is
+    siblings).  What the worker adds is the pipe, which says only that
+    the member is alive and where the attempt is in its life; the
+    supervisor reads the numbers from the log.  The session is
     constructed before the build, so the member's counters include its
     plan-cache hits, and it is closed on every way out — a worker runs
     members one after another in one interpreter and must not leak one
@@ -154,115 +153,103 @@ def run_member(
             "attempt": attempt,
         },
     )
-    try:
-        return _run_member_attempt(spec, paths, channel, attempt, resume,
-                                   dt_scale, session)
-    finally:
-        session.close()
-
-
-def _run_member_attempt(spec, paths, channel, attempt, resume, dt_scale,
-                        session) -> dict:
     wall0 = time.perf_counter()
     pid = os.getpid()
 
-    def tell(kind: str, **fields):
+    def tell(kind: str):
         if channel is not None:
-            fields.update(kind=kind, member=spec.member_id, attempt=attempt,
-                          pid=pid, wall=time.time())
             try:
-                channel.send(fields)
+                channel.send({"kind": kind, "member": spec.member_id,
+                              "attempt": attempt, "pid": pid})
             except Exception:
                 pass  # a broken channel must not kill the member
 
-    handle = spec.build()
-    solver = handle.solver
-
-    runner = ResilientRunner(
-        solver,
-        checkpoint_every=spec.checkpoint_every,
-        checkpoint_dir=paths["ckpt_dir"],
-        max_retries=spec.max_retries,
-        injector=spec.injector,
-        verbose=False,
-        runlog=session.runlog,
-        blackbox_dir=paths["dir"],
-    )
-    runner.dt_scale = float(dt_scale)
-    # every bundle this attempt dumps is attributable to it: the
-    # supervisor only trusts a bundle whose context names the attempt
-    runner.bundle_context = {"member": spec.member_id, "attempt": attempt}
-
-    resumed_from = None
-    if resume and checkpoint_candidates(paths["ckpt_dir"]):
-        # a retry before the first checkpoint starts fresh; otherwise the
-        # newest readable rotation (the runner skips unreadable ones)
-        resumed_from = runner.resume()["path"]
-
-    hooks = HookBus()
-    if spec.injector is not None:
-        # process-level faults fire before the heartbeat goes out: a hung
-        # worker must look hung, not healthy
-        hooks.on_sync(lambda s: spec.injector.process_gate(
-            runner.step_count, attempt))
-    session.subscribe(hooks, runner=runner)
-
-    @hooks.on_sync
-    def heartbeat(s):
-        # liveness at every sync, replayed steps after a rollback too
-        tell("heartbeat", step=runner.step_count, sim_t=s.t,
-             metrics=session.beat_metrics)
-
-    session.start(solver, resumed=resumed_from is not None)
-    tell("started", step=runner.step_count, sim_t=solver.t,
-         resumed=resumed_from is not None)
-
-    status = "completed"
-    diverged = None
-    bundle = None
     try:
-        runner.run(spec.t_end, hooks=hooks)
-    except SimulationDiverged as exc:
-        # the runner's rollbacks are exhausted: report, don't crash — the
-        # supervisor decides whether to escalate or quarantine
-        status = "diverged"
-        diverged = str(exc)
-        bundle = exc.bundle if exc.bundle is not None else runner.last_bundle
-    except BaseException as exc:
-        # anything else kills the attempt: dump a crash bundle best
-        # effort (the supervisor collects it from the member dir), then
-        # let the failure propagate — the worker exits with status 3
+        handle = spec.build()
+        solver = handle.solver
+
+        runner = ResilientRunner(
+            solver,
+            checkpoint_every=spec.checkpoint_every,
+            checkpoint_dir=paths["ckpt_dir"],
+            max_retries=spec.max_retries,
+            injector=spec.injector,
+            verbose=False,
+            runlog=session.runlog,
+            blackbox_dir=paths["dir"],
+        )
+        runner.dt_scale = float(dt_scale)
+        # every bundle this attempt dumps is attributable to it: the
+        # supervisor only trusts a bundle whose context names the attempt
+        runner.bundle_context = {"member": spec.member_id,
+                                 "attempt": attempt}
+
+        resumed_from = None
+        if resume and checkpoint_candidates(paths["ckpt_dir"]):
+            # a retry before the first checkpoint starts fresh; otherwise
+            # the newest readable rotation (the runner skips unreadable ones)
+            resumed_from = runner.resume()["path"]
+
+        hooks = HookBus()
+        if spec.injector is not None:
+            # process-level faults fire before the heartbeat goes out: a
+            # hung worker must look hung, not healthy
+            hooks.on_sync(lambda s: spec.injector.process_gate(
+                runner.step_count, attempt))
+        session.subscribe(hooks, runner=runner)
+
+        # liveness at every sync, replayed steps after a rollback too
+        hooks.on_sync(lambda s: tell("heartbeat"))
+
+        session.start(solver, resumed=resumed_from is not None)
+        tell("started")
+
+        status = "completed"
+        diverged = None
+        bundle = None
         try:
-            runner.dump_exception(exc)
-        except Exception:
-            pass
-        raise
-    wall_s = time.perf_counter() - wall0
-    metrics = session.finish(solver)
-    result = {
-        "member_id": spec.member_id,
-        "attempt": attempt,
-        "status": status,
-        "digest": state_digest(solver),
-        "sim_t": float(solver.t),
-        "steps": int(runner.step_count),
-        "wall_s": wall_s,
-        "dt_scale": float(runner.dt_scale),
-        "rollbacks": int(runner.rollbacks),
-        "resumed_from": resumed_from,
-        "diverged": diverged,
-        # only a diverged attempt carries its bundle: a clean (or
-        # recovered-on-retry) attempt must not point at a stale dump
-        "bundle": bundle,
-        "summary": handle.summarize(solver),
-        # equal to the log's run_end metrics: what the supervisor
-        # aggregates is what the member logged
-        "metrics": metrics,
-        "paths": paths,
-    }
-    _publish_result(paths["result"], result, spec, attempt)
-    tell("done", status=status, sim_t=solver.t, metrics=metrics)
-    return result
+            runner.run(spec.t_end, hooks=hooks)
+        except SimulationDiverged as exc:
+            # the runner's rollbacks are exhausted: report, don't crash —
+            # the supervisor decides whether to escalate or quarantine
+            status = "diverged"
+            diverged = str(exc)
+            bundle = (exc.bundle if exc.bundle is not None
+                      else runner.last_bundle)
+        except BaseException as exc:
+            # anything else kills the attempt: dump a crash bundle best
+            # effort (the supervisor collects it from the member dir), then
+            # let the failure propagate — the worker exits with status 3
+            try:
+                runner.dump_exception(exc)
+            except Exception:
+                pass
+            raise
+        wall_s = time.perf_counter() - wall0
+        session.finish(solver)
+        result = {
+            "member_id": spec.member_id,
+            "attempt": attempt,
+            "status": status,
+            "digest": state_digest(solver),
+            "sim_t": float(solver.t),
+            "steps": int(runner.step_count),
+            "wall_s": wall_s,
+            "dt_scale": float(runner.dt_scale),
+            "rollbacks": int(runner.rollbacks),
+            "resumed_from": resumed_from,
+            "diverged": diverged,
+            # only a diverged attempt carries its bundle: a clean (or
+            # recovered-on-retry) attempt must not point at a stale dump
+            "bundle": bundle,
+            "summary": handle.summarize(solver),
+            "paths": paths,
+        }
+        _publish_result(paths["result"], result, spec, attempt)
+        tell("done")
+        return result
+    finally:
+        session.close()
 
 
 def _publish_result(path: str, result: dict, spec, attempt: int) -> None:
@@ -305,10 +292,10 @@ def worker_main(conn, inherited=()) -> None:
     ``conn`` is this worker's end of a duplex pipe.  Down it come
     ``(spec, member_dir, attempt, resume, dt_scale)`` tasks, pickled per
     attempt; up it go the attempt's ``started`` / ``heartbeat`` messages
-    and, last, ``done`` — the attempt ran to its end and published a
-    result file (a watchdog-diagnosed divergence too: its result carries
-    ``status="diverged"`` and the supervisor escalates from there), the
-    worker is free.  Between attempts the solver is dropped and
+    (liveness only) and, last, ``done`` — the attempt ran to its end and
+    published a result file (a watchdog-diagnosed divergence too: its
+    result carries ``status="diverged"`` and the supervisor escalates
+    from there), the worker is free.  Between attempts the solver is dropped and
     collected, so a worker holds one member's arrays at a time.
 
     A forked worker first undoes what it inherited and a spawned one
@@ -348,7 +335,6 @@ def worker_main(conn, inherited=()) -> None:
                 conn.send({
                     "kind": "error", "member": spec.member_id,
                     "attempt": attempt, "pid": os.getpid(),
-                    "wall": time.time(),
                     "error": f"{type(exc).__name__}: {exc}",
                 })
             except Exception:

@@ -20,11 +20,12 @@ The measurement layer behind the paper's Sec. 5-6 performance story:
 * :mod:`repro.obs.trace` — the registry's span buffer exported as
   Chrome-trace/Perfetto JSON timelines (one lane per partitioned worker,
   LTS cluster slices colored by cluster id), checked by ``obs-trace``;
-* :mod:`repro.obs.fleet` — :class:`FleetAggregator`, the supervisor's
-  one fold of member state and snapshots (progress is the heartbeat's
-  runner step, its rate derived from the steps folded) and the one
-  Prometheus renderer (``fleet.prom``), which ``obs-status`` rebuilds
-  offline from a run dir to render it and, with ``--check``, validate it;
+* :mod:`repro.obs.fleet` — :class:`FleetAggregator`, the one fold of
+  member state and snapshots from an ensemble's logs (progress is the
+  heartbeat's runner step, its rate derived from the steps folded) and
+  the one Prometheus renderer: the supervisor exports the fold as
+  ``fleet.prom``, ``obs-status`` renders it and, with ``--check``,
+  validates the run dir;
 * :mod:`repro.obs.blackbox` — the postmortem: on any terminal fault the
   run log's ring is dumped as an atomic fingerprinted
   ``*.blackbox.json`` diagnostic bundle (NaN-origin localization,

@@ -16,7 +16,8 @@ heartbeat, checkpoint and recovery record).
   (watchdog trip, :class:`~repro.core.health.SimulationDiverged`,
   unhandled worker exception, process death seen by the supervisor) the
   ring's :meth:`~repro.obs.runlog.RunLog.tail` is dumped as an atomic,
-  fingerprinted ``*.blackbox.json`` diagnostic bundle: the ring, a
+  fingerprinted ``*.blackbox.json`` diagnostic bundle: the ring — the
+  bundle's one history; its heartbeats carry the metric snapshots — a
   NaN-origin localization
   (:func:`locate_nonfinite` — first non-finite field, element id,
   partition, LTS cluster and sim time, found by bisecting the state
@@ -70,8 +71,10 @@ __all__ = [
 ]
 
 #: bumped whenever the bundle document layout changes (v2: ``ring`` holds
-#: run-log-shaped records, :meth:`~repro.obs.runlog.RunLog.tail`)
-BUNDLE_SCHEMA_VERSION = 2
+#: run-log-shaped records, :meth:`~repro.obs.runlog.RunLog.tail`; v3: no
+#: ``spans`` / ``metrics`` copies beside the ring).  Older bundles load
+#: and validate.
+BUNDLE_SCHEMA_VERSION = 3
 
 #: every diagnostic bundle ends with this suffix
 BUNDLE_SUFFIX = ".blackbox.json"
@@ -199,8 +202,6 @@ def build_bundle(
     failures: list | None = None,
     manifest: dict | None = None,
     context: dict | None = None,
-    spans: list | None = None,
-    metrics: dict | None = None,
     extra: dict | None = None,
 ) -> dict:
     """Assemble one diagnostic-bundle document (pure, no I/O).
@@ -226,8 +227,6 @@ def build_bundle(
         "field_stats": {},
         "stacks": thread_stacks(),
         "manifest": manifest,
-        "spans": list(spans or []),
-        "metrics": metrics,
     }
     if solver is not None:
         try:
@@ -296,9 +295,8 @@ def validate_bundle(doc) -> list[str]:
     ring = doc.get("ring")
     if not isinstance(ring, dict) or not isinstance(ring.get("events"), list):
         errors.append("'ring' must be an object with an 'events' list")
-    for key in ("failures", "spans"):
-        if not isinstance(doc.get(key), list):
-            errors.append(f"'{key}' must be a list")
+    if not isinstance(doc.get("failures"), list):
+        errors.append("'failures' must be a list")
     origin = doc.get("nan_origin")
     if origin is not None and (
             not isinstance(origin, dict)

@@ -1,8 +1,8 @@
 """Fleet-level metric aggregation, the exporter, and the status view.
 
-The supervisor of :mod:`repro.ensemble` sees every member's compact
-metric snapshot ride in on its heartbeats; this module is where
-those per-member views become *fleet* facts:
+Every fact about an ensemble member is in the logs — its own run log and
+the supervisor's ``ensemble.jsonl`` (its states); this module folds them
+into *fleet* facts:
 
 * :class:`FleetAggregator` — the one fold of member state: each
   member's state, retries, runner step, simulated time, step rate
@@ -20,18 +20,19 @@ those per-member views become *fleet* facts:
   torn file; :func:`validate_prometheus` is the strict line-format
   checker run against it (metric names are free-form paths, sanitized to
   the Prometheus grammar by :func:`prom_name`).
-* **Status view** — :func:`fold_run_dir` rebuilds the supervisor's
-  aggregator from an ensemble run directory's artifacts alone
-  (supervisor log, member run logs, ``ensemble.json`` — no live process
-  required); :func:`status_rows` / :func:`status_lines` render it as the
-  table behind ``python -m repro obs-status RUN_DIR`` and
+* **Status view** — :func:`fold_run_dir` folds an ensemble run
+  directory's logs alone (supervisor log, member run logs — no live
+  process required), one member log at a time through
+  :func:`fold_member_log`: the supervisor exports that fold as
+  ``fleet.prom`` and embeds one member's brief in its events;
+  :func:`status_rows` / :func:`status_lines` render it as the table
+  behind ``python -m repro obs-status RUN_DIR`` and
   :func:`check_run_dir` is its ``--check``: one checker for everything
   an ensemble run leaves on disk.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
@@ -46,6 +47,7 @@ from .runlog import read_records, validate_jsonl
 __all__ = [
     "FLEET_PROM",
     "FleetAggregator",
+    "fold_member_log",
     "fold_run_dir",
     "status_rows",
     "status_lines",
@@ -79,11 +81,8 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
 class FleetAggregator:
     """Fold per-member metric snapshots into fleet-level series.
 
-    The supervisor calls :meth:`update` from its heartbeat drain loop and
-    :meth:`export` periodically plus once at the end; everything else is
-    derived.  Thread-safety is not needed — the supervisor's event loop
-    is single-threaded — but updates are cheap enough to call per
-    message.
+    :func:`fold_run_dir` calls :meth:`update` once per log record that
+    carries member state; everything else is derived.
     """
 
     def __init__(self, out_dir: str):
@@ -94,15 +93,15 @@ class FleetAggregator:
 
     # -- folding -------------------------------------------------------
     def update(self, member_id: str, snapshot: dict | None = None,
-               wall: float | None = None, state: str | None = None,
+               wall: float = 0.0, state: str | None = None,
                step: int | None = None, sim_t: float | None = None) -> None:
-        """Record the latest view of ``member_id``.
+        """Record the latest view of ``member_id`` from one record.
 
         ``snapshot`` may be ``None`` (a heartbeat without a metrics
         payload still refreshes last-seen) and one of a newer wire format
-        is ignored rather than misfolded; ``wall`` (default: now) only
-        ever moves last-seen forward.  ``step`` / ``sim_t`` are the
-        runner's step and simulated time the message carries (the step a
+        is ignored rather than misfolded; ``wall``, the record's wall
+        time, only ever moves last-seen forward.  ``step`` / ``sim_t`` are the
+        runner's step and simulated time the record carries (the step a
         heartbeat reports, which a rollback or a resume does not inflate);
         the wall rate is the steps gained over the wall time between the
         two latest steps seen (a step that does not advance keeps it; a
@@ -117,7 +116,6 @@ class FleetAggregator:
         if isinstance(snapshot, dict) and snapshot.get(
                 "schema", METRICS_SCHEMA_VERSION) == METRICS_SCHEMA_VERSION:
             cell["snapshot"] = snapshot
-        wall = time.time() if wall is None else float(wall)
         cell["wall"] = max(cell["wall"], wall)
         if state is not None:
             cell["retries"] += state == "retrying"
@@ -132,14 +130,10 @@ class FleetAggregator:
         if sim_t is not None:
             cell["sim_t"] = sim_t
 
-    def member_snapshot(self, member_id: str) -> dict | None:
-        cell = self.members.get(member_id)
-        return None if cell is None else cell["snapshot"]
-
     def member_brief(self, member_id: str) -> dict:
         """Small ``{step, sim_t, wall_rate, energy_drift}`` digest of a
-        member — the runner step, simulated time and step rate it last
-        reported, the drift from its last snapshot's gauge — what
+        member — the runner step, simulated time and step rate its log
+        last reported, the drift from its last snapshot's gauge — what
         supervisor run-log events embed so quarantine diagnoses are
         self-contained, and what ``obs-status`` shows.  Unknown fields
         are left out."""
@@ -347,18 +341,36 @@ def _wall(rec: dict) -> float:
     return float(wall) if isinstance(wall, (int, float)) else 0.0
 
 
-def fold_run_dir(run_dir: str) -> tuple[FleetAggregator, list, dict]:
-    """The supervisor's :class:`FleetAggregator`, rebuilt from an
-    ensemble run directory, plus the records it was folded from.
+def fold_member_log(agg: FleetAggregator, member_id: str,
+                    path: str) -> list:
+    """Fold one member's run log into ``agg``; returns its records.
 
-    The supervisor log's member events set each member's state as they
-    did live (and so count its retries); each member's heartbeats feed
-    its runner step (and so its rate), simulated time and snapshot, as
-    the worker's pipe messages did, and its ``run_end`` the final step
-    and snapshot, as its result file did; ``ensemble.json`` has the last
-    word on terminal states.  Returns ``(aggregator,
-    supervisor_records, {member: run_log_records})``; works mid-run and
-    post-mortem alike.
+    Each heartbeat feeds the member's runner step (and so its rate),
+    simulated time and snapshot, ``run_end`` the final step and snapshot.
+    A missing log folds to no records, but the member is listed even
+    before its first beat.
+    """
+    records, _ = read_records(path)
+    agg.update(member_id)
+    for rec in records:
+        if rec.get("event") in ("heartbeat", "run_end"):
+            # a beat's runner step is ``step``, the final one ``steps``
+            agg.update(member_id, rec.get("metrics"), wall=_wall(rec),
+                       step=rec.get("step", rec.get("steps")),
+                       sim_t=rec.get("sim_t"))
+    return records
+
+
+def fold_run_dir(run_dir: str) -> tuple[FleetAggregator, list, dict]:
+    """The fleet fold of an ensemble run directory, plus the records it
+    was folded from.
+
+    The supervisor log's member events set each member's state (and so
+    count its retries; every terminal state is a ``member_end``), and
+    each member's run log is folded by :func:`fold_member_log`.  Returns
+    ``(aggregator, supervisor_records, {member: run_log_records})``;
+    works mid-run and post-mortem alike — the supervisor exports it as
+    ``fleet.prom`` while it runs.
     """
     agg = FleetAggregator(run_dir)
     sup, _ = read_records(os.path.join(run_dir, "ensemble.jsonl"))
@@ -370,29 +382,14 @@ def fold_run_dir(run_dir: str) -> tuple[FleetAggregator, list, dict]:
     logs = {}
     for mid in sorted(os.listdir(run_dir)) if os.path.isdir(run_dir) else []:
         path = os.path.join(run_dir, mid, "run.jsonl")
-        if not os.path.isfile(path):
-            continue
-        logs[mid], _ = read_records(path)
-        agg.update(mid, wall=0.0)  # listed even before its first beat
-        for rec in logs[mid]:
-            if rec.get("event") in ("heartbeat", "run_end"):
-                # a beat's runner step is ``step``, the final one ``steps``
-                agg.update(mid, rec.get("metrics"), wall=_wall(rec),
-                           step=rec.get("step", rec.get("steps")),
-                           sim_t=rec.get("sim_t"))
-    try:
-        with open(os.path.join(run_dir, "ensemble.json"),
-                  encoding="utf-8") as fh:
-            for mem in json.load(fh)["members"]:
-                agg.update(mem["member_id"], wall=0.0, state=mem["status"])
-    except (OSError, ValueError, KeyError, TypeError):
-        pass
+        if os.path.isfile(path):
+            logs[mid] = fold_member_log(agg, mid, path)
     return agg, sup, logs
 
 
 def status_rows(run_dir: str, now: float | None = None) -> list[dict]:
     """One status dict per member of the ensemble under ``run_dir``: the
-    :func:`fold_run_dir` aggregator's view of it (state, retries,
+    :func:`fold_run_dir` fold's view of it (state, retries,
     :meth:`~FleetAggregator.member_brief`, staleness) plus its black-box
     verdict."""
     now = time.time() if now is None else now
@@ -404,10 +401,8 @@ def status_rows(run_dir: str, now: float | None = None) -> list[dict]:
         rows.append({
             "member": mid,
             "state": cell["state"],
-            "step": brief.get("step"),
-            "sim_t": brief.get("sim_t"),
-            "wall_rate": brief.get("wall_rate"),
-            "energy_drift": brief.get("energy_drift"),
+            **{k: brief.get(k)
+               for k in ("step", "sim_t", "wall_rate", "energy_drift")},
             "retries": cell["retries"],
             "stale_s": stale[mid] if cell["wall"] else None,
             "verdict": _member_verdict(run_dir, mid, cell["state"], sup),
@@ -451,9 +446,8 @@ def check_run_dir(run_dir: str) -> list[str]:
     :func:`~repro.obs.runlog.validate_jsonl`, ``fleet.prom`` (when
     written) :func:`validate_prometheus`, and every
     bundle a log references must exist and pass
-    :func:`~repro.obs.blackbox.validate_bundle`.  Every finished member
-    must have a ``run_end`` whose ``metrics`` equal those of its
-    ``result.json``.
+    :func:`~repro.obs.blackbox.validate_bundle`.  Every finished member's
+    log must hold a ``run_end``.
     """
     from .blackbox import load_bundle, validate_bundle
 
@@ -485,22 +479,10 @@ def check_run_dir(run_dir: str) -> list[str]:
         with open(prom, encoding="utf-8") as fh:
             problems += [f"{prom}: {e}" for e in validate_prometheus(fh.read())]
     for mid, cell in sorted(agg.members.items()):
-        if cell["state"] not in ("ok", "recovered"):
-            continue
-        log = os.path.join(run_dir, mid, "run.jsonl")
-        result = os.path.join(run_dir, mid, "result.json")
-        final = [r.get("metrics") for r in logs.get(mid, [])
-                 if r.get("event") == "run_end"]
-        try:
-            with open(result, encoding="utf-8") as fh:
-                published = json.load(fh)["metrics"]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            problems.append(f"{result}: unreadable ({exc!r})")
-            continue
-        if not final:
+        if cell["state"] in ("ok", "recovered") and not any(
+                r.get("event") == "run_end" for r in logs.get(mid, [])):
+            log = os.path.join(run_dir, mid, "run.jsonl")
             problems.append(f"{log}: no run_end record")
-        elif final[-1] != published:
-            problems.append(f"{log}: run_end metrics differ from {result}")
     return problems
 
 
@@ -536,9 +518,7 @@ def status_lines(run_dir: str, now: float | None = None) -> list[str]:
             f"{_cell(row['stale_s'], '>6.1f') + 's' if row['stale_s'] is not None else '-':>7} "
             f"{(row.get('verdict') or '-')[:13]:13}"
         )
-    states: dict[str, int] = {}
-    for row in rows:
-        states[row["state"]] = states.get(row["state"], 0) + 1
+    states = Counter(row["state"] for row in rows)
     summary = ", ".join(f"{n} {st}" for st, n in sorted(states.items()))
     lines.append(f"  {len(rows)} member(s): {summary}")
     return lines

@@ -39,14 +39,13 @@ recorded on worker threads are per-thread busy time (their sum can
 exceed elapsed wall time).  A metric name pins its type on first use.
 
 Each quantity has one name.  :meth:`MetricRegistry.snapshot` is
-schema-versioned (:data:`METRICS_SCHEMA_VERSION`) because it crosses
-process boundaries: ensemble workers piggyback it on heartbeat messages,
-and run logs persist it as the ``metrics`` of each heartbeat (counters
-and gauges) and of ``run_end`` (the final snapshot, phases included).
-:func:`merge_snapshots` folds snapshots associatively (counters sum,
-gauges keep the newest sample) for the supervisor's
-:class:`~repro.obs.fleet.FleetAggregator`, which renders the fold as
-Prometheus text.
+schema-versioned (:data:`METRICS_SCHEMA_VERSION`) because it outlives
+the process: run logs persist it as the ``metrics`` of each heartbeat
+(counters and gauges) and of ``run_end`` (the final snapshot, phases
+included), and the fleet folds those logs.  :func:`merge_snapshots`
+folds snapshots associatively (counters sum, gauges keep the newest
+sample) for :class:`~repro.obs.fleet.FleetAggregator`, which renders
+the fold as Prometheus text.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ __all__ = [
     "merge_snapshots",
 ]
 
-#: bumped whenever the snapshot layout changes (snapshots cross process
-#: boundaries: heartbeat pipes, run logs, fleet aggregates)
+#: bumped whenever the snapshot layout changes (snapshots outlive the
+#: process: run logs, fleet aggregates)
 METRICS_SCHEMA_VERSION = 1
 
 #: default span-buffer capacity: ~60 bytes/span -> tens of MB at worst

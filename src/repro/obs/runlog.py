@@ -36,8 +36,8 @@ Events
     step gets no second heartbeat), ``dt`` includes the runner's backoff
     scale, and the energy is the one its watchdog swept for the step.
     While the run's registry is on, a heartbeat also carries its own
-    ``metrics``: the registry's counters and gauges (the twin of the
-    snapshot an ensemble worker sends up its pipe).
+    ``metrics``: the registry's counters and gauges (the one copy: an
+    ensemble worker's pipe carries liveness only).
 ``checkpoint`` / ``resume``
     Emitted by :class:`~repro.core.resilience.ResilientRunner` around its
     atomic checkpoint writes and restarts; a ``resume`` names the file

@@ -38,6 +38,7 @@ run of the CLI and the examples)::
     obs = ObsSession(profile=args.profile, log_json=args.log_json,
                      heartbeat_every=args.heartbeat_every,
                      config={"command": "quickstart", "t_end": t_end})
+    solver = build("quickstart").solver      # counted: the session is on
     runner = ResilientRunner(solver, ..., runlog=obs.runlog)   # optional
     hooks = obs.subscribe(HookBus(), runner=runner)
     obs.start(solver, resumed=bool(resume))
@@ -78,9 +79,6 @@ class ObsSession:
         self.heartbeat_every = int(heartbeat_every)
         #: the supervising runner given to :meth:`subscribe` (or ``None``)
         self.runner = None
-        #: counters + gauges of the newest logged heartbeat (``None`` until
-        #: one, or with the registry off)
-        self.beat_metrics: dict | None = None
         self._syncs = 0
         self._t0 = self._hb_t = time.perf_counter()
         self._hb_step = 0
@@ -163,7 +161,7 @@ class ObsSession:
                 # bytes: run_end carries them
                 snap = get_metrics().snapshot()
                 del snap["phases"]
-                self.beat_metrics = beat["metrics"] = snap
+                beat["metrics"] = snap
             self.runlog.emit("heartbeat", step=step, sim_t=float(solver.t),
                              dt=float(dt), energy=float(energy),
                              wall_rate=rate, **beat)
@@ -174,11 +172,10 @@ class ObsSession:
         self._hb_t, self._hb_step = now, step
 
     # ------------------------------------------------------------------
-    def finish(self, solver=None) -> dict:
-        """Write the ``run_end`` record, export the trace, print the
-        profile report, close; returns the run's registry snapshot — the
-        ``metrics`` of ``run_end`` (empty when the session does not own
-        the registry).
+    def finish(self, solver=None) -> None:
+        """Write the ``run_end`` record — its ``metrics`` the run's
+        registry snapshot, empty when the session does not own the
+        registry — export the trace, print the profile report, close.
 
         Wrapped in try/finally: whatever the emission/export/rendering
         steps raise, :meth:`close` runs — an exception mid-finish must not
@@ -212,7 +209,6 @@ class ObsSession:
                 print(f"== profile ({self.steps} steps, {wall:.2f} s wall) ==")
                 for line in profile_lines(snap, order=order, wall_s=wall):
                     print(line)
-            return snap
         finally:
             self.close()
 

@@ -25,7 +25,7 @@ from importlib import import_module
 
 import numpy as np
 
-from ..core.lts import cluster_major
+from ..core.lts import LocalTimeStepping, cluster_major
 from ..core.solver import CoupledSolver
 from ..rupture.fault import FaultSolver
 from ..sched import HookBus, Scheduler
@@ -115,40 +115,53 @@ def fault_solver(mesh, marker, tagger, friction, prestress, order: int, *,
 
 
 # ----------------------------------------------------------------------
-def run(solver, t_end: float, *, lts=None, hooks=None, command: str = "run",
-        checkpoint_every=None, checkpoint_dir=None, resume=None, profile=False,
-        trace=None, log_json=None, heartbeat_every=None, metrics=False) -> None:
-    """Run ``solver`` (with the optional
-    :class:`~repro.core.lts.LocalTimeStepping` ``lts`` and the caller's
-    :class:`~repro.sched.HookBus` ``hooks``) to ``t_end`` under an
-    :class:`~repro.obs.session.ObsSession` whose config names
-    ``command``.  Any of ``checkpoint_every`` / ``checkpoint_dir`` /
-    ``resume`` supervises it with a
+def run(name: str, t_end: float, *, backend="serial", workers: int | None = None,
+        prepare=None, checkpoint_every=None, checkpoint_dir=None, resume=None,
+        profile=False, trace=None, log_json=None, heartbeat_every=None,
+        metrics=False) -> ScenarioHandle:
+    """Build scenario ``name`` (seed 0, on ``backend`` / ``workers``) and
+    run it to ``t_end`` — with clustered local time-stepping where its
+    registry row says so — under an :class:`~repro.obs.session.ObsSession`
+    opened before the build, so the run record counts the build's
+    plan-cache lookups and times it, as a fleet member's does.
+    ``prepare(handle, lts)``, called between the build and the first
+    step, returns the :class:`~repro.sched.HookBus` of the caller's
+    observers (or ``None``).  Any of ``checkpoint_every`` /
+    ``checkpoint_dir`` / ``resume`` supervises the run with a
     :class:`~repro.core.resilience.ResilientRunner`, ``resume`` restoring
     a checkpoint file, or the newest readable one in a directory, first.
+    Returns the handle.
     """
     from ..obs import ObsSession
 
     obs = ObsSession(profile=profile, trace=trace, log_json=log_json,
                      heartbeat_every=heartbeat_every, metrics=metrics,
-                     config={"command": command, "t_end": t_end,
-                             "backend": solver.backend.name})
-    runner = None
-    if checkpoint_every or checkpoint_dir or resume:
-        from ..core.resilience import ResilientRunner
+                     config={"command": name.replace("_", "-"), "t_end": t_end})
+    try:
+        handle = build(name, backend=backend, workers=workers)
+        solver = handle.solver
+        obs.config["backend"] = solver.backend.name
+        lts = LocalTimeStepping(solver) if SCENARIOS[name].lts else None
+        hooks = prepare(handle, lts) if prepare is not None else None
+        runner = None
+        if checkpoint_every or checkpoint_dir or resume:
+            from ..core.resilience import ResilientRunner
 
-        runner = ResilientRunner(solver, lts=lts, checkpoint_every=checkpoint_every,
-                                 checkpoint_dir=checkpoint_dir, runlog=obs.runlog)
-        if resume:
-            runner.resume(resume)
-    hooks = obs.subscribe(HookBus() if hooks is None else hooks,
-                          runner=runner)
-    obs.start(solver, resumed=bool(resume))
-    if runner is not None:
-        runner.run(t_end, hooks=hooks)
-    else:
-        Scheduler(solver, lts).run(t_end, hooks=hooks)
-    obs.finish(solver)
+            runner = ResilientRunner(solver, lts=lts, checkpoint_every=checkpoint_every,
+                                     checkpoint_dir=checkpoint_dir, runlog=obs.runlog)
+            if resume:
+                runner.resume(resume)
+        hooks = obs.subscribe(HookBus() if hooks is None else hooks,
+                              runner=runner)
+        obs.start(solver, resumed=bool(resume))
+        if runner is not None:
+            runner.run(t_end, hooks=hooks)
+        else:
+            Scheduler(solver, lts).run(t_end, hooks=hooks)
+        obs.finish(solver)
+    finally:
+        obs.close()
+    return handle
 
 
 def add_run_args(parser, t_end: float) -> None:

@@ -32,11 +32,11 @@ from ..mesh.generators import bathymetry_mesh, box_mesh
 from ..mesh.refine import refined_spacing
 from ..rupture.fault import Prestress
 from ..rupture.friction import RateStateFastVelocityWeakening
-from ..tsunami.linking import SurfaceDisplacementTracker, run_linked
+from ..tsunami.linking import SurfaceDisplacementTracker
 from . import ScenarioHandle, eta_summary, fault_solver
 
 __all__ = ["PaluConfig", "palu_bathymetry", "build_coupled", "build_earthquake_only",
-           "build_scenario", "run_linked_tsunami"]
+           "build_scenario", "linked_bed"]
 
 
 @dataclass
@@ -243,8 +243,8 @@ def summarize(solver) -> dict:
             "peak_slip_rate": float(np.max(np.abs(solver.fault.slip_rate)))}
 
 
-def run_linked_tsunami(cfg: PaluConfig, tracker: SurfaceDisplacementTracker,
-                       snapshots, t_end: float, grid_dx: float = 150.0):
-    """One-way-linked SWE run over the bay bathymetry (Fig. 5 lower row)."""
-    return run_linked(palu_bathymetry(cfg), cfg.x_extent, cfg.y_extent, tracker,
-                      snapshots, t_end, grid_dx)
+def linked_bed(cfg: PaluConfig):
+    """The one-way-linked twin's shallow-water bed — the bay bathymetry
+    (Fig. 5 lower row) — and its grid spacing
+    (:func:`repro.tsunami.linking.run_linked_twin`)."""
+    return palu_bathymetry(cfg), 150.0

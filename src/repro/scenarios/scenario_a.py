@@ -28,11 +28,11 @@ from ..core.solver import ocean_surface_gravity_tagger
 from ..mesh.generators import box_mesh, layered_ocean_mesh
 from ..rupture.fault import Prestress
 from ..rupture.friction import LinearSlipWeakening
-from ..tsunami.linking import SurfaceDisplacementTracker, run_linked
+from ..tsunami.linking import SurfaceDisplacementTracker
 from . import ScenarioHandle, eta_summary, fault_solver
 
 __all__ = ["ScenarioAConfig", "build_coupled", "build_earthquake_only",
-           "build_scenario", "run_linked_tsunami"]
+           "build_scenario", "linked_bed"]
 
 
 @dataclass
@@ -214,14 +214,7 @@ def build_scenario(cfg: ScenarioAConfig, rng, *, backend="serial",
     return ScenarioHandle(solver, eta_summary, cfg)
 
 
-def run_linked_tsunami(cfg: ScenarioAConfig, tracker: SurfaceDisplacementTracker,
-                       snapshots: list[tuple[float, np.ndarray]], t_end: float,
-                       grid_dx: float = 250.0):
-    """One-way linking step: gridded time-dependent uplift -> SWE run over
-    the flat seafloor.
-
-    ``snapshots`` are (t, uz) pairs recorded from the earthquake-only run.
-    Returns the shallow-water solver at ``t_end``.
-    """
-    return run_linked(lambda X, Y: np.full_like(X, cfg.seafloor_z), cfg.x_extent,
-                      cfg.y_extent, tracker, snapshots, t_end, grid_dx)
+def linked_bed(cfg: ScenarioAConfig):
+    """The one-way-linked twin's shallow-water bed — the flat seafloor —
+    and its grid spacing (:func:`repro.tsunami.linking.run_linked_twin`)."""
+    return (lambda X, Y: np.full_like(X, cfg.seafloor_z)), 250.0

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core.materials import acoustic, elastic
+from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
+from repro.mesh.generators import layered_ocean_mesh
 
 try:
     from hypothesis import settings as _hyp_settings
@@ -65,6 +67,41 @@ def random_material(rng, kind=None):
     if kind == "acoustic":
         return acoustic(rho, cp)
     return elastic(rho, cp, float(rng.uniform(0.3, 0.65)) * cp)
+
+
+def gravity_box_mesh(crust=(2700.0, 4000.0, 2300.0), ocean_cp=1500.0):
+    """The test rig's mesh: a 2 km x 2 km box of 3 x 3 columns, two crust
+    layers (``crust`` is its ``(rho, cp, cs)``) from -1500 m to -500 m
+    under one 500 m ocean layer (sound speed ``ocean_cp``) topped by a
+    gravity free surface."""
+    xs = np.linspace(0.0, 2000.0, 4)
+    mesh = layered_ocean_mesh(
+        xs, xs,
+        zs_earth=np.linspace(-1500.0, -500.0, 3),
+        zs_ocean=np.linspace(-500.0, 0.0, 2),
+        earth=elastic(*crust), ocean=acoustic(1000.0, ocean_cp),
+    )
+    mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
+    return mesh
+
+
+def _ricker(t):
+    a = (np.pi * 2.0 * (t - 0.3)) ** 2
+    return (1.0 - 2.0 * a) * np.exp(-a)
+
+
+def gravity_box(order=2, *, source=True, backend="serial", workers=None,
+                mesh=None, **mesh_kw):
+    """The test rig: a coupled solver on ``mesh`` (default:
+    :func:`gravity_box_mesh` of ``mesh_kw``) with, unless ``source`` is
+    false, an explosive Ricker point source (2 Hz peak at t = 0.3 s)
+    900 m deep under the box centre."""
+    solver = CoupledSolver(gravity_box_mesh(**mesh_kw) if mesh is None else mesh,
+                           order=order, backend=backend, workers=workers)
+    if source:
+        solver.add_source(PointSource([1000.0, 1000.0, -900.0], _ricker,
+                                      moment=[5e12] * 3 + [0, 0, 0]))
+    return solver
 
 
 def l2_error(solver, exact_fn, t):

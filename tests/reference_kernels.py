@@ -601,8 +601,7 @@ def gravity_step_oracle(gb, derivs, dt, out, face_mask=None,
     n = gb.normal[idx]
     v_n = np.einsum("fkqd,fd->fkq", tr[:, :, :, 6:9], n)
     p = -(tr[:, :, :, 0] + tr[:, :, :, 1] + tr[:, :, :, 2]) / 3.0
-    middle = gb.eta_velocity == "middle"
-    f_deriv = v_n + p / gb.Z[idx][:, None, None] if middle else v_n
+    f_deriv = v_n + p / gb.Z[idx][:, None, None]
     fact = 1.0
     b = np.empty_like(f_deriv)
     for k in range(K):
@@ -617,7 +616,7 @@ def gravity_step_oracle(gb, derivs, dt, out, face_mask=None,
         for mid in np.unique(gb.mat_id[idx]):
             msel = gb.mat_id[idx] == mid
             mat = mats[int(mid)]
-            a = -mat.rho * gb.g / mat.Zp if middle else 0.0
+            a = -mat.rho * gb.g / mat.Zp
             prop = ExactPropagator(np.array([[a, 0.0], [1.0, 0.0]]),
                                    n_forcing=K, dt=dt)
             y0 = np.stack([eta0[msel], np.zeros_like(eta0[msel])], axis=-1)
@@ -627,9 +626,7 @@ def gravity_step_oracle(gb, derivs, dt, out, face_mask=None,
             eta1[msel] = y1[..., 0]
             H1[msel] = y1[..., 1]
     else:
-        # the seed applied the damping to the interior-velocity variant
-        # too, against its own "no pressure feedback, no damping"
-        a = -(gb.rho[idx] * gb.g / gb.Z[idx])[:, None] if middle else 0.0
+        a = -(gb.rho[idx] * gb.g / gb.Z[idx])[:, None]
         powers = np.arange(K)
 
         def rhs(t, y):

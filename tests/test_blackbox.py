@@ -16,10 +16,10 @@ from repro.core.health import (
     Watchdog,
 )
 from repro.core.health.inject import FaultInjector
-from repro.core.materials import acoustic, elastic
+from repro.core.materials import elastic
 from repro.core.resilience import ResilientRunner
-from repro.core.solver import CoupledSolver, ocean_surface_gravity_tagger
-from repro.mesh.generators import box_mesh, layered_ocean_mesh
+from repro.core.solver import CoupledSolver
+from repro.mesh.generators import box_mesh
 import repro.obs.runlog as runlog_module
 from repro.obs.blackbox import (
     BUNDLE_SCHEMA_VERSION,
@@ -40,27 +40,32 @@ from repro.obs.blackbox import (
 )
 from repro.obs.runlog import RunLog, validate_record
 
+from .conftest import gravity_box
+
 ROCK = elastic(2700.0, 6000.0, 3464.0)
+
+
+#: a supervisor bundle as the schema-2 writer produced it (thread stacks
+#: emptied before fingerprinting, to keep it short)
+SCHEMA_2_BUNDLE = (
+    '{"context": {"attempt": 1, "member": "m1"}, "created_unix": 1000.5, '
+    '"error": null, "exit": "killed by signal 9", "failures": [], '
+    '"field_stats": {}, "fingerprint": '
+    '"ef1908d1838fc6e1fd2b527b21f8a96f176568cf8ddcaaa894097e01b5ce5c67", '
+    '"kind": "supervisor", "last_error": null, "manifest": null, '
+    '"metrics": {"counters": {"sched/sync_total": 10}, "gauges": {}, '
+    '"schema": 1}, "nan_origin": null, "reason": "killed by signal 9", '
+    '"ring": {"events": [{"dt": 0.02, "energy": 1.0, "event": "heartbeat", '
+    '"run_id": "r", "seq": 3, "sim_t": 0.2, "step": 10, "wall": 1000.0, '
+    '"wall_rate": 50.0}]}, "schema": 2, '
+    '"spans": [["kernels/volume", 0, 1.0, 2.0]], "stacks": {}}'
+)
 
 
 def micro_event(index, cluster, t_int, dt):
     """A scheduler micro-step event, as ``HookBus.micro_step`` passes it."""
     return types.SimpleNamespace(index=index, cluster=cluster, t_int=t_int,
                                  dt=dt)
-
-
-def build_coupled(order=2):
-    crust = elastic(rho=2700.0, cp=4000.0, cs=2300.0)
-    ocean = acoustic(rho=1000.0, cp=1500.0)
-    xs = np.linspace(0.0, 2000.0, 4)
-    mesh = layered_ocean_mesh(
-        xs, xs,
-        zs_earth=np.linspace(-1500.0, -500.0, 3),
-        zs_ocean=np.linspace(-500.0, 0.0, 2),
-        earth=crust, ocean=ocean,
-    )
-    mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-    return CoupledSolver(mesh, order=order)
 
 
 def build_closed_passive():
@@ -242,6 +247,25 @@ class TestBundleIO:
         assert any("schema" in e for e in errors)
         assert any("ring" in e for e in errors)
 
+    def test_ring_is_the_one_history(self):
+        """A schema-3 bundle holds no copies beside its ring: no span
+        tail, no last metrics snapshot (the ring's heartbeats carry it)."""
+        doc = self._doc(ring=[{"event": "heartbeat", "step": 1}])
+        assert doc["schema"] == BUNDLE_SCHEMA_VERSION == 3
+        assert "spans" not in doc and "metrics" not in doc
+        assert validate_bundle(doc) == []
+
+    def test_schema_2_bundle_still_validates(self, tmp_path):
+        """A bundle as the schema-2 writer left it — with its ``spans``
+        and ``metrics`` copies — loads, validates and classifies."""
+        path = tmp_path / ("old" + BUNDLE_SUFFIX)
+        path.write_text(SCHEMA_2_BUNDLE)
+        doc = load_bundle(str(path))
+        assert doc["schema"] == 2 and doc["spans"] and doc["metrics"]
+        assert validate_bundle(doc) == []
+        assert classify_bundle(doc)["verdict"] == "worker_death"
+        assert diagnose_bundle_file(str(path), check=True) == 0
+
     def test_suffix_enforced(self, tmp_path):
         with pytest.raises(ValueError, match="blackbox.json"):
             write_bundle(str(tmp_path / "a.json"), self._doc())
@@ -354,7 +378,7 @@ class TestClassifier:
 # ----------------------------------------------------------------------
 class TestRunnerIntegration:
     def _run_to_divergence(self, tmp_path, injector, **kw):
-        solver = build_coupled(order=1)
+        solver = gravity_box(1, source=False)
         runner = ResilientRunner(
             solver, injector=injector, max_retries=1, verbose=False,
             checkpoint_dir=str(tmp_path), **kw,
@@ -403,7 +427,7 @@ class TestRunnerIntegration:
         assert classify_bundle(doc)["verdict"] == "cfl_collapse"
 
     def test_no_directory_means_no_bundle_but_same_fault(self):
-        solver = build_coupled(order=1)
+        solver = gravity_box(1, source=False)
         inj = FaultInjector().corrupt_state(at_step=2, persistent=True)
         runner = ResilientRunner(solver, injector=inj, max_retries=1,
                                  verbose=False)
@@ -413,7 +437,7 @@ class TestRunnerIntegration:
         assert runner.bundles_written == []
 
     def test_clean_run_dumps_nothing(self, tmp_path):
-        solver = build_coupled(order=1)
+        solver = gravity_box(1, source=False)
         runner = ResilientRunner(solver, verbose=False,
                                  checkpoint_dir=str(tmp_path))
         runner.run(4 * solver.dt)
@@ -438,7 +462,7 @@ class TestRunnerIntegration:
                 self.calls += 1
                 super().record_micro(solver, event)
 
-        solver = build_coupled(order=1)
+        solver = gravity_box(1, source=False)
         lts = LocalTimeStepping(solver)
         assert lts.n_clusters == 2
         t_end = 4 * lts.dt_min * lts.rate
@@ -451,7 +475,7 @@ class TestRunnerIntegration:
         assert kinds.count("micro") == n_micro
 
     def test_recovered_run_keeps_recovery_bundle_only(self, tmp_path):
-        solver = build_coupled(order=1)
+        solver = gravity_box(1, source=False)
         inj = FaultInjector().corrupt_state(at_step=2)  # one-shot
         runner = ResilientRunner(solver, injector=inj, max_retries=3,
                                  verbose=False, checkpoint_dir=str(tmp_path))
@@ -463,7 +487,7 @@ class TestRunnerIntegration:
         """Supervision events are emitted once, into the one stream: the
         runner's recorder is the run log it was given, and the ring's
         recovery and checkpoint events are its written records."""
-        solver = build_coupled(order=1)
+        solver = gravity_box(1, source=False)
         inj = FaultInjector().corrupt_state(at_step=2)  # one-shot
         log_path = str(tmp_path / "run.jsonl")
         with RunLog(log_path) as log:
@@ -482,7 +506,7 @@ class TestRunnerIntegration:
         assert ring == logged
 
     def test_dump_exception_bundle(self, tmp_path):
-        solver = build_coupled(order=1)
+        solver = gravity_box(1, source=False)
         runner = ResilientRunner(solver, verbose=False,
                                  checkpoint_dir=str(tmp_path))
         try:
@@ -495,7 +519,7 @@ class TestRunnerIntegration:
         assert classify_bundle(doc)["verdict"] == "worker_death"
 
     def test_bundle_context_is_stamped(self, tmp_path):
-        solver = build_coupled(order=1)
+        solver = gravity_box(1, source=False)
         inj = FaultInjector().corrupt_state(at_step=2, persistent=True)
         runner = ResilientRunner(solver, injector=inj, max_retries=1,
                                  verbose=False, checkpoint_dir=str(tmp_path))
@@ -563,7 +587,7 @@ class TestOverheadBudget:
     def test_recorder_hot_path_within_step_budget(self):
         """The always-on ring must cost < 2% of a step at ~2 record sites
         per supervised step (micro window + post-watchdog gauge)."""
-        solver = build_coupled(order=2)
+        solver = gravity_box(2, source=False)
         rec = RunLog()
         n = 50_000
         ev = micro_event(0, 0, 0, 1e-3)

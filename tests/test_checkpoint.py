@@ -7,9 +7,8 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.core.materials import acoustic, elastic
 from repro.core.resilience import ResilientRunner
-from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
+from repro.core.solver import CoupledSolver
 from repro.io.checkpoint import (
     CheckpointError,
     CheckpointManager,
@@ -22,40 +21,16 @@ from repro.io.checkpoint import (
     save_checkpoint,
     fingerprint,
 )
-from repro.mesh.generators import layered_ocean_mesh
 from repro.sched import Scheduler
 
 # the two-material faulted LTS rig (``sort=True``: renumbered cluster-major)
+from .conftest import gravity_box
 from tests.test_exec_equivalence import build_lts_fault_gravity
-
-
-def build_gts(order=2):
-    """Small coupled Earth-ocean solver with a gravity surface and a source."""
-    crust = elastic(rho=2700.0, cp=4000.0, cs=2300.0)
-    ocean = acoustic(rho=1000.0, cp=1500.0)
-    xs = np.linspace(0.0, 2000.0, 4)
-    mesh = layered_ocean_mesh(
-        xs, xs,
-        zs_earth=np.linspace(-1500.0, -500.0, 3),
-        zs_ocean=np.linspace(-500.0, 0.0, 2),
-        earth=crust, ocean=ocean,
-    )
-    mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-    solver = CoupledSolver(mesh, order=order)
-
-    def ricker(t):
-        a = (np.pi * 2.0 * (t - 0.3)) ** 2
-        return (1.0 - 2.0 * a) * np.exp(-a)
-
-    solver.add_source(
-        PointSource([1000.0, 1000.0, -900.0], ricker, moment=[5e12] * 3 + [0, 0, 0])
-    )
-    return solver
 
 
 class TestArchive:
     def test_save_is_atomic_and_leaves_no_temp_files(self, tmp_path):
-        solver = build_gts()
+        solver = gravity_box()
         Scheduler(solver).run(0.05)
         path = save_checkpoint(str(tmp_path / "state"), solver)
         assert path.endswith(".npz") and os.path.exists(path)
@@ -63,11 +38,11 @@ class TestArchive:
         assert leftovers == []
 
     def test_roundtrip_restores_every_field(self, tmp_path):
-        solver = build_gts()
+        solver = gravity_box()
         Scheduler(solver).run(0.1)
         path = save_checkpoint(str(tmp_path / "s.npz"), solver,
                                metadata={"note": "mid-run"})
-        fresh = build_gts()
+        fresh = gravity_box()
         meta = restore_checkpoint(path, fresh)
         assert meta["note"] == "mid-run"
         assert fresh.t == solver.t
@@ -75,24 +50,24 @@ class TestArchive:
         assert np.array_equal(fresh.gravity.eta, solver.gravity.eta)
 
     def test_fingerprint_rejects_different_order(self, tmp_path):
-        solver = build_gts(order=2)
+        solver = gravity_box(order=2)
         path = save_checkpoint(str(tmp_path / "s.npz"), solver)
         other = CoupledSolver(solver.mesh, order=1)
         with pytest.raises(CheckpointError, match="different problem"):
             restore_checkpoint(path, other)
 
     def test_fingerprint_strict_false_still_checks_shapes(self, tmp_path):
-        solver = build_gts(order=2)
+        solver = gravity_box(order=2)
         path = save_checkpoint(str(tmp_path / "s.npz"), solver)
         other = CoupledSolver(solver.mesh, order=1)
         with pytest.raises(CheckpointError, match="shape"):
             restore_checkpoint(path, other, strict=False)
 
     def test_fingerprint_differs_between_problems(self):
-        a = build_gts(order=2)
-        b = build_gts(order=1)
+        a = gravity_box(order=2)
+        b = gravity_box(order=1)
         assert fingerprint(a) != fingerprint(b)
-        assert fingerprint(a) == fingerprint(build_gts(order=2))
+        assert fingerprint(a) == fingerprint(gravity_box(order=2))
 
     def test_corrupt_archive_is_rejected(self, tmp_path):
         bad = tmp_path / "ckpt_0000000001.npz"
@@ -103,7 +78,7 @@ class TestArchive:
     def test_fault_state_requires_fault_solver(self, tmp_path):
         solver, fault, lts = build_lts_fault_gravity()
         path = save_checkpoint(str(tmp_path / "f.npz"), solver, lts)
-        plain = build_gts()
+        plain = gravity_box()
         with pytest.raises(CheckpointError):
             restore_state(plain, load_checkpoint(path)["state"])
 
@@ -134,10 +109,10 @@ class TestStoredFormat:
         the same keys is restored bit for bit, and the run resumed from
         it ends where the uninterrupted run ends."""
         t_end = 0.4
-        baseline = build_gts()
+        baseline = gravity_box()
         ResilientRunner(baseline, checkpoint_every=0.2, verbose=False).run(t_end)
 
-        victim = build_gts()
+        victim = gravity_box()
         runner = ResilientRunner(victim, checkpoint_every=0.2,
                                  checkpoint_dir=str(tmp_path), verbose=False)
         runner.run(0.2)
@@ -148,7 +123,7 @@ class TestStoredFormat:
         assert set(member_compression(path).values()) == {zipfile.ZIP_DEFLATED}
         assert load_checkpoint(path)["version"] == 1
 
-        resumed = build_gts()
+        resumed = gravity_box()
         runner = ResilientRunner(resumed, checkpoint_every=0.2,
                                  checkpoint_dir=str(tmp_path), verbose=False)
         runner.resume()
@@ -161,7 +136,7 @@ class TestStoredFormat:
         assert np.array_equal(resumed.gravity.eta, baseline.gravity.eta)
 
     def test_handed_state_is_what_lands_on_disk(self, tmp_path):
-        solver = build_gts()
+        solver = gravity_box()
         Scheduler(solver).run(0.05)
         state = capture_state(solver)
         Scheduler(solver).run(0.1)  # the live solver has moved on
@@ -203,7 +178,7 @@ class TestStoredFormat:
 
 class TestManager:
     def test_rotation_keeps_newest(self, tmp_path):
-        solver = build_gts()
+        solver = gravity_box()
         mgr = CheckpointManager(str(tmp_path), solver, keep=2)
         for step in (10, 20, 30):
             mgr.save(step)
@@ -215,7 +190,7 @@ class TestManager:
         """Nothing to resume from: no candidates, and a resume raises."""
         assert checkpoint_candidates(str(tmp_path)) == []
         assert checkpoint_candidates(str(tmp_path / "missing")) == []
-        solver = build_gts()
+        solver = gravity_box()
         for where in (tmp_path, tmp_path / "missing"):
             with pytest.raises(CheckpointError, match="no readable checkpoint"):
                 restore_newest(str(where), solver)
@@ -225,18 +200,18 @@ class TestManager:
 class TestRoundTripGTS:
     def test_interrupted_run_matches_uninterrupted_bitwise(self, tmp_path):
         t_end = 0.6
-        baseline = build_gts()
+        baseline = gravity_box()
         ResilientRunner(baseline, checkpoint_every=0.2, verbose=False).run(t_end)
 
         # "crash" after 0.4 s of a checkpointed run...
-        victim = build_gts()
+        victim = gravity_box()
         ResilientRunner(
             victim, checkpoint_every=0.2, checkpoint_dir=str(tmp_path),
             verbose=False,
         ).run(0.4)
 
         # ...then rebuild from scratch and resume from the latest checkpoint
-        resumed = build_gts()
+        resumed = gravity_box()
         runner = ResilientRunner(
             resumed, checkpoint_every=0.2, checkpoint_dir=str(tmp_path),
             verbose=False,
@@ -326,7 +301,7 @@ class TestElementOrder:
 
 class TestCaptureRestore:
     def test_capture_is_a_deep_copy(self):
-        solver = build_gts()
+        solver = gravity_box()
         Scheduler(solver).run(0.05)
         snap = capture_state(solver)
         q_before = snap["Q"].copy()
@@ -342,7 +317,7 @@ class TestCorruptFallback:
     """A damaged newest rotation must never poison a resume (ISSUE 6)."""
 
     def _two_rotations(self, tmp_path):
-        solver = build_gts()
+        solver = gravity_box()
         mgr = CheckpointManager(str(tmp_path), solver, keep=3)
         Scheduler(solver).run(0.05)
         mgr.save(10)
@@ -383,7 +358,7 @@ class TestCorruptFallback:
             restore_newest(str(tmp_path), solver)
 
     def test_fingerprint_mismatch_still_raises_strict(self, tmp_path):
-        solver = build_gts(order=2)
+        solver = gravity_box(order=2)
         CheckpointManager(str(tmp_path), solver, keep=3).save(10)
         other = CoupledSolver(solver.mesh, order=1)
         # damaged files are a fallback case; a *foreign* checkpoint is not
@@ -403,11 +378,11 @@ class TestCorruptFallback:
             f.write(b"\x00junk")
         assert checkpoint_candidates(str(tmp_path))[0] == mgr.path_for(20)
         with pytest.warns(RuntimeWarning, match="skipping unreadable"):
-            best, _ = restore_newest(str(tmp_path), build_gts())
+            best, _ = restore_newest(str(tmp_path), gravity_box())
         assert best == mgr.path_for(10)
 
     def test_candidates_sorted_newest_first(self, tmp_path):
-        solver = build_gts()
+        solver = gravity_box()
         mgr = CheckpointManager(str(tmp_path), solver, keep=5)
         for step in (5, 30, 10):
             mgr.save(step)
@@ -426,7 +401,7 @@ class TestOneResumePath:
 
     def _rotations(self, tmp_path):
         """Rotations at 0.1 / 0.2 / 0.3 s, the newest garbled."""
-        victim = build_gts()
+        victim = gravity_box()
         runner = ResilientRunner(victim, checkpoint_every=0.1,
                                  checkpoint_dir=str(tmp_path), verbose=False)
         runner.run(0.3)
@@ -436,7 +411,7 @@ class TestOneResumePath:
         return previous
 
     def _resumed(self, where, checkpoint_dir=None):
-        solver = build_gts()
+        solver = gravity_box()
         runner = ResilientRunner(solver, checkpoint_every=0.1,
                                  checkpoint_dir=checkpoint_dir, verbose=False)
         return solver, runner, runner.resume(where)
@@ -461,7 +436,7 @@ class TestOneResumePath:
         assert named["path"] == previous  # a file is restored as given
 
     def test_empty_directory_raises(self, tmp_path):
-        solver = build_gts()
+        solver = gravity_box()
         runner = ResilientRunner(solver, checkpoint_dir=str(tmp_path / "none"),
                                  verbose=False)
         for where in (None, str(tmp_path)):

@@ -24,6 +24,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import pytest
 
@@ -236,16 +237,30 @@ class TestWorker:
         beats = [r for r in recs if r["event"] == "heartbeat"]
         assert len(beats) == result["steps"]  # a beat per step
         # every beat carries its snapshot; the final one rides on run_end
+        # alone (the result file holds no copy)
         assert sum("metrics" in b for b in beats) == len(beats)
         assert "metrics" not in events
-        assert events[-1] == "run_end" and recs[-1]["metrics"] == \
-            result["metrics"]
+        assert events[-1] == "run_end" and recs[-1]["metrics"]["phases"]
+        assert "metrics" not in result
         # one fsync per record
         log_inode = os.stat(result["paths"]["runlog"]).st_ino
         assert syncs.count(log_inode) == len(recs)
         handle = spec.build()
         Scheduler(handle.solver).run(spec.t_end)
         assert beats[-1]["energy"] == total_energy(handle.solver)
+
+    def test_pipe_carries_control_only(self, tmp_path):
+        """What a member measured is in its run log alone: the worker's
+        pipe messages say which attempt is alive, and how far along it is
+        in its life, nothing more."""
+        sent = []
+        channel = types.SimpleNamespace(send=sent.append)
+        result = run_member(tiny_spec(), str(tmp_path / "m"), channel=channel)
+        kinds = [msg["kind"] for msg in sent]
+        assert kinds == ["started"] + ["heartbeat"] * result["steps"] \
+            + ["done"]
+        assert {key for msg in sent for key in msg} == {
+            "kind", "member", "attempt", "pid"}
 
     def test_member_beat_reuses_the_watchdogs_energy(self, tmp_path,
                                                      monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 from repro.core.lts import LocalTimeStepping, cluster_elements, cluster_major
 from repro.core.materials import acoustic, elastic
 from repro.core.resilience import ResilientRunner
-from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
+from repro.core.solver import CoupledSolver, ocean_surface_gravity_tagger
 from repro.ensemble.worker import state_digest
 from repro.exec import (
     PartitionedBackend,
@@ -33,6 +33,7 @@ from repro.rupture.fault import FaultSolver, Prestress
 from repro.rupture.friction import LinearSlipWeakening
 from repro.sched import Scheduler
 
+from .conftest import gravity_box, gravity_box_mesh
 from tests.test_faces import build_all_faces
 
 WORKER_COUNTS = (1, 2, 4)
@@ -43,37 +44,6 @@ T_LTS = 0.3
 # ---------------------------------------------------------------------------
 # rigs
 # ---------------------------------------------------------------------------
-def gts_mesh():
-    """The fault-free, gravity-topped Earth-ocean box of :func:`build_gts`."""
-    crust = elastic(rho=2700.0, cp=4000.0, cs=2300.0)
-    ocean = acoustic(rho=1000.0, cp=1500.0)
-    xs = np.linspace(0.0, 2000.0, 4)
-    mesh = layered_ocean_mesh(
-        xs, xs,
-        zs_earth=np.linspace(-1500.0, -500.0, 3),
-        zs_ocean=np.linspace(-500.0, 0.0, 2),
-        earth=crust, ocean=ocean,
-    )
-    mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-    return mesh
-
-
-def build_gts(order=2, backend="serial", workers=None, mesh=None):
-    """Coupled Earth-ocean solver: gravity surface + explosive source (GTS)
-    on ``mesh`` (default: :func:`gts_mesh`)."""
-    mesh = gts_mesh() if mesh is None else mesh
-    solver = CoupledSolver(mesh, order=order, backend=backend, workers=workers)
-
-    def ricker(t):
-        a = (np.pi * 2.0 * (t - 0.3)) ** 2
-        return (1.0 - 2.0 * a) * np.exp(-a)
-
-    solver.add_source(
-        PointSource([1000.0, 1000.0, -900.0], ricker, moment=[5e12] * 3 + [0, 0, 0])
-    )
-    return solver
-
-
 def build_lts_fault_gravity(backend="serial", workers=None, sort=False,
                             xs=(-1500.0, -750.0, 0.0, 750.0, 1500.0),
                             prepare=None, order=1):
@@ -147,7 +117,7 @@ def assert_states_match(ref, other, label=""):
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def gts_serial_reference():
-    solver = build_gts()
+    solver = gravity_box()
     Scheduler(solver).run(T_GTS)
     return solver
 
@@ -155,7 +125,7 @@ def gts_serial_reference():
 class TestGTSEquivalence:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_partitioned_matches_serial(self, gts_serial_reference, workers):
-        solver = build_gts(backend="partitioned", workers=workers)
+        solver = gravity_box(backend="partitioned", workers=workers)
         assert isinstance(solver.backend, PartitionedBackend)
         Scheduler(solver).run(T_GTS)
         assert_states_match(gts_serial_reference, solver, f"(GTS, {workers} workers)")
@@ -377,10 +347,10 @@ class TestCheckpointRoundTrip:
 
     def test_gts_checkpoint_is_backend_portable(self, tmp_path):
         t_end = 0.2
-        baseline = build_gts()
+        baseline = gravity_box()
         ResilientRunner(baseline, checkpoint_every=0.1, verbose=False).run(t_end)
 
-        victim = build_gts(backend="partitioned", workers=2)
+        victim = gravity_box(backend="partitioned", workers=2)
         ResilientRunner(
             victim, checkpoint_every=0.1, checkpoint_dir=str(tmp_path),
             verbose=False,
@@ -388,7 +358,7 @@ class TestCheckpointRoundTrip:
         victim.backend.close()
 
         # resume the partitioned run's checkpoint under the serial backend
-        resumed = build_gts()
+        resumed = gravity_box()
         runner = ResilientRunner(
             resumed, checkpoint_every=0.1, checkpoint_dir=str(tmp_path),
             verbose=False,
@@ -426,14 +396,14 @@ class TestBackendSelection:
             make_backend("mpi")
 
     def test_describe_strings(self):
-        gts = build_gts(backend="partitioned", workers=2)
+        gts = gravity_box(backend="partitioned", workers=2)
         assert gts.backend.describe().startswith("partitioned(workers=2")
-        assert build_gts().backend.describe() == "serial"
+        assert gravity_box().backend.describe() == "serial"
         gts.backend.close()
 
     def test_partition_count_capped_by_mesh(self):
         # more workers than elements must not crash the partitioner
-        solver = build_gts(backend="partitioned", workers=4)
+        solver = gravity_box(backend="partitioned", workers=4)
         st = solver.backend.stats()
         assert st["n_parts"] <= solver.mesh.n_elements
         assert sum(st["owned"]) == solver.mesh.n_elements  # disjoint cover
@@ -446,41 +416,32 @@ class TestBackendSelection:
 class TestPlanCache:
     def test_identical_problem_hits(self):
         clear_plan_cache()
-        build_gts()
+        gravity_box()
         s0 = get_plan_cache().stats()
         assert s0["misses"] >= 1
-        build_gts()
+        gravity_box()
         s1 = get_plan_cache().stats()
         assert s1["hits"] == s0["hits"] + 1
         assert s1["misses"] == s0["misses"]
 
     def test_cached_plan_is_shared(self):
         clear_plan_cache()
-        a, b = build_gts(), build_gts()
+        a, b = gravity_box(), gravity_box()
         assert a.op.starQ is b.op.starQ
         assert a.op.interior_groups is b.op.interior_groups
 
     def test_order_change_invalidates(self):
         clear_plan_cache()
-        build_gts(order=2)
+        gravity_box(order=2)
         misses0 = get_plan_cache().stats()["misses"]
-        build_gts(order=1)
+        gravity_box(order=1)
         assert get_plan_cache().stats()["misses"] == misses0 + 1
 
     def test_mesh_fingerprint_tracks_materials(self):
-        a = build_gts().mesh
-        b = build_gts().mesh
+        a = gravity_box().mesh
+        b = gravity_box().mesh
         assert mesh_fingerprint(a) == mesh_fingerprint(b)
-        crust = elastic(rho=2700.0, cp=4000.0, cs=2300.0)
-        ocean = acoustic(rho=1000.0, cp=1450.0)  # different sound speed
-        xs = np.linspace(0.0, 2000.0, 4)
-        c = layered_ocean_mesh(
-            xs, xs,
-            zs_earth=np.linspace(-1500.0, -500.0, 3),
-            zs_ocean=np.linspace(-500.0, 0.0, 2),
-            earth=crust, ocean=ocean,
-        )
-        c.tag_boundary(ocean_surface_gravity_tagger(c))
+        c = gravity_box_mesh(ocean_cp=1450.0)  # different sound speed
         assert mesh_fingerprint(c) != mesh_fingerprint(a)
         assert plan_key(c, 2, "godunov") != plan_key(a, 2, "godunov")
 
@@ -491,11 +452,11 @@ class TestPlanCache:
         apart: it must miss the cached plan (whose face rows follow the
         old table) and refuse a checkpoint of the old one."""
         clear_plan_cache()
-        old = build_gts()
+        old = gravity_box()
         Scheduler(old).run(0.05)
         path = save_checkpoint(str(tmp_path / "old.npz"), old)
 
-        mesh = gts_mesh()
+        mesh = gravity_box_mesh()
         itf = mesh.interior
         assert not itf.is_fault.any()
         rng = np.random.default_rng(29)
@@ -505,7 +466,7 @@ class TestPlanCache:
         else:
             mesh.flip_faces(rng.random(len(itf)) < 0.5)
         misses = get_plan_cache().stats()["misses"]
-        new = build_gts(mesh=mesh)
+        new = gravity_box(mesh=mesh)
         assert get_plan_cache().stats()["misses"] == misses + 1
         assert mesh_fingerprint(new.mesh) != mesh_fingerprint(old.mesh)
         with pytest.raises(CheckpointError, match="different problem"):
@@ -518,9 +479,9 @@ class TestPlanCache:
         block-ordered operator plan; another width or order misses it,
         and the serial plan (mesh face order) is an entry of its own."""
         clear_plan_cache()
-        a = build_gts(backend="partitioned", workers=2)
+        a = gravity_box(backend="partitioned", workers=2)
         s0 = get_plan_cache().stats()
-        b = build_gts(backend="partitioned", workers=2)
+        b = gravity_box(backend="partitioned", workers=2)
         s1 = get_plan_cache().stats()
         assert s1["hits"] == s0["hits"] + 1
         assert s1["misses"] == s0["misses"]
@@ -534,14 +495,14 @@ class TestPlanCache:
                        {"backend": "partitioned", "workers": 2, "order": 1},
                        {}):
             misses = get_plan_cache().stats()["misses"]
-            build_gts(**kwargs)
+            gravity_box(**kwargs)
             assert get_plan_cache().stats()["misses"] == misses + 1
 
     def test_cleared_cache_builds_afresh(self):
         clear_plan_cache()
-        a = build_gts()
+        a = gravity_box()
         clear_plan_cache()
-        b = build_gts()
+        b = gravity_box()
         assert get_plan_cache().stats() == \
             {"entries": 1, "hits": 0, "misses": 1}
         assert a.op.starQ is not b.op.starQ
@@ -550,9 +511,9 @@ class TestPlanCache:
         """A run whose every plan was built cold (nothing cached) is
         bitwise the run on the shared, cached plan."""
         clear_plan_cache()
-        cold = build_gts()
+        cold = gravity_box()
         Scheduler(cold).run(0.05)
-        warm = build_gts()
+        warm = gravity_box()
         assert warm.op.starQ is cold.op.starQ
         Scheduler(warm).run(0.05)
         assert np.isfinite(cold.Q).all()

@@ -61,10 +61,10 @@ from repro.mesh.tetmesh import TetMesh
 from repro.sched import Scheduler
 
 from tests.reference_kernels import ReferenceOperator, use_reference_kernels
+from .conftest import gravity_box
 from tests.test_exec_equivalence import (
     T_LTS,
     assert_states_match,
-    build_gts,
     build_lts_fault_gravity,
 )
 
@@ -79,7 +79,7 @@ _RUNTIME = (SpatialOperator.kernel_variant,)
 @pytest.fixture(scope="module")
 def golden_gts():
     """Oracle GTS trajectory (gravity surface + explosive source)."""
-    solver = use_reference_kernels(build_gts(order=2))
+    solver = use_reference_kernels(gravity_box(order=2))
     Scheduler(solver).run(0.25)
     return solver
 
@@ -101,7 +101,7 @@ class TestGoldenTrajectories:
         ("partitioned", 4),
     ])
     def test_gts(self, golden_gts, variant, backend, workers):
-        solver = build_gts(order=2, backend=backend, workers=workers)
+        solver = gravity_box(order=2, backend=backend, workers=workers)
         Scheduler(solver).run(0.25)
         assert_states_match(golden_gts, solver,
                             f"({variant}/{backend}/w={workers} vs oracle)")
@@ -124,7 +124,7 @@ class TestGoldenTrajectories:
 def _operator_pair(order=2):
     """(oracle op, runtime op) over the same GTS mesh."""
     clear_plan_cache()
-    mesh = build_gts(order=order).mesh
+    mesh = gravity_box(order=order).mesh
     clear_plan_cache()
     return ReferenceOperator(mesh, order), SpatialOperator(mesh, order)
 
@@ -222,7 +222,7 @@ class TestKernelUnits:
         """Steady state: the serial backend hands last step's derivative
         buffer back as scratch (page-fault churn was the dominant
         predictor cost before this)."""
-        solver = build_gts(order=2)
+        solver = gravity_box(order=2)
         d1 = solver.backend.predict(solver.dofs)
         d2 = solver.backend.predict(solver.dofs)
         assert d2 is d1
@@ -247,7 +247,7 @@ class TestKernelUnits:
 @pytest.fixture(scope="module")
 def prop_op():
     clear_plan_cache()
-    solver = build_gts(order=2)
+    solver = gravity_box(order=2)
     clear_plan_cache()
     return SpatialOperator(solver.mesh, 2)
 
@@ -887,7 +887,7 @@ class TestPlanCacheInvalidation:
         ``G``; boundary: ``AT``/``GT``) — none of the arrays only the
         quadrature-form kernels read."""
         clear_plan_cache()
-        solver = build_gts(order=2, backend="partitioned", workers=2)
+        solver = gravity_box(order=2, backend="partitioned", workers=2)
         blocks = solver.backend.blocks(solver.mesh, 2, solver.cfl_safety)
         plan = get_plan_cache().get(plan_key(solver.mesh, 2, "exact", blocks))
         assert not hasattr(plan, "star")
@@ -901,7 +901,7 @@ class TestPlanCacheInvalidation:
         keeps its unfolded groups to itself: building it first must not
         hand them to a runtime operator on the same mesh fingerprint."""
         clear_plan_cache()
-        mesh = build_gts(order=2).mesh
+        mesh = gravity_box(order=2).mesh
         clear_plan_cache()
         op_b = ReferenceOperator(mesh, 2)
         op_f = SpatialOperator(mesh, 2)
@@ -915,7 +915,7 @@ class TestPlanCacheInvalidation:
         """With the cache cleared between builds every operator builds its
         own plan, and the kernels remain correct (nothing depends on
         cache hits)."""
-        mesh = build_gts(order=2).mesh
+        mesh = gravity_box(order=2).mesh
         clear_plan_cache()
         op_f1 = SpatialOperator(mesh, 2)
         clear_plan_cache()

@@ -27,39 +27,9 @@ from repro.obs.report import (
     worker_split,
 )
 
-from repro.core.materials import acoustic, elastic
-from repro.core.solver import (
-    CoupledSolver,
-    PointSource,
-    ocean_surface_gravity_tagger,
-)
-from repro.mesh.generators import layered_ocean_mesh
 from repro.sched import HookBus, Scheduler
 
-
-def build_coupled(order=2, backend="serial"):
-    """Small coupled Earth-ocean solver (same setup as test_resilience)."""
-    crust = elastic(rho=2700.0, cp=4000.0, cs=2300.0)
-    ocean = acoustic(rho=1000.0, cp=1500.0)
-    xs = np.linspace(0.0, 2000.0, 4)
-    mesh = layered_ocean_mesh(
-        xs, xs,
-        zs_earth=np.linspace(-1500.0, -500.0, 3),
-        zs_ocean=np.linspace(-500.0, 0.0, 2),
-        earth=crust, ocean=ocean,
-    )
-    mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-    solver = CoupledSolver(mesh, order=order, backend=backend)
-
-    def ricker(t):
-        a = (np.pi * 2.0 * (t - 0.3)) ** 2
-        return (1.0 - 2.0 * a) * np.exp(-a)
-
-    solver.add_source(
-        PointSource([1000.0, 1000.0, -900.0], ricker,
-                    moment=[5e12] * 3 + [0, 0, 0])
-    )
-    return solver
+from .conftest import gravity_box
 
 
 def disabled_step_overhead(solver, sites, one_site, n=50_000):
@@ -220,7 +190,7 @@ class TestTelemetry:
     def test_disabled_overhead_below_two_percent_of_step(self):
         """The phase / counter sites of a step, registry off, cost < 2 %
         of the step (one ``enabled`` check + null context manager each)."""
-        solver = build_coupled(order=2)
+        solver = gravity_box(order=2)
         met = get_metrics()
 
         # how many phase/inc sites fire per step: measure one enabled step
@@ -249,7 +219,7 @@ class TestTelemetry:
 # ----------------------------------------------------------------------
 class TestInstrumentation:
     def test_serial_step_phases_and_counters(self):
-        solver = build_coupled(order=2)
+        solver = gravity_box(order=2)
         met = get_metrics()
         met.enable()
         solver.step()
@@ -269,9 +239,9 @@ class TestInstrumentation:
     def test_partitioned_workers_report_compute(self):
         from repro.exec.partitioned import PartitionedBackend
 
-        solver = build_coupled(order=2)
+        solver = gravity_box(order=2)
         backend = PartitionedBackend(workers=4)
-        psolver = build_coupled(order=2, backend=backend)
+        psolver = gravity_box(order=2, backend=backend)
         try:
             met = get_metrics()
             met.enable()
@@ -293,7 +263,7 @@ class TestInstrumentation:
     def test_lts_cluster_counters(self):
         from repro.core.lts import LocalTimeStepping
 
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         lts = LocalTimeStepping(solver)
         met = get_metrics()
         met.enable()
@@ -319,7 +289,7 @@ class TestInstrumentation:
         before = cache.stats()
         met = get_metrics()
         met.enable()
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         lts = LocalTimeStepping(solver)
         assert lts.n_clusters == 2
         sched = Scheduler(solver, lts)
@@ -458,7 +428,7 @@ class TestRunLog:
             assert len(err) == 1 and err[0].startswith(f"obs-report: {path}: ")
 
     def test_manifest_covers_solver_identity(self):
-        solver = build_coupled(order=2)
+        solver = gravity_box(order=2)
         man = run_manifest(solver, config={"command": "t"}, resumed=False)
         for key in EVENT_FIELDS["manifest"]:
             assert key in man
@@ -483,7 +453,7 @@ class TestObsSession:
         ckpt = str(tmp_path / "ckpt")
 
         # first leg: checkpoint, then "die" without a clean finish
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         obs = ObsSession(log_json=path, heartbeat_every=1,
                          config={"command": "leg1"})
         runner = ResilientRunner(solver, checkpoint_every=0.05,
@@ -494,7 +464,7 @@ class TestObsSession:
         obs.runlog.close()  # abrupt end: no run_end record
 
         # second leg resumes from the checkpoint and appends
-        solver2 = build_coupled(order=1)
+        solver2 = gravity_box(order=1)
         obs2 = ObsSession(log_json=path, heartbeat_every=1,
                           config={"command": "leg2"})
         runner2 = ResilientRunner(solver2, checkpoint_every=0.05,
@@ -520,7 +490,7 @@ class TestObsSession:
 
     def test_recovery_and_diverged_events_logged(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        solver = build_coupled(order=2)
+        solver = gravity_box(order=2)
         injector = FaultInjector().corrupt_state(at_step=4, persistent=True)
         obs = ObsSession(log_json=path, config={"command": "doomed"})
         runner = ResilientRunner(solver, injector=injector, max_retries=2,
@@ -552,7 +522,7 @@ class TestObsSession:
         never beats a replayed step again, and reports the backed-off
         ``dt`` the step actually took."""
         path = str(tmp_path / "run.jsonl")
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         obs = ObsSession(log_json=path, heartbeat_every=1, metrics=True)
         runner = ResilientRunner(
             solver, checkpoint_every=3 * solver.dt,
@@ -581,7 +551,7 @@ class TestObsSession:
 
     def test_heartbeat_rate_and_chain(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         seen = []
         obs = ObsSession(log_json=path, heartbeat_every=2)
         obs.start(solver)
@@ -602,7 +572,7 @@ class TestObsSession:
         """A session heartbeat's ``energy`` is the quantity fleet members
         log: volume energy plus sea-surface potential."""
         path = str(tmp_path / "run.jsonl")
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         solver.gravity.eta[:] = 0.05  # a raised sea surface
         obs = ObsSession(log_json=path, heartbeat_every=2)
         obs.start(solver)
@@ -623,7 +593,7 @@ class TestObsSession:
     def test_heartbeat_without_runlog_prints_to_stdout(self, capsys):
         """Satellite regression: an explicit ``--heartbeat-every`` without
         ``--log-json`` used to be silently ignored."""
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         obs = ObsSession(heartbeat_every=2)
         assert obs.active  # heartbeats alone make the session active
         obs.start(solver)
@@ -641,7 +611,7 @@ class TestObsSession:
 
     def test_heartbeat_with_runlog_stays_off_stdout(self, tmp_path, capsys):
         path = str(tmp_path / "run.jsonl")
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         obs = ObsSession(log_json=path, heartbeat_every=1)
         obs.start(solver)
         bus = obs.subscribe(HookBus())
@@ -659,7 +629,7 @@ class TestObsSession:
         disable the session-owned registry."""
         log_path = str(tmp_path / "run.jsonl")
         bad_trace = str(tmp_path / "no-such-dir" / "out.trace.json")
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         obs = ObsSession(profile=True, trace=bad_trace, log_json=log_path)
         met = get_metrics()
         assert met.enabled
@@ -702,7 +672,7 @@ class TestObsSession:
 # ----------------------------------------------------------------------
 class TestReport:
     def _fake_run(self, n_steps=3):
-        solver = build_coupled(order=2)
+        solver = gravity_box(order=2)
         met = get_metrics()
         met.enable()
         for _ in range(n_steps):
@@ -736,7 +706,7 @@ class TestReport:
         kernel: one flux product per interior face for both sides."""
         from repro.hpc.perfmodel import kernel_counts
 
-        solver = build_coupled(order=2)
+        solver = gravity_box(order=2)
         obs = ObsSession(profile=True)
         obs.start(solver)
         for _ in range(2):
@@ -773,7 +743,7 @@ class TestReport:
         from repro.__main__ import main
 
         path = str(tmp_path / "run.jsonl")
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         obs = ObsSession(profile=True, log_json=path, heartbeat_every=2,
                          config={"command": "cli-test"})
         obs.start(solver)

@@ -14,40 +14,19 @@ from repro.core.health import (
 )
 from repro.core.health.inject import FaultInjector, InjectedIOError
 from repro.core.lts import LocalTimeStepping
-from repro.core.materials import Material, acoustic, elastic
+from repro.core.materials import Material, elastic
 from repro.core.resilience import ResilientRunner
 from repro.core.riemann import FaceKind
-from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
+from repro.core.solver import CoupledSolver
 from repro.ensemble import get_builder
 from repro.io.checkpoint import checkpoint_candidates
-from repro.mesh.generators import box_mesh, layered_ocean_mesh
+from repro.mesh.generators import box_mesh
 from repro.obs.blackbox import load_bundle
 from repro.sched import HookBus
 
+from .conftest import gravity_box
+
 ROCK = elastic(2700.0, 6000.0, 3464.0)
-
-
-def build_coupled(order=2):
-    crust = elastic(rho=2700.0, cp=4000.0, cs=2300.0)
-    ocean = acoustic(rho=1000.0, cp=1500.0)
-    xs = np.linspace(0.0, 2000.0, 4)
-    mesh = layered_ocean_mesh(
-        xs, xs,
-        zs_earth=np.linspace(-1500.0, -500.0, 3),
-        zs_ocean=np.linspace(-500.0, 0.0, 2),
-        earth=crust, ocean=ocean,
-    )
-    mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-    solver = CoupledSolver(mesh, order=order)
-
-    def ricker(t):
-        a = (np.pi * 2.0 * (t - 0.3)) ** 2
-        return (1.0 - 2.0 * a) * np.exp(-a)
-
-    solver.add_source(
-        PointSource([1000.0, 1000.0, -900.0], ricker, moment=[5e12] * 3 + [0, 0, 0])
-    )
-    return solver
 
 
 def build_closed_passive():
@@ -93,7 +72,7 @@ class TestWatchdog:
         assert "Lyapunov" in report.checks["energy"]
 
     def test_sources_switch_auto_to_growth_mode(self):
-        solver = build_coupled()
+        solver = gravity_box()
         wd = Watchdog(solver)
         assert wd.energy_mode == "growth"
         # energy injection by the source must NOT trip the watchdog
@@ -103,7 +82,7 @@ class TestWatchdog:
 
     def test_energy_runaway_trips_growth_mode(self, monkeypatch):
         monkeypatch.setattr(health_module, "_GROWTH_FACTOR", 10.0)
-        solver = build_coupled()
+        solver = gravity_box()
         wd = Watchdog(solver)
         for _ in range(3):
             solver.step()
@@ -127,7 +106,7 @@ class TestWatchdog:
             wd.ensure()
 
     def test_total_energy_includes_surface_potential(self):
-        solver = build_coupled()
+        solver = gravity_box()
         assert total_energy(solver) == pytest.approx(solver.energy())
         solver.gravity.eta += 0.5
         assert total_energy(solver) > solver.energy()
@@ -135,7 +114,7 @@ class TestWatchdog:
 
 class TestLastEnergy:
     def test_last_energy_is_the_swept_states_total_energy(self):
-        solver = build_coupled()
+        solver = gravity_box()
         solver.gravity.eta += 0.5
         wd = Watchdog(solver)
         assert wd.last_energy is None
@@ -152,7 +131,7 @@ class TestLastEnergy:
 
     @pytest.mark.parametrize("use_lts", [False, True])
     def test_flight_recorder_steps_carry_it(self, tmp_path, use_lts):
-        solver = build_coupled()
+        solver = gravity_box()
         lts = LocalTimeStepping(solver) if use_lts else None
         runner = ResilientRunner(solver, lts=lts, verbose=False,
                                  blackbox_dir=str(tmp_path))
@@ -211,7 +190,7 @@ class TestSingleCapture:
 
     def _runner(self, tmp_path):
         return ResilientRunner(
-            build_coupled(), checkpoint_every=0.05,
+            gravity_box(), checkpoint_every=0.05,
             checkpoint_dir=str(tmp_path), verbose=False,
         )
 
@@ -267,7 +246,7 @@ class TestSingleCapture:
 
 class TestRecovery:
     def test_injected_nan_triggers_rollback_and_run_completes(self):
-        solver = build_coupled()
+        solver = gravity_box()
         injector = FaultInjector().corrupt_state(at_step=5)
         runner = ResilientRunner(
             solver, checkpoint_every=0.2, injector=injector, verbose=False
@@ -279,7 +258,7 @@ class TestRecovery:
         assert np.isfinite(solver.Q).all()
 
     def test_inflated_dt_trips_cfl_and_recovers(self):
-        solver = build_coupled()
+        solver = gravity_box()
         injector = FaultInjector().inflate_dt(at_step=3, factor=1e3)
         runner = ResilientRunner(solver, injector=injector, verbose=False)
         runner.run(0.15)
@@ -288,7 +267,7 @@ class TestRecovery:
         assert np.isfinite(solver.Q).all()
 
     def test_backoff_halves_dt_and_relaxes_after_success(self):
-        solver = build_coupled()
+        solver = gravity_box()
         injector = FaultInjector().corrupt_state(at_step=2)
         runner = ResilientRunner(
             solver, checkpoint_every=0.1, injector=injector, verbose=False
@@ -310,7 +289,7 @@ class TestRecovery:
         assert runner.dt_scale == 1.0
 
     def test_persistent_corruption_exhausts_retries(self):
-        solver = build_coupled()
+        solver = gravity_box()
         injector = FaultInjector().corrupt_state(at_step=4, persistent=True)
         runner = ResilientRunner(
             solver, injector=injector, max_retries=2, verbose=False
@@ -323,17 +302,7 @@ class TestRecovery:
         assert diag["dt_scale"] < 1.0
 
     def test_lts_injected_nan_recovers(self):
-        crust = elastic(2700.0, 6000.0, 3464.0)
-        ocean = acoustic(1000.0, 1500.0)
-        xs = np.linspace(0.0, 2000.0, 4)
-        mesh = layered_ocean_mesh(
-            xs, xs,
-            zs_earth=np.linspace(-1500.0, -500.0, 3),
-            zs_ocean=np.linspace(-500.0, 0.0, 2),
-            earth=crust, ocean=ocean,
-        )
-        mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-        solver = CoupledSolver(mesh, order=1)
+        solver = gravity_box(1, source=False, crust=(2700.0, 6000.0, 3464.0))
         lts = LocalTimeStepping(solver)
         injector = FaultInjector().corrupt_state(at_step=2, target="eta")
         runner = ResilientRunner(
@@ -346,7 +315,7 @@ class TestRecovery:
         assert solver.t == pytest.approx(0.15)
 
     def test_io_failure_keeps_previous_checkpoint(self, tmp_path):
-        baseline = build_coupled()
+        baseline = gravity_box()
 
         # first run: two checkpoints, the SECOND write fails
         runner = ResilientRunner(
@@ -397,7 +366,7 @@ class TestNanOrigin:
 
 class TestInjectorContract:
     def test_one_shot_actions_do_not_refire(self):
-        solver = build_coupled()
+        solver = gravity_box()
         injector = FaultInjector().corrupt_state(at_step=1)
         injector.on_step(solver, 1)
         solver.Q.flat[0] = 0.0
@@ -442,7 +411,7 @@ class TestInputValidation:
 
 class TestPointSourceBinding:
     def test_bind_caches_time_quadrature(self):
-        solver = build_coupled()
+        solver = gravity_box()
         src = solver.sources[0]
         assert src._tq is not None and src._wq is not None
         out = np.zeros_like(solver.Q)
@@ -452,7 +421,7 @@ class TestPointSourceBinding:
     def test_add_matches_fresh_quadrature(self):
         from repro.core.quadrature import gauss_legendre_01
 
-        solver = build_coupled()
+        solver = gravity_box()
         src = solver.sources[0]
         out = np.zeros_like(solver.Q)
         src.add(out, 0.25, solver.dt)
@@ -469,38 +438,15 @@ class TestPartitionedBackendRecovery:
     / dt-backoff ladder behave identically when steps execute on the
     partitioned (threaded, halo-exchanging) backend (ISSUE 6 satellite)."""
 
-    def build_partitioned(self, workers=2):
-        crust = elastic(rho=2700.0, cp=4000.0, cs=2300.0)
-        ocean = acoustic(rho=1000.0, cp=1500.0)
-        xs = np.linspace(0.0, 2000.0, 4)
-        mesh = layered_ocean_mesh(
-            xs, xs,
-            zs_earth=np.linspace(-1500.0, -500.0, 3),
-            zs_ocean=np.linspace(-500.0, 0.0, 2),
-            earth=crust, ocean=ocean,
-        )
-        mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-        solver = CoupledSolver(mesh, order=2, backend="partitioned",
-                               workers=workers)
-
-        def ricker(t):
-            a = (np.pi * 2.0 * (t - 0.3)) ** 2
-            return (1.0 - 2.0 * a) * np.exp(-a)
-
-        solver.add_source(PointSource(
-            [1000.0, 1000.0, -900.0], ricker, moment=[5e12] * 3 + [0, 0, 0]
-        ))
-        return solver
-
     def test_watchdog_healthy_on_partitioned_steps(self):
-        solver = self.build_partitioned()
+        solver = gravity_box(backend="partitioned", workers=2)
         wd = Watchdog(solver)
         for _ in range(5):
             solver.step()
             assert wd.check(dt=solver.dt).ok
 
     def test_injected_nan_recovers_on_partitioned_backend(self):
-        solver = self.build_partitioned()
+        solver = gravity_box(backend="partitioned", workers=2)
         injector = FaultInjector().corrupt_state(at_step=5)
         runner = ResilientRunner(
             solver, checkpoint_every=0.2, injector=injector, verbose=False
@@ -518,9 +464,9 @@ class TestPartitionedBackendRecovery:
         runs = {}
         for backend, workers in (("serial", None), ("partitioned", 2)):
             if backend == "serial":
-                solver = build_coupled()
+                solver = gravity_box()
             else:
-                solver = self.build_partitioned(workers=workers)
+                solver = gravity_box(backend="partitioned", workers=workers)
             runner = ResilientRunner(
                 solver, checkpoint_every=0.1,
                 injector=FaultInjector().corrupt_state(at_step=4),
@@ -535,7 +481,7 @@ class TestPartitionedBackendRecovery:
                               partitioned[0].gravity.eta)
 
     def test_persistent_fault_diverges_on_partitioned_backend(self):
-        solver = self.build_partitioned()
+        solver = gravity_box(backend="partitioned", workers=2)
         injector = FaultInjector().corrupt_state(at_step=3, persistent=True)
         runner = ResilientRunner(
             solver, injector=injector, max_retries=2, verbose=False

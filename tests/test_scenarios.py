@@ -12,8 +12,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from repro.core.riemann import FaceKind
+from repro.obs.runlog import read_records
 from repro.scenarios.palu import PaluConfig, build_coupled as build_palu
 from repro.scenarios.palu import build_earthquake_only as build_palu_eq
 from repro.scenarios.palu import palu_bathymetry
@@ -22,6 +24,7 @@ from repro.scenarios.scenario_a import (
     build_coupled as build_a,
     build_earthquake_only as build_a_eq,
 )
+from repro.tsunami.linking import run_linked_twin
 
 
 def tiny_a_config():
@@ -98,6 +101,21 @@ class TestScenarioAGeometry:
         bnd = eq.mesh.boundary
         top = bnd.kind == FaceKind.FREE_SURFACE.value
         assert np.allclose(bnd.centroid[top][:, 2], cfg.seafloor_z)
+
+
+    def test_linked_twin(self):
+        """The one-way-linked twin records the surface displacement at
+        ``t = 0`` and ``n_snap`` equal times, then drives the
+        shallow-water run to ``t_end`` with it as bed motion."""
+        cfg = tiny_a_config()
+        eq, fault, tracker, swe = run_linked_twin("scenario_a", cfg, 0.4,
+                                                  n_snap=2)
+        motion = swe.bed_motion
+        np.testing.assert_allclose(motion.times, [0.0, 0.2, 0.4], rtol=1e-12)
+        assert eq.t == pytest.approx(0.4) and swe.t == pytest.approx(0.4)
+        assert fault is eq.fault and tracker.solver is eq
+        assert not motion.snapshots[0].any() and motion.snapshots[-1].any()
+        assert np.abs(swe.eta).max() > 0
 
 
 class TestPaluGeometry:
@@ -180,3 +198,18 @@ def test_cli_runs_outside_a_source_checkout(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "eta_abs_max: " in proc.stdout
+
+
+def test_cli_run_record_counts_the_build(tmp_path):
+    """A CLI run's session opens before the scenario is built, so its
+    record counts the build's plan-cache lookup, as a fleet member's
+    does."""
+    from repro.__main__ import main
+
+    log = str(tmp_path / "run.jsonl")
+    assert main(["quickstart", "--t-end", "0.05", "--metrics",
+                 "--log-json", log]) == 0
+    run_end = [r for r in read_records(log)[0] if r["event"] == "run_end"][-1]
+    counters = run_end["metrics"]["counters"]
+    assert counters.get("cache/plan_hits", 0) \
+        + counters.get("cache/plan_misses", 0) >= 1

@@ -16,11 +16,8 @@ from hypothesis import strategies as st
 
 from repro.core.ader import taylor_integrate
 from repro.core.lts import LocalTimeStepping
-from repro.core.materials import acoustic, elastic
 from repro.core.resilience import ResilientRunner
-from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
 from repro.kernels.faces import FacePlan
-from repro.mesh.generators import layered_ocean_mesh
 from repro.obs.metrics import get_metrics
 from repro.sched import (
     CONSUME_BUFFER,
@@ -32,6 +29,7 @@ from repro.sched import (
     plan_steps,
 )
 
+from .conftest import gravity_box
 from tests.test_exec_equivalence import T_LTS, build_lts_fault_gravity
 
 
@@ -171,7 +169,7 @@ class TestStepPlan:
         assert plan.macro == 1
         assert (plan.cluster == 0).all()
         assert len(plan.consume_cluster) == 0
-        run = Scheduler(build_coupled(order=1)).compiled_plan(4.5 * 0.1)
+        run = Scheduler(gravity_box(order=1)).compiled_plan(4.5 * 0.1)
         assert run.plan.n_micro == 1
         assert run.n_micro == run.n_sync == run.n_macro
 
@@ -197,7 +195,7 @@ class TestStepPlan:
     def test_compiled_plan_replays_one_cadence(self):
         """Runs of any length replay the cadence the scheduler compiled
         at construction; only the macro count grows."""
-        s, lts = build_coupled(order=1, lts=True)
+        s, lts = lts_box(1)
         sched = Scheduler(s, lts=lts)
         dt_macro = lts.dt_min * lts.rate**lts.cmax
         short = sched.compiled_plan(s.t + 2 * dt_macro)
@@ -214,8 +212,7 @@ class TestStepPlan:
         """A ``t_end`` not past ``solver.t`` compiles to no step, as the
         run takes none (LTS used to report one macro step, GTS a
         negative count)."""
-        s, lts = (build_coupled(order=1, lts=True) if mode == "lts"
-                  else (build_coupled(order=1), None))
+        s, lts = lts_box(1) if mode == "lts" else (gravity_box(1), None)
         sched = Scheduler(s, lts)
         t_end = s.t - back
         plan = sched.compiled_plan(t_end)
@@ -232,31 +229,11 @@ class TestStepPlan:
 # ---------------------------------------------------------------------------
 # golden bitwise equivalence against the retired drivers
 # ---------------------------------------------------------------------------
-def build_coupled(order=2, backend="serial", workers=None, lts=False):
-    """Quickstart-style coupled Earth-ocean problem (gravity + source)."""
-    crust = elastic(rho=2700.0, cp=4000.0, cs=2300.0)
-    ocean = acoustic(rho=1000.0, cp=1500.0)
-    xs = np.linspace(0.0, 2000.0, 4)
-    mesh = layered_ocean_mesh(
-        xs, xs,
-        zs_earth=np.linspace(-1500.0, -500.0, 3),
-        zs_ocean=np.linspace(-500.0, 0.0, 2),
-        earth=crust, ocean=ocean,
-    )
-    mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-    solver = CoupledSolver(mesh, order=order, backend=backend, workers=workers)
-
-    def ricker(t):
-        a = (np.pi * 2.0 * (t - 0.3)) ** 2
-        return (1.0 - 2.0 * a) * np.exp(-a)
-
-    solver.add_source(
-        PointSource([1000.0, 1000.0, -900.0], ricker, moment=[5e12] * 3 + [0, 0, 0])
-    )
-    if lts:
-        # force two clusters on this uniform-speed-per-layer mesh
-        return solver, LocalTimeStepping(solver)
-    return solver
+def lts_box(order=2, **kw):
+    """:func:`~tests.conftest.gravity_box` under clustered LTS (two
+    clusters on its uniform-speed-per-layer mesh)."""
+    solver = gravity_box(order, **kw)
+    return solver, LocalTimeStepping(solver)
 
 
 def old_gts_run(solver, t_end, dt=None):
@@ -353,41 +330,41 @@ class TestGoldenEquivalence:
     T = 0.2
 
     def test_gts_bitwise_serial(self):
-        ref = build_coupled()
+        ref = gravity_box()
         old_gts_run(ref, self.T)
-        new = build_coupled()
+        new = gravity_box()
         Scheduler(new).run(self.T)
         assert np.abs(ref.Q).max() > 0
         assert_bitwise(ref, new)
 
     def test_lts_bitwise_serial(self):
-        s_ref, l_ref = build_coupled(lts=True)
+        s_ref, l_ref = lts_box()
         old_lts_run(l_ref, self.T)
-        s_new, l_new = build_coupled(lts=True)
+        s_new, l_new = lts_box()
         Scheduler(s_new, l_new).run(self.T)
         assert np.abs(s_ref.Q).max() > 0
         assert_bitwise(s_ref, s_new)
 
     def test_lts_bitwise_partitioned(self):
-        s_ref, l_ref = build_coupled(backend="partitioned", workers=2, lts=True)
+        s_ref, l_ref = lts_box(backend="partitioned", workers=2)
         old_lts_run(l_ref, self.T)
-        s_new, l_new = build_coupled(backend="partitioned", workers=2, lts=True)
+        s_new, l_new = lts_box(backend="partitioned", workers=2)
         Scheduler(s_new, l_new).run(self.T)
         assert_bitwise(s_ref, s_new)
         s_ref.backend.close()
         s_new.backend.close()
 
     def test_gts_bitwise_partitioned(self):
-        ref = build_coupled(backend="partitioned", workers=2)
+        ref = gravity_box(backend="partitioned", workers=2)
         old_gts_run(ref, self.T)
-        new = build_coupled(backend="partitioned", workers=2)
+        new = gravity_box(backend="partitioned", workers=2)
         Scheduler(new).run(self.T)
         assert_bitwise(ref, new)
         ref.backend.close()
         new.backend.close()
 
     def test_lts_update_counts_preserved(self):
-        s, lts = build_coupled(lts=True)
+        s, lts = lts_box()
         Scheduler(s, lts).run(self.T)
         counts = lts.updates.copy()
         assert counts.sum() > 0
@@ -572,7 +549,7 @@ class TestTermination:
     def test_no_sliver_step_near_multiple(self):
         """A t_end that is a whole number of steps up to float error takes
         exactly that many steps; the retired epsilon loop took one more."""
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         dt = solver.dt
         t_end = 10 * dt + 5e-10 * dt  # beyond the old 1e-12 slack
 
@@ -590,7 +567,7 @@ class TestTermination:
         assert abs(solver.t - t_end) < 1e-8 * dt
 
     def test_genuine_partial_step_still_taken(self):
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         dt = solver.dt
         steps = []
         Scheduler(solver).run(10.5 * dt, hooks=sync_times(steps))
@@ -608,7 +585,7 @@ class TestTermination:
 
     def test_lts_and_gts_agree_on_step_count(self):
         """Both drivers derive termination from the same integer clock."""
-        s, lts = build_coupled(lts=True)
+        s, lts = lts_box()
         t_end = 16 * lts.dt_min * lts.rate**lts.cmax + 1e-10 * lts.dt_min
         syncs = []
         Scheduler(s, lts).run(t_end, hooks=sync_times(syncs))
@@ -621,7 +598,7 @@ class TestTermination:
 # ---------------------------------------------------------------------------
 class TestHookBus:
     def test_ordering_and_events_gts(self):
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         log = []
         bus = HookBus()
         bus.on_micro_step(lambda s, e: log.append(("micro", e)))
@@ -638,7 +615,7 @@ class TestHookBus:
         assert events[-1].dt < events[0].dt == solver.dt
 
     def test_lts_micro_events_follow_plan(self):
-        s, lts = build_coupled(order=1, lts=True)
+        s, lts = lts_box(1)
         events = []
         bus = HookBus()
         bus.on_micro_step(lambda _, e: events.append(e))
@@ -671,7 +648,7 @@ class TestHookBus:
 # ---------------------------------------------------------------------------
 class TestResilientRunnerHooks:
     def test_segment_end_hook_fires(self, tmp_path):
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         ends = []
         bus = HookBus()
         bus.on_segment_end(lambda s: ends.append(s.t))
@@ -686,8 +663,7 @@ class TestResilientRunnerHooks:
 
     @pytest.mark.parametrize("lts", [False, True])
     def test_one_sync_hook_supervises_both_modes(self, lts):
-        built = build_coupled(order=1, lts=lts)
-        solver, l = built if lts else (built, None)
+        solver, l = lts_box(1) if lts else (gravity_box(1), None)
         runner = ResilientRunner(solver, lts=l, verbose=False)
         bus = HookBus()
         runner._subscribe_supervision(bus)
@@ -696,15 +672,15 @@ class TestResilientRunnerHooks:
         assert bus._micro == ([runner.recorder.record_micro] if lts else [])
 
     def test_supervised_matches_plain_bitwise(self):
-        ref = build_coupled(order=1)
+        ref = gravity_box(order=1)
         Scheduler(ref).run(0.2)
-        sup = build_coupled(order=1)
+        sup = gravity_box(order=1)
         ResilientRunner(sup, verbose=False).run(0.2)
         assert_bitwise(ref, sup)
 
     def test_supervised_lts_matches_plain_bitwise(self):
-        s_ref, l_ref = build_coupled(order=1, lts=True)
+        s_ref, l_ref = lts_box(1)
         Scheduler(s_ref, l_ref).run(0.2)
-        s_sup, l_sup = build_coupled(order=1, lts=True)
+        s_sup, l_sup = lts_box(1)
         ResilientRunner(s_sup, lts=l_sup, verbose=False).run(0.2)
         assert_bitwise(s_ref, s_sup)

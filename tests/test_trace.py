@@ -16,7 +16,8 @@ from repro.obs.trace import (
 )
 from repro.sched import HookBus, Scheduler
 
-from tests.test_obs import build_coupled, disabled_step_overhead
+from .conftest import gravity_box
+from tests.test_obs import disabled_step_overhead
 
 
 @pytest.fixture(autouse=True)
@@ -33,7 +34,7 @@ def _partitioned(order=2, workers=2):
     from repro.exec.partitioned import PartitionedBackend
 
     backend = PartitionedBackend(workers=workers)
-    return build_coupled(order=order, backend=backend), backend
+    return gravity_box(order=order, backend=backend), backend
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +118,7 @@ class TestTelemetryTracing:
         """The 2% guard extended to the trace entry points: a solver whose
         hot loops carry ``trace_span``/``add_span`` sites must stay free
         when the registry is fully off."""
-        solver = build_coupled(order=2)
+        solver = gravity_box(order=2)
         met = get_metrics()
 
         met.enable(trace=True)
@@ -199,7 +200,7 @@ class TestChromeTraceExport:
     def test_lts_cluster_slices_colored_by_cluster(self, tmp_path):
         from repro.core.lts import LocalTimeStepping
 
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         lts = LocalTimeStepping(solver)
         met = get_metrics()
         met.enable(trace=True)
@@ -323,7 +324,7 @@ class TestCliAndSession:
 
     def test_obs_session_trace_export(self, tmp_path, capsys):
         path = str(tmp_path / "session.trace.json")
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         obs = ObsSession(trace=path, config={"command": "trace-test"})
         assert obs.active
         obs.start(solver)
@@ -344,7 +345,7 @@ class TestCliAndSession:
 
     def test_trace_composes_with_profile(self, tmp_path, capsys):
         path = str(tmp_path / "both.trace.json")
-        solver = build_coupled(order=1)
+        solver = gravity_box(order=1)
         obs = ObsSession(profile=True, trace=path)
         obs.start(solver)
         solver.step()

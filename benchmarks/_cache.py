@@ -141,7 +141,7 @@ def palu_linked_run():
 
     Returns ``(eq_solver, fault, tracker, swe)``.
     """
-    from repro.tsunami.linking import run_linked_twin
+    from repro.scenarios import run_linked_twin
 
     _print_header("palu linked")
     return run_linked_twin("palu", palu_config(), palu_t_end(), 6 if FAST else 10)
@@ -183,7 +183,7 @@ def scenario_a_coupled_run():
 @lru_cache(maxsize=1)
 def scenario_a_linked_run():
     """Returns ``(eq_solver, fault, tracker, swe)``."""
-    from repro.tsunami.linking import run_linked_twin
+    from repro.scenarios import run_linked_twin
 
     _print_header("scenario A linked")
     return run_linked_twin("scenario_a", scenario_a_config(), scenario_a_t_end(),

@@ -20,8 +20,7 @@ import argparse
 import numpy as np
 
 from repro.analysis.fields import surface_eta_transect
-from repro.scenarios import add_run_args, run, run_options
-from repro.tsunami.linking import run_linked_twin
+from repro.scenarios import add_run_args, run, run_linked_twin, run_options
 
 
 def main(t_end: float = 6.0, backend: str = "serial", workers: int | None = None,

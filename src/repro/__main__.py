@@ -43,8 +43,9 @@ rollback to the last snapshot with timestep backoff.  They also accept
     ``--watch N`` re-renders every N seconds until Ctrl-C (clean exit,
     tolerant of the run dir disappearing mid-watch).  ``--check``
     validates the whole directory — every run log, ``fleet.prom``, every
-    referenced bundle, a ``run_end`` in each finished member's log — and
-    exits non-zero naming each broken file.
+    referenced bundle, a ``run_end`` in each finished member's log and
+    its readable ``result.json`` — and exits non-zero naming each broken
+    file.
     Without ``--watch``, a path that is not a directory prints one line
     to stderr and exits 2.
 ``obs-diagnose BUNDLE [--check]``

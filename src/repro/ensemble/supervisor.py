@@ -44,9 +44,11 @@ returns.
 Supervisor-level events (``member_start`` / ``member_retry`` /
 ``member_quarantined`` / ``member_end`` / ``ensemble_summary``) stream
 into ``<out_dir>/ensemble.jsonl`` (a :class:`~repro.obs.runlog.RunLog`)
-alongside each member's own run log.  The supervisor keeps no metrics:
-the briefs in its events and ``fleet.prom`` are folds of the member logs
-(:mod:`repro.obs.fleet`), the fold ``obs-status`` renders.
+alongside each member's own run log.  The supervisor keeps no metrics
+of its own: the briefs in its events and ``fleet.prom`` come from one
+fold of the run dir's logs (:func:`repro.obs.fleet.fold_run_dir`, the
+fold ``obs-status`` renders), kept across exports so that each export
+parses only the log bytes written since the last.
 """
 
 from __future__ import annotations
@@ -192,6 +194,7 @@ class Supervisor:
         self.out_dir = out_dir
         self.verbose = verbose
         self._last_export = 0.0
+        self._fold = FleetAggregator(out_dir)
 
     # ------------------------------------------------------------------
     def run(self) -> EnsembleResult:
@@ -407,9 +410,8 @@ class Supervisor:
         folded from its run log, for embedding in supervisor run-log
         events — a quarantine record must be diagnosable from the JSONL
         log alone — and equal to its ``obs-status`` row."""
-        agg = FleetAggregator(self.out_dir)
-        fold_member_log(agg, m.spec.member_id, m.paths["runlog"])
-        return agg.member_brief(m.spec.member_id)
+        fold_member_log(self._fold, m.spec.member_id, m.paths["runlog"])
+        return self._fold.member_brief(m.spec.member_id)
 
     def _export_metrics(self, force: bool = False) -> None:
         """Write fleet.prom, the run dir's fold (rate-limited unless forced)."""
@@ -418,9 +420,9 @@ class Supervisor:
             return
         self._last_export = now
         try:
-            agg, _, _ = fold_run_dir(self.out_dir)
-            if agg.members:
-                agg.export()
+            fold_run_dir(self.out_dir, self._fold)
+            if self._fold.members:
+                self._fold.export()
         except OSError:
             pass  # an unwritable exporter must never take down the fleet
 

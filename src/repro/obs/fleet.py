@@ -24,7 +24,8 @@ into *fleet* facts:
   directory's logs alone (supervisor log, member run logs — no live
   process required), one member log at a time through
   :func:`fold_member_log`: the supervisor exports that fold as
-  ``fleet.prom`` and embeds one member's brief in its events;
+  ``fleet.prom`` (folding on from the last export, so it reads each log
+  byte once) and embeds one member's brief in its events;
   :func:`status_rows` / :func:`status_lines` render it as the table
   behind ``python -m repro obs-status RUN_DIR`` and
   :func:`check_run_dir` is its ``--check``: one checker for everything
@@ -42,7 +43,7 @@ from collections import Counter
 
 from ..io.atomic import atomic_open
 from .metrics import METRICS_SCHEMA_VERSION, merge_snapshots
-from .runlog import read_records, validate_jsonl
+from .runlog import read_new_records, validate_jsonl
 
 __all__ = [
     "FLEET_PROM",
@@ -90,6 +91,8 @@ class FleetAggregator:
         #: member -> {"snapshot", "wall", "state", "retries", "step",
         #: "sim_t", "step_wall", "wall_rate"} (last view of each member)
         self.members: dict[str, dict] = {}
+        #: log path -> bytes of it folded so far (:func:`fold_member_log`)
+        self.offsets: dict[str, int] = {}
 
     # -- folding -------------------------------------------------------
     def update(self, member_id: str, snapshot: dict | None = None,
@@ -341,16 +344,24 @@ def _wall(rec: dict) -> float:
     return float(wall) if isinstance(wall, (int, float)) else 0.0
 
 
+def _read_on(agg: FleetAggregator, path: str) -> list:
+    """The records of ``path`` that ``agg`` has not folded yet."""
+    records, agg.offsets[path] = read_new_records(
+        path, agg.offsets.get(path, 0))
+    return records
+
+
 def fold_member_log(agg: FleetAggregator, member_id: str,
                     path: str) -> list:
-    """Fold one member's run log into ``agg``; returns its records.
+    """Fold one member's run log into ``agg``; returns the records folded.
 
     Each heartbeat feeds the member's runner step (and so its rate),
     simulated time and snapshot, ``run_end`` the final step and snapshot.
-    A missing log folds to no records, but the member is listed even
-    before its first beat.
+    Only the records appended since ``agg`` last folded the log are read
+    (all of them, for a fresh aggregator).  A missing log folds to no
+    records, but the member is listed even before its first beat.
     """
-    records, _ = read_records(path)
+    records = _read_on(agg, path)
     agg.update(member_id)
     for rec in records:
         if rec.get("event") in ("heartbeat", "run_end"):
@@ -361,7 +372,8 @@ def fold_member_log(agg: FleetAggregator, member_id: str,
     return records
 
 
-def fold_run_dir(run_dir: str) -> tuple[FleetAggregator, list, dict]:
+def fold_run_dir(run_dir: str, agg: FleetAggregator | None = None
+                 ) -> tuple[FleetAggregator, list, dict]:
     """The fleet fold of an ensemble run directory, plus the records it
     was folded from.
 
@@ -369,11 +381,15 @@ def fold_run_dir(run_dir: str) -> tuple[FleetAggregator, list, dict]:
     count its retries; every terminal state is a ``member_end``), and
     each member's run log is folded by :func:`fold_member_log`.  Returns
     ``(aggregator, supervisor_records, {member: run_log_records})``;
-    works mid-run and post-mortem alike — the supervisor exports it as
-    ``fleet.prom`` while it runs.
+    works mid-run and post-mortem alike.  Given ``agg``, an earlier fold
+    of the same directory, it folds on from where that one stopped and
+    returns the records appended since: the supervisor, which exports the
+    fold as ``fleet.prom`` every few seconds while it runs, parses each
+    log byte once, and its fold equals a fresh one of the same bytes
+    (either way each record is folded once, in log order).
     """
-    agg = FleetAggregator(run_dir)
-    sup, _ = read_records(os.path.join(run_dir, "ensemble.jsonl"))
+    agg = FleetAggregator(run_dir) if agg is None else agg
+    sup = _read_on(agg, os.path.join(run_dir, "ensemble.jsonl"))
     for rec in sup:
         if isinstance(rec.get("member"), str):
             state = (rec.get("status") if rec.get("event") == "member_end"
@@ -447,8 +463,11 @@ def check_run_dir(run_dir: str) -> list[str]:
     written) :func:`validate_prometheus`, and every
     bundle a log references must exist and pass
     :func:`~repro.obs.blackbox.validate_bundle`.  Every finished member's
-    log must hold a ``run_end``.
+    log must hold a ``run_end``, and its ``result.json`` (the digest and
+    summary the ensemble result reads) must pass
+    :func:`~repro.ensemble.worker.load_result`.
     """
+    from ..ensemble.worker import RESULT_NAME, load_result
     from .blackbox import load_bundle, validate_bundle
 
     agg, sup, logs = fold_run_dir(run_dir)
@@ -479,10 +498,15 @@ def check_run_dir(run_dir: str) -> list[str]:
         with open(prom, encoding="utf-8") as fh:
             problems += [f"{prom}: {e}" for e in validate_prometheus(fh.read())]
     for mid, cell in sorted(agg.members.items()):
-        if cell["state"] in ("ok", "recovered") and not any(
-                r.get("event") == "run_end" for r in logs.get(mid, [])):
+        if cell["state"] not in ("ok", "recovered"):
+            continue
+        if not any(r.get("event") == "run_end" for r in logs.get(mid, [])):
             log = os.path.join(run_dir, mid, "run.jsonl")
             problems.append(f"{log}: no run_end record")
+        result = os.path.join(run_dir, mid, RESULT_NAME)
+        if load_result(result) is None:
+            problems.append(f"{result}: unreadable (missing, torn, or "
+                            "without a required key)")
     return problems
 
 

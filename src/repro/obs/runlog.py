@@ -85,6 +85,7 @@ __all__ = [
     "RunLog",
     "run_manifest",
     "read_records",
+    "read_new_records",
     "validate_record",
     "validate_jsonl",
 ]
@@ -292,17 +293,26 @@ def run_manifest(solver=None, config: dict | None = None,
 
 
 # ----------------------------------------------------------------------
-def _decode(path: str) -> tuple[list, bool]:
-    """``([(lineno, value, error), ...], torn)`` for every non-blank line.
+def _decode(path: str, start: int = 0,
+            complete: bool = False) -> tuple[list, bool, int]:
+    """``([(lineno, value, error), ...], torn, end)`` for every non-blank
+    line from byte ``start`` on; ``end`` is the byte offset just past the
+    last newline, where a later read of the lines appended since begins.
 
     ``value`` is the decoded JSON (``None`` with an ``error`` message when
     the line does not decode).  A final line that neither decodes nor
     ends in a newline is the partial record an abrupt kill leaves: it is
-    dropped and reported as ``torn``.  Raises ``OSError`` when the file
-    cannot be read.
+    dropped and reported as ``torn``; ``complete`` drops any final line
+    without its newline (one still being written).  Raises ``OSError``
+    when the file cannot be read.
     """
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        raw = fh.read()
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read()
+    end = start + data.rfind(b"\n") + 1
+    if complete:
+        data = data[:end - start]
+    raw = data.decode("utf-8", errors="replace")
     lines = raw.splitlines()
     out = []
     for lineno, line in enumerate(lines, start=1):
@@ -313,9 +323,9 @@ def _decode(path: str) -> tuple[list, bool]:
             out.append((lineno, json.loads(line), None))
         except json.JSONDecodeError as exc:
             if lineno == len(lines) and not raw.endswith("\n"):
-                return out, True
+                return out, True, end
             out.append((lineno, None, f"invalid JSON: {exc}"))
-    return out, False
+    return out, False, end
 
 
 def read_records(path: str) -> tuple[list[dict], bool]:
@@ -326,13 +336,27 @@ def read_records(path: str) -> tuple[list[dict], bool]:
     mid-record, so a garbled line is skipped, a torn tail is reported in
     the flag, and a missing or unreadable file is empty — never an
     exception.  :func:`validate_jsonl` is the strict view of the same
-    decoding.
+    decoding, :func:`read_new_records` the incremental one.
     """
     try:
-        lines, torn = _decode(path)
+        lines, torn, _ = _decode(path)
     except OSError:
         return [], False
     return [rec for _, rec, _ in lines if isinstance(rec, dict)], torn
+
+
+def read_new_records(path: str, start: int = 0) -> tuple[list[dict], int]:
+    """The complete records appended to a JSONL file since byte ``start``,
+    plus the offset to read on from: a fold that keeps the offset parses
+    each byte of a growing log once.  A line still being written (no
+    newline yet) is left for the next read; a missing or unreadable file
+    has no new records.
+    """
+    try:
+        lines, _, end = _decode(path, start, complete=True)
+    except OSError:
+        return [], start
+    return [rec for _, rec, _ in lines if isinstance(rec, dict)], end
 
 
 def _metrics_payload_errors(snap) -> list[str]:
@@ -412,7 +436,7 @@ def validate_jsonl(path: str) -> dict:
     reported as ``truncated_tail`` instead of failing the whole file.  A
     garbled line anywhere else is an error.
     """
-    lines, torn = _decode(path)
+    lines, torn, _ = _decode(path)
     events: dict[str, int] = {}
     errors: list[tuple[int, str]] = []
     for lineno, rec, error in lines:

@@ -31,7 +31,8 @@ from ..rupture.fault import FaultSolver
 from ..sched import HookBus, Scheduler
 
 __all__ = ["SCENARIOS", "Scenario", "ScenarioHandle", "build", "eta_summary",
-           "fault_solver", "run", "add_run_args", "run_options"]
+           "fault_solver", "run_linked_twin", "run", "add_run_args",
+           "run_options"]
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def build(name: str, overrides: dict | None = None, seed: int = 0, *,
     jitter of ``seed``; ``backend`` / ``workers`` select the execution
     backend (see :mod:`repro.exec`)."""
     row = SCENARIOS[name]
-    module = import_module(f"{__name__}.{row.module}")
+    module = _module(name)
     config = getattr(module, row.config)
     overrides = dict(overrides or {})
     valid = sorted(f.name for f in fields(config))
@@ -91,6 +92,11 @@ def build(name: str, overrides: dict | None = None, seed: int = 0, *,
     rng = None if row.pinned_by in overrides else np.random.default_rng(int(seed))
     return module.build_scenario(config(**overrides), rng, backend=backend,
                                  workers=workers)
+
+
+def _module(name: str):
+    """The submodule holding scenario ``name``, imported on first use."""
+    return import_module(f"{__name__}.{SCENARIOS[name].module}")
 
 
 def eta_summary(solver) -> dict:
@@ -112,6 +118,30 @@ def fault_solver(mesh, marker, tagger, friction, prestress, order: int, *,
     cluster_major(mesh, order)
     return CoupledSolver(mesh, order=order, fault=fault, backend=backend,
                          workers=workers)
+
+
+def run_linked_twin(name: str, cfg, t_end: float, n_snap: int):
+    """The one-way-linked twin of scenario ``name`` (``palu`` or
+    ``scenario_a``, configured by ``cfg``) end to end: build its
+    earthquake-only model, run it to ``n_snap`` equal times recording the
+    surface displacement ``(t, uz)`` at each (and at ``t = 0``), then
+    :func:`~repro.tsunami.linking.run_linked` over the scenario's bed (its
+    module's ``linked_bed(cfg)``: the bed function and the grid spacing).
+    Returns ``(eq_solver, fault, tracker, swe)``."""
+    from ..tsunami.linking import run_linked
+
+    module = _module(name)
+    eq, fault, tracker = module.build_earthquake_only(cfg)
+    snapshots = [(0.0, tracker.uz.copy())]
+    hooks = HookBus()
+    hooks.on_sync(tracker)
+    for i in range(n_snap):
+        Scheduler(eq).run(t_end * (i + 1) / n_snap, hooks=hooks)
+        snapshots.append((eq.t, tracker.uz.copy()))
+    bed, grid_dx = module.linked_bed(cfg)
+    swe = run_linked(bed, cfg.x_extent, cfg.y_extent, tracker, snapshots,
+                     t_end, grid_dx)
+    return eq, fault, tracker, swe
 
 
 # ----------------------------------------------------------------------

@@ -246,5 +246,5 @@ def summarize(solver) -> dict:
 def linked_bed(cfg: PaluConfig):
     """The one-way-linked twin's shallow-water bed — the bay bathymetry
     (Fig. 5 lower row) — and its grid spacing
-    (:func:`repro.tsunami.linking.run_linked_twin`)."""
+    (:func:`repro.scenarios.run_linked_twin`)."""
     return palu_bathymetry(cfg), 150.0

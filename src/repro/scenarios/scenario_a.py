@@ -216,5 +216,5 @@ def build_scenario(cfg: ScenarioAConfig, rng, *, backend="serial",
 
 def linked_bed(cfg: ScenarioAConfig):
     """The one-way-linked twin's shallow-water bed — the flat seafloor —
-    and its grid spacing (:func:`repro.tsunami.linking.run_linked_twin`)."""
+    and its grid spacing (:func:`repro.scenarios.run_linked_twin`)."""
     return (lambda X, Y: np.full_like(X, cfg.seafloor_z)), 250.0

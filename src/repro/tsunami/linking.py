@@ -20,7 +20,7 @@ from ..core.riemann import FaceKind
 from ..kernels.faces import FacePlan, face_points
 
 __all__ = ["SurfaceDisplacementTracker", "BedMotionInterpolator", "link_static_uplift",
-           "run_linked", "run_linked_twin"]
+           "run_linked"]
 
 
 class SurfaceDisplacementTracker:
@@ -151,29 +151,3 @@ def run_linked(bed, x_extent, y_extent, tracker: SurfaceDisplacementTracker,
     swe.set_bed_motion(BedMotionInterpolator(bed(swe.X, swe.Y), times, grids))
     swe.run(t_end)
     return swe
-
-
-def run_linked_twin(scenario: str, cfg, t_end: float, n_snap: int):
-    """The one-way-linked twin of ``scenario`` (``"palu"`` or
-    ``"scenario_a"``, configured by ``cfg``) end to end: build its
-    earthquake-only model, run it to ``n_snap`` equal times recording the
-    surface displacement ``(t, uz)`` at each (and at ``t = 0``), then
-    :func:`run_linked` over the scenario's bed (its ``linked_bed(cfg)``:
-    the bed function and the grid spacing).  Returns ``(eq_solver,
-    fault, tracker, swe)``."""
-    from importlib import import_module
-
-    from ..sched import HookBus, Scheduler
-
-    module = import_module(f"repro.scenarios.{scenario}")
-    eq, fault, tracker = module.build_earthquake_only(cfg)
-    snapshots = [(0.0, tracker.uz.copy())]
-    hooks = HookBus()
-    hooks.on_sync(tracker)
-    for i in range(n_snap):
-        Scheduler(eq).run(t_end * (i + 1) / n_snap, hooks=hooks)
-        snapshots.append((eq.t, tracker.uz.copy()))
-    bed, grid_dx = module.linked_bed(cfg)
-    swe = run_linked(bed, cfg.x_extent, cfg.y_extent, tracker, snapshots, t_end,
-                     grid_dx)
-    return eq, fault, tracker, swe

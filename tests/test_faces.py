@@ -130,7 +130,9 @@ def assert_close(a, b, what):
 class TestOracle:
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize("integrator", ["exact", "rk4"])
-    # the id names the one eta velocity, the Riemann middle state v_n^b
+    # one value, unused by the body: it only keeps the test ids
+    # (``middle-*``) stable now that the middle state v_n^b is the one
+    # eta velocity
     @pytest.mark.parametrize("eta_velocity", ["middle"])
     def test_gravity(self, order, integrator, eta_velocity):
         """The compiled exact step against the oracle integrating the same

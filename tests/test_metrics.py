@@ -23,6 +23,7 @@ import pytest
 from repro.obs.fleet import (
     FLEET_PROM,
     FleetAggregator,
+    fold_run_dir,
     prom_name,
     status_lines,
     status_rows,
@@ -461,6 +462,31 @@ class TestStatusView:
         assert rows["m0"]["state"] == "ok"
         assert rows["m1"]["state"] == "quarantined"
 
+    def test_fold_on_equals_a_fresh_fold(self, tmp_path):
+        """Folding on from an earlier fold reads only the records appended
+        since — a line still being written waits for its newline — and
+        ends where a fresh fold of the same bytes does."""
+        root = self.synthetic_run_dir(tmp_path)
+        agg, _, _ = fold_run_dir(root)
+        assert agg.members["m1"]["step"] == 7  # the torn tail is not read
+        with open(os.path.join(root, "m1", "run.jsonl"), "a") as fh:
+            fh.write('": 1, "seq": 2, "wall": 106.0, "run_id": "r", '
+                     '"step": 9, "sim_t": 0.18}\n')
+        with open(os.path.join(root, "ensemble.jsonl"), "a") as fh:
+            fh.write(json.dumps({
+                "event": "member_end", "seq": 4, "wall": 105.0,
+                "run_id": "s", "member": "m0", "status": "ok",
+                "attempts": 1, "wall_s": 6.0}) + "\n")
+        same, sup, logs = fold_run_dir(root, agg)
+        assert same is agg
+        assert [r["event"] for r in sup] == ["member_end"]
+        assert logs["m0"] == [] and [r["step"] for r in logs["m1"]] == [9]
+        fresh, _, _ = fold_run_dir(root)
+        assert agg.members == fresh.members
+        assert agg.offsets == fresh.offsets
+        assert agg.members["m1"]["step"] == 9
+        assert agg.members["m0"]["state"] == "ok"
+
     def test_lines_render_and_count_states(self, tmp_path):
         lines = status_lines(self.synthetic_run_dir(tmp_path), now=110.0)
         text = "\n".join(lines)
@@ -754,12 +780,11 @@ class TestStatusCheck:
         assert retry["metrics"]["step"] == beats[-1]
 
     def test_fleet_prom_is_the_fold_of_the_logs(self, fleet):
-        """The supervisor keeps no fold of its own: after a kill and a
-        resume, ``fleet.prom`` holds the counter and gauge families a
-        fresh :func:`fold_run_dir` of the logs renders (staleness aside,
-        which depends on when it is rendered)."""
-        from repro.obs.fleet import fold_run_dir
-
+        """The supervisor's fold is the logs' (folded on from export to
+        export): after a kill and a resume, ``fleet.prom`` holds the
+        counter and gauge families a fresh :func:`fold_run_dir` of the
+        logs renders (staleness aside, which depends on when it is
+        rendered)."""
         def families(text):
             return [ln for ln in text.splitlines()
                     if "member_staleness_seconds" not in ln]
@@ -831,6 +856,16 @@ class TestStatusCheck:
         code, out = self.check(run_dir, capsys)
         assert code == 1
         assert f"{log}: no run_end record" in out
+
+    def test_torn_result_file(self, fleet, tmp_path, capsys):
+        """A finished member's ``result.json`` holds the digest and
+        summary the ensemble result reads: a torn one fails the check."""
+        run_dir = self.broken_copy(fleet, tmp_path)
+        result = run_dir / "m0" / "result.json"
+        result.write_text(result.read_text()[:40])
+        code, out = self.check(run_dir, capsys)
+        assert code == 1
+        assert f"{result}: unreadable" in out
 
 
 @pytest.mark.slow

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.riemann import FaceKind
 from repro.obs.runlog import read_records
+from repro.scenarios import run_linked_twin
 from repro.scenarios.palu import PaluConfig, build_coupled as build_palu
 from repro.scenarios.palu import build_earthquake_only as build_palu_eq
 from repro.scenarios.palu import palu_bathymetry
@@ -24,7 +25,6 @@ from repro.scenarios.scenario_a import (
     build_coupled as build_a,
     build_earthquake_only as build_a_eq,
 )
-from repro.tsunami.linking import run_linked_twin
 
 
 def tiny_a_config():

@@ -9,19 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cfl_factor", "element_timesteps"]
+__all__ = ["CFL_SAFETY", "cfl_factor", "element_timesteps"]
+
+#: the safety factor of Eq. 27, fixed by the paper
+CFL_SAFETY = 0.35
 
 
-def cfl_factor(order: int, safety: float = 0.35) -> float:
-    """``C(N) = safety / (2N + 1)``."""
+def cfl_factor(order: int) -> float:
+    """``C(N) = CFL_SAFETY / (2N + 1)``."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    if not 0 < safety <= 1:
-        raise ValueError("safety factor must be in (0, 1]")
-    return safety / (2.0 * order + 1.0)
+    return CFL_SAFETY / (2.0 * order + 1.0)
 
 
-def element_timesteps(mesh, order: int, safety: float = 0.35) -> np.ndarray:
+def element_timesteps(mesh, order: int) -> np.ndarray:
     """Admissible timestep of every element of ``mesh`` at degree ``order``."""
     cp = np.array([m.cp for m in mesh.materials])[mesh.material_ids]
-    return cfl_factor(order, safety) * mesh.insphere_diameter / cp
+    return cfl_factor(order) * mesh.insphere_diameter / cp

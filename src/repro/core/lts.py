@@ -44,9 +44,8 @@ __all__ = ["cluster_elements", "cluster_major", "fault_adjacent",
            "rows_of"]
 
 
-def cluster_elements(
-    mesh, order: int, rate: int = 2, safety: float = 0.35, max_cluster: int | None = None
-):
+def cluster_elements(mesh, order: int, rate: int = 2,
+                     max_cluster: int | None = None):
     """Assign every element to an LTS cluster.
 
     Returns ``(cluster_id, dt_min)`` where cluster ``c`` advances with
@@ -54,7 +53,7 @@ def cluster_elements(
     differing by at most one level and (b) both sides of a dynamic-rupture
     fault face sharing a cluster.
     """
-    dts = element_timesteps(mesh, order, safety)
+    dts = element_timesteps(mesh, order)
     dt_min = float(dts.min())
     cluster = np.floor(np.log(dts / dt_min) / np.log(rate) + 1e-12).astype(np.int64)
     if max_cluster is not None:
@@ -137,7 +136,7 @@ def hilbert_key(points: np.ndarray) -> np.ndarray:
     return key
 
 
-def cluster_major(mesh, order: int, safety: float = 0.35) -> None:
+def cluster_major(mesh, order: int) -> None:
     """Canonicalise a mesh for rate-2 clustered LTS, in place.
 
     The cluster-sorted layout of Breuer & Heinecke (arXiv:2202.10313),
@@ -169,7 +168,7 @@ def cluster_major(mesh, order: int, safety: float = 0.35) -> None:
     after fault marking and boundary tagging and right before the solver
     is built.
     """
-    cluster = cluster_elements(mesh, order, safety=safety)[0]
+    cluster = cluster_elements(mesh, order)[0]
     perm = np.lexsort((hilbert_key(mesh.centroids), ~fault_adjacent(mesh),
                        cluster))
     mesh.renumber_elements(perm)
@@ -286,9 +285,8 @@ class LocalTimeStepping:
     def __init__(self, solver):
         self.solver = solver
         mesh = solver.mesh
-        self.cluster, self.dt_min = cluster_elements(
-            mesh, solver.order, self.rate, solver.cfl_safety
-        )
+        self.cluster, self.dt_min = cluster_elements(mesh, solver.order,
+                                                     self.rate)
         self.cmax = int(self.cluster.max())
         self.n_clusters = self.cmax + 1
         # compiled once: the micro-step loop indexes with these (views

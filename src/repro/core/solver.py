@@ -27,7 +27,7 @@ from ..exec.backend import make_backend
 from ..obs.metrics import get_metrics
 from .ader import taylor_integrate
 from .basis import tet_basis
-from .cfl import element_timesteps
+from .cfl import CFL_SAFETY, element_timesteps
 from .gravity import GravityBoundary
 from .kernels import SpatialOperator
 from .riemann import FaceKind
@@ -188,6 +188,9 @@ def _energy_coefficients(mesh) -> np.ndarray:
 class CoupledSolver:
     """Fully coupled elastic-acoustic ADER-DG solver with gravity.
 
+    The timestep is the Eq. 27 CFL bound at the paper's safety factor
+    :attr:`cfl_safety` = 0.35, a constant.
+
     Parameters
     ----------
     mesh:
@@ -196,8 +199,6 @@ class CoupledSolver:
         Polynomial degree N (paper production runs use N = 5).
     gravity_g:
         Gravitational acceleration for the free-surface condition.
-    cfl_safety:
-        Safety factor in Eq. 27; the paper uses 0.35.
     backend:
         Execution backend: ``"serial"`` (default), ``"partitioned"``, or
         a pre-built :class:`~repro.exec.backend.ExecutionBackend` instance.
@@ -205,12 +206,14 @@ class CoupledSolver:
         Thread-pool size for the partitioned backend.
     """
 
+    #: the safety factor of Eq. 27 (part of the checkpoint fingerprint)
+    cfl_safety = CFL_SAFETY
+
     def __init__(
         self,
         mesh,
         order: int,
         gravity_g: float = 9.81,
-        cfl_safety: float = 0.35,
         fault=None,
         bottom_motion=None,
         flux_variant: str = "exact",
@@ -223,10 +226,9 @@ class CoupledSolver:
         # resolved first so a bad backend spec fails before the expensive
         # operator build; it still *binds* last, see below
         self.backend = make_backend(backend, workers=workers)
-        self.cfl_safety = cfl_safety
         # checked before the backend clusters the mesh and the operator
         # is built: a sliver element fails here, with its name
-        self.dt_elem = element_timesteps(mesh, order, cfl_safety)
+        self.dt_elem = element_timesteps(mesh, order)
         if not np.isfinite(self.dt_elem).all() or self.dt_elem.min() <= 0:
             worst = int(np.argmin(np.where(np.isfinite(self.dt_elem), self.dt_elem, -np.inf)))
             raise ValueError(
@@ -238,7 +240,7 @@ class CoupledSolver:
         self.dt = float(self.dt_elem.min())
         self.op = SpatialOperator(
             mesh, order, flux_variant=flux_variant,
-            blocks=self.backend.blocks(mesh, order, cfl_safety))
+            blocks=self.backend.blocks(mesh, order))
         #: the modal state in the kernels' quantity-major layout
         #: ``(ne, 9, B)``: what the backends and the scheduler step
         self.dofs = self.op.new_state()

@@ -2,8 +2,8 @@
 
 A worker death (kill -9, OOM), hang (heartbeat timeout) or corrupt result
 is not a reason to lose the member — it is a reason to try again, more
-carefully each time.  :class:`RetryPolicy` encodes the escalation ladder
-the ISSUE specifies:
+carefully each time.  :class:`RetryPolicy` encodes the escalation ladder;
+its rungs are class constants and only ``max_retries`` is set per fleet:
 
 1. **exponential backoff with jitter** — retry delays grow
    ``base * factor**(strike-1)``, each multiplied by a *deterministic*
@@ -46,32 +46,29 @@ class RetryDecision:
 
 @dataclass
 class RetryPolicy:
-    """Configurable escalation ladder (see module docstring)."""
+    """The escalation ladder of the module docstring; ``max_retries`` is a
+    field (the CLI's ``--max-retries``), the rungs are class constants."""
 
     #: retries allowed after the first attempt; strike N+1 quarantines
     max_retries: int = 3
     #: base backoff delay in seconds (strike 1)
-    backoff_base: float = 0.25
+    backoff_base = 0.25
     #: growth factor per strike
-    backoff_factor: float = 2.0
+    backoff_factor = 2.0
     #: relative jitter amplitude: delay *= 1 + jitter * u,  u ~ U[0, 1)
-    jitter: float = 0.25
+    jitter = 0.25
     #: hard ceiling on any single delay
-    max_delay_s: float = 30.0
+    max_delay_s = 30.0
     #: strike from which dt is scaled down (1-based)
-    dt_scale_after: int = 2
+    dt_scale_after = 2
     #: per-strike timestep multiplier once escalated
-    dt_backoff: float = 0.5
+    dt_backoff = 0.5
     #: floor for the escalated timestep scale
-    min_dt_scale: float = 0.125
+    min_dt_scale = 0.125
 
     def __post_init__(self):
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if not 0.0 < self.dt_backoff < 1.0:
-            raise ValueError("dt_backoff must be in (0, 1)")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
 
     def decide(self, strikes: int, seed: int = 0) -> RetryDecision:
         """Decision after the ``strikes``-th failure (1-based) of a member.

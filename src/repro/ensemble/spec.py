@@ -44,7 +44,8 @@ class MemberSpec:
     *supervisor* needs to retry it deterministically is here too —
     re-running the same spec produces a bitwise-identical trajectory,
     which is what lets the chaos tests compare recovered members against
-    their uninterrupted twins.
+    their uninterrupted twins.  The worker's watchdog retries are the
+    constant :data:`~repro.ensemble.worker.RUNNER_RETRIES`.
     """
 
     member_id: str
@@ -58,10 +59,6 @@ class MemberSpec:
     #: resume after a worker death); ``None`` checkpoints only at the end
     checkpoint_every: float | None = None
     backend: str = "serial"
-    workers: int | None = None
-    #: the worker's watchdog retries (rollback + dt backoff) per segment;
-    #: distinct from the *supervisor's* process-level RetryPolicy
-    max_retries: int = 2
     #: record a span timeline and export ``trace.json`` into the member
     #: dir — the per-member lane ``obs-trace --merge`` stitches together
     trace: bool = False
@@ -79,7 +76,7 @@ class MemberSpec:
     def build(self) -> ScenarioHandle:
         """Build the member's scenario from the registry."""
         return build(self.builder, self.perturb, self.seed,
-                     backend=self.backend, workers=self.workers)
+                     backend=self.backend)
 
     def without_injector(self) -> "MemberSpec":
         """A copy of this spec with fault injection disabled — the

@@ -68,6 +68,10 @@ RUNLOG_NAME = "run.jsonl"
 CKPT_DIRNAME = "ckpt"
 TRACE_NAME = "trace.json"
 
+#: the watchdog's in-process retries (rollback + dt backoff) per segment;
+#: distinct from the supervisor's process-level RetryPolicy
+RUNNER_RETRIES = 2
+
 #: keys a result file must carry to count as a valid attempt outcome
 REQUIRED_RESULT_KEYS = (
     "member_id", "attempt", "status", "digest", "sim_t", "steps", "wall_s",
@@ -172,7 +176,7 @@ def run_member(
             solver,
             checkpoint_every=spec.checkpoint_every,
             checkpoint_dir=paths["ckpt_dir"],
-            max_retries=spec.max_retries,
+            max_retries=RUNNER_RETRIES,
             injector=spec.injector,
             verbose=False,
             runlog=session.runlog,

@@ -52,7 +52,7 @@ class ExecutionBackend:
 
     name = "abstract"
 
-    def blocks(self, mesh, order: int, cfl_safety: float):
+    def blocks(self, mesh, order: int):
         """Per-element block ids the operator plan orders its interior
         faces by (:class:`~repro.core.kernels.SpatialOperator`
         ``blocks=``), or ``None`` for the mesh's own order.  Called once,

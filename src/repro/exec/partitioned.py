@@ -110,7 +110,7 @@ class PartitionPlan:
         :class:`~repro.core.lts.Rows`) steps; ``None`` steps every block
         (GTS).  The blocks are cut from the clustering
         :class:`~repro.core.lts.LocalTimeStepping` uses (both call
-        :func:`cluster_elements` at the solver's order and CFL safety), so
+        :func:`cluster_elements` at the solver's order), so
         a cluster id names the same elements in both."""
         if rows is None:
             return tuple(self.blocks.values())
@@ -145,11 +145,11 @@ class PartitionedBackend(ExecutionBackend):
         self.halo_exchanges = 0
 
     # ------------------------------------------------------------------
-    def blocks(self, mesh, order: int, cfl_safety: float) -> np.ndarray:
+    def blocks(self, mesh, order: int) -> np.ndarray:
         """Cut the mesh (:func:`cluster_cuts` under Eq. 28 weights) and
         return every element's block, ``cluster * n_parts + part``."""
         n_parts = min(self.n_parts, mesh.n_elements)
-        cluster = cluster_elements(mesh, order, safety=cfl_safety)[0]
+        cluster = cluster_elements(mesh, order)[0]
         parts = cluster_cuts(cluster, eq28_vertex_weights(mesh, cluster),
                              fault_adjacent(mesh), n_parts)
         return cluster * n_parts + parts

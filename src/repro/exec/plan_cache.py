@@ -120,10 +120,10 @@ class OperatorPlan:
 class PlanCache:
     """Thread-safe LRU cache of :class:`OperatorPlan` objects."""
 
-    def __init__(self, max_entries: int = 8):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
+    #: plans kept before the least recently used one is evicted
+    max_entries = 8
+
+    def __init__(self):
         self._plans: OrderedDict[str, OperatorPlan] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0

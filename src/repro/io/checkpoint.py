@@ -315,18 +315,18 @@ def checkpoint_candidates(directory: str) -> list[str]:
 class CheckpointManager:
     """Rotating on-disk checkpoints: ``<dir>/ckpt_<step>.npz``.
 
-    Keeps the ``keep`` most recent archives; older ones are pruned after a
-    successful write (never before, so an interrupted save cannot reduce
-    the number of usable restart points).
+    Keeps the :attr:`keep` most recent archives; older ones are pruned
+    after a successful write (never before, so an interrupted save cannot
+    reduce the number of usable restart points).
     """
 
-    def __init__(self, directory: str, solver, lts=None, keep: int = 3):
-        if keep < 1:
-            raise ValueError("keep must be >= 1")
+    #: archives kept: the newest and two fallbacks should it be unreadable
+    keep = 3
+
+    def __init__(self, directory: str, solver, lts=None):
         self.directory = directory
         self.solver = solver
         self.lts = lts
-        self.keep = keep
 
     def path_for(self, step: int) -> str:
         return os.path.join(self.directory, f"ckpt_{step:010d}.npz")

@@ -153,10 +153,6 @@ class TetMesh:
     def n_elements(self) -> int:
         return len(self.tets)
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
     def element_material(self, e: int) -> Material:
         return self.materials[self.material_ids[e]]
 

@@ -89,7 +89,7 @@ class FleetAggregator:
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         #: member -> {"snapshot", "wall", "state", "retries", "step",
-        #: "sim_t", "step_wall", "wall_rate"} (last view of each member)
+        #: "sim_t", "step_wall", "wall_rate", "verdict"} (last view of each)
         self.members: dict[str, dict] = {}
         #: log path -> bytes of it folded so far (:func:`fold_member_log`)
         self.offsets: dict[str, int] = {}
@@ -115,7 +115,7 @@ class FleetAggregator:
         cell = self.members.setdefault(member_id, {
             "snapshot": None, "wall": 0.0, "state": "unknown", "retries": 0,
             "step": None, "sim_t": None, "step_wall": None,
-            "wall_rate": None})
+            "wall_rate": None, "verdict": None})
         if isinstance(snapshot, dict) and snapshot.get(
                 "schema", METRICS_SCHEMA_VERSION) == METRICS_SCHEMA_VERSION:
             cell["snapshot"] = snapshot
@@ -378,8 +378,9 @@ def fold_run_dir(run_dir: str, agg: FleetAggregator | None = None
     was folded from.
 
     The supervisor log's member events set each member's state (and so
-    count its retries; every terminal state is a ``member_end``), and
-    each member's run log is folded by :func:`fold_member_log`.  Returns
+    count its retries; every terminal state is a ``member_end``) and a
+    ``member_quarantined`` its verdict, and each member's run log is
+    folded by :func:`fold_member_log`.  Returns
     ``(aggregator, supervisor_records, {member: run_log_records})``;
     works mid-run and post-mortem alike.  Given ``agg``, an earlier fold
     of the same directory, it folds on from where that one stopped and
@@ -391,10 +392,14 @@ def fold_run_dir(run_dir: str, agg: FleetAggregator | None = None
     agg = FleetAggregator(run_dir) if agg is None else agg
     sup = _read_on(agg, os.path.join(run_dir, "ensemble.jsonl"))
     for rec in sup:
-        if isinstance(rec.get("member"), str):
-            state = (rec.get("status") if rec.get("event") == "member_end"
-                     else _EVENT_STATES.get(rec.get("event")))
-            agg.update(rec["member"], wall=_wall(rec), state=state)
+        mid, event = rec.get("member"), rec.get("event")
+        if isinstance(mid, str):
+            state = (rec.get("status") if event == "member_end"
+                     else _EVENT_STATES.get(event))
+            agg.update(mid, wall=_wall(rec), state=state)
+            if event == "member_quarantined" and isinstance(
+                    rec.get("verdict"), str):
+                agg.members[mid]["verdict"] = rec["verdict"]
     logs = {}
     for mid in sorted(os.listdir(run_dir)) if os.path.isdir(run_dir) else []:
         path = os.path.join(run_dir, mid, "run.jsonl")
@@ -403,13 +408,14 @@ def fold_run_dir(run_dir: str, agg: FleetAggregator | None = None
     return agg, sup, logs
 
 
-def status_rows(run_dir: str, now: float | None = None) -> list[dict]:
+def status_rows(run_dir: str, now: float | None = None,
+                agg: FleetAggregator | None = None) -> list[dict]:
     """One status dict per member of the ensemble under ``run_dir``: the
     :func:`fold_run_dir` fold's view of it (state, retries,
     :meth:`~FleetAggregator.member_brief`, staleness) plus its black-box
-    verdict."""
+    verdict; ``agg`` is a fold of ``run_dir`` already made."""
     now = time.time() if now is None else now
-    agg, sup, logs = fold_run_dir(run_dir)
+    agg = fold_run_dir(run_dir)[0] if agg is None else agg
     stale = agg.staleness(now)
     rows = []
     for mid, cell in sorted(agg.members.items()):
@@ -421,14 +427,13 @@ def status_rows(run_dir: str, now: float | None = None) -> list[dict]:
                for k in ("step", "sim_t", "wall_rate", "energy_drift")},
             "retries": cell["retries"],
             "stale_s": stale[mid] if cell["wall"] else None,
-            "verdict": _member_verdict(run_dir, mid, cell["state"], sup),
+            "verdict": _member_verdict(run_dir, mid, cell),
         })
     return rows
 
 
-def _member_verdict(run_dir: str, mid: str, state: str,
-                    sup: list) -> str | None:
-    """Black-box verdict of a member in ``state``.
+def _member_verdict(run_dir: str, mid: str, cell: dict) -> str | None:
+    """Black-box verdict of a member whose fold is ``cell``.
 
     A finished ``ok`` or ``recovered`` member has none: the bundles of
     its failed attempts are stale, and stale diagnostics on a healthy
@@ -437,11 +442,9 @@ def _member_verdict(run_dir: str, mid: str, state: str,
     ``retrying`` falls back to classifying the newest
     ``*.blackbox.json`` in its dir (``None`` when it dumped none).
     """
+    state = cell["state"]
     if state == "quarantined":
-        return next((rec["verdict"] for rec in reversed(sup)
-                     if rec.get("member") == mid
-                     and rec.get("event") == "member_quarantined"
-                     and isinstance(rec.get("verdict"), str)), None)
+        return cell["verdict"]
     if state not in ("running", "retrying"):
         return None
     from .blackbox import classify_bundle, load_bundle, newest_bundle
@@ -455,7 +458,7 @@ def _member_verdict(run_dir: str, mid: str, state: str,
         return None
 
 
-def check_run_dir(run_dir: str) -> list[str]:
+def check_run_dir(run_dir: str, fold: tuple | None = None) -> list[str]:
     """Every problem of an ensemble run directory, each naming its file.
 
     ``ensemble.jsonl`` and every member ``run.jsonl`` must pass
@@ -465,12 +468,13 @@ def check_run_dir(run_dir: str) -> list[str]:
     :func:`~repro.obs.blackbox.validate_bundle`.  Every finished member's
     log must hold a ``run_end``, and its ``result.json`` (the digest and
     summary the ensemble result reads) must pass
-    :func:`~repro.ensemble.worker.load_result`.
+    :func:`~repro.ensemble.worker.load_result`.  ``fold`` is a fresh
+    :func:`fold_run_dir` of ``run_dir`` already made.
     """
     from ..ensemble.worker import RESULT_NAME, load_result
     from .blackbox import load_bundle, validate_bundle
 
-    agg, sup, logs = fold_run_dir(run_dir)
+    agg, sup, logs = fold_run_dir(run_dir) if fold is None else fold
     # a member whose worker never started has no run log of its own
     problems = [] if agg.members else [f"{run_dir}: no ensemble members"]
     logged = {os.path.join(run_dir, "ensemble.jsonl"): sup}
@@ -519,10 +523,12 @@ def _cell(value, fmt: str, missing: str = "-") -> str:
         return str(value)
 
 
-def status_lines(run_dir: str, now: float | None = None) -> list[str]:
-    """Render the ``obs-status`` table for one ensemble run directory."""
+def status_lines(run_dir: str, now: float | None = None,
+                 agg: FleetAggregator | None = None) -> list[str]:
+    """Render the ``obs-status`` table for one ensemble run directory
+    (``agg`` as in :func:`status_rows`)."""
     now = time.time() if now is None else now
-    rows = status_rows(run_dir, now=now)
+    rows = status_rows(run_dir, now=now, agg=agg)
     header = (f"  {'member':16} {'state':12} {'step':>8} {'sim_t':>10} "
               f"{'steps/s':>8} {'e-drift':>9} {'retries':>7} {'stale':>7} "
               f"{'verdict':13}")
@@ -548,17 +554,25 @@ def status_lines(run_dir: str, now: float | None = None) -> list[str]:
     return lines
 
 
+def _logs_shrank(agg: FleetAggregator) -> bool:
+    """Whether a log ``agg`` folded is gone or shorter than it read."""
+    return any((os.path.getsize(path) if os.path.isfile(path) else 0) < end
+               for path, end in agg.offsets.items())
+
+
 def watch_status(run_dir: str, interval: float | None = None,
                  iterations: int | None = None, stream=None,
                  check: bool = False) -> int:
     """``obs-status`` driver: render once, or every ``interval`` seconds.
 
-    Watch mode must behave like ``tail -f`` on a live run: Ctrl-C at any
-    point (mid-render included) exits cleanly with status 0, and a run
-    dir or exporter file disappearing between renders — members being
-    cleaned up, an NFS blip — shows up as a placeholder row on the next
-    render instead of a traceback.  ``iterations`` bounds the number of
-    renders (for tests).  ``check`` renders once, then lists every
+    Watch mode must behave like ``tail -f`` on a live run: each render
+    folds on from the previous one, as the supervisor's export does, so
+    each log byte is parsed once; Ctrl-C at any point (mid-render
+    included) exits cleanly with status 0; and a run dir or log
+    disappearing or shrinking between renders — members being cleaned
+    up, an NFS blip — is folded afresh, and shows up as a placeholder row
+    instead of a traceback.  ``iterations`` bounds the number of renders
+    (for tests).  ``check`` folds once, renders, then lists every
     :func:`check_run_dir` problem and exits 1 when there is one.  A single
     render or check of a path that is not a directory prints one line to
     stderr and returns 2.
@@ -568,17 +582,22 @@ def watch_status(run_dir: str, interval: float | None = None,
         print(f"obs-status: {run_dir}: not a directory", file=sys.stderr)
         return 2
     if check:
-        problems = check_run_dir(run_dir)
+        fold = fold_run_dir(run_dir)
+        problems = check_run_dir(run_dir, fold)
         verdict = "INVALID" if problems else "OK"
-        for line in (status_lines(run_dir) + problems
+        for line in (status_lines(run_dir, agg=fold[0]) + problems
                      + [f"{run_dir}: {len(problems)} problem(s) -> {verdict}"]):
             print(line, file=out)
         return 1 if problems else 0
+    agg = None
     n = 0
     try:
         while True:
             try:
-                lines = status_lines(run_dir)
+                if agg is None or _logs_shrank(agg):
+                    agg = FleetAggregator(run_dir)
+                fold_run_dir(run_dir, agg)
+                lines = status_lines(run_dir, agg=agg)
             except OSError as exc:  # defense in depth: stay watching
                 lines = [f"== fleet status: {run_dir} ==",
                          f"  (status unavailable: {exc})"]

@@ -65,10 +65,6 @@ __all__ = [
 #: process: run logs, fleet aggregates)
 METRICS_SCHEMA_VERSION = 1
 
-#: default span-buffer capacity: ~60 bytes/span -> tens of MB at worst
-DEFAULT_TRACE_CAPACITY = 1_000_000
-
-
 class _NullPhase:
     """Shared do-nothing context manager: the disabled fast path."""
 
@@ -139,12 +135,12 @@ class TraceBuffer:
     lanes without storing a string per span.
     """
 
-    __slots__ = ("capacity", "dropped", "_spans", "_threads", "_lock")
+    __slots__ = ("dropped", "_spans", "_threads", "_lock")
 
-    def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY):
-        if capacity < 1:
-            raise ValueError("trace capacity must be >= 1")
-        self.capacity = int(capacity)
+    #: spans kept: ~60 bytes/span -> tens of MB at worst
+    capacity = 1_000_000
+
+    def __init__(self):
         self.dropped = 0
         self._spans: list[tuple] = []
         self._threads: dict[int, str] = {}
@@ -194,12 +190,11 @@ class MetricRegistry:
         self._trace: TraceBuffer | None = None
 
     # -- lifecycle ------------------------------------------------------
-    def enable(self, trace: bool = False,
-               trace_capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
+    def enable(self, trace: bool = False) -> None:
         """Switch recording on; ``trace=True`` also records per-call spans
         into a fresh bounded :class:`TraceBuffer` (``trace=False`` drops
         any previous buffer — trace mode is decided per enable)."""
-        self._trace = TraceBuffer(trace_capacity) if trace else None
+        self._trace = TraceBuffer() if trace else None
         self.enabled = True
 
     def disable(self) -> None:
@@ -215,7 +210,7 @@ class MetricRegistry:
             self._gauges.clear()
             self._phases.clear()
             if self._trace is not None:
-                self._trace = TraceBuffer(self._trace.capacity)
+                self._trace = TraceBuffer()
 
     def clear(self) -> None:
         """Back to a new registry's state: off, empty, no span buffer and

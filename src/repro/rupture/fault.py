@@ -124,21 +124,16 @@ class FaultSolver:
         Background fault tractions (the nucleation asperity lives here).
     n_time_nodes:
         Gauss-Legendre nodes per ADER window (default: order + 1).
-    rupture_threshold:
-        Slip-rate threshold [m/s] defining the rupture front arrival time.
     """
 
-    def __init__(
-        self,
-        friction,
-        prestress: Prestress,
-        n_time_nodes: int | None = None,
-        rupture_threshold: float = 1e-3,
-    ):
+    #: slip-rate threshold [m/s] defining the rupture front arrival time
+    rupture_threshold = 1e-3
+
+    def __init__(self, friction, prestress: Prestress,
+                 n_time_nodes: int | None = None):
         self.friction = friction
         self.prestress = prestress
         self.n_time_nodes = n_time_nodes
-        self.rupture_threshold = rupture_threshold
         self._bound = False
 
     # ------------------------------------------------------------------

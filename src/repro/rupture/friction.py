@@ -92,8 +92,9 @@ class RateStateFastVelocityWeakening:
     Vw: float | np.ndarray = 0.1
     fw: float | np.ndarray = 0.1
     Vini: float = 1e-16
-    newton_tol: float = 1e-10
-    newton_maxit: int = 50
+    #: Newton stopping rule of :meth:`solve` (class constants, not fields)
+    newton_tol = 1e-10
+    newton_maxit = 50
 
     def initial_state(self, n: int) -> np.ndarray:
         """Steady-state psi at the (tiny) initial creep velocity."""

@@ -223,7 +223,7 @@ def build_earthquake_only(cfg: PaluConfig | None = None, backend="serial",
         return tags
 
     solver = _fault_solver(cfg, mesh, bathy, tagger, backend, workers)
-    return solver, solver.fault, SurfaceDisplacementTracker(solver, upward_only=True)
+    return solver, solver.fault, SurfaceDisplacementTracker(solver)
 
 
 def build_scenario(cfg: PaluConfig, rng, *, backend="serial",

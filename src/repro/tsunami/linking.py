@@ -37,18 +37,15 @@ class SurfaceDisplacementTracker:
         The 3D solver (typically an earthquake-only model whose top surface
         is a traction-free boundary).
     kinds:
-        Which boundary kinds to monitor (default: free surface).
-    upward_only:
-        Keep only faces whose outward normal points up (the surface).
+        Which boundary kinds to monitor (default: free surface); of
+        those, only faces whose outward normal points up are kept.
     """
 
-    def __init__(self, solver, kinds=(FaceKind.FREE_SURFACE,), upward_only=True):
+    def __init__(self, solver, kinds=(FaceKind.FREE_SURFACE,)):
         self.solver = solver
         bnd = solver.mesh.boundary
-        mask = np.isin(bnd.kind, [k.value for k in kinds])
-        if upward_only:
-            mask &= bnd.normal[:, 2] > 0.5
-        self.face_ids = np.flatnonzero(mask)
+        self.face_ids = np.flatnonzero(
+            np.isin(bnd.kind, [k.value for k in kinds]) & (bnd.normal[:, 2] > 0.5))
         if self.face_ids.size == 0:
             raise ValueError("no boundary faces matched the tracker selection")
         self.elem = bnd.elem[self.face_ids]
@@ -59,7 +56,6 @@ class SurfaceDisplacementTracker:
         self.uz = np.zeros((len(self.face_ids), ref.n_face_points))
         self._t_last = solver.t
         self._vz_last = self._surface_vz()
-        self.history: list[tuple[float, np.ndarray]] = []
 
     def __call__(self, solver) -> None:
         """Callback: trapezoidal time integration of the surface v_z."""
@@ -73,10 +69,6 @@ class SurfaceDisplacementTracker:
 
     def _surface_vz(self) -> np.ndarray:
         return self.plan.trace(self.solver.Q[:, :, 8:])[:, :, 0]
-
-    def record_snapshot(self) -> None:
-        """Store (t, uz) for later time-dependent bed reconstruction."""
-        self.history.append((self.solver.t, self.uz.copy()))
 
     def snapshot_grid(self, xs: np.ndarray, ys: np.ndarray, uz=None) -> np.ndarray:
         """Bilinear interpolation of uz onto cell centers of a uniform grid.

@@ -40,11 +40,12 @@ class ShallowWaterSolver:
         where ``b < 0``.
     g:
         Gravitational acceleration.
-    h_dry:
-        Depth threshold below which a cell is treated as dry.
     boundary:
         ``"outflow"`` (zero-gradient) or ``"wall"`` (reflective).
     """
+
+    #: depth [m] at or below which a cell is treated as dry
+    h_dry = 1e-3
 
     def __init__(
         self,
@@ -52,7 +53,6 @@ class ShallowWaterSolver:
         ys: np.ndarray,
         bed,
         g: float = 9.81,
-        h_dry: float = 1e-3,
         boundary: str = "outflow",
     ):
         xs = np.asarray(xs, dtype=float)
@@ -69,7 +69,6 @@ class ShallowWaterSolver:
         self.yc = 0.5 * (ys[:-1] + ys[1:])
         self.nx, self.ny = len(self.xc), len(self.yc)
         self.g = g
-        self.h_dry = h_dry
         self.boundary = boundary
 
         X, Y = np.meshgrid(self.xc, self.yc, indexing="ij")

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.materials import acoustic, elastic
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
+from repro.ensemble.retry import RetryPolicy
 from repro.mesh.generators import layered_ocean_mesh
 
 try:
@@ -43,6 +44,26 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def shrink(monkeypatch):
+    """Lower class constants for one test, e.g. ``shrink(CheckpointManager,
+    keep=2)``: the production sizes (3 rotations, 10^6 trace spans) take
+    too long to fill in a test."""
+    def set_constants(cls, **values):
+        for name, value in values.items():
+            assert hasattr(cls, name), name
+            monkeypatch.setattr(cls, name, value)
+    return set_constants
+
+
+class FastRetry(RetryPolicy):
+    """The ensemble retry ladder with its backoff shortened to 10-20 ms, so
+    a test's retries do not sleep."""
+
+    backoff_base = 0.01
+    max_delay_s = 0.02
+
+
 def random_unit_vector(rng):
     """Uniformly random unit vector (face normal / rotation axis)."""
     while True:
@@ -69,18 +90,35 @@ def random_material(rng, kind=None):
     return elastic(rho, cp, float(rng.uniform(0.3, 0.65)) * cp)
 
 
+def ocean_box_mesh(xs, bottom, seafloor, layers=(2, 1), *, ys=None,
+                   earth=None, ocean=None, periodic=False):
+    """An untagged box on the ``xs`` x ``ys`` (default ``xs``) columns:
+    crust ``earth`` (default rock, cp 6000) from ``bottom`` to
+    ``seafloor`` under ocean ``ocean`` (default water, c 1500) up to
+    z = 0, in ``layers`` = (crust, ocean) element layers; ``periodic``
+    glues the opposite lateral sides."""
+    ys = xs if ys is None else ys
+    mesh = layered_ocean_mesh(
+        xs, ys,
+        zs_earth=np.linspace(bottom, seafloor, layers[0] + 1),
+        zs_ocean=np.linspace(seafloor, 0.0, layers[1] + 1),
+        earth=elastic(2700.0, 6000.0, 3464.0) if earth is None else earth,
+        ocean=acoustic(1000.0, 1500.0) if ocean is None else ocean,
+    )
+    if periodic:
+        mesh.glue_periodic(np.array([xs[-1] - xs[0], 0, 0]))
+        mesh.glue_periodic(np.array([0, ys[-1] - ys[0], 0]))
+    return mesh
+
+
 def gravity_box_mesh(crust=(2700.0, 4000.0, 2300.0), ocean_cp=1500.0):
     """The test rig's mesh: a 2 km x 2 km box of 3 x 3 columns, two crust
     layers (``crust`` is its ``(rho, cp, cs)``) from -1500 m to -500 m
     under one 500 m ocean layer (sound speed ``ocean_cp``) topped by a
     gravity free surface."""
-    xs = np.linspace(0.0, 2000.0, 4)
-    mesh = layered_ocean_mesh(
-        xs, xs,
-        zs_earth=np.linspace(-1500.0, -500.0, 3),
-        zs_ocean=np.linspace(-500.0, 0.0, 2),
-        earth=elastic(*crust), ocean=acoustic(1000.0, ocean_cp),
-    )
+    mesh = ocean_box_mesh(np.linspace(0.0, 2000.0, 4), -1500.0, -500.0,
+                          earth=elastic(*crust),
+                          ocean=acoustic(1000.0, ocean_cp))
     mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
     return mesh
 

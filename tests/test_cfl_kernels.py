@@ -25,8 +25,6 @@ class TestCFL:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             cfl_factor(-1)
-        with pytest.raises(ValueError):
-            cfl_factor(2, safety=0.0)
 
     def test_timestep_scales_with_wave_speed(self):
         xs = np.linspace(0, 1000.0, 3)

@@ -177,9 +177,10 @@ class TestStoredFormat:
 
 
 class TestManager:
-    def test_rotation_keeps_newest(self, tmp_path):
+    def test_rotation_keeps_newest(self, tmp_path, shrink):
+        shrink(CheckpointManager, keep=2)
         solver = gravity_box()
-        mgr = CheckpointManager(str(tmp_path), solver, keep=2)
+        mgr = CheckpointManager(str(tmp_path), solver)
         for step in (10, 20, 30):
             mgr.save(step)
         names = sorted(os.listdir(tmp_path))
@@ -318,7 +319,7 @@ class TestCorruptFallback:
 
     def _two_rotations(self, tmp_path):
         solver = gravity_box()
-        mgr = CheckpointManager(str(tmp_path), solver, keep=3)
+        mgr = CheckpointManager(str(tmp_path), solver)
         Scheduler(solver).run(0.05)
         mgr.save(10)
         good_state = capture_state(solver)
@@ -359,7 +360,7 @@ class TestCorruptFallback:
 
     def test_fingerprint_mismatch_still_raises_strict(self, tmp_path):
         solver = gravity_box(order=2)
-        CheckpointManager(str(tmp_path), solver, keep=3).save(10)
+        CheckpointManager(str(tmp_path), solver).save(10)
         other = CoupledSolver(solver.mesh, order=1)
         # damaged files are a fallback case; a *foreign* checkpoint is not
         with pytest.raises(CheckpointError, match="different problem"):
@@ -383,7 +384,7 @@ class TestCorruptFallback:
 
     def test_candidates_sorted_newest_first(self, tmp_path):
         solver = gravity_box()
-        mgr = CheckpointManager(str(tmp_path), solver, keep=5)
+        mgr = CheckpointManager(str(tmp_path), solver)
         for step in (5, 30, 10):
             mgr.save(step)
         steps = [int(os.path.basename(p)[5:-4])

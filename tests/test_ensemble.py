@@ -55,6 +55,8 @@ from repro.obs.runlog import (
 from repro.sched import Scheduler
 from repro.scenarios import SCENARIOS, build
 
+from .conftest import FastRetry
+
 #: smallest useful member: 27-element coupled mesh, ~25 steps
 TINY = dict(builder="quickstart", perturb={"n_x": 4}, t_end=0.12,
             checkpoint_every=0.03)
@@ -94,15 +96,13 @@ class TestRetryPolicy:
         assert pol.decide(2, seed=12).delay_s != a.delay_s
 
     def test_backoff_grows_and_caps(self):
-        pol = RetryPolicy(max_retries=20, backoff_base=0.5, jitter=0.0,
-                          max_delay_s=4.0)
-        delays = [pol.decide(s, seed=0).delay_s for s in range(1, 8)]
+        pol = RetryPolicy(max_retries=20)
+        delays = [pol.decide(s, seed=0).delay_s for s in range(1, 12)]
         assert delays == sorted(delays)
-        assert delays[0] == pytest.approx(0.5)
-        assert delays[-1] == 4.0
+        assert delays[-1] == pol.max_delay_s == 30.0
 
     def test_escalation_ladder(self):
-        pol = RetryPolicy(max_retries=4, dt_scale_after=2, dt_backoff=0.5)
+        pol = RetryPolicy(max_retries=4)
         # strike 1: resume, but full dt — keeps single-fault recoveries
         # bitwise identical to the uninterrupted run
         d1 = pol.decide(1, seed=0)
@@ -114,15 +114,14 @@ class TestRetryPolicy:
         assert not pol.decide(5, seed=0).retry
 
     def test_dt_scale_floor(self):
-        pol = RetryPolicy(max_retries=50, min_dt_scale=0.25)
-        assert pol.decide(40, seed=0).dt_scale == 0.25
+        pol = RetryPolicy(max_retries=50)
+        assert pol.decide(40, seed=0).dt_scale == pol.min_dt_scale == 0.125
 
     def test_jitter_bounded(self):
-        pol = RetryPolicy(backoff_base=1.0, backoff_factor=1.0, jitter=0.25,
-                          max_delay_s=100.0)
+        pol = RetryPolicy()
         for seed in range(20):
             d = pol.decide(1, seed=seed).delay_s
-            assert 1.0 <= d <= 1.25
+            assert 0.25 <= d <= 0.25 * 1.25
 
 
 class TestSpecRegistry:
@@ -300,8 +299,7 @@ class TestSupervisorInProcess:
     deaths and diverged attempts."""
 
     def run_ensemble(self, specs, tmp_path, **kw):
-        kw.setdefault("retry", RetryPolicy(max_retries=2, backoff_base=0.01,
-                                           max_delay_s=0.02))
+        kw.setdefault("retry", FastRetry(max_retries=2))
         kw.setdefault("member_timeout", 60.0)
         sup = Supervisor(specs, workers=1, out_dir=str(tmp_path), **kw)
         return sup.run()
@@ -313,7 +311,7 @@ class TestSupervisorInProcess:
         ckpt_dir = os.path.join(str(tmp_path / "chaos"), "m0", "ckpt")
         garbled = []
 
-        class GarbleNewest(RetryPolicy):
+        class GarbleNewest(FastRetry):
             def decide(self, strikes, seed=0):
                 newest = checkpoint_candidates(ckpt_dir)[0]
                 with open(newest, "wb") as f:
@@ -322,8 +320,7 @@ class TestSupervisorInProcess:
                 return super().decide(strikes, seed)
 
         spec = tiny_spec(injector=FaultInjector().kill_process(at_step=20))
-        policy = GarbleNewest(max_retries=2, backoff_base=0.01,
-                              max_delay_s=0.02)
+        policy = GarbleNewest(max_retries=2)
         result = self.run_ensemble([spec], tmp_path / "chaos", retry=policy)
         twin = run_member(spec.without_injector(), str(tmp_path / "twin"))
         m = result.members[0]
@@ -381,7 +378,7 @@ class TestSupervisorInProcess:
     def test_persistent_nan_quarantines_as_nan_origin(self, tmp_path):
         # a diverging member's quarantine record carries the flight
         # recorder's verdict and a bundle path that localizes the NaN
-        spec = tiny_spec(max_retries=0, injector=FaultInjector()
+        spec = tiny_spec(injector=FaultInjector()
                          .corrupt_state(3, persistent=True))
         result = self.run_ensemble([spec], tmp_path)
         m = result.members[0]
@@ -404,7 +401,7 @@ class TestSupervisorInProcess:
         same records: run-log shaped, each naming its ``event``, each
         run-log event valid against the one schema."""
         specs = [
-            tiny_spec("nan", max_retries=0, injector=FaultInjector()
+            tiny_spec("nan", injector=FaultInjector()
                       .corrupt_state(3, persistent=True)),
             tiny_spec("kill", injector=FaultInjector().kill_process(
                 at_step=10)),
@@ -424,7 +421,7 @@ class TestSupervisorInProcess:
         assert kinds == {"nan": {"diverged"}, "kill": {"supervisor"}}
 
     def test_quarantine_events_carry_verdict_and_bundle(self, tmp_path):
-        spec = tiny_spec(max_retries=0, injector=FaultInjector()
+        spec = tiny_spec(injector=FaultInjector()
                          .corrupt_state(3, persistent=True))
         self.run_ensemble([spec], tmp_path)
         log_path = os.path.join(str(tmp_path), "ensemble.jsonl")
@@ -511,8 +508,7 @@ class TestStartFailure:
                             no_start)
         specs = [tiny_spec(f"m{k}", seed=k) for k in range(2)]
         result = Supervisor(specs, workers=2, out_dir=str(tmp_path),
-                            retry=RetryPolicy(max_retries=2, backoff_base=0.01,
-                                              max_delay_s=0.02)).run()
+                            retry=FastRetry(max_retries=2)).run()
         assert result.counts == {"ok": 0, "recovered": 0, "quarantined": 2}
         for m in result.members:
             assert m.attempts == 3 and len(m.history) == 3  # 1 + max_retries
@@ -565,7 +561,7 @@ class TestSimulatedFaultPlumbing:
 class TestSupervisorMultiprocess:
     """The chaos matrix over real worker processes."""
 
-    RETRY = RetryPolicy(max_retries=2, backoff_base=0.05, max_delay_s=0.2)
+    RETRY = FastRetry(max_retries=2)
 
     def run_ensemble(self, specs, out_dir, **kw):
         kw.setdefault("retry", self.RETRY)

@@ -888,7 +888,7 @@ class TestPlanCacheInvalidation:
         quadrature-form kernels read."""
         clear_plan_cache()
         solver = gravity_box(order=2, backend="partitioned", workers=2)
-        blocks = solver.backend.blocks(solver.mesh, 2, solver.cfl_safety)
+        blocks = solver.backend.blocks(solver.mesh, 2)
         plan = get_plan_cache().get(plan_key(solver.mesh, 2, "exact", blocks))
         assert not hasattr(plan, "star")
         assert solver.op.interior_groups is plan.interior_groups

@@ -66,16 +66,6 @@ class TestTracker:
         with pytest.raises(ValueError):
             SurfaceDisplacementTracker(s, kinds=(FaceKind.GRAVITY_FREE_SURFACE,))
 
-    def test_record_snapshot_history(self):
-        s = surface_solver()
-        tr = SurfaceDisplacementTracker(s)
-        tr.record_snapshot()
-        s.step(0.01)
-        tr(s)
-        tr.record_snapshot()
-        assert len(tr.history) == 2
-        assert tr.history[0][0] == 0.0
-
 
 class TestBedMotion:
     def test_interpolates_linearly(self):

@@ -13,16 +13,17 @@ from repro.core.lts import (
     hilbert_key,
     lts_statistics,
 )
-from repro.core.materials import acoustic, elastic
+from repro.core.materials import elastic
 from repro.core.riemann import FaceKind
 from repro.core.solver import CoupledSolver
 from repro.ensemble.spec import get_builder
 from repro.exec import PartitionedBackend, mesh_fingerprint
 from repro.kernels import fusion
 from repro.kernels.fusion import row_set
-from repro.mesh.generators import box_mesh, layered_ocean_mesh
+from repro.mesh.generators import box_mesh
 from repro.sched import Scheduler
 
+from .conftest import ocean_box_mesh
 from tests.test_sched import assert_face_selections_are_views
 
 ROCK1 = elastic(1.0, 2.0, 1.0)
@@ -55,12 +56,7 @@ class TestClustering:
     def test_material_contrast_splits_clusters(self):
         """Ocean (slow) over rock (fast): wave-speed contrast drives LTS,
         the acoustic layer getting the larger timestep (paper Sec. 4.4)."""
-        water = acoustic(1000.0, 1500.0)
-        rock = elastic(2700.0, 6000.0, 3464.0)
-        xs = np.linspace(0, 4000.0, 5)
-        m = layered_ocean_mesh(
-            xs, xs, np.linspace(-3000.0, -1000.0, 3), np.linspace(-1000.0, 0.0, 3), rock, water
-        )
+        m = ocean_box_mesh(np.linspace(0, 4000.0, 5), -3000.0, -1000.0, (2, 2))
         cl, _ = cluster_elements(m, 2)
         ac = m.is_acoustic_elem
         # same element size, cp ratio 4 => acoustic elements 2 clusters higher
@@ -136,17 +132,9 @@ class TestLTSDriver:
     def test_gravity_with_lts_matches_gts(self):
         """Coupled ocean-earth with gravity surface: LTS == GTS (within
         high-order accuracy)."""
-        water = acoustic(1000.0, 1500.0)
-        rock = elastic(2700.0, 6000.0, 3464.0)
-        xs = np.linspace(0, 2000.0, 3)
-        ys = np.linspace(0, 1000.0, 2)
-
         def build():
-            m = layered_ocean_mesh(
-                xs, ys, np.linspace(-2000.0, -500.0, 3), np.linspace(-500.0, 0.0, 2), rock, water
-            )
-            m.glue_periodic(np.array([2000.0, 0, 0]))
-            m.glue_periodic(np.array([0, 1000.0, 0]))
+            m = ocean_box_mesh(np.linspace(0, 2000.0, 3), -2000.0, -500.0,
+                               ys=np.linspace(0, 1000.0, 2), periodic=True)
 
             def tagger(cent, nrm):
                 tags = np.full(len(cent), FaceKind.WALL.value)
@@ -248,11 +236,7 @@ class TestClusterMajorLayout:
         assert mesh_fingerprint(m) == fingerprint
 
     def test_fault_adjacent_elements_lead_their_cluster(self):
-        crust = elastic(2700.0, 6000.0, 3464.0)
-        xs = np.linspace(-1500.0, 1500.0, 5)
-        m = layered_ocean_mesh(
-            xs, xs, np.linspace(-3000.0, -1000.0, 3),
-            np.linspace(-1000.0, 0.0, 2), crust, acoustic(1000.0, 1500.0))
+        m = ocean_box_mesh(np.linspace(-1500.0, 1500.0, 5), -3000.0, -1000.0)
         m.mark_fault(lambda c, n: (np.abs(n[:, 0]) > 0.99)
                      & (np.abs(c[:, 0]) < 1e-6) & (c[:, 2] < -1000.0))
         cluster_major(m, 1)
@@ -291,11 +275,7 @@ class TestClusterMajorLayout:
         assert np.array_equal(hilbert_key(stretched), hilbert_key(g))
 
     def test_max_cluster_keeps_contiguity(self):
-        xs = np.linspace(0, 3000.0, 5)
-        m = layered_ocean_mesh(
-            xs, xs, np.linspace(-3000.0, -1000.0, 3),
-            np.linspace(-1000.0, 0.0, 2), elastic(2700.0, 6000.0, 3464.0),
-            acoustic(1000.0, 1500.0))
+        m = ocean_box_mesh(np.linspace(0, 3000.0, 5), -3000.0, -1000.0)
         cluster_major(m, 2)
         full, _ = cluster_elements(m, 2)
         assert full.max() >= 2

@@ -20,6 +20,7 @@ import threading
 
 import pytest
 
+from repro.obs import fleet
 from repro.obs.fleet import (
     FLEET_PROM,
     FleetAggregator,
@@ -36,9 +37,9 @@ from repro.obs.metrics import (
     get_metrics,
     merge_snapshots,
 )
-from repro.obs.runlog import read_records
+from repro.obs.runlog import read_new_records, read_records
 
-from .conftest import gravity_box
+from .conftest import FastRetry, gravity_box
 from tests.test_obs import disabled_step_overhead
 
 
@@ -487,6 +488,56 @@ class TestStatusView:
         assert agg.members["m1"]["step"] == 9
         assert agg.members["m0"]["state"] == "ok"
 
+    def test_watch_folds_on_and_check_folds_once(self, tmp_path,
+                                                  monkeypatch):
+        """A watch's next render reads each log from where the last one
+        stopped, and folds afresh once a log is shorter than that;
+        ``--check`` folds the run dir once."""
+        root = self.synthetic_run_dir(tmp_path)
+        m0_log = os.path.join(root, "m0", "run.jsonl")
+        reads = []
+
+        def spy(path, start=0):
+            records, end = read_new_records(path, start)
+            reads.append((path, start, end))
+            return records, end
+
+        def beat(step):
+            with open(m0_log, "a") as fh:
+                fh.write(json.dumps({"event": "heartbeat", "seq": 9,
+                                     "wall": 108.0, "run_id": "r",
+                                     "step": step, "sim_t": 1.2}) + "\n")
+
+        def between_renders(_seconds):
+            if len(reads) == 3:  # after the first render: m0 beats
+                beat(60)
+            else:  # after the second: m0's log is rewritten, shorter
+                with open(m0_log, "w"):
+                    pass
+                beat(61)
+
+        monkeypatch.setattr(fleet, "read_new_records", spy)
+        monkeypatch.setattr(fleet.time, "sleep", between_renders)
+        buf = io.StringIO()
+        assert watch_status(root, interval=1.0, iterations=3,
+                            stream=buf) == 0
+        first, second, third = reads[:3], reads[3:6], reads[6:]
+        assert [start for _, start, _ in first] == [0, 0, 0]
+        assert [(path, start) for path, start, _ in second] == \
+            [(path, end) for path, _, end in first]
+        assert all(end > 0 for _, _, end in first)
+        assert [start for _, start, _ in third] == [0, 0, 0]
+        tables = buf.getvalue().split("== fleet status")[1:]
+        steps = [re.search(r"\n  m0 +\w+ +(\d+)", t).group(1) for t in tables]
+        assert steps == ["40", "60", "61"]
+
+        folds = []
+        fold = fleet.fold_run_dir
+        monkeypatch.setattr(fleet, "fold_run_dir",
+                            lambda *a: folds.append(a) or fold(*a))
+        watch_status(root, check=True, stream=io.StringIO())
+        assert len(folds) == 1
+
     def test_lines_render_and_count_states(self, tmp_path):
         lines = status_lines(self.synthetic_run_dir(tmp_path), now=110.0)
         text = "\n".join(lines)
@@ -598,11 +649,10 @@ class TestEnsembleFleetMetrics:
                 for k in range(n)]
 
     def run_ensemble(self, specs, out_dir):
-        from repro.ensemble import RetryPolicy, Supervisor
+        from repro.ensemble import Supervisor
 
         sup = Supervisor(specs, workers=2, out_dir=str(out_dir),
-                         retry=RetryPolicy(max_retries=1, backoff_base=0.01,
-                                           max_delay_s=0.02),
+                         retry=FastRetry(max_retries=1),
                          member_timeout=60.0)
         return sup.run()
 
@@ -728,7 +778,7 @@ class TestStatusCheck:
         import dataclasses
 
         from repro.core.health.inject import FaultInjector
-        from repro.ensemble import MemberSpec, RetryPolicy, Supervisor
+        from repro.ensemble import MemberSpec, Supervisor
 
         out = tmp_path_factory.mktemp("fleet")
         specs = [MemberSpec(member_id=f"m{k}", builder="quickstart",
@@ -737,8 +787,7 @@ class TestStatusCheck:
         specs[1] = dataclasses.replace(
             specs[1], injector=FaultInjector().kill_process(at_step=10))
         Supervisor(specs, workers=2, out_dir=str(out),
-                   retry=RetryPolicy(max_retries=1, backoff_base=0.01,
-                                     max_delay_s=0.02),
+                   retry=FastRetry(max_retries=1),
                    member_timeout=60.0).run()
         return out
 

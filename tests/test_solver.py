@@ -9,10 +9,10 @@ from repro.core.health import total_energy
 from repro.core.materials import acoustic, elastic
 from repro.core.riemann import FaceKind
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
-from repro.mesh.generators import box_mesh, layered_ocean_mesh
+from repro.mesh.generators import box_mesh
 from repro.sched import HookBus, Scheduler
 
-from .conftest import l2_error, random_material
+from .conftest import l2_error, ocean_box_mesh, random_material
 from .reference_kernels import energy_oracle
 
 ROCK1 = elastic(1.0, 2.0, 1.0)
@@ -274,14 +274,9 @@ class TestEnergyQuadraticForm:
         potential never grows — while the volume energy alone does, fed
         by the initial sea-surface hump."""
         rng = np.random.default_rng(seed)
-        xs = np.linspace(0.0, 2000.0, 4)
-        mesh = layered_ocean_mesh(
-            xs, xs,
-            zs_earth=np.linspace(-1500.0, -500.0, 3),
-            zs_ocean=np.linspace(-500.0, 0.0, 2),
-            earth=random_material(rng, "elastic"),
-            ocean=random_material(rng, "acoustic"),
-        )
+        mesh = ocean_box_mesh(np.linspace(0.0, 2000.0, 4), -1500.0, -500.0,
+                              earth=random_material(rng, "elastic"),
+                              ocean=random_material(rng, "acoustic"))
         mesh.tag_boundary(ocean_surface_gravity_tagger(mesh, lateral=FaceKind.WALL))
         s = CoupledSolver(mesh, order=2)
         pts = s.gravity.points
@@ -298,18 +293,12 @@ class TestEnergyQuadraticForm:
 
 
 class TestCoupledInterface:
-    def test_acoustic_elastic_transmission(self):
+    def test_acoustic_elastic_transmission(self, rock, water):
         """A plane P pulse hitting the seafloor splits with the analytic
         normal-incidence reflection/transmission coefficients."""
-        water = acoustic(1000.0, 1500.0)
-        rock = elastic(2700.0, 6000.0, 3464.0)
         # 1D-like column: thin in x, y
-        zs_e = np.linspace(-4000.0, -2000.0, 5)
-        zs_o = np.linspace(-2000.0, 0.0, 5)
-        xs = np.linspace(0, 500.0, 2)
-        m = layered_ocean_mesh(xs, xs, zs_e, zs_o, rock, water)
-        m.glue_periodic(np.array([500.0, 0, 0]))
-        m.glue_periodic(np.array([0, 500.0, 0]))
+        m = ocean_box_mesh(np.linspace(0, 500.0, 2), -4000.0, -2000.0, (4, 4),
+                           earth=rock, ocean=water, periodic=True)
         s = CoupledSolver(m, order=3)
 
         # downward-travelling acoustic pulse centred in the ocean
@@ -342,12 +331,7 @@ class TestCoupledInterface:
 
     def test_shear_not_transmitted_to_ocean(self):
         """Shear stresses must stay (weakly) zero inside the acoustic layer."""
-        water = acoustic(1000.0, 1500.0)
-        rock = elastic(2700.0, 6000.0, 3464.0)
-        xs = np.linspace(0, 2000.0, 4)
-        m = layered_ocean_mesh(
-            xs, xs, np.linspace(-3000.0, -1000.0, 4), np.linspace(-1000.0, 0.0, 3), rock, water
-        )
+        m = ocean_box_mesh(np.linspace(0, 2000.0, 4), -3000.0, -1000.0, (3, 2))
         s = CoupledSolver(m, order=2)
 
         def ic(x):
@@ -412,12 +396,7 @@ class TestSolverAPI:
         assert len(calls) == 11
 
     def test_tagger_helper(self):
-        water = acoustic(1000.0, 1500.0)
-        rock = elastic(2700.0, 6000.0, 3464.0)
-        xs = np.linspace(0, 1000.0, 3)
-        m = layered_ocean_mesh(
-            xs, xs, np.linspace(-1500.0, -500.0, 3), np.linspace(-500.0, 0.0, 2), rock, water
-        )
+        m = ocean_box_mesh(np.linspace(0, 1000.0, 3), -1500.0, -500.0)
         m.tag_boundary(ocean_surface_gravity_tagger(m))
         top = m.boundary.normal[:, 2] > 0.99
         assert (m.boundary.kind[top] == FaceKind.GRAVITY_FREE_SURFACE.value).all()

@@ -39,8 +39,9 @@ def _partitioned(order=2, workers=2):
 
 # ----------------------------------------------------------------------
 class TestTraceBuffer:
-    def test_bounded_with_drop_counter(self):
-        buf = TraceBuffer(capacity=3)
+    def test_bounded_with_drop_counter(self, shrink):
+        shrink(TraceBuffer, capacity=3)
+        buf = TraceBuffer()
         for i in range(5):
             buf.add(f"s{i}", float(i), float(i) + 0.5, None)
         assert len(buf) == 3
@@ -57,10 +58,6 @@ class TestTraceBuffer:
         assert [s[0] for s in snap["spans"]] == ["early", "late"]
         tid = threading.get_ident()
         assert snap["threads"][tid] == threading.current_thread().name
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TraceBuffer(capacity=0)
 
 
 class TestTelemetryTracing:
@@ -105,9 +102,10 @@ class TestTelemetryTracing:
         assert not met.tracing
         assert met.trace_snapshot()["spans"] == []
 
-    def test_reset_empties_buffer_but_keeps_trace_mode(self):
+    def test_reset_empties_buffer_but_keeps_trace_mode(self, shrink):
+        shrink(TraceBuffer, capacity=7)
         met = get_metrics()
-        met.enable(trace=True, trace_capacity=7)
+        met.enable(trace=True)
         met.add_span("x", 0.0, 1.0)
         met.reset()
         assert met.tracing
@@ -217,9 +215,10 @@ class TestChromeTraceExport:
             assert ev["args"]["elems"] > 0
         assert len({e["args"]["cluster"] for e in clusters}) == lts.n_clusters
 
-    def test_dropped_spans_surface_in_export(self):
+    def test_dropped_spans_surface_in_export(self, shrink):
+        shrink(TraceBuffer, capacity=2)
         met = get_metrics()
-        met.enable(trace=True, trace_capacity=2)
+        met.enable(trace=True)
         for i in range(5):
             met.add_span(f"s{i}", float(i), float(i) + 0.1)
         doc = chrome_trace(met.trace_snapshot())

@@ -25,14 +25,17 @@ import numpy as np
 
 from .materials import jacobians
 
-__all__ = ["stacked_star_matrices", "taylor_integrate", "taylor_evaluate",
-           "taylor_weights", "taylor_window_weights"]
+__all__ = ["Predictor", "stacked_star_matrices", "taylor_integrate",
+           "taylor_evaluate", "taylor_weights", "taylor_window_weights"]
 
 
 #: elements per chunk of :func:`stacked_star_matrices` (the gathered
 #: per-element Jacobians and one chunk of its blocks are the
 #: build's only scratch)
 _STAR_CHUNK = 2048
+
+#: rows per chunk of the Taylor sums (the chunk's result stays in cache)
+_TAYLOR_CHUNK = 512
 
 
 def stacked_star_matrices(mesh) -> np.ndarray:
@@ -77,28 +80,73 @@ def taylor_window_weights(t0: float, t1: float, K: int) -> np.ndarray:
     return (float(t1) ** k1 - float(t0) ** k1) / np.cumprod(k1)
 
 
-def taylor_integrate(derivs: np.ndarray, t0: float, t1: float,
+def taylor_integrate(levels, t0: float, t1: float,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Integral of the Taylor expansion over ``[t0, t1]`` (relative times).
 
-    ``t0``/``t1`` are measured from the expansion point.  Returns modal
-    coefficients of ``int_t0^t1 q(t) dt``, ``derivs`` without its level
-    axis (``(ne, 9, B)`` for the kernels' derivatives), written
-    into ``out`` when given (e.g. a row slice of the window buffer, so
-    the integral needs no temporary; the bits are the same).
+    ``levels[k]`` is derivative ``k``, ``(ne, ..., s_k)``, zero past its
+    ``s_k`` modes (:attr:`Predictor.levels`, or a dense ``(K, ne, ...)``
+    array).  Returns the modal coefficients of ``int_t0^t1 q(t) dt``,
+    written into ``out`` when given (e.g. a row slice of the window
+    buffer, so the integral needs no temporary; the bits are the same).
     """
-    coef = taylor_window_weights(t0, t1, derivs.shape[1])
-    # one pass over the level axis; each row sums its levels in order, so
-    # the result of a row does not depend on which batch it is part of
-    return np.einsum("k,ek...->e...", coef, derivs, out=out)
+    return _taylor_sum(levels, taylor_window_weights(t0, t1, len(levels)), out)
 
 
-def taylor_evaluate(derivs: np.ndarray, tau) -> np.ndarray:
-    """Evaluate the Taylor expansion at relative time(s) ``tau``.
-
-    ``derivs`` is ``(ne, K, ...)``; for scalar ``tau`` returns ``(ne,
-    ...)``, for an array of ``nt`` times ``(nt, ne, ...)``.
-    """
-    coef = taylor_weights(np.atleast_1d(tau), derivs.shape[1])
-    out = np.einsum("tk,ek...->te...", coef, derivs)
+def taylor_evaluate(levels, tau) -> np.ndarray:
+    """The Taylor expansion (``levels`` as in :func:`taylor_integrate`) at
+    relative time ``tau``, or ``(nt, ...)`` at an array of ``nt`` times."""
+    weights = taylor_weights(np.atleast_1d(tau), len(levels))
+    out = np.stack([_taylor_sum(levels, w) for w in weights])
     return out if np.ndim(tau) else out[0]
+
+
+def _taylor_sum(levels, coef, out=None) -> np.ndarray:
+    """``sum_k coef[k] * levels[k]``, each level added into its prefix of
+    modes in ascending ``k`` (a row's sum never depends on the rows
+    computed with it), a cache-sized chunk of rows at a time."""
+    out = np.empty(levels[0].shape) if out is None else out
+    for lo in range(0, len(out), _TAYLOR_CHUNK):
+        rows = slice(lo, lo + _TAYLOR_CHUNK)
+        np.multiply(coef[0], levels[0][rows], out=out[rows])
+        for c, L in zip(coef[1:], levels[1:]):
+            out[rows, ..., :L.shape[-1]] += c * L[rows]
+    return out
+
+
+class Predictor:
+    """A Cauchy-Kowalewski predictor as its Taylor levels.
+
+    ``levels[k]`` is ``d^k Q / dt^k``, ``(ne, 9, s_k)``: of degree
+    ``N - k``, it is the first ``s_k = basis_size(N - k)`` modes of the
+    degree-ordered basis, and the zeros past them are not stored.
+    ``levels[0]`` is the state itself (:func:`~repro.kernels.fusion.
+    fused_ck`).  As an array (``np.asarray``, indexing) it reads as the
+    zero-padded ``(ne, N+1, 9, B)``, ``(ne, N+1, B, 9)`` after
+    ``transpose(0, 1, 3, 2)``: for oracles and tests, the kernels read
+    the levels.
+    """
+
+    def __init__(self, levels, axes=(0, 1, 2, 3)):
+        self.levels, self._axes = tuple(levels), axes
+
+    @property
+    def shape(self) -> tuple:
+        L0 = self.levels[0]
+        return tuple((len(L0), len(self.levels), *L0.shape[1:])[a] for a in self._axes)
+
+    def take(self, rows) -> "Predictor":
+        """The rows' predictor: level views for a ``slice``, else copies."""
+        return Predictor([L[rows] for L in self.levels], self._axes)
+
+    def transpose(self, *axes) -> "Predictor":
+        return Predictor(self.levels, tuple(self._axes[a] for a in axes))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        dense = np.zeros(Predictor(self.levels).shape, dtype)
+        for k, L in enumerate(self.levels):
+            dense[:, k, ..., :L.shape[-1]] = L
+        return dense.transpose(self._axes)
+
+    def __getitem__(self, key) -> np.ndarray:
+        return np.asarray(self)[key]

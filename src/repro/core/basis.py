@@ -117,12 +117,10 @@ def grad_jacobi_p(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarra
 
 
 def _tet_mode_indices(order: int) -> list[tuple[int, int, int]]:
-    return [
-        (i, j, k)
-        for i in range(order + 1)
-        for j in range(order + 1 - i)
-        for k in range(order + 1 - i - j)
-    ]
+    """Every mode's ``(i, j, k)`` by total degree: the modes of degree
+    ``<= n`` are the first ``basis_size(n)`` (a prefix)."""
+    return sorted(((i, j, k) for i in range(order + 1) for j in range(order + 1 - i)
+                   for k in range(order + 1 - i - j)), key=sum)
 
 
 def _tri_mode_indices(order: int) -> list[tuple[int, int]]:

@@ -49,7 +49,7 @@ from ..kernels.fusion import (
     stack_width,
 )
 from ..obs.metrics import get_metrics
-from .ader import stacked_star_matrices
+from .ader import Predictor, stacked_star_matrices
 from .basis import get_reference_element
 from .materials import jacobians
 from .riemann import (
@@ -236,22 +236,19 @@ class SpatialOperator:
         return h
 
     # ------------------------------------------------------------------
-    def predict(self, Q: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-        """Cauchy-Kowalewski derivatives ``(ne, N+1, 9, B)`` of the
-        state ``(ne, 9, B)``."""
+    def predict(self, Q: np.ndarray, out: Predictor | None = None) -> Predictor:
+        """The Cauchy-Kowalewski :class:`~repro.core.ader.Predictor` of
+        the state ``(ne, 9, B)``; its level 0 is ``Q``."""
         return self.predict_states(Q, self.starQ, out=out)
 
     def predict_states(self, Q: np.ndarray, starQ: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
+                       out: Predictor | None = None) -> Predictor:
         """Cauchy-Kowalewski sweep over arbitrary state/Jacobian batches
         (element subsets of LTS cluster updates and partitioned workers
         included); ``starQ`` are the matching rows of :attr:`starQ`.
 
-        ``out`` is a scratch-buffer *hint*: it must be an array this
-        method previously returned for the same batch shape (backends
-        keep last step's derivatives around for this).  The result is
-        whatever array is returned.
+        ``out`` is a storage *hint* (:func:`~repro.kernels.fusion.
+        fused_ck`); the result is whatever predictor is returned.
         """
         return fused_ck(Q, starQ, self.ref, stack_width(self.n_elements), out=out)
 

@@ -39,23 +39,27 @@ import numpy as np
 from ..kernels.fusion import row_set
 from .cfl import element_timesteps
 
-__all__ = ["cluster_elements", "cluster_major", "fault_adjacent",
+__all__ = ["RATE", "cluster_elements", "cluster_major", "fault_adjacent",
            "hilbert_key", "lts_statistics", "LocalTimeStepping", "Rows",
            "rows_of"]
 
 
-def cluster_elements(mesh, order: int, rate: int = 2,
-                     max_cluster: int | None = None):
+#: timestep ratio between neighbouring clusters: uncapped rate 2 is the
+#: clustering :func:`cluster_major` lays a mesh out for
+RATE = 2
+
+
+def cluster_elements(mesh, order: int, max_cluster: int | None = None):
     """Assign every element to an LTS cluster.
 
     Returns ``(cluster_id, dt_min)`` where cluster ``c`` advances with
-    ``rate^c * dt_min``.  Normalization enforces (a) neighbor clusters
+    ``RATE^c * dt_min``.  Normalization enforces (a) neighbor clusters
     differing by at most one level and (b) both sides of a dynamic-rupture
     fault face sharing a cluster.
     """
     dts = element_timesteps(mesh, order)
     dt_min = float(dts.min())
-    cluster = np.floor(np.log(dts / dt_min) / np.log(rate) + 1e-12).astype(np.int64)
+    cluster = np.floor(np.log(dts / dt_min) / np.log(RATE) + 1e-12).astype(np.int64)
     if max_cluster is not None:
         cluster = np.minimum(cluster, max_cluster)
 
@@ -181,7 +185,7 @@ def cluster_major(mesh, order: int) -> None:
         np.argsort(mesh.boundary.elem, kind="stable"))
 
 
-def lts_statistics(cluster: np.ndarray, rate: int = 2) -> dict:
+def lts_statistics(cluster: np.ndarray) -> dict:
     """Histogram and update-reduction factor of a clustering (cf. Fig. 4).
 
     The speedup factor compares the number of element updates needed to
@@ -190,11 +194,11 @@ def lts_statistics(cluster: np.ndarray, rate: int = 2) -> dict:
     """
     cmax = int(cluster.max())
     counts = np.bincount(cluster, minlength=cmax + 1)
-    updates_lts = sum(int(n) * rate ** (cmax - c) for c, n in enumerate(counts))
-    updates_gts = int(cluster.size) * rate**cmax
+    updates_lts = sum(int(n) * RATE ** (cmax - c) for c, n in enumerate(counts))
+    updates_gts = int(cluster.size) * RATE**cmax
     return {
         "counts": counts,
-        "dt_factors": [rate**c for c in range(cmax + 1)],
+        "dt_factors": [RATE**c for c in range(cmax + 1)],
         "updates_lts": updates_lts,
         "updates_gts": updates_gts,
         "speedup": updates_gts / max(updates_lts, 1),
@@ -278,15 +282,12 @@ class LocalTimeStepping:
     advances the solver along it.
     """
 
-    #: timestep ratio between neighbouring clusters: uncapped rate 2 is
-    #: the clustering :func:`cluster_major` lays a mesh out for
-    rate = 2
+    rate = RATE  #: the scheduler's compiled cadence reads it here
 
     def __init__(self, solver):
         self.solver = solver
         mesh = solver.mesh
-        self.cluster, self.dt_min = cluster_elements(mesh, solver.order,
-                                                     self.rate)
+        self.cluster, self.dt_min = cluster_elements(mesh, solver.order)
         self.cmax = int(self.cluster.max())
         self.n_clusters = self.cmax + 1
         # compiled once: the micro-step loop indexes with these (views
@@ -300,4 +301,4 @@ class LocalTimeStepping:
         self.updates = np.zeros(self.n_clusters, dtype=np.int64)
 
     def statistics(self) -> dict:
-        return lts_statistics(self.cluster, self.rate)
+        return lts_statistics(self.cluster)

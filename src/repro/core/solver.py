@@ -208,6 +208,8 @@ class CoupledSolver:
 
     #: the safety factor of Eq. 27 (part of the checkpoint fingerprint)
     cfl_safety = CFL_SAFETY
+    #: the GTS step's window integral, kept: a fresh one page-faults each step
+    _window = None
 
     def __init__(
         self,
@@ -318,7 +320,8 @@ class CoupledSolver:
         dt = self.dt if dt is None else dt
         with _MET.phase("step"):
             derivs = self.backend.predict(self.dofs)
-            I = taylor_integrate(derivs, 0.0, dt)
+            I = self._window = taylor_integrate(derivs.levels, 0.0, dt,
+                                                out=self._window)
             R = self.backend.corrector(I, derivs, dt, t0=self.t)
             self.dofs += R
             self.t += dt

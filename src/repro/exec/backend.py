@@ -25,21 +25,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.ader import taylor_integrate
+from ..core.ader import Predictor, taylor_integrate
 from ..obs.metrics import get_metrics
 
 __all__ = ["ExecutionBackend", "SerialBackend", "make_backend",
-           "available_backends", "module_views"]
+           "available_backends", "refresh_rows"]
 
 _MET = get_metrics()
 
 
-def module_views(derivs: np.ndarray, out: np.ndarray) -> tuple:
-    """The predictor ``(ne, K, 9, B)`` and a residual ``(ne, 9, B)`` as
-    the ``(ne, K, B, 9)`` / ``(ne, B, 9)`` views the gravity, prescribed-
-    motion and fault modules and the point sources read and write: their
-    gathers copy, their lifts write through."""
-    return derivs.transpose(0, 1, 3, 2), out.transpose(0, 2, 1)
+def refresh_rows(op, Q, idx, pred, Iown=None, dt=None) -> int:
+    """Predict the rows ``idx`` of ``pred`` from ``Q`` (its level 0), in
+    place where ``idx`` is a slice, and store their window integral over
+    ``[0, dt]`` into ``Iown`` if given; returns the number of rows."""
+    rows = pred.take(idx)
+    new = op.predict_states(Q[idx], op.starQ[idx], out=rows)
+    for L, N, R in zip(pred.levels[1:], new.levels[1:], rows.levels[1:]):
+        if N is not R or not isinstance(idx, slice):
+            L[idx] = N
+    if Iown is not None:
+        Iown[idx] = taylor_integrate(new.levels, 0.0, dt, out=Iown[idx])
+    return len(new.levels[0])
 
 
 class ExecutionBackend:
@@ -63,14 +69,14 @@ class ExecutionBackend:
         self.solver = solver
 
     # -- predictor ------------------------------------------------------
-    def predict(self, Q: np.ndarray) -> np.ndarray:
-        """Cauchy-Kowalewski derivatives ``(ne, N+1, 9, B)`` of the
-        quantity-major state ``Q`` (``solver.dofs``)."""
+    def predict(self, Q: np.ndarray) -> Predictor:
+        """The Cauchy-Kowalewski :class:`~repro.core.ader.Predictor` of
+        the quantity-major state ``Q`` (``solver.dofs``, its level 0)."""
         raise NotImplementedError
 
     def update_predictor(
         self, Q: np.ndarray, rows, dt: float,
-        derivs: np.ndarray, Iown: np.ndarray,
+        derivs: Predictor, Iown: np.ndarray,
     ) -> None:
         """Refresh the predictor ``derivs`` of the cluster ``rows`` (a
         :class:`~repro.core.lts.Rows`) from ``Q`` and store its Taylor
@@ -79,7 +85,7 @@ class ExecutionBackend:
 
     # -- corrector ------------------------------------------------------
     def corrector(
-        self, I: np.ndarray, derivs: np.ndarray, dt: float, t0: float,
+        self, I: np.ndarray, derivs: Predictor, dt: float, t0: float,
         rows=None,
     ) -> np.ndarray:
         """Full residual of one window: kernels + boundary modules + sources.
@@ -110,31 +116,21 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    #: last full-mesh derivative buffer, handed back to the predictor
-    #: as scratch — only ever an array `op.predict` itself
-    #: returned, so its truncated-mode zeros are intact (see fused_ck)
-    _ck_scratch = None
+    #: last full-mesh predictor: the next :meth:`predict` reuses its levels
+    _pred = None
 
-    def predict(self, Q: np.ndarray) -> np.ndarray:
+    def predict(self, Q: np.ndarray) -> Predictor:
         with _MET.phase("predict"):
             if _MET.enabled:
                 _MET.inc("elem_updates/predictor", len(Q))
-            self._ck_scratch = self.solver.op.predict(
-                Q, out=self._ck_scratch)
-            return self._ck_scratch
+            self._pred = self.solver.op.predict(Q, out=self._pred)
+            return self._pred
 
     def update_predictor(self, Q, rows, dt, derivs, Iown) -> None:
-        op = self.solver.op
-        idx = rows.elems
         with _MET.phase("predict"):
             if _MET.enabled:
                 _MET.inc("elem_updates/predictor", rows.size)
-            # scratch: the refreshed rows themselves where they are a slice
-            new_derivs = op.predict_states(Q[idx], op.starQ[idx],
-                                           out=derivs[idx])
-            derivs[idx] = new_derivs
-            # likewise the window integral, straight into its rows
-            Iown[idx] = taylor_integrate(new_derivs, 0.0, dt, out=Iown[idx])
+            refresh_rows(self.solver.op, Q, rows.elems, derivs, Iown, dt)
 
     def corrector(self, I, derivs, dt, t0, rows=None) -> np.ndarray:
         if _MET.enabled:
@@ -148,12 +144,12 @@ class SerialBackend(ExecutionBackend):
         mask, gravity, motion, fault = (None,) * 4 if rows is None else (
             rows.mask, rows.gravity, rows.motion, rows.fault)
         out = solver.op.apply(I, mask)
-        dv, ov = module_views(derivs, out)
-        solver.gravity.step(dv, dt, ov, plan=gravity)
+        ov = out.transpose(0, 2, 1)  # the face modules' and sources' layout
+        solver.gravity.step(derivs, dt, ov, plan=gravity)
         if solver.motion is not None:
-            solver.motion.step(dv, dt, ov, t0=t0, plan=motion)
+            solver.motion.step(derivs, dt, ov, t0=t0, plan=motion)
         if solver.fault is not None:
-            solver.fault.step(dv, dt, ov, sides=fault, t0=t0)
+            solver.fault.step(derivs, dt, ov, sides=fault, t0=t0)
         for s in solver.sources:
             if mask is None or mask[s._elem]:
                 s.add(ov, t0, dt)

@@ -51,11 +51,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.ader import taylor_integrate
+from ..core.ader import Predictor
+from ..core.basis import basis_size
 from ..core.lts import cluster_elements, fault_adjacent, rows_of
 from ..hpc.partition import edge_cut, eq28_vertex_weights, imbalance
 from ..obs.metrics import get_metrics
-from .backend import ExecutionBackend, module_views
+from .backend import ExecutionBackend, refresh_rows
 
 __all__ = ["PartitionPlan", "PartitionedBackend", "cluster_cuts"]
 
@@ -176,10 +177,8 @@ class PartitionedBackend(ExecutionBackend):
         itf = mesh.interior
         em, ep = itf.minus_elem, itf.plus_elem
         fault_em = em[itf.is_fault]
-        # every worker writes its blocks' rows in place; the truncated
-        # modes stay the zeros the predictor relies on (see fused_ck)
-        self._derivs = np.zeros((mesh.n_elements, solver.order + 1,
-                                 9, solver.op.nbasis))
+        self._levels = [np.empty((mesh.n_elements, 9, basis_size(n)))
+                        for n in range(solver.order - 1, -1, -1)]  # 1..N
         self.plans = []
         for p in range(int(self.parts.max()) + 1):
             owned = self.parts == p
@@ -216,33 +215,26 @@ class PartitionedBackend(ExecutionBackend):
         list(self._pool.map(fn, plans))
 
     # ------------------------------------------------------------------
-    def predict(self, Q: np.ndarray) -> np.ndarray:
-        self._refresh(Q, None, self._derivs)
-        return self._derivs
+    def predict(self, Q: np.ndarray) -> Predictor:
+        pred = Predictor((Q, *self._levels))
+        self._refresh(Q, None, pred)
+        return pred
 
     def update_predictor(self, Q, rows, dt, derivs, Iown) -> None:
         self._refresh(Q, rows, derivs, Iown, dt)
 
-    def _refresh(self, Q, rows, derivs, Iown=None, dt=None) -> None:
+    def _refresh(self, Q, rows, pred, Iown=None, dt=None) -> None:
         """Predictor sweep over the cluster ``rows`` (``None``: all),
         plus its Taylor window integral when ``Iown`` is given: each
         block the way :meth:`SerialBackend.update_predictor` sweeps a
-        cluster, its rows of ``derivs`` as the scratch."""
+        cluster, into its rows of ``pred``."""
         op = self.solver.op
         tracing = _MET.enabled and _MET.tracing
 
         def work(plan):
             t0 = _time.perf_counter() if tracing else 0.0
-            n = 0
-            for blk in plan.active(rows):
-                idx = blk.elems
-                new_derivs = op.predict_states(Q[idx], op.starQ[idx],
-                                               out=derivs[idx])
-                derivs[idx] = new_derivs
-                if Iown is not None:
-                    Iown[idx] = taylor_integrate(new_derivs, 0.0, dt,
-                                                 out=Iown[idx])
-                n += len(new_derivs)
+            n = sum(refresh_rows(op, Q, blk.elems, pred, Iown, dt)
+                    for blk in plan.active(rows))
             if tracing and n:
                 _MET.add_span("worker/predict", t0, _time.perf_counter(),
                               part=plan.part_id, owned=n)
@@ -258,7 +250,7 @@ class PartitionedBackend(ExecutionBackend):
         # a masked sweep assigns every row it reads: each has one owner
         R = solver.op.new_state() if rows is None \
             else solver.op.masked_residual()
-        dv, Rv = module_views(derivs, R)
+        Rv = R.transpose(0, 2, 1)  # the face modules' and sources' layout
 
         def work(plan):
             profiled = _MET.enabled
@@ -271,13 +263,13 @@ class PartitionedBackend(ExecutionBackend):
                 plan.lop.interior_residual(I, R, active=blk.mask)
                 plan.lop.boundary_residual(I, R, active=blk.mask)
                 if blk.gravity.n:
-                    solver.gravity.step(dv, dt, Rv, plan=blk.gravity)
+                    solver.gravity.step(derivs, dt, Rv, plan=blk.gravity)
                 if solver.motion is not None:
-                    solver.motion.step(dv, dt, Rv, t0=t0, plan=blk.motion)
+                    solver.motion.step(derivs, dt, Rv, t0=t0, plan=blk.motion)
                 n += 1
             if solver.fault is not None and plan.has_fault:
                 # the whole fault is this part's: the serial call
-                solver.fault.step(dv, dt, Rv,
+                solver.fault.step(derivs, dt, Rv,
                                   sides=None if rows is None else rows.fault,
                                   t0=t0)
             if profiled:

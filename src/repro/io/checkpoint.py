@@ -52,8 +52,9 @@ __all__ = [
     "CheckpointManager",
 ]
 
-#: On-disk format version; bumped whenever the key layout changes.
-CHECKPOINT_VERSION = 1
+#: On-disk format version, bumped whenever the key layout or an array's
+#: meaning changes (2: ``Q`` in degree-ordered modes; 1 is refused).
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -232,10 +233,10 @@ def load_checkpoint(path: str) -> dict:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
     get_metrics().inc("io/checkpoint_loads")
     version = int(data.pop("version", -1))
-    if version < 1 or version > CHECKPOINT_VERSION:
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint {path!r} has format version {version}; this build "
-            f"supports versions 1..{CHECKPOINT_VERSION}"
+            f"supports version {CHECKPOINT_VERSION} only"
         )
     fp = str(data.pop("fingerprint", ""))
     meta = dict(

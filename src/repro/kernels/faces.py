@@ -84,18 +84,18 @@ class FaceGroup:
         ``X`` (``(ne, B, ncol)``)."""
         return np.matmul(self.E, X[self.elem])
 
-    def taylor_trace(self, derivs: np.ndarray, c: np.ndarray) -> np.ndarray:
+    def taylor_trace(self, pred, c: np.ndarray) -> np.ndarray:
         """Taylor coefficients ``(n, K, m, nq)`` in time, at the face
         points, of the ``m`` linear functionals ``c`` (``(n, 9, m)``, one
         set of columns per face) of the adjacent element's predictor
-        ``derivs``: two GEMMs per face, ``(K B, 9) @ (9, m)`` and, with
-        the functional moved next to the level, ``(K m, B) @ (B, nq)``."""
-        D = derivs[self.elem]
-        n, K, B = D.shape[:3]
-        m = c.shape[2]
-        P = np.matmul(D.reshape(n, K * B, 9), c).reshape(n, K, B, m)
-        P = np.ascontiguousarray(P.transpose(0, 1, 3, 2))  # no copy at m = 1
-        return np.matmul(P.reshape(n, K * m, B), self.ET).reshape(n, K, m, -1)
+        ``pred`` (a :class:`~repro.core.ader.Predictor`): per face, one
+        ``(m, 9) @ (9, s_k)`` product per level into a zero-padded
+        ``(K m, B)`` block, then ``(K m, B) @ (B, nq)``."""
+        n, m, K = len(self.elem), c.shape[2], len(pred.levels)
+        P = np.zeros((n, K, m, self.ET.shape[0]))
+        for k, L in enumerate(pred.levels):
+            np.matmul(c.transpose(0, 2, 1), L[self.elem], out=P[:, k, :, :L.shape[2]])
+        return np.matmul(P.reshape(n, K * m, -1), self.ET).reshape(n, K, m, -1)
 
     def lift(self, y: np.ndarray, G: np.ndarray, out: np.ndarray) -> None:
         """Add ``E^T diag(w) (y^T G)`` to the residual rows of the adjacent

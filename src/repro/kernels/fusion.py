@@ -7,7 +7,7 @@ between them.
 
 Layout
     The kernels read and write the modal state *quantity-major*,
-    ``(ne, 9, B)`` (the time derivatives ``(ne, N+1, 9, B)``).  Every
+    ``(ne, 9, B)`` (time derivative ``k``: ``(ne, 9, s_k)``).  Every
     operator the elements share — the Cauchy-Kowalewski derivative, the
     stiffness, the face traces, the change of face basis and the lift —
     then multiplies from the right, so it is one row-stacked GEMM over a
@@ -18,10 +18,11 @@ Layout
 Predictor (:func:`fused_ck`)
     The Dubiner basis is orthonormal, so the modal derivative operator
     ``deriv[d, l, m]`` vanishes whenever ``deg(l) >= deg(m)`` — each
-    Cauchy-Kowalewski level loses one polynomial degree exactly.  A
-    degree-sorted mode permutation turns that into a *prefix* structure:
-    level ``k`` lives in the first ``basis_size(N - k)`` permuted modes
-    (order 3: 20 -> 10 -> 4 -> 1 modes, a ~4.4x FLOP reduction).  The
+    Cauchy-Kowalewski level loses one polynomial degree exactly.  The
+    basis is degree-ordered, so level ``k`` is the *prefix* of the first
+    ``s_k = basis_size(N - k)`` modes (order 3: 20 -> 10 -> 4 -> 1 modes,
+    a ~4.4x FLOP reduction), stored as an array of exactly that width
+    (:class:`~repro.core.ader.Predictor`); level 0 is the state.  The
     three truncated directional operators of a level are stacked side by
     side and negated at plan time (``D[k]``, columns ordered (direction,
     mode)), so the stacked product ``X @ D[k]`` is — by a free reshape —
@@ -120,7 +121,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..core.basis import _tet_mode_indices, basis_size, get_reference_element
+from ..core.ader import Predictor
+from ..core.basis import basis_size, get_reference_element
 from ..core.rotation import fill_state_rotation
 from ..obs.metrics import get_metrics
 
@@ -217,24 +219,17 @@ class ElementKernelPlan:
 
     Attributes
     ----------
-    perm:
-        Degree-sorted mode permutation: ``perm[i]`` is the original index
-        of the ``i``-th mode in non-decreasing-degree order.
     sizes:
-        ``basis_size(order - k)`` for ``k = 0..order`` — the permuted
-        prefix length holding Cauchy-Kowalewski level ``k``.
+        ``basis_size(order - k)``: the modes of level ``k``, a prefix.
     D:
         Per level, the *negated* ``(sizes[k], 3 * sizes[k+1])`` stack of
         the three truncated, transposed directional derivative operators,
-        columns ordered (direction, mode).  Output modes are permuted; the
-        rows of level 0 are in original mode order (it reads ``Q`` as
-        is), those of later levels in permuted order.
+        columns ordered (direction, mode).
     KS:
         ``(B, 3B)`` stack of the stiffness operators of the volume
-        kernel, ``KS[l, d * B + m] = deriv[d, l, m]``, original modes.
+        kernel, ``KS[l, d * B + m] = deriv[d, l, m]``.
     """
 
-    perm: np.ndarray
     sizes: tuple
     D: tuple
     KS: np.ndarray
@@ -251,65 +246,48 @@ def _direction_stack(ops: np.ndarray, order: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def element_plan(order: int) -> ElementKernelPlan:
     """Build (and cache) the fused element-kernel plan for one order."""
-    ref = get_reference_element(order)
-    degs = np.array([i + j + k for i, j, k in _tet_mode_indices(order)])
-    perm = np.argsort(degs, kind="stable").astype(np.int64)
-
+    deriv = get_reference_element(order).deriv
     sizes = tuple(basis_size(order - k) for k in range(order + 1))
-    D = []
-    for k in range(order):
-        rows = perm[:sizes[k + 1]]
-        cols = perm[:sizes[k]] if k else np.arange(sizes[0])
-        D.append(_direction_stack(-ref.deriv[:, rows][:, :, cols], order))
-
-    KS = _direction_stack(ref.deriv.transpose(0, 2, 1), order)
-    perm.setflags(write=False)
-    return ElementKernelPlan(perm=perm, sizes=sizes, D=tuple(D), KS=KS)
+    D = tuple(_direction_stack(-deriv[:, :sizes[k + 1], :sizes[k]], order)
+              for k in range(order))
+    KS = _direction_stack(deriv.transpose(0, 2, 1), order)
+    return ElementKernelPlan(sizes=sizes, D=D, KS=KS)
 
 
 def fused_ck(Q: np.ndarray, starQ: np.ndarray, ref, width: int,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Degree-truncated Cauchy-Kowalewski sweep, ``(ne, N+1, 9, B)``.
+             out: Predictor | None = None) -> Predictor:
+    """Degree-truncated Cauchy-Kowalewski sweep: the :class:`Predictor`
+    of ``Q`` (``(ne, 9, B)``; ``starQ`` its star rows, ``width`` the
+    operator's :func:`stack_width`).  Each per-item star product writes
+    level ``k + 1``'s rows of its ``(ne, 9, sizes[k + 1])`` array, where
+    the next stacked product reads them (gathered with a zero tail for a
+    short chunk).  ``out``: a predictor, or row views of one, whose
+    levels ``1..N`` are written where their shapes match (no page faults).
 
-    ``Q`` is ``(ne, 9, B)`` and ``starQ`` the matching ``(ne, 9, 27)``
-    star rows of the operator plan; ``width`` is the operator's stacked
-    GEMM width (:func:`stack_width`).  Levels are computed in permuted
-    mode order and scattered back, so the output carries every mode in
-    its original place; modes beyond each level's degree cutoff are
-    exact zeros (the reference ``ck_derivatives`` of
-    ``tests/reference_kernels.py`` carries ~1e-16 quadrature noise there
-    instead).
-
-    ``out`` is an optional scratch buffer: it MUST be an array previously
-    returned by this function for the same order, a fresh ``np.zeros``,
-    or rows of either (a view or a gathered copy) — its truncated-mode
-    entries are assumed to still be the zeros this sweep leaves there,
-    which is what makes reuse free.  A ``None`` or shape-mismatched
-    ``out`` falls back to a fresh allocation.  The step loop reuses its
-    predictor buffer through this: the ~O(10 MB) per-call allocation
-    would otherwise cost more in page faults than the truncated GEMMs
-    themselves.
+    Level 0 *is* ``Q``, valid while those state rows are unchanged: an
+    LTS cluster's rows change only in its corrector, which its
+    ``update_predictor`` follows, and a hook that writes the state at a
+    sync is followed there by the watchdog (``Scheduler._exec_micro``).
     """
     plan = element_plan(ref.order)
-    ne, nq, nb = Q.shape
-    shape = (ne, ref.order + 1, nq, nb)
-    if out is None or out.shape != shape or out.dtype != np.float64:
-        out = np.zeros(shape)
+    ne, nq, _ = Q.shape
+    shapes = [(ne, nq, s) for s in plan.sizes[1:]]
+    if out is not None and [L.shape for L in out.levels[1:]] == shapes:
+        levels = out.levels[1:]
+    else:
+        levels = [np.empty(shape) for shape in shapes]
     # per level: the chunk's input (zero tail) and its stacked product
-    X = [np.empty((width, nq, s)) for s in plan.sizes]
+    X = [np.empty((width, nq, s)) for s in plan.sizes[:-1]]
     Z = [np.empty((width * nq, D.shape[1])) for D in plan.D]
     for _, rows, m in _chunks(slice(None), ne, width):
-        out[rows, 0] = Q[rows]
         x = _stack(Q, rows, m, X[0])
-        for k in range(ref.order):
-            s = plan.sizes[k + 1]
+        for k, L in enumerate(levels):
             np.matmul(x.reshape(width * nq, -1), plan.D[k], out=Z[k])
-            x = X[k + 1]
-            np.matmul(starQ[rows], Z[k][:m * nq].reshape(m, 27, s), out=x[:m])
-            if m < width:
-                x[m:] = 0.0
-            out[rows, k + 1][..., plan.perm[:s]] = x[:m]
-    return out
+            np.matmul(starQ[rows], Z[k][:m * nq].reshape(m, 27, -1),
+                      out=L[rows])
+            if k + 1 < len(levels):
+                x = _stack(L, rows, m, X[k + 1])
+    return Predictor((Q, *levels))
 
 
 # ----------------------------------------------------------------------

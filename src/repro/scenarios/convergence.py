@@ -111,12 +111,14 @@ class CoupledModeSetup:
     (p = 0) surface at the ocean top, vertical 1D mode.
     """
 
-    def __init__(self, earth=None, ocean=None, h_e: float = 2.0, h_o: float = 1.0, amp: float = 1e-3):
+    h_e = 2.0  #: thickness of the elastic slab
+
+    def __init__(self, earth=None, ocean=None, h_o: float = 1.0, amp: float = 1e-3):
         self.earth = earth or elastic(2.5, 4.0, 2.0)
         self.ocean = ocean or acoustic(1.0, 1.5)
-        self.h_e, self.h_o = h_e, h_o
+        self.h_o = h_o
         self.amp = amp
-        self.omega = coupled_mode_frequency(h_e, h_o, self.earth, self.ocean)
+        self.omega = coupled_mode_frequency(self.h_e, h_o, self.earth, self.ocean)
         self.k_e = self.omega / self.earth.cp
         self.k_o = self.omega / self.ocean.cp
         # displacement amplitudes: u_e = A sin(k_e (z + h_e + h_o));
@@ -125,7 +127,7 @@ class CoupledModeSetup:
         # => u_o = D cos(k_o z)... but then u continuity at z=-h_o:
         self.A = amp
         z_i = -h_o
-        u_i = self.A * np.sin(self.k_e * (z_i + h_e + h_o))
+        u_i = self.A * np.sin(self.k_e * (z_i + self.h_e + h_o))
         self.D = u_i / np.cos(self.k_o * z_i)
 
     def exact(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -195,12 +197,14 @@ class CoupledSHModeSetup:
     not converge to this solution (paper Sec. 4.2).
     """
 
-    def __init__(self, earth=None, ocean=None, h_e: float = 2.0, h_o: float = 1.0, amp: float = 1e-3):
+    h_e = 2.0  #: thickness of the elastic slab
+
+    def __init__(self, earth=None, ocean=None, h_o: float = 1.0, amp: float = 1e-3):
         self.earth = earth or elastic(2.5, 4.0, 2.0)
         self.ocean = ocean or acoustic(1.0, 1.5)
-        self.h_e, self.h_o = h_e, h_o
+        self.h_o = h_o
         self.amp = amp
-        self.k_s = np.pi / h_e
+        self.k_s = np.pi / self.h_e
         self.omega = self.earth.cs * self.k_s
 
     def exact(self, x: np.ndarray, t: float) -> np.ndarray:

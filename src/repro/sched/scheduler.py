@@ -182,7 +182,8 @@ class Scheduler:
         derivs = backend.predict(solver.dofs)
         Iown, Ibuf = solver.op.new_state(), solver.op.new_state()
         for c, rows in enumerate(lts.rows):
-            Iown[rows.elems] = taylor_integrate(derivs[rows.elems], 0.0, dts[c])
+            Iown[rows.elems] = taylor_integrate(
+                derivs.take(rows.elems).levels, 0.0, dts[c])
 
         # the window-assembly buffer is allocated once for the whole run:
         # each micro-step overwrites exactly the rows its corrector reads
@@ -232,6 +233,11 @@ class Scheduler:
         Touches only the rows the compiled layout names: the cluster's
         own rows, its halo in each consumed neighbor, and — to publish —
         its rows exposed to the coarser neighbor.
+
+        Level 0 of ``derivs`` is ``solver.dofs``: a cluster's rows change
+        only in its corrector, which its ``update_predictor`` follows, and
+        a hook that writes the state at a sync (``FaultInjector.
+        corrupt_state``) is followed at that sync by ``watchdog.ensure``.
         """
         dt_min, dts, derivs, Iown, Ibuf, I, t0 = state
         plan = self.plan
@@ -251,7 +257,8 @@ class Scheduler:
                 # a coarser neighbor predicted earlier with a longer
                 # window; integrate its Taylor expansion over ours
                 off = int(off_int) * dt_min
-                I[nidx] = taylor_integrate(derivs[nidx], off, off + dts[c])
+                I[nidx] = taylor_integrate(derivs.take(nidx).levels, off,
+                                           off + dts[c])
             else:
                 # a finer neighbor accumulated its completed windows
                 I[nidx] = Ibuf[nidx]

@@ -135,9 +135,9 @@ class OkadaFault:
         Slip components [m].
     x0, y0:
         Horizontal position of the center of the fault's top edge.
-    poisson:
-        Poisson ratio (mu_bar = mu / (lambda + mu) = 1 - 2 nu over 2 - 2 nu).
     """
+
+    poisson = 0.25  #: Poisson ratio (a Poisson solid: lambda = mu)
 
     length: float
     width: float
@@ -148,7 +148,6 @@ class OkadaFault:
     slip_dip: float = 0.0
     x0: float = 0.0
     y0: float = 0.0
-    poisson: float = 0.25
 
     def displacement(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return okada_displacement(self, x, y)

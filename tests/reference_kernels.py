@@ -51,7 +51,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.core.ader import taylor_evaluate, taylor_integrate
+from repro.core.ader import Predictor, taylor_evaluate, taylor_integrate
 from repro.core.basis import ReferenceElement
 from repro.core.kernels import SpatialOperator
 from repro.core.materials import SXX, VX, jacobians
@@ -171,7 +171,9 @@ class ReferenceOperator(SpatialOperator):
         # starQ[e, p, 3 q + k] = star[e, k][p, q]
         star = starQ.reshape(len(starQ), 9, 9, 3).transpose(0, 3, 1, 2)
         derivs = ck_derivatives(Q.transpose(0, 2, 1), star, self.ref)
-        return np.ascontiguousarray(derivs.transpose(0, 1, 3, 2))
+        # untruncated levels; level 0 is the state itself, as at runtime
+        return Predictor([Q] + [np.ascontiguousarray(d.transpose(0, 2, 1))
+                                for d in derivs.swapaxes(0, 1)[1:]])
 
     # -- the seed plan builders, verbatim: every face rotated for both of
     # its sides, full-size T / Tinv / F per batch, one copy per class
@@ -676,7 +678,7 @@ def motion_step_oracle(mb, derivs, dt, out, t0=0.0, face_mask=None) -> None:
     mesh = mb.op.mesh
 
     # interior traces, time-integrated via the Taylor predictor
-    I_elem = taylor_integrate(derivs[mb.elem[idx]], 0.0, dt)
+    I_elem = taylor_integrate(derivs[mb.elem[idx]].swapaxes(0, 1), 0.0, dt)
     tr = _trace_minus(mb.op.ref, mb.local_face[idx], I_elem)
     n = mb.normal[idx]
     sxx, syy, szz = tr[:, :, 0], tr[:, :, 1], tr[:, :, 2]
@@ -734,8 +736,8 @@ def fault_step_oracle(fs, derivs, dt, out, active=None, t0=0.0) -> None:
     TA_p = -np.einsum("fij,fjk->fik", T, Ap)
 
     def traces(tau):
-        tm = _trace_minus(ref, mf, taylor_evaluate(derivs[em], tau))
-        q_p = taylor_evaluate(derivs[ep], tau)
+        tm = _trace_minus(ref, mf, taylor_evaluate(derivs[em].swapaxes(0, 1), tau))
+        q_p = taylor_evaluate(derivs[ep].swapaxes(0, 1), tau)
         tp = np.empty_like(tm)
         for c in np.unique(cls):
             csel = cls == c

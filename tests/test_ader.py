@@ -108,11 +108,17 @@ class TestCKDerivativesOracle(TestCKDerivatives):
         return ck_derivatives(Q, star, ref)
 
 
+def levels(derivs):
+    """A dense ``(ne, K, ...)`` derivative array as the level sequence
+    the Taylor utilities read (level ``k`` is ``derivs[:, k]``)."""
+    return derivs.swapaxes(0, 1)
+
+
 class TestTaylor:
     def test_integrate_constant(self):
         derivs = np.zeros((3, 4, 5, 9))
         derivs[:, 0] = 2.0
-        out = taylor_integrate(derivs, 0.0, 0.5)
+        out = taylor_integrate(levels(derivs), 0.0, 0.5)
         assert np.allclose(out, 1.0)
 
     def test_integrate_polynomial(self):
@@ -125,7 +131,7 @@ class TestTaylor:
             + derivs[:, 1] * (b**2 - a**2) / 2
             + derivs[:, 2] * (b**3 - a**3) / 6
         )
-        assert np.allclose(taylor_integrate(derivs, a, b), exact)
+        assert np.allclose(taylor_integrate(levels(derivs), a, b), exact)
 
     def test_integrate_into_rows(self):
         """``out=`` rows of a window buffer get the bits of the returned
@@ -134,8 +140,8 @@ class TestTaylor:
         derivs = rng.normal(size=(40, 3, 10, 9))
         window = np.full((100, 10, 9), np.nan)
         rows = window[30:70]
-        assert taylor_integrate(derivs, 0.0, 0.013, out=rows) is rows
-        np.testing.assert_array_equal(rows, taylor_integrate(derivs, 0.0, 0.013))
+        assert taylor_integrate(levels(derivs), 0.0, 0.013, out=rows) is rows
+        np.testing.assert_array_equal(rows, taylor_integrate(levels(derivs), 0.0, 0.013))
         assert np.isnan(window[:30]).all() and np.isnan(window[70:]).all()
 
     def test_evaluate_matches_series(self):
@@ -143,13 +149,13 @@ class TestTaylor:
         derivs = rng.normal(size=(2, 3, 4, 9))
         tau = 0.3
         exact = derivs[:, 0] + derivs[:, 1] * tau + derivs[:, 2] * tau**2 / 2
-        assert np.allclose(taylor_evaluate(derivs, tau), exact)
+        assert np.allclose(taylor_evaluate(levels(derivs), tau), exact)
 
     def test_evaluate_vectorized_times(self):
         rng = np.random.default_rng(4)
         derivs = rng.normal(size=(2, 2, 4, 9))
         taus = np.array([0.0, 0.1, 0.5])
-        out = taylor_evaluate(derivs, taus)
+        out = taylor_evaluate(levels(derivs), taus)
         assert out.shape == (3, 2, 4, 9)
         assert np.allclose(out[0], derivs[:, 0])
 
@@ -159,5 +165,5 @@ class TestTaylor:
         derivs = rng.normal(size=(1, 4, 3, 9))
         h = 1e-6
         t = 0.37
-        fd = (taylor_integrate(derivs, 0, t + h) - taylor_integrate(derivs, 0, t - h)) / (2 * h)
-        assert np.allclose(fd, taylor_evaluate(derivs, t), atol=1e-6)
+        fd = (taylor_integrate(levels(derivs), 0, t + h) - taylor_integrate(levels(derivs), 0, t - h)) / (2 * h)
+        assert np.allclose(fd, taylor_evaluate(levels(derivs), t), atol=1e-6)

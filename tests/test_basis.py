@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.basis import (
     FACE_PERMUTATIONS,
+    _tet_mode_indices,
     TET_FACES,
     basis_size,
     face_points_to_tet,
@@ -51,6 +52,29 @@ class TestBasisSize:
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             basis_size(2, dim=4)
+
+
+class TestModeOrder:
+    """The modes are degree-ordered: a polynomial of degree ``n`` is the
+    prefix of its first ``basis_size(n)`` coefficients, which is what
+    stores each Cauchy-Kowalewski level as a prefix array."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_degree_sorted(self, order):
+        degs = [sum(m) for m in _tet_mode_indices(order)]
+        assert degs == sorted(degs)
+        assert len(set(_tet_mode_indices(order))) == basis_size(order)
+        for n in range(order + 1):
+            assert degs.count(n) == basis_size(n) - (basis_size(n - 1) if n else 0)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_derivative_maps_prefix_to_prefix(self, order):
+        """``d/dxi`` of the first ``basis_size(n)`` modes lies in the first
+        ``basis_size(n - 1)``."""
+        deriv = get_reference_element(order).deriv
+        for n in range(1, order + 1):
+            leak = deriv[:, basis_size(n - 1):, :basis_size(n)]
+            assert np.abs(leak).max() < 1e-12 * np.abs(deriv).max()
 
 
 class TestTetBasis:

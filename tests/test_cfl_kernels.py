@@ -68,7 +68,7 @@ class TestSpatialOperator:
         Q = op.new_state()
         Q[:, 7, 0] = 1.0  # constant vy everywhere
         derivs = op.predict(Q)
-        I = taylor_integrate(derivs, 0.0, 1e-3)
+        I = taylor_integrate(derivs.levels, 0.0, 1e-3)
         out = op.apply(I)
         scale = 1e-3 * ROCK.lam
         assert np.abs(out).max() < 1e-12 * scale
@@ -80,7 +80,7 @@ class TestSpatialOperator:
         rng = np.random.default_rng(0)
         Q = rng.normal(size=(op.n_elements, 9, op.nbasis))
         derivs = op.predict(Q)
-        I = taylor_integrate(derivs, 0.0, 1e-4)
+        I = taylor_integrate(derivs.levels, 0.0, 1e-4)
         full = op.new_state()
         op.volume_residual(I, full)
         op.interior_residual(I, full)
@@ -98,7 +98,7 @@ class TestSpatialOperator:
         op = self.make()
         rng = np.random.default_rng(1)
         Q = rng.normal(size=(op.n_elements, 9, op.nbasis))
-        I = taylor_integrate(op.predict(Q), 0.0, 1e-4)
+        I = taylor_integrate(op.predict(Q).levels, 0.0, 1e-4)
         total = op.apply(I)
         parts = op.new_state()
         op.volume_residual(I, parts)

@@ -9,7 +9,9 @@ import pytest
 
 from repro.core.resilience import ResilientRunner
 from repro.core.solver import CoupledSolver
+from repro.core.basis import _tet_mode_indices
 from repro.io.checkpoint import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     CheckpointManager,
     capture_state,
@@ -92,7 +94,7 @@ def member_compression(path):
 class TestStoredFormat:
     """Archives are written stored (a developed state is noise to zlib and
     deflate was 21x the write, DESIGN.md "Checkpoint format"); deflated
-    archives of earlier builds keep loading under the same version."""
+    archives of the same format version keep loading."""
 
     def test_every_member_is_stored(self, tmp_path):
         solver, _, lts = build_lts_fault_gravity()
@@ -121,7 +123,7 @@ class TestStoredFormat:
             members = {k: d[k] for k in d.files}
         np.savez_compressed(path, **members)
         assert set(member_compression(path).values()) == {zipfile.ZIP_DEFLATED}
-        assert load_checkpoint(path)["version"] == 1
+        assert load_checkpoint(path)["version"] == CHECKPOINT_VERSION
 
         resumed = gravity_box()
         runner = ResilientRunner(resumed, checkpoint_every=0.2,
@@ -134,6 +136,37 @@ class TestStoredFormat:
         assert resumed.t == baseline.t
         assert np.array_equal(resumed.Q, baseline.Q)
         assert np.array_equal(resumed.gravity.eta, baseline.gravity.eta)
+
+    def test_version_1_archive_is_refused(self, tmp_path):
+        """Version 1 stored ``Q`` in the ``(i, j, k)`` lexicographic mode
+        order of earlier builds; the modes are degree-ordered now, which
+        the fingerprint does not see.  A version-1 archive (same problem,
+        same fingerprint, ``Q`` in the old order) is refused by name, and
+        a resume falls back past it instead of restoring it permuted."""
+        solver = gravity_box()
+        Scheduler(solver).run(0.1)
+        good = save_checkpoint(str(tmp_path / "ckpt_0001.npz"), solver)
+        want = solver.Q.copy()
+        Scheduler(solver).run(0.2)
+        order = solver.order
+        lex = [(i, j, k) for i in range(order + 1)
+               for j in range(order + 1 - i) for k in range(order + 1 - i - j)]
+        old_pos = [lex.index(m) for m in _tet_mode_indices(order)]
+        assert old_pos != sorted(old_pos)
+        path = save_checkpoint(str(tmp_path / "ckpt_0002.npz"), solver)
+        with np.load(path, allow_pickle=False) as d:
+            members = {k: d[k] for k in d.files}
+        members["Q"] = np.empty_like(members["Q"])
+        members["Q"][:, old_pos] = solver.Q
+        members["version"] = np.int64(1)
+        np.savez(path, **members)
+
+        fresh = gravity_box()
+        with pytest.raises(CheckpointError, match="format version 1"):
+            restore_checkpoint(path, fresh)
+        with pytest.warns(RuntimeWarning, match="format version 1"):
+            assert restore_newest(str(tmp_path), fresh)[0] == good
+        assert np.array_equal(fresh.Q, want)
 
     def test_handed_state_is_what_lands_on_disk(self, tmp_path):
         solver = gravity_box()

@@ -45,7 +45,9 @@ def rk4_step(gb):
 
     def step(derivs, dt, out, plan=None):
         assert plan is None
-        gravity_step_oracle(gb, derivs, dt, out, integrator="rk4")
+        # the oracle reads the predictor in the modules' (B, 9) layout
+        gravity_step_oracle(gb, derivs.transpose(0, 1, 3, 2), dt, out,
+                            integrator="rk4")
 
     return step
 

@@ -40,6 +40,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ader
+from repro.core.ader import taylor_integrate, taylor_window_weights
+from repro.core.basis import basis_size
 from repro.core.kernels import SpatialOperator
 from repro.core.lts import cluster_major
 from repro.core.materials import acoustic, elastic
@@ -199,9 +201,10 @@ class TestKernelUnits:
 
     @pytest.mark.parametrize("variant", _RUNTIME)
     def test_predictor_out_buffer_reuse(self, variant):
-        """The `out` scratch hint: reusing a prior result buffer returns
-        that same buffer with values identical to a fresh allocation, and
-        a shape-mismatched hint is ignored."""
+        """The `out` storage hint: a prior result's levels 1..N are
+        written again, with values identical to a fresh allocation, level
+        0 is the new state itself, and a shape-mismatched hint is
+        ignored."""
         _, var_op = _operator_pair()
         rng = np.random.default_rng(11)
         shape = (var_op.n_elements, 9, var_op.nbasis)
@@ -210,35 +213,81 @@ class TestKernelUnits:
         buf = var_op.predict(Q1)
         fresh = var_op.predict(Q2)
         reused = var_op.predict(Q2, out=buf)
-        assert reused is buf
+        assert reused.levels[0] is Q2
+        assert all(a is b for a, b in zip(reused.levels[1:], buf.levels[1:]))
         np.testing.assert_array_equal(reused, fresh)
         # mismatched hint: fall back to a fresh, correct allocation
         n = 5
         small = var_op.predict_states(Q2[:n], var_op.starQ[:n], out=buf)
-        assert small is not buf
+        assert not any(np.shares_memory(a, b)
+                       for a, b in zip(small.levels[1:], buf.levels[1:]))
         np.testing.assert_array_equal(small, fresh[:n])
 
     def test_serial_backend_reuses_predictor_buffer(self):
-        """Steady state: the serial backend hands last step's derivative
-        buffer back as scratch (page-fault churn was the dominant
-        predictor cost before this)."""
+        """Steady state: the serial backend writes last step's levels
+        1..N again (page-fault churn was the dominant predictor cost
+        before this), and level 0 is the state itself."""
         solver = gravity_box(order=2)
         d1 = solver.backend.predict(solver.dofs)
         d2 = solver.backend.predict(solver.dofs)
-        assert d2 is d1
+        assert d2.levels[0] is solver.dofs
+        assert all(a is b for a, b in zip(d1.levels[1:], d2.levels[1:]))
 
     @pytest.mark.parametrize("variant", _RUNTIME)
     def test_truncated_levels_are_exact_zero(self, variant):
-        """Degree truncation: fused CK levels carry exact zeros where the
-        oracle accumulates ~1e-16 quadrature noise."""
+        """Degree truncation: level k of the fused CK is stored with its
+        ``sizes[k]`` modes only, so the dense view carries exact zeros
+        where the oracle accumulates ~1e-16 quadrature noise."""
         _, var_op = _operator_pair(order=2)
         rng = np.random.default_rng(7)
         Q = rng.normal(size=(var_op.n_elements, 9, var_op.nbasis))
-        derivs = var_op.predict(Q)
+        pred = var_op.predict(Q)
         plan = element_plan(var_op.order)
+        dense = np.asarray(pred)
         for k in range(1, var_op.order + 1):
-            dead = plan.perm[plan.sizes[k]:]
-            assert (derivs[:, k, :, dead] == 0.0).all()
+            assert pred.levels[k].shape[2] == plan.sizes[k]
+            assert (dense[:, k, :, plan.sizes[k]:] == 0.0).all()
+
+
+class TestCompactPredictor:
+    """The predictor as its levels: a degree-ordered basis makes level k
+    a prefix of ``s_k = basis_size(N - k)`` modes, level 0 is the state
+    and no array holds a truncated mode."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_levels_are_the_oracle_prefixes(self, order):
+        ref_op, var_op = _operator_pair(order)
+        rng = np.random.default_rng(order)
+        Q = rng.normal(size=(var_op.n_elements, 9, var_op.nbasis))
+        want = np.asarray(ref_op.predict(Q))
+        pred = var_op.predict(Q)
+        assert pred.levels[0] is Q and len(pred.levels) == order + 1
+        for k, L in enumerate(pred.levels[1:], start=1):
+            s = basis_size(order - k)
+            assert L.shape == (var_op.n_elements, 9, s)
+            assert L.flags.c_contiguous
+            _assert_close(want[:, k, :, :s], L, f"level {k}, order {order}")
+            # what the level leaves out is round-off in the oracle
+            assert np.abs(want[:, k, :, s:]).max() <= 1e-12 * np.abs(L).max()
+
+    @pytest.mark.parametrize("window", ["gts", "lts_halo"])
+    def test_taylor_integral_equals_the_dense_einsum(self, window):
+        """The level-wise integral equals the full-array ``einsum`` form
+        it replaces, for the GTS window ``[0, dt]`` and an LTS halo
+        window ``[off, off + dt]``."""
+        _, op = _operator_pair(2)
+        rng = np.random.default_rng(3)
+        Q = rng.normal(size=(op.n_elements, 9, op.nbasis))
+        pred = op.predict(Q)
+        dt = 1e-3
+        t0 = 0.0 if window == "gts" else 2 * dt
+        coef = taylor_window_weights(t0, t0 + dt, len(pred.levels))
+        want = np.einsum("k,ek...->e...", coef, np.asarray(pred))
+        got = taylor_integrate(pred.levels, t0, t0 + dt)
+        _assert_close(want, got, window, rtol=1e-14)
+        rows = rng.permutation(op.n_elements)[:50]
+        np.testing.assert_array_equal(
+            taylor_integrate(pred.take(rows).levels, t0, t0 + dt), got[rows])
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +344,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         Q = rng.normal(size=(op.n_elements, 9, op.nbasis))
         derivs = op.predict(Q)
-        assert derivs.dtype == np.float64
+        assert all(L.dtype == np.float64 for L in derivs.levels)
         out = np.zeros_like(Q)
         active = rng.random(op.n_elements) < 0.5
         op.volume_residual(Q, out, active=active)
@@ -514,12 +563,54 @@ class TestTransientMemory:
             del R
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            assert op.predict(I, out=buf) is buf
+            pred = op.predict(I, out=buf)
             predict_excess = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        assert all(a is b for a, b in zip(pred.levels[1:], buf.levels[1:]))
         assert apply_excess <= self.BOUND, apply_excess
         assert predict_excess <= self.BOUND, predict_excess
+
+    #: what a step may hold above its state-sized buffers and compact
+    #: levels, beyond half a state: chunk scratch and ufunc buffers
+    #: (measured ~190 kB on the small mesh, ~150 kB on the large one)
+    STEP_BOUND = 256 * 1024
+
+    @pytest.mark.parametrize("n", [5, 9])
+    @pytest.mark.parametrize("mode", ["gts", "lts"])
+    def test_step_holds_only_the_compact_levels(self, monkeypatch, mode, n):
+        """One GTS step / one LTS macro step of a fresh solver on the fault
+        + gravity rig (3 clusters at ``n`` 5): above the state and the
+        step's own state-sized buffers (GTS: the window integral and the
+        residual; LTS: ``Iown``, ``Ibuf`` and the window buffer) the peak
+        is the predictor's compact levels, half a state for the face
+        modules' per-face scratch (it grows with their faces, which are
+        not chunked yet) and a bound that does not grow with the mesh.  A
+        zero-padded ``(ne, N+1, 9, B)`` predictor is 2.5 states more."""
+        import tracemalloc
+
+        monkeypatch.setattr(fusion, "CHUNK", 16)
+        solver, _, lts = build_lts_fault_gravity(
+            sort=True, order=2, xs=np.linspace(-1500.0, 1500.0, n))
+        op = solver.op
+        # the operator's own buffers, allocated by its first sweeps
+        fusion.face_buffer(op)
+        op.masked_residual()
+        if mode == "gts":
+            lts, n_states, t_end = None, 2, solver.t + solver.dt
+        else:
+            n_states, t_end = 3, solver.t + lts.dt_min * lts.rate**lts.cmax
+        S = solver.dofs.nbytes
+        levels = S // op.nbasis * sum(element_plan(2).sizes[1:])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            Scheduler(solver, lts).run(t_end)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        excess = peak - n_states * S - levels - S // 2
+        assert excess <= self.STEP_BOUND, (excess, S)
 
 
 def _slot_masks(mesh):

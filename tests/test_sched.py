@@ -271,7 +271,7 @@ def old_lts_run(lts, t_end, dt_scale=1.0):
     masks = [rows.mask for rows in lts.rows]
     for c in range(lts.n_clusters):
         mask = masks[c]
-        Iown[mask] = taylor_integrate(derivs[mask], 0.0, dts[c])
+        Iown[mask] = taylor_integrate(derivs.take(mask).levels, 0.0, dts[c])
 
     def eligible(c):
         if t_int[c] >= end_int:
@@ -302,7 +302,8 @@ def old_lts_run(lts, t_end, dt_scale=1.0):
             mn = masks[cn]
             if steps_int[cn] > steps_int[c]:
                 off = (t_int[c] - pred_int[cn]) * dt_min
-                I[mn] = taylor_integrate(derivs[mn], off, off + dts[c])
+                I[mn] = taylor_integrate(derivs.take(mn).levels, off,
+                                         off + dts[c])
             else:
                 I[mn] = Ibuf[mn]
         out = solver.backend.corrector(I, derivs, dts[c], t0=t0 + t_a,

@@ -2,7 +2,9 @@
 
 The heavy 3D runs (Palu fully coupled, Palu linked, Scenario A coupled and
 linked) are each needed by several figure benchmarks; they are computed
-once per pytest session and memoized here.
+once per pytest session and memoized here.  The coupled models come
+from :func:`repro.scenarios.build` with every config field as an
+override, so the seed's jitter is pinned.
 
 Set ``REPRO_FAST=1`` to shrink the runs (shorter simulated time, coarser
 meshes) for a quick smoke pass of the whole suite.
@@ -10,8 +12,8 @@ meshes) for a quick smoke pass of the whole suite.
 
 from __future__ import annotations
 
-import json
 import os
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -21,54 +23,22 @@ from repro.io.atomic import atomic_open
 FAST = os.environ.get("REPRO_FAST", "0") == "1"
 
 _OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
-_CREATED_DIRS: set[str] = set()
 
 
 def _print_header(name: str):
     print(f"\n[{name}] computing shared run (cached for this session) ...", flush=True)
 
 
-def _ensure_out_dir() -> str:
-    """Create ``benchmarks/out`` once per process (fresh clones lack it).
-
-    Memoized per path, not with a single flag, because the test suite
-    monkeypatches ``_OUT_DIR`` to a temporary directory.
-    """
-    out = _OUT_DIR
-    if out not in _CREATED_DIRS:
-        os.makedirs(out, exist_ok=True)
-        _CREATED_DIRS.add(out)
-    return out
-
-
-def report(name: str, lines: list[str], metrics: dict | None = None) -> None:
+def report(name: str, lines: list[str]) -> None:
     """Print a paper-vs-measured comparison and persist it to
-    ``benchmarks/out/<name>.txt`` (the EXPERIMENTS.md source data).
-
-    ``metrics`` is the machine-readable side-channel: when given, the dict
-    is written as ``<name>.json`` next to the text report, so benchmarks
-    can persist per-phase/per-kernel breakdowns (telemetry snapshots,
-    model numbers) without flattening them into the human-readable lines.
-
-    All files are written through :func:`repro.io.atomic.atomic_open`, so
-    an interrupted benchmark never leaves a truncated results file behind.
-    """
+    ``benchmarks/out/<name>.txt`` (the EXPERIMENTS.md source data),
+    through :func:`repro.io.atomic.atomic_open`, so an interrupted
+    benchmark never leaves a truncated results file behind."""
     text = "\n".join(lines)
     print(f"\n===== {name} =====\n{text}\n", flush=True)
-    out = _ensure_out_dir()
-    with atomic_open(os.path.join(out, f"{name}.txt")) as f:
+    os.makedirs(_OUT_DIR, exist_ok=True)
+    with atomic_open(os.path.join(_OUT_DIR, f"{name}.txt")) as f:
         f.write(text + "\n")
-    if metrics is not None:
-        with atomic_open(os.path.join(out, f"{name}.json")) as f:
-            f.write(json.dumps(metrics, indent=2, default=_json_default) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return str(obj)
 
 
 # ----------------------------------------------------------------------
@@ -99,12 +69,11 @@ def palu_t_end() -> float:
 def palu_built():
     """Fully coupled Palu model, built but not advanced: ``(solver, fault, lts)``."""
     from repro.core.lts import LocalTimeStepping
-    from repro.scenarios.palu import build_coupled
+    from repro.scenarios import build
 
     _print_header("palu build")
-    solver, fault = build_coupled(palu_config())
-    lts = LocalTimeStepping(solver)
-    return solver, fault, lts
+    solver = build("palu", asdict(palu_config())).solver
+    return solver, solver.fault, LocalTimeStepping(solver)
 
 
 @lru_cache(maxsize=1)
@@ -170,14 +139,13 @@ def scenario_a_t_end() -> float:
 def scenario_a_coupled_run():
     """Returns ``(solver, fault)`` advanced to ``scenario_a_t_end()``."""
     from repro.core.lts import LocalTimeStepping
-    from repro.scenarios.scenario_a import build_coupled
+    from repro.scenarios import build
     from repro.sched import Scheduler
 
     _print_header("scenario A coupled")
-    solver, fault = build_coupled(scenario_a_config())
-    lts = LocalTimeStepping(solver)
-    Scheduler(solver, lts).run(scenario_a_t_end())
-    return solver, fault
+    solver = build("scenario_a", asdict(scenario_a_config())).solver
+    Scheduler(solver, LocalTimeStepping(solver)).run(scenario_a_t_end())
+    return solver, solver.fault
 
 
 @lru_cache(maxsize=1)

@@ -36,18 +36,13 @@ def rupture_front_speed(fault, nucleation_y):
     return float(slope)
 
 
-def test_fig1_palu_wavefield(benchmark):
+def test_fig1_palu_wavefield():
     cfg = palu_config()
     solver, fault, lts, receivers = palu_coupled_run()
-
-    def diagnostics():
-        xs = np.linspace(cfg.x_extent[0], cfg.x_extent[1], 29)
-        ys = np.linspace(cfg.y_extent[0], cfg.y_extent[1], 37)
-        X, Y, eta = sea_surface_grid(solver, xs, ys)
-        _, _, vz = sea_surface_velocity_grid(solver, xs, ys)
-        return X, Y, eta, vz
-
-    X, Y, eta, vz = benchmark.pedantic(diagnostics, rounds=1, iterations=1)
+    xs = np.linspace(cfg.x_extent[0], cfg.x_extent[1], 29)
+    ys = np.linspace(cfg.y_extent[0], cfg.y_extent[1], 37)
+    X, Y, eta = sea_surface_grid(solver, xs, ys)
+    _, _, vz = sea_surface_velocity_grid(solver, xs, ys)
 
     cs = cfg.earth_material.cs
     vr = rupture_front_speed(fault, cfg.nucleation_y)

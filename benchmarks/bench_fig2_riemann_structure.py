@@ -3,8 +3,8 @@
 The paper's Fig. 2 is the schematic eigenstructure at an elastic-acoustic
 interface: one left-going P and two left-going S waves in the elastic
 medium, a single right-going P wave in the acoustic medium.  This bench
-verifies that structure numerically from the rotated Jacobians and times
-the per-face flux-matrix construction (the setup cost of Eq. 20).
+verifies that structure numerically from the rotated Jacobians and builds
+the per-face flux matrices of Eq. 20.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ def wave_census(mat, n):
     return left, right
 
 
-def test_fig2_riemann_structure(benchmark):
+def test_fig2_riemann_structure():
     rng = np.random.default_rng(0)
     n = rng.normal(size=3)
     n /= np.linalg.norm(n)
@@ -48,11 +48,9 @@ def test_fig2_riemann_structure(benchmark):
     assert (np.abs(left_e + ROCK.cs) < 1).sum() == 2
     assert len(right_a) == 1 and abs(right_a[0] - WATER.cp) < 1
 
-    # time the per-face exact-Riemann flux matrix construction (Eq. 20)
-    def build():
-        return interior_flux_matrices(ROCK, WATER, n)
-
-    Fm, Fp = benchmark(build)
+    # the per-face exact-Riemann flux matrices (Eq. 20)
+    Fm, Fp = interior_flux_matrices(ROCK, WATER, n)
+    assert Fm.shape == Fp.shape == (9, 9)
     rows.append(f"{'per-face F-/F+ matrices':28} {'precomputed (Eq. 20)':>28} "
                 f"{'2 x 9x9 built & cached':>28}")
     report("fig2_riemann_structure", rows)

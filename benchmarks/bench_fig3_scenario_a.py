@@ -22,21 +22,16 @@ def lowpass(x, k):
     return np.convolve(x, kernel, mode="same")
 
 
-def test_fig3_scenario_a(benchmark):
+def test_fig3_scenario_a():
     cfg = scenario_a_config()
     t_end = scenario_a_t_end()
     solver, fault = scenario_a_coupled_run()
     eq, fault2, tracker, swe = scenario_a_linked_run()
 
     n_pts = 33
-
-    def transects():
-        x_line = np.linspace(cfg.x_extent[0] + cfg.dx, cfg.x_extent[1] - cfg.dx, n_pts)
-        _, eta_c = surface_eta_transect(solver, [x_line[0], 0.0], [x_line[-1], 0.0], n_pts)
-        eta_l = swe.sample_eta(np.column_stack([x_line, np.zeros(n_pts)]))
-        return x_line, eta_c, eta_l
-
-    x_line, eta_c, eta_l = benchmark.pedantic(transects, rounds=1, iterations=1)
+    x_line = np.linspace(cfg.x_extent[0] + cfg.dx, cfg.x_extent[1] - cfg.dx, n_pts)
+    _, eta_c = surface_eta_transect(solver, [x_line[0], 0.0], [x_line[-1], 0.0], n_pts)
+    eta_l = swe.sample_eta(np.column_stack([x_line, np.zeros(n_pts)]))
 
     rows = [
         f"Fig. 3 (Sec. 6.1): Scenario A sea-surface height along y=0, t = {t_end:.1f} s",

@@ -77,20 +77,14 @@ def kajiura_transfer(kh_target: float, h: float = 1.0, c: float = 25.0) -> float
     return float(np.hypot(coef[0], coef[1])) / u0
 
 
-def test_fig5_palu_vs_linked(benchmark):
+def test_fig5_palu_vs_linked():
     cfg = palu_config()
     solver, fault, lts, receivers = palu_coupled_run()
     eq, fault2, tracker, swe = palu_linked_run()
-
-    def snapshots():
-        xs = np.linspace(cfg.x_extent[0] + 300, cfg.x_extent[1] - 300, 33)
-        ys = np.linspace(cfg.y_extent[0] + 300, cfg.y_extent[1] - 300, 45)
-        X, Y, eta_c = sea_surface_grid(solver, xs, ys)
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        eta_l = swe.sample_eta(pts).reshape(X.shape)
-        return X, Y, eta_c, eta_l
-
-    X, Y, eta_c, eta_l = benchmark.pedantic(snapshots, rounds=1, iterations=1)
+    xs = np.linspace(cfg.x_extent[0] + 300, cfg.x_extent[1] - 300, 33)
+    ys = np.linspace(cfg.y_extent[0] + 300, cfg.y_extent[1] - 300, 45)
+    X, Y, eta_c = sea_surface_grid(solver, xs, ys)
+    eta_l = swe.sample_eta(np.column_stack([X.ravel(), Y.ravel()])).reshape(X.shape)
 
     from repro.scenarios.palu import palu_bathymetry
 

@@ -13,7 +13,6 @@ paper (the absolute element-per-node count is ~50x smaller, see DESIGN.md).
 
 from _cache import report, scaling_mesh
 from repro.hpc.machine import MAHTI, SUPERMUC_NG
-from repro.hpc.perfmodel import NodePerformanceModel, kernel_counts
 from repro.hpc.scaling import StrongScalingModel
 
 NODES = [2, 4, 8, 16, 28]  # 14x span = paper's Mahti 50 -> 700
@@ -27,49 +26,9 @@ def run_machine(mesh, cluster, machine, nodes, rpns):
     return {r: model.sweep(nodes, ranks_per_node=r) for r in rpns}
 
 
-def _kernel_metrics(machine, nodes, series, rpns):
-    """Per-kernel metrics side-channel: roofline splits per placement.
-
-    Makes the ``fig6*.json`` reports per-kernel (predictor vs corrector
-    roofline rates at each ranks-per-node placement) instead of only
-    end-to-end GFLOPS/node numbers.
-    """
-    model = NodePerformanceModel(machine.node, order=ORDER)
-    kc = kernel_counts(ORDER)
-    return {
-        "machine": machine.name,
-        "order": ORDER,
-        "flops_per_elem_update": {
-            "predictor": kc.flops_predictor,
-            "volume": kc.flops_volume,
-            "surface": kc.flops_surface,
-            "corrector": kc.flops_corrector,
-        },
-        "node_kernel_gflops": {
-            str(r): {
-                "predictor": model.predictor_gflops(),
-                "corrector": model.corrector_gflops(ranks_per_node=r),
-                "full": model.full_gflops(ranks_per_node=r),
-            }
-            for r in rpns
-        },
-        "series": {
-            str(r): {
-                "nodes": list(nodes),
-                "gflops_per_node": [p.gflops_per_node for p in series[r]],
-                "parallel_efficiency": [p.parallel_efficiency for p in series[r]],
-            }
-            for r in rpns
-        },
-    }
-
-
-def test_fig6a_mahti(benchmark):
+def test_fig6a_mahti():
     mesh, cluster, _ = scaling_mesh()
-    series = benchmark.pedantic(
-        run_machine, args=(mesh, cluster, MAHTI, NODES, (1, 2, 8)),
-        rounds=1, iterations=1,
-    )
+    series = run_machine(mesh, cluster, MAHTI, NODES, (1, 2, 8))
     rows = [
         "Fig. 6a: strong scaling, mesh M on Mahti [GFLOPS/node (efficiency)]",
         f"{'nodes':>6} {'1 rank/node':>18} {'2 ranks/node':>18} {'8 ranks/node':>18}",
@@ -95,16 +54,12 @@ def test_fig6a_mahti(benchmark):
     # shape assertions: 8 rpn wins, efficiency decays into the paper's range
     assert series[8][0].gflops_per_node > series[1][0].gflops_per_node
     assert 0.45 < eff_8 < 1.0
-    report("fig6a_mahti", rows,
-           metrics=_kernel_metrics(MAHTI, NODES, series, (1, 2, 8)))
+    report("fig6a_mahti", rows)
 
 
-def test_fig6b_supermuc_ng(benchmark):
+def test_fig6b_supermuc_ng():
     mesh, cluster, _ = scaling_mesh()
-    series = benchmark.pedantic(
-        run_machine, args=(mesh, cluster, SUPERMUC_NG, NODES_NG, (1, 2)),
-        rounds=1, iterations=1,
-    )
+    series = run_machine(mesh, cluster, SUPERMUC_NG, NODES_NG, (1, 2))
     rows = [
         "Fig. 6b: strong scaling, mesh M on SuperMUC-NG [GFLOPS/node (efficiency)]",
         f"{'nodes':>6} {'1 rank/node':>18} {'2 ranks/node':>18}",
@@ -132,5 +87,4 @@ def test_fig6b_supermuc_ng(benchmark):
     ]
     assert series[2][0].gflops_per_node > series[1][0].gflops_per_node * 0.98
     assert 0.4 < eff < 1.0
-    report("fig6b_supermuc_ng", rows,
-           metrics=_kernel_metrics(SUPERMUC_NG, NODES_NG, series, (1, 2)))
+    report("fig6b_supermuc_ng", rows)

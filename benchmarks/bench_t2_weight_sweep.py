@@ -53,28 +53,17 @@ def performance(mesh, cluster, w_g, w_dr, rng, n_steps=6):
     return 1.0 / t_total
 
 
-def test_t2_weight_sweep(benchmark):
+def test_t2_weight_sweep():
     solver, fault, lts = palu_built()
     mesh = solver.mesh
     cluster = lts.cluster
-
-    def sweep():
-        out = {}
-        for which in ("w_G", "w_DR"):
-            perf = []
-            for w in WEIGHTS:
-                rng = np.random.default_rng(7)  # same DR noise for all weights
-                if which == "w_G":
-                    perf.append(performance(mesh, cluster, w_g=w, w_dr=200, rng=rng))
-                else:
-                    perf.append(performance(mesh, cluster, w_g=300, w_dr=w, rng=rng))
-            out[which] = np.array(perf)
-        return out
-
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    g = result["w_G"] / result["w_G"].max()
-    d = result["w_DR"] / result["w_DR"].max()
+    # the same DR noise (seed 7) for every weight
+    g = np.array([performance(mesh, cluster, w_g=w, w_dr=200, rng=np.random.default_rng(7))
+                  for w in WEIGHTS])
+    d = np.array([performance(mesh, cluster, w_g=300, w_dr=w, rng=np.random.default_rng(7))
+                  for w in WEIGHTS])
+    g /= g.max()
+    d /= d.max()
     rows = [
         "T2 (Sec. 5.3): Eq. 28 weight sweep (relative performance, 1.0 = best)",
         f"{'weight':>8} {'vary w_G (w_DR=200)':>22} {'vary w_DR (w_G=300)':>22}",

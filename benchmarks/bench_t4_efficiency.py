@@ -7,28 +7,20 @@ heterogeneity-aware tpwgts, Mahti at 700 nodes reaches only 84% of the
 weighted performance).
 """
 
-import numpy as np
-
 from _cache import report, scaling_mesh
 from repro.hpc.machine import MAHTI, SUPERMUC_NG
 from repro.hpc.scaling import StrongScalingModel
 
 
-def test_t4_efficiency_and_node_weights(benchmark):
+def test_t4_efficiency_and_node_weights():
     mesh, cluster, _ = scaling_mesh()
-
-    def run():
-        # L-mesh-like series on SuperMUC-NG: 4x node span (768 -> 3072)
-        model_ng = StrongScalingModel(mesh, cluster, order=5, machine=SUPERMUC_NG, seed=5)
-        series = model_ng.sweep([8, 16, 32], ranks_per_node=2)
-        # node-weight ablation on Mahti with a guaranteed straggler
-        model_m = StrongScalingModel(mesh, cluster, order=5, machine=MAHTI, seed=5)
-        r_on = model_m.simulate(24, 8, use_node_weights=True, force_straggler=True)
-        r_off = model_m.simulate(24, 8, use_node_weights=False, force_straggler=True)
-        return series, r_on, r_off
-
-    series, r_on, r_off = benchmark.pedantic(run, rounds=1, iterations=1)
-
+    # L-mesh-like series on SuperMUC-NG: 4x node span (768 -> 3072)
+    model_ng = StrongScalingModel(mesh, cluster, order=5, machine=SUPERMUC_NG, seed=5)
+    series = model_ng.sweep([8, 16, 32], ranks_per_node=2)
+    # node-weight ablation on Mahti with a guaranteed straggler
+    model_m = StrongScalingModel(mesh, cluster, order=5, machine=MAHTI, seed=5)
+    r_on = model_m.simulate(24, 8, use_node_weights=True, force_straggler=True)
+    r_off = model_m.simulate(24, 8, use_node_weights=False, force_straggler=True)
     eff = series[-1].parallel_efficiency
     ratio = r_off.gflops_per_node / r_on.gflops_per_node
     rows = [

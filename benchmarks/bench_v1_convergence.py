@@ -20,39 +20,34 @@ from repro.scenarios.convergence import (
 from repro.core.materials import elastic
 
 
-def test_v1_convergence(benchmark):
+def test_v1_convergence():
     mat = elastic(1.0, 2.0, 1.0)
-
-    def study():
-        out = {}
-        # (a) plane-wave h-convergence at two orders
-        for order in (1, 2) if FAST else (1, 2, 3):
-            errs = []
-            exact, cp = plane_wave(mat, "P")
-            for nc in (4, 8):
-                s = periodic_box_solver(mat, nc, order)
-                s.set_initial_condition(lambda x: exact(x, 0.0))
-                T = 0.15 / cp
-                n = int(np.ceil(T / s.dt))
-                for _ in range(n):
-                    s.step(T / n)
-                errs.append(l2_error(s, exact, s.t))
-            out[("plane", order)] = errs
-        # (b) coupled standing mode, orders 2 and 3
-        setup = CoupledModeSetup()
-        for order in (2, 3):
-            errs = []
-            for nz in (2, 4):
-                s = setup.build_solver(nz, order)
-                T = 0.25 * 2 * np.pi / setup.omega
-                n = int(np.ceil(T / s.dt))
-                for _ in range(n):
-                    s.step(T / n)
-                errs.append(l2_error(s, setup.exact, s.t))
-            out[("coupled", order)] = errs
-        return out
-
-    out = benchmark.pedantic(study, rounds=1, iterations=1)
+    out = {}
+    # (a) plane-wave h-convergence at two orders
+    for order in (1, 2) if FAST else (1, 2, 3):
+        errs = []
+        exact, cp = plane_wave(mat, "P")
+        for nc in (4, 8):
+            s = periodic_box_solver(mat, nc, order)
+            s.set_initial_condition(lambda x: exact(x, 0.0))
+            T = 0.15 / cp
+            n = int(np.ceil(T / s.dt))
+            for _ in range(n):
+                s.step(T / n)
+            errs.append(l2_error(s, exact, s.t))
+        out[("plane", order)] = errs
+    # (b) coupled standing mode, orders 2 and 3
+    setup = CoupledModeSetup()
+    for order in (2, 3):
+        errs = []
+        for nz in (2, 4):
+            s = setup.build_solver(nz, order)
+            T = 0.25 * 2 * np.pi / setup.omega
+            n = int(np.ceil(T / s.dt))
+            for _ in range(n):
+                s.step(T / n)
+            errs.append(l2_error(s, setup.exact, s.t))
+        out[("coupled", order)] = errs
 
     rows = [
         "V1 (Sec. 6.1): convergence vs analytic solutions",

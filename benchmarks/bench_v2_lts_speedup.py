@@ -5,8 +5,9 @@ time-to-solution than reported previously", attributing it to the
 acoustic/elastic wave-speed and mesh-size discrepancy, and that running
 mesh L with global time-stepping "is therefore not feasible".  This bench
 measures, on a coupled ocean-over-crust mesh: (i) the LTS vs GTS element
--update reduction, (ii) actual wall-time speedup of this implementation,
-(iii) the solution difference (correctness).
+-update reduction, (ii) actual wall-time speedup of this implementation
+(the median over ``ROUNDS`` alternating GTS/LTS runs on freshly built
+solvers, with its spread), (iii) the solution difference (correctness).
 """
 
 import time
@@ -19,6 +20,8 @@ from repro.core.materials import acoustic, elastic
 from repro.core.riemann import FaceKind
 from repro.core.solver import CoupledSolver
 from repro.sched import Scheduler
+
+ROUNDS = 5
 
 
 def build():
@@ -56,24 +59,29 @@ def build():
     return s
 
 
-def test_v2_lts_speedup(benchmark):
+def timed_round():
+    """One GTS run and one LTS run over the same 48 dt_min, each on a
+    freshly built solver (the builds untimed).  Returns ``(s_gts, n,
+    s_lts, lts, wall-time ratio GTS / LTS)``."""
     s_gts = build()
     T = 48 * s_gts.dt
-
-    t0 = time.perf_counter()
     n = int(np.ceil(T / s_gts.dt))
+    t0 = time.perf_counter()
     for _ in range(n):
         s_gts.step(T / n)
     t_gts = time.perf_counter() - t0
 
     s_lts = build()
     lts = LocalTimeStepping(s_lts)
+    t0 = time.perf_counter()
+    Scheduler(s_lts, lts).run(T)
+    t_lts = time.perf_counter() - t0
+    return s_gts, n, s_lts, lts, t_gts / t_lts
 
-    def run_lts():
-        Scheduler(s_lts, lts).run(T)
 
-    benchmark.pedantic(run_lts, rounds=1, iterations=1)
-    t_lts = benchmark.stats["mean"]
+def test_v2_lts_speedup():
+    s_gts, n, s_lts, lts, ratio = timed_round()
+    ratios = [ratio] + [timed_round()[-1] for _ in range(ROUNDS - 1)]
 
     st = lts.statistics()
     rel = np.abs(s_gts.Q - s_lts.Q).max() / np.abs(s_gts.Q).max()
@@ -88,7 +96,8 @@ def test_v2_lts_speedup(benchmark):
         f"{'theoretical update reduction (this mesh)':44} {st['speedup']:>11.2f}x",
         f"{'actual element updates LTS / GTS':44} "
         f"{f'{updates_done} / {updates_gts}':>12}",
-        f"{'wall-time speedup (this implementation)':44} {t_gts / t_lts:>11.2f}x",
+        f"{f'wall-time speedup, median of {ROUNDS} rounds':44} {np.median(ratios):>11.2f}x",
+        f"{'  range over the rounds':44} {f'{min(ratios):.2f}-{max(ratios):.2f}x':>12}",
         f"{'max solution difference LTS vs GTS':44} {rel:>12.2e}",
         "",
         "paper (mesh L): chosen clustering reduces element updates ~30x;",

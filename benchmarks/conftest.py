@@ -1,8 +1,8 @@
 """Benchmark-suite configuration.
 
-Each ``bench_*`` file regenerates one table or figure of the paper and
-prints a paper-vs-measured comparison; ``pytest benchmarks/
---benchmark-only`` runs them all.  Heavy scenario runs are shared through
+Each ``bench_*`` file regenerates one table or figure of the paper as a
+plain pytest test and prints a paper-vs-measured comparison; ``pytest
+benchmarks -s`` runs them all.  Heavy scenario runs are shared through
 :mod:`benchmarks._cache`; set ``REPRO_FAST=1`` for a quick smoke pass.
 """
 

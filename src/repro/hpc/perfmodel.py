@@ -84,8 +84,8 @@ def kernel_counts(order: int, variant: str = "batched") -> KernelCounts:
     (2Q, F)`` product for both sides' fluxes and the plus side's ``(Q, F)
     @ (F, F)`` change of face basis, and per face-side one ``(Q, F) @
     (F, B)`` lift; an element update owns four face-sides, i.e. two
-    faces' worth.  Memory traffic is unchanged — fusion removes work, not
-    state.
+    faces' worth.  Its predictor writes the compact levels 1..N at their
+    own widths instead of ``N + 1`` dense ones.
     """
     N = order
     B = basis_size(order)
@@ -95,6 +95,7 @@ def kernel_counts(order: int, variant: str = "batched") -> KernelCounts:
     level = 3 * (2.0 * B * B * Q + 2.0 * B * Q * Q)
     if variant == "batched":
         fl_pred = N * level + (N + 1) * 2.0 * B * Q  # + time integration
+        derivs = (N + 1) * B * Q
         per_face = 2 * (2.0 * nq * B * Q) + 2 * (2.0 * nq * Q * Q) + 2.0 * nq * B * Q
         fl_surf = 4 * per_face
     elif variant == "fused":
@@ -104,6 +105,7 @@ def kernel_counts(order: int, variant: str = "batched") -> KernelCounts:
             3 * (2.0 * sizes[k + 1] * sizes[k] * Q + 2.0 * sizes[k + 1] * Q * Q)
             for k in range(N)
         ) + (N + 1) * 2.0 * B * Q
+        derivs = Q * sum(sizes[1:])
         # per face: both traces onto the F face modes, both sides' fluxes
         # as one (2Q, 2Q) product and the plus side's change of basis;
         # per face-side: its slot's lift
@@ -115,7 +117,7 @@ def kernel_counts(order: int, variant: str = "batched") -> KernelCounts:
         raise ValueError(f"unknown kernel variant {variant!r}")
     fl_vol = level
 
-    by_pred = _DP * (B * Q + (N + 1) * B * Q + 3 * Q * Q)  # read Q + write derivs + star
+    by_pred = _DP * (B * Q + derivs + 3 * Q * Q)  # read Q + write derivs + star
     by_vol = _DP * (2 * B * Q + 3 * Q * Q)  # read I, accumulate, star
     # surface: own I + 4 neighbor I + 4 faces x 2 flux matrices + update
     by_surf_own = _DP * (B * Q + B * Q)

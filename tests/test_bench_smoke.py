@@ -1,65 +1,22 @@
-"""Smoke-run every ``benchmarks/bench_*.py`` entry point in tiny-mesh mode.
+"""Keep every ``benchmarks/bench_*.py`` entry point runnable.
 
 The figure/table benchmarks are the repo's reproduction artifacts; nothing
-in the fast suite would notice if one of them drifted out of sync with the
-library API (signature changes, renamed helpers, moved configs).  This
-module imports each ``bench_*`` file and calls every ``test_*`` entry
-point with a stub ``benchmark`` fixture under ``REPRO_FAST=1``, so the
-whole suite stays runnable without pytest-benchmark installed.
-
-Marked ``slow``: the shared scenario runs take minutes even in fast mode.
-Run with ``pytest -m slow tests/test_bench_smoke.py``.
+else in the suite would notice if one of them drifted out of sync with the
+library API (signature changes, renamed helpers, moved configs).  The fast
+tier imports each ``bench_*`` file and checks that its ``test_*`` entry
+points take no parameters, so pytest runs them as plain tests; the slow
+tier calls every entry point under ``REPRO_FAST=1`` (the shared scenario
+runs take minutes even then): ``pytest -m slow tests/test_bench_smoke.py``.
 """
 
 import importlib
 import inspect
-import time
 from pathlib import Path
 
 import pytest
 
-pytestmark = pytest.mark.slow
-
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 BENCH_MODULES = sorted(p.stem for p in BENCH_DIR.glob("bench_*.py"))
-
-
-class StubBenchmark:
-    """Duck-typed stand-in for pytest-benchmark's ``benchmark`` fixture.
-
-    Supports the two call styles the suite uses — ``benchmark(fn)`` and
-    ``benchmark.pedantic(fn, rounds=..., iterations=..., warmup_rounds=...)``
-    — and records real wall-clock timings in ``stats`` so entry points
-    that compute speedups from ``stats["mean"]`` keep working.
-    """
-
-    def __init__(self):
-        self.stats = {}
-
-    def __call__(self, fn, *args, **kwargs):
-        return self._run(fn, args, kwargs, rounds=1, iterations=1)
-
-    def pedantic(self, target, args=(), kwargs=None, rounds=1, iterations=1,
-                 warmup_rounds=0):
-        kwargs = kwargs or {}
-        for _ in range(warmup_rounds):
-            target(*args, **kwargs)
-        return self._run(target, args, kwargs, rounds, iterations)
-
-    def _run(self, fn, args, kwargs, rounds, iterations):
-        times, result = [], None
-        for _ in range(max(int(rounds), 1)):
-            t0 = time.perf_counter()
-            for _ in range(max(int(iterations), 1)):
-                result = fn(*args, **kwargs)
-            times.append((time.perf_counter() - t0) / max(int(iterations), 1))
-        self.stats = {
-            "mean": sum(times) / len(times),
-            "min": min(times),
-            "max": max(times),
-            "rounds": len(times),
-        }
-        return result
 
 
 @pytest.fixture(autouse=True)
@@ -75,25 +32,25 @@ def _tiny_mesh_mode(monkeypatch, tmp_path):
     monkeypatch.setattr(_cache, "_OUT_DIR", str(tmp_path / "out"))
 
 
-def test_all_benchmarks_discovered():
+def entry_points(mod_name):
+    mod = importlib.import_module(mod_name)
+    entries = [fn for name, fn in sorted(vars(mod).items())
+               if name.startswith("test_") and inspect.isfunction(fn)
+               and fn.__module__ == mod.__name__]
+    assert entries, f"{mod_name} defines no test_* entry point"
+    return entries
+
+
+def test_entry_points_take_no_parameters():
     assert len(BENCH_MODULES) >= 14, BENCH_MODULES
+    for mod_name in BENCH_MODULES:
+        for fn in entry_points(mod_name):
+            params = list(inspect.signature(fn).parameters)
+            assert not params, f"{mod_name}.{fn.__name__} takes {params}"
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("mod_name", BENCH_MODULES)
 def test_bench_entry_points_run(mod_name):
-    mod = importlib.import_module(mod_name)
-    entries = [
-        (name, fn)
-        for name, fn in sorted(vars(mod).items())
-        if name.startswith("test_") and inspect.isfunction(fn)
-        and fn.__module__ == mod.__name__
-    ]
-    assert entries, f"{mod_name} defines no test_* entry point"
-    for name, fn in entries:
-        params = inspect.signature(fn).parameters
-        # entry points may only request the benchmark fixture — anything
-        # else is argument drift against how the suite invokes them
-        extra = [p for p in params if p != "benchmark"]
-        assert not extra, f"{mod_name}.{name} requests unknown fixtures {extra}"
-        kwargs = {"benchmark": StubBenchmark()} if "benchmark" in params else {}
-        fn(**kwargs)
+    for fn in entry_points(mod_name):
+        fn()

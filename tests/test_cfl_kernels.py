@@ -10,7 +10,9 @@ from repro.core.cfl import cfl_factor, element_timesteps
 from repro.core.kernels import SpatialOperator
 from repro.core.materials import acoustic, elastic
 from repro.kernels.faces import FacePlan
-from repro.mesh.generators import box_mesh, layered_ocean_mesh
+from repro.mesh.generators import box_mesh
+
+from .conftest import ocean_box_mesh
 
 ROCK = elastic(2700.0, 6000.0, 3464.0)
 WATER = acoustic(1000.0, 1500.0)
@@ -54,11 +56,7 @@ class TestCFL:
 
 class TestSpatialOperator:
     def make(self, order=2):
-        xs = np.linspace(0, 2000.0, 4)
-        m = layered_ocean_mesh(
-            xs, xs, np.linspace(-2000.0, -500.0, 3), np.linspace(-500.0, 0.0, 2), ROCK, WATER
-        )
-        return SpatialOperator(m, order)
+        return SpatialOperator(ocean_box_mesh(np.linspace(0, 2000.0, 4), -2000.0, -500.0), order)
 
     def test_constant_state_is_steady(self):
         """A constant velocity field is steady: the volume term cancels the

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.lts import LocalTimeStepping, cluster_elements, cluster_major
-from repro.core.materials import acoustic, elastic
 from repro.core.resilience import ResilientRunner
 from repro.core.solver import CoupledSolver, ocean_surface_gravity_tagger
 from repro.ensemble.worker import state_digest
@@ -28,12 +27,11 @@ from repro.exec import (
     plan_key,
 )
 from repro.io.checkpoint import CheckpointError, restore_checkpoint, save_checkpoint
-from repro.mesh.generators import layered_ocean_mesh
 from repro.rupture.fault import FaultSolver, Prestress
 from repro.rupture.friction import LinearSlipWeakening
 from repro.sched import Scheduler
 
-from .conftest import gravity_box, gravity_box_mesh
+from .conftest import gravity_box, gravity_box_mesh, ocean_box_mesh
 from tests.test_faces import build_all_faces
 
 WORKER_COUNTS = (1, 2, 4)
@@ -55,15 +53,7 @@ def build_lts_fault_gravity(backend="serial", workers=None, sort=False,
     views of the plan).  ``prepare(mesh)``, if given, runs instead, right
     before the solver is built.  ``xs`` are the horizontal grid lines
     (the fault sits on ``x = 0``); ``order`` the polynomial degree."""
-    crust = elastic(2700.0, 6000.0, 3464.0)
-    ocean = acoustic(1000.0, 1500.0)
-    xs = np.asarray(xs)
-    mesh = layered_ocean_mesh(
-        xs, xs,
-        zs_earth=np.linspace(-3000.0, -1000.0, 3),
-        zs_ocean=np.linspace(-1000.0, 0.0, 2),
-        earth=crust, ocean=ocean,
-    )
+    mesh = ocean_box_mesh(np.asarray(xs), -3000.0, -1000.0)
     n = mesh.mark_fault(
         lambda c, nrm: (np.abs(nrm[:, 0]) > 0.99)
         & (np.abs(c[:, 0]) < 1e-6)

@@ -23,12 +23,10 @@ from hypothesis import strategies as st
 
 from repro.core.gravity import _PROPAGATOR_CACHE_MAX
 from repro.core.lts import LocalTimeStepping, cluster_major
-from repro.core.materials import acoustic, elastic
 from repro.core.riemann import FaceKind
 from repro.core.solver import CoupledSolver, ocean_surface_gravity_tagger
 from repro.ensemble.worker import state_digest
 from repro.kernels.faces import FacePlan
-from repro.mesh.generators import layered_ocean_mesh
 from repro.rupture.fault import FaultSolver, Prestress
 from repro.rupture.friction import (
     LinearSlipWeakening,
@@ -36,6 +34,7 @@ from repro.rupture.friction import (
 )
 from repro.sched import Scheduler
 
+from .conftest import ocean_box_mesh
 from .reference_kernels import (
     fault_step_oracle,
     gravity_step_oracle,
@@ -55,15 +54,8 @@ def build_all_faces(order=2, friction="lsw", backend="serial", workers=None,
     """Rupturing fault under a gravity-topped ocean over a moving bottom:
     gravity, fault and prescribed-motion faces on one cluster-major mesh
     (``sort=False``: the mesh as generated, clusters interleaved)."""
-    crust = elastic(2700.0, 6000.0, 3464.0)
-    ocean = acoustic(1000.0, 1500.0)
     xs = np.array([-1500.0, -750.0, 0.0, 750.0, 1500.0])
-    mesh = layered_ocean_mesh(
-        xs, xs,
-        zs_earth=np.linspace(-3000.0, -1000.0, 3),
-        zs_ocean=np.linspace(-1000.0, 0.0, 2),
-        earth=crust, ocean=ocean,
-    )
+    mesh = ocean_box_mesh(xs, -3000.0, -1000.0)
     assert mesh.mark_fault(
         lambda c, nrm: (np.abs(nrm[:, 0]) > 0.99)
         & (np.abs(c[:, 0]) < 1e-6)

@@ -10,6 +10,8 @@ from repro.mesh.generators import box_mesh
 from repro.rupture.fault import FaultSolver, Prestress
 from repro.rupture.friction import LinearSlipWeakening, RateStateFastVelocityWeakening
 
+from .conftest import ocean_box_mesh
+
 ROCK = elastic(2670.0, 6000.0, 3464.0)
 
 
@@ -166,14 +168,7 @@ class TestFaultAPI:
             CoupledSolver(m, order=1, fault=FaultSolver(fr, Prestress()))
 
     def test_rejects_acoustic_side(self):
-        from repro.core.materials import acoustic
-        from repro.mesh.generators import layered_ocean_mesh
-
-        water = acoustic(1000.0, 1500.0)
-        xs = np.linspace(0, 2000.0, 3)
-        m = layered_ocean_mesh(
-            xs, xs, np.linspace(-2000.0, -500.0, 3), np.linspace(-500.0, 0.0, 2), ROCK, water
-        )
+        m = ocean_box_mesh(np.linspace(0, 2000.0, 3), -2000.0, -500.0, earth=ROCK)
         # mark the ocean-bottom interface as "fault"
         m.mark_fault(lambda c, n: (np.abs(n[:, 2]) > 0.99) & (np.abs(c[:, 2] + 500.0) < 1.0))
         fr = LinearSlipWeakening(mu_s=0.6, mu_d=0.3, d_c=0.4)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.lts import cluster_elements
-from repro.core.materials import acoustic, elastic
+from repro.core.materials import elastic
 from repro.core.riemann import FaceKind
 from repro.hpc.machine import AMD_ROME_7H12, MAHTI, SHAHEEN2, SUPERMUC_NG
 from repro.hpc.partition import (
@@ -18,17 +18,15 @@ from repro.hpc.partition import (
 )
 from repro.hpc.perfmodel import NodePerformanceModel, dof_count, kernel_counts
 from repro.hpc.scaling import StrongScalingModel
-from repro.mesh.generators import box_mesh, layered_ocean_mesh
+from repro.mesh.generators import box_mesh
+
+from .conftest import ocean_box_mesh
 
 ROCK = elastic(2700.0, 6000.0, 3464.0)
-WATER = acoustic(1000.0, 1500.0)
 
 
 def ocean_mesh(n=4):
-    xs = np.linspace(0, 4000.0, n + 1)
-    m = layered_ocean_mesh(
-        xs, xs, np.linspace(-3000.0, -1000.0, 3), np.linspace(-1000.0, 0.0, 3), ROCK, WATER
-    )
+    m = ocean_box_mesh(np.linspace(0, 4000.0, n + 1), -3000.0, -1000.0, layers=(2, 2))
 
     def tagger(cent, nrm):
         tags = np.full(len(cent), FaceKind.ABSORBING.value)

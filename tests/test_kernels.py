@@ -58,12 +58,11 @@ from repro.exec import (
 )
 from repro.kernels import fusion
 from repro.kernels.fusion import MASK_CACHE_MAX, element_plan, face_factors
-from repro.mesh.generators import layered_ocean_mesh
 from repro.mesh.tetmesh import TetMesh
 from repro.sched import Scheduler
 
 from tests.reference_kernels import ReferenceOperator, use_reference_kernels
-from .conftest import gravity_box
+from .conftest import gravity_box, ocean_box_mesh
 from tests.test_exec_equivalence import (
     T_LTS,
     assert_states_match,
@@ -401,12 +400,7 @@ def shuffled_mesh():
     carry randomly re-labelled vertices: the structured generators only
     ever produce one vertex permutation (and 7 orientation classes), this
     mesh three (and ~50 classes)."""
-    base = layered_ocean_mesh(
-        np.linspace(-1500.0, 1500.0, 5), np.linspace(-1500.0, 1500.0, 5),
-        zs_earth=np.linspace(-3000.0, -1000.0, 3),
-        zs_ocean=np.linspace(-1000.0, 0.0, 2),
-        earth=elastic(2700.0, 6000.0, 3464.0), ocean=acoustic(1000.0, 1500.0),
-    )
+    base = ocean_box_mesh(np.linspace(-1500.0, 1500.0, 5), -3000.0, -1000.0)
     rng = np.random.default_rng(2018)
     relabel = _EVEN_PERMS[rng.integers(len(_EVEN_PERMS), size=base.n_elements)]
     mesh = TetMesh(base.vertices, np.take_along_axis(base.tets, relabel, axis=1),
@@ -544,12 +538,7 @@ class TestTransientMemory:
         import tracemalloc
 
         monkeypatch.setattr(fusion, "CHUNK", 16)
-        mesh = layered_ocean_mesh(
-            np.linspace(-1500.0, 1500.0, n), np.linspace(-1500.0, 1500.0, n),
-            zs_earth=np.linspace(-3000.0, -1000.0, 3),
-            zs_ocean=np.linspace(-1000.0, 0.0, 2),
-            earth=elastic(2700.0, 6000.0, 3464.0),
-            ocean=acoustic(1000.0, 1500.0))
+        mesh = ocean_box_mesh(np.linspace(-1500.0, 1500.0, n), -3000.0, -1000.0)
         op = SpatialOperator(mesh, 2)
         assert op.n_elements >= 18 * fusion.CHUNK
         _, I = _random_state(op, 0)
@@ -826,12 +815,7 @@ def table_mesh():
     with either side as the minus element), randomly re-labelled vertices
     (several permutations), fault faces the generic kernels must skip and
     all three boundary kinds they own next to one they do not."""
-    base = layered_ocean_mesh(
-        np.linspace(-1500.0, 1500.0, 5), np.linspace(-1500.0, 1500.0, 5),
-        zs_earth=np.linspace(-3000.0, -1000.0, 3),
-        zs_ocean=np.linspace(-1000.0, 0.0, 2),
-        earth=elastic(2700.0, 6000.0, 3464.0), ocean=acoustic(1000.0, 1500.0),
-    )
+    base = ocean_box_mesh(np.linspace(-1500.0, 1500.0, 5), -3000.0, -1000.0)
     rng = np.random.default_rng(21)
     relabel = _EVEN_PERMS[rng.integers(len(_EVEN_PERMS), size=base.n_elements)]
     materials = [elastic(2700.0, 6000.0, 3464.0), acoustic(1000.0, 1500.0),
@@ -1043,8 +1027,11 @@ def test_fused_flop_counts_stay_under_batched():
         per_face = 2 * (2 * 9 * B * F) + 2 * 18 * 18 * F + 2 * 9 * F * F
         assert kf.flops_surface == 2 * per_face + 4 * (2 * 9 * F * B)
         assert kf.flops_volume == kb.flops_volume
-        # traffic is unchanged: fusion removes work, not state
-        assert kf.bytes_predictor == kb.bytes_predictor
+        # the compact predictor reads the state and writes levels 1..N
+        # at their own widths, not N + 1 dense levels
+        written = 9 * sum(basis_size(order - k) for k in range(1, order + 1))
+        assert kf.bytes_predictor == 8 * (B * 9 + written + 3 * 9 * 9)
+        assert kf.bytes_predictor < kb.bytes_predictor
         assert kf.bytes_surface == kb.bytes_surface
     for unknown in ("simd", "jit"):
         with pytest.raises(ValueError, match="unknown kernel variant"):

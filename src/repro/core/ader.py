@@ -40,29 +40,32 @@ _TAYLOR_CHUNK = 512
 
 def stacked_star_matrices(mesh) -> np.ndarray:
     """Per-element reference-coordinate Jacobians as the C-contiguous
-    ``(ne, 9, 27)`` left factors of the quantity-major kernels.
+    ``(ne, 108)`` left factors of the quantity-major kernels.
 
-    ``out[e, p, 3 q + k] = star[e, k][p, q]`` with the "star" Jacobian
-    ``star[e, k] = sum_d inv_jac[e, k, d] * (A, B, C)[d]`` of the
-    element's material: one ``(9, 27) @ (27, n)`` product applies all
-    three to an element's ``(27, n)`` directional derivatives (rows
-    ``3 q + k``).  Each chunk is computed as ``(n, 3, 9, 9)`` blocks in
-    contiguous scratch (``einsum`` without ``out=`` would pick the memory
-    order of its operands, not C order) and assigned re-laid-out, so no
-    second table exists.
+    The "star" Jacobian ``star[e, k] = sum_d inv_jac[e, k, d] * (A, B,
+    C)[d]`` of the element's material is 0 but for its stress <- velocity
+    and velocity <- stress blocks: ``out[e, :54]`` is the ``(6, 9)``
+    ``[p, 3 (q - 6) + k] = star[e, k][p, q]``, ``out[e, 54:]`` the
+    ``(3, 18)`` ``[p - 6, 3 q + k]``, which apply all three to an
+    element's ``(27, n)`` directional derivatives (rows ``3 q + k``;
+    :func:`repro.kernels.fusion.star_blocks`).  Each chunk is computed as
+    ``(n, 3, 9, 9)`` blocks in contiguous scratch (``einsum`` without
+    ``out=`` would pick the memory order of its operands, not C order)
+    and assigned re-laid-out, so no second table exists.
     """
     ABC = np.stack([np.stack(jacobians(m)) for m in mesh.materials])
     ne = mesh.n_elements
-    out = np.empty((ne, 9, 27))
+    out = np.empty((ne, 108))
     scratch = np.empty((min(_STAR_CHUNK, ne), 3, 9, 9))
     for lo in range(0, ne, _STAR_CHUNK):
         rows = slice(lo, lo + _STAR_CHUNK)
         blocks = scratch[:len(out[rows])]
         np.einsum("ekd,edij->ekij", mesh.inv_jac[rows],
                   ABC[mesh.material_ids[rows]], out=blocks)
-        stacked = out[rows].reshape(-1, 9, 9, 3)
+        sv, vs = out[rows, :54].reshape(-1, 6, 3, 3), out[rows, 54:].reshape(-1, 3, 6, 3)
         for k in range(3):
-            stacked[..., k] = blocks[:, k]
+            sv[..., k] = blocks[:, k, :6, 6:]
+            vs[..., k] = blocks[:, k, 6:, :6]
     return out
 
 

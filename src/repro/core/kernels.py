@@ -40,6 +40,7 @@ from ..kernels.fusion import (
     attach_interior_groups,
     face_buffer,
     finish_plan,
+    flux_factors,
     fold_flux_tables,
     fused_boundary_residual,
     fused_ck,
@@ -114,19 +115,18 @@ class SpatialOperator:
             self._fold_boundary(plan)
         return finish_plan(plan)
 
-    def _pair_constants(self, mat_m, mat_p) -> np.ndarray:
-        """``(9, 36)`` side-by-side stack of the four face-aligned Godunov
-        matrices ``A_loc G`` (paper Eq. 20) of an interior face between
-        ``mat_m`` (minus side) and ``mat_p``, in the order of the flux
-        table's blocks (:func:`~repro.kernels.fusion.attach_interior_groups`)
-        — the minus side's update (own trace, far trace), then the plus
-        side's (far trace, own trace): each side lists the minus element's
-        trace first.
-
-        All four are in the *minus* side's frame.  The plus side sees the
-        normal ``-n``, and ``T(-n) M T(-n)^{-1} = T(n) (D M D) T(n)^{-1}``
-        with the constant sign diagonal ``D`` (:data:`NORMAL_FLIP`),
-        exactly, so its matrices are stored as ``D M D``."""
+    def _pair_factors(self, mat_m, mat_p):
+        """Row blocks ``(2, 9, r)`` and column blocks ``(2, r, 9)`` of the
+        factors (:func:`~repro.kernels.fusion.flux_factors`) of the four
+        face-aligned Godunov matrices ``A_loc G`` (paper Eq. 20) of an
+        interior face between ``mat_m`` (minus side) and ``mat_p``,
+        ``[[mm, pm], [mp, pp]]``: the minus side's update (own trace, far
+        trace), then the plus side's (far trace, own trace).  Both sides'
+        fluxes go through the interface traction and velocity: ``r = 6``,
+        or one such state per side for ``one_sided``.  The plus side sees
+        ``-n``, and ``T(-n) M T(-n)^{-1} = T(n) (D M D) T(n)^{-1}`` with
+        the sign diagonal ``D`` (:data:`NORMAL_FLIP`), exactly, so its
+        matrices are stored as ``D M D`` in the minus side's frame."""
         one_sided = self.flux_variant == "one_sided"
         flip = np.outer(NORMAL_FLIP, NORMAL_FLIP)
         sides = []
@@ -136,7 +136,9 @@ class SpatialOperator:
             Aloc = jacobians(own)[0]
             sides.append(((Aloc @ G_own) * sign, (Aloc @ G_far) * sign))
         (mm, pm), (pp, mp) = sides
-        return np.concatenate([mm, pm, mp, pp], axis=1)
+        r = 12 if one_sided else 6
+        Lc, Kc = flux_factors(np.block([[mm, pm], [mp, pp]]), r)
+        return Lc.reshape(2, 9, r), Kc.reshape(r, 2, 9).transpose(1, 0, 2)
 
     def _fold_interior(self, plan: OperatorPlan) -> None:
         """Folded groups of the regular interior faces, one per (minus
@@ -161,24 +163,22 @@ class SpatialOperator:
         pairs, which = np.unique(
             mesh.material_ids[em] * nmat + mesh.material_ids[ep],
             return_inverse=True)
-        consts = np.stack([self._pair_constants(mats[p // nmat], mats[p % nmat])
-                           for p in pairs.tolist()])
+        Lc, Kc = (np.stack(f) for f in zip(*(
+            self._pair_factors(mats[p // nmat], mats[p % nmat])
+            for p in pairs.tolist())))
         # per-face corrector scale: -(2 * area) / det_jac  (reference face
         # weights sum to 1/2, mass matrix on the reference tet is |J| * I)
-        area = itf.area[ids]
-        scale = (-2.0 * area / mesh.det_jac[em], -2.0 * area / mesh.det_jac[ep])
-        # block j = (side t, trace side s) of [mm, pm, mp, pp], entry
-        # [q, p], lands scaled at G[f, 9 t + q, 2 p + s]
-        # (fusion.attach_interior_groups)
-        G = np.empty((len(ids), 18, 18))
-        for rows, blk in fold_flux_tables(itf.normal[ids], which, consts):
-            Gq = G[rows].reshape(-1, 2, 9, 9, 2)
-            for j in range(4):
-                t, s = divmod(j, 2)
-                np.multiply(blk[:, j], scale[t][rows, None, None],
-                            out=Gq[:, t, :, :, s])
+        scale = -2.0 * itf.area[ids, None] / mesh.det_jac[np.stack([em, ep], 1)]
+        # row block t of T Lc lands scaled at L[f, 9 t + q], column block
+        # s of Kc T^-1 at K[f, :, 2 p + s] (fusion.attach_interior_groups)
+        nf, r = len(ids), Lc.shape[3]
+        L, K = np.empty((nf, 18, r)), np.empty((nf, r, 18))
+        for rows, TL, KT in fold_flux_tables(itf.normal[ids], which, Lc, Kc):
+            np.multiply(TL, scale[rows, :, None, None],
+                        out=L[rows].reshape(-1, 2, 9, r))
+            K[rows].reshape(-1, r, 9, 2)[...] = KT.transpose(0, 2, 3, 1)
         attach_interior_groups(plan, self.order, em, ep, itf.minus_face[ids],
-                               itf.plus_face[ids], itf.perm[ids], G)
+                               itf.plus_face[ids], itf.perm[ids], L, K)
 
     def _fold_boundary(self, plan: OperatorPlan) -> None:
         """Folded groups of the free-surface / absorbing / wall faces, one
@@ -204,9 +204,10 @@ class SpatialOperator:
             consts.append(AG)
         GT = np.empty((len(ids), 9, 9))
         scale = -2.0 * bnd.area[ids] / mesh.det_jac[elem]
-        for rows, blk in fold_flux_tables(bnd.normal[ids], which,
-                                          np.stack(consts)):
-            np.multiply(blk[:, 0], scale[rows, None, None], out=GT[rows])
+        eye = np.broadcast_to(np.eye(9), (len(consts), 1, 9, 9))  # GT = (T M) T^-1
+        for rows, TM, Tinv in fold_flux_tables(bnd.normal[ids], which,
+                                               np.stack(consts)[:, None], eye):
+            np.multiply(TM[:, 0] @ Tinv[:, 0], scale[rows, None, None], out=GT[rows])
         attach_boundary_groups(plan, self.ref, elem, kind, bnd.face[ids], GT)
 
     # ------------------------------------------------------------------

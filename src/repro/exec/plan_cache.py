@@ -108,8 +108,8 @@ class OperatorPlan:
     """The precomputed, immutable part of a :class:`SpatialOperator`:
     exactly what the kernels of :mod:`repro.kernels.fusion` read."""
 
-    #: (ne, 9, 27) reference-coordinate (star) Jacobians, stacked as the
-    #: left factors of the quantity-major kernels
+    #: (ne, 108) nonzero blocks of the reference-coordinate (star)
+    #: Jacobians, the left factors of the quantity-major kernels
     starQ: np.ndarray
     #: folded face groups (:func:`repro.kernels.fusion.attach_interior_groups`
     #: / :func:`~repro.kernels.fusion.attach_boundary_groups`)

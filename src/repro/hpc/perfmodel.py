@@ -80,12 +80,13 @@ def kernel_counts(order: int, variant: str = "batched") -> KernelCounts:
     Cauchy-Kowalewski levels (level ``k`` maps ``basis_size(N-k)`` modes
     to ``basis_size(N-k-1)``) and the face-basis surface form on
     ``F = (N+1)(N+2)/2`` rows in the quantity-major layout: per interior
-    face the two elements' ``(Q, B) @ (B, F)`` traces, one ``(2Q, 2Q) @
-    (2Q, F)`` product for both sides' fluxes and the plus side's ``(Q, F)
-    @ (F, F)`` change of face basis, and per face-side one ``(Q, F) @
-    (F, B)`` lift; an element update owns four face-sides, i.e. two
-    faces' worth.  Its predictor writes the compact levels 1..N at their
-    own widths instead of ``N + 1`` dense ones.
+    face the two elements' ``(Q, B) @ (B, F)`` traces, both sides' fluxes
+    through the flux table's factors (``(r, 2Q) @ (2Q, F)``, ``(2Q, r) @
+    (r, F)``, ``r = 6``) and the plus side's ``(Q, F) @ (F, F)`` change of
+    face basis, and per face-side one ``(Q, F) @ (F, B)`` lift; an element
+    update owns four face-sides, i.e. two faces' worth.  Its star
+    products and tables hold the 108 nonzero star entries, and its
+    predictor writes the compact levels 1..N at their own widths.
     """
     N = order
     B = basis_size(order)
@@ -93,6 +94,7 @@ def kernel_counts(order: int, variant: str = "batched") -> KernelCounts:
     nq = (order + 2) ** 2  # face quadrature points
 
     level = 3 * (2.0 * B * B * Q + 2.0 * B * Q * Q)
+    star, flux = 3 * Q * Q, 2 * Q * Q  # table doubles: per element, face-side
     if variant == "batched":
         fl_pred = N * level + (N + 1) * 2.0 * B * Q  # + time integration
         derivs = (N + 1) * B * Q
@@ -101,27 +103,29 @@ def kernel_counts(order: int, variant: str = "batched") -> KernelCounts:
     elif variant == "fused":
         # truncated CK: level k reads sizes[k] modes, writes sizes[k+1]
         sizes = [basis_size(N - k) for k in range(N + 1)]
+        star = 6 * 9 + 3 * 18  # the star rows' nonzero blocks
         fl_pred = sum(
-            3 * (2.0 * sizes[k + 1] * sizes[k] * Q + 2.0 * sizes[k + 1] * Q * Q)
+            3 * 2.0 * sizes[k + 1] * sizes[k] * Q + 2.0 * star * sizes[k + 1]
             for k in range(N)
         ) + (N + 1) * 2.0 * B * Q
         derivs = Q * sum(sizes[1:])
         # per face: both traces onto the F face modes, both sides' fluxes
-        # as one (2Q, 2Q) product and the plus side's change of basis;
-        # per face-side: its slot's lift
-        F = basis_size(N, dim=2)
-        per_face = (2 * (2.0 * Q * B * F) + 2.0 * (2 * Q) * (2 * Q) * F
+        # through the (r, 2Q) and (2Q, r) factors and the plus side's
+        # change of basis; per face-side: its slot's lift
+        F, r = basis_size(N, dim=2), 6
+        per_face = (2 * (2.0 * Q * B * F) + 2 * 2.0 * (2 * Q) * r * F
                     + 2.0 * Q * F * F)
         fl_surf = 2 * per_face + 4 * (2.0 * Q * F * B)
+        flux = (2 * Q) * r  # a face's 2 * 2Q * r doubles over its 2 sides
     else:
         raise ValueError(f"unknown kernel variant {variant!r}")
-    fl_vol = level
+    fl_vol = 3 * 2.0 * B * B * Q + 2.0 * star * B
 
-    by_pred = _DP * (B * Q + derivs + 3 * Q * Q)  # read Q + write derivs + star
-    by_vol = _DP * (2 * B * Q + 3 * Q * Q)  # read I, accumulate, star
-    # surface: own I + 4 neighbor I + 4 faces x 2 flux matrices + update
+    by_pred = _DP * (B * Q + derivs + star)  # read Q + write derivs + star
+    by_vol = _DP * (2 * B * Q + star)  # read I, accumulate, star
+    # surface: own I + 4 neighbor I + the flux tables of 4 face-sides + update
     by_surf_own = _DP * (B * Q + B * Q)
-    by_surf_neigh = _DP * (4 * B * Q + 4 * 2 * Q * Q)
+    by_surf_neigh = _DP * (4 * B * Q + 4 * flux)
     by_surf = by_surf_own + by_surf_neigh
     neigh_frac = by_surf_neigh / (by_vol + by_surf)
 

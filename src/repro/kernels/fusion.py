@@ -27,12 +27,12 @@ Predictor (:func:`fused_ck`)
     side and negated at plan time (``D[k]``, columns ordered (direction,
     mode)), so the stacked product ``X @ D[k]`` is — by a free reshape —
     each element's ``(27, s)`` right factor with rows ``3 q + d``, and
-    the three star-Jacobian products, their sum and the sign are one
-    ``(9, 27) @ (27, s)`` product with the element's ``starQ``.
+    the three star-Jacobian products, their sum and the sign are its
+    products with the two nonzero star blocks ``starQ`` (:func:`star_blocks`).
 
 Volume (:func:`fused_volume_residual`)
     ``sum_d star_d (I^T deriv_d)`` the same way: one stacked product with
-    the stiffness stack ``KS``, then one ``starQ`` product per element.
+    the stiffness stack ``KS``, then the star product per element.
 
 Surface (:func:`fused_interior_residual` / :func:`fused_boundary_residual`)
     The quadrature projection ``E^T diag(w) (E I F^T) * scale`` commutes
@@ -43,10 +43,10 @@ Surface (:func:`fused_interior_residual` / :func:`fused_boundary_residual`)
     interior face class two stacked products take the minus element's
     trace ``R[fm]`` and the plus element's ``Rp = C R[fp]``, both in the
     minus element's face basis, into the faces' ``(18, F)`` right factors
-    (rows ``2 q + side``); one ``(18, 18) @ (18, F)`` product per face
-    with the face's flux table ``G`` gives both sides' fluxes (rows
-    ``9 side + q``); a stacked product with the ``F x F`` change of basis
-    ``C`` moves the plus side's into the plus element's own face basis.  Each result is *assigned* to
+    (rows ``2 q + side``); two products per face with the factors ``L`` /
+    ``K`` of its flux table (:func:`flux_factors`) give both sides' fluxes
+    (rows ``9 side + q``); a stacked product with the change of basis ``C``
+    moves the plus side's into the plus element's own face basis.  Each result is *assigned* to
     its side's slot of a per-operator ``(4, ne, 9, F)`` face buffer: an
     element-face has exactly one owner, so nothing is read, modified and
     written back, and nothing is scatter-added.  Four stacked
@@ -56,12 +56,12 @@ Surface (:func:`fused_interior_residual` / :func:`fused_boundary_residual`)
 
 Plan build (:func:`fold_flux_tables`)
     The surface tables are built directly in their final layout.  A
-    face's flux matrices ``T M T^-1`` are two batched products of its
-    rotation with the stacked face-aligned constants of its material
-    pair; faces are sorted by orientation class once and
+    face's rotated flux factors are two batched products of its rotation
+    with the factored face-aligned constants of its material pair; faces
+    are sorted by orientation class once and
     walked in chunks of :data:`FOLD_CHUNK`: each chunk is computed in
-    contiguous scratch and scaled into the class-ordered ``G`` / ``GT``,
-    re-laid-out, so the build allocates the tables plus a chunk of
+    contiguous scratch and scaled into the class-ordered ``L`` / ``K`` /
+    ``GT``, re-laid-out, so the build allocates the tables plus a chunk of
     scratch and nothing else.  :func:`finish_plan` checks the
     C-contiguous ``float64`` layout the free reshapes below rely on and
     makes the plan read-only.
@@ -100,7 +100,7 @@ The element rows are shared by the volume kernel and the lift:
 faces of a class with an active side are taken plus-only | both |
 minus-only, which on a canonical mesh is the plan's own order
 (``(c-1, c)`` | ``(c, c)`` | ``(c, c+1)`` cluster pairs), so ``em`` /
-``ep`` / ``G`` are views, each side's faces are one slice of one batch,
+``ep`` / ``L`` / ``K`` are views, each side's faces are one slice of one batch,
 and a face writes only the slots of the sides that are updated.  In a
 plan ordered by partition blocks the both | minus-only faces of a block
 are one run and its plus-only faces a gathered batch of their own
@@ -139,6 +139,8 @@ __all__ = [
     "FusedInteriorGroup",
     "FusedBoundaryGroup",
     "face_buffer",
+    "star_blocks",
+    "flux_factors",
     "CHUNK",
     "stack_width",
     "FOLD_CHUNK",
@@ -254,6 +256,14 @@ def element_plan(order: int) -> ElementKernelPlan:
     return ElementKernelPlan(sizes=sizes, D=D, KS=KS)
 
 
+def star_blocks(starQ: np.ndarray, Z: np.ndarray):
+    """The star product of ``starQ`` rows with ``(m, 27, s)`` factors
+    ``Z`` as ``(rows, S, Zs)``, result ``[:, rows] = S @ Zs``: stresses
+    from the velocity rows of ``Z``, velocities from its stress rows."""
+    return ((slice(0, 6), starQ[:, :54].reshape(-1, 6, 9), Z[:, 18:]),
+            (slice(6, 9), starQ[:, 54:].reshape(-1, 3, 18), Z[:, :18]))
+
+
 def fused_ck(Q: np.ndarray, starQ: np.ndarray, ref, width: int,
              out: Predictor | None = None) -> Predictor:
     """Degree-truncated Cauchy-Kowalewski sweep: the :class:`Predictor`
@@ -283,8 +293,8 @@ def fused_ck(Q: np.ndarray, starQ: np.ndarray, ref, width: int,
         x = _stack(Q, rows, m, X[0])
         for k, L in enumerate(levels):
             np.matmul(x.reshape(width * nq, -1), plan.D[k], out=Z[k])
-            np.matmul(starQ[rows], Z[k][:m * nq].reshape(m, 27, -1),
-                      out=L[rows])
+            for q, S, Zq in star_blocks(starQ[rows], Z[k][:m * nq].reshape(m, 27, -1)):
+                np.matmul(S, Zq, out=L[rows, q])
             if k + 1 < len(levels):
                 x = _stack(L, rows, m, X[k + 1])
     return Predictor((Q, *levels))
@@ -360,10 +370,10 @@ class FusedInteriorGroup:
     """Folded factors of one (minus face, plus face, permutation) class:
     the local face ids ``fm``/``fp``, the class's trace factors
     ``RmT``/``RpT`` and change of basis ``C`` (views of
-    :func:`face_factors`) and the per-face flux tables ``G``
-    (see :func:`attach_interior_groups`)."""
+    :func:`face_factors`) and the factors ``L`` / ``K`` of the per-face
+    flux tables (see :func:`attach_interior_groups`)."""
 
-    __slots__ = ("em", "ep", "fm", "fp", "RmT", "RpT", "C", "G")
+    __slots__ = ("em", "ep", "fm", "fp", "RmT", "RpT", "C", "L", "K")
 
 
 class FusedBoundaryGroup:
@@ -373,45 +383,55 @@ class FusedBoundaryGroup:
 
 
 #: faces per chunk of :func:`fold_flux_tables`; its scratch (rotations,
-#: gathered constants, the half product, the folded blocks: ~9 kB a face
-#: at four matrices) is sized ``min(FOLD_CHUNK, n_faces)`` and reused by
-#: every chunk
+#: gathered factors, rotated factors: ~5 kB a face at ``r = 6``) is sized
+#: ``min(FOLD_CHUNK, n_faces)`` and reused by every chunk
 FOLD_CHUNK = 1024
 
 
-def fold_flux_tables(normals, which, consts):
-    """Rotated flux matrices, chunk by chunk.
+def flux_factors(G: np.ndarray, width: int):
+    """``(L, K)``, ``(n, width)`` and ``(width, n)``, ``L @ K = G`` for a
+    material pair's face-aligned ``(n, n)`` flux constants: the SVD of
+    ``G`` row/column-equilibrated (Ruiz; stress and velocity rows differ
+    by ~1e7), singular values under ``1e-12`` of the first zeroed (ranks
+    6 / 4 / 2 for elastic-elastic / -acoustic / acoustic-acoustic pairs
+    under the exact flux)."""
+    dr, dc = np.ones(len(G)), np.ones(len(G))
+    for _ in range(16):
+        A = np.abs(G) / np.outer(dr, dc)
+        dr *= np.sqrt(np.where(A.max(1) > 0, A.max(1), 1.0))
+        dc *= np.sqrt(np.where(A.max(0) > 0, A.max(0), 1.0))
+    U, sv, Vt = np.linalg.svd(G / np.outer(dr, dc))
+    sv[sv <= 1e-12 * sv[0]] = 0.0
+    if sv[width:].any():
+        raise ValueError(f"flux constants of rank above {width}")
+    s = np.sqrt(sv[:width])
+    return dr[:, None] * U[:, :width] * s, s[:, None] * Vt[:width] * dc
 
-    For face ``f`` with rotation ``T = T(normals[f])`` and the
-    side-by-side stack ``consts[which[f]] = [M_1 | ... | M_k]``
-    (``(9, 9k)``: face-aligned matrices), the ``k`` blocks
-    ``T M_j T^{-1}`` are two batched products, ``Y = T @ consts[which[f]]``
-    and ``Y_j @ T^{-1}`` — the ``(T M) T^{-1}`` association, a per-face
-    GEMM shape that does not depend on the batch.  Yields ``(rows,
-    blocks)`` per chunk of at most :data:`FOLD_CHUNK` faces: the chunk's
-    ``slice`` and its ``(n, k, 9, 9)`` blocks, in scratch reused by the
-    next chunk — the caller scales them into its tables, in whatever
-    layout.  The bits of a block do not depend on :data:`FOLD_CHUNK`.
-    """
+
+def fold_flux_tables(normals, which, left, right):
+    """``(rows, T @ left_j, right_j @ T^{-1})`` per chunk of at most
+    :data:`FOLD_CHUNK` faces, ``T = T(normals[f])`` and ``left[which[f]]``
+    / ``right[which[f]]`` the ``(k, 9, r)`` / ``(k, r, 9)`` face-aligned
+    factors of face ``f``'s material pair: two batched products of a
+    per-face shape (so the bits do not depend on :data:`FOLD_CHUNK`), in
+    scratch reused by the next chunk, which the caller scales into its
+    tables."""
     nf = len(normals)
     if not nf:
         return
     c = min(FOLD_CHUNK, nf)
-    k = consts.shape[2] // 9
-    T = np.zeros((c, 9, 9))
-    Tinv = np.zeros((c, 9, 9))
-    B = np.empty((c, 9, 9 * k))
-    Y = np.empty((c, 9, 9 * k))
-    out = np.empty((c, k, 9, 9))
+    T, Tinv = np.zeros((2, c, 1, 9, 9))
+    Lb, Rb = np.empty((c, *left.shape[1:])), np.empty((c, *right.shape[1:]))
+    TL, RT = np.empty_like(Lb), np.empty_like(Rb)
     for lo in range(0, nf, c):
         hi = min(lo + c, nf)
         n = hi - lo
-        fill_state_rotation(normals[lo:hi], T[:n], Tinv[:n])
-        np.take(consts, which[lo:hi], axis=0, out=B[:n])
-        np.matmul(T[:n], B[:n], out=Y[:n])
-        np.matmul(Y[:n].reshape(n, 9, k, 9).transpose(0, 2, 1, 3),
-                  Tinv[:n, None], out=out[:n])
-        yield slice(lo, hi), out[:n]
+        fill_state_rotation(normals[lo:hi], T[:n, 0], Tinv[:n, 0])
+        np.take(left, which[lo:hi], axis=0, out=Lb[:n])
+        np.take(right, which[lo:hi], axis=0, out=Rb[:n])
+        np.matmul(T[:n], Lb[:n], out=TL[:n])
+        np.matmul(Rb[:n], Tinv[:n], out=RT[:n])
+        yield slice(lo, hi), TL[:n], RT[:n]
 
 
 def _class_runs(cls: np.ndarray):
@@ -421,11 +441,11 @@ def _class_runs(cls: np.ndarray):
 
 
 def attach_interior_groups(plan, order: int, em, ep, minus_face, plus_face,
-                           perm, G) -> None:
+                           perm, L, K) -> None:
     """One :class:`FusedInteriorGroup` per run of equal (minus face, plus
     face, permutation) in the class-sorted face arrays: every per-face
-    field is a slice of its argument, so ``G`` stays the one allocation
-    it was built in.
+    field is a slice of its argument, so ``L`` and ``K`` stay the one
+    allocation each was built in.
 
     With trace operators ``Em``/``Ep`` and face weights ``w``, the
     minus-side contribution of a face
@@ -436,10 +456,11 @@ def attach_interior_groups(plan, order: int, em, ep, minus_face, plus_face,
     ``R[fm]^T ([R[fm] I[em] | Rp I[ep]] @ Gm)`` with the per-face stack
     ``Gm = scale_m * [Fmm^T; Fpm^T]``; symmetrically the plus side is
     ``R[fp]^T C^T ([R[fm] I[em] | Rp I[ep]] @ Gp)`` with
-    ``Gp = scale_p * [Fpp^T; Fmp^T]``.  ``G[f]`` is ``[Gm | Gp]^T`` with
-    its columns (the ``K`` index) in (quantity, side) order, the row
-    order of the quantity-major traces: ``G[f, 9 t + q, 2 p + s]`` is
-    row ``9 s + p``, column ``q`` of side ``t``'s stack.
+    ``Gp = scale_p * [Fpp^T; Fmp^T]``.  The face's flux table ``G[f]``
+    is ``[Gm | Gp]^T`` with its columns in (quantity, side) order, the
+    row order of the quantity-major traces: ``G[f, 9 t + q, 2 p + s]`` is
+    row ``9 s + p``, column ``q`` of side ``t``'s stack; the plan holds
+    it as ``L[f] @ K[f]``, ``(18, r) @ (r, 18)`` (:func:`flux_factors`).
     """
     fac = face_factors(order)
     for lo, hi in _class_runs((minus_face * 4 + plus_face) * 6 + perm):
@@ -450,7 +471,7 @@ def attach_interior_groups(plan, order: int, em, ep, minus_face, plus_face,
         grp.RmT = fac.RT[fm]
         grp.RpT = fac.RpT[fp][pm]
         grp.C = fac.C[fp][pm]
-        grp.G = G[lo:hi]
+        grp.L, grp.K = L[lo:hi], K[lo:hi]
         plan.interior_groups.append(grp)
 
 
@@ -473,16 +494,17 @@ def attach_boundary_groups(plan, ref, elem, kind, face, GT) -> None:
 def finish_plan(plan):
     """Check and freeze a fully built plan; returns it.
 
-    The kernels reshape ``starQ`` rows and hand ``G`` / ``GT`` to BLAS as
-    they are: every per-item table must be C-contiguous ``float64`` (a
-    K-ordered ``starQ`` computes the same bits at a higher price, so
+    The kernels reshape ``starQ`` rows and hand ``L`` / ``K`` / ``GT`` to
+    BLAS as they are: every per-item table must be C-contiguous
+    ``float64`` (a K-ordered ``starQ`` computes the same bits at a higher price, so
     nothing else would notice).  Plans are shared between operators
     through the plan cache, so every array is made read-only here.
     """
     tables = {"starQ": plan.starQ}
     ids = []
     for i, grp in enumerate(plan.interior_groups):
-        tables[f"interior_groups[{i}].G"] = grp.G
+        tables[f"interior_groups[{i}].L"] = grp.L
+        tables[f"interior_groups[{i}].K"] = grp.K
         ids += [grp.em, grp.ep]
     for i, grp in enumerate(plan.boundary_groups):
         tables[f"boundary_groups[{i}].GT"] = grp.GT
@@ -520,7 +542,7 @@ def selection(op, active: np.ndarray | None):
     :data:`MASK_CACHE_MAX`."""
     if active is None:
         return (slice(None), op.starQ,
-                [[(g.em, g.ep, 0, len(g.em), g.G)] for g in op.interior_groups],
+                [[(g.em, g.ep, 0, len(g.em), (g.L, g.K))] for g in op.interior_groups],
                 [(g.elem, g.GT) for g in op.boundary_groups])
     key = hashlib.sha1(active.tobytes()).digest()
     hit = op._selections.get(key)
@@ -555,13 +577,13 @@ def fused_volume_residual(op, I, out, sel, overwrite=False) -> None:
     for pos, rows, m in _chunks(idx, ne, width):
         x = _stack(I, rows, m, X)
         np.matmul(x.reshape(width * nq, nb), KS, out=Z)
-        Zm = Z[:m * nq].reshape(m, 27, nb)
-        if overwrite and isinstance(rows, slice):
-            np.matmul(starQ[pos], Zm, out=out[rows])
-        elif overwrite:
-            out[rows] = np.matmul(starQ[pos], Zm)
-        else:
-            out[rows] += np.matmul(starQ[pos], Zm)
+        for q, S, Zq in star_blocks(starQ[pos], Z[:m * nq].reshape(m, 27, nb)):
+            if overwrite and isinstance(rows, slice):
+                np.matmul(S, Zq, out=out[rows, q])
+            elif overwrite:
+                out[rows, q] = np.matmul(S, Zq)
+            else:
+                out[rows, q] += np.matmul(S, Zq)
 
 
 def face_buffer(op) -> np.ndarray:
@@ -579,8 +601,8 @@ def face_buffer(op) -> np.ndarray:
 def _interior_masked_entries(op, active):
     """Per-group face batches for one activity mask.
 
-    A batch is ``(em, ep, a, b, G)``: its faces' rows of the group's flux
-    table ``G``; the minus side updates faces ``[a:]``, the plus side
+    A batch is ``(em, ep, a, b, (L, K))``: its faces' rows of the group's
+    flux factors; the minus side updates faces ``[a:]``, the plus side
     faces ``[:b]`` — contiguous slices of one batch, so no face writes a
     slot nobody lifts.  The faces of a group with an active side make two
     batches: the plus-only faces, then both | minus-only.  On a canonical
@@ -604,7 +626,7 @@ def _interior_masked_entries(op, active):
             if not len(faces):
                 continue
             rows = row_set(faces)
-            batches.append((grp.em[rows], grp.ep[rows], a, b, grp.G[rows]))
+            batches.append((grp.em[rows], grp.ep[rows], a, b, (grp.L[rows], grp.K[rows])))
         entries.append(batches)
     return entries
 
@@ -621,17 +643,19 @@ def fused_interior_residual(op, I, out, sel) -> None:
     # per class, the leading rows of: both elements' gathered rows; the
     # faces' right factors [R I- | Rp I+]^T, rows (quantity, side) — as a
     # (rows * 9, 2F) matrix the two traces are its column blocks [:, :F]
-    # and [:, F:]; both sides' fluxes, rows (side, quantity); the plus
-    # side's in the minus and in its own face basis
+    # and [:, F:]; K @ X; both sides' fluxes, rows (side, quantity); the
+    # plus side's in the minus and in its own face basis
     W = max((stack_width(len(g.em)) for g in op.interior_groups), default=1)
+    r = max((g.K.shape[1] for g in op.interior_groups), default=1)
     scratch = [np.empty((W, nq, nb)), np.empty((W, nq, nb)),
-               np.empty((W, nq, 2, nF)), np.empty((W, 2, nq, nF)),
-               np.empty((W, nq, nF)), np.empty((W, nq, nF))]
+               np.empty((W, nq, 2, nF)), np.empty((W, r, nF)),
+               np.empty((W, 2, nq, nF)), np.empty((W, nq, nF)),
+               np.empty((W, nq, nF))]
     batches = ((g, e) for g, es in zip(op.interior_groups, entries)
                for e in es)
-    for grp, (em, ep, a, b, G) in batches:
+    for grp, (em, ep, a, b, (L, K)) in batches:
         width = stack_width(len(grp.em))
-        Xm, Xp, Xt, Y, Yc, Yp = (x[:width] for x in scratch)
+        Xm, Xp, Xt, Z, Y, Yc, Yp = (x[:width] for x in scratch)
         Xm2, Xp2 = Xm.reshape(width * nq, nb), Xp.reshape(width * nq, nb)
         Xt2 = Xt.reshape(width * nq, 2 * nF)
         Tm, Tp = Xt2[:, :nF], Xt2[:, nF:]
@@ -645,7 +669,8 @@ def fused_interior_residual(op, I, out, sel) -> None:
             _stack(I, ep[lo:hi], m, Xp)
             np.matmul(Xm2, grp.RmT, out=Tm)
             np.matmul(Xp2, grp.RpT, out=Tp)
-            np.matmul(G[lo:hi], Xt3[:m], out=Y3[:m])
+            np.matmul(K[lo:hi], Xt3[:m], out=Z[:m])
+            np.matmul(L[lo:hi], Z[:m], out=Y3[:m])
             # this chunk's faces of the minus side's [a:] and the plus
             # side's [:b]
             am, bp = max(a, lo), min(b, hi)
@@ -659,12 +684,12 @@ def fused_interior_residual(op, I, out, sel) -> None:
                 slot_p[ep[lo:bp]] = Yp[:bp - lo]
     R = face_factors(op.order).R
     width = stack_width(op.n_elements)
-    L = np.empty((width, nq, nF))
+    S = np.empty((width, nq, nF))
     acc = np.empty((width * nq, nb))
     part = np.empty((width * nq, nb))
     for _, rows, m in _chunks(idx, ne, width):
         for f, (slots, Rf) in enumerate(zip(fb, R)):
-            slot = _stack(slots, rows, m, L).reshape(width * nq, nF)
+            slot = _stack(slots, rows, m, S).reshape(width * nq, nF)
             np.matmul(slot, Rf, out=part if f else acc)
             if f:
                 acc += part

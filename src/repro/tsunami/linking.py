@@ -56,6 +56,7 @@ class SurfaceDisplacementTracker:
         self.uz = np.zeros((len(self.face_ids), ref.n_face_points))
         self._t_last = solver.t
         self._vz_last = self._surface_vz()
+        self._grid = None  # (key, triangulation, centers, nearest ids)
 
     def __call__(self, solver) -> None:
         """Callback: trapezoidal time integration of the surface v_z."""
@@ -74,18 +75,24 @@ class SurfaceDisplacementTracker:
         """Bilinear interpolation of uz onto cell centers of a uniform grid.
 
         This is the paper's 'intermediate uniform Cartesian mesh' step.
-        Returns an ``(nx, ny)`` array at the cell centers of ``xs``/``ys``.
+        Returns an ``(nx, ny)`` array at the cell centers of ``xs``/``ys``,
+        bitwise ``griddata``'s; the face points never move, so their
+        triangulation and nearest points are built once per grid.
         """
-        from scipy.interpolate import griddata
+        from scipy.interpolate import LinearNDInterpolator
+        from scipy.spatial import Delaunay, cKDTree
 
-        pts = self.points[:, :, :2].reshape(-1, 2)
+        key = (xs.tobytes(), ys.tobytes())
+        if self._grid is None or self._grid[0] != key:
+            pts = self.points[:, :, :2].reshape(-1, 2)
+            X, Y = np.meshgrid(0.5 * (xs[:-1] + xs[1:]),
+                               0.5 * (ys[:-1] + ys[1:]), indexing="ij")
+            nearest = cKDTree(pts).query(np.stack([X, Y], axis=-1))[1]
+            self._grid = (key, Delaunay(pts), (X, Y), nearest)
+        _, tri, XY, nearest = self._grid
         vals = (self.uz if uz is None else uz).reshape(-1)
-        xc = 0.5 * (xs[:-1] + xs[1:])
-        yc = 0.5 * (ys[:-1] + ys[1:])
-        X, Y = np.meshgrid(xc, yc, indexing="ij")
-        out = griddata(pts, vals, (X, Y), method="linear")
-        nearest = griddata(pts, vals, (X, Y), method="nearest")
-        return np.where(np.isnan(out), nearest, out)
+        out = LinearNDInterpolator(tri, vals)(XY)
+        return np.where(np.isnan(out), vals[nearest], out)
 
 
 class BedMotionInterpolator:

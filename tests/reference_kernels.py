@@ -98,6 +98,25 @@ def star_matrices(mesh) -> np.ndarray:
     return np.einsum("ekd,edij->ekij", mesh.inv_jac, per_elem)
 
 
+def compact_star(star: np.ndarray) -> np.ndarray:
+    """The plan's ``(ne, 108)`` ``starQ`` of ``(ne, 3, 9, 9)`` star
+    Jacobians: the stress <- velocity block ``[p, 3 (q - 6) + k]``, then
+    the velocity <- stress block ``[p - 6, 3 q + k]``."""
+    sv = star[:, :, :6, 6:].transpose(0, 2, 3, 1).reshape(len(star), 54)
+    vs = star[:, :, 6:, :6].transpose(0, 2, 3, 1).reshape(len(star), 54)
+    return np.concatenate([sv, vs], axis=1)
+
+
+def dense_star(starQ: np.ndarray) -> np.ndarray:
+    """The ``(ne, 3, 9, 9)`` star Jacobians ``star[e, k]`` of the plan's
+    compact ``starQ``, zeros in the blocks it does not store."""
+    ne = len(starQ)
+    star = np.zeros((ne, 3, 9, 9))
+    star[:, :, :6, 6:] = starQ[:, :54].reshape(ne, 6, 3, 3).transpose(0, 3, 1, 2)
+    star[:, :, 6:, :6] = starQ[:, 54:].reshape(ne, 3, 6, 3).transpose(0, 3, 1, 2)
+    return star
+
+
 def _batched_bond(R: np.ndarray) -> np.ndarray:
     """Vectorized Bond matrix: ``(nf, 3, 3) -> (nf, 6, 6)``."""
     out = np.empty((R.shape[0], 6, 6))
@@ -168,9 +187,8 @@ class ReferenceOperator(SpatialOperator):
         self.boundary_groups = self._build_boundary()
 
     def predict_states(self, Q, starQ, out=None):
-        # starQ[e, p, 3 q + k] = star[e, k][p, q]
-        star = starQ.reshape(len(starQ), 9, 9, 3).transpose(0, 3, 1, 2)
-        derivs = ck_derivatives(Q.transpose(0, 2, 1), star, self.ref)
+        derivs = ck_derivatives(Q.transpose(0, 2, 1), dense_star(starQ),
+                                self.ref)
         # untruncated levels; level 0 is the state itself, as at runtime
         return Predictor([Q] + [np.ascontiguousarray(d.transpose(0, 2, 1))
                                 for d in derivs.swapaxes(0, 1)[1:]])
@@ -284,12 +302,11 @@ class ReferenceOperator(SpatialOperator):
                 groups.append(grp)
         return groups
 
-    def folded_plan(self) -> OperatorPlan:
-        """The plan as it was built before the direct, streamed build:
-        the transposed copy of :func:`star_matrices` and the fold of the
-        unfolded groups above (``attach_fused_groups`` and
-        ``_stacked_flux``, verbatim) — what
-        ``SpatialOperator._build_plan`` is pinned to, bitwise."""
+    def flux_tables(self) -> list[np.ndarray]:
+        """Per interior group, the unfolded flux tables ``G`` ``(nf, 18,
+        18)`` the plan's factors ``L @ K`` stand for: the fold of the
+        groups above (``_stacked_flux`` and its quantity-major layout, as
+        the plan held them before it stored factors)."""
         def stacked_flux(F_minus, F_plus, scale):
             G = np.empty((len(scale), 18, 9))
             G[:, :9] = F_minus.transpose(0, 2, 1)
@@ -303,12 +320,24 @@ class ReferenceOperator(SpatialOperator):
             return np.ascontiguousarray(
                 H.transpose(0, 1, 4, 3, 2)).reshape(-1, 18, 18)
 
-        star = star_matrices(self.mesh)
-        plan = OperatorPlan(starQ=np.ascontiguousarray(
-            star.transpose(0, 2, 3, 1)).reshape(-1, 9, 27))
+        return [quantity_major(stacked_flux(g.Fmm, g.Fpm, g.scale_m),
+                               stacked_flux(g.Fpp, g.Fmp, g.scale_p))
+                for g in self.interior_groups]
+
+    def folded_plan(self) -> OperatorPlan:
+        """The plan from the seed's builders: :func:`compact_star` of
+        :func:`star_matrices`, the boundary groups' fold (``_stacked_flux``,
+        verbatim) and, per interior face, the material pair's flux factors
+        (``SpatialOperator._pair_factors``) rotated with the seed's
+        full-size rotations and scaled — what
+        ``SpatialOperator._build_plan`` is pinned to, bitwise."""
+        plan = OperatorPlan(starQ=compact_star(star_matrices(self.mesh)))
         ref = self.ref
         fac = face_factors(ref.order)
         w = ref.face_weights
+        itf, mats = self.mesh.interior, self.mesh.materials
+        mat_ids = self.mesh.material_ids
+        factors = {}
         for src in self.interior_groups:
             grp = FusedInteriorGroup()
             grp.em, grp.ep = src.em, src.ep
@@ -316,8 +345,17 @@ class ReferenceOperator(SpatialOperator):
             grp.RmT = fac.RT[src.minus_face]
             grp.RpT = fac.RpT[src.plus_face][src.perm]
             grp.C = fac.C[src.plus_face][src.perm]
-            grp.G = quantity_major(stacked_flux(src.Fmm, src.Fpm, src.scale_m),
-                                   stacked_flux(src.Fpp, src.Fmp, src.scale_p))
+            pairs = list(zip(mat_ids[src.em].tolist(), mat_ids[src.ep].tolist()))
+            for pm, pp in set(pairs) - factors.keys():
+                factors[pm, pp] = self._pair_factors(mats[pm], mats[pp])
+            Lc, Kc = (np.stack(f) for f in zip(*(factors[p] for p in pairs)))
+            T, Tinv = batched_state_rotation(itf.normal[src.face_ids])
+            scale = np.stack([src.scale_m, src.scale_p], axis=1)
+            nf, r = len(src.em), Lc.shape[3]
+            grp.L = (np.matmul(T[:, None], Lc)
+                     * scale[:, :, None, None]).reshape(nf, 18, r)
+            grp.K = np.ascontiguousarray(np.matmul(Kc, Tinv[:, None])
+                                         .transpose(0, 2, 3, 1)).reshape(nf, r, 18)
             plan.interior_groups.append(grp)
         for src in self.boundary_groups:
             E = ref.E_minus[int(src.face[0])]

@@ -12,16 +12,14 @@ from repro.core.kernels import SpatialOperator
 from repro.core.materials import elastic, jacobians
 from repro.mesh.generators import box_mesh
 
-from tests.reference_kernels import ck_derivatives
+from tests.reference_kernels import ck_derivatives, dense_star
 
 ROCK = elastic(1.0, 2.0, 1.0)
 
 
 def star_matrices(mesh):
-    """The star Jacobians ``(ne, 3, 9, 9)``: a view of what the plan holds
-    (``starQ[e, p, 3 q + k] = star[e, k][p, q]``)."""
-    starQ = stacked_star_matrices(mesh)
-    return starQ.reshape(len(starQ), 9, 9, 3).transpose(0, 3, 1, 2)
+    """The star Jacobians ``(ne, 3, 9, 9)`` of what the plan holds."""
+    return dense_star(stacked_star_matrices(mesh))
 
 
 def make_setup(order=2, nc=2):

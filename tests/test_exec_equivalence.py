@@ -230,7 +230,7 @@ class TestBlockEquivalence:
         part = build_all_faces(1, backend=PartitionedBackend(workers=1))
         assert part.op.interior_groups is not serial.op.interior_groups
         for a, b in zip(serial.op.interior_groups, part.op.interior_groups):
-            for name in ("em", "ep", "G"):
+            for name in ("em", "ep", "L", "K"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
         part.backend.close()
 

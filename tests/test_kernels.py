@@ -29,6 +29,9 @@ kernels the solver executes — to them:
   the folded tables equals the seed's rotate-both-sides-then-fold
   builders bitwise, for any chunk size, within 1.5 x the plan's memory,
   and leaves a read-only, C-contiguous plan;
+* **compact tables** — the plan stores the star rows' two nonzero blocks
+  and rank-6 (``one_sided``: 12) factors of every interior face's flux
+  table, which match the oracle's unfolded tables to ~1e-15;
 * **plan hygiene** — the shared plan holds only the folded factors, and
   an oracle operator on the same mesh never leaks its unfolded groups
   into it, and with the cache cleared every operator builds its own.
@@ -40,6 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ader
+from repro.core import kernels as kernels_mod
 from repro.core.ader import taylor_integrate, taylor_window_weights
 from repro.core.basis import basis_size
 from repro.core.kernels import SpatialOperator
@@ -61,7 +65,11 @@ from repro.kernels.fusion import MASK_CACHE_MAX, element_plan, face_factors
 from repro.mesh.tetmesh import TetMesh
 from repro.sched import Scheduler
 
-from tests.reference_kernels import ReferenceOperator, use_reference_kernels
+from tests.reference_kernels import (
+    ReferenceOperator,
+    star_matrices,
+    use_reference_kernels,
+)
 from .conftest import gravity_box, ocean_box_mesh
 from tests.test_exec_equivalence import (
     T_LTS,
@@ -886,10 +894,10 @@ class TestDirectPlanBuild:
 
     def test_build_peak_memory_is_the_plan_plus_a_chunk(self):
         """Peak traced memory of a build on a Scenario-A-sized mesh stays
-        under 1.5 x the finished plan: 1.25 x measured — the tables, a
-        chunk of scratch, the sorted face ids.  The seed's builders
-        peaked at 1.92 x (both sides' T, Tinv and four F at full size,
-        copied per material pair and per class before the fold)."""
+        under 1.5 x the finished plan (~22.6 MB of compact tables) — the
+        tables, a chunk of scratch, the sorted face ids.  The seed's
+        builders peaked at 1.92 x (both sides' T, Tinv and four F at full
+        size, copied per material pair and per class before the fold)."""
         import tracemalloc
 
         op = get_builder("scenario_a")({}, 0).solver.op
@@ -902,7 +910,7 @@ class TestDirectPlanBuild:
             tracemalloc.stop()
         held = sum(a.nbytes for name, a in _plan_arrays(plan)
                    if not name.endswith(_SHARED) and a.ndim)
-        assert held > 30e6
+        assert held > 20e6
         assert peak <= 1.5 * held, (peak, held)
 
     def test_finished_plan_is_read_only_and_c_contiguous(self, table_mesh):
@@ -933,11 +941,76 @@ class TestDirectPlanBuild:
             fusion.finish_plan(plan)
 
 
+def _worst_block_error(plan, tables):
+    """Largest ``|L @ K - G|`` of any interior face's 9 x 9 block of its
+    flux table ``G`` (rows ``9 t + q``, columns ``2 p + s``), relative to
+    that block's largest entry: stress and velocity entries differ by
+    ~1e7, so each block is judged on its own scale."""
+    worst = 0.0
+    for grp, G in zip(plan.interior_groups, tables, strict=True):
+        err = np.abs(np.matmul(grp.L, grp.K) - G).reshape(-1, 2, 9, 9, 2)
+        top = np.abs(G).reshape(-1, 2, 9, 9, 2).max(axis=(2, 3))
+        worst = max(worst, (err.max(axis=(2, 3)) / top).max())
+    return worst
+
+
+class TestCompactTables:
+    """The plan stores what is structurally nonzero: the star rows' two
+    nonzero blocks, and per interior face the factors ``L`` / ``K`` of
+    its flux table, folded from each material pair's factorization."""
+
+    def test_plan_stores_108_per_element_and_216_per_face(self, table_mesh):
+        plan = SpatialOperator(table_mesh, 2)._build_plan()
+        assert plan.starQ.shape == (table_mesh.n_elements, 108)
+        n_faces = int((~table_mesh.interior.is_fault).sum())
+        assert sum(g.L.size + g.K.size
+                   for g in plan.interior_groups) == 216 * n_faces
+        # what starQ leaves out is exactly zero
+        star = star_matrices(table_mesh)
+        assert not star[:, :, :6, :6].any() and not star[:, :, 6:, 6:].any()
+
+    @pytest.mark.parametrize("flux_variant", ["exact", "one_sided"])
+    def test_factors_match_the_unfolded_tables(self, table_mesh, flux_variant):
+        """Every elastic / acoustic pairing, either side minus: ``L @ K``
+        is the oracle's unfolded ``G`` to 1e-13 of each block's max."""
+        plan = SpatialOperator(
+            table_mesh, 2, flux_variant=flux_variant)._build_plan()
+        oracle = ReferenceOperator(table_mesh, 2, flux_variant=flux_variant)
+        assert plan.interior_groups[0].K.shape[1] == \
+            (6 if flux_variant == "exact" else 12)
+        assert _worst_block_error(plan, oracle.flux_tables()) <= 1e-13
+
+    def test_rank_5_factors_fail_the_match(self, table_mesh, monkeypatch):
+        """The check above has teeth: one interface-state column short,
+        the elastic-elastic faces miss their tables by far more."""
+        oracle = ReferenceOperator(table_mesh, 2)
+        real = kernels_mod.flux_factors
+
+        def rank5(G, width):
+            L, K = real(G, width)
+            L[:, 5:] = 0.0
+            return L, K
+
+        monkeypatch.setattr(kernels_mod, "flux_factors", rank5)
+        plan = SpatialOperator(table_mesh, 2)._build_plan()
+        assert _worst_block_error(plan, oracle.flux_tables()) > 1e-3
+
+    def test_fold_chunk_does_not_change_a_bit(self, table_mesh, monkeypatch):
+        """Chunks of 1, 7 and all faces give the same width-12
+        ``one_sided`` factors (the exact ones:
+        ``TestDirectPlanBuild::test_chunk_size_does_not_change_a_bit``)."""
+        op = SpatialOperator(table_mesh, 2, flux_variant="one_sided")
+        expected = op._build_plan()
+        for chunk in (1, 7, len(table_mesh.interior)):
+            monkeypatch.setattr(fusion, "FOLD_CHUNK", chunk)
+            _assert_same_plan(op._build_plan(), expected)
+
+
 # ----------------------------------------------------------------------
 # plan hygiene: only folded factors, never the oracle's groups
 # ----------------------------------------------------------------------
 #: what the quadrature-form kernels read and the runtime plan must not keep
-_UNFOLDED = ("star", "Fmm", "Fpm", "Fmp", "Fpp", "F",
+_UNFOLDED = ("star", "Fmm", "Fpm", "Fmp", "Fpp", "F", "G",
              "scale", "scale_m", "scale_p")
 
 
@@ -948,8 +1021,9 @@ def _assert_only_folded(op):
             assert not hasattr(grp, name), name
     for grp in op.interior_groups:
         assert set(grp.__slots__) == {"em", "ep", "fm", "fp",
-                                      "RmT", "RpT", "C", "G"}
-        assert grp.G.shape == (len(grp.em), 18, 18)
+                                      "RmT", "RpT", "C", "L", "K"}
+        assert grp.L.shape == (len(grp.em), 18, 6)
+        assert grp.K.shape == (len(grp.em), 6, 18)
     for grp in op.boundary_groups:
         assert hasattr(grp, "AT") and hasattr(grp, "GT")
 
@@ -958,8 +1032,8 @@ class TestPlanCacheInvalidation:
     def test_plan_holds_only_fused_factors(self):
         """The cached plan and every partition worker's handle on it carry
         ``starQ`` and the folded factors (interior: face ids, the class's
-        trace factors and change of basis and the per-face flux tables
-        ``G``; boundary: ``AT``/``GT``) — none of the arrays only the
+        trace factors and change of basis and the per-face flux-table
+        factors ``L``/``K``; boundary: ``AT``/``GT``) — none of the arrays only the
         quadrature-form kernels read."""
         clear_plan_cache()
         solver = gravity_box(order=2, backend="partitioned", workers=2)
@@ -1010,7 +1084,10 @@ def test_fused_flop_counts_stay_under_batched():
     """The executed (fused) counting convention must never credit more
     FLOPs than the dense chain it replaces (the roofline gate of
     ``tests/test_obs.py::TestReport::test_roofline_rows_sane`` relies on
-    honest accounting)."""
+    honest accounting).  Pinned to the compact tables: the star products
+    touch the 108 nonzero star entries (not 243) and the flux goes
+    through the rank-6 factors, so the fused volume, surface and table
+    bytes now count below the dense chain's."""
     from repro.core.basis import basis_size
     from repro.hpc.perfmodel import kernel_counts
 
@@ -1020,19 +1097,29 @@ def test_fused_flop_counts_stay_under_batched():
         assert kf.flops_predictor < kb.flops_predictor
         assert kf.flops_surface <= kb.flops_surface
         # what the interior kernel executes: per face the two stacked
-        # (9, B) @ (B, F) traces, one (18, 18) @ (18, F) flux product for
-        # both sides and the plus side's (9, F) @ (F, F) change of basis;
-        # per face-side one (9, F) @ (F, B) lift; an update is two faces
+        # (9, B) @ (B, F) traces, the (6, 18) @ (18, F) and (18, 6) @
+        # (6, F) factor products for both sides' fluxes and the plus
+        # side's (9, F) @ (F, F) change of basis; per face-side one
+        # (9, F) @ (F, B) lift; an update is two faces
         B, F = basis_size(order), basis_size(order, dim=2)
-        per_face = 2 * (2 * 9 * B * F) + 2 * 18 * 18 * F + 2 * 9 * F * F
+        per_face = 2 * (2 * 9 * B * F) + 2 * (2 * 18 * 6 * F) + 2 * 9 * F * F
         assert kf.flops_surface == 2 * per_face + 4 * (2 * 9 * F * B)
-        assert kf.flops_volume == kb.flops_volume
+        # the star product: (6, 9) and (3, 18) blocks, 108 MACs a column
+        sizes = [basis_size(order - k) for k in range(order + 1)]
+        assert kf.flops_predictor == sum(
+            3 * 2 * sizes[k + 1] * sizes[k] * 9 + 2 * 108 * sizes[k + 1]
+            for k in range(order)) + (order + 1) * 2 * B * 9
+        assert kf.flops_volume == 3 * 2 * B * B * 9 + 2 * 108 * B
+        assert kf.flops_volume < kb.flops_volume
         # the compact predictor reads the state and writes levels 1..N
-        # at their own widths, not N + 1 dense levels
-        written = 9 * sum(basis_size(order - k) for k in range(1, order + 1))
-        assert kf.bytes_predictor == 8 * (B * 9 + written + 3 * 9 * 9)
+        # at their own widths, not N + 1 dense levels; 108 star doubles
+        written = 9 * sum(sizes[1:])
+        assert kf.bytes_predictor == 8 * (B * 9 + written + 108)
         assert kf.bytes_predictor < kb.bytes_predictor
-        assert kf.bytes_surface == kb.bytes_surface
+        assert kf.bytes_volume == 8 * (2 * B * 9 + 108)
+        # four face-sides' share of their faces' 2 * 18 * 6 factor doubles
+        assert kf.bytes_surface == 8 * (6 * B * 9 + 4 * 18 * 6)
+        assert kf.bytes_surface < kb.bytes_surface
     for unknown in ("simd", "jit"):
         with pytest.raises(ValueError, match="unknown kernel variant"):
             kernel_counts(3, variant=unknown)

@@ -61,6 +61,36 @@ class TestTracker:
         X, Y = np.meshgrid(xc, xc, indexing="ij")
         assert np.allclose(grid, X + 2 * Y, atol=1e-6)
 
+    def test_snapshot_grid_is_griddata_built_once(self, monkeypatch):
+        """The grid is ``griddata``'s linear interpolant with its nearest
+        one outside the hull, bitwise; a second snapshot on the same grid
+        builds no new triangulation."""
+        import scipy.spatial
+        from scipy.interpolate import griddata
+
+        built = []
+
+        class CountingDelaunay(scipy.spatial.Delaunay):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "Delaunay", CountingDelaunay)
+        tr = SurfaceDisplacementTracker(surface_solver())
+        rng = np.random.default_rng(5)
+        xs, ys = np.linspace(-0.5, 2.5, 13), np.linspace(-0.3, 2.2, 8)
+        X, Y = np.meshgrid(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]),
+                           indexing="ij")
+        pts = tr.points[:, :, :2].reshape(-1, 2)
+        for _ in range(2):
+            uz = rng.normal(size=tr.uz.shape)
+            lin = griddata(pts, uz.reshape(-1), (X, Y), method="linear")
+            near = griddata(pts, uz.reshape(-1), (X, Y), method="nearest")
+            assert np.isnan(lin).any() and not np.isnan(lin).all()
+            np.testing.assert_array_equal(
+                tr.snapshot_grid(xs, ys, uz), np.where(np.isnan(lin), near, lin))
+        assert len(built) == 1
+
     def test_requires_matching_faces(self):
         s = surface_solver()
         with pytest.raises(ValueError):

@@ -336,9 +336,9 @@ class TestClusterMajorLayout:
         """After an LTS run every (cluster, part) block selection of every
         partition worker is a view of the one operator plan: the window
         buffer starts as NaN, so a row no block wrote would poison the
-        state.  The only owned bytes are the flux-table ``G`` rows of the
-        faces whose minus side is another block (and those faces'
-        element ids), gathered once per block."""
+        state.  The only owned bytes are the flux-factor ``L`` / ``K``
+        rows of the faces whose minus side is another block (and those
+        faces' element ids), gathered once per block."""
         monkeypatch.setattr(Scheduler, "_window_buffer", staticmethod(
             lambda shape: np.full(shape, np.nan)))
         backend = PartitionedBackend(workers=2, n_parts=n_parts)
@@ -360,23 +360,24 @@ class TestClusterMajorLayout:
                 assert isinstance(idx, slice)
                 assert np.shares_memory(starQ, op.starQ)
                 for grp, batches in zip(op.interior_groups, interior):
-                    for em, ep, a, b, G in batches:
-                        if G.flags.owndata:
+                    for em, ep, a, b, (L, K) in batches:
+                        if L.flags.owndata:
                             # plus-only faces across a block cut
                             assert a == b == len(em)
                             assert (block[em] != block[ep]).all()
                             gathered += len(em)
-                            owned += em.nbytes + ep.nbytes + G.nbytes
+                            assert K.flags.owndata
+                            owned += em.nbytes + ep.nbytes + L.nbytes + K.nbytes
                             continue
                         for sel, table in ((em, grp.em), (ep, grp.ep),
-                                           (G, grp.G)):
+                                           (L, grp.L), (K, grp.K)):
                             assert not sel.size or np.shares_memory(sel, table)
                 for grp, e in zip(op.boundary_groups, boundary):
                     if e is not None:
                         assert np.shares_memory(e[0], grp.elem)
                         assert np.shares_memory(e[1], grp.GT)
         assert 0 < gathered <= cross
-        assert owned == gathered * (18 * 18 * 8 + 2 * 8)
+        assert owned == gathered * (2 * 18 * 6 * 8 + 2 * 8)
 
     def test_unsorted_mesh_yields_id_arrays(self):
         m = graded_periodic_box()

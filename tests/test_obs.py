@@ -703,7 +703,8 @@ class TestReport:
         counts x the element-update counters — not the dense counts of
         the retired kernel path, which overstated the predictor 3.94x at
         order 2.  The corrector row credits the quantity-major surface
-        kernel: one flux product per interior face for both sides."""
+        kernel: one pair of flux-factor products per interior face for
+        both sides."""
         from repro.hpc.perfmodel import kernel_counts
 
         solver = gravity_box(order=2)
@@ -715,9 +716,10 @@ class TestReport:
         obs.finish(solver)
         kc = kernel_counts(2, variant="fused")
         # per element update (B = 10, F = 6): two faces' stacked traces,
-        # (18, 18) @ (18, F) flux products and (9, F) @ (F, F) changes of
-        # basis, and four (9, F) @ (F, B) slot lifts
-        assert kc.flops_surface == 2 * (2 * 2 * 9 * 10 * 6 + 2 * 18 * 18 * 6
+        # (6, 18) @ (18, F) and (18, 6) @ (6, F) flux-factor products and
+        # (9, F) @ (F, F) changes of basis, and four (9, F) @ (F, B) slot
+        # lifts
+        assert kc.flops_surface == 2 * (2 * 2 * 9 * 10 * 6 + 2 * 2 * 18 * 6 * 6
                                         + 2 * 9 * 6 * 6) + 4 * 2 * 9 * 6 * 10
         want = {
             "predictor": kc.flops_predictor * counters["elem_updates/predictor"] / 1e9,

@@ -523,8 +523,8 @@ def assert_face_selections_are_views(op, caches):
     pairs = []
     for entries in interior:
         for grp, batches in zip(op.interior_groups, entries):
-            for em, ep, _, _, G in batches:
-                pairs += [(em, grp.em), (ep, grp.ep), (G, grp.G)]
+            for em, ep, _, _, (L, K) in batches:
+                pairs += [(em, grp.em), (ep, grp.ep), (L, grp.L), (K, grp.K)]
     for entries in boundary:
         for grp, e in zip(op.boundary_groups, entries):
             if e is not None:

@@ -1,14 +1,14 @@
 """Lazy package namespaces (PEP 562).
 
 ``repro.obs``, ``repro.ensemble`` and ``repro.exec`` re-export the public
-names of their submodules.  Imported eagerly, every ``from ..obs.metrics import
-get_metrics`` in the solver core and every ``get_builder`` loaded the
-run log, the fleet aggregator, the trace exporter, the supervisor
-and ``multiprocessing`` into each cold start and each fleet worker
-(EXPERIMENTS.md C1).  A package built with
+names of their submodules.  Imported eagerly, each ``get_builder``
+loaded the run log, the fleet aggregator, the trace exporter, the
+supervisor and ``multiprocessing`` into each cold start and each fleet
+worker (EXPERIMENTS.md C1).  A package built with
 :func:`lazy_namespace` imports a submodule when one of its names is first
 read; ``from package import name`` and ``import package.submodule`` work
-as before.
+as before.  This module imports nothing of ``repro``: it sits below
+every package in the layering (``tests/test_layering.py``).
 """
 
 from __future__ import annotations

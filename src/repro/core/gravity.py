@@ -30,7 +30,6 @@ from collections import OrderedDict
 import numpy as np
 
 from ..kernels.faces import FacePlan, face_points, lift_scale
-from ..obs.metrics import get_metrics
 from .ader import taylor_weights
 from .materials import SXX, VX
 from .riemann import FaceKind
@@ -38,8 +37,6 @@ from .rk import ExactPropagator
 from .rotation import batched_state_rotation
 
 __all__ = ["GravityBoundary"]
-
-_MET = get_metrics()
 
 #: propagator tables kept per boundary: a run alternates between one
 #: ``dt`` per LTS cluster plus the odd shortened or backed-off step
@@ -151,10 +148,8 @@ class GravityBoundary:
         sub-plan of :attr:`plan` (:meth:`FacePlan.select`): only its faces
         step (``None``: every face).
         """
-        with _MET.phase("gravity/ode"):
-            self._step(derivs, dt, out, self.plan if plan is None else plan)
-
-    def _step(self, derivs, dt, out, plan) -> None:
+        if plan is None:
+            plan = self.plan
         K = derivs.shape[1]
         for grp in plan.groups:
             # Taylor derivatives of the forcing at the quadrature points

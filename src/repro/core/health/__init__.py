@@ -36,8 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...obs.metrics import get_metrics
-
 __all__ = [
     "HealthReport",
     "HealthError",
@@ -217,6 +215,8 @@ class Watchdog:
         #: the first sweep and after :meth:`reset`
         self.last_energy: float | None = None
         self._e_max = 0.0
+        #: the ``dt`` the last sweep validated (``None``: none yet)
+        self._dt: float | None = None
 
     # -- rollback support ------------------------------------------------
     def snapshot(self) -> dict:
@@ -292,6 +292,7 @@ class Watchdog:
     def check(self, dt: float | None = None, step: int = 0) -> HealthReport:
         """Run the state, CFL and (per ``energy_mode``) energy checks;
         returns a :class:`HealthReport`."""
+        self._dt = dt
         report = HealthReport(t=self.solver.t, step=step)
         report.checks["state"] = self._check_state()
         report.checks["cfl"] = self._check_cfl(dt)
@@ -299,30 +300,29 @@ class Watchdog:
         # message would only duplicate the state failure
         if report.ok:
             report.checks["energy"] = self._check_energy()
-        met = get_metrics()
-        if met.enabled:
-            self._emit_metrics(met, dt, report)
         return report
 
-    def _emit_metrics(self, met, dt: float | None,
-                      report: HealthReport) -> None:
-        """Physics gauges of this sweep — the watchdog invariants as
-        observable quantities (Lyapunov energy budget, CFL margin of
-        Eq. 27, peak on-fault slip rate)."""
+    def gauges(self) -> dict:
+        """The physics gauges of the last sweep — the watchdog invariants
+        as observable quantities: ``health/energy_total`` (the Lyapunov
+        energy), ``health/energy_drift_ratio`` (against its historical
+        maximum), ``health/cfl_margin`` (of the swept ``dt``, Eq. 27)
+        and ``health/max_slip_rate`` (peak on-fault slip rate); a gauge
+        with nothing to report is left out."""
+        out = {}
         if self.last_energy is not None:
-            met.set_gauge("health/energy_total", float(self.last_energy))
+            out["health/energy_total"] = float(self.last_energy)
             if self._e_max > 0.0:
-                met.set_gauge("health/energy_drift_ratio",
-                              float(self.last_energy / self._e_max) - 1.0)
-        if dt is not None and self._dt_admissible > 0.0:
-            met.set_gauge("health/cfl_margin", 1.0 - dt / self._dt_admissible)
+                out["health/energy_drift_ratio"] = \
+                    float(self.last_energy / self._e_max) - 1.0
+        if self._dt is not None and self._dt_admissible > 0.0:
+            out["health/cfl_margin"] = 1.0 - self._dt / self._dt_admissible
         fault = self.solver.fault
         if fault is not None:
             rate = np.asarray(fault.slip_rate)
             if rate.size and np.isfinite(rate).all():
-                met.set_gauge("health/max_slip_rate", float(np.abs(rate).max()))
-        if not report.ok:
-            met.inc("health/check_failures")
+                out["health/max_slip_rate"] = float(np.abs(rate).max())
+        return out
 
     def ensure(self, dt: float | None = None, step: int = 0) -> HealthReport:
         """Like :meth:`check` but raises :class:`HealthError` on failure."""

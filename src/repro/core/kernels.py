@@ -49,7 +49,6 @@ from ..kernels.fusion import (
     selection,
     stack_width,
 )
-from ..obs.metrics import get_metrics
 from .ader import Predictor, stacked_star_matrices
 from .basis import get_reference_element
 from .materials import jacobians
@@ -62,8 +61,6 @@ from .riemann import (
 from .rotation import NORMAL_FLIP
 
 __all__ = ["SpatialOperator"]
-
-_MET = get_metrics()
 
 
 class SpatialOperator:
@@ -110,9 +107,8 @@ class SpatialOperator:
 
     def _build_plan(self) -> OperatorPlan:
         plan = OperatorPlan(starQ=stacked_star_matrices(self.mesh))
-        with _MET.phase("riemann_flux"):
-            self._fold_interior(plan)
-            self._fold_boundary(plan)
+        self._fold_interior(plan)
+        self._fold_boundary(plan)
         return finish_plan(plan)
 
     def _pair_factors(self, mat_m, mat_p):
@@ -268,8 +264,7 @@ class SpatialOperator:
 
     def volume_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add the stiffness (volume) term of the corrector to ``out``."""
-        with _MET.phase("kernels/volume"):
-            fused_volume_residual(self, I, out, selection(self, active))
+        fused_volume_residual(self, I, out, selection(self, active))
 
     def interior_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add interior-face flux terms to ``out``.
@@ -278,13 +273,11 @@ class SpatialOperator:
         face receive contributions — needed by local time-stepping, where a
         face between clusters is visited by each side at its own cadence.
         """
-        with _MET.phase("kernels/surface_interior"):
-            fused_interior_residual(self, I, out, selection(self, active))
+        fused_interior_residual(self, I, out, selection(self, active))
 
     def boundary_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add free-surface / absorbing boundary fluxes to ``out``."""
-        with _MET.phase("kernels/surface_boundary"):
-            fused_boundary_residual(self, I, out, selection(self, active))
+        fused_boundary_residual(self, I, out, selection(self, active))
 
     def apply(self, I: np.ndarray, active=None) -> np.ndarray:
         """Full (gravity/fault-free) residual for time-integrated data ``I``.
@@ -295,10 +288,7 @@ class SpatialOperator:
                else self.masked_residual())
         sel = selection(self, active)
         # every updated row gets a volume term: store it, no zero-fill + add
-        with _MET.phase("kernels/volume"):
-            fused_volume_residual(self, I, out, sel, overwrite=True)
-        with _MET.phase("kernels/surface_interior"):
-            fused_interior_residual(self, I, out, sel)
-        with _MET.phase("kernels/surface_boundary"):
-            fused_boundary_residual(self, I, out, sel)
+        fused_volume_residual(self, I, out, sel, overwrite=True)
+        fused_interior_residual(self, I, out, sel)
+        fused_boundary_residual(self, I, out, sel)
         return out

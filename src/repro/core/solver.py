@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..exec.backend import make_backend
-from ..obs.metrics import get_metrics
 from .ader import taylor_integrate
 from .basis import tet_basis
 from .cfl import CFL_SAFETY, element_timesteps
@@ -33,8 +32,6 @@ from .kernels import SpatialOperator
 from .riemann import FaceKind
 
 __all__ = ["CoupledSolver", "PointSource", "ocean_surface_gravity_tagger"]
-
-_MET = get_metrics()
 
 
 def ocean_surface_gravity_tagger(
@@ -318,13 +315,12 @@ class CoupledSolver:
     def step(self, dt: float | None = None) -> None:
         """One global ADER-DG timestep (predictor + corrector)."""
         dt = self.dt if dt is None else dt
-        with _MET.phase("step"):
-            derivs = self.backend.predict(self.dofs)
-            I = self._window = taylor_integrate(derivs.levels, 0.0, dt,
-                                                out=self._window)
-            R = self.backend.corrector(I, derivs, dt, t0=self.t)
-            self.dofs += R
-            self.t += dt
+        derivs = self.backend.predict(self.dofs)
+        I = self._window = taylor_integrate(derivs.levels, 0.0, dt,
+                                            out=self._window)
+        R = self.backend.corrector(I, derivs, dt, t0=self.t)
+        self.dofs += R
+        self.t += dt
 
     # ------------------------------------------------------------------
     def energy(self) -> float:

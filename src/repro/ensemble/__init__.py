@@ -39,7 +39,7 @@ _lazy_all, __getattr__ = lazy_namespace(__name__, {
     "result": ("STATUSES", "EnsembleResult", "MemberResult"),
     "retry": ("RetryDecision", "RetryPolicy"),
     "supervisor": ("Supervisor",),
-    "worker": ("load_result", "member_paths", "run_member", "state_digest"),
+    "worker": ("member_paths", "run_member", "state_digest"),
 })
 
 __all__ = [

@@ -59,6 +59,7 @@ import sys
 import threading
 import time
 
+from ..io.result import load_result
 from ..obs.blackbox import (
     BUNDLE_SUFFIX,
     build_bundle,
@@ -72,7 +73,7 @@ from ..obs.runlog import RunLog, read_records
 from .result import EnsembleResult, MemberResult
 from .retry import RetryPolicy
 from .spec import MemberSpec
-from .worker import load_result, member_paths, worker_main
+from .worker import member_paths, worker_main
 
 __all__ = ["Supervisor"]
 

@@ -46,24 +46,21 @@ from ..core.health import SimulationDiverged
 from ..core.resilience import ResilientRunner
 from ..io.atomic import atomic_open
 from ..io.checkpoint import capture_state, checkpoint_candidates
-from ..obs.metrics import get_metrics
+from ..io.result import RESULT_NAME
 from ..obs.session import ObsSession
 from ..sched import HookBus
 from .spec import MemberSpec
 
 __all__ = [
-    "RESULT_NAME",
     "RUNLOG_NAME",
     "CKPT_DIRNAME",
     "TRACE_NAME",
     "member_paths",
     "state_digest",
     "run_member",
-    "load_result",
     "worker_main",
 ]
 
-RESULT_NAME = "result.json"
 RUNLOG_NAME = "run.jsonl"
 CKPT_DIRNAME = "ckpt"
 TRACE_NAME = "trace.json"
@@ -71,12 +68,6 @@ TRACE_NAME = "trace.json"
 #: the watchdog's in-process retries (rollback + dt backoff) per segment;
 #: distinct from the supervisor's process-level RetryPolicy
 RUNNER_RETRIES = 2
-
-#: keys a result file must carry to count as a valid attempt outcome
-REQUIRED_RESULT_KEYS = (
-    "member_id", "attempt", "status", "digest", "sim_t", "steps", "wall_s",
-)
-
 
 def member_paths(out_dir: str, member_id: str) -> dict:
     """Canonical artifact layout of one member under ``out_dir``
@@ -137,9 +128,8 @@ def run_member(
     the member is alive and where the attempt is in its life; the
     supervisor reads the numbers from the log.  The session is
     constructed before the build, so the member's counters include its
-    plan-cache hits, and it is closed on every way out — a worker runs
-    members one after another in one interpreter and must not leak one
-    member's registry into the next.
+    plan-cache hits, and it is closed on every way out, taking its
+    instruments off the member's solver.
     """
     os.makedirs(member_dir, exist_ok=True)
     paths = member_paths(*os.path.split(member_dir))
@@ -269,25 +259,6 @@ def _publish_result(path: str, result: dict, spec, attempt: int) -> None:
         f.write(text)
 
 
-def load_result(path: str) -> dict | None:
-    """Read and validate a member result file; ``None`` when unusable.
-
-    A missing, torn, or garbled file (the corrupt-result fault, a death
-    mid-write) yields ``None`` — the supervisor treats that attempt as
-    failed and retries.
-    """
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except (OSError, ValueError, UnicodeDecodeError):
-        return None
-    if not isinstance(data, dict):
-        return None
-    if any(k not in data for k in REQUIRED_RESULT_KEYS):
-        return None
-    return data
-
-
 # ----------------------------------------------------------------------
 def worker_main(conn, inherited=()) -> None:
     """Worker process body: run the attempts the supervisor sends, one at
@@ -305,8 +276,7 @@ def worker_main(conn, inherited=()) -> None:
     A forked worker first undoes what it inherited and a spawned one
     never had: it closes ``inherited`` — the supervisor's ends of its own
     and its siblings' pipes, so a dead supervisor is EOF to every worker
-    at once — and clears the metric registry, so no member reports its
-    parent's counts.  The plan cache it keeps.
+    at once.  The plan cache it keeps.
 
     Any unhandled exception is reported up the pipe and ends the process
     with status 3 — a failed attempt never leaves a worker behind to be
@@ -316,7 +286,6 @@ def worker_main(conn, inherited=()) -> None:
     """
     for end in inherited:
         end.close()
-    get_metrics().clear()
     try:
         import faulthandler
 

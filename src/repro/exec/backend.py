@@ -26,18 +26,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.ader import Predictor, taylor_integrate
-from ..obs.metrics import get_metrics
 
 __all__ = ["ExecutionBackend", "SerialBackend", "make_backend",
            "available_backends", "refresh_rows"]
 
-_MET = get_metrics()
 
-
-def refresh_rows(op, Q, idx, pred, Iown=None, dt=None) -> int:
+def refresh_rows(op, Q, idx, pred, Iown=None, dt=None) -> None:
     """Predict the rows ``idx`` of ``pred`` from ``Q`` (its level 0), in
     place where ``idx`` is a slice, and store their window integral over
-    ``[0, dt]`` into ``Iown`` if given; returns the number of rows."""
+    ``[0, dt]`` into ``Iown`` if given."""
     rows = pred.take(idx)
     new = op.predict_states(Q[idx], op.starQ[idx], out=rows)
     for L, N, R in zip(pred.levels[1:], new.levels[1:], rows.levels[1:]):
@@ -45,7 +42,6 @@ def refresh_rows(op, Q, idx, pred, Iown=None, dt=None) -> int:
             L[idx] = N
     if Iown is not None:
         Iown[idx] = taylor_integrate(new.levels, 0.0, dt, out=Iown[idx])
-    return len(new.levels[0])
 
 
 class ExecutionBackend:
@@ -120,26 +116,13 @@ class SerialBackend(ExecutionBackend):
     _pred = None
 
     def predict(self, Q: np.ndarray) -> Predictor:
-        with _MET.phase("predict"):
-            if _MET.enabled:
-                _MET.inc("elem_updates/predictor", len(Q))
-            self._pred = self.solver.op.predict(Q, out=self._pred)
-            return self._pred
+        self._pred = self.solver.op.predict(Q, out=self._pred)
+        return self._pred
 
     def update_predictor(self, Q, rows, dt, derivs, Iown) -> None:
-        with _MET.phase("predict"):
-            if _MET.enabled:
-                _MET.inc("elem_updates/predictor", rows.size)
-            refresh_rows(self.solver.op, Q, rows.elems, derivs, Iown, dt)
+        refresh_rows(self.solver.op, Q, rows.elems, derivs, Iown, dt)
 
     def corrector(self, I, derivs, dt, t0, rows=None) -> np.ndarray:
-        if _MET.enabled:
-            _MET.inc("elem_updates/corrector",
-                     len(I) if rows is None else rows.size)
-        with _MET.phase("corrector"):
-            return self._corrector(I, derivs, dt, t0, rows)
-
-    def _corrector(self, I, derivs, dt, t0, rows) -> np.ndarray:
         solver = self.solver
         mask, gravity, motion, fault = (None,) * 4 if rows is None else (
             rows.mask, rows.gravity, rows.motion, rows.fault)

@@ -46,7 +46,6 @@ batch's largest update, so another batch would change bits.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +54,9 @@ from ..core.ader import Predictor
 from ..core.basis import basis_size
 from ..core.lts import cluster_elements, fault_adjacent, rows_of
 from ..hpc.partition import edge_cut, eq28_vertex_weights, imbalance
-from ..obs.metrics import get_metrics
 from .backend import ExecutionBackend, refresh_rows
 
 __all__ = ["PartitionPlan", "PartitionedBackend", "cluster_cuts"]
-
-_MET = get_metrics()
 
 
 def _nearest_prefix(csum: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -229,21 +225,12 @@ class PartitionedBackend(ExecutionBackend):
         block the way :meth:`SerialBackend.update_predictor` sweeps a
         cluster, into its rows of ``pred``."""
         op = self.solver.op
-        tracing = _MET.enabled and _MET.tracing
 
         def work(plan):
-            t0 = _time.perf_counter() if tracing else 0.0
-            n = sum(refresh_rows(op, Q, blk.elems, pred, Iown, dt)
-                    for blk in plan.active(rows))
-            if tracing and n:
-                _MET.add_span("worker/predict", t0, _time.perf_counter(),
-                              part=plan.part_id, owned=n)
+            for blk in plan.active(rows):
+                refresh_rows(op, Q, blk.elems, pred, Iown, dt)
 
-        with _MET.phase("predict"):
-            if _MET.enabled:
-                _MET.inc("elem_updates/predictor",
-                         len(Q) if rows is None else rows.size)
-            self._run(work)
+        self._run(work)
 
     def corrector(self, I, derivs, dt, t0, rows=None) -> np.ndarray:
         solver = self.solver
@@ -253,9 +240,6 @@ class PartitionedBackend(ExecutionBackend):
         Rv = R.transpose(0, 2, 1)  # the face modules' and sources' layout
 
         def work(plan):
-            profiled = _MET.enabled
-            t_start = _time.perf_counter() if profiled else 0.0
-            n = 0
             for blk in plan.active(rows):
                 if rows is not None:
                     R[blk.elems] = 0.0
@@ -266,24 +250,13 @@ class PartitionedBackend(ExecutionBackend):
                     solver.gravity.step(derivs, dt, Rv, plan=blk.gravity)
                 if solver.motion is not None:
                     solver.motion.step(derivs, dt, Rv, t0=t0, plan=blk.motion)
-                n += 1
             if solver.fault is not None and plan.has_fault:
                 # the whole fault is this part's: the serial call
                 solver.fault.step(derivs, dt, Rv,
                                   sides=None if rows is None else rows.fault,
                                   t0=t0)
-            if profiled:
-                t_end = _time.perf_counter()
-                _MET.add_time(f"worker/p{plan.part_id}/compute",
-                              t_end - t_start)
-                _MET.add_span("worker/compute", t_start, t_end,
-                              part=plan.part_id, blocks=n)
 
-        with _MET.phase("corrector"):
-            if _MET.enabled:
-                _MET.inc("elem_updates/corrector",
-                         len(I) if rows is None else rows.size)
-            self._run(work)
+        self._run(work)
         self.halo_exchanges += 1
         # point sources are few and cheap: applied once, after the barrier
         for s in solver.sources:

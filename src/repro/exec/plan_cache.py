@@ -41,8 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs.metrics import get_metrics
-
 __all__ = [
     "mesh_fingerprint",
     "plan_key",
@@ -151,16 +149,12 @@ class PlanCache:
         """Return the cached plan for ``(mesh, order, flux_variant,
         blocks)`` or build (and cache) a fresh one with ``builder()``."""
         key = plan_key(mesh, order, flux_variant, blocks)
-        met = get_metrics()
         plan = self.get(key)
         if plan is not None:
             self.hits += 1
-            met.inc("cache/plan_hits")
             return plan
         self.misses += 1
-        met.inc("cache/plan_misses")
-        with met.phase("setup/plan_build"):
-            plan = builder()
+        plan = builder()
         self.put(key, plan)
         return plan
 

@@ -1,4 +1,5 @@
-"""Persistence: versioned, atomic solver checkpoints."""
+"""Persistence: versioned, atomic solver checkpoints and the ensemble
+member result file."""
 
 from .checkpoint import (
     CheckpointError,
@@ -7,6 +8,7 @@ from .checkpoint import (
     restore_checkpoint,
     save_checkpoint,
 )
+from .result import REQUIRED_RESULT_KEYS, RESULT_NAME, load_result
 
 __all__ = [
     "save_checkpoint",
@@ -14,4 +16,7 @@ __all__ = [
     "restore_checkpoint",
     "CheckpointManager",
     "CheckpointError",
+    "RESULT_NAME",
+    "REQUIRED_RESULT_KEYS",
+    "load_result",
 ]

@@ -35,7 +35,6 @@ import zlib
 
 import numpy as np
 
-from ..obs.metrics import get_metrics
 from .atomic import atomic_open
 
 __all__ = [
@@ -193,11 +192,6 @@ def save_checkpoint(path: str, solver, lts=None, metadata: dict | None = None,
     """
     if not path.endswith(".npz"):
         path = path + ".npz"
-    with get_metrics().phase("io/checkpoint_save"):
-        return _save_checkpoint(path, solver, lts, metadata, state)
-
-
-def _save_checkpoint(path, solver, lts, metadata, state) -> str:
     arrays = capture_state(solver, lts) if state is None else dict(state)
     arrays["version"] = np.int64(CHECKPOINT_VERSION)
     arrays["fingerprint"] = np.array(fingerprint(solver))
@@ -208,10 +202,6 @@ def _save_checkpoint(path, solver, lts, metadata, state) -> str:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with atomic_open(path, "wb") as f:
         np.savez(f, **arrays)
-        n_bytes = f.tell()
-    met = get_metrics()
-    met.inc("io/checkpoint_writes")
-    met.inc("io/checkpoint_bytes", int(n_bytes))
     return path
 
 
@@ -222,8 +212,7 @@ def load_checkpoint(path: str) -> dict:
     ``state`` is the dict :func:`restore_state` accepts.
     """
     try:
-        with get_metrics().phase("io/checkpoint_load"), \
-                np.load(path, allow_pickle=False) as d:
+        with np.load(path, allow_pickle=False) as d:
             data = {k: d[k] for k in d.files}
     except (OSError, ValueError, KeyError, EOFError,
             zipfile.BadZipFile, zlib.error) as exc:
@@ -231,7 +220,6 @@ def load_checkpoint(path: str) -> dict:
         # zlib.error / EOFError: an archive truncated mid-write (kill -9
         # through a non-atomic path); KeyError: a member list torn apart
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
-    get_metrics().inc("io/checkpoint_loads")
     version = int(data.pop("version", -1))
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(

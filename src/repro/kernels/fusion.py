@@ -124,9 +124,6 @@ import numpy as np
 from ..core.ader import Predictor
 from ..core.basis import basis_size, get_reference_element
 from ..core.rotation import fill_state_rotation
-from ..obs.metrics import get_metrics
-
-_MET = get_metrics()
 
 __all__ = [
     "ElementKernelPlan",
@@ -546,8 +543,6 @@ def selection(op, active: np.ndarray | None):
                 [(g.elem, g.GT) for g in op.boundary_groups])
     key = hashlib.sha1(active.tobytes()).digest()
     hit = op._selections.get(key)
-    if _MET.enabled:
-        _MET.inc("cache/mask_hits" if hit is not None else "cache/mask_misses")
     if hit is None:
         idx = row_set(np.flatnonzero(active))
         hit = op._selections[key] = (

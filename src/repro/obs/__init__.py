@@ -2,10 +2,9 @@
 
 The measurement layer behind the paper's Sec. 5-6 performance story:
 
-* :mod:`repro.obs.metrics` — the one default-off, process-global
-  instrument registry (counters, gauges, hierarchical phase timers and
-  an optional bounded span buffer) pulsed from the solver's hot paths,
-  with associative snapshot merging;
+* :mod:`repro.obs.metrics` — the instrument registry of one run
+  (counters, gauges, phase timers under the perf ledger's names and an
+  optional bounded span buffer), with associative snapshot merging;
 * :mod:`repro.obs.runlog` — the run record: :class:`RunLog`, the run's
   one event stream (manifest, heartbeats and ``run_end`` carrying their
   own registry snapshot, resilience events) in a bounded in-memory ring,
@@ -14,9 +13,7 @@ The measurement layer behind the paper's Sec. 5-6 performance story:
   one schema (:func:`validate_record` / :func:`validate_jsonl`, behind
   ``obs-report --check``, ``obs-status --check`` and the perf ledger);
 * :mod:`repro.obs.report` — the one answer to "where did the time go":
-  the phase breakdown and measured-vs-modeled GFLOP/s against
-  :mod:`repro.hpc.perfmodel`'s Rome node (imported lazily: it pulls in
-  the HPC models);
+  the phase breakdown and the measured GFLOP/s of the kernels;
 * :mod:`repro.obs.trace` — the registry's span buffer exported as
   Chrome-trace/Perfetto JSON timelines (one lane per partitioned worker,
   LTS cluster slices colored by cluster id), checked by ``obs-trace``;
@@ -32,17 +29,19 @@ The measurement layer behind the paper's Sec. 5-6 performance story:
   per-field statistics, thread stacks, run manifest) classified by the
   ``obs-diagnose`` CLI;
 * :mod:`repro.obs.session` — :class:`ObsSession`, the one lifecycle of
-  a run record: registry reset / enable / disable, manifest, heartbeats
+  a run record: the run's registry and the instruments it attaches to
+  the solver from outside (and takes off again), manifest, heartbeats
   (counters + gauges per beat), ``run_end`` (the final snapshot, phases
   included) and trace export, for the CLI's ``--profile`` /
   ``--trace`` / ``--log-json`` / ``--heartbeat-every`` / ``--metrics``
   flags and for every ensemble member alike.
 
-The package namespace is lazy (:mod:`repro._lazy`): ``from repro.obs
-import ObsSession`` and ``import repro.obs.blackbox`` resolve on first
-use, so the solver core's ``from ..obs.metrics import get_metrics`` does
-not load the run log, bundle writer, fleet aggregator and trace exporter
-into every cold start and every fleet worker.
+Nothing below this package imports it but
+:mod:`repro.core.resilience` (the run log and the black box), which the
+layering test names with the change that removes it.  The namespace is
+lazy (:mod:`repro._lazy`): ``from repro.obs import ObsSession`` and
+``import repro.obs.blackbox`` resolve on first use, so a run that
+observes nothing loads no ``repro.obs`` module.
 """
 
 from .._lazy import lazy_namespace
@@ -54,7 +53,7 @@ __all__, __getattr__ = lazy_namespace(__name__, {
     "runlog": ("RunLog", "run_manifest", "read_records", "validate_record",
                "validate_jsonl", "EVENT_FIELDS", "SCHEMA_VERSION"),
     "metrics": ("METRICS_SCHEMA_VERSION", "MetricRegistry", "TraceBuffer",
-                "get_metrics", "merge_snapshots"),
+                "merge_snapshots"),
     "fleet": ("FleetAggregator", "fold_run_dir", "status_rows",
               "status_lines", "check_run_dir", "watch_status",
               "validate_prometheus"),

@@ -468,10 +468,10 @@ def check_run_dir(run_dir: str, fold: tuple | None = None) -> list[str]:
     :func:`~repro.obs.blackbox.validate_bundle`.  Every finished member's
     log must hold a ``run_end``, and its ``result.json`` (the digest and
     summary the ensemble result reads) must pass
-    :func:`~repro.ensemble.worker.load_result`.  ``fold`` is a fresh
+    :func:`~repro.io.result.load_result`.  ``fold`` is a fresh
     :func:`fold_run_dir` of ``run_dir`` already made.
     """
-    from ..ensemble.worker import RESULT_NAME, load_result
+    from ..io.result import RESULT_NAME, load_result
     from .blackbox import load_bundle, validate_bundle
 
     agg, sup, logs = fold_run_dir(run_dir) if fold is None else fold

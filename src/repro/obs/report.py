@@ -1,32 +1,27 @@
-"""Measured-vs-modeled performance accounting and run-log summaries.
+"""Measured performance accounting and run-log summaries.
 
 The one answer to "where did the time go": converts the registry
-snapshot of a profiled run (phase times + element-update counters) into
-the phase breakdown and the paper's Sec. 5 currency — achieved GFLOP/s
-per kernel against the analytical roofline of
-:mod:`repro.hpc.perfmodel` — and renders human-readable summaries of
-structured run logs (``python -m repro obs-report RUN.jsonl``).
+snapshot of a profiled run (the ledger-named phase times of
+:class:`~repro.obs.session.ObsSession` plus its element-update counters)
+into the phase breakdown and the paper's Sec. 5 currency — achieved
+GFLOP/s per kernel — and renders human-readable summaries of structured
+run logs (``python -m repro obs-report RUN.jsonl``).
 
 Accounting conventions:
 
-* the **predictor** row uses the wall time of the backend-level
-  ``predict`` phase (the Cauchy-Kowalewski sweep is the only thing inside
-  it);
-* the **corrector** row uses the accumulated busy time of the
-  volume/surface kernel phases only (``kernels/volume`` +
-  ``kernels/surface_*``), excluding the gravity/fault/source modules the
-  FLOP model does not count — under the partitioned backend this is
-  summed across worker threads, so the reported rate is the aggregate
-  compute rate;
+* the **predictor** row uses the ``kernels.predict`` phase (the
+  Cauchy-Kowalewski sweeps), the **corrector** row the ``kernels.apply``
+  phase (volume and surface kernels), excluding the gravity/fault/source
+  modules the FLOP count does not cover — under the partitioned backend
+  both are summed across worker threads, so the reported rate is the
+  aggregate compute rate;
 * FLOPs are the *executed* ``kernel_counts(order, variant="fused")`` x the
-  ``elem_updates/*`` counters maintained by the execution backends, so
+  ``elem_updates/*`` counters the session counts at the backend, so
   LTS runs are credited for the updates they actually performed, not
   for GTS-equivalent sweeps.
 
-The modeled roofline is the paper's Sec. 5.1 AMD Rome node
-(:data:`repro.hpc.machine.AMD_ROME_7H12`), so "efficiency" reads as
-*fraction of what the paper's calibrated machine model attains* — for a
-NumPy reproduction, honestly tiny.
+The rates are this host's; the model of the paper's node lives with the
+T1 bench (:mod:`repro.hpc.perfmodel`).
 """
 
 from __future__ import annotations
@@ -38,33 +33,22 @@ __all__ = [
     "phase_total",
     "worker_split",
     "lts_cluster_updates",
-    "roofline_rows",
+    "kernel_rates",
     "profile_lines",
     "summarize_runlog",
 ]
 
-#: leaf phases whose sum is the corrector-kernel busy time
-_CORRECTOR_PHASES = ("kernels/volume", "kernels/surface_interior",
-                     "kernels/surface_boundary")
-
-_WORKER_RE = re.compile(r"(?:^|/)worker/p(\d+)/compute$")
+_WORKER_RE = re.compile(r"^worker/p(\d+)/compute$")
 _LTS_RE = re.compile(r"^lts/(updates|elem_updates)/c(\d+)$")
 
 
 # ----------------------------------------------------------------------
 def phase_total(phases: dict, key: str) -> float:
-    """Total seconds of every phase path ending in ``key``.
-
-    Nested instrumentation records full paths (``step/predict``); this
-    aggregates them regardless of the parent chain, so GTS, LTS and
-    worker-thread call sites all contribute to the same kernel bucket.
-    """
-    total = 0.0
-    suffix = "/" + key
-    for path, cell in phases.items():
-        if path == key or path.endswith(suffix):
-            total += cell["seconds"] if isinstance(cell, dict) else cell[0]
-    return total
+    """Seconds of the phase ``key`` (0 when it never ran)."""
+    cell = phases.get(key)
+    if cell is None:
+        return 0.0
+    return cell["seconds"] if isinstance(cell, dict) else cell[0]
 
 
 def worker_split(phases: dict) -> dict:
@@ -72,7 +56,7 @@ def worker_split(phases: dict) -> dict:
     ``{part_id: {"compute_s"}}``."""
     out: dict[int, dict] = {}
     for path, cell in phases.items():
-        m = _WORKER_RE.search(path)
+        m = _WORKER_RE.match(path)
         if not m:
             continue
         seconds = cell["seconds"] if isinstance(cell, dict) else cell[0]
@@ -94,46 +78,35 @@ def lts_cluster_updates(counters: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-def roofline_rows(phases: dict, counters: dict, order: int) -> list[dict]:
-    """Measured-vs-modeled roofline rows for the predictor and corrector,
-    on the paper's AMD Rome node.
+def kernel_rates(phases: dict, counters: dict, order: int) -> list[dict]:
+    """Measured GFLOP/s rows for the predictor and corrector.
 
     FLOPs are those of the kernel path the operator executes (crediting
     it with the dense SeisSol-shaped counts would overstate measured
-    GFLOP/s).  Rows contain ``kernel``,
-    ``seconds``, ``elem_updates``, ``gflop``, ``measured_gflops``,
-    ``model_gflops`` and ``efficiency`` (measured/model); kernels with no
-    recorded time or updates are omitted.
+    GFLOP/s).  Rows contain ``kernel``, ``seconds``, ``elem_updates``,
+    ``gflop`` and ``measured_gflops``; kernels with no recorded time or
+    updates are omitted.
     """
     from ..core.kernels import SpatialOperator
-    from ..hpc.machine import AMD_ROME_7H12
-    from ..hpc.perfmodel import NodePerformanceModel
+    from ..hpc.perfmodel import kernel_counts
 
-    model = NodePerformanceModel(AMD_ROME_7H12, order=order,
-                                 variant=SpatialOperator.kernel_variant)
-    kc = model.counts
-
+    kc = kernel_counts(order, variant=SpatialOperator.kernel_variant)
     rows = []
-    for kernel, seconds, updates, flops_per_update, model_gflops in (
-        ("predictor", phase_total(phases, "predict"),
-         counters.get("elem_updates/predictor", 0),
-         kc.flops_predictor, model.predictor_gflops()),
-        ("corrector", sum(phase_total(phases, k) for k in _CORRECTOR_PHASES),
-         counters.get("elem_updates/corrector", 0),
-         kc.flops_corrector, model.corrector_gflops()),
+    for kernel, phase, flops_per_update in (
+        ("predictor", "kernels.predict", kc.flops_predictor),
+        ("corrector", "kernels.apply", kc.flops_corrector),
     ):
+        seconds = phase_total(phases, phase)
+        updates = counters.get(f"elem_updates/{kernel}", 0)
         if seconds <= 0.0 or updates <= 0:
             continue
         gflop = flops_per_update * updates / 1e9
-        measured = gflop / seconds
         rows.append({
             "kernel": kernel,
             "seconds": seconds,
             "elem_updates": int(updates),
             "gflop": gflop,
-            "measured_gflops": measured,
-            "model_gflops": model_gflops,
-            "efficiency": measured / model_gflops if model_gflops > 0 else 0.0,
+            "measured_gflops": gflop / seconds,
         })
     return rows
 
@@ -141,7 +114,9 @@ def roofline_rows(phases: dict, counters: dict, order: int) -> list[dict]:
 # ----------------------------------------------------------------------
 def profile_lines(snapshot: dict, order: int | None = None,
                   wall_s: float | None = None, top: int = 20) -> list[str]:
-    """Render a registry snapshot as the per-phase + roofline report."""
+    """Render a registry snapshot as the phase table, the kernel rates
+    (given the ``order``), the worker and LTS-cluster tables and the
+    counters."""
     phases = snapshot.get("phases", {})
     counters = snapshot.get("counters", {})
     lines: list[str] = []
@@ -164,22 +139,16 @@ def profile_lines(snapshot: dict, order: int | None = None,
             lines.append(f"  ... {len(ranked) - top} more phases")
 
     if order is not None:
-        rows = roofline_rows(phases, counters, order)
+        rows = kernel_rates(phases, counters, order)
         if rows:
-            from ..hpc.machine import AMD_ROME_7H12
-
             lines.append("")
-            lines.append(f"roofline (measured vs modeled, node: "
-                         f"{AMD_ROME_7H12.name}):")
-            lines.append(
-                f"  {'kernel':12} {'elem-updates':>12} {'GFLOP':>10} "
-                f"{'meas GFLOP/s':>13} {'model GFLOP/s':>14} {'efficiency':>11}"
-            )
+            lines.append("kernel rates (executed FLOPs / measured seconds):")
+            lines.append(f"  {'kernel':12} {'elem-updates':>12} {'GFLOP':>10} "
+                         f"{'GFLOP/s':>10}")
             for r in rows:
                 lines.append(
                     f"  {r['kernel']:12} {r['elem_updates']:>12} "
-                    f"{r['gflop']:>10.3f} {r['measured_gflops']:>13.3f} "
-                    f"{r['model_gflops']:>14.1f} {r['efficiency']:>10.2e}"
+                    f"{r['gflop']:>10.3f} {r['measured_gflops']:>10.3f}"
                 )
 
     split = worker_split(phases)
@@ -295,7 +264,7 @@ def summarize_runlog(path: str, check: bool = False) -> int:
     if run_end is not None:
         from ..core.kernels import SpatialOperator
 
-        # the roofline counts the FLOPs of the path that executes today,
+        # the rates count the FLOPs of the path that executes today,
         # so the log of a retired path (or one that names none) gets none
         ran = manifests[0].get("kernel_variant") if manifests else None
         order = (manifests[0].get("order")

@@ -8,8 +8,9 @@ format (the ``traceEvents`` array of ``"ph": "X"`` complete events), which
 `Perfetto <https://ui.perfetto.dev>`_ and ``chrome://tracing`` load
 directly:
 
-* spans tagged with a ``part`` arg (the partitioned backend's per-worker
-  compute / predict slices) are laid out **one lane per partition**,
+* spans tagged with a ``part`` arg (the residual kernels of one
+  partition of the partitioned backend) are laid out **one lane per
+  partition**,
   labelled ``worker p<N>``;
 * LTS cluster slices (``lts/cluster`` spans) are colored by cluster id via
   the trace-event ``cname`` palette, so the rate-2 cadence — cluster 0
@@ -133,17 +134,14 @@ def chrome_trace(trace_snapshot: dict, metadata: dict | None = None) -> dict:
 
 def export_chrome_trace(path: str, trace_snapshot: dict | None = None,
                         metadata: dict | None = None) -> dict:
-    """Write the Perfetto-loadable JSON for ``trace_snapshot`` (default:
-    the global registry's buffer) to ``path``; returns the document.
+    """Write the Perfetto-loadable JSON for ``trace_snapshot`` (a
+    registry's :meth:`~repro.obs.metrics.MetricRegistry.trace_snapshot`;
+    default: no spans) to ``path``; returns the document.
 
     Published atomically: an export that dies half-way leaves the previous
     file (or none), never a torn document ``obs-trace --merge`` would
     choke on."""
-    if trace_snapshot is None:
-        from .metrics import get_metrics
-
-        trace_snapshot = get_metrics().trace_snapshot()
-    doc = chrome_trace(trace_snapshot, metadata)
+    doc = chrome_trace(trace_snapshot or {}, metadata)
     _write_json(path, doc)
     return doc
 

@@ -31,11 +31,8 @@ from ..core.materials import jacobians
 from ..core.quadrature import gauss_legendre_01
 from ..core.rotation import batched_normal_basis, batched_state_rotation
 from ..kernels.faces import FacePlan, face_points, lift_scale
-from ..obs.metrics import get_metrics
 
 __all__ = ["Prestress", "FaultSolver", "NewtonLoad"]
-
-_MET = get_metrics()
 
 #: fault-frame components the Riemann problem reads and its middle state
 #: carries: normal / shear tractions (0, 3, 5) and the velocities
@@ -282,10 +279,8 @@ class FaultSolver:
         """
         if not self._bound:
             raise RuntimeError("FaultSolver.step called before bind()")
-        with _MET.phase("fault/friction"):
-            self._step(derivs, dt, out, self._sides if sides is None else sides, t0)
-
-    def _step(self, derivs, dt, out, sides, t0: float = 0.0) -> None:
+        if sides is None:
+            sides = self._sides
         idx, nf = sides[0].idx, sides[0].n
         if nf == 0:
             return

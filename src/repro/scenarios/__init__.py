@@ -153,7 +153,7 @@ def run(name: str, t_end: float, *, backend="serial", workers: int | None = None
     run it to ``t_end`` — with clustered local time-stepping where its
     registry row says so — under an :class:`~repro.obs.session.ObsSession`
     opened before the build, so the run record counts the build's
-    plan-cache lookups and times it, as a fleet member's does.
+    plan-cache lookups, as a fleet member's does.
     ``prepare(handle, lts)``, called between the build and the first
     step, returns the :class:`~repro.sched.HookBus` of the caller's
     observers (or ``None``).  Any of ``checkpoint_every`` /
@@ -213,7 +213,7 @@ def add_run_args(parser, t_end: float) -> None:
     arg("--resume", default=None, metavar="PATH",
         help="resume from a checkpoint file or the newest readable one in a directory")
     arg("--profile", action="store_true",
-        help="time the run's phases and print a roofline report at exit")
+        help="time the run's phases and print them with the kernels' GFLOP/s at exit")
     arg("--trace", default=None, metavar="PATH",
         help="record a span timeline and export Chrome-trace/Perfetto JSON to PATH")
     arg("--log-json", default=None, metavar="PATH",

@@ -16,8 +16,7 @@ time-marching driver fires the same events with the same semantics:
     each step under GTS — with ``solver.t`` set to the sync time.  Any
     ``fn(solver)`` per-step probe subscribes here, and so does the
     supervisor's watchdog, fault injector and step recorder in both
-    modes.  Each one counts once in ``sched/sync_total`` — the run's one
-    step counter (executed steps, replays after a rollback included).
+    modes.
 ``on_segment_end(solver)``
     At supervised-segment boundaries (emitted by
     :class:`~repro.core.resilience.ResilientRunner` after a segment
@@ -31,11 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..obs.metrics import get_metrics
-
 __all__ = ["MicroStepEvent", "HookBus"]
-
-_MET = get_metrics()
 
 
 @dataclass(frozen=True)
@@ -99,13 +94,9 @@ class HookBus:
             fn(solver, event)
 
     def sync(self, solver) -> None:
-        if _MET.enabled:
-            _MET.inc("sched/sync_total")
         for fn in self._sync:
             fn(solver)
 
     def segment_end(self, solver) -> None:
-        if _MET.enabled:
-            _MET.inc("sched/segments_total")
         for fn in self._segment:
             fn(solver)

@@ -14,13 +14,11 @@ per supervised segment.
   once, at construction, and *replays* it once per macro step from flat
   arrays with no per-micro-step eligibility scan; under GTS the plan is
   the trivial single-cluster cadence, one step per macro step.
-* It emits the **per-cluster instruments** only — the ``lts/cluster``
-  trace span and the ``lts/updates|elem_updates`` counters.  Progress is
-  not its to count: the :class:`~repro.sched.hooks.HookBus` counts steps
-  (``sched/sync_total``), and a run's rate and simulated time are what
-  its heartbeats report.
 * It fires the :class:`~repro.sched.hooks.HookBus` events every
-  subscriber — watchdogs, heartbeats, receivers, checkpoints — shares.
+  subscriber — watchdogs, heartbeats, receivers, checkpoints, the
+  per-cluster counters of an :class:`~repro.obs.session.ObsSession` —
+  shares.  It records no metric itself: ``LocalTimeStepping.updates``
+  is the one count it keeps.
 
 Any :class:`~repro.exec.backend.ExecutionBackend` executes the kernels;
 the scheduler never touches elements directly, so serial and partitioned
@@ -34,13 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.ader import taylor_integrate
-from ..obs.metrics import get_metrics
 from .hooks import HookBus, MicroStepEvent
 from .plan import CONSUME_TAYLOR, StepPlan, compile_step_plan
 
 __all__ = ["Scheduler", "Replay", "plan_steps", "TERMINATION_TOL"]
-
-_MET = get_metrics()
 
 
 #: the integer clock's quantization, in *step units*: spans within this
@@ -199,17 +194,9 @@ class Scheduler:
             for i in range(plan.n_micro):
                 c = int(plan.cluster[i])
                 t_int = base + int(plan.t_int[i])
-                # span emission guarded internally (the Perfetto timeline
-                # colors these by cluster id, exposing the clustered cadence)
-                with _MET.trace_span("lts/cluster", cluster=c,
-                                     elems=int(lts.elem_count[c]),
-                                     t_int=t_int, dt=float(dts[c])):
-                    self._exec_micro(i, c, t_int,
-                                     not (last and ends_macro[i]), state)
+                self._exec_micro(i, c, t_int, not (last and ends_macro[i]),
+                                 state)
                 lts.updates[c] += 1
-                if _MET.enabled:
-                    _MET.inc(f"lts/updates/c{c}")
-                    _MET.inc(f"lts/elem_updates/c{c}", int(lts.elem_count[c]))
                 if hooks.wants_micro:
                     hooks.micro_step(solver, MicroStepEvent(
                         index=k * plan.n_micro + i, cluster=c, t_int=t_int,

@@ -10,6 +10,8 @@ parameters.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,43 @@ def shrink(monkeypatch):
             assert hasattr(cls, name), name
             monkeypatch.setattr(cls, name, value)
     return set_constants
+
+
+@pytest.fixture
+def registry_calls(monkeypatch):
+    """Count the calls of every :class:`MetricRegistry` recording entry
+    point (by method name) for one test."""
+    from collections import Counter
+
+    from repro.obs.metrics import MetricRegistry
+
+    calls = Counter()
+    for name in ("add_time", "record", "add_span", "inc", "set_gauge"):
+        def spy(self, *args, _fn=getattr(MetricRegistry, name), _name=name,
+                **kwargs):
+            calls[_name] += 1
+            return _fn(self, *args, **kwargs)
+        monkeypatch.setattr(MetricRegistry, name, spy)
+    return calls
+
+
+def disabled_step_overhead(solver, sites, one_site, n=50_000):
+    """Fraction of a measured ``solver`` step that ``sites`` passes over
+    the disabled entry points in ``one_site`` would cost.
+
+    Returns ``(overhead, per_site_seconds)``; the caller asserts the
+    < 2 % bar on ``overhead``.
+    """
+    t0 = time.perf_counter()
+    for _ in range(n):
+        one_site()
+    per_site = (time.perf_counter() - t0) / n
+
+    t0 = time.perf_counter()
+    for _ in range(3):
+        solver.step()
+    per_step = (time.perf_counter() - t0) / 3
+    return sites * per_site / per_step, per_site
 
 
 class FastRetry(RetryPolicy):

@@ -35,24 +35,23 @@ from repro.ensemble import (
     RetryPolicy,
     Supervisor,
     get_builder,
-    load_result,
     run_member,
     state_digest,
 )
 from repro.ensemble import supervisor as supervisor_module
-from repro.ensemble.worker import RESULT_NAME
 from repro.exec.plan_cache import clear_plan_cache
+from repro.io import RESULT_NAME, load_result
 from repro.io.checkpoint import checkpoint_candidates
 from repro.obs.blackbox import BUNDLE_SUFFIX, classify_bundle, load_bundle
 from repro.obs.fleet import status_rows
-from repro.obs.metrics import get_metrics
+from repro.obs.session import ObsSession
 from repro.obs.runlog import (
     EVENT_FIELDS,
     read_records,
     validate_jsonl,
     validate_record,
 )
-from repro.sched import Scheduler
+from repro.sched import HookBus, Scheduler
 from repro.scenarios import SCENARIOS, build
 
 from .conftest import FastRetry
@@ -817,12 +816,13 @@ class TestForkedWorkers:
     def test_member_reports_only_its_own_metrics(self, tmp_path):
         clear_plan_cache()
         run_member(tiny_spec("parent"), str(tmp_path / "parent"))
-        met = get_metrics()
-        met.reset()
-        met.enable(trace=True)
+        obs = ObsSession(metrics=True, trace=str(tmp_path / "t.json"))
+        met = obs.registry
         try:
             handle = get_builder("quickstart")(dict(TINY["perturb"]), 0)
-            Scheduler(handle.solver).run(3 * handle.solver.dt)
+            bus = obs.subscribe(HookBus())
+            obs.start(handle.solver)  # observed while the worker forks
+            Scheduler(handle.solver).run(3 * handle.solver.dt, hooks=bus)
             parent = met.snapshot()["counters"]
             assert parent["sched/sync_total"] == 3
             _one_thread()
@@ -831,8 +831,7 @@ class TestForkedWorkers:
                                            workers=1)
             assert met.snapshot()["counters"]["sched/sync_total"] == 3
         finally:
-            met.disable()
-            met.reset()
+            obs.close()
         m = result.members[0]
         final = [r for r in read_records(m.paths["runlog"])[0]
                  if r["event"] == "run_end"][-1]["metrics"]

@@ -1082,9 +1082,8 @@ class TestPlanCacheInvalidation:
 
 def test_fused_flop_counts_stay_under_batched():
     """The executed (fused) counting convention must never credit more
-    FLOPs than the dense chain it replaces (the roofline gate of
-    ``tests/test_obs.py::TestReport::test_roofline_rows_sane`` relies on
-    honest accounting).  Pinned to the compact tables: the star products
+    FLOPs than the dense chain it replaces (the measured GFLOP/s of
+    ``obs-report`` and the T1 model rely on honest accounting).  Pinned to the compact tables: the star products
     touch the 108 nonzero star entries (not 243) and the flux goes
     through the rank-6 factors, so the fused volume, surface and table
     bytes now count below the dense chain's."""

@@ -1,7 +1,8 @@
 """The instrument registry, snapshot merging, exporters, status view.
 
 Covers the four layers of the fleet-metrics stack: registry semantics
-under concurrent mutation and its all-entry-points disabled-path budget, the
+under concurrent mutation and the session's instruments, which an
+unobserved solver never carries, the
 associative snapshot merge the supervisor folds member views with
 (property-tested), the Prometheus text exporter against the strict
 validator CI runs on every ``.prom`` artifact, the
@@ -34,23 +35,11 @@ from repro.obs.fleet import (
 from repro.obs.metrics import (
     METRICS_SCHEMA_VERSION,
     MetricRegistry,
-    get_metrics,
     merge_snapshots,
 )
 from repro.obs.runlog import read_new_records, read_records
 
 from .conftest import FastRetry, gravity_box
-from tests.test_obs import disabled_step_overhead
-
-
-@pytest.fixture(autouse=True)
-def _clean_metrics():
-    met = get_metrics()
-    met.disable()
-    met.reset()
-    yield
-    met.disable()
-    met.reset()
 
 
 def _records(path):
@@ -61,7 +50,6 @@ def _records(path):
 class TestRegistry:
     def test_counter_accumulates_and_reads(self):
         reg = MetricRegistry()
-        reg.enable()
         reg.inc("a/b", 3)
         reg.inc("a/b")
         assert reg.value("a/b") == 4
@@ -70,7 +58,6 @@ class TestRegistry:
 
     def test_gauge_last_write_wins(self):
         reg = MetricRegistry()
-        reg.enable()
         reg.set_gauge("g", 1.5)
         reg.set_gauge("g", -2.0)
         assert reg.value("g") == -2.0
@@ -80,33 +67,39 @@ class TestRegistry:
 
     def test_name_pins_type(self):
         reg = MetricRegistry()
-        reg.enable()
         reg.inc("x")
         with pytest.raises(ValueError, match="counter"):
             reg.set_gauge("x", 1.0)
 
     def test_disabled_is_a_noop(self):
-        reg = MetricRegistry()
-        reg.inc("c")
-        reg.set_gauge("g", 1.0)
-        snap = reg.snapshot()
-        assert snap["counters"] == {} and snap["gauges"] == {}
-        assert reg.value("c") is None
+        """A closed session records nothing more: the solver it observed
+        steps unwrapped and the registry does not move."""
+        from repro.obs import ObsSession
+
+        solver = gravity_box(order=1)
+        obs = ObsSession(metrics=True)
+        obs.start(solver)
+        solver.step()
+        obs.close()
+        before = obs.registry.snapshot()
+        solver.step()
+        assert obs.registry.snapshot() == before
+        assert before["counters"]["elem_updates/predictor"] \
+            == solver.mesh.n_elements
 
     def test_reset_keeps_enabled_flag(self):
         reg = MetricRegistry()
-        reg.enable()
         reg.inc("c")
         reg.reset()
-        assert reg.enabled
         assert reg.value("c") is None
+        reg.inc("c")  # a reset registry records on
+        assert reg.value("c") == 1
 
     def test_concurrent_mixed_mutation_is_exact(self):
         """N threads hammer one counter, their own gauges and one phase
         while a reader polls the counter: no lost updates, and reads are
         consistent (never torn, never running backwards)."""
         reg = MetricRegistry()
-        reg.enable()
         n_threads, n_iter = 8, 400
         barrier = threading.Barrier(n_threads + 1, timeout=30)
         errors = []
@@ -160,7 +153,6 @@ class TestMergeSnapshots:
 
     def test_none_is_identity(self):
         reg = MetricRegistry()
-        reg.enable()
         reg.inc("c", 2)
         snap = reg.snapshot()
         assert merge_snapshots(snap, None) == merge_snapshots(None, snap)
@@ -228,7 +220,6 @@ except ImportError:  # pragma: no cover - hypothesis is an optional test dep
 class TestPrometheusExport:
     def registry_snapshot(self):
         reg = MetricRegistry()
-        reg.enable()
         reg.inc("sched/sync_total", 42)
         reg.inc("cache/plan_hits", 3)
         reg.set_gauge("health/cfl_margin", 0.25)
@@ -308,7 +299,6 @@ class TestPrometheusExport:
 class TestFleetAggregator:
     def member_snap(self, steps, drift):
         reg = MetricRegistry()
-        reg.enable()
         reg.inc("sched/sync_total", steps)
         reg.set_gauge("health/energy_drift_ratio", drift)
         return reg.snapshot()
@@ -587,41 +577,99 @@ class TestStatusView:
 
 # ----------------------------------------------------------------------
 class TestDisabledOverhead:
-    def test_disabled_registry_within_step_budget(self):
+    def test_disabled_registry_within_step_budget(self, registry_calls):
         """The whole guard's bar: the registry off must not tax the solver.
 
-        Counts the sites one enabled step fires (phase calls plus counter
-        and gauge names), times the disabled ``phase`` / ``inc`` /
-        ``set_gauge`` / ``trace_span`` entry points, and charges every
-        site all four: the total must stay under 2% of a measured step.
+        An observed step fires the session's sites (phase records and
+        counter increments); the same solver unobserved, before the
+        session and after it closes, fires no registry entry point at
+        all: off, a step has no site to charge against the 2 % budget.
         """
+        from repro.obs import ObsSession
+
         solver = gravity_box(order=2)
-        met = get_metrics()
-        met.enable(trace=True)
         solver.step()
-        snap = met.snapshot()
-        met.disable()
-        met.reset()
-        met.enable()  # drop the span buffer: measure the trace-off path
-        met.disable()
+        assert sum(registry_calls.values()) == 0
+
+        obs = ObsSession(metrics=True)
+        obs.start(solver)
+        solver.step()
+        snap = obs.snapshot()
+        obs.close()
         sites = sum(c["calls"] for c in snap["phases"].values())
         sites += len(snap["counters"]) + len(snap["gauges"])
         assert sites >= 5  # the step is actually instrumented
+        assert registry_calls["record"] >= 5  # and the spy sees its sites
 
-        def one_site():
-            with met.phase("x"):
-                pass
-            met.inc("c", 3)
-            met.set_gauge("g", 1.0)
-            with met.trace_span("y", part=0):
-                pass
+        registry_calls.clear()
+        for _ in range(3):
+            solver.step()
+        assert sum(registry_calls.values()) == 0, (
+            f"a closed session left {dict(registry_calls)} registry calls "
+            "in the step")
 
-        overhead, per_site = disabled_step_overhead(solver, sites, one_site)
-        assert met.snapshot()["counters"] == {}
-        assert overhead < 0.02, (
-            f"the disabled registry costs {overhead * 100:.3f}% of a step "
-            f"({sites} sites x {per_site * 1e9:.0f} ns)"
-        )
+
+class TestSessionInstruments:
+    def test_unobserved_solver_carries_no_wrapper(self):
+        """An unobserved solver runs its class methods: no instance of
+        its operator, backend, gravity and fault modules holds a wrapper
+        (there is no disabled path to pay for).  A session wraps them on
+        the instances and, closed, puts back exactly what it found — a
+        wrapper installed before it (the perf ledger's traced pass) too."""
+        from repro.core.solver import CoupledSolver
+        from repro.obs import ObsSession
+        from repro.rupture.fault import FaultSolver, Prestress
+        from repro.rupture.friction import LinearSlipWeakening
+
+        from .test_fault import fault_box
+
+        fault = FaultSolver(LinearSlipWeakening(mu_s=0.677, mu_d=0.525, d_c=0.4),
+                            Prestress(sigma_n=-120e6, tau_s=20e6))
+        solver = gravity_box(order=1)
+        faulted = CoupledSolver(fault_box(nc=4), order=1, fault=fault)
+        seams = {
+            "op": ("predict_states", "apply"),
+            "backend": ("predict", "update_predictor", "corrector"),
+            "gravity": ("step",),
+            "fault": ("step",),
+        }
+
+        def own(s):
+            return {(owner, attr) for owner, attrs in seams.items()
+                    for attr in attrs
+                    if getattr(s, owner) is not None
+                    and attr in vars(getattr(s, owner))}
+
+        for s in (solver, faulted):
+            s.step()
+            assert own(s) == set() and "step" not in vars(s)
+
+        # wrappers installed before the session, as the perf ledger's are
+        calls = []
+        fault_step, corrector = faulted.fault.step, faulted.backend.corrector
+
+        def earlier_fault(*args, **kwargs):
+            return fault_step(*args, **kwargs)
+
+        def earlier_corrector(*args, **kwargs):
+            calls.append(1)
+            return corrector(*args, **kwargs)
+
+        faulted.fault.step = earlier_fault
+        faulted.backend.corrector = earlier_corrector
+        obs = ObsSession(metrics=True)
+        obs.start(faulted)
+        assert own(faulted) == {(o, a) for o, attrs in seams.items()
+                                for a in attrs}
+        faulted.step()
+        snap = obs.snapshot()
+        obs.close()
+        assert snap["phases"]["rupture.fault"]["calls"] == 1
+        assert calls == [1]  # the session called through the earlier one
+        assert vars(faulted.fault)["step"] is earlier_fault
+        assert vars(faulted.backend)["corrector"] is earlier_corrector
+        assert own(faulted) == {("fault", "step"), ("backend", "corrector")}
+        assert "step" not in vars(faulted) and not own(solver)
 
 
 # ----------------------------------------------------------------------
@@ -707,7 +755,7 @@ class TestEnsembleFleetMetrics:
         """A member's ``run_end`` carries what the attempt measured (it
         used to log ``phases={}, counters={}`` whatever was recorded),
         and it is the one copy: the result file has none."""
-        from repro.ensemble import load_result
+        from repro.io import load_result
         from repro.obs.report import phase_total
 
         self.run_ensemble(self.specs(n=1), tmp_path)
@@ -720,24 +768,20 @@ class TestEnsembleFleetMetrics:
         assert run_end["metrics"]["counters"]["elem_updates/predictor"] == \
             result["steps"] * n_elements
         assert phase_total(run_end["metrics"]["phases"],
-                           "kernels/volume") > 0.0
+                           "kernels.apply") > 0.0
 
     def test_metrics_registry_not_leaked_after_ensemble(self, tmp_path):
-        """The supervisor's registry is untouched by a fleet: members count
-        in their workers' registries, never in the driver's."""
-        met = get_metrics()
-        met.reset()
-        met.enable()
-        try:
-            met.inc("driver/marker")
-            before = met.snapshot()
-            result = self.run_ensemble(self.specs(n=1), tmp_path)
-            assert result.counts["ok"] == 1
-            assert met.enabled
-            assert met.snapshot() == before
-        finally:
-            met.disable()
-            met.reset()
+        """A driver's registry is untouched by a fleet: members count in
+        their own sessions' registries, never in the driver's."""
+        from repro.obs import ObsSession
+
+        obs = ObsSession(metrics=True)
+        met = obs.registry
+        met.inc("driver/marker")
+        before = met.snapshot()
+        result = self.run_ensemble(self.specs(n=1), tmp_path)
+        assert result.counts["ok"] == 1
+        assert met.snapshot() == before
 
     def test_merged_trace_one_lane_per_member(self, tmp_path):
         from repro.obs.trace import merge_chrome_traces, validate_chrome_trace

@@ -1,8 +1,7 @@
-"""Observability layer: the instrument registry, run logs, roofline report."""
+"""Observability layer: the instrument registry, run logs, kernel rates."""
 
 import json
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from repro.obs import (
     MetricRegistry,
     ObsSession,
     RunLog,
-    get_metrics,
     read_records,
     run_manifest,
     validate_jsonl,
@@ -23,74 +21,84 @@ from repro.obs import (
 from repro.obs.report import (
     lts_cluster_updates,
     phase_total,
-    roofline_rows,
     worker_split,
 )
 
 from repro.sched import HookBus, Scheduler
 
-from .conftest import gravity_box
+from .conftest import disabled_step_overhead, gravity_box
 
-
-def disabled_step_overhead(solver, sites, one_site, n=50_000):
-    """Fraction of a measured ``solver`` step that ``sites`` passes over
-    the disabled registry entry points in ``one_site`` would cost.
-
-    Returns ``(overhead, per_site_seconds)``; the caller asserts the
-    < 2 % bar on ``overhead``.
-    """
-    t0 = time.perf_counter()
-    for _ in range(n):
-        one_site()
-    per_site = (time.perf_counter() - t0) / n
-
-    t0 = time.perf_counter()
-    for _ in range(3):
-        solver.step()
-    per_step = (time.perf_counter() - t0) / 3
-    return sites * per_site / per_step, per_site
-
-
-@pytest.fixture(autouse=True)
-def _clean_registry():
-    met = get_metrics()
-    met.disable()
-    met.reset()
-    yield
-    met.disable()
-    met.reset()
+#: the layers a session times on every solver (ledger names)
+SOLVER_PHASES = ("kernels.predict", "kernels.apply", "core.step",
+                 "core.gravity", "exec.predict", "exec.corrector")
 
 
 # ----------------------------------------------------------------------
 class TestTelemetry:
     def test_disabled_phase_is_shared_noop(self):
-        met = get_metrics()
-        assert met.phase("a") is met.phase("b")  # one shared null CM
-        with met.phase("a"):
-            met.inc("c", 5)
-            met.add_time("t", 1.0)
-        snap = met.snapshot()
-        assert snap["phases"] == {} and snap["counters"] == {}
+        """A session that records nothing owns no registry and leaves the
+        solver's instances as it found them: no wrapper, no cost."""
+        solver = gravity_box(order=1)
+        solver.step()  # the step's own buffers exist before the count
+        owners = (solver, solver.op, solver.backend, solver.gravity)
+        before = [dict(vars(o)) for o in owners]
+        obs = ObsSession()
+        assert obs.registry is None
+        obs.start(solver)
+        solver.step()
+        assert [set(vars(o)) for o in owners] == [set(b) for b in before]
+        obs.finish(solver)
 
-    def test_nested_phases_record_hierarchical_paths(self):
-        met = get_metrics()
-        met.enable()
-        with met.phase("step"):
-            with met.phase("predict"):
+    def test_disabled_overhead_below_two_percent_of_step(self, tmp_path,
+                                                         registry_calls):
+        """A logging run without metrics (``--log-json`` alone) keeps the
+        registry off: no phase or counter site fires in its steps, and the
+        one per-step cost it adds, the sync hook between heartbeats, stays
+        under 2 % of a step."""
+        path = str(tmp_path / "run.jsonl")
+        solver = gravity_box(order=2)
+        obs = ObsSession(log_json=path, heartbeat_every=2)
+        assert obs.registry is None
+        bus = obs.subscribe(HookBus())
+        obs.start(solver)
+        Scheduler(solver).run(4 * solver.dt, hooks=bus)
+        obs.finish(solver)
+        assert sum(registry_calls.values()) == 0
+        beats = [r for r in read_records(path)[0] if r["event"] == "heartbeat"]
+        assert beats and all("metrics" not in b for b in beats)
+
+        quiet = ObsSession(log_json=str(tmp_path / "quiet.jsonl"),
+                           heartbeat_every=10**9)
+        quiet.start(solver)
+        try:
+            overhead, per_site = disabled_step_overhead(
+                solver, 1, lambda: quiet.on_step(solver))
+        finally:
+            quiet.close()
+        assert overhead < 0.02, (
+            f"the registry-off session costs {overhead * 100:.3f}% of a "
+            f"step ({per_site * 1e9:.0f} ns per sync)")
+
+    def test_phases_record_flat_names(self):
+        """A phase opened inside another keeps its own (ledger) name; the
+        outer one's seconds include it."""
+        met = MetricRegistry()
+        with met.phase("core.step"):
+            with met.phase("kernels.predict"):
                 pass
-            with met.phase("predict"):
+            with met.phase("kernels.predict"):
                 pass
         snap = met.snapshot()["phases"]
-        assert set(snap) == {"step", "step/predict"}
-        assert snap["step/predict"]["calls"] == 2
-        assert snap["step"]["calls"] == 1
-        assert snap["step"]["seconds"] >= snap["step/predict"]["seconds"]
-        # suffix aggregation finds the nested path
-        assert phase_total(snap, "predict") == snap["step/predict"]["seconds"]
+        assert set(snap) == {"core.step", "kernels.predict"}
+        assert snap["kernels.predict"]["calls"] == 2
+        assert snap["core.step"]["calls"] == 1
+        assert snap["core.step"]["seconds"] >= snap["kernels.predict"]["seconds"]
+        assert phase_total(snap, "kernels.predict") \
+            == snap["kernels.predict"]["seconds"]
+        assert phase_total(snap, "never.ran") == 0.0
 
     def test_counters_and_add_time(self):
-        met = get_metrics()
-        met.enable()
+        met = MetricRegistry()
         met.inc("elem_updates/predictor", 10)
         met.inc("elem_updates/predictor", 32)
         met.add_time("worker/p0/compute", 0.25)
@@ -101,22 +109,22 @@ class TestTelemetry:
         assert snap["phases"]["worker/p0/compute"]["calls"] == 2
 
     def test_reset_keeps_enabled_flag(self):
-        met = get_metrics()
-        met.enable()
+        """``reset`` empties the tables; the registry records on."""
+        met = MetricRegistry()
         met.inc("x")
         with met.phase("p"):
             pass
         met.reset()
-        assert met.enabled
         snap = met.snapshot()
         assert snap["counters"] == {} and snap["phases"] == {}
+        met.inc("x")
+        assert met.value("x") == 1
 
     def test_counter_read_takes_the_registry_lock(self):
         """Regression: counter reads used to skip the lock, so a read
         racing the partitioned workers' ``inc()`` calls could observe
         torn state relative to ``snapshot()``."""
-        met = get_metrics()
-        met.enable()
+        met = MetricRegistry()
 
         acquisitions = []
         real_lock = met._lock
@@ -140,10 +148,9 @@ class TestTelemetry:
             met._lock = real_lock
 
     def test_counter_reads_race_concurrent_increments(self):
-        """Reads of the process-global registry racing two incrementing
-        threads never tear and never run backwards."""
-        met = get_metrics()
-        met.enable()
+        """Reads of a registry racing two incrementing threads never tear
+        and never run backwards."""
+        met = MetricRegistry()
 
         def bump():
             for _ in range(2000):
@@ -167,14 +174,13 @@ class TestTelemetry:
         assert reads == sorted(reads)  # monotonic counter, consistent reads
 
     def test_thread_safety(self):
-        met = get_metrics()
-        met.enable()
+        met = MetricRegistry()
 
         def work(i):
             for _ in range(1000):
                 met.inc("shared")
                 met.add_time(f"worker/p{i}/compute", 1e-6)
-                with met.phase("kernels/volume"):
+                with met.phase("kernels.apply"):
                     pass
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
@@ -184,57 +190,29 @@ class TestTelemetry:
             t.join()
         snap = met.snapshot()
         assert met.value("shared") == 4000
-        assert snap["phases"]["kernels/volume"]["calls"] == 4000
+        assert snap["phases"]["kernels.apply"]["calls"] == 4000
         assert len(worker_split(snap["phases"])) == 4
-
-    def test_disabled_overhead_below_two_percent_of_step(self):
-        """The phase / counter sites of a step, registry off, cost < 2 %
-        of the step (one ``enabled`` check + null context manager each)."""
-        solver = gravity_box(order=2)
-        met = get_metrics()
-
-        # how many phase/inc sites fire per step: measure one enabled step
-        met.enable()
-        solver.step()
-        snap = met.snapshot()
-        met.disable()
-        met.reset()
-        sites = sum(c["calls"] for c in snap["phases"].values())
-        sites += len(snap["counters"])  # upper bound on inc() sites
-        assert sites >= 5  # the step is actually instrumented
-
-        def one_site():
-            with met.phase("x"):
-                pass
-            met.inc("c", 3)
-
-        overhead, per_site = disabled_step_overhead(solver, sites, one_site)
-        assert met.snapshot()["counters"] == {}
-        assert overhead < 0.02, (
-            f"the disabled registry costs {overhead * 100:.3f}% of a step "
-            f"({sites} sites x {per_site * 1e9:.0f} ns)"
-        )
 
 
 # ----------------------------------------------------------------------
 class TestInstrumentation:
     def test_serial_step_phases_and_counters(self):
         solver = gravity_box(order=2)
-        met = get_metrics()
-        met.enable()
+        obs = ObsSession(metrics=True)
+        obs.start(solver)
         solver.step()
-        snap = met.snapshot()
+        snap = obs.snapshot()
+        obs.close()
         ne = solver.mesh.n_elements
         assert snap["counters"]["elem_updates/predictor"] == ne
         assert snap["counters"]["elem_updates/corrector"] == ne
-        # one kernel path, un-suffixed phase names (DESIGN.md §5 maps
-        # them to the paper's Sec. 5 kernels)
-        for leaf in ("predict", "corrector", "kernels/volume",
-                     "kernels/surface_interior", "kernels/surface_boundary",
-                     "gravity/ode"):
-            assert phase_total(snap["phases"], leaf) > 0.0, leaf
-        # kernels nest under the corrector under the step
-        assert "step/corrector/kernels/volume" in snap["phases"]
+        # the perf ledger's layer names, one flat phase each
+        for name in SOLVER_PHASES:
+            assert snap["phases"][name]["calls"] == 1, name
+            assert snap["phases"][name]["seconds"] > 0.0, name
+        assert snap["phases"]["core.step"]["seconds"] \
+            >= snap["phases"]["exec.corrector"]["seconds"] \
+            >= snap["phases"]["kernels.apply"]["seconds"]
 
     def test_partitioned_workers_report_compute(self):
         from repro.exec.partitioned import PartitionedBackend
@@ -242,14 +220,15 @@ class TestInstrumentation:
         solver = gravity_box(order=2)
         backend = PartitionedBackend(workers=4)
         psolver = gravity_box(order=2, backend=backend)
+        obs = ObsSession(metrics=True)
+        obs.start(psolver)
         try:
-            met = get_metrics()
-            met.enable()
             for _ in range(2):
                 psolver.step()
                 solver.step()
-            snap = met.snapshot()
+            snap = obs.snapshot()
         finally:
+            obs.close()
             backend.close()
         np.testing.assert_allclose(psolver.Q, solver.Q, rtol=1e-10,
                                    atol=1e-13 * max(np.abs(solver.Q).max(), 1e-300))
@@ -257,18 +236,23 @@ class TestInstrumentation:
         assert len(split) == len(backend.plans) >= 2
         for s in split.values():
             assert set(s) == {"compute_s"} and s["compute_s"] > 0.0
+        # each part's residual kernels are the corrector's kernels
+        assert sum(s["compute_s"] for s in split.values()) \
+            == pytest.approx(snap["phases"]["kernels.apply"]["seconds"])
         assert snap["counters"]["elem_updates/corrector"] == \
-            2 * psolver.mesh.n_elements * 2  # both solvers, two steps
+            2 * psolver.mesh.n_elements  # the observed solver, two steps
 
     def test_lts_cluster_counters(self):
         from repro.core.lts import LocalTimeStepping
 
         solver = gravity_box(order=1)
         lts = LocalTimeStepping(solver)
-        met = get_metrics()
-        met.enable()
-        Scheduler(solver, lts).run(solver.dt * 4)
-        clusters = lts_cluster_updates(met.snapshot()["counters"])
+        obs = ObsSession(metrics=True)
+        bus = obs.subscribe(HookBus())
+        obs.start(solver)
+        Scheduler(solver, lts).run(solver.dt * 4, hooks=bus)
+        clusters = lts_cluster_updates(obs.snapshot()["counters"])
+        obs.close()
         assert clusters
         total = sum(c["elem_updates"] for c in clusters.values())
         assert total == sum(int(u * n) for u, n in
@@ -287,15 +271,17 @@ class TestInstrumentation:
 
         cache = get_plan_cache()
         before = cache.stats()
-        met = get_metrics()
-        met.enable()
+        obs = ObsSession(metrics=True)  # before the build: it is counted
         solver = gravity_box(order=1)
         lts = LocalTimeStepping(solver)
         assert lts.n_clusters == 2
         sched = Scheduler(solver, lts)
         n_sync = sched.compiled_plan(solver.dt * 4).n_sync
-        sched.run(solver.dt * 4)
-        snap = met.snapshot()
+        bus = obs.subscribe(HookBus())
+        obs.start(solver)
+        sched.run(solver.dt * 4, hooks=bus)
+        snap = obs.snapshot()
+        obs.close()
         assert {n for n in snap["counters"] if "plan" in n} \
             <= {"cache/plan_hits", "cache/plan_misses"}
         assert {n for n in snap["counters"] if n.startswith("sched/")} \
@@ -626,18 +612,18 @@ class TestObsSession:
     def test_finish_is_exception_safe(self, tmp_path, capsys):
         """Satellite: an exception mid-``finish()`` (here: the trace export
         hitting a nonexistent directory) must still close the run log and
-        disable the session-owned registry."""
+        take the session's instruments off the solver."""
         log_path = str(tmp_path / "run.jsonl")
         bad_trace = str(tmp_path / "no-such-dir" / "out.trace.json")
         solver = gravity_box(order=1)
         obs = ObsSession(profile=True, trace=bad_trace, log_json=log_path)
-        met = get_metrics()
-        assert met.enabled
         obs.start(solver)
+        assert "step" in vars(solver)
         solver.step()
         with pytest.raises(OSError):
             obs.finish(solver)
-        assert not met.enabled, "registry leaked enabled after finish() raised"
+        assert "step" not in vars(solver), "wrapper leaked after finish() raised"
+        assert "apply" not in vars(solver.op)
         assert obs.runlog.closed
         capsys.readouterr()  # swallow partial output
 
@@ -673,30 +659,13 @@ class TestObsSession:
 class TestReport:
     def _fake_run(self, n_steps=3):
         solver = gravity_box(order=2)
-        met = get_metrics()
-        met.enable()
+        obs = ObsSession(metrics=True)
+        obs.start(solver)
         for _ in range(n_steps):
             solver.step()
-        return solver, met.snapshot()
-
-    def test_roofline_rows_sane(self):
-        """Measured <= 1.05 x the roofline model of the paper's Rome node:
-        a coarse gate against a timer that measures nothing or a wildly
-        wrong FLOP count.  It cannot see a small-factor miscount; exact
-        accounting is pinned by ``test_roofline_credits_executed_flops``."""
-        solver, snap = self._fake_run()
-        rows = roofline_rows(snap["phases"], snap["counters"],
-                             order=solver.order)
-        kernels = {r["kernel"]: r for r in rows}
-        assert set(kernels) == {"predictor", "corrector"}
-        for r in rows:
-            assert r["seconds"] > 0
-            assert r["elem_updates"] == 3 * solver.mesh.n_elements
-            assert r["measured_gflops"] == pytest.approx(
-                r["gflop"] / r["seconds"])
-            assert r["model_gflops"] > 0
-            assert r["measured_gflops"] <= 1.05 * r["model_gflops"]
-            assert 0 < r["efficiency"] < 1  # NumPy won't beat the roofline
+        snap = obs.snapshot()
+        obs.close()
+        return solver, snap
 
     def test_roofline_credits_executed_flops(self, capsys):
         """A profiled run's GFLOP per row are the *executed* (fused)
@@ -712,7 +681,7 @@ class TestReport:
         obs.start(solver)
         for _ in range(2):
             solver.step()
-        counters = get_metrics().snapshot()["counters"]
+        counters = obs.snapshot()["counters"]
         obs.finish(solver)
         kc = kernel_counts(2, variant="fused")
         # per element update (B = 10, F = 6): two faces' stacked traces,
@@ -725,7 +694,7 @@ class TestReport:
             "predictor": kc.flops_predictor * counters["elem_updates/predictor"] / 1e9,
             "corrector": kc.flops_corrector * counters["elem_updates/corrector"] / 1e9,
         }
-        table = capsys.readouterr().out.split("roofline (measured vs modeled")[1]
+        table = capsys.readouterr().out.split("kernel rates (")[1]
         for kernel, gflop in want.items():
             row = next(ln.split() for ln in table.splitlines()
                        if ln.split()[:1] == [kernel])
@@ -738,7 +707,7 @@ class TestReport:
         lines = profile_lines(snap, order=solver.order, wall_s=1.0)
         text = "\n".join(lines)
         assert "phase breakdown" in text
-        assert "roofline" in text
+        assert "kernel rates" in text
         assert "predictor" in text and "corrector" in text
 
     def test_obs_report_cli(self, tmp_path, capsys):
@@ -762,7 +731,7 @@ class TestReport:
         assert "cli-test" in out
         assert "heartbeats: 2" in out
         assert "phase breakdown" in out
-        assert "roofline" in out
+        assert "kernel rates" in out
 
     def test_obs_report_check_rejects_garbage(self, tmp_path, capsys):
         from repro.__main__ import main

@@ -139,10 +139,10 @@ class TestGaussLegendre01:
 def test_import_repro_does_not_import_scipy_special(tmp_path):
     """Cold start: ``import repro`` must not pay for ``scipy.special``
     (0.25 s — the rules above are computed in-repo for that reason) nor
-    for the observability stack the solver core does not use (everything
-    in ``repro.obs`` but the metric registry: the package resolves its
-    names lazily, and still resolves them), asking for a
-    scenario builder must not load the supervision tree, building the
+    for the observability stack (no module below ``repro.obs`` imports
+    it but the supervised runner, and the package resolves its names
+    lazily, and still resolves them), asking for a scenario builder and
+    building with it must not load the supervision tree, building the
     quickstart must not load another scenario's module, and a coupled
     member run to its end must not pay for any of SciPy (0.14 s of
     ``scipy.linalg`` on the first gravity step, in every fleet worker —
@@ -156,9 +156,10 @@ import sys, repro
 print(sorted(m for m in sys.modules if m.startswith('scipy.special')))
 from repro.ensemble.spec import get_builder
 build = get_builder('quickstart')
+build({'n_x': 4}, 0)
 print(sorted(m for m in sys.modules if m in (
     'repro.ensemble.supervisor', 'repro.ensemble.worker', 'multiprocessing')
-    or m.startswith('repro.obs.') and m != 'repro.obs.metrics'))
+    or m.startswith('repro.obs')))
 from repro.obs import ObsSession, RunLog, build_bundle
 import repro.obs.blackbox
 print(ObsSession.__module__, RunLog.__module__, build_bundle.__module__,

@@ -151,7 +151,6 @@ class TestWatchdogSweepCost:
         """Count-based budget of ``Watchdog.check``: one ``solver.energy``
         evaluation per sweep, and the static admissible CFL step is taken
         at construction, not re-reduced from ``dt_elem`` per sweep."""
-        from repro.obs.metrics import get_metrics
 
         class CountingMin(np.ndarray):
             calls = 0
@@ -167,19 +166,12 @@ class TestWatchdogSweepCost:
         energy_calls = []
         real_energy = solver.energy
         solver.energy = lambda: energy_calls.append(1) or real_energy()
-        met = get_metrics()
-        met.reset()
-        met.enable()  # the gauge path used to reduce dt_elem a second time
-        try:
-            for n in range(1, 4):
-                solver.step()
-                assert wd.check(dt=solver.dt, step=n).ok
-                assert len(energy_calls) == n
-            margin = met.snapshot()["gauges"]["health/cfl_margin"]["value"]
-            assert margin == pytest.approx(0.0)
-        finally:
-            met.disable()
-            met.reset()
+        for n in range(1, 4):
+            solver.step()
+            assert wd.check(dt=solver.dt, step=n).ok
+            assert len(energy_calls) == n
+            # the gauge path used to reduce dt_elem a second time
+            assert wd.gauges()["health/cfl_margin"] == pytest.approx(0.0)
         assert CountingMin.calls == 1
         assert not wd.check(dt=2.0 * solver.dt).ok  # the cached bound still bites
 

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.obs import ObsSession, TraceBuffer, get_metrics
+from repro.obs import MetricRegistry, ObsSession, TraceBuffer
 from repro.obs.trace import (
     TRACE_SCHEMA_VERSION,
     chrome_trace,
@@ -16,18 +16,7 @@ from repro.obs.trace import (
 )
 from repro.sched import HookBus, Scheduler
 
-from .conftest import gravity_box
-from tests.test_obs import disabled_step_overhead
-
-
-@pytest.fixture(autouse=True)
-def _clean_registry():
-    met = get_metrics()
-    met.disable()
-    met.reset()
-    yield
-    met.disable()
-    met.reset()
+from .conftest import disabled_step_overhead, gravity_box
 
 
 def _partitioned(order=2, workers=2):
@@ -35,6 +24,24 @@ def _partitioned(order=2, workers=2):
 
     backend = PartitionedBackend(workers=workers)
     return gravity_box(order=order, backend=backend), backend
+
+
+def _traced(solver, steps=1, lts=None):
+    """Trace snapshot of ``steps`` steps of ``solver`` (or of LTS macro
+    steps) under a tracing session."""
+    obs = ObsSession(trace="unused.trace.json")
+    bus = obs.subscribe(HookBus())
+    obs.start(solver)
+    try:
+        if lts is None:
+            for _ in range(steps):
+                solver.step()
+        else:
+            Scheduler(solver, lts).run(solver.t + steps * lts.dt_min
+                                       * lts.rate**lts.cmax, hooks=bus)
+        return obs.registry.trace_snapshot()
+    finally:
+        obs.close()
 
 
 # ----------------------------------------------------------------------
@@ -62,89 +69,79 @@ class TestTraceBuffer:
 
 class TestTelemetryTracing:
     def test_phase_spans_recorded_when_tracing(self):
-        met = get_metrics()
-        met.enable(trace=True)
+        met = MetricRegistry(trace=True)
         assert met.tracing
-        with met.phase("step"):
-            with met.phase("predict"):
+        with met.phase("core.step"):
+            with met.phase("kernels.predict"):
                 pass
         spans = met.trace_snapshot()["spans"]
         names = [s[0] for s in spans]
         # sorted by begin time: the outer phase opened first
-        assert names == ["step", "step/predict"]
+        assert names == ["core.step", "kernels.predict"]
         for _, t0, t1, tid, _ in spans:
             assert t1 >= t0
             assert tid == threading.get_ident()
 
-    def test_trace_span_and_add_span_carry_args(self):
-        met = get_metrics()
-        met.enable(trace=True)
-        with met.trace_span("lts/cluster", cluster=2, elems=17):
+    def test_phase_and_add_span_carry_args(self):
+        met = MetricRegistry(trace=True)
+        with met.phase("kernels.apply", part=2):
             pass
-        met.add_span("worker/compute", 1.0, 1.5, part=1, blocks=4)
+        met.add_span("lts/cluster", 1.0, 1.5, cluster=1, elems=17)
         spans = {s[0]: s for s in met.trace_snapshot()["spans"]}
-        assert spans["lts/cluster"][4] == {"cluster": 2, "elems": 17}
-        assert spans["worker/compute"][4] == {"part": 1, "blocks": 4}
+        assert spans["kernels.apply"][4] == {"part": 2}
+        assert spans["lts/cluster"][4] == {"cluster": 1, "elems": 17}
+        # a span is trace-only: no phase time
+        assert set(met.snapshot()["phases"]) == {"kernels.apply"}
+
+    def test_disabled_overhead_with_trace_sites_below_two_percent(self):
+        """The 2 % guard on the trace entry points: a session that times a
+        step without tracing passes each span site of a traced step
+        through the trace-off branch, which must stay free."""
+        solver = gravity_box(order=2)
+        n_spans = len(_traced(solver)["spans"])
+        assert n_spans > 0  # the traced step actually recorded spans
+
+        obs = ObsSession(metrics=True)
+        obs.start(solver)
+        try:
+            solver.step()
+            snap = obs.snapshot()
+            spans = obs.registry.trace_snapshot()["spans"]
+        finally:
+            obs.close()
+        assert spans == []
+        sites = sum(c["calls"] for c in snap["phases"].values())
+        sites += len(snap["counters"]) + n_spans
+
+        met = MetricRegistry()
+        overhead, per_site = disabled_step_overhead(
+            solver, sites, lambda: met.add_span("z", 0.0, 1.0, part=0))
+        assert met.trace_snapshot()["spans"] == []
+        assert overhead < 0.02, (
+            f"disabled trace instrumentation costs {overhead * 100:.3f}% of "
+            f"a step ({sites} sites x {per_site * 1e9:.0f} ns)")
 
     def test_trace_off_modes_are_noops(self):
-        met = get_metrics()
-        # enabled without trace: trace entry points are shared no-ops
-        met.enable()
+        # without trace, phases are timed and spans go nowhere
+        met = MetricRegistry()
         assert not met.tracing
-        assert met.trace_span("a") is met.trace_span("b")
+        with met.phase("a", part=0):
+            pass
         met.add_span("x", 0.0, 1.0)
         assert met.trace_snapshot()["spans"] == []
-        # plain enable() after a traced session drops the old buffer
-        met.enable(trace=True)
-        with met.trace_span("s"):
-            pass
-        met.enable()
-        assert not met.tracing
-        assert met.trace_snapshot()["spans"] == []
+        assert met.snapshot()["phases"]["a"]["calls"] == 1
+        # a session traces only when asked for a trace
+        assert not ObsSession(metrics=True).registry.tracing
+        assert ObsSession(trace="t.json").registry.tracing
 
     def test_reset_empties_buffer_but_keeps_trace_mode(self, shrink):
         shrink(TraceBuffer, capacity=7)
-        met = get_metrics()
-        met.enable(trace=True)
+        met = MetricRegistry(trace=True)
         met.add_span("x", 0.0, 1.0)
         met.reset()
         assert met.tracing
         snap = met.trace_snapshot()
         assert snap["spans"] == [] and snap["capacity"] == 7
-
-    def test_disabled_overhead_with_trace_sites_below_two_percent(self):
-        """The 2% guard extended to the trace entry points: a solver whose
-        hot loops carry ``trace_span``/``add_span`` sites must stay free
-        when the registry is fully off."""
-        solver = gravity_box(order=2)
-        met = get_metrics()
-
-        met.enable(trace=True)
-        solver.step()
-        snap = met.snapshot()
-        n_spans = len(met.trace_snapshot()["spans"])
-        met.disable()
-        met.reset()
-        met.enable()  # drop the buffer: measure the trace-disabled path
-        met.disable()
-        sites = sum(c["calls"] for c in snap["phases"].values())
-        sites += len(snap["counters"])
-        sites += n_spans  # every span site also guards on tracing
-        assert n_spans > 0  # the traced step actually recorded spans
-
-        def one_site():
-            with met.phase("x"):
-                pass
-            with met.trace_span("y", part=0):
-                pass
-            met.add_span("z", 0.0, 1.0, part=0)
-
-        overhead, per_site = disabled_step_overhead(solver, sites, one_site)
-        assert met.trace_snapshot()["spans"] == []
-        assert overhead < 0.02, (
-            f"disabled trace instrumentation costs {overhead * 100:.3f}% of "
-            f"a step ({sites} sites x {per_site * 1e9:.0f} ns)"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -153,16 +150,13 @@ class TestChromeTraceExport:
         """The acceptance test: a traced 2-worker partitioned run exports
         valid Chrome-trace JSON with one lane per worker."""
         solver, backend = _partitioned(workers=2)
-        met = get_metrics()
-        met.enable(trace=True)
         try:
-            for _ in range(2):
-                solver.step()
+            snap = _traced(solver, steps=2)
         finally:
             backend.close()
 
         path = str(tmp_path / "run.trace.json")
-        doc = export_chrome_trace(path, metadata={"steps": 2})
+        doc = export_chrome_trace(path, snap, metadata={"steps": 2})
         assert validate_chrome_trace(doc) == []
 
         loaded = load_trace(path)
@@ -190,9 +184,11 @@ class TestChromeTraceExport:
         assert len(worker_tids) == n_parts  # distinct lanes
         assert all(t >= 10_000 for t in worker_tids)
 
-        # the worker slices carry the structured args the summarizer needs
+        # a worker lane holds its part's residual kernels
         span_names = {e["name"] for e in xs}
-        assert {"worker/predict", "worker/compute"} <= span_names
+        assert {e["name"] for e in xs if e["tid"] in worker_tids} \
+            == {"kernels.apply"}
+        assert {"kernels.predict", "core.step"} <= span_names
         assert not any("halo" in name for name in span_names)
 
     def test_lts_cluster_slices_colored_by_cluster(self, tmp_path):
@@ -200,11 +196,7 @@ class TestChromeTraceExport:
 
         solver = gravity_box(order=1)
         lts = LocalTimeStepping(solver)
-        met = get_metrics()
-        met.enable(trace=True)
-        Scheduler(solver, lts).run(solver.dt * 2)
-
-        doc = chrome_trace(met.trace_snapshot())
+        doc = chrome_trace(_traced(solver, steps=1, lts=lts))
         assert validate_chrome_trace(doc) == []
         clusters = [e for e in doc["traceEvents"]
                     if e.get("name") == "lts/cluster"]
@@ -217,8 +209,7 @@ class TestChromeTraceExport:
 
     def test_dropped_spans_surface_in_export(self, shrink):
         shrink(TraceBuffer, capacity=2)
-        met = get_metrics()
-        met.enable(trace=True)
+        met = MetricRegistry(trace=True)
         for i in range(5):
             met.add_span(f"s{i}", float(i), float(i) + 0.1)
         doc = chrome_trace(met.trace_snapshot())
@@ -227,7 +218,7 @@ class TestChromeTraceExport:
 
     def test_empty_snapshot_exports_empty_valid_doc(self, tmp_path):
         path = str(tmp_path / "empty.trace.json")
-        doc = export_chrome_trace(path)  # registry never traced
+        doc = export_chrome_trace(path)  # no snapshot: no spans
         assert validate_chrome_trace(doc) == []
         assert doc["otherData"]["spans"] == 0
 
@@ -292,15 +283,12 @@ class TestCliAndSession:
         from repro.__main__ import main
 
         solver, backend = _partitioned(workers=2)
-        met = get_metrics()
-        met.enable(trace=True)
         try:
-            solver.step()
+            snap = _traced(solver)
         finally:
             backend.close()
         path = str(tmp_path / "run.trace.json")
-        export_chrome_trace(path)
-        met.disable()
+        export_chrome_trace(path, snap)
 
         doc = load_trace(path)
         spans = sum(ev["ph"] == "X" for ev in doc["traceEvents"])
@@ -333,8 +321,7 @@ class TestCliAndSession:
             bus.sync(solver)
         obs.finish(solver)
 
-        met = get_metrics()
-        assert not met.enabled  # session-owned registry switched back off
+        assert "step" not in vars(solver)  # the instruments are off again
         doc = load_trace(path)
         assert validate_chrome_trace(doc) == []
         assert doc["otherData"]["spans"] > 0

@@ -95,10 +95,11 @@ class SpatialOperator:
         plan = get_plan_cache().get_or_build(
             mesh, order, flux_variant, self._build_plan, blocks)
         self.starQ = plan.starQ
+        self.slots = plan.slots
         self.interior_groups = plan.interior_groups
         self.boundary_groups = plan.boundary_groups
         # per-instance kernel state, never part of the shared plan: the
-        # interior kernel's face buffer and the masked residual, both
+        # interior kernel's face rows and the masked residual, both
         # allocated on first use, and the mask selections of
         # repro.kernels.fusion.selection
         self._face_buf = None
@@ -142,7 +143,11 @@ class SpatialOperator:
         their id order, or, given element ``blocks``, are stably sorted by
         (minus block, plus block != minus block, plus block): every
         block's minus-side faces are then one run of the class, the ones
-        shared with its own block first."""
+        shared with its own block first.  Face ``i`` of that order owns
+        row ``i`` of the face buffer: ``plan.slots[f, e]`` is ``2 i +
+        side`` for local face ``f`` of element ``e`` on side ``side``
+        (minus 0, plus 1) of face ``i``, and the zero row's ``2 n`` for
+        every other element-face."""
         mesh, itf = self.mesh, self.mesh.interior
         cls = (itf.minus_face * 4 + itf.plus_face) * 6 + itf.perm
         ids = np.flatnonzero(~itf.is_fault)
@@ -152,9 +157,13 @@ class SpatialOperator:
             bm = self.blocks[itf.minus_elem[ids]]
             bp = self.blocks[itf.plus_elem[ids]]
             ids = ids[np.lexsort((bp, bp != bm, bm, cls[ids]))]
-        if not ids.size:
+        nf = len(ids)
+        plan.slots = np.full((4, mesh.n_elements), 2 * nf, dtype=np.intp)
+        if not nf:
             return
         em, ep = itf.minus_elem[ids], itf.plus_elem[ids]
+        plan.slots[itf.minus_face[ids], em] = np.arange(0, 2 * nf, 2)
+        plan.slots[itf.plus_face[ids], ep] = np.arange(1, 2 * nf, 2)
         mats, nmat = mesh.materials, len(mesh.materials)
         pairs, which = np.unique(
             mesh.material_ids[em] * nmat + mesh.material_ids[ep],
@@ -167,7 +176,7 @@ class SpatialOperator:
         scale = -2.0 * itf.area[ids, None] / mesh.det_jac[np.stack([em, ep], 1)]
         # row block t of T Lc lands scaled at L[f, 9 t + q], column block
         # s of Kc T^-1 at K[f, :, 2 p + s] (fusion.attach_interior_groups)
-        nf, r = len(ids), Lc.shape[3]
+        r = Lc.shape[3]
         L, K = np.empty((nf, 18, r)), np.empty((nf, r, 18))
         for rows, TL, KT in fold_flux_tables(itf.normal[ids], which, Lc, Kc):
             np.multiply(TL, scale[rows, :, None, None],

@@ -32,7 +32,7 @@ LTS cluster steps each part's block of that cluster.
 There is no gather and no local index space: a face across a cut reads
 the neighbour's row of the shared ``I`` where it lies (in a distributed
 run that read would be the ghost-layer message).  Every write targets
-the worker's own rows and face-buffer slots, and every GEMM is batch
+the worker's own rows and face-row halves, and every GEMM is batch
 independent (per-item products, and row-stacked ones of one fixed
 shape), so the result does not depend on
 thread scheduling and equals the serial backend's bit for bit; the

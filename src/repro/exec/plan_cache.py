@@ -113,6 +113,9 @@ class OperatorPlan:
     #: / :func:`~repro.kernels.fusion.attach_boundary_groups`)
     interior_groups: list = field(default_factory=list)
     boundary_groups: list = field(default_factory=list)
+    #: (4, ne) face-buffer row half of every element-face, the lift's
+    #: gather ids (``SpatialOperator._fold_interior``)
+    slots: np.ndarray | None = None
 
 
 class PlanCache:

@@ -111,7 +111,7 @@ def kernel_counts(order: int, variant: str = "batched") -> KernelCounts:
         derivs = Q * sum(sizes[1:])
         # per face: both traces onto the F face modes, both sides' fluxes
         # through the (r, 2Q) and (2Q, r) factors and the plus side's
-        # change of basis; per face-side: its slot's lift
+        # change of basis; per face-side: its gathered lift
         F, r = basis_size(N, dim=2), 6
         per_face = (2 * (2.0 * Q * B * F) + 2 * 2.0 * (2 * Q) * r * F
                     + 2.0 * Q * F * F)

@@ -46,13 +46,19 @@ Surface (:func:`fused_interior_residual` / :func:`fused_boundary_residual`)
     (rows ``2 q + side``); two products per face with the factors ``L`` /
     ``K`` of its flux table (:func:`flux_factors`) give both sides' fluxes
     (rows ``9 side + q``); a stacked product with the change of basis ``C``
-    moves the plus side's into the plus element's own face basis.  Each result is *assigned* to
-    its side's slot of a per-operator ``(4, ne, 9, F)`` face buffer: an
-    element-face has exactly one owner, so nothing is read, modified and
-    written back, and nothing is scatter-added.  Four stacked
+    moves the plus side's into the plus element's own face basis.  The
+    results land in a per-operator *face-ordered* ``(n + 1, 2, 9, F)``
+    face buffer (:func:`face_buffer`): row ``i`` holds regular interior
+    face ``i``'s (minus, plus) fluxes, in the plan's face order, so a
+    chunk whose faces update both sides writes both fluxes straight into
+    its rows, and each half has exactly one writer — nothing is read,
+    modified and written back, and nothing is scatter-added.  The lift
+    gathers: the plan's ``slots`` table maps local face ``f`` of element
+    ``e`` to its row half (boundary, gravity, fault and prescribed-motion
+    element-faces to the zero row ``n``), and four stacked
     ``(rows * 9, F) @ (F, B)`` products per element chunk lift the four
-    slots.  The few boundary faces take a stacked ``A^T`` product and one
-    ``G^T`` product per face.
+    gathered row halves.  The few boundary faces take a stacked ``A^T``
+    product and one ``G^T`` product per face.
 
 Plan build (:func:`fold_flux_tables`)
     The surface tables are built directly in their final layout.  A
@@ -95,15 +101,17 @@ copies, same bits).  On a mesh canonicalised by
 :func:`repro.core.lts.cluster_major` every cluster's selection is one
 run, and so is every partition block's (:mod:`repro.exec.partitioned`).
 The element rows are shared by the volume kernel and the lift:
-``I[idx]``, ``fb[:, idx]`` and ``starQ`` are views and ``out[idx] +=
+``I[idx]``, ``slots[:, idx]`` and ``starQ`` are views and ``out[idx] +=
 ...`` updates in place.  The interior selection is made per *side*: the
 faces of a class with an active side are taken plus-only | both |
 minus-only, which on a canonical mesh is the plan's own order
 (``(c-1, c)`` | ``(c, c)`` | ``(c, c+1)`` cluster pairs), so ``em`` /
-``ep`` / ``L`` / ``K`` are views, each side's faces are one slice of one batch,
-and a face writes only the slots of the sides that are updated.  In a
-plan ordered by partition blocks the both | minus-only faces of a block
-are one run and its plus-only faces a gathered batch of their own
+``ep`` / ``L`` / ``K`` are views and the face rows a slice, each side's
+faces are one slice of one batch, and a chunk with a one-sided face
+writes only the halves of the sides that are updated — so two partition
+workers never write the same half.  In a plan ordered by partition
+blocks the both | minus-only faces of a block are one run and its
+plus-only faces a gathered batch of their own
 (:func:`_interior_masked_entries`).  Boundary faces sorted by element
 make the boundary selection (``elem`` / ``GT``) views as well.
 
@@ -184,6 +192,13 @@ def _chunks(idx, n: int, width: int):
             pos = slice(lo, lo + width)
             rows = idx[pos]
             yield pos, rows, len(rows)
+
+
+def _part(rows, lo: int, hi: int):
+    """Positions ``lo:hi`` of the :func:`row_set` ``rows``."""
+    if isinstance(rows, slice):
+        return slice(rows.start + lo, rows.start + hi)
+    return rows[lo:hi]
 
 
 def _stack(src: np.ndarray, rows, m: int, buf: np.ndarray) -> np.ndarray:
@@ -313,8 +328,8 @@ class FaceFactors:
     R:
         Four ``(F, B)``: trace of the element basis on local face ``f``,
         expressed in the orthonormal basis of the face polynomials
-        (``R[f]^T R[f] = E_f^T diag(w) E_f``); ``R[f]`` lifts slot ``f``
-        of the face buffer.
+        (``R[f]^T R[f] = E_f^T diag(w) E_f``); ``R[f]`` lifts the
+        fluxes of local face ``f``.
     RT:
         ``R[f]^T``, ``(B, F)`` each: the minus element's trace.
     RpT:
@@ -365,12 +380,12 @@ def face_factors(order: int) -> FaceFactors:
 
 class FusedInteriorGroup:
     """Folded factors of one (minus face, plus face, permutation) class:
-    the local face ids ``fm``/``fp``, the class's trace factors
-    ``RmT``/``RpT`` and change of basis ``C`` (views of
+    ``base``, the face-buffer row of its first face, the class's trace
+    factors ``RmT``/``RpT`` and change of basis ``C`` (views of
     :func:`face_factors`) and the factors ``L`` / ``K`` of the per-face
     flux tables (see :func:`attach_interior_groups`)."""
 
-    __slots__ = ("em", "ep", "fm", "fp", "RmT", "RpT", "C", "L", "K")
+    __slots__ = ("em", "ep", "base", "RmT", "RpT", "C", "L", "K")
 
 
 class FusedBoundaryGroup:
@@ -464,7 +479,7 @@ def attach_interior_groups(plan, order: int, em, ep, minus_face, plus_face,
         fm, fp, pm = int(minus_face[lo]), int(plus_face[lo]), int(perm[lo])
         grp = FusedInteriorGroup()
         grp.em, grp.ep = em[lo:hi], ep[lo:hi]
-        grp.fm, grp.fp = fm, fp
+        grp.base = int(lo)
         grp.RmT = fac.RT[fm]
         grp.RpT = fac.RpT[fp][pm]
         grp.C = fac.C[fp][pm]
@@ -498,7 +513,7 @@ def finish_plan(plan):
     through the plan cache, so every array is made read-only here.
     """
     tables = {"starQ": plan.starQ}
-    ids = []
+    ids = [plan.slots]
     for i, grp in enumerate(plan.interior_groups):
         tables[f"interior_groups[{i}].L"] = grp.L
         tables[f"interior_groups[{i}].K"] = grp.K
@@ -539,7 +554,9 @@ def selection(op, active: np.ndarray | None):
     :data:`MASK_CACHE_MAX`."""
     if active is None:
         return (slice(None), op.starQ,
-                [[(g.em, g.ep, 0, len(g.em), (g.L, g.K))] for g in op.interior_groups],
+                [[(g.em, g.ep, 0, len(g.em), (g.L, g.K),
+                   slice(g.base, g.base + len(g.em)))]
+                 for g in op.interior_groups],
                 [(g.elem, g.GT) for g in op.boundary_groups])
     key = hashlib.sha1(active.tobytes()).digest()
     hit = op._selections.get(key)
@@ -582,31 +599,35 @@ def fused_volume_residual(op, I, out, sel, overwrite=False) -> None:
 
 
 def face_buffer(op) -> np.ndarray:
-    """The operator's ``(4, ne, 9, F)`` face buffer, zero-filled on first
-    use.  Slot ``[f, e]`` belongs to local face ``f`` of element ``e``
-    and is only ever *assigned*, by the one regular interior face that
-    owns it; slots of boundary, gravity, fault and prescribed-motion
-    faces are never written and stay zero."""
+    """The operator's face-ordered ``(n + 1, 2, 9, F)`` face buffer,
+    zero-filled on first use.  Row ``i < n`` holds the (minus, plus)
+    fluxes of regular interior face ``i`` in the plan's face order, each
+    half in its own element's face basis and only ever *assigned*, by
+    the sweep that updates that side.  Row ``n`` is never written and
+    stays zero: the plan's ``slots`` send every boundary, gravity, fault
+    and prescribed-motion element-face there (half ``2 n`` of the
+    ``(2 n + 2, 9, F)`` view the lift gathers from)."""
     if op._face_buf is None:
-        op._face_buf = np.zeros(
-            (4, op.n_elements, 9, basis_size(op.order, dim=2)))
+        n = sum(len(g.em) for g in op.interior_groups)
+        op._face_buf = np.zeros((n + 1, 2, 9, basis_size(op.order, dim=2)))
     return op._face_buf
 
 
 def _interior_masked_entries(op, active):
     """Per-group face batches for one activity mask.
 
-    A batch is ``(em, ep, a, b, (L, K))``: its faces' rows of the group's
-    flux factors; the minus side updates faces ``[a:]``, the plus side
-    faces ``[:b]`` — contiguous slices of one batch, so no face writes a
-    slot nobody lifts.  The faces of a group with an active side make two
+    A batch is ``(em, ep, a, b, (L, K), frows)``: its faces' rows of the
+    group's flux factors and its face-buffer rows (a :func:`row_set`);
+    the minus side updates faces ``[a:]``, the plus side faces ``[:b]`` —
+    contiguous slices of one batch, so no face writes a half nobody
+    lifts.  The faces of a group with an active side make two
     batches: the plus-only faces, then both | minus-only.  On a canonical
     mesh (:func:`repro.core.lts.cluster_major`) cluster ``c``'s faces of a
     group are the cluster pairs ``(c-1, c)`` | ``(c, c)`` | ``(c, c+1)``,
     two runs of views; in a block-ordered plan
     (:class:`~repro.core.kernels.SpatialOperator` ``blocks=``) the second
     batch is one run of views and only the plus-only faces, whose minus
-    side is another block, are gathered.
+    side is another block, are gathered, with their face-row ids.
     """
     entries = []
     for grp in op.interior_groups:
@@ -621,16 +642,19 @@ def _interior_masked_entries(op, active):
             if not len(faces):
                 continue
             rows = row_set(faces)
-            batches.append((grp.em[rows], grp.ep[rows], a, b, (grp.L[rows], grp.K[rows])))
+            frows = (slice(grp.base + rows.start, grp.base + rows.stop)
+                     if isinstance(rows, slice) else grp.base + faces)
+            batches.append((grp.em[rows], grp.ep[rows], a, b,
+                            (grp.L[rows], grp.K[rows]), frows))
         entries.append(batches)
     return entries
 
 
 def fused_interior_residual(op, I, out, sel) -> None:
-    """Face-basis interior kernel with a scatter-free lift (see module
-    docstring): fill the face-buffer slots of every updated side of the
-    :func:`selection` ``sel``, then four stacked lift products per chunk
-    of updated elements."""
+    """Face-basis interior kernel with a gathered lift (see module
+    docstring): fill the face-buffer row halves of every updated side of
+    the :func:`selection` ``sel``, then four stacked lift products per
+    chunk of updated elements."""
     fb = face_buffer(op)
     nF = fb.shape[3]
     ne, nq, nb = I.shape
@@ -648,15 +672,14 @@ def fused_interior_residual(op, I, out, sel) -> None:
                np.empty((W, nq, nF))]
     batches = ((g, e) for g, es in zip(op.interior_groups, entries)
                for e in es)
-    for grp, (em, ep, a, b, (L, K)) in batches:
+    for grp, (em, ep, a, b, (L, K), frows) in batches:
         width = stack_width(len(grp.em))
         Xm, Xp, Xt, Z, Y, Yc, Yp = (x[:width] for x in scratch)
         Xm2, Xp2 = Xm.reshape(width * nq, nb), Xp.reshape(width * nq, nb)
         Xt2 = Xt.reshape(width * nq, 2 * nF)
         Tm, Tp = Xt2[:, :nF], Xt2[:, nF:]
-        Xt3, Y3 = Xt.reshape(width, 2 * nq, nF), Y.reshape(width, 2 * nq, nF)
+        Xt3 = Xt.reshape(width, 2 * nq, nF)
         Yc2, Yp2 = Yc.reshape(width * nq, nF), Yp.reshape(width * nq, nF)
-        slot_m, slot_p = fb[grp.fm], fb[grp.fp]
         for lo in range(0, len(em), width):
             hi = min(lo + width, len(em))
             m = hi - lo
@@ -665,27 +688,31 @@ def fused_interior_residual(op, I, out, sel) -> None:
             np.matmul(Xm2, grp.RmT, out=Tm)
             np.matmul(Xp2, grp.RpT, out=Tp)
             np.matmul(K[lo:hi], Xt3[:m], out=Z[:m])
-            np.matmul(L[lo:hi], Z[:m], out=Y3[:m])
             # this chunk's faces of the minus side's [a:] and the plus
-            # side's [:b]
+            # side's [:b]; where all update both sides, both fluxes go
+            # straight into their rows, else each side's into its halves
             am, bp = max(a, lo), min(b, hi)
-            if am < hi:
-                slot_m[em[am:hi]] = Y[am - lo:m, 0]
+            both = am == lo and bp == hi and isinstance(frows, slice)
+            Yf = fb[_part(frows, lo, hi)] if both else Y[:m]
+            np.matmul(L[lo:hi], Z[:m], out=Yf.reshape(m, 2 * nq, nF))
+            if am < hi and not both:
+                fb[_part(frows, am, hi), 0] = Y[am - lo:m, 0]
             if bp > lo:
-                Yc[:m] = Y[:m, 1]
+                Yc[:m] = Yf[:, 1]
                 if m < width:
                     Yc[m:] = 0.0
                 np.matmul(Yc2, grp.C, out=Yp2)
-                slot_p[ep[lo:bp]] = Yp[:bp - lo]
+                fb[_part(frows, lo, bp), 1] = Yp[:bp - lo]
     R = face_factors(op.order).R
+    fb2 = fb.reshape(-1, nq, nF)
     width = stack_width(op.n_elements)
     S = np.empty((width, nq, nF))
     acc = np.empty((width * nq, nb))
     part = np.empty((width * nq, nb))
     for _, rows, m in _chunks(idx, ne, width):
-        for f, (slots, Rf) in enumerate(zip(fb, R)):
-            slot = _stack(slots, rows, m, S).reshape(width * nq, nF)
-            np.matmul(slot, Rf, out=part if f else acc)
+        for f, Rf in enumerate(R):
+            face = _stack(fb2, op.slots[f, rows], m, S).reshape(width * nq, nF)
+            np.matmul(face, Rf, out=part if f else acc)
             if f:
                 acc += part
         out[rows] += acc[:m * nq].reshape(m, nq, nb)

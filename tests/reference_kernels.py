@@ -329,19 +329,27 @@ class ReferenceOperator(SpatialOperator):
         :func:`star_matrices`, the boundary groups' fold (``_stacked_flux``,
         verbatim) and, per interior face, the material pair's flux factors
         (``SpatialOperator._pair_factors``) rotated with the seed's
-        full-size rotations and scaled — what
-        ``SpatialOperator._build_plan`` is pinned to, bitwise."""
+        full-size rotations and scaled, the faces' buffer rows in class
+        order — what ``SpatialOperator._build_plan`` is pinned to,
+        bitwise."""
         plan = OperatorPlan(starQ=compact_star(star_matrices(self.mesh)))
+        itf = self.mesh.interior
+        n = sum(len(src.em) for src in self.interior_groups)
+        plan.slots = np.full((4, self.mesh.n_elements), 2 * n, dtype=np.intp)
         ref = self.ref
         fac = face_factors(ref.order)
         w = ref.face_weights
-        itf, mats = self.mesh.interior, self.mesh.materials
-        mat_ids = self.mesh.material_ids
+        mats, mat_ids = self.mesh.materials, self.mesh.material_ids
         factors = {}
+        base = 0
         for src in self.interior_groups:
             grp = FusedInteriorGroup()
             grp.em, grp.ep = src.em, src.ep
-            grp.fm, grp.fp = src.minus_face, src.plus_face
+            grp.base = base
+            rows = 2 * np.arange(base, base + len(src.em))
+            plan.slots[src.minus_face, src.em] = rows
+            plan.slots[src.plus_face, src.ep] = rows + 1
+            base += len(src.em)
             grp.RmT = fac.RT[src.minus_face]
             grp.RpT = fac.RpT[src.plus_face][src.perm]
             grp.C = fac.C[src.plus_face][src.perm]

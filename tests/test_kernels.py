@@ -23,8 +23,10 @@ kernels the solver executes — to them:
   chunks of scratch, whatever the mesh size;
 * **face-basis factorization** — the trace factors and the change of
   face basis reproduce the oracle's ``E^T diag(w) E`` products, and the
-  face buffer's slot ownership holds
-  (never-written slots stay zero, no stale slot is ever lifted);
+  face-ordered buffer's ownership holds: a masked sweep writes exactly
+  the halves of the sides it updates, the zero row is never written, no
+  stale row is ever lifted, and the plan's ``slots`` table sends every
+  element-face to its row half or the zero row;
 * **direct plan build** — the streamed, one-rotation-per-face build of
   the folded tables equals the seed's rotate-both-sides-then-fold
   builders bitwise, for any chunk size, within 1.5 x the plan's memory,
@@ -522,7 +524,7 @@ def chunk_rigs():
             rng, I = _random_state(op, 5)
             splits = {b for r in lts.rows
                       for batches in fusion._interior_masked_entries(op, r.mask)
-                      for em, _, _, b, _ in batches if 0 < b < len(em)}
+                      for em, _, _, b, _, _ in batches if 0 < b < len(em)}
             assert any(b % 7 for b in splits) and any(b % 8 == 0 for b in splits)
             subsets = (rng.permutation(op.n_elements)[:100], slice(37, 250))
             rigs[order] = (op, lts, I, subsets,
@@ -611,8 +613,8 @@ class TestTransientMemory:
 
 
 def _slot_masks(mesh):
-    """``(ne, 4)`` masks of the face-buffer slots the interior kernel
-    owns (regular interior faces) and of those nobody may write (gravity
+    """``(ne, 4)`` masks of the element-faces the interior kernel owns
+    (regular interior faces) and of those it must never touch (gravity
     surface and fault faces; the other boundary kinds as well)."""
     itf, bnd = mesh.interior, mesh.boundary
     regular = ~itf.is_fault
@@ -677,28 +679,102 @@ class TestFaceFactorization:
                           f"apply (order {order}, masked={mask is not None})")
 
     def test_unowned_slots_stay_zero(self, shuffled_mesh):
+        """The zero row, where every special and boundary element-face
+        is lifted from, is never written; every face row half is."""
         op = SpatialOperator(shuffled_mesh, 2)
         rng, I = _random_state(op, 3)
         owned, special = _slot_masks(shuffled_mesh)
         op.apply(I)
         op.apply(I, rng.random(op.n_elements) < 0.5)
-        fb = op._face_buf.transpose(1, 0, 2, 3)  # slots [e, f]
-        assert (fb[~owned] == 0.0).all()
-        assert (fb[special] == 0.0).all()
-        assert (np.abs(fb[owned]).max(axis=(1, 2)) > 0.0).all()
+        fb = op._face_buf
+        assert fb.shape == (int(owned.sum()) // 2 + 1, 2, 9, 6)
+        assert (fb[-1] == 0.0).all()
+        assert (op.slots.T[special] == 2 * len(fb) - 2).all()
+        assert (np.abs(fb[:-1]).max(axis=(2, 3)) > 0.0).all()
 
     def test_no_stale_slot_is_lifted(self, shuffled_mesh):
-        """Between two masked applies every slot the kernel owns is
-        NaN-poisoned: the second apply rewrites all it lifts."""
+        """Between two masked applies every face row is NaN-poisoned:
+        the second apply rewrites all it lifts."""
         op = SpatialOperator(shuffled_mesh, 2)
         rng, I = _random_state(op, 4)
         first = rng.random(op.n_elements) < 0.5
         second = rng.random(op.n_elements) < 0.5
         expected = op.apply(I, second)[second].copy()
         op.apply(I, first)
-        owned, _ = _slot_masks(shuffled_mesh)
-        op._face_buf.transpose(1, 0, 2, 3)[owned] = np.nan
+        op._face_buf[:-1] = np.nan
         np.testing.assert_array_equal(op.apply(I, second)[second], expected)
+
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_slot_table(self, shuffled_mesh, blocked):
+        """``op.slots[f, e]`` is ``2 i + side`` for local face ``f`` of
+        element ``e`` on side ``side`` of regular interior face ``i`` —
+        row ``i`` being face ``i - base`` of its group, in class or block
+        order — and the zero row's ``2 n`` for every other element-face.
+        The table is read-only and shared through the plan cache."""
+        clear_plan_cache()
+        blocks = (np.random.default_rng(2).integers(3, size=shuffled_mesh.n_elements)
+                  if blocked else None)
+        op = SpatialOperator(shuffled_mesh, 2, blocks=blocks)
+        itf = shuffled_mesh.interior
+        owned, special = _slot_masks(shuffled_mesh)
+        groups = op.interior_groups
+        n = sum(len(g.em) for g in groups)
+        assert [g.base for g in groups] == np.cumsum(
+            [0] + [len(g.em) for g in groups[:-1]]).tolist()
+        half = op.slots.T  # [e, f]
+        assert op.slots.dtype == np.intp and op.slots.shape == (4, op.n_elements)
+        reg = ~itf.is_fault
+        rm = half[itf.minus_elem[reg], itf.minus_face[reg]]
+        rp = half[itf.plus_elem[reg], itf.plus_face[reg]]
+        assert (rm % 2 == 0).all() and (rp == rm + 1).all()
+        np.testing.assert_array_equal(np.sort(rm // 2), np.arange(n))
+        em = np.concatenate([g.em for g in groups])
+        ep = np.concatenate([g.ep for g in groups])
+        np.testing.assert_array_equal(em[rm // 2], itf.minus_elem[reg])
+        np.testing.assert_array_equal(ep[rm // 2], itf.plus_elem[reg])
+        assert not (owned & special).any()
+        assert (half[~owned] == 2 * n).all() and (~owned).sum() > special.sum()
+        assert not op.slots.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            op.slots[0, 0] = 0
+        assert SpatialOperator(shuffled_mesh, 2, blocks=blocks).slots is op.slots
+
+
+def _ownership_rigs(shuffled_mesh):
+    """``(op, masks)``: random masks on the shuffled mesh, and every
+    cluster's mask of the 3-cluster fault + gravity LTS rig."""
+    op = SpatialOperator(shuffled_mesh, 2)
+    rng = np.random.default_rng(8)
+    yield op, [rng.random(op.n_elements) < p for p in (0.2, 0.5, 0.8)]
+    solver, _, lts = build_lts_fault_gravity(sort=True)
+    assert lts.n_clusters == 3
+    yield solver.op, [r.mask for r in lts.rows]
+
+
+class TestFaceRowOwnership:
+    """Each half of a face row has one writer: the sweep that updates
+    its side.  A masked sweep that wrote a whole row on a chunk with a
+    one-sided face would write a half another partition worker owns."""
+
+    def test_masked_apply_writes_exactly_the_updated_halves(self, shuffled_mesh):
+        for op, masks in _ownership_rigs(shuffled_mesh):
+            _, I = _random_state(op, 6)
+            # the minus and plus element of every face row
+            em = np.concatenate([g.em for g in op.interior_groups])
+            ep = np.concatenate([g.ep for g in op.interior_groups])
+            fb = fusion.face_buffer(op)
+            for active in masks:
+                fb[:-1] = np.nan
+                op.apply(I, active)
+                written = np.isfinite(fb[:-1]).all(axis=(2, 3))
+                assert not (np.isfinite(fb[:-1]) != written[..., None, None]).any()
+                np.testing.assert_array_equal(written[:, 0], active[em])
+                np.testing.assert_array_equal(written[:, 1], active[ep])
+                assert (active[em] != active[ep]).any()
+                assert (fb[-1] == 0.0).all()
+            fb[:-1] = np.nan
+            op.apply(I)
+            assert np.isfinite(fb).all() and (fb[-1] == 0.0).all()
 
 
 # ----------------------------------------------------------------------
@@ -852,6 +928,7 @@ _SHARED = (".RmT", ".RpT", ".C", ".AT")
 def _plan_arrays(plan):
     """``(name, array)`` of everything a plan holds, in a fixed order."""
     yield "starQ", plan.starQ
+    yield "slots", plan.slots
     for kind, groups in (("interior", plan.interior_groups),
                          ("boundary", plan.boundary_groups)):
         for i, grp in enumerate(groups):
@@ -1020,7 +1097,7 @@ def _assert_only_folded(op):
         for name in _UNFOLDED:
             assert not hasattr(grp, name), name
     for grp in op.interior_groups:
-        assert set(grp.__slots__) == {"em", "ep", "fm", "fp",
+        assert set(grp.__slots__) == {"em", "ep", "base",
                                       "RmT", "RpT", "C", "L", "K"}
         assert grp.L.shape == (len(grp.em), 18, 6)
         assert grp.K.shape == (len(grp.em), 6, 18)

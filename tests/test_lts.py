@@ -338,7 +338,8 @@ class TestClusterMajorLayout:
         buffer starts as NaN, so a row no block wrote would poison the
         state.  The only owned bytes are the flux-factor ``L`` / ``K``
         rows of the faces whose minus side is another block (and those
-        faces' element ids), gathered once per block."""
+        faces' element ids and face-buffer row ids), gathered once per
+        block; every other batch's face rows are a slice."""
         monkeypatch.setattr(Scheduler, "_window_buffer", staticmethod(
             lambda shape: np.full(shape, np.nan)))
         backend = PartitionedBackend(workers=2, n_parts=n_parts)
@@ -360,15 +361,17 @@ class TestClusterMajorLayout:
                 assert isinstance(idx, slice)
                 assert np.shares_memory(starQ, op.starQ)
                 for grp, batches in zip(op.interior_groups, interior):
-                    for em, ep, a, b, (L, K) in batches:
+                    for em, ep, a, b, (L, K), frows in batches:
                         if L.flags.owndata:
                             # plus-only faces across a block cut
                             assert a == b == len(em)
                             assert (block[em] != block[ep]).all()
                             gathered += len(em)
-                            assert K.flags.owndata
-                            owned += em.nbytes + ep.nbytes + L.nbytes + K.nbytes
+                            assert K.flags.owndata and frows.flags.owndata
+                            owned += (em.nbytes + ep.nbytes + L.nbytes
+                                      + K.nbytes + frows.nbytes)
                             continue
+                        assert isinstance(frows, slice)
                         for sel, table in ((em, grp.em), (ep, grp.ep),
                                            (L, grp.L), (K, grp.K)):
                             assert not sel.size or np.shares_memory(sel, table)
@@ -377,7 +380,7 @@ class TestClusterMajorLayout:
                         assert np.shares_memory(e[0], grp.elem)
                         assert np.shares_memory(e[1], grp.GT)
         assert 0 < gathered <= cross
-        assert owned == gathered * (2 * 18 * 6 * 8 + 2 * 8)
+        assert owned == gathered * (2 * 18 * 6 * 8 + 3 * 8)
 
     def test_unsorted_mesh_yields_id_arrays(self):
         m = graded_periodic_box()

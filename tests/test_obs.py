@@ -686,8 +686,8 @@ class TestReport:
         kc = kernel_counts(2, variant="fused")
         # per element update (B = 10, F = 6): two faces' stacked traces,
         # (6, 18) @ (18, F) and (18, 6) @ (6, F) flux-factor products and
-        # (9, F) @ (F, F) changes of basis, and four (9, F) @ (F, B) slot
-        # lifts
+        # (9, F) @ (F, F) changes of basis, and four (9, F) @ (F, B)
+        # face-row lifts
         assert kc.flops_surface == 2 * (2 * 2 * 9 * 10 * 6 + 2 * 2 * 18 * 6 * 6
                                         + 2 * 9 * 6 * 6) + 4 * 2 * 9 * 6 * 10
         want = {

@@ -532,13 +532,18 @@ class TestHaloLayout:
 def assert_face_selections_are_views(op, caches):
     """Every array of the masked interior / boundary selections in
     ``caches`` (``(interior, boundary)``: iterables of per-mask entry
-    lists) is a view of its group's plan table, owning 0 bytes."""
+    lists) is a view of its group's plan table, owning 0 bytes, and every
+    interior batch's face-buffer rows are a slice of its group's."""
     interior, boundary = caches
     pairs = []
     for entries in interior:
         for grp, batches in zip(op.interior_groups, entries):
-            for em, ep, _, _, (L, K) in batches:
+            for em, ep, _, _, (L, K), frows in batches:
                 pairs += [(em, grp.em), (ep, grp.ep), (L, grp.L), (K, grp.K)]
+                assert isinstance(frows, slice)
+                assert grp.base <= frows.start < frows.stop \
+                    <= grp.base + len(grp.em)
+                assert frows.stop - frows.start == len(em)
     for entries in boundary:
         for grp, e in zip(op.boundary_groups, entries):
             if e is not None:

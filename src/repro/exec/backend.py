@@ -31,17 +31,17 @@ __all__ = ["ExecutionBackend", "SerialBackend", "make_backend",
            "available_backends", "refresh_rows"]
 
 
-def refresh_rows(op, Q, idx, pred, Iown=None, dt=None) -> None:
+def refresh_rows(op, Q, idx, pred, window=None, dt=None) -> None:
     """Predict the rows ``idx`` of ``pred`` from ``Q`` (its level 0), in
-    place where ``idx`` is a slice, and store their window integral over
-    ``[0, dt]`` into ``Iown`` if given."""
+    place where ``idx`` is a slice, and write their window integral over
+    ``[0, dt]`` into those rows of the LTS ``window`` buffer if given."""
     rows = pred.take(idx)
     new = op.predict_states(Q[idx], op.starQ[idx], out=rows)
     for L, N, R in zip(pred.levels[1:], new.levels[1:], rows.levels[1:]):
         if N is not R or not isinstance(idx, slice):
             L[idx] = N
-    if Iown is not None:
-        Iown[idx] = taylor_integrate(new.levels, 0.0, dt, out=Iown[idx])
+    if window is not None:
+        window[idx] = taylor_integrate(new.levels, 0.0, dt, out=window[idx])
 
 
 class ExecutionBackend:
@@ -72,11 +72,12 @@ class ExecutionBackend:
 
     def update_predictor(
         self, Q: np.ndarray, rows, dt: float,
-        derivs: Predictor, Iown: np.ndarray,
+        derivs: Predictor, window: np.ndarray,
     ) -> None:
         """Refresh the predictor ``derivs`` of the cluster ``rows`` (a
-        :class:`~repro.core.lts.Rows`) from ``Q`` and store its Taylor
-        window integral over ``[0, dt]`` into ``Iown`` (LTS)."""
+        :class:`~repro.core.lts.Rows`) from ``Q`` and write its window
+        integral over ``[0, dt]`` into its rows of the LTS ``window``
+        buffer, where its corrector reads it."""
         raise NotImplementedError
 
     # -- corrector ------------------------------------------------------
@@ -119,8 +120,8 @@ class SerialBackend(ExecutionBackend):
         self._pred = self.solver.op.predict(Q, out=self._pred)
         return self._pred
 
-    def update_predictor(self, Q, rows, dt, derivs, Iown) -> None:
-        refresh_rows(self.solver.op, Q, rows.elems, derivs, Iown, dt)
+    def update_predictor(self, Q, rows, dt, derivs, window) -> None:
+        refresh_rows(self.solver.op, Q, rows.elems, derivs, window, dt)
 
     def corrector(self, I, derivs, dt, t0, rows=None) -> np.ndarray:
         solver = self.solver

@@ -216,19 +216,19 @@ class PartitionedBackend(ExecutionBackend):
         self._refresh(Q, None, pred)
         return pred
 
-    def update_predictor(self, Q, rows, dt, derivs, Iown) -> None:
-        self._refresh(Q, rows, derivs, Iown, dt)
+    def update_predictor(self, Q, rows, dt, derivs, window) -> None:
+        self._refresh(Q, rows, derivs, window, dt)
 
-    def _refresh(self, Q, rows, pred, Iown=None, dt=None) -> None:
+    def _refresh(self, Q, rows, pred, window=None, dt=None) -> None:
         """Predictor sweep over the cluster ``rows`` (``None``: all),
-        plus its Taylor window integral when ``Iown`` is given: each
-        block the way :meth:`SerialBackend.update_predictor` sweeps a
-        cluster, into its rows of ``pred``."""
+        plus its window integral when the LTS ``window`` buffer is given:
+        each block the way :meth:`SerialBackend.update_predictor` sweeps
+        a cluster, into its rows of ``pred`` and ``window``."""
         op = self.solver.op
 
         def work(plan):
             for blk in plan.active(rows):
-                refresh_rows(op, Q, blk.elems, pred, Iown, dt)
+                refresh_rows(op, Q, blk.elems, pred, window, dt)
 
         self._run(work)
 

@@ -19,7 +19,8 @@ one entry per cluster micro-step of one macro step:
   reads a coarser neighbor's longer predictor over a sub-window at a
   precompiled integer offset, a *buffer* consume reads the accumulated
   window integrals a finer neighbor published (SeisSol's buffer
-  mechanism) — and which finer buffers to clear after publishing.
+  mechanism) — which finer buffers to clear after publishing, and which
+  neighbors overwrote the cluster's window rows since it last stepped.
 
 The micro-step *order* is canonical: repeatedly advancing the eligible
 cluster with the smallest ``(window end, window length, cluster id)``
@@ -89,6 +90,10 @@ class StepPlan:
     clear_ptr: np.ndarray
     #: finer neighbor cluster ids whose buffers this micro-step consumed
     clear_cluster: np.ndarray
+    #: (n_micro+1,) CSR pointer into the restore array
+    restore_ptr: np.ndarray
+    #: neighbors whose consumes overwrote the stepping cluster's window rows
+    restore_cluster: np.ndarray
 
     @property
     def macro(self) -> int:
@@ -108,6 +113,10 @@ class StepPlan:
     def clears(self, i: int):
         """Finer neighbor clusters whose buffers micro-step ``i`` resets."""
         return self.clear_cluster[self.clear_ptr[i]:self.clear_ptr[i + 1]]
+
+    def restores(self, i: int):
+        """Neighbors ``cn`` that overwrote ``halo[cn][cluster[i]]``."""
+        return self.restore_cluster[self.restore_ptr[i]:self.restore_ptr[i + 1]]
 
 
 def _canonical_adjacency(n_clusters: int, adjacency) -> tuple:
@@ -223,6 +232,17 @@ def compile_step_plan(n_clusters: int, rate: int, adjacency=None) -> StepPlan:
         clear_ptr[i + 1] = len(x_clusters)
         t_cur[c] = pred[c] = t_b
 
+    # the neighbors that consumed a cluster since its previous micro-step
+    # (walking back cyclically: the cadence repeats every macro step)
+    restores: list[list[int]] = []
+    for i in range(n_micro):
+        c, j, readers = int(cluster[i]), (i - 1) % n_micro, set()
+        while int(cluster[j]) != c:
+            if c in c_clusters[consume_ptr[j]:consume_ptr[j + 1]]:
+                readers.add(int(cluster[j]))
+            j = (j - 1) % n_micro
+        restores.append(sorted(readers))
+
     return StepPlan(
         n_clusters=n_clusters,
         rate=rate,
@@ -235,4 +255,6 @@ def compile_step_plan(n_clusters: int, rate: int, adjacency=None) -> StepPlan:
         consume_off=np.array(c_offs, dtype=np.int64),
         clear_ptr=clear_ptr,
         clear_cluster=np.array(x_clusters, dtype=np.int64),
+        restore_ptr=np.cumsum([0, *map(len, restores)], dtype=np.int64),
+        restore_cluster=np.array(sum(restores, []), dtype=np.int64),
     )

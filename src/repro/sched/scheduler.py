@@ -14,6 +14,9 @@ per supervised segment.
   once, at construction, and *replays* it once per macro step from flat
   arrays with no per-micro-step eligibility scan; under GTS the plan is
   the trivial single-cluster cadence, one step per macro step.
+* Under LTS it keeps one state-sized **window buffer**: a cluster's
+  predictor writes its window integral into its rows, and a micro-step
+  restores the rows neighbors overwrote (the plan's restore list).
 * It fires the :class:`~repro.sched.hooks.HookBus` events every
   subscriber — watchdogs, heartbeats, receivers, checkpoints, the
   per-cluster counters of an :class:`~repro.obs.session.ObsSession` —
@@ -55,6 +58,12 @@ def plan_steps(span: float, unit: float) -> int:
     if unit <= 0.0 or not np.isfinite(unit):
         raise ValueError(f"step unit must be positive and finite, got {unit!r}")
     return int(np.ceil(span / unit - TERMINATION_TOL))
+
+
+def _integrate(I, derivs, idx, t0: float, t1: float) -> None:
+    """Write the predictor rows ``idx``'s integral over ``[t0, t1]`` into ``I``."""
+    I[idx] = taylor_integrate(derivs.take(idx).levels, t0, t1,
+                              out=I[idx] if isinstance(idx, slice) else None)
 
 
 @dataclass(frozen=True)
@@ -157,10 +166,7 @@ class Scheduler:
 
     # -- clustered LTS: replay the compiled cadence ---------------------
     def _run_lts(self, t_end, n_macro, hooks) -> None:
-        lts = self.lts
-        solver = self.solver
-        backend = self.backend
-        plan = self.plan
+        lts, solver, backend, plan = self.lts, self.solver, self.backend, self.plan
         macro = plan.macro
         span = t_end - solver.t
         if span <= 0:
@@ -174,20 +180,17 @@ class Scheduler:
         # end the run, and their cluster needs no fresh predictor
         ends_macro = plan.t_int + plan.steps[plan.cluster] == macro
 
+        # the run-lifetime window buffer holds each cluster's window
+        # integral in its rows, where its predictor writes it; a micro-step
+        # writes the rows it reads of consumed neighbors (LTS adjacency
+        # covers every face with an active side) and restores its own
         derivs = backend.predict(solver.dofs)
-        Iown, Ibuf = solver.op.new_state(), solver.op.new_state()
+        I = self._window_buffer(solver.dofs.shape)
         for c, rows in enumerate(lts.rows):
-            Iown[rows.elems] = taylor_integrate(
-                derivs.take(rows.elems).levels, 0.0, dts[c])
-
-        # the window-assembly buffer is allocated once for the whole run:
-        # each micro-step overwrites exactly the rows its corrector reads
-        # (the active cluster plus its halo in every consumed neighbor —
-        # LTS adjacency guarantees the consume list covers all faces with
-        # an active side), so stale rows from earlier micro-steps are
-        # never observed
-        I = self._window_buffer(Iown.shape)
-        state = (dt_min, dts, derivs, Iown, Ibuf, I, t0)
+            _integrate(I, derivs, rows.elems, 0.0, dts[c])
+        # each cluster's window sums for its coarser neighbor, exposed rows
+        sums = [np.zeros((len(e), *I.shape[1:])) for e in lts.exposed]
+        state = (dt_min, dts, derivs, sums, I, t0)
         for k in range(n_macro):
             base = k * macro
             last = k == n_macro - 1
@@ -207,8 +210,8 @@ class Scheduler:
 
     @staticmethod
     def _window_buffer(shape) -> np.ndarray:
-        """Allocation seam of the run-lifetime window buffer (a test
-        poisons it to prove no micro-step reads a row it did not write)."""
+        """Allocation seam of the run-lifetime window buffer (tests
+        poison it to prove no micro-step reads a row nobody wrote)."""
         return np.zeros(shape)
 
     def _exec_micro(self, i: int, c: int, t_int: int, refresh: bool,
@@ -226,46 +229,40 @@ class Scheduler:
         a hook that writes the state at a sync (``FaultInjector.
         corrupt_state``) is followed at that sync by ``watchdog.ensure``.
         """
-        dt_min, dts, derivs, Iown, Ibuf, I, t0 = state
-        plan = self.plan
-        lts = self.lts
-        solver = self.solver
-        rows = lts.rows[c]
-        idx = rows.elems
-        halo = lts.halo[c]
-        t_a = t_int * dt_min
+        dt_min, dts, derivs, sums, I, t0 = state
+        plan, lts, solver = self.plan, self.lts, self.solver
+        rows, halo = lts.rows[c], lts.halo[c]
 
-        # assemble per-element time-integrated data for this window (into
-        # the run-lifetime buffer; see _run_lts for why reuse is exact)
-        I[idx] = Iown[idx]
+        # assemble the window: our own rows are our window integral, but
+        # for those a neighbor's consume overwrote since our predictor
+        for cn in plan.restores(i):
+            _integrate(I, derivs, lts.halo[int(cn)][c], 0.0, dts[c])
         for cn, mode, off_int in plan.consumes(i):
-            nidx = halo[int(cn)]
+            cn = int(cn)
             if mode == CONSUME_TAYLOR:
                 # a coarser neighbor predicted earlier with a longer
                 # window; integrate its Taylor expansion over ours
                 off = int(off_int) * dt_min
-                I[nidx] = taylor_integrate(derivs.take(nidx).levels, off,
-                                           off + dts[c])
+                _integrate(I, derivs, halo[cn], off, off + dts[c])
             else:
-                # a finer neighbor accumulated its completed windows
-                I[nidx] = Ibuf[nidx]
+                # a finer neighbor's summed windows, at exposed[cn] == halo[cn]
+                I[halo[cn]] = sums[cn]
 
-        out = self.backend.corrector(I, derivs, dts[c], t0=t0 + t_a, rows=rows)
-        solver.dofs[idx] += out[idx]
+        out = self.backend.corrector(I, derivs, dts[c],
+                                     t0=t0 + t_int * dt_min, rows=rows)
+        solver.dofs[rows.elems] += out[rows.elems]
 
         # the just-completed window becomes available to the coarser
         # neighbor, which reads only the exposed rows
-        exposed = lts.exposed[c]
-        Ibuf[exposed] += Iown[exposed]
-        # buffers of finer neighbors covering this window were consumed
+        sums[c] += I[lts.exposed[c]]
+        # sums of finer neighbors covering this window were consumed
         for cn in plan.clears(i):
-            Ibuf[halo[int(cn)]] = 0.0
+            sums[int(cn)].fill(0.0)
 
-        # next predictor for this cluster (skipped when the run is over
-        # for it)
+        # next predictor for this cluster, its window integral written
+        # into its rows of I (skipped when the run is over for it)
         if refresh:
-            self.backend.update_predictor(solver.dofs, rows, dts[c], derivs,
-                                          Iown)
+            self.backend.update_predictor(solver.dofs, rows, dts[c], derivs, I)
 
     # ------------------------------------------------------------------
     def compiled_plan(self, t_end: float, dt_scale: float = 1.0) -> Replay:

@@ -580,12 +580,15 @@ class TestTransientMemory:
     def test_step_holds_only_the_compact_levels(self, monkeypatch, mode, n):
         """One GTS step / one LTS macro step of a fresh solver on the fault
         + gravity rig (3 clusters at ``n`` 5): above the state and the
-        step's own state-sized buffers (GTS: the window integral and the
-        residual; LTS: ``Iown``, ``Ibuf`` and the window buffer) the peak
-        is the predictor's compact levels, half a state for the face
-        modules' per-face scratch (it grows with their faces, which are
-        not chunked yet) and a bound that does not grow with the mesh.  A
-        zero-padded ``(ne, N+1, 9, B)`` predictor is 2.5 states more."""
+        step's own buffers (GTS: the window integral and the residual,
+        both state-sized; LTS: the window buffer, each cluster's window
+        sums at its exposed rows only, and one halo's gathered predictor
+        rows with their integral, the scratch of a restore or Taylor
+        consume) the peak is the predictor's compact levels, half a state
+        for the face modules' per-face scratch (it grows with their faces,
+        which are not chunked yet) and a bound that does not grow with the
+        mesh.  A zero-padded ``(ne, N+1, 9, B)`` predictor is 2.5 states
+        more; two more state-sized LTS buffers exceed the bound."""
         import tracemalloc
 
         monkeypatch.setattr(fusion, "CHUNK", 16)
@@ -595,12 +598,16 @@ class TestTransientMemory:
         # the operator's own buffers, allocated by its first sweeps
         fusion.face_buffer(op)
         op.masked_residual()
-        if mode == "gts":
-            lts, n_states, t_end = None, 2, solver.t + solver.dt
-        else:
-            n_states, t_end = 3, solver.t + lts.dt_min * lts.rate**lts.cmax
         S = solver.dofs.nbytes
+        row = S // op.n_elements
         levels = S // op.nbasis * sum(element_plan(2).sizes[1:])
+        if mode == "gts":
+            lts, buffers, t_end = None, 2 * S, solver.t + solver.dt
+        else:
+            halo = max(len(r) for h in lts.halo for r in h.values())
+            buffers = (S + sum(map(len, lts.exposed)) * row
+                       + halo * (2 * row + levels // op.n_elements))
+            t_end = solver.t + lts.dt_min * lts.rate**lts.cmax
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -608,7 +615,7 @@ class TestTransientMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        excess = peak - n_states * S - levels - S // 2
+        excess = peak - buffers - levels - S // 2
         assert excess <= self.STEP_BOUND, (excess, S)
 
 

@@ -9,6 +9,8 @@ old float-epsilon GTS loop — against the scheduler on a coupled
 gravity-topped mesh and require *bitwise* identical trajectories.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,17 @@ class TestStepPlan:
         # buffer consumes and clears pair up
         n_buf = int((plan.consume_mode == CONSUME_BUFFER).sum())
         assert len(plan.clear_cluster) == n_buf
+        # from the second macro step on, a micro-step restores exactly the
+        # neighbors that consumed its cluster since its previous one
+        readers = [set() for _ in range(n_clusters)]
+        for k in range(2):
+            for i in range(plan.n_micro):
+                c = int(plan.cluster[i])
+                if k:
+                    assert plan.restores(i).tolist() == sorted(readers[c])
+                readers[c] = set()
+                for cn, _, _ in plan.consumes(i):
+                    readers[int(cn)].add(c)
 
     def test_gts_plan_is_trivial(self):
         plan = compile_step_plan(1, 2)
@@ -422,6 +435,80 @@ class TestHaloLayout:
     def test_poisoned_window_cluster_major(self, monkeypatch, backend,
                                            workers):
         self.check_poisoned_run(monkeypatch, backend, workers, sort=True)
+
+    @pytest.mark.parametrize("sort", [False, True])
+    @pytest.mark.parametrize("backend,workers", [("serial", None),
+                                                 ("partitioned", 2)])
+    def test_consumed_rows_are_restored(self, monkeypatch, backend,
+                                        workers, sort):
+        """After every micro-step the neighbor rows it consumed are
+        NaN-filled in the window buffer, and the end state still equals
+        the retired loop's bitwise: every row of a cluster's window that
+        a neighbor's consume overwrote is re-integrated before the
+        cluster's corrector reads it or publishes it to a coarser
+        neighbor."""
+        ref, _, ref_lts = build_lts_fault_gravity(backend, workers, sort=sort)
+        old_lts_run(ref_lts, T_LTS)
+        new, lts, _ = self.run_nan_filled(monkeypatch, backend, workers,
+                                          sort)
+        assert np.abs(ref.Q).max() > 0
+        assert_bitwise(ref, new)
+        ref.backend.close()
+
+    @pytest.mark.parametrize("coarser", [False, True],
+                             ids=["taylor", "buffer"])
+    def test_dropping_a_restore_poisons_the_state(self, monkeypatch,
+                                                  coarser):
+        """The same NaN-filled run with one restore taken out of the
+        plan reads NaN: the first micro-step whose only restore is of rows
+        a finer neighbor's Taylor consume, or a coarser neighbor's buffer
+        consume, overwrote (a second restore may cover the same rows)."""
+        def drop(plan):
+            i = next(i for i in range(plan.n_micro)
+                     if list(plan.restores(i) > plan.cluster[i]) == [coarser])
+            k = plan.restore_ptr[i]
+            ptr = plan.restore_ptr.copy()
+            ptr[i + 1:] -= 1
+            return dataclasses.replace(
+                plan, restore_ptr=ptr,
+                restore_cluster=np.delete(plan.restore_cluster, k))
+
+        new, lts, plan = self.run_nan_filled(monkeypatch, "serial", None,
+                                             True, edit=drop)
+        assert len(plan.restore_cluster) == len(
+            Scheduler(new, lts).plan.restore_cluster) - 1
+        assert np.isnan(new.Q).any()
+
+    @staticmethod
+    def run_nan_filled(monkeypatch, backend, workers, sort, edit=None):
+        """Run the rig (its plan passed through ``edit``) with the
+        window buffer's consumed neighbor rows NaN-filled after every
+        micro-step; return ``(solver, lts, plan)``."""
+        windows = []
+
+        def window(shape):
+            windows.append(np.zeros(shape))
+            return windows[-1]
+
+        monkeypatch.setattr(Scheduler, "_window_buffer", staticmethod(window))
+        solver, _, lts = build_lts_fault_gravity(backend, workers, sort=sort)
+        sched = Scheduler(solver, lts)
+        if edit is not None:
+            sched.plan = edit(sched.plan)
+        plan, filled = sched.plan, []
+
+        def nan_fill(solver, event):
+            halo = lts.halo[event.cluster]
+            for cn, _, _ in plan.consumes(event.index % plan.n_micro):
+                windows[-1][halo[int(cn)]] = np.nan
+                filled.append(int(cn))
+
+        bus = HookBus()
+        bus.on_micro_step(nan_fill)
+        sched.run(T_LTS, hooks=bus)
+        solver.backend.close()
+        assert set(filled) == set(range(lts.n_clusters))
+        return solver, lts, plan
 
     def test_masked_face_selections_are_plan_views(self):
         """On the canonical mesh every cached per-cluster interior and
